@@ -15,10 +15,12 @@
 //!    to the same scan. The view's user-facing schema is restored by the
 //!    registering sink, not by the plan.
 //! 2. **Commutative sorting.** Scan label/type sets, pushed-property
-//!    lists, filter conjuncts, hash-join operands and key pairs,
-//!    projection items, and aggregate group/call lists are sorted under
-//!    a deterministic (in-process) total order, so `WHERE a AND b`
-//!    matches `WHERE b AND a` and `A ⋈ B` matches `B ⋈ A`.
+//!    lists, filter conjuncts, the `OR` operands of each conjunct,
+//!    hash-join operands and key pairs, projection items, and aggregate
+//!    group/call lists are sorted under a deterministic (in-process)
+//!    total order, so `WHERE a AND b` matches `WHERE b AND a`,
+//!    `WHERE a OR b` matches `WHERE b OR a`, and `A ⋈ B` matches
+//!    `B ⋈ A`.
 //! 3. **σ/π chain normalisation.** Adjacent filters fuse into one
 //!    conjunction; filters sink below projections and duplicate
 //!    elimination to a canonical position (directly above the topmost
@@ -41,10 +43,11 @@
 //! unchanged multiplicity, so any operator above sees a column-permuted
 //! but otherwise identical bag. Two caveats are deliberate:
 //!
-//! * Conjunct reordering assumes predicates do not rely on `AND`
-//!   short-circuiting to suppress *evaluation errors* (Kleene truth is
-//!   order-independent; an error drops the tuple in both orders but
-//!   trips a debug assertion). Plans compiled by [`crate::pipeline`]
+//! * Conjunct and disjunct reordering assumes predicates do not rely
+//!   on `AND`/`OR` short-circuiting to suppress *evaluation errors*
+//!   (Kleene truth is order-independent; an error drops the tuple and
+//!   trips a debug assertion, and a short-circuit that used to hide it
+//!   may no longer come first). Plans compiled by [`crate::pipeline`]
 //!   are well-typed and never rely on it.
 //! * Sorting keys derive from interned [`Symbol`] contents and
 //!   `Debug` renderings, so the canonical form is deterministic within
@@ -286,27 +289,43 @@ fn sort_props(props: &[PropPush]) -> (Vec<PropPush>, Vec<usize>) {
     (ix.iter().map(|&o| props[o].clone()).collect(), perm)
 }
 
-/// Split a predicate into its `AND` conjuncts.
-fn conjunct_list(e: ScalarExpr) -> Vec<ScalarExpr> {
+/// Flatten a chain of the associative connective `op` into its operands.
+fn operand_list(op: BinOp, e: ScalarExpr) -> Vec<ScalarExpr> {
     match e {
-        ScalarExpr::Binary(BinOp::And, l, r) => {
-            let mut out = conjunct_list(*l);
-            out.extend(conjunct_list(*r));
+        ScalarExpr::Binary(o, l, r) if o == op => {
+            let mut out = operand_list(op, *l);
+            out.extend(operand_list(op, *r));
             out
         }
         other => vec![other],
     }
 }
 
-/// Sort + dedup conjuncts and fold them back into one predicate
-/// (`p ∧ p ≡ p` in Kleene logic, so deduplication is sound).
-fn conjoin_sorted(mut conjs: Vec<ScalarExpr>) -> ScalarExpr {
-    conjs.sort_by_cached_key(expr_key);
-    conjs.dedup();
-    conjs
+/// Sort + dedup the operands of the commutative, idempotent connective
+/// `op` and fold them back into one expression (`p ∧ p ≡ p` and
+/// `p ∨ p ≡ p` in Kleene logic, so deduplication is sound).
+fn fold_sorted(op: BinOp, mut operands: Vec<ScalarExpr>) -> ScalarExpr {
+    operands.sort_by_cached_key(expr_key);
+    operands.dedup();
+    operands
         .into_iter()
-        .reduce(|a, b| ScalarExpr::Binary(BinOp::And, Box::new(a), Box::new(b)))
-        .expect("at least one conjunct")
+        .reduce(|a, b| ScalarExpr::Binary(op, Box::new(a), Box::new(b)))
+        .expect("at least one operand")
+}
+
+/// Split a predicate into its `AND` conjuncts.
+fn conjunct_list(e: ScalarExpr) -> Vec<ScalarExpr> {
+    operand_list(BinOp::And, e)
+}
+
+/// Canonical conjunction: each conjunct's own `OR` chain flattened,
+/// sorted and deduplicated, then the conjuncts themselves.
+fn conjoin_sorted(conjs: Vec<ScalarExpr>) -> ScalarExpr {
+    let conjs = conjs
+        .into_iter()
+        .map(|c| fold_sorted(BinOp::Or, operand_list(BinOp::Or, c)))
+        .collect();
+    fold_sorted(BinOp::And, conjs)
 }
 
 /// Sink a filter to its canonical position: below projections and

@@ -11,7 +11,9 @@ use pgq_common::value::Value;
 use pgq_durability::recovery::{self, RecoveryReport};
 use pgq_durability::snapshot::snap_file;
 use pgq_durability::wal::{self, wal_file};
-use pgq_durability::{DurOp, DurabilityError, FsyncMode, Snapshot, SnapshotView, StdVfs, Vfs};
+use pgq_durability::{
+    DurOp, DurabilityError, FsyncMode, SnapshotView, SnapshotWriter, StdVfs, Vfs,
+};
 use pgq_graph::delta::ChangeEvent;
 use pgq_graph::props::Properties;
 use pgq_graph::store::PropertyGraph;
@@ -77,6 +79,10 @@ struct Durable {
     /// registration-change and explicit snapshots).
     snapshot_every: u64,
     txs_since_snapshot: u64,
+    /// Snapshots this engine has written since it opened.
+    snapshots_written: u64,
+    /// Size of the most recent one (also the next one's buffer hint).
+    last_snapshot_bytes: u64,
     /// Consecutive failed commits; resets on success.
     fail_streak: u64,
     /// Failed commits tolerated before the engine degrades to
@@ -113,13 +119,33 @@ pub struct DurabilityHealth {
     pub compact: bool,
     /// Group-commit flush window.
     pub flush_window: u64,
+    /// Snapshots written since the engine opened (cadence ticks,
+    /// registration changes, explicit calls).
+    pub snapshots_written: u64,
+    /// Encoded size of the most recent snapshot, in bytes (`0` before
+    /// the first).
+    pub last_snapshot_bytes: u64,
 }
 
-fn snapshot_every_from_env() -> u64 {
-    std::env::var("PGQ_SNAPSHOT_EVERY")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1024)
+/// Strict parse of `PGQ_SNAPSHOT_EVERY` (default: 1024 committed
+/// transactions; `0` disables the cadence).
+fn snapshot_every_from_env() -> Result<u64, DurabilityError> {
+    match std::env::var("PGQ_SNAPSHOT_EVERY") {
+        Ok(v) => parse_snapshot_every(&v),
+        Err(_) => Ok(1024),
+    }
+}
+
+fn parse_snapshot_every(v: &str) -> Result<u64, DurabilityError> {
+    // Set-but-empty means "default", as for `PGQ_FSYNC` / `PGQ_WAL_COMPACT`.
+    if v.trim().is_empty() {
+        return Ok(1024);
+    }
+    v.trim().parse::<u64>().map_err(|_| {
+        DurabilityError::config(format!(
+            "unrecognized PGQ_SNAPSHOT_EVERY value `{v}` (expected an integer >= 0)"
+        ))
+    })
 }
 
 /// Strict parse of `PGQ_WAL_COMPACT` (default: on).
@@ -707,19 +733,20 @@ impl GraphEngine {
         let fsync = FsyncMode::from_env().map_err(DurabilityError::config)?;
         let compact = compact_from_env()?;
         let flush_window = flush_window_from_env()?;
+        let snapshot_every = snapshot_every_from_env()?;
 
         let mut plan = recovery::plan(vfs.as_ref())?;
         let mut engine;
         let skip;
         match plan.snapshot.take() {
-            Some(s) => {
+            Some(mut s) => {
                 engine =
                     GraphEngine::from_graph(s.restore_graph().map_err(|e| {
                         DurabilityError::corrupt(DurOp::SnapshotLoad, e.to_string())
                     })?);
                 let mut states = RestoreStates::new();
-                for (fp, check, bag) in &s.states {
-                    states.insert(*fp, *check, bag.clone());
+                for (fp, check, bag) in std::mem::take(&mut s.states) {
+                    states.insert(fp, check, bag);
                 }
                 let mut views: Vec<&SnapshotView> = s.views.iter().collect();
                 views.sort_by_key(|v| v.slot);
@@ -796,8 +823,10 @@ impl GraphEngine {
             fsync,
             flush_window,
             unsynced: 0,
-            snapshot_every: snapshot_every_from_env(),
+            snapshot_every,
             txs_since_snapshot: 0,
+            snapshots_written: 0,
+            last_snapshot_bytes: 0,
             fail_streak: 0,
             max_failures: 3,
             degraded,
@@ -840,14 +869,12 @@ impl GraphEngine {
         let Some(wal_records) = self.durable.as_ref().map(|d| d.wal_records) else {
             return Ok(());
         };
-        let mut snap = Snapshot::capture_graph(&self.graph);
-        // A compacting snapshot anchors a fresh generation whose log
-        // starts empty; a pinned-generation snapshot records how many
-        // log records it subsumes instead.
-        snap.wal_records = if switch_generation { 0 } else { wal_records };
-        for (i, entry) in self.views.iter().enumerate() {
-            let Some(e) = entry else { continue };
-            snap.views.push(SnapshotView {
+        let views: Vec<SnapshotView> = self
+            .views
+            .iter()
+            .enumerate()
+            .filter_map(|(i, entry)| Some((i, entry.as_ref()?)))
+            .map(|(i, e)| SnapshotView {
                 slot: i as u32,
                 name: self.network.view(e.sink).name().to_string(),
                 query: e.query_text.clone(),
@@ -863,19 +890,34 @@ impl GraphEngine {
                     WcojMode::Forced => 2,
                 },
                 wcoj_sorted: e.register.wcoj_sorted,
-            });
-        }
-        for (fp, check, bag) in self.network.dump_states().iter() {
-            snap.states.push((fp, check, bag.to_vec()));
-        }
+            })
+            .collect();
+        // One bottom-up pass over the network, then one streaming pass
+        // into the file buffer: every bag is materialised once and
+        // every byte written once (see `pgq_durability::snapshot`).
+        let states = self.network.dump_states();
         let d = self.durable.as_mut().expect("checked above");
+        // A compacting snapshot anchors a fresh generation whose log
+        // starts empty; a pinned-generation snapshot records how many
+        // log records it subsumes instead.
+        let subsumed = if switch_generation { 0 } else { wal_records };
+        // Stationary workloads keep their snapshot size: the previous
+        // one, plus slack, pre-sizes the buffer.
+        let hint = d.last_snapshot_bytes + d.last_snapshot_bytes / 8;
+        let mut w = SnapshotWriter::new(hint as usize, subsumed, &self.graph);
+        w.views(&views);
+        w.states(states.iter());
+        let bytes = w.finish();
         let target = if switch_generation {
             d.generation + 1
         } else {
             d.generation
         };
-        snap.write(d.vfs.as_ref(), target)
+        d.vfs
+            .write_atomic(&snap_file(target), &bytes)
             .map_err(|e| DurabilityError::io(DurOp::SnapshotWrite, &e))?;
+        d.snapshots_written += 1;
+        d.last_snapshot_bytes = bytes.len() as u64;
         if switch_generation {
             // The rename is durable; the old generation is now dead
             // weight. Deletion is best-effort — a crash (or an error)
@@ -1065,6 +1107,8 @@ impl GraphEngine {
             wal_len: d.wal_len,
             compact: d.compact,
             flush_window: d.flush_window,
+            snapshots_written: d.snapshots_written,
+            last_snapshot_bytes: d.last_snapshot_bytes,
         })
     }
 
@@ -1779,5 +1823,23 @@ impl UpdatePlan {
 fn push_unique(v: &mut Vec<String>, s: &str) {
     if !v.iter().any(|x| x == s) {
         v.push(s.to_string());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn snapshot_every_parsing_is_strict() {
+        assert_eq!(parse_snapshot_every("1024").unwrap(), 1024);
+        assert_eq!(parse_snapshot_every(" 16 ").unwrap(), 16);
+        // `0` is a value, not a typo: it disables the cadence.
+        assert_eq!(parse_snapshot_every("0").unwrap(), 0);
+        // The typo that used to silently mean the default.
+        assert!(parse_snapshot_every("1k").is_err());
+        assert_eq!(parse_snapshot_every("").unwrap(), 1024);
+        assert!(parse_snapshot_every("-1").is_err());
+        assert!(parse_snapshot_every("never").is_err());
     }
 }

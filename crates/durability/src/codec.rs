@@ -54,31 +54,63 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// CRC-32 (IEEE 802.3 polynomial, the zlib/`crc32fast` convention),
-/// hand-rolled so the WAL needs no external checksum crate.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// Slicing-by-8 lookup tables for [`crc32`]: `CRC_TABLES[0]` is the
+/// classic bytewise table; `CRC_TABLES[k][b]` is the CRC state after
+/// byte `b` followed by `k` zero bytes, which lets eight input bytes be
+/// folded with eight independent loads instead of a dependent chain.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        table
-    };
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3 polynomial, the zlib/`crc32fast` convention),
+/// hand-rolled so the WAL needs no external checksum crate. Table-driven
+/// slicing-by-8: eight bytes per step, a bytewise tail for the last
+/// `len % 8` — the snapshot tick checksums megabytes on the commit path
+/// and recovery verifies them again.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -87,6 +119,8 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[derive(Default)]
 pub struct Encoder {
     buf: Vec<u8>,
+    /// Per-encoder symbol → string memo (see [`Encoder::memoize_symbols`]).
+    symbols: Option<Vec<Option<Arc<str>>>>,
 }
 
 impl Encoder {
@@ -95,9 +129,32 @@ impl Encoder {
         Encoder::default()
     }
 
+    /// Empty encoder with room for `n` bytes (a writer that knows its
+    /// output size up front never regrows or recopies the buffer).
+    pub fn with_capacity(n: usize) -> Encoder {
+        Encoder {
+            buf: Vec::with_capacity(n),
+            symbols: None,
+        }
+    }
+
+    /// Resolve each distinct symbol through the global interner (a
+    /// lock acquisition) once and serve repeats from a private table.
+    /// For bulk encodes — a snapshot names the same few labels, types
+    /// and keys tens of thousands of times; a WAL record names a
+    /// handful once and is better off without the table.
+    pub fn memoize_symbols(&mut self) {
+        self.symbols = Some(Vec::new());
+    }
+
     /// Finish, yielding the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// Append raw bytes, unframed (file magics).
+    pub fn raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Write one byte.
@@ -132,9 +189,13 @@ impl Encoder {
 
     /// Write a length-prefixed UTF-8 string.
     pub fn str(&mut self, s: &str) {
-        self.len(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
+        write_str(&mut self.buf, s);
     }
+}
+
+fn write_str(buf: &mut Vec<u8>, s: &str) {
+    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
 }
 
 /// Bounds-checked little-endian reader over a byte slice.
@@ -228,7 +289,14 @@ impl<'a> Decoder<'a> {
 
 /// Encode a symbol as its resolved string.
 pub fn encode_symbol(e: &mut Encoder, s: Symbol) {
-    s.with_str(|str| e.str(str));
+    let Some(memo) = e.symbols.as_mut() else {
+        return s.with_str(|str| e.str(str));
+    };
+    let ix = s.index() as usize;
+    if memo.len() <= ix {
+        memo.resize(ix + 1, None);
+    }
+    write_str(&mut e.buf, memo[ix].get_or_insert_with(|| s.resolve()));
 }
 
 // Value tags.
@@ -553,6 +621,44 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"hello"), 0x3610_A686);
+    }
+
+    /// Bit-at-a-time CRC-32, straight from the polynomial: shares no
+    /// table with the implementation under test.
+    fn crc32_reference(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    0xEDB8_8320 ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_slicing_matches_bitwise_reference_at_every_length_and_alignment() {
+        // xorshift bytes; 8 start offsets into one buffer cover every
+        // alignment of the 8-byte steps against the allocation.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..1027 + 8)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=1027 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_reference(s), "start {start} len {len}");
+            }
+        }
     }
 
     fn roundtrip_value(v: &Value) {

@@ -48,6 +48,6 @@ pub mod wal;
 pub use codec::CodecError;
 pub use error::{DurKind, DurOp, DurabilityError};
 pub use recovery::{RecoveryPlan, RecoveryReport, QUARANTINE_SUFFIX};
-pub use snapshot::{Snapshot, SnapshotError, SnapshotView, StateBag};
+pub use snapshot::{Snapshot, SnapshotError, SnapshotView, SnapshotWriter, StateBag};
 pub use vfs::{Fault, FsyncMode, MemDisk, MemVfs, StdVfs, Vfs};
 pub use wal::WalTail;

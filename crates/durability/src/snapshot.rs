@@ -25,6 +25,17 @@
 //! that verdict into a quarantine-and-fall-back rather than a fatal
 //! error.
 //!
+//! **One writer, one pass.** Both ways of producing a snapshot file go
+//! through [`SnapshotWriter`]: the engine's tick streams graph rows,
+//! view metadata and operator bags *borrowed* from the live
+//! `PropertyGraph` and the network's state dump into one pre-sized
+//! buffer (no intermediate [`Snapshot`] value, no per-row clones), and
+//! [`Snapshot::encode`] feeds the same writer from an owned value. The
+//! 12-byte header is reserved up front and the checksum patched in
+//! place, so every output byte is produced exactly once. Cost model of
+//! a tick: O(graph + operator state) once — one sort of the id lists,
+//! one encode pass, one slicing-by-8 CRC pass, one `write_atomic`.
+//!
 //! Snapshots are **generation-numbered**: generation `g`'s snapshot is
 //! `snap.<g>` ([`snap_file`]) and anchors the replay of `wal.<g>` and
 //! every later generation's log. Generation 0 is genesis — `snap.0`
@@ -38,7 +49,7 @@ use pgq_common::ids::{EdgeId, VertexId};
 use pgq_common::intern::Symbol;
 use pgq_common::tuple::Tuple;
 use pgq_graph::props::Properties;
-use pgq_graph::store::{GraphError, PropertyGraph};
+use pgq_graph::store::{EdgeData, GraphError, PropertyGraph, VertexData};
 
 use crate::codec::{
     crc32, decode_props, decode_tuple, encode_props, encode_symbol, encode_tuple, CodecError,
@@ -61,6 +72,8 @@ pub fn parse_snap_name(name: &str) -> Option<u64> {
 }
 
 const MAGIC: &[u8; 8] = b"PGQSNAP1";
+/// Magic plus the body checksum.
+const HEADER_LEN: usize = 12;
 
 /// Why a snapshot failed to load.
 #[derive(Debug)]
@@ -163,25 +176,17 @@ impl Snapshot {
     /// views and operator states are filled in by the engine layer.
     pub fn capture_graph(g: &PropertyGraph) -> Snapshot {
         let (next_vertex, next_edge) = g.id_watermarks();
+        // Deterministic dump order: see [`SnapshotWriter::new`].
         let mut vertices: Vec<_> = g
-            .vertex_ids()
-            .map(|id| {
-                let data = g.vertex(id).expect("iterated id exists");
-                (id, data.labels.clone(), data.props.clone())
-            })
+            .vertices()
+            .map(|(id, data)| (id, data.labels.clone(), data.props.clone()))
             .collect();
-        // Deterministic dump order (iteration order of the id map is
-        // hash-dependent); also lets the loader insert edges after both
-        // endpoints without a fixpoint.
-        vertices.sort_by_key(|(id, _, _)| *id);
+        vertices.sort_unstable_by_key(|(id, _, _)| *id);
         let mut edges: Vec<_> = g
-            .edge_ids()
-            .map(|id| {
-                let data = g.edge(id).expect("iterated id exists");
-                (id, data.src, data.dst, data.ty, data.props.clone())
-            })
+            .edges()
+            .map(|(id, data)| (id, data.src, data.dst, data.ty, data.props.clone()))
             .collect();
-        edges.sort_by_key(|(id, _, _, _, _)| *id);
+        edges.sort_unstable_by_key(|(id, _, _, _, _)| *id);
         Snapshot {
             wal_records: 0,
             next_vertex,
@@ -210,74 +215,37 @@ impl Snapshot {
         Ok(g)
     }
 
-    /// Serialize to the on-disk format (magic + checksum + body).
+    /// Serialize to the on-disk format (magic + checksum + body),
+    /// through the same [`SnapshotWriter`] the engine's tick streams
+    /// into.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.u64(self.wal_records);
-        e.u64(self.next_vertex);
-        e.u64(self.next_edge);
-
-        e.len(self.vertices.len());
-        for (id, labels, props) in &self.vertices {
-            e.u64(id.0);
-            e.len(labels.len());
-            for &l in labels {
-                encode_symbol(&mut e, l);
-            }
-            encode_props(&mut e, props);
-        }
-
-        e.len(self.edges.len());
-        for (id, src, dst, ty, props) in &self.edges {
-            e.u64(id.0);
-            e.u64(src.0);
-            e.u64(dst.0);
-            encode_symbol(&mut e, *ty);
-            encode_props(&mut e, props);
-        }
-
-        e.len(self.views.len());
-        for v in &self.views {
-            e.u32(v.slot);
-            e.str(&v.name);
-            e.str(&v.query);
-            e.u8(v.schema_mode);
-            e.bool(v.optimize);
-            e.bool(v.plan);
-            e.u8(v.wcoj_mode);
-            e.u8(match v.wcoj_sorted {
-                None => 0,
-                Some(false) => 1,
-                Some(true) => 2,
-            });
-        }
-
-        e.len(self.states.len());
-        for (fp, check, bag) in &self.states {
-            e.u64(*fp);
-            e.u64(*check);
-            e.len(bag.len());
-            for (t, m) in bag {
-                encode_tuple(&mut e, t);
-                e.i64(*m);
-            }
-        }
-
-        let body = e.into_bytes();
-        let mut out = Vec::with_capacity(12 + body.len());
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
-        out.extend_from_slice(&body);
-        out
+        let mut w = SnapshotWriter::begin(0, self.wal_records, self.next_vertex, self.next_edge);
+        w.vertices(
+            self.vertices
+                .iter()
+                .map(|(id, labels, props)| (*id, labels.as_slice(), props)),
+        );
+        w.edges(
+            self.edges
+                .iter()
+                .map(|(id, src, dst, ty, props)| (*id, *src, *dst, *ty, props)),
+        );
+        w.views(&self.views);
+        w.states(
+            self.states
+                .iter()
+                .map(|(fp, check, bag)| (*fp, *check, bag.as_slice())),
+        );
+        w.finish()
     }
 
     /// Decode the on-disk format, validating magic and checksum.
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-        if bytes.len() < 12 || &bytes[..8] != MAGIC {
+        if bytes.len() < HEADER_LEN || &bytes[..MAGIC.len()] != MAGIC {
             return Err(SnapshotError::BadMagic);
         }
-        let want = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        let body = &bytes[12..];
+        let want = u32::from_le_bytes(bytes[MAGIC.len()..HEADER_LEN].try_into().unwrap());
+        let body = &bytes[HEADER_LEN..];
         if crc32(body) != want {
             return Err(SnapshotError::BadChecksum);
         }
@@ -369,6 +337,163 @@ impl Snapshot {
             None => Ok(None),
             Some(bytes) => Snapshot::decode(&bytes).map(Some),
         }
+    }
+}
+
+/// The sections of a snapshot body, in file order.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Section {
+    Vertices,
+    Edges,
+    Views,
+    States,
+    Done,
+}
+
+/// Streaming encoder of the snapshot file format — the only code that
+/// knows the byte layout on the write side.
+///
+/// Inputs are borrowed and every section is written straight into one
+/// buffer whose header (magic + checksum slot) is reserved up front;
+/// [`SnapshotWriter::finish`] patches the checksum in place. Sections
+/// must be written in file order — graph, then
+/// [`views`](SnapshotWriter::views), then
+/// [`states`](SnapshotWriter::states) — and a misordered call panics
+/// rather than produce a file that fails to decode.
+pub struct SnapshotWriter {
+    e: Encoder,
+    next: Section,
+}
+
+impl SnapshotWriter {
+    fn begin(capacity: usize, wal_records: u64, next_vertex: u64, next_edge: u64) -> Self {
+        let mut e = Encoder::with_capacity(capacity.max(HEADER_LEN + 24));
+        e.memoize_symbols();
+        e.raw(MAGIC);
+        e.u32(0); // checksum slot, patched by `finish`
+        e.u64(wal_records);
+        e.u64(next_vertex);
+        e.u64(next_edge);
+        SnapshotWriter {
+            e,
+            next: Section::Vertices,
+        }
+    }
+
+    fn enter(&mut self, section: Section, then: Section) {
+        assert_eq!(self.next, section, "snapshot sections out of file order");
+        self.next = then;
+    }
+
+    /// Start a snapshot of `g`: header, id watermarks and the full
+    /// vertex/edge dump in ascending id order (deterministic — the id
+    /// maps iterate in hash order — and it lets the loader insert edges
+    /// after both endpoints without a fixpoint). `capacity` pre-sizes
+    /// the buffer (the previous snapshot's size is a good hint);
+    /// `wal_records` is the number of leading log records the snapshot
+    /// subsumes.
+    pub fn new(capacity: usize, wal_records: u64, g: &PropertyGraph) -> SnapshotWriter {
+        let (next_vertex, next_edge) = g.id_watermarks();
+        let mut w = SnapshotWriter::begin(capacity, wal_records, next_vertex, next_edge);
+        let mut vertices: Vec<(VertexId, &VertexData)> = g.vertices().collect();
+        vertices.sort_unstable_by_key(|(id, _)| *id);
+        w.vertices(
+            vertices
+                .into_iter()
+                .map(|(id, d)| (id, d.labels.as_slice(), &d.props)),
+        );
+        let mut edges: Vec<(EdgeId, &EdgeData)> = g.edges().collect();
+        edges.sort_unstable_by_key(|(id, _)| *id);
+        w.edges(
+            edges
+                .into_iter()
+                .map(|(id, d)| (id, d.src, d.dst, d.ty, &d.props)),
+        );
+        w
+    }
+
+    fn vertices<'a>(
+        &mut self,
+        rows: impl ExactSizeIterator<Item = (VertexId, &'a [Symbol], &'a Properties)>,
+    ) {
+        self.enter(Section::Vertices, Section::Edges);
+        let e = &mut self.e;
+        e.len(rows.len());
+        for (id, labels, props) in rows {
+            e.u64(id.0);
+            e.len(labels.len());
+            for &l in labels {
+                encode_symbol(e, l);
+            }
+            encode_props(e, props);
+        }
+    }
+
+    fn edges<'a>(
+        &mut self,
+        rows: impl ExactSizeIterator<Item = (EdgeId, VertexId, VertexId, Symbol, &'a Properties)>,
+    ) {
+        self.enter(Section::Edges, Section::Views);
+        let e = &mut self.e;
+        e.len(rows.len());
+        for (id, src, dst, ty, props) in rows {
+            e.u64(id.0);
+            e.u64(src.0);
+            e.u64(dst.0);
+            encode_symbol(e, ty);
+            encode_props(e, props);
+        }
+    }
+
+    /// Write the standing views' registration metadata.
+    pub fn views(&mut self, views: &[SnapshotView]) {
+        self.enter(Section::Views, Section::States);
+        let e = &mut self.e;
+        e.len(views.len());
+        for v in views {
+            e.u32(v.slot);
+            e.str(&v.name);
+            e.str(&v.query);
+            e.u8(v.schema_mode);
+            e.bool(v.optimize);
+            e.bool(v.plan);
+            e.u8(v.wcoj_mode);
+            e.u8(match v.wcoj_sorted {
+                None => 0,
+                Some(false) => 1,
+                Some(true) => 2,
+            });
+        }
+    }
+
+    /// Write the operator-state sections: one `(fingerprint, check,
+    /// bag)` entry per live network node, bags borrowed from the
+    /// network's state dump.
+    pub fn states<'a>(
+        &mut self,
+        states: impl ExactSizeIterator<Item = (u64, u64, &'a [(Tuple, i64)])>,
+    ) {
+        self.enter(Section::States, Section::Done);
+        let e = &mut self.e;
+        e.len(states.len());
+        for (fp, check, bag) in states {
+            e.u64(fp);
+            e.u64(check);
+            e.len(bag.len());
+            for (t, m) in bag {
+                encode_tuple(e, t);
+                e.i64(*m);
+            }
+        }
+    }
+
+    /// Checksum the body, patch the header, and yield the file bytes.
+    pub fn finish(mut self) -> Vec<u8> {
+        self.enter(Section::Done, Section::Done);
+        let mut out = self.e.into_bytes();
+        let crc = crc32(&out[HEADER_LEN..]);
+        out[MAGIC.len()..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+        out
     }
 }
 

@@ -164,6 +164,17 @@ impl PropertyGraph {
         self.edges.keys().copied()
     }
 
+    /// All vertices with their payloads, borrowed (same order as
+    /// [`PropertyGraph::vertex_ids`]).
+    pub fn vertices(&self) -> impl Iterator<Item = (VertexId, &VertexData)> + '_ {
+        self.vertices.iter().map(|(id, data)| (*id, data))
+    }
+
+    /// All edges with their payloads, borrowed.
+    pub fn edges(&self) -> impl Iterator<Item = (EdgeId, &EdgeData)> + '_ {
+        self.edges.iter().map(|(id, data)| (*id, data))
+    }
+
     /// Vertices carrying `label` (via the label index).
     pub fn vertices_with_label(&self, label: Symbol) -> &[VertexId] {
         self.index.with_label(label)

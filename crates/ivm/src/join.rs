@@ -94,6 +94,16 @@ impl JoinOp {
         self.left_mem.distinct_len() + self.right_mem.distinct_len()
     }
 
+    /// The left input's full current bag, as maintained for probing.
+    pub fn left_memory(&self) -> &IndexedBag {
+        &self.left_mem
+    }
+
+    /// The right input's full current bag.
+    pub fn right_memory(&self) -> &IndexedBag {
+        &self.right_mem
+    }
+
     /// Process one batch of deltas from both inputs.
     pub fn on_deltas(&mut self, dl: Delta, dr: Delta) -> Delta {
         let mut out = Delta::new();

@@ -58,6 +58,21 @@
 //! identical to the serial pass (see ARCHITECTURE.md, "Parallel delta
 //! propagation").
 //!
+//! # State dump
+//!
+//! A durable snapshot needs every live node's full output bag
+//! ([`DataflowNetwork::dump_states`]). The dump is **one bottom-up pass
+//! in topological-depth order that materialises each node's bag once**:
+//! copied from where maintenance already keeps it consolidated (a
+//! sink's result bag for a view root, a consuming join's input memory
+//! for a join input), derived from the child's already-dumped bag for a
+//! stateless σ/π/ω, enumerated from the node's own memories otherwise.
+//! Cost: O(operator state) per dump, each shared node once — never
+//! O(paths from views to nodes), which is what replaying every node
+//! through its stateless children used to cost. Registration still
+//! replays one subtree recursively (`replay_into`): it needs one bag,
+//! not all of them.
+//!
 //! # Invariants
 //!
 //! * **Consing is sound** because equality is checked on the full
@@ -190,6 +205,18 @@ impl NodeKind {
             | NodeKind::Aggregate { input, .. }
             | NodeKind::Unwind { input, .. } => vec![*input],
             NodeKind::Multiway { inputs, .. } => inputs.clone(),
+        }
+    }
+
+    /// The single input of a stateless operator (σ/π/ω), whose output
+    /// is a pure function of that input's; `None` for operators with
+    /// memories of their own.
+    fn stateless_input(&self) -> Option<NodeId> {
+        match self {
+            NodeKind::Filter { input, .. }
+            | NodeKind::Project { input, .. }
+            | NodeKind::Unwind { input, .. } => Some(*input),
+            _ => None,
         }
     }
 
@@ -782,7 +809,7 @@ impl RestoreStates {
     }
 
     /// Iterate all stored `(fingerprint, check, bag)` entries.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64, &[(Tuple, i64)])> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (u64, u64, &[(Tuple, i64)])> {
         self.map
             .iter()
             .map(|(fp, (check, bag))| (*fp, *check, bag.as_slice()))
@@ -1481,6 +1508,19 @@ impl DataflowNetwork {
     /// stores and [`DataflowNetwork::register_with_restore`] later
     /// consumes in a fresh process.
     ///
+    /// **One bottom-up pass, each bag materialised exactly once**, and
+    /// copied rather than recomputed wherever maintenance already
+    /// keeps it: a view root's bag is its sink's result bag and a join
+    /// input's bag is that join's input memory (both consolidated by
+    /// construction). Only what is stored nowhere is derived — a
+    /// stateless σ/π/ω from its child's already-dumped bag (live nodes
+    /// are visited in ascending topological depth, so children come
+    /// first) instead of re-deriving the whole subtree, a stateful
+    /// node from its own memories. The DAG is walked as a DAG: a
+    /// subplan shared by N views is dumped once, not once per path
+    /// that reaches it. Cost: O(operator state), independent of how
+    /// many views share it.
+    ///
     /// A fingerprint shared by two *live* nodes means two different
     /// plans collided in the primary hash (identical plans would have
     /// been hash-consed into one node); such an ambiguous key is
@@ -1488,54 +1528,126 @@ impl DataflowNetwork {
     /// into the other's operator, and recovery cold-starts those
     /// nodes.
     pub fn dump_states(&mut self) -> RestoreStates {
-        let live: Vec<NodeId> = (0..self.nodes.len())
+        let mut order: Vec<NodeId> = (0..self.nodes.len())
             .filter(|&i| self.nodes[i].is_some())
             .map(|i| NodeId(i as u32))
             .collect();
+        order.sort_by_key(|id| self.sched.depth[id.ix()]);
         let mut fp_count: FxHashMap<u64, u32> = FxHashMap::default();
-        for &id in &live {
+        for &id in &order {
             *fp_count.entry(self.node(id).fingerprint).or_insert(0) += 1;
         }
-        let mut states = RestoreStates::new();
-        for id in live {
-            let fp = self.node(id).fingerprint;
-            if fp_count[&fp] > 1 {
-                continue;
+        // Slot-indexed bags; a stateless parent borrows its child's.
+        let mut bags: Vec<Delta> = Vec::new();
+        bags.resize_with(self.nodes.len(), Delta::new);
+        for &id in &order {
+            let mut bag = Delta::new();
+            if !self.copy_materialised(id, &mut bag) {
+                match self.node(id).kind.stateless_input() {
+                    Some(child) => {
+                        self.apply_stateless(id, &bags[child.ix()], &mut bag);
+                        // σ keeps a subset of an already-consolidated bag.
+                        if !matches!(self.node(id).kind, NodeKind::Filter { .. }) {
+                            bag.consolidate_in_place();
+                        }
+                    }
+                    None => {
+                        self.replay_memories(id, &mut bag);
+                        bag.consolidate_in_place();
+                    }
+                }
             }
-            let check = self.node(id).plan.snapshot_check().0;
-            let mut d = self.pool.get();
-            self.replay_into(id, &mut d);
-            d.consolidate_in_place();
-            let bag: Vec<(Tuple, i64)> = d.iter().map(|(t, m)| (t.clone(), *m)).collect();
-            self.pool.put(d);
-            states.insert(fp, check, bag);
+            bags[id.ix()] = bag;
+        }
+        let mut states = RestoreStates::new();
+        for id in order {
+            let node = self.node(id);
+            if fp_count[&node.fingerprint] == 1 {
+                let bag = std::mem::take(&mut bags[id.ix()]);
+                states.insert(
+                    node.fingerprint,
+                    node.plan.snapshot_check().0,
+                    bag.into_entries(),
+                );
+            }
         }
         states
     }
 
+    /// Copy `id`'s full output bag from a place maintenance already
+    /// keeps it consolidated — a sink's result bag (view roots) or the
+    /// input memory of a join consuming it — into `out`. `false` when
+    /// it is materialised nowhere and must be derived.
+    fn copy_materialised(&self, id: NodeId, out: &mut Delta) -> bool {
+        let node = self.node(id);
+        if let Some(&sid) = node.sinks.first() {
+            let results = &self.sink(sid).results;
+            out.reserve(results.len());
+            for (t, m) in results {
+                out.push(t.clone(), *m);
+            }
+            return true;
+        }
+        for &p in &node.parents {
+            if let NodeKind::Join { left, op, .. } = &self.node(p).kind {
+                let memory = if *left == id {
+                    op.left_memory()
+                } else {
+                    op.right_memory()
+                };
+                out.reserve(memory.distinct_len());
+                for (t, m) in memory.iter() {
+                    out.push(t.clone(), m);
+                }
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Fingerprint, canonical sub-plan and directly-attached views of
+    /// every live node, in arena order — what a state audit needs to
+    /// recompute each node's bag independently of the network and to
+    /// find each view's root (see `tests/snapshot_tick.rs`).
+    pub fn node_plans(&self) -> impl Iterator<Item = (u64, &Fra, &[SinkId])> {
+        self.nodes
+            .iter()
+            .flatten()
+            .map(|n| (n.fingerprint, &n.plan, n.sinks.as_slice()))
+    }
+
     /// Append the node's full current output bag (as derivable from its
     /// memories) to `out`. Stateless operators recompute over their
-    /// child's replay.
+    /// child's replay — registration's path, which needs one subtree's
+    /// bag; [`DataflowNetwork::dump_states`] needs every node's and
+    /// memoises instead.
     fn replay_into(&mut self, id: NodeId, out: &mut Delta) {
-        let stateless_child = match &self.node(id).kind {
-            NodeKind::Filter { input, .. }
-            | NodeKind::Project { input, .. }
-            | NodeKind::Unwind { input, .. } => Some(*input),
-            _ => None,
-        };
-        if let Some(c) = stateless_child {
-            let mut tmp = self.pool.get();
-            self.replay_into(c, &mut tmp);
-            match &mut self.nodes[id.ix()].as_mut().expect("live node").kind {
-                NodeKind::Filter { predicate, .. } => filter_into(predicate, &tmp, out),
-                NodeKind::Project { items, scratch, .. } => project_into(items, &tmp, scratch, out),
-                NodeKind::Unwind { expr, .. } => unwind_into(expr, &tmp, out),
-                _ => unreachable!("stateless_child implies a stateless kind"),
+        match self.node(id).kind.stateless_input() {
+            Some(child) => {
+                let mut tmp = self.pool.get();
+                self.replay_into(child, &mut tmp);
+                self.apply_stateless(id, &tmp, out);
+                self.pool.put(tmp);
             }
-            self.pool.put(tmp);
-            return;
+            None => self.replay_memories(id, out),
         }
-        match &mut self.nodes[id.ix()].as_mut().expect("live node").kind {
+    }
+
+    /// Run stateless node `id` (σ/π/ω) over `input`, its child's full
+    /// bag, appending to `out`.
+    fn apply_stateless(&mut self, id: NodeId, input: &Delta, out: &mut Delta) {
+        match &mut self.node_mut(id).kind {
+            NodeKind::Filter { predicate, .. } => filter_into(predicate, input, out),
+            NodeKind::Project { items, scratch, .. } => project_into(items, input, scratch, out),
+            NodeKind::Unwind { expr, .. } => unwind_into(expr, input, out),
+            _ => unreachable!("apply_stateless on a stateful node"),
+        }
+    }
+
+    /// Append stateful node `id`'s full output bag, enumerated from its
+    /// own memories, to `out`.
+    fn replay_memories(&mut self, id: NodeId, out: &mut Delta) {
+        match &mut self.node_mut(id).kind {
             NodeKind::Unit { emitted } => {
                 if *emitted {
                     out.push(Tuple::unit(), 1);
@@ -1550,7 +1662,7 @@ impl DataflowNetwork {
             NodeKind::Aggregate { op, .. } => op.replay_into(out),
             NodeKind::Multiway { op, .. } => op.replay_into(out),
             NodeKind::Filter { .. } | NodeKind::Project { .. } | NodeKind::Unwind { .. } => {
-                unreachable!("handled above")
+                unreachable!("replay_memories on a stateless node")
             }
         }
     }

@@ -218,6 +218,10 @@ fn main() {
                             if h.compact { "on" } else { "off" },
                             h.flush_window,
                         );
+                            println!(
+                                "{} snapshots written (last {} bytes)",
+                                h.snapshots_written, h.last_snapshot_bytes,
+                            );
                             match &h.degraded {
                             Some(e) => println!("DEGRADED (read-only) after: {e}\nrun :heal once the disk is fixed"),
                             None => println!("healthy ({} consecutive commit failures)", h.fail_streak),

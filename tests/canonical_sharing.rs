@@ -1,6 +1,6 @@
-//! Engine-level canonicalisation: alpha-renamed / conjunct-reordered /
-//! alias-renamed duplicates of a registered view add **zero** operator
-//! nodes, `WHERE`-only-differing families share their whole stateful
+//! Engine-level canonicalisation: alpha-renamed / conjunct- or
+//! disjunct-reordered / alias-renamed duplicates of a registered view
+//! add **zero** operator nodes, `WHERE`-only-differing families share their whole stateful
 //! prefix, and the collapsed network delivers each change event once —
 //! all while every view keeps answering with its own schema and the
 //! exact recompute result.
@@ -66,11 +66,24 @@ fn alpha_equivalent_views_add_zero_nodes() {
         nodes_with_filter,
         "reordered conjuncts under renamed variables must add zero nodes"
     );
+    // `OR` operands are as commutative (and idempotent) as conjuncts.
+    let either = "MATCH (p:Post)-[:REPLY]->(c:Comm) \
+                  WHERE p.lang = 'en' OR c.lang = 'fr' RETURN p, c";
+    let either_flipped = "MATCH (a:Post)-[:REPLY]->(b:Comm) \
+                          WHERE b.lang = 'fr' OR a.lang = 'en' OR b.lang = 'fr' RETURN a, b";
+    e.register_view("o0", either).unwrap();
+    let nodes_with_or = e.network_node_count();
+    e.register_view("o1", either_flipped).unwrap();
+    assert_eq!(
+        e.network_node_count(),
+        nodes_with_or,
+        "reordered, repeated OR operands must add zero nodes"
+    );
 
     // Sharing must be observationally invisible.
     e.execute("CREATE (:Post {lang:'en'})-[:REPLY]->(:Comm {lang:'en'})")
         .unwrap();
-    for name in ["base", "renamed", "aliased", "w0", "w1"] {
+    for name in ["base", "renamed", "aliased", "w0", "w1", "o0", "o1"] {
         assert_matches_recompute(&e, name);
     }
     // The alias-renamed view reports its own column names.

@@ -1,0 +1,229 @@
+//! The one-pass snapshot tick, checked against things it does not share
+//! code with:
+//!
+//! * the streaming [`SnapshotWriter`] against [`Snapshot::encode`] of
+//!   the same captured state (byte-for-byte, sections in the same
+//!   order) and against `decode`;
+//! * every bag [`DataflowNetwork::dump_states`] returns against a
+//!   `pgq_eval` recompute of that node's canonical sub-plan, and every
+//!   root bag against the view's results — the first step of a state
+//!   audit (operator state equals what its sub-plan implies), and the
+//!   oracle for the memoised dump now that the recursive one is gone;
+//! * the dump's shape under sharing: one entry per live node, however
+//!   many views reach it.
+//!
+//! All over seeded random graphs, random view subsets and a churn
+//! script, on the bare layers (`PropertyGraph` + `DataflowNetwork`) so
+//! the dump can be taken at will.
+
+mod durability_script;
+
+use durability_script::{random_tx, XorShift};
+use pgq_algebra::compile_query;
+use pgq_common::intern::Symbol;
+use pgq_common::tuple::Tuple;
+use pgq_durability::{Snapshot, SnapshotView, SnapshotWriter};
+use pgq_graph::props::Properties;
+use pgq_graph::store::PropertyGraph;
+use pgq_graph::tx::Transaction;
+use pgq_ivm::{DataflowNetwork, SinkId};
+use pgq_parser::parse_query;
+
+/// Every operator-state shape: scans, σ/π suffixes over a shared join,
+/// `OR`, δ, γ, ⋈*, ω over paths, both edge directions, semi/antijoin,
+/// a two-hop join whose inner join feeds another join, and a cyclic
+/// pattern.
+const POOL: &[&str] = &[
+    "MATCH (p:Post) RETURN p",
+    "MATCH (p:Post) WHERE p.lang = 'en' RETURN p, p.lang",
+    "MATCH (p:Post)-[:REPLY]->(c:Comm) RETURN p, c",
+    "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE p.lang = c.lang RETURN p, c",
+    "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE c.lang = 'en' RETURN p, c",
+    "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE c.lang = 'de' RETURN p, c",
+    "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE c.lang = 'fr' OR p.lang = 'en' RETURN c",
+    "MATCH t = (p:Post)-[:REPLY*]->(c:Comm) WHERE p.lang = c.lang RETURN p, t",
+    "MATCH (a)-[:REPLY*1..3]->(b:Comm) RETURN a, b",
+    "MATCH (p:Post) RETURN DISTINCT p.lang",
+    "MATCH (p:Post) RETURN p.lang AS lang, count(*) AS n",
+    "MATCH t = (p:Post)-[:REPLY*]->(c:Comm) UNWIND nodes(t) AS n RETURN n",
+    "MATCH (a:Comm)<-[:REPLY]-(b) RETURN a, b",
+    "MATCH (a)-[:REPLY]-(b:Comm) RETURN a, b",
+    "MATCH (p:Post) WHERE NOT exists((p)-[:REPLY]->(:Comm)) RETURN p",
+    "MATCH (p:Post) WHERE exists((p)-[:REPLY]->(:Comm {lang: 'en'})) RETURN p",
+    "MATCH (p:Post)-[:REPLY]->(c:Comm)-[:REPLY]->(d:Comm) RETURN p, d",
+    "MATCH (a)-[:REPLY]->(b)-[:REPLY]->(c), (a)-[:REPLY]->(c) RETURN a, b, c",
+];
+
+const SEEDS: u64 = 12;
+const STEPS: usize = 120;
+
+struct World {
+    g: PropertyGraph,
+    net: DataflowNetwork,
+    views: Vec<(SinkId, SnapshotView)>,
+}
+
+fn sorted(bag: &[(Tuple, i64)]) -> Vec<(Tuple, i64)> {
+    let mut v = bag.to_vec();
+    v.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    v
+}
+
+/// A seeded random graph, a random subset of [`POOL`] registered at
+/// random points of the script, and churn (adds, deletes, relabels,
+/// cross edges) maintained through the network.
+fn churned_world(seed: u64) -> World {
+    let mut rng = XorShift::new(0x5EED_0000 + seed);
+    let mut w = World {
+        g: PropertyGraph::new(),
+        net: DataflowNetwork::new(),
+        views: Vec::new(),
+    };
+    let mut pending: Vec<usize> = (0..POOL.len()).filter(|_| rng.below(3) > 0).collect();
+    for _ in 0..STEPS {
+        if !pending.is_empty() && rng.below(8) == 0 {
+            let q = pending.swap_remove(rng.below(pending.len()));
+            let compiled = compile_query(&parse_query(POOL[q]).unwrap()).unwrap();
+            let name = format!("v{q}");
+            let sid = w.net.register(name.as_str(), &compiled.fra, &w.g);
+            let view = SnapshotView {
+                slot: q as u32,
+                name,
+                query: POOL[q].to_string(),
+                schema_mode: 0,
+                optimize: true,
+                plan: true,
+                wcoj_mode: 1,
+                wcoj_sorted: None,
+            };
+            w.views.push((sid, view));
+        }
+        let tx = if rng.below(5) == 0 && w.g.vertex_count() >= 2 {
+            // A cross edge between two existing vertices: reply chains
+            // and the occasional cycle, which tree-shaped adds never make.
+            let mut ids: Vec<_> = w.g.vertex_ids().collect();
+            ids.sort_unstable();
+            let mut tx = Transaction::new();
+            tx.create_edge(
+                ids[rng.below(ids.len())],
+                ids[rng.below(ids.len())],
+                Symbol::intern("REPLY"),
+                Properties::new(),
+            );
+            tx
+        } else {
+            random_tx(&mut rng, &w.g)
+        };
+        let events = w.g.apply(&tx).unwrap();
+        w.net.on_transaction(&w.g, &events);
+    }
+    w
+}
+
+#[test]
+fn streamed_snapshot_equals_owned_encode_and_roundtrips() {
+    for seed in 0..SEEDS {
+        let mut w = churned_world(seed);
+        let views: Vec<SnapshotView> = w.views.iter().map(|(_, v)| v.clone()).collect();
+        let states = w.net.dump_states();
+
+        let mut writer = SnapshotWriter::new(0, seed, &w.g);
+        writer.views(&views);
+        writer.states(states.iter());
+        let streamed = writer.finish();
+
+        let mut owned = Snapshot::capture_graph(&w.g);
+        owned.wal_records = seed;
+        owned.views = views;
+        for (fp, check, bag) in states.iter() {
+            owned.states.push((fp, check, bag.to_vec()));
+        }
+        assert_eq!(streamed, owned.encode(), "seed {seed}: writer bytes");
+
+        let back = Snapshot::decode(&streamed).unwrap();
+        assert_eq!(back.encode(), streamed, "seed {seed}: decode → encode");
+        assert_eq!(back.wal_records, seed);
+        assert_eq!(back.views, owned.views);
+        assert_eq!(back.states, owned.states);
+        assert_eq!(
+            durability_script::graph_identity(&back.restore_graph().unwrap()),
+            durability_script::graph_identity(&w.g),
+            "seed {seed}: graph section"
+        );
+        assert_eq!(
+            back.restore_graph().unwrap().id_watermarks(),
+            w.g.id_watermarks()
+        );
+    }
+}
+
+#[test]
+fn dumped_bags_equal_recompute_of_each_subplan() {
+    let mut audited = 0usize;
+    for seed in 0..SEEDS {
+        let mut w = churned_world(seed);
+        let states = w.net.dump_states();
+        assert_eq!(
+            states.len(),
+            w.net.node_count(),
+            "seed {seed}: one entry per live node"
+        );
+        for (fp, plan, sinks) in w.net.node_plans() {
+            let bag = states
+                .lookup(fp, plan.snapshot_check().0)
+                .unwrap_or_else(|| panic!("seed {seed}: no entry for\n{plan:#?}"));
+            assert!(
+                bag.iter().all(|(_, m)| *m != 0),
+                "seed {seed}: zero multiplicity in a dumped bag"
+            );
+            assert_eq!(
+                sorted(bag),
+                sorted(&pgq_eval::evaluate_consolidated(plan, &w.g)),
+                "seed {seed}: dumped bag differs from recompute of\n{plan:#?}"
+            );
+            for &sid in sinks {
+                assert_eq!(
+                    sorted(bag),
+                    sorted(&w.net.view(sid).results()),
+                    "seed {seed}: root bag differs from view `{}`",
+                    w.net.view(sid).name()
+                );
+            }
+            audited += 1;
+        }
+    }
+    assert!(audited > 100, "only {audited} node bags audited");
+}
+
+#[test]
+fn shared_subplan_appears_once_in_the_dump() {
+    // Predicates over both join sides stay above the join (one-sided
+    // ones are planned into its inputs), in languages no pool view
+    // filters on: each member is a new view over the same join.
+    const FAMILY: &[&str] = &["hu", "nl", "es", "it", "pt"];
+    let mut w = churned_world(1);
+    for lang in FAMILY {
+        let q = format!(
+            "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE p.lang = '{lang}' OR c.lang = '{lang}' RETURN p, c"
+        );
+        let compiled = compile_query(&parse_query(&q).unwrap()).unwrap();
+        w.net.register(format!("m_{lang}"), &compiled.fra, &w.g);
+    }
+    // The stateful prefix under the whole family is one join node …
+    let shared: Vec<u64> = w
+        .net
+        .node_summaries()
+        .iter()
+        .zip(w.net.node_plans())
+        .filter(|(n, _)| n.label == "⋈" && n.consumers >= FAMILY.len())
+        .map(|(_, (fp, _, _))| fp)
+        .collect();
+    assert!(!shared.is_empty(), "the family shares no join");
+    // … and the dump holds it once: one entry per live node, not one
+    // per path from a view down to it.
+    let states = w.net.dump_states();
+    assert_eq!(states.len(), w.net.node_count());
+    for fp in shared {
+        assert_eq!(states.iter().filter(|(f, _, _)| *f == fp).count(), 1);
+    }
+}
