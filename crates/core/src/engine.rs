@@ -23,6 +23,7 @@ use pgq_ivm::{
 };
 use pgq_parser::ast::{Clause, Expr, Pattern, Query, RemoveItem, SetItem};
 use pgq_parser::parse_query;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::error::EngineError;
@@ -229,7 +230,12 @@ pub struct ExecutionResult {
 pub struct GraphEngine {
     graph: PropertyGraph,
     network: DataflowNetwork,
-    views: Vec<Option<ViewEntry>>,
+    /// Live views by id, in id order — dropped views leave nothing
+    /// behind, so every walk is bounded by the views that exist.
+    views: BTreeMap<usize, ViewEntry>,
+    /// The id the next registration gets. An id handed out is never
+    /// reused, so a stale [`ViewId`] cannot resolve to a later view.
+    next_view: usize,
     subscribers: Vec<(ViewId, Subscriber)>,
     /// Requested propagation width; `0` means the `PGQ_THREADS` process
     /// default (see [`GraphEngine::set_threads`]).
@@ -254,6 +260,7 @@ impl Clone for GraphEngine {
             graph: self.graph.clone(),
             network: self.network.clone(),
             views: self.views.clone(),
+            next_view: self.next_view,
             subscribers: Vec::new(),
             threads: self.threads,
             pool: self.pool.clone(),
@@ -444,8 +451,7 @@ impl GraphEngine {
             return;
         }
         self.propagate(events);
-        for (i, entry) in self.views.iter().enumerate() {
-            let Some(entry) = entry else { continue };
+        for (&i, entry) in &self.views {
             if !self.network.sink_changed(entry.sink) {
                 continue;
             }
@@ -481,15 +487,13 @@ impl GraphEngine {
         self.commit_succeeded();
         self.propagate(&events);
         let mut out = Vec::new();
-        for (i, entry) in self.views.iter().enumerate() {
-            if let Some(e) = entry {
-                let d = if self.network.sink_changed(e.sink) {
-                    self.network.last_delta(e.sink).clone()
-                } else {
-                    Delta::new()
-                };
-                out.push((ViewId(i), d));
-            }
+        for (&i, e) in &self.views {
+            let d = if self.network.sink_changed(e.sink) {
+                self.network.last_delta(e.sink).clone()
+            } else {
+                Delta::new()
+            };
+            out.push((ViewId(i), d));
         }
         Ok(out)
     }
@@ -606,54 +610,53 @@ impl GraphEngine {
         let sink = self
             .network
             .register_with(name, &compiled.fra, &self.graph, register);
-        let id = ViewId(self.views.len());
-        self.views.push(Some(ViewEntry {
-            sink,
-            compiled,
-            query_text: cypher.to_string(),
-            compile: options,
-            register,
-        }));
+        let id = ViewId(self.next_view);
+        self.next_view += 1;
+        self.views.insert(
+            id.0,
+            ViewEntry {
+                sink,
+                compiled,
+                query_text: cypher.to_string(),
+                compile: options,
+                register,
+            },
+        );
         // Registration changes what a recovery must rebuild; persist it
         // immediately (the snapshot is the DDL log — the WAL carries
         // only data transactions). If the snapshot cannot land, the
         // registration is undone so disk and memory agree.
         if let Err(e) = self.snapshot() {
-            let entry = self.views.pop().flatten().expect("pushed above");
+            let entry = self.views.remove(&id.0).expect("inserted above");
             self.network.drop_sink(entry.sink);
+            self.next_view = id.0;
             return Err(e);
         }
         Ok(id)
     }
 
-    /// Drop a view. Operator nodes shared with other views survive; the
-    /// network releases only the nodes no remaining view reaches.
+    /// Drop a view and its subscribers. Operator nodes shared with
+    /// other views survive; the network releases only the nodes no
+    /// remaining view reaches.
     pub fn drop_view(&mut self, id: ViewId) -> Result<(), EngineError> {
-        match self.views.get_mut(id.0) {
-            Some(slot @ Some(_)) => {
-                let entry = slot.take().expect("matched Some");
-                self.network.drop_sink(entry.sink);
-                self.snapshot()?;
-                Ok(())
-            }
-            _ => Err(EngineError::UnknownView),
-        }
+        let entry = self.views.remove(&id.0).ok_or(EngineError::UnknownView)?;
+        self.subscribers.retain(|(view, _)| *view != id);
+        self.network.drop_sink(entry.sink);
+        self.snapshot()
     }
 
     /// Look up a view id by name.
     pub fn view_by_name(&self, name: &str) -> Option<ViewId> {
-        self.views.iter().enumerate().find_map(|(i, e)| {
-            e.as_ref()
-                .filter(|e| self.network.view(e.sink).name() == name)
-                .map(|_| ViewId(i))
-        })
+        self.views
+            .iter()
+            .find(|(_, e)| self.network.view(e.sink).name() == name)
+            .map(|(&i, _)| ViewId(i))
     }
 
     /// Access a view's results through the shared network.
     pub fn view(&self, id: ViewId) -> Result<ViewRef<'_>, EngineError> {
         self.views
-            .get(id.0)
-            .and_then(|e| e.as_ref())
+            .get(&id.0)
             .map(|e| self.network.view(e.sink))
             .ok_or(EngineError::UnknownView)
     }
@@ -667,8 +670,7 @@ impl GraphEngine {
     pub fn views(&self) -> impl Iterator<Item = (ViewId, ViewRef<'_>)> {
         self.views
             .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|e| (ViewId(i), self.network.view(e.sink))))
+            .map(|(&i, e)| (ViewId(i), self.network.view(e.sink)))
     }
 
     /// The shared dataflow network serving every registered view
@@ -872,9 +874,7 @@ impl GraphEngine {
         let views: Vec<SnapshotView> = self
             .views
             .iter()
-            .enumerate()
-            .filter_map(|(i, entry)| Some((i, entry.as_ref()?)))
-            .map(|(i, e)| SnapshotView {
+            .map(|(&i, e)| SnapshotView {
                 slot: i as u32,
                 name: self.network.view(e.sink).name().to_string(),
                 query: e.query_text.clone(),
@@ -1219,16 +1219,17 @@ impl GraphEngine {
             states,
         );
         let slot = v.slot as usize;
-        if self.views.len() <= slot {
-            self.views.resize_with(slot + 1, || None);
-        }
-        self.views[slot] = Some(ViewEntry {
-            sink,
-            compiled,
-            query_text: v.query.clone(),
-            compile,
-            register,
-        });
+        self.next_view = self.next_view.max(slot + 1);
+        self.views.insert(
+            slot,
+            ViewEntry {
+                sink,
+                compiled,
+                query_text: v.query.clone(),
+                compile,
+                register,
+            },
+        );
         Ok(())
     }
 
@@ -1244,10 +1245,14 @@ impl GraphEngine {
                 "query() is read-only; use execute() for updates".into(),
             ));
         }
-        let compiled = compile_query_with(&query, CompileOptions::default())?;
+        self.read_parsed(&query)
+    }
+
+    fn read_parsed(&self, query: &Query) -> Result<ExecutionResult, EngineError> {
+        let compiled = compile_query_with(query, CompileOptions::default())?;
         let rows = pgq_eval::evaluate_query(&compiled, &self.graph);
         Ok(ExecutionResult {
-            columns: compiled.columns.clone(),
+            columns: compiled.columns,
             rows,
             stats: UpdateStats::default(),
         })
@@ -1257,17 +1262,22 @@ impl GraphEngine {
     /// one-shot; update queries run their reading part, apply the update
     /// clauses atomically, and maintain all views.
     pub fn execute(&mut self, cypher: &str) -> Result<ExecutionResult, EngineError> {
-        let query = parse_query(cypher)?;
+        self.execute_parsed(&parse_query(cypher)?)
+    }
+
+    /// The one statement executor behind [`GraphEngine::execute`] and
+    /// [`GraphEngine::execute_script`]: every statement is parsed once.
+    fn execute_parsed(&mut self, query: &Query) -> Result<ExecutionResult, EngineError> {
         if !query.is_update() {
-            return self.query(cypher);
+            return self.read_parsed(query);
         }
         if query.return_clause().is_some() {
             return Err(EngineError::Unsupported(
                 "RETURN combined with update clauses".into(),
             ));
         }
-        let plan = UpdatePlan::build(&query)?;
-        let (tx, stats) = plan.to_transaction(&query, &self.graph)?;
+        let plan = UpdatePlan::build(query)?;
+        let (tx, stats) = plan.to_transaction(query, &self.graph)?;
         self.apply(&tx)?;
         Ok(ExecutionResult {
             columns: Vec::new(),
@@ -1283,11 +1293,8 @@ impl GraphEngine {
     pub fn execute_script(&mut self, script: &str) -> Result<Vec<ExecutionResult>, EngineError> {
         let queries = pgq_parser::parse_script(script)?;
         let mut out = Vec::with_capacity(queries.len());
-        for q in queries {
-            // Re-render is lossless (tested by the parser's round-trip
-            // suite), so reuse the single-statement path for uniform
-            // handling.
-            out.push(self.execute(&q.to_string())?);
+        for q in &queries {
+            out.push(self.execute_parsed(q)?);
         }
         Ok(out)
     }
@@ -1336,8 +1343,7 @@ impl GraphEngine {
     /// Query text a view was registered with.
     pub fn view_query(&self, id: ViewId) -> Result<&str, EngineError> {
         self.views
-            .get(id.0)
-            .and_then(|e| e.as_ref())
+            .get(&id.0)
             .map(|e| e.query_text.as_str())
             .ok_or(EngineError::UnknownView)
     }
@@ -1345,8 +1351,7 @@ impl GraphEngine {
     /// Compiled pipeline of a view (for reports).
     pub fn view_compiled(&self, id: ViewId) -> Result<&CompiledQuery, EngineError> {
         self.views
-            .get(id.0)
-            .and_then(|e| e.as_ref())
+            .get(&id.0)
             .map(|e| &e.compiled)
             .ok_or(EngineError::UnknownView)
     }
@@ -1365,7 +1370,7 @@ impl GraphEngine {
         id: ViewId,
         callback: impl FnMut(&ViewDelta) + Send + 'static,
     ) -> Result<(), EngineError> {
-        if self.views.get(id.0).and_then(|e| e.as_ref()).is_none() {
+        if !self.views.contains_key(&id.0) {
             return Err(EngineError::UnknownView);
         }
         self.subscribers.push((id, Box::new(callback)));
@@ -1436,8 +1441,6 @@ impl UpdatePlan {
             name
         };
         let mut created: Vec<String> = Vec::new();
-        let mut clause_plans: Vec<()> = Vec::new();
-        let _ = &mut clause_plans;
         for clause in &query.clauses {
             match clause {
                 Clause::Create(pattern) => {

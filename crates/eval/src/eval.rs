@@ -5,7 +5,7 @@
 use std::cmp::Ordering;
 
 use pgq_algebra::expr::{AggCall, AggFunc, ScalarExpr};
-use pgq_algebra::fra::{Fra, PropPush};
+use pgq_algebra::fra::Fra;
 use pgq_algebra::CompiledQuery;
 use pgq_common::dir::Direction;
 use pgq_common::fxhash::FxHashMap;
@@ -474,7 +474,3 @@ pub fn evaluate_consolidated(fra: &Fra, g: &PropertyGraph) -> Bag {
     out.sort_by(|a, b| tuple_cmp(&a.0, &b.0));
     out
 }
-
-// Silence an unused-import lint when PropPush is only used in signatures.
-#[allow(unused)]
-fn _prop_push_used(_: &PropPush) {}

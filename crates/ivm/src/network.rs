@@ -58,20 +58,27 @@
 //! identical to the serial pass (see ARCHITECTURE.md, "Parallel delta
 //! propagation").
 //!
-//! # State dump
+//! # Full bags: registration and the state dump
 //!
-//! A durable snapshot needs every live node's full output bag
-//! ([`DataflowNetwork::dump_states`]). The dump is **one bottom-up pass
-//! in topological-depth order that materialises each node's bag once**:
-//! copied from where maintenance already keeps it consolidated (a
-//! sink's result bag for a view root, a consuming join's input memory
-//! for a join input), derived from the child's already-dumped bag for a
-//! stateless σ/π/ω, enumerated from the node's own memories otherwise.
-//! Cost: O(operator state) per dump, each shared node once — never
-//! O(paths from views to nodes), which is what replaying every node
-//! through its stateless children used to cost. Registration still
-//! replays one subtree recursively (`replay_into`): it needs one bag,
-//! not all of them.
+//! Deltas are what flows at run time, but two operations need a node's
+//! *full* output bag: registering a view onto a populated graph (every
+//! new operator's memories are loaded from its inputs' bags, and the
+//! sink from the root's) and a durable snapshot
+//! ([`DataflowNetwork::dump_states`], every live node's bag). Both go
+//! through one memoised resolver that produces each bag **at most once
+//! per pass**, from the cheapest place it exists: a snapshot's stored
+//! bag (warm registration), a bag maintenance already keeps
+//! consolidated (a sibling sink's results, a consuming join's input
+//! memory), σ/π/ω applied to the child's resolved bag, and only last an
+//! enumeration of the node's own memories. Consumers borrow the
+//! resolved bag; nothing is enumerated for a consumer that never asks.
+//!
+//! Registration is therefore one bottom-up pass over the *new* part of
+//! the plan: stateful operators load insert-only, stateless ones do no
+//! work, and a view whose root already feeds another view copies that
+//! view's results. Cost: O(new inputs + new outputs) for the new
+//! sub-DAG, O(result) when nothing is new; a dump costs O(operator
+//! state), each shared node once. See ARCHITECTURE.md, "Registration".
 //!
 //! # Invariants
 //!
@@ -218,6 +225,24 @@ impl NodeKind {
             | NodeKind::Unwind { input, .. } => Some(*input),
             _ => None,
         }
+    }
+
+    /// Is this operator's full output consolidated by construction
+    /// (given consolidated inputs), so re-consolidating it is wasted
+    /// hashing? Scans key their memory by the element id every tuple
+    /// carries; a ⋈ row determines the (distinct) pair that produced
+    /// it, since only the right side's key columns are dropped and they
+    /// equal the left's; ⋉/▷ and σ keep a subset of a consolidated bag;
+    /// δ and γ emit one row per key. π, ω, ⋈* and ⨝ⁿ are consolidated
+    /// explicitly.
+    fn output_consolidated(&self) -> bool {
+        !matches!(
+            self,
+            NodeKind::Project { .. }
+                | NodeKind::Unwind { .. }
+                | NodeKind::VarLength { .. }
+                | NodeKind::Multiway { .. }
+        )
     }
 
     /// Tuples materialised in this node's own memories.
@@ -826,6 +851,34 @@ impl RestoreStates {
     }
 }
 
+/// One pass's resolved full output bags (see
+/// [`DataflowNetwork::resolve`]): every entry is consolidated, is
+/// produced at most once, and is borrowed by every consumer that asks.
+#[derive(Default)]
+struct Bags<'s> {
+    /// Snapshot bags, consulted first (warm registration only).
+    stored: Option<&'s RestoreStates>,
+    resolved: FxHashMap<NodeId, Delta>,
+}
+
+impl<'s> Bags<'s> {
+    /// The snapshot's bag for `node`, if this pass has a snapshot and it
+    /// stores one under the node's `(fingerprint, check)` pair.
+    fn stored_bag(&self, node: &Node) -> Option<&'s [(Tuple, i64)]> {
+        self.stored?
+            .lookup(node.fingerprint, node.plan.snapshot_check().0)
+    }
+
+    /// Record `bag` as `id`'s resolved bag, consolidating it first unless
+    /// `kind`'s output is consolidated by construction.
+    fn keep(&mut self, id: NodeId, kind: &NodeKind, mut bag: Delta) {
+        if !kind.output_consolidated() {
+            bag.consolidate_in_place();
+        }
+        self.resolved.insert(id, bag);
+    }
+}
+
 /// Is the cost-based planner globally enabled? `PGQ_DISABLE_PLANNER=1`
 /// (or `true`) turns it off for the whole process — the CI fallback job
 /// uses this to keep the unplanned path green. Public so EXPLAIN
@@ -1131,33 +1184,22 @@ impl DataflowNetwork {
         let sorted = options
             .wcoj_sorted
             .unwrap_or_else(|| sorted_wcoj_enabled() && catalog_sorted);
-        let root = self.instantiate(&plan, g, sorted, states);
-        // Build the sink's result bag: the root's stored snapshot bag
-        // when warm-restoring (skipping the root's output enumeration
-        // entirely), the (possibly shared) root's full replay otherwise.
-        let stored_root = states.and_then(|s| {
-            let n = self.node(root);
-            s.lookup(n.fingerprint, n.plan.snapshot_check().0)
-        });
-        let mut results = FxHashMap::default();
-        match stored_root {
-            Some(bag) => {
-                for (t, m) in bag {
-                    *results.entry(t.clone()).or_insert(0) += m;
-                }
-                results.retain(|_, m| *m != 0);
-            }
+        let mut bags = Bags {
+            stored: states,
+            ..Bags::default()
+        };
+        let root = self.instantiate(&plan, g, sorted, &mut bags);
+        // The sink's result bag is the root's: a copy of a sibling
+        // view's when the root already feeds one (a fully shared
+        // registration resolves nothing), the resolved bag otherwise.
+        let results = match self.node(root).sinks.first() {
+            Some(&sibling) => self.sink(sibling).results.clone(),
             None => {
-                let mut init = self.pool.get();
-                self.replay_into(root, &mut init);
-                init.consolidate_in_place();
-                for (t, m) in init.iter() {
-                    *results.entry(t.clone()).or_insert(0) += m;
-                }
-                results.retain(|_, m| *m != 0);
-                self.pool.put(init);
+                self.resolve(root, &mut bags);
+                let bag = bags.resolved.remove(&root).expect("just resolved");
+                bag.into_entries().into_iter().collect()
             }
-        }
+        };
 
         let sink = Sink {
             name,
@@ -1216,7 +1258,7 @@ impl DataflowNetwork {
         fra: &Fra,
         g: &PropertyGraph,
         sorted: bool,
-        states: Option<&RestoreStates>,
+        bags: &mut Bags<'_>,
     ) -> NodeId {
         let fp = fra.fingerprint().0;
         if let Some(cands) = self.cons.get(&fp) {
@@ -1262,8 +1304,8 @@ impl DataflowNetwork {
                 right_keys,
             } => {
                 let op = JoinOp::new(left_keys.clone(), right_keys.clone(), right.schema().len());
-                let l = self.instantiate(left, g, sorted, states);
-                let r = self.instantiate(right, g, sorted, states);
+                let l = self.instantiate(left, g, sorted, bags);
+                let r = self.instantiate(right, g, sorted, bags);
                 NodeKind::Join {
                     left: l,
                     right: r,
@@ -1278,8 +1320,8 @@ impl DataflowNetwork {
                 anti,
             } => {
                 let op = SemiJoinOp::new(left_keys.clone(), right_keys.clone(), *anti);
-                let l = self.instantiate(left, g, sorted, states);
-                let r = self.instantiate(right, g, sorted, states);
+                let l = self.instantiate(left, g, sorted, bags);
+                let r = self.instantiate(right, g, sorted, bags);
                 NodeKind::SemiJoin {
                     left: l,
                     right: r,
@@ -1293,24 +1335,24 @@ impl DataflowNetwork {
                 ..
             } => {
                 let op = Box::new(VarLengthOp::new(left.schema().len(), *src_col, spec));
-                let l = self.instantiate(left, g, sorted, states);
+                let l = self.instantiate(left, g, sorted, bags);
                 NodeKind::VarLength { left: l, op }
             }
             Fra::Filter { input, predicate } => NodeKind::Filter {
-                input: self.instantiate(input, g, sorted, states),
+                input: self.instantiate(input, g, sorted, bags),
                 predicate: predicate.clone(),
             },
             Fra::Project { input, items } => NodeKind::Project {
-                input: self.instantiate(input, g, sorted, states),
+                input: self.instantiate(input, g, sorted, bags),
                 items: items.clone(),
                 scratch: Vec::new(),
             },
             Fra::Distinct { input } => NodeKind::Distinct {
-                input: self.instantiate(input, g, sorted, states),
+                input: self.instantiate(input, g, sorted, bags),
                 op: DistinctOp::new(),
             },
             Fra::Aggregate { input, group, aggs } => NodeKind::Aggregate {
-                input: self.instantiate(input, g, sorted, states),
+                input: self.instantiate(input, g, sorted, bags),
                 op: AggregateOp::new(
                     group.iter().map(|(e, _)| e.clone()).collect(),
                     aggs.iter()
@@ -1319,7 +1361,7 @@ impl DataflowNetwork {
                 ),
             },
             Fra::Unwind { input, expr, .. } => NodeKind::Unwind {
-                input: self.instantiate(input, g, sorted, states),
+                input: self.instantiate(input, g, sorted, bags),
                 expr: expr.clone(),
             },
             Fra::MultiwayJoin {
@@ -1329,7 +1371,7 @@ impl DataflowNetwork {
             } => {
                 let ids: Vec<NodeId> = inputs
                     .iter()
-                    .map(|f| self.instantiate(f, g, sorted, states))
+                    .map(|f| self.instantiate(f, g, sorted, bags))
                     .collect();
                 NodeKind::Multiway {
                     inputs: ids,
@@ -1365,141 +1407,63 @@ impl DataflowNetwork {
         };
         self.sched.grow(self.nodes.len());
         self.sched.depth[id.ix()] = depth;
-        // One parent edge per reference (a self-join registers twice).
+        self.cons.entry(fp).or_default().push(id);
+        self.load_node(id, g, bags);
+        // One parent edge per reference (a self-join registers twice),
+        // linked only now: a child's `parents` never names a join whose
+        // memory `copy_materialised` could find still empty.
         for child in self.node(id).kind.children() {
             self.node_mut(child).parents.push(id);
-        }
-        self.cons.entry(fp).or_default().push(id);
-        match states {
-            Some(s) => self.restore_node(id, g, s),
-            None => self.init_node(id, g),
         }
         id
     }
 
-    /// Populate a brand-new node's state from its children's full
-    /// current outputs (children are either older shared nodes or were
-    /// just initialised by the recursion).
-    fn init_node(&mut self, id: NodeId, g: &PropertyGraph) {
-        let children = self.node(id).kind.children();
-        // Full current output of each child reference, consolidated.
-        let mut child_deltas: Vec<Delta> = Vec::with_capacity(children.len());
-        for c in children {
-            let mut d = self.pool.get();
-            self.replay_into(c, &mut d);
-            d.consolidate_in_place();
-            child_deltas.push(d);
+    /// Fill a brand-new node's memories from its children's resolved
+    /// bags (older shared nodes, or nodes this pass just loaded). The
+    /// same loader serves cold and warm registration — they differ only
+    /// in where [`DataflowNetwork::resolve`] finds a bag. Loading is
+    /// insert-only: ⋈, ⋉/▷ and ⨝ⁿ absorb their inputs without probing
+    /// and enumerate their output only if a consumer resolves it; scans,
+    /// ⋈*, δ and γ produce their full output as a by-product of a linear
+    /// load, which is kept for the consumers unless the snapshot already
+    /// stores it; σ/π/ω have nothing to load.
+    fn load_node(&mut self, id: NodeId, g: &PropertyGraph, bags: &mut Bags<'_>) {
+        let node = self.node(id);
+        let hit = bags.stored_bag(node).is_some();
+        if hit {
+            counters::restore_hit();
+        } else if bags.stored.is_some() {
+            counters::restore_miss();
         }
-        let empty = Delta::new();
-        let dl = child_deltas.first().unwrap_or(&empty);
-        let dr = child_deltas.get(1).unwrap_or(&empty);
-        let mut discard = self.pool.get();
-        match &mut self.nodes[id.ix()].as_mut().expect("live node").kind {
-            NodeKind::Unit { emitted } => *emitted = true,
-            NodeKind::Vertices(scan) => {
-                scan.initial(g);
-            }
-            NodeKind::Edges(scan) => {
-                scan.initial(g);
-            }
-            NodeKind::Join { op, .. } => op.apply(dl, dr, &mut discard),
-            NodeKind::SemiJoin { op, .. } => op.apply(dl, dr, &mut discard),
-            NodeKind::VarLength { op, .. } => op.initial_into(g, dl, &mut discard),
-            // Stateless operators have nothing to initialise.
-            NodeKind::Filter { .. } | NodeKind::Project { .. } | NodeKind::Unwind { .. } => {}
-            NodeKind::Distinct { op, .. } => op.apply(dl, &mut discard),
-            NodeKind::Aggregate { op, .. } => op.apply(dl, &mut discard),
-            NodeKind::Multiway { op, .. } => {
-                let refs: Vec<&Delta> = child_deltas.iter().collect();
-                op.apply(&refs, &mut discard);
-            }
-        }
-        self.pool.put(discard);
-        for d in child_deltas {
-            self.pool.put(d);
-        }
-    }
-
-    /// Warm-path twin of [`DataflowNetwork::init_node`]: populate a
-    /// brand-new node's state from snapshot bags when its
-    /// `(fingerprint, check)` pair hits, skipping the probe/enumerate
-    /// work cold initialisation performs *and then discards* —
-    /// `init_node` calls each operator's `apply` only for the state
-    /// side effects, so an insert-only rebuild from the same inputs is
-    /// state-identical at O(inputs) instead of O(output) cost.
-    ///
-    /// Child input bags come from their own stored entries when
-    /// available (a parent's fingerprint being stored implies the
-    /// subtree existed at snapshot time, so in practice they are) or
-    /// from replay otherwise. A miss on the node itself falls back to
-    /// [`DataflowNetwork::init_node`].
-    fn restore_node(&mut self, id: NodeId, g: &PropertyGraph, states: &RestoreStates) {
-        let hit = {
-            let n = self.node(id);
-            states
-                .lookup(n.fingerprint, n.plan.snapshot_check().0)
-                .is_some()
-        };
-        if !hit {
-            crate::stats::counters::restore_miss();
-            self.init_node(id, g);
+        if node.kind.stateless_input().is_some() {
             return;
         }
-        crate::stats::counters::restore_hit();
-        let children = self.node(id).kind.children();
-        let mut child_deltas: Vec<Delta> = Vec::with_capacity(children.len());
-        for c in children {
-            let mut d = self.pool.get();
-            let stored = {
-                let n = self.node(c);
-                states.lookup(n.fingerprint, n.plan.snapshot_check().0)
-            };
-            match stored {
-                Some(bag) => {
-                    for (t, m) in bag {
-                        d.push(t.clone(), *m);
-                    }
-                }
-                None => {
-                    self.replay_into(c, &mut d);
-                    d.consolidate_in_place();
-                }
-            }
-            child_deltas.push(d);
+        let children = node.kind.children();
+        for &c in &children {
+            self.resolve(c, bags);
         }
-        let empty = Delta::new();
-        let dl = child_deltas.first().unwrap_or(&empty);
-        let dr = child_deltas.get(1).unwrap_or(&empty);
-        let mut discard = self.pool.get();
-        match &mut self.nodes[id.ix()].as_mut().expect("live node").kind {
+        let inputs: Vec<&Delta> = children.iter().map(|c| &bags.resolved[c]).collect();
+        let mut produced: Option<Delta> = None;
+        let kind = &mut self.nodes[id.ix()].as_mut().expect("live node").kind;
+        match kind {
             NodeKind::Unit { emitted } => *emitted = true,
-            // Scans rebuild directly from the (already restored) graph;
-            // their memories are a projection of it, not of any input.
-            NodeKind::Vertices(scan) => {
-                scan.initial(g);
+            NodeKind::Vertices(scan) => produced = Some(scan.initial(g)),
+            NodeKind::Edges(scan) => produced = Some(scan.initial(g)),
+            NodeKind::Join { op, .. } => op.restore(inputs[0], inputs[1]),
+            NodeKind::SemiJoin { op, .. } => op.restore(inputs[0], inputs[1]),
+            NodeKind::Multiway { op, .. } => op.restore(&inputs),
+            NodeKind::VarLength { op, .. } => {
+                op.initial_into(g, inputs[0], produced.insert(Delta::new()))
             }
-            NodeKind::Edges(scan) => {
-                scan.initial(g);
-            }
-            // Probe-free memory rebuilds.
-            NodeKind::Join { op, .. } => op.restore(dl, dr),
-            NodeKind::SemiJoin { op, .. } => op.restore(dl, dr),
-            // The path store's reachability index is not derivable from
-            // the output bag alone; recompute (documented exception).
-            NodeKind::VarLength { op, .. } => op.initial_into(g, dl, &mut discard),
-            NodeKind::Filter { .. } | NodeKind::Project { .. } | NodeKind::Unwind { .. } => {}
-            // Already linear in the input bag — `apply` *is* the
-            // cheapest rebuild.
-            NodeKind::Distinct { op, .. } => op.apply(dl, &mut discard),
-            NodeKind::Aggregate { op, .. } => op.apply(dl, &mut discard),
-            NodeKind::Multiway { op, .. } => {
-                let refs: Vec<&Delta> = child_deltas.iter().collect();
-                op.restore(&refs);
+            NodeKind::Distinct { op, .. } => op.apply(inputs[0], produced.insert(Delta::new())),
+            NodeKind::Aggregate { op, .. } => op.apply(inputs[0], produced.insert(Delta::new())),
+            NodeKind::Filter { .. } | NodeKind::Project { .. } | NodeKind::Unwind { .. } => {
+                unreachable!("stateless nodes returned above")
             }
         }
-        self.pool.put(discard);
-        for d in child_deltas {
-            self.pool.put(d);
+        if let Some(bag) = produced.filter(|_| !hit) {
+            counters::bag_enumerated();
+            bags.keep(id, kind, bag);
         }
     }
 
@@ -1508,18 +1472,12 @@ impl DataflowNetwork {
     /// stores and [`DataflowNetwork::register_with_restore`] later
     /// consumes in a fresh process.
     ///
-    /// **One bottom-up pass, each bag materialised exactly once**, and
-    /// copied rather than recomputed wherever maintenance already
-    /// keeps it: a view root's bag is its sink's result bag and a join
-    /// input's bag is that join's input memory (both consolidated by
-    /// construction). Only what is stored nowhere is derived — a
-    /// stateless σ/π/ω from its child's already-dumped bag (live nodes
-    /// are visited in ascending topological depth, so children come
-    /// first) instead of re-deriving the whole subtree, a stateful
-    /// node from its own memories. The DAG is walked as a DAG: a
-    /// subplan shared by N views is dumped once, not once per path
-    /// that reaches it. Cost: O(operator state), independent of how
-    /// many views share it.
+    /// Every bag comes from the memoised resolver registration uses
+    /// (module docs, "Full bags"), so each is materialised exactly once
+    /// and copied rather than recomputed wherever maintenance already
+    /// keeps it. The DAG is walked as a DAG: a subplan shared by N views
+    /// is dumped once, not once per path that reaches it. Cost:
+    /// O(operator state), independent of how many views share it.
     ///
     /// A fingerprint shared by two *live* nodes means two different
     /// plans collided in the primary hash (identical plans would have
@@ -1528,42 +1486,21 @@ impl DataflowNetwork {
     /// into the other's operator, and recovery cold-starts those
     /// nodes.
     pub fn dump_states(&mut self) -> RestoreStates {
-        let mut order: Vec<NodeId> = (0..self.nodes.len())
+        let live: Vec<NodeId> = (0..self.nodes.len())
             .filter(|&i| self.nodes[i].is_some())
             .map(|i| NodeId(i as u32))
             .collect();
-        order.sort_by_key(|id| self.sched.depth[id.ix()]);
         let mut fp_count: FxHashMap<u64, u32> = FxHashMap::default();
-        for &id in &order {
+        let mut bags = Bags::default();
+        for &id in &live {
             *fp_count.entry(self.node(id).fingerprint).or_insert(0) += 1;
-        }
-        // Slot-indexed bags; a stateless parent borrows its child's.
-        let mut bags: Vec<Delta> = Vec::new();
-        bags.resize_with(self.nodes.len(), Delta::new);
-        for &id in &order {
-            let mut bag = Delta::new();
-            if !self.copy_materialised(id, &mut bag) {
-                match self.node(id).kind.stateless_input() {
-                    Some(child) => {
-                        self.apply_stateless(id, &bags[child.ix()], &mut bag);
-                        // σ keeps a subset of an already-consolidated bag.
-                        if !matches!(self.node(id).kind, NodeKind::Filter { .. }) {
-                            bag.consolidate_in_place();
-                        }
-                    }
-                    None => {
-                        self.replay_memories(id, &mut bag);
-                        bag.consolidate_in_place();
-                    }
-                }
-            }
-            bags[id.ix()] = bag;
+            self.resolve(id, &mut bags);
         }
         let mut states = RestoreStates::new();
-        for id in order {
+        for id in live {
             let node = self.node(id);
             if fp_count[&node.fingerprint] == 1 {
-                let bag = std::mem::take(&mut bags[id.ix()]);
+                let bag = bags.resolved.remove(&id).expect("resolved above");
                 states.insert(
                     node.fingerprint,
                     node.plan.snapshot_check().0,
@@ -1572,6 +1509,41 @@ impl DataflowNetwork {
             }
         }
         states
+    }
+
+    /// Make `bags` hold `id`'s consolidated full output bag. A bag is
+    /// produced at most once per pass and taken from the cheapest place
+    /// it exists: the snapshot's stored bag, a bag maintenance already
+    /// keeps ([`DataflowNetwork::copy_materialised`]), σ/π/ω applied to
+    /// the child's resolved bag, and only last an enumeration of the
+    /// node's own memories. Stateless chains are walked down to the
+    /// first node whose bag exists somewhere, then applied back up.
+    fn resolve(&mut self, id: NodeId, bags: &mut Bags<'_>) {
+        let mut chain: Vec<(NodeId, NodeId)> = Vec::new();
+        let mut cur = id;
+        while !bags.resolved.contains_key(&cur) {
+            let node = self.node(cur);
+            let mut bag = Delta::new();
+            if let Some(stored) = bags.stored_bag(node) {
+                bag = stored.iter().cloned().collect();
+            } else if !self.copy_materialised(cur, &mut bag) {
+                if let Some(child) = node.kind.stateless_input() {
+                    chain.push((cur, child));
+                    cur = child;
+                    continue;
+                }
+                counters::bag_enumerated();
+                self.replay_memories(cur, &mut bag);
+                bags.keep(cur, &self.node(cur).kind, bag);
+                break;
+            }
+            bags.resolved.insert(cur, bag);
+        }
+        while let Some((node, child)) = chain.pop() {
+            let mut bag = Delta::new();
+            self.apply_stateless(node, &bags.resolved[&child], &mut bag);
+            bags.keep(node, &self.node(node).kind, bag);
+        }
     }
 
     /// Copy `id`'s full output bag from a place maintenance already
@@ -1614,23 +1586,6 @@ impl DataflowNetwork {
             .iter()
             .flatten()
             .map(|n| (n.fingerprint, &n.plan, n.sinks.as_slice()))
-    }
-
-    /// Append the node's full current output bag (as derivable from its
-    /// memories) to `out`. Stateless operators recompute over their
-    /// child's replay — registration's path, which needs one subtree's
-    /// bag; [`DataflowNetwork::dump_states`] needs every node's and
-    /// memoises instead.
-    fn replay_into(&mut self, id: NodeId, out: &mut Delta) {
-        match self.node(id).kind.stateless_input() {
-            Some(child) => {
-                let mut tmp = self.pool.get();
-                self.replay_into(child, &mut tmp);
-                self.apply_stateless(id, &tmp, out);
-                self.pool.put(tmp);
-            }
-            None => self.replay_memories(id, out),
-        }
     }
 
     /// Run stateless node `id` (σ/π/ω) over `input`, its child's full

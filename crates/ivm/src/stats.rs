@@ -70,6 +70,12 @@ pub mod counters {
         /// Operator nodes that fell back to cold initialisation during
         /// warm recovery (fingerprint absent from the snapshot).
         pub restore_misses: u64,
+        /// Full output bags produced from a node's own state — a
+        /// memory enumeration, or the by-product of a linear load —
+        /// during registration and state dumps. Bags copied from where
+        /// they already exist (snapshot, sibling sink, join memory) or
+        /// derived by a stateless operator do not count.
+        pub bag_enumerations: u64,
     }
 
     #[cfg(feature = "ivm-stats")]
@@ -87,6 +93,7 @@ pub mod counters {
         pub static INTERSECT_PROBES: AtomicU64 = AtomicU64::new(0);
         pub static RESTORE_HITS: AtomicU64 = AtomicU64::new(0);
         pub static RESTORE_MISSES: AtomicU64 = AtomicU64::new(0);
+        pub static BAG_ENUMERATIONS: AtomicU64 = AtomicU64::new(0);
 
         pub fn bump(c: &AtomicU64) {
             c.fetch_add(1, Ordering::Relaxed);
@@ -169,6 +176,13 @@ pub mod counters {
         imp::bump(&imp::RESTORE_MISSES);
     }
 
+    /// Record one full output bag produced from a node's own state.
+    #[inline]
+    pub fn bag_enumerated() {
+        #[cfg(feature = "ivm-stats")]
+        imp::bump(&imp::BAG_ENUMERATIONS);
+    }
+
     /// Record a hash-map rehash if `after > before` capacity.
     #[inline]
     pub fn rehash_if_grew(before: usize, after: usize) {
@@ -197,6 +211,7 @@ pub mod counters {
                 intersect_probes: imp::INTERSECT_PROBES.load(Ordering::Relaxed),
                 restore_hits: imp::RESTORE_HITS.load(Ordering::Relaxed),
                 restore_misses: imp::RESTORE_MISSES.load(Ordering::Relaxed),
+                bag_enumerations: imp::BAG_ENUMERATIONS.load(Ordering::Relaxed),
             }
         }
         #[cfg(not(feature = "ivm-stats"))]
@@ -219,6 +234,7 @@ pub mod counters {
             imp::INTERSECT_PROBES.store(0, Ordering::Relaxed);
             imp::RESTORE_HITS.store(0, Ordering::Relaxed);
             imp::RESTORE_MISSES.store(0, Ordering::Relaxed);
+            imp::BAG_ENUMERATIONS.store(0, Ordering::Relaxed);
         }
     }
 }

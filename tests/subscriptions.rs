@@ -87,3 +87,84 @@ fn view_stats_expose_network_shape() {
     assert!(rendered.contains("©"), "{rendered}");
     assert!(stats.total_tuples() > 0);
 }
+
+#[test]
+fn dropped_view_frees_its_subscribers_and_its_id() {
+    let mut e = GraphEngine::new();
+    let query = "MATCH (p:Post) RETURN p";
+    let view = e.register_view("v", query).unwrap();
+    let count = Arc::new(Mutex::new(0usize));
+    let c = count.clone();
+    e.subscribe(view, move |_| *c.lock().unwrap() += 1).unwrap();
+    assert_eq!(Arc::strong_count(&count), 2);
+
+    e.drop_view(view).unwrap();
+    // The callback (and everything it captured) went with the view.
+    assert_eq!(Arc::strong_count(&count), 1);
+
+    // The same name and query again is a *new* view: the stale id does
+    // not resolve to it, and the old callback never fires for it.
+    let again = e.register_view("v", query).unwrap();
+    assert_ne!(again, view);
+    assert!(e.view(view).is_err());
+    assert!(e.subscribe(view, |_| {}).is_err());
+    assert!(e.drop_view(view).is_err());
+    e.execute("CREATE (:Post)").unwrap();
+    assert_eq!(*count.lock().unwrap(), 0);
+    assert_eq!(e.view_results(again).unwrap().len(), 1);
+}
+
+#[test]
+fn view_walks_stay_flat_under_register_drop_churn() {
+    use std::time::{Duration, Instant};
+
+    const CYCLES: usize = 5_000;
+    let standing = |e: &mut GraphEngine| {
+        e.register_view("posts", "MATCH (p:Post) RETURN p").unwrap();
+        e.register_view("comms", "MATCH (c:Comm) RETURN c").unwrap();
+    };
+    // Best of five timings of a batch of name lookups that miss, so each
+    // one walks every view the engine still keeps.
+    let lookup_cost = |e: &GraphEngine| -> Duration {
+        (0..5)
+            .map(|_| {
+                let t = Instant::now();
+                for _ in 0..2_000 {
+                    assert!(std::hint::black_box(e.view_by_name("missing")).is_none());
+                }
+                t.elapsed()
+            })
+            .min()
+            .unwrap()
+    };
+
+    let mut fresh = GraphEngine::new();
+    standing(&mut fresh);
+    let mut churned = GraphEngine::new();
+    standing(&mut churned);
+    let fired = Arc::new(Mutex::new(0usize));
+    for i in 0..CYCLES {
+        let id = churned
+            .register_view(&format!("churn{i}"), "MATCH (p:Post) RETURN p")
+            .unwrap();
+        let f = fired.clone();
+        churned
+            .subscribe(id, move |_| *f.lock().unwrap() += 1)
+            .unwrap();
+        churned.drop_view(id).unwrap();
+    }
+    // Nothing of the 5k dropped views is left: no view, no callback.
+    assert_eq!(churned.views().count(), 2);
+    assert_eq!(Arc::strong_count(&fired), 1);
+    churned.execute("CREATE (:Post)").unwrap();
+    assert_eq!(*fired.lock().unwrap(), 0);
+
+    // A lookup costs what two live views cost, not what 5 002 slots do
+    // (a ~2 500x walk before; the bound leaves two orders of magnitude
+    // for timer noise).
+    let (base, after) = (lookup_cost(&fresh), lookup_cost(&churned));
+    assert!(
+        after <= base * 20 + Duration::from_millis(2),
+        "view_by_name: {after:?} after {CYCLES} register/drop cycles vs {base:?} fresh"
+    );
+}
