@@ -22,7 +22,7 @@ use crate::ids::{EdgeId, VertexId};
 /// produced by `[:T*0..]` patterns.
 ///
 /// Paths are hashed constantly on the IVM hot path — as components of
-/// join keys, multiplicity-map keys and path-store set members — so the
+/// join keys and multiplicity-map keys — so the
 /// content hash is computed once at construction and cached; `Hash` then
 /// costs one `u64` write regardless of path length, and `Eq` rejects
 /// unequal paths in O(1) via the hash fast path.

@@ -174,9 +174,10 @@ impl FromIterator<(Tuple, i64)> for Delta {
 /// updates from the map.
 const BUCKET_SPILL: usize = 8;
 
-/// One key-hash bucket of an [`IndexedBag`].
+/// One key-hash bucket of an [`IndexedBag`] — also, on its own, a small
+/// multiplicity-counted tuple bag (the ⋈* operator keeps one per anchor).
 #[derive(Clone, Debug)]
-enum Bucket {
+pub(crate) enum Bucket {
     /// Small fan-out: linear scan.
     Small(Vec<(Tuple, i64)>),
     /// Large fan-out: per-tuple multiplicity map.
@@ -192,7 +193,7 @@ impl Default for Bucket {
 impl Bucket {
     /// Apply one signed update; returns the change in distinct-tuple
     /// count (−1, 0, or +1).
-    fn update(&mut self, tuple: &Tuple, mult: i64) -> i64 {
+    pub(crate) fn update(&mut self, tuple: &Tuple, mult: i64) -> i64 {
         match self {
             Bucket::Small(v) => {
                 if let Some(pos) = v.iter().position(|(t, _)| t == tuple) {
@@ -234,14 +235,14 @@ impl Bucket {
         }
     }
 
-    fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         match self {
             Bucket::Small(v) => v.is_empty(),
             Bucket::Large(m) => m.is_empty(),
         }
     }
 
-    fn iter(&self) -> BucketIter<'_> {
+    pub(crate) fn iter(&self) -> BucketIter<'_> {
         match self {
             Bucket::Small(v) => BucketIter::Small(v.iter()),
             Bucket::Large(m) => BucketIter::Large(m.iter()),
@@ -250,7 +251,7 @@ impl Bucket {
 }
 
 /// Iterator over one bucket's `(tuple, multiplicity)` entries.
-enum BucketIter<'a> {
+pub(crate) enum BucketIter<'a> {
     Small(std::slice::Iter<'a, (Tuple, i64)>),
     Large(std::collections::hash_map::Iter<'a, Tuple, i64>),
 }

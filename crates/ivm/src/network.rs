@@ -277,7 +277,12 @@ impl NodeKind {
             NodeKind::Edges(s) => format!("⇑({})", syms(&s.routing().types)),
             NodeKind::Join { .. } => "⋈".into(),
             NodeKind::SemiJoin { .. } => "⋉/▷".into(),
-            NodeKind::VarLength { op, .. } => format!("⋈* [{} paths]", op.path_count()),
+            NodeKind::VarLength { op, .. } => format!(
+                "⋈* [{} anchors, {} paths, {} edges]",
+                op.anchor_count(),
+                op.path_count(),
+                op.edge_count()
+            ),
             NodeKind::Filter { .. } => "σ".into(),
             NodeKind::Project { .. } => "π".into(),
             NodeKind::Distinct { .. } => "δ".into(),
@@ -314,7 +319,9 @@ struct Sink {
     columns: Vec<String>,
     root: NodeId,
     results: FxHashMap<Tuple, i64>,
-    maintenance_count: u64,
+    /// Network generation at registration; the view has been through
+    /// every maintenance round since.
+    registered_gen: u64,
     /// Generation of the last transaction that changed this view; the
     /// delta itself stays in the root's pooled output buffer (see
     /// [`DataflowNetwork::last_delta`]) — no copy is made.
@@ -1206,7 +1213,7 @@ impl DataflowNetwork {
             columns: fra.schema(),
             root,
             results,
-            maintenance_count: 0,
+            registered_gen: self.generation,
             changed_gen: 0,
         };
         let sid = match self.sinks.iter().position(Option::is_none) {
@@ -1687,9 +1694,6 @@ impl DataflowNetwork {
     ) {
         self.generation += 1;
         self.changed.clear();
-        for s in self.sinks.iter_mut().flatten() {
-            s.maintenance_count += 1;
-        }
         if events.is_empty() {
             return;
         }
@@ -2396,7 +2400,7 @@ impl DataflowNetwork {
             NodeKind::Edges(_) => "⇑".to_string(),
             NodeKind::Join { .. } => "⋈".to_string(),
             NodeKind::SemiJoin { .. } => "⋉/▷".to_string(),
-            NodeKind::VarLength { op, .. } => format!("⋈* [{} paths]", op.path_count()),
+            kind @ NodeKind::VarLength { .. } => kind.label(),
             NodeKind::Filter { .. } => "σ".to_string(),
             NodeKind::Project { .. } => "π".to_string(),
             NodeKind::Distinct { .. } => "δ".to_string(),
@@ -2507,7 +2511,7 @@ impl<'a> ViewRef<'a> {
 
     /// Number of maintenance rounds executed.
     pub fn maintenance_count(&self) -> u64 {
-        self.net.sink(self.sid).maintenance_count
+        self.net.generation - self.net.sink(self.sid).registered_gen
     }
 
     /// Per-operator statistics of the view's subgraph.

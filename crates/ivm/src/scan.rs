@@ -91,6 +91,12 @@ impl VertexScan {
         self.memory.len()
     }
 
+    /// The tuple currently emitted for `v` (`[v, props…]`), if `v`
+    /// satisfies the scan — the memory read as an admission map.
+    pub fn get(&self, v: VertexId) -> Option<&Tuple> {
+        self.memory.get(&v)
+    }
+
     /// Routing contract (see [`ScanRouting`]).
     pub fn routing(&self) -> VertexRouting {
         VertexRouting {

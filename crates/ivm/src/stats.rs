@@ -76,6 +76,12 @@ pub mod counters {
         /// they already exist (snapshot, sibling sink, join memory) or
         /// derived by a stateless operator do not count.
         pub bag_enumerations: u64,
+        /// Path-trie nodes a ⋈* operator created, dropped or read
+        /// (prefixes probed by an edge insertion, subtrees enumerated
+        /// for a left-row or destination change). The operator's work
+        /// measure: it must track the touched neighbourhood, never the
+        /// graph (`crates/ivm/tests/tc_work_bound.rs`).
+        pub tc_paths_touched: u64,
     }
 
     #[cfg(feature = "ivm-stats")]
@@ -94,6 +100,7 @@ pub mod counters {
         pub static RESTORE_HITS: AtomicU64 = AtomicU64::new(0);
         pub static RESTORE_MISSES: AtomicU64 = AtomicU64::new(0);
         pub static BAG_ENUMERATIONS: AtomicU64 = AtomicU64::new(0);
+        pub static TC_PATHS_TOUCHED: AtomicU64 = AtomicU64::new(0);
 
         pub fn bump(c: &AtomicU64) {
             c.fetch_add(1, Ordering::Relaxed);
@@ -183,6 +190,15 @@ pub mod counters {
         imp::bump(&imp::BAG_ENUMERATIONS);
     }
 
+    /// Record `n` path-trie nodes touched by a ⋈* operator.
+    #[inline]
+    pub fn tc_paths_touched(n: u64) {
+        #[cfg(not(feature = "ivm-stats"))]
+        let _ = n;
+        #[cfg(feature = "ivm-stats")]
+        imp::add(&imp::TC_PATHS_TOUCHED, n);
+    }
+
     /// Record a hash-map rehash if `after > before` capacity.
     #[inline]
     pub fn rehash_if_grew(before: usize, after: usize) {
@@ -212,6 +228,7 @@ pub mod counters {
                 restore_hits: imp::RESTORE_HITS.load(Ordering::Relaxed),
                 restore_misses: imp::RESTORE_MISSES.load(Ordering::Relaxed),
                 bag_enumerations: imp::BAG_ENUMERATIONS.load(Ordering::Relaxed),
+                tc_paths_touched: imp::TC_PATHS_TOUCHED.load(Ordering::Relaxed),
             }
         }
         #[cfg(not(feature = "ivm-stats"))]
@@ -235,6 +252,7 @@ pub mod counters {
             imp::RESTORE_HITS.store(0, Ordering::Relaxed);
             imp::RESTORE_MISSES.store(0, Ordering::Relaxed);
             imp::BAG_ENUMERATIONS.store(0, Ordering::Relaxed);
+            imp::TC_PATHS_TOUCHED.store(0, Ordering::Relaxed);
         }
     }
 }

@@ -1,30 +1,83 @@
 //! Incremental variable-length (transitive) join — the ⋈* operator.
 //!
-//! Maintains the set of **edge-distinct paths** (Cypher's relationship
-//! isomorphism, which also keeps path sets finite on cyclic graphs) over a
-//! dynamic edge relation, following the paper's *atomic path* model: a
-//! path is inserted or deleted as a unit, never mutated.
+//! Maintains the **edge-distinct paths** (Cypher's relationship
+//! isomorphism, which also keeps path sets finite on cyclic graphs) that
+//! start at a source vertex of the left input, following the paper's
+//! *atomic path* model: a path is asserted or retracted as a unit, never
+//! mutated, and assertion and retraction carry the same `Arc<PathValue>`.
 //!
-//! Maintenance algebra (cf. Bergmann et al., ICGT 2012; Pang et al., TODS
-//! 2005 — adapted to whole paths instead of reachability pairs):
+//! # State
 //!
-//! * **Edge insertion** `e = (u,v)`: every new path containing `e`
-//!   decomposes uniquely as `p₁ · e · p₂` with `p₁` ending at `u`, `p₂`
-//!   starting at `v`, neither containing `e`; enumerate the combinations,
-//!   keeping edge-disjoint ones within the hop bound.
-//! * **Edge deletion**: drop every path indexed under `e` — no
-//!   over-deletion/rederivation phase (DRed) is needed because paths are
-//!   their own support certificates.
+//! Only *anchored* paths are kept — a reply chain of depth *d* under one
+//! `Post` holds *d* paths, not the *d(d+1)/2* between any two of its
+//! messages, because the view can only ever return the former.
 //!
-//! The operator is internally a small sub-network: an edge scan feeding
-//! the path store, a join with the left input on the source column, and an
-//! optional join with a vertex scan enforcing destination labels and
-//! supplying pushed destination properties.
+//! * **Anchors** `source vertex → (left rows, trie root)`: the left input
+//!   grouped by its source column. A source with at least one left row
+//!   is an anchor.
+//! * **Path trie**: one root per anchor (its zero-length path, which is
+//!   also the `*0..` result) and one node per longer path, child of the
+//!   node of its one-hop-shorter prefix. A node owns the materialised
+//!   path; `ending: vertex → nodes` and `by_last_edge: edge → nodes`
+//!   index the trie by where a path ends and by its final hop.
+//! * **Adjacency** `vertex → [(edge, neighbour)]`: the hops the
+//!   operator's own [`EdgeScan`] currently admits (type, direction and
+//!   edge-property filters applied; `Both` lists an edge under both
+//!   endpoints).
+//! * **Admission**: the destination [`VertexScan`]'s memory, `vertex →
+//!   [vertex, pushed props…]`, present only when the pattern constrains
+//!   or reads the destination.
+//!
+//! Every part is a function of the current inputs alone (never of the
+//! order updates arrived in), and the whole is O(anchored paths + edges +
+//! left rows).
+//!
+//! # Delta rules
+//!
+//! One call applies its changes in this order, each against the state
+//! the previous ones left — the usual sequential form of a multilinear
+//! delta. An output row is `left row ++ [dst, props…, path]` with the
+//! left row's multiplicity, emitted for every trie node at depth ≥ `min`
+//! whose target is admitted.
+//!
+//! 1. **Destination ±** (`v` starts or stops satisfying the destination
+//!    constraint, or a pushed property changes): for every node in
+//!    `ending[v]`, retract rows built on the old admission tuple and
+//!    assert them on the new one.
+//! 2. **Edge −** `e`: the nodes of `by_last_edge[e]` and their subtrees
+//!    are exactly the paths through `e` (a path is edge-distinct, so it
+//!    has one prefix ending in `e`); drop them, retracting their rows. No
+//!    over-deletion/rederivation phase (DRed) is needed because paths are
+//!    their own support certificates.
+//! 3. **Edge +** `e = (u, w)`: every new path decomposes uniquely as
+//!    `p · e · s` with `p` a node of `ending[u]` that does not contain
+//!    `e`; hang `p · e` under `p` and grow the suffixes `s` by a bounded,
+//!    edge-distinct depth-first walk of the adjacency.
+//! 4. **Left row ±**: a row of a new source makes it an anchor (root plus
+//!    the same walk); the row is then asserted or retracted against the
+//!    anchor's subtree. Anchors left without rows are dropped, subtree
+//!    and all, once the whole left delta has been applied, so an update
+//!    arriving as retract-then-assert does not rebuild the subtree.
+//!
+//! The walk reads the operator's adjacency, never `g`: within one call
+//! `g` is already the post-state of *every* event, so a walk over it
+//! after inserting the first of two new edges would find paths through
+//! the second, and inserting the second would find them again.
+//!
+//! # Cost
+//!
+//! Work is proportional to the trie nodes created, dropped or read, times
+//! the path length (a node's path is copied from its parent's once, and
+//! edge-distinctness is a scan of the path) — the touched neighbourhood,
+//! never the graph. An edge change additionally scans its source's
+//! adjacency list to unlink it, and every hop costs one vertex-map and
+//! one edge-map lookup.
 
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use pgq_algebra::fra::VarLenSpec;
-use pgq_common::fxhash::{FxHashMap, FxHashSet};
+use pgq_common::fxhash::FxHashMap;
 use pgq_common::ids::{EdgeId, VertexId};
 use pgq_common::path::PathValue;
 use pgq_common::tuple::Tuple;
@@ -32,113 +85,301 @@ use pgq_common::value::Value;
 use pgq_graph::delta::ChangeEvent;
 use pgq_graph::store::PropertyGraph;
 
-use crate::delta::Delta;
-use crate::join::JoinOp;
-use crate::scan::{EdgeScan, EdgeScanSpec, VertexScan};
+use crate::delta::{Bucket, Delta};
+use crate::scan::{EdgeScan, EdgeScanSpec, ScanRouting, VertexScan};
+use crate::stats::counters;
 
-/// Store of edge-distinct paths with source/target/edge indexes.
-#[derive(Clone, Debug, Default)]
-struct PathStore {
-    starting: FxHashMap<VertexId, FxHashSet<Arc<PathValue>>>,
-    ending: FxHashMap<VertexId, FxHashSet<Arc<PathValue>>>,
-    by_edge: FxHashMap<EdgeId, FxHashSet<Arc<PathValue>>>,
-    count: usize,
+/// "No parent": marks a trie root.
+const NIL: u32 = u32::MAX;
+
+/// One anchored path.
+#[derive(Clone, Debug)]
+struct TrieNode {
+    /// Node of the path minus its last hop; [`NIL`] for a root.
+    parent: u32,
+    /// Last vertex of `path`, kept beside it so that the admission
+    /// lookup of every emission does not chase into the path's buffers.
+    target: VertexId,
+    /// The path itself, materialised once.
+    path: Arc<PathValue>,
+    children: Vec<u32>,
+    /// This node's index in its parent's `children`, in
+    /// `ending[target]` and in `by_last_edge[last edge]`, so that it
+    /// leaves each by `swap_remove`.
+    child_pos: u32,
+    ending_pos: u32,
+    edge_pos: u32,
 }
 
-impl PathStore {
-    fn add(&mut self, p: Arc<PathValue>) {
-        self.starting
-            .entry(p.source())
-            .or_default()
-            .insert(p.clone());
-        self.ending.entry(p.target()).or_default().insert(p.clone());
-        for &e in p.edges() {
-            self.by_edge.entry(e).or_default().insert(p.clone());
-        }
-        self.count += 1;
+/// Per-vertex slice of the operator's state.
+#[derive(Clone, Debug, Default)]
+struct VertexEntry {
+    /// Admitted hops leaving this vertex.
+    out: Vec<(EdgeId, VertexId)>,
+    /// Trie nodes whose path ends here.
+    ending: Vec<u32>,
+}
+
+fn slot(nodes: &mut [Option<TrieNode>], ix: u32) -> &mut TrieNode {
+    nodes[ix as usize].as_mut().expect("live trie node")
+}
+
+/// `list.swap_remove(pos)`, returning the node that took the slot.
+fn swap_out(list: &mut Vec<u32>, pos: u32) -> Option<u32> {
+    list.swap_remove(pos as usize);
+    list.get(pos as usize).copied()
+}
+
+/// The prefix trie of anchored paths plus the adjacency it grows over.
+#[derive(Clone, Debug, Default)]
+struct PathTrie {
+    max: Option<u32>,
+    nodes: Vec<Option<TrieNode>>,
+    free: Vec<u32>,
+    verts: FxHashMap<VertexId, VertexEntry>,
+    by_last_edge: FxHashMap<EdgeId, Vec<u32>>,
+    roots: usize,
+    paths: usize,
+    /// Pending one-hop extensions `(node, edge, neighbour)` of the walk.
+    frontier: Vec<(u32, EdgeId, VertexId)>,
+    /// Reused subtree-traversal stack.
+    stack: Vec<u32>,
+}
+
+impl PathTrie {
+    fn node(&self, ix: u32) -> &TrieNode {
+        self.nodes[ix as usize].as_ref().expect("live trie node")
     }
 
-    /// All new paths created by inserting directed edge `e = (u, v)`.
-    fn insert_edge(
-        &mut self,
-        e: EdgeId,
-        u: VertexId,
-        v: VertexId,
-        max: Option<u32>,
-    ) -> Vec<Arc<PathValue>> {
-        let fits = |len: usize| max.is_none_or(|m| len as u32 <= m);
-        if !fits(1) {
-            return Vec::new();
-        }
-        let mut added: Vec<Arc<PathValue>> = Vec::new();
-        let hop = PathValue::single(u).extend(e, v);
-
-        // Borrow the prefix/suffix extents directly — `added` owns its
-        // paths, so the borrows end before the store is mutated below.
-        {
-            let prefixes = self.ending.get(&u).into_iter().flatten();
-            let suffixes = || self.starting.get(&v).into_iter().flatten();
-
-            // ε · e · ε
-            added.push(Arc::new(hop.clone()));
-            // ε · e · p₂
-            for p2 in suffixes() {
-                if p2.contains_edge(e) || !fits(p2.len() + 1) {
-                    continue;
-                }
-                added.push(Arc::new(hop.concat(p2).expect("seam at v")));
-            }
-            // p₁ · e · ε  and  p₁ · e · p₂
-            for p1 in prefixes {
-                if p1.contains_edge(e) {
-                    continue;
-                }
-                if fits(p1.len() + 1) {
-                    added.push(Arc::new(p1.extend(e, v)));
-                }
-                for p2 in suffixes() {
-                    if p2.contains_edge(e) || !fits(p1.len() + 1 + p2.len()) {
-                        continue;
-                    }
-                    if p1.edges().iter().any(|x| p2.contains_edge(*x)) {
-                        continue;
-                    }
-                    let combined = p1.extend(e, v).concat(p2).expect("seam at v");
-                    added.push(Arc::new(combined));
-                }
-            }
-        }
-        for p in &added {
-            debug_assert!(p.edges_distinct());
-            self.add(p.clone());
-        }
-        added
+    fn node_mut(&mut self, ix: u32) -> &mut TrieNode {
+        slot(&mut self.nodes, ix)
     }
 
-    /// All paths destroyed by deleting edge `e`.
-    fn remove_edge(&mut self, e: EdgeId) -> Vec<Arc<PathValue>> {
-        let Some(set) = self.by_edge.remove(&e) else {
-            return Vec::new();
+    /// May a path of `len` hops grow by one within the hop bound?
+    fn can_grow(&self, len: usize) -> bool {
+        self.max.is_none_or(|m| (len as u32) < m)
+    }
+
+    fn ending(&self, v: VertexId) -> &[u32] {
+        self.verts.get(&v).map_or(&[], |ve| &ve.ending)
+    }
+
+    /// Link a new node for `path` (ending at `target`) under `parent`
+    /// and queue its one-hop extensions.
+    fn attach(&mut self, parent: u32, target: VertexId, path: Arc<PathValue>) -> u32 {
+        let ix = self.free.pop().unwrap_or_else(|| {
+            self.nodes.push(None);
+            (self.nodes.len() - 1) as u32
+        });
+        let grows = self.can_grow(path.len());
+        let ve = self.verts.entry(target).or_default();
+        let ending_pos = ve.ending.len() as u32;
+        ve.ending.push(ix);
+        if grows {
+            self.frontier
+                .extend(ve.out.iter().map(|&(e, w)| (ix, e, w)));
+        }
+        let (mut child_pos, mut edge_pos) = (0, 0);
+        match path.edges().last() {
+            Some(&e) => {
+                let siblings = &mut slot(&mut self.nodes, parent).children;
+                child_pos = siblings.len() as u32;
+                siblings.push(ix);
+                let same_edge = self.by_last_edge.entry(e).or_default();
+                edge_pos = same_edge.len() as u32;
+                same_edge.push(ix);
+                self.paths += 1;
+            }
+            None => self.roots += 1,
+        }
+        self.nodes[ix as usize] = Some(TrieNode {
+            parent,
+            target,
+            path,
+            children: Vec::new(),
+            child_pos,
+            ending_pos,
+            edge_pos,
+        });
+        counters::tc_paths_touched(1);
+        ix
+    }
+
+    /// Drain the frontier: the bounded, edge-distinct depth-first walk.
+    /// `visit` sees every node created.
+    fn expand(&mut self, mut visit: impl FnMut(&TrieNode)) {
+        while let Some((p, e, w)) = self.frontier.pop() {
+            let prefix = &self.node(p).path;
+            if prefix.contains_edge(e) {
+                continue;
+            }
+            let path = Arc::new(prefix.extend(e, w));
+            let ix = self.attach(p, w, path);
+            visit(self.node(ix));
+        }
+    }
+
+    /// Root at `v` plus every path the adjacency currently offers from
+    /// it; `visit` sees every node created.
+    fn add_root(&mut self, v: VertexId, mut visit: impl FnMut(&TrieNode)) -> u32 {
+        let root = self.attach(NIL, v, Arc::new(PathValue::single(v)));
+        visit(self.node(root));
+        self.expand(visit);
+        root
+    }
+
+    /// Record hop `u -e-> w` and copy out the nodes it may extend: the
+    /// paths ending at `u`.
+    fn add_hop(&mut self, u: VertexId, e: EdgeId, w: VertexId, prefixes: &mut Vec<u32>) {
+        let ve = self.verts.entry(u).or_default();
+        ve.out.push((e, w));
+        prefixes.clear();
+        prefixes.extend_from_slice(&ve.ending);
+    }
+
+    /// Forget hop `u -e-> w` (the paths through it go by
+    /// [`PathTrie::drop_subtree`]).
+    fn remove_hop(&mut self, u: VertexId, e: EdgeId, w: VertexId) {
+        let Entry::Occupied(mut ve) = self.verts.entry(u) else {
+            return;
         };
-        let paths: Vec<Arc<PathValue>> = set.into_iter().collect();
-        for p in &paths {
-            // by_edge entry for `e` is already gone; clean the others.
-            if let Some(s) = self.starting.get_mut(&p.source()) {
-                s.remove(p);
+        let out = &mut ve.get_mut().out;
+        if let Some(i) = out.iter().position(|&h| h == (e, w)) {
+            out.swap_remove(i);
+        }
+        if ve.get().out.is_empty() && ve.get().ending.is_empty() {
+            ve.remove();
+        }
+    }
+
+    /// Extend node `p` over hop `e` to `w` and onwards, if the hop bound
+    /// allows; `visit` sees every node created.
+    fn extend(&mut self, p: u32, e: EdgeId, w: VertexId, visit: impl FnMut(&TrieNode)) {
+        counters::tc_paths_touched(1);
+        if self.can_grow(self.node(p).path.len()) {
+            self.frontier.push((p, e, w));
+            self.expand(visit);
+        }
+    }
+
+    /// Some node whose last hop is `e`, while any is left.
+    fn any_ending_in(&self, e: EdgeId) -> Option<u32> {
+        self.by_last_edge.get(&e).and_then(|l| l.last().copied())
+    }
+
+    /// Free `top` and everything below it; `visit` sees every node freed.
+    fn drop_subtree(&mut self, top: u32, mut visit: impl FnMut(&TrieNode)) {
+        let (parent, pos) = {
+            let n = self.node(top);
+            (n.parent, n.child_pos)
+        };
+        if parent != NIL {
+            if let Some(moved) = swap_out(&mut self.node_mut(parent).children, pos) {
+                self.node_mut(moved).child_pos = pos;
             }
-            if let Some(s) = self.ending.get_mut(&p.target()) {
-                s.remove(p);
-            }
-            for &e2 in p.edges() {
-                if e2 != e {
-                    if let Some(s) = self.by_edge.get_mut(&e2) {
-                        s.remove(p);
-                    }
+        }
+        let mut stack = std::mem::take(&mut self.stack);
+        stack.push(top);
+        while let Some(ix) = stack.pop() {
+            let n = self.nodes[ix as usize].take().expect("live trie node");
+            self.free.push(ix);
+            stack.extend_from_slice(&n.children);
+            if let Entry::Occupied(mut ve) = self.verts.entry(n.target) {
+                if let Some(moved) = swap_out(&mut ve.get_mut().ending, n.ending_pos) {
+                    slot(&mut self.nodes, moved).ending_pos = n.ending_pos;
+                }
+                if ve.get().out.is_empty() && ve.get().ending.is_empty() {
+                    ve.remove();
                 }
             }
-            self.count -= 1;
+            match n.path.edges().last() {
+                Some(&e) => {
+                    if let Entry::Occupied(mut same_edge) = self.by_last_edge.entry(e) {
+                        if let Some(moved) = swap_out(same_edge.get_mut(), n.edge_pos) {
+                            slot(&mut self.nodes, moved).edge_pos = n.edge_pos;
+                        }
+                        if same_edge.get().is_empty() {
+                            same_edge.remove();
+                        }
+                    }
+                    self.paths -= 1;
+                }
+                None => self.roots -= 1,
+            }
+            counters::tc_paths_touched(1);
+            visit(&n);
         }
-        paths
+        self.stack = stack;
+    }
+
+    /// Visit `top` and everything below it.
+    fn for_subtree(&mut self, top: u32, mut visit: impl FnMut(&TrieNode)) {
+        let mut stack = std::mem::take(&mut self.stack);
+        stack.push(top);
+        while let Some(ix) = stack.pop() {
+            let n = self.node(ix);
+            stack.extend_from_slice(&n.children);
+            counters::tc_paths_touched(1);
+            visit(n);
+        }
+        self.stack = stack;
+    }
+}
+
+/// The left rows sharing one source vertex, and that source's trie root.
+#[derive(Clone, Debug)]
+struct Anchor {
+    root: u32,
+    rows: Bucket,
+}
+
+/// Assembles output rows `left ++ [dst, props…, path]`.
+struct Emitter<'a> {
+    min: u32,
+    admission: Option<&'a VertexScan>,
+    scratch: &'a mut Vec<Value>,
+    out: &'a mut Delta,
+}
+
+impl Emitter<'_> {
+    fn push_row(&mut self, left: &Tuple, dst: &[Value], path: &Arc<PathValue>, mult: i64) {
+        let row = &mut *self.scratch;
+        row.clear();
+        row.reserve(left.arity() + dst.len() + 1);
+        row.extend_from_slice(left.values());
+        row.extend_from_slice(dst);
+        row.push(Value::Path(path.clone()));
+        self.out.push(Tuple::from_slice(row), mult);
+    }
+
+    /// `mult ×` the rows node `n` contributes for the given left rows
+    /// when its target is admitted with the values `dst`: none if its
+    /// path is shorter than `min`.
+    fn emit_on<'r>(
+        &mut self,
+        rows: impl Iterator<Item = (&'r Tuple, i64)>,
+        dst: &[Value],
+        mult: i64,
+        n: &TrieNode,
+    ) {
+        if (n.path.len() as u32) >= self.min {
+            for (left, m) in rows {
+                self.push_row(left, dst, &n.path, m * mult);
+            }
+        }
+    }
+
+    /// [`Emitter::emit_on`] the target's current admission; nothing if
+    /// it is not admitted.
+    fn emit<'r>(&mut self, rows: impl Iterator<Item = (&'r Tuple, i64)>, sign: i64, n: &TrieNode) {
+        match self.admission {
+            None => self.emit_on(rows, &[Value::Node(n.target)], sign, n),
+            Some(scan) => {
+                if let Some(t) = scan.get(n.target) {
+                    self.emit_on(rows, t.values(), sign, n);
+                }
+            }
+        }
     }
 }
 
@@ -146,18 +387,39 @@ impl PathStore {
 #[derive(Clone, Debug)]
 pub struct VarLengthOp {
     edge_scan: EdgeScan,
-    store: PathStore,
+    /// Destination constraint and pushed properties, when the pattern
+    /// has any; its memory is the admission map.
+    dst: Option<VertexScan>,
+    src_col: usize,
     min: u32,
-    max: Option<u32>,
-    /// Joins left tuples (keyed on the source column) with the path
-    /// relation `[src, dst, path]` (keyed on `src`).
-    j1: JoinOp,
-    /// Trivial zero-hop paths, present when `min == 0`.
-    trivial: Option<VertexScan>,
-    /// Destination constraint/property join, when needed. Its output
-    /// permutation (restoring the FRA column order
-    /// `left ++ [dst, props…, path]`) is folded into the join's emit.
-    dst: Option<(JoinOp, VertexScan)>,
+    trie: PathTrie,
+    anchors: FxHashMap<VertexId, Anchor>,
+    /// Distinct left rows across all anchors.
+    left_rows: usize,
+    /// Reused buffers: the two scans' per-transaction deltas, the
+    /// prefixes of an edge insertion, sources whose last row a left delta
+    /// removed, and the output-row assembly area.
+    edge_delta: Delta,
+    dst_delta: Delta,
+    prefixes: Vec<u32>,
+    emptied: Vec<VertexId>,
+    scratch: Vec<Value>,
+}
+
+/// The left rows that `n`'s path extends.
+fn rows_of<'a>(anchors: &'a FxHashMap<VertexId, Anchor>, n: &TrieNode) -> &'a Bucket {
+    &anchors
+        .get(&n.path.source())
+        .expect("every trie node hangs under an anchor")
+        .rows
+}
+
+fn hop_of(t: &Tuple) -> (VertexId, EdgeId, VertexId) {
+    (
+        t.get(0).as_node().expect("edge triple"),
+        t.get(1).as_rel().expect("edge triple"),
+        t.get(2).as_node().expect("edge triple"),
+    )
 }
 
 impl VarLengthOp {
@@ -170,120 +432,149 @@ impl VarLengthOp {
             edge_prop_filters: spec.edge_prop_filters.clone(),
             ..Default::default()
         });
-        // j1: left (keyed src_col) ⋈ paths [src, dst, path] (keyed 0)
-        // → left ++ [dst, path]
-        let j1 = JoinOp::new(vec![src_col], vec![0], 3);
-        let trivial = if spec.min == 0 {
-            Some(VertexScan::new(vec![], vec![], false))
-        } else {
-            None
-        };
         let needs_dst =
             !spec.dst_labels.is_empty() || !spec.dst_props.is_empty() || spec.dst_carry_map;
-        let dst = if needs_dst {
-            let scan = VertexScan::new(
+        let dst = needs_dst.then(|| {
+            VertexScan::new(
                 spec.dst_labels.clone(),
                 spec.dst_props.clone(),
                 spec.dst_carry_map,
-            );
-            // j2: (left ++ [dst, path]) keyed dst ⋈ scan [dst, props…]
-            // keyed 0 → left ++ [dst, path, props…], emitted directly in
-            // the restored order left…, dst, props…, path.
-            let p = spec.dst_props.len() + usize::from(spec.dst_carry_map);
-            let a = left_arity;
-            let mut perm: Vec<usize> = (0..a).collect();
-            perm.push(a); // dst
-            perm.extend(a + 2..a + 2 + p); // props
-            perm.push(a + 1); // path
-            let j2 = JoinOp::new(vec![left_arity], vec![0], 1 + p).with_output_perm(perm);
-            Some((j2, scan))
-        } else {
-            None
-        };
+            )
+        });
         VarLengthOp {
             edge_scan,
-            store: PathStore::default(),
-            min: spec.min,
-            max: spec.max,
-            j1,
-            trivial,
             dst,
+            src_col,
+            min: spec.min,
+            trie: PathTrie {
+                max: spec.max,
+                ..Default::default()
+            },
+            anchors: FxHashMap::default(),
+            left_rows: 0,
+            edge_delta: Delta::new(),
+            dst_delta: Delta::new(),
+            prefixes: Vec::new(),
+            emptied: Vec::new(),
+            // left ++ [dst, props…, map?, path]
+            scratch: Vec::with_capacity(
+                left_arity + 2 + spec.dst_props.len() + usize::from(spec.dst_carry_map),
+            ),
         }
     }
 
-    /// Tuples materialised across the internal sub-network.
+    /// Tuples materialised: trie nodes, left rows and the scans'
+    /// memories.
     pub fn memory_tuples(&self) -> usize {
-        self.store.count
+        self.trie.roots
+            + self.trie.paths
+            + self.left_rows
             + self.edge_scan.memory_tuples()
-            + self.j1.memory_tuples()
-            + self.trivial.as_ref().map_or(0, VertexScan::memory_tuples)
-            + self
-                .dst
-                .as_ref()
-                .map_or(0, |(j, s)| j.memory_tuples() + s.memory_tuples())
+            + self.dst.as_ref().map_or(0, VertexScan::memory_tuples)
     }
 
-    /// Number of paths materialised.
+    /// Anchored paths of length ≥ 1 materialised (zero-length roots are
+    /// counted by [`VarLengthOp::anchor_count`]).
     pub fn path_count(&self) -> usize {
-        self.store.count
+        self.trie.paths
     }
 
-    fn path_tuple(p: &Arc<PathValue>) -> Tuple {
-        Tuple::from_slice(&[
-            Value::Node(p.source()),
-            Value::Node(p.target()),
-            Value::Path(p.clone()),
-        ])
+    /// Distinct source vertices among the left rows.
+    pub fn anchor_count(&self) -> usize {
+        self.trie.roots
     }
 
-    /// Convert edge-scan triples into path-relation deltas.
-    fn apply_edge_deltas(&mut self, de: Delta) -> Delta {
-        let mut out = Delta::new();
-        let entries = de.consolidate().into_entries();
-        let min_eff = self.min.max(1) as usize;
-        // Deletions first, so re-inserted edges rebuild cleanly.
-        for (t, m) in entries.iter().filter(|(_, m)| *m < 0) {
-            let _ = m;
-            let e = t.get(1).as_rel().expect("edge triple");
-            for p in self.store.remove_edge(e) {
-                if p.len() >= min_eff {
-                    out.push(Self::path_tuple(&p), -1);
-                }
+    /// Hops admitted by the edge scan (an undirected pattern counts an
+    /// edge once per orientation).
+    pub fn edge_count(&self) -> usize {
+        self.edge_scan.memory_tuples()
+    }
+
+    /// Apply the scans' deltas and `left` (module docs, "Delta rules").
+    fn apply(&mut self, edge_delta: &Delta, dst_delta: &Delta, left: &Delta, out: &mut Delta) {
+        let VarLengthOp {
+            dst,
+            src_col,
+            min,
+            trie,
+            anchors,
+            left_rows,
+            prefixes,
+            emptied,
+            scratch,
+            ..
+        } = self;
+        let mut em = Emitter {
+            min: *min,
+            admission: dst.as_ref(),
+            scratch,
+            out,
+        };
+
+        // 1. Destination ±.
+        for (t, m) in dst_delta.iter() {
+            let v = t.get(0).as_node().expect("vertex scan emits nodes");
+            let ending = trie.ending(v);
+            counters::tc_paths_touched(ending.len() as u64);
+            for &ix in ending {
+                let n = trie.node(ix);
+                em.emit_on(rows_of(anchors, n).iter(), t.values(), *m, n);
             }
         }
-        for (t, _m) in entries.iter().filter(|(_, m)| *m > 0) {
-            let u = t.get(0).as_node().expect("edge triple");
-            let e = t.get(1).as_rel().expect("edge triple");
-            let v = t.get(2).as_node().expect("edge triple");
-            for p in self.store.insert_edge(e, u, v, self.max) {
-                if p.len() >= min_eff {
-                    out.push(Self::path_tuple(&p), 1);
-                }
+
+        // 2. Edge −, before any insertion so that re-inserted edges
+        // rebuild cleanly.
+        for (t, _) in edge_delta.iter().filter(|(_, m)| *m < 0) {
+            let (u, e, w) = hop_of(t);
+            trie.remove_hop(u, e, w);
+            while let Some(top) = trie.any_ending_in(e) {
+                let rows = rows_of(anchors, trie.node(top));
+                trie.drop_subtree(top, |n| em.emit(rows.iter(), -1, n));
             }
         }
-        out
+
+        // 3. Edge +.
+        for (t, _) in edge_delta.iter().filter(|(_, m)| *m > 0) {
+            let (u, e, w) = hop_of(t);
+            trie.add_hop(u, e, w, prefixes);
+            for &p in prefixes.iter() {
+                let rows = rows_of(anchors, trie.node(p));
+                trie.extend(p, e, w, |n| em.emit(rows.iter(), 1, n));
+            }
+        }
+
+        // 4. Left row ±.
+        for (row, m) in left.iter() {
+            let Some(src) = row.get(*src_col).as_node() else {
+                continue;
+            };
+            let this_row = || std::iter::once((row, *m));
+            let anchor = match anchors.entry(src) {
+                Entry::Occupied(a) => {
+                    let a = a.into_mut();
+                    trie.for_subtree(a.root, |n| em.emit(this_row(), 1, n));
+                    a
+                }
+                Entry::Vacant(slot) => slot.insert(Anchor {
+                    root: trie.add_root(src, |n| em.emit(this_row(), 1, n)),
+                    rows: Bucket::default(),
+                }),
+            };
+            *left_rows = (*left_rows as i64 + anchor.rows.update(row, *m)) as usize;
+            if anchor.rows.is_empty() {
+                emptied.push(src);
+            }
+        }
+        for src in emptied.drain(..) {
+            if anchors.get(&src).is_some_and(|a| a.rows.is_empty()) {
+                let a = anchors.remove(&src).expect("checked above");
+                trie.drop_subtree(a.root, |_| {});
+            }
+        }
     }
 
-    /// Map the all-vertices scan delta to trivial path tuples
-    /// `[v, v, ε_v]`.
-    fn trivial_paths(d: Delta) -> Delta {
-        d.into_entries()
-            .into_iter()
-            .map(|(t, m)| {
-                let v = t.get(0).as_node().expect("vertex scan emits nodes");
-                (
-                    Tuple::new(vec![
-                        Value::Node(v),
-                        Value::Node(v),
-                        Value::path(PathValue::single(v)),
-                    ]),
-                    m,
-                )
-            })
-            .collect()
-    }
-
-    /// Initial evaluation: build the path store and all join memories.
+    /// Initial evaluation of a fresh operator: load the adjacency and
+    /// the admission map, then the left rows.
     pub fn initial(&mut self, g: &PropertyGraph, left_initial: Delta) -> Delta {
         let mut out = Delta::new();
         self.initial_into(g, &left_initial, &mut out);
@@ -293,20 +584,14 @@ impl VarLengthOp {
     /// [`VarLengthOp::initial`] with a borrowed left input and a
     /// caller-owned (pooled) output buffer.
     pub fn initial_into(&mut self, g: &PropertyGraph, left: &Delta, out: &mut Delta) {
-        let de = self.edge_scan.initial(g);
-        let mut dp = self.apply_edge_deltas(de);
-        if let Some(tr) = &mut self.trivial {
-            dp.extend(Self::trivial_paths(tr.initial(g)));
+        debug_assert!(self.anchors.is_empty(), "initial evaluation runs once");
+        let edges = self.edge_scan.initial(g);
+        if let Some(scan) = &mut self.dst {
+            // No path ends anywhere yet, so the scan's delta changes no
+            // output; only its memory matters.
+            scan.initial(g);
         }
-        match &mut self.dst {
-            Some((j2, scan)) => {
-                let mut d1 = Delta::new();
-                self.j1.apply(left, &dp, &mut d1);
-                let dv = scan.initial(g);
-                j2.apply(&d1, &dv, out);
-            }
-            None => self.j1.apply(left, &dp, out),
-        }
+        self.apply(&edges, &Delta::new(), left, out);
     }
 
     /// Process a transaction: `left_delta` from the child subtree plus
@@ -331,42 +616,40 @@ impl VarLengthOp {
         left: &Delta,
         out: &mut Delta,
     ) {
-        let de = self.edge_scan.on_events(g, events);
-        let mut dp = self.apply_edge_deltas(de);
-        if let Some(tr) = &mut self.trivial {
-            dp.extend(Self::trivial_paths(tr.on_events(g, events)));
+        let mut edges = std::mem::take(&mut self.edge_delta);
+        let mut dsts = std::mem::take(&mut self.dst_delta);
+        edges.clear();
+        dsts.clear();
+        self.edge_scan.on_events_into(g, events, &mut edges);
+        if let Some(scan) = &mut self.dst {
+            scan.on_events_into(g, events, &mut dsts);
         }
-        match &mut self.dst {
-            Some((j2, scan)) => {
-                let mut d1 = Delta::new();
-                self.j1.apply(left, &dp, &mut d1);
-                let mut dv = Delta::new();
-                scan.on_events_into(g, events, &mut dv);
-                j2.apply(&d1, &dv, out);
-            }
-            None => self.j1.apply(left, &dp, out),
-        }
+        self.apply(&edges, &dsts, left, out);
+        self.edge_delta = edges;
+        self.dst_delta = dsts;
     }
 
-    /// Reconstruct the full current output bag from the internal join
-    /// memories, appending to `out`.
+    /// Reconstruct the full current output bag from the trie, appending
+    /// to `out`.
     pub fn replay_into(&mut self, out: &mut Delta) {
-        match &mut self.dst {
-            Some((j2, _)) => j2.replay_into(out),
-            None => self.j1.replay_into(out),
+        let mut em = Emitter {
+            min: self.min,
+            admission: self.dst.as_ref(),
+            scratch: &mut self.scratch,
+            out,
+        };
+        for a in self.anchors.values() {
+            self.trie
+                .for_subtree(a.root, |n| em.emit(a.rows.iter(), 1, n));
         }
     }
 
-    /// Routing contracts of the internal scans (edge traversal, optional
-    /// zero-hop vertex scan, optional destination-constraint scan) — the
-    /// union of events a ⋈* node must see.
-    pub fn routing(&self) -> Vec<crate::scan::ScanRouting> {
-        use crate::scan::ScanRouting;
+    /// Routing contracts of the internal scans (edge traversal and the
+    /// optional destination-constraint scan) — the union of events a ⋈*
+    /// node must see.
+    pub fn routing(&self) -> Vec<ScanRouting> {
         let mut out = vec![ScanRouting::Edge(self.edge_scan.routing())];
-        if let Some(tr) = &self.trivial {
-            out.push(ScanRouting::Vertex(tr.routing()));
-        }
-        if let Some((_, scan)) = &self.dst {
+        if let Some(scan) = &self.dst {
             out.push(ScanRouting::Vertex(scan.routing()));
         }
         out
@@ -424,6 +707,26 @@ mod tests {
         // Paths: 0→1, 1→2, 0→2 = three.
         assert_eq!(out.len(), 3);
         assert_eq!(op.path_count(), 3);
+    }
+
+    #[test]
+    fn only_anchored_paths_are_kept() {
+        let (g, vs) = chain(4); // 0→1→2→3: six paths, three from v0
+        let mut op = VarLengthOp::new(1, 0, &spec(1, None));
+        let out = op.initial(&g, left_of(&vs[..1])).consolidate();
+        assert_eq!(out.len(), 3);
+        assert_eq!((op.anchor_count(), op.path_count()), (1, 3));
+        // The last left row of the anchor takes its subtree with it.
+        let gone: Delta = left_of(&vs[..1])
+            .into_entries()
+            .into_iter()
+            .map(|(t, m)| (t, -m))
+            .collect();
+        let out = op.on_events(&g, &[], gone).consolidate();
+        assert_eq!(out.len(), 3);
+        assert!(out.iter().all(|(_, m)| *m < 0));
+        assert_eq!((op.anchor_count(), op.path_count()), (0, 0));
+        assert_eq!(op.memory_tuples(), op.edge_count());
     }
 
     #[test]
@@ -485,11 +788,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_hop_includes_trivial_paths() {
+    fn zero_hop_includes_zero_length_paths() {
         let (g, vs) = chain(2);
         let mut op = VarLengthOp::new(1, 0, &spec(0, None));
         let out = op.initial(&g, left_of(&vs)).consolidate();
-        // Trivial ε_0, ε_1 plus the edge path 0→1 = 3.
+        // Zero-length ε_0, ε_1 plus the edge path 0→1 = 3.
         assert_eq!(out.len(), 3);
     }
 

@@ -103,6 +103,33 @@ fn shared_chain_maintains_all_views() {
     assert_eq!(net.view(a).results(), net.view(b).results());
 }
 
+/// A view counts the maintenance rounds since *its own* registration
+/// — empty rounds and rounds that leave it unchanged included.
+#[test]
+fn maintenance_count_starts_at_registration() {
+    fn round(g: &mut PropertyGraph, net: &mut DataflowNetwork, label: &str) {
+        let mut tx = Transaction::new();
+        tx.create_vertex([s(label)], Properties::new());
+        let events = g.apply(&tx).unwrap();
+        net.on_transaction(g, &events);
+    }
+    let mut g = PropertyGraph::new();
+    let mut net = DataflowNetwork::new();
+    let first = net.register("first", &scan("a", "A"), &g);
+    round(&mut g, &mut net, "A");
+    round(&mut g, &mut net, "B");
+    net.on_transaction(&g, &[]);
+    assert_eq!(net.view(first).maintenance_count(), 3);
+
+    let second = net.register("second", &scan("b", "B"), &g);
+    assert_eq!(net.view(second).maintenance_count(), 0);
+    round(&mut g, &mut net, "A");
+    round(&mut g, &mut net, "B");
+    assert_eq!(net.view(first).maintenance_count(), 5);
+    assert_eq!(net.view(second).maintenance_count(), 2);
+    assert_eq!(net.view(second).row_count(), 2);
+}
+
 #[test]
 fn drop_releases_nodes_only_when_last_view_is_gone() {
     let g = PropertyGraph::new();
