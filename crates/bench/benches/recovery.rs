@@ -1,78 +1,16 @@
-//! Durability recovery (Criterion): warm restart from a snapshot with
-//! operator state vs the cold baseline — the same image with the state
-//! section stripped, so every network node re-initialises from the
-//! graph. Both sides decode the same snapshot and rebuild the same
-//! graph; the delta is what fingerprint-keyed state restore buys. The
-//! durable image lives on an in-memory Vfs so host disk never enters
-//! the measurement. See `report.rs` for the certified `recovery_*`
-//! numbers.
+//! Durability (Criterion): what a snapshot costs and what it buys. The
+//! image is graph + view catalog, so recovery has one path — decode,
+//! restore the graph, register each join-heavy view once — and the tick
+//! is one `engine.snapshot()` with those views standing. The durable
+//! image lives on an in-memory Vfs so host disk never enters the
+//! measurement. See `report.rs` for the certified `recovery_*` /
+//! `snapshot_tick_*` numbers.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pgq_bench::durable_social_image;
 use pgq_core::GraphEngine;
-use pgq_durability::{MemDisk, Snapshot, Vfs};
-use pgq_graph::tx::{NodeRef, Transaction};
-use pgq_workloads::social::{generate_social, queries as sq, SocialParams};
-
-/// Build a durable image of the social graph with join-heavy standing
-/// views, returning (full image, state-stripped image).
-fn build_images(sf: f64) -> (MemDisk, MemDisk) {
-    let net = generate_social(SocialParams::scale(sf, 42));
-    let disk = MemDisk::new();
-    {
-        let mut engine = GraphEngine::open_durable_with(Arc::new(disk.vfs())).unwrap();
-        let mut tx = Transaction::new();
-        let mut ids: Vec<_> = net.graph.vertex_ids().collect();
-        ids.sort_unstable();
-        let slot: std::collections::HashMap<_, _> =
-            ids.iter().enumerate().map(|(i, id)| (*id, i)).collect();
-        for id in &ids {
-            let v = net.graph.vertex(*id).unwrap();
-            tx.create_vertex(v.labels.iter().copied(), v.props.clone());
-        }
-        let mut eids: Vec<_> = net.graph.edge_ids().collect();
-        eids.sort_unstable();
-        for id in eids {
-            let e = net.graph.edge(id).unwrap();
-            tx.create_edge(
-                NodeRef::New(slot[&e.src]),
-                NodeRef::New(slot[&e.dst]),
-                e.ty,
-                e.props.clone(),
-            );
-        }
-        engine.apply(&tx).unwrap();
-        engine.register_view("likes", sq::FRIEND_LIKES).unwrap();
-        for (i, q) in pgq_workloads::social::OVERLAPPING_QUERIES
-            .iter()
-            .enumerate()
-        {
-            engine.register_view(&format!("ov{i}"), q).unwrap();
-        }
-        engine.snapshot().unwrap();
-    }
-    let cold_disk = MemDisk::new();
-    {
-        let src = disk.vfs();
-        let dst = cold_disk.vfs();
-        let generation = src
-            .list()
-            .unwrap()
-            .iter()
-            .filter_map(|n| pgq_durability::snapshot::parse_snap_name(n))
-            .max()
-            .expect("reference snapshot present");
-        let mut snap = Snapshot::load(&src, generation).unwrap().unwrap();
-        snap.states.clear();
-        snap.write(&dst, generation).unwrap();
-        let wal = pgq_durability::wal::wal_file(generation);
-        if let Some(bytes) = src.read(&wal).unwrap() {
-            dst.append(&wal, &bytes).unwrap();
-        }
-    }
-    (disk, cold_disk)
-}
 
 fn bench_recovery(c: &mut Criterion) {
     let mut group = c.benchmark_group("recovery");
@@ -80,18 +18,13 @@ fn bench_recovery(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(400));
     group.measurement_time(std::time::Duration::from_millis(2500));
     for (tag, sf) in [("s", 0.1), ("m", 0.3)] {
-        let (warm_disk, cold_disk) = build_images(sf);
-        let warm_vfs = Arc::new(warm_disk.vfs());
-        let cold_vfs = Arc::new(cold_disk.vfs());
-        group.bench_function(BenchmarkId::new("warm_open", tag), |b| {
-            b.iter(|| {
-                criterion::black_box(GraphEngine::open_durable_with(warm_vfs.clone()).unwrap())
-            })
+        let vfs = Arc::new(durable_social_image(sf).vfs());
+        group.bench_function(BenchmarkId::new("open", tag), |b| {
+            b.iter(|| criterion::black_box(GraphEngine::open_durable_with(vfs.clone()).unwrap()))
         });
-        group.bench_function(BenchmarkId::new("cold_open", tag), |b| {
-            b.iter(|| {
-                criterion::black_box(GraphEngine::open_durable_with(cold_vfs.clone()).unwrap())
-            })
+        let mut engine = GraphEngine::open_durable_with(vfs.clone()).unwrap();
+        group.bench_function(BenchmarkId::new("snapshot_tick", tag), |b| {
+            b.iter(|| engine.snapshot().unwrap())
         });
     }
     group.finish();

@@ -654,14 +654,15 @@ fn emit_bench_json(quick: bool, path: &str) {
         }
     }
 
-    // recovery_*: warm restart from a durability snapshot (graph +
-    // operator state, WAL tail empty) vs the cold baseline — rebuild
-    // from the same graph by re-registering every view from scratch.
-    // The durable image lives on an in-memory Vfs so the suite measures
-    // the restore machinery, not host disk. Alternate warm/cold inside
-    // each round so drift hits both sides equally.
+    // recovery_* / snapshot_tick_*: what a snapshot costs and what it
+    // buys. The image is graph + view catalog (no operator state, so
+    // there is one recovery path and no warm/cold pair to compare):
+    // `recovery_*` is one `open_durable_with` — decode, restore the
+    // graph, register each join-heavy view once, empty WAL tail — and
+    // `snapshot_tick_*` is one `engine.snapshot()` on that engine, the
+    // stall a commit pays every `PGQ_SNAPSHOT_EVERY`. In-memory Vfs, so
+    // neither number contains host disk.
     {
-        use pgq_durability::{MemDisk, Vfs};
         use std::sync::Arc;
 
         let sizes: &[(&str, f64)] = if quick {
@@ -669,130 +670,39 @@ fn emit_bench_json(quick: bool, path: &str) {
         } else {
             &[("s", 0.2), ("m", 0.5)]
         };
-        // Join-heavy standing views: warm restore pays on stateful
-        // operators whose initialisation probes and emits (joins);
-        // variable-length paths recompute either way, so the suite
-        // excludes them to measure the restore machinery, not the
-        // shared recompute floor.
-        let named: Vec<(String, &str)> = std::iter::once(("likes".to_string(), sq::FRIEND_LIKES))
-            .chain(
-                pgq_workloads::social::OVERLAPPING_QUERIES
-                    .iter()
-                    .enumerate()
-                    .map(|(i, q)| (format!("ov{i}"), *q)),
-            )
-            .collect();
+        let named = pgq_bench::durable_social_views();
         let views: Vec<(&str, &str)> = named.iter().map(|(n, q)| (n.as_str(), *q)).collect();
-        let views: &[(&str, &str)] = &views;
         for &(tag, sf) in sizes {
-            let net = generate_social(SocialParams::scale(sf, 42));
-            // Bulk-load the generated graph into a durable engine via
-            // one transaction (snapshot ids stay dense, which is all
-            // the loader needs), register the standing views, and cut
-            // the snapshot the warm side will recover from.
-            let disk = MemDisk::new();
-            {
-                let mut engine = GraphEngine::open_durable_with(Arc::new(disk.vfs()))
-                    .expect("open empty durable engine");
-                let mut tx = Transaction::new();
-                let mut ids: Vec<_> = net.graph.vertex_ids().collect();
-                ids.sort_unstable();
-                let slot: std::collections::HashMap<_, _> =
-                    ids.iter().enumerate().map(|(i, id)| (*id, i)).collect();
-                for id in &ids {
-                    let v = net.graph.vertex(*id).unwrap();
-                    tx.create_vertex(v.labels.iter().copied(), v.props.clone());
-                }
-                let mut eids: Vec<_> = net.graph.edge_ids().collect();
-                eids.sort_unstable();
-                for id in eids {
-                    let e = net.graph.edge(id).unwrap();
-                    tx.create_edge(
-                        pgq_graph::tx::NodeRef::New(slot[&e.src]),
-                        pgq_graph::tx::NodeRef::New(slot[&e.dst]),
-                        e.ty,
-                        e.props.clone(),
-                    );
-                }
-                engine.apply(&tx).unwrap();
-                for (name, q) in views {
-                    engine.register_view(name, q).unwrap();
-                }
-                engine.snapshot().unwrap();
-            }
-            let vfs = Arc::new(disk.vfs());
-
-            // The cold baseline recovers from the SAME image with the
-            // operator-state section stripped: identical snapshot
-            // decode + graph restore, but every network node misses its
-            // stored state and falls back to full re-initialisation
-            // from the graph. The delta between the two suites is
-            // exactly what warm restore buys.
-            let cold_disk = MemDisk::new();
-            {
-                let src = disk.vfs();
-                let dst = cold_disk.vfs();
-                let generation = src
-                    .list()
-                    .unwrap()
-                    .iter()
-                    .filter_map(|n| pgq_durability::snapshot::parse_snap_name(n))
-                    .max()
-                    .expect("reference snapshot present");
-                let mut snap = pgq_durability::Snapshot::load(&src, generation)
-                    .expect("reference snapshot readable")
-                    .expect("reference snapshot present");
-                snap.states.clear();
-                snap.write(&dst, generation).unwrap();
-                let wal = pgq_durability::wal::wal_file(generation);
-                if let Some(bytes) = src.read(&wal).unwrap() {
-                    dst.append(&wal, &bytes).unwrap();
-                }
-            }
-            let cold_vfs = Arc::new(cold_disk.vfs());
-
-            // Correctness oracle outside the timing: both recovery
-            // flavors must answer exactly alike.
-            {
-                let warm = GraphEngine::open_durable_with(vfs.clone()).unwrap();
-                let cold = GraphEngine::open_durable_with(cold_vfs.clone()).unwrap();
-                for (name, _) in views {
-                    let rows = |e: &GraphEngine| {
-                        let id = e.view_by_name(name).unwrap();
-                        e.view(id).unwrap().results()
-                    };
-                    assert_eq!(
-                        rows(&warm),
-                        rows(&cold),
-                        "warm recovery diverged from cold rebuild on recovery_{tag}/{name}"
-                    );
-                }
-            }
-
-            let mut warm_us = Vec::with_capacity(rounds);
-            let mut cold_us = Vec::with_capacity(rounds);
+            let vfs = Arc::new(pgq_bench::durable_social_image(sf).vfs());
+            let mut open_us = Vec::with_capacity(rounds);
             for _ in 0..rounds {
                 let t0 = std::time::Instant::now();
                 let e = GraphEngine::open_durable_with(vfs.clone()).unwrap();
-                warm_us.push(t0.elapsed().as_nanos() as f64 / 1000.0);
-                drop(e);
-
-                let t0 = std::time::Instant::now();
-                let e = GraphEngine::open_durable_with(cold_vfs.clone()).unwrap();
-                cold_us.push(t0.elapsed().as_nanos() as f64 / 1000.0);
+                open_us.push(t0.elapsed().as_nanos() as f64 / 1000.0);
                 drop(e);
             }
-            let stats = round_stats(&warm_us);
+            let stats = round_stats(&open_us);
             doc.suite(
-                &format!("recovery_warm_{tag}"),
+                &format!("recovery_{tag}"),
                 "us_per_open",
                 stats,
                 1e6 / stats.median,
             );
-            let stats = round_stats(&cold_us);
+
+            let mut engine = GraphEngine::open_durable_with(vfs.clone()).unwrap();
+            // Correctness oracle outside the timing: the rebuilt views
+            // answer exactly as a recompute over the recovered graph.
+            check_agreement(&engine, &views);
+            let mut tick_us = Vec::with_capacity(rounds);
+            for _ in 0..rounds {
+                let t0 = std::time::Instant::now();
+                engine.snapshot().unwrap();
+                tick_us.push(t0.elapsed().as_nanos() as f64 / 1000.0);
+            }
+            let stats = round_stats(&tick_us);
             doc.suite(
-                &format!("recovery_cold_{tag}"),
-                "us_per_open",
+                &format!("snapshot_tick_{tag}"),
+                "us_per_snapshot",
                 stats,
                 1e6 / stats.median,
             );

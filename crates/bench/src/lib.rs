@@ -157,6 +157,60 @@ pub fn check_agreement(engine: &GraphEngine, queries: &[(&str, &str)]) {
     }
 }
 
+/// The join-heavy standing views of the durability suites: the
+/// friend-likes join plus the `many_views` overlap family, named
+/// `likes`, `ov0`, `ov1`, ….
+pub fn durable_social_views() -> Vec<(String, &'static str)> {
+    use pgq_workloads::social::{queries, OVERLAPPING_QUERIES};
+    std::iter::once(("likes".to_string(), queries::FRIEND_LIKES))
+        .chain(
+            OVERLAPPING_QUERIES
+                .iter()
+                .enumerate()
+                .map(|(i, q)| (format!("ov{i}"), *q)),
+        )
+        .collect()
+}
+
+/// A durable image of the social graph at scale factor `sf` with
+/// [`durable_social_views`] standing and the WAL tail empty, on an
+/// in-memory disk (so host storage never enters a measurement). The
+/// graph is bulk-loaded through one transaction.
+pub fn durable_social_image(sf: f64) -> pgq_durability::MemDisk {
+    use pgq_graph::tx::NodeRef;
+    use pgq_workloads::social::{generate_social, SocialParams};
+    let net = generate_social(SocialParams::scale(sf, 42));
+    let disk = pgq_durability::MemDisk::new();
+    let mut engine = GraphEngine::open_durable_with(std::sync::Arc::new(disk.vfs()))
+        .expect("open empty durable engine");
+    let mut tx = Transaction::new();
+    let mut ids: Vec<_> = net.graph.vertex_ids().collect();
+    ids.sort_unstable();
+    let slot: std::collections::HashMap<_, _> =
+        ids.iter().enumerate().map(|(i, id)| (*id, i)).collect();
+    for id in &ids {
+        let v = net.graph.vertex(*id).expect("listed");
+        tx.create_vertex(v.labels.iter().copied(), v.props.clone());
+    }
+    let mut eids: Vec<_> = net.graph.edge_ids().collect();
+    eids.sort_unstable();
+    for id in eids {
+        let e = net.graph.edge(id).expect("listed");
+        tx.create_edge(
+            NodeRef::New(slot[&e.src]),
+            NodeRef::New(slot[&e.dst]),
+            e.ty,
+            e.props.clone(),
+        );
+    }
+    engine.apply(&tx).expect("bulk load");
+    for (name, q) in durable_social_views() {
+        engine.register_view(&name, q).expect("registers");
+    }
+    engine.snapshot().expect("snapshot");
+    disk
+}
+
 /// Robust summary of repeated measurement rounds (same statistics the
 /// enriched criterion shim reports: median + MAD, not just a mean).
 #[derive(Clone, Copy, Debug)]

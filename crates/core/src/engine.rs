@@ -18,9 +18,7 @@ use pgq_graph::delta::ChangeEvent;
 use pgq_graph::props::Properties;
 use pgq_graph::store::PropertyGraph;
 use pgq_graph::tx::{NodeRef, Transaction};
-use pgq_ivm::{
-    DataflowNetwork, Delta, RegisterOptions, RestoreStates, SinkId, TxFootprint, ViewRef,
-};
+use pgq_ivm::{DataflowNetwork, Delta, RegisterOptions, SinkId, TxFootprint, ViewRef};
 use pgq_parser::ast::{Clause, Expr, Pattern, Query, RemoveItem, SetItem};
 use pgq_parser::parse_query;
 use std::collections::BTreeMap;
@@ -38,8 +36,8 @@ struct ViewEntry {
     sink: SinkId,
     compiled: CompiledQuery,
     query_text: String,
-    /// Compile/register options, kept so a durable snapshot can
-    /// re-register the view mode-faithfully at recovery.
+    /// Compile/register options, kept so a durable snapshot's catalog
+    /// lets recovery re-register the view mode-faithfully.
     compile: CompileOptions,
     register: RegisterOptions,
 }
@@ -79,10 +77,12 @@ struct Durable {
     /// (`PGQ_SNAPSHOT_EVERY`; `0` disables the cadence, leaving only
     /// registration-change and explicit snapshots).
     snapshot_every: u64,
+    /// Commits since the snapshot a recovery would start from.
     txs_since_snapshot: u64,
     /// Snapshots this engine has written since it opened.
     snapshots_written: u64,
-    /// Size of the most recent one (also the next one's buffer hint).
+    /// Size of the most recent one, written or recovered from (also
+    /// the next one's buffer hint).
     last_snapshot_bytes: u64,
     /// Consecutive failed commits; resets on success.
     fail_streak: u64,
@@ -123,8 +123,8 @@ pub struct DurabilityHealth {
     /// Snapshots written since the engine opened (cadence ticks,
     /// registration changes, explicit calls).
     pub snapshots_written: u64,
-    /// Encoded size of the most recent snapshot, in bytes (`0` before
-    /// the first).
+    /// Encoded size of the most recent snapshot, in bytes — written,
+    /// or until then loaded by recovery (`0` after a cold start).
     pub last_snapshot_bytes: u64,
 }
 
@@ -602,26 +602,8 @@ impl GraphEngine {
         if self.view_by_name(name).is_some() {
             return Err(EngineError::DuplicateView(name.to_string()));
         }
-        let query = parse_query(cypher)?;
-        let compiled = compile_query_with(&query, options)?;
-        if !compiled.is_maintainable() {
-            return Err(AlgebraError::NotMaintainable(compiled.not_maintainable.join("; ")).into());
-        }
-        let sink = self
-            .network
-            .register_with(name, &compiled.fra, &self.graph, register);
         let id = ViewId(self.next_view);
-        self.next_view += 1;
-        self.views.insert(
-            id.0,
-            ViewEntry {
-                sink,
-                compiled,
-                query_text: cypher.to_string(),
-                compile: options,
-                register,
-            },
-        );
+        self.install_view(id.0, name, cypher, options, register)?;
         // Registration changes what a recovery must rebuild; persist it
         // immediately (the snapshot is the DDL log — the WAL carries
         // only data transactions). If the snapshot cannot land, the
@@ -633,6 +615,39 @@ impl GraphEngine {
             return Err(e);
         }
         Ok(id)
+    }
+
+    /// Compile `cypher` and register it over the current graph as the
+    /// view in `slot`: the one registration path, live (next free slot)
+    /// and at recovery (the slot the catalog recorded).
+    fn install_view(
+        &mut self,
+        slot: usize,
+        name: &str,
+        cypher: &str,
+        compile: CompileOptions,
+        register: RegisterOptions,
+    ) -> Result<(), EngineError> {
+        let query = parse_query(cypher)?;
+        let compiled = compile_query_with(&query, compile)?;
+        if !compiled.is_maintainable() {
+            return Err(AlgebraError::NotMaintainable(compiled.not_maintainable.join("; ")).into());
+        }
+        let sink = self
+            .network
+            .register_with(name, &compiled.fra, &self.graph, register);
+        self.next_view = self.next_view.max(slot + 1);
+        self.views.insert(
+            slot,
+            ViewEntry {
+                sink,
+                compiled,
+                query_text: cypher.to_string(),
+                compile,
+                register,
+            },
+        );
+        Ok(())
     }
 
     /// Drop a view and its subscribers. Operator nodes shared with
@@ -682,9 +697,9 @@ impl GraphEngine {
     // ---- durability ----------------------------------------------------------
 
     /// Open (or create) a durable engine rooted at `dir`: recover from
-    /// the generation-numbered `snap.<g>` / `wal.<g>` files,
-    /// **warm-restore** every standing view's operator state, replay
-    /// the WAL chain, and arm per-transaction logging.
+    /// the generation-numbered `snap.<g>` / `wal.<g>` files — restore
+    /// the graph, register every standing view once, replay the WAL
+    /// chain — and arm per-transaction logging.
     ///
     /// Environment knobs, all parsed strictly (a typo is a startup
     /// error, never a silently different durability level):
@@ -717,10 +732,12 @@ impl GraphEngine {
     ///    quarantined and recovery degrades to the previous
     ///    generation's snapshot plus a longer replay, or a cold start;
     ///    never a panic, never a hard error for corruption.
-    /// 2. Rebuild the graph, then re-register every standing view
-    ///    mode-faithfully into its original slot via
-    ///    [`DataflowNetwork::register_with_restore`], so fingerprint
-    ///    hits skip the initial-evaluation cost.
+    /// 2. Rebuild the graph, then register every view of the
+    ///    snapshot's catalog mode-faithfully into its original slot —
+    ///    the one-pass registration [`GraphEngine::register_view`]
+    ///    runs. Snapshots hold no operator state (a registration pass
+    ///    rebuilds it as fast as it would decode); state sections in
+    ///    older images are ignored.
     /// 3. Replay the WAL chain `wal.<base>..wal.<active>` through the
     ///    normal maintenance path (the base snapshot's skip count
     ///    applies to its own generation only). Torn tails were already
@@ -728,8 +745,9 @@ impl GraphEngine {
     ///    cleanly mid-replay is treated like tail corruption — the log
     ///    is trimmed to the last good record, later generations are
     ///    quarantined, and the engine opens at the committed prefix.
-    /// 4. Arm logging on the active generation. The planner's
-    ///    [`RecoveryReport`] stays inspectable via
+    /// 4. Arm logging on the active generation; the snapshot cadence
+    ///    counts from the base snapshot, not from this open. The
+    ///    planner's [`RecoveryReport`] stays inspectable via
     ///    [`GraphEngine::recovery_report`].
     pub fn open_durable_with(vfs: Arc<dyn Vfs>) -> Result<GraphEngine, EngineError> {
         let fsync = FsyncMode::from_env().map_err(DurabilityError::config)?;
@@ -738,29 +756,26 @@ impl GraphEngine {
         let snapshot_every = snapshot_every_from_env()?;
 
         let mut plan = recovery::plan(vfs.as_ref())?;
-        let mut engine;
-        let skip;
-        match plan.snapshot.take() {
-            Some(mut s) => {
-                engine =
-                    GraphEngine::from_graph(s.restore_graph().map_err(|e| {
-                        DurabilityError::corrupt(DurOp::SnapshotLoad, e.to_string())
-                    })?);
-                let mut states = RestoreStates::new();
-                for (fp, check, bag) in std::mem::take(&mut s.states) {
-                    states.insert(fp, check, bag);
-                }
-                let mut views: Vec<&SnapshotView> = s.views.iter().collect();
-                views.sort_by_key(|v| v.slot);
-                for v in views {
-                    engine.register_recovered(v, &states)?;
-                }
-                skip = s.wal_records as usize;
+        // Keep the catalog; the decoded dump is freed before the views
+        // build their memories, and state sections (images from before
+        // snapshots were graph-only carry them) are dropped unread.
+        let (mut engine, mut catalog, skip) = match plan.snapshot.take() {
+            Some(s) => {
+                let graph = s
+                    .restore_graph()
+                    .map_err(|e| DurabilityError::corrupt(DurOp::SnapshotLoad, e.to_string()))?;
+                (
+                    GraphEngine::from_graph(graph),
+                    s.views,
+                    s.wal_records as usize,
+                )
             }
-            None => {
-                engine = GraphEngine::new();
-                skip = 0;
-            }
+            None => (GraphEngine::new(), Vec::new(), 0),
+        };
+        catalog.sort_by_key(|v| v.slot);
+        for v in &catalog {
+            let (compile, register) = catalog_options(v);
+            engine.install_view(v.slot as usize, &v.name, &v.query, compile, register)?;
         }
 
         let mut report = plan.report;
@@ -771,11 +786,18 @@ impl GraphEngine {
             .last()
             .map(|(_, l)| l.txs.len() as u64)
             .unwrap_or(0);
+        // Records applied past the base snapshot count towards the next
+        // tick: a process restarted more often than the cadence must
+        // still snapshot, or its log and replay grow without bound.
+        let mut replayed = 0u64;
         'chain: for (idx, (g, log)) in plan.replay.iter().enumerate() {
             let skip_here = if idx == 0 { skip } else { 0 };
             for (j, tx) in log.txs.iter().enumerate().skip(skip_here) {
                 match engine.graph.apply(tx) {
-                    Ok(events) => engine.maintain(&events),
+                    Ok(events) => {
+                        engine.maintain(&events);
+                        replayed += 1;
+                    }
                     Err(e) => {
                         // The record passed its checksum but does not
                         // apply to the state it claims to extend —
@@ -826,9 +848,9 @@ impl GraphEngine {
             flush_window,
             unsynced: 0,
             snapshot_every,
-            txs_since_snapshot: 0,
+            txs_since_snapshot: replayed,
             snapshots_written: 0,
-            last_snapshot_bytes: 0,
+            last_snapshot_bytes: plan.snapshot_bytes,
             fail_streak: 0,
             max_failures: 3,
             degraded,
@@ -852,9 +874,9 @@ impl GraphEngine {
         self
     }
 
-    /// Write a full snapshot now: graph dump, per-view registration
-    /// metadata, and every live operator node's state bag keyed by its
-    /// content-stable plan fingerprint. Atomic (write-to-temp +
+    /// Write a full snapshot now: graph dump, id watermarks and the
+    /// view catalog — what cannot be recomputed, so the cost is O(graph)
+    /// however much state the views hold. Atomic (write-to-temp +
     /// rename): a crash mid-write leaves the previous snapshot intact.
     /// With compaction armed this is also a **generation switchover**:
     /// the snapshot lands as `snap.<g+1>`, appends move to `wal.<g+1>`,
@@ -874,28 +896,8 @@ impl GraphEngine {
         let views: Vec<SnapshotView> = self
             .views
             .iter()
-            .map(|(&i, e)| SnapshotView {
-                slot: i as u32,
-                name: self.network.view(e.sink).name().to_string(),
-                query: e.query_text.clone(),
-                schema_mode: match e.compile.schema_mode {
-                    SchemaMode::Inferred => 0,
-                    SchemaMode::CarryMaps => 1,
-                },
-                optimize: e.compile.optimize,
-                plan: e.register.plan,
-                wcoj_mode: match e.register.wcoj {
-                    WcojMode::Disabled => 0,
-                    WcojMode::CostBased => 1,
-                    WcojMode::Forced => 2,
-                },
-                wcoj_sorted: e.register.wcoj_sorted,
-            })
+            .map(|(&slot, e)| catalog_entry(slot, self.network.view(e.sink).name(), e))
             .collect();
-        // One bottom-up pass over the network, then one streaming pass
-        // into the file buffer: every bag is materialised once and
-        // every byte written once (see `pgq_durability::snapshot`).
-        let states = self.network.dump_states();
         let d = self.durable.as_mut().expect("checked above");
         // A compacting snapshot anchors a fresh generation whose log
         // starts empty; a pinned-generation snapshot records how many
@@ -906,7 +908,8 @@ impl GraphEngine {
         let hint = d.last_snapshot_bytes + d.last_snapshot_bytes / 8;
         let mut w = SnapshotWriter::new(hint as usize, subsumed, &self.graph);
         w.views(&views);
-        w.states(states.iter());
+        // No operator state: recovery rebuilds it from graph + catalog.
+        w.states(std::iter::empty());
         let bytes = w.finish();
         let target = if switch_generation {
             d.generation + 1
@@ -1185,54 +1188,6 @@ impl GraphEngine {
         self
     }
 
-    /// Re-register one snapshot view, mode-faithfully, into its
-    /// original slot, warm-restoring operator state where fingerprints
-    /// hit.
-    fn register_recovered(
-        &mut self,
-        v: &SnapshotView,
-        states: &RestoreStates,
-    ) -> Result<(), EngineError> {
-        let query = parse_query(&v.query)?;
-        let compile = CompileOptions {
-            schema_mode: match v.schema_mode {
-                1 => SchemaMode::CarryMaps,
-                _ => SchemaMode::Inferred,
-            },
-            optimize: v.optimize,
-        };
-        let compiled = compile_query_with(&query, compile)?;
-        let register = RegisterOptions {
-            plan: v.plan,
-            wcoj: match v.wcoj_mode {
-                0 => WcojMode::Disabled,
-                2 => WcojMode::Forced,
-                _ => WcojMode::CostBased,
-            },
-            wcoj_sorted: v.wcoj_sorted,
-        };
-        let sink = self.network.register_with_restore(
-            v.name.clone(),
-            &compiled.fra,
-            &self.graph,
-            register,
-            states,
-        );
-        let slot = v.slot as usize;
-        self.next_view = self.next_view.max(slot + 1);
-        self.views.insert(
-            slot,
-            ViewEntry {
-                sink,
-                compiled,
-                query_text: v.query.clone(),
-                compile,
-                register,
-            },
-        );
-        Ok(())
-    }
-
     // ---- queries -------------------------------------------------------------
 
     /// One-shot (non-incremental) query via the baseline evaluator.
@@ -1381,6 +1336,48 @@ impl GraphEngine {
     pub fn view_stats(&self, id: ViewId) -> Result<pgq_ivm::stats::OpStats, EngineError> {
         Ok(self.view(id)?.network_stats())
     }
+}
+
+/// A live view as the snapshot's catalog records it.
+fn catalog_entry(slot: usize, name: &str, e: &ViewEntry) -> SnapshotView {
+    SnapshotView {
+        slot: slot as u32,
+        name: name.to_string(),
+        query: e.query_text.clone(),
+        schema_mode: match e.compile.schema_mode {
+            SchemaMode::Inferred => 0,
+            SchemaMode::CarryMaps => 1,
+        },
+        optimize: e.compile.optimize,
+        plan: e.register.plan,
+        wcoj_mode: match e.register.wcoj {
+            WcojMode::Disabled => 0,
+            WcojMode::CostBased => 1,
+            WcojMode::Forced => 2,
+        },
+        wcoj_sorted: e.register.wcoj_sorted,
+    }
+}
+
+/// The options a catalog entry was registered under.
+fn catalog_options(v: &SnapshotView) -> (CompileOptions, RegisterOptions) {
+    let compile = CompileOptions {
+        schema_mode: match v.schema_mode {
+            1 => SchemaMode::CarryMaps,
+            _ => SchemaMode::Inferred,
+        },
+        optimize: v.optimize,
+    };
+    let register = RegisterOptions {
+        plan: v.plan,
+        wcoj: match v.wcoj_mode {
+            0 => WcojMode::Disabled,
+            2 => WcojMode::Forced,
+            _ => WcojMode::CostBased,
+        },
+        wcoj_sorted: v.wcoj_sorted,
+    };
+    (compile, register)
 }
 
 /// Interpreter for the update clauses of a query.

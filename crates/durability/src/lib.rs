@@ -2,19 +2,21 @@
 //! the pieces of crash recovery that live below the engine layer.
 //!
 //! The design follows the classic WAL + checkpoint split, adapted to an
-//! IVM engine whose expensive state is not the *graph* but the *operator
-//! network* maintaining the standing views:
+//! IVM engine: what is persisted is the *graph* and the view catalog;
+//! the *operator network* maintaining the standing views is a function
+//! of the two and is rebuilt, never stored:
 //!
 //! - [`wal`] appends one checksummed record per committed transaction.
 //!   Replaying the log through the normal transaction path reproduces
 //!   both the graph and (via delta propagation) every view — the log is
 //!   logically complete on its own.
 //! - [`snapshot`] bounds replay: it captures the graph dump, the exact
-//!   id-allocation watermarks, each standing view's registration
-//!   metadata, and every shared operator node's consolidated state bag
-//!   keyed by **content-stable plan fingerprint**. Warm recovery
-//!   restores operator state from those bags instead of recomputing
-//!   joins from scratch, then replays only the WAL tail.
+//!   id-allocation watermarks and each standing view's registration
+//!   metadata. Recovery restores the graph, registers every view once
+//!   (one pass rebuilds each operator memory as fast as it would
+//!   decode), then replays only the WAL tail. The format keeps a list
+//!   of fingerprint-keyed operator-state sections; the engine writes it
+//!   empty and ignores it on read.
 //! - [`recovery`] plans recovery over the generation-numbered
 //!   `snap.<g>` / `wal.<g>` directory: it picks the newest readable
 //!   snapshot (quarantining corrupt ones and falling back a
@@ -32,8 +34,8 @@
 //!   (offline-shim rule: no external serialization or checksum crates).
 //!
 //! What lives *above* this crate: the engine decides when to snapshot
-//! and when to switch generations, owns the view table being restored,
-//! drives the dataflow network's state dump/restore, and implements the
+//! and when to switch generations, owns the view table being restored
+//! and re-registers it, and implements the
 //! commit-rollback / read-only-degraded contract on top of
 //! [`DurabilityError`]. This crate only knows bytes, graphs, and
 //! transactions.

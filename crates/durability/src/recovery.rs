@@ -27,7 +27,7 @@
 //! is recorded in a [`RecoveryReport`] the engine exposes to operators.
 
 use crate::error::{DurOp, DurabilityError};
-use crate::snapshot::{parse_snap_name, snap_file, Snapshot, SnapshotError};
+use crate::snapshot::{parse_snap_name, snap_file, Snapshot};
 use crate::vfs::Vfs;
 use crate::wal::{self, parse_wal_name, wal_file, WalContents};
 
@@ -73,6 +73,9 @@ impl RecoveryReport {
 pub struct RecoveryPlan {
     /// Base snapshot; `None` is a cold start from an empty graph.
     pub snapshot: Option<Snapshot>,
+    /// Encoded size of the base snapshot's file (`0` on a cold start) —
+    /// the engine's size hint for the next one it writes.
+    pub snapshot_bytes: u64,
     /// `(generation, decoded log)` in replay order. The base snapshot's
     /// `wal_records` skip count applies to the **first** entry only
     /// (non-compact mode reuses one generation and counts subsumed
@@ -144,17 +147,20 @@ pub fn plan(vfs: &dyn Vfs) -> Result<RecoveryPlan, DurabilityError> {
     // quarantined and recovery degrades to the previous generation's
     // snapshot (longer replay), or a cold start.
     let mut snapshot = None;
+    let mut snapshot_bytes = 0;
     let mut base_gen = None;
     for &g in snap_gens.iter().rev() {
-        match Snapshot::load(vfs, g) {
-            Ok(Some(s)) => {
+        let bytes = match vfs.read(&snap_file(g)) {
+            Ok(Some(bytes)) => bytes,
+            Ok(None) => continue,
+            Err(e) => return Err(DurabilityError::io(DurOp::SnapshotLoad, &e)),
+        };
+        match Snapshot::decode(&bytes) {
+            Ok(s) => {
                 snapshot = Some(s);
+                snapshot_bytes = bytes.len() as u64;
                 base_gen = Some(g);
                 break;
-            }
-            Ok(None) => {}
-            Err(SnapshotError::Io(e)) => {
-                return Err(DurabilityError::io(DurOp::SnapshotLoad, &e));
             }
             Err(verdict) => {
                 report
@@ -244,6 +250,7 @@ pub fn plan(vfs: &dyn Vfs) -> Result<RecoveryPlan, DurabilityError> {
 
     Ok(RecoveryPlan {
         snapshot,
+        snapshot_bytes,
         replay,
         active_generation: active,
         active_wal_len,

@@ -1,4 +1,5 @@
-//! Durable snapshots: graph contents plus per-operator network state.
+//! Durable snapshots: the graph and the view catalog — what a recovery
+//! cannot recompute.
 //!
 //! Layout (all little-endian, via [`crate::codec`]):
 //!
@@ -10,31 +11,39 @@
 //! subsumes (`wal_records` — recovery replays only the log tail after
 //! it), the exact id-allocation watermarks (so replayed creates allocate
 //! the same ids the original process did), the full vertex/edge dump,
-//! per-view registration metadata, and the consolidated state bag of
-//! every live operator node keyed by its **content-stable plan
-//! fingerprint** (`pgq_algebra`'s fingerprints hash resolved strings, so
-//! a different process computes the same keys).
+//! per-view registration metadata, and a list of operator-state
+//! sections: consolidated output bags keyed by a node's **content-stable
+//! plan fingerprint** (`pgq_algebra`'s fingerprints hash resolved
+//! strings, so a different process computes the same keys).
+//!
+//! **The engine writes that list empty.** Operator memories are a
+//! function of the graph and the view's plan; one registration pass
+//! rebuilds them as fast as they would decode, while storing them made
+//! every snapshot dump, encode and checksum the whole network. Recovery
+//! registers each catalog view once and never looks at state sections,
+//! so an image written before this (with the list filled) opens the
+//! same way, and a filled list can only ever cost decode time. The
+//! codec for it stays because [`Snapshot`] is also the interchange type
+//! of the network's `dump_states` / `register_with_restore` pair, which
+//! the benchmark's traced twin and the state audits still use.
 //!
 //! Snapshots are written with [`Vfs::write_atomic`] — after a crash the
 //! file is either the previous snapshot or the new one, never torn.
-//! Correctness never *depends* on the operator states: a fingerprint
-//! that fails to match at recovery simply falls back to recomputing that
-//! node from its children. The graph dump, by contrast, is
-//! load-bearing, which is why a snapshot that fails its checksum loads
-//! as a hard [`SnapshotError`] at this layer; [`crate::recovery`] turns
-//! that verdict into a quarantine-and-fall-back rather than a fatal
-//! error.
+//! The graph dump is load-bearing, which is why a snapshot that fails
+//! its checksum loads as a hard [`SnapshotError`] at this layer;
+//! [`crate::recovery`] turns that verdict into a
+//! quarantine-and-fall-back rather than a fatal error.
 //!
 //! **One writer, one pass.** Both ways of producing a snapshot file go
-//! through [`SnapshotWriter`]: the engine's tick streams graph rows,
-//! view metadata and operator bags *borrowed* from the live
-//! `PropertyGraph` and the network's state dump into one pre-sized
-//! buffer (no intermediate [`Snapshot`] value, no per-row clones), and
-//! [`Snapshot::encode`] feeds the same writer from an owned value. The
-//! 12-byte header is reserved up front and the checksum patched in
-//! place, so every output byte is produced exactly once. Cost model of
-//! a tick: O(graph + operator state) once — one sort of the id lists,
-//! one encode pass, one slicing-by-8 CRC pass, one `write_atomic`.
+//! through [`SnapshotWriter`]: the engine's tick streams graph rows and
+//! view metadata *borrowed* from the live `PropertyGraph` into one
+//! pre-sized buffer (no intermediate [`Snapshot`] value, no per-row
+//! clones), and [`Snapshot::encode`] feeds the same writer from an owned
+//! value. The 12-byte header is reserved up front and the checksum
+//! patched in place, so every output byte is produced exactly once. Cost
+//! model of a tick: O(graph) once — one sort of the id lists, one encode
+//! pass, one slicing-by-8 CRC pass, one `write_atomic` — whatever the
+//! standing views hold in memory.
 //!
 //! Snapshots are **generation-numbered**: generation `g`'s snapshot is
 //! `snap.<g>` ([`snap_file`]) and anchors the replay of `wal.<g>` and
@@ -167,13 +176,15 @@ pub struct Snapshot {
     /// Operator state keyed by content-stable plan fingerprint plus a
     /// second, domain-separated check hash — the snapshot's stand-in
     /// for the plan-equality confirmation in-process hash-consing
-    /// performs before sharing state.
+    /// performs before sharing state. Empty in every image the engine
+    /// writes, and never read by its recovery.
     pub states: Vec<(u64, u64, StateBag)>,
 }
 
 impl Snapshot {
     /// Capture `g`'s contents (dump + watermarks) into a fresh snapshot;
-    /// views and operator states are filled in by the engine layer.
+    /// views (and, for a state dump, operator states) are filled in by
+    /// the caller.
     pub fn capture_graph(g: &PropertyGraph) -> Snapshot {
         let (next_vertex, next_edge) = g.id_watermarks();
         // Deterministic dump order: see [`SnapshotWriter::new`].
@@ -200,8 +211,7 @@ impl Snapshot {
 
     /// Rebuild a graph from the dump. Catalog hooks run per insert, so
     /// the recovered cardinality catalog matches a live-built one and
-    /// re-planning reproduces the original physical plans (which is what
-    /// makes the fingerprint-keyed state restore hit).
+    /// re-planning reproduces the original physical plans.
     pub fn restore_graph(&self) -> Result<PropertyGraph, SnapshotError> {
         let mut g = PropertyGraph::new();
         for (id, labels, props) in &self.vertices {
@@ -467,8 +477,8 @@ impl SnapshotWriter {
     }
 
     /// Write the operator-state sections: one `(fingerprint, check,
-    /// bag)` entry per live network node, bags borrowed from the
-    /// network's state dump.
+    /// bag)` entry per dumped network node, bags borrowed from the
+    /// network's state dump. The engine's tick passes none.
     pub fn states<'a>(
         &mut self,
         states: impl ExactSizeIterator<Item = (u64, u64, &'a [(Tuple, i64)])>,

@@ -86,7 +86,7 @@ fn help() {
 
 fn main() {
     // PGQ_DATA_DIR arms durability: WAL + snapshots in that directory,
-    // with warm recovery of standing views on restart.
+    // standing views re-registered from the catalog on restart.
     let mut engine = match std::env::var_os("PGQ_DATA_DIR") {
         Some(dir) => match GraphEngine::open_durable(std::path::PathBuf::from(dir)) {
             Ok(e) => e,

@@ -14,7 +14,8 @@ use std::sync::Arc;
 use pgq_common::intern::Symbol;
 use pgq_common::value::Value;
 use pgq_core::{EngineError, GraphEngine};
-use pgq_durability::{FsyncMode, MemVfs, Snapshot};
+use pgq_durability::snapshot::{parse_snap_name, snap_file};
+use pgq_durability::{FsyncMode, MemDisk, MemVfs, Snapshot, Vfs};
 use pgq_graph::props::Properties;
 use pgq_graph::store::PropertyGraph;
 use pgq_graph::tx::Transaction;
@@ -125,6 +126,19 @@ pub fn random_tx(rng: &mut XorShift, g: &PropertyGraph) -> Transaction {
 pub fn graph_identity(g: &PropertyGraph) -> String {
     let snap = Snapshot::capture_graph(g);
     format!("{:?} {:?}", snap.vertices, snap.edges)
+}
+
+/// The bytes of the highest-generation snapshot file on `disk`.
+pub fn newest_snapshot_bytes(disk: &MemDisk) -> Vec<u8> {
+    let vfs = disk.vfs();
+    let newest = vfs
+        .list()
+        .unwrap()
+        .iter()
+        .filter_map(|n| parse_snap_name(n))
+        .max()
+        .expect("a snapshot exists");
+    vfs.read(&snap_file(newest)).unwrap().expect("listed")
 }
 
 /// How a script run treats the engine.

@@ -1,32 +1,37 @@
-//! The one-pass snapshot tick, checked against things it does not share
-//! code with:
+//! The snapshot tick and the state dump, checked against things they do
+//! not share code with:
 //!
-//! * the streaming [`SnapshotWriter`] against [`Snapshot::encode`] of
-//!   the same captured state (byte-for-byte, sections in the same
-//!   order) and against `decode`;
+//! * the file a durable engine's tick writes against
+//!   [`Snapshot::encode`] of the same graph and view catalog with **no**
+//!   state sections (byte-for-byte), and against `decode`;
 //! * every bag [`DataflowNetwork::dump_states`] returns against a
 //!   `pgq_eval` recompute of that node's canonical sub-plan, and every
 //!   root bag against the view's results — the first step of a state
-//!   audit (operator state equals what its sub-plan implies), and the
-//!   oracle for the memoised dump now that the recursive one is gone;
+//!   audit (operator state equals what its sub-plan implies). The engine
+//!   no longer persists the dump; it stays audited because the
+//!   benchmark's traced twin and the warm-restore API still call it;
 //! * the dump's shape under sharing: one entry per live node, however
 //!   many views reach it.
 //!
 //! All over seeded random graphs, random view subsets and a churn
-//! script, on the bare layers (`PropertyGraph` + `DataflowNetwork`) so
-//! the dump can be taken at will.
+//! script: the dump audits on the bare layers (`PropertyGraph` +
+//! `DataflowNetwork`) so the dump can be taken at will, the tick on a
+//! `GraphEngine` replaying the same script durably.
 
 mod durability_script;
+
+use std::sync::Arc;
 
 use durability_script::{random_tx, XorShift};
 use pgq_algebra::compile_query;
 use pgq_common::intern::Symbol;
 use pgq_common::tuple::Tuple;
-use pgq_durability::{Snapshot, SnapshotView, SnapshotWriter};
+use pgq_core::GraphEngine;
+use pgq_durability::{MemDisk, Snapshot, SnapshotView};
 use pgq_graph::props::Properties;
 use pgq_graph::store::PropertyGraph;
 use pgq_graph::tx::Transaction;
-use pgq_ivm::{DataflowNetwork, SinkId};
+use pgq_ivm::DataflowNetwork;
 use pgq_parser::parse_query;
 
 /// Every operator-state shape: scans, σ/π suffixes over a shared join,
@@ -57,10 +62,17 @@ const POOL: &[&str] = &[
 const SEEDS: u64 = 12;
 const STEPS: usize = 120;
 
+/// One step of a churn script, as it was taken.
+enum Step {
+    /// Register `POOL[q]` as view `v{q}`.
+    Register(usize),
+    Apply(Transaction),
+}
+
 struct World {
     g: PropertyGraph,
     net: DataflowNetwork,
-    views: Vec<(SinkId, SnapshotView)>,
+    script: Vec<Step>,
 }
 
 fn sorted(bag: &[(Tuple, i64)]) -> Vec<(Tuple, i64)> {
@@ -77,26 +89,15 @@ fn churned_world(seed: u64) -> World {
     let mut w = World {
         g: PropertyGraph::new(),
         net: DataflowNetwork::new(),
-        views: Vec::new(),
+        script: Vec::new(),
     };
     let mut pending: Vec<usize> = (0..POOL.len()).filter(|_| rng.below(3) > 0).collect();
     for _ in 0..STEPS {
         if !pending.is_empty() && rng.below(8) == 0 {
             let q = pending.swap_remove(rng.below(pending.len()));
             let compiled = compile_query(&parse_query(POOL[q]).unwrap()).unwrap();
-            let name = format!("v{q}");
-            let sid = w.net.register(name.as_str(), &compiled.fra, &w.g);
-            let view = SnapshotView {
-                slot: q as u32,
-                name,
-                query: POOL[q].to_string(),
-                schema_mode: 0,
-                optimize: true,
-                plan: true,
-                wcoj_mode: 1,
-                wcoj_sorted: None,
-            };
-            w.views.push((sid, view));
+            w.net.register(format!("v{q}"), &compiled.fra, &w.g);
+            w.script.push(Step::Register(q));
         }
         let tx = if rng.below(5) == 0 && w.g.vertex_count() >= 2 {
             // A cross edge between two existing vertices: reply chains
@@ -116,35 +117,65 @@ fn churned_world(seed: u64) -> World {
         };
         let events = w.g.apply(&tx).unwrap();
         w.net.on_transaction(&w.g, &events);
+        w.script.push(Step::Apply(tx));
     }
     w
 }
 
 #[test]
-fn streamed_snapshot_equals_owned_encode_and_roundtrips() {
+fn engine_tick_writes_graph_and_catalog_and_nothing_else() {
     for seed in 0..SEEDS {
-        let mut w = churned_world(seed);
-        let views: Vec<SnapshotView> = w.views.iter().map(|(_, v)| v.clone()).collect();
-        let states = w.net.dump_states();
-
-        let mut writer = SnapshotWriter::new(0, seed, &w.g);
-        writer.views(&views);
-        writer.states(states.iter());
-        let streamed = writer.finish();
-
-        let mut owned = Snapshot::capture_graph(&w.g);
-        owned.wal_records = seed;
-        owned.views = views;
-        for (fp, check, bag) in states.iter() {
-            owned.states.push((fp, check, bag.to_vec()));
+        let w = churned_world(seed);
+        let disk = MemDisk::new();
+        let mut engine = GraphEngine::open_durable_with(Arc::new(disk.vfs())).unwrap();
+        // What the file must hold besides the graph: one catalog row per
+        // view, slots in registration order, default options.
+        let mut catalog = Vec::new();
+        for step in &w.script {
+            match step {
+                Step::Register(q) => {
+                    let name = format!("v{q}");
+                    engine.register_view(&name, POOL[*q]).unwrap();
+                    catalog.push(SnapshotView {
+                        slot: catalog.len() as u32,
+                        name,
+                        query: POOL[*q].to_string(),
+                        schema_mode: 0,
+                        optimize: false,
+                        plan: true,
+                        wcoj_mode: 1,
+                        wcoj_sorted: None,
+                    });
+                }
+                Step::Apply(tx) => {
+                    engine.apply(tx).unwrap();
+                }
+            }
         }
-        assert_eq!(streamed, owned.encode(), "seed {seed}: writer bytes");
+        assert_eq!(
+            durability_script::graph_identity(engine.graph()),
+            durability_script::graph_identity(&w.g),
+            "seed {seed}: the engine replayed a different graph"
+        );
+        engine.snapshot().unwrap();
 
-        let back = Snapshot::decode(&streamed).unwrap();
-        assert_eq!(back.encode(), streamed, "seed {seed}: decode → encode");
-        assert_eq!(back.wal_records, seed);
+        let written = durability_script::newest_snapshot_bytes(&disk);
+        assert_eq!(
+            written.len() as u64,
+            engine.durability_health().unwrap().last_snapshot_bytes
+        );
+
+        // A compacting tick anchors a fresh generation: nothing subsumed.
+        let mut owned = Snapshot::capture_graph(&w.g);
+        owned.views = catalog;
+        assert!(owned.states.is_empty());
+        assert_eq!(written, owned.encode(), "seed {seed}: tick bytes");
+
+        let back = Snapshot::decode(&written).unwrap();
+        assert_eq!(back.encode(), written, "seed {seed}: decode → encode");
+        assert_eq!(back.wal_records, 0);
         assert_eq!(back.views, owned.views);
-        assert_eq!(back.states, owned.states);
+        assert!(back.states.is_empty());
         assert_eq!(
             durability_script::graph_identity(&back.restore_graph().unwrap()),
             durability_script::graph_identity(&w.g),
