@@ -1,6 +1,7 @@
 //! The `GraphEngine` façade: graph + views + openCypher execution.
 
 use pgq_algebra::flatten::SchemaMode;
+use pgq_algebra::fra::Fra;
 use pgq_algebra::pipeline::{compile_bindings, compile_query_with, CompileOptions, CompiledQuery};
 use pgq_algebra::plan::WcojMode;
 use pgq_algebra::AlgebraError;
@@ -215,6 +216,10 @@ pub struct ExecutionResult {
     pub rows: Vec<Tuple>,
     /// Update counters (update queries only).
     pub stats: UpdateStats,
+    /// Vertices and edges the statement's reading part materialised
+    /// from the store (its scans, seeks and expansions) — the work
+    /// bound `tests/oneshot_work_bound.rs` pins.
+    pub rows_scanned: u64,
 }
 
 /// The main entry point: a property graph with incrementally maintained
@@ -1192,7 +1197,8 @@ impl GraphEngine {
 
     /// One-shot (non-incremental) query via the baseline evaluator.
     /// Supports the full parsed fragment including ORDER BY / SKIP /
-    /// LIMIT.
+    /// LIMIT. Seeks whatever property indexes exist; only
+    /// [`GraphEngine::execute`] (which has `&mut self`) builds them.
     pub fn query(&self, cypher: &str) -> Result<ExecutionResult, EngineError> {
         let query = parse_query(cypher)?;
         if query.is_update() {
@@ -1200,17 +1206,63 @@ impl GraphEngine {
                 "query() is read-only; use execute() for updates".into(),
             ));
         }
-        self.read_parsed(&query)
+        Ok(self.read_planned(self.plan_read(&query)?))
     }
 
-    fn read_parsed(&self, query: &Query) -> Result<ExecutionResult, EngineError> {
+    /// Compile and plan a read statement.
+    fn plan_read(&self, query: &Query) -> Result<CompiledQuery, EngineError> {
         let compiled = compile_query_with(query, CompileOptions::default())?;
-        let rows = pgq_eval::evaluate_query(&compiled, &self.graph);
-        Ok(ExecutionResult {
+        Ok(self.one_shot_plan(compiled))
+    }
+
+    /// The plan a one-shot statement runs: the compiled FRA through the
+    /// planner views use, so join order and filter placement are decided
+    /// in one place for statements and views alike (as written under
+    /// `PGQ_DISABLE_PLANNER`). Cyclic regions stay binary: the evaluator
+    /// folds a ⨝ⁿ left-deep over fully evaluated inputs, so a multiway
+    /// plan would buy it nothing.
+    fn one_shot_plan(&self, mut compiled: CompiledQuery) -> CompiledQuery {
+        if pgq_ivm::planner_enabled() {
+            let opts = pgq_algebra::plan::PlanOptions {
+                wcoj: WcojMode::Disabled,
+            };
+            let stats = pgq_ivm::plan_stats(&self.graph);
+            compiled.fra = pgq_algebra::plan::plan_with(&compiled.fra, &stats, &opts).fra;
+        }
+        compiled
+    }
+
+    /// Start maintaining the property indexes `fra` can seek.
+    fn ensure_indexes(&mut self, fra: &Fra) {
+        for (label, key) in pgq_eval::wanted_indexes(fra) {
+            self.graph.ensure_prop_index(label, key);
+        }
+    }
+
+    fn read_planned(&self, compiled: CompiledQuery) -> ExecutionResult {
+        let mut eval = pgq_eval::Evaluator::new(&self.graph);
+        let rows = eval.run_query(&compiled);
+        ExecutionResult {
             columns: compiled.columns,
             rows,
             stats: UpdateStats::default(),
-        })
+            rows_scanned: eval.rows_scanned,
+        }
+    }
+
+    /// The maintained property-equality indexes as `(label, key,
+    /// vertices filed)`, sorted — built on the first `execute` of a
+    /// `(:label {key: literal})` pattern, kept by every mutation since,
+    /// rebuilt on first use after recovery (nothing is persisted).
+    pub fn property_indexes(&self) -> Vec<(String, String, usize)> {
+        let mut out: Vec<(String, String, usize)> = self
+            .graph
+            .prop_indexes()
+            .into_iter()
+            .map(|(l, k, n)| (l.to_string(), k.to_string(), n))
+            .collect();
+        out.sort();
+        out
     }
 
     /// Execute any supported statement: read queries are evaluated
@@ -1221,10 +1273,14 @@ impl GraphEngine {
     }
 
     /// The one statement executor behind [`GraphEngine::execute`] and
-    /// [`GraphEngine::execute_script`]: every statement is parsed once.
+    /// [`GraphEngine::execute_script`]: every statement is parsed once,
+    /// planned once ([`GraphEngine::one_shot_plan`]) and evaluated with
+    /// the indexes its plan can seek in place.
     fn execute_parsed(&mut self, query: &Query) -> Result<ExecutionResult, EngineError> {
         if !query.is_update() {
-            return self.read_parsed(query);
+            let compiled = self.plan_read(query)?;
+            self.ensure_indexes(&compiled.fra);
+            return Ok(self.read_planned(compiled));
         }
         if query.return_clause().is_some() {
             return Err(EngineError::Unsupported(
@@ -1232,12 +1288,21 @@ impl GraphEngine {
             ));
         }
         let plan = UpdatePlan::build(query)?;
-        let (tx, stats) = plan.to_transaction(query, &self.graph)?;
+        let bindings = match plan.has_reading {
+            true => Some(self.one_shot_plan(compile_bindings(query, &plan.items)?)),
+            false => None,
+        };
+        if let Some(b) = &bindings {
+            self.ensure_indexes(&b.fra);
+        }
+        let (tx, stats, rows_scanned) =
+            plan.to_transaction(query, bindings.as_ref(), &self.graph)?;
         self.apply(&tx)?;
         Ok(ExecutionResult {
             columns: Vec::new(),
             rows: Vec::new(),
             stats,
+            rows_scanned,
         })
     }
 
@@ -1254,11 +1319,22 @@ impl GraphEngine {
         Ok(out)
     }
 
-    /// EXPLAIN: render all three pipeline stages and the maintainability
-    /// verdict.
+    /// EXPLAIN: the three pipeline stages, the cost-based plan a view of
+    /// this query would register and the maintainability verdict, then
+    /// the plan a one-shot `execute`/`query` runs, marked where the
+    /// evaluator narrows (`seek Person.id`). For an update statement the
+    /// pipeline shown is its reading part's.
     pub fn explain(&self, cypher: &str) -> Result<String, EngineError> {
         let query = parse_query(cypher)?;
-        let compiled = compile_query_with(&query, CompileOptions::default())?;
+        let compiled = if query.is_update() {
+            let plan = UpdatePlan::build(&query)?;
+            if !plan.has_reading {
+                return Ok("no reading part: the update clauses run once\n".into());
+            }
+            compile_bindings(&query, &plan.items)?
+        } else {
+            compile_query_with(&query, CompileOptions::default())?
+        };
         let mut out = String::new();
         out.push_str("== Stage 1: GRA (graph relational algebra)\n");
         out.push_str(&format!("{}\n", compiled.gra));
@@ -1266,32 +1342,37 @@ impl GraphEngine {
         out.push_str(&format!("{}\n", compiled.nra));
         out.push_str("\n== Stage 3: FRA (flat relational algebra, inferred schema)\n");
         out.push_str(&compiled.fra.explain());
-        out.push_str("\n== Stage 4: cost-based plan (live statistics snapshot)\n");
-        if pgq_ivm::planner_enabled() {
-            let opts = pgq_algebra::plan::PlanOptions {
-                wcoj: if pgq_ivm::wcoj_enabled() {
-                    pgq_algebra::plan::WcojMode::CostBased
-                } else {
-                    pgq_algebra::plan::WcojMode::Disabled
-                },
-            };
-            out.push_str(&compiled.explain_plan_with(&pgq_ivm::plan_stats(&self.graph), &opts));
-        } else {
-            // Show the order that will actually execute.
-            out.push_str("planner: disabled (PGQ_DISABLE_PLANNER); the syntactic order runs\n");
-            out.push_str(&pgq_algebra::plan::explain_with_estimates(
-                &compiled.fra,
-                &pgq_ivm::plan_stats(&self.graph),
-            ));
-        }
-        out.push_str("\n== Maintainability\n");
-        if compiled.is_maintainable() {
-            out.push_str("incrementally maintainable\n");
-        } else {
-            for reason in &compiled.not_maintainable {
-                out.push_str(&format!("NOT maintainable: {reason}\n"));
+        if !query.is_update() {
+            out.push_str("\n== Stage 4: cost-based plan (live statistics snapshot)\n");
+            if pgq_ivm::planner_enabled() {
+                let opts = pgq_algebra::plan::PlanOptions {
+                    wcoj: if pgq_ivm::wcoj_enabled() {
+                        pgq_algebra::plan::WcojMode::CostBased
+                    } else {
+                        pgq_algebra::plan::WcojMode::Disabled
+                    },
+                };
+                out.push_str(&compiled.explain_plan_with(&pgq_ivm::plan_stats(&self.graph), &opts));
+            } else {
+                // Show the order that will actually execute.
+                out.push_str("planner: disabled (PGQ_DISABLE_PLANNER); the syntactic order runs\n");
+                out.push_str(&pgq_algebra::plan::explain_with_estimates(
+                    &compiled.fra,
+                    &pgq_ivm::plan_stats(&self.graph),
+                ));
+            }
+            out.push_str("\n== Maintainability\n");
+            if compiled.is_maintainable() {
+                out.push_str("incrementally maintainable\n");
+            } else {
+                for reason in &compiled.not_maintainable {
+                    out.push_str(&format!("NOT maintainable: {reason}\n"));
+                }
             }
         }
+        out.push_str("\n== One-shot execution (what execute() / query() evaluate)\n");
+        let planned = self.one_shot_plan(compiled);
+        out.push_str(&pgq_eval::explain(&planned.fra, &self.graph));
         Ok(out)
     }
 
@@ -1546,25 +1627,28 @@ impl UpdatePlan {
         })
     }
 
-    /// Evaluate the reading part and build the atomic transaction.
+    /// Evaluate the reading part (`bindings`: its planned query, `None`
+    /// when the statement has no reading clause) and build the atomic
+    /// transaction; also returns the rows the reading part scanned.
     fn to_transaction(
         &self,
         query: &Query,
+        bindings: Option<&CompiledQuery>,
         graph: &PropertyGraph,
-    ) -> Result<(Transaction, UpdateStats), EngineError> {
+    ) -> Result<(Transaction, UpdateStats, u64), EngineError> {
         // Bindings: one row per match (bag semantics).
-        let (columns, rows): (Vec<String>, Vec<Tuple>) = if self.has_reading {
-            let compiled = compile_bindings(query, &self.items)?;
-            let bag = pgq_eval::evaluate(&compiled.fra, graph);
-            let mut rows = Vec::new();
-            for (t, m) in bag {
-                for _ in 0..m.max(0) {
-                    rows.push(t.clone());
+        let mut eval = pgq_eval::Evaluator::new(graph);
+        let (columns, rows): (&[String], Vec<Tuple>) = match bindings {
+            Some(compiled) => {
+                let mut rows = Vec::new();
+                for (t, m) in eval.run(&compiled.fra) {
+                    for _ in 0..m.max(0) {
+                        rows.push(t.clone());
+                    }
                 }
+                (&compiled.columns, rows)
             }
-            (compiled.columns.clone(), rows)
-        } else {
-            (Vec::new(), vec![Tuple::unit()])
+            None => (&[], vec![Tuple::unit()]),
         };
         let col = |name: &str| -> Option<usize> { columns.iter().position(|c| c == name) };
         // Column index for a projected value expression.
@@ -1580,7 +1664,7 @@ impl UpdatePlan {
             match clause {
                 Clause::Create(pattern) => {
                     for row in &rows {
-                        self.create_pattern(pattern, row, &columns, &mut tx, &mut stats, expr_col)?;
+                        self.create_pattern(pattern, row, columns, &mut tx, &mut stats, expr_col)?;
                     }
                 }
                 Clause::Delete { detach, exprs } => {
@@ -1718,7 +1802,7 @@ impl UpdatePlan {
                 _ => {}
             }
         }
-        Ok((tx, stats))
+        Ok((tx, stats, eval.rows_scanned))
     }
 
     fn create_pattern(

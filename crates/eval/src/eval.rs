@@ -1,6 +1,20 @@
 //! From-scratch (non-incremental) evaluation of FRA plans — the baseline
-//! comparator of every benchmark, and the executor for queries outside
+//! comparator of every benchmark, the executor behind
+//! `GraphEngine::execute`/`query`, and the executor for queries outside
 //! the maintainable fragment (ORDER BY / SKIP / LIMIT).
+//!
+//! There is one evaluator ([`Evaluator`]; [`evaluate`] and friends wrap
+//! it). It walks the plan bottom-up and *narrows, then runs the same
+//! operator*: `σ[col = literal](©(l {k→col}))` reads its candidates from
+//! the property index `(l, k)` when the graph maintains one
+//! ([`PropertyGraph::prop_seek`]) and scans the label otherwise. The
+//! seek keeps the **superset invariant** — the rows produced contain
+//! every row that can survive — and the unchanged σ above decides.
+//! Every other operator, ⋈ included, evaluates its inputs in full.
+//!
+//! Where a filter sits and in which order joins run is not decided
+//! here: callers pass the plan through `pgq_algebra::plan` first, and an
+//! unplanned plan simply evaluates the way it is written.
 
 use std::cmp::Ordering;
 
@@ -9,9 +23,12 @@ use pgq_algebra::fra::Fra;
 use pgq_algebra::CompiledQuery;
 use pgq_common::dir::Direction;
 use pgq_common::fxhash::FxHashMap;
+use pgq_common::ids::{EdgeId, VertexId};
+use pgq_common::intern::Symbol;
 use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
 use pgq_graph::store::PropertyGraph;
+use pgq_parser::ast::BinOp;
 
 use crate::paths::enumerate_paths;
 
@@ -20,37 +37,149 @@ pub type Bag = Vec<(Tuple, i64)>;
 
 /// Evaluate an FRA plan against the current graph.
 pub fn evaluate(fra: &Fra, g: &PropertyGraph) -> Bag {
+    Evaluator::new(g).run(fra)
+}
+
+/// One evaluation over one graph: the operator walk plus a count of the
+/// base rows it read.
+pub struct Evaluator<'g> {
+    g: &'g PropertyGraph,
+    /// Vertices and edges the scans have materialised so far.
+    pub rows_scanned: u64,
+}
+
+/// The `(label, key, literal)` of a `σ[col = literal](©(l {k→col}))`
+/// the property index can answer.
+fn seek_key<'a>(scan: &Fra, predicate: &'a ScalarExpr) -> Option<(Symbol, Symbol, &'a Value)> {
+    let Fra::ScanVertices { labels, props, .. } = scan else {
+        return None;
+    };
+    let label = *labels.first()?;
+    match predicate {
+        ScalarExpr::Binary(BinOp::And, l, r) => seek_key(scan, l).or_else(|| seek_key(scan, r)),
+        ScalarExpr::Binary(BinOp::Eq, l, r) => match (&**l, &**r) {
+            (ScalarExpr::Col(i), ScalarExpr::Lit(v)) | (ScalarExpr::Lit(v), ScalarExpr::Col(i)) => {
+                Some((label, props.get(i.checked_sub(1)?)?.prop, v))
+            }
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+fn children(fra: &Fra) -> Vec<&Fra> {
     match fra {
-        Fra::Unit => vec![(Tuple::unit(), 1)],
-        Fra::ScanVertices {
+        Fra::Unit | Fra::ScanVertices { .. } | Fra::ScanEdges { .. } => vec![],
+        Fra::HashJoin { left, right, .. } | Fra::SemiJoin { left, right, .. } => {
+            vec![left, right]
+        }
+        Fra::VarLengthJoin { left: input, .. }
+        | Fra::Filter { input, .. }
+        | Fra::Project { input, .. }
+        | Fra::Distinct { input }
+        | Fra::Aggregate { input, .. }
+        | Fra::Unwind { input, .. } => vec![input],
+        Fra::MultiwayJoin { inputs, .. } => inputs.iter().collect(),
+    }
+}
+
+/// The `(label, key)` property indexes `fra` would seek if the graph
+/// maintained them — what `GraphEngine::execute` ensures before it
+/// evaluates.
+pub fn wanted_indexes(fra: &Fra) -> Vec<(Symbol, Symbol)> {
+    let mut out = Vec::new();
+    let mut stack = vec![fra];
+    while let Some(f) = stack.pop() {
+        if let Fra::Filter { input, predicate } = f {
+            out.extend(seek_key(input, predicate).map(|(l, k, _)| (l, k)));
+        }
+        stack.extend(children(f));
+    }
+    out
+}
+
+/// `fra.explain()` with a `seek Person.id` mark on every σ the property
+/// index answers over `g`.
+pub fn explain(fra: &Fra, g: &PropertyGraph) -> String {
+    fn mark(fra: &Fra, g: &PropertyGraph) -> Option<String> {
+        let Fra::Filter { input, predicate } = fra else {
+            return None;
+        };
+        let (l, k, _) = seek_key(input, predicate)?;
+        let built = if g.has_prop_index(l, k) {
+            ""
+        } else {
+            " (index built on first execute; scan until then)"
+        };
+        Some(format!("seek {l}.{k}{built}"))
+    }
+    let mut marks = Vec::new();
+    let mut stack = vec![fra];
+    while let Some(f) = stack.pop() {
+        marks.push(mark(f, g));
+        stack.extend(children(f).into_iter().rev());
+    }
+    let text = fra.explain();
+    debug_assert_eq!(text.lines().count(), marks.len(), "one line per operator");
+    let mut out = String::new();
+    for (line, mark) in text.lines().zip(marks) {
+        out.push_str(line);
+        if let Some(m) = mark {
+            out.push_str("    ← ");
+            out.push_str(&m);
+        }
+        out.push('\n');
+    }
+    out
+}
+
+impl<'g> Evaluator<'g> {
+    /// An evaluator over `g` with its counter at zero.
+    pub fn new(g: &'g PropertyGraph) -> Self {
+        Evaluator { g, rows_scanned: 0 }
+    }
+
+    /// Evaluate `fra` into a bag.
+    pub fn run(&mut self, fra: &Fra) -> Bag {
+        self.eval(fra)
+    }
+
+    /// © over the vertices `ids` (label, property and map columns as the
+    /// scan says).
+    fn scan_vertices(&mut self, scan: &Fra, ids: impl Iterator<Item = VertexId>) -> Bag {
+        let Fra::ScanVertices {
             labels,
             props,
             carry_map,
             ..
-        } => {
-            let ids: Vec<_> = if labels.is_empty() {
-                g.vertex_ids().collect()
-            } else {
-                g.vertices_with_label(labels[0]).to_vec()
+        } = scan
+        else {
+            unreachable!("callers pass a ©")
+        };
+        let mut out = Vec::new();
+        for v in ids {
+            self.rows_scanned += 1;
+            let Some(data) = self.g.vertex(v) else {
+                continue;
             };
-            let mut out = Vec::new();
-            for v in ids {
-                let data = g.vertex(v).expect("listed");
-                if !labels.iter().all(|&l| data.has_label(l)) {
-                    continue;
-                }
-                let mut vals = vec![Value::Node(v)];
-                for p in props {
-                    vals.push(data.props.get_or_null(p.prop));
-                }
-                if *carry_map {
-                    vals.push(data.props.to_value_map());
-                }
-                out.push((Tuple::new(vals), 1));
+            if !labels.iter().all(|&l| data.has_label(l)) {
+                continue;
             }
-            out
+            let mut vals = vec![Value::Node(v)];
+            for p in props {
+                vals.push(data.props.get_or_null(p.prop));
+            }
+            if *carry_map {
+                vals.push(data.props.to_value_map());
+            }
+            out.push((Tuple::new(vals), 1));
         }
-        Fra::ScanEdges {
+        out
+    }
+
+    /// The rows edge `e` contributes to ⇑ `scan`.
+    fn scan_edge(&mut self, scan: &Fra, e: EdgeId, out: &mut Bag) {
+        let Fra::ScanEdges {
             types,
             src_labels,
             dst_labels,
@@ -60,257 +189,323 @@ pub fn evaluate(fra: &Fra, g: &PropertyGraph) -> Bag {
             dir,
             carry_maps,
             ..
-        } => {
-            let ids: Vec<_> = if types.is_empty() {
-                g.edge_ids().collect()
-            } else {
-                types
-                    .iter()
-                    .flat_map(|&t| g.edges_with_type(t).iter().copied())
-                    .collect()
+        } = scan
+        else {
+            unreachable!("callers pass a ⇑")
+        };
+        let g = self.g;
+        self.rows_scanned += 1;
+        let Some(data) = g.edge(e) else { return };
+        if !types.is_empty() && !types.contains(&data.ty) {
+            return;
+        }
+        let orientations: &[(_, _)] = match dir {
+            Direction::Out => &[(data.src, data.dst)],
+            Direction::In => &[(data.dst, data.src)],
+            Direction::Both => {
+                if data.src == data.dst {
+                    &[(data.src, data.dst)]
+                } else {
+                    &[(data.src, data.dst), (data.dst, data.src)]
+                }
+            }
+        };
+        for &(s, d) in orientations {
+            let (Some(sd), Some(dd)) = (g.vertex(s), g.vertex(d)) else {
+                continue;
             };
-            let mut out = Vec::new();
-            for e in ids {
-                let data = g.edge(e).expect("listed");
-                if !types.is_empty() && !types.contains(&data.ty) {
-                    continue;
-                }
-                let orientations: &[(_, _)] = match dir {
-                    Direction::Out => &[(data.src, data.dst)],
-                    Direction::In => &[(data.dst, data.src)],
-                    Direction::Both => {
-                        if data.src == data.dst {
-                            &[(data.src, data.dst)]
-                        } else {
-                            &[(data.src, data.dst), (data.dst, data.src)]
+            if !src_labels.iter().all(|&l| sd.has_label(l))
+                || !dst_labels.iter().all(|&l| dd.has_label(l))
+            {
+                continue;
+            }
+            let mut vals = vec![Value::Node(s), Value::Rel(e), Value::Node(d)];
+            for p in src_props {
+                vals.push(sd.props.get_or_null(p.prop));
+            }
+            for p in edge_props {
+                vals.push(data.props.get_or_null(p.prop));
+            }
+            for p in dst_props {
+                vals.push(dd.props.get_or_null(p.prop));
+            }
+            if carry_maps.0 {
+                vals.push(sd.props.to_value_map());
+            }
+            if carry_maps.1 {
+                vals.push(data.props.to_value_map());
+            }
+            if carry_maps.2 {
+                vals.push(dd.props.to_value_map());
+            }
+            out.push((Tuple::new(vals), 1));
+        }
+    }
+
+    fn eval(&mut self, fra: &Fra) -> Bag {
+        let g = self.g;
+        match fra {
+            Fra::Unit => vec![(Tuple::unit(), 1)],
+            Fra::ScanVertices { labels, .. } => match labels.first() {
+                Some(&l) => self.scan_vertices(fra, g.vertices_with_label(l).iter().copied()),
+                None => self.scan_vertices(fra, g.vertex_ids()),
+            },
+            Fra::ScanEdges { types, .. } => {
+                let mut out = Vec::new();
+                if types.is_empty() {
+                    for e in g.edge_ids() {
+                        self.scan_edge(fra, e, &mut out);
+                    }
+                } else {
+                    for &t in types {
+                        for &e in g.edges_with_type(t) {
+                            self.scan_edge(fra, e, &mut out);
                         }
                     }
-                };
-                for &(s, d) in orientations {
-                    let (Some(sd), Some(dd)) = (g.vertex(s), g.vertex(d)) else {
-                        continue;
-                    };
-                    if !src_labels.iter().all(|&l| sd.has_label(l))
-                        || !dst_labels.iter().all(|&l| dd.has_label(l))
-                    {
-                        continue;
-                    }
-                    let mut vals = vec![Value::Node(s), Value::Rel(e), Value::Node(d)];
-                    for p in src_props {
-                        vals.push(sd.props.get_or_null(p.prop));
-                    }
-                    for p in edge_props {
-                        vals.push(data.props.get_or_null(p.prop));
-                    }
-                    for p in dst_props {
-                        vals.push(dd.props.get_or_null(p.prop));
-                    }
-                    if carry_maps.0 {
-                        vals.push(sd.props.to_value_map());
-                    }
-                    if carry_maps.1 {
-                        vals.push(data.props.to_value_map());
-                    }
-                    if carry_maps.2 {
-                        vals.push(dd.props.to_value_map());
-                    }
-                    out.push((Tuple::new(vals), 1));
                 }
+                out
             }
-            out
-        }
-        Fra::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-        } => {
-            let l = evaluate(left, g);
-            let r = evaluate(right, g);
-            let right_keep: Vec<usize> = (0..right.schema().len())
-                .filter(|i| !right_keys.contains(i))
-                .collect();
-            let mut index: FxHashMap<Tuple, Vec<(Tuple, i64)>> = FxHashMap::default();
-            for (t, m) in r {
-                index.entry(t.project(right_keys)).or_default().push((t, m));
-            }
-            let mut out = Vec::new();
-            for (lt, lm) in l {
-                let key = lt.project(left_keys);
-                if let Some(matches) = index.get(&key) {
-                    for (rt, rm) in matches {
-                        let mut vals: Vec<Value> = lt.values().to_vec();
-                        for &i in &right_keep {
-                            vals.push(rt.get(i).clone());
-                        }
-                        out.push((Tuple::new(vals), lm * rm));
-                    }
+            Fra::HashJoin {
+                left,
+                right,
+                left_keys,
+                right_keys,
+            } => {
+                let l = self.eval(left);
+                if l.is_empty() {
+                    return l;
                 }
-            }
-            out
-        }
-        Fra::VarLengthJoin {
-            left,
-            src_col,
-            spec,
-            ..
-        } => {
-            let l = evaluate(left, g);
-            let mut out = Vec::new();
-            // Enumerate per distinct source, then fan out to left rows.
-            let mut by_src: FxHashMap<Value, Vec<(Tuple, i64)>> = FxHashMap::default();
-            for (t, m) in l {
-                by_src
-                    .entry(t.get(*src_col).clone())
-                    .or_default()
-                    .push((t, m));
-            }
-            for (srcv, rows) in by_src {
-                let Some(src) = srcv.as_node() else { continue };
-                for p in enumerate_paths(g, src, spec) {
-                    let dst = p.target();
-                    let Some(dd) = g.vertex(dst) else { continue };
-                    if !spec.dst_labels.iter().all(|&l| dd.has_label(l)) {
-                        continue;
-                    }
-                    let mut tail: Vec<Value> = vec![Value::Node(dst)];
-                    for pr in &spec.dst_props {
-                        tail.push(dd.props.get_or_null(pr.prop));
-                    }
-                    if spec.dst_carry_map {
-                        tail.push(dd.props.to_value_map());
-                    }
-                    tail.push(Value::path(p.clone()));
-                    for (t, m) in &rows {
-                        let mut vals: Vec<Value> = t.values().to_vec();
-                        vals.extend(tail.iter().cloned());
-                        out.push((Tuple::new(vals), *m));
-                    }
+                let r = self.eval(right);
+                let right_keep: Vec<usize> = (0..right.schema().len())
+                    .filter(|i| !right_keys.contains(i))
+                    .collect();
+                let mut index: FxHashMap<Tuple, Vec<(Tuple, i64)>> = FxHashMap::default();
+                for (t, m) in r {
+                    index.entry(t.project(right_keys)).or_default().push((t, m));
                 }
-            }
-            out
-        }
-        Fra::SemiJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            anti,
-        } => {
-            let l = evaluate(left, g);
-            let r = evaluate(right, g);
-            let mut support: FxHashMap<Tuple, i64> = FxHashMap::default();
-            for (t, m) in r {
-                *support.entry(t.project(right_keys)).or_insert(0) += m;
-            }
-            l.into_iter()
-                .filter(|(t, _)| {
-                    let positive = support.get(&t.project(left_keys)).copied().unwrap_or(0) > 0;
-                    positive != *anti
-                })
-                .collect()
-        }
-        Fra::Filter { input, predicate } => evaluate(input, g)
-            .into_iter()
-            .filter(|(t, _)| predicate.matches(t))
-            .collect(),
-        Fra::Project { input, items } => evaluate(input, g)
-            .into_iter()
-            .map(|(t, m)| {
-                let vals = items
-                    .iter()
-                    .map(|(e, _)| e.eval(&t).unwrap_or(Value::Null))
-                    .collect::<Vec<_>>();
-                (Tuple::new(vals), m)
-            })
-            .collect(),
-        Fra::Distinct { input } => {
-            let mut seen: FxHashMap<Tuple, i64> = FxHashMap::default();
-            for (t, m) in evaluate(input, g) {
-                *seen.entry(t).or_insert(0) += m;
-            }
-            seen.into_iter()
-                .filter(|(_, m)| *m > 0)
-                .map(|(t, _)| (t, 1))
-                .collect()
-        }
-        Fra::Aggregate { input, group, aggs } => aggregate_bag(evaluate(input, g), group, aggs),
-        Fra::Unwind { input, expr, .. } => {
-            let mut out = Vec::new();
-            for (t, m) in evaluate(input, g) {
-                if let Ok(Value::List(items)) = expr.eval(&t) {
-                    for item in items.iter() {
-                        out.push((t.push(item.clone()), m));
-                    }
-                }
-            }
-            out
-        }
-        Fra::MultiwayJoin {
-            inputs,
-            var_of,
-            names,
-        } => {
-            // The baseline recomputes ⨝ⁿ as a left-deep hash join over
-            // variable bindings: fold the inputs in order, joining each
-            // on whichever of its variables are already bound. Output
-            // columns are the bindings in variable order (matching the
-            // operator's schema), so results agree with the
-            // incremental operator tuple-for-tuple.
-            let nvars = names.len();
-            let mut bound = vec![false; nvars];
-            let mut acc: Vec<(Vec<Value>, i64)> = vec![(vec![Value::Null; nvars], 1)];
-            for (i, inp) in inputs.iter().enumerate() {
-                let by_col = &var_of[i];
-                let first_col = |v: usize| {
-                    by_col
-                        .iter()
-                        .position(|&w| w == v)
-                        .expect("var of this input")
-                };
-                let mut distinct: Vec<usize> = by_col.clone();
-                distinct.sort_unstable();
-                distinct.dedup();
-                let shared: Vec<usize> = distinct.iter().copied().filter(|&v| bound[v]).collect();
-                let fresh: Vec<usize> = distinct.iter().copied().filter(|&v| !bound[v]).collect();
-                let shared_cols: Vec<usize> = shared.iter().map(|&v| first_col(v)).collect();
-                let fresh_cols: Vec<usize> = fresh.iter().map(|&v| first_col(v)).collect();
-                let mut index: FxHashMap<Tuple, Vec<(Vec<Value>, i64)>> = FxHashMap::default();
-                for (t, m) in evaluate(inp, g) {
-                    // A variable mapped to several columns equates them.
-                    if by_col
-                        .iter()
-                        .enumerate()
-                        .any(|(c, &v)| t.get(first_col(v)) != t.get(c))
-                    {
-                        continue;
-                    }
-                    let vals: Vec<Value> = fresh_cols.iter().map(|&c| t.get(c).clone()).collect();
-                    index
-                        .entry(t.project(&shared_cols))
-                        .or_default()
-                        .push((vals, m));
-                }
-                let mut next = Vec::new();
-                for (b, m) in acc {
-                    let key: Tuple = shared.iter().map(|&v| b[v].clone()).collect();
+                let mut out = Vec::new();
+                for (lt, lm) in l {
+                    let key = lt.project(left_keys);
                     if let Some(matches) = index.get(&key) {
-                        for (vals, mm) in matches {
-                            let mut nb = b.clone();
-                            for (k, &v) in fresh.iter().enumerate() {
-                                nb[v] = vals[k].clone();
+                        for (rt, rm) in matches {
+                            let mut vals: Vec<Value> = lt.values().to_vec();
+                            for &i in &right_keep {
+                                vals.push(rt.get(i).clone());
                             }
-                            next.push((nb, m * mm));
+                            out.push((Tuple::new(vals), lm * rm));
                         }
                     }
                 }
-                acc = next;
-                for &v in &fresh {
-                    bound[v] = true;
-                }
+                out
             }
-            acc.into_iter().map(|(b, m)| (Tuple::new(b), m)).collect()
+            Fra::VarLengthJoin {
+                left,
+                src_col,
+                spec,
+                ..
+            } => {
+                let l = self.eval(left);
+                let mut out = Vec::new();
+                // Enumerate per distinct source, then fan out to left rows.
+                let mut by_src: FxHashMap<Value, Vec<(Tuple, i64)>> = FxHashMap::default();
+                for (t, m) in l {
+                    by_src
+                        .entry(t.get(*src_col).clone())
+                        .or_default()
+                        .push((t, m));
+                }
+                for (srcv, rows) in by_src {
+                    let Some(src) = srcv.as_node() else { continue };
+                    for p in enumerate_paths(g, src, spec) {
+                        let dst = p.target();
+                        let Some(dd) = g.vertex(dst) else { continue };
+                        if !spec.dst_labels.iter().all(|&l| dd.has_label(l)) {
+                            continue;
+                        }
+                        let mut tail: Vec<Value> = vec![Value::Node(dst)];
+                        for pr in &spec.dst_props {
+                            tail.push(dd.props.get_or_null(pr.prop));
+                        }
+                        if spec.dst_carry_map {
+                            tail.push(dd.props.to_value_map());
+                        }
+                        tail.push(Value::path(p.clone()));
+                        for (t, m) in &rows {
+                            let mut vals: Vec<Value> = t.values().to_vec();
+                            vals.extend(tail.iter().cloned());
+                            out.push((Tuple::new(vals), *m));
+                        }
+                    }
+                }
+                out
+            }
+            Fra::SemiJoin {
+                left,
+                right,
+                left_keys,
+                right_keys,
+                anti,
+            } => {
+                let l = self.eval(left);
+                let r = self.eval(right);
+                let mut support: FxHashMap<Tuple, i64> = FxHashMap::default();
+                for (t, m) in r {
+                    *support.entry(t.project(right_keys)).or_insert(0) += m;
+                }
+                l.into_iter()
+                    .filter(|(t, _)| {
+                        let positive = support.get(&t.project(left_keys)).copied().unwrap_or(0) > 0;
+                        positive != *anti
+                    })
+                    .collect()
+            }
+            Fra::Filter { input, predicate } => {
+                // Seek: the index's candidates instead of the label extent.
+                let seek = seek_key(input, predicate).and_then(|(l, k, v)| g.prop_seek(l, k, v));
+                let rows = match seek {
+                    Some(candidates) => self.scan_vertices(input, candidates.iter().copied()),
+                    None => self.eval(input),
+                };
+                rows.into_iter()
+                    .filter(|(t, _)| predicate.matches(t))
+                    .collect()
+            }
+            Fra::Project { input, items } => self
+                .eval(input)
+                .into_iter()
+                .map(|(t, m)| {
+                    let vals = items
+                        .iter()
+                        .map(|(e, _)| e.eval(&t).unwrap_or(Value::Null))
+                        .collect::<Vec<_>>();
+                    (Tuple::new(vals), m)
+                })
+                .collect(),
+            Fra::Distinct { input } => {
+                let mut seen: FxHashMap<Tuple, i64> = FxHashMap::default();
+                for (t, m) in self.eval(input) {
+                    *seen.entry(t).or_insert(0) += m;
+                }
+                seen.into_iter()
+                    .filter(|(_, m)| *m > 0)
+                    .map(|(t, _)| (t, 1))
+                    .collect()
+            }
+            Fra::Aggregate { input, group, aggs } => aggregate_bag(self.eval(input), group, aggs),
+            Fra::Unwind { input, expr, .. } => {
+                let mut out = Vec::new();
+                for (t, m) in self.eval(input) {
+                    if let Ok(Value::List(items)) = expr.eval(&t) {
+                        for item in items.iter() {
+                            out.push((t.push(item.clone()), m));
+                        }
+                    }
+                }
+                out
+            }
+            Fra::MultiwayJoin {
+                inputs,
+                var_of,
+                names,
+            } => {
+                // The baseline recomputes ⨝ⁿ as a left-deep hash join over
+                // variable bindings: fold the inputs in order, joining each
+                // on whichever of its variables are already bound. Output
+                // columns are the bindings in variable order (matching the
+                // operator's schema), so results agree with the
+                // incremental operator tuple-for-tuple.
+                let nvars = names.len();
+                let mut bound = vec![false; nvars];
+                let mut acc: Vec<(Vec<Value>, i64)> = vec![(vec![Value::Null; nvars], 1)];
+                for (i, inp) in inputs.iter().enumerate() {
+                    let by_col = &var_of[i];
+                    let first_col = |v: usize| {
+                        by_col
+                            .iter()
+                            .position(|&w| w == v)
+                            .expect("var of this input")
+                    };
+                    let mut distinct: Vec<usize> = by_col.clone();
+                    distinct.sort_unstable();
+                    distinct.dedup();
+                    let shared: Vec<usize> =
+                        distinct.iter().copied().filter(|&v| bound[v]).collect();
+                    let fresh: Vec<usize> =
+                        distinct.iter().copied().filter(|&v| !bound[v]).collect();
+                    let shared_cols: Vec<usize> = shared.iter().map(|&v| first_col(v)).collect();
+                    let fresh_cols: Vec<usize> = fresh.iter().map(|&v| first_col(v)).collect();
+                    let mut index: FxHashMap<Tuple, Vec<(Vec<Value>, i64)>> = FxHashMap::default();
+                    for (t, m) in self.eval(inp) {
+                        // A variable mapped to several columns equates them.
+                        if by_col
+                            .iter()
+                            .enumerate()
+                            .any(|(c, &v)| t.get(first_col(v)) != t.get(c))
+                        {
+                            continue;
+                        }
+                        let vals: Vec<Value> =
+                            fresh_cols.iter().map(|&c| t.get(c).clone()).collect();
+                        index
+                            .entry(t.project(&shared_cols))
+                            .or_default()
+                            .push((vals, m));
+                    }
+                    let mut next = Vec::new();
+                    for (b, m) in acc {
+                        let key: Tuple = shared.iter().map(|&v| b[v].clone()).collect();
+                        if let Some(matches) = index.get(&key) {
+                            for (vals, mm) in matches {
+                                let mut nb = b.clone();
+                                for (k, &v) in fresh.iter().enumerate() {
+                                    nb[v] = vals[k].clone();
+                                }
+                                next.push((nb, m * mm));
+                            }
+                        }
+                    }
+                    acc = next;
+                    for &v in &fresh {
+                        bound[v] = true;
+                    }
+                }
+                acc.into_iter().map(|(b, m)| (Tuple::new(b), m)).collect()
+            }
         }
+    }
+
+    /// Evaluate a compiled query end-to-end, applying ORDER BY / SKIP /
+    /// LIMIT.
+    pub fn run_query(&mut self, cq: &CompiledQuery) -> Vec<Tuple> {
+        let bag = self.run(&cq.fra);
+        let mut rows: Vec<Tuple> = Vec::new();
+        for (t, m) in bag {
+            for _ in 0..m.max(0) {
+                rows.push(t.clone());
+            }
+        }
+        // Deterministic base order.
+        rows.sort_by(tuple_cmp);
+        if !cq.order_by.is_empty() {
+            rows.sort_by(|a, b| {
+                for (expr, asc) in &cq.order_by {
+                    let va = expr.eval(a).unwrap_or(Value::Null);
+                    let vb = expr.eval(b).unwrap_or(Value::Null);
+                    let ord = va.total_cmp(&vb);
+                    let ord = if *asc { ord } else { ord.reverse() };
+                    if ord != Ordering::Equal {
+                        return ord;
+                    }
+                }
+                Ordering::Equal
+            });
+        }
+        let start = cq.skip.unwrap_or(0).min(rows.len());
+        let end = match cq.limit {
+            Some(l) => (start + l).min(rows.len()),
+            None => rows.len(),
+        };
+        rows[start..end].to_vec()
     }
 }
 
@@ -422,35 +617,7 @@ fn finish_agg(call: &AggCall, rows: i64, mut raw: Vec<Value>) -> Value {
 /// LIMIT — the constructs only the baseline supports (the paper's
 /// trade-off).
 pub fn evaluate_query(cq: &CompiledQuery, g: &PropertyGraph) -> Vec<Tuple> {
-    let bag = evaluate(&cq.fra, g);
-    let mut rows: Vec<Tuple> = Vec::new();
-    for (t, m) in bag {
-        for _ in 0..m.max(0) {
-            rows.push(t.clone());
-        }
-    }
-    // Deterministic base order.
-    rows.sort_by(tuple_cmp);
-    if !cq.order_by.is_empty() {
-        rows.sort_by(|a, b| {
-            for (expr, asc) in &cq.order_by {
-                let va = expr.eval(a).unwrap_or(Value::Null);
-                let vb = expr.eval(b).unwrap_or(Value::Null);
-                let ord = va.total_cmp(&vb);
-                let ord = if *asc { ord } else { ord.reverse() };
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-            Ordering::Equal
-        });
-    }
-    let start = cq.skip.unwrap_or(0).min(rows.len());
-    let end = match cq.limit {
-        Some(l) => (start + l).min(rows.len()),
-        None => rows.len(),
-    };
-    rows[start..end].to_vec()
+    Evaluator::new(g).run_query(cq)
 }
 
 fn tuple_cmp(a: &Tuple, b: &Tuple) -> Ordering {

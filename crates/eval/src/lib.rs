@@ -16,5 +16,7 @@
 pub mod eval;
 pub mod paths;
 
-pub use eval::{evaluate, evaluate_consolidated, evaluate_query, Bag};
+pub use eval::{
+    evaluate, evaluate_consolidated, evaluate_query, explain, wanted_indexes, Bag, Evaluator,
+};
 pub use paths::enumerate_paths;

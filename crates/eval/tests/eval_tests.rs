@@ -163,3 +163,93 @@ fn unwind_projection_chain() {
     got.sort_unstable();
     assert_eq!(got, vec![31, 32, 33]);
 }
+
+// ---- narrowing: a seek returns what the scan returns ------------------
+
+mod narrowing {
+    use super::s;
+    use pgq_algebra::expr::ScalarExpr;
+    use pgq_algebra::fra::{Fra, PropPush};
+    use pgq_common::ids::VertexId;
+    use pgq_common::value::Value;
+    use pgq_eval::{evaluate_consolidated, explain, wanted_indexes, Evaluator};
+    use pgq_graph::props::Properties;
+    use pgq_graph::store::PropertyGraph;
+    use pgq_parser::ast::BinOp;
+
+    /// Eight `N` vertices keyed `id = 0..8`.
+    fn keyed() -> (PropertyGraph, Vec<VertexId>) {
+        let mut g = PropertyGraph::new();
+        let v: Vec<_> = (0..8)
+            .map(|i| {
+                g.add_vertex([s("N")], Properties::from_iter([("id", Value::Int(i))]))
+                    .0
+            })
+            .collect();
+        (g, v)
+    }
+
+    fn scan_n() -> Fra {
+        Fra::ScanVertices {
+            var: "a".into(),
+            labels: vec![s("N")],
+            props: vec![PropPush {
+                prop: s("id"),
+                col: "a.id".into(),
+            }],
+            carry_map: false,
+        }
+    }
+
+    fn id_is(v: Value) -> ScalarExpr {
+        ScalarExpr::Binary(
+            BinOp::Eq,
+            Box::new(ScalarExpr::Col(1)),
+            Box::new(ScalarExpr::Lit(v)),
+        )
+    }
+
+    #[test]
+    fn seek_is_a_superset_under_cypher_equality() {
+        let (mut g, v) = keyed();
+        g.set_vertex_prop(v[2], s("id"), Value::float(1.0)).unwrap();
+        g.set_vertex_prop(v[3], s("id"), Value::str("1")).unwrap();
+        let plan = |lit: Value| Fra::Filter {
+            input: Box::new(scan_n()),
+            predicate: id_is(lit),
+        };
+        assert_eq!(
+            wanted_indexes(&plan(Value::Int(1))),
+            vec![(s("N"), s("id"))]
+        );
+        let lits = [
+            Value::Int(1),
+            Value::float(1.0),
+            Value::str("1"),
+            Value::Null,
+            Value::Int(99),
+            Value::list(vec![Value::Int(1)]),
+        ];
+        let before: Vec<_> = lits
+            .iter()
+            .map(|l| evaluate_consolidated(&plan(l.clone()), &g))
+            .collect();
+        assert!(explain(&plan(Value::Int(1)), &g).contains("index built on first execute"));
+        assert!(g.ensure_prop_index(s("N"), s("id")));
+        assert!(!g.ensure_prop_index(s("N"), s("id")), "built once");
+        assert!(explain(&plan(Value::Int(1)), &g).contains("← seek N.id\n"));
+        for (lit, want) in lits.iter().zip(before) {
+            let mut e = Evaluator::new(&g);
+            let got = e.run(&plan(lit.clone()));
+            assert_eq!(got.len(), want.len(), "{lit}");
+            assert_eq!(evaluate_consolidated(&plan(lit.clone()), &g), want, "{lit}");
+            match lit {
+                // `7` and `7.0` meet in one bucket; the string does not.
+                Value::Int(1) | Value::Float(_) => assert_eq!((e.rows_scanned, got.len()), (2, 2)),
+                Value::Str(_) => assert_eq!((e.rows_scanned, got.len()), (1, 1)),
+                Value::List(_) => assert_eq!(e.rows_scanned, 8, "lists fall back to the scan"),
+                _ => assert_eq!((e.rows_scanned, got.len()), (0, 0)),
+            }
+        }
+    }
+}

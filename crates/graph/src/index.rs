@@ -5,6 +5,19 @@
 //! evaluator's expand steps walk the adjacency lists. All indexes are
 //! maintained eagerly by the store's mutators.
 //!
+//! A fourth family is built on demand: a **property-equality index**
+//! `(label, key) → value → vertices`, created the first time a one-shot
+//! statement filters `(:label {key: literal})`
+//! ([`PropertyGraph::ensure_prop_index`](crate::store::PropertyGraph::ensure_prop_index))
+//! and from then on maintained by the same eager mutators — so a
+//! rolled-back transaction, which undoes itself through those mutators,
+//! leaves it exact. Nothing is persisted: after
+//! recovery the index is rebuilt on first use. Values are filed under
+//! [`prop_key`], which merges what `Value::cypher_eq` equates (`7` and
+//! `7.0`), so a probe returns a *superset* of the matching vertices and
+//! the caller's unchanged σ decides. A graph that never saw a keyed
+//! statement pays one `is_empty` branch per vertex mutation.
+//!
 //! Buckets are dense `Vec`s (so extents hand out slices) paired with a
 //! position map, making removal O(1) via swap-remove + backlink update —
 //! deletion-heavy update streams used to pay an O(bucket) scan per
@@ -17,6 +30,9 @@ use std::hash::Hash;
 use pgq_common::fxhash::FxHashMap;
 use pgq_common::ids::{EdgeId, VertexId};
 use pgq_common::intern::Symbol;
+use pgq_common::value::Value;
+
+use crate::props::Properties;
 
 /// Small buckets are scanned linearly; beyond this many items a position
 /// map is built and maintained. Adjacency buckets are overwhelmingly
@@ -85,13 +101,69 @@ impl<T: Copy + Eq + Hash> PosBucket<T> {
     }
 }
 
-/// Label, edge-type and adjacency indexes.
+/// Label, edge-type, adjacency and (on demand) property-equality
+/// indexes.
 #[derive(Default, Debug, Clone)]
 pub struct GraphIndexes {
     label: FxHashMap<Symbol, PosBucket<VertexId>>,
     ty: FxHashMap<Symbol, PosBucket<EdgeId>>,
     out: FxHashMap<VertexId, PosBucket<EdgeId>>,
     inc: FxHashMap<VertexId, PosBucket<EdgeId>>,
+    /// `(label, key) → prop_key(value) → vertices`; an entry exists from
+    /// the first `ensure_prop` on, even when it empties.
+    prop: FxHashMap<(Symbol, Symbol), FxHashMap<Value, Holders>>,
+}
+
+/// The vertices filed under one value. Keys are what statements seek
+/// by, so nearly every value has one holder: that case is stored inline
+/// (an entry is 32 bytes, no allocation) and only a shared value pays
+/// for a bucket.
+#[derive(Debug, Clone)]
+enum Holders {
+    One(VertexId),
+    Many(Box<PosBucket<VertexId>>),
+}
+
+/// File `v` under `value` in one property index.
+fn file(ix: &mut FxHashMap<Value, Holders>, value: &Value, v: VertexId) {
+    use std::collections::hash_map::Entry;
+    let Some(k) = prop_key(value) else { return };
+    match ix.entry(k) {
+        Entry::Vacant(slot) => {
+            slot.insert(Holders::One(v));
+        }
+        Entry::Occupied(mut slot) => match slot.get_mut() {
+            Holders::One(first) => {
+                let mut bucket = PosBucket::default();
+                bucket.push(*first);
+                bucket.push(v);
+                slot.insert(Holders::Many(Box::new(bucket)));
+            }
+            Holders::Many(bucket) => bucket.push(v),
+        },
+    }
+}
+
+impl Holders {
+    fn as_slice(&self) -> &[VertexId] {
+        match self {
+            Holders::One(v) => std::slice::from_ref(v),
+            Holders::Many(b) => &b.items,
+        }
+    }
+}
+
+/// The key a property value is filed under, `None` for values the index
+/// does not hold (`null` is never stored; lists, maps and paths fall
+/// back to the scan). Integers are filed as floats so that every pair
+/// `Value::cypher_eq` equates shares a key (distinct huge integers may
+/// collide — a probe is a superset, never the answer).
+pub fn prop_key(v: &Value) -> Option<Value> {
+    match v {
+        Value::Int(i) => Some(Value::float(*i as f64)),
+        Value::Null | Value::List(_) | Value::Map(_) | Value::Path(_) => None,
+        other => Some(other.clone()),
+    }
 }
 
 /// Remove `x` from the bucket under `key`, dropping the bucket when it
@@ -164,6 +236,125 @@ impl GraphIndexes {
     /// Incoming edges of `v`.
     pub fn in_edges(&self, v: VertexId) -> &[EdgeId] {
         self.inc.get(&v).map_or(&[], |b| b.items.as_slice())
+    }
+
+    /// Is any property index maintained? The mutators' one branch.
+    #[inline]
+    pub(crate) fn has_prop_indexes(&self) -> bool {
+        !self.prop.is_empty()
+    }
+
+    /// File (`insert`) or unfile vertex `v`, which carries `labels` and
+    /// `props`, in every property index that covers it.
+    #[inline]
+    pub(crate) fn prop_vertex(
+        &mut self,
+        labels: &[Symbol],
+        props: &Properties,
+        v: VertexId,
+        insert: bool,
+    ) {
+        if !self.has_prop_indexes() {
+            return;
+        }
+        for &l in labels {
+            for (k, value) in props.iter() {
+                if insert {
+                    self.prop_insert(l, k, value, v);
+                } else {
+                    self.prop_remove(l, k, value, v);
+                }
+            }
+        }
+    }
+
+    /// Is `(label, key)` indexed?
+    pub(crate) fn has_prop(&self, label: Symbol, key: Symbol) -> bool {
+        self.prop.contains_key(&(label, key))
+    }
+
+    /// Start maintaining `(label, key)`, filled from the label's extent
+    /// (`value_of` reads a vertex's value of `key`). A no-op when the
+    /// index exists.
+    pub(crate) fn ensure_prop<'a>(
+        &mut self,
+        label: Symbol,
+        key: Symbol,
+        value_of: impl Fn(VertexId) -> Option<&'a Value>,
+    ) {
+        if self.has_prop(label, key) {
+            return;
+        }
+        let mut ix = FxHashMap::default();
+        for &v in self.with_label(label) {
+            if let Some(value) = value_of(v) {
+                file(&mut ix, value, v);
+            }
+        }
+        self.prop.insert((label, key), ix);
+    }
+
+    /// File `v` under `value` if `(label, key)` is indexed.
+    pub(crate) fn prop_insert(&mut self, label: Symbol, key: Symbol, value: &Value, v: VertexId) {
+        if let Some(ix) = self.prop.get_mut(&(label, key)) {
+            file(ix, value, v);
+        }
+    }
+
+    /// Unfile `v` from `value` if `(label, key)` is indexed.
+    pub(crate) fn prop_remove(&mut self, label: Symbol, key: Symbol, value: &Value, v: VertexId) {
+        let (Some(ix), Some(k)) = (self.prop.get_mut(&(label, key)), prop_key(value)) else {
+            return;
+        };
+        let emptied = match ix.get_mut(&k) {
+            Some(Holders::One(only)) => *only == v,
+            Some(Holders::Many(bucket)) => bucket.remove(v),
+            None => false,
+        };
+        if emptied {
+            ix.remove(&k);
+        }
+    }
+
+    /// Candidates for `label.key = value`: a superset of the vertices
+    /// whose stored value `cypher_eq`s `value`. `None` when the index
+    /// does not exist or cannot answer for this value (scan instead).
+    pub(crate) fn prop_seek(
+        &self,
+        label: Symbol,
+        key: Symbol,
+        value: &Value,
+    ) -> Option<&[VertexId]> {
+        let ix = self.prop.get(&(label, key))?;
+        if value.is_null() {
+            return Some(&[]); // `x = null` is never true
+        }
+        let k = prop_key(value)?;
+        Some(ix.get(&k).map_or(&[], Holders::as_slice))
+    }
+
+    /// Every property index as `(label, key, vertices filed)`.
+    pub(crate) fn prop_indexes(&self) -> impl Iterator<Item = (Symbol, Symbol, usize)> + '_ {
+        self.prop
+            .iter()
+            .map(|(&(l, k), ix)| (l, k, ix.values().map(|h| h.as_slice().len()).sum()))
+    }
+
+    /// One index's content in comparable form (sorted), for audits.
+    pub(crate) fn prop_dump(&self, label: Symbol, key: Symbol) -> Vec<(Value, Vec<VertexId>)> {
+        let mut out: Vec<(Value, Vec<VertexId>)> = self
+            .prop
+            .get(&(label, key))
+            .into_iter()
+            .flatten()
+            .map(|(k, h)| {
+                let mut ids = h.as_slice().to_vec();
+                ids.sort_unstable();
+                (k.clone(), ids)
+            })
+            .collect();
+        out.sort_by(|a, b| a.0.total_cmp(&b.0));
+        out
     }
 
     /// Labels currently indexing at least one vertex.
@@ -243,5 +434,46 @@ mod tests {
         // Removing something absent is a no-op.
         ix.remove_label(sym("X"), VertexId(99));
         assert_eq!(ix.with_label(sym("X")).len(), 3);
+    }
+
+    #[test]
+    fn prop_index_files_seeks_and_unfiles() {
+        let (l, k) = (sym("Person"), sym("id"));
+        let mut ix = GraphIndexes::default();
+        let stored = [Value::Int(7), Value::float(7.0), Value::str("7")];
+        for (i, _) in stored.iter().enumerate() {
+            ix.add_label(l, VertexId(i as u64));
+        }
+        // Unindexed: mutator hooks are no-ops and nothing can be sought.
+        ix.prop_insert(l, k, &Value::Int(1), VertexId(9));
+        assert!(!ix.has_prop_indexes());
+        assert_eq!(ix.prop_seek(l, k, &Value::Int(1)), None);
+
+        ix.ensure_prop(l, k, |v| stored.get(v.0 as usize));
+        assert!(ix.has_prop(l, k));
+        // `7` and `7.0` are cypher-equal and share a bucket; '7' is not.
+        let mut sevens = ix.prop_seek(l, k, &Value::Int(7)).unwrap().to_vec();
+        sevens.sort_unstable();
+        assert_eq!(sevens, vec![VertexId(0), VertexId(1)]);
+        assert_eq!(ix.prop_seek(l, k, &Value::float(7.0)).unwrap().len(), 2);
+        assert_eq!(
+            ix.prop_seek(l, k, &Value::str("7")).unwrap(),
+            &[VertexId(2)]
+        );
+        // Absent values and null answer "nobody"; lists cannot be asked.
+        assert!(ix.prop_seek(l, k, &Value::Int(8)).unwrap().is_empty());
+        assert!(ix.prop_seek(l, k, &Value::Null).unwrap().is_empty());
+        assert_eq!(ix.prop_seek(l, k, &Value::list(vec![])), None);
+        assert_eq!(ix.prop_indexes().collect::<Vec<_>>(), vec![(l, k, 3)]);
+
+        // A shared value shrinks back holder by holder; emptied values
+        // leave no entry, the index itself stays.
+        ix.prop_remove(l, k, &Value::Int(7), VertexId(0));
+        assert_eq!(ix.prop_seek(l, k, &Value::Int(7)).unwrap(), &[VertexId(1)]);
+        ix.prop_remove(l, k, &Value::float(7.0), VertexId(1));
+        ix.prop_remove(l, k, &Value::str("7"), VertexId(2));
+        ix.prop_remove(l, k, &Value::str("7"), VertexId(2)); // absent: no-op
+        assert!(ix.prop_dump(l, k).is_empty());
+        assert!(ix.has_prop(l, k));
     }
 }

@@ -195,6 +195,41 @@ impl PropertyGraph {
         self.index.in_edges(v)
     }
 
+    /// Start maintaining the property-equality index `(label, key)`
+    /// (see [`crate::index`]); returns `true` when this call built it.
+    /// Built once from the label's extent, then kept by the mutators.
+    pub fn ensure_prop_index(&mut self, label: Symbol, key: Symbol) -> bool {
+        let built = !self.index.has_prop(label, key);
+        let vertices = &self.vertices;
+        self.index.ensure_prop(label, key, |v| {
+            vertices.get(&v).and_then(|d| d.props.get(key))
+        });
+        built
+    }
+
+    /// Is the property index `(label, key)` maintained?
+    pub fn has_prop_index(&self, label: Symbol, key: Symbol) -> bool {
+        self.index.has_prop(label, key)
+    }
+
+    /// Candidate vertices for `(:label {key: value})` from the property
+    /// index: a superset of the matches under `Value::cypher_eq`, or
+    /// `None` when no index can answer (the caller scans).
+    pub fn prop_seek(&self, label: Symbol, key: Symbol, value: &Value) -> Option<&[VertexId]> {
+        self.index.prop_seek(label, key, value)
+    }
+
+    /// The maintained property indexes as `(label, key, vertices filed)`.
+    pub fn prop_indexes(&self) -> Vec<(Symbol, Symbol, usize)> {
+        self.index.prop_indexes().collect()
+    }
+
+    /// One property index's content, sorted — for audits against a
+    /// from-scratch rebuild.
+    pub fn prop_index_dump(&self, label: Symbol, key: Symbol) -> Vec<(Value, Vec<VertexId>)> {
+        self.index.prop_dump(label, key)
+    }
+
     /// Every label that has ever appeared.
     pub fn labels(&self) -> impl Iterator<Item = Symbol> + '_ {
         self.index.labels()
@@ -302,6 +337,7 @@ impl PropertyGraph {
         for &l in &labels {
             self.index.add_label(l, id);
         }
+        self.index.prop_vertex(&labels, &props, id, true);
         if !self.catalog_defer {
             self.catalog_mut().on_vertex_added(&props);
         }
@@ -399,6 +435,7 @@ impl PropertyGraph {
         for &l in &data.labels {
             self.index.remove_label(l, id);
         }
+        self.index.prop_vertex(&data.labels, &data.props, id, false);
         if !self.catalog_defer {
             self.catalog_mut().on_vertex_removed(&data.props);
         }
@@ -479,6 +516,12 @@ impl PropertyGraph {
             .get_mut(&id)
             .ok_or(GraphError::VertexNotFound(id))?;
         let old = data.props.set(key, value.clone()).unwrap_or(Value::Null);
+        if self.index.has_prop_indexes() {
+            for &l in &data.labels {
+                self.index.prop_remove(l, key, &old, id);
+                self.index.prop_insert(l, key, &value, id);
+            }
+        }
         if !self.catalog_defer {
             self.catalog_mut().on_vertex_prop_changed(key, &old, &value);
         }
@@ -528,6 +571,7 @@ impl PropertyGraph {
             Err(pos) => {
                 data.labels.insert(pos, label);
                 self.index.add_label(label, id);
+                self.index.prop_vertex(&[label], &data.props, id, true);
                 Ok(Some(ChangeEvent::LabelAdded { id, label }))
             }
         }
@@ -548,6 +592,7 @@ impl PropertyGraph {
             Ok(pos) => {
                 data.labels.remove(pos);
                 self.index.remove_label(label, id);
+                self.index.prop_vertex(&[label], &data.props, id, false);
                 Ok(Some(ChangeEvent::LabelRemoved { id, label }))
             }
         }

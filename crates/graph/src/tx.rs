@@ -637,4 +637,70 @@ mod tests {
         assert!(events.len() >= 9, "expected a multi-event fold path");
         assert_eq!(&*g.catalog(), &rescan_catalog(&g));
     }
+
+    /// The property index is kept by the mutators, and rollback undoes a
+    /// transaction through those same mutators — so a refused
+    /// transaction leaves the index exactly as it found it.
+    #[test]
+    fn property_index_follows_commits_and_survives_rollback_exactly() {
+        use pgq_common::value::Value;
+        let id = |i: i64| Properties::from_iter([("id", Value::Int(i))]);
+        let mut g = PropertyGraph::new();
+        let (a, _) = g.add_vertex([sym("P")], id(1));
+        let (b, _) = g.add_vertex([sym("P"), sym("Q")], id(2));
+        let (c, _) = g.add_vertex([sym("Q")], id(2));
+        assert!(g.ensure_prop_index(sym("P"), sym("id")));
+        assert!(g.ensure_prop_index(sym("Q"), sym("id")));
+        let seek = |g: &PropertyGraph, l: &str, i: i64| {
+            let mut v = g
+                .prop_seek(sym(l), sym("id"), &Value::Int(i))
+                .unwrap()
+                .to_vec();
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(seek(&g, "P", 2), vec![b]);
+        assert_eq!(seek(&g, "Q", 2), vec![b, c]);
+
+        // Every kind of mutation, then a failing op: all of it unwinds.
+        let before = (
+            g.prop_index_dump(sym("P"), sym("id")),
+            g.prop_index_dump(sym("Q"), sym("id")),
+        );
+        let mut tx = Transaction::new();
+        tx.create_vertex([sym("P")], id(3));
+        tx.set_vertex_prop(a, sym("id"), Value::Int(2));
+        tx.set_vertex_prop(c, sym("id"), Value::Null);
+        tx.add_label(c, sym("P"));
+        tx.remove_label(b, sym("Q"));
+        tx.delete_vertex(b, true);
+        tx.delete_edge(pgq_common::ids::EdgeId(999));
+        assert!(g.apply(&tx).is_err());
+        assert_eq!(
+            before,
+            (
+                g.prop_index_dump(sym("P"), sym("id")),
+                g.prop_index_dump(sym("Q"), sym("id")),
+            )
+        );
+
+        // The same transaction without the failing op commits.
+        let mut tx = Transaction::new();
+        let d = tx.create_vertex([sym("P")], id(3));
+        tx.set_vertex_prop(a, sym("id"), Value::Int(2));
+        tx.set_vertex_prop(c, sym("id"), Value::Null);
+        tx.add_label(c, sym("P"));
+        tx.remove_label(b, sym("Q"));
+        tx.delete_vertex(b, true);
+        let events = g.apply(&tx).unwrap();
+        let d = match (d, &events[0]) {
+            (NodeRef::New(_), ChangeEvent::VertexAdded { id }) => *id,
+            other => panic!("unexpected {other:?}"),
+        };
+        assert_eq!(seek(&g, "P", 1), vec![]);
+        assert_eq!(seek(&g, "P", 2), vec![a]);
+        assert_eq!(seek(&g, "P", 3), vec![d]);
+        assert_eq!(seek(&g, "Q", 2), vec![]);
+        assert_eq!(g.prop_indexes().len(), 2);
+    }
 }

@@ -12,7 +12,7 @@
 //! ```
 //!
 //! Commands: `:view NAME QUERY`, `:views`, `:results NAME`, `:watch
-//! NAME`, `:explain QUERY`, `:stats NAME`, `:save FILE`, `:load FILE`,
+//! NAME`, `:explain QUERY`, `:indexes`, `:stats NAME`, `:save FILE`, `:load FILE`,
 //! `:help`, `:quit`. `EXPLAIN <query>` renders the full pipeline
 //! including the cost-based plan with per-operator cardinality
 //! estimates. Anything else is executed as an openCypher statement.
@@ -71,7 +71,8 @@ fn help() {
          :views             list registered views\n  \
          :results NAME      print a view's current rows\n  \
          :watch NAME        print the view's deltas after every update\n  \
-         :explain QUERY     show the GRA/NRA/FRA pipeline\n  \
+         :explain QUERY     show the GRA/NRA/FRA pipeline and the one-shot plan\n  \
+         :indexes           property indexes built by keyed statements\n  \
          :stats NAME        per-operator memory statistics\n  \
          :save FILE         dump the graph in text format\n  \
          :load FILE         load a graph dump (replaces current graph)\n  \
@@ -179,6 +180,15 @@ fn main() {
                     Ok(text) => println!("{text}"),
                     Err(e) => println!("error: {e}"),
                 },
+                "indexes" => {
+                    let indexes = engine.property_indexes();
+                    if indexes.is_empty() {
+                        println!("no property indexes (built on the first `(:Label {{key: value}})` statement)");
+                    }
+                    for (label, key, entries) in indexes {
+                        println!("{label}.{key}  {entries} entries");
+                    }
+                }
                 "stats" => match engine.view_by_name(arg) {
                     Some(id) => match engine.view_stats(id) {
                         Ok(s) => println!("{s}"),

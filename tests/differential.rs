@@ -909,3 +909,211 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Narrowing ≡ scanning
+// ---------------------------------------------------------------------------
+//
+// The one-shot path plans a statement and seeks property indexes. All
+// of that must be observationally invisible: `engine.query(text)` on a graph whose indexes were built
+// *before* the script — so every mutator, a label add/remove, a
+// property set-to-null, a vertex delete and a commit that faulted and
+// was rolled back have all maintained them — equals a from-scratch
+// evaluation of the *unplanned* FRA on a twin graph that never had an
+// index. Afterwards every index equals one rebuilt from scratch.
+
+/// Keyed statements over the oracle's graph: `7` against a stored `7.0`
+/// and back, `null`, a string key, a label-less pattern (no index:
+/// scan), `id` indexed under two labels, a seek under a join in every
+/// direction, a cross product of two seeks, a var-length expansion.
+const KEYED_QUERIES: &[&str] = &[
+    "MATCH (p:Post {id: 7}) RETURN p, p.id",
+    "MATCH (p:Post {id: 7.0}) RETURN p, p.id",
+    "MATCH (p:Post {id: null}) RETURN p",
+    "MATCH (p:Post {id: '7'}) RETURN p",
+    "MATCH (n {id: 7}) RETURN n",
+    "MATCH (c:Comm {id: 7}) RETURN c, c.lang",
+    "MATCH (p:Post) WHERE p.id = 8 AND p.lang = 'en' RETURN p",
+    "MATCH (p:Post {lang: 'en'})-[:REPLY]->(c:Comm) RETURN p, c",
+    "MATCH (c:Comm {id: 7})<-[:REPLY]-(p) RETURN p, c",
+    "MATCH (a:Comm {id: 8})-[:REPLY]-(b) RETURN a, b",
+    "MATCH (a:Post {id: 7})-[:REPLY]->(b)-[:REPLY]->(c:Comm) RETURN count(*) AS reach",
+    "MATCH (a:Post {id: 7}), (b:Comm {id: 7}) RETURN a, b",
+    "MATCH (p:Post {id: 7})-[:REPLY*1..2]->(c) RETURN c",
+    "MATCH (p:Post {id: 7}) WHERE NOT exists((p)-[:REPLY]->(:Comm)) RETURN p",
+];
+
+/// The oracle's steps plus a key write, so `id` values move between
+/// `7`, `7.0`, `'7'`, `8` and absent while the indexes stand.
+#[derive(Clone, Debug)]
+enum KeyedStep {
+    Base(Step),
+    SetId { pick: usize, value: usize },
+}
+
+fn keyed_step_strategy() -> impl Strategy<Value = KeyedStep> {
+    prop_oneof![
+        step_strategy().prop_map(KeyedStep::Base),
+        (any::<usize>(), 0..5usize).prop_map(|(pick, value)| KeyedStep::SetId { pick, value }),
+    ]
+}
+
+fn keyed_step_transaction(g: &PropertyGraph, step: &KeyedStep) -> Transaction {
+    match step {
+        KeyedStep::Base(step) => step_transaction(g, step),
+        KeyedStep::SetId { pick, value } => {
+            let mut vertices: Vec<_> = g.vertex_ids().collect();
+            vertices.sort_unstable();
+            let mut tx = Transaction::new();
+            if !vertices.is_empty() {
+                let value = [
+                    Value::Int(7),
+                    Value::float(7.0),
+                    Value::str("7"),
+                    Value::Int(8),
+                    Value::Null,
+                ][*value]
+                    .clone();
+                tx.set_vertex_prop(vertices[pick % vertices.len()], s("id"), value);
+            }
+            tx
+        }
+    }
+}
+
+/// A consolidated bag as the sorted row list `GraphEngine::query` returns.
+fn expanded(bag: Vec<(Tuple, i64)>) -> Vec<Tuple> {
+    bag.into_iter()
+        .flat_map(|(t, m)| std::iter::repeat_n(t, m.max(0) as usize))
+        .collect()
+}
+
+/// A property index recomputed from the vertices, in `prop_index_dump` form.
+fn rebuilt_index(
+    g: &PropertyGraph,
+    label: Symbol,
+    key: Symbol,
+) -> Vec<(Value, Vec<pgq_common::ids::VertexId>)> {
+    let mut by_key: Vec<(Value, Vec<_>)> = Vec::new();
+    for (id, data) in g.vertices() {
+        if !data.has_label(label) {
+            continue;
+        }
+        let Some(k) = data.props.get(key).and_then(pgq_graph::index::prop_key) else {
+            continue;
+        };
+        match by_key.iter_mut().find(|(have, _)| *have == k) {
+            Some((_, ids)) => ids.push(id),
+            None => by_key.push((k, vec![id])),
+        }
+    }
+    for (_, ids) in &mut by_key {
+        ids.sort_unstable();
+    }
+    by_key.sort_by(|a, b| a.0.total_cmp(&b.0));
+    by_key
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 16,
+        ..ProptestConfig::default()
+    })]
+
+    #[test]
+    fn narrowed_one_shot_equals_unplanned_scan(
+        steps in proptest::collection::vec(keyed_step_strategy(), 1..25),
+        fault_pick in any::<usize>(),
+    ) {
+        use pgq_core::GraphEngine;
+        use pgq_durability::{Fault, MemDisk};
+        use std::sync::Arc;
+
+        // A durable engine whose disk fails one commit of the random
+        // script (one disk operation per commit at this cadence): that
+        // commit is refused and rolled back through the same mutators
+        // that maintain the indexes.
+        let opening_ops = {
+            let probe = MemDisk::new();
+            drop(GraphEngine::open_durable_with(Arc::new(probe.vfs())).unwrap());
+            probe.ops_attempted()
+        };
+        let disk = MemDisk::new();
+        const PRELUDE: u64 = 7;
+        let fault_at = opening_ops + PRELUDE + (fault_pick % steps.len()) as u64;
+        let vfs = disk.vfs_with_fault(fault_at, Fault::Eio);
+        let mut engine = GraphEngine::open_durable_with(Arc::new(vfs)).unwrap();
+        engine.set_snapshot_every(0);
+        // The twin: same committed transactions, never an index.
+        let mut plain = PropertyGraph::new();
+
+        let corpus: Vec<(&str, pgq_algebra::Fra)> = QUERIES
+            .iter()
+            .chain(KEYED_QUERIES)
+            .map(|q| (*q, compile_query(&parse_query(q).unwrap()).unwrap().fra))
+            .collect();
+
+        let prelude = [
+            Step::AddPost { lang: 0 },
+            Step::AddPost { lang: 1 },
+            Step::AddComment { parent: 0, lang: 0 },
+            Step::AddComment { parent: 1, lang: 1 },
+            Step::AddReply { from: 0, to: 3 },
+        ]
+        .map(KeyedStep::Base)
+        .into_iter()
+        .chain([
+            KeyedStep::SetId { pick: 0, value: 1 }, // a stored 7.0
+            KeyedStep::SetId { pick: 2, value: 0 }, // 7 under the other label
+        ]);
+        let mut faulted = 0;
+        let mut first = true;
+        for step in prelude.chain(steps.iter().cloned()) {
+            let tx = keyed_step_transaction(engine.graph(), &step);
+            match engine.apply(&tx) {
+                Ok(_) => {
+                    plain.apply(&tx).expect("the twin applies what the engine committed");
+                }
+                Err(e) => {
+                    faulted += 1;
+                    prop_assert!(
+                        matches!(e, pgq_core::EngineError::Durability(_)),
+                        "only the injected fault may refuse a step: {:?}", e
+                    );
+                }
+            }
+            if first {
+                // Build the indexes now, from a non-empty extent, so the
+                // rest of the script runs against standing indexes.
+                for (q, _) in &corpus {
+                    engine.execute(q).unwrap();
+                }
+                if pgq_ivm::planner_enabled() {
+                    let built = engine.property_indexes();
+                    for want in [("Post", "id"), ("Comm", "id"), ("Post", "lang")] {
+                        prop_assert!(
+                            built.iter().any(|(l, k, _)| (l.as_str(), k.as_str()) == want),
+                            "index {:?} not built: {:?}", want, built
+                        );
+                    }
+                }
+                first = false;
+            }
+            for (q, fra) in &corpus {
+                prop_assert_eq!(
+                    engine.query(q).unwrap().rows,
+                    expanded(eval_consolidated(fra, &plain)),
+                    "narrowed evaluation diverged after {:?} on {}", step, q
+                );
+            }
+        }
+        prop_assert_eq!(faulted, 1, "the injected fault must land inside the script");
+        for (label, key, _) in engine.graph().prop_indexes() {
+            prop_assert_eq!(
+                engine.graph().prop_index_dump(label, key),
+                rebuilt_index(engine.graph(), label, key),
+                "index {}.{} drifted from a rebuild", label, key
+            );
+        }
+    }
+}

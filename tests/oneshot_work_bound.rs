@@ -1,0 +1,132 @@
+//! Keyed one-shot statements do work bounded by what they touch, not by
+//! the graph (Berkholz/Keppeler/Schweikardt: on degree-bounded data the
+//! cost of an update is independent of the database size).
+//!
+//! `ExecutionResult::rows_scanned` counts the vertices and edges the
+//! statement's reading part materialised — a work count, not a timing.
+//! Growing |V| tenfold must leave it *identical* for every keyed update
+//! shape. The keyed two-hop read seeks its anchor too, but its joins
+//! still read the `KNOWS` extent (bound-first joins: ROADMAP item 3), so
+//! it is held to "one Person, not the label". With
+//! `PGQ_DISABLE_PLANNER` the syntactic order runs (filter on top of the
+//! joins), so only the results are asserted.
+
+use pgq::prelude::*;
+use pgq_common::intern::Symbol;
+use pgq_graph::props::Properties;
+use pgq_graph::store::PropertyGraph;
+
+const DEGREE: usize = 4;
+
+fn s(x: &str) -> Symbol {
+    Symbol::intern(x)
+}
+
+/// `n` persons keyed `id = 0..n`, person `i` knowing `i+1 .. i+4`
+/// (mod `n`): out- and in-degree exactly [`DEGREE`] everywhere.
+fn ring(n: usize) -> GraphEngine {
+    let mut g = PropertyGraph::new();
+    let ids: Vec<_> = (0..n)
+        .map(|i| {
+            let props = Properties::from_iter([
+                ("id", Value::Int(i as i64)),
+                ("score", Value::Int((i % 100) as i64)),
+            ]);
+            g.add_vertex([s("Person")], props).0
+        })
+        .collect();
+    for i in 0..n {
+        for d in 1..=DEGREE {
+            g.add_edge(ids[i], ids[(i + d) % n], s("KNOWS"), Properties::new())
+                .unwrap();
+        }
+    }
+    GraphEngine::from_graph(g)
+}
+
+const TWO_HOP: &str =
+    "MATCH (a:Person {id: 17})-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person) RETURN count(*) AS reach";
+
+/// Run the four keyed shapes on a ring of `n`, checking their effects;
+/// returns each statement's `rows_scanned` (SET, CREATE-under, two-hop
+/// read, DETACH DELETE).
+fn scanned(n: usize) -> [u64; 4] {
+    let mut e = ring(n);
+    let set = e
+        .execute("MATCH (p:Person {id: 5}) SET p.score = 1000")
+        .unwrap();
+    assert_eq!(set.stats.properties_set, 1);
+    let hit = e
+        .query("MATCH (p:Person) WHERE p.score = 1000 RETURN p.id")
+        .unwrap();
+    assert_eq!(hit.rows.len(), 1);
+    assert_eq!(hit.rows[0].get(0), &Value::Int(5));
+
+    let under = e
+        .execute("MATCH (p:Person {id: 9}) CREATE (p)-[:CREATED]->(:Post {id: 1, lang: 'en'})")
+        .unwrap();
+    assert_eq!(
+        (under.stats.nodes_created, under.stats.relationships_created),
+        (1, 1)
+    );
+
+    let read = e.execute(TWO_HOP).unwrap();
+    assert_eq!(
+        read.rows[0].get(0),
+        &Value::Int((DEGREE * DEGREE) as i64),
+        "every two-hop walk from 17 uses two distinct edges"
+    );
+
+    let delete = e
+        .execute("MATCH (p:Person {id: 23}) DETACH DELETE p")
+        .unwrap();
+    assert_eq!(delete.stats.nodes_deleted, 1);
+    assert_eq!(e.graph().vertex_count(), n); // −1 person, +1 post
+    assert_eq!(e.graph().edge_count(), n * DEGREE - 2 * DEGREE + 1);
+
+    [
+        set.rows_scanned,
+        under.rows_scanned,
+        read.rows_scanned,
+        delete.rows_scanned,
+    ]
+}
+
+#[test]
+fn keyed_updates_scan_the_same_rows_at_1k_and_10k_vertices() {
+    let small = scanned(1_000);
+    let large = scanned(10_000);
+    if !pgq_ivm::planner_enabled() {
+        return; // correctness only: the syntactic order scans
+    }
+    for (n, [set, under, read, delete]) in [(1_000u64, small), (10_000, large)] {
+        assert_eq!((set, under, delete), (1, 1, 1), "one sought vertex each");
+        // The anchor is sought; each hop reads the KNOWS extent once.
+        let knows = n * DEGREE as u64;
+        assert!(
+            read <= 1 + 2 * knows,
+            "|V| = {n}: the two-hop read scanned {read} rows, more than its anchor and two KNOWS extents"
+        );
+    }
+}
+
+/// `query(&self)` cannot build an index; it seeks one `execute` built and
+/// scans the label otherwise — same answer either way.
+#[test]
+fn query_probes_existing_indexes_and_scans_without_them() {
+    let mut e = ring(1_000);
+    let cold = e.query(TWO_HOP).unwrap();
+    assert!(e.property_indexes().is_empty(), "query() builds nothing");
+    let built = e.execute(TWO_HOP).unwrap();
+    let warm = e.query(TWO_HOP).unwrap();
+    assert_eq!(cold.rows, built.rows);
+    assert_eq!(cold.rows, warm.rows);
+    if pgq_ivm::planner_enabled() {
+        assert!(cold.rows_scanned >= 1_000, "no index: the label is scanned");
+        assert_eq!(warm.rows_scanned, built.rows_scanned);
+        assert_eq!(
+            e.property_indexes(),
+            vec![("Person".into(), "id".into(), 1_000)]
+        );
+    }
+}
