@@ -3,7 +3,7 @@
 //! network's hash-consing (see [`crate::fingerprint`] and
 //! `pgq_ivm::network`) collapses them to one operator chain.
 //!
-//! [`canonicalize`] rewrites a plan in four ways, none of which changes
+//! [`canonicalize`] rewrites a plan in five ways, none of which changes
 //! the bag of result *tuples* (only their column order, which the
 //! returned [`CanonPlan::mapping`] records):
 //!
@@ -29,7 +29,19 @@
 //!    prefix with a private σ suffix each); adjacent projections fuse;
 //!    full-arity permutation projections vanish into the column
 //!    mapping; `δ∘δ` collapses.
-//! 4. **Column mapping.** Each rewrite that permutes columns composes
+//! 4. **Label-only © into ⇑.** `©(v:L) ⋈[v] P`, where the © pushes no
+//!    property and carries no map, only filters `P` on the labels of
+//!    `v`. When `v` is bound in `P` by an ⇑ endpoint (traced through ⋈,
+//!    σ and bare-column π) the join is dropped and `L` joins that
+//!    endpoint's `src_labels`/`dst_labels` — usually a no-op, since the
+//!    compiler already writes a pattern's labels on its edge scans; the
+//!    closing edge of a cycle, `(c)-[:E]->(a)`, is the case that gains
+//!    one. Edge patterns over one label and type then share one ⇑
+//!    instead of one ⇑ per place the planner happened to put the ©.
+//!    Not applied when the © contributes a column (a pushed property, a
+//!    carried map), when the join equates more than `v`, or when `v` is
+//!    bound by another ©, ⋈* or an expression.
+//! 5. **Column mapping.** Each rewrite that permutes columns composes
 //!    into `mapping`, a bijection from the original plan's output
 //!    columns to the canonical plan's, and
 //!    [`CanonPlan::with_restored_order`] materialises it as a tail
@@ -456,6 +468,9 @@ fn canon(fra: &Fra) -> (Fra, Vec<usize>) {
             left_keys,
             right_keys,
         } => {
+            if let Some(absorbed) = absorb_label_scan(left, right, left_keys, right_keys) {
+                return absorbed;
+            }
             let (cl, ml) = canon(left);
             let (cr, mr) = canon(right);
             let lk: Vec<usize> = left_keys.iter().map(|&k| ml[k]).collect();
@@ -728,6 +743,102 @@ fn canon(fra: &Fra) -> (Fra, Vec<usize>) {
                 (0..names.len()).collect(),
             )
         }
+    }
+}
+
+/// `©(v:L) ⋈[v] P` where the © pushes no property and carries no map is
+/// the identity filter "`v` carries `L`" on `P`: every vertex appears in
+/// the © once, with multiplicity one, and contributes no column. When
+/// `v` is bound in `P` by an ⇑ endpoint the filter is that endpoint's
+/// label requirement, so the join is dropped and `L` is unioned into the
+/// scan. Returns the canonical form of `P` so amended, with the mapping
+/// of the *join's* output columns; `None` when the rule does not apply
+/// (see [`require_labels`]).
+fn absorb_label_scan(
+    left: &Fra,
+    right: &Fra,
+    left_keys: &[usize],
+    right_keys: &[usize],
+) -> Option<(Fra, Vec<usize>)> {
+    fn label_only(f: &Fra) -> Option<&[Symbol]> {
+        match f {
+            Fra::ScanVertices {
+                labels,
+                props,
+                carry_map: false,
+                ..
+            } if props.is_empty() => Some(labels),
+            _ => None,
+        }
+    }
+    let (&[lk], &[rk]) = (left_keys, right_keys) else {
+        return None;
+    };
+    if let Some(labels) = label_only(right) {
+        // Output: the left columns (the ©'s only column is the key).
+        let mut p = left.clone();
+        return require_labels(&mut p, lk, labels).then(|| canon(&p));
+    }
+    let labels = label_only(left)?;
+    let mut p = right.clone();
+    if !require_labels(&mut p, rk, labels) {
+        return None;
+    }
+    // Output: `v`, then the right columns minus the key.
+    let (plan, m) = canon(&p);
+    let mut mapping = vec![m[rk]];
+    mapping.extend((0..m.len()).filter(|&c| c != rk).map(|c| m[c]));
+    Some((plan, mapping))
+}
+
+/// Add `labels` to the ⇑ endpoint that binds output column `col` of
+/// `plan`, tracing the column down through ⋈ (either operand), σ and
+/// bare-column π. `false` — and `plan` untouched — when the column is
+/// bound by anything else (a ©, ⋈*, an expression, an aggregate), where
+/// the filter has no scan to move into.
+fn require_labels(plan: &mut Fra, col: usize, labels: &[Symbol]) -> bool {
+    match plan {
+        Fra::ScanEdges {
+            src_labels,
+            dst_labels,
+            ..
+        } => {
+            let side = match col {
+                0 => src_labels,
+                2 => dst_labels,
+                _ => return false,
+            };
+            for l in labels {
+                if !side.contains(l) {
+                    side.push(*l);
+                }
+            }
+            true
+        }
+        Fra::HashJoin {
+            left,
+            right,
+            right_keys,
+            ..
+        } => {
+            let la = left.schema().len();
+            if col < la {
+                return require_labels(left, col, labels);
+            }
+            let kept = (0..right.schema().len())
+                .filter(|c| !right_keys.contains(c))
+                .nth(col - la);
+            kept.is_some_and(|c| require_labels(right, c, labels))
+        }
+        Fra::Filter { input, .. } => require_labels(input, col, labels),
+        Fra::Project { input, items } => match items.get(col) {
+            Some((ScalarExpr::Col(c), _)) => {
+                let c = *c;
+                require_labels(input, c, labels)
+            }
+            _ => false,
+        },
+        _ => false,
     }
 }
 

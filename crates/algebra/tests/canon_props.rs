@@ -6,8 +6,12 @@
 use std::collections::HashMap;
 
 use pgq_algebra::canon::{alpha_rename, canonicalize};
-use pgq_algebra::fra::Fra;
+use pgq_algebra::expr::ScalarExpr;
+use pgq_algebra::fra::{Fra, PropPush, VarLenSpec};
 use pgq_algebra::pipeline::compile_query;
+use pgq_common::dir::Direction;
+use pgq_common::intern::Symbol;
+use pgq_parser::ast::BinOp;
 use pgq_parser::parse_query;
 use proptest::prelude::*;
 
@@ -28,6 +32,10 @@ const QUERIES: &[&str] = &[
     "MATCH (p:Post) WHERE NOT exists((p)-[:REPLY]->(:Comm)) RETURN p",
     "MATCH (p:Post) WHERE exists((p)-[:REPLY]->(:Comm {lang: 'en'})) RETURN p",
     "MATCH (a:Person)-[:KNOWS]->(b:Person) WHERE a.age > 30 AND b.age > 40 RETURN a, b",
+    // Label-only vertex scans that fold into edge-scan endpoints,
+    // including a closing edge whose target gains its label that way.
+    "MATCH (a:N)-[:E]->(b:N)-[:E]->(c:N)-[:E]->(a) RETURN a, b, c",
+    "MATCH (a:N)-[:E]->(b:N)-[:E]->(c:N) RETURN count(*) AS wedges",
 ];
 
 fn compiled(ix: usize) -> Fra {
@@ -160,5 +168,264 @@ fn semantically_different_queries_stay_apart() {
             canonicalize(&fb).plan,
             "{a}  vs  {b}"
         );
+    }
+}
+
+// ---- label-only © folds into the ⇑ endpoint that binds its variable ----
+
+fn sym(x: &str) -> Symbol {
+    Symbol::intern(x)
+}
+
+/// `⇑[(s:src_labels)-[e:E]-(d:dst_labels)]` in direction `dir`, columns
+/// named after `tag`.
+fn edges(tag: &str, src_labels: &[&str], dst_labels: &[&str], dir: Direction) -> Fra {
+    Fra::ScanEdges {
+        src: format!("s{tag}"),
+        edge: format!("e{tag}"),
+        dst: format!("d{tag}"),
+        types: vec![sym("E")],
+        src_labels: src_labels.iter().map(|l| sym(l)).collect(),
+        dst_labels: dst_labels.iter().map(|l| sym(l)).collect(),
+        src_props: vec![],
+        edge_props: vec![],
+        dst_props: vec![],
+        dir,
+        carry_maps: (false, false, false),
+    }
+}
+
+fn label_scan(labels: &[&str]) -> Fra {
+    Fra::ScanVertices {
+        var: "v".into(),
+        labels: labels.iter().map(|l| sym(l)).collect(),
+        props: vec![],
+        carry_map: false,
+    }
+}
+
+fn join(left: Fra, right: Fra, left_keys: &[usize], right_keys: &[usize]) -> Fra {
+    Fra::HashJoin {
+        left: Box::new(left),
+        right: Box::new(right),
+        left_keys: left_keys.to_vec(),
+        right_keys: right_keys.to_vec(),
+    }
+}
+
+fn count_ops(plan: &Fra, pred: &dyn Fn(&Fra) -> bool) -> usize {
+    let below: usize = match plan {
+        Fra::Unit | Fra::ScanVertices { .. } | Fra::ScanEdges { .. } => 0,
+        Fra::HashJoin { left, right, .. } | Fra::SemiJoin { left, right, .. } => {
+            count_ops(left, pred) + count_ops(right, pred)
+        }
+        Fra::VarLengthJoin { left, .. } => count_ops(left, pred),
+        Fra::Filter { input, .. }
+        | Fra::Project { input, .. }
+        | Fra::Distinct { input }
+        | Fra::Aggregate { input, .. }
+        | Fra::Unwind { input, .. } => count_ops(input, pred),
+        Fra::MultiwayJoin { inputs, .. } => inputs.iter().map(|i| count_ops(i, pred)).sum(),
+    };
+    below + usize::from(pred(plan))
+}
+
+fn vertex_scans(plan: &Fra) -> usize {
+    count_ops(plan, &|f| matches!(f, Fra::ScanVertices { .. }))
+}
+
+fn hash_joins(plan: &Fra) -> usize {
+    count_ops(plan, &|f| matches!(f, Fra::HashJoin { .. }))
+}
+
+/// `canon(©(v:L) ⋈[v] P) == canon(P with L on v's endpoint)`, with the ©
+/// on the right (output = P's columns) — for a source, a target, both
+/// endpoints of an undirected scan, and labels the scan already has.
+#[test]
+fn label_scan_joined_on_an_endpoint_becomes_the_endpoint_label() {
+    for dir in [Direction::Out, Direction::In, Direction::Both] {
+        let src = join(edges("", &[], &["M"], dir), label_scan(&["L"]), &[0], &[0]);
+        assert_eq!(
+            canonicalize(&src),
+            canonicalize(&edges("", &["L"], &["M"], dir)),
+            "source, {dir:?}"
+        );
+        let dst = join(
+            edges("", &[], &["M"], dir),
+            label_scan(&["L", "M"]),
+            &[2],
+            &[0],
+        );
+        assert_eq!(
+            canonicalize(&dst),
+            canonicalize(&edges("", &[], &["M", "L"], dir)),
+            "target (one label already there), {dir:?}"
+        );
+    }
+}
+
+/// With the © on the left the join's output is `v` followed by P's other
+/// columns: the plan is P's, and the mapping says where they went.
+#[test]
+fn label_scan_on_the_left_permutes_the_mapping_only() {
+    let folded = canonicalize(&join(
+        label_scan(&["L"]),
+        edges("", &[], &[], Direction::Out),
+        &[0],
+        &[2],
+    ));
+    let direct = canonicalize(&edges("", &[], &["L"], Direction::Out));
+    assert_eq!(folded.plan, direct.plan);
+    // Join output (v = dst, src, edge) → scan columns (src, edge, dst).
+    assert_eq!(folded.mapping, vec![2, 0, 1]);
+}
+
+/// The key column is traced through σ, bare-column π and either operand
+/// of a left-deep join chain to the ⇑ that binds it.
+#[test]
+fn the_endpoint_is_found_through_filters_projections_and_join_chains() {
+    let ne = |a: usize, b: usize| {
+        ScalarExpr::Binary(
+            BinOp::Neq,
+            Box::new(ScalarExpr::Col(a)),
+            Box::new(ScalarExpr::Col(b)),
+        )
+    };
+    // (⇑0 ⋈[d0 = s1] ⇑1) σ[e0 <> e1] ⋈[d1 = s2] ⇑2, columns
+    // (s0, e0, d0, e1, d1, e2, d2); π keeps (d2, s0, d1).
+    let chain = |mid_dst: &[&str], last_dst: &[&str]| {
+        let wedge = Fra::Filter {
+            input: Box::new(join(
+                edges("0", &[], &[], Direction::Out),
+                edges("1", &[], mid_dst, Direction::Out),
+                &[2],
+                &[0],
+            )),
+            predicate: ne(1, 3),
+        };
+        Fra::Project {
+            input: Box::new(join(
+                wedge,
+                edges("2", &[], last_dst, Direction::Out),
+                &[4],
+                &[0],
+            )),
+            items: vec![
+                (ScalarExpr::Col(6), "z".into()),
+                (ScalarExpr::Col(0), "a".into()),
+                (ScalarExpr::Col(4), "m".into()),
+            ],
+        }
+    };
+    // `z` is ⇑2's target: a right operand's non-key column, under π.
+    let on_z = join(chain(&[], &[]), label_scan(&["L"]), &[0], &[0]);
+    assert_eq!(canonicalize(&on_z), canonicalize(&chain(&[], &["L"])));
+    // `m` is ⇑1's target: through π, the outer join's left operand, σ,
+    // and the inner join's right operand.
+    let on_m = join(chain(&[], &[]), label_scan(&["L"]), &[2], &[0]);
+    assert_eq!(canonicalize(&on_m), canonicalize(&chain(&["L"], &[])));
+    assert_eq!(vertex_scans(&canonicalize(&on_m).plan), 0);
+}
+
+/// Where the © contributes a column, equates more than `v`, or `v` is not
+/// bound by an ⇑ endpoint, the join stays.
+#[test]
+fn label_scan_stays_when_it_is_more_than_a_label_filter() {
+    let out = || edges("", &[], &[], Direction::Out);
+    let pushing = Fra::ScanVertices {
+        var: "v".into(),
+        labels: vec![sym("L")],
+        props: vec![PropPush {
+            prop: sym("x"),
+            col: "v.x".into(),
+        }],
+        carry_map: false,
+    };
+    let carrying = Fra::ScanVertices {
+        var: "v".into(),
+        labels: vec![sym("L")],
+        props: vec![],
+        carry_map: true,
+    };
+    let path = Fra::VarLengthJoin {
+        left: Box::new(label_scan(&["A"])),
+        src_col: 0,
+        spec: VarLenSpec {
+            types: vec![sym("E")],
+            dir: Direction::Out,
+            dst_labels: vec![],
+            dst_props: vec![],
+            dst_carry_map: false,
+            edge_prop_filters: vec![],
+            min: 1,
+            max: None,
+        },
+        dst: "t".into(),
+        path: "p".into(),
+    };
+    let computed = Fra::Project {
+        input: Box::new(out()),
+        items: vec![(
+            ScalarExpr::Binary(
+                BinOp::Add,
+                Box::new(ScalarExpr::Col(0)),
+                Box::new(ScalarExpr::lit(0)),
+            ),
+            "x".into(),
+        )],
+    };
+    let cases: Vec<(&str, Fra)> = vec![
+        ("pushes a property", join(out(), pushing, &[0], &[0])),
+        ("carries a map", join(out(), carrying, &[0], &[0])),
+        (
+            "joins on more than v",
+            join(out(), label_scan(&["L"]), &[0, 2], &[0, 0]),
+        ),
+        (
+            "joins on nothing",
+            join(out(), label_scan(&["L"]), &[], &[]),
+        ),
+        (
+            "v is the edge column",
+            join(out(), label_scan(&["L"]), &[1], &[0]),
+        ),
+        (
+            "v is bound by another ©",
+            join(label_scan(&["A"]), label_scan(&["L"]), &[0], &[0]),
+        ),
+        (
+            "v is a ⋈* destination",
+            join(path, label_scan(&["L"]), &[1], &[0]),
+        ),
+        (
+            "v is computed",
+            join(computed, label_scan(&["L"]), &[0], &[0]),
+        ),
+    ];
+    for (what, plan) in cases {
+        let canon = canonicalize(&plan);
+        assert_eq!(
+            hash_joins(&canon.plan),
+            hash_joins(&plan),
+            "{what}: the join must stay"
+        );
+        assert_eq!(vertex_scans(&canon.plan), vertex_scans(&plan), "{what}");
+    }
+}
+
+/// What the rule is for: a pattern over one label and one edge type
+/// compiles to a plan whose canonical form has no © left, whatever
+/// position the planner would have given it.
+#[test]
+fn single_label_patterns_canonicalise_without_vertex_scans() {
+    for q in [
+        "MATCH (a:N)-[:E]->(b:N)-[:E]->(c:N)-[:E]->(a) RETURN a, b, c",
+        "MATCH (a:N)-[:E]->(b:N)-[:E]->(c:N)-[:E]->(d:N)-[:E]->(a) RETURN a, b, c, d",
+        "MATCH (a:N)-[:E]->(b:N)-[:E]->(c:N) RETURN count(*) AS wedges",
+        "MATCH (a:Comm)<-[:REPLY]-(b) RETURN a, b",
+    ] {
+        let fra = compile_query(&parse_query(q).unwrap()).unwrap().fra;
+        assert!(vertex_scans(&fra) > 0, "{q}: compiled with a ©");
+        assert_eq!(vertex_scans(&canonicalize(&fra).plan), 0, "{q}");
     }
 }

@@ -63,6 +63,24 @@ impl Ord for OrdValue {
     }
 }
 
+impl GroupState {
+    fn fresh(aggs: &[AggCall]) -> GroupState {
+        GroupState {
+            rows: 0,
+            states: aggs.iter().map(fresh_state).collect(),
+        }
+    }
+
+    /// Add input row `t` with signed multiplicity `m`.
+    fn absorb(&mut self, aggs: &[AggCall], t: &Tuple, m: i64) {
+        self.rows += m;
+        for (call, state) in aggs.iter().zip(self.states.iter_mut()) {
+            let value = call.arg.as_ref().map(|e| e.eval(t).unwrap_or(Value::Null));
+            update_state(state, call, value.as_ref(), m);
+        }
+    }
+}
+
 fn fresh_state(call: &AggCall) -> AggState {
     if call.distinct {
         return AggState::Multiset(BTreeMap::new());
@@ -238,83 +256,81 @@ impl AggregateOp {
     }
 
     /// Process a borrowed delta of input rows, appending group-row
-    /// retractions/assertions to `out`.
+    /// retractions/assertions to `out`. Every accumulator is additive
+    /// in the multiplicity, so `input` need not be consolidated.
     pub fn apply(&mut self, input: &Delta, out: &mut Delta) {
-        let mut dirty: FxHashSet<Tuple> = FxHashSet::default();
-        if self.global && !self.started {
-            dirty.insert(Tuple::unit());
+        let first = !std::mem::replace(&mut self.started, true);
+        if self.global {
+            // One group, keyed by the unit tuple: no key is built per
+            // row and one flag replaces the dirty set.
+            if input.is_empty() && !first {
+                return;
+            }
+            let aggs = &self.aggs;
+            let state = self
+                .groups
+                .entry(Tuple::unit())
+                .or_insert_with(|| GroupState::fresh(aggs));
+            for (t, m) in input.iter() {
+                state.absorb(aggs, t, *m);
+            }
+            self.flush_group(Tuple::unit(), out);
+            return;
         }
-        self.started = true;
 
+        let mut dirty: FxHashSet<Tuple> = FxHashSet::default();
         for (t, m) in input.iter() {
-            let (t, m) = (t, *m);
             let key: Tuple = self
                 .group
                 .iter()
                 .map(|e| e.eval(t).unwrap_or(Value::Null))
                 .collect();
             let aggs = &self.aggs;
-            let entry = self
-                .groups
+            self.groups
                 .entry(key.clone())
-                .or_insert_with(|| GroupState {
-                    rows: 0,
-                    states: aggs.iter().map(fresh_state).collect(),
-                });
-            entry.rows += m;
-            for (call, state) in self.aggs.iter().zip(entry.states.iter_mut()) {
-                let value = call.arg.as_ref().map(|e| e.eval(t).unwrap_or(Value::Null));
-                update_state(state, call, value.as_ref(), m);
-            }
+                .or_insert_with(|| GroupState::fresh(aggs))
+                .absorb(aggs, t, *m);
             dirty.insert(key);
         }
-
         // Each dirty group retracts at most one row and asserts at most
         // one.
         out.reserve(2 * dirty.len());
         for key in dirty {
-            let new_output = match self.groups.get(&key) {
-                Some(gs) if gs.rows > 0 || self.global => {
-                    let mut vals: Vec<Value> = key.values().to_vec();
-                    for (call, state) in self.aggs.iter().zip(gs.states.iter()) {
-                        vals.push(read_state(state, call));
-                    }
-                    Some(Tuple::new(vals))
+            self.flush_group(key, out);
+        }
+    }
+
+    /// Emit the change of group `key`'s output row since it was last
+    /// emitted, dropping the state of a keyed group that ran empty.
+    fn flush_group(&mut self, key: Tuple, out: &mut Delta) {
+        let new_output = match self.groups.get(&key) {
+            Some(gs) if gs.rows > 0 || self.global => {
+                let mut vals: Vec<Value> = key.values().to_vec();
+                for (call, state) in self.aggs.iter().zip(gs.states.iter()) {
+                    vals.push(read_state(state, call));
                 }
-                Some(_) => {
-                    self.groups.remove(&key);
-                    None
-                }
-                None if self.global => {
-                    // Fresh global group over empty input.
-                    let gs = GroupState {
-                        rows: 0,
-                        states: self.aggs.iter().map(fresh_state).collect(),
-                    };
-                    let mut vals: Vec<Value> = key.values().to_vec();
-                    for (call, state) in self.aggs.iter().zip(gs.states.iter()) {
-                        vals.push(read_state(state, call));
-                    }
-                    self.groups.insert(key.clone(), gs);
-                    Some(Tuple::new(vals))
-                }
-                None => None,
-            };
-            let old_output = self.last_output.get(&key).cloned();
-            if old_output.as_ref() == new_output.as_ref() {
-                continue;
+                Some(Tuple::new(vals))
             }
-            if let Some(o) = old_output {
-                out.push(o, -1);
+            Some(_) => {
+                self.groups.remove(&key);
+                None
             }
-            match new_output {
-                Some(n) => {
-                    out.push(n.clone(), 1);
-                    self.last_output.insert(key, n);
-                }
-                None => {
-                    self.last_output.remove(&key);
-                }
+            None => None,
+        };
+        let old_output = self.last_output.get(&key);
+        if old_output == new_output.as_ref() {
+            return;
+        }
+        if let Some(o) = old_output {
+            out.push(o.clone(), -1);
+        }
+        match new_output {
+            Some(n) => {
+                out.push(n.clone(), 1);
+                self.last_output.insert(key, n);
+            }
+            None => {
+                self.last_output.remove(&key);
             }
         }
     }

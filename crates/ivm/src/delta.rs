@@ -267,8 +267,9 @@ impl<'a> Iterator for BucketIter<'a> {
     }
 }
 
-/// A multiplicity-counted tuple store indexed by key-column projection,
-/// used as join memory.
+/// A multiplicity-counted tuple store indexed by key-column projection —
+/// the index behind an arrangement (see [`crate::network`]): a node's
+/// full output bag, keyed for the joins that read it.
 ///
 /// Tuples are bucketed by the Fx hash of their projection onto
 /// `key_cols` (see [`pgq_common::tuple::hash_values`]); within a hash

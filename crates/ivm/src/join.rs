@@ -1,13 +1,29 @@
-//! Incremental hash join with indexed memories on both sides.
+//! Incremental hash join: a kernel over two borrowed *arrangements*.
 //!
-//! Standard bilinear delta rule over bags:
-//! `Δ(L ⋈ R) = ΔL ⋈ R  ∪  (L + ΔL) ⋈ ΔR`.
+//! The join keeps no copy of its inputs. Each input's full bag is indexed
+//! once by the [network](crate::network), as an arrangement owned by the
+//! producing node and shared by every consumer that joins on the same
+//! key-column set; the kernel only probes them. Arrangements hold the
+//! state as of the *start* of the pass — the network applies each
+//! producer's delta after the pass — so the delta rule has three terms:
 //!
-//! The hot path is allocation-free per match: memories are probed via
+//! `Δ(L ⋈ R) = ΔL ⋈ R_old  +  L_old ⋈ ΔR  +  ΔL ⋈ ΔR`.
+//!
+//! The third term is what a self-join (`W ⋈ W` fed the same delta on both
+//! sides) needs to see a new tuple meet itself; the classic two-memory
+//! rule gets it by updating the left memory between the two probes, which
+//! a read-only shared index cannot do. It is computed by nested loop when
+//! `|ΔL|·|ΔR|` is small (the per-transaction case) and through a reused
+//! sorted run of key hashes over the smaller delta otherwise.
+//!
+//! An arrangement is keyed by the *sorted* key columns, so `(c, a)` and
+//! `(a, c)` are one index; the kernel permutes its probe columns to
+//! match.
+//!
+//! The hot path is allocation-free per match: arrangements are probed via
 //! [`IndexedBag::probe`] (no key tuple is built), matches are consumed by
-//! borrow (no clone into a temporary `Vec`), and output values are
-//! assembled in a reused scratch buffer so each emitted tuple costs
-//! exactly its own `Arc` allocation.
+//! borrow, and output values are assembled in a reused scratch buffer so
+//! each emitted tuple costs exactly its own `Arc` allocation.
 
 use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
@@ -15,20 +31,42 @@ use pgq_common::value::Value;
 use crate::delta::{Delta, IndexedBag};
 use crate::stats::counters;
 
-/// A counting hash-join node. Output schema: left ++ (right minus its key
-/// columns) — matching [`pgq_algebra::fra::Fra::HashJoin`].
+/// `ΔL ⋈ ΔR` runs as a nested loop up to this many candidate pairs.
+const NESTED_DELTA_PAIRS: usize = 64;
+
+/// Sort the key pairs `(keys[i], partner[i])` by `keys` (ties by
+/// `partner`): the arrangement of the `keys` side is indexed by the
+/// first list, and a tuple of the other side probes it with the second.
+pub(crate) fn sorted_key_pairs(keys: &[usize], partner: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    let mut pairs: Vec<(usize, usize)> =
+        keys.iter().copied().zip(partner.iter().copied()).collect();
+    pairs.sort_unstable();
+    pairs.into_iter().unzip()
+}
+
+/// A counting hash-join kernel. Output schema: left ++ (right minus its
+/// key columns) — matching [`pgq_algebra::fra::Fra::HashJoin`].
 #[derive(Clone, Debug)]
 pub struct JoinOp {
-    left_mem: IndexedBag,
-    right_mem: IndexedBag,
+    /// Key columns of the left arrangement (sorted), and the columns of
+    /// a right tuple that probe it, pairwise.
+    left_arr_keys: Vec<usize>,
+    right_probe: Vec<usize>,
+    /// Key columns of the right arrangement (sorted), and the columns of
+    /// a left tuple that probe it, pairwise.
+    right_arr_keys: Vec<usize>,
+    left_probe: Vec<usize>,
     right_keep: Vec<usize>,
     /// Optional output permutation over the virtual row
-    /// `left ++ right[right_keep]`, folded into emission so consumers
-    /// that reorder columns (the ⋈* destination join) don't pay a second
-    /// tuple materialisation per row.
+    /// `left ++ right[right_keep]`, folded into emission so a consumer
+    /// that reorders columns doesn't pay a second tuple materialisation
+    /// per row.
     out_perm: Option<Vec<usize>>,
     /// Reused output-row assembly buffer.
     scratch: Vec<Value>,
+    /// Reused `(key hash, entry index)` run over the smaller delta of a
+    /// large `ΔL ⋈ ΔR`.
+    delta_index: Vec<(u64, u32)>,
 }
 
 /// Emit the (optionally permuted) output row `left ++ right[right_keep]`
@@ -73,12 +111,17 @@ impl JoinOp {
         let right_keep = (0..right_arity)
             .filter(|i| !right_keys.contains(i))
             .collect();
+        let (left_arr_keys, right_probe) = sorted_key_pairs(&left_keys, &right_keys);
+        let (right_arr_keys, left_probe) = sorted_key_pairs(&right_keys, &left_keys);
         JoinOp {
-            left_mem: IndexedBag::new(left_keys),
-            right_mem: IndexedBag::new(right_keys),
+            left_arr_keys,
+            right_probe,
+            right_arr_keys,
+            left_probe,
             right_keep,
             out_perm: None,
             scratch: Vec::new(),
+            delta_index: Vec::new(),
         }
     }
 
@@ -89,90 +132,126 @@ impl JoinOp {
         self
     }
 
-    /// Tuples materialised in the two memories.
-    pub fn memory_tuples(&self) -> usize {
-        self.left_mem.distinct_len() + self.right_mem.distinct_len()
+    /// Key columns the left input must be arranged by.
+    pub fn left_arrangement_keys(&self) -> &[usize] {
+        &self.left_arr_keys
     }
 
-    /// The left input's full current bag, as maintained for probing.
-    pub fn left_memory(&self) -> &IndexedBag {
-        &self.left_mem
+    /// Key columns the right input must be arranged by.
+    pub fn right_arrangement_keys(&self) -> &[usize] {
+        &self.right_arr_keys
     }
 
-    /// The right input's full current bag.
-    pub fn right_memory(&self) -> &IndexedBag {
-        &self.right_mem
-    }
-
-    /// Process one batch of deltas from both inputs.
-    pub fn on_deltas(&mut self, dl: Delta, dr: Delta) -> Delta {
-        let mut out = Delta::new();
-        self.apply(&dl, &dr, &mut out);
-        out
-    }
-
-    /// Process one batch of borrowed deltas, appending output rows to
-    /// `out`. Inputs are borrowed so a shared upstream node's delta can
-    /// feed several joins without cloning.
-    pub fn apply(&mut self, dl: &Delta, dr: &Delta, out: &mut Delta) {
+    /// Process one batch of borrowed deltas against the two inputs'
+    /// arrangements **as of before the batch**, appending output rows to
+    /// `out`. The caller applies `dl` / `dr` to the arrangements
+    /// afterwards.
+    pub fn apply(
+        &mut self,
+        dl: &Delta,
+        dr: &Delta,
+        left: &IndexedBag,
+        right: &IndexedBag,
+        out: &mut Delta,
+    ) {
+        debug_assert_eq!(left.key_cols(), self.left_arr_keys);
+        debug_assert_eq!(right.key_cols(), self.right_arr_keys);
         let JoinOp {
-            left_mem,
-            right_mem,
+            right_probe,
+            left_probe,
             right_keep,
             out_perm,
             scratch,
+            ..
         } = self;
-        // ΔL ⋈ R_old (right memory not yet updated).
+        // ΔL ⋈ R_old
         for (lt, lm) in dl.iter() {
-            for (rt, rm) in right_mem.probe(lt, left_mem.key_cols()) {
+            for (rt, rm) in right.probe(lt, left_probe) {
                 emit(scratch, lt, rt, right_keep, out_perm, lm * rm, out);
             }
         }
-        // Update left memory → L_new.
-        for (lt, lm) in dl.iter() {
-            left_mem.update(lt, *lm);
-        }
-        // L_new ⋈ ΔR
+        // L_old ⋈ ΔR
         for (rt, rm) in dr.iter() {
-            for (lt, lm) in left_mem.probe(rt, right_mem.key_cols()) {
+            for (lt, lm) in left.probe(rt, right_probe) {
                 emit(scratch, lt, rt, right_keep, out_perm, lm * rm, out);
             }
         }
-        for (rt, rm) in dr.iter() {
-            right_mem.update(rt, *rm);
+        if !dl.is_empty() && !dr.is_empty() {
+            self.join_deltas(dl.entries(), dr.entries(), out);
         }
     }
 
-    /// Rebuild both memories from full input bags **without probing**
-    /// — the warm-recovery path. Post-state is identical to
-    /// `apply(dl, dr, &mut discard)` (apply's emissions are pure
-    /// output; the memories only ever absorb the inputs), but the
-    /// O(|L ⋈ R|) match enumeration a cold initialisation performs and
-    /// throws away is skipped entirely.
-    pub fn restore(&mut self, dl: &Delta, dr: &Delta) {
-        for (lt, lm) in dl.iter() {
-            self.left_mem.update(lt, *lm);
-        }
-        for (rt, rm) in dr.iter() {
-            self.right_mem.update(rt, *rm);
-        }
-    }
-
-    /// Reconstruct the full current output bag from the two memories
-    /// (L ⋈ R as of now), appending to `out`. Used when a newly
-    /// registered view attaches to an already-populated shared node and
-    /// needs its complete state rather than a delta.
-    pub fn replay_into(&mut self, out: &mut Delta) {
+    /// `ΔL ⋈ ΔR`.
+    fn join_deltas(&mut self, dl: &[(Tuple, i64)], dr: &[(Tuple, i64)], out: &mut Delta) {
         let JoinOp {
-            left_mem,
-            right_mem,
+            right_arr_keys,
+            left_probe,
             right_keep,
             out_perm,
             scratch,
+            delta_index,
+            ..
         } = self;
-        for (lt, lm) in left_mem.iter() {
-            for (rt, rm) in right_mem.probe(lt, left_mem.key_cols()) {
-                emit(scratch, lt, rt, right_keep, out_perm, lm * rm, out);
+        if dl.len() * dr.len() <= NESTED_DELTA_PAIRS {
+            for (lt, lm) in dl {
+                for (rt, rm) in dr {
+                    let same_key = left_probe
+                        .iter()
+                        .zip(right_arr_keys.iter())
+                        .all(|(&a, &b)| lt.get(a) == rt.get(b));
+                    if same_key {
+                        emit(scratch, lt, rt, right_keep, out_perm, lm * rm, out);
+                    }
+                }
+            }
+            return;
+        }
+        let index_left = dl.len() <= dr.len();
+        let (small, small_cols, big, big_cols) = if index_left {
+            (dl, &*left_probe, dr, &*right_arr_keys)
+        } else {
+            (dr, &*right_arr_keys, dl, &*left_probe)
+        };
+        delta_index.clear();
+        delta_index.extend(
+            small
+                .iter()
+                .enumerate()
+                .map(|(i, (t, _))| (t.hash_projected(small_cols), i as u32)),
+        );
+        delta_index.sort_unstable();
+        for (bt, bm) in big {
+            let key = bt.key_ref(big_cols);
+            let start = delta_index.partition_point(|&(h, _)| h < key.hash());
+            for &(_, i) in delta_index[start..]
+                .iter()
+                .take_while(|&&(h, _)| h == key.hash())
+            {
+                let (st, sm) = &small[i as usize];
+                if key.matches_projection(st, small_cols) {
+                    let (lt, rt) = if index_left { (st, bt) } else { (bt, st) };
+                    emit(scratch, lt, rt, right_keep, out_perm, sm * bm, out);
+                }
+            }
+        }
+    }
+
+    /// Enumerate the full current output bag (L ⋈ R as of now) from the
+    /// two arrangements, appending to `out`. Used when a consumer
+    /// registered later needs this node's complete state rather than a
+    /// delta.
+    pub fn replay_into(&mut self, left: &IndexedBag, right: &IndexedBag, out: &mut Delta) {
+        for (lt, lm) in left.iter() {
+            for (rt, rm) in right.probe(lt, &self.left_probe) {
+                emit(
+                    &mut self.scratch,
+                    lt,
+                    rt,
+                    &self.right_keep,
+                    &self.out_perm,
+                    lm * rm,
+                    out,
+                );
             }
         }
     }
@@ -191,10 +270,85 @@ mod tests {
         entries.iter().map(|(v, m)| (t(v), *m)).collect()
     }
 
+    /// The kernel with the two arrangements a network would hold for it,
+    /// updated after each batch the way the network does.
+    struct Arranged {
+        op: JoinOp,
+        left: IndexedBag,
+        right: IndexedBag,
+    }
+
+    impl Arranged {
+        fn new(op: JoinOp) -> Arranged {
+            let left = IndexedBag::new(op.left_arrangement_keys().to_vec());
+            let right = IndexedBag::new(op.right_arrangement_keys().to_vec());
+            Arranged { op, left, right }
+        }
+
+        fn on_deltas(&mut self, dl: Delta, dr: Delta) -> Delta {
+            let mut out = Delta::new();
+            self.op.apply(&dl, &dr, &self.left, &self.right, &mut out);
+            for (t, m) in dl.iter() {
+                self.left.update(t, *m);
+            }
+            for (t, m) in dr.iter() {
+                self.right.update(t, *m);
+            }
+            out
+        }
+    }
+
+    /// The two-memory join this kernel replaced — `ΔL ⋈ R_old`, then the
+    /// left memory absorbs `ΔL`, then `L_new ⋈ ΔR` — kept as the model
+    /// the three-term rule is checked against.
+    struct TwoMemoryJoin {
+        left_mem: IndexedBag,
+        right_mem: IndexedBag,
+        right_keep: Vec<usize>,
+        out_perm: Option<Vec<usize>>,
+    }
+
+    impl TwoMemoryJoin {
+        fn new(left_keys: Vec<usize>, right_keys: Vec<usize>, right_arity: usize) -> Self {
+            TwoMemoryJoin {
+                right_keep: (0..right_arity)
+                    .filter(|i| !right_keys.contains(i))
+                    .collect(),
+                left_mem: IndexedBag::new(left_keys),
+                right_mem: IndexedBag::new(right_keys),
+                out_perm: None,
+            }
+        }
+
+        fn on_deltas(&mut self, dl: &Delta, dr: &Delta) -> Delta {
+            let mut out = Delta::new();
+            let mut scratch = Vec::new();
+            for (lt, lm) in dl.iter() {
+                for (rt, rm) in self.right_mem.probe(lt, self.left_mem.key_cols()) {
+                    let (keep, perm) = (&self.right_keep, &self.out_perm);
+                    emit(&mut scratch, lt, rt, keep, perm, lm * rm, &mut out);
+                }
+            }
+            for (lt, lm) in dl.iter() {
+                self.left_mem.update(lt, *lm);
+            }
+            for (rt, rm) in dr.iter() {
+                for (lt, lm) in self.left_mem.probe(rt, self.right_mem.key_cols()) {
+                    let (keep, perm) = (&self.right_keep, &self.out_perm);
+                    emit(&mut scratch, lt, rt, keep, perm, lm * rm, &mut out);
+                }
+            }
+            for (rt, rm) in dr.iter() {
+                self.right_mem.update(rt, *rm);
+            }
+            out
+        }
+    }
+
     #[test]
     fn basic_join() {
         // L(a, x) ⋈[a] R(a, y) → (a, x, y)
-        let mut j = JoinOp::new(vec![0], vec![0], 2);
+        let mut j = Arranged::new(JoinOp::new(vec![0], vec![0], 2));
         let out = j
             .on_deltas(d(&[(&[1, 10], 1)]), d(&[(&[1, 100], 1)]))
             .consolidate();
@@ -203,7 +357,7 @@ mod tests {
 
     #[test]
     fn delta_join_both_sides_same_batch_counts_once() {
-        let mut j = JoinOp::new(vec![0], vec![0], 2);
+        let mut j = Arranged::new(JoinOp::new(vec![0], vec![0], 2));
         // Pre-populate.
         j.on_deltas(d(&[(&[1, 10], 1)]), d(&[(&[1, 100], 1)]));
         // Add one tuple on each side in the same batch.
@@ -216,7 +370,7 @@ mod tests {
 
     #[test]
     fn retraction_propagates() {
-        let mut j = JoinOp::new(vec![0], vec![0], 2);
+        let mut j = Arranged::new(JoinOp::new(vec![0], vec![0], 2));
         j.on_deltas(d(&[(&[1, 10], 1)]), d(&[(&[1, 100], 1)]));
         let out = j
             .on_deltas(d(&[(&[1, 10], -1)]), Delta::new())
@@ -226,7 +380,7 @@ mod tests {
 
     #[test]
     fn multiplicities_multiply() {
-        let mut j = JoinOp::new(vec![0], vec![0], 2);
+        let mut j = Arranged::new(JoinOp::new(vec![0], vec![0], 2));
         let out = j
             .on_deltas(d(&[(&[1, 10], 2)]), d(&[(&[1, 100], 3)]))
             .consolidate();
@@ -235,7 +389,7 @@ mod tests {
 
     #[test]
     fn cross_product_when_no_keys() {
-        let mut j = JoinOp::new(vec![], vec![], 1);
+        let mut j = Arranged::new(JoinOp::new(vec![], vec![], 1));
         let out = j
             .on_deltas(d(&[(&[1], 1), (&[2], 1)]), d(&[(&[7], 1)]))
             .consolidate();
@@ -243,13 +397,119 @@ mod tests {
     }
 
     #[test]
-    fn multi_column_keys() {
-        let mut j = JoinOp::new(vec![0, 1], vec![1, 0], 3);
-        // L(a,b,...) joins R(y,b,a) on (a=R.2? no: left (0,1)=(a,b), right (1,0)=(R1,R0)).
-        let out = j
-            .on_deltas(d(&[(&[1, 2, 5], 1)]), d(&[(&[2, 1, 9], 1)]))
-            .consolidate();
-        // Right keep = col 2 → output (1,2,5,9).
-        assert_eq!(out.into_entries(), vec![(t(&[1, 2, 5, 9]), 1)]);
+    fn multi_column_keys_probe_in_arrangement_order() {
+        // L(a,b,x) ⋈ R(y,b,a) on a = R.2, b = R.1, given as the key lists
+        // (0,1) / (2,1) and, equivalently, (1,0) / (1,2): both arrange
+        // the right side by the sorted columns {1,2}.
+        for (lk, rk) in [(vec![0, 1], vec![2, 1]), (vec![1, 0], vec![1, 2])] {
+            let op = JoinOp::new(lk, rk, 3);
+            assert_eq!(op.left_arrangement_keys(), [0, 1]);
+            assert_eq!(op.right_arrangement_keys(), [1, 2]);
+            let mut j = Arranged::new(op);
+            let out = j
+                .on_deltas(
+                    d(&[(&[1, 2, 5], 1)]),
+                    d(&[(&[9, 2, 1], 1), (&[8, 1, 2], 1)]),
+                )
+                .consolidate();
+            // Right keep = col 0 → output (1,2,5,9); (8,1,2) has the
+            // key values transposed and must not match.
+            assert_eq!(out.into_entries(), vec![(t(&[1, 2, 5, 9]), 1)]);
+        }
+    }
+
+    /// Deterministic pseudo-random stream.
+    fn next(state: &mut u64) -> i64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        (*state >> 33) as i64
+    }
+
+    /// Self-join fed the same delta on both sides — the case the third
+    /// term exists for — against the two-memory model, at widths 1 and 4,
+    /// with and without an output permutation, over batches that include
+    /// multiplicity 2, a retract-and-assert of one tuple inside one
+    /// batch, an empty batch, and batches large enough to leave the
+    /// nested loop.
+    #[test]
+    fn three_term_rule_matches_two_memory_join_on_self_joins() {
+        for width in [1usize, 4] {
+            for permuted in [false, true] {
+                // W(k, …) ⋈ W on col 0 = col width-1 (width 1: col 0 both).
+                let (lk, rk) = (vec![0], vec![width - 1]);
+                let out_arity = width + width - 1;
+                let perm: Option<Vec<usize>> = permuted.then(|| (0..out_arity).rev().collect());
+                let mut op = JoinOp::new(lk.clone(), rk.clone(), width);
+                let mut model = TwoMemoryJoin::new(lk, rk, width);
+                if let Some(p) = &perm {
+                    op = op.with_output_perm(p.clone());
+                    model.out_perm = Some(p.clone());
+                }
+                let mut j = Arranged::new(op);
+                let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ width as u64;
+                let mut live: Vec<Tuple> = Vec::new();
+                for step in 0..60 {
+                    let mut delta = Delta::new();
+                    match step % 6 {
+                        // An empty side.
+                        0 => {}
+                        // Multiplicity 2.
+                        1 => {
+                            let tu: Tuple =
+                                (0..width).map(|_| Value::Int(next(&mut rng) % 3)).collect();
+                            live.push(tu.clone());
+                            live.push(tu.clone());
+                            delta.push(tu, 2);
+                        }
+                        // Retract and re-assert one live tuple in one
+                        // batch.
+                        2 if !live.is_empty() => {
+                            let tu = live[next(&mut rng) as usize % live.len()].clone();
+                            delta.push(tu.clone(), -1);
+                            delta.push(tu, 1);
+                        }
+                        // A large batch: beyond the nested-loop bound.
+                        3 => {
+                            for _ in 0..12 {
+                                let tu: Tuple =
+                                    (0..width).map(|_| Value::Int(next(&mut rng) % 4)).collect();
+                                live.push(tu.clone());
+                                delta.push(tu, 1);
+                            }
+                        }
+                        // Retractions.
+                        4 => {
+                            for _ in 0..live.len().min(3) {
+                                let ix = next(&mut rng) as usize % live.len();
+                                delta.push(live.swap_remove(ix), -1);
+                            }
+                        }
+                        _ => {
+                            let tu: Tuple =
+                                (0..width).map(|_| Value::Int(next(&mut rng) % 3)).collect();
+                            live.push(tu.clone());
+                            delta.push(tu, 1);
+                        }
+                    }
+                    let want = model.on_deltas(&delta, &delta).consolidate_sorted();
+                    let got = j.on_deltas(delta.clone(), delta).consolidate_sorted();
+                    assert_eq!(got, want, "width {width}, permuted {permuted}, step {step}");
+                }
+                // And the enumeration of the arrangements is L ⋈ R.
+                let mut replayed = Delta::new();
+                let Arranged { op, left, right } = &mut j;
+                op.replay_into(left, right, &mut replayed);
+                let mut full = Delta::new();
+                let mut scratch = Vec::new();
+                for (lt, lm) in model.left_mem.iter() {
+                    for (rt, rm) in model.right_mem.probe(lt, model.left_mem.key_cols()) {
+                        let (keep, perm) = (&model.right_keep, &model.out_perm);
+                        emit(&mut scratch, lt, rt, keep, perm, lm * rm, &mut full);
+                    }
+                }
+                assert_eq!(replayed.consolidate_sorted(), full.consolidate_sorted());
+            }
+        }
     }
 }

@@ -28,6 +28,11 @@
 //! * **Topological scheduling.** A transaction is one pass over the
 //!   dirty subgraph in ascending depth order; each stateful node updates
 //!   its memories and appends its output delta for its consumers.
+//! * **Arrangements.** Joins keep no copy of their inputs: a node's
+//!   output is indexed once per key-column set, the producer owns the
+//!   index, and every ⋈ / ⋉ / ▷ reading it shares it. Indexes are
+//!   read-only during a pass and absorb each producer's delta once
+//!   after it.
 //!
 //! Entry points: [`DataflowNetwork`] for engines serving many views;
 //! [`MaterializedView`] as the standalone single-view façade. Feed

@@ -58,6 +58,28 @@
 //! identical to the serial pass (see ARCHITECTURE.md, "Parallel delta
 //! propagation").
 //!
+//! # Arrangements: a node's output, indexed once
+//!
+//! A join needs its inputs' full bags indexed by the join key. The
+//! operator does not keep them: the *network* indexes a node's output,
+//! once per distinct key-column **set**, as a refcounted arrangement
+//! owned by the producing node (`arrangements[slot]`), and every ⋈ / ⋉ /
+//! ▷ reading that node on that key set shares it — a triangle-closing
+//! join on `(c, a)` and both sides of a four-cycle's wedge ⋈ wedge on
+//! `(a, c)` / `(c, a)` probe one index of the wedge, because an
+//! arrangement is keyed by the *sorted* columns and each consumer
+//! permutes its probe columns to match. The last reader to go frees it.
+//!
+//! Arrangements are **read-only during a pass** and hold the state as of
+//! its start; after the pass (serial or parallel) each node the pass ran
+//! has its delta applied to each of its arrangements exactly once
+//! ([`DataflowNetwork::on_transaction_with`]). So the join kernel's
+//! delta rule carries a third term, `ΔL ⋈ ΔR` (see [`crate::join`]) —
+//! the one a self-join fed the same delta on both sides cannot do
+//! without — and the parallel pass needs no synchronisation for them:
+//! workers share `&[Vec<Arrangement>]`, and nothing writes it until they
+//! have all returned.
+//!
 //! # Full bags: registration and the state dump
 //!
 //! Deltas are what flows at run time, but two operations need a node's
@@ -68,9 +90,11 @@
 //! through one memoised resolver that produces each bag **at most once
 //! per pass**, from the cheapest place it exists: a snapshot's stored
 //! bag (warm registration), a bag maintenance already keeps
-//! consolidated (a sibling sink's results, a consuming join's input
-//! memory), σ/π/ω applied to the child's resolved bag, and only last an
-//! enumeration of the node's own memories. Consumers borrow the
+//! consolidated (a sibling sink's results, one of the node's own
+//! arrangements), σ/π/ω applied to the child's resolved bag, and only
+//! last an enumeration of the node's own memories — for a ⋈, of its
+//! inputs' arrangements. A new join whose input is already arranged on
+//! its key set loads nothing for that side. Consumers borrow the
 //! resolved bag; nothing is enumerated for a consumer that never asks.
 //!
 //! Registration is therefore one bottom-up pass over the *new* part of
@@ -117,7 +141,7 @@ use pgq_graph::tx::{NodeRef, Transaction, TxOp};
 
 use crate::aggregate::AggregateOp;
 use crate::basic::{filter_into, project_into, unwind_into};
-use crate::delta::Delta;
+use crate::delta::{Delta, IndexedBag};
 use crate::distinct::DistinctOp;
 use crate::join::JoinOp;
 use crate::scan::{EdgeRouting, EdgeScan, EdgeScanSpec, ScanRouting, VertexRouting, VertexScan};
@@ -137,7 +161,7 @@ impl NodeId {
 }
 
 /// Handle of a view (sink) registered over the network.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct SinkId(u32);
 
 impl SinkId {
@@ -156,16 +180,21 @@ enum NodeKind {
     Vertices(VertexScan),
     /// ⇑ scan.
     Edges(EdgeScan),
-    /// Hash join.
+    /// Hash join: a kernel over `left`'s arrangement `left_arr` and
+    /// `right`'s arrangement `right_arr` (see [`Arrangement`]).
     Join {
         left: NodeId,
         right: NodeId,
+        left_arr: u32,
+        right_arr: u32,
         op: JoinOp,
     },
-    /// Semijoin / antijoin.
+    /// Semijoin / antijoin over `left`'s arrangement `left_arr` and a
+    /// private support map of `right`.
     SemiJoin {
         left: NodeId,
         right: NodeId,
+        left_arr: u32,
         op: SemiJoinOp,
     },
     /// ⋈* variable-length join (owns internal scans, so it also
@@ -245,21 +274,81 @@ impl NodeKind {
         )
     }
 
-    /// Tuples materialised in this node's own memories.
-    fn own_tuples(&self) -> usize {
+    /// Tuples materialised in this operator's private memories (the
+    /// arrangements of its *output* are the network's; see
+    /// [`DataflowNetwork::own_tuples`]).
+    fn private_tuples(&self) -> usize {
         match self {
             NodeKind::Unit { .. }
+            | NodeKind::Join { .. }
             | NodeKind::Filter { .. }
             | NodeKind::Project { .. }
             | NodeKind::Unwind { .. } => 0,
             NodeKind::Vertices(s) => s.memory_tuples(),
             NodeKind::Edges(s) => s.memory_tuples(),
-            NodeKind::Join { op, .. } => op.memory_tuples(),
             NodeKind::SemiJoin { op, .. } => op.memory_tuples(),
             NodeKind::VarLength { op, .. } => op.memory_tuples(),
             NodeKind::Distinct { op, .. } => op.memory_tuples(),
             NodeKind::Aggregate { op, .. } => op.memory_tuples(),
             NodeKind::Multiway { op, .. } => op.memory_tuples(),
+        }
+    }
+
+    /// Run the operator over one pass's inputs — `child(id)` is input
+    /// `id`'s delta, `arrangements` every node's indexes as of the start
+    /// of the pass, `events` what was routed here — appending its output
+    /// delta to `out`. The one operator dispatch of the serial and the
+    /// parallel pass.
+    fn run<'a>(
+        &mut self,
+        child: impl Fn(NodeId) -> &'a Delta,
+        arrangements: &[Vec<Arrangement>],
+        g: &PropertyGraph,
+        events: &[ChangeEvent],
+        out: &mut Delta,
+    ) {
+        match self {
+            NodeKind::Unit { .. } => {}
+            NodeKind::Vertices(scan) => scan.on_events_into(g, events, out),
+            NodeKind::Edges(scan) => scan.on_events_into(g, events, out),
+            NodeKind::Join {
+                left,
+                right,
+                left_arr,
+                right_arr,
+                op,
+            } => op.apply(
+                child(*left),
+                child(*right),
+                arranged(arrangements, *left, *left_arr),
+                arranged(arrangements, *right, *right_arr),
+                out,
+            ),
+            NodeKind::SemiJoin {
+                left,
+                right,
+                left_arr,
+                op,
+            } => op.apply(
+                child(*left),
+                child(*right),
+                arranged(arrangements, *left, *left_arr),
+                out,
+            ),
+            NodeKind::VarLength { left, op } => op.on_events_into(g, events, child(*left), out),
+            NodeKind::Filter { input, predicate } => filter_into(predicate, child(*input), out),
+            NodeKind::Project {
+                input,
+                items,
+                scratch,
+            } => project_into(items, child(*input), scratch, out),
+            NodeKind::Distinct { input, op } => op.apply(child(*input), out),
+            NodeKind::Aggregate { input, op } => op.apply(child(*input), out),
+            NodeKind::Unwind { input, expr } => unwind_into(expr, child(*input), out),
+            NodeKind::Multiway { inputs, op } => {
+                let refs: Vec<&Delta> = inputs.iter().map(|&i| child(i)).collect();
+                op.apply(&refs, out);
+            }
         }
     }
 
@@ -310,6 +399,29 @@ struct Node {
     /// Change events routed to this node since creation (scan-bearing
     /// nodes only; the routing-exactness metric).
     delivered_events: u64,
+}
+
+/// One index over a node's full output bag, owned by the producing node
+/// and shared by every ⋈ / ⋉ / ▷ that reads the node on this key-column
+/// set (module docs, "Arrangements"). Slots are stable handles: a slot
+/// whose last reader left holds an empty bag until it is reused.
+#[derive(Clone, Debug)]
+struct Arrangement {
+    /// The bag, keyed by the *sorted* key columns.
+    bag: IndexedBag,
+    /// Consumer edges reading it (a self-join on one key set counts
+    /// twice); zero marks a free slot.
+    readers: u32,
+}
+
+/// `producer`'s arrangement in `slot`.
+fn arranged(arrangements: &[Vec<Arrangement>], producer: NodeId, slot: u32) -> &IndexedBag {
+    &arrangements[producer.ix()][slot as usize].bag
+}
+
+/// The live arrangements among `arrs`.
+fn live(arrs: &[Arrangement]) -> impl Iterator<Item = &Arrangement> {
+    arrs.iter().filter(|a| a.readers > 0)
 }
 
 /// A view: a refcounted sink over the shared DAG.
@@ -414,7 +526,7 @@ struct ParState {
     parents_ix: Vec<u32>,
     /// Dirty children a task still waits on (readiness counters).
     pending: Vec<AtomicU32>,
-    /// Consolidate the task's own output (sink-facing or feeding δ/γ)?
+    /// Consolidate the task's own output (sink-facing or feeding δ)?
     consolidate: Vec<bool>,
     /// Reusable ready-queue storage.
     ready: Vec<u32>,
@@ -432,6 +544,8 @@ impl Clone for ParState {
 struct ParShared<'a> {
     nodes: *mut Option<Node>,
     outputs: *mut Delta,
+    /// Every node's arrangements, read-only for the whole pass.
+    arrangements: &'a [Vec<Arrangement>],
     queued: &'a [u64],
     event_gen: &'a [u64],
     slots: &'a [u32],
@@ -469,6 +583,7 @@ const _: () = {
     assert_sync::<PropertyGraph>();
     assert_sync::<ChangeEvent>();
     assert_sync::<Delta>();
+    assert_sync::<Arrangement>();
 };
 
 impl ParShared<'_> {
@@ -564,11 +679,11 @@ impl ParShared<'_> {
         }
     }
 
-    /// Run one node. Mirrors the borrow-by-reference branch of
-    /// [`DataflowNetwork::run_node`]; the parallel pass never steals
-    /// buffers or consolidates a child in place — a child feeding
-    /// Distinct/γ consolidates its *own* output at production (the
-    /// `consolidate` flag), which yields the same delta contents.
+    /// Run one node: [`NodeKind::run`], as the borrow-by-reference
+    /// branch of [`DataflowNetwork::run_node`] does. The parallel pass
+    /// never steals buffers or consolidates a child in place — a child
+    /// feeding Distinct consolidates its *own* output at production
+    /// (the `consolidate` flag), which yields the same delta contents.
     ///
     /// # Safety
     ///
@@ -594,27 +709,7 @@ impl ParShared<'_> {
         } else {
             &[]
         };
-        match &mut node.kind {
-            NodeKind::Unit { .. } => {}
-            NodeKind::Vertices(scan) => scan.on_events_into(self.g, ev, out),
-            NodeKind::Edges(scan) => scan.on_events_into(self.g, ev, out),
-            NodeKind::Join { left, right, op } => op.apply(child(*left), child(*right), out),
-            NodeKind::SemiJoin { left, right, op } => op.apply(child(*left), child(*right), out),
-            NodeKind::VarLength { left, op } => op.on_events_into(self.g, ev, child(*left), out),
-            NodeKind::Filter { input, predicate } => filter_into(predicate, child(*input), out),
-            NodeKind::Project {
-                input,
-                items,
-                scratch,
-            } => project_into(items, child(*input), scratch, out),
-            NodeKind::Distinct { input, op } => op.apply(child(*input), out),
-            NodeKind::Aggregate { input, op } => op.apply(child(*input), out),
-            NodeKind::Unwind { input, expr } => unwind_into(expr, child(*input), out),
-            NodeKind::Multiway { inputs, op } => {
-                let refs: Vec<&Delta> = inputs.iter().map(|&i| child(i)).collect();
-                op.apply(&refs, out);
-            }
-        }
+        node.kind.run(child, self.arrangements, self.g, ev, out);
         if self.consolidate[t as usize] {
             out.consolidate_in_place();
         }
@@ -765,8 +860,13 @@ pub struct NodeSummary {
     /// Change events routed to this node since creation (scan-bearing
     /// nodes only).
     pub delivered_events: u64,
-    /// Tuples materialised in the node's own memories.
+    /// Tuples the node holds: its operator's private memories plus
+    /// every arrangement of its output.
     pub own_tuples: usize,
+    /// The node's arrangements as `(key columns, tuples, readers)`: each
+    /// is one index over its full output, shared by `readers` consuming
+    /// ⋈ / ⋉ / ▷ edges.
+    pub arrangements: Vec<(Vec<usize>, usize, usize)>,
     /// Topological depth (0 = leaf).
     pub depth: u32,
 }
@@ -1061,6 +1161,9 @@ impl TxFootprint {
 pub struct DataflowNetwork {
     nodes: Vec<Option<Node>>,
     free_nodes: Vec<u32>,
+    /// Each node's arrangements, by arena slot (parallel to `nodes`):
+    /// read-only during a pass, updated once after it.
+    arrangements: Vec<Vec<Arrangement>>,
     sinks: Vec<Option<Sink>>,
     /// Fingerprint → candidate nodes (hash-consing index).
     cons: FxHashMap<u64, Vec<NodeId>>,
@@ -1316,6 +1419,8 @@ impl DataflowNetwork {
                 NodeKind::Join {
                     left: l,
                     right: r,
+                    left_arr: self.arrange(l, op.left_arrangement_keys(), bags),
+                    right_arr: self.arrange(r, op.right_arrangement_keys(), bags),
                     op,
                 }
             }
@@ -1332,6 +1437,7 @@ impl DataflowNetwork {
                 NodeKind::SemiJoin {
                     left: l,
                     right: r,
+                    left_arr: self.arrange(l, op.left_arrangement_keys(), bags),
                     op,
                 }
             }
@@ -1413,27 +1519,70 @@ impl DataflowNetwork {
             }
         };
         self.sched.grow(self.nodes.len());
+        self.arrangements.resize_with(self.nodes.len(), Vec::new);
         self.sched.depth[id.ix()] = depth;
         self.cons.entry(fp).or_default().push(id);
         self.load_node(id, g, bags);
-        // One parent edge per reference (a self-join registers twice),
-        // linked only now: a child's `parents` never names a join whose
-        // memory `copy_materialised` could find still empty.
+        // One parent edge per reference (a self-join registers twice).
         for child in self.node(id).kind.children() {
             self.node_mut(child).parents.push(id);
         }
         id
     }
 
+    /// Take a reader's share of `producer`'s arrangement keyed by
+    /// `keys` (sorted), building and loading it from the node's resolved
+    /// bag if no consumer reads that key set yet. Returns the slot.
+    fn arrange(&mut self, producer: NodeId, keys: &[usize], bags: &mut Bags<'_>) -> u32 {
+        let arrs = &mut self.arrangements[producer.ix()];
+        if let Some(ix) = arrs
+            .iter()
+            .position(|a| a.readers > 0 && a.bag.key_cols() == keys)
+        {
+            arrs[ix].readers += 1;
+            return ix as u32;
+        }
+        self.resolve(producer, bags);
+        let mut bag = IndexedBag::new(keys.to_vec());
+        for (t, m) in bags.resolved[&producer].iter() {
+            bag.update(t, *m);
+        }
+        let arr = Arrangement { bag, readers: 1 };
+        let arrs = &mut self.arrangements[producer.ix()];
+        match arrs.iter().position(|a| a.readers == 0) {
+            Some(ix) => {
+                arrs[ix] = arr;
+                ix as u32
+            }
+            None => {
+                arrs.push(arr);
+                (arrs.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Give back one reader's share of `producer`'s arrangement `slot`;
+    /// the last reader out frees the index (the slot stays, so sibling
+    /// handles remain valid).
+    fn release_arrangement(&mut self, producer: NodeId, slot: u32) {
+        let arr = &mut self.arrangements[producer.ix()][slot as usize];
+        arr.readers -= 1;
+        if arr.readers == 0 {
+            arr.bag = IndexedBag::default();
+        }
+    }
+
     /// Fill a brand-new node's memories from its children's resolved
     /// bags (older shared nodes, or nodes this pass just loaded). The
     /// same loader serves cold and warm registration — they differ only
     /// in where [`DataflowNetwork::resolve`] finds a bag. Loading is
-    /// insert-only: ⋈, ⋉/▷ and ⨝ⁿ absorb their inputs without probing
-    /// and enumerate their output only if a consumer resolves it; scans,
+    /// insert-only: ⋉/▷ and ⨝ⁿ absorb their inputs without probing and
+    /// enumerate their output only if a consumer resolves it; scans,
     /// ⋈*, δ and γ produce their full output as a by-product of a linear
     /// load, which is kept for the consumers unless the snapshot already
-    /// stores it; σ/π/ω have nothing to load.
+    /// stores it; σ/π/ω have nothing to load, and neither has ⋈ — its
+    /// inputs were arranged (or found arranged) by
+    /// [`DataflowNetwork::arrange`] when the node was built.
     fn load_node(&mut self, id: NodeId, g: &PropertyGraph, bags: &mut Bags<'_>) {
         let node = self.node(id);
         let hit = bags.stored_bag(node).is_some();
@@ -1445,7 +1594,12 @@ impl DataflowNetwork {
         if node.kind.stateless_input().is_some() {
             return;
         }
-        let children = node.kind.children();
+        let children = match &node.kind {
+            NodeKind::Join { .. } => return,
+            // The left input is read through its arrangement.
+            NodeKind::SemiJoin { right, .. } => vec![*right],
+            kind => kind.children(),
+        };
         for &c in &children {
             self.resolve(c, bags);
         }
@@ -1456,17 +1610,17 @@ impl DataflowNetwork {
             NodeKind::Unit { emitted } => *emitted = true,
             NodeKind::Vertices(scan) => produced = Some(scan.initial(g)),
             NodeKind::Edges(scan) => produced = Some(scan.initial(g)),
-            NodeKind::Join { op, .. } => op.restore(inputs[0], inputs[1]),
-            NodeKind::SemiJoin { op, .. } => op.restore(inputs[0], inputs[1]),
+            NodeKind::SemiJoin { op, .. } => op.restore(inputs[0]),
             NodeKind::Multiway { op, .. } => op.restore(&inputs),
             NodeKind::VarLength { op, .. } => {
                 op.initial_into(g, inputs[0], produced.insert(Delta::new()))
             }
             NodeKind::Distinct { op, .. } => op.apply(inputs[0], produced.insert(Delta::new())),
             NodeKind::Aggregate { op, .. } => op.apply(inputs[0], produced.insert(Delta::new())),
-            NodeKind::Filter { .. } | NodeKind::Project { .. } | NodeKind::Unwind { .. } => {
-                unreachable!("stateless nodes returned above")
-            }
+            NodeKind::Join { .. }
+            | NodeKind::Filter { .. }
+            | NodeKind::Project { .. }
+            | NodeKind::Unwind { .. } => unreachable!("nothing to load: returned above"),
         }
         if let Some(bag) = produced.filter(|_| !hit) {
             counters::bag_enumerated();
@@ -1554,12 +1708,11 @@ impl DataflowNetwork {
     }
 
     /// Copy `id`'s full output bag from a place maintenance already
-    /// keeps it consolidated — a sink's result bag (view roots) or the
-    /// input memory of a join consuming it — into `out`. `false` when
-    /// it is materialised nowhere and must be derived.
+    /// keeps it consolidated — a sink's result bag (view roots) or one
+    /// of the node's arrangements — into `out`. `false` when it is
+    /// materialised nowhere and must be derived.
     fn copy_materialised(&self, id: NodeId, out: &mut Delta) -> bool {
-        let node = self.node(id);
-        if let Some(&sid) = node.sinks.first() {
+        if let Some(&sid) = self.node(id).sinks.first() {
             let results = &self.sink(sid).results;
             out.reserve(results.len());
             for (t, m) in results {
@@ -1567,21 +1720,14 @@ impl DataflowNetwork {
             }
             return true;
         }
-        for &p in &node.parents {
-            if let NodeKind::Join { left, op, .. } = &self.node(p).kind {
-                let memory = if *left == id {
-                    op.left_memory()
-                } else {
-                    op.right_memory()
-                };
-                out.reserve(memory.distinct_len());
-                for (t, m) in memory.iter() {
-                    out.push(t.clone(), m);
-                }
-                return true;
-            }
+        let Some(arr) = live(&self.arrangements[id.ix()]).next() else {
+            return false;
+        };
+        out.reserve(arr.bag.distinct_len());
+        for (t, m) in arr.bag.iter() {
+            out.push(t.clone(), m);
         }
-        false
+        true
     }
 
     /// Fingerprint, canonical sub-plan and directly-attached views of
@@ -1609,7 +1755,8 @@ impl DataflowNetwork {
     /// Append stateful node `id`'s full output bag, enumerated from its
     /// own memories, to `out`.
     fn replay_memories(&mut self, id: NodeId, out: &mut Delta) {
-        match &mut self.node_mut(id).kind {
+        let arrangements = &self.arrangements;
+        match &mut self.nodes[id.ix()].as_mut().expect("live node").kind {
             NodeKind::Unit { emitted } => {
                 if *emitted {
                     out.push(Tuple::unit(), 1);
@@ -1617,8 +1764,20 @@ impl DataflowNetwork {
             }
             NodeKind::Vertices(s) => s.replay_into(out),
             NodeKind::Edges(s) => s.replay_into(out),
-            NodeKind::Join { op, .. } => op.replay_into(out),
-            NodeKind::SemiJoin { op, .. } => op.replay_into(out),
+            NodeKind::Join {
+                left,
+                right,
+                left_arr,
+                right_arr,
+                op,
+            } => op.replay_into(
+                arranged(arrangements, *left, *left_arr),
+                arranged(arrangements, *right, *right_arr),
+                out,
+            ),
+            NodeKind::SemiJoin {
+                left, left_arr, op, ..
+            } => op.replay_into(arranged(arrangements, *left, *left_arr), out),
             NodeKind::VarLength { op, .. } => op.replay_into(out),
             NodeKind::Distinct { op, .. } => op.replay_into(out),
             NodeKind::Aggregate { op, .. } => op.replay_into(out),
@@ -1652,6 +1811,27 @@ impl DataflowNetwork {
         self.pool.put(out);
         self.sched.out_gen[id.ix()] = 0;
         self.free_nodes.push(id.0);
+        debug_assert!(
+            live(&self.arrangements[id.ix()]).next().is_none(),
+            "a node without consumers has no arrangement readers"
+        );
+        self.arrangements[id.ix()].clear();
+        match &node.kind {
+            NodeKind::Join {
+                left,
+                right,
+                left_arr,
+                right_arr,
+                ..
+            } => {
+                self.release_arrangement(*left, *left_arr);
+                self.release_arrangement(*right, *right_arr);
+            }
+            NodeKind::SemiJoin { left, left_arr, .. } => {
+                self.release_arrangement(*left, *left_arr);
+            }
+            _ => {}
+        }
         // Detach from children (one parent edge per reference) and
         // cascade.
         for child in node.kind.children() {
@@ -1709,7 +1889,24 @@ impl DataflowNetwork {
             }
             _ => self.run_serial_pass(g, events),
         }
+        self.update_arrangements();
         self.fold_sinks();
+    }
+
+    /// Apply each producer's delta of the pass just run to each of its
+    /// arrangements, exactly once. Only nodes the pass ran are visited.
+    fn update_arrangements(&mut self) {
+        for &slot in &self.sched.produced {
+            let delta = &self.sched.outputs[slot as usize];
+            for arr in &mut self.arrangements[slot as usize] {
+                if arr.readers > 0 {
+                    for (t, m) in delta.iter() {
+                        counters::arrangement_updated();
+                        arr.bag.update(t, *m);
+                    }
+                }
+            }
+        }
     }
 
     /// The classic single-threaded pass: dirty nodes in ascending depth
@@ -1721,35 +1918,40 @@ impl DataflowNetwork {
         }
     }
 
-    /// Fold changed roots into sink result bags.
+    /// Fold changed roots into sink result bags: the roots are among
+    /// the nodes the pass ran, so only those are visited, never every
+    /// sink. `changed` is reported in sink-id order.
     fn fold_sinks(&mut self) {
         let generation = self.generation;
-        for (ix, sink) in self.sinks.iter_mut().enumerate() {
-            let Some(sink) = sink else { continue };
-            let root = sink.root.ix();
-            if self.sched.out_gen[root] != generation || self.sched.outputs[root].is_empty() {
+        for &slot in &self.sched.produced {
+            let delta = &self.sched.outputs[slot as usize];
+            if delta.is_empty() {
                 continue;
             }
-            let delta = &self.sched.outputs[root];
-            use std::collections::hash_map::Entry;
-            for (t, m) in delta.iter() {
-                match sink.results.entry(t.clone()) {
-                    Entry::Occupied(mut e) => {
-                        *e.get_mut() += m;
-                        debug_assert!(*e.get() >= 0, "negative view multiplicity for {t}");
-                        if *e.get() == 0 {
-                            e.remove();
+            let node = self.nodes[slot as usize].as_ref().expect("live node");
+            for &sid in &node.sinks {
+                let sink = self.sinks[sid.ix()].as_mut().expect("live sink");
+                use std::collections::hash_map::Entry;
+                for (t, m) in delta.iter() {
+                    match sink.results.entry(t.clone()) {
+                        Entry::Occupied(mut e) => {
+                            *e.get_mut() += m;
+                            debug_assert!(*e.get() >= 0, "negative view multiplicity for {t}");
+                            if *e.get() == 0 {
+                                e.remove();
+                            }
+                        }
+                        Entry::Vacant(v) => {
+                            debug_assert!(*m >= 0, "negative view multiplicity for {t}");
+                            v.insert(*m);
                         }
                     }
-                    Entry::Vacant(v) => {
-                        debug_assert!(*m >= 0, "negative view multiplicity for {t}");
-                        v.insert(*m);
-                    }
                 }
+                sink.changed_gen = generation;
+                self.changed.push(sid);
             }
-            sink.changed_gen = generation;
-            self.changed.push(SinkId(ix as u32));
         }
+        self.changed.sort_unstable();
     }
 
     /// The parallel topological pass behind
@@ -1766,7 +1968,7 @@ impl DataflowNetwork {
     /// 2. **Task metadata.** Per task: the parent tasks (one entry per
     ///    dependency edge, so a self-join counts twice), an atomic
     ///    pending counter seeded with the task's dirty in-degree, and a
-    ///    consolidation flag (sink-facing, or feeding Distinct/γ — the
+    ///    consolidation flag (sink-facing, or feeding Distinct — the
     ///    parallel analogue of the serial pass's in-place child
     ///    consolidation).
     /// 3. **Buffer pre-assignment.** Every task's pooled output buffer,
@@ -1837,7 +2039,7 @@ impl DataflowNetwork {
                 if !consolidate {
                     consolidate = matches!(
                         self.nodes[p.ix()].as_ref().expect("live node").kind,
-                        NodeKind::Distinct { .. } | NodeKind::Aggregate { .. }
+                        NodeKind::Distinct { .. }
                     );
                 }
             }
@@ -1861,6 +2063,7 @@ impl DataflowNetwork {
             let shared = ParShared {
                 nodes: self.nodes.as_mut_ptr(),
                 outputs: self.sched.outputs.as_mut_ptr(),
+                arrangements: &self.arrangements,
                 queued: &self.sched.queued,
                 event_gen: &self.sched.event_gen,
                 slots: &par.slots,
@@ -1900,9 +2103,9 @@ impl DataflowNetwork {
     ///
     /// * Intermediate deltas are **not** consolidated; only a node read
     ///   by sinks consolidates its output (exactly the old once-per-view
-    ///   `consolidate()`), and Distinct/Aggregate inputs are
-    ///   consolidated in place at the child (their counting logic
-    ///   processes each distinct tuple once).
+    ///   `consolidate()`), and Distinct's input is consolidated in
+    ///   place at the child (its counting logic processes each distinct
+    ///   tuple once).
     /// * A Filter/Project whose child feeds no other consumer **steals**
     ///   the child's output buffer and transforms it in place (the old
     ///   tree's move-through semantics); shared children are read by
@@ -1913,9 +2116,11 @@ impl DataflowNetwork {
         // its input need, and does its output face a sink?
         enum Prep {
             None,
-            /// Distinct/γ consume each distinct tuple once: consolidate
-            /// the child's buffer in place first (semantically neutral
-            /// for any other consumer — same multiset).
+            /// δ's counting consumes each distinct tuple once:
+            /// consolidate the child's buffer in place first
+            /// (semantically neutral for any other consumer — same
+            /// multiset). γ's accumulators are additive in the
+            /// multiplicity and read the raw delta.
             ConsolidateChild(NodeId),
             /// Filter/Project over an exclusive child can transform the
             /// child's buffer in place.
@@ -1924,9 +2129,7 @@ impl DataflowNetwork {
         let (prep, has_sinks) = {
             let node = self.nodes[slot as usize].as_ref().expect("live node");
             let prep = match &node.kind {
-                NodeKind::Distinct { input, .. } | NodeKind::Aggregate { input, .. } => {
-                    Prep::ConsolidateChild(*input)
-                }
+                NodeKind::Distinct { input, .. } => Prep::ConsolidateChild(*input),
                 NodeKind::Filter { input, .. } | NodeKind::Project { input, .. } => {
                     Prep::TrySteal(*input)
                 }
@@ -1979,35 +2182,8 @@ impl DataflowNetwork {
                     &empty
                 }
             };
-            match &mut self.nodes[slot as usize].as_mut().expect("live node").kind {
-                NodeKind::Unit { .. } => {}
-                NodeKind::Vertices(scan) => scan.on_events_into(g, ev, &mut out),
-                NodeKind::Edges(scan) => scan.on_events_into(g, ev, &mut out),
-                NodeKind::Join { left, right, op } => {
-                    op.apply(child(*left), child(*right), &mut out)
-                }
-                NodeKind::SemiJoin { left, right, op } => {
-                    op.apply(child(*left), child(*right), &mut out)
-                }
-                NodeKind::VarLength { left, op } => {
-                    op.on_events_into(g, ev, child(*left), &mut out)
-                }
-                NodeKind::Filter { input, predicate } => {
-                    filter_into(predicate, child(*input), &mut out)
-                }
-                NodeKind::Project {
-                    input,
-                    items,
-                    scratch,
-                } => project_into(items, child(*input), scratch, &mut out),
-                NodeKind::Distinct { input, op } => op.apply(child(*input), &mut out),
-                NodeKind::Aggregate { input, op } => op.apply(child(*input), &mut out),
-                NodeKind::Unwind { input, expr } => unwind_into(expr, child(*input), &mut out),
-                NodeKind::Multiway { inputs, op } => {
-                    let refs: Vec<&Delta> = inputs.iter().map(|&i| child(i)).collect();
-                    op.apply(&refs, &mut out);
-                }
-            }
+            let kind = &mut self.nodes[slot as usize].as_mut().expect("live node").kind;
+            kind.run(child, &self.arrangements, g, ev, &mut out);
         }
         // Only sink-facing outputs need consolidation (the old
         // once-per-view `consolidate()`); intermediate deltas flow raw.
@@ -2315,6 +2491,51 @@ impl DataflowNetwork {
         self.sinks[sid.ix()].as_ref().expect("live sink")
     }
 
+    /// Tuples `id` holds: the operator's private memories plus every
+    /// arrangement of its output.
+    fn own_tuples(&self, id: NodeId) -> usize {
+        self.node(id).kind.private_tuples()
+            + live(&self.arrangements[id.ix()])
+                .map(|a| a.bag.distinct_len())
+                .sum::<usize>()
+    }
+
+    /// ` arr{0,4}: 112k ×3` per arrangement of `id` — key columns,
+    /// tuples held, readers — for the `:stats` rendering.
+    fn arrangement_note(&self, id: NodeId) -> String {
+        use std::fmt::Write;
+        let mut note = String::new();
+        for a in live(&self.arrangements[id.ix()]) {
+            let cols: Vec<String> = a.bag.key_cols().iter().map(|c| c.to_string()).collect();
+            let n = a.bag.distinct_len();
+            let size = if n < 1000 {
+                n.to_string()
+            } else {
+                format!("{}k", n / 1000)
+            };
+            let _ = write!(note, " arr{{{}}}: {size} ×{}", cols.join(","), a.readers);
+        }
+        note
+    }
+
+    /// Every live arrangement as `(producer's canonical sub-plan, key
+    /// columns, readers, contents)`, in arena order — what a state audit
+    /// needs to hold each index to the recompute of its producer.
+    pub fn arrangement_bags(
+        &self,
+    ) -> impl Iterator<Item = (&Fra, &[usize], usize, Vec<(Tuple, i64)>)> {
+        self.nodes
+            .iter()
+            .zip(&self.arrangements)
+            .filter_map(|(n, arrs)| n.as_ref().map(|n| (n, arrs)))
+            .flat_map(|(n, arrs)| {
+                live(arrs).map(move |a| {
+                    let bag = a.bag.iter().map(|(t, m)| (t.clone(), m)).collect();
+                    (&n.plan, a.bag.key_cols(), a.readers as usize, bag)
+                })
+            })
+    }
+
     /// Number of live operator nodes in the arena (the node-sharing
     /// metric: N identical views keep this at one chain's worth).
     pub fn node_count(&self) -> usize {
@@ -2379,7 +2600,16 @@ impl DataflowNetwork {
                     label: n.kind.label(),
                     consumers: n.parents.len() + n.sinks.len(),
                     delivered_events: n.delivered_events,
-                    own_tuples: n.kind.own_tuples(),
+                    own_tuples: self.own_tuples(NodeId(ix as u32)),
+                    arrangements: live(&self.arrangements[ix])
+                        .map(|a| {
+                            (
+                                a.bag.key_cols().to_vec(),
+                                a.bag.distinct_len(),
+                                a.readers as usize,
+                            )
+                        })
+                        .collect(),
                     depth: self.sched.depth[ix],
                 })
             })
@@ -2409,8 +2639,8 @@ impl DataflowNetwork {
             NodeKind::Multiway { inputs, .. } => format!("⨝ⁿ [{} rels]", inputs.len()),
         };
         OpStats {
-            name,
-            own_tuples: node.kind.own_tuples(),
+            name: name + &self.arrangement_note(id),
+            own_tuples: self.own_tuples(id),
             children: node
                 .kind
                 .children()
@@ -2434,9 +2664,8 @@ impl DataflowNetwork {
                 continue;
             }
             visited.push(id);
-            let node = self.node(id);
-            total += node.kind.own_tuples();
-            stack.extend(node.kind.children());
+            total += self.own_tuples(id);
+            stack.extend(self.node(id).kind.children());
         }
         total
     }
@@ -2561,6 +2790,7 @@ mod par_tests {
             let shared = ParShared {
                 nodes: nodes.as_mut_ptr(),
                 outputs: outputs.as_mut_ptr(),
+                arrangements: &[],
                 queued: &queued,
                 event_gen: &event_gen,
                 slots: &slots,

@@ -4,11 +4,16 @@
 //! input. A left tuple passes iff the support is positive (semijoin) or
 //! zero (antijoin). Exact delta rule over bags:
 //!
-//! `Δ(L ⋉ R) = [L ⋉ R_new − L ⋉ R_old] + ΔL ⋉ R_new`
+//! `Δ(L ⋉ R) = [L_old ⋉ R_new − L_old ⋉ R_old] + ΔL ⋉ R_new`
 //!
 //! The first bracket is non-empty only for keys whose support crossed
 //! zero — the counting trick that makes negation incremental (Gupta–
 //! Mumick–Subrahmanian's treatment of set difference).
+//!
+//! The support map is the node's own state. The left input is not kept
+//! here: like [`JoinOp`](crate::join::JoinOp) the node probes the left
+//! producer's shared *arrangement* (see [`crate::network`]), which holds
+//! `L_old` for the whole pass — exactly the state the rule reads.
 //!
 //! Like [`JoinOp`](crate::join::JoinOp), the hot path never materialises
 //! a key tuple: support is bucketed by key-projection hash and probed
@@ -20,6 +25,7 @@ use pgq_common::fxhash::FxHashMap;
 use pgq_common::tuple::Tuple;
 
 use crate::delta::{Delta, IndexedBag};
+use crate::join::sorted_key_pairs;
 use crate::stats::counters;
 
 /// Support counts per key, bucketed by key-projection hash so probes and
@@ -84,7 +90,9 @@ impl SupportMap {
 /// ⋉ / ▷ node.
 #[derive(Clone, Debug)]
 pub struct SemiJoinOp {
-    left_mem: IndexedBag,
+    /// Key columns of the left arrangement (sorted) and, pairwise, the
+    /// right input's key columns — the support map's key order.
+    left_keys: Vec<usize>,
     right_keys: Vec<usize>,
     right_support: SupportMap,
     anti: bool,
@@ -93,33 +101,35 @@ pub struct SemiJoinOp {
 impl SemiJoinOp {
     /// Create a node joining on the given key columns.
     pub fn new(left_keys: Vec<usize>, right_keys: Vec<usize>, anti: bool) -> SemiJoinOp {
+        let (left_keys, right_keys) = sorted_key_pairs(&left_keys, &right_keys);
         SemiJoinOp {
-            left_mem: IndexedBag::new(left_keys),
+            left_keys,
             right_keys,
             right_support: SupportMap::default(),
             anti,
         }
     }
 
-    /// Tuples materialised (left memory + support keys).
+    /// Key columns the left input must be arranged by.
+    pub fn left_arrangement_keys(&self) -> &[usize] {
+        &self.left_keys
+    }
+
+    /// Support keys materialised (the left input lives in its
+    /// producer's arrangement).
     pub fn memory_tuples(&self) -> usize {
-        self.left_mem.distinct_len() + self.right_support.len()
+        self.right_support.len()
     }
 
     fn passes(&self, support_positive: bool) -> bool {
         support_positive != self.anti
     }
 
-    /// Process one batch of deltas from both inputs.
-    pub fn on_deltas(&mut self, dl: Delta, dr: Delta) -> Delta {
-        let mut out = Delta::new();
-        self.apply(&dl, &dr, &mut out);
-        out
-    }
-
-    /// Process one batch of borrowed deltas, appending output rows to
-    /// `out`.
-    pub fn apply(&mut self, dl: &Delta, dr: &Delta, out: &mut Delta) {
+    /// Process one batch of borrowed deltas against the left input's
+    /// arrangement **as of before the batch**, appending output rows to
+    /// `out`. The caller applies `dl` to the arrangement afterwards.
+    pub fn apply(&mut self, dl: &Delta, dr: &Delta, left: &IndexedBag, out: &mut Delta) {
+        debug_assert_eq!(left.key_cols(), self.left_keys);
         // Phase 1: apply ΔR; emit flips against L_old. Aggregate ΔR per
         // key first so transient zero crossings inside one batch don't
         // emit cancelling flips; keys stay borrowed — buckets hold entry
@@ -148,7 +158,7 @@ impl SemiJoinOp {
                 debug_assert!(new >= 0, "negative existence support under {rep}");
                 if old_pos != new_pos {
                     let sign = if self.passes(new_pos) { 1 } else { -1 };
-                    for (lt, lm) in self.left_mem.probe(rep, &self.right_keys) {
+                    for (lt, lm) in left.probe(rep, &self.right_keys) {
                         out.push(lt.clone(), sign * lm);
                     }
                 }
@@ -157,36 +167,28 @@ impl SemiJoinOp {
 
         // Phase 2: ΔL against R_new.
         for (lt, lm) in dl.iter() {
-            let positive = self.right_support.probe(lt, self.left_mem.key_cols()) > 0;
+            let positive = self.right_support.probe(lt, &self.left_keys) > 0;
             if self.passes(positive) {
                 out.push(lt.clone(), *lm);
             }
         }
-        for (lt, lm) in dl.iter() {
-            self.left_mem.update(lt, *lm);
-        }
     }
 
-    /// Rebuild the left memory and right support map from full input
-    /// bags without emitting flips or probing membership — the
-    /// warm-recovery path. Post-state is identical to
-    /// `apply(dl, dr, &mut discard)`: apply's two probe phases exist
-    /// only to compute the discarded output, while the memories absorb
-    /// exactly the inputs.
-    pub fn restore(&mut self, dl: &Delta, dr: &Delta) {
+    /// Rebuild the support map from the right input's full bag without
+    /// emitting flips — registration onto a populated graph. Post-state
+    /// is identical to `apply(∅, dr, …)`: apply's probes exist only to
+    /// compute the discarded output.
+    pub fn restore(&mut self, dr: &Delta) {
         for (rt, rm) in dr.iter() {
             self.right_support.update(rt, &self.right_keys, *rm);
-        }
-        for (lt, lm) in dl.iter() {
-            self.left_mem.update(lt, *lm);
         }
     }
 
     /// Reconstruct the full current output bag (L ⋉ R / L ▷ R as of
-    /// now), appending to `out`.
-    pub fn replay_into(&self, out: &mut Delta) {
-        for (lt, lm) in self.left_mem.iter() {
-            let positive = self.right_support.probe(lt, self.left_mem.key_cols()) > 0;
+    /// now) from the left arrangement, appending to `out`.
+    pub fn replay_into(&self, left: &IndexedBag, out: &mut Delta) {
+        for (lt, lm) in left.iter() {
+            let positive = self.right_support.probe(lt, &self.left_keys) > 0;
             if self.passes(positive) {
                 out.push(lt.clone(), lm);
             }
@@ -207,9 +209,33 @@ mod tests {
         entries.iter().map(|(v, m)| (t(v), *m)).collect()
     }
 
+    /// The node with the left arrangement a network would hold for it,
+    /// updated after each batch the way the network does.
+    struct Arranged {
+        op: SemiJoinOp,
+        left: IndexedBag,
+    }
+
+    impl Arranged {
+        fn new(left_keys: Vec<usize>, right_keys: Vec<usize>, anti: bool) -> Arranged {
+            let op = SemiJoinOp::new(left_keys, right_keys, anti);
+            let left = IndexedBag::new(op.left_arrangement_keys().to_vec());
+            Arranged { op, left }
+        }
+
+        fn on_deltas(&mut self, dl: Delta, dr: Delta) -> Delta {
+            let mut out = Delta::new();
+            self.op.apply(&dl, &dr, &self.left, &mut out);
+            for (t, m) in dl.iter() {
+                self.left.update(t, *m);
+            }
+            out
+        }
+    }
+
     #[test]
     fn semijoin_passes_supported_keys() {
-        let mut j = SemiJoinOp::new(vec![0], vec![0], false);
+        let mut j = Arranged::new(vec![0], vec![0], false);
         let out = j
             .on_deltas(d(&[(&[1, 10], 1), (&[2, 20], 1)]), d(&[(&[1], 1)]))
             .consolidate();
@@ -218,7 +244,7 @@ mod tests {
 
     #[test]
     fn antijoin_passes_unsupported_keys() {
-        let mut j = SemiJoinOp::new(vec![0], vec![0], true);
+        let mut j = Arranged::new(vec![0], vec![0], true);
         let out = j
             .on_deltas(d(&[(&[1, 10], 1), (&[2, 20], 1)]), d(&[(&[1], 1)]))
             .consolidate();
@@ -227,7 +253,7 @@ mod tests {
 
     #[test]
     fn support_flip_retracts_and_asserts() {
-        let mut j = SemiJoinOp::new(vec![0], vec![0], true);
+        let mut j = Arranged::new(vec![0], vec![0], true);
         // Left row with no support → passes the antijoin.
         j.on_deltas(d(&[(&[1, 10], 2)]), Delta::new());
         // Support appears → retract both copies.
@@ -243,7 +269,7 @@ mod tests {
 
     #[test]
     fn simultaneous_deltas_use_new_right_state() {
-        let mut j = SemiJoinOp::new(vec![0], vec![0], false);
+        let mut j = Arranged::new(vec![0], vec![0], false);
         // Left row and its witness arrive in the same batch.
         let out = j
             .on_deltas(d(&[(&[1, 10], 1)]), d(&[(&[1], 1)]))
@@ -253,7 +279,7 @@ mod tests {
 
     #[test]
     fn left_retraction_propagates() {
-        let mut j = SemiJoinOp::new(vec![0], vec![0], false);
+        let mut j = Arranged::new(vec![0], vec![0], false);
         j.on_deltas(d(&[(&[1, 10], 1)]), d(&[(&[1], 1)]));
         let out = j
             .on_deltas(d(&[(&[1, 10], -1)]), Delta::new())
@@ -264,19 +290,19 @@ mod tests {
     #[test]
     fn cancelled_batch_does_not_flip() {
         // +1 and -1 for the same key in one ΔR batch: net zero, no flip.
-        let mut j = SemiJoinOp::new(vec![0], vec![0], true);
+        let mut j = Arranged::new(vec![0], vec![0], true);
         j.on_deltas(d(&[(&[1, 10], 1)]), Delta::new());
         let out = j
             .on_deltas(Delta::new(), d(&[(&[1], 1), (&[1], -1)]))
             .consolidate();
         assert!(out.is_empty(), "{out:?}");
-        assert_eq!(j.memory_tuples(), 1, "support key should not linger");
+        assert_eq!(j.op.memory_tuples(), 0, "support key should not linger");
     }
 
     #[test]
     fn empty_keys_model_global_existence() {
         // No key columns: the right side acts as a global gate.
-        let mut j = SemiJoinOp::new(vec![], vec![], true);
+        let mut j = Arranged::new(vec![], vec![], true);
         let out = j.on_deltas(d(&[(&[5], 1)]), Delta::new()).consolidate();
         assert_eq!(out.into_entries(), vec![(t(&[5]), 1)]);
         let out = j.on_deltas(Delta::new(), d(&[(&[], 1)])).consolidate();

@@ -19,7 +19,7 @@ use std::fmt;
 ///   borrowed-key path; standalone-key
 ///   [`get`](crate::delta::IndexedBag::get) is not counted), to show
 ///   the counters cover real work.
-/// * **rehashes** — a join-memory hash map grew its capacity during an
+/// * **rehashes** — an arrangement's hash map grew its capacity during an
 ///   update (amortised table growth, not per-match cost).
 /// * **scan event deliveries** — a change event was routed to a scan
 ///   node by the
@@ -42,7 +42,7 @@ pub mod counters {
         pub key_materializations: u64,
         /// Matches yielded by indexed-bag probes.
         pub probe_hits: u64,
-        /// Join-memory hash-map capacity growth events.
+        /// Arrangement hash-map capacity growth events.
         pub rehashes: u64,
         /// Change events delivered to scan nodes by the routing index.
         pub scan_events_delivered: u64,
@@ -82,6 +82,10 @@ pub mod counters {
         /// measure: it must track the touched neighbourhood, never the
         /// graph (`crates/ivm/tests/tc_work_bound.rs`).
         pub tc_paths_touched: u64,
+        /// Signed tuple updates applied to arrangements after a pass:
+        /// one per delta entry per arrangement of the producing node,
+        /// however many joins read that arrangement.
+        pub arrangement_updates: u64,
     }
 
     #[cfg(feature = "ivm-stats")]
@@ -101,6 +105,7 @@ pub mod counters {
         pub static RESTORE_MISSES: AtomicU64 = AtomicU64::new(0);
         pub static BAG_ENUMERATIONS: AtomicU64 = AtomicU64::new(0);
         pub static TC_PATHS_TOUCHED: AtomicU64 = AtomicU64::new(0);
+        pub static ARRANGEMENT_UPDATES: AtomicU64 = AtomicU64::new(0);
 
         pub fn bump(c: &AtomicU64) {
             c.fetch_add(1, Ordering::Relaxed);
@@ -199,6 +204,13 @@ pub mod counters {
         imp::add(&imp::TC_PATHS_TOUCHED, n);
     }
 
+    /// Record one tuple update applied to an arrangement.
+    #[inline]
+    pub fn arrangement_updated() {
+        #[cfg(feature = "ivm-stats")]
+        imp::bump(&imp::ARRANGEMENT_UPDATES);
+    }
+
     /// Record a hash-map rehash if `after > before` capacity.
     #[inline]
     pub fn rehash_if_grew(before: usize, after: usize) {
@@ -229,6 +241,7 @@ pub mod counters {
                 restore_misses: imp::RESTORE_MISSES.load(Ordering::Relaxed),
                 bag_enumerations: imp::BAG_ENUMERATIONS.load(Ordering::Relaxed),
                 tc_paths_touched: imp::TC_PATHS_TOUCHED.load(Ordering::Relaxed),
+                arrangement_updates: imp::ARRANGEMENT_UPDATES.load(Ordering::Relaxed),
             }
         }
         #[cfg(not(feature = "ivm-stats"))]
@@ -253,6 +266,7 @@ pub mod counters {
             imp::RESTORE_MISSES.store(0, Ordering::Relaxed);
             imp::BAG_ENUMERATIONS.store(0, Ordering::Relaxed);
             imp::TC_PATHS_TOUCHED.store(0, Ordering::Relaxed);
+            imp::ARRANGEMENT_UPDATES.store(0, Ordering::Relaxed);
         }
     }
 }

@@ -8,7 +8,7 @@
 
 use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
-use pgq_ivm::delta::Delta;
+use pgq_ivm::delta::{Delta, IndexedBag};
 use pgq_ivm::join::JoinOp;
 use pgq_ivm::semijoin::SemiJoinOp;
 use pgq_ivm::stats::counters;
@@ -21,20 +21,38 @@ fn d(entries: &[(&[i64], i64)]) -> Delta {
     entries.iter().map(|(v, m)| (t(v), *m)).collect()
 }
 
+/// Apply `delta` to `bag`, as the network does after a pass.
+fn absorb(bag: &mut IndexedBag, delta: &Delta) {
+    for (t, m) in delta.iter() {
+        bag.update(t, *m);
+    }
+}
+
 /// The counters are process-globals, so keep all assertions in one test
 /// (the default test harness runs tests in parallel threads).
 #[test]
 fn join_hot_path_materialises_no_keys() {
     // Seed a join with fan-out on both sides.
     let mut j = JoinOp::new(vec![0], vec![0], 2);
-    let left: Vec<(Tuple, i64)> = (0..50).map(|i| (t(&[i % 5, i]), 1)).collect();
-    let right: Vec<(Tuple, i64)> = (0..50).map(|i| (t(&[i % 5, 100 + i]), 1)).collect();
-    j.on_deltas(left.into_iter().collect(), right.into_iter().collect());
+    let mut left = IndexedBag::new(j.left_arrangement_keys().to_vec());
+    let mut right = IndexedBag::new(j.right_arrangement_keys().to_vec());
+    absorb(&mut left, &(0..50).map(|i| (t(&[i % 5, i]), 1)).collect());
+    absorb(
+        &mut right,
+        &(0..50).map(|i| (t(&[i % 5, 100 + i]), 1)).collect(),
+    );
 
     // Steady state: a delta batch through the join must do probe work
     // but allocate no key tuples at all.
     counters::reset();
-    let out = j.on_deltas(d(&[(&[2, 999], 1)]), d(&[(&[3, 888], 1), (&[3, 777], -1)]));
+    let mut out = Delta::new();
+    j.apply(
+        &d(&[(&[2, 999], 1)]),
+        &d(&[(&[3, 888], 1), (&[3, 777], -1)]),
+        &left,
+        &right,
+        &mut out,
+    );
     let snap = counters::snapshot();
     assert!(!out.is_empty(), "the batch should produce matches");
     assert!(
@@ -43,18 +61,18 @@ fn join_hot_path_materialises_no_keys() {
     );
     assert_eq!(
         snap.key_materializations, 0,
-        "JoinOp::on_deltas must not materialise key tuples: {snap:?}"
+        "JoinOp::apply must not materialise key tuples: {snap:?}"
     );
 
     // Semijoin steady state: support keys already exist, so an update
     // batch probes borrowed keys only.
     let mut sj = SemiJoinOp::new(vec![0], vec![0], false);
-    sj.on_deltas(
-        (0..20).map(|i| (t(&[i % 4, i]), 1)).collect(),
-        (0..4).map(|i| (t(&[i]), 1)).collect(),
-    );
+    let mut left = IndexedBag::new(sj.left_arrangement_keys().to_vec());
+    absorb(&mut left, &(0..20).map(|i| (t(&[i % 4, i]), 1)).collect());
+    sj.restore(&(0..4).map(|i| (t(&[i]), 1)).collect());
     counters::reset();
-    let out = sj.on_deltas(d(&[(&[1, 500], 1)]), d(&[(&[2], 1)]));
+    let mut out = Delta::new();
+    sj.apply(&d(&[(&[1, 500], 1)]), &d(&[(&[2], 1)]), &left, &mut out);
     let snap = counters::snapshot();
     assert!(!out.is_empty());
     assert_eq!(
@@ -65,7 +83,7 @@ fn join_hot_path_materialises_no_keys() {
     // A brand-new support key is the sanctioned exception: exactly one
     // materialisation.
     counters::reset();
-    sj.on_deltas(Delta::new(), d(&[(&[99], 1)]));
+    sj.apply(&Delta::new(), &d(&[(&[99], 1)]), &left, &mut out);
     let snap = counters::snapshot();
     assert_eq!(
         snap.key_materializations, 1,

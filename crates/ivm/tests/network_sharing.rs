@@ -23,14 +23,33 @@ fn scan(var: &str, label: &str) -> Fra {
     }
 }
 
-/// The paper-example shape: ©(a:A) ⋈ ⇑[(a)-[:R]->(b)].
+/// `©(var:label {k})`: pushing a property keeps the scan a relation of
+/// its own (a label-only © joined to an edge scan is folded into the
+/// scan's endpoint labels by canonicalisation).
+fn keyed_scan(var: &str, label: &str) -> Fra {
+    Fra::ScanVertices {
+        var: var.into(),
+        labels: vec![s(label)],
+        props: vec![PropPush {
+            prop: s("k"),
+            col: format!("{var}.k"),
+        }],
+        carry_map: false,
+    }
+}
+
+/// The paper-example shape: ⇑[(a)-[:R]->(b)] ⋈ ©(a:A {k}) (already in
+/// canonical operand order, so no tail π restores the columns).
 fn join_plan() -> Fra {
+    edge_join("a", "e", "b")
+}
+
+fn edge_join(src: &str, edge: &str, dst: &str) -> Fra {
     Fra::HashJoin {
-        left: Box::new(scan("a", "A")),
-        right: Box::new(Fra::ScanEdges {
-            src: "a".into(),
-            edge: "e".into(),
-            dst: "b".into(),
+        left: Box::new(Fra::ScanEdges {
+            src: src.into(),
+            edge: edge.into(),
+            dst: dst.into(),
             types: vec![s("R")],
             src_labels: vec![],
             dst_labels: vec![],
@@ -40,6 +59,7 @@ fn join_plan() -> Fra {
             dir: pgq_common::dir::Direction::Out,
             carry_maps: (false, false, false),
         }),
+        right: Box::new(keyed_scan(src, "A")),
         left_keys: vec![0],
         right_keys: vec![0],
     }
@@ -139,7 +159,7 @@ fn drop_releases_nodes_only_when_last_view_is_gone() {
     let v1 = net.register("v1", &plan, &g);
     // A third view sharing only the vertex scan.
     let filtered = Fra::Distinct {
-        input: Box::new(scan("a", "A")),
+        input: Box::new(keyed_scan("a", "A")),
     };
     let v2 = net.register("v2", &filtered, &g);
     assert_eq!(net.node_count(), 4, "2 scans + join + δ");
@@ -295,24 +315,7 @@ fn alpha_renamed_duplicate_adds_zero_nodes() {
     let nodes = net.node_count();
 
     // The same shape with every variable renamed.
-    let renamed = Fra::HashJoin {
-        left: Box::new(scan("x", "A")),
-        right: Box::new(Fra::ScanEdges {
-            src: "x".into(),
-            edge: "r".into(),
-            dst: "y".into(),
-            types: vec![s("R")],
-            src_labels: vec![],
-            dst_labels: vec![],
-            src_props: vec![],
-            edge_props: vec![],
-            dst_props: vec![],
-            dir: pgq_common::dir::Direction::Out,
-            carry_maps: (false, false, false),
-        }),
-        left_keys: vec![0],
-        right_keys: vec![0],
-    };
+    let renamed = edge_join("x", "r", "y");
     let v = net.register("renamed", &renamed, &g);
     assert_eq!(
         net.node_count(),
@@ -323,7 +326,7 @@ fn alpha_renamed_duplicate_adds_zero_nodes() {
     // The collapsed view still answers with its own schema names.
     assert_eq!(
         net.view(v).columns(),
-        ["x", "r", "y"],
+        ["x", "r", "y", "x.k"],
         "sink reports the renamed view's own columns"
     );
 }

@@ -83,8 +83,13 @@ fn s(x: &str) -> Symbol {
 /// Low-index-biased vertex pick (cubic skew: index 0 is the heaviest
 /// hub), giving the degree skew that blows up wedge counts.
 fn skewed(rng: &mut SmallRng, n: usize) -> usize {
-    let u = rng.random_range(0..1u64 << 32) as f64 / (1u64 << 32) as f64;
+    let u = unit(rng);
     (((u * u * u) * n as f64) as usize).min(n - 1)
+}
+
+/// Uniform draw from `[0, 1)`.
+fn unit(rng: &mut SmallRng) -> f64 {
+    rng.random_range(0..1u64 << 32) as f64 / (1u64 << 32) as f64
 }
 
 /// Pick the endpoints of the next inserted edge on `g`: with
@@ -354,6 +359,91 @@ impl HubMotifGraph {
     }
 }
 
+/// Scale of [`generate_skew_motifs`]; the default is the size the
+/// end-to-end benchmark's `motif_skew` workload runs at.
+#[derive(Clone, Copy, Debug)]
+pub struct SkewMotifParams {
+    /// Vertices (all labelled `N`), the two hubs included.
+    pub vertices: usize,
+    /// Edges between ordinary vertices, endpoints drawn with a
+    /// quadratic skew towards low indices.
+    pub edges: usize,
+    /// Extra edges at each of the two hubs, alternately out and in.
+    pub hub_edges: usize,
+    /// RNG seed (the wiring; the degree sequence barely moves).
+    pub seed: u64,
+}
+
+impl Default for SkewMotifParams {
+    fn default() -> Self {
+        SkewMotifParams {
+            vertices: 2_000,
+            edges: 8_000,
+            hub_edges: 300,
+            seed: 7,
+        }
+    }
+}
+
+/// The graph shape of the benchmark's `motif_skew` workload: a directed
+/// power-law graph (edge `j` draws both endpoints from the `j`-th of
+/// `edges` equal strata, squared, so every seed has the same degree
+/// sequence to within one) plus two hubs whose `hub_edges` neighbours
+/// are dealt in turn from one evenly spaced grid. One edge in ten of
+/// that universe is left out. All vertices `N`, all edges `E`; the hubs
+/// are the first two entries of `nodes`.
+pub fn generate_skew_motifs(params: SkewMotifParams) -> MotifGraph {
+    const HUBS: usize = 2;
+    let mut rng = SmallRng::seed_from_u64(params.seed);
+    let mut g = PropertyGraph::new();
+    let nodes: Vec<VertexId> = (0..params.vertices)
+        .map(|_| g.add_vertex([s("N")], Properties::new()).0)
+        .collect();
+    let n = params.vertices - HUBS;
+    assert!(
+        HUBS * params.hub_edges <= n,
+        "hub neighbourhoods must not wrap onto each other"
+    );
+    let stratum = |j: usize, rng: &mut SmallRng| {
+        let u = (j as f64 + unit(rng)) / params.edges as f64;
+        HUBS + ((n as f64 * u * u) as usize).min(n - 1)
+    };
+    let mut targets: Vec<usize> = (0..params.edges).map(|j| stratum(j, &mut rng)).collect();
+    for j in (1..targets.len()).rev() {
+        targets.swap(j, rng.random_range(0..j + 1));
+    }
+    let mut universe: Vec<(usize, usize)> = Vec::new();
+    for (j, &dst) in targets.iter().enumerate() {
+        let src = stratum(j, &mut rng);
+        if src != dst {
+            universe.push((src, dst));
+        }
+    }
+    let slots = HUBS * params.hub_edges;
+    let offset = rng.random_range(0..n);
+    for hub in 0..HUBS {
+        for i in 0..params.hub_edges {
+            let other = HUBS + (offset + (i * HUBS + hub) * n / slots) % n;
+            universe.push(if i % 2 == 0 {
+                (hub, other)
+            } else {
+                (other, hub)
+            });
+        }
+    }
+    for (src, dst) in universe {
+        if rng.random_range(0..10u32) != 0 {
+            g.add_edge(nodes[src], nodes[dst], s("E"), Properties::new())
+                .unwrap();
+        }
+    }
+    MotifGraph {
+        graph: g,
+        nodes,
+        rng,
+    }
+}
+
 /// The standing cyclic-motif queries.
 pub mod queries {
     /// Directed triangles — the canonical cyclic pattern. The planner
@@ -369,6 +459,13 @@ pub mod queries {
     /// Directed four-cycles (the "diamond" motif).
     pub const FOUR_CYCLES: &str =
         "MATCH (a:N)-[:E]->(b:N)-[:E]->(c:N)-[:E]->(d:N)-[:E]->(a) RETURN a, b, c, d";
+
+    /// The number of directed wedges — the intermediate both cyclic
+    /// views above are built on.
+    pub const WEDGE_COUNT: &str = "MATCH (a:N)-[:E]->(b:N)-[:E]->(c:N) RETURN count(*) AS wedges";
+
+    /// The three standing views of the benchmark's `motif_skew`.
+    pub const MOTIF_SKEW: [&str; 3] = [TRIANGLES, FOUR_CYCLES, WEDGE_COUNT];
 }
 
 #[cfg(test)]

@@ -204,3 +204,82 @@ fn permuted_return_shares_everything_below_the_tail() {
     direct.sort_by_key(key);
     assert_eq!(flipped, direct, "cp is pc with columns swapped");
 }
+
+/// The benchmark's `motif_skew`: triangle, four-cycle and wedge count on
+/// one engine compute the wedge once and index it once. Every label-only
+/// © folds into the one `⇑(E)`, the three wedge joins hash-cons to one,
+/// and one arrangement of the wedge — keyed by its two end vertices —
+/// serves the triangle-closing join and both sides of the four-cycle's
+/// wedge ⋈ wedge.
+#[test]
+fn motif_views_share_one_edge_scan_one_wedge_and_one_wedge_index() {
+    use pgq_workloads::motifs::{generate_skew_motifs, queries, SkewMotifParams};
+
+    let seed = generate_skew_motifs(SkewMotifParams::default());
+    let mut e = GraphEngine::from_graph(seed.graph);
+    for (i, q) in queries::MOTIF_SKEW.iter().enumerate() {
+        e.register_view(&format!("m{i}"), q).unwrap();
+    }
+    let nodes = e.network().node_summaries();
+    let count = |label: &str| nodes.iter().filter(|n| n.label == label).count();
+    assert!(
+        nodes.iter().all(|n| !n.label.starts_with('©')),
+        "no vertex scan survives canonicalisation"
+    );
+    for i in 0..queries::MOTIF_SKEW.len() {
+        assert_matches_recompute(&e, &format!("m{i}"));
+    }
+    if !pgq_ivm::planner_enabled() {
+        // The syntactic order joins the © to an endpoint that already
+        // has its label (the closing edge keeps a label-free target, a
+        // second scan) and builds the four-cycle left-deep.
+        return;
+    }
+    assert_eq!(count("⇑(E)"), 1, "one edge scan");
+    assert_eq!(
+        count("⋈"),
+        3,
+        "wedge, triangle-closing and four-cycle joins"
+    );
+    assert!(nodes.len() <= 11, "{} nodes", nodes.len());
+
+    // The edge scan is indexed once per key set its three readers use:
+    // the wedge join's two sides and the triangle-closing join.
+    let scan = nodes.iter().find(|n| n.label == "⇑(E)").unwrap();
+    let mut scan_keys: Vec<(Vec<usize>, usize)> = scan
+        .arrangements
+        .iter()
+        .map(|(keys, _, readers)| (keys.clone(), *readers))
+        .collect();
+    scan_keys.sort();
+    assert_eq!(
+        scan_keys,
+        vec![(vec![0], 1), (vec![0, 2], 1), (vec![2], 1)],
+        "⇑(E) arrangements"
+    );
+    // The only other arranged node is the wedge: one index, three
+    // readers.
+    let arranged: Vec<_> = nodes
+        .iter()
+        .filter(|n| n.label != "⇑(E)" && !n.arrangements.is_empty())
+        .collect();
+    assert_eq!(
+        arranged.len(),
+        1,
+        "only the wedge is arranged: {arranged:?}"
+    );
+    let [(wedge_keys, wedge_tuples, wedge_readers)] = &arranged[0].arrangements[..] else {
+        panic!("one wedge arrangement, got {:?}", arranged[0].arrangements);
+    };
+    assert_eq!(wedge_keys.len(), 2, "keyed by the wedge's two end vertices");
+    assert_eq!(
+        *wedge_readers, 3,
+        "triangle ⋈ and both sides of four-cycle ⋈"
+    );
+
+    // State: the wedge is held once (three private join memories held it
+    // before), so the whole network stays well under half of what it was.
+    let held: usize = nodes.iter().map(|n| n.own_tuples).sum();
+    assert!(*wedge_tuples > 50_000, "the wedge is the big intermediate");
+    assert!(held <= 160_000, "{held} tuples held");
+}

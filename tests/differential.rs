@@ -711,6 +711,94 @@ fn wcoj_views_stay_correct_under_motif_churn() {
     }
 }
 
+/// Label churn on the endpoints the canonicaliser moved a label onto.
+/// The benchmark's three `motif_skew` views lose every `©(N)` to the
+/// edge scan's endpoint labels (the closing edge `(c)-[:E]->(a)` gains
+/// its target label that way), so `N` coming and going — on a hub, where
+/// thousands of wedges hang, and on the vertex a triangle closes at —
+/// must reach the views through the scan alone. Planned, binary and
+/// syntactic registrations, serial and at width 4, against a from-scratch
+/// evaluation of the *uncanonicalised* compiled plan after every step,
+/// with edge churn in between so label and edge deltas meet in the joins.
+#[test]
+fn motif_views_follow_label_churn_on_hubs_and_closing_vertices() {
+    use pgq_workloads::motifs::{generate_skew_motifs, queries, SkewMotifParams};
+
+    let mut seed = generate_skew_motifs(SkewMotifParams {
+        vertices: 80,
+        edges: 260,
+        hub_edges: 16,
+        seed: 3,
+    });
+    let hub = seed.nodes[0];
+    let script = seed.churn(24, 0.4);
+    let mut serial = pgq_core::GraphEngine::from_graph(seed.graph.clone());
+    let mut compiled = Vec::new();
+    for (i, q) in queries::MOTIF_SKEW.iter().enumerate() {
+        serial.register_view(&format!("pl{i}"), q).unwrap();
+        serial.register_view_binary(&format!("bi{i}"), q).unwrap();
+        serial
+            .register_view_unplanned(&format!("un{i}"), q)
+            .unwrap();
+        compiled.push(compile_query(&parse_query(q).unwrap()).unwrap());
+    }
+    let mut wide = serial.clone();
+    wide.set_threads(4);
+    let check = |serial: &pgq_core::GraphEngine, wide: &pgq_core::GraphEngine, what: &str| {
+        for (i, c) in compiled.iter().enumerate() {
+            let want = eval_consolidated(&c.fra, serial.graph());
+            for prefix in ["pl", "bi", "un"] {
+                for (engine, width) in [(serial, 1usize), (wide, 4)] {
+                    let id = engine.view_by_name(&format!("{prefix}{i}")).unwrap();
+                    assert_eq!(
+                        engine.view(id).unwrap().results(),
+                        want,
+                        "{prefix}{i} at width {width} diverged after {what}"
+                    );
+                }
+            }
+        }
+    };
+    check(&serial, &wide, "registration");
+    let triangles = serial.view_by_name("pl0").unwrap();
+    assert!(
+        !serial.view_results(triangles).unwrap().is_empty(),
+        "the seed graph has triangles to break"
+    );
+    for (t, tx) in script.iter().enumerate() {
+        // Where the current first triangle closes: column `a`, the
+        // target of its closing edge.
+        let closing = match serial.view_results(triangles).unwrap().first() {
+            Some(row) => match row.get(0) {
+                pgq_common::value::Value::Node(v) => *v,
+                other => panic!("triangle column holds {other:?}"),
+            },
+            None => hub,
+        };
+        for (who, v) in [("hub", hub), ("closing vertex", closing)] {
+            for remove in [true, false] {
+                let mut relabel = Transaction::new();
+                if remove {
+                    relabel.remove_label(v, s("N"));
+                } else {
+                    relabel.add_label(v, s("N"));
+                }
+                serial.apply(&relabel).expect("relabel applies");
+                wide.apply(&relabel).expect("relabel applies");
+                let verb = if remove { "removing" } else { "restoring" };
+                check(
+                    &serial,
+                    &wide,
+                    &format!("{verb} N on the {who} at step {t}"),
+                );
+            }
+        }
+        serial.apply(tx).expect("churn tx applies");
+        wide.apply(tx).expect("churn tx applies");
+        check(&serial, &wide, &format!("edge churn step {t}"));
+    }
+}
+
 /// Hub-skewed wcoj oracle: the two-hub galloping workload (segregated
 /// id ranges, hub-degree intersections, deletion-heavy churn centred on
 /// the bridge edge) driven through every toggle combination in one

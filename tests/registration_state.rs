@@ -16,9 +16,11 @@
 //!   snapshot hit and miss goes through the same loader.
 //!
 //! Node for node they must agree — equal `dump_states`, equal
-//! `memory_tuples_of`, equal results ≡ `pgq_eval` — and still agree after
-//! a further churn script: a memory loaded wrong only shows on later
-//! deltas. Run unplanned (the syntactic plan does not depend on when it
+//! arrangements (key set, readers, contents), equal `memory_tuples_of`,
+//! equal results ≡ `pgq_eval` — and still agree after a further churn
+//! script: a memory loaded wrong only shows on later deltas. During that
+//! churn every arrangement is also held, after every step, to the
+//! recompute of its producer's sub-plan. Run unplanned (the syntactic plan does not depend on when it
 //! was made) and planned with ⨝ⁿ fusion forced, where the early network
 //! registers the plans the late one chose, so that loader is compared
 //! node for node too.
@@ -65,7 +67,9 @@ const SEEDS: u64 = 12;
 const BUILD_STEPS: usize = 120;
 const CHURN_STEPS: usize = 100;
 
-fn sorted(bag: &[(Tuple, i64)]) -> Vec<(Tuple, i64)> {
+type Bag = Vec<(Tuple, i64)>;
+
+fn sorted(bag: &[(Tuple, i64)]) -> Bag {
     let mut v = bag.to_vec();
     v.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     v
@@ -114,6 +118,20 @@ impl Audited {
         Audited { net, sinks }
     }
 
+    /// Every arrangement as `(producer fingerprint, key columns, readers,
+    /// contents)`, sorted.
+    fn arrangements(&self) -> Vec<(u64, Vec<usize>, usize, Bag)> {
+        let mut all: Vec<_> = self
+            .net
+            .arrangement_bags()
+            .map(|(plan, keys, readers, bag)| {
+                (plan.fingerprint().0, keys.to_vec(), readers, sorted(&bag))
+            })
+            .collect();
+        all.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+        all
+    }
+
     /// Every node's dumped bag, by `(fingerprint, check)`.
     fn dump(&mut self) -> BTreeMap<(u64, u64), Vec<(Tuple, i64)>> {
         self.net
@@ -151,6 +169,23 @@ fn assert_same(
     let (da, db) = (a.dump(), b.dump());
     assert_eq!(da.len(), a.net.node_count(), "{what}: one bag per node");
     assert_eq!(da, db, "{what}: dumped bags");
+    assert_eq!(a.arrangements(), b.arrangements(), "{what}: arrangements");
+}
+
+/// Every arrangement holds exactly the recompute of its producer's
+/// sub-plan, whatever its key set.
+fn audit_arrangements(net: &DataflowNetwork, g: &PropertyGraph, what: &str) -> usize {
+    let mut audited = 0;
+    for (plan, keys, readers, bag) in net.arrangement_bags() {
+        assert!(readers > 0, "{what}: a free arrangement is listed");
+        assert_eq!(
+            sorted(&bag),
+            sorted(&pgq_eval::evaluate_consolidated(plan, g)),
+            "{what}: arrangement {keys:?} differs from recompute of\n{plan:#?}"
+        );
+        audited += 1;
+    }
+    audited
 }
 
 /// Every node's dumped bag equals the recompute of its sub-plan.
@@ -168,7 +203,7 @@ fn audit_against_recompute(a: &mut Audited, g: &PropertyGraph, what: &str) -> us
         );
         audited += 1;
     }
-    audited
+    audited + audit_arrangements(&a.net, g, what)
 }
 
 /// `options` are the late registration's. The early network must run the
@@ -266,6 +301,7 @@ fn run(seed: u64, options: RegisterOptions) -> usize {
                 for a in [&mut late, &mut warm] {
                     a.net.on_transaction(&g, &events);
                 }
+                audit_arrangements(&late.net, &g, &what("during churn", "late"));
             }
         }
     }
@@ -290,4 +326,101 @@ fn planned_late_registration_equals_early_registration_of_the_same_plan() {
     };
     let audited: usize = (0..SEEDS).map(|seed| run(seed, forced)).sum();
     assert!(audited > 200, "only {audited} node bags audited");
+}
+
+/// An arrangement lives exactly as long as it has a reader, and holds
+/// nothing a net-zero script does not take back: registering a second
+/// reader of an existing key set adds no index, a reader of a new key set
+/// adds one, dropping the last reader of a key set frees it, and after a
+/// script that creates and then deletes a subgraph the network holds what
+/// it held before.
+#[test]
+fn arrangements_follow_their_readers_and_return_to_baseline() {
+    let compile = |q: &str| compile_query(&parse_query(q).unwrap()).unwrap().fra;
+    let held = |net: &DataflowNetwork| -> usize {
+        net.node_summaries().iter().map(|n| n.own_tuples).sum()
+    };
+    let indexes = |net: &DataflowNetwork| -> Vec<(String, Vec<usize>, usize)> {
+        let mut v: Vec<_> = net
+            .node_summaries()
+            .into_iter()
+            .flat_map(|n| {
+                n.arrangements
+                    .into_iter()
+                    .map(move |(keys, _, readers)| (n.label.clone(), keys, readers))
+            })
+            .collect();
+        v.sort();
+        v
+    };
+    let edge = || "⇑(REPLY)".to_string();
+
+    let mut rng = XorShift::new(0x0A0D_1800);
+    let mut g = PropertyGraph::new();
+    for _ in 0..BUILD_STEPS {
+        let tx = next_tx(&mut rng, &g);
+        g.apply(&tx).unwrap();
+    }
+    let unplanned = RegisterOptions {
+        plan: false,
+        ..RegisterOptions::default()
+    };
+    let mut net = DataflowNetwork::new();
+    // (a)-[]->(b)-[]->(c): the edge scan read on its target and on its
+    // source.
+    let two_hop = compile("MATCH (a)-[:REPLY]->(b)-[:REPLY]->(c) RETURN a, c");
+    let v0 = net.register_with("two_hop", &two_hop, &g, unplanned);
+    let one_view = indexes(&net);
+    assert_eq!(one_view, vec![(edge(), vec![0], 1), (edge(), vec![2], 1)]);
+    let baseline = held(&net);
+
+    // The same join under a filter: a new sink, no new reader.
+    let filtered = compile("MATCH (a)-[:REPLY]->(b)-[:REPLY]->(c) WHERE a <> c RETURN a, c");
+    let v1 = net.register_with("filtered", &filtered, &g, unplanned);
+    assert_eq!(indexes(&net), one_view, "a shared join adds no reader");
+
+    // A closing edge reads the scan on both endpoints, and the two-hop
+    // join's output on its two ends: two new indexes.
+    let triangle = compile("MATCH (a)-[:REPLY]->(b)-[:REPLY]->(c), (c)-[:REPLY]->(a) RETURN a");
+    let v2 = net.register_with("triangle", &triangle, &g, unplanned);
+    let with_triangle = indexes(&net);
+    assert_eq!(with_triangle.len(), 4, "{with_triangle:?}");
+    assert!(with_triangle.contains(&(edge(), vec![0, 2], 1)));
+    assert!(held(&net) > baseline);
+    audit_arrangements(&net, &g, "three views");
+
+    // Dropping the last reader of a key set frees the index.
+    net.drop_sink(v2);
+    assert_eq!(indexes(&net), one_view, "the triangle's indexes are gone");
+    net.drop_sink(v1);
+    assert_eq!(held(&net), baseline, "back to one view's state");
+
+    // A script that nets to zero: grow a reply chain, then delete it.
+    let mut grow = Transaction::new();
+    let reply = Symbol::intern("REPLY");
+    let fresh: Vec<_> = (0..6)
+        .map(|_| grow.create_vertex([Symbol::intern("Comm")], Properties::new()))
+        .collect();
+    for pair in fresh.windows(2) {
+        grow.create_edge(pair[0], pair[1], reply, Properties::new());
+    }
+    let events = g.apply(&grow).unwrap();
+    net.on_transaction(&g, &events);
+    assert!(held(&net) > baseline, "the chain is indexed");
+    let mut shrink = Transaction::new();
+    for ev in &events {
+        if let pgq_graph::delta::ChangeEvent::VertexAdded { id } = ev {
+            shrink.delete_vertex(*id, true);
+        }
+    }
+    let events = g.apply(&shrink).unwrap();
+    net.on_transaction(&g, &events);
+    assert_eq!(
+        held(&net),
+        baseline,
+        "a net-zero script leaves nothing behind"
+    );
+    assert_eq!(indexes(&net), one_view);
+    net.drop_sink(v0);
+    assert_eq!(net.node_count(), 0);
 }

@@ -168,3 +168,45 @@ fn view_walks_stay_flat_under_register_drop_churn() {
         "view_by_name: {after:?} after {CYCLES} register/drop cycles vs {base:?} fresh"
     );
 }
+
+/// The sink fold walks the roots the pass produced, not every sink, yet
+/// reports the changed sinks in sink-id order whatever the arena and
+/// depth order of their roots — so subscribers of several views changed
+/// by one transaction keep being called in view-registration order.
+#[test]
+fn callbacks_fire_in_registration_order_whatever_the_root_depths() {
+    let mut e = GraphEngine::new();
+    // Roots at depths 3+, 0, (shared with the first), 1; the dropped
+    // view leaves a sink slot that the last registration reuses.
+    let queries = [
+        "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE p.lang = c.lang RETURN p, c",
+        "MATCH (c:Comm) RETURN c",
+        "MATCH (x:Post)-[:REPLY]->(y:Comm) WHERE x.lang = y.lang RETURN x, y",
+        "MATCH (p:Post) RETURN count(*) AS n",
+    ];
+    let doomed = e
+        .register_view("doomed", "MATCH (p:Post) RETURN p")
+        .unwrap();
+    let order: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+    let mut names = Vec::new();
+    for (i, q) in queries.iter().enumerate() {
+        if i == 3 {
+            e.drop_view(doomed).unwrap();
+        }
+        let name = format!("v{i}");
+        let view = e.register_view(&name, q).unwrap();
+        let log = order.clone();
+        e.subscribe(view, move |d| log.lock().unwrap().push(d.view.clone()))
+            .unwrap();
+        names.push(name);
+    }
+    for _ in 0..3 {
+        order.lock().unwrap().clear();
+        e.execute("CREATE (:Post {lang: 'en'})-[:REPLY]->(:Comm {lang: 'en'})")
+            .unwrap();
+        assert_eq!(*order.lock().unwrap(), names);
+        let changed = e.network().changed_sinks();
+        assert_eq!(changed.len(), names.len());
+        assert!(changed.windows(2).all(|w| w[0] < w[1]), "{changed:?}");
+    }
+}
