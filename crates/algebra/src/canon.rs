@@ -22,11 +22,15 @@
 //!    `WHERE a OR b` matches `WHERE b OR a`, and `A ⋈ B` matches
 //!    `B ⋈ A`.
 //! 3. **σ/π chain normalisation.** Adjacent filters fuse into one
-//!    conjunction; filters sink below projections and duplicate
-//!    elimination to a canonical position (directly above the topmost
-//!    stateful operator — never *into* joins or scans, so a family of
-//!    views differing only in a top-level `WHERE` keeps one shared
-//!    prefix with a private σ suffix each); adjacent projections fuse;
+//!    conjunction; filters sink below projections, duplicate
+//!    elimination and — conjunct by conjunct, where the unwound column
+//!    is not named — unwinds ([`Fra::sink_filter`], the one
+//!    σ-through-π/δ/ω rule, shared with the planner) to a canonical
+//!    position directly above the topmost stateful operator — never
+//!    *into* joins or scans: crossing ⋈ / ⋉ / ▷ / ⋈* is the planner's
+//!    decision alone, so a family of views differing only in a
+//!    top-level `WHERE` keeps one shared prefix with a private σ suffix
+//!    each; adjacent projections fuse;
 //!    full-arity permutation projections vanish into the column
 //!    mapping; `δ∘δ` collapses.
 //! 4. **Label-only © into ⇑.** `©(v:L) ⋈[v] P`, where the © pushes no
@@ -301,18 +305,6 @@ fn sort_props(props: &[PropPush]) -> (Vec<PropPush>, Vec<usize>) {
     (ix.iter().map(|&o| props[o].clone()).collect(), perm)
 }
 
-/// Flatten a chain of the associative connective `op` into its operands.
-fn operand_list(op: BinOp, e: ScalarExpr) -> Vec<ScalarExpr> {
-    match e {
-        ScalarExpr::Binary(o, l, r) if o == op => {
-            let mut out = operand_list(op, *l);
-            out.extend(operand_list(op, *r));
-            out
-        }
-        other => vec![other],
-    }
-}
-
 /// Sort + dedup the operands of the commutative, idempotent connective
 /// `op` and fold them back into one expression (`p ∧ p ≡ p` and
 /// `p ∨ p ≡ p` in Kleene logic, so deduplication is sound).
@@ -325,56 +317,35 @@ fn fold_sorted(op: BinOp, mut operands: Vec<ScalarExpr>) -> ScalarExpr {
         .expect("at least one operand")
 }
 
-/// Split a predicate into its `AND` conjuncts.
-fn conjunct_list(e: ScalarExpr) -> Vec<ScalarExpr> {
-    operand_list(BinOp::And, e)
-}
-
 /// Canonical conjunction: each conjunct's own `OR` chain flattened,
 /// sorted and deduplicated, then the conjuncts themselves.
 fn conjoin_sorted(conjs: Vec<ScalarExpr>) -> ScalarExpr {
     let conjs = conjs
         .into_iter()
-        .map(|c| fold_sorted(BinOp::Or, operand_list(BinOp::Or, c)))
+        .map(|c| fold_sorted(BinOp::Or, c.operands(BinOp::Or)))
         .collect();
     fold_sorted(BinOp::And, conjs)
 }
 
-/// Sink a filter to its canonical position: below projections and
-/// duplicate elimination, fused into any filter it lands on, but never
-/// into joins, scans, aggregates or unwinds. `plan` must already be
-/// canonical.
+/// Sink a filter to its canonical position: through projections,
+/// duplicate elimination and (for conjuncts that do not name the unwound
+/// column) unwinds — [`Fra::sink_filter`], shared with the planner —
+/// fused into any filter it lands on, but never into joins, scans or
+/// aggregates. `plan` must already be canonical.
 fn attach_filter(plan: Fra, conjs: Vec<ScalarExpr>) -> Fra {
-    match plan {
-        Fra::Project { input, items } => {
-            // Substituting through the projection can surface nested
-            // `AND`s (a conjunct referencing a boolean item): re-split
-            // so they sort as individual conjuncts.
-            let pushed = conjs
-                .iter()
-                .flat_map(|c| conjunct_list(c.substitute(&items)))
-                .collect();
-            Fra::Project {
-                input: Box::new(attach_filter(*input, pushed)),
-                items,
-            }
-        }
-        Fra::Distinct { input } => Fra::Distinct {
-            input: Box::new(attach_filter(*input, conjs)),
-        },
+    plan.sink_filter(conjs, &|landing, mut conjs| match landing {
         Fra::Filter { input, predicate } => {
-            let mut all = conjunct_list(predicate);
-            all.extend(conjs);
+            conjs.extend(predicate.operands(BinOp::And));
             Fra::Filter {
                 input,
-                predicate: conjoin_sorted(all),
+                predicate: conjoin_sorted(conjs),
             }
         }
         other => Fra::Filter {
             input: Box::new(other),
             predicate: conjoin_sorted(conjs),
         },
-    }
+    })
 }
 
 /// Core recursion: returns the canonical plan and the original→canonical
@@ -555,7 +526,7 @@ fn canon(fra: &Fra) -> (Fra, Vec<usize>) {
         Fra::Filter { input, predicate } => {
             let (cin, mi) = canon(input);
             let pred = predicate.remap_columns(&|c| mi[c]);
-            (attach_filter(cin, conjunct_list(pred)), mi)
+            (attach_filter(cin, pred.operands(BinOp::And)), mi)
         }
 
         Fra::Project { input, items } => {
@@ -1055,6 +1026,32 @@ mod tests {
             items: vec![(ScalarExpr::Col(1), "l".into())],
         };
         assert_eq!(canonicalize(&sigma_over_pi), canonicalize(&pi_over_sigma));
+    }
+
+    #[test]
+    fn filter_sinks_below_unwind_unless_it_names_the_unwound_column() {
+        let gt = |col: usize| {
+            ScalarExpr::Binary(
+                BinOp::Gt,
+                Box::new(ScalarExpr::Col(col)),
+                Box::new(ScalarExpr::lit(1)),
+            )
+        };
+        let unwind = |input: Fra| Fra::Unwind {
+            input: Box::new(input),
+            expr: ScalarExpr::List(vec![ScalarExpr::lit(1), ScalarExpr::lit(2)]),
+            alias: "u".into(),
+        };
+        let filter = |input: Fra, predicate: ScalarExpr| Fra::Filter {
+            input: Box::new(input),
+            predicate,
+        };
+        // `x.x > 1` (column 1) passes ω; `u > 1` (column 2) does not.
+        let above = filter(unwind(scan2("x", "A")), gt(1));
+        let below = unwind(filter(scan2("x", "A"), gt(1)));
+        assert_eq!(canonicalize(&above), canonicalize(&below));
+        let stuck = canonicalize(&filter(unwind(scan2("x", "A")), gt(2)));
+        assert!(matches!(stuck.plan, Fra::Filter { .. }), "{:?}", stuck.plan);
     }
 
     #[test]

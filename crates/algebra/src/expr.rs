@@ -228,6 +228,70 @@ impl ScalarExpr {
         self.rewrite_columns(&|i| ScalarExpr::Col(mapping(i)))
     }
 
+    /// Flatten a chain of the associative connective `op` into its
+    /// operands (`a AND (b AND c)` ↦ `[a, b, c]`); an expression that is
+    /// not such a chain is its own single operand.
+    pub fn operands(self, op: BinOp) -> Vec<ScalarExpr> {
+        match self {
+            ScalarExpr::Binary(o, l, r) if o == op => {
+                let mut out = l.operands(op);
+                out.extend(r.operands(op));
+                out
+            }
+            other => vec![other],
+        }
+    }
+
+    /// Fold constant subexpressions and simplify boolean identities
+    /// (`true AND p` ↦ `p`, `false OR p` ↦ `p`, …). A column-free
+    /// subexpression folds only when it evaluates without error, so a
+    /// folded predicate keeps and drops exactly the tuples the original
+    /// did.
+    pub fn fold(self) -> ScalarExpr {
+        let e = match self {
+            ScalarExpr::Binary(op, l, r) => {
+                ScalarExpr::Binary(op, Box::new(l.fold()), Box::new(r.fold()))
+            }
+            ScalarExpr::Unary(op, x) => ScalarExpr::Unary(op, Box::new(x.fold())),
+            ScalarExpr::Func { name, args } => ScalarExpr::Func {
+                name,
+                args: args.into_iter().map(ScalarExpr::fold).collect(),
+            },
+            ScalarExpr::IsNull { expr, negated } => ScalarExpr::IsNull {
+                expr: Box::new(expr.fold()),
+                negated,
+            },
+            ScalarExpr::List(xs) => {
+                ScalarExpr::List(xs.into_iter().map(ScalarExpr::fold).collect())
+            }
+            ScalarExpr::Map(entries) => {
+                ScalarExpr::Map(entries.into_iter().map(|(k, v)| (k, v.fold())).collect())
+            }
+            ScalarExpr::Index(b, i) => ScalarExpr::Index(Box::new(b.fold()), Box::new(i.fold())),
+            other => other,
+        };
+        if let ScalarExpr::Binary(op @ (BinOp::And | BinOp::Or), l, r) = &e {
+            // AND: `true` is neutral, `false` absorbs; OR the reverse.
+            let neutral = ScalarExpr::Lit(Value::Bool(*op == BinOp::And));
+            let absorbing = ScalarExpr::Lit(Value::Bool(*op == BinOp::Or));
+            if **l == neutral {
+                return r.as_ref().clone();
+            }
+            if **r == neutral {
+                return l.as_ref().clone();
+            }
+            if **l == absorbing || **r == absorbing {
+                return absorbing;
+            }
+        }
+        if e.columns().is_empty() && !matches!(e, ScalarExpr::Lit(_)) {
+            if let Ok(v) = e.eval(&Tuple::unit()) {
+                return ScalarExpr::Lit(v);
+            }
+        }
+        e
+    }
+
     /// Structural rewrite replacing each `Col(i)` with `f(i)`.
     fn rewrite_columns(&self, f: &dyn Fn(usize) -> ScalarExpr) -> ScalarExpr {
         match self {
@@ -724,6 +788,43 @@ mod tests {
         );
         let remapped = e.remap_columns(&|i| i + 10);
         assert_eq!(remapped.columns(), vec![10, 12]);
+    }
+
+    #[test]
+    fn folds_arithmetic_constants() {
+        let e = ScalarExpr::Binary(
+            BinOp::Add,
+            Box::new(ScalarExpr::lit(2)),
+            Box::new(ScalarExpr::lit(3)),
+        );
+        assert_eq!(e.fold(), ScalarExpr::lit(5));
+    }
+
+    #[test]
+    fn folds_boolean_identities() {
+        let c = ScalarExpr::Col(0);
+        let e = ScalarExpr::Binary(
+            BinOp::And,
+            Box::new(ScalarExpr::lit(true)),
+            Box::new(c.clone()),
+        );
+        assert_eq!(e.fold(), c);
+        let e = ScalarExpr::Binary(
+            BinOp::Or,
+            Box::new(ScalarExpr::lit(true)),
+            Box::new(ScalarExpr::Col(1)),
+        );
+        assert_eq!(e.fold(), ScalarExpr::lit(true));
+    }
+
+    #[test]
+    fn does_not_fold_column_expressions() {
+        let e = ScalarExpr::Binary(
+            BinOp::Add,
+            Box::new(ScalarExpr::Col(0)),
+            Box::new(ScalarExpr::lit(1)),
+        );
+        assert_eq!(e.clone().fold(), e);
     }
 
     #[test]

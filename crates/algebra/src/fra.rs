@@ -10,6 +10,7 @@
 use pgq_common::dir::Direction;
 use pgq_common::intern::Symbol;
 use pgq_common::value::Value;
+use pgq_parser::ast::BinOp;
 
 use crate::expr::{AggCall, ScalarExpr};
 
@@ -278,6 +279,61 @@ impl Fra {
                 s
             }
             Fra::MultiwayJoin { names, .. } => names.clone(),
+        }
+    }
+
+    /// Carry the conjuncts of a σ written directly above `self` down
+    /// through the transparent unary operators at its root — π by
+    /// substitution, δ unchanged, ω for the conjuncts that do not touch
+    /// the unwound column — and hand each group to `place` at the first
+    /// operator it cannot pass. This is the only code that moves a σ
+    /// through π / δ / ω: the canonicaliser calls it for its normal form,
+    /// the planner so that a conjunct written above a π joins the region
+    /// below it. Exact: all three operators act per tuple, and a σ on
+    /// columns a δ or ω passes through commutes with it.
+    pub fn sink_filter(
+        self,
+        conjs: Vec<ScalarExpr>,
+        place: &dyn Fn(Fra, Vec<ScalarExpr>) -> Fra,
+    ) -> Fra {
+        if conjs.is_empty() {
+            return self;
+        }
+        match self {
+            Fra::Project { input, items } => {
+                // Substitution can surface nested `AND`s (a conjunct
+                // naming a boolean item): re-split them.
+                let through = conjs
+                    .iter()
+                    .flat_map(|c| c.substitute(&items).operands(BinOp::And))
+                    .collect();
+                Fra::Project {
+                    input: Box::new(input.sink_filter(through, place)),
+                    items,
+                }
+            }
+            Fra::Distinct { input } => Fra::Distinct {
+                input: Box::new(input.sink_filter(conjs, place)),
+            },
+            Fra::Unwind { input, expr, alias } => {
+                // ω appends its column last, so a conjunct below it
+                // keeps its column indexes.
+                let arity = input.schema().len();
+                let (below, stay): (Vec<_>, Vec<_>) = conjs
+                    .into_iter()
+                    .partition(|c| c.columns().iter().all(|&col| col < arity));
+                let unwound = Fra::Unwind {
+                    input: Box::new(input.sink_filter(below, place)),
+                    expr,
+                    alias,
+                };
+                if stay.is_empty() {
+                    unwound
+                } else {
+                    place(unwound, stay)
+                }
+            }
+            other => place(other, conjs),
         }
     }
 

@@ -34,7 +34,6 @@ pub mod flatten;
 pub mod fra;
 pub mod gra;
 pub mod nra;
-pub mod opt;
 pub mod pipeline;
 pub mod plan;
 pub mod pretty;

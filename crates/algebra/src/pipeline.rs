@@ -20,20 +20,6 @@ pub struct CompileOptions {
     /// Schema-inference mode (the paper's push-down vs the carry-maps
     /// ablation).
     pub schema_mode: SchemaMode,
-    /// Run the FRA optimiser ([`crate::opt`]) — off by default so that
-    /// EXPLAIN and the golden tests show the paper's unoptimised
-    /// pipeline.
-    pub optimize: bool,
-}
-
-impl CompileOptions {
-    /// Options with the optimiser enabled.
-    pub fn optimized() -> CompileOptions {
-        CompileOptions {
-            optimize: true,
-            ..CompileOptions::default()
-        }
-    }
 }
 
 /// A fully compiled read query, carrying all three pipeline stages (for
@@ -173,10 +159,7 @@ pub fn compile_query_with(
     }
 
     let nra = to_nra(&gra, &plan.kinds)?;
-    let mut fra = flatten(&nra, &plan.kinds, options.schema_mode)?;
-    if options.optimize {
-        fra = crate::opt::optimize(fra);
-    }
+    let fra = flatten(&nra, &plan.kinds, options.schema_mode)?;
     let columns = fra.schema();
 
     // ORDER BY / SKIP / LIMIT: parsed and resolved for the baseline

@@ -100,7 +100,7 @@ pub const SORTED_BACKEND_MIN_SKEW: f64 = 24.0;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum WcojMode {
     /// Never fuse — every region plans as a binary join tree (the
-    /// `PGQ_DISABLE_WCOJ` kill switch / `register_view_binary`).
+    /// `PGQ_DISABLE_WCOJ` kill switch and the binary-tree twin).
     Disabled,
     /// Fuse an eligible cyclic region only when the estimated n-ary
     /// intersection cost beats the skew-adjusted binary-tree cost, or
@@ -591,7 +591,7 @@ fn join_card(l: &Rel, r: &Rel, lk: &[usize], rk: &[usize], stats: &PlanStats) ->
 /// provenance.
 fn selectivity(pred: &ScalarExpr, rel: &Rel, stats: &PlanStats) -> f64 {
     let mut sel = 1.0f64;
-    for conj in conjunct_list(pred) {
+    for conj in pred.clone().operands(BinOp::And) {
         sel *= conjunct_selectivity(&conj, rel, stats);
     }
     sel.clamp(1e-9, 1.0)
@@ -646,17 +646,6 @@ fn conjunct_selectivity(conj: &ScalarExpr, rel: &Rel, stats: &PlanStats) -> f64 
         ScalarExpr::Lit(Value::Bool(true)) => 1.0,
         ScalarExpr::Lit(Value::Bool(false)) => 1e-9,
         _ => 0.25,
-    }
-}
-
-fn conjunct_list(e: &ScalarExpr) -> Vec<ScalarExpr> {
-    match e {
-        ScalarExpr::Binary(BinOp::And, l, r) => {
-            let mut out = conjunct_list(l);
-            out.extend(conjunct_list(r));
-            out
-        }
-        other => vec![other.clone()],
     }
 }
 
@@ -777,8 +766,27 @@ fn decompose(
             out
         }
         Fra::Filter { input, predicate } => {
-            let ig = decompose(input, stats, region, opts, report);
-            for conj in conjunct_list(predicate) {
+            // Where conjuncts become appliers: fold constants first (a
+            // `σ[true]` vanishes), then carry what is left through any
+            // π / δ / ω under the σ, so a conjunct written above a π
+            // joins the region that binds its columns. The σ this
+            // places is decomposed in turn when its region is formed.
+            let mut conjs = predicate.clone().fold().operands(BinOp::And);
+            conjs.retain(|c| *c != ScalarExpr::Lit(Value::Bool(true)));
+            let sunk = (**input)
+                .clone()
+                .sink_filter(conjs, &|landing, conjs| Fra::Filter {
+                    input: Box::new(landing),
+                    predicate: conjoin_in_order(conjs),
+                });
+            // A σ still at the root stopped right here (above ω at the
+            // latest); anything else is the input with the σ inside it.
+            let (input, predicate) = match sunk {
+                Fra::Filter { input, predicate } => (input, predicate),
+                inside => return decompose(&inside, stats, region, opts, report),
+            };
+            let ig = decompose(&input, stats, region, opts, report);
+            for conj in predicate.operands(BinOp::And) {
                 let remapped = conj.remap_columns(&|c| ig[c]);
                 let globals = remapped.columns();
                 region.appliers.push(Applier::Filter {
@@ -2206,6 +2214,126 @@ mod tests {
             "{}",
             planned.fra.explain()
         );
+    }
+
+    fn planned_query(q: &str) -> Fra {
+        let cq = crate::compile_query(&pgq_parser::parse_query(q).unwrap()).unwrap();
+        let planned = plan(&cq.fra, &stats());
+        assert_eq!(planned.fra.schema(), cq.fra.schema(), "{q}");
+        planned.fra
+    }
+
+    /// The predicates of every σ in `f`, top-down.
+    fn filters(f: &Fra) -> Vec<&ScalarExpr> {
+        match f {
+            Fra::Filter { input, predicate } => {
+                let mut out = vec![predicate];
+                out.extend(filters(input));
+                out
+            }
+            Fra::HashJoin { left, right, .. } | Fra::SemiJoin { left, right, .. } => {
+                let mut out = filters(left);
+                out.extend(filters(right));
+                out
+            }
+            Fra::VarLengthJoin { left: input, .. }
+            | Fra::Project { input, .. }
+            | Fra::Distinct { input }
+            | Fra::Aggregate { input, .. }
+            | Fra::Unwind { input, .. } => filters(input),
+            _ => vec![],
+        }
+    }
+
+    #[test]
+    fn filter_over_projection_lands_on_varlength_left_input() {
+        // The compiler puts a π between the WHERE's σ and ⋈* for every
+        // named path; the source-side conjunct must still end up below
+        // the expansion, so only admitted posts anchor paths.
+        let planned =
+            planned_query("MATCH t = (p:Post)-[:REPLY*]->(c:Comm) WHERE p.lang = 'en' RETURN p, t");
+        fn varlen_left(f: &Fra) -> Option<&Fra> {
+            match f {
+                Fra::VarLengthJoin { left, .. } => Some(left),
+                Fra::Filter { input, .. }
+                | Fra::Project { input, .. }
+                | Fra::Distinct { input } => varlen_left(input),
+                _ => None,
+            }
+        }
+        let left = varlen_left(&planned).expect("plan keeps its ⋈*");
+        assert_eq!(filters(left).len(), 1, "{}", planned.explain());
+        assert_eq!(filters(&planned).len(), 1, "{}", planned.explain());
+    }
+
+    #[test]
+    fn conjunct_on_unwound_column_stays_above_the_unwind() {
+        // σ[x > 1 ∧ p.len > 5] δ ω[… AS x] ©(p {len}): the σ passes δ
+        // whole, then only `p.len > 5` passes ω.
+        let cmp = |col: usize, lit: i64| {
+            ScalarExpr::Binary(
+                BinOp::Gt,
+                Box::new(ScalarExpr::Col(col)),
+                Box::new(ScalarExpr::lit(lit)),
+            )
+        };
+        let scan = Fra::ScanVertices {
+            var: "p".into(),
+            labels: vec![s("Post")],
+            props: vec![PropPush {
+                prop: s("len"),
+                col: "p.len".into(),
+            }],
+            carry_map: false,
+        };
+        let unwind = |input: Fra| Fra::Unwind {
+            input: Box::new(input),
+            expr: ScalarExpr::List(vec![ScalarExpr::lit(1), ScalarExpr::lit(2)]),
+            alias: "x".into(),
+        };
+        let filter = |input: Fra, predicate: ScalarExpr| Fra::Filter {
+            input: Box::new(input),
+            predicate,
+        };
+        let written = filter(
+            Fra::Distinct {
+                input: Box::new(unwind(scan.clone())),
+            },
+            ScalarExpr::Binary(BinOp::And, Box::new(cmp(2, 1)), Box::new(cmp(1, 5))),
+        );
+        let expected = Fra::Distinct {
+            input: Box::new(filter(unwind(filter(scan, cmp(1, 5))), cmp(2, 1))),
+        };
+        assert_eq!(plan(&written, &stats()).fra, expected);
+    }
+
+    #[test]
+    fn filter_over_aggregate_stays_put() {
+        let planned = planned_query(
+            "MATCH (p:Post) WITH p.lang AS l, count(*) AS n WHERE n > 1 AND l = 'en' RETURN l, n",
+        );
+        fn over_aggregate(f: &Fra) -> bool {
+            match f {
+                Fra::Filter { input, .. } if matches!(**input, Fra::Aggregate { .. }) => true,
+                Fra::Filter { input, .. } | Fra::Project { input, .. } => over_aggregate(input),
+                _ => false,
+            }
+        }
+        assert!(over_aggregate(&planned), "{}", planned.explain());
+        let all = filters(&planned);
+        assert_eq!(all.len(), 1, "{}", planned.explain());
+        assert_eq!(all[0].clone().operands(BinOp::And).len(), 2);
+    }
+
+    #[test]
+    fn constant_conjuncts_fold_away() {
+        let planned = planned_query("MATCH (p:Post) WHERE 1 + 1 = 2 AND p.len >= 0 RETURN p");
+        let all = filters(&planned);
+        assert_eq!(all.len(), 1, "{}", planned.explain());
+        assert_eq!(all[0].clone().operands(BinOp::And).len(), 1);
+        // A predicate that is constant-true leaves no σ at all.
+        let planned = planned_query("MATCH (p:Post) WHERE 1 + 1 = 2 RETURN p");
+        assert!(filters(&planned).is_empty(), "{}", planned.explain());
     }
 
     #[test]

@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pgq_algebra::pipeline::CompileOptions;
 use pgq_algebra::SchemaMode;
 use pgq_core::GraphEngine;
+use pgq_ivm::RegisterOptions;
 use pgq_workloads::social::{generate_social, queries as sq, SocialParams};
 
 fn bench_ablation(c: &mut Criterion) {
@@ -25,7 +26,12 @@ fn bench_ablation(c: &mut Criterion) {
         };
         let mut engine = GraphEngine::from_graph(net.graph.clone());
         engine
-            .register_view_with("threads", sq::SAME_LANG_THREAD, options)
+            .register_view_with(
+                "threads",
+                sq::SAME_LANG_THREAD,
+                options,
+                RegisterOptions::default(),
+            )
             .unwrap();
         group.bench_with_input(BenchmarkId::new("maintain", label), &stream, |b, stream| {
             b.iter_batched(
@@ -43,8 +49,13 @@ fn bench_ablation(c: &mut Criterion) {
             b.iter_batched(
                 || GraphEngine::from_graph(graph.clone()),
                 |mut e| {
-                    e.register_view_with("threads", sq::SAME_LANG_THREAD, options)
-                        .unwrap();
+                    e.register_view_with(
+                        "threads",
+                        sq::SAME_LANG_THREAD,
+                        options,
+                        RegisterOptions::default(),
+                    )
+                    .unwrap();
                     e
                 },
                 criterion::BatchSize::LargeInput,

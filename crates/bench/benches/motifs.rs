@@ -4,7 +4,7 @@
 //!
 //! Series:
 //! * `wcoj_<query>/<size>` — the cyclic region pinned to one ⨝ⁿ node
-//!   (`register_view_wcoj_forced`; deltas touch motif instances, never
+//!   (`WcojMode::Forced`; deltas touch motif instances, never
 //!   wedges). Forced rather than cost-based, so the series keeps
 //!   measuring the fused node even where the catalog gate would pick
 //!   the binary tree (quick-scale triangles, four-cycles everywhere —
@@ -20,6 +20,8 @@
 //! hub degree.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pgq_algebra::CompileOptions;
+use pgq_bench::{binary_tree, forced_wcoj};
 use pgq_core::GraphEngine;
 use pgq_workloads::motifs::{
     generate_hub_motifs, generate_motifs, queries as mq, HubMotifParams, MotifParams,
@@ -44,9 +46,13 @@ fn bench_motifs(c: &mut Criterion) {
             for (mode, wcoj) in [("wcoj", true), ("binary", false)] {
                 let mut engine = GraphEngine::from_graph(net.graph.clone());
                 if wcoj {
-                    engine.register_view_wcoj_forced("v", q, true).unwrap();
+                    engine
+                        .register_view_with("v", q, CompileOptions::default(), forced_wcoj(true))
+                        .unwrap();
                 } else {
-                    engine.register_view_binary("v", q).unwrap();
+                    engine
+                        .register_view_with("v", q, CompileOptions::default(), binary_tree())
+                        .unwrap();
                 }
                 group.bench_with_input(
                     BenchmarkId::new(format!("{mode}_{query_name}"), size),
@@ -76,7 +82,12 @@ fn bench_motifs(c: &mut Criterion) {
     for (mode, sorted) in [("hub_sorted", true), ("hub_hash", false)] {
         let mut engine = GraphEngine::from_graph(net.graph.clone());
         engine
-            .register_view_wcoj_forced("v", mq::TRIANGLES, sorted)
+            .register_view_with(
+                "v",
+                mq::TRIANGLES,
+                CompileOptions::default(),
+                forced_wcoj(sorted),
+            )
             .unwrap();
         group.bench_with_input(
             BenchmarkId::new(mode, params.spokes),

@@ -5,10 +5,12 @@
 //! Series:
 //! * `planned/<query>` — `GraphEngine::register_view` (cost-based
 //!   join order from the live cardinality catalog);
-//! * `syntactic/<query>` — `GraphEngine::register_view_unplanned`
-//!   (the written order, the pre-planner behaviour).
+//! * `syntactic/<query>` — registered with `RegisterOptions { plan:
+//!   false, .. }` (the written order, the pre-planner behaviour).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pgq_algebra::CompileOptions;
+use pgq_bench::unplanned;
 use pgq_core::GraphEngine;
 use pgq_workloads::hub::{generate_hub, queries as hq, HubParams};
 
@@ -30,7 +32,9 @@ fn bench_planner(c: &mut Criterion) {
             if planned {
                 engine.register_view("v", q).unwrap();
             } else {
-                engine.register_view_unplanned("v", q).unwrap();
+                engine
+                    .register_view_with("v", q, CompileOptions::default(), unplanned())
+                    .unwrap();
             }
             group.bench_with_input(BenchmarkId::new(series, name), &stream, |b, stream| {
                 b.iter_batched(

@@ -1,4 +1,4 @@
-//! Regenerates every experiment table (E5–E10) and prints them as
+//! Regenerates every experiment table (E5–E10, E12–E13) and prints them as
 //! markdown — the source of the numbers recorded in EXPERIMENTS.md.
 //!
 //! Run with `cargo run --release -p pgq_bench --bin report`.
@@ -12,7 +12,8 @@
 use pgq_algebra::pipeline::CompileOptions;
 use pgq_algebra::SchemaMode;
 use pgq_bench::{
-    check_agreement, compile, round_stats, run_ivm, run_recompute, us, BenchJson, Table,
+    binary_tree, check_agreement, compile, forced_wcoj, round_stats, run_ivm, run_recompute,
+    unplanned, us, BenchJson, Table,
 };
 use pgq_common::intern::Symbol;
 use pgq_common::value::Value;
@@ -57,7 +58,6 @@ fn main() {
     e8_fgn(quick);
     e9_memory(quick);
     e10_ablation(quick);
-    e11_optimizer(quick);
     e12_planner(quick);
     e13_wcoj(quick);
 }
@@ -457,7 +457,9 @@ fn emit_bench_json(quick: bool, path: &str) {
             let mut planned = GraphEngine::from_graph(net.graph.clone());
             planned.register_view("v", q).unwrap();
             let mut syntactic = GraphEngine::from_graph(net.graph.clone());
-            syntactic.register_view_unplanned("v", q).unwrap();
+            syntactic
+                .register_view_with("v", q, CompileOptions::default(), unplanned())
+                .unwrap();
 
             let mut planned_us = Vec::with_capacity(rounds);
             let mut syntactic_us = Vec::with_capacity(rounds);
@@ -504,7 +506,7 @@ fn emit_bench_json(quick: bool, path: &str) {
 
     // triangles_* / motif_*: cyclic-motif maintenance on the skewed
     // motif workload, the fused ⨝ⁿ worst-case optimal plan vs the
-    // binary join tree (`register_view_binary`), at two edge scales.
+    // binary join tree (`binary_tree()`), at two edge scales.
     // The optimality claim is asymptotic — the wcoj/binary ratio must
     // grow between `s` and `m` — so both sizes are certified. Fused and
     // binary engines alternate inside each round so machine-speed drift
@@ -529,7 +531,9 @@ fn emit_bench_json(quick: bool, path: &str) {
                 let mut wcoj = GraphEngine::from_graph(net.graph.clone());
                 wcoj.register_view("v", q).unwrap();
                 let mut binary = GraphEngine::from_graph(net.graph.clone());
-                binary.register_view_binary("v", q).unwrap();
+                binary
+                    .register_view_with("v", q, CompileOptions::default(), binary_tree())
+                    .unwrap();
                 // Both plans must agree after the whole stream (cheap
                 // oracle outside the timing) — a fast number on a wrong
                 // answer cannot be recorded.
@@ -601,11 +605,21 @@ fn emit_bench_json(quick: bool, path: &str) {
             let stream = net.churn(if quick { 30 } else { 50 });
             let mut sorted_e = GraphEngine::from_graph(net.graph.clone());
             sorted_e
-                .register_view_wcoj_forced("v", mq::TRIANGLES, true)
+                .register_view_with(
+                    "v",
+                    mq::TRIANGLES,
+                    CompileOptions::default(),
+                    forced_wcoj(true),
+                )
                 .unwrap();
             let mut hash_e = GraphEngine::from_graph(net.graph.clone());
             hash_e
-                .register_view_wcoj_forced("v", mq::TRIANGLES, false)
+                .register_view_with(
+                    "v",
+                    mq::TRIANGLES,
+                    CompileOptions::default(),
+                    forced_wcoj(false),
+                )
                 .unwrap();
             // Both backends must agree after the whole stream (cheap
             // oracle outside the timing).
@@ -709,62 +723,27 @@ fn emit_bench_json(quick: bool, path: &str) {
         }
     }
 
-    // wal_compact_{on,off}: steady churn against a durable engine on
-    // an in-memory Vfs with an aggressive snapshot cadence, compaction
-    // armed vs pinned-generation. Measures the per-tx cost of the
-    // generation-switchover machinery (extra snapshot rename + old-gen
-    // deletion per cadence); the payoff it buys — bounded disk — is
-    // asserted separately in tests/durability_faults.rs.
+    // group_commit_{w1,w8}: fsync-always against the *real* filesystem
+    // (a scratch directory), where sync_data has a true cost — exactly
+    // what an 8-commit flush window amortises. The snapshot cadence is
+    // disabled so the suite isolates append+fsync.
     {
-        use pgq_durability::MemDisk;
         use std::sync::Arc;
 
-        let txs = if quick { 96 } else { 240 };
-        let make_stream = |n: usize| -> Vec<Transaction> {
-            (0..n)
-                .map(|i| {
-                    let mut tx = Transaction::new();
-                    tx.create_vertex(
-                        [Symbol::intern("Post")],
-                        [("lang", Value::Int(i as i64 % 5))]
-                            .into_iter()
-                            .map(|(k, v)| (Symbol::intern(k), v))
-                            .collect(),
-                    );
-                    tx
-                })
-                .collect()
-        };
-        let stream = make_stream(txs);
-        for (tag, compact) in [("on", true), ("off", false)] {
-            let mut us_rounds = Vec::with_capacity(rounds);
-            for _ in 0..rounds {
-                let disk = MemDisk::new();
-                let mut e = GraphEngine::open_durable_with(Arc::new(disk.vfs())).unwrap();
-                e.set_snapshot_every(8);
-                e.set_wal_compact(compact);
-                let t0 = std::time::Instant::now();
-                for tx in &stream {
-                    e.apply(tx).unwrap();
-                }
-                us_rounds.push(t0.elapsed().as_nanos() as f64 / stream.len() as f64 / 1000.0);
-            }
-            let stats = round_stats(&us_rounds);
-            doc.suite(
-                &format!("wal_compact_{tag}"),
-                "us_per_tx",
-                stats,
-                1e6 / stats.median,
-            );
-        }
-
-        // group_commit_{w1,w8}: fsync-always against the *real*
-        // filesystem (a scratch directory), where sync_data has a true
-        // cost — exactly what an 8-commit flush window amortises. The
-        // snapshot cadence is disabled so the suite isolates
-        // append+fsync.
         let gtxs = if quick { 32 } else { 96 };
-        let gstream = make_stream(gtxs);
+        let gstream: Vec<Transaction> = (0..gtxs)
+            .map(|i| {
+                let mut tx = Transaction::new();
+                tx.create_vertex(
+                    [Symbol::intern("Post")],
+                    [("lang", Value::Int(i as i64 % 5))]
+                        .into_iter()
+                        .map(|(k, v)| (Symbol::intern(k), v))
+                        .collect(),
+                );
+                tx
+            })
+            .collect();
         for (tag, window) in [("w1", 1u64), ("w8", 8u64)] {
             let mut us_rounds = Vec::with_capacity(rounds);
             for round in 0..rounds {
@@ -1139,7 +1118,8 @@ fn e12_planner(quick: bool) {
             if planned {
                 e.register_view("v", q).unwrap();
             } else {
-                e.register_view_unplanned("v", q).unwrap();
+                e.register_view_with("v", q, CompileOptions::default(), unplanned())
+                    .unwrap();
             }
             let t0 = std::time::Instant::now();
             for tx in &stream {
@@ -1209,7 +1189,8 @@ fn e13_wcoj(quick: bool) {
                 if wcoj {
                     e.register_view("v", q).unwrap();
                 } else {
-                    e.register_view_binary("v", q).unwrap();
+                    e.register_view_with("v", q, CompileOptions::default(), binary_tree())
+                        .unwrap();
                 }
                 pgq_ivm::stats::counters::reset();
                 let t0 = std::time::Instant::now();
@@ -1273,8 +1254,13 @@ fn e13_wcoj(quick: bool) {
         let stream = net.churn(n);
         let run = |sorted: bool| -> (f64, u64, u64) {
             let mut e = GraphEngine::from_graph(net.graph.clone());
-            e.register_view_wcoj_forced("v", mq::TRIANGLES, sorted)
-                .unwrap();
+            e.register_view_with(
+                "v",
+                mq::TRIANGLES,
+                CompileOptions::default(),
+                forced_wcoj(sorted),
+            )
+            .unwrap();
             pgq_ivm::stats::counters::reset();
             let t0 = std::time::Instant::now();
             for tx in &stream {
@@ -1298,34 +1284,4 @@ fn e13_wcoj(quick: bool) {
     }
     println!("{}", table.render());
     println!("(probe/gallop counters require `--features ivm-stats`; they read 0 otherwise)\n");
-}
-
-/// E11 (extension): the FRA optimiser — filter push-down + constant
-/// folding — on a selective thread query.
-fn e11_optimizer(quick: bool) {
-    println!("## T-E11 — FRA optimiser (extension)\n");
-    let mut net = generate_social(SocialParams::scale(if quick { 0.1 } else { 0.5 }, 42));
-    let n = if quick { 50 } else { 200 };
-    let stream = net.update_stream(n, (4, 2, 3, 1));
-    let q = "MATCH t = (p:Post)-[:REPLY*]->(c:Comm) WHERE p.lang = 'en' AND p.lang = c.lang RETURN p, t";
-    let mut table = Table::new(&["plan", "IVM memory tuples", "IVM build", "IVM µs/tx"]);
-    for (label, options) in [
-        ("unoptimised (paper pipeline)", CompileOptions::default()),
-        (
-            "optimised (push-down + folding)",
-            CompileOptions::optimized(),
-        ),
-    ] {
-        let qs = [("sel-threads", q)];
-        let (build, ivm, engine) = run_ivm(&net.graph, &qs, options, &stream);
-        check_agreement(&engine, &qs);
-        let id = engine.view_by_name("sel-threads").unwrap();
-        table.row(vec![
-            label.to_string(),
-            format!("{}", engine.view(id).unwrap().memory_tuples()),
-            us(build),
-            format!("{:.1}", ivm.us_per_tx()),
-        ]);
-    }
-    println!("{}", table.render());
 }

@@ -17,17 +17,46 @@
 use std::time::{Duration, Instant};
 
 use pgq_algebra::pipeline::{compile_query_with, CompileOptions};
+use pgq_algebra::plan::WcojMode;
 use pgq_algebra::CompiledQuery;
 use pgq_core::GraphEngine;
 use pgq_eval::evaluate_consolidated;
 use pgq_graph::store::PropertyGraph;
 use pgq_graph::tx::Transaction;
+use pgq_ivm::RegisterOptions;
 use pgq_parser::parse_query;
 
 /// Compile a query with options (panicking on error — benchmark inputs
 /// are fixed).
 pub fn compile(query: &str, options: CompileOptions) -> CompiledQuery {
     compile_query_with(&parse_query(query).expect("parses"), options).expect("compiles")
+}
+
+/// Registration twin: the syntactic join order (planner off).
+pub fn unplanned() -> RegisterOptions {
+    RegisterOptions {
+        plan: false,
+        ..RegisterOptions::default()
+    }
+}
+
+/// Registration twin: planned, but cyclic regions stay binary join trees.
+pub fn binary_tree() -> RegisterOptions {
+    RegisterOptions {
+        wcoj: WcojMode::Disabled,
+        ..RegisterOptions::default()
+    }
+}
+
+/// Registration twin: every eligible cyclic region fused into ⨝ⁿ
+/// whatever the cost gate says, on the sorted-run (`true`) or hash-trie
+/// (`false`) backend.
+pub fn forced_wcoj(sorted: bool) -> RegisterOptions {
+    RegisterOptions {
+        wcoj: WcojMode::Forced,
+        wcoj_sorted: Some(sorted),
+        ..RegisterOptions::default()
+    }
 }
 
 /// Outcome of streaming updates through one strategy.
@@ -92,7 +121,7 @@ pub fn run_ivm(
     let t0 = Instant::now();
     for (name, q) in queries {
         engine
-            .register_view_with(name, q, options)
+            .register_view_with(name, q, options, RegisterOptions::default())
             .unwrap_or_else(|e| panic!("register {name}: {e}"));
     }
     let build = t0.elapsed();

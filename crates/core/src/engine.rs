@@ -49,20 +49,13 @@ struct ViewEntry {
 struct Durable {
     vfs: Arc<dyn Vfs>,
     /// Active WAL generation: appends go to `wal.<generation>`, and
-    /// compacting snapshots switch to `generation + 1`.
+    /// every snapshot switches to `generation + 1`.
     generation: u64,
-    /// Records currently in the active generation's log (including
-    /// records a non-compact snapshot already subsumes).
+    /// Records currently in the active generation's log.
     wal_records: u64,
     /// Valid byte length of the active log — the engine's mirror of the
     /// on-disk file, used to rewrite the tail after a failed append.
     wal_len: u64,
-    /// Compaction armed (`PGQ_WAL_COMPACT`, default on): every snapshot
-    /// switches generations and deletes the subsumed log, keeping disk
-    /// usage O(churn since last snapshot). Off, the single generation-0
-    /// log grows forever and snapshots store a replay-skip count (the
-    /// pre-compaction behaviour, kept for A/B measurement).
-    compact: bool,
     /// Commit flush policy (`PGQ_FSYNC`).
     fsync: FsyncMode,
     /// Group-commit window under [`FsyncMode::Always`]
@@ -117,8 +110,6 @@ pub struct DurabilityHealth {
     pub wal_records: u64,
     /// Valid bytes in the active generation's log.
     pub wal_len: u64,
-    /// Is generation-switching compaction armed?
-    pub compact: bool,
     /// Group-commit flush window.
     pub flush_window: u64,
     /// Snapshots written since the engine opened (cadence ticks,
@@ -139,7 +130,7 @@ fn snapshot_every_from_env() -> Result<u64, DurabilityError> {
 }
 
 fn parse_snapshot_every(v: &str) -> Result<u64, DurabilityError> {
-    // Set-but-empty means "default", as for `PGQ_FSYNC` / `PGQ_WAL_COMPACT`.
+    // Set-but-empty means "default", as for `PGQ_FSYNC`.
     if v.trim().is_empty() {
         return Ok(1024);
     }
@@ -148,20 +139,6 @@ fn parse_snapshot_every(v: &str) -> Result<u64, DurabilityError> {
             "unrecognized PGQ_SNAPSHOT_EVERY value `{v}` (expected an integer >= 0)"
         ))
     })
-}
-
-/// Strict parse of `PGQ_WAL_COMPACT` (default: on).
-fn compact_from_env() -> Result<bool, DurabilityError> {
-    let Ok(v) = std::env::var("PGQ_WAL_COMPACT") else {
-        return Ok(true);
-    };
-    match v.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "always" | "" => Ok(true),
-        "0" | "false" | "never" => Ok(false),
-        other => Err(DurabilityError::config(format!(
-            "unrecognized PGQ_WAL_COMPACT value `{other}` (expected `1` or `0`)"
-        ))),
-    }
 }
 
 /// Strict parse of `PGQ_FLUSH_WINDOW` (default: 1 = sync every commit
@@ -476,31 +453,25 @@ impl GraphEngine {
         }
     }
 
-    /// Apply a transaction and also return each view's delta (for
-    /// subscribers/benchmarks).
+    /// [`GraphEngine::apply`], also returning each view's delta (empty
+    /// for a view the transaction left unchanged). The same commit:
+    /// subscribers are notified and the snapshot cadence ticks.
     pub fn apply_with_deltas(
         &mut self,
         tx: &Transaction,
     ) -> Result<Vec<(ViewId, Delta)>, EngineError> {
-        self.check_writable()?;
-        let watermarks = self.graph.id_watermarks();
-        let events = self.graph.apply(tx)?;
-        if let Err((e, force)) = self.wal_commit(tx) {
-            self.graph.unapply(&events, watermarks);
-            return Err(self.commit_failed(e, force));
-        }
-        self.commit_succeeded();
-        self.propagate(&events);
-        let mut out = Vec::new();
-        for (&i, e) in &self.views {
-            let d = if self.network.sink_changed(e.sink) {
+        // A transaction without events runs no pass, so the sinks still
+        // carry the previous one's deltas.
+        let quiet = self.apply(tx)?.is_empty();
+        let deltas = self.views.iter().map(|(&i, e)| {
+            let delta = if !quiet && self.network.sink_changed(e.sink) {
                 self.network.last_delta(e.sink).clone()
             } else {
                 Delta::new()
             };
-            out.push((ViewId(i), d));
-        }
-        Ok(out)
+            (ViewId(i), delta)
+        });
+        Ok(deltas.collect())
     }
 
     // ---- views ---------------------------------------------------------------
@@ -516,88 +487,23 @@ impl GraphEngine {
     /// observable), and a query differing only in its top-level `WHERE`
     /// shares the whole stateful prefix below its private filter.
     pub fn register_view(&mut self, name: &str, cypher: &str) -> Result<ViewId, EngineError> {
-        self.register_view_with(name, cypher, CompileOptions::default())
+        self.register_view_with(
+            name,
+            cypher,
+            CompileOptions::default(),
+            RegisterOptions::default(),
+        )
     }
 
-    /// Register a view with explicit compile options (e.g. the
-    /// no-push-down ablation mode).
+    /// Register a view with explicit compile and registration options —
+    /// the carry-maps ablation, or a differential twin of the default
+    /// path spelled out at the call site (`RegisterOptions { plan:
+    /// false, ..Default::default() }` runs the syntactic join order,
+    /// `wcoj: WcojMode::Disabled` keeps cyclic patterns on binary join
+    /// trees, `wcoj: WcojMode::Forced` with `wcoj_sorted: Some(_)` pins
+    /// the fused operator and its backend). Production views use
+    /// [`GraphEngine::register_view`].
     pub fn register_view_with(
-        &mut self,
-        name: &str,
-        cypher: &str,
-        options: CompileOptions,
-    ) -> Result<ViewId, EngineError> {
-        self.register_inner(name, cypher, options, RegisterOptions::default())
-    }
-
-    /// Register a view with the cost-based planner disabled, so the
-    /// dataflow executes the query's *syntactic* join order. The
-    /// baseline for the planner benchmarks and the differential
-    /// planner-twin oracle; production views should use
-    /// [`GraphEngine::register_view`].
-    pub fn register_view_unplanned(
-        &mut self,
-        name: &str,
-        cypher: &str,
-    ) -> Result<ViewId, EngineError> {
-        self.register_inner(
-            name,
-            cypher,
-            CompileOptions::default(),
-            RegisterOptions {
-                plan: false,
-                ..RegisterOptions::default()
-            },
-        )
-    }
-
-    /// Register a view with the cost-based planner on but worst-case
-    /// optimal n-ary fusion off, so cyclic patterns run as binary join
-    /// trees. The baseline for the ⨝ⁿ benchmarks and the wcoj-vs-binary
-    /// differential oracle; production views should use
-    /// [`GraphEngine::register_view`].
-    pub fn register_view_binary(
-        &mut self,
-        name: &str,
-        cypher: &str,
-    ) -> Result<ViewId, EngineError> {
-        self.register_inner(
-            name,
-            cypher,
-            CompileOptions::default(),
-            RegisterOptions {
-                wcoj: pgq_algebra::plan::WcojMode::Disabled,
-                ..RegisterOptions::default()
-            },
-        )
-    }
-
-    /// Register a view with worst-case optimal fusion *forced* for every
-    /// eligible cyclic region (bypassing the catalog cost gate) and the
-    /// ⨝ⁿ sub-index backend pinned to sorted runs (`sorted = true`) or
-    /// hash tries (`sorted = false`). For benchmarks and differential
-    /// tests that must exercise the fused operator on graphs where the
-    /// cost gate would choose the binary tree; production views should
-    /// use [`GraphEngine::register_view`].
-    pub fn register_view_wcoj_forced(
-        &mut self,
-        name: &str,
-        cypher: &str,
-        sorted: bool,
-    ) -> Result<ViewId, EngineError> {
-        self.register_inner(
-            name,
-            cypher,
-            CompileOptions::default(),
-            RegisterOptions {
-                wcoj: pgq_algebra::plan::WcojMode::Forced,
-                wcoj_sorted: Some(sorted),
-                ..RegisterOptions::default()
-            },
-        )
-    }
-
-    fn register_inner(
         &mut self,
         name: &str,
         cypher: &str,
@@ -710,10 +616,6 @@ impl GraphEngine {
     /// error, never a silently different durability level):
     /// - `PGQ_FSYNC` — `always`/`1`/`true` syncs at every commit flush
     ///   point; default is OS-buffered.
-    /// - `PGQ_WAL_COMPACT` — default on: every snapshot switches WAL
-    ///   generations and deletes the subsumed log; `0` pins generation
-    ///   0 and lets the log grow (snapshots then store a replay-skip
-    ///   count).
     /// - `PGQ_FLUSH_WINDOW` — group-commit window under
     ///   `PGQ_FSYNC=always`: one `sync_data` per `n` commits
     ///   (default 1; `n > 1` accepts a documented loss window of up to
@@ -756,7 +658,6 @@ impl GraphEngine {
     ///    [`GraphEngine::recovery_report`].
     pub fn open_durable_with(vfs: Arc<dyn Vfs>) -> Result<GraphEngine, EngineError> {
         let fsync = FsyncMode::from_env().map_err(DurabilityError::config)?;
-        let compact = compact_from_env()?;
         let flush_window = flush_window_from_env()?;
         let snapshot_every = snapshot_every_from_env()?;
 
@@ -848,7 +749,6 @@ impl GraphEngine {
             generation,
             wal_records,
             wal_len,
-            compact,
             fsync,
             flush_window,
             unsynced: 0,
@@ -883,62 +783,53 @@ impl GraphEngine {
     /// view catalog — what cannot be recomputed, so the cost is O(graph)
     /// however much state the views hold. Atomic (write-to-temp +
     /// rename): a crash mid-write leaves the previous snapshot intact.
-    /// With compaction armed this is also a **generation switchover**:
-    /// the snapshot lands as `snap.<g+1>`, appends move to `wal.<g+1>`,
-    /// and the subsumed generation-`g` files are deleted only after the
-    /// snapshot's atomic rename — a crash at any point of the
-    /// switchover still recovers a committed prefix. No-op on in-memory
-    /// engines.
+    /// Every snapshot is also a **generation switchover**: it lands as
+    /// `snap.<g+1>`, appends move to `wal.<g+1>`, and the subsumed
+    /// generation-`g` files are deleted only after the snapshot's
+    /// atomic rename — a crash at any point of the switchover still
+    /// recovers a committed prefix, and disk usage stays O(graph + churn
+    /// since the last snapshot). No-op on in-memory engines.
     pub fn snapshot(&mut self) -> Result<(), EngineError> {
-        let compact = self.durable.as_ref().is_some_and(|d| d.compact);
-        self.snapshot_inner(compact).map_err(EngineError::from)
+        self.snapshot_inner().map_err(EngineError::from)
     }
 
-    fn snapshot_inner(&mut self, switch_generation: bool) -> Result<(), DurabilityError> {
-        let Some(wal_records) = self.durable.as_ref().map(|d| d.wal_records) else {
+    fn snapshot_inner(&mut self) -> Result<(), DurabilityError> {
+        if self.durable.is_none() {
             return Ok(());
-        };
+        }
         let views: Vec<SnapshotView> = self
             .views
             .iter()
             .map(|(&slot, e)| catalog_entry(slot, self.network.view(e.sink).name(), e))
             .collect();
         let d = self.durable.as_mut().expect("checked above");
-        // A compacting snapshot anchors a fresh generation whose log
-        // starts empty; a pinned-generation snapshot records how many
-        // log records it subsumes instead.
-        let subsumed = if switch_generation { 0 } else { wal_records };
         // Stationary workloads keep their snapshot size: the previous
         // one, plus slack, pre-sizes the buffer.
         let hint = d.last_snapshot_bytes + d.last_snapshot_bytes / 8;
-        let mut w = SnapshotWriter::new(hint as usize, subsumed, &self.graph);
+        // The snapshot anchors a fresh generation whose log starts
+        // empty, so it subsumes no records of its own log.
+        let mut w = SnapshotWriter::new(hint as usize, 0, &self.graph);
         w.views(&views);
         // No operator state: recovery rebuilds it from graph + catalog.
         w.states(std::iter::empty());
         let bytes = w.finish();
-        let target = if switch_generation {
-            d.generation + 1
-        } else {
-            d.generation
-        };
+        let target = d.generation + 1;
         d.vfs
             .write_atomic(&snap_file(target), &bytes)
             .map_err(|e| DurabilityError::io(DurOp::SnapshotWrite, &e))?;
         d.snapshots_written += 1;
         d.last_snapshot_bytes = bytes.len() as u64;
-        if switch_generation {
-            // The rename is durable; the old generation is now dead
-            // weight. Deletion is best-effort — a crash (or an error)
-            // here just leaves stale files the next recovery removes.
-            let old = d.generation;
-            d.generation = target;
-            d.wal_records = 0;
-            d.wal_len = 0;
-            d.unsynced = 0;
-            for name in [wal_file(old), snap_file(old)] {
-                if let Err(e) = d.vfs.remove(&name) {
-                    d.last_error = Some(DurabilityError::io(DurOp::Cleanup, &e));
-                }
+        // The rename is durable; the old generation is now dead
+        // weight. Deletion is best-effort — a crash (or an error) here
+        // just leaves stale files the next recovery removes.
+        let old = d.generation;
+        d.generation = target;
+        d.wal_records = 0;
+        d.wal_len = 0;
+        d.unsynced = 0;
+        for name in [wal_file(old), snap_file(old)] {
+            if let Err(e) = d.vfs.remove(&name) {
+                d.last_error = Some(DurabilityError::io(DurOp::Cleanup, &e));
             }
         }
         d.txs_since_snapshot = 0;
@@ -1093,8 +984,7 @@ impl GraphEngine {
             .as_ref()
             .is_some_and(|d| d.snapshot_every > 0 && d.txs_since_snapshot >= d.snapshot_every);
         if due {
-            let compact = self.durable.as_ref().is_some_and(|d| d.compact);
-            if let Err(e) = self.snapshot_inner(compact) {
+            if let Err(e) = self.snapshot_inner() {
                 if let Some(d) = self.durable.as_mut() {
                     d.last_error = Some(e);
                 }
@@ -1113,7 +1003,6 @@ impl GraphEngine {
             generation: d.generation,
             wal_records: d.wal_records,
             wal_len: d.wal_len,
-            compact: d.compact,
             flush_window: d.flush_window,
             snapshots_written: d.snapshots_written,
             last_snapshot_bytes: d.last_snapshot_bytes,
@@ -1134,8 +1023,8 @@ impl GraphEngine {
     }
 
     /// Operator action: clear read-only degraded mode after the storage
-    /// problem is fixed. Cuts a fresh **generation-switching** snapshot
-    /// of the full in-memory state — even with compaction off — which
+    /// problem is fixed. Cuts a fresh snapshot of the full in-memory
+    /// state (a generation switch, like every snapshot), which
     /// re-baselines disk to memory (healing any divergence a failed
     /// group-commit sync left behind), then re-arms the failure
     /// breaker. Fails typed (and stays degraded) if the disk still
@@ -1144,7 +1033,7 @@ impl GraphEngine {
         if self.durable.is_none() {
             return Ok(());
         }
-        self.snapshot_inner(true).map_err(|e| {
+        self.snapshot_inner().map_err(|e| {
             if let Some(d) = self.durable.as_mut() {
                 d.last_error = Some(e.clone());
             }
@@ -1154,15 +1043,6 @@ impl GraphEngine {
         d.degraded = None;
         d.fail_streak = 0;
         Ok(())
-    }
-
-    /// Toggle generation-switching WAL compaction (see
-    /// `PGQ_WAL_COMPACT`). No-op on in-memory engines.
-    pub fn set_wal_compact(&mut self, compact: bool) -> &mut Self {
-        if let Some(d) = self.durable.as_mut() {
-            d.compact = compact;
-        }
-        self
     }
 
     /// Override the commit flush policy (see `PGQ_FSYNC`). No-op on
@@ -1429,7 +1309,6 @@ fn catalog_entry(slot: usize, name: &str, e: &ViewEntry) -> SnapshotView {
             SchemaMode::Inferred => 0,
             SchemaMode::CarryMaps => 1,
         },
-        optimize: e.compile.optimize,
         plan: e.register.plan,
         wcoj_mode: match e.register.wcoj {
             WcojMode::Disabled => 0,
@@ -1447,7 +1326,6 @@ fn catalog_options(v: &SnapshotView) -> (CompileOptions, RegisterOptions) {
             1 => SchemaMode::CarryMaps,
             _ => SchemaMode::Inferred,
         },
-        optimize: v.optimize,
     };
     let register = RegisterOptions {
         plan: v.plan,

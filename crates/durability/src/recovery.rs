@@ -78,8 +78,10 @@ pub struct RecoveryPlan {
     pub snapshot_bytes: u64,
     /// `(generation, decoded log)` in replay order. The base snapshot's
     /// `wal_records` skip count applies to the **first** entry only
-    /// (non-compact mode reuses one generation and counts subsumed
-    /// records); later generations replay in full.
+    /// (non-zero only in images from builds that could pin one
+    /// generation and count the records a snapshot subsumed; every
+    /// snapshot written now anchors an empty log); later generations
+    /// replay in full.
     pub replay: Vec<(u64, WalContents)>,
     /// Generation the engine appends to after recovery.
     pub active_generation: u64,

@@ -143,8 +143,6 @@ pub struct SnapshotView {
     pub query: String,
     /// Compile-time schema mode discriminant.
     pub schema_mode: u8,
-    /// Compile-time algebraic-rewrite toggle.
-    pub optimize: bool,
     /// Was the cost-based planner used?
     pub plan: bool,
     /// Wcoj mode discriminant (disabled / cost-based / forced).
@@ -290,12 +288,16 @@ impl Snapshot {
         let nw = d.read_len()?;
         let mut views = Vec::with_capacity(nw);
         for _ in 0..nw {
+            let (slot, name, query, schema_mode) = (d.u32()?, d.str()?, d.str()?, d.u8()?);
+            // The byte of the retired `optimize` toggle: builds that had
+            // it wrote it here and builds that have it read it back, so
+            // it stays in the layout, written `false` and ignored.
+            d.bool()?;
             views.push(SnapshotView {
-                slot: d.u32()?,
-                name: d.str()?,
-                query: d.str()?,
-                schema_mode: d.u8()?,
-                optimize: d.bool()?,
+                slot,
+                name,
+                query,
+                schema_mode,
                 plan: d.bool()?,
                 wcoj_mode: d.u8()?,
                 wcoj_sorted: match d.u8()? {
@@ -465,7 +467,7 @@ impl SnapshotWriter {
             e.str(&v.name);
             e.str(&v.query);
             e.u8(v.schema_mode);
-            e.bool(v.optimize);
+            e.bool(false); // retired `optimize` toggle, see `decode`
             e.bool(v.plan);
             e.u8(v.wcoj_mode);
             e.u8(match v.wcoj_sorted {
@@ -559,7 +561,6 @@ mod tests {
             name: "v".into(),
             query: "MATCH (n) RETURN n".into(),
             schema_mode: 1,
-            optimize: true,
             plan: false,
             wcoj_mode: 2,
             wcoj_sorted: Some(true),

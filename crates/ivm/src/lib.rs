@@ -56,7 +56,7 @@ pub mod wcoj;
 
 pub use delta::Delta;
 pub use network::{
-    plan_stats, planner_enabled, sorted_wcoj_enabled, wcoj_enabled, DataflowNetwork, NodeId,
-    NodeSummary, RegisterOptions, RestoreStates, SinkId, TxFootprint, ViewRef,
+    plan_stats, planner_enabled, wcoj_enabled, DataflowNetwork, NodeId, NodeSummary,
+    RegisterOptions, RestoreStates, SinkId, TxFootprint, ViewRef,
 };
 pub use view::MaterializedView;

@@ -540,7 +540,7 @@ impl Clone for ParState {
 
 /// Shared context of one parallel pass. Workers get disjoint `&mut`
 /// access to arena slots and output buffers through the raw pointers;
-/// see the safety argument on [`DataflowNetwork::on_transaction_par`].
+/// see the safety argument on [`DataflowNetwork::run_parallel_pass`].
 struct ParShared<'a> {
     nodes: *mut Option<Node>,
     outputs: *mut Delta,
@@ -887,10 +887,10 @@ pub struct RegisterOptions {
     /// Backend for ⨝ⁿ sub-indexes: `None` lets the catalog decide
     /// (sorted runs when the snapshot's out-degree skew reaches
     /// [`pgq_algebra::plan::SORTED_BACKEND_MIN_SKEW`], hash tries
-    /// below it) under the process-wide [`sorted_wcoj_enabled`]
-    /// toggle, `Some(true)` forces sorted runs with galloping
-    /// intersection, `Some(false)` forces the hash-trie fallback
-    /// (benchmarks pin one backend per engine this way).
+    /// below it — each wins on its side of that line), `Some(true)`
+    /// forces sorted runs with galloping intersection, `Some(false)`
+    /// forces the hash tries (benchmarks and the backend twin of the
+    /// differential oracle pin one backend per view this way).
     pub wcoj_sorted: Option<bool>,
 }
 
@@ -1008,23 +1008,6 @@ pub fn wcoj_enabled() -> bool {
     static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *ENABLED.get_or_init(|| {
         !std::env::var("PGQ_DISABLE_WCOJ").is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-    })
-}
-
-/// May ⨝ⁿ nodes use the sorted-run sub-index backend (leapfrog with
-/// galloping intersection)? `PGQ_WCOJ_SORTED=0` (or `false`) falls the
-/// whole process back to the hash-trie backend — the fallback toggle
-/// mirroring `PGQ_DISABLE_WCOJ`, exercised by the `wcoj-hash-fallback`
-/// CI matrix leg. When enabled (the default), the registration-time
-/// catalog still chooses per view: sorted runs only pay for themselves
-/// on hub-skewed adjacency (see
-/// [`pgq_algebra::plan::SORTED_BACKEND_MIN_SKEW`]). Both backends
-/// maintain identical bags; only the intersection cost profile
-/// differs.
-pub fn sorted_wcoj_enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        !std::env::var("PGQ_WCOJ_SORTED").is_ok_and(|v| v == "0" || v.eq_ignore_ascii_case("false"))
     })
 }
 
@@ -1291,9 +1274,7 @@ impl DataflowNetwork {
         };
         let canon = pgq_algebra::canon::canonicalize(planned);
         let plan = canon.with_restored_order();
-        let sorted = options
-            .wcoj_sorted
-            .unwrap_or_else(|| sorted_wcoj_enabled() && catalog_sorted);
+        let sorted = options.wcoj_sorted.unwrap_or(catalog_sorted);
         let mut bags = Bags {
             stored: states,
             ..Bags::default()

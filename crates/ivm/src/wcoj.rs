@@ -56,9 +56,10 @@
 //!   comparisons instead of the O(10k)-sized hash iteration.
 //! * **Hash tries** — plain `Value → multiplicity` hash maps; the
 //!   intersection iterates the smallest map and probes the rest. O(1)
-//!   per probe but cannot skip, so a hub pays its full degree. Kept as
-//!   the `PGQ_WCOJ_SORTED=0` fallback (see
-//!   [`sorted_wcoj_enabled`](crate::network::sorted_wcoj_enabled)).
+//!   per probe but cannot skip, so a hub pays its full degree; on
+//!   low-skew adjacency the candidate lists are short and it wins by
+//!   the leapfrog cursor's constant. The registration-time catalog
+//!   picks per view (`RegisterOptions::wcoj_sorted`).
 //!
 //! Both backends prune at zero net multiplicity, so presence ⇔ support
 //! and the enumeration logic is backend-agnostic. The `ivm-stats`

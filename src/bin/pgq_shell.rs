@@ -221,13 +221,9 @@ fn main() {
                     match engine.durability_health() {
                         Some(h) => {
                             println!(
-                            "generation {} | {} WAL records ({} bytes) | compaction {} | flush window {}",
-                            h.generation,
-                            h.wal_records,
-                            h.wal_len,
-                            if h.compact { "on" } else { "off" },
-                            h.flush_window,
-                        );
+                                "generation {} | {} WAL records ({} bytes) | flush window {}",
+                                h.generation, h.wal_records, h.wal_len, h.flush_window,
+                            );
                             println!(
                                 "{} snapshots written (last {} bytes)",
                                 h.snapshots_written, h.last_snapshot_bytes,

@@ -3,7 +3,8 @@
 //! plan. This is the central correctness property of the whole system —
 //! the IVM engine and the baseline evaluator act as mutual oracles.
 
-use pgq_algebra::pipeline::compile_query;
+use pgq_algebra::pipeline::{compile_query, CompileOptions};
+use pgq_algebra::plan::WcojMode;
 use pgq_common::fxhash::FxHashMap;
 use pgq_common::intern::Symbol;
 use pgq_common::tuple::Tuple;
@@ -11,12 +12,40 @@ use pgq_common::value::Value;
 use pgq_graph::props::Properties;
 use pgq_graph::store::PropertyGraph;
 use pgq_graph::tx::Transaction;
-use pgq_ivm::MaterializedView;
+use pgq_ivm::{MaterializedView, RegisterOptions};
 use pgq_parser::parse_query;
 use proptest::prelude::*;
 
 fn s(x: &str) -> Symbol {
     Symbol::intern(x)
+}
+
+// The registration twins `register_view` is held to, spelled out.
+
+/// The syntactic join order: planner off.
+fn unplanned() -> RegisterOptions {
+    RegisterOptions {
+        plan: false,
+        ..RegisterOptions::default()
+    }
+}
+
+/// Planned, but cyclic regions stay binary join trees.
+fn binary() -> RegisterOptions {
+    RegisterOptions {
+        wcoj: WcojMode::Disabled,
+        ..RegisterOptions::default()
+    }
+}
+
+/// Every eligible cyclic region fused into ⨝ⁿ whatever the cost gate
+/// says, on the sorted-run (`true`) or hash-trie (`false`) backend.
+fn forced(sorted: bool) -> RegisterOptions {
+    RegisterOptions {
+        wcoj: WcojMode::Forced,
+        wcoj_sorted: Some(sorted),
+        ..RegisterOptions::default()
+    }
 }
 
 const QUERIES: &[&str] = &[
@@ -211,7 +240,7 @@ proptest! {
         for (i, query) in QUERIES.iter().enumerate() {
             let compiled = compile_query(&parse_query(query).unwrap()).unwrap();
             engine.register_view(&format!("pl{i}"), query).unwrap();
-            engine.register_view_unplanned(&format!("un{i}"), query).unwrap();
+            engine.register_view_with(&format!("un{i}"), query, CompileOptions::default(), unplanned()).unwrap();
             compiled_plans.push(compiled);
         }
         for step in &steps {
@@ -497,7 +526,7 @@ fn planner_reordered_views_stay_correct_under_hub_churn() {
     for (i, q) in queries.iter().enumerate() {
         engine.register_view(&format!("pl{i}"), q).unwrap();
         engine
-            .register_view_unplanned(&format!("un{i}"), q)
+            .register_view_with(&format!("un{i}"), q, CompileOptions::default(), unplanned())
             .unwrap();
         compiled.push(compile_query(&parse_query(q).unwrap()).unwrap());
     }
@@ -592,8 +621,8 @@ proptest! {
 
     /// The wcoj-vs-binary differential: every cyclic motif query
     /// registered THREE ways on one engine — fused ⨝ⁿ (`register_view`),
-    /// binary join tree (`register_view_binary`) and syntactic order
-    /// (`register_view_unplanned`) — then the same engine cloned at
+    /// binary join tree (`binary()`) and syntactic order
+    /// (`unplanned()`) — then the same engine cloned at
     /// propagation width 4. After every random update (including edge
     /// deletions, which drive the n-ary retraction rule) all six
     /// variants of each query must equal a from-scratch evaluation.
@@ -612,8 +641,8 @@ proptest! {
         let mut compiled_plans = Vec::new();
         for (i, query) in MOTIF_QUERIES.iter().enumerate() {
             serial.register_view(&format!("wc{i}"), query).unwrap();
-            serial.register_view_binary(&format!("bi{i}"), query).unwrap();
-            serial.register_view_unplanned(&format!("un{i}"), query).unwrap();
+            serial.register_view_with(&format!("bi{i}"), query, CompileOptions::default(), binary()).unwrap();
+            serial.register_view_with(&format!("un{i}"), query, CompileOptions::default(), unplanned()).unwrap();
             compiled_plans.push(compile_query(&parse_query(query).unwrap()).unwrap());
         }
         let mut wide = serial.clone();
@@ -656,9 +685,11 @@ fn wcoj_views_stay_correct_under_motif_churn() {
     let mut compiled = Vec::new();
     for (i, q) in MOTIF_QUERIES.iter().enumerate() {
         engine.register_view(&format!("wc{i}"), q).unwrap();
-        engine.register_view_binary(&format!("bi{i}"), q).unwrap();
         engine
-            .register_view_unplanned(&format!("un{i}"), q)
+            .register_view_with(&format!("bi{i}"), q, CompileOptions::default(), binary())
+            .unwrap();
+        engine
+            .register_view_with(&format!("un{i}"), q, CompileOptions::default(), unplanned())
             .unwrap();
         compiled.push(compile_query(&parse_query(q).unwrap()).unwrap());
     }
@@ -736,9 +767,11 @@ fn motif_views_follow_label_churn_on_hubs_and_closing_vertices() {
     let mut compiled = Vec::new();
     for (i, q) in queries::MOTIF_SKEW.iter().enumerate() {
         serial.register_view(&format!("pl{i}"), q).unwrap();
-        serial.register_view_binary(&format!("bi{i}"), q).unwrap();
         serial
-            .register_view_unplanned(&format!("un{i}"), q)
+            .register_view_with(&format!("bi{i}"), q, CompileOptions::default(), binary())
+            .unwrap();
+        serial
+            .register_view_with(&format!("un{i}"), q, CompileOptions::default(), unplanned())
             .unwrap();
         compiled.push(compile_query(&parse_query(q).unwrap()).unwrap());
     }
@@ -804,10 +837,10 @@ fn motif_views_follow_label_churn_on_hubs_and_closing_vertices() {
 /// the bridge edge) driven through every toggle combination in one
 /// process — forced ⨝ⁿ on the sorted-run backend, forced ⨝ⁿ on the
 /// hash-trie backend, binary join tree, and unplanned — each compared
-/// against a from-scratch evaluation at every checkpoint. (The env-var
-/// spellings of the same combinations, `PGQ_DISABLE_WCOJ` ×
-/// `PGQ_WCOJ_SORTED`, are process-wide; the CI matrix re-runs this
-/// whole suite under each of them.) The hub degree is scaled down from
+/// against a from-scratch evaluation at every checkpoint. (This is
+/// where the hash-trie backend meets hub skew; left to the catalog, the
+/// low-skew motif graphs above run hash tries and this one sorted
+/// runs.) The hub degree is scaled down from
 /// the certified 10k so the binary twin's Θ(Σ deg²) wedge state stays
 /// test-sized; the sorted/hash cursor machinery it exercises is
 /// degree-independent.
@@ -829,14 +862,26 @@ fn wcoj_hub_views_stay_correct_under_deletion_heavy_churn() {
     let mut compiled = Vec::new();
     for (i, q) in hub_queries.iter().enumerate() {
         engine
-            .register_view_wcoj_forced(&format!("ws{i}"), q, true)
+            .register_view_with(
+                &format!("ws{i}"),
+                q,
+                CompileOptions::default(),
+                forced(true),
+            )
             .unwrap();
         engine
-            .register_view_wcoj_forced(&format!("wh{i}"), q, false)
+            .register_view_with(
+                &format!("wh{i}"),
+                q,
+                CompileOptions::default(),
+                forced(false),
+            )
             .unwrap();
-        engine.register_view_binary(&format!("bi{i}"), q).unwrap();
         engine
-            .register_view_unplanned(&format!("un{i}"), q)
+            .register_view_with(&format!("bi{i}"), q, CompileOptions::default(), binary())
+            .unwrap();
+        engine
+            .register_view_with(&format!("un{i}"), q, CompileOptions::default(), unplanned())
             .unwrap();
         compiled.push(compile_query(&parse_query(q).unwrap()).unwrap());
     }
@@ -930,10 +975,10 @@ proptest! {
             durable.register_view(&format!("v{qi}"), q).unwrap();
             survivor.register_view(&format!("v{qi}"), q).unwrap();
         }
-        durable.register_view_unplanned("un2", QUERIES[2]).unwrap();
-        survivor.register_view_unplanned("un2", QUERIES[2]).unwrap();
-        durable.register_view_binary("bi3", QUERIES[3]).unwrap();
-        survivor.register_view_binary("bi3", QUERIES[3]).unwrap();
+        durable.register_view_with("un2", QUERIES[2], CompileOptions::default(), unplanned()).unwrap();
+        survivor.register_view_with("un2", QUERIES[2], CompileOptions::default(), unplanned()).unwrap();
+        durable.register_view_with("bi3", QUERIES[3], CompileOptions::default(), binary()).unwrap();
+        survivor.register_view_with("bi3", QUERIES[3], CompileOptions::default(), binary()).unwrap();
 
         // Fixed prelude so the random tail has something to mutate,
         // then the random script — every transaction through both

@@ -40,10 +40,11 @@ mod durability_script;
 
 use std::sync::Arc;
 
-use durability_script::{graph_identity, run_script, RunMode, TXS_PER_SCRIPT, VIEWS};
+use durability_script::{graph_identity, random_tx, run_script, RunMode, TXS_PER_SCRIPT, VIEWS};
 use pgq_algebra::pipeline::compile_query;
 use pgq_core::GraphEngine;
-use pgq_durability::MemDisk;
+use pgq_durability::snapshot::snap_file;
+use pgq_durability::{wal, MemDisk, SnapshotView, SnapshotWriter, Vfs};
 use pgq_graph::store::PropertyGraph;
 use pgq_parser::parse_query;
 
@@ -200,28 +201,44 @@ fn recovery_is_idempotent_and_resumable() {
 }
 
 #[test]
-fn pinned_generation_mode_round_trips() {
-    // Compaction off (PR 9 semantics): everything stays in generation
-    // 0, snapshots record a skip count instead of switching logs. The
-    // same script must round-trip through a restart.
-    let seed = 0x00A1_1CE5 | 1;
+fn pinned_generation_image_opens_and_moves_on() {
+    // An image from a build that still had the pinned-generation write
+    // mode: everything in generation 0, and a `snap.0` that subsumes a
+    // *prefix* of `wal.0` (its `wal_records` skip count). No code
+    // writes that shape any more, so it is built by hand. Recovery
+    // must skip exactly the subsumed records, replay the rest, and the
+    // next snapshot must leave generation 0 behind.
+    const SUBSUMED: usize = 9;
+    let mut rng = XorShift::new(0x00A1_1CE5);
     let disk = MemDisk::new();
-    let run = run_script(disk.vfs(), seed, 1, RunMode::NoCompact);
-    assert_eq!(run.committed.len(), TXS_PER_SCRIPT);
-
-    // Generation never moved: the only files are wal.0 / snap.0.
-    for name in disk.file_names() {
-        assert!(
-            name == "wal.0" || name == "snap.0",
-            "pinned-generation run created unexpected file {name}"
-        );
-    }
-
+    let vfs = disk.vfs();
     let mut shadow = PropertyGraph::new();
-    for tx in &run.committed {
-        shadow.apply(tx).unwrap();
+    for t in 0..TXS_PER_SCRIPT {
+        if t == SUBSUMED {
+            let views: Vec<SnapshotView> = (0u32..)
+                .zip(VIEWS)
+                .map(|(slot, (name, q))| SnapshotView {
+                    slot,
+                    name: name.to_string(),
+                    query: q.to_string(),
+                    schema_mode: 0,
+                    plan: true,
+                    wcoj_mode: 1,
+                    wcoj_sorted: None,
+                })
+                .collect();
+            let mut w = SnapshotWriter::new(0, SUBSUMED as u64, &shadow);
+            w.views(&views);
+            w.states(std::iter::empty());
+            vfs.write_atomic(&snap_file(0), &w.finish()).unwrap();
+        }
+        let tx = random_tx(&mut rng, &shadow);
+        shadow.apply(&tx).unwrap();
+        wal::append_tx(&vfs, 0, &tx).unwrap();
     }
-    let engine = GraphEngine::open_durable_with(Arc::new(disk.vfs())).unwrap();
+
+    let mut engine = GraphEngine::open_durable_with(Arc::new(disk.vfs())).unwrap();
+    assert!(engine.recovery_report().unwrap().is_pristine());
     assert_eq!(
         graph_identity(engine.graph()),
         graph_identity(&shadow),
@@ -236,4 +253,14 @@ fn pinned_generation_mode_round_trips() {
             "pinned-generation view {name} diverged from recompute"
         );
     }
+    let health = engine.durability_health().unwrap();
+    assert_eq!(
+        (health.generation, health.wal_records),
+        (0, TXS_PER_SCRIPT as u64)
+    );
+
+    engine.snapshot().unwrap();
+    assert_eq!(disk.file_names(), vec!["snap.1".to_string()]);
+    let reopened = GraphEngine::open_durable_with(Arc::new(disk.vfs())).unwrap();
+    assert_eq!(graph_identity(reopened.graph()), graph_identity(&shadow));
 }

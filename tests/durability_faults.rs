@@ -237,46 +237,47 @@ fn reset_fails_typed_while_the_disk_is_still_broken() {
 }
 
 #[test]
-fn compaction_bounds_disk_over_long_churn() {
-    // 50 snapshot cadences of steady churn. With generation-switching
-    // compaction the live files are one snapshot plus at most one
-    // cadence of log; without it the WAL grows with total history.
+fn disk_stays_bounded_over_long_churn() {
+    // 50 snapshot cadences of steady churn over a reachable state that
+    // stays tiny. Every snapshot switches generations and deletes the
+    // one it subsumes, so the live files are one snapshot plus at most
+    // one cadence of log whatever the history: the peak is reached in
+    // the first cadences and never exceeded, and it is a few hundred
+    // bytes, not the tens of kilobytes the appended history adds up to.
     const CADENCES: usize = 50;
     const EVERY: u64 = 2;
+    const BOUND: usize = 1024;
 
-    let run = |compact: bool| -> (usize, usize) {
-        let disk = MemDisk::new();
-        let mut engine = GraphEngine::open_durable_with(Arc::new(disk.vfs())).unwrap();
-        engine.set_snapshot_every(EVERY);
-        engine.set_wal_compact(compact);
-        let mut max_live = 0usize;
-        for i in 0..(CADENCES * EVERY as usize) {
-            engine.apply(&one_vertex_tx(i as i64 % 7)).unwrap();
-            // Churn, not growth: immediately delete what we added so
-            // the reachable state stays tiny while history accumulates.
-            let v = {
-                let mut ids: Vec<_> = engine.graph().vertex_ids().collect();
-                ids.sort_unstable();
-                *ids.last().unwrap()
-            };
-            let mut del = Transaction::new();
-            del.delete_vertex(v, true);
-            engine.apply(&del).unwrap();
-            max_live = max_live.max(disk.total_len());
+    let disk = MemDisk::new();
+    let mut engine = GraphEngine::open_durable_with(Arc::new(disk.vfs())).unwrap();
+    engine.set_snapshot_every(EVERY);
+    let mut early_peak = 0usize;
+    for i in 0..(CADENCES * EVERY as usize) {
+        engine.apply(&one_vertex_tx(i as i64 % 7)).unwrap();
+        // Churn, not growth: immediately delete what we added so the
+        // reachable state stays tiny while history accumulates.
+        let v = {
+            let mut ids: Vec<_> = engine.graph().vertex_ids().collect();
+            ids.sort_unstable();
+            *ids.last().unwrap()
+        };
+        let mut del = Transaction::new();
+        del.delete_vertex(v, true);
+        engine.apply(&del).unwrap();
+        let live = disk.total_len();
+        assert!(live <= BOUND, "step {i}: {live} bytes live on disk");
+        if i < 5 * EVERY as usize {
+            early_peak = early_peak.max(live);
+        } else {
+            assert!(
+                live <= early_peak,
+                "step {i}: {live} bytes live exceeds the first cadences' peak {early_peak}"
+            );
         }
-        (max_live, disk.total_len())
-    };
-
-    let (compact_max, compact_final) = run(true);
-    let (_, pinned_final) = run(false);
-
+    }
+    let written = disk.bytes_attempted() as usize;
     assert!(
-        compact_max * 4 < pinned_final,
-        "compaction did not bound the disk: peak {compact_max} bytes live vs \
-         {pinned_final} bytes of pinned-generation history"
-    );
-    assert!(
-        compact_final <= compact_max,
-        "final compacted footprint {compact_final} exceeded its own peak {compact_max}"
+        written > 8 * BOUND,
+        "the run must write many times the bound ({written} bytes) to show anything"
     );
 }

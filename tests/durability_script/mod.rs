@@ -1,10 +1,10 @@
 //! Shared harness for the durability crash/fault sweeps: a seeded
 //! random update script over three standing views (join, aggregate,
-//! variable-length path), run against an in-memory disk in one of
-//! three modes — strict (any engine error is a test bug), pinned
-//! generation (compaction off), or faulty (typed durability errors are
-//! expected and tolerated; fsync-always with a one-commit flush window
-//! so every acknowledged commit is individually durable).
+//! variable-length path), run against an in-memory disk in one of two
+//! modes — strict (any engine error is a test bug) or faulty (typed
+//! durability errors are expected and tolerated; fsync-always with a
+//! one-commit flush window so every acknowledged commit is individually
+//! durable).
 
 // Each test crate uses a different slice of this module.
 #![allow(dead_code)]
@@ -147,9 +147,6 @@ pub enum RunMode {
     /// Crash model (byte fuse or no fault at all): the engine must
     /// never observe an error — any `Err` fails the test.
     Strict,
-    /// [`RunMode::Strict`] with generation-switching compaction turned
-    /// off (PR 9 pinned-generation semantics).
-    NoCompact,
     /// Live-disk error model: typed durability errors are expected.
     /// Runs fsync-always with a one-commit flush window; failed
     /// registrations stop further registrations (so the surviving view
@@ -171,22 +168,16 @@ pub struct Run {
 }
 
 /// Run the seeded script against `vfs`. Panics on any engine error in
-/// the strict modes; tolerates typed durability errors in
+/// strict mode; tolerates typed durability errors in
 /// [`RunMode::Faulty`].
 pub fn run_script(vfs: MemVfs, seed: u64, threads: usize, mode: RunMode) -> Run {
     let mut engine = GraphEngine::open_durable_with(Arc::new(vfs))
         .unwrap_or_else(|e| panic!("seed={seed:#x}: open failed: {e}"));
     engine.set_threads(threads);
     engine.set_snapshot_every(5);
-    match mode {
-        RunMode::Strict => {}
-        RunMode::NoCompact => {
-            engine.set_wal_compact(false);
-        }
-        RunMode::Faulty => {
-            engine.set_fsync(FsyncMode::Always);
-            engine.set_flush_window(1);
-        }
+    if mode == RunMode::Faulty {
+        engine.set_fsync(FsyncMode::Always);
+        engine.set_flush_window(1);
     }
     let mut registered = 0;
     for (name, q) in VIEWS {

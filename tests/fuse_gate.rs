@@ -9,7 +9,10 @@
 //! the binary join tree (PR 7 measured the fused node at 0.7–0.8×), and
 //! hub-skewed catalogs always fuse (wedge blow-up is the binding cost).
 
+use pgq_algebra::plan::WcojMode;
+use pgq_algebra::CompileOptions;
 use pgq_core::GraphEngine;
+use pgq_ivm::RegisterOptions;
 use pgq_workloads::motifs::{
     generate_hub_motifs, generate_motifs, queries, HubMotifParams, MotifParams,
 };
@@ -113,7 +116,16 @@ fn forced_registration_fuses_below_the_gate() {
     // and the differential oracle rely on this), and the fused view
     // maintains the same rows as the cost-based one.
     engine
-        .register_view_wcoj_forced("forced", queries::TRIANGLES, true)
+        .register_view_with(
+            "forced",
+            queries::TRIANGLES,
+            CompileOptions::default(),
+            RegisterOptions {
+                wcoj: WcojMode::Forced,
+                wcoj_sorted: Some(true),
+                ..RegisterOptions::default()
+            },
+        )
         .unwrap();
     engine.register_view("gated", queries::TRIANGLES).unwrap();
     let mut net = net;

@@ -1,10 +1,14 @@
-//! The optimiser must be semantics-preserving: for every query in the
-//! battery, the optimised plan computes the same bag as the unoptimised
-//! one — both evaluated from scratch and maintained incrementally under
-//! a stream of updates.
+//! Filter placement must be semantics-preserving: for every query in
+//! the battery, the plan `register_view` runs — conjuncts folded,
+//! carried through π / δ / ω and applied by the planner at the earliest
+//! point that binds their columns — computes the same bag as the plan
+//! as written and as a from-scratch `pgq_eval` recompute, both once and
+//! after every step of a stream of updates.
 
-use pgq_algebra::pipeline::{compile_query_with, CompileOptions};
+use pgq_algebra::pipeline::{compile_query, CompileOptions};
+use pgq_algebra::plan::plan;
 use pgq_core::GraphEngine;
+use pgq_ivm::RegisterOptions;
 use pgq_parser::parse_query;
 use pgq_workloads::social::{generate_social, SocialParams};
 
@@ -18,69 +22,113 @@ const QUERIES: &[&str] = &[
     "MATCH t = (p:Post)-[:REPLY*1..2]->(c:Comm) UNWIND nodes(t) AS n RETURN n",
 ];
 
+/// The selective thread query: its source-side conjunct is written above
+/// the π the compiler emits for every named path.
+const SELECTIVE_THREADS: &str =
+    "MATCH t = (p:Post)-[:REPLY*]->(c:Comm) WHERE p.lang = 'en' RETURN p, t";
+
+/// The syntactic-order twin of the default registration.
+fn register_unplanned(engine: &mut GraphEngine, name: &str, q: &str) -> pgq_core::ViewId {
+    let unplanned = RegisterOptions {
+        plan: false,
+        ..RegisterOptions::default()
+    };
+    engine
+        .register_view_with(name, q, CompileOptions::default(), unplanned)
+        .unwrap()
+}
+
 #[test]
-fn optimized_equals_unoptimized_from_scratch() {
+fn planned_equals_unplanned_from_scratch() {
     let net = generate_social(SocialParams::scale(0.1, 9));
+    let stats = pgq_ivm::plan_stats(&net.graph);
     for q in QUERIES {
-        let parsed = parse_query(q).unwrap();
-        let plain = compile_query_with(&parsed, CompileOptions::default()).unwrap();
-        let opt = compile_query_with(&parsed, CompileOptions::optimized()).unwrap();
-        assert_eq!(plain.columns, opt.columns, "{q}");
-        let a = pgq_eval::evaluate_consolidated(&plain.fra, &net.graph);
-        let b = pgq_eval::evaluate_consolidated(&opt.fra, &net.graph);
+        let written = compile_query(&parse_query(q).unwrap()).unwrap().fra;
+        let planned = plan(&written, &stats).fra;
+        assert_eq!(written.schema(), planned.schema(), "{q}");
         assert_eq!(
-            a,
-            b,
-            "{q}\nplain:\n{}\nopt:\n{}",
-            plain.fra.explain(),
-            opt.fra.explain()
+            pgq_eval::evaluate_consolidated(&written, &net.graph),
+            pgq_eval::evaluate_consolidated(&planned, &net.graph),
+            "{q}\nwritten:\n{}\nplanned:\n{}",
+            written.explain(),
+            planned.explain()
         );
     }
 }
 
 #[test]
-fn optimized_views_maintain_identically() {
+fn planned_views_maintain_identically() {
     let mut net = generate_social(SocialParams::scale(0.1, 9));
     let stream = net.update_stream(60, (4, 2, 3, 1));
     for q in QUERIES {
-        let mut plain_engine = GraphEngine::from_graph(net.graph.clone());
-        let vp = plain_engine.register_view("plain", q).unwrap();
-        let mut opt_engine = GraphEngine::from_graph(net.graph.clone());
-        let vo = opt_engine
-            .register_view_with("opt", q, CompileOptions::optimized())
-            .unwrap();
-        for tx in &stream {
-            plain_engine.apply(tx).unwrap();
-            opt_engine.apply(tx).unwrap();
+        let written = compile_query(&parse_query(q).unwrap()).unwrap().fra;
+        let mut engine = GraphEngine::from_graph(net.graph.clone());
+        let planned = engine.register_view("planned", q).unwrap();
+        let unplanned = register_unplanned(&mut engine, "unplanned", q);
+        for (t, tx) in stream.iter().enumerate() {
+            engine.apply(tx).unwrap();
+            let want = pgq_eval::evaluate_consolidated(&written, engine.graph());
+            for (twin, id) in [("planned", planned), ("unplanned", unplanned)] {
+                assert_eq!(
+                    engine.view(id).unwrap().results(),
+                    want,
+                    "{q}: {twin} view diverged from recompute after tx {t}"
+                );
+            }
         }
-        assert_eq!(
-            plain_engine.view(vp).unwrap().results(),
-            opt_engine.view(vo).unwrap().results(),
-            "{q}"
-        );
     }
 }
 
 #[test]
-fn optimizer_reduces_join_memory_traffic() {
-    // Pushing `p.lang = 'en'` below the ⋈* means the join memories only
-    // hold English posts — measurably fewer memory tuples.
+fn pushed_filter_shrinks_varlength_state() {
+    // With `p.lang = 'en'` below the ⋈*, only English posts anchor
+    // paths; as written, every post does and the σ drops the rest
+    // afterwards. (Under `PGQ_DISABLE_PLANNER` both run as written.)
+    if !pgq_ivm::planner_enabled() {
+        return;
+    }
     let net = generate_social(SocialParams::scale(0.25, 9));
-    let q = "MATCH t = (p:Post)-[:REPLY*]->(c:Comm) WHERE p.lang = 'en' RETURN p, t";
-    let mut plain = GraphEngine::from_graph(net.graph.clone());
-    let vp = plain.register_view("plain", q).unwrap();
-    let mut opt = GraphEngine::from_graph(net.graph.clone());
-    let vo = opt
-        .register_view_with("opt", q, CompileOptions::optimized())
-        .unwrap();
-    let mp = plain.view(vp).unwrap().memory_tuples();
-    let mo = opt.view(vo).unwrap().memory_tuples();
+    let mut engine = GraphEngine::from_graph(net.graph.clone());
+    let planned = engine.register_view("planned", SELECTIVE_THREADS).unwrap();
+    let mut twin = GraphEngine::from_graph(net.graph.clone());
+    let unplanned = register_unplanned(&mut twin, "unplanned", SELECTIVE_THREADS);
+
+    let varlength = |e: &GraphEngine| -> String {
+        let nodes = e.network().node_summaries();
+        let label = nodes.iter().map(|n| &n.label).find(|l| l.starts_with("⋈*"));
+        label.expect("the view has a ⋈* node").clone()
+    };
     assert!(
-        mo < mp,
-        "expected fewer memory tuples with push-down: {mo} vs {mp}"
+        varlength(&engine).starts_with("⋈* [43 anchors, 258 paths,"),
+        "{}",
+        varlength(&engine)
     );
+    assert!(
+        varlength(&twin).starts_with("⋈* [150 anchors, 900 paths,"),
+        "{}",
+        varlength(&twin)
+    );
+    let (mp, mu) = (
+        engine.view(planned).unwrap().memory_tuples(),
+        twin.view(unplanned).unwrap().memory_tuples(),
+    );
+    assert_eq!((mp, mu), (2_552, 3_408));
     assert_eq!(
-        plain.view(vp).unwrap().results(),
-        opt.view(vo).unwrap().results()
+        engine.view(planned).unwrap().results(),
+        twin.view(unplanned).unwrap().results()
     );
+
+    // EXPLAIN's cost-based plan shows the σ under the expansion.
+    let explain = engine.explain(SELECTIVE_THREADS).unwrap();
+    let stage4 = explain
+        .split("== Stage 4")
+        .nth(1)
+        .and_then(|s| s.split("\n== ").next())
+        .expect("EXPLAIN has a cost-based plan section");
+    let depth_of = |glyph: &str| {
+        let line = stage4.lines().find(|l| l.trim_start().starts_with(glyph));
+        let line = line.unwrap_or_else(|| panic!("no {glyph} line in:\n{stage4}"));
+        line.len() - line.trim_start().len()
+    };
+    assert!(depth_of("σ") > depth_of("⋈*"), "{stage4}");
 }

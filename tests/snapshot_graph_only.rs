@@ -183,7 +183,6 @@ fn image_with_state_sections() -> Snapshot {
             name: name.to_string(),
             query: q.to_string(),
             schema_mode: 0,
-            optimize: false,
             plan: true,
             wcoj_mode: 1,
             wcoj_sorted: None,

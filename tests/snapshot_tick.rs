@@ -141,7 +141,6 @@ fn engine_tick_writes_graph_and_catalog_and_nothing_else() {
                         name,
                         query: POOL[*q].to_string(),
                         schema_mode: 0,
-                        optimize: false,
                         plan: true,
                         wcoj_mode: 1,
                         wcoj_sorted: None,

@@ -210,3 +210,41 @@ fn callbacks_fire_in_registration_order_whatever_the_root_depths() {
         assert!(changed.windows(2).all(|w| w[0] < w[1]), "{changed:?}");
     }
 }
+
+#[test]
+fn apply_with_deltas_is_a_full_commit() {
+    // The delta-returning twin of `apply` must not be a lesser commit:
+    // subscribers hear about it, the snapshot cadence counts it, and a
+    // transaction that changes nothing reports no stale delta.
+    use pgq_common::intern::Symbol;
+    use pgq_durability::MemDisk;
+    use pgq_graph::props::Properties;
+    use pgq_graph::tx::Transaction;
+
+    let disk = MemDisk::new();
+    let mut e = GraphEngine::open_durable_with(Arc::new(disk.vfs())).unwrap();
+    let view = e.register_view("v", "MATCH (p:Post) RETURN p").unwrap();
+    e.set_snapshot_every(2);
+    let heard = Arc::new(Mutex::new(0usize));
+    let h = heard.clone();
+    e.subscribe(view, move |d| *h.lock().unwrap() += d.inserted.len())
+        .unwrap();
+    let ticks = |e: &GraphEngine| e.durability_health().unwrap().snapshots_written;
+    let before = ticks(&e);
+
+    let mut create = Transaction::new();
+    create.create_vertex([Symbol::intern("Post")], Properties::default());
+    for round in 1..=2 {
+        let deltas = e.apply_with_deltas(&create).unwrap();
+        assert_eq!(deltas.len(), 1);
+        assert_eq!(deltas[0].1.len(), 1, "round {round}: one inserted row");
+        assert_eq!(*heard.lock().unwrap(), round);
+    }
+    assert_eq!(ticks(&e), before + 1, "two commits at cadence 2 tick once");
+
+    let deltas = e.apply_with_deltas(&Transaction::new()).unwrap();
+    assert!(
+        deltas[0].1.is_empty(),
+        "an empty transaction changes nothing"
+    );
+}
