@@ -24,6 +24,11 @@ pub enum ScalarExpr {
     Col(usize),
     /// Constant.
     Lit(Value),
+    /// Parameter slot of a one-shot statement: a constant the statement's
+    /// caller supplies per execution ([`ScalarExpr::bind`]). It has no
+    /// value of its own — evaluating it is an error, so it never folds —
+    /// and view plans never contain one.
+    Param(usize),
     /// Binary operation (shares the parser's operator vocabulary).
     Binary(BinOp, Box<ScalarExpr>, Box<ScalarExpr>),
     /// Unary operation.
@@ -75,6 +80,10 @@ impl ScalarExpr {
         match self {
             ScalarExpr::Col(i) => Ok(tuple.get(*i).clone()),
             ScalarExpr::Lit(v) => Ok(v.clone()),
+            ScalarExpr::Param(slot) => Err(CommonError::TypeMismatch {
+                operation: format!("parameter slot {slot}"),
+                detail: "not bound".into(),
+            }),
             ScalarExpr::Binary(op, l, r) => eval_binary(*op, l, r, tuple),
             ScalarExpr::Unary(UnOp::Not, e) => Ok(not3(truth(&e.eval(tuple)?))),
             ScalarExpr::Unary(UnOp::Neg, e) => e.eval(tuple)?.neg(),
@@ -150,66 +159,59 @@ impl ScalarExpr {
     }
 
     /// Evaluate as a predicate: `true` keeps the tuple; `false`, `null`
-    /// and evaluation errors drop it (errors additionally fire a debug
-    /// assertion, since a well-typed compiled plan should not produce
-    /// them).
+    /// and evaluation errors drop it (Cypher is dynamically typed:
+    /// `WHERE 1.x = 2` or `p.name + 1 > 2` on a string compile, and fail
+    /// per tuple).
     pub fn matches(&self, tuple: &Tuple) -> bool {
-        match self.eval(tuple) {
-            Ok(v) => truth(&v) == Some(true),
-            Err(_e) => {
-                debug_assert!(false, "predicate evaluation error: {_e}");
-                false
-            }
-        }
+        matches!(self.eval(tuple), Ok(v) if truth(&v) == Some(true))
     }
 
     /// All column indexes referenced.
     pub fn columns(&self) -> Vec<usize> {
         let mut out = Vec::new();
-        self.collect_columns(&mut out);
+        self.visit_leaves(&mut |leaf| {
+            if let ScalarExpr::Col(i) = leaf {
+                out.push(*i);
+            }
+        });
         out.sort_unstable();
         out.dedup();
         out
     }
 
-    fn collect_columns(&self, out: &mut Vec<usize>) {
+    /// Does any parameter slot occur?
+    pub fn has_params(&self) -> bool {
+        let mut found = false;
+        self.visit_leaves(&mut |leaf| found |= matches!(leaf, ScalarExpr::Param(_)));
+        found
+    }
+
+    /// Call `f` on every leaf (`Col`, `Lit`, `Param`), left to right.
+    fn visit_leaves(&self, f: &mut dyn FnMut(&ScalarExpr)) {
         match self {
-            ScalarExpr::Col(i) => out.push(*i),
-            ScalarExpr::Lit(_) => {}
-            ScalarExpr::Binary(_, l, r) => {
-                l.collect_columns(out);
-                r.collect_columns(out);
+            ScalarExpr::Col(_) | ScalarExpr::Lit(_) | ScalarExpr::Param(_) => f(self),
+            ScalarExpr::Binary(_, l, r)
+            | ScalarExpr::Index(l, r)
+            | ScalarExpr::PathConcat(l, r) => {
+                l.visit_leaves(f);
+                r.visit_leaves(f);
             }
-            ScalarExpr::Unary(_, e) => e.collect_columns(out),
-            ScalarExpr::Func { args, .. } => {
-                for a in args {
-                    a.collect_columns(out);
-                }
-            }
-            ScalarExpr::IsNull { expr, .. } => expr.collect_columns(out),
-            ScalarExpr::List(items) => {
+            ScalarExpr::Unary(_, e) | ScalarExpr::PathSingle(e) => e.visit_leaves(f),
+            ScalarExpr::IsNull { expr, .. } => expr.visit_leaves(f),
+            ScalarExpr::Func { args: items, .. } | ScalarExpr::List(items) => {
                 for e in items {
-                    e.collect_columns(out);
+                    e.visit_leaves(f);
                 }
             }
             ScalarExpr::Map(entries) => {
                 for (_, e) in entries {
-                    e.collect_columns(out);
+                    e.visit_leaves(f);
                 }
             }
-            ScalarExpr::Index(b, i) => {
-                b.collect_columns(out);
-                i.collect_columns(out);
-            }
-            ScalarExpr::PathSingle(e) => e.collect_columns(out),
             ScalarExpr::PathExtend(a, b, c) => {
-                a.collect_columns(out);
-                b.collect_columns(out);
-                c.collect_columns(out);
-            }
-            ScalarExpr::PathConcat(a, b) => {
-                a.collect_columns(out);
-                b.collect_columns(out);
+                a.visit_leaves(f);
+                b.visit_leaves(f);
+                c.visit_leaves(f);
             }
         }
     }
@@ -292,48 +294,65 @@ impl ScalarExpr {
         e
     }
 
+    /// Put `values[slot]` in place of every `Param(slot)`, then
+    /// [`fold`](ScalarExpr::fold): `col = -$0` becomes the `col = Lit`
+    /// the evaluator can seek. `values` must cover every slot.
+    pub fn bind(&self, values: &[Value]) -> ScalarExpr {
+        self.rewrite_leaves(&mut |leaf| match leaf {
+            ScalarExpr::Param(slot) => ScalarExpr::Lit(values[*slot].clone()),
+            other => other.clone(),
+        })
+        .fold()
+    }
+
     /// Structural rewrite replacing each `Col(i)` with `f(i)`.
     fn rewrite_columns(&self, f: &dyn Fn(usize) -> ScalarExpr) -> ScalarExpr {
-        match self {
+        self.rewrite_leaves(&mut |leaf| match leaf {
             ScalarExpr::Col(i) => f(*i),
-            ScalarExpr::Lit(v) => ScalarExpr::Lit(v.clone()),
+            other => other.clone(),
+        })
+    }
+
+    /// Structural rewrite replacing each leaf (`Col`, `Lit`, `Param`)
+    /// with `f(leaf)`.
+    fn rewrite_leaves(&self, f: &mut dyn FnMut(&ScalarExpr) -> ScalarExpr) -> ScalarExpr {
+        match self {
+            ScalarExpr::Col(_) | ScalarExpr::Lit(_) | ScalarExpr::Param(_) => f(self),
             ScalarExpr::Binary(op, l, r) => ScalarExpr::Binary(
                 *op,
-                Box::new(l.rewrite_columns(f)),
-                Box::new(r.rewrite_columns(f)),
+                Box::new(l.rewrite_leaves(f)),
+                Box::new(r.rewrite_leaves(f)),
             ),
-            ScalarExpr::Unary(op, e) => ScalarExpr::Unary(*op, Box::new(e.rewrite_columns(f))),
+            ScalarExpr::Unary(op, e) => ScalarExpr::Unary(*op, Box::new(e.rewrite_leaves(f))),
             ScalarExpr::Func { name, args } => ScalarExpr::Func {
                 name: name.clone(),
-                args: args.iter().map(|a| a.rewrite_columns(f)).collect(),
+                args: args.iter().map(|a| a.rewrite_leaves(f)).collect(),
             },
             ScalarExpr::IsNull { expr, negated } => ScalarExpr::IsNull {
-                expr: Box::new(expr.rewrite_columns(f)),
+                expr: Box::new(expr.rewrite_leaves(f)),
                 negated: *negated,
             },
             ScalarExpr::List(items) => {
-                ScalarExpr::List(items.iter().map(|e| e.rewrite_columns(f)).collect())
+                ScalarExpr::List(items.iter().map(|e| e.rewrite_leaves(f)).collect())
             }
             ScalarExpr::Map(entries) => ScalarExpr::Map(
                 entries
                     .iter()
-                    .map(|(k, e)| (k.clone(), e.rewrite_columns(f)))
+                    .map(|(k, e)| (k.clone(), e.rewrite_leaves(f)))
                     .collect(),
             ),
-            ScalarExpr::Index(b, i) => ScalarExpr::Index(
-                Box::new(b.rewrite_columns(f)),
-                Box::new(i.rewrite_columns(f)),
-            ),
-            ScalarExpr::PathSingle(e) => ScalarExpr::PathSingle(Box::new(e.rewrite_columns(f))),
+            ScalarExpr::Index(b, i) => {
+                ScalarExpr::Index(Box::new(b.rewrite_leaves(f)), Box::new(i.rewrite_leaves(f)))
+            }
+            ScalarExpr::PathSingle(e) => ScalarExpr::PathSingle(Box::new(e.rewrite_leaves(f))),
             ScalarExpr::PathExtend(a, b, c) => ScalarExpr::PathExtend(
-                Box::new(a.rewrite_columns(f)),
-                Box::new(b.rewrite_columns(f)),
-                Box::new(c.rewrite_columns(f)),
+                Box::new(a.rewrite_leaves(f)),
+                Box::new(b.rewrite_leaves(f)),
+                Box::new(c.rewrite_leaves(f)),
             ),
-            ScalarExpr::PathConcat(a, b) => ScalarExpr::PathConcat(
-                Box::new(a.rewrite_columns(f)),
-                Box::new(b.rewrite_columns(f)),
-            ),
+            ScalarExpr::PathConcat(a, b) => {
+                ScalarExpr::PathConcat(Box::new(a.rewrite_leaves(f)), Box::new(b.rewrite_leaves(f)))
+            }
         }
     }
 }

@@ -37,11 +37,16 @@ pub enum SchemaMode {
     CarryMaps,
 }
 
-/// Flatten `nra` into an executable FRA tree.
+/// Flatten `nra` into an executable FRA tree. `params` names the
+/// parameters the statement may use: `$name` resolves to the slot
+/// `ScalarExpr::Param(position of name)`, any other parameter is an
+/// error (a view passes none — canonical plans, fingerprints and node
+/// sharing need the literals).
 pub fn flatten(
     nra: &Nra,
     kinds: &HashMap<String, VarKind>,
     mode: SchemaMode,
+    params: &[String],
 ) -> Result<Fra, AlgebraError> {
     let mut wanted: HashMap<String, Vec<(Symbol, String)>> = HashMap::new();
     collect_wanted(nra, &mut wanted);
@@ -51,8 +56,25 @@ pub fn flatten(
         satisfied: HashSet::new(),
         mode,
         fresh: 0,
+        params,
     };
     cx.build(nra)
+}
+
+/// Resolve a value expression that reads no variable (`-1`, `$k + 1`):
+/// a constant up to its parameters, which an update clause evaluates
+/// once instead of projecting it through its bindings. Slots as in
+/// [`flatten`].
+pub fn resolve_constant(e: &Expr, params: &[String]) -> Result<ScalarExpr, AlgebraError> {
+    let cx = Cx {
+        kinds: &HashMap::new(),
+        wanted: HashMap::new(),
+        satisfied: HashSet::new(),
+        mode: SchemaMode::Inferred,
+        fresh: 0,
+        params,
+    };
+    cx.resolve(e, &[])
 }
 
 fn collect_wanted(nra: &Nra, wanted: &mut HashMap<String, Vec<(Symbol, String)>>) {
@@ -91,6 +113,7 @@ struct Cx<'a> {
     satisfied: HashSet<String>,
     mode: SchemaMode,
     fresh: usize,
+    params: &'a [String],
 }
 
 fn pos(schema: &[String], name: &str) -> Result<usize, AlgebraError> {
@@ -224,6 +247,7 @@ impl Cx<'_> {
                     satisfied: HashSet::new(),
                     mode: self.mode,
                     fresh: self.fresh + 1000,
+                    params: self.params,
                 };
                 let r = sub.build(right)?;
                 let rs = r.schema();
@@ -655,7 +679,15 @@ impl Cx<'_> {
                     "nested label predicate".into(),
                 ))
             }
-            Expr::Parameter(p) => return Err(AlgebraError::Unsupported(format!("parameter ${p}"))),
+            Expr::Parameter(p) => match self.params.iter().position(|n| n == p) {
+                Some(slot) => ScalarExpr::Param(slot),
+                None => {
+                    return Err(AlgebraError::Unsupported(format!(
+                        "query parameter ${p}: views take no parameters, and a one-shot \
+                         statement binds them through GraphEngine::execute_with"
+                    )))
+                }
+            },
             Expr::PatternPredicate(_) => {
                 return Err(AlgebraError::NotMaintainable(
                     "exists(pattern) nested inside an expression".into(),

@@ -337,6 +337,52 @@ impl Fra {
         }
     }
 
+    /// Fill the parameter slots of a one-shot plan: a copy of the tree
+    /// in which every expression holding a [`ScalarExpr::Param`] is
+    /// bound to `values` and folded ([`ScalarExpr::bind`]), and every
+    /// other expression is as the planner left it.
+    pub fn bind(&self, values: &[Value]) -> Fra {
+        let mut out = self.clone();
+        out.exprs_mut(&mut |e| {
+            if e.has_params() {
+                *e = e.bind(values);
+            }
+        });
+        out
+    }
+
+    /// Call `f` on every scalar expression of every operator.
+    fn exprs_mut(&mut self, f: &mut dyn FnMut(&mut ScalarExpr)) {
+        match self {
+            Fra::Unit | Fra::ScanVertices { .. } | Fra::ScanEdges { .. } => {}
+            Fra::HashJoin { left, right, .. } | Fra::SemiJoin { left, right, .. } => {
+                left.exprs_mut(f);
+                right.exprs_mut(f);
+            }
+            Fra::VarLengthJoin { left: input, .. } | Fra::Distinct { input } => input.exprs_mut(f),
+            Fra::Filter { input, predicate } => {
+                f(predicate);
+                input.exprs_mut(f);
+            }
+            Fra::Unwind { input, expr, .. } => {
+                f(expr);
+                input.exprs_mut(f);
+            }
+            Fra::Project { input, items } => {
+                items.iter_mut().for_each(|(e, _)| f(e));
+                input.exprs_mut(f);
+            }
+            Fra::Aggregate { input, group, aggs } => {
+                group.iter_mut().for_each(|(e, _)| f(e));
+                aggs.iter_mut()
+                    .filter_map(|(a, _)| a.arg.as_mut())
+                    .for_each(&mut *f);
+                input.exprs_mut(f);
+            }
+            Fra::MultiwayJoin { inputs, .. } => inputs.iter_mut().for_each(|i| i.exprs_mut(f)),
+        }
+    }
+
     /// Number of operators in the tree (for plan statistics).
     pub fn operator_count(&self) -> usize {
         1 + match self {

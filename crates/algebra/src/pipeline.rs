@@ -103,6 +103,18 @@ pub fn compile_query_with(
     query: &Query,
     options: CompileOptions,
 ) -> Result<CompiledQuery, AlgebraError> {
+    compile_query_params(query, options, &[])
+}
+
+/// Compile a one-shot read statement whose `$name` parameters are
+/// `params`: `$params[i]` becomes the slot [`ScalarExpr::Param`]`(i)`,
+/// to be filled by [`Fra::bind`] before evaluation. `SKIP` / `LIMIT`
+/// and `ORDER BY` take no parameters.
+pub fn compile_query_params(
+    query: &Query,
+    options: CompileOptions,
+    params: &[String],
+) -> Result<CompiledQuery, AlgebraError> {
     if query.is_update() {
         return Err(AlgebraError::InvalidQuery(
             "data-modification query; use the engine's execute() instead of a view".into(),
@@ -159,7 +171,7 @@ pub fn compile_query_with(
     }
 
     let nra = to_nra(&gra, &plan.kinds)?;
-    let fra = flatten(&nra, &plan.kinds, options.schema_mode)?;
+    let fra = flatten(&nra, &plan.kinds, options.schema_mode, params)?;
     let columns = fra.schema();
 
     // ORDER BY / SKIP / LIMIT: parsed and resolved for the baseline
@@ -210,6 +222,16 @@ pub fn compile_bindings(
     query: &Query,
     items: &[(Expr, String)],
 ) -> Result<CompiledQuery, AlgebraError> {
+    compile_bindings_params(query, items, &[])
+}
+
+/// [`compile_bindings`] for a statement with the parameters `params`
+/// (slots as in [`compile_query_params`]).
+pub fn compile_bindings_params(
+    query: &Query,
+    items: &[(Expr, String)],
+    params: &[String],
+) -> Result<CompiledQuery, AlgebraError> {
     let mut compiler = Compiler::default();
     let plan = compiler.compile_reading(query)?;
     for (e, _) in items {
@@ -224,7 +246,7 @@ pub fn compile_bindings(
         items: items.to_vec(),
     };
     let nra = to_nra(&gra, &plan.kinds)?;
-    let fra = flatten(&nra, &plan.kinds, SchemaMode::Inferred)?;
+    let fra = flatten(&nra, &plan.kinds, SchemaMode::Inferred, params)?;
     let columns = fra.schema();
     Ok(CompiledQuery {
         gra,

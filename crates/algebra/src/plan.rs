@@ -606,9 +606,11 @@ fn conjunct_selectivity(conj: &ScalarExpr, rel: &Rel, stats: &PlanStats) -> f64 
     };
     match conj {
         ScalarExpr::Binary(op, a, b) => {
+            // A parameter slot is a constant of unknown value: estimated
+            // like a literal (the estimate never reads the value).
             let col_lit = match (a.as_ref(), b.as_ref()) {
-                (ScalarExpr::Col(c), ScalarExpr::Lit(v))
-                | (ScalarExpr::Lit(v), ScalarExpr::Col(c)) => Some((*c, v.clone())),
+                (ScalarExpr::Col(c), ScalarExpr::Lit(_) | ScalarExpr::Param(_))
+                | (ScalarExpr::Lit(_) | ScalarExpr::Param(_), ScalarExpr::Col(c)) => Some(*c),
                 _ => None,
             };
             let col_col = match (a.as_ref(), b.as_ref()) {
@@ -617,7 +619,7 @@ fn conjunct_selectivity(conj: &ScalarExpr, rel: &Rel, stats: &PlanStats) -> f64 
             };
             match op {
                 BinOp::Eq => {
-                    if let Some((c, _)) = col_lit {
+                    if let Some(c) = col_lit {
                         1.0 / distinct_of(c)
                     } else if let Some((c, d)) = col_col {
                         1.0 / distinct_of(c).max(distinct_of(d))

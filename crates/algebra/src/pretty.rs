@@ -257,6 +257,7 @@ pub fn render_expr(e: &ScalarExpr, schema: &[String]) -> String {
     match e {
         ScalarExpr::Col(i) => schema.get(*i).cloned().unwrap_or_else(|| format!("#{i}")),
         ScalarExpr::Lit(v) => v.to_string(),
+        ScalarExpr::Param(slot) => format!("${slot}"),
         ScalarExpr::Binary(op, l, r) => format!(
             "({} {op} {})",
             render_expr(l, schema),

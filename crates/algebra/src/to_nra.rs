@@ -294,11 +294,6 @@ impl Cx<'_> {
                         .into(),
                 ))
             }
-            Expr::Parameter(p) => {
-                return Err(AlgebraError::Unsupported(format!(
-                    "query parameter ${p} (parameterised views are not implemented)"
-                )))
-            }
             Expr::PatternPredicate(_) => {
                 return Err(AlgebraError::NotMaintainable(
                     "exists(pattern) nested inside an expression; only top-level \
@@ -306,7 +301,11 @@ impl Cx<'_> {
                         .into(),
                 ))
             }
-            Expr::Literal(_) | Expr::Variable(_) | Expr::CountStar => e.clone(),
+            // A parameter is a constant; step 3 gives it its slot (or
+            // rejects it).
+            Expr::Literal(_) | Expr::Variable(_) | Expr::CountStar | Expr::Parameter(_) => {
+                e.clone()
+            }
         })
     }
 }
@@ -372,16 +371,5 @@ mod tests {
             .and_then(|p| to_nra(&p.body, &p.kinds))
             .unwrap_err();
         assert!(matches!(err, AlgebraError::InvalidQuery(_)));
-    }
-
-    #[test]
-    fn parameters_rejected() {
-        let q = parse_query("MATCH (n) WHERE n.lang = $lang RETURN n").unwrap();
-        let mut c = Compiler::default();
-        let err = c
-            .compile_reading(&q)
-            .and_then(|p| to_nra(&p.body, &p.kinds))
-            .unwrap_err();
-        assert!(matches!(err, AlgebraError::Unsupported(_)));
     }
 }

@@ -1,10 +1,13 @@
 //! The `GraphEngine` façade: graph + views + openCypher execution.
 
-use pgq_algebra::flatten::SchemaMode;
+use pgq_algebra::flatten::{resolve_constant, SchemaMode};
 use pgq_algebra::fra::Fra;
-use pgq_algebra::pipeline::{compile_bindings, compile_query_with, CompileOptions, CompiledQuery};
+use pgq_algebra::pipeline::{
+    compile_bindings, compile_bindings_params, compile_query_params, compile_query_with,
+    CompileOptions, CompiledQuery,
+};
 use pgq_algebra::plan::WcojMode;
-use pgq_algebra::AlgebraError;
+use pgq_algebra::{AlgebraError, ScalarExpr};
 use pgq_common::intern::Symbol;
 use pgq_common::pool::WorkerPool;
 use pgq_common::tuple::Tuple;
@@ -21,8 +24,9 @@ use pgq_graph::store::PropertyGraph;
 use pgq_graph::tx::{NodeRef, Transaction};
 use pgq_ivm::{DataflowNetwork, Delta, RegisterOptions, SinkId, TxFootprint, ViewRef};
 use pgq_parser::ast::{Clause, Expr, Pattern, Query, RemoveItem, SetItem};
-use pgq_parser::parse_query;
-use std::collections::BTreeMap;
+use pgq_parser::shape::{lifted_name, Shape};
+use pgq_parser::{parse_query, parse_tokens};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use crate::error::EngineError;
@@ -185,7 +189,7 @@ pub struct BatchSummary {
 }
 
 /// Result of [`GraphEngine::execute`].
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ExecutionResult {
     /// Output column names (read queries only).
     pub columns: Vec<String>,
@@ -228,6 +232,8 @@ pub struct GraphEngine {
     /// Durability handle ([`GraphEngine::open_durable`]); `None` for
     /// in-memory engines, which pay zero logging cost on the hot path.
     durable: Option<Durable>,
+    /// What [`GraphEngine::execute`] keeps per statement shape.
+    shapes: ShapeCache,
 }
 
 impl Clone for GraphEngine {
@@ -236,7 +242,8 @@ impl Clone for GraphEngine {
     /// the worker pool, if any, is shared. Durability is **not**
     /// cloned either: two engines appending to one WAL would interleave
     /// their records into an unreplayable log, so a clone is always an
-    /// in-memory engine.
+    /// in-memory engine. The statement-shape cache is copied: its plans
+    /// fit the cloned graph as well as they fit this one.
     fn clone(&self) -> GraphEngine {
         GraphEngine {
             graph: self.graph.clone(),
@@ -247,11 +254,18 @@ impl Clone for GraphEngine {
             threads: self.threads,
             pool: self.pool.clone(),
             durable: None,
+            shapes: self.shapes.clone(),
         }
     }
 }
 
 impl GraphEngine {
+    /// How many statement shapes an engine keeps
+    /// ([`GraphEngine::statement_shapes`]); a full cache drops the
+    /// oldest. A constant, not a knob: an application has a few dozen
+    /// statement shapes, and one more than fits costs one front-end run.
+    pub const SHAPE_CAPACITY: usize = 256;
+
     /// Fresh engine with an empty graph.
     pub fn new() -> GraphEngine {
         GraphEngine::default()
@@ -1078,7 +1092,8 @@ impl GraphEngine {
     /// One-shot (non-incremental) query via the baseline evaluator.
     /// Supports the full parsed fragment including ORDER BY / SKIP /
     /// LIMIT. Seeks whatever property indexes exist; only
-    /// [`GraphEngine::execute`] (which has `&mut self`) builds them.
+    /// [`GraphEngine::execute`] (which has `&mut self`) builds them and
+    /// keeps statement shapes.
     pub fn query(&self, cypher: &str) -> Result<ExecutionResult, EngineError> {
         let query = parse_query(cypher)?;
         if query.is_update() {
@@ -1086,13 +1101,14 @@ impl GraphEngine {
                 "query() is read-only; use execute() for updates".into(),
             ));
         }
-        Ok(self.read_planned(self.plan_read(&query)?))
+        Ok(self.read(&self.plan_read(&query, &[])?, &[]))
     }
 
-    /// Compile and plan a read statement.
-    fn plan_read(&self, query: &Query) -> Result<CompiledQuery, EngineError> {
-        let compiled = compile_query_with(query, CompileOptions::default())?;
-        Ok(self.one_shot_plan(compiled))
+    /// Compile and plan a read statement; `params[i]` names parameter
+    /// slot `i`.
+    fn plan_read(&self, query: &Query, params: &[String]) -> Result<Reading, EngineError> {
+        let compiled = compile_query_params(query, CompileOptions::default(), params)?;
+        Ok(self.one_shot_plan(compiled).into())
     }
 
     /// The plan a one-shot statement runs: the compiled FRA through the
@@ -1119,14 +1135,73 @@ impl GraphEngine {
         }
     }
 
-    fn read_planned(&self, compiled: CompiledQuery) -> ExecutionResult {
+    /// |V| + |E|: the size a statement's plan was chosen for.
+    fn graph_size(&self) -> usize {
+        self.graph.vertex_count() + self.graph.edge_count()
+    }
+
+    /// The front end, once per statement: build the update plan, compile
+    /// the reading part and plan it against the live statistics.
+    /// `params[i]` names parameter slot `i`.
+    fn prepare(&self, query: Query, params: &[String]) -> Result<Statement, EngineError> {
+        let body = if !query.is_update() {
+            Body::Read(self.plan_read(&query, params)?)
+        } else if query.return_clause().is_some() {
+            return Err(EngineError::Unsupported(
+                "RETURN combined with update clauses".into(),
+            ));
+        } else {
+            let plan = UpdatePlan::build(&query, params)?;
+            let bindings = match plan.has_reading {
+                true => {
+                    let compiled = compile_bindings_params(&query, &plan.items, params)?;
+                    Some(self.one_shot_plan(compiled).into())
+                }
+                false => None,
+            };
+            Body::Update {
+                query,
+                plan,
+                bindings,
+            }
+        };
+        let planned_at = body.reading().map(|_| self.graph_size());
+        Ok(Statement { body, planned_at })
+    }
+
+    /// Evaluate a planned reading part with its parameter slots filled.
+    fn read(&self, reading: &Reading, values: &[Value]) -> ExecutionResult {
         let mut eval = pgq_eval::Evaluator::new(&self.graph);
-        let rows = eval.run_query(&compiled);
+        let fra = reading.fra.bind(values);
+        let rows = eval.run_rows(&fra, &reading.order_by, reading.skip, reading.limit);
         ExecutionResult {
-            columns: compiled.columns,
+            columns: reading.columns.clone(),
             rows,
             stats: UpdateStats::default(),
             rows_scanned: eval.rows_scanned,
+        }
+    }
+
+    /// Run a prepared statement: bind `values` into its slots, evaluate,
+    /// and for an update apply the transaction and maintain the views.
+    fn run(&mut self, st: &Statement, values: &[Value]) -> Result<ExecutionResult, EngineError> {
+        match &st.body {
+            Body::Read(reading) => Ok(self.read(reading, values)),
+            Body::Update {
+                query,
+                plan,
+                bindings,
+            } => {
+                let (tx, stats, rows_scanned) =
+                    plan.to_transaction(query, bindings.as_ref(), values, &self.graph)?;
+                self.apply(&tx)?;
+                Ok(ExecutionResult {
+                    columns: Vec::new(),
+                    rows: Vec::new(),
+                    stats,
+                    rows_scanned,
+                })
+            }
         }
     }
 
@@ -1148,53 +1223,124 @@ impl GraphEngine {
     /// Execute any supported statement: read queries are evaluated
     /// one-shot; update queries run their reading part, apply the update
     /// clauses atomically, and maintain all views.
+    ///
+    /// The front end runs once per statement *shape*: the literals of
+    /// the text are lifted into parameters, and what parsing, compiling
+    /// and planning the rest produced is kept, so the next statement
+    /// that differs only in its literals is lexed, bound and evaluated
+    /// (see [`GraphEngine::statement_shapes`]). A `$name` parameter is
+    /// an error here; bind it with [`GraphEngine::execute_with`].
     pub fn execute(&mut self, cypher: &str) -> Result<ExecutionResult, EngineError> {
-        self.execute_parsed(&parse_query(cypher)?)
+        self.execute_with(cypher, &[])
     }
 
-    /// The one statement executor behind [`GraphEngine::execute`] and
-    /// [`GraphEngine::execute_script`]: every statement is parsed once,
-    /// planned once ([`GraphEngine::one_shot_plan`]) and evaluated with
-    /// the indexes its plan can seek in place.
-    fn execute_parsed(&mut self, query: &Query) -> Result<ExecutionResult, EngineError> {
-        if !query.is_update() {
-            let compiled = self.plan_read(query)?;
-            self.ensure_indexes(&compiled.fra);
-            return Ok(self.read_planned(compiled));
-        }
-        if query.return_clause().is_some() {
-            return Err(EngineError::Unsupported(
-                "RETURN combined with update clauses".into(),
-            ));
-        }
-        let plan = UpdatePlan::build(query)?;
-        let bindings = match plan.has_reading {
-            true => Some(self.one_shot_plan(compile_bindings(query, &plan.items)?)),
-            false => None,
+    /// [`GraphEngine::execute`] with values for the statement's `$name`
+    /// parameters — the slots its own literals are lifted into, under
+    /// the caller's names. Every parameter the statement writes must be
+    /// given, and every one given must be written
+    /// ([`EngineError::Parameter`]).
+    ///
+    /// ```
+    /// use pgq_common::value::Value;
+    /// use pgq_core::GraphEngine;
+    ///
+    /// let mut engine = GraphEngine::new();
+    /// for id in 0..3 {
+    ///     engine
+    ///         .execute_with("CREATE (:Person {id: $id, score: 0})", &[("id", Value::Int(id))])
+    ///         .unwrap();
+    /// }
+    /// let set = engine
+    ///     .execute_with(
+    ///         "MATCH (p:Person {id: $id}) SET p.score = $score",
+    ///         &[("id", Value::Int(1)), ("score", Value::Int(99))],
+    ///     )
+    ///     .unwrap();
+    /// assert_eq!(set.stats.properties_set, 1);
+    /// // One shape each, however many values went through it.
+    /// assert_eq!(engine.statement_shapes(), (2, 2, 2, 0));
+    /// ```
+    pub fn execute_with(
+        &mut self,
+        cypher: &str,
+        params: &[(&str, Value)],
+    ) -> Result<ExecutionResult, EngineError> {
+        let tokens = pgq_parser::lexer::lex(cypher)?;
+        let mut shape = Shape::of(&tokens, true);
+        // The statement's own parameters, in slot order. Raised only
+        // once the statement is known to parse and compile: its errors
+        // come first.
+        let given = bind_names(&shape.names, params);
+        let size = self.graph_size();
+        let statement = loop {
+            let cached = self.shapes.map.get(&shape.key).map(|(_, st)| st);
+            let stale = match cached {
+                Some(st) if st.fits(size) => {
+                    self.shapes.hits += 1;
+                    break Arc::clone(st);
+                }
+                other => other.is_some(),
+            };
+            // Slot names: the lifted literals, then the statement's own.
+            let slots: Vec<String> = (0..shape.values.len())
+                .map(lifted_name)
+                .chain(shape.names.iter().cloned())
+                .collect();
+            let prepared = parse_tokens(shape.rewrite(&tokens))
+                .map_err(EngineError::from)
+                .and_then(|query| self.prepare(query, &slots));
+            match prepared {
+                Ok(st) => {
+                    match stale {
+                        true => self.shapes.replans += 1,
+                        false => self.shapes.misses += 1,
+                    }
+                    if let (Some(reading), Ok(given)) = (st.body.reading(), &given) {
+                        let values = [shape.values.as_slice(), given].concat();
+                        self.ensure_indexes(&reading.fra.bind(&values));
+                    }
+                    let st = Arc::new(st);
+                    self.shapes
+                        .insert(std::mem::take(&mut shape.key), Arc::clone(&st));
+                    break st;
+                }
+                // A literal the grammar or the compiler needs in place
+                // (the shape rules are conservative, not complete): the
+                // statement is its exact tokens, and so are its errors.
+                Err(_) if !shape.values.is_empty() => shape = Shape::of(&tokens, false),
+                Err(e) => return Err(e),
+            }
         };
-        if let Some(b) = &bindings {
-            self.ensure_indexes(&b.fra);
-        }
-        let (tx, stats, rows_scanned) =
-            plan.to_transaction(query, bindings.as_ref(), &self.graph)?;
-        self.apply(&tx)?;
-        Ok(ExecutionResult {
-            columns: Vec::new(),
-            rows: Vec::new(),
-            stats,
-            rows_scanned,
-        })
+        let mut values = shape.values;
+        values.append(&mut given?);
+        self.run(&statement, &values)
+    }
+
+    /// The statement-shape cache as `(entries, hits, misses, replans)`:
+    /// shapes kept now, and — counted since this engine was created,
+    /// cloned or recovered — executions that found their shape's plan,
+    /// that ran the front end for a new shape, and that re-planned a
+    /// kept shape because the graph had left ½–2× the size it was
+    /// planned for. Work counts, exact and per engine.
+    pub fn statement_shapes(&self) -> (usize, u64, u64, u64) {
+        let c = &self.shapes;
+        (c.map.len(), c.hits, c.misses, c.replans)
     }
 
     /// Execute a `;`-separated script of statements in order. The whole
     /// script is parsed up-front (a syntax error executes nothing); at
     /// runtime the atomicity unit is the statement, as in cypher-shell —
-    /// statements before a failing one stay committed.
+    /// statements before a failing one stay committed. Script statements
+    /// run the front end each time (no shape is kept or looked up).
     pub fn execute_script(&mut self, script: &str) -> Result<Vec<ExecutionResult>, EngineError> {
         let queries = pgq_parser::parse_script(script)?;
         let mut out = Vec::with_capacity(queries.len());
-        for q in &queries {
-            out.push(self.execute_parsed(q)?);
+        for q in queries {
+            let st = self.prepare(q, &[])?;
+            if let Some(reading) = st.body.reading() {
+                self.ensure_indexes(&reading.fra);
+            }
+            out.push(self.run(&st, &[])?);
         }
         Ok(out)
     }
@@ -1207,7 +1353,7 @@ impl GraphEngine {
     pub fn explain(&self, cypher: &str) -> Result<String, EngineError> {
         let query = parse_query(cypher)?;
         let compiled = if query.is_update() {
-            let plan = UpdatePlan::build(&query)?;
+            let plan = UpdatePlan::build(&query, &[])?;
             if !plan.has_reading {
                 return Ok("no reading part: the update clauses run once\n".into());
             }
@@ -1299,6 +1445,25 @@ impl GraphEngine {
     }
 }
 
+/// The values of the `$name` parameters a statement writes, in the order
+/// of `names`; every name needs a value and every value a name.
+fn bind_names(names: &[String], params: &[(&str, Value)]) -> Result<Vec<Value>, EngineError> {
+    if let Some((unused, _)) = params.iter().find(|(n, _)| !names.iter().any(|s| s == n)) {
+        return Err(EngineError::Parameter(format!(
+            "${unused} is given but the statement does not use it"
+        )));
+    }
+    names
+        .iter()
+        .map(|name| match params.iter().find(|(n, _)| n == name) {
+            Some((_, v)) => Ok(v.clone()),
+            None => Err(EngineError::Parameter(format!(
+                "${name} has no value: pass one with GraphEngine::execute_with"
+            ))),
+        })
+        .collect()
+}
+
 /// A live view as the snapshot's catalog records it.
 fn catalog_entry(slot: usize, name: &str, e: &ViewEntry) -> SnapshotView {
     SnapshotView {
@@ -1339,17 +1504,105 @@ fn catalog_options(v: &SnapshotView) -> (CompileOptions, RegisterOptions) {
     (compile, register)
 }
 
+/// What [`GraphEngine::execute`] keeps per statement shape
+/// ([`pgq_parser::shape`]), and how often it was of use.
+#[derive(Clone, Default)]
+struct ShapeCache {
+    /// Shape key → (insertion number, prepared statement).
+    map: HashMap<Vec<u8>, (u64, Arc<Statement>)>,
+    inserted: u64,
+    hits: u64,
+    misses: u64,
+    replans: u64,
+}
+
+impl ShapeCache {
+    fn insert(&mut self, key: Vec<u8>, st: Arc<Statement>) {
+        if self.map.len() >= GraphEngine::SHAPE_CAPACITY && !self.map.contains_key(&key) {
+            let oldest = self.map.iter().min_by_key(|(_, (n, _))| *n);
+            if let Some(k) = oldest.map(|(k, _)| k.clone()) {
+                self.map.remove(&k);
+            }
+        }
+        self.inserted += 1;
+        self.map.insert(key, (self.inserted, st));
+    }
+}
+
+/// A statement after the front end, its parameter slots still open.
+struct Statement {
+    body: Body,
+    /// |V| + |E| when the reading part was planned (`None`: there is
+    /// none). Statistics decide join order only, so a stale plan is
+    /// slow, never wrong — and is re-planned once the graph is outside
+    /// ½–2× of this.
+    planned_at: Option<usize>,
+}
+
+impl Statement {
+    fn fits(&self, size: usize) -> bool {
+        self.planned_at
+            .is_none_or(|at| size <= 2 * at && at <= 2 * size)
+    }
+}
+
+enum Body {
+    Read(Reading),
+    Update {
+        query: Query,
+        plan: UpdatePlan,
+        /// The planned bindings query; `None` without a reading clause.
+        bindings: Option<Reading>,
+    },
+}
+
+impl Body {
+    fn reading(&self) -> Option<&Reading> {
+        match self {
+            Body::Read(r) => Some(r),
+            Body::Update { bindings, .. } => bindings.as_ref(),
+        }
+    }
+}
+
+/// A planned reading part: what the evaluator runs, without the
+/// compilation stages behind it.
+struct Reading {
+    fra: Fra,
+    columns: Vec<String>,
+    order_by: Vec<(ScalarExpr, bool)>,
+    skip: Option<usize>,
+    limit: Option<usize>,
+}
+
+impl From<CompiledQuery> for Reading {
+    fn from(c: CompiledQuery) -> Reading {
+        Reading {
+            fra: c.fra,
+            columns: c.columns,
+            order_by: c.order_by,
+            skip: c.skip,
+            limit: c.limit,
+        }
+    }
+}
+
 /// Interpreter for the update clauses of a query.
 struct UpdatePlan {
     /// Projection items for the bindings query: bound variables first,
-    /// then every value expression appearing in SET / CREATE props.
+    /// then every SET / CREATE value expression that reads a variable.
     items: Vec<(Expr, String)>,
+    /// The value expressions that read none (`-1`, `1 + 1`, a
+    /// parameter), resolved: evaluated once per execution, never
+    /// projected — so they need no reading clause to produce a row.
+    consts: Vec<(Expr, ScalarExpr)>,
     /// Does the query have any reading clause (MATCH/UNWIND)?
     has_reading: bool,
 }
 
 impl UpdatePlan {
-    fn build(query: &Query) -> Result<UpdatePlan, EngineError> {
+    /// `params[i]` names parameter slot `i` (see [`GraphEngine::prepare`]).
+    fn build(query: &Query, params: &[String]) -> Result<UpdatePlan, EngineError> {
         let mut bound_vars: Vec<String> = Vec::new();
         let mut has_reading = false;
         // First pass: find variables bound by reading clauses.
@@ -1384,17 +1637,10 @@ impl UpdatePlan {
         // Second pass: which bound vars and value expressions do the
         // update clauses need?
         let mut items: Vec<(Expr, String)> = Vec::new();
-        let mut exprs = 0usize;
         let need_var = |items: &mut Vec<(Expr, String)>, v: &str| {
             if bound_vars.iter().any(|b| b == v) && !items.iter().any(|(_, n)| n == v) {
                 items.push((Expr::Variable(v.to_string()), v.to_string()));
             }
-        };
-        let mut need_expr = |items: &mut Vec<(Expr, String)>, e: &Expr| -> String {
-            let name = format!("__u{exprs}");
-            exprs += 1;
-            items.push((e.clone(), name.clone()));
-            name
         };
         let mut created: Vec<String> = Vec::new();
         for clause in &query.clauses {
@@ -1463,36 +1709,44 @@ impl UpdatePlan {
                 _ => {}
             }
         }
-        // Value expressions are projected too (so SET values can reference
-        // matched properties). We project them as extra columns.
-        let mut items_with_values = items.clone();
+        // Value expressions: a literal is read in place, one without
+        // free variables is a constant of the statement, the rest are
+        // projected as extra columns (so SET values can reference
+        // matched properties).
+        let mut consts: Vec<(Expr, ScalarExpr)> = Vec::new();
+        let mut value = |e: &Expr| -> Result<(), EngineError> {
+            match e {
+                Expr::Literal(_) => {}
+                e if e.free_variables().is_empty() => {
+                    if !consts.iter().any(|(c, _)| c == e) {
+                        consts.push((e.clone(), resolve_constant(e, params)?));
+                    }
+                }
+                e if has_reading => items.push((e.clone(), format!("__u{}", items.len()))),
+                e => {
+                    return Err(EngineError::Unsupported(format!(
+                        "property value {e} reads a variable, but the statement has no MATCH \
+                         or UNWIND to bind it"
+                    )))
+                }
+            }
+            Ok(())
+        };
         for clause in &query.clauses {
             match clause {
                 Clause::Set(sets) => {
                     for item in sets {
-                        if let SetItem::Property { value, .. } = item {
-                            if !matches!(value, Expr::Literal(_)) {
-                                need_expr(&mut items_with_values, value);
-                            }
+                        if let SetItem::Property { value: e, .. } = item {
+                            value(e)?;
                         }
                     }
                 }
                 Clause::Create(pattern) => {
                     for p in &pattern.paths {
-                        for node in std::iter::once(&p.start).chain(p.steps.iter().map(|(_, n)| n))
-                        {
-                            for (_, e) in &node.props {
-                                if !matches!(e, Expr::Literal(_)) {
-                                    need_expr(&mut items_with_values, e);
-                                }
-                            }
-                        }
-                        for (r, _) in &p.steps {
-                            for (_, e) in &r.props {
-                                if !matches!(e, Expr::Literal(_)) {
-                                    need_expr(&mut items_with_values, e);
-                                }
-                            }
+                        let nodes = std::iter::once(&p.start).chain(p.steps.iter().map(|(_, n)| n));
+                        let rels = p.steps.iter().map(|(r, _)| &r.props);
+                        for (_, e) in nodes.map(|n| &n.props).chain(rels).flatten() {
+                            value(e)?;
                         }
                     }
                 }
@@ -1500,38 +1754,59 @@ impl UpdatePlan {
             }
         }
         Ok(UpdatePlan {
-            items: items_with_values,
+            items,
+            consts,
             has_reading,
         })
     }
 
     /// Evaluate the reading part (`bindings`: its planned query, `None`
-    /// when the statement has no reading clause) and build the atomic
-    /// transaction; also returns the rows the reading part scanned.
+    /// when the statement has no reading clause) with `values` in the
+    /// parameter slots and build the atomic transaction; also returns
+    /// the rows the reading part scanned.
     fn to_transaction(
         &self,
         query: &Query,
-        bindings: Option<&CompiledQuery>,
+        bindings: Option<&Reading>,
+        values: &[Value],
         graph: &PropertyGraph,
     ) -> Result<(Transaction, UpdateStats, u64), EngineError> {
         // Bindings: one row per match (bag semantics).
         let mut eval = pgq_eval::Evaluator::new(graph);
         let (columns, rows): (&[String], Vec<Tuple>) = match bindings {
-            Some(compiled) => {
+            Some(reading) => {
                 let mut rows = Vec::new();
-                for (t, m) in eval.run(&compiled.fra) {
+                for (t, m) in eval.run(&reading.fra.bind(values)) {
                     for _ in 0..m.max(0) {
                         rows.push(t.clone());
                     }
                 }
-                (&compiled.columns, rows)
+                (&reading.columns, rows)
             }
             None => (&[], vec![Tuple::unit()]),
         };
         let col = |name: &str| -> Option<usize> { columns.iter().position(|c| c == name) };
-        // Column index for a projected value expression.
-        let expr_col =
-            |e: &Expr| -> Option<usize> { self.items.iter().position(|(ie, _)| ie == e) };
+        // A constant that does not evaluate is `null`, as a projected
+        // value expression is.
+        let consts: Vec<Value> = self
+            .consts
+            .iter()
+            .map(|(_, c)| c.bind(values).eval(&Tuple::unit()).unwrap_or(Value::Null))
+            .collect();
+        // The value of a SET / CREATE property expression on `row`.
+        let value_of = |e: &Expr, row: &Tuple| -> Result<Value, EngineError> {
+            if let Expr::Literal(v) = e {
+                Ok(v.clone())
+            } else if let Some(i) = self.consts.iter().position(|(c, _)| c == e) {
+                Ok(consts[i].clone())
+            } else if let Some(i) = self.items.iter().position(|(ie, _)| ie == e) {
+                Ok(row.get(i).clone())
+            } else {
+                Err(EngineError::Unsupported(format!(
+                    "unprojected property expression {e}"
+                )))
+            }
+        };
 
         let mut tx = Transaction::new();
         let mut stats = UpdateStats::default();
@@ -1542,7 +1817,7 @@ impl UpdatePlan {
             match clause {
                 Clause::Create(pattern) => {
                     for row in &rows {
-                        self.create_pattern(pattern, row, columns, &mut tx, &mut stats, expr_col)?;
+                        self.create_pattern(pattern, row, columns, &mut tx, &mut stats, value_of)?;
                     }
                 }
                 Clause::Delete { detach, exprs } => {
@@ -1594,13 +1869,7 @@ impl UpdatePlan {
                                             "SET on unbound variable `{variable}`"
                                         ))
                                     })?;
-                                    let val = match value {
-                                        Expr::Literal(v) => v.clone(),
-                                        e => {
-                                            let ci = expr_col(e).expect("projected");
-                                            row.get(ci).clone()
-                                        }
-                                    };
+                                    let val = value_of(value, row)?;
                                     let key = Symbol::intern(key);
                                     match row.get(vi) {
                                         Value::Node(n) => {
@@ -1690,24 +1959,13 @@ impl UpdatePlan {
         columns: &[String],
         tx: &mut Transaction,
         stats: &mut UpdateStats,
-        expr_col: impl Fn(&Expr) -> Option<usize> + Copy,
+        value_of: impl Fn(&Expr, &Tuple) -> Result<Value, EngineError> + Copy,
     ) -> Result<(), EngineError> {
         let col = |name: &str| columns.iter().position(|c| c == name);
         let eval_props = |props: &[(String, Expr)]| -> Result<Properties, EngineError> {
             let mut out = Properties::new();
             for (k, e) in props {
-                let v = match e {
-                    Expr::Literal(v) => v.clone(),
-                    e => {
-                        let ci = expr_col(e).ok_or_else(|| {
-                            EngineError::Unsupported(format!(
-                                "unprojected CREATE property expression {e}"
-                            ))
-                        })?;
-                        row.get(ci).clone()
-                    }
-                };
-                out.set(Symbol::intern(k), v);
+                out.set(Symbol::intern(k), value_of(e, row)?);
             }
             Ok(out)
         };

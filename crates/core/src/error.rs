@@ -24,6 +24,9 @@ pub enum EngineError {
     DuplicateView(String),
     /// Valid Cypher the engine's update interpreter does not support.
     Unsupported(String),
+    /// A `$name` parameter without a value, or a value for a parameter
+    /// the statement does not write (`GraphEngine::execute_with`).
+    Parameter(String),
     /// The durability layer failed. The commit that hit this error did
     /// **not** happen: the in-memory state was rolled back along with
     /// the WAL, and the engine stays usable. The typed payload says what
@@ -46,6 +49,7 @@ impl fmt::Display for EngineError {
             EngineError::UnknownView => write!(f, "unknown view"),
             EngineError::DuplicateView(n) => write!(f, "view `{n}` already exists"),
             EngineError::Unsupported(s) => write!(f, "unsupported: {s}"),
+            EngineError::Parameter(s) => write!(f, "parameter {s}"),
             EngineError::Durability(e) => write!(f, "durability: {e}"),
             EngineError::ReadOnly(e) => {
                 write!(f, "engine is read-only (degraded after: {e})")

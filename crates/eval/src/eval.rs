@@ -477,7 +477,21 @@ impl<'g> Evaluator<'g> {
     /// Evaluate a compiled query end-to-end, applying ORDER BY / SKIP /
     /// LIMIT.
     pub fn run_query(&mut self, cq: &CompiledQuery) -> Vec<Tuple> {
-        let bag = self.run(&cq.fra);
+        self.run_rows(&cq.fra, &cq.order_by, cq.skip, cq.limit)
+    }
+
+    /// Evaluate `fra` into rows (multiplicities expanded) in the
+    /// deterministic base order, then apply ORDER BY / SKIP / LIMIT —
+    /// [`Evaluator::run_query`] for a caller that holds the plan apart
+    /// from its compilation stages.
+    pub fn run_rows(
+        &mut self,
+        fra: &Fra,
+        order_by: &[(ScalarExpr, bool)],
+        skip: Option<usize>,
+        limit: Option<usize>,
+    ) -> Vec<Tuple> {
+        let bag = self.run(fra);
         let mut rows: Vec<Tuple> = Vec::new();
         for (t, m) in bag {
             for _ in 0..m.max(0) {
@@ -486,9 +500,9 @@ impl<'g> Evaluator<'g> {
         }
         // Deterministic base order.
         rows.sort_by(tuple_cmp);
-        if !cq.order_by.is_empty() {
+        if !order_by.is_empty() {
             rows.sort_by(|a, b| {
-                for (expr, asc) in &cq.order_by {
+                for (expr, asc) in order_by {
                     let va = expr.eval(a).unwrap_or(Value::Null);
                     let vb = expr.eval(b).unwrap_or(Value::Null);
                     let ord = va.total_cmp(&vb);
@@ -500,8 +514,8 @@ impl<'g> Evaluator<'g> {
                 Ordering::Equal
             });
         }
-        let start = cq.skip.unwrap_or(0).min(rows.len());
-        let end = match cq.limit {
+        let start = skip.unwrap_or(0).min(rows.len());
+        let end = match limit {
             Some(l) => (start + l).min(rows.len()),
             None => rows.len(),
         };

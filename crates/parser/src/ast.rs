@@ -292,8 +292,10 @@ pub enum Expr {
         /// True for `IS NOT NULL`.
         negated: bool,
     },
-    /// Parameter `$name` (parsed; rejected by the engine, which does not
-    /// implement parameterised views).
+    /// Parameter `$name`: a constant a one-shot statement's caller
+    /// supplies per execution (`GraphEngine::execute_with`), and what
+    /// `execute` lifts the statement's own literals into
+    /// ([`crate::shape`]). Views take none.
     Parameter(String),
     /// `exists((a)-[:R]->(b))` — true iff the pattern has at least one
     /// match. With `NOT` in front this is the negative condition the

@@ -154,8 +154,15 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, ParseError> {
                     }
                 }
                 let word = &src[i..j];
-                let upper = word.to_ascii_uppercase();
-                let tok = match Kw::from_upper(&upper) {
+                // Uppercased on the stack: no keyword is longer than
+                // `DESCENDING`, and most words are not keywords.
+                let mut upper = [0u8; 10];
+                let keyword = upper.get_mut(..word.len()).and_then(|u| {
+                    u.copy_from_slice(word.as_bytes());
+                    u.make_ascii_uppercase();
+                    Kw::from_upper(std::str::from_utf8(u).ok()?)
+                });
+                let tok = match keyword {
                     Some(k) => Tok::Keyword(k),
                     None => Tok::Ident(word.to_string()),
                 };

@@ -20,15 +20,19 @@
 //! * `WITH` and `OPTIONAL MATCH` are parsed and rejected downstream,
 //!   mirroring the paper's explicit limitation list.
 //!
-//! Entry point: [`parse_query`].
+//! Entry point: [`parse_query`]. [`shape`] splits a lexed statement into
+//! its repeating shape and its literals, for callers that cache what they
+//! derive from the shape.
 
 pub mod ast;
 pub mod display;
 pub mod error;
 pub mod lexer;
 pub mod parser;
+pub mod shape;
 pub mod token;
 
 pub use ast::*;
 pub use error::ParseError;
-pub use parser::{parse_query, parse_script};
+pub use parser::{parse_query, parse_script, parse_tokens};
+pub use shape::Shape;

@@ -10,7 +10,20 @@ use crate::token::{Kw, Spanned, Tok};
 
 /// Parse a complete query.
 pub fn parse_query(src: &str) -> Result<Query, ParseError> {
-    let tokens = lex(src)?;
+    parse_tokens(lex(src)?)
+}
+
+/// Parse one complete query from its tokens ([`lex`]'s output, or that
+/// with literals lifted out by [`crate::shape::Shape::rewrite`]).
+pub fn parse_tokens(mut tokens: Vec<Spanned>) -> Result<Query, ParseError> {
+    // The parser reads one token ahead of everything it consumes.
+    if tokens.last().map(|t| &t.tok) != Some(&Tok::Eof) {
+        let offset = tokens.last().map_or(0, |t| t.offset);
+        tokens.push(Spanned {
+            tok: Tok::Eof,
+            offset,
+        });
+    }
     let mut p = Parser { tokens, pos: 0 };
     let q = p.query()?;
     p.expect_eof()?;

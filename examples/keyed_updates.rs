@@ -12,6 +12,12 @@
 //! loader cannot come back unnoticed. The two-hop read seeks its anchor
 //! too; its joins still read the `KNOWS` extent.
 //!
+//! The statements differ only in their literals, so the engine runs its
+//! front end (parse, compile, plan) once per statement *shape* and binds
+//! the literals of every later one: `statement_shapes()` must report the
+//! loader's statements as hits, or this example fails. `execute_with`
+//! is the same mechanism under the caller's own parameter names.
+//!
 //! Run with `cargo run --example keyed_updates`.
 
 use pgq::prelude::*;
@@ -39,6 +45,15 @@ fn load(engine: &mut GraphEngine, persons: usize) -> u64 {
             worst = worst.max(r.rows_scanned);
         }
     }
+    // Two shapes: planned once each, re-planned as the graph outgrew
+    // twice the size they were planned for, bound every other time.
+    let (shapes, hits, misses, replans) = engine.statement_shapes();
+    assert_eq!((shapes, misses), (2, 2), "one front-end run per shape");
+    assert_eq!(hits + misses + replans, (persons * (1 + DEGREE)) as u64);
+    assert!(
+        replans <= 4,
+        "{replans} re-plans for a graph that grew fivefold"
+    );
     worst
 }
 
@@ -66,6 +81,15 @@ fn main() {
             .execute("MATCH (p:Person {id: 17}) SET p.score = 99")
             .unwrap();
         println!("  keyed SET          rows_scanned = {}", set.rows_scanned);
+        // The same statement with the literals named by the caller.
+        let named = engine
+            .execute_with(
+                "MATCH (p:Person {id: $id}) SET p.score = $score",
+                &[("id", Value::Int(18)), ("score", Value::Int(99))],
+            )
+            .unwrap();
+        assert_eq!(named.stats, set.stats);
+        assert_eq!(named.rows_scanned, set.rows_scanned);
         let read = engine
             .execute(
                 "MATCH (a:Person {id: 17})-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person) \
@@ -85,6 +109,10 @@ fn main() {
         for (label, key, entries) in engine.property_indexes() {
             println!("  index {label}.{key}: {entries} entries");
         }
+        let (shapes, hits, misses, replans) = engine.statement_shapes();
+        println!(
+            "  statement shapes   {shapes} kept: {hits} hits, {misses} misses, {replans} re-plans"
+        );
         let knows = engine.graph().edge_count() as u64;
         assert!(!planned || read.rows_scanned <= 1 + 2 * knows);
         per_size.push((load_worst, set.rows_scanned));

@@ -12,8 +12,8 @@
 //! ```
 //!
 //! Commands: `:view NAME QUERY`, `:views`, `:results NAME`, `:watch
-//! NAME`, `:explain QUERY`, `:indexes`, `:stats NAME`, `:save FILE`, `:load FILE`,
-//! `:help`, `:quit`. `EXPLAIN <query>` renders the full pipeline
+//! NAME`, `:explain QUERY`, `:indexes`, `:shapes`, `:stats NAME`, `:save FILE`,
+//! `:load FILE`, `:help`, `:quit`. `EXPLAIN <query>` renders the full pipeline
 //! including the cost-based plan with per-operator cardinality
 //! estimates. Anything else is executed as an openCypher statement.
 
@@ -73,6 +73,7 @@ fn help() {
          :watch NAME        print the view's deltas after every update\n  \
          :explain QUERY     show the GRA/NRA/FRA pipeline and the one-shot plan\n  \
          :indexes           property indexes built by keyed statements\n  \
+         :shapes            statement shapes kept: entries, hits, misses, re-plans\n  \
          :stats NAME        per-operator memory statistics\n  \
          :save FILE         dump the graph in text format\n  \
          :load FILE         load a graph dump (replaces current graph)\n  \
@@ -189,6 +190,12 @@ fn main() {
                         println!("{label}.{key}  {entries} entries");
                     }
                 }
+                "shapes" => {
+                    let (entries, hits, misses, replans) = engine.statement_shapes();
+                    println!(
+                        "{entries} shapes kept  {hits} hits  {misses} misses  {replans} re-plans"
+                    );
+                }
                 "stats" => match engine.view_by_name(arg) {
                     Some(id) => match engine.view_stats(id) {
                         Ok(s) => println!("{s}"),
@@ -266,8 +273,15 @@ fn main() {
             }
             continue;
         }
-        // Plain statement(s) — `;`-separated scripts are fine.
-        match engine.execute_script(line) {
+        // Plain statement(s) — `;`-separated scripts are fine. A single
+        // statement goes through `execute`, which keeps its shape
+        // (`:shapes`); a script runs the front end per statement.
+        let results = if line.contains(';') {
+            engine.execute_script(line)
+        } else {
+            engine.execute(line).map(|r| vec![r])
+        };
+        match results {
             Ok(results) => {
                 for result in results {
                     if !result.rows.is_empty() || !result.columns.is_empty() {

@@ -47,49 +47,70 @@ fn ring(n: usize) -> GraphEngine {
 const TWO_HOP: &str =
     "MATCH (a:Person {id: 17})-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person) RETURN count(*) AS reach";
 
-/// Run the four keyed shapes on a ring of `n`, checking their effects;
-/// returns each statement's `rows_scanned` (SET, CREATE-under, two-hop
-/// read, DETACH DELETE).
-fn scanned(n: usize) -> [u64; 4] {
+/// Run the four keyed shapes on a ring of `n`, checking their effects,
+/// then each again with other literals: the second execution finds its
+/// shape's plan (`statement_shapes()` counts no further miss) and must do
+/// the same work. Returns each statement's `rows_scanned` (SET,
+/// CREATE-under, two-hop read, DETACH DELETE), first and second round.
+fn scanned(n: usize) -> [[u64; 4]; 2] {
     let mut e = ring(n);
-    let set = e
-        .execute("MATCH (p:Person {id: 5}) SET p.score = 1000")
-        .unwrap();
-    assert_eq!(set.stats.properties_set, 1);
-    let hit = e
-        .query("MATCH (p:Person) WHERE p.score = 1000 RETURN p.id")
-        .unwrap();
-    assert_eq!(hit.rows.len(), 1);
-    assert_eq!(hit.rows[0].get(0), &Value::Int(5));
+    let mut rounds = [[0; 4]; 2];
+    for (round, (k_set, k_under, k_read, k_delete)) in [(5, 9, 17, 23), (105, 109, 117, 123)]
+        .into_iter()
+        .enumerate()
+    {
+        let set = e
+            .execute(&format!(
+                "MATCH (p:Person {{id: {k_set}}}) SET p.score = 1000"
+            ))
+            .unwrap();
+        assert_eq!(set.stats.properties_set, 1);
+        let hit = e
+            .query(&format!(
+                "MATCH (p:Person) WHERE p.score = 1000 AND p.id >= {k_set} RETURN p.id"
+            ))
+            .unwrap();
+        assert_eq!(hit.rows.len(), 1);
+        assert_eq!(hit.rows[0].get(0), &Value::Int(k_set));
 
-    let under = e
-        .execute("MATCH (p:Person {id: 9}) CREATE (p)-[:CREATED]->(:Post {id: 1, lang: 'en'})")
-        .unwrap();
-    assert_eq!(
-        (under.stats.nodes_created, under.stats.relationships_created),
-        (1, 1)
-    );
+        let under = e
+            .execute(&format!(
+                "MATCH (p:Person {{id: {k_under}}}) CREATE (p)-[:CREATED]->(:Post {{id: {round}, lang: 'en'}})"
+            ))
+            .unwrap();
+        assert_eq!(
+            (under.stats.nodes_created, under.stats.relationships_created),
+            (1, 1)
+        );
 
-    let read = e.execute(TWO_HOP).unwrap();
-    assert_eq!(
-        read.rows[0].get(0),
-        &Value::Int((DEGREE * DEGREE) as i64),
-        "every two-hop walk from 17 uses two distinct edges"
-    );
+        let read = e
+            .execute(&TWO_HOP.replace("17", &k_read.to_string()))
+            .unwrap();
+        assert_eq!(
+            read.rows[0].get(0),
+            &Value::Int((DEGREE * DEGREE) as i64),
+            "every two-hop walk from the anchor uses two distinct edges"
+        );
 
-    let delete = e
-        .execute("MATCH (p:Person {id: 23}) DETACH DELETE p")
-        .unwrap();
-    assert_eq!(delete.stats.nodes_deleted, 1);
-    assert_eq!(e.graph().vertex_count(), n); // −1 person, +1 post
-    assert_eq!(e.graph().edge_count(), n * DEGREE - 2 * DEGREE + 1);
+        let delete = e
+            .execute(&format!(
+                "MATCH (p:Person {{id: {k_delete}}}) DETACH DELETE p"
+            ))
+            .unwrap();
+        assert_eq!(delete.stats.nodes_deleted, 1);
 
-    [
-        set.rows_scanned,
-        under.rows_scanned,
-        read.rows_scanned,
-        delete.rows_scanned,
-    ]
+        // Four shapes, planned once each: the second round only binds.
+        assert_eq!(e.statement_shapes(), (4, 4 * round as u64, 4, 0));
+        rounds[round] = [
+            set.rows_scanned,
+            under.rows_scanned,
+            read.rows_scanned,
+            delete.rows_scanned,
+        ];
+    }
+    assert_eq!(e.graph().vertex_count(), n); // −2 persons, +2 posts
+    assert_eq!(e.graph().edge_count(), n * DEGREE - 4 * DEGREE + 2);
+    rounds
 }
 
 #[test]
@@ -99,14 +120,16 @@ fn keyed_updates_scan_the_same_rows_at_1k_and_10k_vertices() {
     if !pgq_ivm::planner_enabled() {
         return; // correctness only: the syntactic order scans
     }
-    for (n, [set, under, read, delete]) in [(1_000u64, small), (10_000, large)] {
-        assert_eq!((set, under, delete), (1, 1, 1), "one sought vertex each");
-        // The anchor is sought; each hop reads the KNOWS extent once.
-        let knows = n * DEGREE as u64;
-        assert!(
-            read <= 1 + 2 * knows,
-            "|V| = {n}: the two-hop read scanned {read} rows, more than its anchor and two KNOWS extents"
-        );
+    for (n, rounds) in [(1_000u64, small), (10_000, large)] {
+        for [set, under, read, delete] in rounds {
+            assert_eq!((set, under, delete), (1, 1, 1), "one sought vertex each");
+            // The anchor is sought; each hop reads the KNOWS extent once.
+            let knows = n * DEGREE as u64;
+            assert!(
+                read <= 1 + 2 * knows,
+                "|V| = {n}: the two-hop read scanned {read} rows, more than its anchor and two KNOWS extents"
+            );
+        }
     }
 }
 
