@@ -33,21 +33,26 @@
 //!    each; adjacent projections fuse;
 //!    full-arity permutation projections vanish into the column
 //!    mapping; `δ∘δ` collapses.
-//! 4. **Label-only © into ⇑.** `©(v:L) ⋈[v] P`, where the © pushes no
-//!    property and carries no map, only filters `P` on the labels of
-//!    `v`. When `v` is bound in `P` by an ⇑ endpoint (traced through ⋈,
-//!    σ and bare-column π) the join is dropped and `L` joins that
-//!    endpoint's `src_labels`/`dst_labels` — usually a no-op, since the
-//!    compiler already writes a pattern's labels on its edge scans; the
-//!    closing edge of a cycle, `(c)-[:E]->(a)`, is the case that gains
-//!    one. Edge patterns over one label and type then share one ⇑
-//!    instead of one ⇑ per place the planner happened to put the ©.
-//!    Not applied when the © contributes a column (a pushed property, a
-//!    carried map), when the join equates more than `v`, or when `v` is
-//!    bound by another ©, ⋈* or an expression.
+//! 4. **© into ⇑.** `©(v:L {k→v.k, …}) ⋈[v] P`, where the © carries no
+//!    map, filters `P` on the labels of `v` and appends `v`'s properties.
+//!    When `v` is bound in `P` by an ⇑ endpoint (traced through ⋈, σ and
+//!    bare-column π) the join is dropped: `L` joins that endpoint's
+//!    `src_labels`/`dst_labels`, each `k` its `src_props`/`dst_props`
+//!    (one scan column per property — one the endpoint already pushes is
+//!    read twice by the mapping), and each new column is threaded up
+//!    through `P`'s σ predicates, join keys and π items. The label union
+//!    is usually a no-op, since the compiler already writes a pattern's
+//!    labels on its edge scans — the closing edge of a cycle,
+//!    `(c)-[:E]->(a)`, is the case that gains one — so edge patterns over
+//!    one label and type share one ⇑ instead of one ⇑ per place the
+//!    planner happened to put the ©; the pushed properties are what a
+//!    `WHERE` on a pattern's first vertex compiles to, and folding them
+//!    drops a join and the two arrangements it read. Not applied when the
+//!    © carries a map or a σ, when the join equates more than `v`, or
+//!    when `v` is bound by another ©, ⋈* or an expression.
 //! 5. **Column mapping.** Each rewrite that permutes columns composes
-//!    into `mapping`, a bijection from the original plan's output
-//!    columns to the canonical plan's, and
+//!    into `mapping`, from the original plan's output columns onto the
+//!    canonical plan's, and
 //!    [`CanonPlan::with_restored_order`] materialises it as a tail
 //!    projection when it is not the identity. That tail is itself a
 //!    canonical plan, so views sharing a permutation also share the
@@ -57,18 +62,13 @@
 //!
 //! Every rewrite maps each input tuple to exactly one output tuple with
 //! unchanged multiplicity, so any operator above sees a column-permuted
-//! but otherwise identical bag. Two caveats are deliberate:
-//!
-//! * Conjunct and disjunct reordering assumes predicates do not rely
-//!   on `AND`/`OR` short-circuiting to suppress *evaluation errors*
-//!   (Kleene truth is order-independent; an error drops the tuple and
-//!   trips a debug assertion, and a short-circuit that used to hide it
-//!   may no longer come first). Plans compiled by [`crate::pipeline`]
-//!   are well-typed and never rely on it.
-//! * Sorting keys derive from interned [`Symbol`] contents and
-//!   `Debug` renderings, so the canonical form is deterministic within
-//!   a process but not across processes — the same lifetime as the
-//!   fingerprints computed from it.
+//! but otherwise identical bag. Conjunct and disjunct reordering is exact
+//! even for expressions that fail on some tuple: a failing operation is
+//! `null` to the expression around it ([`crate::expr`]), and Kleene truth
+//! does not depend on operand order. One caveat is deliberate: sorting
+//! keys derive from interned [`Symbol`] contents and `Debug` renderings,
+//! so the canonical form is deterministic within a process but not across
+//! processes — the same lifetime as the fingerprints computed from it.
 
 use pgq_common::intern::Symbol;
 use pgq_parser::ast::BinOp;
@@ -85,7 +85,9 @@ pub struct CanonPlan {
     pub plan: Fra,
     /// `mapping[i] = j`: column `i` of the *original* plan's output
     /// holds, for every result tuple, the value of column `j` of the
-    /// canonical plan's output. Always a bijection (same arity).
+    /// canonical plan's output. Onto the canonical columns, and a
+    /// bijection unless a folded © pushed a property its ⇑ endpoint
+    /// already pushes — that one column is then read twice.
     pub mapping: Vec<usize>,
 }
 
@@ -137,7 +139,10 @@ impl CanonPlan {
 pub fn canonicalize(fra: &Fra) -> CanonPlan {
     let (plan, mapping) = canon(fra);
     debug_assert_eq!(mapping.len(), fra.schema().len(), "mapping is total");
-    debug_assert_eq!(mapping.len(), plan.schema().len(), "mapping is a bijection");
+    debug_assert!(
+        mapping.iter().all(|&j| j < plan.schema().len()),
+        "mapping lands in the plan"
+    );
     CanonPlan { plan, mapping }
 }
 
@@ -264,6 +269,14 @@ pub fn alpha_rename(fra: &Fra, rename: &mut dyn FnMut(&str) -> String) -> Fra {
             names: names.iter().map(|n| rename(n)).collect(),
         },
     }
+}
+
+/// Does `mapping` read every canonical column at most once?
+fn injective(mapping: &[usize]) -> bool {
+    let mut seen = vec![false; mapping.len()];
+    mapping
+        .iter()
+        .all(|&j| j < seen.len() && !std::mem::replace(&mut seen[j], true))
 }
 
 /// Canonical positional column name.
@@ -439,14 +452,10 @@ fn canon(fra: &Fra) -> (Fra, Vec<usize>) {
             left_keys,
             right_keys,
         } => {
-            if let Some(absorbed) = absorb_label_scan(left, right, left_keys, right_keys) {
+            if let Some(absorbed) = absorb_vertex_scan(left, right, left_keys, right_keys) {
                 return absorbed;
             }
-            let (cl, ml) = canon(left);
-            let (cr, mr) = canon(right);
-            let lk: Vec<usize> = left_keys.iter().map(|&k| ml[k]).collect();
-            let rk: Vec<usize> = right_keys.iter().map(|&k| mr[k]).collect();
-            canon_hash_join(cl, ml, cr, mr, lk, rk)
+            canon_hash_join(canon(left), canon(right), left_keys, right_keys)
         }
 
         Fra::SemiJoin {
@@ -484,7 +493,7 @@ fn canon(fra: &Fra) -> (Fra, Vec<usize>) {
             ..
         } => {
             let (cl, ml) = canon(left);
-            let la = ml.len();
+            let la = cl.schema().len();
             let (mut dp, perm_d) = sort_props(&spec.dst_props);
             let np = dp.len();
             for (k, p) in dp.iter_mut().enumerate() {
@@ -667,7 +676,7 @@ fn canon(fra: &Fra) -> (Fra, Vec<usize>) {
 
         Fra::Unwind { input, expr, .. } => {
             let (cin, mi) = canon(input);
-            let la = mi.len();
+            let la = cin.schema().len();
             let mut mapping = mi;
             mapping.push(la);
             (
@@ -696,7 +705,20 @@ fn canon(fra: &Fra) -> (Fra, Vec<usize>) {
                 .iter()
                 .zip(var_of)
                 .map(|(inp, vars)| {
+                    // One variable per column: an operand whose canonical
+                    // form reads a column twice keeps a π restoring them.
                     let (ci, mi) = canon(inp);
+                    let (ci, mi) = if injective(&mi) {
+                        (ci, mi)
+                    } else {
+                        canon(
+                            &CanonPlan {
+                                plan: ci,
+                                mapping: mi,
+                            }
+                            .with_restored_order(),
+                        )
+                    };
                     let mut cvars = vec![0usize; vars.len()];
                     for (c, &v) in vars.iter().enumerate() {
                         cvars[mi[c]] = v;
@@ -717,114 +739,228 @@ fn canon(fra: &Fra) -> (Fra, Vec<usize>) {
     }
 }
 
-/// `©(v:L) ⋈[v] P` where the © pushes no property and carries no map is
-/// the identity filter "`v` carries `L`" on `P`: every vertex appears in
-/// the © once, with multiplicity one, and contributes no column. When
-/// `v` is bound in `P` by an ⇑ endpoint the filter is that endpoint's
-/// label requirement, so the join is dropped and `L` is unioned into the
-/// scan. Returns the canonical form of `P` so amended, with the mapping
-/// of the *join's* output columns; `None` when the rule does not apply
-/// (see [`require_labels`]).
-fn absorb_label_scan(
+/// `©(v:L {k→v.k, …}) ⋈[v] P`, where the © carries no map, is the filter
+/// "`v` carries `L`" on `P` plus `v`'s properties `k…` as columns: every
+/// vertex appears in the © once, with multiplicity one. When `v` is bound
+/// in `P` by an ⇑ endpoint, `L` joins that endpoint's labels, each `k`
+/// its pushed properties — one scan column per property, so one the
+/// endpoint already pushes is read twice — the columns are threaded up
+/// through `P` ([`at_endpoint`]), and the join is dropped. Returns the
+/// canonical form of `P` so amended, with the mapping of the *join's*
+/// output columns; `None` when the rule does not apply: the © carries a
+/// map or a σ (the planner put a selective conjunct there, which filters
+/// each vertex once instead of each of its edges), the join equates more
+/// than `v`, or `v` is bound by anything but an ⇑ endpoint.
+fn absorb_vertex_scan(
     left: &Fra,
     right: &Fra,
     left_keys: &[usize],
     right_keys: &[usize],
 ) -> Option<(Fra, Vec<usize>)> {
-    fn label_only(f: &Fra) -> Option<&[Symbol]> {
+    fn vertex_scan(f: &Fra) -> Option<(&[Symbol], &[PropPush])> {
         match f {
             Fra::ScanVertices {
                 labels,
                 props,
                 carry_map: false,
                 ..
-            } if props.is_empty() => Some(labels),
+            } => Some((labels, props)),
             _ => None,
         }
     }
+    // The © side's key must be its column 0, `v`.
     let (&[lk], &[rk]) = (left_keys, right_keys) else {
         return None;
     };
-    if let Some(labels) = label_only(right) {
-        // Output: the left columns (the ©'s only column is the key).
-        let mut p = left.clone();
-        return require_labels(&mut p, lk, labels).then(|| canon(&p));
+    let (scan_left, (labels, props), p, pk) = match (vertex_scan(right), vertex_scan(left)) {
+        (Some(scan), _) if rk == 0 => (false, scan, left, lk),
+        (None, Some(scan)) if lk == 0 => (true, scan, right, rk),
+        _ => return None,
+    };
+    let mut p = p.clone();
+    // Where `P`'s own columns and the pushed properties sit in `p`.
+    let mut cols: Vec<usize> = (0..p.schema().len()).collect();
+    let mut prop_cols = Vec::with_capacity(props.len());
+    for push in props {
+        let slot = at_endpoint(&mut p, cols[pk], &mut |end| match end
+            .props
+            .iter()
+            .position(|q| q.prop == push.prop)
+        {
+            Some(i) => Slot::Existing(end.props_at + i),
+            None => {
+                end.props.push(push.clone());
+                Slot::Inserted(end.props_at + end.props.len() - 1)
+            }
+        })?;
+        match slot {
+            Slot::Existing(c) => prop_cols.push(c),
+            Slot::Inserted(at) => {
+                for c in cols.iter_mut().chain(&mut prop_cols) {
+                    *c += usize::from(*c >= at);
+                }
+                prop_cols.push(at);
+            }
+        }
     }
-    let labels = label_only(left)?;
-    let mut p = right.clone();
-    if !require_labels(&mut p, rk, labels) {
-        return None;
-    }
-    // Output: `v`, then the right columns minus the key.
+    at_endpoint(&mut p, cols[pk], &mut |end| {
+        for l in labels {
+            if !end.labels.contains(l) {
+                end.labels.push(*l);
+            }
+        }
+        Slot::Existing(end.col)
+    })?;
     let (plan, m) = canon(&p);
-    let mut mapping = vec![m[rk]];
-    mapping.extend((0..m.len()).filter(|&c| c != rk).map(|c| m[c]));
+    // Output with the © on the right: `P`, then the properties. On the
+    // left: `v`, the properties, then `P` minus its key.
+    let mut mapping = Vec::with_capacity(cols.len() + prop_cols.len());
+    if scan_left {
+        mapping.push(m[cols[pk]]);
+        mapping.extend(prop_cols.iter().map(|&c| m[c]));
+        mapping.extend((0..cols.len()).filter(|&c| c != pk).map(|c| m[cols[c]]));
+    } else {
+        mapping.extend(cols.iter().map(|&c| m[c]));
+        mapping.extend(prop_cols.iter().map(|&c| m[c]));
+    }
     Some((plan, mapping))
 }
 
-/// Add `labels` to the ⇑ endpoint that binds output column `col` of
-/// `plan`, tracing the column down through ⋈ (either operand), σ and
-/// bare-column π. `false` — and `plan` untouched — when the column is
-/// bound by anything else (a ©, ⋈*, an expression, an aggregate), where
-/// the filter has no scan to move into.
-fn require_labels(plan: &mut Fra, col: usize, labels: &[Symbol]) -> bool {
+/// A column asked of an ⇑ endpoint, as it reaches a plan's output.
+#[derive(Clone, Copy)]
+enum Slot {
+    /// Output column `c`, which was already there.
+    Existing(usize),
+    /// A new output column at this position; the columns from it on
+    /// moved one to the right.
+    Inserted(usize),
+}
+
+/// One endpoint of an ⇑, handed to the amendment [`at_endpoint`] makes.
+struct Endpoint<'a> {
+    /// The endpoint's column in the scan's output (0 source, 2 target).
+    col: usize,
+    labels: &'a mut Vec<Symbol>,
+    props: &'a mut Vec<PropPush>,
+    /// Scan output column of `props[0]`.
+    props_at: usize,
+}
+
+/// Trace output column `col` of `plan` down through ⋈ (either operand),
+/// σ and bare-column π to the ⇑ endpoint that binds it, let `amend`
+/// change that endpoint and name a column of the scan, and carry that
+/// column back up to `plan`'s output: a new column shifts the σ
+/// predicates, join keys and π items above it, and a π gains an item for
+/// it. `None` when the column is bound by anything else (a ©, ⋈*, an
+/// expression, an aggregate), where there is no scan to move the © into
+/// — the caller then drops `plan`, which the walk does not change before
+/// it reaches the scan.
+fn at_endpoint(
+    plan: &mut Fra,
+    col: usize,
+    amend: &mut dyn FnMut(Endpoint<'_>) -> Slot,
+) -> Option<Slot> {
+    let shift = |at: usize| move |c: usize| c + usize::from(c >= at);
     match plan {
         Fra::ScanEdges {
             src_labels,
             dst_labels,
+            src_props,
+            edge_props,
+            dst_props,
             ..
         } => {
-            let side = match col {
-                0 => src_labels,
-                2 => dst_labels,
-                _ => return false,
+            let dst_props_at = 3 + src_props.len() + edge_props.len();
+            let (labels, props, props_at) = match col {
+                0 => (src_labels, src_props, 3),
+                2 => (dst_labels, dst_props, dst_props_at),
+                _ => return None,
             };
-            for l in labels {
-                if !side.contains(l) {
-                    side.push(*l);
-                }
-            }
-            true
+            Some(amend(Endpoint {
+                col,
+                labels,
+                props,
+                props_at,
+            }))
         }
         Fra::HashJoin {
             left,
             right,
+            left_keys,
             right_keys,
-            ..
         } => {
+            // Output: every left column, then the right's non-key ones.
             let la = left.schema().len();
             if col < la {
-                return require_labels(left, col, labels);
+                let slot = at_endpoint(left, col, amend)?;
+                if let Slot::Inserted(at) = slot {
+                    left_keys.iter_mut().for_each(|k| *k = shift(at)(*k));
+                }
+                return Some(slot);
             }
             let kept = (0..right.schema().len())
                 .filter(|c| !right_keys.contains(c))
-                .nth(col - la);
-            kept.is_some_and(|c| require_labels(right, c, labels))
+                .nth(col - la)?;
+            let slot = at_endpoint(right, kept, amend)?;
+            let out = |keys: &[usize], c: usize| la + (0..c).filter(|x| !keys.contains(x)).count();
+            Some(match slot {
+                Slot::Inserted(at) => {
+                    right_keys.iter_mut().for_each(|k| *k = shift(at)(*k));
+                    Slot::Inserted(out(right_keys, at))
+                }
+                // A right key's value is its left partner's.
+                Slot::Existing(c) => match right_keys.iter().position(|&k| k == c) {
+                    Some(k) => Slot::Existing(left_keys[k]),
+                    None => Slot::Existing(out(right_keys, c)),
+                },
+            })
         }
-        Fra::Filter { input, .. } => require_labels(input, col, labels),
-        Fra::Project { input, items } => match items.get(col) {
-            Some((ScalarExpr::Col(c), _)) => {
-                let c = *c;
-                require_labels(input, c, labels)
+        Fra::Filter { input, predicate } => {
+            let slot = at_endpoint(input, col, amend)?;
+            if let Slot::Inserted(at) = slot {
+                *predicate = predicate.remap_columns(&shift(at));
             }
-            _ => false,
-        },
-        _ => false,
+            Some(slot)
+        }
+        Fra::Project { input, items } => {
+            let &(ScalarExpr::Col(below), _) = items.get(col)? else {
+                return None;
+            };
+            let below = match at_endpoint(input, below, amend)? {
+                Slot::Existing(c) => {
+                    if let Some(i) = items.iter().position(|(e, _)| *e == ScalarExpr::Col(c)) {
+                        return Some(Slot::Existing(i));
+                    }
+                    c
+                }
+                Slot::Inserted(at) => {
+                    for (e, _) in items.iter_mut() {
+                        *e = e.remap_columns(&shift(at));
+                    }
+                    at
+                }
+            };
+            let name = input.schema().swap_remove(below);
+            items.push((ScalarExpr::Col(below), name));
+            Some(Slot::Inserted(items.len() - 1))
+        }
+        _ => None,
     }
 }
 
-/// Canonicalise a hash join: pick the operand orientation whose
+/// Canonicalise a hash join over its canonicalised operands (`left_keys`
+/// / `right_keys` are the original's): pick the operand orientation whose
 /// `(left key, right key, sorted pairs)` triple is smallest under the
 /// plan order — hash joins are bag-commutative, so either orientation
 /// computes the same tuples up to the column permutation returned.
 fn canon_hash_join(
-    cl: Fra,
-    ml: Vec<usize>,
-    cr: Fra,
-    mr: Vec<usize>,
-    lk: Vec<usize>,
-    rk: Vec<usize>,
+    (cl, ml): (Fra, Vec<usize>),
+    (cr, mr): (Fra, Vec<usize>),
+    left_keys: &[usize],
+    right_keys: &[usize],
 ) -> (Fra, Vec<usize>) {
+    let lk: Vec<usize> = left_keys.iter().map(|&k| ml[k]).collect();
+    let rk: Vec<usize> = right_keys.iter().map(|&k| mr[k]).collect();
     let sorted_pairs = |a: &[usize], b: &[usize]| -> Vec<(usize, usize)> {
         let mut pairs: Vec<(usize, usize)> = a.iter().copied().zip(b.iter().copied()).collect();
         pairs.sort_unstable();
@@ -850,59 +986,48 @@ fn canon_hash_join(
     let (kl, kr) = (plan_key(&cl), plan_key(&cr));
     let swap = swappable && (&kr, &kl, &swap_pairs) < (&kl, &kr, &keep_pairs);
 
-    let (la, ra) = (ml.len(), mr.len());
-    let mut mapping = Vec::with_capacity(la + ra - rk.len());
-    if !swap {
+    // Where canonical column `c` of the operand joined on the right lands
+    // in the output: a key column is gone, and its value is its
+    // partner's on the left; the others follow the left operand's
+    // columns in order.
+    let place = |pairs: &[(usize, usize)], left_arity: usize, c: usize| match pairs
+        .iter()
+        .find(|&&(_, r)| r == c)
+    {
+        Some(&(l, _)) => l,
+        None => {
+            left_arity
+                + (0..c)
+                    .filter(|x| pairs.iter().all(|&(_, r)| r != *x))
+                    .count()
+        }
+    };
+    // The original output: every left column, then the right's non-key
+    // columns.
+    let right_kept = (0..mr.len()).filter(|r| !right_keys.contains(r));
+    let (left, right, pairs, mapping) = if !swap {
         let pairs = keep_pairs;
-        let rk_set: Vec<usize> = pairs.iter().map(|&(_, r)| r).collect();
-        // Original output: all left columns, then right non-key columns.
-        mapping.extend(ml.iter().copied());
-        // Rank of a canonical right position among its non-key columns.
-        for &cpos in &mr {
-            if !rk.contains(&cpos) {
-                let rank = (0..cpos).filter(|p| !rk_set.contains(p)).count();
-                mapping.push(la + rank);
-            }
-        }
-        (
-            Fra::HashJoin {
-                left: Box::new(cl),
-                right: Box::new(cr),
-                left_keys: pairs.iter().map(|&(l, _)| l).collect(),
-                right_keys: pairs.iter().map(|&(_, r)| r).collect(),
-            },
-            mapping,
-        )
+        let la = cl.schema().len();
+        let mut mapping = ml;
+        mapping.extend(right_kept.map(|r| place(&pairs, la, mr[r])));
+        (cl, cr, pairs, mapping)
     } else {
-        // Canonical plan is `cr ⋈ cl`; its output is all `cr` columns,
-        // then `cl` columns minus the (old) left keys. An original left
-        // key column's value equals its paired right key, which *is*
-        // present in the canonical output (inside `cr`).
+        // Canonical plan is `cr ⋈ cl`.
         let pairs = swap_pairs;
-        let lk_set: Vec<usize> = pairs.iter().map(|&(_, r)| r).collect();
-        for &cpos in &ml {
-            if let Some(k) = lk.iter().position(|&p| p == cpos) {
-                mapping.push(rk[k]);
-            } else {
-                let rank = (0..cpos).filter(|p| !lk_set.contains(p)).count();
-                mapping.push(ra + rank);
-            }
-        }
-        for &cpos in &mr {
-            if !rk.contains(&cpos) {
-                mapping.push(cpos);
-            }
-        }
-        (
-            Fra::HashJoin {
-                left: Box::new(cr),
-                right: Box::new(cl),
-                left_keys: pairs.iter().map(|&(l, _)| l).collect(),
-                right_keys: pairs.iter().map(|&(_, r)| r).collect(),
-            },
-            mapping,
-        )
-    }
+        let ra = cr.schema().len();
+        let mut mapping: Vec<usize> = ml.iter().map(|&c| place(&pairs, ra, c)).collect();
+        mapping.extend(right_kept.map(|r| mr[r]));
+        (cr, cl, pairs, mapping)
+    };
+    (
+        Fra::HashJoin {
+            left: Box::new(left),
+            right: Box::new(right),
+            left_keys: pairs.iter().map(|&(l, _)| l).collect(),
+            right_keys: pairs.iter().map(|&(_, r)| r).collect(),
+        },
+        mapping,
+    )
 }
 
 #[cfg(test)]

@@ -3,17 +3,24 @@
 //! After the paper's step 3 (schema inference + property push-down), every
 //! property access in a query has been replaced by a *column reference*
 //! into the operator's inferred schema. A [`ScalarExpr`] therefore
-//! evaluates over a [`Tuple`] alone, with **no access to the graph** —
-//! which is precisely what makes operators incrementally maintainable:
-//! they are pure functions of their input tuples.
+//! evaluates over a tuple's values alone, with **no access to the
+//! graph** — which is precisely what makes operators incrementally
+//! maintainable: they are pure functions of their input tuples.
 //!
 //! Evaluation follows Cypher's three-valued logic: comparisons involving
 //! `null` (or incomparable types) yield `null`; boolean connectives use
 //! Kleene logic; a filter keeps only tuples whose predicate is `true`.
+//!
+//! A type error is local to the operation that fails: it is `null` to
+//! the expression around it, and only an expression failing at its root
+//! reports the error — which every consumer reads as `null` (π, γ,
+//! sorting) or as no row (σ, ω). So an error behaves as `null` wherever
+//! it occurs, and the rewrites that reorder `AND`/`OR` operands, fuse
+//! filters or substitute a projection into a predicate are exact for
+//! failing expressions too.
 
 use pgq_common::error::CommonError;
 use pgq_common::path::PathValue;
-use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
 use pgq_parser::ast::{BinOp, UnOp};
 
@@ -26,8 +33,8 @@ pub enum ScalarExpr {
     Lit(Value),
     /// Parameter slot of a one-shot statement: a constant the statement's
     /// caller supplies per execution ([`ScalarExpr::bind`]). It has no
-    /// value of its own — evaluating it is an error, so it never folds —
-    /// and view plans never contain one.
+    /// value of its own — evaluating it is an error, and an expression
+    /// holding one never folds — and view plans never contain one.
     Param(usize),
     /// Binary operation (shares the parser's operator vocabulary).
     Binary(BinOp, Box<ScalarExpr>, Box<ScalarExpr>),
@@ -72,57 +79,47 @@ impl ScalarExpr {
         ScalarExpr::Lit(v.into())
     }
 
-    /// Evaluate against `tuple`.
+    /// Evaluate against the row `tuple` (a
+    /// [`Tuple`](pgq_common::tuple::Tuple) derefs to one, and so does a
+    /// row assembled in a scratch buffer).
     ///
     /// Comparison and logic never error (they produce `null` per Cypher
     /// 3VL); arithmetic and function type mismatches do.
-    pub fn eval(&self, tuple: &Tuple) -> Result<Value, CommonError> {
+    pub fn eval(&self, tuple: &[Value]) -> Result<Value, CommonError> {
         match self {
-            ScalarExpr::Col(i) => Ok(tuple.get(*i).clone()),
+            ScalarExpr::Col(i) => Ok(tuple[*i].clone()),
             ScalarExpr::Lit(v) => Ok(v.clone()),
             ScalarExpr::Param(slot) => Err(CommonError::TypeMismatch {
                 operation: format!("parameter slot {slot}"),
                 detail: "not bound".into(),
             }),
             ScalarExpr::Binary(op, l, r) => eval_binary(*op, l, r, tuple),
-            ScalarExpr::Unary(UnOp::Not, e) => Ok(not3(truth(&e.eval(tuple)?))),
-            ScalarExpr::Unary(UnOp::Neg, e) => e.eval(tuple)?.neg(),
+            ScalarExpr::Unary(UnOp::Not, e) => Ok(not3(truth(&e.operand(tuple)))),
+            ScalarExpr::Unary(UnOp::Neg, e) => e.operand(tuple).neg(),
             ScalarExpr::Func { name, args } => {
-                let vals: Vec<Value> = args
-                    .iter()
-                    .map(|a| a.eval(tuple))
-                    .collect::<Result<_, _>>()?;
+                let vals: Vec<Value> = args.iter().map(|a| a.operand(tuple)).collect();
                 call_function(name, &vals)
             }
             ScalarExpr::IsNull { expr, negated } => {
-                let isnull = expr.eval(tuple)?.is_null();
-                Ok(Value::Bool(isnull != *negated))
+                Ok(Value::Bool(expr.operand(tuple).is_null() != *negated))
             }
             ScalarExpr::List(items) => Ok(Value::list(
-                items
-                    .iter()
-                    .map(|e| e.eval(tuple))
-                    .collect::<Result<_, _>>()?,
+                items.iter().map(|e| e.operand(tuple)).collect(),
             )),
-            ScalarExpr::Map(entries) => {
-                let mut m = Vec::with_capacity(entries.len());
-                for (k, e) in entries {
-                    m.push((k.clone(), e.eval(tuple)?));
-                }
-                Ok(Value::map(m))
-            }
-            ScalarExpr::Index(b, i) => {
-                let base = b.eval(tuple)?;
-                let idx = i.eval(tuple)?;
-                index_value(&base, &idx)
-            }
-            ScalarExpr::PathSingle(n) => match n.eval(tuple)? {
+            ScalarExpr::Map(entries) => Ok(Value::map(
+                entries
+                    .iter()
+                    .map(|(k, e)| (k.clone(), e.operand(tuple)))
+                    .collect::<Vec<_>>(),
+            )),
+            ScalarExpr::Index(b, i) => index_value(&b.operand(tuple), &i.operand(tuple)),
+            ScalarExpr::PathSingle(n) => match n.operand(tuple) {
                 Value::Node(v) => Ok(Value::path(PathValue::single(v))),
                 Value::Null => Ok(Value::Null),
                 other => Err(type_err("path start", &other)),
             },
             ScalarExpr::PathExtend(p, e, n) => {
-                match (p.eval(tuple)?, e.eval(tuple)?, n.eval(tuple)?) {
+                match (p.operand(tuple), e.operand(tuple), n.operand(tuple)) {
                     (Value::Path(path), Value::Rel(edge), Value::Node(node)) => {
                         Ok(Value::path(path.extend(edge, node)))
                     }
@@ -132,7 +129,7 @@ impl ScalarExpr {
                     (p, _, _) => Err(type_err("path extension", &p)),
                 }
             }
-            ScalarExpr::PathConcat(a, b) => match (a.eval(tuple)?, b.eval(tuple)?) {
+            ScalarExpr::PathConcat(a, b) => match (a.operand(tuple), b.operand(tuple)) {
                 (Value::Path(x), Value::Path(y)) => {
                     let seam = x.target() == y.source();
                     // Concatenating with a zero-length path is the common
@@ -158,11 +155,17 @@ impl ScalarExpr {
         }
     }
 
+    /// Evaluate a sub-expression for the expression around it: a failing
+    /// operation is `null` there (module docs).
+    fn operand(&self, tuple: &[Value]) -> Value {
+        self.eval(tuple).unwrap_or(Value::Null)
+    }
+
     /// Evaluate as a predicate: `true` keeps the tuple; `false`, `null`
     /// and evaluation errors drop it (Cypher is dynamically typed:
     /// `WHERE 1.x = 2` or `p.name + 1 > 2` on a string compile, and fail
     /// per tuple).
-    pub fn matches(&self, tuple: &Tuple) -> bool {
+    pub fn matches(&self, tuple: &[Value]) -> bool {
         matches!(self.eval(tuple), Ok(v) if truth(&v) == Some(true))
     }
 
@@ -248,7 +251,7 @@ impl ScalarExpr {
     /// (`true AND p` ↦ `p`, `false OR p` ↦ `p`, …). A column-free
     /// subexpression folds only when it evaluates without error, so a
     /// folded predicate keeps and drops exactly the tuples the original
-    /// did.
+    /// did, and one holding a parameter slot waits for [`bind`](Self::bind).
     pub fn fold(self) -> ScalarExpr {
         let e = match self {
             ScalarExpr::Binary(op, l, r) => {
@@ -286,8 +289,8 @@ impl ScalarExpr {
                 return absorbing;
             }
         }
-        if e.columns().is_empty() && !matches!(e, ScalarExpr::Lit(_)) {
-            if let Ok(v) = e.eval(&Tuple::unit()) {
+        if e.columns().is_empty() && !e.has_params() && !matches!(e, ScalarExpr::Lit(_)) {
+            if let Ok(v) = e.eval(&[]) {
                 return ScalarExpr::Lit(v);
             }
         }
@@ -386,16 +389,21 @@ fn bool3(v: Option<bool>) -> Value {
     }
 }
 
-fn eval_binary(op: BinOp, l: &ScalarExpr, r: &ScalarExpr, t: &Tuple) -> Result<Value, CommonError> {
+fn eval_binary(
+    op: BinOp,
+    l: &ScalarExpr,
+    r: &ScalarExpr,
+    t: &[Value],
+) -> Result<Value, CommonError> {
     use BinOp::*;
     // Short-circuiting Kleene logic for AND/OR.
     match op {
         And => {
-            let lv = truth(&l.eval(t)?);
+            let lv = truth(&l.operand(t));
             if lv == Some(false) {
                 return Ok(Value::Bool(false));
             }
-            let rv = truth(&r.eval(t)?);
+            let rv = truth(&r.operand(t));
             return Ok(match (lv, rv) {
                 (_, Some(false)) => Value::Bool(false),
                 (Some(true), Some(true)) => Value::Bool(true),
@@ -403,11 +411,11 @@ fn eval_binary(op: BinOp, l: &ScalarExpr, r: &ScalarExpr, t: &Tuple) -> Result<V
             });
         }
         Or => {
-            let lv = truth(&l.eval(t)?);
+            let lv = truth(&l.operand(t));
             if lv == Some(true) {
                 return Ok(Value::Bool(true));
             }
-            let rv = truth(&r.eval(t)?);
+            let rv = truth(&r.operand(t));
             return Ok(match (lv, rv) {
                 (_, Some(true)) => Value::Bool(true),
                 (Some(false), Some(false)) => Value::Bool(false),
@@ -415,8 +423,8 @@ fn eval_binary(op: BinOp, l: &ScalarExpr, r: &ScalarExpr, t: &Tuple) -> Result<V
             });
         }
         Xor => {
-            let lv = truth(&l.eval(t)?);
-            let rv = truth(&r.eval(t)?);
+            let lv = truth(&l.operand(t));
+            let rv = truth(&r.operand(t));
             return Ok(match (lv, rv) {
                 (Some(a), Some(b)) => Value::Bool(a != b),
                 _ => Value::Null,
@@ -425,8 +433,7 @@ fn eval_binary(op: BinOp, l: &ScalarExpr, r: &ScalarExpr, t: &Tuple) -> Result<V
         _ => {}
     }
 
-    let lv = l.eval(t)?;
-    let rv = r.eval(t)?;
+    let (lv, rv) = (l.operand(t), r.operand(t));
     Ok(match op {
         Add => lv.add(&rv)?,
         Sub => lv.sub(&rv)?,
@@ -662,9 +669,36 @@ pub struct AggCall {
 mod tests {
     use super::*;
     use pgq_common::ids::{EdgeId, VertexId};
+    use pgq_common::tuple::Tuple;
 
     fn t(vals: Vec<Value>) -> Tuple {
         Tuple::new(vals)
+    }
+
+    /// `-'x'` fails; to `OR`, `AND`, `IS NULL` around it, in either
+    /// operand order, it is `null` — only at the root is it an error.
+    #[test]
+    fn a_failing_operand_is_null_to_the_expression_around_it() {
+        let row = t(vec![Value::str("fr")]);
+        let fails = ScalarExpr::Unary(UnOp::Neg, Box::new(ScalarExpr::lit("x")));
+        let is_fr = ScalarExpr::Binary(
+            BinOp::Eq,
+            Box::new(ScalarExpr::col(0)),
+            Box::new(ScalarExpr::lit("fr")),
+        );
+        let bin = |op, a: &ScalarExpr, b: &ScalarExpr| {
+            ScalarExpr::Binary(op, Box::new(a.clone()), Box::new(b.clone()))
+        };
+        for (a, b) in [(&fails, &is_fr), (&is_fr, &fails)] {
+            assert_eq!(bin(BinOp::Or, a, b).eval(&row).unwrap(), Value::Bool(true));
+            assert_eq!(bin(BinOp::And, a, b).eval(&row).unwrap(), Value::Null);
+        }
+        let is_null = ScalarExpr::IsNull {
+            expr: Box::new(fails.clone()),
+            negated: false,
+        };
+        assert_eq!(is_null.eval(&row).unwrap(), Value::Bool(true));
+        assert!(fails.eval(&row).is_err());
     }
 
     #[test]

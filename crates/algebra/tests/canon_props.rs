@@ -36,6 +36,10 @@ const QUERIES: &[&str] = &[
     // including a closing edge whose target gains its label that way.
     "MATCH (a:N)-[:E]->(b:N)-[:E]->(c:N)-[:E]->(a) RETURN a, b, c",
     "MATCH (a:N)-[:E]->(b:N)-[:E]->(c:N) RETURN count(*) AS wedges",
+    // Property-carrying vertex scans that fold the same way, one joined
+    // last by the planner's order.
+    "MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person) WHERE a.country = c.country RETURN a, c",
+    "MATCH (c:Comm) MATCH (p:Post)-[:REPLY]->(c) WHERE p.lang = c.lang RETURN p, c.lang",
 ];
 
 fn compiled(ix: usize) -> Fra {
@@ -204,6 +208,50 @@ fn label_scan(labels: &[&str]) -> Fra {
     }
 }
 
+/// `©(v:labels {p→v.p, …})`.
+fn prop_scan(labels: &[&str], props: &[&str]) -> Fra {
+    Fra::ScanVertices {
+        var: "v".into(),
+        labels: labels.iter().map(|l| sym(l)).collect(),
+        props: props.iter().map(|p| push(p, &format!("v.{p}"))).collect(),
+        carry_map: false,
+    }
+}
+
+fn push(prop: &str, col: &str) -> PropPush {
+    PropPush {
+        prop: sym(prop),
+        col: col.into(),
+    }
+}
+
+/// `edges(..)` pushing `src` / `dst` properties of its endpoints.
+fn pushing_edges(
+    tag: &str,
+    src_labels: &[&str],
+    src: &[&str],
+    dst_labels: &[&str],
+    dst: &[&str],
+) -> Fra {
+    let mut e = edges(tag, src_labels, dst_labels, Direction::Out);
+    if let Fra::ScanEdges {
+        src_props,
+        dst_props,
+        ..
+    } = &mut e
+    {
+        *src_props = src
+            .iter()
+            .map(|p| push(p, &format!("s{tag}.{p}")))
+            .collect();
+        *dst_props = dst
+            .iter()
+            .map(|p| push(p, &format!("d{tag}.{p}")))
+            .collect();
+    }
+    e
+}
+
 fn join(left: Fra, right: Fra, left_keys: &[usize], right_keys: &[usize]) -> Fra {
     Fra::HashJoin {
         left: Box::new(left),
@@ -327,20 +375,12 @@ fn the_endpoint_is_found_through_filters_projections_and_join_chains() {
     assert_eq!(vertex_scans(&canonicalize(&on_m).plan), 0);
 }
 
-/// Where the © contributes a column, equates more than `v`, or `v` is not
-/// bound by an ⇑ endpoint, the join stays.
+/// Where the © carries a map or a σ, equates more than `v`, or `v` is not
+/// bound by an ⇑ endpoint, the join stays — whether the © pushes
+/// properties or not.
 #[test]
 fn label_scan_stays_when_it_is_more_than_a_label_filter() {
     let out = || edges("", &[], &[], Direction::Out);
-    let pushing = Fra::ScanVertices {
-        var: "v".into(),
-        labels: vec![sym("L")],
-        props: vec![PropPush {
-            prop: sym("x"),
-            col: "v.x".into(),
-        }],
-        carry_map: false,
-    };
     let carrying = Fra::ScanVertices {
         var: "v".into(),
         labels: vec![sym("L")],
@@ -374,34 +414,62 @@ fn label_scan_stays_when_it_is_more_than_a_label_filter() {
             "x".into(),
         )],
     };
-    let cases: Vec<(&str, Fra)> = vec![
-        ("pushes a property", join(out(), pushing, &[0], &[0])),
-        ("carries a map", join(out(), carrying, &[0], &[0])),
-        (
-            "joins on more than v",
-            join(out(), label_scan(&["L"]), &[0, 2], &[0, 0]),
-        ),
-        (
-            "joins on nothing",
-            join(out(), label_scan(&["L"]), &[], &[]),
-        ),
-        (
-            "v is the edge column",
-            join(out(), label_scan(&["L"]), &[1], &[0]),
-        ),
-        (
-            "v is bound by another ©",
-            join(label_scan(&["A"]), label_scan(&["L"]), &[0], &[0]),
-        ),
-        (
-            "v is a ⋈* destination",
-            join(path, label_scan(&["L"]), &[1], &[0]),
-        ),
-        (
-            "v is computed",
-            join(computed, label_scan(&["L"]), &[0], &[0]),
-        ),
-    ];
+    let mut cases: Vec<(String, Fra)> =
+        vec![("carries a map".into(), join(out(), carrying, &[0], &[0]))];
+    for (kind, scan) in [
+        ("label-only", label_scan(&["L"])),
+        ("pushing", prop_scan(&["L"], &["x"])),
+    ] {
+        cases.extend([
+            (
+                format!("{kind}: joins on more than v"),
+                join(out(), scan.clone(), &[0, 2], &[0, 0]),
+            ),
+            (
+                format!("{kind}: joins on nothing"),
+                join(out(), scan.clone(), &[], &[]),
+            ),
+            (
+                format!("{kind}: v is the edge column"),
+                join(out(), scan.clone(), &[1], &[0]),
+            ),
+            (
+                format!("{kind}: v is bound by another ©"),
+                join(label_scan(&["A"]), scan.clone(), &[0], &[0]),
+            ),
+            (
+                format!("{kind}: v is a ⋈* destination"),
+                join(path.clone(), scan.clone(), &[1], &[0]),
+            ),
+            (
+                format!("{kind}: v is computed"),
+                join(computed.clone(), scan.clone(), &[0], &[0]),
+            ),
+            (
+                // A one-sided conjunct the planner put on the ©: it
+                // filters each vertex once, on the ⇑ it would filter
+                // each of the vertex's edges.
+                format!("{kind}: the © is filtered"),
+                join(
+                    out(),
+                    Fra::Filter {
+                        input: Box::new(scan.clone()),
+                        predicate: ScalarExpr::Binary(
+                            BinOp::Neq,
+                            Box::new(ScalarExpr::Col(0)),
+                            Box::new(ScalarExpr::lit(0)),
+                        ),
+                    },
+                    &[0],
+                    &[0],
+                ),
+            ),
+        ]);
+    }
+    cases.push((
+        "the © side joins on a property, not v".into(),
+        join(out(), prop_scan(&["L"], &["x"]), &[0], &[1]),
+    ));
     for (what, plan) in cases {
         let canon = canonicalize(&plan);
         assert_eq!(
@@ -415,7 +483,8 @@ fn label_scan_stays_when_it_is_more_than_a_label_filter() {
 
 /// What the rule is for: a pattern over one label and one edge type
 /// compiles to a plan whose canonical form has no © left, whatever
-/// position the planner would have given it.
+/// position the planner would have given it — and so does one whose ©s
+/// push the properties a `WHERE` reads.
 #[test]
 fn single_label_patterns_canonicalise_without_vertex_scans() {
     for q in [
@@ -423,9 +492,273 @@ fn single_label_patterns_canonicalise_without_vertex_scans() {
         "MATCH (a:N)-[:E]->(b:N)-[:E]->(c:N)-[:E]->(d:N)-[:E]->(a) RETURN a, b, c, d",
         "MATCH (a:N)-[:E]->(b:N)-[:E]->(c:N) RETURN count(*) AS wedges",
         "MATCH (a:Comm)<-[:REPLY]-(b) RETURN a, b",
+        "MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person) WHERE a.country = c.country RETURN a, c",
+        "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE p.lang = 'en' OR c.lang = 'en' RETURN p, c",
+        "MATCH (p:Post)-[:REPLY]->(c:Comm) RETURN p.lang AS lang, count(*) AS replies",
+        "MATCH (c:Comm)<-[:REPLY]-(p) WHERE c.lang = 'en' RETURN p, c",
     ] {
         let fra = compile_query(&parse_query(q).unwrap()).unwrap().fra;
         assert!(vertex_scans(&fra) > 0, "{q}: compiled with a ©");
         assert_eq!(vertex_scans(&canonicalize(&fra).plan), 0, "{q}");
     }
+}
+
+// ---- a © that pushes properties folds the same way ----------------------
+
+/// The fold, then canonicalising its result again, is the identity.
+fn assert_idempotent(what: &str, plan: &Fra) {
+    let once = canonicalize(plan);
+    let twice = canonicalize(&once.plan);
+    assert_eq!(once.plan, twice.plan, "{what}: idempotent");
+    assert!(
+        twice.is_identity(),
+        "{what}: re-canonicalisation is the identity"
+    );
+}
+
+/// `©(v:L {x}) ⋈[v] ⇑` is the ⇑ with `L` on the endpoint and `x` pushed
+/// from it, in the join's own column order — on the source, on the
+/// target, in every direction, and on both ends at once.
+#[test]
+fn pushing_scan_joined_on_an_endpoint_becomes_a_pushed_property() {
+    for dir in [Direction::Out, Direction::In, Direction::Both] {
+        let with_dir = |f: Fra| match f {
+            Fra::ScanEdges {
+                src,
+                edge,
+                dst,
+                types,
+                src_labels,
+                dst_labels,
+                src_props,
+                edge_props,
+                dst_props,
+                carry_maps,
+                ..
+            } => Fra::ScanEdges {
+                src,
+                edge,
+                dst,
+                types,
+                src_labels,
+                dst_labels,
+                src_props,
+                edge_props,
+                dst_props,
+                carry_maps,
+                dir,
+            },
+            other => other,
+        };
+        let bare = || with_dir(edges("", &[], &[], Direction::Out));
+        let cases = [
+            (
+                "source",
+                join(bare(), prop_scan(&["L"], &["x", "y"]), &[0], &[0]),
+                with_dir(pushing_edges("", &["L"], &["x", "y"], &[], &[])),
+            ),
+            (
+                "target",
+                join(bare(), prop_scan(&["L"], &["x"]), &[2], &[0]),
+                with_dir(pushing_edges("", &[], &[], &["L"], &["x"])),
+            ),
+            (
+                "both ends",
+                join(
+                    join(bare(), prop_scan(&["A"], &["x"]), &[0], &[0]),
+                    prop_scan(&["B"], &["y"]),
+                    &[2],
+                    &[0],
+                ),
+                with_dir(pushing_edges("", &["A"], &["x"], &["B"], &["y"])),
+            ),
+        ];
+        for (what, folded, direct) in cases {
+            let what = format!("{what}, {dir:?}");
+            let got = canonicalize(&folded);
+            assert_eq!(got, canonicalize(&direct), "{what}");
+            assert_eq!(vertex_scans(&got.plan), 0, "{what}");
+            assert_eq!(hash_joins(&got.plan), 0, "{what}");
+            assert_eq!(
+                got.with_restored_order().schema().len(),
+                folded.schema().len(),
+                "{what}: the view keeps its width"
+            );
+            assert_idempotent(&what, &folded);
+        }
+    }
+}
+
+/// With the © on the left the join's output is `v`, its properties, then
+/// P's other columns: the plan is P's, and the mapping says where they
+/// went.
+#[test]
+fn pushing_scan_on_the_left_permutes_the_mapping_only() {
+    let folded = canonicalize(&join(
+        prop_scan(&["L"], &["x"]),
+        edges("", &[], &[], Direction::Out),
+        &[0],
+        &[2],
+    ));
+    let direct = canonicalize(&pushing_edges("", &[], &[], &["L"], &["x"]));
+    assert_eq!(folded.plan, direct.plan);
+    // Join output (v = dst, v.x, src, edge) → scan (src, edge, dst, dst.x).
+    assert_eq!(folded.mapping, vec![2, 3, 0, 1]);
+}
+
+/// A property both the © and the ⇑ push is one scan column, and the
+/// mapping reads it twice; the restored plan has the join's width.
+#[test]
+fn a_property_pushed_twice_is_one_scan_column_read_twice() {
+    let pushed = || pushing_edges("", &[], &["x"], &[], &[]);
+    let folded = canonicalize(&join(pushed(), prop_scan(&["L"], &["x"]), &[0], &[0]));
+    let direct = canonicalize(&pushing_edges("", &["L"], &["x"], &[], &[]));
+    assert_eq!(folded.plan, direct.plan, "one column for `x`");
+    assert_eq!(folded.mapping, vec![0, 1, 2, 3, 3]);
+    assert_eq!(folded.with_restored_order().schema().len(), 5);
+    assert!(!folded.is_identity());
+    assert_idempotent(
+        "pushed twice",
+        &join(pushed(), prop_scan(&["L"], &["x"]), &[0], &[0]),
+    );
+
+    // A column read twice survives every operator above it: a join on
+    // either side (and either orientation), ω, ⋈*, ⨝ⁿ.
+    let doubled = || join(pushed(), prop_scan(&["L"], &["x"]), &[0], &[0]);
+    let other = || edges("o", &[], &[], Direction::Out);
+    let above: Vec<(&str, Fra)> = vec![
+        ("⋈ left", join(doubled(), other(), &[2], &[0])),
+        ("⋈ right", join(other(), doubled(), &[2], &[0])),
+        (
+            "⋈ on the doubled column",
+            join(doubled(), other(), &[4], &[0]),
+        ),
+        (
+            "ω",
+            Fra::Unwind {
+                input: Box::new(doubled()),
+                expr: ScalarExpr::List(vec![ScalarExpr::Col(3), ScalarExpr::Col(4)]),
+                alias: "u".into(),
+            },
+        ),
+        (
+            "⋈*",
+            Fra::VarLengthJoin {
+                left: Box::new(doubled()),
+                src_col: 2,
+                spec: VarLenSpec {
+                    types: vec![sym("E")],
+                    dir: Direction::Out,
+                    dst_labels: vec![],
+                    dst_props: vec![],
+                    dst_carry_map: false,
+                    edge_prop_filters: vec![],
+                    min: 1,
+                    max: Some(2),
+                },
+                dst: "t".into(),
+                path: "p".into(),
+            },
+        ),
+        (
+            "⨝ⁿ",
+            Fra::MultiwayJoin {
+                inputs: vec![doubled(), other()],
+                var_of: vec![vec![0, 1, 2, 3, 4], vec![2, 5, 6]],
+                names: (0..7).map(|i| format!("x{i}")).collect(),
+            },
+        ),
+    ];
+    for (what, plan) in above {
+        let canon = canonicalize(&plan);
+        assert_eq!(vertex_scans(&canon.plan), 0, "{what}");
+        assert_eq!(canon.mapping.len(), plan.schema().len(), "{what}");
+        assert_eq!(
+            canon.with_restored_order().schema().len(),
+            plan.schema().len(),
+            "{what}"
+        );
+        let renamed = alpha_rename(&plan, &mut |n| format!("{n}_r"));
+        assert_eq!(canonicalize(&renamed), canon, "{what}: renaming");
+        assert_idempotent(what, &plan);
+    }
+}
+
+/// The property column is threaded up through σ, π and the join chain:
+/// a π gains an item for it, the columns after it in a join's output
+/// shift, and the predicates and keys above follow.
+#[test]
+fn a_pushed_property_is_threaded_through_filters_projections_and_joins() {
+    let ne = |a: usize, b: usize| {
+        ScalarExpr::Binary(
+            BinOp::Neq,
+            Box::new(ScalarExpr::Col(a)),
+            Box::new(ScalarExpr::Col(b)),
+        )
+    };
+    // (⇑0 ⋈[d0 = s1] ⇑1) σ[e0 <> e1] ⋈[d1 = s2] ⇑2; π keeps (d2, s0, d1),
+    // and whatever a pushed property appends.
+    let chain = |mid: Fra, last: Fra, keep: &[usize]| {
+        let wedge = Fra::Filter {
+            input: Box::new(join(edges("0", &[], &[], Direction::Out), mid, &[2], &[0])),
+            predicate: ne(1, 3),
+        };
+        Fra::Project {
+            input: Box::new(join(wedge, last, &[4], &[0])),
+            items: keep
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| (ScalarExpr::Col(c), format!("k{i}")))
+                .collect(),
+        }
+    };
+    let plain = |tag: &str| edges(tag, &[], &[], Direction::Out);
+    let bare = chain(plain("1"), plain("2"), &[6, 0, 4]);
+    // `z` (⇑2's target): a right operand's non-key column, under π.
+    let on_z = join(bare.clone(), prop_scan(&["L"], &["x"]), &[0], &[0]);
+    let want_z = chain(
+        plain("1"),
+        pushing_edges("2", &[], &[], &["L"], &["x"]),
+        &[6, 0, 4, 7],
+    );
+    assert_eq!(canonicalize(&on_z), canonicalize(&want_z));
+    // `m` (⇑1's target): through π, the outer join's left operand, σ and
+    // the inner join's right operand; ⇑2's columns shift one right.
+    let on_m = join(bare, prop_scan(&["L"], &["x"]), &[2], &[0]);
+    let want_m = chain(
+        pushing_edges("1", &[], &[], &["L"], &["x"]),
+        plain("2"),
+        &[7, 0, 4, 5],
+    );
+    let got = canonicalize(&on_m);
+    assert_eq!(got, canonicalize(&want_m));
+    assert_eq!(vertex_scans(&got.plan), 0);
+    assert_idempotent("through the chain", &on_m);
+}
+
+/// Threaded through a join's *right* operand, a new column shifts the
+/// right keys that come after it: `⇑0 ⋈[d0 = d2] (⇑1 ⋈[d1 = s2] ⇑2)`
+/// with the © on `s1`, whose property lands before `d2`.
+#[test]
+fn a_pushed_property_shifts_the_right_keys_after_it() {
+    let plain = |tag: &str| edges(tag, &[], &[], Direction::Out);
+    // Inner columns (s1, e1, d1, e2, d2); with `s1.x`: (s1, e1, d1,
+    // s1.x, e2, d2).
+    let outer = |first: Fra, right_key: usize| {
+        join(
+            plain("0"),
+            join(first, plain("2"), &[2], &[0]),
+            &[2],
+            &[right_key],
+        )
+    };
+    // Output (s0, e0, d0, s1, e1, d1, e2), `s1` at 3.
+    let folded = join(outer(plain("1"), 4), prop_scan(&["L"], &["x"]), &[3], &[0]);
+    let direct = outer(pushing_edges("1", &["L"], &["x"], &[], &[]), 5);
+    let (got, want) = (canonicalize(&folded), canonicalize(&direct));
+    assert_eq!(got.plan, want.plan);
+    // The fold's output ends with `x`; the direct plan has it before `e2`.
+    let m = &want.mapping;
+    assert_eq!(got.mapping, [&m[..6], &[m[7], m[6]]].concat());
+    assert_idempotent("through the right operand", &folded);
 }

@@ -249,6 +249,26 @@ impl<'a> KeyRef<'a> {
     }
 }
 
+/// A tuple is its values: expressions evaluate over `&[Value]`, so a
+/// stored tuple and a row assembled in a scratch buffer are read alike.
+impl std::ops::Deref for Tuple {
+    type Target = [Value];
+
+    #[inline]
+    fn deref(&self) -> &[Value] {
+        &self.0
+    }
+}
+
+/// Hash-keyed tuple maps can be probed with a borrowed row (`Tuple`
+/// hashes and compares exactly as its value slice does).
+impl std::borrow::Borrow<[Value]> for Tuple {
+    #[inline]
+    fn borrow(&self) -> &[Value] {
+        &self.0
+    }
+}
+
 impl fmt::Display for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "⟨")?;

@@ -14,7 +14,7 @@ use pgq_common::fxhash::{FxHashMap, FxHashSet};
 use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
 
-use crate::delta::Delta;
+use crate::delta::{Delta, Row, RowSink};
 
 /// γ node.
 #[derive(Clone, Debug)]
@@ -336,10 +336,10 @@ impl AggregateOp {
     }
 
     /// Reconstruct the full current output bag (one row per live
-    /// group), appending to `out`.
-    pub fn replay_into(&self, out: &mut Delta) {
+    /// group) into `out`.
+    pub fn replay_into(&self, out: &mut dyn RowSink) {
         for row in self.last_output.values() {
-            out.push(row.clone(), 1);
+            out.push_row(Row::Held(row), 1);
         }
     }
 }

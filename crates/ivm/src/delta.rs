@@ -14,8 +14,80 @@
 
 use pgq_common::fxhash::FxHashMap;
 use pgq_common::tuple::Tuple;
+use pgq_common::value::Value;
 
 use crate::stats::counters;
+
+/// One output row on its way from an operator to a consumer.
+#[derive(Clone, Copy, Debug)]
+pub enum Row<'a> {
+    /// A tuple the producer holds: keeping it is a refcount bump.
+    Held(&'a Tuple),
+    /// Values assembled in a scratch buffer: keeping them is one
+    /// allocation, paid only by a consumer that keeps the row.
+    Assembled(&'a [Value]),
+}
+
+impl<'a> Row<'a> {
+    /// The row's values.
+    #[inline]
+    pub fn values(self) -> &'a [Value] {
+        match self {
+            Row::Held(t) => t,
+            Row::Assembled(v) => v,
+        }
+    }
+
+    /// The row as an owned tuple.
+    #[inline]
+    pub fn to_tuple(self) -> Tuple {
+        match self {
+            Row::Held(t) => t.clone(),
+            Row::Assembled(v) => Tuple::from_slice(v),
+        }
+    }
+}
+
+/// Where an operator's output rows go: a delta buffer during
+/// maintenance; at registration also a σ/π/ω chain in front of the
+/// arrangement, result bag or memoised bag that keeps what survives it
+/// (see [`crate::network`], "Full bags").
+pub trait RowSink {
+    /// Take `row` with signed multiplicity `mult`.
+    fn push_row(&mut self, row: Row<'_>, mult: i64);
+}
+
+impl RowSink for Delta {
+    #[inline]
+    fn push_row(&mut self, row: Row<'_>, mult: i64) {
+        self.push(row.to_tuple(), mult);
+    }
+}
+
+impl RowSink for IndexedBag {
+    fn push_row(&mut self, row: Row<'_>, mult: i64) {
+        self.update(&row.to_tuple(), mult);
+    }
+}
+
+/// A view's result bag: rows are summed per tuple, and a row already
+/// present is found by its values without building a tuple.
+impl RowSink for FxHashMap<Tuple, i64> {
+    fn push_row(&mut self, row: Row<'_>, mult: i64) {
+        match self.get_mut(row.values()) {
+            Some(m) => {
+                *m += mult;
+                if *m == 0 {
+                    self.remove(row.values());
+                }
+            }
+            None if mult != 0 => {
+                self.insert(row.to_tuple(), mult);
+            }
+            None => {}
+        }
+    }
+}
 
 /// Below this raw length [`Delta::consolidate`] merges by quadratic scan
 /// in place; above it, through a hash map. Small deltas are the common

@@ -5,7 +5,7 @@
 use pgq_common::fxhash::FxHashMap;
 use pgq_common::tuple::Tuple;
 
-use crate::delta::Delta;
+use crate::delta::{Delta, Row, RowSink};
 
 /// δ node.
 #[derive(Clone, Debug, Default)]
@@ -56,10 +56,10 @@ impl DistinctOp {
     }
 
     /// Reconstruct the full current output set (each supported tuple
-    /// once), appending to `out`.
-    pub fn replay_into(&self, out: &mut Delta) {
+    /// once) into `out`.
+    pub fn replay_into(&self, out: &mut dyn RowSink) {
         for t in self.counts.keys() {
-            out.push(t.clone(), 1);
+            out.push_row(Row::Held(t), 1);
         }
     }
 }

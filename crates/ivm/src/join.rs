@@ -28,7 +28,7 @@
 use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
 
-use crate::delta::{Delta, IndexedBag};
+use crate::delta::{Delta, IndexedBag, Row, RowSink};
 use crate::stats::counters;
 
 /// `ΔL ⋈ ΔR` runs as a nested loop up to this many candidate pairs.
@@ -78,7 +78,7 @@ fn emit(
     right_keep: &[usize],
     out_perm: &Option<Vec<usize>>,
     mult: i64,
-    out: &mut Delta,
+    out: &mut (impl RowSink + ?Sized),
 ) {
     scratch.clear();
     scratch.reserve(l.arity() + right_keep.len());
@@ -101,7 +101,7 @@ fn emit(
         }
     }
     counters::join_tuple_emitted();
-    out.push(Tuple::from_slice(scratch), mult);
+    out.push_row(Row::Assembled(scratch), mult);
 }
 
 impl JoinOp {
@@ -237,21 +237,15 @@ impl JoinOp {
     }
 
     /// Enumerate the full current output bag (L ⋈ R as of now) from the
-    /// two arrangements, appending to `out`. Used when a consumer
-    /// registered later needs this node's complete state rather than a
-    /// delta.
-    pub fn replay_into(&mut self, left: &IndexedBag, right: &IndexedBag, out: &mut Delta) {
+    /// two arrangements into `out`. Used when a consumer registered later
+    /// needs this node's complete state rather than a delta; each row is
+    /// handed over assembled, so only a consumer that keeps it allocates.
+    pub fn replay_into(&self, left: &IndexedBag, right: &IndexedBag, out: &mut dyn RowSink) {
+        let mut scratch = Vec::new();
         for (lt, lm) in left.iter() {
             for (rt, rm) in right.probe(lt, &self.left_probe) {
-                emit(
-                    &mut self.scratch,
-                    lt,
-                    rt,
-                    &self.right_keep,
-                    &self.out_perm,
-                    lm * rm,
-                    out,
-                );
+                let (keep, perm) = (&self.right_keep, &self.out_perm);
+                emit(&mut scratch, lt, rt, keep, perm, lm * rm, out);
             }
         }
     }

@@ -84,18 +84,23 @@
 //!
 //! Deltas are what flows at run time, but two operations need a node's
 //! *full* output bag: registering a view onto a populated graph (every
-//! new operator's memories are loaded from its inputs' bags, and the
-//! sink from the root's) and a durable snapshot
-//! ([`DataflowNetwork::dump_states`], every live node's bag). Both go
-//! through one memoised resolver that produces each bag **at most once
-//! per pass**, from the cheapest place it exists: a snapshot's stored
-//! bag (warm registration), a bag maintenance already keeps
-//! consolidated (a sibling sink's results, one of the node's own
-//! arrangements), σ/π/ω applied to the child's resolved bag, and only
-//! last an enumeration of the node's own memories — for a ⋈, of its
-//! inputs' arrangements. A new join whose input is already arranged on
-//! its key set loads nothing for that side. Consumers borrow the
-//! resolved bag; nothing is enumerated for a consumer that never asks.
+//! new operator's memories are loaded from its inputs' bags, the new
+//! arrangements and the sink from theirs) and a durable snapshot
+//! ([`DataflowNetwork::dump_states`], every live node's bag). Both
+//! **stream** it: the rows come from the first place below the node's
+//! σ/π/ω chain where they exist — a bag memoised earlier in the pass, a
+//! snapshot's stored bag (warm registration), a bag maintenance already
+//! keeps consolidated (a sibling sink's results, one of the node's own
+//! arrangements), and only last an enumeration of the node's own
+//! memories (for a ⋈, of its inputs' arrangements) — and run up the
+//! chain row by row on borrowed values ([`crate::basic::Chain`]), so a
+//! row is allocated only if it survives into what keeps it: the
+//! arrangement being built, the view's result bag, or a memoised bag. A
+//! full bag is memoised where a consumer needs one whole — the input of
+//! a loading δ / γ / ⋉ / ⨝ⁿ / ⋈*, the by-product of a scan's, ⋈*'s, δ's
+//! or γ's linear load — or where a second consumer in the same pass
+//! would enumerate a node's memories again. A new join whose input is
+//! already arranged on its key set loads nothing for that side.
 //!
 //! Registration is therefore one bottom-up pass over the *new* part of
 //! the plan: stateful operators load insert-only, stateless ones do no
@@ -130,7 +135,7 @@ use parking_lot::{Condvar, Mutex};
 use pgq_algebra::expr::{AggCall, ScalarExpr};
 use pgq_algebra::fra::Fra;
 use pgq_algebra::plan::WcojMode;
-use pgq_common::fxhash::FxHashMap;
+use pgq_common::fxhash::{FxHashMap, FxHashSet};
 use pgq_common::intern::Symbol;
 use pgq_common::pool::WorkerPool;
 use pgq_common::tuple::Tuple;
@@ -140,8 +145,8 @@ use pgq_graph::store::PropertyGraph;
 use pgq_graph::tx::{NodeRef, Transaction, TxOp};
 
 use crate::aggregate::AggregateOp;
-use crate::basic::{filter_into, project_into, unwind_into};
-use crate::delta::{Delta, IndexedBag};
+use crate::basic::{filter_into, project_into, unwind_into, Chain, Stage};
+use crate::delta::{Delta, IndexedBag, Row, RowSink};
 use crate::distinct::DistinctOp;
 use crate::join::JoinOp;
 use crate::scan::{EdgeRouting, EdgeScan, EdgeScanSpec, ScanRouting, VertexRouting, VertexScan};
@@ -244,14 +249,14 @@ impl NodeKind {
         }
     }
 
-    /// The single input of a stateless operator (σ/π/ω), whose output
-    /// is a pure function of that input's; `None` for operators with
-    /// memories of their own.
-    fn stateless_input(&self) -> Option<NodeId> {
+    /// A stateless operator (σ/π/ω) as the per-row [`Stage`] it runs
+    /// over its one input, whose output is a pure function of that
+    /// input's; `None` for operators with memories of their own.
+    fn stage(&self) -> Option<(Stage<'_>, NodeId)> {
         match self {
-            NodeKind::Filter { input, .. }
-            | NodeKind::Project { input, .. }
-            | NodeKind::Unwind { input, .. } => Some(*input),
+            NodeKind::Filter { input, predicate } => Some((Stage::Filter(predicate), *input)),
+            NodeKind::Project { input, items, .. } => Some((Stage::Project(items), *input)),
+            NodeKind::Unwind { input, expr } => Some((Stage::Unwind(expr), *input)),
             _ => None,
         }
     }
@@ -958,14 +963,17 @@ impl RestoreStates {
     }
 }
 
-/// One pass's resolved full output bags (see
-/// [`DataflowNetwork::resolve`]): every entry is consolidated, is
-/// produced at most once, and is borrowed by every consumer that asks.
+/// One pass's full output bags (see [`DataflowNetwork::feed`]): the
+/// memoised ones — each consolidated, produced at most once and read by
+/// every later consumer — and which enumerations were already streamed.
 #[derive(Default)]
 struct Bags<'s> {
     /// Snapshot bags, consulted first (warm registration only).
     stored: Option<&'s RestoreStates>,
     resolved: FxHashMap<NodeId, Delta>,
+    /// Nodes whose memories a consumer of this pass has streamed: the
+    /// next consumer materialises them instead of enumerating again.
+    streamed: FxHashSet<NodeId>,
 }
 
 impl<'s> Bags<'s> {
@@ -976,7 +984,7 @@ impl<'s> Bags<'s> {
             .lookup(node.fingerprint, node.plan.snapshot_check().0)
     }
 
-    /// Record `bag` as `id`'s resolved bag, consolidating it first unless
+    /// Record `bag` as `id`'s memoised bag, consolidating it first unless
     /// `kind`'s output is consolidated by construction.
     fn keep(&mut self, id: NodeId, kind: &NodeKind, mut bag: Delta) {
         if !kind.output_consolidated() {
@@ -985,6 +993,9 @@ impl<'s> Bags<'s> {
         self.resolved.insert(id, bag);
     }
 }
+
+/// A full output bag's rows, borrowed from where they are kept.
+type Rows<'a> = Box<dyn Iterator<Item = (&'a Tuple, i64)> + 'a>;
 
 /// Is the cost-based planner globally enabled? `PGQ_DISABLE_PLANNER=1`
 /// (or `true`) turns it off for the whole process — the CI fallback job
@@ -1282,13 +1293,14 @@ impl DataflowNetwork {
         let root = self.instantiate(&plan, g, sorted, &mut bags);
         // The sink's result bag is the root's: a copy of a sibling
         // view's when the root already feeds one (a fully shared
-        // registration resolves nothing), the resolved bag otherwise.
+        // registration streams nothing), the root's rows streamed into
+        // it otherwise.
         let results = match self.node(root).sinks.first() {
             Some(&sibling) => self.sink(sibling).results.clone(),
             None => {
-                self.resolve(root, &mut bags);
-                let bag = bags.resolved.remove(&root).expect("just resolved");
-                bag.into_entries().into_iter().collect()
+                let mut results = FxHashMap::default();
+                self.feed(root, &mut bags, &mut results);
+                results
             }
         };
 
@@ -1512,8 +1524,8 @@ impl DataflowNetwork {
     }
 
     /// Take a reader's share of `producer`'s arrangement keyed by
-    /// `keys` (sorted), building and loading it from the node's resolved
-    /// bag if no consumer reads that key set yet. Returns the slot.
+    /// `keys` (sorted), building it from the node's streamed rows if no
+    /// consumer reads that key set yet. Returns the slot.
     fn arrange(&mut self, producer: NodeId, keys: &[usize], bags: &mut Bags<'_>) -> u32 {
         let arrs = &mut self.arrangements[producer.ix()];
         if let Some(ix) = arrs
@@ -1523,11 +1535,8 @@ impl DataflowNetwork {
             arrs[ix].readers += 1;
             return ix as u32;
         }
-        self.resolve(producer, bags);
         let mut bag = IndexedBag::new(keys.to_vec());
-        for (t, m) in bags.resolved[&producer].iter() {
-            bag.update(t, *m);
-        }
+        self.feed(producer, bags, &mut bag);
         let arr = Arrangement { bag, readers: 1 };
         let arrs = &mut self.arrangements[producer.ix()];
         match arrs.iter().position(|a| a.readers == 0) {
@@ -1553,16 +1562,16 @@ impl DataflowNetwork {
         }
     }
 
-    /// Fill a brand-new node's memories from its children's resolved
-    /// bags (older shared nodes, or nodes this pass just loaded). The
-    /// same loader serves cold and warm registration — they differ only
-    /// in where [`DataflowNetwork::resolve`] finds a bag. Loading is
-    /// insert-only: ⋉/▷ and ⨝ⁿ absorb their inputs without probing and
-    /// enumerate their output only if a consumer resolves it; scans,
-    /// ⋈*, δ and γ produce their full output as a by-product of a linear
-    /// load, which is kept for the consumers unless the snapshot already
-    /// stores it; σ/π/ω have nothing to load, and neither has ⋈ — its
-    /// inputs were arranged (or found arranged) by
+    /// Fill a brand-new node's memories from its children's memoised
+    /// bags ([`DataflowNetwork::resolve`]; older shared nodes, or nodes
+    /// this pass just loaded). The same loader serves cold and warm
+    /// registration — they differ only in where a bag is found. Loading
+    /// is insert-only: ⋉/▷ and ⨝ⁿ absorb their inputs without probing and
+    /// enumerate their output only if a consumer streams it; scans, ⋈*,
+    /// δ and γ produce their full output as a by-product of a linear
+    /// load, which is memoised for the consumers unless the snapshot
+    /// already stores it; σ/π/ω have nothing to load, and neither has ⋈
+    /// — its inputs were arranged (or found arranged) by
     /// [`DataflowNetwork::arrange`] when the node was built.
     fn load_node(&mut self, id: NodeId, g: &PropertyGraph, bags: &mut Bags<'_>) {
         let node = self.node(id);
@@ -1572,7 +1581,7 @@ impl DataflowNetwork {
         } else if bags.stored.is_some() {
             counters::restore_miss();
         }
-        if node.kind.stateless_input().is_some() {
+        if node.kind.stage().is_some() {
             return;
         }
         let children = match &node.kind {
@@ -1627,11 +1636,14 @@ impl DataflowNetwork {
     /// dropped entirely rather than risk restoring one plan's state
     /// into the other's operator, and recovery cold-starts those
     /// nodes.
-    pub fn dump_states(&mut self) -> RestoreStates {
-        let live: Vec<NodeId> = (0..self.nodes.len())
+    pub fn dump_states(&self) -> RestoreStates {
+        let mut live: Vec<NodeId> = (0..self.nodes.len())
             .filter(|&i| self.nodes[i].is_some())
             .map(|i| NodeId(i as u32))
             .collect();
+        // Inputs first: each σ/π/ω then reads its input's memoised bag
+        // instead of re-running the chain below it.
+        live.sort_by_key(|id| self.sched.depth[id.ix()]);
         let mut fp_count: FxHashMap<u64, u32> = FxHashMap::default();
         let mut bags = Bags::default();
         for &id in &live {
@@ -1653,62 +1665,97 @@ impl DataflowNetwork {
         states
     }
 
-    /// Make `bags` hold `id`'s consolidated full output bag. A bag is
-    /// produced at most once per pass and taken from the cheapest place
-    /// it exists: the snapshot's stored bag, a bag maintenance already
-    /// keeps ([`DataflowNetwork::copy_materialised`]), σ/π/ω applied to
-    /// the child's resolved bag, and only last an enumeration of the
-    /// node's own memories. Stateless chains are walked down to the
-    /// first node whose bag exists somewhere, then applied back up.
-    fn resolve(&mut self, id: NodeId, bags: &mut Bags<'_>) {
-        let mut chain: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut cur = id;
-        while !bags.resolved.contains_key(&cur) {
-            let node = self.node(cur);
-            let mut bag = Delta::new();
-            if let Some(stored) = bags.stored_bag(node) {
-                bag = stored.iter().cloned().collect();
-            } else if !self.copy_materialised(cur, &mut bag) {
-                if let Some(child) = node.kind.stateless_input() {
-                    chain.push((cur, child));
-                    cur = child;
-                    continue;
-                }
-                counters::bag_enumerated();
-                self.replay_memories(cur, &mut bag);
-                bags.keep(cur, &self.node(cur).kind, bag);
-                break;
-            }
-            bags.resolved.insert(cur, bag);
+    /// Make `bags` hold `id`'s consolidated full output bag — the
+    /// memoised bag a loading δ / γ / ⋉ / ⨝ⁿ / ⋈* reads, and what a dump
+    /// stores — streamed by [`DataflowNetwork::feed`].
+    fn resolve(&self, id: NodeId, bags: &mut Bags<'_>) {
+        if bags.resolved.contains_key(&id) {
+            return;
         }
-        while let Some((node, child)) = chain.pop() {
-            let mut bag = Delta::new();
-            self.apply_stateless(node, &bags.resolved[&child], &mut bag);
-            bags.keep(node, &self.node(node).kind, bag);
+        let mut bag = Delta::new();
+        if !self.feed(id, bags, &mut bag) {
+            bag.consolidate_in_place();
         }
+        bags.resolved.insert(id, bag);
     }
 
-    /// Copy `id`'s full output bag from a place maintenance already
-    /// keeps it consolidated — a sink's result bag (view roots) or one
-    /// of the node's arrangements — into `out`. `false` when it is
-    /// materialised nowhere and must be derived.
-    fn copy_materialised(&self, id: NodeId, out: &mut Delta) -> bool {
-        if let Some(&sid) = self.node(id).sinks.first() {
-            let results = &self.sink(sid).results;
-            out.reserve(results.len());
-            for (t, m) in results {
-                out.push(t.clone(), *m);
+    /// Stream `id`'s full output bag into `out`, row by row, and say
+    /// whether the rows come out consolidated. They are taken from the
+    /// first place below `id`'s σ/π/ω chain where they exist — this
+    /// pass's memoised bag, the snapshot's bag, a bag maintenance keeps
+    /// ([`DataflowNetwork::kept`]), else an enumeration of the node's own
+    /// memories — and run up the chain on borrowed values ([`Chain`]),
+    /// so a row costs an allocation only if it survives into `out`. An
+    /// enumeration goes to its first consumer of the pass directly; a
+    /// second consumer materialises it into the memo once, and every
+    /// later one reads that.
+    fn feed(&self, id: NodeId, bags: &mut Bags<'_>, out: &mut dyn RowSink) -> bool {
+        enum Source<'a> {
+            Memo,
+            Kept(Rows<'a>),
+            Memories,
+        }
+        let mut stages = Vec::new();
+        let mut cur = id;
+        let mut source = loop {
+            if bags.resolved.contains_key(&cur) {
+                break Source::Memo;
             }
-            return true;
-        }
-        let Some(arr) = live(&self.arrangements[id.ix()]).next() else {
-            return false;
+            let node = self.node(cur);
+            if let Some(bag) = bags.stored_bag(node) {
+                break Source::Kept(Box::new(bag.iter().map(|(t, m)| (t, *m))));
+            }
+            if let Some(rows) = self.kept(cur) {
+                break Source::Kept(rows);
+            }
+            match node.kind.stage() {
+                Some((stage, input)) => {
+                    stages.push(stage);
+                    cur = input;
+                }
+                None => break Source::Memories,
+            }
         };
-        out.reserve(arr.bag.distinct_len());
-        for (t, m) in arr.bag.iter() {
-            out.push(t.clone(), m);
+        if matches!(source, Source::Memories) && !bags.streamed.insert(cur) {
+            let mut bag = Delta::new();
+            counters::bag_enumerated();
+            self.replay_memories(cur, &mut bag);
+            bags.keep(cur, &self.node(cur).kind, bag);
+            source = Source::Memo;
         }
-        true
+        let consolidated = stages.iter().all(Stage::keeps_consolidated)
+            && (!matches!(source, Source::Memories) || self.node(cur).kind.output_consolidated());
+        let mut chain = Chain::new(stages.into_iter().rev(), out);
+        match source {
+            Source::Memo => {
+                for (t, m) in bags.resolved[&cur].iter() {
+                    chain.push_row(Row::Held(t), *m);
+                }
+            }
+            Source::Kept(rows) => {
+                for (t, m) in rows {
+                    chain.push_row(Row::Held(t), m);
+                }
+            }
+            Source::Memories => {
+                counters::bag_enumerated();
+                self.replay_memories(cur, &mut chain);
+            }
+        }
+        consolidated
+    }
+
+    /// `id`'s full output bag where maintenance already keeps it
+    /// consolidated — a sink's result bag (view roots) or one of the
+    /// node's arrangements; `None` when it must be derived.
+    fn kept(&self, id: NodeId) -> Option<Rows<'_>> {
+        if let Some(&sid) = self.node(id).sinks.first() {
+            return Some(Box::new(
+                self.sink(sid).results.iter().map(|(t, m)| (t, *m)),
+            ));
+        }
+        let arr = live(&self.arrangements[id.ix()]).next()?;
+        Some(Box::new(arr.bag.iter()))
     }
 
     /// Fingerprint, canonical sub-plan and directly-attached views of
@@ -1722,25 +1769,14 @@ impl DataflowNetwork {
             .map(|n| (n.fingerprint, &n.plan, n.sinks.as_slice()))
     }
 
-    /// Run stateless node `id` (σ/π/ω) over `input`, its child's full
-    /// bag, appending to `out`.
-    fn apply_stateless(&mut self, id: NodeId, input: &Delta, out: &mut Delta) {
-        match &mut self.node_mut(id).kind {
-            NodeKind::Filter { predicate, .. } => filter_into(predicate, input, out),
-            NodeKind::Project { items, scratch, .. } => project_into(items, input, scratch, out),
-            NodeKind::Unwind { expr, .. } => unwind_into(expr, input, out),
-            _ => unreachable!("apply_stateless on a stateful node"),
-        }
-    }
-
-    /// Append stateful node `id`'s full output bag, enumerated from its
-    /// own memories, to `out`.
-    fn replay_memories(&mut self, id: NodeId, out: &mut Delta) {
+    /// Stream stateful node `id`'s full output bag, enumerated from its
+    /// own memories, into `out`.
+    fn replay_memories(&self, id: NodeId, out: &mut dyn RowSink) {
         let arrangements = &self.arrangements;
-        match &mut self.nodes[id.ix()].as_mut().expect("live node").kind {
+        match &self.node(id).kind {
             NodeKind::Unit { emitted } => {
                 if *emitted {
-                    out.push(Tuple::unit(), 1);
+                    out.push_row(Row::Held(&Tuple::unit()), 1);
                 }
             }
             NodeKind::Vertices(s) => s.replay_into(out),

@@ -17,7 +17,7 @@ use pgq_common::value::Value;
 use pgq_graph::delta::ChangeEvent;
 use pgq_graph::store::PropertyGraph;
 
-use crate::delta::Delta;
+use crate::delta::{Delta, Row, RowSink};
 
 /// What part of the change feed a scan can possibly react to — the
 /// routing contract the shared dataflow network indexes scans by, so a
@@ -71,6 +71,8 @@ pub struct VertexScan {
     memory: FxHashMap<VertexId, Tuple>,
     /// Reused per-batch dedup set (cleared, not reallocated).
     touched: FxHashSet<VertexId>,
+    /// Reused row-assembly buffer.
+    scratch: Vec<Value>,
 }
 
 impl VertexScan {
@@ -83,6 +85,7 @@ impl VertexScan {
             carry_map,
             memory: FxHashMap::default(),
             touched: FxHashSet::default(),
+            scratch: Vec::new(),
         }
     }
 
@@ -110,19 +113,22 @@ impl VertexScan {
     }
 
     /// Re-emit the full current memory contents (each remembered tuple
-    /// with multiplicity +1), appending to `out`.
-    pub fn replay_into(&self, out: &mut Delta) {
+    /// with multiplicity +1) into `out`.
+    pub fn replay_into(&self, out: &mut dyn RowSink) {
         for t in self.memory.values() {
-            out.push(t.clone(), 1);
+            out.push_row(Row::Held(t), 1);
         }
     }
 
-    fn tuple_of(&self, g: &PropertyGraph, v: VertexId) -> Option<Tuple> {
+    /// The tuple `v` contributes now, assembled in the reused scratch
+    /// buffer (one allocation).
+    fn tuple_of(&mut self, g: &PropertyGraph, v: VertexId) -> Option<Tuple> {
         let data = g.vertex(v)?;
         if !self.labels.iter().all(|&l| data.has_label(l)) {
             return None;
         }
-        let mut vals = Vec::with_capacity(1 + self.props.len() + usize::from(self.carry_map));
+        let vals = &mut self.scratch;
+        vals.clear();
         vals.push(Value::Node(v));
         for p in &self.props {
             vals.push(data.props.get_or_null(p.prop));
@@ -130,7 +136,7 @@ impl VertexScan {
         if self.carry_map {
             vals.push(data.props.to_value_map());
         }
-        Some(Tuple::new(vals))
+        Some(Tuple::from_slice(vals))
     }
 
     /// Full evaluation against `g`, populating the memory.
@@ -221,9 +227,28 @@ pub struct EdgeScan {
     /// Literal equality constraints on edge properties (used when this
     /// scan feeds a variable-length join).
     edge_prop_filters: Vec<(Symbol, Value)>,
-    memory: FxHashMap<EdgeId, Vec<Tuple>>,
+    memory: FxHashMap<EdgeId, EdgeTuples>,
     /// Reused per-batch dedup set (cleared, not reallocated).
     touched: FxHashSet<EdgeId>,
+    /// Reused row-assembly buffer.
+    scratch: Vec<Value>,
+}
+
+/// The tuples one edge contributes, inline: one per admitted
+/// orientation, so two only for a `Both` scan of a non-self-loop.
+#[derive(Clone, Debug, PartialEq)]
+enum EdgeTuples {
+    One(Tuple),
+    Two([Tuple; 2]),
+}
+
+impl EdgeTuples {
+    fn as_slice(&self) -> &[Tuple] {
+        match self {
+            EdgeTuples::One(t) => std::slice::from_ref(t),
+            EdgeTuples::Two(ts) => ts,
+        }
+    }
 }
 
 /// Construction parameters for [`EdgeScan`].
@@ -264,12 +289,13 @@ impl EdgeScan {
             edge_prop_filters: spec.edge_prop_filters,
             memory: FxHashMap::default(),
             touched: FxHashSet::default(),
+            scratch: Vec::new(),
         }
     }
 
     /// Number of tuples materialised in this scan's memory.
     pub fn memory_tuples(&self) -> usize {
-        self.memory.values().map(Vec::len).sum()
+        self.memory.values().map(|ts| ts.as_slice().len()).sum()
     }
 
     /// Routing contract (see [`ScanRouting`] and [`EdgeRouting`]).
@@ -308,11 +334,11 @@ impl EdgeScan {
         }
     }
 
-    /// Re-emit the full current memory contents, appending to `out`.
-    pub fn replay_into(&self, out: &mut Delta) {
+    /// Re-emit the full current memory contents into `out`.
+    pub fn replay_into(&self, out: &mut dyn RowSink) {
         for tuples in self.memory.values() {
-            for t in tuples {
-                out.push(t.clone(), 1);
+            for t in tuples.as_slice() {
+                out.push_row(Row::Held(t), 1);
             }
         }
     }
@@ -331,19 +357,19 @@ impl EdgeScan {
             || self.carry_maps != (false, false, false)
     }
 
-    fn tuples_of(&self, g: &PropertyGraph, e: EdgeId) -> Vec<Tuple> {
-        let Some(data) = g.edge(e) else {
-            return Vec::new();
-        };
+    /// The tuples `e` contributes now, `None` when it fails the scan.
+    /// Each is assembled in the reused scratch buffer: one allocation
+    /// per tuple.
+    fn tuples_of(&mut self, g: &PropertyGraph, e: EdgeId) -> Option<EdgeTuples> {
+        let data = g.edge(e)?;
         if !self.types.is_empty() && !self.types.contains(&data.ty) {
-            return Vec::new();
+            return None;
         }
         for (k, want) in &self.edge_prop_filters {
             if data.props.get(*k) != Some(want) {
-                return Vec::new();
+                return None;
             }
         }
-        let mut out = Vec::new();
         let orientations: &[(VertexId, VertexId)] = match self.dir {
             Direction::Out => &[(data.src, data.dst)],
             Direction::In => &[(data.dst, data.src)],
@@ -355,6 +381,7 @@ impl EdgeScan {
                 }
             }
         };
+        let mut first: Option<Tuple> = None;
         for &(s, d) in orientations {
             let (Some(sd), Some(dd)) = (g.vertex(s), g.vertex(d)) else {
                 continue;
@@ -365,9 +392,8 @@ impl EdgeScan {
             if !self.dst_labels.iter().all(|&l| dd.has_label(l)) {
                 continue;
             }
-            let mut vals = Vec::with_capacity(
-                3 + self.src_props.len() + self.edge_props.len() + self.dst_props.len(),
-            );
+            let vals = &mut self.scratch;
+            vals.clear();
             vals.push(Value::Node(s));
             vals.push(Value::Rel(e));
             vals.push(Value::Node(d));
@@ -389,9 +415,13 @@ impl EdgeScan {
             if self.carry_maps.2 {
                 vals.push(dd.props.to_value_map());
             }
-            out.push(Tuple::new(vals));
+            let t = Tuple::from_slice(vals);
+            match first.take() {
+                None => first = Some(t),
+                Some(f) => return Some(EdgeTuples::Two([f, t])),
+            }
         }
-        out
+        first.map(EdgeTuples::One)
     }
 
     /// Full evaluation against `g`.
@@ -406,9 +436,8 @@ impl EdgeScan {
                 .collect()
         };
         for e in ids {
-            let tuples = self.tuples_of(g, e);
-            if !tuples.is_empty() {
-                for t in &tuples {
+            if let Some(tuples) = self.tuples_of(g, e) {
+                for t in tuples.as_slice() {
                     out.push(t.clone(), 1);
                 }
                 self.memory.insert(e, tuples);
@@ -454,17 +483,18 @@ impl EdgeScan {
         let new = self.tuples_of(g, e);
         // Unchanged is the common case (a vertex-touch event fans out to
         // every incident edge) — detect it without cloning the memory.
-        if self.memory.get(&e).map_or(&[][..], Vec::as_slice) == new.as_slice() {
+        if self.memory.get(&e) == new.as_ref() {
             return;
         }
-        let old = self.memory.remove(&e).unwrap_or_default();
-        for t in &old {
-            out.push(t.clone(), -1);
+        if let Some(old) = self.memory.remove(&e) {
+            for t in old.as_slice() {
+                out.push(t.clone(), -1);
+            }
         }
-        for t in &new {
-            out.push(t.clone(), 1);
-        }
-        if !new.is_empty() {
+        if let Some(new) = new {
+            for t in new.as_slice() {
+                out.push(t.clone(), 1);
+            }
             self.memory.insert(e, new);
         }
     }

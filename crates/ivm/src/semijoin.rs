@@ -24,7 +24,7 @@
 use pgq_common::fxhash::FxHashMap;
 use pgq_common::tuple::Tuple;
 
-use crate::delta::{Delta, IndexedBag};
+use crate::delta::{Delta, IndexedBag, Row, RowSink};
 use crate::join::sorted_key_pairs;
 use crate::stats::counters;
 
@@ -185,12 +185,12 @@ impl SemiJoinOp {
     }
 
     /// Reconstruct the full current output bag (L ⋉ R / L ▷ R as of
-    /// now) from the left arrangement, appending to `out`.
-    pub fn replay_into(&self, left: &IndexedBag, out: &mut Delta) {
+    /// now) from the left arrangement into `out`.
+    pub fn replay_into(&self, left: &IndexedBag, out: &mut dyn RowSink) {
         for (lt, lm) in left.iter() {
             let positive = self.right_support.probe(lt, &self.left_keys) > 0;
             if self.passes(positive) {
-                out.push(lt.clone(), lm);
+                out.push_row(Row::Held(lt), lm);
             }
         }
     }

@@ -85,7 +85,7 @@ use pgq_common::value::Value;
 use pgq_graph::delta::ChangeEvent;
 use pgq_graph::store::PropertyGraph;
 
-use crate::delta::{Bucket, Delta};
+use crate::delta::{Bucket, Delta, Row, RowSink};
 use crate::scan::{EdgeScan, EdgeScanSpec, ScanRouting, VertexScan};
 use crate::stats::counters;
 
@@ -313,8 +313,14 @@ impl PathTrie {
     }
 
     /// Visit `top` and everything below it.
-    fn for_subtree(&mut self, top: u32, mut visit: impl FnMut(&TrieNode)) {
+    fn for_subtree(&mut self, top: u32, visit: impl FnMut(&TrieNode)) {
         let mut stack = std::mem::take(&mut self.stack);
+        self.walk(top, &mut stack, visit);
+        self.stack = stack;
+    }
+
+    /// [`PathTrie::for_subtree`] over a shared trie, on `stack`.
+    fn walk(&self, top: u32, stack: &mut Vec<u32>, mut visit: impl FnMut(&TrieNode)) {
         stack.push(top);
         while let Some(ix) = stack.pop() {
             let n = self.node(ix);
@@ -322,7 +328,6 @@ impl PathTrie {
             counters::tc_paths_touched(1);
             visit(n);
         }
-        self.stack = stack;
     }
 }
 
@@ -334,14 +339,14 @@ struct Anchor {
 }
 
 /// Assembles output rows `left ++ [dst, props…, path]`.
-struct Emitter<'a> {
+struct Emitter<'a, S: RowSink + ?Sized> {
     min: u32,
     admission: Option<&'a VertexScan>,
     scratch: &'a mut Vec<Value>,
-    out: &'a mut Delta,
+    out: &'a mut S,
 }
 
-impl Emitter<'_> {
+impl<S: RowSink + ?Sized> Emitter<'_, S> {
     fn push_row(&mut self, left: &Tuple, dst: &[Value], path: &Arc<PathValue>, mult: i64) {
         let row = &mut *self.scratch;
         row.clear();
@@ -349,7 +354,7 @@ impl Emitter<'_> {
         row.extend_from_slice(left.values());
         row.extend_from_slice(dst);
         row.push(Value::Path(path.clone()));
-        self.out.push(Tuple::from_slice(row), mult);
+        self.out.push_row(Row::Assembled(row), mult);
     }
 
     /// `mult ×` the rows node `n` contributes for the given left rows
@@ -629,18 +634,19 @@ impl VarLengthOp {
         self.dst_delta = dsts;
     }
 
-    /// Reconstruct the full current output bag from the trie, appending
-    /// to `out`.
-    pub fn replay_into(&mut self, out: &mut Delta) {
+    /// Reconstruct the full current output bag from the trie into
+    /// `out`.
+    pub fn replay_into(&self, out: &mut dyn RowSink) {
         let mut em = Emitter {
             min: self.min,
             admission: self.dst.as_ref(),
-            scratch: &mut self.scratch,
+            scratch: &mut Vec::new(),
             out,
         };
+        let mut stack = Vec::new();
         for a in self.anchors.values() {
             self.trie
-                .for_subtree(a.root, |n| em.emit(a.rows.iter(), 1, n));
+                .walk(a.root, &mut stack, |n| em.emit(a.rows.iter(), 1, n));
         }
     }
 

@@ -76,7 +76,7 @@ use pgq_common::fxhash::FxHashMap;
 use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
 
-use crate::delta::Delta;
+use crate::delta::{Delta, Row, RowSink};
 use crate::stats::counters;
 
 /// Merge the sorted `tail` run into `base` once it exceeds
@@ -552,7 +552,7 @@ fn build_rule(inputs: &mut [InputState], nvars: usize, seed: Option<usize>) -> R
 
 /// Hash-trie intersection: iterate the smallest map, probe the rest.
 #[allow(clippy::too_many_arguments)]
-fn intersect_hash(
+fn intersect_hash<S: RowSink + ?Sized>(
     inputs: &[InputState],
     rule: &Rule,
     step_ix: usize,
@@ -561,7 +561,7 @@ fn intersect_hash(
     binding: &mut [Value],
     scratch: &mut Vec<Value>,
     mult: i64,
-    out: &mut Delta,
+    out: &mut S,
 ) {
     let mut min_ix = 0;
     for (k, inner) in maps.iter().enumerate() {
@@ -587,7 +587,7 @@ fn intersect_hash(
 /// Sorted-run intersection: leapfrog all cursors to each common value,
 /// galloping past the gaps.
 #[allow(clippy::too_many_arguments)]
-fn intersect_sorted(
+fn intersect_sorted<S: RowSink + ?Sized>(
     inputs: &[InputState],
     rule: &Rule,
     step_ix: usize,
@@ -596,7 +596,7 @@ fn intersect_sorted(
     binding: &mut [Value],
     scratch: &mut Vec<Value>,
     mult: i64,
-    out: &mut Delta,
+    out: &mut S,
 ) {
     let k = sets.len();
     let mut cursors: Vec<SetCursor> = sets.iter().map(|s| SetCursor::new(s)).collect();
@@ -644,14 +644,14 @@ fn intersect_sorted(
 /// candidate set under the bound prefix and intersect — leapfrog with
 /// galloping on the sorted backend, iterate-smallest/probe-rest on the
 /// hash backend.
-fn enumerate(
+fn enumerate<S: RowSink + ?Sized>(
     inputs: &[InputState],
     rule: &Rule,
     step_ix: usize,
     binding: &mut [Value],
     scratch: &mut Vec<Value>,
     mult: i64,
-    out: &mut Delta,
+    out: &mut S,
 ) {
     let Some(step) = rule.steps.get(step_ix) else {
         let mut total = mult;
@@ -662,7 +662,7 @@ fn enumerate(
             }
         }
         counters::wcoj_tuple_emitted();
-        out.push(Tuple::from_slice(binding), total);
+        out.push_row(Row::Assembled(binding), total);
         return;
     };
     let mut sets: Vec<&CandidateSet> = Vec::with_capacity(step.consults.len());
@@ -670,7 +670,7 @@ fn enumerate(
         let idx = &inputs[j].indexes[slot];
         scratch.clear();
         scratch.extend(idx.key_vars.iter().map(|&v| binding[v].clone()));
-        match idx.map.get(&Tuple::from_slice(scratch)) {
+        match idx.map.get(scratch.as_slice()) {
             Some(set) => sets.push(set),
             None => return,
         }
@@ -851,13 +851,11 @@ impl MultiwayJoinOp {
         }
     }
 
-    /// Reconstruct the full current output bag from the memories,
-    /// appending to `out` (used when a new view attaches to this node).
-    pub fn replay_into(&mut self, out: &mut Delta) {
-        let mut binding = std::mem::take(&mut self.binding);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        binding.clear();
-        binding.resize(self.nvars, Value::Null);
+    /// Reconstruct the full current output bag from the memories into
+    /// `out` (used when a new view attaches to this node).
+    pub fn replay_into(&self, out: &mut dyn RowSink) {
+        let mut binding = vec![Value::Null; self.nvars];
+        let mut scratch = Vec::new();
         enumerate(
             &self.inputs,
             &self.replay,
@@ -867,8 +865,6 @@ impl MultiwayJoinOp {
             1,
             out,
         );
-        self.binding = binding;
-        self.scratch = scratch;
     }
 }
 

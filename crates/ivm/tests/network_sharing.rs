@@ -23,22 +23,20 @@ fn scan(var: &str, label: &str) -> Fra {
     }
 }
 
-/// `©(var:label {k})`: pushing a property keeps the scan a relation of
-/// its own (a label-only © joined to an edge scan is folded into the
-/// scan's endpoint labels by canonicalisation).
+/// `©(var:label +map)`: carrying the property map keeps the scan a
+/// relation of its own (a © that only filters labels or pushes
+/// properties, joined to an edge scan, is folded into the scan's
+/// endpoint by canonicalisation).
 fn keyed_scan(var: &str, label: &str) -> Fra {
     Fra::ScanVertices {
         var: var.into(),
         labels: vec![s(label)],
-        props: vec![PropPush {
-            prop: s("k"),
-            col: format!("{var}.k"),
-        }],
-        carry_map: false,
+        props: vec![],
+        carry_map: true,
     }
 }
 
-/// The paper-example shape: ⇑[(a)-[:R]->(b)] ⋈ ©(a:A {k}) (already in
+/// The paper-example shape: ⇑[(a)-[:R]->(b)] ⋈ ©(a:A +map) (already in
 /// canonical operand order, so no tail π restores the columns).
 fn join_plan() -> Fra {
     edge_join("a", "e", "b")
@@ -326,7 +324,7 @@ fn alpha_renamed_duplicate_adds_zero_nodes() {
     // The collapsed view still answers with its own schema names.
     assert_eq!(
         net.view(v).columns(),
-        ["x", "r", "y", "x.k"],
+        ["x", "r", "y", "x.__map"],
         "sink reports the renamed view's own columns"
     );
 }

@@ -1,0 +1,121 @@
+//! Cold registration allocates for what it keeps, not for what passes
+//! through it: the rows of a join that only feeds a σ are streamed, not
+//! materialised. A work count, not a timing — this test binary counts
+//! every allocation through its own global allocator (nothing in the
+//! library counts), around one `register` of `view_churn`'s cold
+//! two-hop view on a graph where the two-hop join is 8 × the result.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use pgq_algebra::compile_query;
+use pgq_common::intern::Symbol;
+use pgq_common::value::Value;
+use pgq_graph::props::Properties;
+use pgq_graph::store::PropertyGraph;
+use pgq_graph::tx::Transaction;
+use pgq_ivm::DataflowNetwork;
+use pgq_parser::parse_query;
+
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: `Counting` holds no state besides a relaxed counter; every
+// method forwards its arguments unchanged to the system allocator, so the
+// caller's `GlobalAlloc` contract is the one `System` gets.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: forwarded from this method's caller.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: forwarded from this method's caller.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: forwarded from this method's caller; `ptr` came from
+        // `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const COLD: &str = "MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person) \
+                    WHERE a.country = c.country RETURN a, c";
+
+/// `persons` people in 8 countries (`i mod 8`), each KNOWS the next 8:
+/// out- and in-degree 8, so the two-hop join has 64 rows per person, and
+/// `a → a + k → a + k + j` stays in the country for `k + j ∈ {8, 16}`:
+/// 8 rows per person in the view.
+fn graph(persons: usize) -> PropertyGraph {
+    let mut g = PropertyGraph::new();
+    let mut tx = Transaction::new();
+    let ids: Vec<_> = (0..persons)
+        .map(|i| {
+            let mut p = Properties::new();
+            p.set(Symbol::intern("country"), Value::Int((i % 8) as i64));
+            tx.create_vertex([Symbol::intern("Person")], p)
+        })
+        .collect();
+    for i in 0..persons {
+        for k in 1..=8 {
+            let j = (i + k) % persons;
+            tx.create_edge(ids[i], ids[j], Symbol::intern("KNOWS"), Properties::new());
+        }
+    }
+    g.apply(&tx).unwrap();
+    g
+}
+
+/// `(|KNOWS|, |⋈|, |result|, allocations of the registration)`.
+fn register_cold(persons: usize) -> (u64, u64, u64, u64) {
+    let g = graph(persons);
+    let fra = compile_query(&parse_query(COLD).unwrap()).unwrap().fra;
+    let mut net = DataflowNetwork::new();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let sid = net.register("cold", &fra, &g);
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let knows = g.edge_count() as u64;
+    let result = net.view(sid).row_count() as u64;
+    (knows, 8 * knows, result, allocations)
+}
+
+/// One test: the counter is process-wide, so nothing may run beside it.
+#[test]
+fn cold_registration_allocates_with_input_and_output_not_with_the_join() {
+    let (knows, join, result, small) = register_cold(600);
+    assert!(join >= 8 * result, "|⋈| {join} vs |result| {result}");
+    assert!(
+        small < join / 2,
+        "{small} allocations for a {join}-row join feeding {result} result rows"
+    );
+
+    // Ten times the graph at the same degree and result density: the
+    // growth is paid per edge and per result row, not per join row.
+    let (knows10, join10, result10, large) = register_cold(6_000);
+    assert_eq!((knows10, result10), (10 * knows, 10 * result));
+    let grown = large - small;
+    let input_output = (knows10 - knows) + (result10 - result);
+    assert!(
+        grown <= 2 * input_output,
+        "{grown} more allocations for {input_output} more edges and result rows"
+    );
+    assert!(
+        grown < (join10 - join) / 2,
+        "{grown} more allocations for {} more join rows",
+        join10 - join
+    );
+}

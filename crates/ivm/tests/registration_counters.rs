@@ -7,13 +7,16 @@
 #![cfg(feature = "ivm-stats")]
 
 use pgq_algebra::compile_query;
+use pgq_algebra::expr::ScalarExpr;
+use pgq_algebra::fra::Fra;
 use pgq_common::intern::Symbol;
 use pgq_common::value::Value;
 use pgq_graph::props::Properties;
 use pgq_graph::store::PropertyGraph;
 use pgq_graph::tx::Transaction;
 use pgq_ivm::stats::counters;
-use pgq_ivm::{DataflowNetwork, NodeSummary};
+use pgq_ivm::{DataflowNetwork, NodeSummary, RegisterOptions};
+use pgq_parser::ast::BinOp;
 use pgq_parser::parse_query;
 
 fn s(x: &str) -> Symbol {
@@ -92,7 +95,16 @@ fn registration_produces_each_bag_at_most_once() {
          WHERE a.country = c.country RETURN a, c",
     );
     let stateful = added.iter().filter(|n| !stateless(n)).count() as u64;
-    assert!(stateful >= 3, "two scans and a join at least: {added:?}");
+    // The © that pushes `country` folds into its edge scan: two ⇑, one
+    // ⋈, and no © or second ⋈ joining it back in.
+    let labels: Vec<&str> = added.iter().map(|n| n.label.as_str()).collect();
+    assert!(!labels.iter().any(|l| l.starts_with('©')), "{labels:?}");
+    assert_eq!(
+        labels.iter().filter(|l| **l == "⋈").count(),
+        1,
+        "{labels:?}"
+    );
+    assert_eq!(stateful, 3, "two scans and a join: {labels:?}");
     assert!(added.iter().any(stateless), "σ/π expected: {added:?}");
     assert!(
         (1..=stateful).contains(&enumerated),
@@ -145,4 +157,68 @@ fn registration_produces_each_bag_at_most_once() {
         enumerated <= stateful,
         "{enumerated} enumerations for {stateful} new stateful nodes: {added:?}"
     );
+
+    // Three new σ over one new two-hop join, each arranged for a join
+    // above them: the first arrangement streams the join's rows through
+    // its σ, the second finds them enumerated once already and memoises
+    // them, the third reads the memo.
+    let two_hop = || Fra::HashJoin {
+        left: Box::new(knows("a", "b")),
+        right: Box::new(knows("b2", "c")),
+        left_keys: vec![2],
+        right_keys: vec![0],
+    };
+    let filtered = |op: BinOp, l: usize, r: usize| Fra::Filter {
+        input: Box::new(two_hop()),
+        predicate: ScalarExpr::Binary(
+            op,
+            Box::new(ScalarExpr::Col(l)),
+            Box::new(ScalarExpr::Col(r)),
+        ),
+    };
+    let pair = Fra::HashJoin {
+        left: Box::new(filtered(BinOp::Neq, 0, 4)),
+        right: Box::new(filtered(BinOp::Neq, 0, 2)),
+        left_keys: vec![2],
+        right_keys: vec![2],
+    };
+    let plan = Fra::HashJoin {
+        left: Box::new(pair),
+        right: Box::new(filtered(BinOp::Neq, 1, 3)),
+        left_keys: vec![2],
+        right_keys: vec![2],
+    };
+    let mut net = DataflowNetwork::new();
+    counters::reset();
+    let literal = RegisterOptions {
+        plan: false,
+        ..RegisterOptions::default()
+    };
+    let sid = net.register_with("thrice", &plan, &g, literal);
+    // One edge scan (both hops are the same ⇑), the two-hop join twice
+    // (streamed, then memoised), the inner join once for the outer
+    // one's arrangement and the outer join once for the sink.
+    assert_eq!(counters::snapshot().bag_enumerations, 5);
+    assert_eq!(
+        net.view(sid).results(),
+        pgq_eval::evaluate_consolidated(&plan, &g)
+    );
+    assert!(net.view(sid).row_count() > 0);
+}
+
+/// `⇑[(src:Person)-[:KNOWS]->(dst:Person)]`.
+fn knows(src: &str, dst: &str) -> Fra {
+    Fra::ScanEdges {
+        src: src.into(),
+        edge: format!("{src}{dst}"),
+        dst: dst.into(),
+        types: vec![s("KNOWS")],
+        src_labels: vec![s("Person")],
+        dst_labels: vec![s("Person")],
+        src_props: vec![],
+        edge_props: vec![],
+        dst_props: vec![],
+        dir: pgq_common::dir::Direction::Out,
+        carry_maps: (false, false, false),
+    }
 }

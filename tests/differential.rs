@@ -1250,3 +1250,288 @@ proptest! {
         }
     }
 }
+
+// ---- property-carrying © folded into ⇑ ------------------------------------
+//
+// Canonicalisation folds `©(v:L {k}) ⋈[v] P` into the ⇑ endpoint of `P`
+// that binds `v`: `L` joins its labels, `k` its pushed properties. The
+// fold must be observationally invisible under every change that reaches
+// the endpoint — a SET or REMOVE of the pushed property, `L` coming and
+// going, DETACH DELETE — so each view is held, after every step, to a
+// from-scratch evaluation of its *uncanonicalised* compiled plan, at
+// propagation widths 1 and 4, planned and in the syntactic order.
+
+/// Cypher views whose ©s push properties — on the source, on the target
+/// and on both ends (a second `MATCH` makes a © bind first; written
+/// order joins it through a cross product, so only the planned
+/// registration folds), in a `Both`-direction pattern, on a self-loop
+/// (joined on two keys: never folded), the © the planner joins last
+/// (`view_churn`'s cold view), under γ, and with a one-sided `WHERE`
+/// (the planner puts it on the ©, which then stays) — and whether the
+/// `[planned, syntactic]` registrations must have folded every ©.
+const FOLD_QUERIES: &[(&str, [bool; 2])] = &[
+    (
+        "MATCH (a:Person)-[:KNOWS]->(b) WHERE a.country = 'x' OR b.country = 'y' RETURN a, b",
+        [true, true],
+    ),
+    (
+        "MATCH (b:Person) MATCH (a)-[:KNOWS]->(b) WHERE b.country = 'y' OR a.country = 'x' RETURN a, b",
+        [true, false],
+    ),
+    (
+        "MATCH (b:Person) MATCH (a:Person)-[:KNOWS]->(b) WHERE a.country = b.country RETURN a, b",
+        [true, false],
+    ),
+    (
+        "MATCH (a:Person)-[:KNOWS]-(b:Person) WHERE a.country <> b.country RETURN a, b",
+        [true, true],
+    ),
+    ("MATCH (a:Person)-[:KNOWS]->(a) WHERE a.country = 'x' RETURN a", [false, false]),
+    (
+        "MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person) WHERE a.country = c.country RETURN a, c",
+        [true, true],
+    ),
+    ("MATCH (a:Person)-[:KNOWS]->(b) RETURN a.country AS country, count(*) AS n", [true, true]),
+    ("MATCH (a:Person)-[:KNOWS]->(b) WHERE a.country = 'x' RETURN a, b", [false, true]),
+];
+
+/// Hand-built plans: `⇑ ⋈[b] ©(b:Person {country})` on the scan's target
+/// in written order, and `⇑[(a:Person {country})-[:KNOWS]->(b)] ⋈[a]
+/// ©(a:Person {country})` with views over it — a property both the ©
+/// and the ⇑ push is one scan column read twice, under a π, a further ⋈
+/// and an ω.
+fn hand_built_fold_plans() -> Vec<(String, pgq_algebra::Fra)> {
+    use pgq_algebra::expr::ScalarExpr;
+    use pgq_algebra::fra::{Fra, PropPush};
+    let country = |col: &str| PropPush {
+        prop: s("country"),
+        col: col.into(),
+    };
+    let knows = |src: &str, dst: &str, src_props: Vec<PropPush>| Fra::ScanEdges {
+        src: src.into(),
+        edge: format!("{src}{dst}"),
+        dst: dst.into(),
+        types: vec![s("KNOWS")],
+        src_labels: vec![s("Person")],
+        dst_labels: vec![],
+        src_props,
+        edge_props: vec![],
+        dst_props: vec![],
+        dir: pgq_common::dir::Direction::Out,
+        carry_maps: (false, false, false),
+    };
+    // Columns: a, ab, b, a.country (⇑), a.country (©).
+    let doubled = || Fra::HashJoin {
+        left: Box::new(knows("a", "b", vec![country("a.c1")])),
+        right: Box::new(Fra::ScanVertices {
+            var: "a".into(),
+            labels: vec![s("Person")],
+            props: vec![country("a.c2")],
+            carry_map: false,
+        }),
+        left_keys: vec![0],
+        right_keys: vec![0],
+    };
+    // Columns: a, ab, b, a.c1, a.c2, bc, c.
+    let two_hop = Fra::HashJoin {
+        left: Box::new(doubled()),
+        right: Box::new(knows("b", "c", vec![])),
+        left_keys: vec![2],
+        right_keys: vec![0],
+    };
+    let item = |c: usize, n: &str| (ScalarExpr::Col(c), n.to_string());
+    // Columns: a, ab, b, b.country.
+    let on_target = Fra::HashJoin {
+        left: Box::new(knows("a", "b", vec![])),
+        right: Box::new(Fra::ScanVertices {
+            var: "b".into(),
+            labels: vec![s("Person")],
+            props: vec![country("b.country")],
+            carry_map: false,
+        }),
+        left_keys: vec![2],
+        right_keys: vec![0],
+    };
+    vec![
+        ("target".into(), on_target),
+        ("twice".into(), doubled()),
+        (
+            "twice_hop".into(),
+            Fra::Project {
+                input: Box::new(two_hop),
+                items: vec![item(6, "c"), item(4, "k2"), item(0, "a"), item(3, "k1")],
+            },
+        ),
+        (
+            "twice_unwound".into(),
+            Fra::Unwind {
+                input: Box::new(doubled()),
+                expr: ScalarExpr::List(vec![ScalarExpr::Col(4), ScalarExpr::Col(3)]),
+                alias: "k".into(),
+            },
+        ),
+    ]
+}
+
+#[test]
+fn folded_property_scans_follow_property_label_and_delete_churn() {
+    use pgq_common::pool::WorkerPool;
+    use pgq_ivm::DataflowNetwork;
+
+    let mut views: Vec<(String, pgq_algebra::Fra)> = FOLD_QUERIES
+        .iter()
+        .enumerate()
+        .map(|(i, (q, _))| {
+            let fra = compile_query(&parse_query(q).unwrap()).unwrap().fra;
+            (format!("q{i}"), fra)
+        })
+        .collect();
+    let cypher_views = views.len();
+    views.extend(hand_built_fold_plans());
+    let countries = ["x", "y", "z"];
+    let person = |tx: &mut Transaction, i: usize| {
+        tx.create_vertex(
+            [s("Person")],
+            Properties::from_iter([("country", Value::str(countries[i % 3]))]),
+        )
+    };
+
+    for seed in [5u64, 17, 29] {
+        let mut rng = 0x2545_F491_4F6C_DD1Du64 ^ seed;
+        let mut next = |n: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % n.max(1) as u64) as usize
+        };
+        let mut g = PropertyGraph::new();
+        let mut tx = Transaction::new();
+        let ps: Vec<_> = (0..12).map(|i| person(&mut tx, i)).collect();
+        for i in 0..ps.len() {
+            for step in [1, 2, 5] {
+                tx.create_edge(
+                    ps[i],
+                    ps[(i + step) % ps.len()],
+                    s("KNOWS"),
+                    Properties::new(),
+                );
+            }
+        }
+        tx.create_edge(ps[3], ps[3], s("KNOWS"), Properties::new());
+        g.apply(&tx).unwrap();
+
+        // Width 1 and 4, each with every view planned and unplanned.
+        let pool = WorkerPool::new(4);
+        let mut nets = [DataflowNetwork::new(), DataflowNetwork::new()];
+        for net in &mut nets {
+            for (name, fra) in &views {
+                net.register(format!("{name}_pl"), fra, &g);
+                net.register_with(format!("{name}_un"), fra, &g, unplanned());
+            }
+        }
+        // Every © the rule covers is folded away; the hand-built plans'
+        // in both orders.
+        let expected = FOLD_QUERIES.iter().map(|(q, folds)| (*q, *folds)).chain(
+            views[cypher_views..]
+                .iter()
+                .map(|(n, _)| (n.as_str(), [true, true])),
+        );
+        for ((what, [planned, syntactic]), (_, fra)) in expected.zip(&views) {
+            // `PGQ_DISABLE_PLANNER` makes the default registration syntactic.
+            let planned = if pgq_ivm::planner_enabled() {
+                planned
+            } else {
+                syntactic
+            };
+            for (options, folds) in [
+                (RegisterOptions::default(), planned),
+                (unplanned(), syntactic),
+            ] {
+                let mut alone = DataflowNetwork::new();
+                alone.register_with("alone", fra, &g, options);
+                let kept = alone
+                    .node_summaries()
+                    .iter()
+                    .any(|n| n.label.starts_with('©'));
+                assert_eq!(!kept, folds, "{what} (planned: {})", options.plan);
+            }
+        }
+
+        let check = |nets: &[DataflowNetwork; 2], g: &PropertyGraph, what: &str| {
+            for (name, fra) in &views {
+                let want = eval_consolidated(fra, g);
+                for (net, width) in nets.iter().zip([1, 4]) {
+                    for suffix in ["pl", "un"] {
+                        let view = net.view_named(&format!("{name}_{suffix}")).unwrap();
+                        assert_eq!(
+                            view.results(),
+                            want,
+                            "seed {seed}: {name}_{suffix} at width {width} after {what}"
+                        );
+                    }
+                }
+            }
+        };
+        check(&nets, &g, "registration");
+        for step in 0..90 {
+            let mut ids: Vec<_> = g.vertex_ids().collect();
+            ids.sort_unstable();
+            let mut edges: Vec<_> = g.edge_ids().collect();
+            edges.sort_unstable();
+            let pick = |n: usize, next: &mut dyn FnMut(usize) -> usize| ids[next(n)];
+            let mut tx = Transaction::new();
+            let what = match (next(8), ids.is_empty()) {
+                (_, true) | (0, _) => {
+                    let v = person(&mut tx, next(3));
+                    if !ids.is_empty() {
+                        tx.create_edge(
+                            v,
+                            pick(ids.len(), &mut next),
+                            s("KNOWS"),
+                            Properties::new(),
+                        );
+                    }
+                    "a new person"
+                }
+                (1, _) => {
+                    let (a, b) = (pick(ids.len(), &mut next), pick(ids.len(), &mut next));
+                    // Now and then the same vertex: a self-loop.
+                    let b = if next(4) == 0 { a } else { b };
+                    tx.create_edge(a, b, s("KNOWS"), Properties::new());
+                    "a new edge"
+                }
+                (2, _) if !edges.is_empty() => {
+                    tx.delete_edge(edges[next(edges.len())]);
+                    "an edge delete"
+                }
+                (3, _) => {
+                    let c = countries[next(3)];
+                    tx.set_vertex_prop(pick(ids.len(), &mut next), s("country"), Value::str(c));
+                    "SET country"
+                }
+                (4, _) => {
+                    tx.set_vertex_prop(pick(ids.len(), &mut next), s("country"), Value::Null);
+                    "REMOVE country"
+                }
+                (5, _) | (2, _) => {
+                    let v = pick(ids.len(), &mut next);
+                    if g.vertex(v).is_some_and(|d| d.has_label(s("Person"))) {
+                        tx.remove_label(v, s("Person"));
+                        "label removed"
+                    } else {
+                        tx.add_label(v, s("Person"));
+                        "label added"
+                    }
+                }
+                _ => {
+                    tx.delete_vertex(pick(ids.len(), &mut next), true);
+                    "DETACH DELETE"
+                }
+            };
+            let events = g.apply(&tx).unwrap();
+            nets[0].on_transaction(&g, &events);
+            nets[1].on_transaction_with(&g, &events, Some(&pool));
+            check(&nets, &g, &format!("step {step} ({what})"));
+        }
+    }
+}
