@@ -66,15 +66,7 @@ pub fn flatten(
 /// once instead of projecting it through its bindings. Slots as in
 /// [`flatten`].
 pub fn resolve_constant(e: &Expr, params: &[String]) -> Result<ScalarExpr, AlgebraError> {
-    let cx = Cx {
-        kinds: &HashMap::new(),
-        wanted: HashMap::new(),
-        satisfied: HashSet::new(),
-        mode: SchemaMode::Inferred,
-        fresh: 0,
-        params,
-    };
-    cx.resolve(e, &[])
+    resolve(e, &[], params)
 }
 
 fn collect_wanted(nra: &Nra, wanted: &mut HashMap<String, Vec<(Symbol, String)>>) {
@@ -459,7 +451,7 @@ impl Cx<'_> {
             Nra::Select { input, predicate } => {
                 let l = self.build(input)?;
                 let schema = l.schema();
-                let predicate = self.resolve(predicate, &schema)?;
+                let predicate = resolve(predicate, &schema, self.params)?;
                 Fra::Filter {
                     input: Box::new(l),
                     predicate,
@@ -470,7 +462,7 @@ impl Cx<'_> {
                 let schema = l.schema();
                 let items = items
                     .iter()
-                    .map(|(e, n)| Ok((self.resolve(e, &schema)?, n.clone())))
+                    .map(|(e, n)| Ok((resolve(e, &schema, self.params)?, n.clone())))
                     .collect::<Result<_, AlgebraError>>()?;
                 Fra::Project {
                     input: Box::new(l),
@@ -485,11 +477,11 @@ impl Cx<'_> {
                 let schema = l.schema();
                 let group = group
                     .iter()
-                    .map(|(e, n)| Ok((self.resolve(e, &schema)?, n.clone())))
+                    .map(|(e, n)| Ok((resolve(e, &schema, self.params)?, n.clone())))
                     .collect::<Result<Vec<_>, AlgebraError>>()?;
                 let aggs = aggs
                     .iter()
-                    .map(|(e, n)| Ok((self.resolve_agg(e, &schema)?, n.clone())))
+                    .map(|(e, n)| Ok((resolve_agg(e, &schema, self.params)?, n.clone())))
                     .collect::<Result<Vec<_>, AlgebraError>>()?;
                 Fra::Aggregate {
                     input: Box::new(l),
@@ -500,7 +492,7 @@ impl Cx<'_> {
             Nra::Unwind { input, expr, alias } => {
                 let l = self.build(input)?;
                 let schema = l.schema();
-                let expr = self.resolve(expr, &schema)?;
+                let expr = resolve(expr, &schema, self.params)?;
                 Fra::Unwind {
                     input: Box::new(l),
                     expr,
@@ -604,127 +596,128 @@ impl Cx<'_> {
             })
         }
     }
+}
 
-    /// Resolve a (rewritten) parser expression to a column-indexed
-    /// [`ScalarExpr`] against `schema`.
-    pub(crate) fn resolve(&self, e: &Expr, schema: &[String]) -> Result<ScalarExpr, AlgebraError> {
-        Ok(match e {
-            Expr::Literal(v) => ScalarExpr::Lit(v.clone()),
-            Expr::Variable(name) => ScalarExpr::Col(pos(schema, name)?),
-            Expr::Property(base, key) => {
-                // Only map-valued bases survive to this point (node/rel
-                // property accesses were rewritten to columns in step 2).
-                let b = self.resolve(base, schema)?;
-                ScalarExpr::Index(
-                    Box::new(b),
-                    Box::new(ScalarExpr::Lit(pgq_common::value::Value::str(key))),
-                )
-            }
-            Expr::Binary(op, l, r) => ScalarExpr::Binary(
-                *op,
-                Box::new(self.resolve(l, schema)?),
-                Box::new(self.resolve(r, schema)?),
-            ),
-            Expr::Unary(op, x) => ScalarExpr::Unary(*op, Box::new(self.resolve(x, schema)?)),
-            Expr::Function {
-                name,
-                distinct,
-                args,
-            } => {
-                if AggFunc::from_name(name).is_some() {
-                    return Err(AlgebraError::InvalidQuery(format!(
-                        "aggregate {name}() outside an aggregating RETURN"
-                    )));
-                }
-                if *distinct {
-                    return Err(AlgebraError::Unsupported(
-                        "DISTINCT inside a non-aggregate function".into(),
-                    ));
-                }
-                ScalarExpr::Func {
-                    name: name.clone(),
-                    args: args
-                        .iter()
-                        .map(|a| self.resolve(a, schema))
-                        .collect::<Result<_, _>>()?,
-                }
-            }
-            Expr::CountStar => {
-                return Err(AlgebraError::InvalidQuery(
-                    "count(*) outside an aggregating RETURN".into(),
-                ))
-            }
-            Expr::List(items) => ScalarExpr::List(
-                items
-                    .iter()
-                    .map(|a| self.resolve(a, schema))
-                    .collect::<Result<_, _>>()?,
-            ),
-            Expr::Map(entries) => ScalarExpr::Map(
-                entries
-                    .iter()
-                    .map(|(k, v)| Ok((k.clone(), self.resolve(v, schema)?)))
-                    .collect::<Result<_, AlgebraError>>()?,
-            ),
-            Expr::Index(b, i) => ScalarExpr::Index(
-                Box::new(self.resolve(b, schema)?),
-                Box::new(self.resolve(i, schema)?),
-            ),
-            Expr::IsNull { expr, negated } => ScalarExpr::IsNull {
-                expr: Box::new(self.resolve(expr, schema)?),
-                negated: *negated,
-            },
-            Expr::HasLabel(..) => {
-                return Err(AlgebraError::NotMaintainable(
-                    "nested label predicate".into(),
-                ))
-            }
-            Expr::Parameter(p) => match self.params.iter().position(|n| n == p) {
-                Some(slot) => ScalarExpr::Param(slot),
-                None => {
-                    return Err(AlgebraError::Unsupported(format!(
-                        "query parameter ${p}: views take no parameters, and a one-shot \
-                         statement binds them through GraphEngine::execute_with"
-                    )))
-                }
-            },
-            Expr::PatternPredicate(_) => {
-                return Err(AlgebraError::NotMaintainable(
-                    "exists(pattern) nested inside an expression".into(),
-                ))
-            }
-        })
-    }
-
-    fn resolve_agg(&self, e: &Expr, schema: &[String]) -> Result<AggCall, AlgebraError> {
-        match e {
-            Expr::CountStar => Ok(AggCall {
-                func: AggFunc::CountStar,
-                arg: None,
-                distinct: false,
-            }),
-            Expr::Function {
-                name,
-                distinct,
-                args,
-            } => {
-                let func = AggFunc::from_name(name).ok_or_else(|| {
-                    AlgebraError::InvalidQuery(format!("{name}() is not an aggregate"))
-                })?;
-                if args.len() != 1 {
-                    return Err(AlgebraError::InvalidQuery(format!(
-                        "{name}() takes exactly one argument"
-                    )));
-                }
-                Ok(AggCall {
-                    func,
-                    arg: Some(self.resolve(&args[0], schema)?),
-                    distinct: *distinct,
-                })
-            }
-            other => Err(AlgebraError::InvalidQuery(format!(
-                "expected an aggregate call, found {other}"
-            ))),
+/// Resolve a (rewritten) parser expression to a column-indexed
+/// [`ScalarExpr`] against `schema`, parameters to their slots in
+/// `params` (see [`flatten`]).
+fn resolve(e: &Expr, schema: &[String], params: &[String]) -> Result<ScalarExpr, AlgebraError> {
+    Ok(match e {
+        Expr::Literal(v) => ScalarExpr::Lit(v.clone()),
+        Expr::Variable(name) => ScalarExpr::Col(pos(schema, name)?),
+        Expr::Property(base, key) => {
+            // Only map-valued bases survive to this point (node/rel
+            // property accesses were rewritten to columns in step 2).
+            let b = resolve(base, schema, params)?;
+            ScalarExpr::Index(
+                Box::new(b),
+                Box::new(ScalarExpr::Lit(pgq_common::value::Value::str(key))),
+            )
         }
+        Expr::Binary(op, l, r) => ScalarExpr::Binary(
+            *op,
+            Box::new(resolve(l, schema, params)?),
+            Box::new(resolve(r, schema, params)?),
+        ),
+        Expr::Unary(op, x) => ScalarExpr::Unary(*op, Box::new(resolve(x, schema, params)?)),
+        Expr::Function {
+            name,
+            distinct,
+            args,
+        } => {
+            if AggFunc::from_name(name).is_some() {
+                return Err(AlgebraError::InvalidQuery(format!(
+                    "aggregate {name}() outside an aggregating RETURN"
+                )));
+            }
+            if *distinct {
+                return Err(AlgebraError::Unsupported(
+                    "DISTINCT inside a non-aggregate function".into(),
+                ));
+            }
+            ScalarExpr::Func {
+                name: name.clone(),
+                args: args
+                    .iter()
+                    .map(|a| resolve(a, schema, params))
+                    .collect::<Result<_, _>>()?,
+            }
+        }
+        Expr::CountStar => {
+            return Err(AlgebraError::InvalidQuery(
+                "count(*) outside an aggregating RETURN".into(),
+            ))
+        }
+        Expr::List(items) => ScalarExpr::List(
+            items
+                .iter()
+                .map(|a| resolve(a, schema, params))
+                .collect::<Result<_, _>>()?,
+        ),
+        Expr::Map(entries) => ScalarExpr::Map(
+            entries
+                .iter()
+                .map(|(k, v)| Ok((k.clone(), resolve(v, schema, params)?)))
+                .collect::<Result<_, AlgebraError>>()?,
+        ),
+        Expr::Index(b, i) => ScalarExpr::Index(
+            Box::new(resolve(b, schema, params)?),
+            Box::new(resolve(i, schema, params)?),
+        ),
+        Expr::IsNull { expr, negated } => ScalarExpr::IsNull {
+            expr: Box::new(resolve(expr, schema, params)?),
+            negated: *negated,
+        },
+        Expr::HasLabel(..) => {
+            return Err(AlgebraError::NotMaintainable(
+                "nested label predicate".into(),
+            ))
+        }
+        Expr::Parameter(p) => match params.iter().position(|n| n == p) {
+            Some(slot) => ScalarExpr::Param(slot),
+            None => {
+                return Err(AlgebraError::Unsupported(format!(
+                    "query parameter ${p}: views take no parameters, and a one-shot \
+                     statement binds them through GraphEngine::execute_with"
+                )))
+            }
+        },
+        Expr::PatternPredicate(_) => {
+            return Err(AlgebraError::NotMaintainable(
+                "exists(pattern) nested inside an expression".into(),
+            ))
+        }
+    })
+}
+
+fn resolve_agg(e: &Expr, schema: &[String], params: &[String]) -> Result<AggCall, AlgebraError> {
+    match e {
+        Expr::CountStar => Ok(AggCall {
+            func: AggFunc::CountStar,
+            arg: None,
+            distinct: false,
+        }),
+        Expr::Function {
+            name,
+            distinct,
+            args,
+        } => {
+            let func = AggFunc::from_name(name).ok_or_else(|| {
+                AlgebraError::InvalidQuery(format!("{name}() is not an aggregate"))
+            })?;
+            if args.len() != 1 {
+                return Err(AlgebraError::InvalidQuery(format!(
+                    "{name}() takes exactly one argument"
+                )));
+            }
+            Ok(AggCall {
+                func,
+                arg: Some(resolve(&args[0], schema, params)?),
+                distinct: *distinct,
+            })
+        }
+        other => Err(AlgebraError::InvalidQuery(format!(
+            "expected an aggregate call, found {other}"
+        ))),
     }
 }

@@ -1,23 +1,24 @@
 //! A small persistent worker pool for intra-transaction parallelism.
 //!
-//! The IVM scheduler parallelises one delta-propagation pass at a time:
-//! a short burst of CPU-bound work fanned across a fixed set of
-//! threads, many thousands of times per second. Spawning threads per
-//! pass (or per transaction) would dwarf the work being parallelised,
-//! so a [`WorkerPool`] keeps its threads alive and parked on a condvar
-//! between [`broadcast`](WorkerPool::broadcast) calls; dispatching a
-//! pass is one mutex round-trip plus wakeups.
+//! The IVM scheduler fans one level of a delta-propagation pass at a
+//! time (the dirty nodes at one depth) across the pool: a short burst of
+//! CPU-bound work spread over a fixed set of threads, many thousands of
+//! times per second. Spawning threads per level (or per transaction)
+//! would dwarf the work being parallelised, so a [`WorkerPool`] keeps its
+//! threads alive and parked on a condvar between
+//! [`broadcast`](WorkerPool::broadcast) calls; dispatching a level is one
+//! mutex round-trip plus wakeups. Workers park rather than spin, so a
+//! pool wider than the machine does not burn the cores its peers need.
 //!
 //! The pool is deliberately minimal — it only knows how to run one
-//! closure on every worker simultaneously. Work distribution (ready
-//! queues, readiness counters) lives with the caller, which is what
-//! makes the same pool reusable for differently-shaped passes.
+//! closure on every worker simultaneously and re-raise the first panic.
+//! Work distribution (the network's atomic cursors over a level's nodes)
+//! lives with the caller.
 //!
 //! Thread count selection: [`threads_from_env`] reads `PGQ_THREADS`
-//! once per process; `1` (the default) means strictly serial — callers
-//! are expected to skip the pool entirely and run their existing serial
-//! path, which keeps single-threaded behaviour byte-identical to a
-//! build without the pool.
+//! once per process; `1` (the default) means no pool — the caller runs
+//! every level inline, on the same loop and the same per-node step as at
+//! any other width.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;

@@ -287,11 +287,11 @@ impl GraphEngine {
 
     // ---- transactions ------------------------------------------------------
 
-    /// Set the delta-propagation width: `1` is the strictly serial
-    /// engine (byte-identical to a build without the worker pool), `n >
-    /// 1` maintains views with an `n`-thread worker pool, and `0`
-    /// resets to the `PGQ_THREADS` process default. For any width,
-    /// every view's consolidated results are identical (see
+    /// Set the delta-propagation width: `1` runs every level of the pass
+    /// inline, `n > 1` fans each level of two or more nodes across an
+    /// `n`-thread worker pool, and `0` resets to the `PGQ_THREADS`
+    /// process default. For any width, every view's delta — tuple order
+    /// included — and results are identical (see
     /// [`DataflowNetwork::on_transaction_with`]).
     pub fn set_threads(&mut self, threads: usize) -> &mut Self {
         self.threads = threads;

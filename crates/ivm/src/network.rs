@@ -41,22 +41,23 @@
 //!   have read it, so steady-state maintenance performs no per-layer
 //!   allocation.
 //!
-//! Propagation is a single topologically-scheduled pass: dirty nodes are
-//! processed in ascending depth order (every edge goes from a
-//! strictly shallower node to a deeper one), each node reading its
-//! children's pooled output deltas by reference and appending its own.
+//! Propagation is a single topologically-scheduled pass, run one
+//! **level** at a time: every dirty node at the current minimum depth.
+//! Every edge goes from a strictly shallower node to a deeper one, so a
+//! level's nodes are independent — each reads only its children's pooled
+//! output deltas, by reference, and appends its own. After a level has
+//! run, its outputs are published serially in slot order and the
+//! consumers of every non-empty one are queued.
 //!
-//! With a [`WorkerPool`]
-//! ([`on_transaction_with`](DataflowNetwork::on_transaction_with)), the
-//! same pass runs *in parallel*: the arena's explicit child→parent
-//! edges are the task graph, per-node atomic pending counters track how
-//! many dirty children a node still waits on, and a node is handed to a
-//! worker the moment its counter drains to zero. Every node still runs
-//! exactly once per transaction with inputs that are a pure function of
-//! the transaction — never of the schedule — which is the determinism
-//! contract: for any thread count the per-view consolidated results are
-//! identical to the serial pass (see ARCHITECTURE.md, "Parallel delta
-//! propagation").
+//! How a level runs is the only thing that depends on the width. Inline
+//! at width 1 or when the level has fewer than two nodes; otherwise as
+//! one broadcast across a [`WorkerPool`]
+//! ([`on_transaction_with`](DataflowNetwork::on_transaction_with)), whose
+//! workers claim the level's nodes through atomic cursors, one per
+//! worker's contiguous share of the level. Every node runs the same step
+//! with the same inputs in the same order at every width, so every delta
+//! — not only every view's consolidated result — is identical at any
+//! thread count (see ARCHITECTURE.md, "Parallel delta propagation").
 //!
 //! # Arrangements: a node's output, indexed once
 //!
@@ -71,14 +72,14 @@
 //! permutes its probe columns to match. The last reader to go frees it.
 //!
 //! Arrangements are **read-only during a pass** and hold the state as of
-//! its start; after the pass (serial or parallel) each node the pass ran
-//! has its delta applied to each of its arrangements exactly once
+//! its start; after the pass each node the pass ran has its delta
+//! applied to each of its arrangements exactly once
 //! ([`DataflowNetwork::on_transaction_with`]). So the join kernel's
 //! delta rule carries a third term, `ΔL ⋈ ΔR` (see [`crate::join`]) —
 //! the one a self-join fed the same delta on both sides cannot do
-//! without — and the parallel pass needs no synchronisation for them:
-//! workers share `&[Vec<Arrangement>]`, and nothing writes it until they
-//! have all returned.
+//! without — and a pooled level needs no synchronisation for them:
+//! workers share `&[Vec<Arrangement>]`, and nothing writes it until the
+//! pass is over.
 //!
 //! # Full bags: registration and the state dump
 //!
@@ -128,10 +129,9 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use pgq_algebra::expr::{AggCall, ScalarExpr};
 use pgq_algebra::fra::Fra;
 use pgq_algebra::plan::WcojMode;
@@ -145,7 +145,9 @@ use pgq_graph::store::PropertyGraph;
 use pgq_graph::tx::{NodeRef, Transaction, TxOp};
 
 use crate::aggregate::AggregateOp;
-use crate::basic::{filter_into, project_into, unwind_into, Chain, Stage};
+use crate::basic::{
+    filter_delta, filter_into, project_delta, project_into, unwind_into, Chain, Stage,
+};
 use crate::delta::{Delta, IndexedBag, Row, RowSink};
 use crate::distinct::DistinctOp;
 use crate::join::JoinOp;
@@ -302,8 +304,7 @@ impl NodeKind {
     /// Run the operator over one pass's inputs — `child(id)` is input
     /// `id`'s delta, `arrangements` every node's indexes as of the start
     /// of the pass, `events` what was routed here — appending its output
-    /// delta to `out`. The one operator dispatch of the serial and the
-    /// parallel pass.
+    /// delta to `out`. The one operator dispatch of the pass.
     fn run<'a>(
         &mut self,
         child: impl Fn(NodeId) -> &'a Delta,
@@ -484,15 +485,14 @@ struct Scheduler {
     event_gen: Vec<u64>,
     /// Generation for which `outputs[slot]` is valid.
     out_gen: Vec<u64>,
-    /// Generation at which `outputs[slot]` was last consolidated (skip
-    /// duplicate consolidation when several consumers want it).
-    consolidated_gen: Vec<u64>,
     /// Output delta of each processed node (pooled buffers).
     outputs: Vec<Delta>,
     /// Event-delivery dedup stamp (one count per event per node).
     deliver_stamp: Vec<u64>,
     /// Slots holding pooled outputs from the last transaction.
     produced: Vec<u32>,
+    /// The steps of the level being run (storage reused across levels).
+    level: Vec<Step>,
 }
 
 impl Scheduler {
@@ -502,7 +502,6 @@ impl Scheduler {
             self.queued.resize(n, 0);
             self.event_gen.resize(n, 0);
             self.out_gen.resize(n, 0);
-            self.consolidated_gen.resize(n, 0);
             self.outputs.resize_with(n, Delta::new);
             self.deliver_stamp.resize(n, 0);
         }
@@ -517,206 +516,121 @@ impl Scheduler {
     }
 }
 
-/// Reusable buffers of the parallel pass (transient per-transaction
-/// state; cloning a network starts with fresh empty buffers).
-#[derive(Debug, Default)]
-struct ParState {
-    /// Dirty-closure slots in discovery order (the task list).
-    slots: Vec<u32>,
-    /// slot → task index (valid only for slots queued this generation).
-    task_of: Vec<u32>,
-    /// Flattened per-task lists of parent *task* indices, with
-    /// `parents_ix` holding the prefix offsets (`len = tasks + 1`).
-    parents_flat: Vec<u32>,
-    parents_ix: Vec<u32>,
-    /// Dirty children a task still waits on (readiness counters).
-    pending: Vec<AtomicU32>,
-    /// Consolidate the task's own output (sink-facing or feeding δ)?
-    consolidate: Vec<bool>,
-    /// Reusable ready-queue storage.
-    ready: Vec<u32>,
+/// One dirty node's work in its level, prepared serially before the
+/// level runs ([`DataflowNetwork::prepare`]).
+#[derive(Clone, Debug, Default)]
+struct Step {
+    slot: u32,
+    /// `out` holds the output of the node's exclusive σ/π child, to be
+    /// transformed in place instead of copied.
+    stolen: bool,
+    /// Events were routed to the node this pass.
+    routed: bool,
+    /// Consolidate the output: it faces a sink, or it feeds a δ, whose
+    /// counting takes each distinct tuple once (γ's accumulators are
+    /// additive in the multiplicity and read the raw delta).
+    consolidate: bool,
+    /// The node's output delta: a pooled buffer, or the stolen one.
+    out: Delta,
 }
 
-impl Clone for ParState {
-    fn clone(&self) -> ParState {
-        ParState::default()
+impl Step {
+    /// The per-node step, the same at every width: transform a stolen
+    /// buffer in place, or run the operator on its children's outputs;
+    /// then consolidate the output if it is read consolidated.
+    fn run(&mut self, kind: &mut NodeKind, pass: &Pass<'_>) {
+        // Work on a local: a level's steps sit side by side, and a worker
+        // appending through `self.out` would share cache lines with its
+        // neighbours' steps.
+        let mut out = std::mem::take(&mut self.out);
+        if self.stolen {
+            out = match kind {
+                NodeKind::Filter { predicate, .. } => filter_delta(predicate, out),
+                NodeKind::Project { items, .. } => project_delta(items, out),
+                _ => unreachable!("only σ/π steal their input"),
+            };
+        } else {
+            let events = if self.routed { pass.events } else { &[] };
+            let child = |id: NodeId| pass.output(id);
+            kind.run(child, pass.arrangements, pass.g, events, &mut out);
+        }
+        if self.consolidate {
+            out.consolidate_in_place();
+        }
+        self.out = out;
     }
 }
 
-/// Shared context of one parallel pass. Workers get disjoint `&mut`
-/// access to arena slots and output buffers through the raw pointers;
-/// see the safety argument on [`DataflowNetwork::run_parallel_pass`].
-struct ParShared<'a> {
-    nodes: *mut Option<Node>,
-    outputs: *mut Delta,
-    /// Every node's arrangements, read-only for the whole pass.
-    arrangements: &'a [Vec<Arrangement>],
-    queued: &'a [u64],
-    event_gen: &'a [u64],
-    slots: &'a [u32],
-    parents_flat: &'a [u32],
-    parents_ix: &'a [u32],
-    pending: &'a [AtomicU32],
-    consolidate: &'a [bool],
+/// What the nodes of a level read, shared by every worker: the outputs
+/// of the levels before it, every arrangement as of the start of the
+/// pass, the graph and the transaction's events.
+struct Pass<'a> {
     generation: u64,
+    outputs: &'a [Delta],
+    out_gen: &'a [u64],
+    arrangements: &'a [Vec<Arrangement>],
     g: &'a PropertyGraph,
     events: &'a [ChangeEvent],
-    /// Tasks whose pending count reached zero, awaiting a worker.
-    queue: Mutex<Vec<u32>>,
-    work_cv: Condvar,
-    /// Tasks not yet completed (pass-termination condition).
-    remaining: AtomicUsize,
-    /// Terminal abort: a task panicked, the ready queue was drained, and
-    /// `remaining` will never drain to zero — workers exit on this flag
-    /// instead. Set under the queue mutex so parked workers cannot miss
-    /// the wake-up.
-    aborted: AtomicBool,
-    /// First panic payload raised by any worker's task.
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+    empty: &'a Delta,
 }
 
-// Safety: the raw pointers are only ever dereferenced at indices a
-// worker owns (its current task's slot) or at indices whose owning task
-// has completed (ordered by the AcqRel pending counters and the queue
-// mutex); everything else is shared immutable borrows of `Sync` data.
-unsafe impl Sync for ParShared<'_> {}
-
-/// Everything a worker touches through `ParShared` must itself be safe
-/// to share across threads (compile-time check).
-const _: () = {
-    const fn assert_sync<T: Sync>() {}
-    assert_sync::<PropertyGraph>();
-    assert_sync::<ChangeEvent>();
-    assert_sync::<Delta>();
-    assert_sync::<Arrangement>();
-};
-
-impl ParShared<'_> {
-    /// One worker's slice of the pass: pop ready tasks until none
-    /// remain, running each exactly once.
-    fn work_loop(&self) {
-        loop {
-            let task = {
-                let mut q = self.queue.lock();
-                loop {
-                    // Checked before popping so no queued task runs
-                    // after an abort (the abort path also drains the
-                    // queue, but an in-flight completion may repopulate
-                    // it afterwards).
-                    if self.aborted.load(Ordering::Acquire) {
-                        break None;
-                    }
-                    if let Some(t) = q.pop() {
-                        break Some(t);
-                    }
-                    if self.remaining.load(Ordering::Acquire) == 0 {
-                        break None;
-                    }
-                    self.work_cv.wait(&mut q);
-                }
-            };
-            let Some(t) = task else { return };
-            // Safety: `t` was popped from the ready queue, so this
-            // worker owns it exclusively and all of its inputs flushed.
-            match catch_unwind(AssertUnwindSafe(|| unsafe { self.run_task(t) })) {
-                Ok(()) => self.complete(t),
-                Err(payload) => {
-                    {
-                        let mut first = self.panic.lock();
-                        if first.is_none() {
-                            *first = Some(payload);
-                        }
-                    }
-                    // Abort the pass terminally: raise the flag and
-                    // drain queued tasks under the lock, then wake every
-                    // parked worker. `remaining` is left untouched — a
-                    // racing in-flight completion decrements it without
-                    // being able to resurrect the pass.
-                    {
-                        let mut q = self.queue.lock();
-                        self.aborted.store(true, Ordering::Release);
-                        q.clear();
-                    }
-                    self.work_cv.notify_all();
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Mark `t` complete: decrement each parent's readiness counter,
-    /// queue parents that reach zero, and wake parked workers. Every
-    /// wake-relevant state change happens while (or after) holding the
-    /// queue mutex, so a worker between its empty-queue check and
-    /// parking cannot miss its notification.
-    fn complete(&self, t: u32) {
-        let lo = self.parents_ix[t as usize] as usize;
-        let hi = self.parents_ix[t as usize + 1] as usize;
-        if lo != hi {
-            let mut woke = 0usize;
-            {
-                let mut q = self.queue.lock();
-                for &p in &self.parents_flat[lo..hi] {
-                    // AcqRel: each child's releasing decrement
-                    // happens-before the final acquiring one, so the
-                    // parent's worker observes every child's output.
-                    if self.pending[p as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                        q.push(p);
-                        woke += 1;
-                    }
-                }
-            }
-            if woke == 1 {
-                self.work_cv.notify_one();
-            } else if woke > 1 {
-                self.work_cv.notify_all();
-            }
-        }
-        // Saturating decrement: `remaining` stops at zero instead of
-        // wrapping, so no completion ordering can make the termination
-        // check at the top of the work loop spuriously fail forever.
-        let drained = self
-            .remaining
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1));
-        if drained == Ok(1) {
-            drop(self.queue.lock());
-            self.work_cv.notify_all();
-        }
-    }
-
-    /// Run one node: [`NodeKind::run`], as the borrow-by-reference
-    /// branch of [`DataflowNetwork::run_node`] does. The parallel pass
-    /// never steals buffers or consolidates a child in place — a child
-    /// feeding Distinct consolidates its *own* output at production
-    /// (the `consolidate` flag), which yields the same delta contents.
-    ///
-    /// # Safety
-    ///
-    /// `t` must be a ready task owned exclusively by the caller; see the
-    /// safety argument on [`DataflowNetwork::run_parallel_pass`].
-    unsafe fn run_task(&self, t: u32) {
-        let slot = self.slots[t as usize] as usize;
-        // Safety: exclusive access to this task's slot and buffer.
-        let node = unsafe { (*self.nodes.add(slot)).as_mut().expect("live node") };
-        let out = unsafe { &mut *self.outputs.add(slot) };
-        let empty = Delta::new();
-        let child = |id: NodeId| -> &Delta {
-            if self.queued[id.ix()] == self.generation {
-                // Safety: `id` is a task of this pass and an input of
-                // `t`, so its owning worker has flushed and released it.
-                unsafe { &*self.outputs.add(id.ix()) }
-            } else {
-                &empty
-            }
-        };
-        let ev: &[ChangeEvent] = if self.event_gen[slot] == self.generation {
-            self.events
+impl Pass<'_> {
+    /// `id`'s output delta this pass (empty when it did not run).
+    fn output(&self, id: NodeId) -> &Delta {
+        if self.out_gen[id.ix()] == self.generation {
+            &self.outputs[id.ix()]
         } else {
-            &[]
-        };
-        node.kind.run(child, self.arrangements, self.g, ev, out);
-        if self.consolidate[t as usize] {
-            out.consolidate_in_place();
+            self.empty
+        }
+    }
+}
+
+/// Run one level's `steps`, which name their slots of `nodes` in
+/// ascending order: inline at width 1 or when the level has fewer than
+/// two nodes, otherwise as one broadcast across `workers`, which claim
+/// nodes through atomic cursors. A panicking node fails the broadcast,
+/// which re-raises the payload once every worker has returned.
+fn run_level(
+    nodes: &mut [Option<Node>],
+    steps: &mut [Step],
+    pass: &Pass<'_>,
+    workers: Option<&WorkerPool>,
+) {
+    let pooled = workers.filter(|w| w.threads() > 1 && steps.len() > 1);
+    // Split the level's nodes off the arena in slot order: disjoint
+    // `&mut`s, and none of them a child of another (children are
+    // strictly shallower, and read only through `pass`).
+    let mut rest = nodes;
+    let mut base = 0;
+    let level = steps.iter_mut().map(move |step| {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(step.slot as usize + 1 - base);
+        rest = tail;
+        base = step.slot as usize + 1;
+        let node = head.last_mut().and_then(Option::as_mut).expect("live node");
+        (&mut node.kind, step)
+    });
+    match pooled {
+        None => level.for_each(|(kind, step)| step.run(kind, pass)),
+        Some(workers) => {
+            // Worker `c` starts on the `c`-th contiguous share of the
+            // level, then helps with the others' remainders. A node's
+            // position in its level is stable across levels and
+            // transactions, so a branch of the DAG mostly stays on one
+            // worker, with its allocations and cache lines. A cursor
+            // only hands out indices (`Relaxed`): each cell's lock and
+            // the broadcast's own synchronisation publish the data.
+            let cells: Vec<Mutex<_>> = level.map(Mutex::new).collect();
+            let (w, n) = (workers.threads(), cells.len());
+            let cursors: Vec<AtomicUsize> = (0..w).map(|c| AtomicUsize::new(c * n / w)).collect();
+            workers.broadcast(|ix| {
+                for c in (ix..w).chain(0..ix) {
+                    let share = &cells[..(c + 1) * n / w];
+                    while let Some(cell) = share.get(cursors[c].fetch_add(1, Ordering::Relaxed)) {
+                        let (kind, step) = &mut *cell.lock();
+                        step.run(kind, pass);
+                    }
+                }
+            });
         }
     }
 }
@@ -853,7 +767,7 @@ impl RoutingIndex {
 
 /// Aggregate description of one live node — the observable the
 /// node-sharing and event-routing tests assert against.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NodeSummary {
     /// Arena handle.
     pub id: NodeId,
@@ -1165,8 +1079,6 @@ pub struct DataflowNetwork {
     generation: u64,
     sched: Scheduler,
     pool: DeltaPool,
-    /// Reusable buffers of the parallel pass.
-    par: ParState,
     changed: Vec<SinkId>,
     /// Monotone per-event stamp backing `deliver_stamp`.
     event_serial: u64,
@@ -1869,20 +1781,19 @@ impl DataflowNetwork {
         self.on_transaction_with(g, events, None);
     }
 
-    /// [`DataflowNetwork::on_transaction`], optionally fanning the pass
-    /// across a [`WorkerPool`].
+    /// [`DataflowNetwork::on_transaction`], optionally fanning each level
+    /// of the pass across a [`WorkerPool`].
     ///
-    /// With `None` (or a one-thread pool) this is exactly the serial
-    /// pass. Otherwise the dirty subgraph becomes a task graph — one
-    /// task per node, readiness counted per dependency edge — and
-    /// workers run every task exactly once as soon as all of its inputs
-    /// have flushed. **Determinism contract:** for any thread count,
-    /// every sink's consolidated results are identical to the serial
-    /// pass (each node still runs once per transaction, on inputs that
-    /// do not depend on the schedule); only the order of tuples inside
-    /// intermediate deltas may differ. Narrow frontiers (fewer than two
-    /// seeded scans) always take the serial path — the threshold depends
-    /// only on event routing, never on the thread count.
+    /// The pass is the same at every width: one level at a time (every
+    /// dirty node at the current minimum depth), a node runs only if an
+    /// input changed, and it runs the same step on the same inputs. The
+    /// width decides only how a level runs: inline with `None`, a
+    /// one-thread pool, or fewer than two nodes in the level; otherwise
+    /// across the pool. **Determinism contract:** every node's output
+    /// delta — hence every view's delta, tuple order included, its
+    /// results, [`changed_sinks`](Self::changed_sinks) and
+    /// [`node_summaries`](Self::node_summaries) — is identical at any
+    /// thread count.
     pub fn on_transaction_with(
         &mut self,
         g: &PropertyGraph,
@@ -1900,12 +1811,7 @@ impl DataflowNetwork {
             self.pool.put(d);
         }
         self.route_events(g, events);
-        match workers {
-            Some(w) if w.threads() > 1 && self.sched.heap.len() >= 2 => {
-                self.run_parallel_pass(g, events, w);
-            }
-            _ => self.run_serial_pass(g, events),
-        }
+        self.propagate(g, events, workers);
         self.update_arrangements();
         self.fold_sinks();
     }
@@ -1923,15 +1829,6 @@ impl DataflowNetwork {
                     }
                 }
             }
-        }
-    }
-
-    /// The classic single-threaded pass: dirty nodes in ascending depth
-    /// order, with the buffer-stealing and lazy-consolidation tricks of
-    /// [`DataflowNetwork::run_node`].
-    fn run_serial_pass(&mut self, g: &PropertyGraph, events: &[ChangeEvent]) {
-        while let Some(Reverse((_, slot))) = self.sched.heap.pop() {
-            self.run_node(slot, g, events);
         }
     }
 
@@ -1971,253 +1868,89 @@ impl DataflowNetwork {
         self.changed.sort_unstable();
     }
 
-    /// The parallel topological pass behind
-    /// [`DataflowNetwork::on_transaction_with`].
-    ///
-    /// Four serial phases bracket the concurrent one:
-    ///
-    /// 1. **Dirty closure.** The routed seeds plus every transitive
-    ///    consumer become the task list (`sched.queued` doubles as the
-    ///    membership mark). Nodes pulled in beyond what the serial pass
-    ///    would run see empty inputs and are no-ops, so the closure is
-    ///    semantically free — it is what lets readiness be counted up
-    ///    front instead of discovered per produced delta.
-    /// 2. **Task metadata.** Per task: the parent tasks (one entry per
-    ///    dependency edge, so a self-join counts twice), an atomic
-    ///    pending counter seeded with the task's dirty in-degree, and a
-    ///    consolidation flag (sink-facing, or feeding Distinct — the
-    ///    parallel analogue of the serial pass's in-place child
-    ///    consolidation).
-    /// 3. **Buffer pre-assignment.** Every task's pooled output buffer,
-    ///    `out_gen` stamp and `produced` entry are written here, because
-    ///    workers cannot touch the pool or the scheduler.
-    /// 4. After the broadcast: consolidation stamps, and panic
-    ///    propagation (a poisoned pass leaves stamps that the next
-    ///    generation ignores wholesale).
-    ///
-    /// # Safety argument
-    ///
-    /// Workers dereference two raw pointers ([`ParShared::nodes`] and
-    /// [`ParShared::outputs`]) — exclusively at their own task's slot,
-    /// and shared at child slots whose owning tasks have completed. The
-    /// readiness counters (`AcqRel`) plus the ready-queue mutex order
-    /// every child's writes before its parent's reads, and a DAG node is
-    /// never its own child, so no `&mut` coexists with an aliasing `&`.
-    fn run_parallel_pass(
+    /// The propagation pass, one level at a time: pop every dirty node at
+    /// the current minimum depth, prepare their steps, run the level
+    /// ([`run_level`], where the width enters), then publish serially in
+    /// slot order — stamp each output, record it for the arrangement
+    /// update and the sink fold, and queue the consumers of every
+    /// non-empty one.
+    fn propagate(
         &mut self,
         g: &PropertyGraph,
         events: &[ChangeEvent],
-        workers: &WorkerPool,
+        workers: Option<&WorkerPool>,
     ) {
         let generation = self.generation;
-        let mut par = std::mem::take(&mut self.par);
-        par.slots.clear();
-        while let Some(Reverse((_, slot))) = self.sched.heap.pop() {
-            par.slots.push(slot);
-        }
-        let mut i = 0;
-        while i < par.slots.len() {
-            let slot = par.slots[i] as usize;
-            i += 1;
-            let node = self.nodes[slot].as_ref().expect("live node");
-            for &p in &node.parents {
-                if self.sched.queued[p.ix()] != generation {
-                    self.sched.queued[p.ix()] = generation;
-                    par.slots.push(p.0);
+        let mut level = std::mem::take(&mut self.sched.level);
+        while let Some(&Reverse((depth, _))) = self.sched.heap.peek() {
+            while let Some(&Reverse((d, slot))) = self.sched.heap.peek() {
+                if d != depth {
+                    break;
                 }
+                self.sched.heap.pop();
+                level.push(self.prepare(slot));
             }
-        }
-        let tasks = par.slots.len();
-        if par.task_of.len() < self.nodes.len() {
-            par.task_of.resize(self.nodes.len(), 0);
-        }
-        for (t, &slot) in par.slots.iter().enumerate() {
-            par.task_of[slot as usize] = t as u32;
-        }
-        par.parents_flat.clear();
-        par.parents_ix.clear();
-        par.pending.clear();
-        par.pending.resize_with(tasks, || AtomicU32::new(0));
-        par.consolidate.clear();
-        for t in 0..tasks {
-            let slot = par.slots[t] as usize;
-            par.parents_ix.push(par.parents_flat.len() as u32);
-            let node = self.nodes[slot].as_ref().expect("live node");
-            let mut consolidate = !node.sinks.is_empty();
-            for &p in &node.parents {
-                debug_assert_eq!(
-                    self.sched.queued[p.ix()],
-                    generation,
-                    "closure covers parents"
-                );
-                let pt = par.task_of[p.ix()];
-                par.parents_flat.push(pt);
-                *par.pending[pt as usize].get_mut() += 1;
-                if !consolidate {
-                    consolidate = matches!(
-                        self.nodes[p.ix()].as_ref().expect("live node").kind,
-                        NodeKind::Distinct { .. }
-                    );
-                }
-            }
-            par.consolidate.push(consolidate);
-        }
-        par.parents_ix.push(par.parents_flat.len() as u32);
-        for t in 0..tasks {
-            let slot = par.slots[t] as usize;
-            self.sched.outputs[slot] = self.pool.get();
-            self.sched.out_gen[slot] = generation;
-            self.sched.produced.push(slot as u32);
-        }
-        let mut ready = std::mem::take(&mut par.ready);
-        ready.clear();
-        for (t, pending) in par.pending.iter_mut().enumerate() {
-            if *pending.get_mut() == 0 {
-                ready.push(t as u32);
-            }
-        }
-        let (reclaimed, panic) = {
-            let shared = ParShared {
-                nodes: self.nodes.as_mut_ptr(),
-                outputs: self.sched.outputs.as_mut_ptr(),
-                arrangements: &self.arrangements,
-                queued: &self.sched.queued,
-                event_gen: &self.sched.event_gen,
-                slots: &par.slots,
-                parents_flat: &par.parents_flat,
-                parents_ix: &par.parents_ix,
-                pending: &par.pending,
-                consolidate: &par.consolidate,
+            let pass = Pass {
                 generation,
+                outputs: &self.sched.outputs,
+                out_gen: &self.sched.out_gen,
+                arrangements: &self.arrangements,
                 g,
                 events,
-                queue: Mutex::new(ready),
-                work_cv: Condvar::new(),
-                remaining: AtomicUsize::new(tasks),
-                aborted: AtomicBool::new(false),
-                panic: Mutex::new(None),
+                empty: &self.empty,
             };
-            workers.broadcast(|_| shared.work_loop());
-            (shared.queue.into_inner(), shared.panic.into_inner())
-        };
-        par.ready = reclaimed;
-        for t in 0..tasks {
-            if par.consolidate[t] {
-                self.sched.consolidated_gen[par.slots[t] as usize] = generation;
+            run_level(&mut self.nodes, &mut level, &pass, workers);
+            for step in level.drain(..) {
+                let slot = step.slot as usize;
+                let produced = !step.out.is_empty();
+                self.sched.outputs[slot] = step.out;
+                self.sched.out_gen[slot] = generation;
+                self.sched.produced.push(step.slot);
+                if produced {
+                    for &p in &self.nodes[slot].as_ref().expect("live node").parents {
+                        self.sched.mark(generation, p.0);
+                    }
+                }
             }
         }
-        self.par = par;
-        if let Some(payload) = panic {
-            resume_unwind(payload);
-        }
+        self.sched.level = level;
     }
 
-    /// Process one dirty node: pull the children's pooled deltas, run
-    /// the operator, and wake consumers if anything came out.
-    ///
-    /// Allocation/copy discipline (what keeps the single-view hot path
-    /// at parity with the old private-tree recursion):
-    ///
-    /// * Intermediate deltas are **not** consolidated; only a node read
-    ///   by sinks consolidates its output (exactly the old once-per-view
-    ///   `consolidate()`), and Distinct's input is consolidated in
-    ///   place at the child (its counting logic processes each distinct
-    ///   tuple once).
-    /// * A Filter/Project whose child feeds no other consumer **steals**
-    ///   the child's output buffer and transforms it in place (the old
-    ///   tree's move-through semantics); shared children are read by
-    ///   borrow and copied only then.
-    fn run_node(&mut self, slot: u32, g: &PropertyGraph, events: &[ChangeEvent]) {
+    /// Prepare dirty node `slot`'s step. A σ/π whose child feeds nothing
+    /// else takes the child's output buffer to transform in place (the
+    /// move-through that keeps a single view's chain copy-free); any
+    /// other node draws a pooled buffer and reads its children by
+    /// borrow. Intermediate deltas flow raw: only an output that faces a
+    /// sink or feeds a δ is consolidated.
+    fn prepare(&mut self, slot: u32) -> Step {
         let generation = self.generation;
-        // One preparatory pass over the node: what special handling does
-        // its input need, and does its output face a sink?
-        enum Prep {
-            None,
-            /// δ's counting consumes each distinct tuple once:
-            /// consolidate the child's buffer in place first
-            /// (semantically neutral for any other consumer — same
-            /// multiset). γ's accumulators are additive in the
-            /// multiplicity and read the raw delta.
-            ConsolidateChild(NodeId),
-            /// Filter/Project over an exclusive child can transform the
-            /// child's buffer in place.
-            TrySteal(NodeId),
-        }
-        let (prep, has_sinks) = {
-            let node = self.nodes[slot as usize].as_ref().expect("live node");
-            let prep = match &node.kind {
-                NodeKind::Distinct { input, .. } => Prep::ConsolidateChild(*input),
-                NodeKind::Filter { input, .. } | NodeKind::Project { input, .. } => {
-                    Prep::TrySteal(*input)
-                }
-                _ => Prep::None,
-            };
-            (prep, !node.sinks.is_empty())
+        let node = self.node(NodeId(slot));
+        let consolidate = !node.sinks.is_empty()
+            || node
+                .parents
+                .iter()
+                .any(|&p| matches!(self.node(p).kind, NodeKind::Distinct { .. }));
+        let steal = match &node.kind {
+            NodeKind::Filter { input, .. } | NodeKind::Project { input, .. } => {
+                let child = self.node(*input);
+                let exclusive = child.parents.len() + child.sinks.len() == 1;
+                (exclusive && self.sched.out_gen[input.ix()] == generation).then_some(input.ix())
+            }
+            _ => None,
         };
-        let mut steal = None;
-        match prep {
-            Prep::None => {}
-            Prep::ConsolidateChild(c) => {
-                if self.sched.out_gen[c.ix()] == generation
-                    && self.sched.consolidated_gen[c.ix()] != generation
-                {
-                    self.sched.outputs[c.ix()].consolidate_in_place();
-                    self.sched.consolidated_gen[c.ix()] = generation;
-                }
+        let out = match steal {
+            Some(c) => {
+                self.sched.out_gen[c] = 0;
+                std::mem::take(&mut self.sched.outputs[c])
             }
-            Prep::TrySteal(c) => {
-                let node = self.node(c);
-                if node.parents.len() + node.sinks.len() == 1
-                    && self.sched.out_gen[c.ix()] == generation
-                {
-                    steal = Some(c);
-                }
-            }
-        }
-        let mut out;
-        if let Some(c) = steal {
-            let input = std::mem::take(&mut self.sched.outputs[c.ix()]);
-            self.sched.out_gen[c.ix()] = 0;
-            out = match &mut self.nodes[slot as usize].as_mut().expect("live node").kind {
-                NodeKind::Filter { predicate, .. } => crate::basic::filter_delta(predicate, input),
-                NodeKind::Project { items, .. } => crate::basic::project_delta(items, input),
-                _ => unreachable!("steal implies Filter/Project"),
-            };
-        } else {
-            out = self.pool.get();
-            let empty = Delta::new();
-            let sched = &self.sched;
-            let ev: &[ChangeEvent] = if sched.event_gen[slot as usize] == generation {
-                events
-            } else {
-                &[]
-            };
-            let child = |id: NodeId| -> &Delta {
-                if sched.out_gen[id.ix()] == generation {
-                    &sched.outputs[id.ix()]
-                } else {
-                    &empty
-                }
-            };
-            let kind = &mut self.nodes[slot as usize].as_mut().expect("live node").kind;
-            kind.run(child, &self.arrangements, g, ev, &mut out);
-        }
-        // Only sink-facing outputs need consolidation (the old
-        // once-per-view `consolidate()`); intermediate deltas flow raw.
-        if has_sinks {
-            out.consolidate_in_place();
-            self.sched.consolidated_gen[slot as usize] = generation;
-        }
-        let produced = !out.is_empty();
-        self.sched.outputs[slot as usize] = out;
-        self.sched.out_gen[slot as usize] = generation;
-        self.sched.produced.push(slot);
-        if produced {
-            let nodes = &self.nodes;
-            let sched = &mut self.sched;
-            for &p in &nodes[slot as usize].as_ref().expect("live node").parents {
-                sched.mark(generation, p.0);
-            }
+            None => self.pool.get(),
+        };
+        Step {
+            slot,
+            stolen: steal.is_some(),
+            routed: self.sched.event_gen[slot as usize] == generation,
+            consolidate,
+            out,
         }
     }
 
@@ -2767,73 +2500,112 @@ impl<'a> ViewRef<'a> {
 }
 
 #[cfg(test)]
-mod par_tests {
+mod level_tests {
     use super::*;
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    use std::time::Duration;
 
-    /// Regression test for the parallel-pass abort path: a panicking
-    /// task must tear the pass down terminally. An earlier version
-    /// stomped `remaining` to zero on abort, so any in-flight
-    /// completion's `fetch_sub` wrapped the counter to `usize::MAX` and
-    /// the surviving workers parked on the condvar forever (the
-    /// broadcast never returned). With the `aborted` flag this test
-    /// terminates, captures the payload, and runs no queued task after
-    /// the abort.
-    #[test]
-    fn panicking_task_aborts_pass_without_deadlock() {
-        const TASKS: usize = 64;
-        let unit = || Node {
-            kind: NodeKind::Unit { emitted: false },
+    const NODES: usize = 64;
+    const BAD: usize = 17;
+
+    fn node(kind: NodeKind) -> Option<Node> {
+        Some(Node {
+            kind,
             plan: Fra::Unit,
             fingerprint: 0,
             parents: Vec::new(),
             sinks: Vec::new(),
             delivered_events: 0,
-        };
-        // Slot 0 is empty, so its task panics on the "live node"
-        // expect; every other task is an independent no-op, so plenty
-        // of completions race the abort.
-        let mut nodes: Vec<Option<Node>> = (0..TASKS)
-            .map(|i| if i == 0 { None } else { Some(unit()) })
-            .collect();
-        let mut outputs: Vec<Delta> = (0..TASKS).map(|_| Delta::new()).collect();
-        let queued = vec![0u64; TASKS];
-        let event_gen = vec![0u64; TASKS];
-        let slots: Vec<u32> = (0..TASKS as u32).collect();
-        let parents_ix = vec![0u32; TASKS + 1];
-        let pending: Vec<AtomicU32> = (0..TASKS).map(|_| AtomicU32::new(0)).collect();
-        let consolidate = vec![false; TASKS];
-        let g = PropertyGraph::new();
-        for _ in 0..16 {
-            let shared = ParShared {
-                nodes: nodes.as_mut_ptr(),
-                outputs: outputs.as_mut_ptr(),
-                arrangements: &[],
-                queued: &queued,
-                event_gen: &event_gen,
-                slots: &slots,
-                parents_flat: &[],
-                parents_ix: &parents_ix,
-                pending: &pending,
-                consolidate: &consolidate,
+        })
+    }
+
+    /// σ[true] over the child in slot `NODES`, outside the level.
+    fn filter() -> NodeKind {
+        NodeKind::Filter {
+            input: NodeId(NODES as u32),
+            predicate: ScalarExpr::Lit(Value::Bool(true)),
+        }
+    }
+
+    fn steps(stolen_at: usize) -> Vec<Step> {
+        (0..NODES)
+            .map(|i| Step {
+                slot: i as u32,
+                stolen: i == stolen_at,
+                ..Step::default()
+            })
+            .collect()
+    }
+
+    /// A level of 64 nodes at width 4 in which one node panics (a
+    /// non-σ/π handed a stolen buffer): the original payload reaches the
+    /// caller, every other node of the level still runs, nothing hangs,
+    /// and the same pool runs the next level.
+    #[test]
+    fn panicking_node_fails_its_level_and_the_pool_runs_the_next() {
+        let (done, finished) = channel();
+        let run = std::thread::spawn(move || {
+            let mut nodes: Vec<Option<Node>> = (0..NODES)
+                .map(|i| match i {
+                    BAD => node(NodeKind::Unit { emitted: false }),
+                    _ => node(filter()),
+                })
+                .collect();
+            let mut outputs = vec![Delta::new(); NODES];
+            outputs.push(
+                [(Tuple::from_slice(&[Value::Int(1)]), 1)]
+                    .into_iter()
+                    .collect(),
+            );
+            let mut out_gen = vec![0; NODES];
+            out_gen.push(1);
+            let (g, empty) = (PropertyGraph::new(), Delta::new());
+            let pass = Pass {
                 generation: 1,
+                outputs: &outputs,
+                out_gen: &out_gen,
+                arrangements: &[],
                 g: &g,
                 events: &[],
-                queue: Mutex::new((0..TASKS as u32).rev().collect()),
-                work_cv: Condvar::new(),
-                remaining: AtomicUsize::new(TASKS),
-                aborted: AtomicBool::new(false),
-                panic: Mutex::new(None),
+                empty: &empty,
             };
             let workers = WorkerPool::new(4);
-            workers.broadcast(|_| shared.work_loop());
-            assert!(shared.aborted.load(Ordering::Acquire));
-            let payload = shared.panic.into_inner().expect("panic captured");
+
+            let mut level = steps(BAD);
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                run_level(&mut nodes, &mut level, &pass, Some(&workers))
+            }))
+            .expect_err("the panicking node fails its level");
             let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
                 .unwrap_or("");
-            assert!(msg.contains("live node"), "unexpected payload: {msg:?}");
+            assert!(
+                msg.contains("only σ/π steal"),
+                "unexpected payload: {msg:?}"
+            );
+            for (i, step) in level.iter().enumerate().filter(|&(i, _)| i != BAD) {
+                assert_eq!(
+                    step.out.len(),
+                    1,
+                    "node {i} of the failed level did not run"
+                );
+            }
+
+            nodes[BAD] = node(filter());
+            let mut level = steps(usize::MAX);
+            run_level(&mut nodes, &mut level, &pass, Some(&workers));
+            assert!(level.iter().all(|step| step.out.len() == 1));
+            done.send(()).expect("test thread waits");
+        });
+        match finished.recv_timeout(Duration::from_secs(60)) {
+            Ok(()) => run.join().expect("the run finished"),
+            Err(RecvTimeoutError::Timeout) => panic!("the level dispatch hung"),
+            Err(RecvTimeoutError::Disconnected) => {
+                resume_unwind(run.join().expect_err("the run failed"))
+            }
         }
     }
 }

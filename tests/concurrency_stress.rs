@@ -1,23 +1,28 @@
-//! Seeded random-interleaving stress tier for the parallel scheduler
-//! and transaction batching (CI's `concurrency-stress` job).
+//! Seeded random-interleaving stress tier for propagation at every
+//! width and transaction batching (CI's `concurrency-stress` job).
 //!
 //! Each iteration derives a seed, generates a random update script over
 //! a branch forest (lang churn, leaf growth, edge/vertex deletion,
 //! label toggles), and replays it on one engine per propagation width
 //! (1, 2, 4, 8). After every transaction the wider engines must report
-//! view contents identical to the width-1 run; the width-1 run is
-//! checked against from-scratch recomputation periodically and at the
-//! end. The same script then replays through `apply_batch` and must
-//! land in the same state.
+//! exactly what the width-1 run reports, element for element: view
+//! contents, the subscriber callbacks in order (which views, and the
+//! tuple order inside each delta), `changed_sinks()` and
+//! `node_summaries()` — every node runs the same step on the same inputs
+//! at every width. The width-1 run is checked against from-scratch
+//! recomputation periodically and at the end. The same script then
+//! replays through `apply_batch` and must land in the same state.
 //!
 //! `PGQ_STRESS_ITERS` scales the number of seeded scripts (default 4;
 //! the CI job raises it). Every assertion message carries the seed, so
 //! a CI failure is reproducible locally by pinning `PGQ_STRESS_SEED`.
 
+use std::sync::{Arc, Mutex};
+
 use pgq_algebra::pipeline::compile_query;
 use pgq_common::intern::Symbol;
 use pgq_common::value::Value;
-use pgq_core::GraphEngine;
+use pgq_core::{GraphEngine, ViewDelta};
 use pgq_graph::props::Properties;
 use pgq_graph::store::PropertyGraph;
 use pgq_graph::tx::Transaction;
@@ -82,7 +87,7 @@ fn random_tx(rng: &mut XorShift, g: &PropertyGraph, forest: &BranchForest) -> Tr
             tx.set_vertex_prop(v, lang, Value::str(LANGS[rng.below(LANGS.len())]));
         }
         // Flip every still-live branch root in one transaction (the
-        // widest frontier the parallel pass sees).
+        // widest levels a pooled pass sees).
         2 => {
             let l = LANGS[rng.below(LANGS.len())];
             for b in &forest.branches {
@@ -124,6 +129,35 @@ fn random_tx(rng: &mut XorShift, g: &PropertyGraph, forest: &BranchForest) -> Tr
     tx
 }
 
+/// Log every view's subscriber callbacks, in delivery order.
+fn subscribe_all(e: &mut GraphEngine) -> Arc<Mutex<Vec<ViewDelta>>> {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let ids: Vec<_> = e.views().map(|(id, _)| id).collect();
+    for id in ids {
+        let log = Arc::clone(&log);
+        e.subscribe(id, move |d| log.lock().unwrap().push(d.clone()))
+            .unwrap();
+    }
+    log
+}
+
+/// What the last transaction showed the outside, drained from `log`:
+/// the callbacks, the changed sinks and every node's summary.
+fn observe(
+    e: &GraphEngine,
+    log: &Mutex<Vec<ViewDelta>>,
+) -> (
+    Vec<ViewDelta>,
+    Vec<pgq_ivm::SinkId>,
+    Vec<pgq_ivm::NodeSummary>,
+) {
+    (
+        std::mem::take(&mut *log.lock().unwrap()),
+        e.network().changed_sinks().to_vec(),
+        e.network().node_summaries(),
+    )
+}
+
 fn view_rows(e: &GraphEngine, name: &str) -> Vec<(pgq_common::tuple::Tuple, i64)> {
     let id = e.view_by_name(name).expect("view registered");
     e.view(id).expect("view alive").results()
@@ -154,6 +188,7 @@ fn seeded_interleavings_deterministic_across_widths() {
                 e
             })
             .collect();
+        let logs: Vec<_> = engines.iter_mut().map(subscribe_all).collect();
         let mut shadow = forest.graph.clone();
         let mut txs = Vec::with_capacity(TXS_PER_SCRIPT);
         for t in 0..TXS_PER_SCRIPT {
@@ -165,6 +200,15 @@ fn seeded_interleavings_deterministic_across_widths() {
                 engine
                     .apply(&tx)
                     .unwrap_or_else(|e| panic!("seed={seed:#x} tx {t}: apply failed: {e:?}"));
+            }
+            let serial = observe(&engines[0], &logs[0]);
+            for ((engine, log), &w) in engines.iter().zip(&logs).zip(WIDTHS).skip(1) {
+                assert_eq!(
+                    observe(engine, log),
+                    serial,
+                    "seed={seed:#x} tx {t}: width {w} showed different callbacks, changed \
+                     sinks or node summaries than serial"
+                );
             }
             for (i, plan) in compiled.iter().enumerate() {
                 let name = format!("b{i}");
@@ -189,7 +233,7 @@ fn seeded_interleavings_deterministic_across_widths() {
             txs.push(tx);
         }
         // The same script through `apply_batch` (on a width-4 engine, so
-        // coalesced passes run through the parallel scheduler too) must
+        // coalesced passes fan their levels across the pool too) must
         // land in exactly the serial end state.
         let mut batched = template.clone();
         batched.set_threads(4);

@@ -3,16 +3,19 @@
 //! plan. This is the central correctness property of the whole system —
 //! the IVM engine and the baseline evaluator act as mutual oracles.
 
+use std::sync::{Arc, Mutex};
+
 use pgq_algebra::pipeline::{compile_query, CompileOptions};
 use pgq_algebra::plan::WcojMode;
 use pgq_common::fxhash::FxHashMap;
 use pgq_common::intern::Symbol;
 use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
+use pgq_core::ViewDelta;
 use pgq_graph::props::Properties;
 use pgq_graph::store::PropertyGraph;
 use pgq_graph::tx::Transaction;
-use pgq_ivm::{MaterializedView, RegisterOptions};
+use pgq_ivm::{MaterializedView, NodeSummary, RegisterOptions, SinkId};
 use pgq_parser::parse_query;
 use proptest::prelude::*;
 
@@ -89,6 +92,31 @@ const RENAMED_QUERIES: &[&str] = &[
     "MATCH (q:Post) WHERE exists((q)-[:REPLY]->(:Comm {lang: 'en'})) RETURN q",
     "MATCH (q:Post)-[:REPLY]->(d) RETURN q, d.lang",
 ];
+
+/// Log every view's subscriber callbacks, in delivery order.
+fn subscribe_all(e: &mut pgq_core::GraphEngine) -> Arc<Mutex<Vec<ViewDelta>>> {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let ids: Vec<_> = e.views().map(|(id, _)| id).collect();
+    for id in ids {
+        let log = Arc::clone(&log);
+        e.subscribe(id, move |d| log.lock().unwrap().push(d.clone()))
+            .unwrap();
+    }
+    log
+}
+
+/// What the last transaction showed the outside, drained from `log`:
+/// the callbacks, the changed sinks and every node's summary.
+fn observe(
+    e: &pgq_core::GraphEngine,
+    log: &Mutex<Vec<ViewDelta>>,
+) -> (Vec<ViewDelta>, Vec<SinkId>, Vec<NodeSummary>) {
+    (
+        std::mem::take(&mut *log.lock().unwrap()),
+        e.network().changed_sinks().to_vec(),
+        e.network().node_summaries(),
+    )
+}
 
 /// One random update step, chosen against the current shadow graph.
 #[derive(Clone, Debug)]
@@ -260,12 +288,14 @@ proptest! {
         }
     }
 
-    /// The concurrent oracle: every oracle query on ONE engine, the
-    /// same random update script replayed at propagation widths 1, 2,
-    /// 4 and 8. The 1-thread engine is checked against from-scratch
-    /// recomputation, and every wider engine must report results
-    /// identical to the 1-thread run after every transaction — the
-    /// determinism contract of the parallel pass.
+    /// The width oracle: every oracle query on ONE engine, the same
+    /// random update script replayed at propagation widths 1, 2, 4 and
+    /// 8. The 1-thread engine is checked against from-scratch
+    /// recomputation, and after every transaction every wider engine
+    /// must show exactly what the 1-thread run shows, element for
+    /// element: view results, the subscriber callbacks in order (sink
+    /// order, tuple order inside each delta), `changed_sinks()` and
+    /// `node_summaries()` — the pass's determinism contract.
     #[test]
     fn parallel_widths_agree_with_serial_and_recompute(
         steps in proptest::collection::vec(step_strategy(), 1..10),
@@ -286,10 +316,21 @@ proptest! {
                 e
             })
             .collect();
+        let logs: Vec<_> = engines.iter_mut().map(subscribe_all).collect();
         for step in &steps {
             let tx = step_transaction(engines[0].graph(), step);
             for e in &mut engines {
                 e.apply(&tx).expect("generated step applies");
+            }
+            let serial = observe(&engines[0], &logs[0]);
+            for ((e, log), &w) in engines.iter().zip(&logs).zip(WIDTHS).skip(1) {
+                prop_assert_eq!(
+                    observe(e, log),
+                    serial.clone(),
+                    "width {} showed different callbacks, changed sinks or node summaries \
+                     than serial after {:?}",
+                    w, step
+                );
             }
             for (i, compiled) in compiled_plans.iter().enumerate() {
                 let name = format!("v{i}");
