@@ -368,7 +368,7 @@ fn type_err(op: &str, v: &Value) -> CommonError {
 }
 
 /// Kleene truth value of `v`: `Some(bool)` or `None` for null/non-boolean.
-fn truth(v: &Value) -> Option<bool> {
+pub(crate) fn truth(v: &Value) -> Option<bool> {
     match v {
         Value::Bool(b) => Some(*b),
         _ => None,
@@ -433,13 +433,19 @@ fn eval_binary(
         _ => {}
     }
 
-    let (lv, rv) = (l.operand(t), r.operand(t));
+    apply_binary(op, &l.operand(t), &r.operand(t))
+}
+
+/// A non-logical binary operator applied to its operands' values (the
+/// Kleene connectives read their operands' truth instead).
+pub(crate) fn apply_binary(op: BinOp, lv: &Value, rv: &Value) -> Result<Value, CommonError> {
+    use BinOp::*;
     Ok(match op {
-        Add => lv.add(&rv)?,
-        Sub => lv.sub(&rv)?,
-        Mul => lv.mul(&rv)?,
-        Div => lv.div(&rv)?,
-        Mod => lv.modulo(&rv)?,
+        Add => lv.add(rv)?,
+        Sub => lv.sub(rv)?,
+        Mul => lv.mul(rv)?,
+        Div => lv.div(rv)?,
+        Mod => lv.modulo(rv)?,
         Pow => match (lv.as_f64(), rv.as_f64()) {
             (Some(a), Some(b)) => Value::float(a.powf(b)),
             _ if lv.is_null() || rv.is_null() => Value::Null,
@@ -450,13 +456,13 @@ fn eval_binary(
                 })
             }
         },
-        Eq => bool3(lv.cypher_eq(&rv)),
-        Neq => not3(lv.cypher_eq(&rv)),
-        Lt => bool3(lv.compare(&rv).map(|o| o == std::cmp::Ordering::Less)),
-        Le => bool3(lv.compare(&rv).map(|o| o != std::cmp::Ordering::Greater)),
-        Gt => bool3(lv.compare(&rv).map(|o| o == std::cmp::Ordering::Greater)),
-        Ge => bool3(lv.compare(&rv).map(|o| o != std::cmp::Ordering::Less)),
-        In => match (&lv, &rv) {
+        Eq => bool3(lv.cypher_eq(rv)),
+        Neq => not3(lv.cypher_eq(rv)),
+        Lt => bool3(lv.compare(rv).map(|o| o == std::cmp::Ordering::Less)),
+        Le => bool3(lv.compare(rv).map(|o| o != std::cmp::Ordering::Greater)),
+        Gt => bool3(lv.compare(rv).map(|o| o == std::cmp::Ordering::Greater)),
+        Ge => bool3(lv.compare(rv).map(|o| o != std::cmp::Ordering::Less)),
+        In => match (lv, rv) {
             (_, Value::Null) | (Value::Null, _) => Value::Null,
             (x, Value::List(items)) => Value::Bool(items.iter().any(|i| i == x)),
             _ => {
@@ -466,7 +472,7 @@ fn eval_binary(
                 })
             }
         },
-        StartsWith | EndsWith | Contains => match (&lv, &rv) {
+        StartsWith | EndsWith | Contains => match (lv, rv) {
             (Value::Null, _) | (_, Value::Null) => Value::Null,
             (Value::Str(a), Value::Str(b)) => Value::Bool(match op {
                 StartsWith => a.starts_with(b.as_ref()),
@@ -475,7 +481,7 @@ fn eval_binary(
             }),
             _ => Value::Null,
         },
-        And | Or | Xor => unreachable!("handled above"),
+        And | Or | Xor => unreachable!("the connectives read truth, not values"),
     })
 }
 

@@ -18,12 +18,13 @@
 //! evaluable-but-not-maintainable, exactly the fragment boundary the
 //! paper proposes).
 //!
-//! Two further modules serve the shared dataflow network that executes
+//! Three further modules serve the shared dataflow network that executes
 //! FRA incrementally: [`canon`] rewrites plans into an alpha-renamed,
 //! commutatively sorted normal form (so `MATCH (a:Post)` and
-//! `MATCH (p:Post)` become the *same* subplan), and [`fingerprint`]
+//! `MATCH (p:Post)` become the *same* subplan), [`fingerprint`]
 //! hashes canonical subplans into the hash-consing key under which the
-//! network shares operator nodes across views.
+//! network shares operator nodes across views, and [`program`] compiles
+//! each σ/π/ω chain into the one instruction list the network runs it as.
 
 pub mod canon;
 pub mod compile;
@@ -37,6 +38,7 @@ pub mod nra;
 pub mod pipeline;
 pub mod plan;
 pub mod pretty;
+pub mod program;
 pub mod to_nra;
 
 pub use canon::{canonicalize, CanonPlan};

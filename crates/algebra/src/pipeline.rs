@@ -89,6 +89,7 @@ impl CompiledQuery {
             out.push('\n');
         }
         out.push_str(&crate::plan::explain_with_estimates(&planned.fra, stats));
+        out.push_str(&crate::program::explain_programs(&planned.fra));
         out
     }
 }

@@ -1,0 +1,232 @@
+//! A compiled [`TupleProgram`] is its σ/π/ω chain: over random chains and
+//! random rows, the program's output rows and multiplicities equal
+//! running the chain operator by operator through the tree-walking
+//! [`ScalarExpr::matches`] / [`ScalarExpr::eval`] — σ keeps a row whose
+//! predicate is `true`, π evaluates each item (`null` where it fails), ω
+//! appends each element of a list and drops every other value.
+//!
+//! The values are the awkward ones: `null`, NaN, −0.0 beside 0.0, `7`
+//! beside `7.0`, strings, lists; the expressions mix comparisons, Kleene
+//! connectives, `IS NULL` and arithmetic that fails on the wrong types.
+
+use pgq_algebra::expr::ScalarExpr;
+use pgq_algebra::fra::Fra;
+use pgq_algebra::program::{Emit, Scratch, TupleProgram};
+use pgq_common::value::Value;
+use pgq_parser::ast::{BinOp, UnOp};
+use proptest::prelude::*;
+
+fn pick<T: Clone>(rng: &mut TestRng, xs: &[T]) -> T {
+    xs[rng.below(xs.len() as u64) as usize].clone()
+}
+
+fn value(rng: &mut TestRng) -> Value {
+    pick(
+        rng,
+        &[
+            Value::Null,
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::Int(7),
+            Value::float(7.0),
+            Value::Int(0),
+            Value::float(-0.0),
+            Value::float(0.0),
+            Value::float(f64::NAN),
+            Value::Int(-3),
+            Value::str("a"),
+            Value::str("ab"),
+            Value::list(vec![Value::Int(1), Value::Null, Value::str("a")]),
+            Value::list(vec![]),
+        ],
+    )
+}
+
+/// A column (usually) or a literal.
+fn operand(rng: &mut TestRng, arity: usize) -> ScalarExpr {
+    match rng.below(5) {
+        0..=2 if arity > 0 => ScalarExpr::Col(rng.below(arity as u64) as usize),
+        _ => ScalarExpr::Lit(value(rng)),
+    }
+}
+
+/// A random expression over `arity` columns: arithmetic and functions
+/// that fail on the wrong types, lists, and predicates.
+fn expr(rng: &mut TestRng, arity: usize, depth: u32) -> ScalarExpr {
+    use BinOp::*;
+    if depth == 0 || rng.below(3) == 0 {
+        return operand(rng, arity);
+    }
+    let sub = |rng: &mut TestRng| Box::new(expr(rng, arity, depth - 1));
+    match rng.below(6) {
+        0 | 1 => {
+            let op = pick(rng, &[Add, Sub, Mul, Div, Mod, Eq, Lt, In, And, Or]);
+            ScalarExpr::Binary(op, sub(rng), sub(rng))
+        }
+        2 => ScalarExpr::Unary(UnOp::Neg, sub(rng)),
+        3 => ScalarExpr::Func {
+            name: pick(rng, &["size", "head", "tostring", "abs"]).into(),
+            args: vec![*sub(rng)],
+        },
+        4 => ScalarExpr::List(vec![*sub(rng), *sub(rng)]),
+        _ => predicate(rng, arity, depth - 1),
+    }
+}
+
+/// A random predicate: comparisons of columns and literals (the
+/// program's own instructions) under `AND`/`OR`/`XOR`/`NOT`/`IS NULL`,
+/// with now and then an arbitrary expression in an operand's place.
+fn predicate(rng: &mut TestRng, arity: usize, depth: u32) -> ScalarExpr {
+    use BinOp::*;
+    let side = |rng: &mut TestRng| {
+        Box::new(match rng.below(6) {
+            0 => expr(rng, arity, 1),
+            _ => operand(rng, arity),
+        })
+    };
+    if depth == 0 || rng.below(3) == 0 {
+        return match rng.below(6) {
+            0 => ScalarExpr::IsNull {
+                expr: side(rng),
+                negated: rng.below(2) == 0,
+            },
+            1 => expr(rng, arity, 2),
+            _ => {
+                let op = pick(
+                    rng,
+                    &[Eq, Neq, Lt, Le, Gt, Ge, In, StartsWith, EndsWith, Contains],
+                );
+                ScalarExpr::Binary(op, side(rng), side(rng))
+            }
+        };
+    }
+    let sub = |rng: &mut TestRng| Box::new(predicate(rng, arity, depth - 1));
+    match rng.below(4) {
+        0 => ScalarExpr::Unary(UnOp::Not, sub(rng)),
+        n => ScalarExpr::Binary([And, Or, Xor][n as usize - 1], sub(rng), sub(rng)),
+    }
+}
+
+/// A random chain of one to four σ/π/ω over a unit input, bottom first,
+/// and the arity of its input rows.
+fn chain(rng: &mut TestRng) -> (Fra, usize) {
+    let input_arity = 1 + rng.below(3) as usize;
+    let mut arity = input_arity;
+    let mut fra = Fra::Unit;
+    for _ in 0..1 + rng.below(4) {
+        let input = Box::new(fra);
+        fra = match rng.below(3) {
+            0 => Fra::Filter {
+                input,
+                predicate: predicate(rng, arity, 3),
+            },
+            1 => {
+                let width = 1 + rng.below(3) as usize;
+                let items = (0..width)
+                    .map(|i| (expr(rng, arity, 2), format!("c{i}")))
+                    .collect();
+                arity = width;
+                Fra::Project { input, items }
+            }
+            _ => {
+                arity += 1;
+                let list = match rng.below(3) {
+                    0 => expr(rng, arity - 1, 2),
+                    _ => ScalarExpr::List((0..rng.below(3)).map(|_| operand(rng, 0)).collect()),
+                };
+                Fra::Unwind {
+                    input,
+                    expr: list,
+                    alias: "x".into(),
+                }
+            }
+        };
+    }
+    (fra, input_arity)
+}
+
+type Rows = Vec<(Vec<Value>, i64)>;
+
+/// The chain run operator by operator, bottom first.
+fn oracle(fra: &Fra, rows: Rows) -> Rows {
+    match fra {
+        Fra::Unit => rows,
+        Fra::Filter { input, predicate } => oracle(input, rows)
+            .into_iter()
+            .filter(|(r, _)| predicate.matches(r))
+            .collect(),
+        Fra::Project { input, items } => oracle(input, rows)
+            .into_iter()
+            .map(|(r, m)| {
+                let projected = items
+                    .iter()
+                    .map(|(e, _)| e.eval(&r).unwrap_or(Value::Null))
+                    .collect();
+                (projected, m)
+            })
+            .collect(),
+        Fra::Unwind { input, expr, .. } => oracle(input, rows)
+            .into_iter()
+            .flat_map(|(r, m)| {
+                let items = match expr.eval(&r) {
+                    Ok(Value::List(items)) => items.to_vec(),
+                    _ => Vec::new(),
+                };
+                items.into_iter().map(move |item| {
+                    let mut out = r.clone();
+                    out.push(item);
+                    (out, m)
+                })
+            })
+            .collect(),
+        other => unreachable!("not a chain operator: {other:?}"),
+    }
+}
+
+fn sorted(mut rows: Rows) -> Rows {
+    rows.sort_by(|(a, m), (b, n)| {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| x.total_cmp(y))
+            .find(|o| o.is_ne())
+            .unwrap_or(a.len().cmp(&b.len()))
+            .then(m.cmp(n))
+    });
+    rows
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 3000, ..ProptestConfig::default() })]
+
+    #[test]
+    fn program_equals_the_chain_operator_by_operator(seed in any::<u64>()) {
+        let mut rng = TestRng::seed_from_u64(seed);
+        let (fra, arity) = chain(&mut rng);
+        let rows: Rows = (0..1 + rng.below(5))
+            .map(|_| {
+                let row = (0..arity).map(|_| value(&mut rng)).collect();
+                (row, rng.below(7) as i64 - 3)
+            })
+            .collect();
+        let (program, below) = TupleProgram::compile(&fra).expect("a chain");
+        prop_assert_eq!(below, &Fra::Unit);
+
+        // One scratch for every row, as a network node keeps it.
+        let mut scratch = Scratch::default();
+        let mut got = Rows::new();
+        for (row, m) in &rows {
+            program.run(row, &mut scratch, |emitted| {
+                let out = match emitted {
+                    Emit::Input => row.clone(),
+                    Emit::Row(values) => {
+                        assert!(!program.is_filter(), "a σ-only program passes its input on");
+                        values.to_vec()
+                    }
+                };
+                got.push((out, *m));
+            });
+        }
+        let want = oracle(&fra, rows);
+        prop_assert_eq!(sorted(got), sorted(want), "{} for {:?}", program, fra);
+    }
+}

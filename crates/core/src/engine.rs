@@ -8,6 +8,7 @@ use pgq_algebra::pipeline::{
 };
 use pgq_algebra::plan::WcojMode;
 use pgq_algebra::{AlgebraError, ScalarExpr};
+use pgq_common::fxhash::FxHashMap;
 use pgq_common::intern::Symbol;
 use pgq_common::pool::WorkerPool;
 use pgq_common::tuple::Tuple;
@@ -45,6 +46,21 @@ struct ViewEntry {
     /// lets recovery re-register the view mode-faithfully.
     compile: CompileOptions,
     register: RegisterOptions,
+    /// The view's subscribers, in subscription order; they go with the
+    /// entry when the view is dropped.
+    subscribers: Subscribers,
+}
+
+/// A view's subscriber callbacks. They belong to the consumers of the
+/// engine they were registered on, so a clone of the list is empty (see
+/// `impl Clone for GraphEngine`).
+#[derive(Default)]
+struct Subscribers(Vec<Subscriber>);
+
+impl Clone for Subscribers {
+    fn clone(&self) -> Subscribers {
+        Subscribers::default()
+    }
 }
 
 /// Durability state of an engine opened via
@@ -222,7 +238,9 @@ pub struct GraphEngine {
     /// The id the next registration gets. An id handed out is never
     /// reused, so a stale [`ViewId`] cannot resolve to a later view.
     next_view: usize,
-    subscribers: Vec<(ViewId, Subscriber)>,
+    /// The view reading each sink, so a pass's changed sinks lead
+    /// straight to the views (and subscribers) to notify.
+    view_of_sink: FxHashMap<SinkId, usize>,
     /// Requested propagation width; `0` means the `PGQ_THREADS` process
     /// default (see [`GraphEngine::set_threads`]).
     threads: usize,
@@ -250,7 +268,7 @@ impl Clone for GraphEngine {
             network: self.network.clone(),
             views: self.views.clone(),
             next_view: self.next_view,
-            subscribers: Vec::new(),
+            view_of_sink: self.view_of_sink.clone(),
             threads: self.threads,
             pool: self.pool.clone(),
             durable: None,
@@ -447,22 +465,26 @@ impl GraphEngine {
             return;
         }
         self.propagate(events);
-        for (&i, entry) in &self.views {
-            if !self.network.sink_changed(entry.sink) {
+        // Only the views the pass changed are visited, in id order; each
+        // notifies its own subscribers, in subscription order.
+        let mut changed: Vec<usize> = self
+            .network
+            .changed_sinks()
+            .iter()
+            .map(|sink| self.view_of_sink[sink])
+            .collect();
+        changed.sort_unstable();
+        for i in changed {
+            let entry = self.views.get_mut(&i).expect("a changed sink's view");
+            if entry.subscribers.0.is_empty() {
                 continue;
             }
-            let id = ViewId(i);
-            let mut notification: Option<ViewDelta> = None;
-            for (sid, callback) in &mut self.subscribers {
-                if *sid == id {
-                    let vd = notification.get_or_insert_with(|| {
-                        ViewDelta::from_delta(
-                            self.network.view(entry.sink).name(),
-                            self.network.last_delta(entry.sink),
-                        )
-                    });
-                    callback(vd);
-                }
+            let vd = ViewDelta::from_delta(
+                self.network.view(entry.sink).name(),
+                self.network.last_delta(entry.sink),
+            );
+            for callback in &mut entry.subscribers.0 {
+                callback(&vd);
             }
         }
     }
@@ -535,6 +557,7 @@ impl GraphEngine {
         // registration is undone so disk and memory agree.
         if let Err(e) = self.snapshot() {
             let entry = self.views.remove(&id.0).expect("inserted above");
+            self.view_of_sink.remove(&entry.sink);
             self.network.drop_sink(entry.sink);
             self.next_view = id.0;
             return Err(e);
@@ -562,6 +585,7 @@ impl GraphEngine {
             .network
             .register_with(name, &compiled.fra, &self.graph, register);
         self.next_view = self.next_view.max(slot + 1);
+        self.view_of_sink.insert(sink, slot);
         self.views.insert(
             slot,
             ViewEntry {
@@ -570,6 +594,7 @@ impl GraphEngine {
                 query_text: cypher.to_string(),
                 compile,
                 register,
+                subscribers: Subscribers::default(),
             },
         );
         Ok(())
@@ -580,7 +605,7 @@ impl GraphEngine {
     /// remaining view reaches.
     pub fn drop_view(&mut self, id: ViewId) -> Result<(), EngineError> {
         let entry = self.views.remove(&id.0).ok_or(EngineError::UnknownView)?;
-        self.subscribers.retain(|(view, _)| *view != id);
+        self.view_of_sink.remove(&entry.sink);
         self.network.drop_sink(entry.sink);
         self.snapshot()
     }
@@ -1386,6 +1411,7 @@ impl GraphEngine {
                     &compiled.fra,
                     &pgq_ivm::plan_stats(&self.graph),
                 ));
+                out.push_str(&pgq_algebra::program::explain_programs(&compiled.fra));
             }
             out.push_str("\n== Maintainability\n");
             if compiled.is_maintainable() {
@@ -1432,10 +1458,8 @@ impl GraphEngine {
         id: ViewId,
         callback: impl FnMut(&ViewDelta) + Send + 'static,
     ) -> Result<(), EngineError> {
-        if !self.views.contains_key(&id.0) {
-            return Err(EngineError::UnknownView);
-        }
-        self.subscribers.push((id, Box::new(callback)));
+        let entry = self.views.get_mut(&id.0).ok_or(EngineError::UnknownView)?;
+        entry.subscribers.0.push(Box::new(callback));
         Ok(())
     }
 

@@ -1,174 +1,91 @@
-//! Stateless operators: filter, project, unwind.
+//! Stateless operators: σ, π and ω, run as one compiled
+//! [`TupleProgram`] per maximal chain.
 //!
 //! Because FRA expressions are pure functions of their input tuple (the
 //! payoff of the paper's schema inference), these operators keep **no
-//! state**: each maps one row to zero or more rows, with multiplicities
-//! untouched (filter/project) or fanned out (unwind). [`Stage`] is that
-//! per-row map; maintenance loops it over a delta, registration chains
-//! it behind a full-bag enumeration ([`Chain`]).
+//! state**: a chain of them maps one row to zero or more rows, with
+//! multiplicities untouched (σ/π) or fanned out (ω).
+//! [`pgq_algebra::program`] compiles the chain; this module is where its
+//! rows come from and go to. Maintenance runs a program node's program
+//! over the input delta ([`program_into`]), or rewrites an exclusively
+//! owned delta in place ([`program_in_place`]); registration streams a
+//! full bag through it in front of whatever keeps the result
+//! (`Programmed`). A row the program passes through unchanged is handed
+//! on as the held tuple (a refcount bump), an assembled one is allocated
+//! only where a consumer keeps it.
 
-use pgq_algebra::expr::ScalarExpr;
-use pgq_common::value::Value;
+use pgq_algebra::program::{Emit, Scratch, TupleProgram};
+use pgq_common::tuple::Tuple;
 
 use crate::delta::{Delta, Row, RowSink};
 
-/// One stateless operator, applied a row at a time — the one σ/π/ω
-/// implementation: maintenance loops it over a delta, registration
-/// streams an enumeration through a [`Chain`] of them.
-#[derive(Clone, Copy, Debug)]
-pub enum Stage<'a> {
-    /// σ: keep the rows whose predicate is `true`.
-    Filter(&'a ScalarExpr),
-    /// π: one row of item values per row. Expression errors produce
-    /// `null` in the affected column, mirroring Cypher's lenient runtime.
-    Project(&'a [(ScalarExpr, String)]),
-    /// ω: one row per list element appended to the row; `null` and
-    /// non-list values produce no rows (openCypher `UNWIND null` yields
-    /// nothing). Paths are unwound through `nodes()`/`relationships()`.
-    Unwind(&'a ScalarExpr),
+/// A program in front of a consumer: every row pushed in runs through the
+/// program on borrowed values, and only what comes out reaches `out`.
+pub(crate) struct Programmed<'a, S: RowSink + ?Sized> {
+    pub(crate) program: &'a TupleProgram,
+    pub(crate) scratch: &'a mut Scratch,
+    pub(crate) out: &'a mut S,
 }
 
-impl Stage<'_> {
-    /// Hand `emit` what this operator makes of `row`: the row itself or
-    /// nothing (σ), or rows assembled in `buf` (π, ω) — borrowed, so a
-    /// row costs an allocation only where a consumer keeps it.
+impl<S: RowSink + ?Sized> RowSink for Programmed<'_, S> {
     #[inline]
-    pub fn apply(&self, row: Row<'_>, buf: &mut Vec<Value>, mut emit: impl FnMut(Row<'_>)) {
-        match *self {
-            Stage::Filter(predicate) => {
-                if predicate.matches(row.values()) {
-                    emit(row);
-                }
-            }
-            Stage::Project(items) => {
-                buf.clear();
-                buf.extend(
-                    items
-                        .iter()
-                        .map(|(e, _)| e.eval(row.values()).unwrap_or(Value::Null)),
-                );
-                emit(Row::Assembled(buf));
-            }
-            Stage::Unwind(expr) => {
-                if let Ok(Value::List(items)) = expr.eval(row.values()) {
-                    for item in items.iter() {
-                        buf.clear();
-                        buf.extend_from_slice(row.values());
-                        buf.push(item.clone());
-                        emit(Row::Assembled(buf));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Does the operator keep a consolidated input consolidated? σ keeps
-    /// a subset; π and ω can map two rows to one.
-    pub fn keeps_consolidated(&self) -> bool {
-        matches!(self, Stage::Filter(_))
-    }
-}
-
-/// A σ/π/ω chain in front of a consumer: every row pushed in runs up the
-/// stages on borrowed values, and only the rows that come out of the top
-/// reach `out`.
-pub struct Chain<'a, S: RowSink + ?Sized> {
-    /// Bottom stage first, each with its row-assembly buffer.
-    stages: Vec<(Stage<'a>, Vec<Value>)>,
-    out: &'a mut S,
-}
-
-impl<'a, S: RowSink + ?Sized> Chain<'a, S> {
-    /// `stages` bottom first, in front of `out`.
-    pub fn new(stages: impl IntoIterator<Item = Stage<'a>>, out: &'a mut S) -> Chain<'a, S> {
-        Chain {
-            stages: stages.into_iter().map(|s| (s, Vec::new())).collect(),
-            out,
-        }
-    }
-}
-
-fn run_up<S: RowSink + ?Sized>(
-    stages: &mut [(Stage<'_>, Vec<Value>)],
-    row: Row<'_>,
-    mult: i64,
-    out: &mut S,
-) {
-    match stages.split_first_mut() {
-        None => out.push_row(row, mult),
-        Some(((stage, buf), above)) => stage.apply(row, buf, |r| run_up(above, r, mult, out)),
-    }
-}
-
-impl<S: RowSink + ?Sized> RowSink for Chain<'_, S> {
     fn push_row(&mut self, row: Row<'_>, mult: i64) {
-        run_up(&mut self.stages, row, mult, self.out);
+        let out = &mut *self.out;
+        self.program
+            .run(row.values(), self.scratch, |emitted| match emitted {
+                Emit::Input => out.push_row(row, mult),
+                Emit::Row(values) => out.push_row(Row::Assembled(values), mult),
+            });
     }
 }
 
-/// Run `stage` over every row of `input`, appending what comes out to
-/// `out` (tuple clones of a σ are refcount bumps); `buf` is the caller's
-/// row-assembly buffer (the network keeps one per π node, so steady-state
-/// maintenance allocates nothing here beyond the output tuples).
-fn stage_into(stage: Stage<'_>, input: &Delta, buf: &mut Vec<Value>, out: &mut Delta) {
+/// Run `program` over every row of `input`, appending what comes out to
+/// `out`; `scratch` is the node's own, so steady-state maintenance
+/// allocates nothing here beyond the output tuples.
+pub fn program_into(program: &TupleProgram, input: &Delta, scratch: &mut Scratch, out: &mut Delta) {
+    let mut sink = Programmed {
+        program,
+        scratch,
+        out,
+    };
     for (t, m) in input.iter() {
-        stage.apply(Row::Held(t), buf, |row| out.push_row(row, *m));
+        sink.push_row(Row::Held(t), *m);
     }
 }
 
-/// Apply σ to a borrowed delta, appending passing rows to `out`.
-pub fn filter_into(predicate: &ScalarExpr, input: &Delta, out: &mut Delta) {
-    stage_into(Stage::Filter(predicate), input, &mut Vec::new(), out);
-}
-
-/// Apply π to a borrowed delta, appending rewritten rows to `out`;
-/// `scratch` is the caller-owned assembly buffer.
-pub fn project_into(
-    items: &[(ScalarExpr, String)],
-    input: &Delta,
-    scratch: &mut Vec<Value>,
-    out: &mut Delta,
-) {
-    stage_into(Stage::Project(items), input, scratch, out);
-}
-
-/// Apply ω to a borrowed delta, appending fanned-out rows to `out`.
-pub fn unwind_into(expr: &ScalarExpr, input: &Delta, out: &mut Delta) {
-    stage_into(Stage::Unwind(expr), input, &mut Vec::new(), out);
-}
-
-/// Apply σ to an owned delta, in place (the entry vector is reused).
-pub fn filter_delta(predicate: &ScalarExpr, input: Delta) -> Delta {
+/// Run `program`, which must not fan out, over an owned delta in place:
+/// the entry vector is reused, a dropped row is removed, a rewritten one
+/// replaced.
+pub fn program_in_place(program: &TupleProgram, input: Delta, scratch: &mut Scratch) -> Delta {
+    debug_assert!(!program.fans_out(), "an ω cannot rewrite in place");
     let mut entries = input.into_entries();
-    entries.retain(|(t, _)| {
-        let mut keep = false;
-        Stage::Filter(predicate).apply(Row::Held(t), &mut Vec::new(), |_| keep = true);
-        keep
-    });
-    Delta::from_entries(entries)
-}
-
-/// Apply π to an owned delta, rewriting each row in place through one
-/// reused scratch buffer.
-pub fn project_delta(items: &[(ScalarExpr, String)], input: Delta) -> Delta {
-    let mut entries = input.into_entries();
-    let mut buf: Vec<Value> = Vec::with_capacity(items.len());
-    for (t, _) in entries.iter_mut() {
-        let mut projected = None;
-        Stage::Project(items).apply(Row::Held(t), &mut buf, |row| {
-            projected = Some(row.to_tuple())
+    entries.retain_mut(|(t, _)| {
+        let mut kept: Option<Option<Tuple>> = None;
+        program.run(t, scratch, |emitted| {
+            kept = Some(match emitted {
+                Emit::Input => None,
+                Emit::Row(values) => Some(Tuple::from_slice(values)),
+            })
         });
-        if let Some(p) = projected {
-            *t = p;
+        match kept {
+            None => false,
+            Some(rewritten) => {
+                if let Some(r) = rewritten {
+                    *t = r;
+                }
+                true
+            }
         }
-    }
+    });
     Delta::from_entries(entries)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgq_common::tuple::Tuple;
+    use pgq_algebra::expr::ScalarExpr;
+    use pgq_algebra::fra::Fra;
+    use pgq_common::value::Value;
     use pgq_parser::ast::BinOp;
 
     fn t(vals: &[i64]) -> Tuple {
@@ -179,69 +96,90 @@ mod tests {
         entries.iter().map(|(v, m)| (t(v), *m)).collect()
     }
 
-    fn unwind_delta(expr: &ScalarExpr, input: Delta) -> Delta {
+    /// The program of `op` stacked on a unit scan.
+    fn program(op: impl FnOnce(Box<Fra>) -> Fra) -> TupleProgram {
+        TupleProgram::compile(&op(Box::new(Fra::Unit))).unwrap().0
+    }
+
+    fn run(program: &TupleProgram, input: Delta) -> Delta {
         let mut out = Delta::new();
-        unwind_into(expr, &input, &mut out);
+        program_into(program, &input, &mut Scratch::default(), &mut out);
         out
+    }
+
+    fn gt5() -> TupleProgram {
+        program(|input| Fra::Filter {
+            input,
+            predicate: ScalarExpr::Binary(
+                BinOp::Gt,
+                Box::new(ScalarExpr::col(0)),
+                Box::new(ScalarExpr::lit(5)),
+            ),
+        })
+    }
+
+    fn unwind(expr: ScalarExpr) -> TupleProgram {
+        program(|input| Fra::Unwind {
+            input,
+            expr,
+            alias: "x".into(),
+        })
     }
 
     #[test]
     fn filter_keeps_true_only() {
-        let pred = ScalarExpr::Binary(
-            BinOp::Gt,
-            Box::new(ScalarExpr::col(0)),
-            Box::new(ScalarExpr::lit(5)),
-        );
-        let out = filter_delta(&pred, d(&[(&[3], 1), (&[7], 1), (&[9], -1)]));
-        assert_eq!(
-            out.consolidate().into_entries(),
-            vec![(t(&[7]), 1), (t(&[9]), -1)]
-        );
+        let input = d(&[(&[3], 1), (&[7], 1), (&[9], -1)]);
+        let want = vec![(t(&[7]), 1), (t(&[9]), -1)];
+        assert_eq!(run(&gt5(), input.clone()).into_entries(), want);
+        let in_place = program_in_place(&gt5(), input, &mut Scratch::default());
+        assert_eq!(in_place.into_entries(), want);
     }
 
     #[test]
     fn project_applies_expressions() {
-        let items = vec![(
-            ScalarExpr::Binary(
-                BinOp::Add,
-                Box::new(ScalarExpr::col(0)),
-                Box::new(ScalarExpr::lit(1)),
-            ),
-            "x".to_string(),
-        )];
-        let out = project_delta(&items, d(&[(&[1], 2)]));
-        assert_eq!(out.consolidate().into_entries(), vec![(t(&[2]), 2)]);
+        let p = program(|input| Fra::Project {
+            input,
+            items: vec![(
+                ScalarExpr::Binary(
+                    BinOp::Add,
+                    Box::new(ScalarExpr::col(0)),
+                    Box::new(ScalarExpr::lit(1)),
+                ),
+                "x".into(),
+            )],
+        });
+        let out = program_in_place(&p, d(&[(&[1], 2)]), &mut Scratch::default());
+        assert_eq!(out.into_entries(), vec![(t(&[2]), 2)]);
     }
 
     #[test]
     fn project_error_yields_null() {
         // Negating a string errors → column becomes null, row survives.
-        let items = vec![(
-            ScalarExpr::Unary(
-                pgq_parser::ast::UnOp::Neg,
-                Box::new(ScalarExpr::lit("oops")),
-            ),
-            "x".to_string(),
-        )];
-        let out = project_delta(&items, d(&[(&[1], 1)]));
-        let entries = out.consolidate().into_entries();
+        let p = program(|input| Fra::Project {
+            input,
+            items: vec![(
+                ScalarExpr::Unary(
+                    pgq_parser::ast::UnOp::Neg,
+                    Box::new(ScalarExpr::lit("oops")),
+                ),
+                "x".into(),
+            )],
+        });
+        let entries = run(&p, d(&[(&[1], 1)])).into_entries();
         assert_eq!(entries[0].0.get(0), &Value::Null);
     }
 
     #[test]
     fn unwind_fans_out_and_preserves_sign() {
-        let expr = ScalarExpr::List(vec![ScalarExpr::lit(10), ScalarExpr::lit(20)]);
-        let out = unwind_delta(&expr, d(&[(&[1], -2)]));
-        let entries = out.consolidate().into_entries();
-        assert_eq!(entries.len(), 2);
-        assert!(entries.iter().all(|(_, m)| *m == -2));
+        let list = ScalarExpr::List(vec![ScalarExpr::lit(10), ScalarExpr::lit(20)]);
+        let out = run(&unwind(list), d(&[(&[1], -2)]));
+        assert_eq!(out.len(), 2);
+        assert!(out.iter().all(|(_, m)| *m == -2));
     }
 
     #[test]
     fn unwind_of_null_and_scalar_is_empty() {
-        let out = unwind_delta(&ScalarExpr::Lit(Value::Null), d(&[(&[1], 1)]));
-        assert!(out.is_empty());
-        let out = unwind_delta(&ScalarExpr::lit(5), d(&[(&[1], 1)]));
-        assert!(out.is_empty());
+        assert!(run(&unwind(ScalarExpr::Lit(Value::Null)), d(&[(&[1], 1)])).is_empty());
+        assert!(run(&unwind(ScalarExpr::lit(5)), d(&[(&[1], 1)])).is_empty());
     }
 }

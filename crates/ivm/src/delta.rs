@@ -49,7 +49,7 @@ impl<'a> Row<'a> {
 }
 
 /// Where an operator's output rows go: a delta buffer during
-/// maintenance; at registration also a σ/π/ω chain in front of the
+/// maintenance; at registration also a σ/π/ω program in front of the
 /// arrangement, result bag or memoised bag that keeps what survives it
 /// (see [`crate::network`], "Full bags").
 pub trait RowSink {

@@ -26,9 +26,9 @@
 //!   `MATCH (a:Post)` and `MATCH (p:Post)` are the same scan. A family
 //!   of views differing only in a top-level `WHERE` shares its whole
 //!   stateful prefix (scans, join memories) and pays one private
-//!   stateless σ (plus its π) each, because canonicalisation keeps
-//!   top-level filters as a *suffix* above the prefix instead of
-//!   pushing them into it.
+//!   stateless node each — its σ and π, compiled into one
+//!   [`TupleProgram`] — because canonicalisation keeps top-level filters
+//!   as a *suffix* above the prefix instead of pushing them into it.
 //! * **Targeted event routing** — scans are indexed by vertex label and
 //!   edge type (plus property-key interest), and a transaction's change
 //!   events are delivered only to the scan nodes that can possibly
@@ -38,8 +38,9 @@
 //!   per *distinct* scan, not once per registered view.
 //! * **Delta pooling** — every dataflow edge's delta buffer is drawn
 //!   from a transaction-scoped pool and returned after its consumers
-//!   have read it, so steady-state maintenance performs no per-layer
-//!   allocation.
+//!   have read it, and a σ/π/ω chain is one node whose program
+//!   rewrites its exclusive input's buffer in place, so steady-state
+//!   maintenance performs no per-layer allocation.
 //!
 //! Propagation is a single topologically-scheduled pass, run one
 //! **level** at a time: every dirty node at the current minimum depth.
@@ -88,14 +89,15 @@
 //! new operator's memories are loaded from its inputs' bags, the new
 //! arrangements and the sink from theirs) and a durable snapshot
 //! ([`DataflowNetwork::dump_states`], every live node's bag). Both
-//! **stream** it: the rows come from the first place below the node's
-//! σ/π/ω chain where they exist — a bag memoised earlier in the pass, a
-//! snapshot's stored bag (warm registration), a bag maintenance already
+//! **stream** it: the rows come from the node or, for a program node,
+//! from its input, whichever has them first — a bag memoised earlier in
+//! the pass, a snapshot's stored bag (warm registration), a bag maintenance already
 //! keeps consolidated (a sibling sink's results, one of the node's own
 //! arrangements), and only last an enumeration of the node's own
-//! memories (for a ⋈, of its inputs' arrangements) — and run up the
-//! chain row by row on borrowed values ([`crate::basic::Chain`]), so a
-//! row is allocated only if it survives into what keeps it: the
+//! memories (for a ⋈, of its inputs' arrangements) — and run through the
+//! chain's program row by row on borrowed values
+//! (`basic::Programmed`), so a row is allocated only if it
+//! survives into what keeps it: the
 //! arrangement being built, the view's result bag, or a memoised bag. A
 //! full bag is memoised where a consumer needs one whole — the input of
 //! a loading δ / γ / ⋉ / ⨝ⁿ / ⋈*, the by-product of a scan's, ⋈*'s, δ's
@@ -132,22 +134,20 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
-use pgq_algebra::expr::{AggCall, ScalarExpr};
+use pgq_algebra::expr::AggCall;
 use pgq_algebra::fra::Fra;
 use pgq_algebra::plan::WcojMode;
+use pgq_algebra::program::{Scratch, TupleProgram};
 use pgq_common::fxhash::{FxHashMap, FxHashSet};
 use pgq_common::intern::Symbol;
 use pgq_common::pool::WorkerPool;
 use pgq_common::tuple::Tuple;
-use pgq_common::value::Value;
 use pgq_graph::delta::ChangeEvent;
 use pgq_graph::store::PropertyGraph;
 use pgq_graph::tx::{NodeRef, Transaction, TxOp};
 
 use crate::aggregate::AggregateOp;
-use crate::basic::{
-    filter_delta, filter_into, project_delta, project_into, unwind_into, Chain, Stage,
-};
+use crate::basic::{program_in_place, program_into, Programmed};
 use crate::delta::{Delta, IndexedBag, Row, RowSink};
 use crate::distinct::DistinctOp;
 use crate::join::JoinOp;
@@ -207,23 +207,17 @@ enum NodeKind {
     /// ⋈* variable-length join (owns internal scans, so it also
     /// receives routed events).
     VarLength { left: NodeId, op: Box<VarLengthOp> },
-    /// σ.
-    Filter {
+    /// A maximal σ/π/ω chain, compiled into one program, with the
+    /// program's working memory.
+    Program {
         input: NodeId,
-        predicate: ScalarExpr,
-    },
-    /// π, with its reusable row-assembly buffer.
-    Project {
-        input: NodeId,
-        items: Vec<(ScalarExpr, String)>,
-        scratch: Vec<Value>,
+        program: TupleProgram,
+        scratch: Scratch,
     },
     /// δ.
     Distinct { input: NodeId, op: DistinctOp },
     /// γ.
     Aggregate { input: NodeId, op: AggregateOp },
-    /// ω.
-    Unwind { input: NodeId, expr: ScalarExpr },
     /// ⨝ⁿ worst-case optimal n-ary join. One child link per input
     /// *position* — positions sharing an upstream node link it twice
     /// (each reference is its own dependency edge, like a self-join).
@@ -242,23 +236,19 @@ impl NodeKind {
                 vec![*left, *right]
             }
             NodeKind::VarLength { left, .. } => vec![*left],
-            NodeKind::Filter { input, .. }
-            | NodeKind::Project { input, .. }
+            NodeKind::Program { input, .. }
             | NodeKind::Distinct { input, .. }
-            | NodeKind::Aggregate { input, .. }
-            | NodeKind::Unwind { input, .. } => vec![*input],
+            | NodeKind::Aggregate { input, .. } => vec![*input],
             NodeKind::Multiway { inputs, .. } => inputs.clone(),
         }
     }
 
-    /// A stateless operator (σ/π/ω) as the per-row [`Stage`] it runs
-    /// over its one input, whose output is a pure function of that
-    /// input's; `None` for operators with memories of their own.
-    fn stage(&self) -> Option<(Stage<'_>, NodeId)> {
+    /// A stateless chain's program and its one input, whose output is a
+    /// pure function of that input's; `None` for operators with memories
+    /// of their own.
+    fn program(&self) -> Option<(&TupleProgram, NodeId)> {
         match self {
-            NodeKind::Filter { input, predicate } => Some((Stage::Filter(predicate), *input)),
-            NodeKind::Project { input, items, .. } => Some((Stage::Project(items), *input)),
-            NodeKind::Unwind { input, expr } => Some((Stage::Unwind(expr), *input)),
+            NodeKind::Program { input, program, .. } => Some((program, *input)),
             _ => None,
         }
     }
@@ -268,17 +258,14 @@ impl NodeKind {
     /// hashing? Scans key their memory by the element id every tuple
     /// carries; a ⋈ row determines the (distinct) pair that produced
     /// it, since only the right side's key columns are dropped and they
-    /// equal the left's; ⋉/▷ and σ keep a subset of a consolidated bag;
-    /// δ and γ emit one row per key. π, ω, ⋈* and ⨝ⁿ are consolidated
-    /// explicitly.
+    /// equal the left's; ⋉/▷ and a σ-only program keep a subset of a
+    /// consolidated bag; δ and γ emit one row per key. A program with a
+    /// π or ω, ⋈* and ⨝ⁿ are consolidated explicitly.
     fn output_consolidated(&self) -> bool {
-        !matches!(
-            self,
-            NodeKind::Project { .. }
-                | NodeKind::Unwind { .. }
-                | NodeKind::VarLength { .. }
-                | NodeKind::Multiway { .. }
-        )
+        match self {
+            NodeKind::Program { program, .. } => program.is_filter(),
+            _ => !matches!(self, NodeKind::VarLength { .. } | NodeKind::Multiway { .. }),
+        }
     }
 
     /// Tuples materialised in this operator's private memories (the
@@ -286,11 +273,7 @@ impl NodeKind {
     /// [`DataflowNetwork::own_tuples`]).
     fn private_tuples(&self) -> usize {
         match self {
-            NodeKind::Unit { .. }
-            | NodeKind::Join { .. }
-            | NodeKind::Filter { .. }
-            | NodeKind::Project { .. }
-            | NodeKind::Unwind { .. } => 0,
+            NodeKind::Unit { .. } | NodeKind::Join { .. } | NodeKind::Program { .. } => 0,
             NodeKind::Vertices(s) => s.memory_tuples(),
             NodeKind::Edges(s) => s.memory_tuples(),
             NodeKind::SemiJoin { op, .. } => op.memory_tuples(),
@@ -342,15 +325,13 @@ impl NodeKind {
                 out,
             ),
             NodeKind::VarLength { left, op } => op.on_events_into(g, events, child(*left), out),
-            NodeKind::Filter { input, predicate } => filter_into(predicate, child(*input), out),
-            NodeKind::Project {
+            NodeKind::Program {
                 input,
-                items,
+                program,
                 scratch,
-            } => project_into(items, child(*input), scratch, out),
+            } => program_into(program, child(*input), scratch, out),
             NodeKind::Distinct { input, op } => op.apply(child(*input), out),
             NodeKind::Aggregate { input, op } => op.apply(child(*input), out),
-            NodeKind::Unwind { input, expr } => unwind_into(expr, child(*input), out),
             NodeKind::Multiway { inputs, op } => {
                 let refs: Vec<&Delta> = inputs.iter().map(|&i| child(i)).collect();
                 op.apply(&refs, out);
@@ -378,11 +359,9 @@ impl NodeKind {
                 op.path_count(),
                 op.edge_count()
             ),
-            NodeKind::Filter { .. } => "σ".into(),
-            NodeKind::Project { .. } => "π".into(),
+            NodeKind::Program { program, .. } => program.to_string(),
             NodeKind::Distinct { .. } => "δ".into(),
             NodeKind::Aggregate { .. } => "γ".into(),
-            NodeKind::Unwind { .. } => "ω".into(),
             NodeKind::Multiway { inputs, .. } => format!("⨝ⁿ [{} rels]", inputs.len()),
         }
     }
@@ -521,8 +500,8 @@ impl Scheduler {
 #[derive(Clone, Debug, Default)]
 struct Step {
     slot: u32,
-    /// `out` holds the output of the node's exclusive σ/π child, to be
-    /// transformed in place instead of copied.
+    /// `out` holds the output of the program node's exclusive child, to
+    /// be rewritten in place instead of copied.
     stolen: bool,
     /// Events were routed to the node this pass.
     routed: bool,
@@ -545,9 +524,10 @@ impl Step {
         let mut out = std::mem::take(&mut self.out);
         if self.stolen {
             out = match kind {
-                NodeKind::Filter { predicate, .. } => filter_delta(predicate, out),
-                NodeKind::Project { items, .. } => project_delta(items, out),
-                _ => unreachable!("only σ/π steal their input"),
+                NodeKind::Program {
+                    program, scratch, ..
+                } => program_in_place(program, out, scratch),
+                _ => unreachable!("only a program steals its input"),
             };
         } else {
             let events = if self.routed { pass.events } else { &[] };
@@ -1356,15 +1336,14 @@ impl DataflowNetwork {
                 let l = self.instantiate(left, g, sorted, bags);
                 NodeKind::VarLength { left: l, op }
             }
-            Fra::Filter { input, predicate } => NodeKind::Filter {
-                input: self.instantiate(input, g, sorted, bags),
-                predicate: predicate.clone(),
-            },
-            Fra::Project { input, items } => NodeKind::Project {
-                input: self.instantiate(input, g, sorted, bags),
-                items: items.clone(),
-                scratch: Vec::new(),
-            },
+            Fra::Filter { .. } | Fra::Project { .. } | Fra::Unwind { .. } => {
+                let (program, below) = TupleProgram::compile(fra).expect("a σ/π/ω root");
+                NodeKind::Program {
+                    input: self.instantiate(below, g, sorted, bags),
+                    program,
+                    scratch: Scratch::default(),
+                }
+            }
             Fra::Distinct { input } => NodeKind::Distinct {
                 input: self.instantiate(input, g, sorted, bags),
                 op: DistinctOp::new(),
@@ -1377,10 +1356,6 @@ impl DataflowNetwork {
                         .map(|(c, _)| c.clone())
                         .collect::<Vec<AggCall>>(),
                 ),
-            },
-            Fra::Unwind { input, expr, .. } => NodeKind::Unwind {
-                input: self.instantiate(input, g, sorted, bags),
-                expr: expr.clone(),
             },
             Fra::MultiwayJoin {
                 inputs,
@@ -1482,7 +1457,7 @@ impl DataflowNetwork {
     /// enumerate their output only if a consumer streams it; scans, ⋈*,
     /// δ and γ produce their full output as a by-product of a linear
     /// load, which is memoised for the consumers unless the snapshot
-    /// already stores it; σ/π/ω have nothing to load, and neither has ⋈
+    /// already stores it; a program has nothing to load, and neither has ⋈
     /// — its inputs were arranged (or found arranged) by
     /// [`DataflowNetwork::arrange`] when the node was built.
     fn load_node(&mut self, id: NodeId, g: &PropertyGraph, bags: &mut Bags<'_>) {
@@ -1493,7 +1468,7 @@ impl DataflowNetwork {
         } else if bags.stored.is_some() {
             counters::restore_miss();
         }
-        if node.kind.stage().is_some() {
+        if node.kind.program().is_some() {
             return;
         }
         let children = match &node.kind {
@@ -1519,10 +1494,9 @@ impl DataflowNetwork {
             }
             NodeKind::Distinct { op, .. } => op.apply(inputs[0], produced.insert(Delta::new())),
             NodeKind::Aggregate { op, .. } => op.apply(inputs[0], produced.insert(Delta::new())),
-            NodeKind::Join { .. }
-            | NodeKind::Filter { .. }
-            | NodeKind::Project { .. }
-            | NodeKind::Unwind { .. } => unreachable!("nothing to load: returned above"),
+            NodeKind::Join { .. } | NodeKind::Program { .. } => {
+                unreachable!("nothing to load: returned above")
+            }
         }
         if let Some(bag) = produced.filter(|_| !hit) {
             counters::bag_enumerated();
@@ -1553,8 +1527,8 @@ impl DataflowNetwork {
             .filter(|&i| self.nodes[i].is_some())
             .map(|i| NodeId(i as u32))
             .collect();
-        // Inputs first: each σ/π/ω then reads its input's memoised bag
-        // instead of re-running the chain below it.
+        // Inputs first: each program then reads its input's memoised bag
+        // instead of re-running the nodes below it.
         live.sort_by_key(|id| self.sched.depth[id.ix()]);
         let mut fp_count: FxHashMap<u64, u32> = FxHashMap::default();
         let mut bags = Bags::default();
@@ -1593,21 +1567,21 @@ impl DataflowNetwork {
 
     /// Stream `id`'s full output bag into `out`, row by row, and say
     /// whether the rows come out consolidated. They are taken from the
-    /// first place below `id`'s σ/π/ω chain where they exist — this
-    /// pass's memoised bag, the snapshot's bag, a bag maintenance keeps
-    /// ([`DataflowNetwork::kept`]), else an enumeration of the node's own
-    /// memories — and run up the chain on borrowed values ([`Chain`]),
-    /// so a row costs an allocation only if it survives into `out`. An
-    /// enumeration goes to its first consumer of the pass directly; a
-    /// second consumer materialises it into the memo once, and every
-    /// later one reads that.
+    /// first place at or below `id`'s σ/π/ω program where they exist —
+    /// this pass's memoised bag, the snapshot's bag, a bag maintenance
+    /// keeps ([`DataflowNetwork::kept`]), else an enumeration of the
+    /// node's own memories — and run through the program on borrowed
+    /// values (`Programmed`), so a row costs an allocation only if it
+    /// survives into `out`. An enumeration goes to its first consumer of
+    /// the pass directly; a second consumer materialises it into the
+    /// memo once, and every later one reads that.
     fn feed(&self, id: NodeId, bags: &mut Bags<'_>, out: &mut dyn RowSink) -> bool {
         enum Source<'a> {
             Memo,
             Kept(Rows<'a>),
             Memories,
         }
-        let mut stages = Vec::new();
+        let mut program = None;
         let mut cur = id;
         let mut source = loop {
             if bags.resolved.contains_key(&cur) {
@@ -1620,9 +1594,10 @@ impl DataflowNetwork {
             if let Some(rows) = self.kept(cur) {
                 break Source::Kept(rows);
             }
-            match node.kind.stage() {
-                Some((stage, input)) => {
-                    stages.push(stage);
+            match node.kind.program() {
+                Some((p, input)) => {
+                    debug_assert!(program.is_none(), "a program's input is never a program");
+                    program = Some(p);
                     cur = input;
                 }
                 None => break Source::Memories,
@@ -1635,23 +1610,35 @@ impl DataflowNetwork {
             bags.keep(cur, &self.node(cur).kind, bag);
             source = Source::Memo;
         }
-        let consolidated = stages.iter().all(Stage::keeps_consolidated)
+        let consolidated = program.is_none_or(TupleProgram::is_filter)
             && (!matches!(source, Source::Memories) || self.node(cur).kind.output_consolidated());
-        let mut chain = Chain::new(stages.into_iter().rev(), out);
+        let mut scratch = Scratch::default();
+        let mut through;
+        let sink: &mut dyn RowSink = match program {
+            Some(program) => {
+                through = Programmed {
+                    program,
+                    scratch: &mut scratch,
+                    out,
+                };
+                &mut through
+            }
+            None => out,
+        };
         match source {
             Source::Memo => {
                 for (t, m) in bags.resolved[&cur].iter() {
-                    chain.push_row(Row::Held(t), *m);
+                    sink.push_row(Row::Held(t), *m);
                 }
             }
             Source::Kept(rows) => {
                 for (t, m) in rows {
-                    chain.push_row(Row::Held(t), m);
+                    sink.push_row(Row::Held(t), m);
                 }
             }
             Source::Memories => {
                 counters::bag_enumerated();
-                self.replay_memories(cur, &mut chain);
+                self.replay_memories(cur, sink);
             }
         }
         consolidated
@@ -1711,9 +1698,7 @@ impl DataflowNetwork {
             NodeKind::Distinct { op, .. } => op.replay_into(out),
             NodeKind::Aggregate { op, .. } => op.replay_into(out),
             NodeKind::Multiway { op, .. } => op.replay_into(out),
-            NodeKind::Filter { .. } | NodeKind::Project { .. } | NodeKind::Unwind { .. } => {
-                unreachable!("replay_memories on a stateless node")
-            }
+            NodeKind::Program { .. } => unreachable!("replay_memories on a stateless node"),
         }
     }
 
@@ -1916,12 +1901,12 @@ impl DataflowNetwork {
         self.sched.level = level;
     }
 
-    /// Prepare dirty node `slot`'s step. A σ/π whose child feeds nothing
-    /// else takes the child's output buffer to transform in place (the
-    /// move-through that keeps a single view's chain copy-free); any
-    /// other node draws a pooled buffer and reads its children by
-    /// borrow. Intermediate deltas flow raw: only an output that faces a
-    /// sink or feeds a δ is consolidated.
+    /// Prepare dirty node `slot`'s step. A program without an ω whose
+    /// child feeds nothing else takes the child's output buffer to
+    /// rewrite in place (the move-through that keeps a single view's
+    /// chain copy-free); any other node draws a pooled buffer and reads
+    /// its children by borrow. Intermediate deltas flow raw: only an
+    /// output that faces a sink or feeds a δ is consolidated.
     fn prepare(&mut self, slot: u32) -> Step {
         let generation = self.generation;
         let node = self.node(NodeId(slot));
@@ -1931,7 +1916,7 @@ impl DataflowNetwork {
                 .iter()
                 .any(|&p| matches!(self.node(p).kind, NodeKind::Distinct { .. }));
         let steal = match &node.kind {
-            NodeKind::Filter { input, .. } | NodeKind::Project { input, .. } => {
+            NodeKind::Program { input, program, .. } if !program.fans_out() => {
                 let child = self.node(*input);
                 let exclusive = child.parents.len() + child.sinks.len() == 1;
                 (exclusive && self.sched.out_gen[input.ix()] == generation).then_some(input.ix())
@@ -2380,12 +2365,9 @@ impl DataflowNetwork {
             NodeKind::Edges(_) => "⇑".to_string(),
             NodeKind::Join { .. } => "⋈".to_string(),
             NodeKind::SemiJoin { .. } => "⋉/▷".to_string(),
-            kind @ NodeKind::VarLength { .. } => kind.label(),
-            NodeKind::Filter { .. } => "σ".to_string(),
-            NodeKind::Project { .. } => "π".to_string(),
+            kind @ (NodeKind::VarLength { .. } | NodeKind::Program { .. }) => kind.label(),
             NodeKind::Distinct { .. } => "δ".to_string(),
             NodeKind::Aggregate { .. } => "γ".to_string(),
-            NodeKind::Unwind { .. } => "ω".to_string(),
             NodeKind::Multiway { inputs, .. } => format!("⨝ⁿ [{} rels]", inputs.len()),
         };
         OpStats {
@@ -2502,6 +2484,7 @@ impl<'a> ViewRef<'a> {
 #[cfg(test)]
 mod level_tests {
     use super::*;
+    use pgq_common::value::Value;
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
     use std::sync::mpsc::{channel, RecvTimeoutError};
     use std::time::Duration;
@@ -2522,9 +2505,14 @@ mod level_tests {
 
     /// σ[true] over the child in slot `NODES`, outside the level.
     fn filter() -> NodeKind {
-        NodeKind::Filter {
+        let sigma = Fra::Filter {
+            input: Box::new(Fra::Unit),
+            predicate: pgq_algebra::expr::ScalarExpr::Lit(Value::Bool(true)),
+        };
+        NodeKind::Program {
             input: NodeId(NODES as u32),
-            predicate: ScalarExpr::Lit(Value::Bool(true)),
+            program: TupleProgram::compile(&sigma).unwrap().0,
+            scratch: Scratch::default(),
         }
     }
 
@@ -2539,7 +2527,7 @@ mod level_tests {
     }
 
     /// A level of 64 nodes at width 4 in which one node panics (a
-    /// non-σ/π handed a stolen buffer): the original payload reaches the
+    /// non-program handed a stolen buffer): the original payload reaches the
     /// caller, every other node of the level still runs, nothing hangs,
     /// and the same pool runs the next level.
     #[test]
@@ -2583,7 +2571,7 @@ mod level_tests {
                 .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
                 .unwrap_or("");
             assert!(
-                msg.contains("only σ/π steal"),
+                msg.contains("only a program steals"),
                 "unexpected payload: {msg:?}"
             );
             for (i, step) in level.iter().enumerate().filter(|&(i, _)| i != BAD) {

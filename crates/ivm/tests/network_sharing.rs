@@ -397,7 +397,10 @@ fn where_family_shares_the_stateful_prefix() {
     // The private σ nodes are stateless: all materialised state lives in
     // the shared prefix.
     let summaries = net.node_summaries();
-    let sigmas: Vec<_> = summaries.iter().filter(|n| n.label == "σ").collect();
+    let sigmas: Vec<_> = summaries
+        .iter()
+        .filter(|n| n.label.starts_with('σ'))
+        .collect();
     assert_eq!(sigmas.len(), 4);
     assert!(sigmas.iter().all(|n| n.own_tuples == 0));
 }
@@ -443,4 +446,49 @@ fn unlabeled_endpoint_prop_changes_reach_edge_scans() {
         &Value::str("new"),
         "property change on the label-free endpoint must be routed"
     );
+}
+
+/// The eight views of the benchmark's `social_stream`: the thread view,
+/// the friend-likes join, two aggregates and four members of one WHERE
+/// family. Each σ/π/ω chain is one program node, so the eight share 20
+/// nodes — 13 stateful ones and 7 programs (25 while every σ and π was a
+/// node of its own: five of the chains are a σ and a π, merged into one).
+#[test]
+fn social_views_share_twenty_nodes() {
+    use pgq_algebra::compile_query;
+    use pgq_parser::parse_query;
+
+    const VIEWS: [&str; 8] = [
+        "MATCH t = (p:Post)-[:REPLY*]->(c:Comm) WHERE p.lang = c.lang RETURN p, t",
+        "MATCH (a:Person)-[:CREATED]->(p:Post) MATCH (a)-[:KNOWS]->(b:Person) \
+         MATCH (b)-[:LIKES]->(p) RETURN a, b, p",
+        "MATCH (p:Post) RETURN p.lang AS lang, count(*) AS posts",
+        "MATCH (p:Post)-[:REPLY]->(c:Comm) RETURN p.lang AS lang, count(*) AS replies",
+        "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE p.lang = 'en' OR c.lang = 'en' RETURN p, c",
+        "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE p.lang = 'en' OR c.lang = 'de' RETURN p, c",
+        "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE p.lang = 'de' OR c.lang = 'fr' RETURN p, c",
+        "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE p.lang = 'fr' OR c.lang = 'hu' RETURN p, c",
+    ];
+    let g =
+        pgq_workloads::social::generate_social(pgq_workloads::social::SocialParams::scale(0.05, 7))
+            .graph;
+    let mut net = DataflowNetwork::new();
+    for (i, q) in VIEWS.iter().enumerate() {
+        let fra = compile_query(&parse_query(q).unwrap()).unwrap().fra;
+        net.register(format!("v{i}"), &fra, &g);
+    }
+    if !pgq_ivm::planner_enabled() {
+        // The syntactic join order is another network; the benchmark
+        // runs the planned one.
+        return;
+    }
+    let labels: Vec<String> = net.node_summaries().into_iter().map(|n| n.label).collect();
+    let programs = labels
+        .iter()
+        .filter(|l| l.starts_with(['σ', 'π', 'ω']))
+        .count();
+    assert_eq!(net.node_count(), 20, "{labels:#?}");
+    assert_eq!(programs, 7, "{labels:#?}");
+    let fused = labels.iter().filter(|l| l.starts_with("σ→π")).count();
+    assert_eq!(fused, 5, "{labels:#?}");
 }

@@ -53,7 +53,7 @@ fn graph() -> PropertyGraph {
 }
 
 fn stateless(n: &NodeSummary) -> bool {
-    ["σ", "π", "ω"].contains(&n.label.as_str())
+    n.label.starts_with(['σ', 'π', 'ω'])
 }
 
 /// Register `cypher`, returning the summaries of the nodes it added and

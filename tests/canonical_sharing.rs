@@ -136,13 +136,13 @@ fn where_family_shares_prefix_and_stays_correct() {
     let first = e.network_node_count();
     for (i, q) in WHERE_FAMILY_QUERIES.iter().enumerate().skip(1) {
         e.register_view(&format!("m{i}"), q).unwrap();
-        // Each member adds only its private stateless σ/π suffix (≤ 2
-        // nodes); the scans and any join memories stay shared.
-        assert!(
-            e.network_node_count() <= first + 2 * i,
-            "member {i} duplicated shared prefix nodes: {} > {}",
+        // Each member adds only its private stateless suffix: one
+        // program node, its σ and π merged (two nodes before programs);
+        // the scans and any join memories stay shared.
+        assert_eq!(
             e.network_node_count(),
-            first + 2 * i
+            first + i,
+            "member {i} added more than its program node"
         );
     }
 
@@ -241,7 +241,10 @@ fn motif_views_share_one_edge_scan_one_wedge_and_one_wedge_index() {
         3,
         "wedge, triangle-closing and four-cycle joins"
     );
-    assert!(nodes.len() <= 11, "{} nodes", nodes.len());
+    // ⇑, three ⋈, γ and three programs: the wedge's σ, and the
+    // triangle's and the four-cycle's σ→π, each pair merged into one
+    // node (10 nodes while every σ and π was a node of its own).
+    assert_eq!(nodes.len(), 8, "{nodes:?}");
 
     // The edge scan is indexed once per key set its three readers use:
     // the wedge join's two sides and the triangle-closing join.
