@@ -11,11 +11,19 @@
 //! it a hash map takes over. Both paths produce the same deterministic
 //! *first-occurrence* order; callers that need a totally sorted delta
 //! (tests, report diffs) use [`Delta::consolidate_sorted`].
+//!
+//! Keyed state costs no heap allocation per key in the common case: an
+//! [`IndexedBag`] key holding one tuple keeps it inline in its table
+//! entry, a few tuples share one `Vec`, and a hot key a per-tuple map
+//! (see [`IndexedBag`] for the layout). An update probes the table once.
+
+use std::collections::hash_map::Entry;
 
 use pgq_common::fxhash::FxHashMap;
 use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
 
+use crate::small_list::SmallList;
 use crate::stats::counters;
 
 /// One output row on its way from an operator to a consumer.
@@ -191,11 +199,11 @@ impl Delta {
             let mut write = 0usize;
             for read in 0..entries.len() {
                 match index.entry(entries[read].0.clone()) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
+                    Entry::Occupied(e) => {
                         let j = *e.get();
                         entries[j].1 += entries[read].1;
                     }
-                    std::collections::hash_map::Entry::Vacant(v) => {
+                    Entry::Vacant(v) => {
                         v.insert(write);
                         entries.swap(write, read);
                         write += 1;
@@ -239,9 +247,10 @@ impl FromIterator<(Tuple, i64)> for Delta {
     }
 }
 
-/// A hash bucket spills from a linear `Vec` to a per-tuple map beyond
+/// A hash bucket spills from a linear list to a per-tuple map beyond
 /// this many distinct tuples. Join keys overwhelmingly have small
-/// fan-out, where a `Vec` avoids the per-bucket map allocation and beats
+/// fan-out: one tuple sits inline in the bucket itself, two to eight
+/// share one `Vec`, which avoids the per-bucket map allocation and beats
 /// it on scan locality; hot keys (deep threads, popular posts) get O(1)
 /// updates from the map.
 const BUCKET_SPILL: usize = 8;
@@ -250,66 +259,73 @@ const BUCKET_SPILL: usize = 8;
 /// multiplicity-counted tuple bag (the ⋈* operator keeps one per anchor).
 #[derive(Clone, Debug)]
 pub(crate) enum Bucket {
-    /// Small fan-out: linear scan.
-    Small(Vec<(Tuple, i64)>),
+    /// Small fan-out: linear scan; one tuple is held inline.
+    Small(SmallList<(Tuple, i64)>),
     /// Large fan-out: per-tuple multiplicity map.
     Large(FxHashMap<Tuple, i64>),
 }
 
 impl Default for Bucket {
     fn default() -> Self {
-        Bucket::Small(Vec::new())
+        Bucket::Small(SmallList::Empty)
     }
 }
 
 impl Bucket {
-    /// Apply one signed update; returns the change in distinct-tuple
-    /// count (−1, 0, or +1).
+    /// Apply one signed update (`mult ≠ 0`); returns the change in
+    /// distinct-tuple count (−1, 0, or +1).
     pub(crate) fn update(&mut self, tuple: &Tuple, mult: i64) -> i64 {
+        debug_assert_ne!(mult, 0);
         match self {
-            Bucket::Small(v) => {
-                if let Some(pos) = v.iter().position(|(t, _)| t == tuple) {
-                    v[pos].1 += mult;
-                    if v[pos].1 == 0 {
-                        v.swap_remove(pos);
+            Bucket::Small(list) => {
+                if let Some(pos) = list.iter().position(|(t, _)| t == tuple) {
+                    list[pos].1 += mult;
+                    if list[pos].1 == 0 {
+                        list.swap_remove(pos);
                         -1
                     } else {
                         0
                     }
                 } else {
-                    if v.len() >= BUCKET_SPILL {
-                        let mut m: FxHashMap<Tuple, i64> = v.drain(..).collect();
+                    if list.len() >= BUCKET_SPILL {
+                        let mut m: FxHashMap<Tuple, i64> = list.iter().cloned().collect();
                         m.insert(tuple.clone(), mult);
                         counters::rehash_if_grew(0, m.capacity());
                         *self = Bucket::Large(m);
                     } else {
-                        v.push((tuple.clone(), mult));
+                        list.push((tuple.clone(), mult));
                     }
                     1
                 }
             }
             Bucket::Large(m) => {
+                // One probe: `entry` takes an owned key, and a refcount
+                // bump is cheaper than probing again to remove or insert.
                 let before = m.capacity();
-                let e = m.entry(tuple.clone()).or_insert(0);
-                let was_zero = *e == 0;
-                *e += mult;
-                let now_zero = *e == 0;
-                if now_zero {
-                    m.remove(tuple);
-                }
+                let change = match m.entry(tuple.clone()) {
+                    Entry::Occupied(mut e) => {
+                        *e.get_mut() += mult;
+                        if *e.get() == 0 {
+                            e.remove();
+                            -1
+                        } else {
+                            0
+                        }
+                    }
+                    Entry::Vacant(e) => {
+                        e.insert(mult);
+                        1
+                    }
+                };
                 counters::rehash_if_grew(before, m.capacity());
-                match (was_zero, now_zero) {
-                    (true, false) => 1,
-                    (false, true) => -1,
-                    _ => 0,
-                }
+                change
             }
         }
     }
 
     pub(crate) fn is_empty(&self) -> bool {
         match self {
-            Bucket::Small(v) => v.is_empty(),
+            Bucket::Small(list) => list.is_empty(),
             Bucket::Large(m) => m.is_empty(),
         }
     }
@@ -346,10 +362,18 @@ impl<'a> Iterator for BucketIter<'a> {
 /// Tuples are bucketed by the Fx hash of their projection onto
 /// `key_cols` (see [`pgq_common::tuple::hash_values`]); within a hash
 /// bucket an adaptive `Bucket` keeps updates cheap at both small and
-/// large fan-out. Probes hash the probing tuple's own projection via
-/// [`Tuple::hash_projected`] and compare key columns value-by-value, so
-/// neither [`IndexedBag::update`] nor [`IndexedBag::probe`] ever
-/// materialises a key tuple.
+/// large fan-out:
+///
+/// | tuples under the key | bucket held in the table entry |
+/// |---|---|
+/// | 1 | the `(tuple, multiplicity)` pair itself — no allocation |
+/// | 2 ..= `BUCKET_SPILL` (8) | one `Vec`, scanned linearly (kept if the key shrinks back to one) |
+/// | more | a per-tuple multiplicity map |
+///
+/// A key whose last tuple goes leaves the table. Probes hash the probing
+/// tuple's own projection via [`Tuple::hash_projected`] and compare key
+/// columns value-by-value, so neither [`IndexedBag::update`] nor
+/// [`IndexedBag::probe`] ever materialises a key tuple.
 #[derive(Clone, Debug, Default)]
 pub struct IndexedBag {
     /// key-projection hash -> bucket of (full tuple, multiplicity)
@@ -378,18 +402,41 @@ impl IndexedBag {
         self.size
     }
 
-    /// Apply one signed update.
+    /// Keys held (hash buckets, strictly), and how many of them hold
+    /// their tuples inline. Walks the table: for `:stats`, not for the
+    /// hot path.
+    pub fn key_counts(&self) -> (usize, usize) {
+        let inline = self
+            .by_key
+            .values()
+            .filter(|b| matches!(b, Bucket::Small(list) if list.is_inline()))
+            .count();
+        (self.by_key.len(), inline)
+    }
+
+    /// Apply one signed update: one probe of the table, whether the key
+    /// is new (its tuple goes in inline), present, or emptied (it leaves
+    /// through the entry the probe found).
     pub fn update(&mut self, tuple: &Tuple, mult: i64) {
         if mult == 0 {
             return;
         }
         let hash = tuple.hash_projected(&self.key_cols);
         let outer_before = self.by_key.capacity();
-        let slot = self.by_key.entry(hash).or_default();
-        self.size = (self.size as i64 + slot.update(tuple, mult)) as usize;
-        if slot.is_empty() {
-            self.by_key.remove(&hash);
-        }
+        let change = match self.by_key.entry(hash) {
+            Entry::Occupied(mut e) => {
+                let change = e.get_mut().update(tuple, mult);
+                if e.get().is_empty() {
+                    e.remove();
+                }
+                change
+            }
+            Entry::Vacant(e) => {
+                e.insert(Bucket::Small(SmallList::One((tuple.clone(), mult))));
+                1
+            }
+        };
+        self.size = (self.size as i64 + change) as usize;
         counters::rehash_if_grew(outer_before, self.by_key.capacity());
     }
 

@@ -49,6 +49,7 @@ pub mod join;
 pub mod network;
 pub mod scan;
 pub mod semijoin;
+mod small_list;
 pub mod stats;
 pub mod tc;
 pub mod view;

@@ -2235,8 +2235,9 @@ impl DataflowNetwork {
                 .sum::<usize>()
     }
 
-    /// ` arr{0,4}: 112k ×3` per arrangement of `id` — key columns,
-    /// tuples held, readers — for the `:stats` rendering.
+    /// ` arr{0,4}: 112k ×3, 97% inline` per arrangement of `id` — key
+    /// columns, tuples held, readers, share of keys whose tuples sit in
+    /// the table entry — for the `:stats` rendering.
     fn arrangement_note(&self, id: NodeId) -> String {
         use std::fmt::Write;
         let mut note = String::new();
@@ -2248,7 +2249,14 @@ impl DataflowNetwork {
             } else {
                 format!("{}k", n / 1000)
             };
-            let _ = write!(note, " arr{{{}}}: {size} ×{}", cols.join(","), a.readers);
+            let (keys, inline) = a.bag.key_counts();
+            let share = (100 * inline).checked_div(keys).unwrap_or(100);
+            let _ = write!(
+                note,
+                " arr{{{}}}: {size} ×{}, {share}% inline",
+                cols.join(","),
+                a.readers
+            );
         }
         note
     }
@@ -2422,30 +2430,29 @@ impl<'a> ViewRef<'a> {
         &self.net.sink(self.sid).columns
     }
 
+    /// The result bag by reference, sorted by [`Tuple::total_cmp`]. The
+    /// tuples are distinct keys, so an unstable sort is deterministic.
+    fn sorted(&self) -> Vec<(&'a Tuple, i64)> {
+        let results = &self.net.sink(self.sid).results;
+        let mut out: Vec<(&Tuple, i64)> = results.iter().map(|(t, m)| (t, *m)).collect();
+        out.sort_unstable_by(|a, b| a.0.total_cmp(b.0));
+        out
+    }
+
     /// Current result bag as `(tuple, multiplicity)` pairs, sorted for
     /// deterministic output.
     pub fn results(&self) -> Vec<(Tuple, i64)> {
-        let results = &self.net.sink(self.sid).results;
-        let mut out: Vec<(Tuple, i64)> = results.iter().map(|(t, m)| (t.clone(), *m)).collect();
-        out.sort_by(|a, b| {
-            a.0.values()
-                .iter()
-                .zip(b.0.values())
-                .fold(std::cmp::Ordering::Equal, |acc, (x, y)| {
-                    acc.then_with(|| x.total_cmp(y))
-                })
-                .then_with(|| a.0.arity().cmp(&b.0.arity()))
-        });
-        out
+        self.sorted()
+            .into_iter()
+            .map(|(t, m)| (t.clone(), m))
+            .collect()
     }
 
     /// Flattened result rows (each tuple repeated by its multiplicity).
     pub fn rows(&self) -> Vec<Tuple> {
-        let mut out = Vec::new();
-        for (t, m) in self.results() {
-            for _ in 0..m.max(0) {
-                out.push(t.clone());
-            }
+        let mut out = Vec::with_capacity(self.row_count());
+        for (t, m) in self.sorted() {
+            out.extend(std::iter::repeat_n(t, m.max(0) as usize).cloned());
         }
         out
     }

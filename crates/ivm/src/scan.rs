@@ -141,7 +141,6 @@ impl VertexScan {
 
     /// Full evaluation against `g`, populating the memory.
     pub fn initial(&mut self, g: &PropertyGraph) -> Delta {
-        let mut out = Delta::new();
         let ids: Vec<VertexId> = if self.labels.is_empty() {
             g.vertex_ids().collect()
         } else {
@@ -154,12 +153,16 @@ impl VertexScan {
                 .expect("non-empty labels");
             g.vertices_with_label(first).to_vec()
         };
+        let mut out = Delta::with_capacity(ids.len());
+        self.memory.reserve(ids.len());
         for v in ids {
             if let Some(t) = self.tuple_of(g, v) {
                 self.memory.insert(v, t.clone());
                 out.push(t, 1);
             }
         }
+        // Sized once for every id; return what the other labels rejected.
+        self.memory.shrink_to_fit();
         out
     }
 
@@ -426,7 +429,6 @@ impl EdgeScan {
 
     /// Full evaluation against `g`.
     pub fn initial(&mut self, g: &PropertyGraph) -> Delta {
-        let mut out = Delta::new();
         let ids: Vec<EdgeId> = if self.types.is_empty() {
             g.edge_ids().collect()
         } else {
@@ -435,6 +437,8 @@ impl EdgeScan {
                 .flat_map(|&t| g.edges_with_type(t).iter().copied())
                 .collect()
         };
+        let mut out = Delta::with_capacity(ids.len());
+        self.memory.reserve(ids.len());
         for e in ids {
             if let Some(tuples) = self.tuples_of(g, e) {
                 for t in tuples.as_slice() {
@@ -443,6 +447,9 @@ impl EdgeScan {
                 self.memory.insert(e, tuples);
             }
         }
+        // Sized once for every id; return what the endpoint labels and
+        // edge-property filters rejected.
+        self.memory.shrink_to_fit();
         out
     }
 

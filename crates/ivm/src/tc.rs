@@ -71,7 +71,11 @@
 //! edge-distinctness is a scan of the path) — the touched neighbourhood,
 //! never the graph. An edge change additionally scans its source's
 //! adjacency list to unlink it, and every hop costs one vertex-map and
-//! one edge-map lookup.
+//! one edge-map lookup. The lists a path enters — its parent's
+//! `children`, its target's `ending`, its last edge's `by_last_edge` —
+//! and a vertex's `out` hold one entry inline (`SmallList`), so a new
+//! path allocates its `Arc<PathValue>` (and that value's two `Vec`s) and
+//! nothing else until some vertex, edge or node gains a second entry.
 
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
@@ -87,6 +91,7 @@ use pgq_graph::store::PropertyGraph;
 
 use crate::delta::{Bucket, Delta, Row, RowSink};
 use crate::scan::{EdgeScan, EdgeScanSpec, ScanRouting, VertexScan};
+use crate::small_list::SmallList;
 use crate::stats::counters;
 
 /// "No parent": marks a trie root.
@@ -102,7 +107,7 @@ struct TrieNode {
     target: VertexId,
     /// The path itself, materialised once.
     path: Arc<PathValue>,
-    children: Vec<u32>,
+    children: SmallList<u32>,
     /// This node's index in its parent's `children`, in
     /// `ending[target]` and in `by_last_edge[last edge]`, so that it
     /// leaves each by `swap_remove`.
@@ -115,9 +120,9 @@ struct TrieNode {
 #[derive(Clone, Debug, Default)]
 struct VertexEntry {
     /// Admitted hops leaving this vertex.
-    out: Vec<(EdgeId, VertexId)>,
+    out: SmallList<(EdgeId, VertexId)>,
     /// Trie nodes whose path ends here.
-    ending: Vec<u32>,
+    ending: SmallList<u32>,
 }
 
 fn slot(nodes: &mut [Option<TrieNode>], ix: u32) -> &mut TrieNode {
@@ -125,7 +130,7 @@ fn slot(nodes: &mut [Option<TrieNode>], ix: u32) -> &mut TrieNode {
 }
 
 /// `list.swap_remove(pos)`, returning the node that took the slot.
-fn swap_out(list: &mut Vec<u32>, pos: u32) -> Option<u32> {
+fn swap_out(list: &mut SmallList<u32>, pos: u32) -> Option<u32> {
     list.swap_remove(pos as usize);
     list.get(pos as usize).copied()
 }
@@ -137,7 +142,7 @@ struct PathTrie {
     nodes: Vec<Option<TrieNode>>,
     free: Vec<u32>,
     verts: FxHashMap<VertexId, VertexEntry>,
-    by_last_edge: FxHashMap<EdgeId, Vec<u32>>,
+    by_last_edge: FxHashMap<EdgeId, SmallList<u32>>,
     roots: usize,
     paths: usize,
     /// Pending one-hop extensions `(node, edge, neighbour)` of the walk.
@@ -196,7 +201,7 @@ impl PathTrie {
             parent,
             target,
             path,
-            children: Vec::new(),
+            children: SmallList::Empty,
             child_pos,
             ending_pos,
             edge_pos,

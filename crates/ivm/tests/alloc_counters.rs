@@ -1,49 +1,67 @@
 //! With the `ivm-stats` feature on, the hot-path counters must show that
 //! steady-state join maintenance materialises **zero** key tuples per
 //! match — the whole point of the borrowed-key memories — while still
-//! doing real probe work. A counting allocator (this binary's own) shows
-//! the same for a fused σ→π program: one allocation per surviving output
-//! row, nothing per input row or per stage.
+//! doing real probe work. A counting allocator (this binary's own,
+//! counting per thread) shows the same for a fused σ→π program — one
+//! allocation per surviving output row, nothing per input row or per
+//! stage — and for keyed state: a single-tuple arrangement key and a
+//! one-hop ⋈* extension allocate nothing per key or per list entry.
 //!
 //! Run with `cargo test -p pgq_ivm --features ivm-stats`.
 #![cfg(feature = "ivm-stats")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use pgq_algebra::expr::ScalarExpr;
+use pgq_algebra::fra::VarLenSpec;
 use pgq_algebra::program::{Scratch, TupleProgram};
+use pgq_common::dir::Direction;
+use pgq_common::intern::Symbol;
 use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
+use pgq_graph::props::Properties;
+use pgq_graph::store::PropertyGraph;
 use pgq_ivm::basic::{program_in_place, program_into};
 use pgq_ivm::delta::{Delta, IndexedBag};
 use pgq_ivm::join::JoinOp;
 use pgq_ivm::semijoin::SemiJoinOp;
 use pgq_ivm::stats::counters;
+use pgq_ivm::tc::VarLengthOp;
 use pgq_parser::ast::BinOp;
 
 struct Counting;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread, so that tests running in
+    /// parallel count only their own.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: `Counting` holds no state besides a relaxed counter; every
-// method forwards its arguments unchanged to the system allocator, so the
-// caller's `GlobalAlloc` contract is the one `System` gets.
+fn count_one() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: `Counting` holds no state besides a thread-local counter (a
+// const-initialised `Cell` without a destructor, so counting never
+// allocates); every method forwards its arguments unchanged to the system
+// allocator, so the caller's `GlobalAlloc` contract is the one `System`
+// gets.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: forwarded from this method's caller.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: forwarded from this method's caller.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: forwarded from this method's caller; `ptr` came from
         // `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -60,9 +78,9 @@ static GLOBAL: Counting = Counting;
 
 /// Allocations made by `f`.
 fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 fn t(vals: &[i64]) -> Tuple {
@@ -262,4 +280,85 @@ fn join_hot_path_materialises_no_keys() {
     let in_place = allocations(|| rewritten = program_in_place(&program, owned, &mut scratch));
     assert_eq!(rewritten, out);
     assert_eq!(in_place, 58, "one tuple per surviving row, in place");
+}
+
+/// A key holding one tuple keeps it in the table entry: once the table
+/// has grown, inserting and then retracting single-tuple keys allocates
+/// nothing.
+#[test]
+fn single_tuple_keys_allocate_nothing_in_steady_state() {
+    let mut bag = IndexedBag::new(vec![0]);
+    let tuples: Vec<Tuple> = (0..64).map(|i| t(&[i, 10 * i])).collect();
+    for tu in &tuples {
+        bag.update(tu, 1);
+    }
+    for tu in &tuples {
+        bag.update(tu, -1);
+    }
+    assert_eq!(bag.key_counts(), (0, 0));
+    let churn = allocations(|| {
+        for batch in tuples.chunks(16) {
+            for tu in batch {
+                bag.update(tu, 1);
+            }
+            assert_eq!(bag.key_counts(), (16, 16), "every key inline");
+            for tu in batch {
+                bag.update(tu, -1);
+            }
+        }
+    });
+    assert_eq!(churn, 0, "a single-tuple key costs no allocation");
+    assert_eq!(bag.distinct_len(), 0);
+}
+
+/// Extending a ⋈* chain by one hop allocates the hop's tuple in the edge
+/// scan, the new path (its `Arc` and the path's vertex and edge `Vec`s)
+/// and the output row — and nothing for the trie's lists: the new node
+/// enters its parent's `children`, its target's `ending` and its edge's
+/// `by_last_edge` inline, as the hop enters its source's `out`.
+#[test]
+fn one_hop_extension_allocates_only_the_path_and_the_row() {
+    let r = Symbol::intern("R");
+    let mut g = PropertyGraph::new();
+    let chain: Vec<_> = (0..4)
+        .map(|_| g.add_vertex([Symbol::intern("N")], Properties::new()).0)
+        .collect();
+    for w in chain.windows(2) {
+        g.add_edge(w[0], w[1], r, Properties::new()).unwrap();
+    }
+    let spec = VarLenSpec {
+        types: vec![r],
+        dir: Direction::Out,
+        dst_labels: vec![],
+        dst_props: vec![],
+        dst_carry_map: false,
+        edge_prop_filters: vec![],
+        min: 1,
+        max: None,
+    };
+    let mut op = VarLengthOp::new(1, 0, &spec);
+    let left: Delta = [(Tuple::new(vec![Value::Node(chain[0])]), 1)]
+        .into_iter()
+        .collect();
+    op.initial(&g, left);
+    assert_eq!(op.path_count(), 3);
+
+    let tail = chain[3];
+    let no_left = Delta::new();
+    let mut out = Delta::with_capacity(4);
+    // Warm-up: grow every map and buffer once, then drop the hop again.
+    let (w, ev) = g.add_vertex([Symbol::intern("N")], Properties::new());
+    let (e, ev2) = g.add_edge(tail, w, r, Properties::new()).unwrap();
+    op.on_events_into(&g, &[ev, ev2], &no_left, &mut out);
+    let ev = g.remove_edge(e).unwrap();
+    op.on_events_into(&g, &[ev], &no_left, &mut out);
+    assert_eq!(op.path_count(), 3);
+
+    let (w, ev) = g.add_vertex([Symbol::intern("N")], Properties::new());
+    let (_, ev2) = g.add_edge(tail, w, r, Properties::new()).unwrap();
+    out.clear();
+    let hop = allocations(|| op.on_events_into(&g, &[ev, ev2], &no_left, &mut out));
+    assert_eq!(out.len(), 1, "one new path from the anchor: {out:?}");
+    assert_eq!(op.path_count(), 4);
+    assert_eq!(hop, 1 + 3 + 1, "edge tuple + path + output row");
 }
