@@ -25,7 +25,8 @@
 //!
 //! * **factors** — the non-join inputs (scans, or opaque subplans such
 //!   as aggregates, each planned recursively),
-//! * **join edges** — equi-join key pairs between factor columns,
+//! * **join edges** — equi-join key pairs between factor columns (a join
+//!   keys on every equality class of them both its sides hold),
 //! * **appliers** — filter conjuncts and semijoin reductions, applied
 //!   at the earliest point where their columns are available (which
 //!   reproduces filter push-down inside the region), and
@@ -718,6 +719,8 @@ struct Region {
     expansions: Vec<Expansion>,
     /// Equi-join key pairs as region-global column ids.
     edges: Vec<(usize, usize)>,
+    /// Equality class per global ([`Region::close_edges`]).
+    class: Vec<usize>,
     /// Filters and semijoins in original (bottom-up) application order.
     appliers: Vec<Applier>,
     /// Provenance per global id.
@@ -729,6 +732,22 @@ struct Region {
 }
 
 impl Region {
+    /// Label every global with its equality class under the edges.
+    fn close_edges(&mut self) {
+        let mut class: Vec<usize> = (0..self.next_global).collect();
+        let root = |class: &[usize], mut g: usize| {
+            while class[g] != g {
+                g = class[g];
+            }
+            g
+        };
+        for &(a, b) in &self.edges {
+            let (ra, rb) = (root(&class, a), root(&class, b));
+            class[ra.max(rb)] = ra.min(rb);
+        }
+        self.class = (0..class.len()).map(|g| root(&class, g)).collect();
+    }
+
     fn fresh(&mut self, info: ColInfo, owner: usize) -> usize {
         let g = self.next_global;
         self.next_global += 1;
@@ -1021,8 +1040,8 @@ impl<'a> Enumerator<'a> {
                 pairs.push(pair);
             }
         }
-        let lk: Vec<usize> = pairs.iter().map(|&(a, _)| a).collect();
-        let rk: Vec<usize> = pairs.iter().map(|&(_, b)| b).collect();
+        let mut lk: Vec<usize> = pairs.iter().map(|&(a, _)| a).collect();
+        let mut rk: Vec<usize> = pairs.iter().map(|&(_, b)| b).collect();
         let card = join_card(
             &Rel {
                 card: l.card,
@@ -1036,6 +1055,19 @@ impl<'a> Enumerator<'a> {
             &rk,
             self.stats,
         );
+        // Equality is transitive: a class both sides hold a column of is
+        // a key even when its edges run through a unit joined later. It
+        // only narrows the join; the estimate above keeps to the edges.
+        let class = &self.region.class;
+        let mut keyed: Vec<usize> = lk.iter().map(|&p| class[l.globals[p]]).collect();
+        for (lp, &lg) in l.globals.iter().enumerate() {
+            let rp = r.globals.iter().position(|&rg| class[rg] == class[lg]);
+            if let (Some(rp), false) = (rp, keyed.contains(&class[lg])) {
+                lk.push(lp);
+                rk.push(rp);
+                keyed.push(class[lg]);
+            }
+        }
 
         let mut globals = l.globals.clone();
         let mut cols = l.cols.clone();
@@ -1484,6 +1516,7 @@ fn plan_region(
 ) -> (Fra, Vec<usize>) {
     let mut region = Region::default();
     let output = decompose(fra, stats, &mut region, opts, report);
+    region.close_edges();
     let unit_count = region.factors.len() + region.expansions.len();
     // Units and appliers are tracked in u64 bitmasks; a region exceeding
     // 63 of either (far beyond any compiled query) keeps its syntactic
@@ -2149,6 +2182,87 @@ mod tests {
             "FOLLOWS must be joined last:\n{}",
             planned.fra.explain()
         );
+    }
+
+    /// `(a:Person)-[:CREATED]->(p), (a)-[:KNOWS]->(b), (b)-[:LIKES]->(p)`
+    /// under social-shaped statistics: the enumerator joins CREATED and
+    /// LIKES on `p` first and brings KNOWS in next, and `a`'s label scan,
+    /// the unit the written plan equates both `a` columns through, joins
+    /// last. The join that brings KNOWS in shares `b` by an edge and `a`
+    /// only through that scan; keyed on `b` alone it would hold every
+    /// like times every friend of the post's author.
+    #[test]
+    fn a_join_keys_on_every_class_both_sides_hold() {
+        // The catalog of the benchmark's `social_durable` graph, with
+        // fewer likes: CREATED ⋈ LIKES then estimates below every other
+        // first join (on the benchmark's own catalog the two orders tie).
+        let mut st = PlanStats {
+            vertices: 6_600,
+            edges: 15_595,
+            out_degree_sq_sum: 208_233,
+            out_degree_sources: 3_606,
+            ..PlanStats::default()
+        };
+        st.label_counts.insert(s("Person"), 600);
+        st.label_counts.insert(s("Post"), 1_200);
+        st.label_counts.insert(s("Comm"), 4_800);
+        for (ty, n, src, dst) in [
+            ("CREATED", 6_000, 488, 6_000),
+            ("KNOWS", 2_395, 488, 475),
+            ("LIKES", 60, 60, 60),
+            ("REPLY", 4_800, 4_800, 4_800),
+        ] {
+            st.type_counts.insert(s(ty), n);
+            st.type_distinct_src.insert(s(ty), src);
+            st.type_distinct_dst.insert(s(ty), dst);
+        }
+        let q = "MATCH (a:Person)-[:CREATED]->(p:Post) MATCH (a)-[:KNOWS]->(b:Person) \
+                 MATCH (b)-[:LIKES]->(p) RETURN a, b, p";
+        let query = pgq_parser::parse_query(q).unwrap();
+        let written = crate::pipeline::compile_query(&query).unwrap().fra;
+        let planned = plan(&written, &st).fra;
+        assert_eq!(planned.schema(), written.schema());
+
+        fn types(f: &Fra, out: &mut Vec<Symbol>) {
+            match f {
+                Fra::ScanEdges { types: t, .. } => out.extend(t),
+                Fra::HashJoin { left, right, .. } => {
+                    types(left, out);
+                    types(right, out);
+                }
+                Fra::Filter { input, .. } | Fra::Project { input, .. } => types(input, out),
+                _ => {}
+            }
+        }
+        /// Key count of the join with KNOWS alone on one side.
+        fn knows_join(f: &Fra) -> Option<(usize, Vec<Symbol>)> {
+            match f {
+                Fra::HashJoin {
+                    left,
+                    right,
+                    left_keys,
+                    ..
+                } => {
+                    let (mut l, mut r) = (Vec::new(), Vec::new());
+                    types(left, &mut l);
+                    types(right, &mut r);
+                    let knows = [s("KNOWS")];
+                    match (l == knows, r == knows) {
+                        (true, _) => Some((left_keys.len(), r)),
+                        (_, true) => Some((left_keys.len(), l)),
+                        _ => knows_join(left).or_else(|| knows_join(right)),
+                    }
+                }
+                Fra::Filter { input, .. } | Fra::Project { input, .. } => knows_join(input),
+                _ => None,
+            }
+        }
+        let (keys, mut other) = knows_join(&planned).expect("KNOWS joins alone");
+        other.sort();
+        let mut created_likes = vec![s("CREATED"), s("LIKES")];
+        created_likes.sort();
+        assert_eq!(other, created_likes, "{}", planned.explain());
+        assert_eq!(keys, 2, "keyed on `b` and `a`:\n{}", planned.explain());
     }
 
     #[test]

@@ -673,8 +673,9 @@ fn emit_bench_json(quick: bool, path: &str) {
     // there is one recovery path and no warm/cold pair to compare):
     // `recovery_*` is one `open_durable_with` — decode, restore the
     // graph, register each join-heavy view once, empty WAL tail — and
-    // `snapshot_tick_*` is one `engine.snapshot()` on that engine, the
-    // stall a commit pays every `PGQ_SNAPSHOT_EVERY`. In-memory Vfs, so
+    // `snapshot_tick_*` is one `engine.snapshot()` on that engine, what
+    // an explicit snapshot or a view registration pays (the commit
+    // cadence folds in the background instead). In-memory Vfs, so
     // neither number contains host disk.
     {
         use std::sync::Arc;

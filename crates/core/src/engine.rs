@@ -13,12 +13,10 @@ use pgq_common::intern::Symbol;
 use pgq_common::pool::WorkerPool;
 use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
+use pgq_durability::fold::{self, FoldJob, FoldThread};
 use pgq_durability::recovery::{self, RecoveryReport};
-use pgq_durability::snapshot::snap_file;
 use pgq_durability::wal::{self, wal_file};
-use pgq_durability::{
-    DurOp, DurabilityError, FsyncMode, SnapshotView, SnapshotWriter, StdVfs, Vfs,
-};
+use pgq_durability::{DurOp, DurabilityError, FsyncMode, SnapshotView, StdVfs, Vfs};
 use pgq_graph::delta::ChangeEvent;
 use pgq_graph::props::Properties;
 use pgq_graph::store::PropertyGraph;
@@ -65,12 +63,21 @@ impl Clone for Subscribers {
 
 /// Durability state of an engine opened via
 /// [`GraphEngine::open_durable`]: the storage handle, the active WAL
-/// generation, and the failure breaker behind read-only degradation.
+/// generation, the fold in flight, and the breaker behind degradation.
 struct Durable {
     vfs: Arc<dyn Vfs>,
     /// Active WAL generation: appends go to `wal.<generation>`, and
-    /// every snapshot switches to `generation + 1`.
+    /// every snapshot or cadence switch moves them to `generation + 1`.
     generation: u64,
+    /// The image recovery starts from (`None`: replay from `wal.0`);
+    /// every later generation up to the active one is a log on disk.
+    base: Option<u64>,
+    /// The fold in flight: at most one; the next switch, snapshot or drop joins it.
+    fold: Option<FoldThread>,
+    /// The graph of `snap.<base>` when a fold wrote it, for the next.
+    kept: Option<PropertyGraph>,
+    /// Folds that failed or panicked since the engine opened.
+    fold_failures: u64,
     /// Records currently in the active generation's log.
     wal_records: u64,
     /// Valid byte length of the active log — the engine's mirror of the
@@ -91,9 +98,9 @@ struct Durable {
     /// (`PGQ_SNAPSHOT_EVERY`; `0` disables the cadence, leaving only
     /// registration-change and explicit snapshots).
     snapshot_every: u64,
-    /// Commits since the snapshot a recovery would start from.
+    /// Commits since the last switch (or replayed past the base).
     txs_since_snapshot: u64,
-    /// Snapshots this engine has written since it opened.
+    /// Images written since opening (snapshots and joined folds).
     snapshots_written: u64,
     /// Size of the most recent one, written or recovered from (also
     /// the next one's buffer hint).
@@ -108,7 +115,7 @@ struct Durable {
     /// [`GraphEngine::reset_durability`].
     degraded: Option<DurabilityError>,
     /// Most recent durability failure (including non-fatal ones, e.g. a
-    /// failed cadence snapshot whose commit was already durable).
+    /// failed fold, whose commits were already durable).
     last_error: Option<DurabilityError>,
     /// What recovery found and repaired when this engine opened.
     recovery: RecoveryReport,
@@ -132,12 +139,78 @@ pub struct DurabilityHealth {
     pub wal_len: u64,
     /// Group-commit flush window.
     pub flush_window: u64,
-    /// Snapshots written since the engine opened (cadence ticks,
-    /// registration changes, explicit calls).
+    /// Images written since the engine opened: synchronous snapshots
+    /// (registration changes, explicit calls, resets) and joined folds.
     pub snapshots_written: u64,
     /// Encoded size of the most recent snapshot, in bytes — written,
     /// or until then loaded by recovery (`0` after a cold start).
     pub last_snapshot_bytes: u64,
+    /// The image recovery would start from (`None`: none); one behind
+    /// `generation` while a fold runs, more after one failed.
+    pub base_generation: Option<u64>,
+    /// A fold has started; it counts once the next switch, snapshot or drop joins it.
+    pub fold_in_flight: bool,
+    /// Folds that failed or panicked since the engine opened.
+    pub fold_failures: u64,
+}
+
+impl Durable {
+    /// Collect the fold in flight: its image becomes the base, or its
+    /// failure `last_error` (the next switch folds the longer chain).
+    fn join_fold(&mut self) {
+        let Some(fold) = self.fold.take() else {
+            return;
+        };
+        match fold.join() {
+            Ok(folded) => {
+                self.base = Some(folded.generation);
+                self.kept = Some(folded.graph);
+                self.snapshots_written += 1;
+                self.last_snapshot_bytes = folded.bytes;
+                if let Some(e) = folded.cleanup {
+                    self.last_error = Some(e);
+                }
+            }
+            Err(e) => {
+                self.fold_failures += 1;
+                self.last_error = Some(e);
+            }
+        }
+    }
+
+    /// Close the active generation, start folding it (with the chain
+    /// below it) into `snap.<g+1>`, and move appends to `wal.<g+1>`.
+    fn switch(&mut self, views: Vec<SnapshotView>) {
+        let job = FoldJob {
+            base: self.base,
+            through: self.generation,
+            kept: self.kept.take(),
+            views,
+            capacity: self.image_hint(),
+        };
+        self.fold = Some(FoldThread::spawn(Arc::clone(&self.vfs), job));
+        self.move_to(self.generation + 1);
+    }
+
+    /// Appends go to a fresh `wal.<generation>` from now on.
+    fn move_to(&mut self, generation: u64) {
+        self.generation = generation;
+        self.wal_records = 0;
+        self.wal_len = 0;
+        self.txs_since_snapshot = 0;
+    }
+
+    /// Encode-buffer size for the next image: the last one's, plus slack.
+    fn image_hint(&self) -> usize {
+        (self.last_snapshot_bytes + self.last_snapshot_bytes / 8) as usize
+    }
+}
+
+impl Drop for Durable {
+    /// A fold in flight lands (or fails) before the engine goes.
+    fn drop(&mut self) {
+        self.join_fold();
+    }
 }
 
 /// Strict parse of `PGQ_SNAPSHOT_EVERY` (default: 1024 committed
@@ -369,7 +442,7 @@ impl GraphEngine {
         }
         self.commit_succeeded();
         self.maintain(&events);
-        self.maybe_snapshot();
+        self.maybe_switch();
         Ok(events)
     }
 
@@ -456,7 +529,7 @@ impl GraphEngine {
             return Err(self.commit_failed(e, summary.transactions > 0));
         }
         self.commit_succeeded();
-        self.maybe_snapshot();
+        self.maybe_switch();
         Ok(summary)
     }
 
@@ -491,7 +564,7 @@ impl GraphEngine {
 
     /// [`GraphEngine::apply`], also returning each view's delta (empty
     /// for a view the transaction left unchanged). The same commit:
-    /// subscribers are notified and the snapshot cadence ticks.
+    /// subscribers are notified and the snapshot cadence counts it.
     pub fn apply_with_deltas(
         &mut self,
         tx: &Transaction,
@@ -659,8 +732,10 @@ impl GraphEngine {
     ///   `PGQ_FSYNC=always`: one `sync_data` per `n` commits
     ///   (default 1; `n > 1` accepts a documented loss window of up to
     ///   `n - 1` acknowledged commits on power failure).
-    /// - `PGQ_SNAPSHOT_EVERY` — auto-snapshot cadence in committed
-    ///   transactions (default 1024, `0` disables the cadence).
+    /// - `PGQ_SNAPSHOT_EVERY` — cadence in committed transactions
+    ///   (default 1024, `0` disables it): every `n` commits the commit
+    ///   path switches to a fresh log generation, and a background fold
+    ///   writes the closed generations into the next image.
     pub fn open_durable(dir: impl Into<std::path::PathBuf>) -> Result<GraphEngine, EngineError> {
         let fsync = FsyncMode::from_env().map_err(DurabilityError::config)?;
         let vfs =
@@ -692,8 +767,9 @@ impl GraphEngine {
     ///    is trimmed to the last good record, later generations are
     ///    quarantined, and the engine opens at the committed prefix.
     /// 4. Arm logging on the active generation; the snapshot cadence
-    ///    counts from the base snapshot, not from this open. The
-    ///    planner's [`RecoveryReport`] stays inspectable via
+    ///    counts from the base snapshot, not from this open, and the
+    ///    first fold folds the whole recovered chain. The planner's
+    ///    [`RecoveryReport`] stays inspectable via
     ///    [`GraphEngine::recovery_report`].
     pub fn open_durable_with(vfs: Arc<dyn Vfs>) -> Result<GraphEngine, EngineError> {
         let fsync = FsyncMode::from_env().map_err(DurabilityError::config)?;
@@ -732,8 +808,8 @@ impl GraphEngine {
             .map(|(_, l)| l.txs.len() as u64)
             .unwrap_or(0);
         // Records applied past the base snapshot count towards the next
-        // tick: a process restarted more often than the cadence must
-        // still snapshot, or its log and replay grow without bound.
+        // switch: a process restarted more often than the cadence must
+        // still fold, or its log and replay grow without bound.
         let mut replayed = 0u64;
         'chain: for (idx, (g, log)) in plan.replay.iter().enumerate() {
             let skip_here = if idx == 0 { skip } else { 0 };
@@ -786,6 +862,10 @@ impl GraphEngine {
         engine.durable = Some(Durable {
             vfs,
             generation,
+            base: report.base_generation,
+            fold: None,
+            kept: None,
+            fold_failures: 0,
             wal_records,
             wal_len,
             fsync,
@@ -809,8 +889,8 @@ impl GraphEngine {
         self.durable.is_some()
     }
 
-    /// Override the auto-snapshot cadence (`0` disables it). No-op on
-    /// in-memory engines.
+    /// Override the switch cadence in commits (`0` disables it; see
+    /// `PGQ_SNAPSHOT_EVERY`). No-op on in-memory engines.
     pub fn set_snapshot_every(&mut self, every: u64) -> &mut Self {
         if let Some(d) = self.durable.as_mut() {
             d.snapshot_every = every;
@@ -818,60 +898,39 @@ impl GraphEngine {
         self
     }
 
-    /// Write a full snapshot now: graph dump, id watermarks and the
-    /// view catalog — what cannot be recomputed, so the cost is O(graph)
-    /// however much state the views hold. Atomic (write-to-temp +
-    /// rename): a crash mid-write leaves the previous snapshot intact.
-    /// Every snapshot is also a **generation switchover**: it lands as
-    /// `snap.<g+1>`, appends move to `wal.<g+1>`, and the subsumed
-    /// generation-`g` files are deleted only after the snapshot's
-    /// atomic rename — a crash at any point of the switchover still
-    /// recovers a committed prefix, and disk usage stays O(graph + churn
-    /// since the last snapshot). No-op on in-memory engines.
+    /// Write a full snapshot of the live graph now, on this thread
+    /// (after joining a fold in flight): graph dump, id watermarks and
+    /// the view catalog — what cannot be recomputed, so the cost is
+    /// O(graph) however much state the views hold. Atomic (write to a
+    /// temp file, rename). Every snapshot is also a **generation
+    /// switchover**: it lands as `snap.<g+1>`, appends move to
+    /// `wal.<g+1>`, and the chain it subsumes is deleted only after the
+    /// rename — a crash at any point still recovers a committed prefix.
+    /// View DDL calls this; the commit cadence folds in the background.
     pub fn snapshot(&mut self) -> Result<(), EngineError> {
         self.snapshot_inner().map_err(EngineError::from)
     }
 
     fn snapshot_inner(&mut self) -> Result<(), DurabilityError> {
-        if self.durable.is_none() {
+        let Some(d) = self.durable.as_mut() else {
             return Ok(());
-        }
-        let views: Vec<SnapshotView> = self
-            .views
-            .iter()
-            .map(|(&slot, e)| catalog_entry(slot, self.network.view(e.sink).name(), e))
-            .collect();
-        let d = self.durable.as_mut().expect("checked above");
-        // Stationary workloads keep their snapshot size: the previous
-        // one, plus slack, pre-sizes the buffer.
-        let hint = d.last_snapshot_bytes + d.last_snapshot_bytes / 8;
-        // The snapshot anchors a fresh generation whose log starts
-        // empty, so it subsumes no records of its own log.
-        let mut w = SnapshotWriter::new(hint as usize, 0, &self.graph);
-        w.views(&views);
-        // No operator state: recovery rebuilds it from graph + catalog.
-        w.states(std::iter::empty());
-        let bytes = w.finish();
+        };
+        d.join_fold();
+        let views = catalog(&self.views, &self.network);
         let target = d.generation + 1;
-        d.vfs
-            .write_atomic(&snap_file(target), &bytes)
-            .map_err(|e| DurabilityError::io(DurOp::SnapshotWrite, &e))?;
+        d.last_snapshot_bytes =
+            fold::write_image(d.vfs.as_ref(), target, &self.graph, &views, d.image_hint())?;
         d.snapshots_written += 1;
-        d.last_snapshot_bytes = bytes.len() as u64;
-        // The rename is durable; the old generation is now dead
-        // weight. Deletion is best-effort — a crash (or an error) here
-        // just leaves stale files the next recovery removes.
-        let old = d.generation;
-        d.generation = target;
-        d.wal_records = 0;
-        d.wal_len = 0;
-        d.unsynced = 0;
-        for name in [wal_file(old), snap_file(old)] {
-            if let Err(e) = d.vfs.remove(&name) {
-                d.last_error = Some(DurabilityError::io(DurOp::Cleanup, &e));
-            }
+        // The rename is durable; the chain below it is dead weight.
+        // Deletion is best-effort — a crash (or an error) here just
+        // leaves stale files the next recovery removes.
+        if let Err(e) = fold::remove_subsumed(d.vfs.as_ref(), d.base, d.generation) {
+            d.last_error = Some(e);
         }
-        d.txs_since_snapshot = 0;
+        d.base = Some(target);
+        d.kept = None;
+        d.unsynced = 0;
+        d.move_to(target);
         Ok(())
     }
 
@@ -1013,22 +1072,27 @@ impl GraphEngine {
         }
     }
 
-    /// Snapshot if the auto-cadence is due. The triggering commit is
-    /// already durable in the WAL, so a failed cadence snapshot is
-    /// recorded in [`DurabilityHealth::last_error`] rather than failing
-    /// the commit; the cadence retries on the next commit.
-    fn maybe_snapshot(&mut self) {
+    /// Switch generations if the cadence is due — O(1) in the graph:
+    /// appends move to `wal.<g+1>`, a thread folds the closed chain into
+    /// `snap.<g+1>`, and a failed fold lands in `last_error`, never in a
+    /// commit. Unsynced commits are synced first; that failing trips the
+    /// breaker, as a failed group-commit flush does.
+    fn maybe_switch(&mut self) {
         let due = self
             .durable
             .as_ref()
             .is_some_and(|d| d.snapshot_every > 0 && d.txs_since_snapshot >= d.snapshot_every);
-        if due {
-            if let Err(e) = self.snapshot_inner() {
-                if let Some(d) = self.durable.as_mut() {
-                    d.last_error = Some(e);
-                }
-            }
+        if !due {
+            return;
         }
+        if let Err((e, force)) = self.wal_flush() {
+            self.commit_failed(e, force);
+            return;
+        }
+        let views = catalog(&self.views, &self.network);
+        let d = self.durable.as_mut().expect("a due cadence is durable");
+        d.join_fold();
+        d.switch(views);
     }
 
     /// Operator-facing durability status: degraded flag, failure
@@ -1045,6 +1109,9 @@ impl GraphEngine {
             flush_window: d.flush_window,
             snapshots_written: d.snapshots_written,
             last_snapshot_bytes: d.last_snapshot_bytes,
+            base_generation: d.base,
+            fold_in_flight: d.fold.is_some(),
+            fold_failures: d.fold_failures,
         })
     }
 
@@ -1488,11 +1555,11 @@ fn bind_names(names: &[String], params: &[(&str, Value)]) -> Result<Vec<Value>, 
         .collect()
 }
 
-/// A live view as the snapshot's catalog records it.
-fn catalog_entry(slot: usize, name: &str, e: &ViewEntry) -> SnapshotView {
-    SnapshotView {
+/// The live views, in slot order, as a snapshot's catalog records them.
+fn catalog(views: &BTreeMap<usize, ViewEntry>, network: &DataflowNetwork) -> Vec<SnapshotView> {
+    let entry = |(&slot, e): (&usize, &ViewEntry)| SnapshotView {
         slot: slot as u32,
-        name: name.to_string(),
+        name: network.view(e.sink).name().to_string(),
         query: e.query_text.clone(),
         schema_mode: match e.compile.schema_mode {
             SchemaMode::Inferred => 0,
@@ -1505,7 +1572,8 @@ fn catalog_entry(slot: usize, name: &str, e: &ViewEntry) -> SnapshotView {
             WcojMode::Forced => 2,
         },
         wcoj_sorted: e.register.wcoj_sorted,
-    }
+    };
+    views.iter().map(entry).collect()
 }
 
 /// The options a catalog entry was registered under.

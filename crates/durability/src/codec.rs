@@ -91,8 +91,8 @@ const CRC_TABLES: [[u32; 256]; 8] = {
 /// CRC-32 (IEEE 802.3 polynomial, the zlib/`crc32fast` convention),
 /// hand-rolled so the WAL needs no external checksum crate. Table-driven
 /// slicing-by-8: eight bytes per step, a bytewise tail for the last
-/// `len % 8` — the snapshot tick checksums megabytes on the commit path
-/// and recovery verifies them again.
+/// `len % 8` — every image checksums megabytes and recovery verifies
+/// them again.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut crc = !0u32;

@@ -32,6 +32,8 @@ pub enum DurOp {
     Cleanup,
     /// Replaying the WAL chain at recovery.
     Replay,
+    /// A background fold's thread could not start, or it panicked.
+    Fold,
     /// Parsing a durability configuration knob (`PGQ_FSYNC`, …).
     Config,
 }
@@ -47,6 +49,7 @@ impl fmt::Display for DurOp {
             DurOp::SnapshotLoad => "snapshot load",
             DurOp::Cleanup => "generation cleanup",
             DurOp::Replay => "WAL replay",
+            DurOp::Fold => "log fold",
             DurOp::Config => "durability configuration",
         };
         f.write_str(s)

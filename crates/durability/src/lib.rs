@@ -17,6 +17,9 @@
 //!   decode), then replays only the WAL tail. The format keeps a list
 //!   of fingerprint-keyed operator-state sections; the engine writes it
 //!   empty and ignores it on read.
+//! - [`fold`] writes the next image off the commit path: it replays the
+//!   closed log generations onto their base image's graph on a thread
+//!   of its own and never touches the live graph.
 //! - [`recovery`] plans recovery over the generation-numbered
 //!   `snap.<g>` / `wal.<g>` directory: it picks the newest readable
 //!   snapshot (quarantining corrupt ones and falling back a
@@ -33,15 +36,16 @@
 //! - [`codec`] is the hand-rolled binary format underneath both files
 //!   (offline-shim rule: no external serialization or checksum crates).
 //!
-//! What lives *above* this crate: the engine decides when to snapshot
-//! and when to switch generations, owns the view table being restored
-//! and re-registers it, and implements the
+//! What lives *above* this crate: the engine decides when to snapshot,
+//! switch generations, start a fold and join it, owns the view table
+//! being restored and re-registers it, and implements the
 //! commit-rollback / read-only-degraded contract on top of
 //! [`DurabilityError`]. This crate only knows bytes, graphs, and
 //! transactions.
 
 pub mod codec;
 pub mod error;
+pub mod fold;
 pub mod recovery;
 pub mod snapshot;
 pub mod vfs;
@@ -49,6 +53,7 @@ pub mod wal;
 
 pub use codec::CodecError;
 pub use error::{DurKind, DurOp, DurabilityError};
+pub use fold::{FoldJob, FoldThread, Folded};
 pub use recovery::{RecoveryPlan, RecoveryReport, QUARANTINE_SUFFIX};
 pub use snapshot::{Snapshot, SnapshotError, SnapshotView, SnapshotWriter, StateBag};
 pub use vfs::{Fault, FsyncMode, MemDisk, MemVfs, StdVfs, Vfs};

@@ -15,6 +15,12 @@
 //!    deleted now.
 //! 3. **After the delete** — the steady state of generation `g+1`.
 //!
+//! A **fold in flight** ([`crate::fold`]) is that switchover with the
+//! appends already moved to `wal.<g+1>`: a crash before its rename is
+//! shape 1 with a longer chain (`snap.<b>`, `wal.<b..=g>`, then the live
+//! `wal.<g+1>`), after it shape 2 or 3 — as are the longer chains a
+//! failed fold leaves. Nothing below tells a fold from a snapshot.
+//!
 //! The planner generalizes this to any number of interrupted
 //! switchovers and to *damaged* files: a snapshot that fails its
 //! checksum is **quarantined** (renamed aside, preserved for forensics)

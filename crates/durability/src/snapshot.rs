@@ -35,15 +35,17 @@
 //! quarantine-and-fall-back rather than a fatal error.
 //!
 //! **One writer, one pass.** Both ways of producing a snapshot file go
-//! through [`SnapshotWriter`]: the engine's tick streams graph rows and
-//! view metadata *borrowed* from the live `PropertyGraph` into one
-//! pre-sized buffer (no intermediate [`Snapshot`] value, no per-row
-//! clones), and [`Snapshot::encode`] feeds the same writer from an owned
-//! value. The 12-byte header is reserved up front and the checksum
-//! patched in place, so every output byte is produced exactly once. Cost
-//! model of a tick: O(graph) once — one sort of the id lists, one encode
-//! pass, one slicing-by-8 CRC pass, one `write_atomic` — whatever the
-//! standing views hold in memory.
+//! through [`SnapshotWriter`]: [`crate::fold::write_image`] — the
+//! engine's synchronous snapshot of its live graph, and every background
+//! fold of the graph it replayed — streams graph rows and view metadata
+//! *borrowed* from a `PropertyGraph` into one pre-sized buffer (no
+//! intermediate [`Snapshot`] value, no per-row clones), and
+//! [`Snapshot::encode`] feeds the same writer from an owned value. The
+//! 12-byte header is reserved up front and the checksum patched in
+//! place, so every output byte is produced exactly once. Cost model of
+//! an image: O(graph) once — one sort of the id lists, one encode pass,
+//! one slicing-by-8 CRC pass, one `write_atomic` — whatever the standing
+//! views hold in memory.
 //!
 //! Snapshots are **generation-numbered**: generation `g`'s snapshot is
 //! `snap.<g>` ([`snap_file`]) and anchors the replay of `wal.<g>` and
@@ -96,8 +98,8 @@ pub enum SnapshotError {
     /// The body bytes do not decode (version skew or corruption the
     /// checksum happened to miss).
     Codec(CodecError),
-    /// The decoded graph dump was internally inconsistent (an edge
-    /// referencing a missing endpoint).
+    /// The decoded graph dump was internally inconsistent (a repeated
+    /// vertex or edge row, or an edge referencing a missing endpoint).
     Graph(GraphError),
 }
 
@@ -209,11 +211,14 @@ impl Snapshot {
 
     /// Rebuild a graph from the dump. Catalog hooks run per insert, so
     /// the recovered cardinality catalog matches a live-built one and
-    /// re-planning reproduces the original physical plans.
+    /// re-planning reproduces the original physical plans. A dump whose
+    /// checksum holds but which repeats a row, or names a missing
+    /// endpoint, is a [`SnapshotError::Graph`].
     pub fn restore_graph(&self) -> Result<PropertyGraph, SnapshotError> {
         let mut g = PropertyGraph::new();
         for (id, labels, props) in &self.vertices {
-            g.load_vertex(*id, labels.iter().copied(), props.clone());
+            g.load_vertex(*id, labels.iter().copied(), props.clone())
+                .map_err(SnapshotError::Graph)?;
         }
         for (id, src, dst, ty, props) in &self.edges {
             g.load_edge(*id, *src, *dst, *ty, props.clone())
@@ -224,8 +229,8 @@ impl Snapshot {
     }
 
     /// Serialize to the on-disk format (magic + checksum + body),
-    /// through the same [`SnapshotWriter`] the engine's tick streams
-    /// into.
+    /// through the same [`SnapshotWriter`] every image the engine writes
+    /// streams into.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = SnapshotWriter::begin(0, self.wal_records, self.next_vertex, self.next_edge);
         w.vertices(
@@ -480,7 +485,7 @@ impl SnapshotWriter {
 
     /// Write the operator-state sections: one `(fingerprint, check,
     /// bag)` entry per dumped network node, bags borrowed from the
-    /// network's state dump. The engine's tick passes none.
+    /// network's state dump. The images the engine writes pass none.
     pub fn states<'a>(
         &mut self,
         states: impl ExactSizeIterator<Item = (u64, u64, &'a [(Tuple, i64)])>,
@@ -582,6 +587,26 @@ mod tests {
         assert_eq!(back.states[0].1, 0xFACE_FEED);
         assert_eq!(back.states[0].2, snap.states[0].2);
         assert_eq!(back.vertices.len(), snap.vertices.len());
+    }
+
+    #[test]
+    fn repeated_row_under_a_valid_checksum_fails_to_restore() {
+        let good = Snapshot::capture_graph(&sample_graph());
+        let mut twice_v = good.clone();
+        twice_v.vertices.push(good.vertices[0].clone());
+        let mut twice_e = good.clone();
+        twice_e.edges.push(good.edges[0].clone());
+        for (bad, what) in [(twice_v, "vertex"), (twice_e, "edge")] {
+            // `encode` checksums whatever it is given, so the image
+            // decodes; only the restore can see the repeat.
+            let back = Snapshot::decode(&bad.encode()).unwrap();
+            match back.restore_graph() {
+                Err(SnapshotError::Graph(e)) => {
+                    assert!(e.to_string().contains("already exists"), "{what}: {e}")
+                }
+                other => panic!("{what} row repeated: {:?}", other.map(|g| g.vertex_count())),
+            }
+        }
     }
 
     #[test]

@@ -322,6 +322,21 @@ impl MemDisk {
         names
     }
 
+    /// What a power cut would leave, as a new disk: every file cut back
+    /// to what [`Vfs::sync`] or [`Vfs::write_atomic`] made durable.
+    pub fn after_power_cut(&self) -> MemDisk {
+        let inner = self.0.lock();
+        let files = inner.files.iter().map(|(name, f)| {
+            let bytes = f.bytes[..f.synced.min(f.bytes.len())].to_vec();
+            let synced = bytes.len();
+            (name.clone(), FileBuf { bytes, synced })
+        });
+        MemDisk(Arc::new(Mutex::new(MemDiskInner {
+            files: files.collect(),
+            ..MemDiskInner::default()
+        })))
+    }
+
     /// XOR `mask` into byte `offset` of `name` (bit-flip injection).
     /// Returns false when the file or offset does not exist.
     pub fn corrupt(&self, name: &str, offset: usize, mask: u8) -> bool {
@@ -624,6 +639,23 @@ mod tests {
         vfs.append("f", b"ghi").unwrap();
         vfs.sync("f").unwrap();
         assert_eq!(disk.vfs().read("f").unwrap().unwrap(), b"abcghi");
+    }
+
+    #[test]
+    fn power_cut_keeps_only_synced_bytes() {
+        let disk = MemDisk::new();
+        let vfs = disk.vfs();
+        vfs.append("w", b"abc").unwrap();
+        vfs.sync("w").unwrap();
+        vfs.append("w", b"def").unwrap();
+        vfs.write_atomic("s", b"img").unwrap();
+        vfs.append("x", b"never synced").unwrap();
+        let cut = disk.after_power_cut();
+        assert_eq!(cut.vfs().read("w").unwrap().unwrap(), b"abc");
+        assert_eq!(cut.vfs().read("s").unwrap().unwrap(), b"img");
+        assert_eq!(cut.len("x"), Some(0));
+        // The disk it was taken from keeps every byte.
+        assert_eq!(disk.len("w"), Some(6));
     }
 
     #[test]

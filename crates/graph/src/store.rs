@@ -346,20 +346,25 @@ impl PropertyGraph {
     }
 
     /// Re-insert a vertex under a specific id — the snapshot-loader
-    /// seam (`pgq_durability`). Ids must not collide with live
-    /// elements; the id watermark advances past `id` and catalog
-    /// counters are maintained as for a normal insert.
+    /// seam (`pgq_durability`). A live id is refused: a dump that
+    /// repeats a row must not index it twice. The id watermark advances
+    /// past `id` and catalog counters are kept as for a normal insert.
     pub fn load_vertex(
         &mut self,
         id: VertexId,
         labels: impl IntoIterator<Item = Symbol>,
         props: Properties,
-    ) {
+    ) -> Result<(), GraphError> {
+        if self.vertices.contains_key(&id) {
+            return Err(GraphError::Invalid(format!("vertex {id} already exists")));
+        }
         self.insert_vertex_raw(id, labels, props);
+        Ok(())
     }
 
     /// Re-insert an edge under a specific id (snapshot-loader seam; see
-    /// [`PropertyGraph::load_vertex`]). Endpoints must already exist.
+    /// [`PropertyGraph::load_vertex`]). Endpoints must already exist and
+    /// the id must not.
     pub fn load_edge(
         &mut self,
         id: EdgeId,
@@ -368,6 +373,9 @@ impl PropertyGraph {
         ty: Symbol,
         props: Properties,
     ) -> Result<(), GraphError> {
+        if self.edges.contains_key(&id) {
+            return Err(GraphError::Invalid(format!("edge {id} already exists")));
+        }
         if !self.vertices.contains_key(&src) {
             return Err(GraphError::VertexNotFound(src));
         }

@@ -235,6 +235,10 @@ fn main() {
                                 "{} snapshots written (last {} bytes)",
                                 h.snapshots_written, h.last_snapshot_bytes,
                             );
+                            println!(
+                                "recovery base generation {:?} | fold in flight: {} | {} failed folds",
+                                h.base_generation, h.fold_in_flight, h.fold_failures,
+                            );
                             match &h.degraded {
                             Some(e) => println!("DEGRADED (read-only) after: {e}\nrun :heal once the disk is fixed"),
                             None => println!("healthy ({} consecutive commit failures)", h.fail_streak),

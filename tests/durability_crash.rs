@@ -11,9 +11,11 @@
 //! mid-snapshot, between WAL records, *inside* a WAL record (a torn
 //! append), and — with compaction armed and a low snapshot cadence —
 //! in the middle of a generation switchover (new snapshot durable but
-//! old generation not yet deleted, or neither). Writes after the fuse
-//! blows are silently dropped, exactly like a kernel that never flushed
-//! them.
+//! old generation not yet deleted, or neither). The cadence's fold runs
+//! on a thread of its own, so its image writes and the appends share
+//! the fuse in whichever order they interleave; the assertions hold for
+//! every order. Writes after the fuse blows are silently dropped,
+//! exactly like a kernel that never flushed them.
 //!
 //! After each simulated crash the engine is recovered from the
 //! surviving bytes and must satisfy:

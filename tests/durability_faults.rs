@@ -12,7 +12,7 @@
 //!
 //! 1. **No panics, no aborts** — every fault surfaces as a typed
 //!    `EngineError::Durability` / `EngineError::ReadOnly` or is
-//!    absorbed (cadence snapshots, best-effort cleanup).
+//!    absorbed (background folds, best-effort cleanup).
 //! 2. **Failed commits roll back** — at most one commit is rejected
 //!    per injected fault, the engine stays usable, and a restart
 //!    recovers *exactly* the acknowledged commits (fsync-always with a
@@ -22,20 +22,28 @@
 //!    recompute over the recovered graph.
 //!
 //! Separate tests pin down the failure breaker (repeated failures trip
-//! read-only degraded mode; `reset_durability` heals it) and the
-//! bounded-disk guarantee (compaction keeps live disk O(churn since
-//! the last snapshot) across 50 snapshot cadences).
+//! read-only degraded mode; `reset_durability` heals it), the
+//! group-commit window across generation switches (a switch syncs the
+//! log it closes; no power cut loses more than the window allows), and
+//! the bounded-disk guarantee (live files span at most two generations
+//! across 50 cadences). The fold thread's operations interleave with
+//! the appends differently from run to run; nothing here depends on
+//! the order.
 
 mod durability_script;
 
 use std::sync::Arc;
 
-use durability_script::{env_usize, graph_identity, run_script, RunMode, VIEWS};
+use durability_script::{
+    env_usize, graph_identity, random_tx, run_script, RunMode, XorShift, VIEWS,
+};
 use pgq_algebra::pipeline::compile_query;
 use pgq_common::intern::Symbol;
 use pgq_common::value::Value;
 use pgq_core::{EngineError, GraphEngine};
-use pgq_durability::{Fault, MemDisk};
+use pgq_durability::snapshot::parse_snap_name;
+use pgq_durability::wal::parse_wal_name;
+use pgq_durability::{DurOp, Fault, FsyncMode, MemDisk, MemVfs};
 use pgq_graph::props::Properties;
 use pgq_graph::store::PropertyGraph;
 use pgq_graph::tx::Transaction;
@@ -236,14 +244,112 @@ fn reset_fails_typed_while_the_disk_is_still_broken() {
     assert_eq!(recovered.graph().vertex_count(), 2);
 }
 
+/// A durable engine under `FsyncMode::Always` with a group-commit window
+/// of [`WINDOW`] that switches generations every [`EVERY`] commits — so
+/// every switch finds unsynced commits.
+const WINDOW: u64 = 4;
+const EVERY: u64 = 3;
+
+fn windowed(vfs: MemVfs) -> GraphEngine {
+    let mut engine = GraphEngine::open_durable_with(Arc::new(vfs)).unwrap();
+    engine
+        .set_fsync(FsyncMode::Always)
+        .set_flush_window(WINDOW)
+        .set_snapshot_every(EVERY);
+    engine
+}
+
+#[test]
+fn a_switch_syncs_the_log_it_closes_and_a_failed_sync_degrades() {
+    // With no views, ops 0–2 are the first three commits' appends (none
+    // fills the window) and op 3 is the switch's sync of `wal.0`; the
+    // fold's operations come after it. Failing that sync drops the three
+    // unsynced commits — acknowledged ones — so the engine degrades
+    // instead of switching.
+    let disk = MemDisk::new();
+    let mut engine = windowed(disk.vfs_with_fault(3, Fault::FsyncFail));
+    for t in 0..EVERY as i64 {
+        engine.apply(&one_vertex_tx(t)).unwrap();
+    }
+    let health = engine.durability_health().unwrap();
+    assert!(engine.is_degraded(), "a failed switch sync must degrade");
+    assert_eq!(
+        health.last_error.as_ref().map(|e| e.op),
+        Some(DurOp::WalSync)
+    );
+    assert_eq!((health.generation, health.fold_in_flight), (0, false));
+    let err = engine.apply(&one_vertex_tx(9)).unwrap_err();
+    assert!(matches!(err, EngineError::ReadOnly(_)), "got {err:?}");
+    drop(engine);
+    // The loss is what the window allows: WINDOW - 1 commits.
+    let recovered = GraphEngine::open_durable_with(Arc::new(disk.vfs())).unwrap();
+    assert_eq!(recovered.graph().vertex_count(), 0);
+}
+
+#[test]
+fn a_switch_never_widens_the_group_commit_loss_window() {
+    // Every single fault at every operation, and none: after each
+    // commit, a power cut recovers a prefix of the acknowledged commits
+    // short of at most WINDOW - 1 of them, and never a rejected one —
+    // whichever way the folds interleave with the appends.
+    const COMMITS: usize = 14;
+    const SEED: u64 = 0x0005_17C4;
+    let run = |vfs: MemVfs, disk: &MemDisk, what: &str| {
+        let mut engine = windowed(vfs);
+        let mut rng = XorShift::new(SEED);
+        let mut shadow = PropertyGraph::new();
+        let mut acked = vec![graph_identity(&shadow)];
+        for t in 0..COMMITS {
+            let tx = random_tx(&mut rng, engine.graph());
+            if engine.apply(&tx).is_ok() {
+                shadow.apply(&tx).unwrap();
+                acked.push(graph_identity(&shadow));
+            }
+            let cut = disk.after_power_cut();
+            let recovered = GraphEngine::open_durable_with(Arc::new(cut.vfs()))
+                .unwrap_or_else(|e| panic!("{what} commit {t}: recovery failed: {e}"));
+            let identity = graph_identity(recovered.graph());
+            let kept = acked
+                .iter()
+                .rposition(|a| *a == identity)
+                .unwrap_or_else(|| {
+                    panic!("{what} commit {t}: the power cut recovered no acknowledged prefix")
+                });
+            let lost = acked.len() - 1 - kept;
+            assert!(
+                lost < WINDOW as usize,
+                "{what} commit {t}: a power cut lost {lost} acknowledged commits"
+            );
+        }
+        engine.durability_health().unwrap().generation
+    };
+    let reference = MemDisk::new();
+    let switches = run(reference.vfs(), &reference, "no fault");
+    assert!(switches >= 4, "only {switches} switches");
+    let ops = reference.ops_attempted();
+    for fault in Fault::ALL {
+        for op in 0..ops {
+            let disk = MemDisk::new();
+            run(
+                disk.vfs_with_fault(op, fault),
+                &disk,
+                &format!("op {op} {fault:?}"),
+            );
+        }
+    }
+}
+
 #[test]
 fn disk_stays_bounded_over_long_churn() {
-    // 50 snapshot cadences of steady churn over a reachable state that
-    // stays tiny. Every snapshot switches generations and deletes the
-    // one it subsumes, so the live files are one snapshot plus at most
-    // one cadence of log whatever the history: the peak is reached in
-    // the first cadences and never exceeded, and it is a few hundred
-    // bytes, not the tens of kilobytes the appended history adds up to.
+    // 50 cadences of steady churn over a reachable state that stays
+    // tiny. Every switch starts a fold that writes the next image and
+    // deletes the generation it subsumes, and the next switch joins it
+    // first, so whenever this thread looks — before, during or after a
+    // fold, however it interleaves with the appends — the live files
+    // span at most two consecutive generations: the base image and its
+    // closed log, the active log, and the image in flight. That is a
+    // few hundred bytes, not the tens of kilobytes the appended history
+    // adds up to.
     const CADENCES: usize = 50;
     const EVERY: u64 = 2;
     const BOUND: usize = 1024;
@@ -251,7 +357,6 @@ fn disk_stays_bounded_over_long_churn() {
     let disk = MemDisk::new();
     let mut engine = GraphEngine::open_durable_with(Arc::new(disk.vfs())).unwrap();
     engine.set_snapshot_every(EVERY);
-    let mut early_peak = 0usize;
     for i in 0..(CADENCES * EVERY as usize) {
         engine.apply(&one_vertex_tx(i as i64 % 7)).unwrap();
         // Churn, not growth: immediately delete what we added so the
@@ -264,17 +369,32 @@ fn disk_stays_bounded_over_long_churn() {
         let mut del = Transaction::new();
         del.delete_vertex(v, true);
         engine.apply(&del).unwrap();
+        // One listing: the fold may be deleting while this reads.
+        let files = disk.file_names();
+        let gens: Vec<u64> = files
+            .iter()
+            .map(|f| {
+                parse_snap_name(f)
+                    .or_else(|| parse_wal_name(f))
+                    .unwrap_or_else(|| panic!("step {i}: unexpected file {f}"))
+            })
+            .collect();
+        let (lo, hi) = (gens.iter().min().unwrap(), gens.iter().max().unwrap());
+        assert!(
+            hi - lo <= 1,
+            "step {i}: live files span generations {lo}..={hi}: {files:?}"
+        );
         let live = disk.total_len();
         assert!(live <= BOUND, "step {i}: {live} bytes live on disk");
-        if i < 5 * EVERY as usize {
-            early_peak = early_peak.max(live);
-        } else {
-            assert!(
-                live <= early_peak,
-                "step {i}: {live} bytes live exceeds the first cadences' peak {early_peak}"
-            );
-        }
     }
+    drop(engine);
+    // The last fold has landed: one image and the log of the generation
+    // it anchors, nothing else.
+    let files = disk.file_names();
+    assert!(
+        files.len() <= 2 && files.iter().any(|f| f.starts_with("snap.")),
+        "{files:?}"
+    );
     let written = disk.bytes_attempted() as usize;
     assert!(
         written > 8 * BOUND,

@@ -4,6 +4,11 @@
 //! * the file a durable engine's tick writes against
 //!   [`Snapshot::encode`] of the same graph and view catalog with **no**
 //!   state sections (byte-for-byte), and against `decode`;
+//! * every image a cadence fold writes — replaying closed logs onto the
+//!   previous image's graph on another thread — against the image a
+//!   twin engine's synchronous `snapshot()` of its live graph writes at
+//!   the same commit (byte-for-byte), and an engine dropped right after
+//!   a switch against the graph it held;
 //! * every bag [`DataflowNetwork::dump_states`] returns against a
 //!   `pgq_eval` recompute of that node's canonical sub-plan, and every
 //!   root bag against the view's results — the first step of a state
@@ -20,14 +25,15 @@
 
 mod durability_script;
 
-use std::sync::Arc;
+use std::io;
+use std::sync::{Arc, Mutex};
 
 use durability_script::{random_tx, XorShift};
 use pgq_algebra::compile_query;
 use pgq_common::intern::Symbol;
 use pgq_common::tuple::Tuple;
 use pgq_core::GraphEngine;
-use pgq_durability::{MemDisk, Snapshot, SnapshotView};
+use pgq_durability::{MemDisk, MemVfs, Snapshot, SnapshotView, Vfs};
 use pgq_graph::props::Properties;
 use pgq_graph::store::PropertyGraph;
 use pgq_graph::tx::Transaction;
@@ -184,6 +190,164 @@ fn engine_tick_writes_graph_and_catalog_and_nothing_else() {
             back.restore_graph().unwrap().id_watermarks(),
             w.g.id_watermarks()
         );
+    }
+}
+
+/// A disk that keeps a copy of every image written to it, in order.
+struct Recorder {
+    disk: MemVfs,
+    images: Mutex<Vec<(String, Vec<u8>)>>,
+}
+
+impl Recorder {
+    fn open(every: u64) -> (GraphEngine, Arc<Recorder>) {
+        let rec = Arc::new(Recorder {
+            disk: MemDisk::new().vfs(),
+            images: Mutex::new(Vec::new()),
+        });
+        let mut engine = GraphEngine::open_durable_with(rec.clone()).unwrap();
+        engine.set_snapshot_every(every);
+        (engine, rec)
+    }
+}
+
+impl Vfs for Recorder {
+    fn read(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
+        self.disk.read(name)
+    }
+    fn append(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+        self.disk.append(name, bytes)
+    }
+    fn write_atomic(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+        if name.starts_with("snap.") {
+            let mut images = self.images.lock().expect("no recorder panics");
+            images.push((name.to_string(), bytes.to_vec()));
+        }
+        self.disk.write_atomic(name, bytes)
+    }
+    fn remove(&self, name: &str) -> io::Result<()> {
+        self.disk.remove(name)
+    }
+    fn sync(&self, name: &str) -> io::Result<()> {
+        self.disk.sync(name)
+    }
+    fn list(&self) -> io::Result<Vec<String>> {
+        self.disk.list()
+    }
+}
+
+#[test]
+fn a_cadence_fold_writes_the_image_a_synchronous_snapshot_writes() {
+    // Folds every 7 commits, each from the previous fold's graph or from
+    // a registration's image; the twin instead cuts a synchronous
+    // snapshot of its live graph at the same commits. Both number their
+    // generations alike, so image for image the files must agree.
+    const EVERY: u64 = 7;
+    let mut folds = 0;
+    for seed in 0..SEEDS {
+        let w = churned_world(seed);
+        let (mut folding, folded) = Recorder::open(EVERY);
+        let (mut twin, snapped) = Recorder::open(0);
+        for step in &w.script {
+            match step {
+                Step::Register(q) => {
+                    folding.register_view(&format!("v{q}"), POOL[*q]).unwrap();
+                    twin.register_view(&format!("v{q}"), POOL[*q]).unwrap();
+                }
+                Step::Apply(tx) => {
+                    let generation = |e: &GraphEngine| e.durability_health().unwrap().generation;
+                    let before = generation(&folding);
+                    folding.apply(tx).unwrap();
+                    twin.apply(tx).unwrap();
+                    if generation(&folding) != before {
+                        twin.snapshot().unwrap();
+                        folds += 1;
+                    }
+                }
+            }
+        }
+        let health = folding.durability_health().unwrap();
+        assert_eq!(
+            health.fold_failures, 0,
+            "seed {seed}: {:?}",
+            health.last_error
+        );
+        // Dropping joins the last fold.
+        drop((folding, twin));
+        let folded = folded.images.lock().unwrap();
+        let snapped = snapped.images.lock().unwrap();
+        assert_eq!(folded.len(), snapped.len(), "seed {seed}: images written");
+        for ((name, bytes), (twin_name, twin_bytes)) in folded.iter().zip(snapped.iter()) {
+            assert_eq!(name, twin_name, "seed {seed}");
+            assert!(
+                bytes == twin_bytes,
+                "seed {seed}: {name} differs from the twin's"
+            );
+        }
+    }
+    assert!(folds >= SEEDS as usize * 10, "only {folds} folds");
+}
+
+#[test]
+fn an_engine_dropped_right_after_a_switch_reopens_pristine() {
+    for seed in 0..SEEDS {
+        let w = churned_world(seed);
+        let disk = MemDisk::new();
+        let vfs: Arc<dyn Vfs> = Arc::new(disk.vfs());
+        let mut engine = GraphEngine::open_durable_with(Arc::clone(&vfs)).unwrap();
+        engine.set_snapshot_every(5);
+        for step in &w.script {
+            match step {
+                Step::Register(q) => {
+                    engine.register_view(&format!("v{q}"), POOL[*q]).unwrap();
+                }
+                Step::Apply(tx) => {
+                    engine.apply(tx).unwrap();
+                }
+            }
+        }
+        // End on a switch: commit until one moves the generation, and
+        // drop the engine while its fold may still be running.
+        let mut rng = XorShift::new(0xD209 + seed);
+        let mut shadow = w.g;
+        let health = loop {
+            let before = engine.durability_health().unwrap().generation;
+            let tx = random_tx(&mut rng, engine.graph());
+            engine.apply(&tx).unwrap();
+            shadow.apply(&tx).unwrap();
+            let health = engine.durability_health().unwrap();
+            if health.generation != before {
+                break health;
+            }
+        };
+        assert!(health.fold_in_flight, "seed {seed}");
+        assert_eq!(
+            health.wal_records, 0,
+            "seed {seed}: the switch left a fresh log"
+        );
+        drop(engine);
+        // The drop joined the fold: no thread holds the disk any more.
+        assert_eq!(
+            Arc::strong_count(&vfs),
+            1,
+            "seed {seed}: a fold outlived its engine"
+        );
+
+        let reopened = GraphEngine::open_durable_with(Arc::new(disk.vfs())).unwrap();
+        assert!(
+            reopened.recovery_report().unwrap().is_pristine(),
+            "seed {seed}"
+        );
+        assert_eq!(
+            durability_script::graph_identity(reopened.graph()),
+            durability_script::graph_identity(&shadow),
+            "seed {seed}"
+        );
+        assert_eq!(shadow.id_watermarks(), reopened.graph().id_watermarks());
+        // The fold landed at the drop: recovery starts from its image.
+        let reopened_health = reopened.durability_health().unwrap();
+        assert_eq!(reopened_health.base_generation, Some(health.generation));
+        assert_eq!(reopened_health.generation, health.generation);
     }
 }
 

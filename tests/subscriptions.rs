@@ -229,7 +229,11 @@ fn apply_with_deltas_is_a_full_commit() {
     let h = heard.clone();
     e.subscribe(view, move |d| *h.lock().unwrap() += d.inserted.len())
         .unwrap();
-    let ticks = |e: &GraphEngine| e.durability_health().unwrap().snapshots_written;
+    // Images written, and the cadence fold still in flight.
+    let ticks = |e: &GraphEngine| {
+        let h = e.durability_health().unwrap();
+        h.snapshots_written + u64::from(h.fold_in_flight)
+    };
     let before = ticks(&e);
 
     let mut create = Transaction::new();
