@@ -59,31 +59,14 @@ impl CompiledQuery {
     /// operator — the programmatic `EXPLAIN` (the engine and shell wrap
     /// this with a statistics snapshot of the live graph).
     pub fn explain_plan(&self, stats: &crate::plan::PlanStats) -> String {
-        self.explain_plan_with(stats, &crate::plan::PlanOptions::default())
-    }
-
-    /// [`CompiledQuery::explain_plan`] with explicit [`PlanOptions`], so
-    /// callers honouring the `PGQ_DISABLE_WCOJ` kill-switch can show the
-    /// plan that will actually run.
-    ///
-    /// [`PlanOptions`]: crate::plan::PlanOptions
-    pub fn explain_plan_with(
-        &self,
-        stats: &crate::plan::PlanStats,
-        opts: &crate::plan::PlanOptions,
-    ) -> String {
-        let (planned, report) = crate::plan::plan_with_report(&self.fra, stats, opts);
+        let opts = crate::plan::PlanOptions::default();
+        let (planned, report) = crate::plan::plan_with_report(&self.fra, stats, &opts);
         let mut out = String::new();
         out.push_str(if planned.changed {
             "planner: reordered the plan (estimated cardinalities below)\n"
         } else {
             "planner: kept the syntactic order (estimated cardinalities below)\n"
         });
-        if opts.wcoj == crate::plan::WcojMode::Disabled {
-            out.push_str(
-                "wcoj: disabled (PGQ_DISABLE_WCOJ); cyclic regions use binary join trees\n",
-            );
-        }
         for d in &report.fuse_decisions {
             out.push_str(&d.render());
             out.push('\n');

@@ -101,7 +101,8 @@ pub const SORTED_BACKEND_MIN_SKEW: f64 = 24.0;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum WcojMode {
     /// Never fuse — every region plans as a binary join tree (the
-    /// `PGQ_DISABLE_WCOJ` kill switch and the binary-tree twin).
+    /// binary-tree twin of the differential oracles, and the one-shot
+    /// path, whose evaluator gains nothing from ⨝ⁿ).
     Disabled,
     /// Fuse an eligible cyclic region only when the estimated n-ary
     /// intersection cost beats the skew-adjusted binary-tree cost, or
@@ -1356,8 +1357,8 @@ pub fn plan(fra: &Fra, stats: &PlanStats) -> Planned {
     plan_with(fra, stats, &PlanOptions::default())
 }
 
-/// [`plan`] with explicit [`PlanOptions`] (the IVM layer threads its
-/// `PGQ_DISABLE_WCOJ` kill-switch through here).
+/// [`plan`] with explicit [`PlanOptions`] (the IVM layer threads each
+/// view's fusion policy through here).
 pub fn plan_with(fra: &Fra, stats: &PlanStats, opts: &PlanOptions) -> Planned {
     plan_with_report(fra, stats, opts).0
 }

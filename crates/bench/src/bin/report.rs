@@ -1146,8 +1146,8 @@ fn e12_planner(quick: bool) {
 
 /// E13 (extension): worst-case optimal n-ary joins on cyclic motifs —
 /// the fused ⨝ⁿ plan vs the binary join tree, with the intermediate
-/// evidence for the asymptotic claim: join-memory tuples and (when
-/// built with `--features ivm-stats`) the per-operator emit counters.
+/// evidence for the asymptotic claim: join-memory tuples and the
+/// per-operator emit counters.
 /// Binary trees emit every wedge (Θ(Σ deg²) on this skew); ⨝ⁿ emits
 /// only motif instances, so its counter stays flat as |E| grows.
 fn e13_wcoj(quick: bool) {
@@ -1181,10 +1181,7 @@ fn e13_wcoj(quick: bool) {
             ("FourCycles", mq::FOUR_CYCLES),
         ] {
             // (µs/tx, view memory tuples, tuples emitted during the
-            // stream by ⨝ⁿ nodes and by binary join nodes). The emit
-            // counters are process-global, so the engines run strictly
-            // one at a time with a reset in between; they read zero
-            // unless built with the `ivm-stats` feature.
+            // stream by ⨝ⁿ nodes and by binary join nodes).
             let run = |wcoj: bool| -> (f64, usize, u64, u64) {
                 let mut e = GraphEngine::from_graph(net.graph.clone());
                 if wcoj {
@@ -1193,19 +1190,19 @@ fn e13_wcoj(quick: bool) {
                     e.register_view_with("v", q, CompileOptions::default(), binary_tree())
                         .unwrap();
                 }
-                pgq_ivm::stats::counters::reset();
+                let before = e.network().counters();
                 let t0 = std::time::Instant::now();
                 for tx in &stream {
                     e.apply(tx).unwrap();
                 }
                 let us = t0.elapsed().as_nanos() as f64 / stream.len() as f64 / 1000.0;
-                let c = pgq_ivm::stats::counters::snapshot();
+                let c = e.network().counters();
                 let id = e.view_by_name("v").unwrap();
                 (
                     us,
                     e.view(id).unwrap().memory_tuples(),
-                    c.wcoj_tuples_emitted,
-                    c.join_tuples_emitted,
+                    c.wcoj_tuples_emitted - before.wcoj_tuples_emitted,
+                    c.join_tuples_emitted - before.join_tuples_emitted,
                 )
             };
             let (w_us, w_mem, w_emit, _) = run(true);
@@ -1224,7 +1221,6 @@ fn e13_wcoj(quick: bool) {
         }
     }
     println!("{}", table.render());
-    println!("(emit counters require `--features ivm-stats`; they read 0 otherwise)\n");
 
     // Hub motif: the sorted-run backend's galloping intersection vs the
     // hash-trie fallback, fusion forced on both so the plan is
@@ -1262,14 +1258,18 @@ fn e13_wcoj(quick: bool) {
                 forced_wcoj(sorted),
             )
             .unwrap();
-            pgq_ivm::stats::counters::reset();
+            let before = e.network().counters();
             let t0 = std::time::Instant::now();
             for tx in &stream {
                 e.apply(tx).unwrap();
             }
             let us = t0.elapsed().as_nanos() as f64 / stream.len() as f64 / 1000.0;
-            let c = pgq_ivm::stats::counters::snapshot();
-            (us, c.intersect_probes, c.gallop_steps)
+            let c = e.network().counters();
+            (
+                us,
+                c.intersect_probes - before.intersect_probes,
+                c.gallop_steps - before.gallop_steps,
+            )
         };
         let (s_us, s_probes, s_gallops) = run(true);
         let (h_us, h_probes, _) = run(false);
@@ -1284,5 +1284,4 @@ fn e13_wcoj(quick: bool) {
         ]);
     }
     println!("{}", table.render());
-    println!("(probe/gallop counters require `--features ivm-stats`; they read 0 otherwise)\n");
 }

@@ -216,14 +216,11 @@ impl Drop for Durable {
 /// Strict parse of `PGQ_SNAPSHOT_EVERY` (default: 1024 committed
 /// transactions; `0` disables the cadence).
 fn snapshot_every_from_env() -> Result<u64, DurabilityError> {
-    match std::env::var("PGQ_SNAPSHOT_EVERY") {
-        Ok(v) => parse_snapshot_every(&v),
-        Err(_) => Ok(1024),
-    }
+    parse_snapshot_every(&std::env::var("PGQ_SNAPSHOT_EVERY").unwrap_or_default())
 }
 
 fn parse_snapshot_every(v: &str) -> Result<u64, DurabilityError> {
-    // Set-but-empty means "default", as for `PGQ_FSYNC`.
+    // Unset or set-but-empty means the default, as for `PGQ_FSYNC`.
     if v.trim().is_empty() {
         return Ok(1024);
     }
@@ -237,9 +234,14 @@ fn parse_snapshot_every(v: &str) -> Result<u64, DurabilityError> {
 /// Strict parse of `PGQ_FLUSH_WINDOW` (default: 1 = sync every commit
 /// under `PGQ_FSYNC=always`).
 fn flush_window_from_env() -> Result<u64, DurabilityError> {
-    let Ok(v) = std::env::var("PGQ_FLUSH_WINDOW") else {
+    parse_flush_window(&std::env::var("PGQ_FLUSH_WINDOW").unwrap_or_default())
+}
+
+fn parse_flush_window(v: &str) -> Result<u64, DurabilityError> {
+    // Unset or set-but-empty means the default, as for `PGQ_FSYNC`.
+    if v.trim().is_empty() {
         return Ok(1);
-    };
+    }
     match v.trim().parse::<u64>() {
         Ok(n) if n >= 1 => Ok(n),
         _ => Err(DurabilityError::config(format!(
@@ -725,7 +727,8 @@ impl GraphEngine {
     /// chain — and arm per-transaction logging.
     ///
     /// Environment knobs, all parsed strictly (a typo is a startup
-    /// error, never a silently different durability level):
+    /// error, never a silently different durability level; unset or
+    /// empty means the default):
     /// - `PGQ_FSYNC` — `always`/`1`/`true` syncs at every commit flush
     ///   point; default is OS-buffered.
     /// - `PGQ_FLUSH_WINDOW` — group-commit window under
@@ -1205,18 +1208,15 @@ impl GraphEngine {
 
     /// The plan a one-shot statement runs: the compiled FRA through the
     /// planner views use, so join order and filter placement are decided
-    /// in one place for statements and views alike (as written under
-    /// `PGQ_DISABLE_PLANNER`). Cyclic regions stay binary: the evaluator
-    /// folds a ⨝ⁿ left-deep over fully evaluated inputs, so a multiway
-    /// plan would buy it nothing.
+    /// in one place for statements and views alike. Cyclic regions stay
+    /// binary: the evaluator folds a ⨝ⁿ left-deep over fully evaluated
+    /// inputs, so a multiway plan would buy it nothing.
     fn one_shot_plan(&self, mut compiled: CompiledQuery) -> CompiledQuery {
-        if pgq_ivm::planner_enabled() {
-            let opts = pgq_algebra::plan::PlanOptions {
-                wcoj: WcojMode::Disabled,
-            };
-            let stats = pgq_ivm::plan_stats(&self.graph);
-            compiled.fra = pgq_algebra::plan::plan_with(&compiled.fra, &stats, &opts).fra;
-        }
+        let opts = pgq_algebra::plan::PlanOptions {
+            wcoj: WcojMode::Disabled,
+        };
+        let stats = pgq_ivm::plan_stats(&self.graph);
+        compiled.fra = pgq_algebra::plan::plan_with(&compiled.fra, &stats, &opts).fra;
         compiled
     }
 
@@ -1462,24 +1462,7 @@ impl GraphEngine {
         out.push_str(&compiled.fra.explain());
         if !query.is_update() {
             out.push_str("\n== Stage 4: cost-based plan (live statistics snapshot)\n");
-            if pgq_ivm::planner_enabled() {
-                let opts = pgq_algebra::plan::PlanOptions {
-                    wcoj: if pgq_ivm::wcoj_enabled() {
-                        pgq_algebra::plan::WcojMode::CostBased
-                    } else {
-                        pgq_algebra::plan::WcojMode::Disabled
-                    },
-                };
-                out.push_str(&compiled.explain_plan_with(&pgq_ivm::plan_stats(&self.graph), &opts));
-            } else {
-                // Show the order that will actually execute.
-                out.push_str("planner: disabled (PGQ_DISABLE_PLANNER); the syntactic order runs\n");
-                out.push_str(&pgq_algebra::plan::explain_with_estimates(
-                    &compiled.fra,
-                    &pgq_ivm::plan_stats(&self.graph),
-                ));
-                out.push_str(&pgq_algebra::program::explain_programs(&compiled.fra));
-            }
+            out.push_str(&compiled.explain_plan(&pgq_ivm::plan_stats(&self.graph)));
             out.push_str("\n== Maintainability\n");
             if compiled.is_maintainable() {
                 out.push_str("incrementally maintainable\n");
@@ -2142,16 +2125,51 @@ fn push_unique(v: &mut Vec<String>, s: &str) {
 mod tests {
     use super::*;
 
+    /// The three durability knobs parse alike: unset, empty or blank
+    /// means the default, a typo or a negative number is a startup
+    /// error, and `0` is a value — except for the flush window, which
+    /// has no zero.
     #[test]
-    fn snapshot_every_parsing_is_strict() {
-        assert_eq!(parse_snapshot_every("1024").unwrap(), 1024);
-        assert_eq!(parse_snapshot_every(" 16 ").unwrap(), 16);
-        // `0` is a value, not a typo: it disables the cadence.
-        assert_eq!(parse_snapshot_every("0").unwrap(), 0);
-        // The typo that used to silently mean the default.
-        assert!(parse_snapshot_every("1k").is_err());
-        assert_eq!(parse_snapshot_every("").unwrap(), 1024);
-        assert!(parse_snapshot_every("-1").is_err());
-        assert!(parse_snapshot_every("never").is_err());
+    fn durability_knobs_parse_strictly_and_alike() {
+        type Parse = fn(&str) -> Result<String, String>;
+        let snapshot: Parse = |v| {
+            parse_snapshot_every(v)
+                .map(|n| n.to_string())
+                .map_err(|e| e.to_string())
+        };
+        let window: Parse = |v| {
+            parse_flush_window(v)
+                .map(|n| n.to_string())
+                .map_err(|e| e.to_string())
+        };
+        let fsync: Parse = |v| FsyncMode::parse(v).map(|m| format!("{m:?}"));
+        // (knob, value, the parse or `None` for an error)
+        let table: &[(&str, Parse, &str, Option<&str>)] = &[
+            ("PGQ_SNAPSHOT_EVERY", snapshot, "", Some("1024")),
+            ("PGQ_SNAPSHOT_EVERY", snapshot, "  ", Some("1024")),
+            ("PGQ_SNAPSHOT_EVERY", snapshot, " 16 ", Some("16")),
+            ("PGQ_SNAPSHOT_EVERY", snapshot, "1k", None),
+            ("PGQ_SNAPSHOT_EVERY", snapshot, "-1", None),
+            ("PGQ_SNAPSHOT_EVERY", snapshot, "0", Some("0")),
+            ("PGQ_FLUSH_WINDOW", window, "", Some("1")),
+            ("PGQ_FLUSH_WINDOW", window, "  ", Some("1")),
+            ("PGQ_FLUSH_WINDOW", window, " 8 ", Some("8")),
+            ("PGQ_FLUSH_WINDOW", window, "8x", None),
+            ("PGQ_FLUSH_WINDOW", window, "-1", None),
+            ("PGQ_FLUSH_WINDOW", window, "0", None),
+            ("PGQ_FSYNC", fsync, "", Some("Never")),
+            ("PGQ_FSYNC", fsync, "  ", Some("Never")),
+            ("PGQ_FSYNC", fsync, " Always ", Some("Always")),
+            ("PGQ_FSYNC", fsync, "alway", None),
+            ("PGQ_FSYNC", fsync, "-1", None),
+            ("PGQ_FSYNC", fsync, "0", Some("Never")),
+        ];
+        for &(knob, parse, value, want) in table {
+            match (parse(value), want) {
+                (Ok(got), Some(want)) => assert_eq!(got, want, "{knob}={value:?}"),
+                (Err(e), None) => assert!(e.contains(knob), "{knob}={value:?}: {e}"),
+                (got, want) => panic!("{knob}={value:?}: got {got:?}, want {want:?}"),
+            }
+        }
     }
 }

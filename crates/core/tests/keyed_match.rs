@@ -29,10 +29,8 @@ fn two_pattern_keyed_create_reads_one_row_per_pattern() {
             .unwrap();
         assert_eq!(r.stats.relationships_created, 1, "|L| = {n}");
         assert_eq!(e.graph().edge_count(), 1);
-        if pgq_ivm::planner_enabled() {
-            assert_eq!(r.rows_scanned, 2, "|L| = {n}: one vertex per pattern");
-            assert_eq!(e.property_indexes(), vec![("L".into(), "k".into(), n)]);
-        }
+        assert_eq!(r.rows_scanned, 2, "|L| = {n}: one vertex per pattern");
+        assert_eq!(e.property_indexes(), vec![("L".into(), "k".into(), n)]);
     }
 }
 
@@ -47,9 +45,7 @@ fn absent_key_binds_nothing_and_creates_nothing() {
             let r = e.execute(&stmt).unwrap();
             assert_eq!(r.stats.relationships_created, 0, "{stmt}");
             assert_eq!(e.graph().edge_count(), 0, "{stmt}");
-            if pgq_ivm::planner_enabled() {
-                assert!(r.rows_scanned <= 1, "{stmt}: scanned {}", r.rows_scanned);
-            }
+            assert!(r.rows_scanned <= 1, "{stmt}: scanned {}", r.rows_scanned);
         }
     }
 }

@@ -24,7 +24,6 @@ use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
 
 use crate::small_list::SmallList;
-use crate::stats::counters;
 
 /// One output row on its way from an operator to a consumer.
 #[derive(Clone, Copy, Debug)]
@@ -290,7 +289,6 @@ impl Bucket {
                     if list.len() >= BUCKET_SPILL {
                         let mut m: FxHashMap<Tuple, i64> = list.iter().cloned().collect();
                         m.insert(tuple.clone(), mult);
-                        counters::rehash_if_grew(0, m.capacity());
                         *self = Bucket::Large(m);
                     } else {
                         list.push((tuple.clone(), mult));
@@ -301,8 +299,7 @@ impl Bucket {
             Bucket::Large(m) => {
                 // One probe: `entry` takes an owned key, and a refcount
                 // bump is cheaper than probing again to remove or insert.
-                let before = m.capacity();
-                let change = match m.entry(tuple.clone()) {
+                match m.entry(tuple.clone()) {
                     Entry::Occupied(mut e) => {
                         *e.get_mut() += mult;
                         if *e.get() == 0 {
@@ -316,9 +313,7 @@ impl Bucket {
                         e.insert(mult);
                         1
                     }
-                };
-                counters::rehash_if_grew(before, m.capacity());
-                change
+                }
             }
         }
     }
@@ -422,7 +417,6 @@ impl IndexedBag {
             return;
         }
         let hash = tuple.hash_projected(&self.key_cols);
-        let outer_before = self.by_key.capacity();
         let change = match self.by_key.entry(hash) {
             Entry::Occupied(mut e) => {
                 let change = e.get_mut().update(tuple, mult);
@@ -437,7 +431,6 @@ impl IndexedBag {
             }
         };
         self.size = (self.size as i64 + change) as usize;
-        counters::rehash_if_grew(outer_before, self.by_key.capacity());
     }
 
     /// Tuples whose key equals `probe.project(probe_cols)`, with
@@ -455,10 +448,6 @@ impl IndexedBag {
             .into_iter()
             .flat_map(Bucket::iter)
             .filter(move |(t, _)| kr.matches_projection(t, key_cols))
-            .map(|(t, c)| {
-                counters::probe_hit();
-                (t, c)
-            })
     }
 
     /// Tuples matching the standalone key tuple `key`, with

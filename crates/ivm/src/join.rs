@@ -29,7 +29,7 @@ use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
 
 use crate::delta::{Delta, IndexedBag, Row, RowSink};
-use crate::stats::counters;
+use crate::stats::Counters;
 
 /// `ΔL ⋈ ΔR` runs as a nested loop up to this many candidate pairs.
 const NESTED_DELTA_PAIRS: usize = 64;
@@ -67,6 +67,8 @@ pub struct JoinOp {
     /// Reused `(key hash, entry index)` run over the smaller delta of a
     /// large `ΔL ⋈ ΔR`.
     delta_index: Vec<(u64, u32)>,
+    /// Work [`JoinOp::apply`] has done: the rows it has emitted.
+    counters: Counters,
 }
 
 /// Emit the (optionally permuted) output row `left ++ right[right_keep]`
@@ -100,7 +102,6 @@ fn emit(
             }
         }
     }
-    counters::join_tuple_emitted();
     out.push_row(Row::Assembled(scratch), mult);
 }
 
@@ -122,6 +123,7 @@ impl JoinOp {
             out_perm: None,
             scratch: Vec::new(),
             delta_index: Vec::new(),
+            counters: Counters::default(),
         }
     }
 
@@ -142,6 +144,11 @@ impl JoinOp {
         &self.right_arr_keys
     }
 
+    /// This operator's work: the rows it has emitted.
+    pub fn counters(&self) -> Counters {
+        self.counters
+    }
+
     /// Process one batch of borrowed deltas against the two inputs'
     /// arrangements **as of before the batch**, appending output rows to
     /// `out`. The caller applies `dl` / `dr` to the arrangements
@@ -156,6 +163,7 @@ impl JoinOp {
     ) {
         debug_assert_eq!(left.key_cols(), self.left_arr_keys);
         debug_assert_eq!(right.key_cols(), self.right_arr_keys);
+        let before = out.len();
         let JoinOp {
             right_probe,
             left_probe,
@@ -179,6 +187,7 @@ impl JoinOp {
         if !dl.is_empty() && !dr.is_empty() {
             self.join_deltas(dl.entries(), dr.entries(), out);
         }
+        self.counters.join_tuples_emitted += (out.len() - before) as u64;
     }
 
     /// `ΔL ⋈ ΔR`.

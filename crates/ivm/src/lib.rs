@@ -57,7 +57,8 @@ pub mod wcoj;
 
 pub use delta::Delta;
 pub use network::{
-    plan_stats, planner_enabled, wcoj_enabled, DataflowNetwork, NodeId, NodeSummary,
-    RegisterOptions, RestoreStates, SinkId, TxFootprint, ViewRef,
+    plan_stats, DataflowNetwork, NodeId, NodeSummary, RegisterOptions, RestoreStates, SinkId,
+    TxFootprint, ViewRef,
 };
+pub use stats::Counters;
 pub use view::MaterializedView;

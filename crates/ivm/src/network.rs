@@ -112,6 +112,18 @@
 //! sub-DAG, O(result) when nothing is new; a dump costs O(operator
 //! state), each shared node once. See ARCHITECTURE.md, "Registration".
 //!
+//! # Work counters
+//!
+//! [`DataflowNetwork::counters`] reads the network's work as counts
+//! ([`Counters`]). Each is a plain field kept where the work happens: a
+//! ⋈, ⨝ⁿ or ⋈* operator counts what it emits, probes or touches in its
+//! own fields (a level's nodes are disjoint, so a worker counts without
+//! synchronisation), and the network counts arrangement updates after
+//! the pass and the bags a registration or a dump enumerates. A dropped node's
+//! counts fold into the network's totals, so every counter only grows,
+//! and since every node runs the same step at every width, the counters
+//! are part of the determinism contract.
+//!
 //! # Invariants
 //!
 //! * **Consing is sound** because equality is checked on the full
@@ -153,7 +165,7 @@ use crate::distinct::DistinctOp;
 use crate::join::JoinOp;
 use crate::scan::{EdgeRouting, EdgeScan, EdgeScanSpec, ScanRouting, VertexRouting, VertexScan};
 use crate::semijoin::SemiJoinOp;
-use crate::stats::{counters, OpStats};
+use crate::stats::{Counters, OpStats};
 use crate::tc::VarLengthOp;
 use crate::wcoj::MultiwayJoinOp;
 
@@ -339,6 +351,17 @@ impl NodeKind {
         }
     }
 
+    /// The work this operator has counted (module docs, "Work
+    /// counters").
+    fn counters(&self) -> Counters {
+        match self {
+            NodeKind::Join { op, .. } => op.counters(),
+            NodeKind::VarLength { op, .. } => op.counters(),
+            NodeKind::Multiway { op, .. } => op.counters(),
+            _ => Counters::default(),
+        }
+    }
+
     /// Display label (the same operator glyphs the old tree stats used).
     fn label(&self) -> String {
         fn syms(s: &[Symbol]) -> String {
@@ -362,7 +385,15 @@ impl NodeKind {
             NodeKind::Program { program, .. } => program.to_string(),
             NodeKind::Distinct { .. } => "δ".into(),
             NodeKind::Aggregate { .. } => "γ".into(),
-            NodeKind::Multiway { inputs, .. } => format!("⨝ⁿ [{} rels]", inputs.len()),
+            NodeKind::Multiway { inputs, op } => format!(
+                "⨝ⁿ [{} rels, {}]",
+                inputs.len(),
+                if op.sorted_backend() {
+                    "sorted"
+                } else {
+                    "hash"
+                }
+            ),
         }
     }
 }
@@ -751,7 +782,8 @@ impl RoutingIndex {
 pub struct NodeSummary {
     /// Arena handle.
     pub id: NodeId,
-    /// Operator glyph plus scan labels/types, e.g. `©(Post)`.
+    /// Operator glyph plus scan labels/types, e.g. `©(Post)`, or the
+    /// ⨝ⁿ candidate backend, e.g. `⨝ⁿ [3 rels, sorted]`.
     pub label: String,
     /// Incoming consumer edges (parent edges + sink edges). A node
     /// shared by N views reports N consumers at the sharing boundary.
@@ -770,7 +802,10 @@ pub struct NodeSummary {
     pub depth: u32,
 }
 
-/// Options for [`DataflowNetwork::register_with`].
+/// Options for [`DataflowNetwork::register_with`]: how one view is
+/// planned. The defaults are what every engine registration runs; the
+/// others keep the syntactic order and the binary join trees reachable
+/// per view, as the reference twins of the differential oracles.
 #[derive(Clone, Copy, Debug)]
 pub struct RegisterOptions {
     /// Run the cost-based join-order planner before canonicalisation
@@ -868,6 +903,9 @@ struct Bags<'s> {
     /// Nodes whose memories a consumer of this pass has streamed: the
     /// next consumer materialises them instead of enumerating again.
     streamed: FxHashSet<NodeId>,
+    /// Bags produced from a node's own state this pass
+    /// ([`Counters::bag_enumerations`]).
+    enumerations: u64,
 }
 
 impl<'s> Bags<'s> {
@@ -890,31 +928,6 @@ impl<'s> Bags<'s> {
 
 /// A full output bag's rows, borrowed from where they are kept.
 type Rows<'a> = Box<dyn Iterator<Item = (&'a Tuple, i64)> + 'a>;
-
-/// Is the cost-based planner globally enabled? `PGQ_DISABLE_PLANNER=1`
-/// (or `true`) turns it off for the whole process — the CI fallback job
-/// uses this to keep the unplanned path green. Public so EXPLAIN
-/// surfaces can report the order that will actually execute.
-pub fn planner_enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        !std::env::var("PGQ_DISABLE_PLANNER")
-            .is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-    })
-}
-
-/// Is worst-case optimal fusion of cyclic join regions globally
-/// enabled? `PGQ_DISABLE_WCOJ=1` (or `true`) turns it off for the whole
-/// process, keeping every cyclic pattern on the binary join-tree path —
-/// the kill switch mirroring `PGQ_DISABLE_PLANNER`, used by the CI
-/// fallback job. Public so EXPLAIN surfaces report the plan that will
-/// actually execute.
-pub fn wcoj_enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        !std::env::var("PGQ_DISABLE_WCOJ").is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-    })
-}
 
 /// Snapshot the planner-relevant statistics of `g`: label/type extents
 /// from the secondary indexes, per-type distinct endpoints and
@@ -1065,6 +1078,9 @@ pub struct DataflowNetwork {
     /// Static empty delta handed out by [`DataflowNetwork::last_delta`]
     /// for unchanged sinks.
     empty: Delta,
+    /// The network's own counts plus those of every dropped node (see
+    /// [`DataflowNetwork::counters`]).
+    counters: Counters,
 }
 
 impl DataflowNetwork {
@@ -1089,8 +1105,7 @@ impl DataflowNetwork {
     ///    queries plan identically, so sharing is preserved. The
     ///    snapshot is taken **once, here**: later graph drift never
     ///    re-plans a standing view (re-register to replan). Disable
-    ///    globally with `PGQ_DISABLE_PLANNER=1` or per call via
-    ///    [`DataflowNetwork::register_with`].
+    ///    per view via [`DataflowNetwork::register_with`].
     /// 2. **Canonicalisation** ([`pgq_algebra::canon`]): sharing is up
     ///    to *alpha-equivalence* — registering `MATCH (a:Post)` after
     ///    `MATCH (p:Post)` (or the same `WHERE` with reordered
@@ -1155,22 +1170,12 @@ impl DataflowNetwork {
         // planned path snapshots statistics; the unplanned path never
         // fuses, so the flag is moot there.
         let mut catalog_sorted = true;
-        let planned: &Fra = if options.plan && planner_enabled() {
+        let planned: &Fra = if options.plan {
             let snapshot = plan_stats(g);
             catalog_sorted =
                 snapshot.out_degree_skew() >= pgq_algebra::plan::SORTED_BACKEND_MIN_SKEW;
-            let opts = pgq_algebra::plan::PlanOptions {
-                wcoj: if wcoj_enabled() {
-                    options.wcoj
-                } else {
-                    WcojMode::Disabled
-                },
-            };
-            let planned = pgq_algebra::plan::plan_with(fra, &snapshot, &opts);
-            if planned.changed {
-                crate::stats::counters::planner_plan_changed();
-            }
-            planned_storage = planned.fra;
+            let opts = pgq_algebra::plan::PlanOptions { wcoj: options.wcoj };
+            planned_storage = pgq_algebra::plan::plan_with(fra, &snapshot, &opts).fra;
             &planned_storage
         } else {
             fra
@@ -1195,6 +1200,7 @@ impl DataflowNetwork {
                 results
             }
         };
+        self.counters.bag_enumerations += bags.enumerations;
 
         let sink = Sink {
             name,
@@ -1463,11 +1469,6 @@ impl DataflowNetwork {
     fn load_node(&mut self, id: NodeId, g: &PropertyGraph, bags: &mut Bags<'_>) {
         let node = self.node(id);
         let hit = bags.stored_bag(node).is_some();
-        if hit {
-            counters::restore_hit();
-        } else if bags.stored.is_some() {
-            counters::restore_miss();
-        }
         if node.kind.program().is_some() {
             return;
         }
@@ -1499,7 +1500,7 @@ impl DataflowNetwork {
             }
         }
         if let Some(bag) = produced.filter(|_| !hit) {
-            counters::bag_enumerated();
+            bags.enumerations += 1;
             bags.keep(id, kind, bag);
         }
     }
@@ -1521,8 +1522,9 @@ impl DataflowNetwork {
     /// been hash-consed into one node); such an ambiguous key is
     /// dropped entirely rather than risk restoring one plan's state
     /// into the other's operator, and recovery cold-starts those
-    /// nodes.
-    pub fn dump_states(&self) -> RestoreStates {
+    /// nodes. A dump changes no state; the bags it enumerates count
+    /// into [`Counters::bag_enumerations`], as registration's do.
+    pub fn dump_states(&mut self) -> RestoreStates {
         let mut live: Vec<NodeId> = (0..self.nodes.len())
             .filter(|&i| self.nodes[i].is_some())
             .map(|i| NodeId(i as u32))
@@ -1548,6 +1550,7 @@ impl DataflowNetwork {
                 );
             }
         }
+        self.counters.bag_enumerations += bags.enumerations;
         states
     }
 
@@ -1605,7 +1608,7 @@ impl DataflowNetwork {
         };
         if matches!(source, Source::Memories) && !bags.streamed.insert(cur) {
             let mut bag = Delta::new();
-            counters::bag_enumerated();
+            bags.enumerations += 1;
             self.replay_memories(cur, &mut bag);
             bags.keep(cur, &self.node(cur).kind, bag);
             source = Source::Memo;
@@ -1637,7 +1640,7 @@ impl DataflowNetwork {
                 }
             }
             Source::Memories => {
-                counters::bag_enumerated();
+                bags.enumerations += 1;
                 self.replay_memories(cur, sink);
             }
         }
@@ -1702,7 +1705,8 @@ impl DataflowNetwork {
         }
     }
 
-    /// Free `id` if it has no consumers left, cascading to children.
+    /// Free `id` if it has no consumers left, cascading to children. Its
+    /// counts fold into the network's totals.
     fn collect_if_dead(&mut self, id: NodeId) {
         {
             let node = self.node(id);
@@ -1711,6 +1715,7 @@ impl DataflowNetwork {
             }
         }
         let node = self.nodes[id.ix()].take().expect("live node");
+        self.counters += node.kind.counters();
         // Unlink from the hash-consing index.
         if let Some(bucket) = self.cons.get_mut(&node.fingerprint) {
             if let Some(pos) = bucket.iter().position(|&n| n == id) {
@@ -1808,8 +1813,8 @@ impl DataflowNetwork {
             let delta = &self.sched.outputs[slot as usize];
             for arr in &mut self.arrangements[slot as usize] {
                 if arr.readers > 0 {
+                    self.counters.arrangement_updates += delta.len() as u64;
                     for (t, m) in delta.iter() {
-                        counters::arrangement_updated();
                         arr.bag.update(t, *m);
                     }
                 }
@@ -1978,7 +1983,6 @@ impl DataflowNetwork {
                     }
                     net.sched.deliver_stamp[node.ix()] = serial;
                     net.node_mut(node).delivered_events += 1;
-                    counters::scan_event_delivered();
                     net.sched.event_gen[node.ix()] = generation;
                     net.sched.mark(generation, node.0);
                 };
@@ -2359,6 +2363,16 @@ impl DataflowNetwork {
             .collect()
     }
 
+    /// The network's work so far (module docs, "Work counters"): its own
+    /// counts, those of every dropped node, and every live node's.
+    pub fn counters(&self) -> Counters {
+        let mut c = self.counters;
+        for node in self.nodes.iter().flatten() {
+            c += node.kind.counters();
+        }
+        c
+    }
+
     /// Per-operator statistics of one view's subgraph, rendered as a
     /// tree (shared nodes appear in every referencing view's tree).
     pub fn stats_of(&self, sid: SinkId) -> OpStats {
@@ -2373,10 +2387,11 @@ impl DataflowNetwork {
             NodeKind::Edges(_) => "⇑".to_string(),
             NodeKind::Join { .. } => "⋈".to_string(),
             NodeKind::SemiJoin { .. } => "⋉/▷".to_string(),
-            kind @ (NodeKind::VarLength { .. } | NodeKind::Program { .. }) => kind.label(),
+            kind @ (NodeKind::VarLength { .. }
+            | NodeKind::Program { .. }
+            | NodeKind::Multiway { .. }) => kind.label(),
             NodeKind::Distinct { .. } => "δ".to_string(),
             NodeKind::Aggregate { .. } => "γ".to_string(),
-            NodeKind::Multiway { inputs, .. } => format!("⨝ⁿ [{} rels]", inputs.len()),
         };
         OpStats {
             name: name + &self.arrangement_note(id),

@@ -18,15 +18,14 @@
 //! Like [`JoinOp`](crate::join::JoinOp), the hot path never materialises
 //! a key tuple: support is bucketed by key-projection hash and probed
 //! with borrowed projections; only the first insertion of a brand-new
-//! support key allocates (and is counted by
-//! [`stats::counters`](crate::stats::counters)).
+//! support key allocates it (`crates/ivm/tests/alloc_counters.rs`
+//! counts the allocations).
 
 use pgq_common::fxhash::FxHashMap;
 use pgq_common::tuple::Tuple;
 
 use crate::delta::{Delta, IndexedBag, Row, RowSink};
 use crate::join::sorted_key_pairs;
-use crate::stats::counters;
 
 /// Support counts per key, bucketed by key-projection hash so probes and
 /// updates borrow the probing tuple (via
@@ -79,7 +78,6 @@ impl SupportMap {
         } else {
             // First sighting of this key: the one place a key tuple is
             // materialised.
-            counters::key_materialized();
             bucket.push((kr.to_tuple(), dm));
             self.len += 1;
             (0, dm)

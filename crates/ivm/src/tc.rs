@@ -92,7 +92,7 @@ use pgq_graph::store::PropertyGraph;
 use crate::delta::{Bucket, Delta, Row, RowSink};
 use crate::scan::{EdgeScan, EdgeScanSpec, ScanRouting, VertexScan};
 use crate::small_list::SmallList;
-use crate::stats::counters;
+use crate::stats::Counters;
 
 /// "No parent": marks a trie root.
 const NIL: u32 = u32::MAX;
@@ -149,6 +149,9 @@ struct PathTrie {
     frontier: Vec<(u32, EdgeId, VertexId)>,
     /// Reused subtree-traversal stack.
     stack: Vec<u32>,
+    /// Trie nodes created, dropped or read: the operator's work count
+    /// (`tc_paths_touched`).
+    counters: Counters,
 }
 
 impl PathTrie {
@@ -206,7 +209,7 @@ impl PathTrie {
             ending_pos,
             edge_pos,
         });
-        counters::tc_paths_touched(1);
+        self.counters.tc_paths_touched += 1;
         ix
     }
 
@@ -260,7 +263,7 @@ impl PathTrie {
     /// Extend node `p` over hop `e` to `w` and onwards, if the hop bound
     /// allows; `visit` sees every node created.
     fn extend(&mut self, p: u32, e: EdgeId, w: VertexId, visit: impl FnMut(&TrieNode)) {
-        counters::tc_paths_touched(1);
+        self.counters.tc_paths_touched += 1;
         if self.can_grow(self.node(p).path.len()) {
             self.frontier.push((p, e, w));
             self.expand(visit);
@@ -311,7 +314,7 @@ impl PathTrie {
                 }
                 None => self.roots -= 1,
             }
-            counters::tc_paths_touched(1);
+            self.counters.tc_paths_touched += 1;
             visit(&n);
         }
         self.stack = stack;
@@ -320,19 +323,22 @@ impl PathTrie {
     /// Visit `top` and everything below it.
     fn for_subtree(&mut self, top: u32, visit: impl FnMut(&TrieNode)) {
         let mut stack = std::mem::take(&mut self.stack);
-        self.walk(top, &mut stack, visit);
+        self.counters.tc_paths_touched += self.walk(top, &mut stack, visit);
         self.stack = stack;
     }
 
-    /// [`PathTrie::for_subtree`] over a shared trie, on `stack`.
-    fn walk(&self, top: u32, stack: &mut Vec<u32>, mut visit: impl FnMut(&TrieNode)) {
+    /// [`PathTrie::for_subtree`] over a shared trie, on `stack`; returns
+    /// the nodes visited.
+    fn walk(&self, top: u32, stack: &mut Vec<u32>, mut visit: impl FnMut(&TrieNode)) -> u64 {
+        let mut visited = 0;
         stack.push(top);
         while let Some(ix) = stack.pop() {
             let n = self.node(ix);
             stack.extend_from_slice(&n.children);
-            counters::tc_paths_touched(1);
+            visited += 1;
             visit(n);
         }
+        visited
     }
 }
 
@@ -500,6 +506,12 @@ impl VarLengthOp {
         self.edge_scan.memory_tuples()
     }
 
+    /// This operator's work: the trie nodes it has created, dropped or
+    /// read.
+    pub(crate) fn counters(&self) -> Counters {
+        self.trie.counters
+    }
+
     /// Apply the scans' deltas and `left` (module docs, "Delta rules").
     fn apply(&mut self, edge_delta: &Delta, dst_delta: &Delta, left: &Delta, out: &mut Delta) {
         let VarLengthOp {
@@ -524,9 +536,8 @@ impl VarLengthOp {
         // 1. Destination ±.
         for (t, m) in dst_delta.iter() {
             let v = t.get(0).as_node().expect("vertex scan emits nodes");
-            let ending = trie.ending(v);
-            counters::tc_paths_touched(ending.len() as u64);
-            for &ix in ending {
+            trie.counters.tc_paths_touched += trie.ending(v).len() as u64;
+            for &ix in trie.ending(v) {
                 let n = trie.node(ix);
                 em.emit_on(rows_of(anchors, n).iter(), t.values(), *m, n);
             }

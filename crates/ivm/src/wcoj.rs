@@ -62,9 +62,10 @@
 //!   picks per view (`RegisterOptions::wcoj_sorted`).
 //!
 //! Both backends prune at zero net multiplicity, so presence ⇔ support
-//! and the enumeration logic is backend-agnostic. The `ivm-stats`
-//! counters `gallop_steps` / `intersect_probes` expose the intersection
-//! work for the counter-pinning tests.
+//! and the enumeration logic is backend-agnostic. The operator's
+//! [`counters`](MultiwayJoinOp::counters) — `gallop_steps` /
+//! `intersect_probes` — expose the intersection work for the
+//! counter-pinning tests.
 //!
 //! Variable ids double as the elimination order **and** the output
 //! column positions (see [`pgq_algebra::fra::Fra::MultiwayJoin`]), so
@@ -77,7 +78,7 @@ use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
 
 use crate::delta::{Delta, Row, RowSink};
-use crate::stats::counters;
+use crate::stats::Counters;
 
 /// Merge the sorted `tail` run into `base` once it exceeds
 /// `TAIL_CAP_MIN + base/8` entries (amortises the O(base) merge over
@@ -266,14 +267,15 @@ impl<'a> SetCursor<'a> {
         }
     }
 
-    /// Gallop both runs to the first candidate ≥ `bound`.
-    fn seek_geq(&mut self, bound: &Value) {
+    /// Gallop both runs to the first candidate ≥ `bound`; returns the
+    /// search steps taken.
+    fn seek_geq(&mut self, bound: &Value) -> u64 {
         let (bi, s1) = gallop_geq(self.base, self.bi, bound);
         self.bi = bi;
         let (ti, s2) = gallop_geq(self.tail, self.ti, bound);
         self.ti = ti;
-        counters::gallop_steps(s1 + s2);
         self.settle();
+        s1 + s2
     }
 
     /// Step past the current candidate.
@@ -562,7 +564,8 @@ fn intersect_hash<S: RowSink + ?Sized>(
     scratch: &mut Vec<Value>,
     mult: i64,
     out: &mut S,
-) {
+) -> Counters {
+    let mut work = Counters::default();
     let mut min_ix = 0;
     for (k, inner) in maps.iter().enumerate() {
         if inner.len() < maps[min_ix].len() {
@@ -574,14 +577,15 @@ fn intersect_hash<S: RowSink + ?Sized>(
             if k == min_ix {
                 continue;
             }
-            counters::intersect_probe();
+            work.intersect_probes += 1;
             if !inner.contains_key(val) {
                 continue 'vals;
             }
         }
         binding[var] = val.clone();
-        enumerate(inputs, rule, step_ix + 1, binding, scratch, mult, out);
+        work += enumerate(inputs, rule, step_ix + 1, binding, scratch, mult, out);
     }
+    work
 }
 
 /// Sorted-run intersection: leapfrog all cursors to each common value,
@@ -597,16 +601,17 @@ fn intersect_sorted<S: RowSink + ?Sized>(
     scratch: &mut Vec<Value>,
     mult: i64,
     out: &mut S,
-) {
+) -> Counters {
+    let mut work = Counters::default();
     let k = sets.len();
     let mut cursors: Vec<SetCursor> = sets.iter().map(|s| SetCursor::new(s)).collect();
     if k == 1 {
         while let Some(v) = cursors[0].current() {
             binding[var] = v.clone();
-            enumerate(inputs, rule, step_ix + 1, binding, scratch, mult, out);
+            work += enumerate(inputs, rule, step_ix + 1, binding, scratch, mult, out);
             cursors[0].advance();
         }
-        return;
+        return work;
     }
     // Candidate = cursor 0's current; leapfrog the others round-robin
     // until all k cursors agree on it (raising it whenever a cursor
@@ -617,8 +622,8 @@ fn intersect_sorted<S: RowSink + ?Sized>(
         let mut idx = 1usize;
         while agreed < k {
             let c = &mut cursors[idx % k];
-            counters::intersect_probe();
-            c.seek_geq(&hi);
+            work.intersect_probes += 1;
+            work.gallop_steps += c.seek_geq(&hi);
             match c.current() {
                 None => break 'outer,
                 Some(v) => {
@@ -633,9 +638,10 @@ fn intersect_sorted<S: RowSink + ?Sized>(
             idx += 1;
         }
         binding[var] = hi;
-        enumerate(inputs, rule, step_ix + 1, binding, scratch, mult, out);
+        work += enumerate(inputs, rule, step_ix + 1, binding, scratch, mult, out);
         cursors[0].advance();
     }
+    work
 }
 
 /// Enumerate the unbound variables of `rule` (from `step_ix` on) over
@@ -643,7 +649,7 @@ fn intersect_sorted<S: RowSink + ?Sized>(
 /// multiplicity product. Per variable: look up each consulted input's
 /// candidate set under the bound prefix and intersect — leapfrog with
 /// galloping on the sorted backend, iterate-smallest/probe-rest on the
-/// hash backend.
+/// hash backend. Returns the work done.
 fn enumerate<S: RowSink + ?Sized>(
     inputs: &[InputState],
     rule: &Rule,
@@ -652,18 +658,20 @@ fn enumerate<S: RowSink + ?Sized>(
     scratch: &mut Vec<Value>,
     mult: i64,
     out: &mut S,
-) {
+) -> Counters {
     let Some(step) = rule.steps.get(step_ix) else {
         let mut total = mult;
         for &j in &rule.finals {
             total *= inputs[j].full_count(binding, scratch);
             if total == 0 {
-                return;
+                return Counters::default();
             }
         }
-        counters::wcoj_tuple_emitted();
         out.push_row(Row::Assembled(binding), total);
-        return;
+        return Counters {
+            wcoj_tuples_emitted: 1,
+            ..Counters::default()
+        };
     };
     let mut sets: Vec<&CandidateSet> = Vec::with_capacity(step.consults.len());
     for &(j, slot) in &step.consults {
@@ -672,7 +680,7 @@ fn enumerate<S: RowSink + ?Sized>(
         scratch.extend(idx.key_vars.iter().map(|&v| binding[v].clone()));
         match idx.map.get(scratch.as_slice()) {
             Some(set) => sets.push(set),
-            None => return,
+            None => return Counters::default(),
         }
     }
     // All consulted sets share the operator's backend; dispatch on the
@@ -688,7 +696,7 @@ fn enumerate<S: RowSink + ?Sized>(
                 .collect();
             intersect_hash(
                 inputs, rule, step_ix, step.var, &maps, binding, scratch, mult, out,
-            );
+            )
         }
         CandidateSet::Sorted(_) => {
             let runs: Vec<&SortedSet> = sets
@@ -700,7 +708,7 @@ fn enumerate<S: RowSink + ?Sized>(
                 .collect();
             intersect_sorted(
                 inputs, rule, step_ix, step.var, &runs, binding, scratch, mult, out,
-            );
+            )
         }
     }
 }
@@ -722,6 +730,9 @@ pub struct MultiwayJoinOp {
     binding: Vec<Value>,
     /// Reusable key-assembly buffer.
     scratch: Vec<Value>,
+    /// Work [`MultiwayJoinOp::apply`] has done: rows emitted and the
+    /// intersections' probes and gallop steps.
+    counters: Counters,
 }
 
 impl MultiwayJoinOp {
@@ -774,6 +785,7 @@ impl MultiwayJoinOp {
             replay,
             binding: Vec::new(),
             scratch: Vec::new(),
+            counters: Counters::default(),
         }
     }
 
@@ -781,6 +793,12 @@ impl MultiwayJoinOp {
     /// tries)?
     pub fn sorted_backend(&self) -> bool {
         self.inputs.first().is_none_or(|i| i.sorted)
+    }
+
+    /// This operator's work: rows emitted and the intersections'
+    /// probes and gallop steps.
+    pub fn counters(&self) -> Counters {
+        self.counters
     }
 
     /// Distinct tuples stored across the input memories (full maps; the
@@ -821,7 +839,8 @@ impl MultiwayJoinOp {
                         }
                     }
                     if mult != 0 {
-                        enumerate(&self.inputs, rule, 0, &mut binding, &mut scratch, mult, out);
+                        self.counters +=
+                            enumerate(&self.inputs, rule, 0, &mut binding, &mut scratch, mult, out);
                     }
                 }
             }
@@ -1112,8 +1131,8 @@ mod tests {
     fn hub_intersection_both_backends() {
         // A 200-degree hub against a handful of closers: every closer
         // triangle must be found on both backends (and the sorted path
-        // gallops instead of scanning — asserted by the ivm-stats
-        // counter test, not here).
+        // gallops instead of scanning — asserted by the counter test
+        // `crates/ivm/tests/wcoj_counters.rs`, not here).
         let mut spokes: Vec<(Tuple, i64)> = Vec::new();
         for i in 0..200i64 {
             spokes.push((t(&[1, 10 + i]), 1));

@@ -1,33 +1,33 @@
-//! With the `ivm-stats` feature on, the hot-path counters must show that
-//! steady-state join maintenance materialises **zero** key tuples per
-//! match — the whole point of the borrowed-key memories — while still
-//! doing real probe work. A counting allocator (this binary's own,
-//! counting per thread) shows the same for a fused σ→π program — one
-//! allocation per surviving output row, nothing per input row or per
-//! stage — and for keyed state: a single-tuple arrangement key and a
-//! one-hop ⋈* extension allocate nothing per key or per list entry.
-//!
-//! Run with `cargo test -p pgq_ivm --features ivm-stats`.
-#![cfg(feature = "ivm-stats")]
+//! Hot-path allocations, counted by this binary's own allocator (per
+//! thread, so tests running in parallel count only their own):
+//! steady-state join maintenance allocates its output rows and never a
+//! key tuple — the whole point of the borrowed-key memories — a fused
+//! σ→π program allocates one tuple per surviving output row and nothing
+//! per input row or per stage, and keyed state holds a single-tuple
+//! arrangement key or a one-hop ⋈* extension's list entries without
+//! allocating. Event routing is checked beside them: a change event
+//! reaches only the scans that can match it, once.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use pgq_algebra::expr::ScalarExpr;
-use pgq_algebra::fra::VarLenSpec;
+use pgq_algebra::fra::{Fra, VarLenSpec};
 use pgq_algebra::program::{Scratch, TupleProgram};
 use pgq_common::dir::Direction;
 use pgq_common::intern::Symbol;
+use pgq_common::pool::WorkerPool;
 use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
 use pgq_graph::props::Properties;
 use pgq_graph::store::PropertyGraph;
+use pgq_graph::tx::Transaction;
 use pgq_ivm::basic::{program_in_place, program_into};
 use pgq_ivm::delta::{Delta, IndexedBag};
 use pgq_ivm::join::JoinOp;
 use pgq_ivm::semijoin::SemiJoinOp;
-use pgq_ivm::stats::counters;
 use pgq_ivm::tc::VarLengthOp;
+use pgq_ivm::DataflowNetwork;
 use pgq_parser::ast::BinOp;
 
 struct Counting;
@@ -98,11 +98,11 @@ fn absorb(bag: &mut IndexedBag, delta: &Delta) {
     }
 }
 
-/// The counters are process-globals, so keep all assertions in one test
-/// (the default test harness runs tests in parallel threads).
+/// A join with fan-out on both sides: once its row buffer is warm, a
+/// delta batch allocates exactly one tuple per emitted row — probing the
+/// arrangements builds no key — and the operator counts those rows.
 #[test]
-fn join_hot_path_materialises_no_keys() {
-    // Seed a join with fan-out on both sides.
+fn join_apply_allocates_one_tuple_per_emitted_row() {
     let mut j = JoinOp::new(vec![0], vec![0], 2);
     let mut left = IndexedBag::new(j.left_arrangement_keys().to_vec());
     let mut right = IndexedBag::new(j.right_arrangement_keys().to_vec());
@@ -111,91 +111,88 @@ fn join_hot_path_materialises_no_keys() {
         &mut right,
         &(0..50).map(|i| (t(&[i % 5, 100 + i]), 1)).collect(),
     );
+    let (dl, dr) = (d(&[(&[2, 999], 1)]), d(&[(&[3, 888], 1), (&[3, 777], -1)]));
+    let mut out = Delta::with_capacity(64);
+    j.apply(&dl, &dr, &left, &right, &mut out);
+    out.clear();
 
-    // Steady state: a delta batch through the join must do probe work
-    // but allocate no key tuples at all.
-    counters::reset();
-    let mut out = Delta::new();
-    j.apply(
-        &d(&[(&[2, 999], 1)]),
-        &d(&[(&[3, 888], 1), (&[3, 777], -1)]),
-        &left,
-        &right,
-        &mut out,
-    );
-    let snap = counters::snapshot();
-    assert!(!out.is_empty(), "the batch should produce matches");
-    assert!(
-        snap.probe_hits > 0,
-        "probes should have yielded matches: {snap:?}"
-    );
-    assert_eq!(
-        snap.key_materializations, 0,
-        "JoinOp::apply must not materialise key tuples: {snap:?}"
-    );
+    let before = j.counters().join_tuples_emitted;
+    let allocated = allocations(|| j.apply(&dl, &dr, &left, &right, &mut out));
+    assert_eq!(out.len(), 30, "ten matches per probed key");
+    assert_eq!(allocated, out.len() as u64, "one tuple per emitted row");
+    assert_eq!(j.counters().join_tuples_emitted - before, out.len() as u64);
+}
 
-    // Semijoin steady state: support keys already exist, so an update
-    // batch probes borrowed keys only.
+/// Semijoin steady state: the support keys already exist, so an update
+/// batch probes borrowed keys only — it allocates its per-batch key
+/// aggregation (a table and one bucket) and no key tuple. A brand-new
+/// support key is the sanctioned exception: three allocations more —
+/// the key's values, its tuple, and the new hash bucket holding it.
+#[test]
+fn semijoin_materialises_only_first_seen_support_keys() {
     let mut sj = SemiJoinOp::new(vec![0], vec![0], false);
     let mut left = IndexedBag::new(sj.left_arrangement_keys().to_vec());
     absorb(&mut left, &(0..20).map(|i| (t(&[i % 4, i]), 1)).collect());
     sj.restore(&(0..4).map(|i| (t(&[i]), 1)).collect());
-    counters::reset();
-    let mut out = Delta::new();
-    sj.apply(&d(&[(&[1, 500], 1)]), &d(&[(&[2], 1)]), &left, &mut out);
-    let snap = counters::snapshot();
+    let mut out = Delta::with_capacity(16);
+
+    let (dl, seen) = (d(&[(&[1, 500], 1)]), d(&[(&[2], 1)]));
+    let steady = allocations(|| sj.apply(&dl, &seen, &left, &mut out));
     assert!(!out.is_empty());
+    assert_eq!(steady, 2, "the batch's key aggregation, and no key");
+
+    let (dl, fresh) = (d(&[(&[1, 501], 1)]), d(&[(&[99], 1)]));
+    let first = allocations(|| sj.apply(&dl, &fresh, &left, &mut out));
     assert_eq!(
-        snap.key_materializations, 0,
-        "steady-state semijoin must not materialise key tuples: {snap:?}"
+        first,
+        steady + 3,
+        "first sighting of a support key materialises it, once"
     );
+}
 
-    // A brand-new support key is the sanctioned exception: exactly one
-    // materialisation.
-    counters::reset();
-    sj.apply(&Delta::new(), &d(&[(&[99], 1)]), &left, &mut out);
-    let snap = counters::snapshot();
-    assert_eq!(
-        snap.key_materializations, 1,
-        "first sighting of a support key materialises exactly once: {snap:?}"
-    );
-
-    // Event routing: a transaction touching only label A delivers its
-    // event to the A scan and to no other scan in the shared network.
-    use pgq_algebra::fra::Fra;
-    use pgq_common::intern::Symbol;
-    use pgq_graph::props::Properties;
-    use pgq_graph::store::PropertyGraph;
-    use pgq_graph::tx::Transaction;
-    use pgq_ivm::DataflowNetwork;
-
-    let scan = |var: &str, label: &str| Fra::ScanVertices {
+/// `©(label)` as a plan.
+fn scan(var: &str, label: &str) -> Fra {
+    Fra::ScanVertices {
         var: var.into(),
         labels: vec![Symbol::intern(label)],
         props: vec![],
         carry_map: false,
-    };
+    }
+}
+
+/// Events routed to the network's scans so far.
+fn delivered(net: &DataflowNetwork) -> u64 {
+    net.node_summaries()
+        .iter()
+        .map(|n| n.delivered_events)
+        .sum()
+}
+
+/// A transaction touching only label A delivers its event to the A scan
+/// and to no other scan in the shared network.
+#[test]
+fn an_event_reaches_only_the_scans_that_can_match_it() {
     let mut g = PropertyGraph::new();
     let mut net = DataflowNetwork::new();
     net.register("as", &scan("a", "A"), &g);
     net.register("bs", &scan("b", "B"), &g);
-
     let mut tx = Transaction::new();
     tx.create_vertex([Symbol::intern("A")], Properties::new());
     let events = g.apply(&tx).unwrap();
-    counters::reset();
     net.on_transaction(&g, &events);
-    let snap = counters::snapshot();
     assert_eq!(
-        snap.scan_events_delivered, 1,
-        "one event, one matching scan — the B scan must receive nothing: {snap:?}"
+        delivered(&net),
+        1,
+        "one event, one matching scan — the B scan must receive nothing"
     );
+}
 
-    // Canonicalisation regression: the same query registered under a
-    // different variable name used to build a second scan chain and
-    // double every delivery. The alpha-renamed duplicate must collapse
-    // onto the existing node, keeping the global delivery count at one
-    // per event.
+/// Canonicalisation regression: the same query registered under a
+/// different variable name used to build a second scan chain and double
+/// every delivery. The alpha-renamed duplicate must collapse onto the
+/// existing node, keeping deliveries at one per event.
+#[test]
+fn a_renamed_duplicate_scan_receives_each_event_once() {
     let mut g = PropertyGraph::new();
     let mut net = DataflowNetwork::new();
     net.register("as", &scan("a", "A"), &g);
@@ -204,21 +201,15 @@ fn join_hot_path_materialises_no_keys() {
     let mut tx = Transaction::new();
     tx.create_vertex([Symbol::intern("A")], Properties::new());
     let events = g.apply(&tx).unwrap();
-    counters::reset();
     net.on_transaction(&g, &events);
-    let snap = counters::snapshot();
-    assert_eq!(
-        snap.scan_events_delivered, 1,
-        "two renamed views, one collapsed scan: each event is delivered once: {snap:?}"
-    );
+    assert_eq!(delivered(&net), 1, "two renamed views, one collapsed scan");
+}
 
-    // Parallel scheduler: the same transaction propagated serially and
-    // through a 4-thread worker pool must deliver each event exactly
-    // once per matching scan — the dirty-closure may schedule extra
-    // nodes as no-ops, but routing stays serial and nothing is
-    // re-delivered by the workers.
-    use pgq_common::pool::WorkerPool;
-
+/// The same transaction propagated inline and through a 4-thread worker
+/// pool delivers each event exactly once per matching scan: routing runs
+/// before the level loop, and no worker re-delivers.
+#[test]
+fn a_pooled_pass_delivers_each_event_once() {
     let build = || {
         let mut g = PropertyGraph::new();
         let mut net = DataflowNetwork::new();
@@ -231,28 +222,24 @@ fn join_hot_path_materialises_no_keys() {
         (g, net, events)
     };
     let (g, mut net, events) = build();
-    counters::reset();
     net.on_transaction(&g, &events);
-    let serial_delivered = counters::snapshot().scan_events_delivered;
-    assert_eq!(
-        serial_delivered, 2,
-        "two events, one matching scan each (serial)"
-    );
+    assert_eq!(delivered(&net), 2, "two events, one matching scan each");
 
-    let (g, mut net, events) = build();
-    let pool = WorkerPool::new(4);
-    counters::reset();
-    net.on_transaction_with(&g, &events, Some(&pool));
-    let par_delivered = counters::snapshot().scan_events_delivered;
+    let (g, mut pooled, events) = build();
+    pooled.on_transaction_with(&g, &events, Some(&WorkerPool::new(4)));
     assert_eq!(
-        par_delivered, serial_delivered,
-        "parallel pass must not deliver any event twice"
+        pooled.node_summaries(),
+        net.node_summaries(),
+        "the pooled pass must not deliver any event twice"
     );
+}
 
-    // A σ→π chain is one program: `π[b, a + 1] σ[a > 5]` over 64 rows,
-    // 58 of which survive. Steady state — the node's scratch is warm and
-    // its output buffer pooled — allocates one tuple per surviving row,
-    // through a borrowed input and in place alike.
+/// A σ→π chain is one program: `π[b, a + 1] σ[a > 5]` over 64 rows, 58
+/// of which survive. Steady state — the node's scratch is warm and its
+/// output buffer pooled — allocates one tuple per surviving row, through
+/// a borrowed input and in place alike.
+#[test]
+fn a_sigma_pi_program_allocates_one_tuple_per_surviving_row() {
     let col = |i| Box::new(ScalarExpr::Col(i));
     let lit = |v: i64| Box::new(ScalarExpr::Lit(Value::Int(v)));
     let chain = Fra::Project {

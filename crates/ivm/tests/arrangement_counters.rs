@@ -2,16 +2,10 @@
 //! views a hub-edge toggle must apply each changed wedge tuple to exactly
 //! one arrangement — not to one private memory per consuming join — and
 //! a view's memory figure must count the shared wedge index once.
-//!
-//! Run with `cargo test -p pgq_ivm --features ivm-stats`. The counters
-//! are process globals; this file keeps every assertion in one test and
-//! lives in its own integration-test binary (= its own process).
-#![cfg(feature = "ivm-stats")]
 
 use pgq_core::GraphEngine;
 use pgq_graph::props::Properties;
 use pgq_graph::tx::Transaction;
-use pgq_ivm::stats::counters;
 use pgq_ivm::NodeSummary;
 use pgq_workloads::motifs::{generate_skew_motifs, queries, SkewMotifParams};
 
@@ -30,9 +24,6 @@ fn arranged(e: &GraphEngine) -> (NodeSummary, NodeSummary) {
 
 #[test]
 fn a_hub_edge_toggle_updates_each_wedge_tuple_once() {
-    if !pgq_ivm::planner_enabled() {
-        return; // the shape below is the planner's
-    }
     // The benchmark's size: the planner's choices (binary join trees, the
     // four-cycle as wedge ⋈ wedge) follow the statistics.
     let seed = generate_skew_motifs(SkewMotifParams::default());
@@ -66,9 +57,9 @@ fn a_hub_edge_toggle_updates_each_wedge_tuple_once() {
 
     let mut wedge_now = wedge_before;
     for (what, tx) in [("delete", delete), ("re-insert", insert)] {
-        counters::reset();
+        let before = e.network().counters().arrangement_updates;
         e.apply(&tx).unwrap();
-        let snap = counters::snapshot();
+        let updates = e.network().counters().arrangement_updates - before;
         let (_, wedge) = arranged(&e);
         let wedge_after = wedge.arrangements[0].1;
         let changed = wedge_now.abs_diff(wedge_after);
@@ -79,9 +70,9 @@ fn a_hub_edge_toggle_updates_each_wedge_tuple_once() {
         // One edge tuple into each of ⇑(E)'s three indexes, and every
         // changed wedge tuple into the one wedge index.
         assert_eq!(
-            snap.arrangement_updates,
+            updates,
             3 + changed as u64,
-            "{what}: each wedge tuple is indexed exactly once: {snap:?}"
+            "{what}: each wedge tuple is indexed exactly once"
         );
         wedge_now = wedge_after;
     }

@@ -479,11 +479,6 @@ fn social_views_share_eighteen_nodes() {
         let fra = compile_query(&parse_query(q).unwrap()).unwrap().fra;
         net.register(format!("v{i}"), &fra, &g);
     }
-    if !pgq_ivm::planner_enabled() {
-        // The syntactic join order is another network; the benchmark
-        // runs the planned one.
-        return;
-    }
     let labels: Vec<String> = net.node_summaries().into_iter().map(|n| n.label).collect();
     let programs = labels
         .iter()

@@ -1,10 +1,7 @@
-//! Registration is one pass: with the `ivm-stats` feature on,
-//! `bag_enumerations` counts every full output bag produced from a
-//! node's own state (a memory enumeration, or the by-product of a linear
-//! load), so the single-pass claim is a work count, not a timing.
-//!
-//! Run with `cargo test -p pgq_ivm --features ivm-stats`.
-#![cfg(feature = "ivm-stats")]
+//! Registration is one pass: the network's `bag_enumerations` counts
+//! every full output bag produced from a node's own state (a memory
+//! enumeration, or the by-product of a linear load), so the single-pass
+//! claim is a work count, not a timing.
 
 use pgq_algebra::compile_query;
 use pgq_algebra::expr::ScalarExpr;
@@ -14,7 +11,6 @@ use pgq_common::value::Value;
 use pgq_graph::props::Properties;
 use pgq_graph::store::PropertyGraph;
 use pgq_graph::tx::Transaction;
-use pgq_ivm::stats::counters;
 use pgq_ivm::{DataflowNetwork, NodeSummary, RegisterOptions};
 use pgq_parser::ast::BinOp;
 use pgq_parser::parse_query;
@@ -66,9 +62,9 @@ fn register(
 ) -> (Vec<NodeSummary>, u64) {
     let compiled = compile_query(&parse_query(cypher).unwrap()).unwrap();
     let before: Vec<_> = net.node_summaries().iter().map(|n| n.id).collect();
-    counters::reset();
+    let enumerations = net.counters().bag_enumerations;
     let sid = net.register(name, &compiled.fra, g);
-    let enumerated = counters::snapshot().bag_enumerations;
+    let enumerated = net.counters().bag_enumerations - enumerations;
     assert!(net.view(sid).row_count() > 0, "{name} should not be empty");
     let added = net
         .node_summaries()
@@ -78,8 +74,6 @@ fn register(
     (added, enumerated)
 }
 
-/// The counters are process-globals, so all assertions live in one test
-/// (and this file is its own test binary).
 #[test]
 fn registration_produces_each_bag_at_most_once() {
     let g = graph();
@@ -189,7 +183,6 @@ fn registration_produces_each_bag_at_most_once() {
         right_keys: vec![2],
     };
     let mut net = DataflowNetwork::new();
-    counters::reset();
     let literal = RegisterOptions {
         plan: false,
         ..RegisterOptions::default()
@@ -198,7 +191,7 @@ fn registration_produces_each_bag_at_most_once() {
     // One edge scan (both hops are the same ⇑), the two-hop join twice
     // (streamed, then memoised), the inner join once for the outer
     // one's arrangement and the outer join once for the sink.
-    assert_eq!(counters::snapshot().bag_enumerations, 5);
+    assert_eq!(net.counters().bag_enumerations, 5);
     assert_eq!(
         net.view(sid).results(),
         pgq_eval::evaluate_consolidated(&plan, &g)

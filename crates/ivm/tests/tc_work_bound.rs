@@ -1,10 +1,6 @@
-//! ⋈* work is bounded by the touched neighbourhood, not the graph: with
-//! the `ivm-stats` feature on, `tc_paths_touched` counts every path-trie
-//! node the operator creates, drops or reads, so the bound is a work
-//! count, not a timing.
-//!
-//! Run with `cargo test -p pgq_ivm --features ivm-stats`.
-#![cfg(feature = "ivm-stats")]
+//! ⋈* work is bounded by the touched neighbourhood, not the graph: the
+//! network's `tc_paths_touched` counts every path-trie node the operator
+//! creates, drops or reads, so the bound is a work count, not a timing.
 
 use pgq_algebra::compile_query;
 use pgq_common::intern::Symbol;
@@ -12,7 +8,6 @@ use pgq_common::value::Value;
 use pgq_graph::props::Properties;
 use pgq_graph::store::PropertyGraph;
 use pgq_graph::tx::Transaction;
-use pgq_ivm::stats::counters;
 use pgq_ivm::DataflowNetwork;
 use pgq_parser::parse_query;
 
@@ -54,9 +49,9 @@ fn touched_by_one_comment(vertices: usize) -> u64 {
     let c = tx.create_vertex([s("Comm")], lang("en"));
     tx.create_edge(first_leaf.unwrap(), c, s("REPLY"), Properties::new());
     let events = g.apply(&tx).unwrap();
-    counters::reset();
+    let before = net.counters().tc_paths_touched;
     net.on_transaction(&g, &events);
-    let touched = counters::snapshot().tc_paths_touched;
+    let touched = net.counters().tc_paths_touched - before;
     assert_eq!(
         net.view(sid).row_count(),
         vertices / (DEPTH + 1) * DEPTH + 1
@@ -64,8 +59,6 @@ fn touched_by_one_comment(vertices: usize) -> u64 {
     touched
 }
 
-/// The counters are process-globals, so all assertions live in one test
-/// (and this file is its own test binary).
 #[test]
 fn one_comment_touches_the_same_trie_nodes_at_any_graph_size() {
     let small = touched_by_one_comment(1_000);

@@ -4,18 +4,12 @@
 //! degree), while the hash-trie backend pays one probe per element of
 //! the smallest input. Guards against an accidental quadratic (or
 //! linear-in-degree) fallback in the leapfrog cursors.
-//!
-//! Run with `cargo test -p pgq_ivm --features ivm-stats`. The counters
-//! are process globals; this file keeps every assertion in one test and
-//! lives in its own integration-test binary (= its own process), so it
-//! cannot race the alloc_counters suite.
-#![cfg(feature = "ivm-stats")]
 
 use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
 use pgq_ivm::delta::Delta;
-use pgq_ivm::stats::counters;
 use pgq_ivm::wcoj::MultiwayJoinOp;
+use pgq_ivm::Counters;
 
 /// Hub degree of the test motif. The certified bench runs at ≥ 10k;
 /// here the degree only needs to dwarf the pinned probe bounds.
@@ -55,13 +49,13 @@ fn seeded(sorted: bool) -> MultiwayJoinOp {
     op
 }
 
-/// Counters for one bridge-edge delta (insert then delete) through a
-/// freshly seeded operator; also checks the output bag.
-fn measure(sorted: bool) -> counters::Counters {
+/// Intersection work of one bridge-edge delta (insert then delete)
+/// through a freshly seeded operator; also checks the output bag.
+fn measure(sorted: bool) -> Counters {
     let mut op = seeded(sorted);
     let bridge = Delta::from_iter([edge(0, 1)]);
     let empty = Delta::default();
-    counters::reset();
+    let before = op.counters();
     let mut out = Delta::default();
     op.apply(&[&bridge, &empty, &empty], &mut out);
     out.consolidate_in_place();
@@ -77,7 +71,16 @@ fn measure(sorted: bool) -> counters::Counters {
     out.consolidate_in_place();
     assert_eq!(out.iter().count(), CLOSERS as usize);
     assert!(out.iter().all(|(_, m)| *m == -1));
-    counters::snapshot()
+    let after = op.counters();
+    assert_eq!(
+        after.wcoj_tuples_emitted - before.wcoj_tuples_emitted,
+        2 * CLOSERS as u64
+    );
+    Counters {
+        intersect_probes: after.intersect_probes - before.intersect_probes,
+        gallop_steps: after.gallop_steps - before.gallop_steps,
+        ..Counters::default()
+    }
 }
 
 #[test]

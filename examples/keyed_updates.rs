@@ -8,9 +8,9 @@
 //! reading part materialised) for each. The first keyed statement builds
 //! the `Person.id` property index; from then on a keyed pattern seeks
 //! it, so a keyed update reads the same rows however many persons are
-//! loaded. The example asserts that (planner on), so the quadratic
-//! loader cannot come back unnoticed. The two-hop read seeks its anchor
-//! too; its joins still read the `KNOWS` extent.
+//! loaded. The example asserts that, so the quadratic loader cannot come
+//! back unnoticed. The two-hop read seeks its anchor too; its joins
+//! still read the `KNOWS` extent.
 //!
 //! The statements differ only in their literals, so the engine runs its
 //! front end (parse, compile, plan) once per statement *shape* and binds
@@ -58,12 +58,8 @@ fn load(engine: &mut GraphEngine, persons: usize) -> u64 {
 }
 
 fn main() {
-    let planned = pgq::ivm::planner_enabled();
     let mut per_size = Vec::new();
-    // Unplanned, each friendship statement is a |Person|² cross product:
-    // keep that run small.
-    let sizes = if planned { [300, 1_200] } else { [30, 60] };
-    for persons in sizes {
+    for persons in [300, 1_200] {
         let mut engine = GraphEngine::new();
         let view = engine
             .register_view(
@@ -114,7 +110,7 @@ fn main() {
             "  statement shapes   {shapes} kept: {hits} hits, {misses} misses, {replans} re-plans"
         );
         let knows = engine.graph().edge_count() as u64;
-        assert!(!planned || read.rows_scanned <= 1 + 2 * knows);
+        assert!(read.rows_scanned <= 1 + 2 * knows);
         per_size.push((load_worst, set.rows_scanned));
     }
 
@@ -131,14 +127,10 @@ fn main() {
             .unwrap()
     );
 
-    if planned {
-        assert_eq!(
-            per_size[0], per_size[1],
-            "rows scanned per keyed update grew with the graph"
-        );
-        assert_eq!(per_size[1], (2, 1));
-        println!("work per keyed update is independent of graph size ✓");
-    } else {
-        println!("planner disabled: the syntactic order scans; counts above are not bounded");
-    }
+    assert_eq!(
+        per_size[0], per_size[1],
+        "rows scanned per keyed update grew with the graph"
+    );
+    assert_eq!(per_size[1], (2, 1));
+    println!("work per keyed update is independent of graph size ✓");
 }

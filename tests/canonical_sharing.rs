@@ -229,12 +229,6 @@ fn motif_views_share_one_edge_scan_one_wedge_and_one_wedge_index() {
     for i in 0..queries::MOTIF_SKEW.len() {
         assert_matches_recompute(&e, &format!("m{i}"));
     }
-    if !pgq_ivm::planner_enabled() {
-        // The syntactic order joins the © to an endpoint that already
-        // has its label (the closing edge keeps a label-free target, a
-        // second scan) and builds the four-cycle left-deep.
-        return;
-    }
     assert_eq!(count("⇑(E)"), 1, "one edge scan");
     assert_eq!(
         count("⋈"),

@@ -7,9 +7,9 @@
 //! (1, 2, 4, 8). After every transaction the wider engines must report
 //! exactly what the width-1 run reports, element for element: view
 //! contents, the subscriber callbacks in order (which views, and the
-//! tuple order inside each delta), `changed_sinks()` and
-//! `node_summaries()` — every node runs the same step on the same inputs
-//! at every width. The width-1 run is checked against from-scratch
+//! tuple order inside each delta), `changed_sinks()`, `node_summaries()`
+//! and the work `counters()` — every node runs the same step on the same
+//! inputs at every width. The width-1 run is checked against from-scratch
 //! recomputation periodically and at the end. The same script then
 //! replays through `apply_batch` and must land in the same state.
 //!
@@ -142,7 +142,8 @@ fn subscribe_all(e: &mut GraphEngine) -> Arc<Mutex<Vec<ViewDelta>>> {
 }
 
 /// What the last transaction showed the outside, drained from `log`:
-/// the callbacks, the changed sinks and every node's summary.
+/// the callbacks, the changed sinks, every node's summary and the work
+/// counters.
 fn observe(
     e: &GraphEngine,
     log: &Mutex<Vec<ViewDelta>>,
@@ -150,11 +151,13 @@ fn observe(
     Vec<ViewDelta>,
     Vec<pgq_ivm::SinkId>,
     Vec<pgq_ivm::NodeSummary>,
+    pgq_ivm::Counters,
 ) {
     (
         std::mem::take(&mut *log.lock().unwrap()),
         e.network().changed_sinks().to_vec(),
         e.network().node_summaries(),
+        e.network().counters(),
     )
 }
 
@@ -207,7 +210,7 @@ fn seeded_interleavings_deterministic_across_widths() {
                     observe(engine, log),
                     serial,
                     "seed={seed:#x} tx {t}: width {w} showed different callbacks, changed \
-                     sinks or node summaries than serial"
+                     sinks, node summaries or counters than serial"
                 );
             }
             for (i, plan) in compiled.iter().enumerate() {

@@ -15,7 +15,7 @@ use pgq_core::ViewDelta;
 use pgq_graph::props::Properties;
 use pgq_graph::store::PropertyGraph;
 use pgq_graph::tx::Transaction;
-use pgq_ivm::{MaterializedView, NodeSummary, RegisterOptions, SinkId};
+use pgq_ivm::{Counters, MaterializedView, NodeSummary, RegisterOptions, SinkId};
 use pgq_parser::parse_query;
 use proptest::prelude::*;
 
@@ -69,6 +69,9 @@ const QUERIES: &[&str] = &[
     // prop events for any vertex that can be `c` (regression guard for
     // the per-side endpoint-interest routing).
     "MATCH (p:Post)-[:REPLY]->(c) RETURN p, c.lang",
+    // The one query here the planner changes: it carries the σ below the
+    // ⋈*, so the planned and the syntactic twin run different networks.
+    "MATCH t = (p:Post)-[:REPLY*]->(c:Comm) WHERE p.lang = 'en' RETURN p, t",
 ];
 
 /// Alpha-renamed twins of [`QUERIES`] (same index order). The multi-view
@@ -91,6 +94,7 @@ const RENAMED_QUERIES: &[&str] = &[
     "MATCH (q:Post) WHERE NOT exists((q)-[:REPLY]->(:Comm)) RETURN q",
     "MATCH (q:Post) WHERE exists((q)-[:REPLY]->(:Comm {lang: 'en'})) RETURN q",
     "MATCH (q:Post)-[:REPLY]->(d) RETURN q, d.lang",
+    "MATCH u = (q:Post)-[:REPLY*]->(d:Comm) WHERE q.lang = 'en' RETURN q, u",
 ];
 
 /// Log every view's subscriber callbacks, in delivery order.
@@ -106,17 +110,29 @@ fn subscribe_all(e: &mut pgq_core::GraphEngine) -> Arc<Mutex<Vec<ViewDelta>>> {
 }
 
 /// What the last transaction showed the outside, drained from `log`:
-/// the callbacks, the changed sinks and every node's summary.
+/// the callbacks, the changed sinks, every node's summary and the work
+/// counters.
 fn observe(
     e: &pgq_core::GraphEngine,
     log: &Mutex<Vec<ViewDelta>>,
-) -> (Vec<ViewDelta>, Vec<SinkId>, Vec<NodeSummary>) {
+) -> (Vec<ViewDelta>, Vec<SinkId>, Vec<NodeSummary>, Counters) {
     (
         std::mem::take(&mut *log.lock().unwrap()),
         e.network().changed_sinks().to_vec(),
         e.network().node_summaries(),
+        e.network().counters(),
     )
 }
+
+/// Triangles over the oracle's `REPLY` edges: a cyclic view, so the
+/// width oracle runs a ⨝ⁿ node and its intersection counters too.
+const REPLY_TRIANGLES: &str =
+    "MATCH (a)-[:REPLY]->(b)-[:REPLY]->(c), (c)-[:REPLY]->(a) RETURN a, b, c";
+
+/// Transitive `REPLY` triangles: cyclic too, but not the ⨝ⁿ node
+/// [`REPLY_TRIANGLES`] builds, so the two can run different backends.
+const REPLY_TRANSITIVE: &str =
+    "MATCH (a)-[:REPLY]->(b)-[:REPLY]->(c), (a)-[:REPLY]->(c) RETURN a, b, c";
 
 /// One random update step, chosen against the current shadow graph.
 #[derive(Clone, Debug)]
@@ -288,14 +304,15 @@ proptest! {
         }
     }
 
-    /// The width oracle: every oracle query on ONE engine, the same
-    /// random update script replayed at propagation widths 1, 2, 4 and
-    /// 8. The 1-thread engine is checked against from-scratch
-    /// recomputation, and after every transaction every wider engine
-    /// must show exactly what the 1-thread run shows, element for
-    /// element: view results, the subscriber callbacks in order (sink
-    /// order, tuple order inside each delta), `changed_sinks()` and
-    /// `node_summaries()` — the pass's determinism contract.
+    /// The width oracle: every oracle query plus a fused triangle on
+    /// ONE engine, the same random update script replayed at
+    /// propagation widths 1, 2, 4 and 8. The 1-thread engine is checked
+    /// against from-scratch recomputation, and after every transaction
+    /// every wider engine must show exactly what the 1-thread run shows,
+    /// element for element: view results, the subscriber callbacks in
+    /// order (sink order, tuple order inside each delta),
+    /// `changed_sinks()`, `node_summaries()` and `counters()` — the
+    /// pass's determinism contract.
     #[test]
     fn parallel_widths_agree_with_serial_and_recompute(
         steps in proptest::collection::vec(step_strategy(), 1..10),
@@ -303,10 +320,14 @@ proptest! {
         const WIDTHS: &[usize] = &[1, 2, 4, 8];
         let mut template = pgq_core::GraphEngine::from_graph(seed_graph());
         let mut compiled_plans = Vec::new();
-        for (i, query) in QUERIES.iter().enumerate() {
+        let views = QUERIES
+            .iter()
+            .map(|&q| (q, RegisterOptions::default()))
+            .chain([(REPLY_TRIANGLES, forced(true))]);
+        for (i, (query, options)) in views.enumerate() {
             let compiled = compile_query(&parse_query(query).unwrap()).unwrap();
-            template.register_view(&format!("v{i}"), query).unwrap();
-            compiled_plans.push(compiled);
+            template.register_view_with(&format!("v{i}"), query, CompileOptions::default(), options).unwrap();
+            compiled_plans.push((query, compiled));
         }
         let mut engines: Vec<_> = WIDTHS
             .iter()
@@ -327,12 +348,12 @@ proptest! {
                 prop_assert_eq!(
                     observe(e, log),
                     serial.clone(),
-                    "width {} showed different callbacks, changed sinks or node summaries \
-                     than serial after {:?}",
+                    "width {} showed different callbacks, changed sinks, node summaries \
+                     or counters than serial after {:?}",
                     w, step
                 );
             }
-            for (i, compiled) in compiled_plans.iter().enumerate() {
+            for (i, (query, compiled)) in compiled_plans.iter().enumerate() {
                 let name = format!("v{i}");
                 let id = engines[0].view_by_name(&name).unwrap();
                 let serial = engines[0].view(id).unwrap().results();
@@ -340,7 +361,7 @@ proptest! {
                     serial.clone(),
                     eval_consolidated(&compiled.fra, engines[0].graph()),
                     "serial engine diverged from recompute after {:?} on query {}",
-                    step, QUERIES[i]
+                    step, query
                 );
                 for (e, &w) in engines.iter().zip(WIDTHS).skip(1) {
                     let id = e.view_by_name(&name).unwrap();
@@ -348,7 +369,7 @@ proptest! {
                         e.view(id).unwrap().results(),
                         serial.clone(),
                         "width {} diverged from serial after {:?} on query {}",
-                        w, step, QUERIES[i]
+                        w, step, query
                     );
                 }
             }
@@ -1005,8 +1026,10 @@ proptest! {
         let mut survivor = GraphEngine::new();
 
         // A spread of view flavors: join, var-length path, aggregate,
-        // negation — registered identically on both engines (plus an
-        // unplanned and a binary twin, so mode-faithful re-registration
+        // negation — registered identically on both engines (plus
+        // twins whose options change the network: unplanned on the one
+        // query the planner changes, binary and forced-⨝ⁿ on each
+        // backend over cyclic patterns — so mode-faithful re-registration
         // is part of what recovery must reproduce).
         let flavors: &[usize] = &[2, 4, 7, 11];
         let mut compiled = Vec::new();
@@ -1016,10 +1039,16 @@ proptest! {
             durable.register_view(&format!("v{qi}"), q).unwrap();
             survivor.register_view(&format!("v{qi}"), q).unwrap();
         }
-        durable.register_view_with("un2", QUERIES[2], CompileOptions::default(), unplanned()).unwrap();
-        survivor.register_view_with("un2", QUERIES[2], CompileOptions::default(), unplanned()).unwrap();
-        durable.register_view_with("bi3", QUERIES[3], CompileOptions::default(), binary()).unwrap();
-        survivor.register_view_with("bi3", QUERIES[3], CompileOptions::default(), binary()).unwrap();
+        let twins = [
+            ("un", QUERIES[QUERIES.len() - 1], unplanned()),
+            ("bi", REPLY_TRIANGLES, binary()),
+            ("ws", REPLY_TRIANGLES, forced(true)),
+            ("wh", REPLY_TRANSITIVE, forced(false)),
+        ];
+        for (name, q, options) in twins {
+            durable.register_view_with(name, q, CompileOptions::default(), options).unwrap();
+            survivor.register_view_with(name, q, CompileOptions::default(), options).unwrap();
+        }
 
         // Fixed prelude so the random tail has something to mutate,
         // then the random script — every transaction through both
@@ -1057,7 +1086,7 @@ proptest! {
                 "recovered view {} diverged from recompute", name
             );
         }
-        for name in ["un2", "bi3"] {
+        for (name, _, _) in twins {
             let rid = recovered.view_by_name(name).expect("view survives recovery");
             let sid = survivor.view_by_name(name).unwrap();
             prop_assert_eq!(
@@ -1066,6 +1095,27 @@ proptest! {
                 "recovered view {} diverged from the never-crashed engine", name
             );
         }
+        // Equal rows are not enough: each twin must run the network it
+        // was registered for (the syntactic order, binary joins, a ⨝ⁿ on
+        // its backend), not the default plan.
+        let labels = |e: &GraphEngine| {
+            let mut labels: Vec<String> =
+                e.network().node_summaries().into_iter().map(|n| n.label).collect();
+            labels.sort();
+            labels
+        };
+        let survivor_labels = labels(&survivor);
+        for backend in [", sorted]", ", hash]"] {
+            prop_assert!(
+                survivor_labels.iter().any(|l| l.starts_with("⨝ⁿ") && l.ends_with(backend)),
+                "no ⨝ⁿ{}: {:?}", backend, survivor_labels
+            );
+        }
+        prop_assert_eq!(
+            labels(&recovered),
+            survivor_labels,
+            "the recovered network runs different operators"
+        );
         // Continued operation after recovery: one more transaction must
         // maintain, not corrupt.
         let mut recovered = recovered;
@@ -1262,14 +1312,12 @@ proptest! {
                 for (q, _) in &corpus {
                     engine.execute(q).unwrap();
                 }
-                if pgq_ivm::planner_enabled() {
-                    let built = engine.property_indexes();
-                    for want in [("Post", "id"), ("Comm", "id"), ("Post", "lang")] {
-                        prop_assert!(
-                            built.iter().any(|(l, k, _)| (l.as_str(), k.as_str()) == want),
-                            "index {:?} not built: {:?}", want, built
-                        );
-                    }
+                let built = engine.property_indexes();
+                for want in [("Post", "id"), ("Comm", "id"), ("Post", "lang")] {
+                    prop_assert!(
+                        built.iter().any(|(l, k, _)| (l.as_str(), k.as_str()) == want),
+                        "index {:?} not built: {:?}", want, built
+                    );
                 }
                 first = false;
             }
@@ -1478,12 +1526,6 @@ fn folded_property_scans_follow_property_label_and_delete_churn() {
                 .map(|(n, _)| (n.as_str(), [true, true])),
         );
         for ((what, [planned, syntactic]), (_, fra)) in expected.zip(&views) {
-            // `PGQ_DISABLE_PLANNER` makes the default registration syntactic.
-            let planned = if pgq_ivm::planner_enabled() {
-                planned
-            } else {
-                syntactic
-            };
             for (options, folds) in [
                 (RegisterOptions::default(), planned),
                 (unplanned(), syntactic),

@@ -17,14 +17,6 @@ use pgq_workloads::motifs::{
     generate_hub_motifs, generate_motifs, queries, HubMotifParams, MotifParams,
 };
 
-/// Skip under `PGQ_DISABLE_WCOJ=1` or `PGQ_DISABLE_PLANNER=1` (the CI
-/// kill-switch legs): fusion is a planner decision, so under either
-/// toggle there is no candidate, no gate, and no decision line to
-/// assert on.
-fn wcoj_on() -> bool {
-    pgq_ivm::wcoj_enabled() && pgq_ivm::planner_enabled()
-}
-
 /// The Stage-4 `wcoj:` decision line of EXPLAIN on `query` over `engine`.
 fn decision_line(engine: &GraphEngine, query: &str) -> String {
     let explain = engine.explain(query).unwrap();
@@ -46,9 +38,6 @@ fn motif_engine(nodes: usize, edges: usize) -> GraphEngine {
 
 #[test]
 fn triangles_fuse_at_certified_scales() {
-    if !wcoj_on() {
-        return;
-    }
     for (nodes, edges) in [(300, 900), (1200, 6000)] {
         let line = decision_line(&motif_engine(nodes, edges), queries::TRIANGLES);
         assert!(
@@ -60,9 +49,6 @@ fn triangles_fuse_at_certified_scales() {
 
 #[test]
 fn four_cycles_stay_binary_at_certified_scales() {
-    if !wcoj_on() {
-        return;
-    }
     for (nodes, edges) in [(300, 900), (1200, 6000)] {
         let line = decision_line(&motif_engine(nodes, edges), queries::FOUR_CYCLES);
         assert!(
@@ -74,9 +60,6 @@ fn four_cycles_stay_binary_at_certified_scales() {
 
 #[test]
 fn hub_catalog_fuses_triangles() {
-    if !wcoj_on() {
-        return;
-    }
     let net = generate_hub_motifs(HubMotifParams::quick());
     let engine = GraphEngine::from_graph(net.graph);
     let line = decision_line(&engine, queries::TRIANGLES);
@@ -88,9 +71,6 @@ fn hub_catalog_fuses_triangles() {
 
 #[test]
 fn explain_shows_both_estimates() {
-    if !wcoj_on() {
-        return;
-    }
     let line = decision_line(&motif_engine(300, 900), queries::TRIANGLES);
     assert!(
         line.contains("n-ary ≈") && line.contains("vs binary ≈") && line.contains("mem ≈"),
@@ -100,9 +80,6 @@ fn explain_shows_both_estimates() {
 
 #[test]
 fn forced_registration_fuses_below_the_gate() {
-    if !wcoj_on() {
-        return;
-    }
     // At quick scale the gate keeps triangles binary (the catalog says
     // the intersection overhead is not paid back)…
     let net = generate_motifs(MotifParams::quick());

@@ -7,9 +7,7 @@
 //! Growing |V| tenfold must leave it *identical* for every keyed update
 //! shape. The keyed two-hop read seeks its anchor too, but its joins
 //! still read the `KNOWS` extent (bound-first joins: ROADMAP item 3), so
-//! it is held to "one Person, not the label". With
-//! `PGQ_DISABLE_PLANNER` the syntactic order runs (filter on top of the
-//! joins), so only the results are asserted.
+//! it is held to "one Person, not the label".
 
 use pgq::prelude::*;
 use pgq_common::intern::Symbol;
@@ -117,9 +115,6 @@ fn scanned(n: usize) -> [[u64; 4]; 2] {
 fn keyed_updates_scan_the_same_rows_at_1k_and_10k_vertices() {
     let small = scanned(1_000);
     let large = scanned(10_000);
-    if !pgq_ivm::planner_enabled() {
-        return; // correctness only: the syntactic order scans
-    }
     for (n, rounds) in [(1_000u64, small), (10_000, large)] {
         for [set, under, read, delete] in rounds {
             assert_eq!((set, under, delete), (1, 1, 1), "one sought vertex each");
@@ -144,12 +139,10 @@ fn query_probes_existing_indexes_and_scans_without_them() {
     let warm = e.query(TWO_HOP).unwrap();
     assert_eq!(cold.rows, built.rows);
     assert_eq!(cold.rows, warm.rows);
-    if pgq_ivm::planner_enabled() {
-        assert!(cold.rows_scanned >= 1_000, "no index: the label is scanned");
-        assert_eq!(warm.rows_scanned, built.rows_scanned);
-        assert_eq!(
-            e.property_indexes(),
-            vec![("Person".into(), "id".into(), 1_000)]
-        );
-    }
+    assert!(cold.rows_scanned >= 1_000, "no index: the label is scanned");
+    assert_eq!(warm.rows_scanned, built.rows_scanned);
+    assert_eq!(
+        e.property_indexes(),
+        vec![("Person".into(), "id".into(), 1_000)]
+    );
 }

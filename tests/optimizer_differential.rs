@@ -83,10 +83,7 @@ fn planned_views_maintain_identically() {
 fn pushed_filter_shrinks_varlength_state() {
     // With `p.lang = 'en'` below the ⋈*, only English posts anchor
     // paths; as written, every post does and the σ drops the rest
-    // afterwards. (Under `PGQ_DISABLE_PLANNER` both run as written.)
-    if !pgq_ivm::planner_enabled() {
-        return;
-    }
+    // afterwards.
     let net = generate_social(SocialParams::scale(0.25, 9));
     let mut engine = GraphEngine::from_graph(net.graph.clone());
     let planned = engine.register_view("planned", SELECTIVE_THREADS).unwrap();

@@ -355,7 +355,7 @@ fn an_engine_dropped_right_after_a_switch_reopens_pristine() {
 fn dumped_bags_equal_recompute_of_each_subplan() {
     let mut audited = 0usize;
     for seed in 0..SEEDS {
-        let w = churned_world(seed);
+        let mut w = churned_world(seed);
         let states = w.net.dump_states();
         assert_eq!(
             states.len(),

@@ -12,10 +12,6 @@
 //!   or fails with exactly `parse_query`'s error on the same text;
 //! * exact hit / miss / re-plan / eviction counts, `execute_with`, and
 //!   the `CREATE` property expressions that used to index an empty row.
-//!
-//! Green under `PGQ_DISABLE_PLANNER=1` too (work bounds are only asserted
-//! with the planner on; graphs are kept small because the unplanned
-//! two-pattern `MATCH … CREATE` is a cross product).
 
 use pgq::prelude::*;
 use pgq_common::tuple::Tuple;
@@ -71,7 +67,7 @@ fn view_rows(e: &GraphEngine, ids: &[ViewId]) -> Vec<Vec<Tuple>> {
         .collect()
 }
 
-/// A seeded social graph small enough for the unplanned cross products.
+/// A small seeded social graph.
 fn seed_graph(e: &mut GraphEngine, persons: usize) {
     for i in 0..persons {
         e.execute(&format!(
@@ -286,7 +282,6 @@ impl Pair {
 
 #[test]
 fn bound_statements_equal_freshly_planned_ones() {
-    let planned = pgq_ivm::planner_enabled();
     for seed in [7u64, 20_260_926] {
         let mut pair = Pair::new(24);
         let mut model = Model {
@@ -304,10 +299,10 @@ fn bound_statements_equal_freshly_planned_ones() {
             let result = pair.step(&template);
             match kind {
                 // Sought, not scanned — on a miss and on a hit alike.
-                0 | 9 | 15 | 17 | 18 if planned => {
+                0 | 9 | 15 | 17 | 18 => {
                     assert!(result.unwrap().rows_scanned <= 1, "{template}")
                 }
-                16 if planned => {
+                16 => {
                     let r = result.unwrap();
                     assert!(r.rows_scanned <= 1, "{template}");
                     assert_eq!(r.rows.len(), 1, "5.0 finds id 5: {template}");
@@ -389,7 +384,7 @@ fn mutants_execute_like_on_a_fresh_engine_or_fail_like_the_parser() {
             .collect();
         for i in 0..5_200 {
             if i % 400 == 399 {
-                // Keep the graph (and the unplanned cross products) small.
+                // Keep the graph small.
                 let shapes = engine.statement_shapes();
                 engine = seeded.clone();
                 assert!(shapes.1 > 0, "mutants of one shape hit");
@@ -445,7 +440,6 @@ fn a_repeated_keyed_stream_misses_once_per_shape() {
     seed_graph(&mut e, 40);
     let seeded = e.statement_shapes();
     assert_eq!((seeded.0, seeded.2), (4, 4), "four loader shapes");
-    let planned = pgq_ivm::planner_enabled();
     let n = 300;
     for i in 0..n {
         let k = (i * 7) % 40;
@@ -458,9 +452,7 @@ fn a_repeated_keyed_stream_misses_once_per_shape() {
             _ => e.execute(&format!("MATCH (p:Person {{id: {k}}}) RETURN p.score AS s")),
         }
         .unwrap();
-        if planned {
-            assert_eq!(r.rows_scanned, 1, "hit and miss alike");
-        }
+        assert_eq!(r.rows_scanned, 1, "hit and miss alike");
     }
     let (entries, hits, misses, replans) = e.statement_shapes();
     // (The loader doubled the graph under its own KNOWS statement.)
@@ -538,9 +530,7 @@ fn execute_with_binds_named_parameters_through_the_same_slots() {
         )
         .unwrap();
     assert_eq!(r.stats.properties_set, 1);
-    if pgq_ivm::planner_enabled() {
-        assert_eq!(r.rows_scanned, 1);
-    }
+    assert_eq!(r.rows_scanned, 1);
     let rows = e
         .execute_with(
             "MATCH (p:Person) WHERE p.tag = $t RETURN p.id AS id, p.score AS s",
@@ -642,9 +632,7 @@ fn create_evaluates_constant_property_expressions_in_place() {
         .execute("MATCH (n:N {id: -17}) RETURN n.half AS h")
         .unwrap();
     assert_eq!(r.rows[0].get(0), &Value::Int(8));
-    if pgq_ivm::planner_enabled() {
-        assert_eq!(r.rows_scanned, 1);
-    }
+    assert_eq!(r.rows_scanned, 1);
 
     // A value that reads a variable needs a reading clause to bind it:
     // a typed error without one, projected with one.
