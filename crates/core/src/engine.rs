@@ -13,7 +13,7 @@ use pgq_common::intern::Symbol;
 use pgq_common::pool::WorkerPool;
 use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
-use pgq_durability::fold::{self, FoldJob, FoldThread};
+use pgq_durability::fold::{self, FoldJob, FoldWorker};
 use pgq_durability::recovery::{self, RecoveryReport};
 use pgq_durability::wal::{self, wal_file};
 use pgq_durability::{DurOp, DurabilityError, FsyncMode, SnapshotView, StdVfs, Vfs};
@@ -63,7 +63,7 @@ impl Clone for Subscribers {
 
 /// Durability state of an engine opened via
 /// [`GraphEngine::open_durable`]: the storage handle, the active WAL
-/// generation, the fold in flight, and the breaker behind degradation.
+/// generation, the fold worker, and the breaker behind degradation.
 struct Durable {
     vfs: Arc<dyn Vfs>,
     /// Active WAL generation: appends go to `wal.<generation>`, and
@@ -72,10 +72,18 @@ struct Durable {
     /// The image recovery starts from (`None`: replay from `wal.0`);
     /// every later generation up to the active one is a log on disk.
     base: Option<u64>,
-    /// The fold in flight: at most one; the next switch, snapshot or drop joins it.
-    fold: Option<FoldThread>,
+    /// The thread folds run on: started at the first switch (again at
+    /// the next one if a start failed) and joined when the engine goes.
+    worker: Option<FoldWorker>,
+    /// A fold was handed to the worker and not yet collected: at most
+    /// one; the next switch, every synchronous snapshot and drop wait
+    /// for it.
+    folding: bool,
     /// The graph of `snap.<base>` when a fold wrote it, for the next.
     kept: Option<PropertyGraph>,
+    /// The view catalog every image records, shared with the folds:
+    /// rebuilt when the view set changes, never per image.
+    catalog: Arc<[SnapshotView]>,
     /// Folds that failed or panicked since the engine opened.
     fold_failures: u64,
     /// Records currently in the active generation's log.
@@ -158,10 +166,11 @@ impl Durable {
     /// Collect the fold in flight: its image becomes the base, or its
     /// failure `last_error` (the next switch folds the longer chain).
     fn join_fold(&mut self) {
-        let Some(fold) = self.fold.take() else {
+        if !std::mem::take(&mut self.folding) {
             return;
-        };
-        match fold.join() {
+        }
+        let worker = self.worker.as_ref().expect("a fold in flight has a worker");
+        match worker.wait() {
             Ok(folded) => {
                 self.base = Some(folded.generation);
                 self.kept = Some(folded.graph);
@@ -178,17 +187,32 @@ impl Durable {
         }
     }
 
-    /// Close the active generation, start folding it (with the chain
-    /// below it) into `snap.<g+1>`, and move appends to `wal.<g+1>`.
-    fn switch(&mut self, views: Vec<SnapshotView>) {
+    /// Close the active generation, hand the worker the fold of it (with
+    /// the chain below it) into `snap.<g+1>`, and move appends to
+    /// `wal.<g+1>`. A worker that cannot start is a failed fold.
+    fn switch(&mut self) {
         let job = FoldJob {
             base: self.base,
             through: self.generation,
             kept: self.kept.take(),
-            views,
+            views: Arc::clone(&self.catalog),
             capacity: self.image_hint(),
         };
-        self.fold = Some(FoldThread::spawn(Arc::clone(&self.vfs), job));
+        let worker = match self.worker.take() {
+            Some(worker) => Ok(worker),
+            None => FoldWorker::start(Arc::clone(&self.vfs)),
+        };
+        match worker {
+            Ok(worker) => {
+                worker.submit(job);
+                self.worker = Some(worker);
+                self.folding = true;
+            }
+            Err(e) => {
+                self.fold_failures += 1;
+                self.last_error = Some(e);
+            }
+        }
         self.move_to(self.generation + 1);
     }
 
@@ -207,7 +231,8 @@ impl Durable {
 }
 
 impl Drop for Durable {
-    /// A fold in flight lands (or fails) before the engine goes.
+    /// A fold in flight lands (or fails) before the engine goes; the
+    /// worker's thread is joined after it.
     fn drop(&mut self) {
         self.join_fold();
     }
@@ -635,6 +660,7 @@ impl GraphEngine {
             self.view_of_sink.remove(&entry.sink);
             self.network.drop_sink(entry.sink);
             self.next_view = id.0;
+            self.refresh_catalog();
             return Err(e);
         }
         Ok(id)
@@ -672,6 +698,7 @@ impl GraphEngine {
                 subscribers: Subscribers::default(),
             },
         );
+        self.refresh_catalog();
         Ok(())
     }
 
@@ -682,7 +709,16 @@ impl GraphEngine {
         let entry = self.views.remove(&id.0).ok_or(EngineError::UnknownView)?;
         self.view_of_sink.remove(&entry.sink);
         self.network.drop_sink(entry.sink);
+        self.refresh_catalog();
         self.snapshot()
+    }
+
+    /// Rebuild the catalog the next images record, after the view set
+    /// changed (a no-op until a durable engine's recovery is done).
+    fn refresh_catalog(&mut self) {
+        if let Some(d) = self.durable.as_mut() {
+            d.catalog = catalog(&self.views, &self.network).into();
+        }
     }
 
     /// Look up a view id by name.
@@ -783,7 +819,7 @@ impl GraphEngine {
         // Keep the catalog; the decoded dump is freed before the views
         // build their memories, and state sections (images from before
         // snapshots were graph-only carry them) are dropped unread.
-        let (mut engine, mut catalog, skip) = match plan.snapshot.take() {
+        let (mut engine, mut recorded, skip) = match plan.snapshot.take() {
             Some(s) => {
                 let graph = s
                     .restore_graph()
@@ -796,8 +832,8 @@ impl GraphEngine {
             }
             None => (GraphEngine::new(), Vec::new(), 0),
         };
-        catalog.sort_by_key(|v| v.slot);
-        for v in &catalog {
+        recorded.sort_by_key(|v| v.slot);
+        for v in &recorded {
             let (compile, register) = catalog_options(v);
             engine.install_view(v.slot as usize, &v.name, &v.query, compile, register)?;
         }
@@ -862,12 +898,15 @@ impl GraphEngine {
                 "recovered log tail could not be rewritten; appends would extend garbage",
             )
         });
+        let catalog = catalog(&engine.views, &engine.network).into();
         engine.durable = Some(Durable {
             vfs,
             generation,
             base: report.base_generation,
-            fold: None,
+            worker: None,
+            folding: false,
             kept: None,
+            catalog,
             fold_failures: 0,
             wal_records,
             wal_len,
@@ -919,10 +958,14 @@ impl GraphEngine {
             return Ok(());
         };
         d.join_fold();
-        let views = catalog(&self.views, &self.network);
         let target = d.generation + 1;
-        d.last_snapshot_bytes =
-            fold::write_image(d.vfs.as_ref(), target, &self.graph, &views, d.image_hint())?;
+        d.last_snapshot_bytes = fold::write_image(
+            d.vfs.as_ref(),
+            target,
+            &self.graph,
+            &d.catalog,
+            d.image_hint(),
+        )?;
         d.snapshots_written += 1;
         // The rename is durable; the chain below it is dead weight.
         // Deletion is best-effort — a crash (or an error) here just
@@ -1076,10 +1119,10 @@ impl GraphEngine {
     }
 
     /// Switch generations if the cadence is due — O(1) in the graph:
-    /// appends move to `wal.<g+1>`, a thread folds the closed chain into
-    /// `snap.<g+1>`, and a failed fold lands in `last_error`, never in a
-    /// commit. Unsynced commits are synced first; that failing trips the
-    /// breaker, as a failed group-commit flush does.
+    /// appends move to `wal.<g+1>`, the fold worker folds the closed
+    /// chain into `snap.<g+1>`, and a failed fold lands in `last_error`,
+    /// never in a commit. Unsynced commits are synced first; that failing
+    /// trips the breaker, as a failed group-commit flush does.
     fn maybe_switch(&mut self) {
         let due = self
             .durable
@@ -1092,10 +1135,9 @@ impl GraphEngine {
             self.commit_failed(e, force);
             return;
         }
-        let views = catalog(&self.views, &self.network);
         let d = self.durable.as_mut().expect("a due cadence is durable");
         d.join_fold();
-        d.switch(views);
+        d.switch();
     }
 
     /// Operator-facing durability status: degraded flag, failure
@@ -1113,7 +1155,7 @@ impl GraphEngine {
             snapshots_written: d.snapshots_written,
             last_snapshot_bytes: d.last_snapshot_bytes,
             base_generation: d.base,
-            fold_in_flight: d.fold.is_some(),
+            fold_in_flight: d.folding,
             fold_failures: d.fold_failures,
         })
     }

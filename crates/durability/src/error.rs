@@ -32,7 +32,7 @@ pub enum DurOp {
     Cleanup,
     /// Replaying the WAL chain at recovery.
     Replay,
-    /// A background fold's thread could not start, or it panicked.
+    /// The fold worker could not start, or a fold panicked on it.
     Fold,
     /// Parsing a durability configuration knob (`PGQ_FSYNC`, …).
     Config,

@@ -1,15 +1,22 @@
 //! Folding closed log generations into the next image, off the commit
 //! path: a WAL generation *is* the graph delta since its base image, so
-//! a [`fold`] on a thread of its own ([`FoldThread`]) starts from the
-//! base image's graph (kept from the previous fold, else `snap.<base>`
-//! decoded, else empty), replays the closed `wal.<base..=g>`, writes
-//! `snap.<g+1>` ([`write_image`]), deletes what that subsumes
-//! ([`remove_subsumed`]) and hands its graph back for the next fold —
-//! never touching the live graph. It writes one atomic file and then
-//! deletes, so wherever it stops the directory is an interrupted
-//! switchover [`crate::recovery`] plans over, reaching the same graph.
+//! a [`fold`] on the engine's fold worker ([`FoldWorker`]) starts from
+//! the base image's graph (kept from the previous fold, else
+//! `snap.<base>` decoded, else empty), replays the closed
+//! `wal.<base..=g>`, writes `snap.<g+1>` ([`write_image`]), deletes what
+//! that subsumes ([`remove_subsumed`]) and hands its graph back for the
+//! next fold — never touching the live graph. It writes one atomic file
+//! and then deletes, so wherever it stops the directory is an
+//! interrupted switchover [`crate::recovery`] plans over, reaching the
+//! same graph.
+//!
+//! The worker is one thread per engine, started once and parked between
+//! jobs: a switch hands it a job over a channel instead of paying a
+//! thread spawn, which would cost more than the rest of the switch.
 
 use std::io;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -29,8 +36,9 @@ pub struct FoldJob {
     /// The graph of `snap.<base>` if the caller kept it — an image with
     /// no skip count, as every image written here; decoded otherwise.
     pub kept: Option<PropertyGraph>,
-    /// The view catalog the image records.
-    pub views: Vec<SnapshotView>,
+    /// The view catalog the image records, shared with the engine that
+    /// keeps it between view-set changes.
+    pub views: Arc<[SnapshotView]>,
     /// Pre-size of the encode buffer.
     pub capacity: usize,
 }
@@ -125,27 +133,78 @@ pub fn remove_subsumed(vfs: &dyn Vfs, base: Option<u64>, to: u64) -> Result<(), 
     result
 }
 
-/// A [`fold`] on a thread of its own, or the reason it could not start.
-pub struct FoldThread(Result<JoinHandle<Result<Folded, DurabilityError>>, DurabilityError>);
+/// The one thread an engine's [`fold`]s run on, parked between jobs.
+/// Jobs run in submission order, one at a time; each [`wait`] collects
+/// the oldest result not yet collected.
+///
+/// [`wait`]: FoldWorker::wait
+pub struct FoldWorker {
+    /// `None` only while dropping: closing it ends the thread's loop.
+    jobs: Option<Sender<FoldJob>>,
+    done: Receiver<Result<Folded, DurabilityError>>,
+    thread: Option<JoinHandle<()>>,
+}
 
-impl FoldThread {
-    /// Start folding `job` over `vfs`.
-    pub fn spawn(vfs: Arc<dyn Vfs>, job: FoldJob) -> FoldThread {
-        let thread = std::thread::Builder::new().name("pgq-fold".into());
-        let spawned = thread.spawn(move || fold(vfs.as_ref(), job));
-        FoldThread(spawned.map_err(|e| DurabilityError::io(DurOp::Fold, &e)))
+impl FoldWorker {
+    /// Start the `pgq-fold` thread folding over `vfs`, or report why it
+    /// could not start.
+    pub fn start(vfs: Arc<dyn Vfs>) -> Result<FoldWorker, DurabilityError> {
+        let (jobs, inbox) = mpsc::channel::<FoldJob>();
+        let (outbox, done) = mpsc::channel();
+        let thread = std::thread::Builder::new()
+            .name("pgq-fold".into())
+            .spawn(move || {
+                for job in inbox {
+                    let folded = catch_unwind(AssertUnwindSafe(|| fold(vfs.as_ref(), job)));
+                    if outbox.send(folded.unwrap_or_else(panicked)).is_err() {
+                        break;
+                    }
+                }
+            })
+            .map_err(|e| DurabilityError::io(DurOp::Fold, &e))?;
+        Ok(FoldWorker {
+            jobs: Some(jobs),
+            done,
+            thread: Some(thread),
+        })
     }
 
-    /// Wait for the fold. A thread that did not start, or panicked,
-    /// comes back as a typed [`DurOp::Fold`] error.
-    pub fn join(self) -> Result<Folded, DurabilityError> {
-        self.0?.join().unwrap_or_else(|panic| {
-            let why = match panic.downcast_ref::<String>() {
-                Some(s) => s.as_str(),
-                None => panic.downcast_ref::<&str>().copied().unwrap_or(""),
-            };
-            let e = io::Error::other(format!("the fold thread panicked: {why}"));
+    /// Hand `job` to the worker.
+    pub fn submit(&self, job: FoldJob) {
+        if let Some(jobs) = &self.jobs {
+            // A worker that is gone drops the job; `wait` reports that.
+            let _ = jobs.send(job);
+        }
+    }
+
+    /// Wait for the oldest submitted job not yet waited for — call it
+    /// once per [`FoldWorker::submit`]; with nothing submitted it
+    /// blocks. A fold that panicked comes back as a typed
+    /// [`DurOp::Fold`] error, and the worker keeps serving.
+    pub fn wait(&self) -> Result<Folded, DurabilityError> {
+        self.done.recv().unwrap_or_else(|_| {
+            let e = io::Error::other("the fold worker is gone");
             Err(DurabilityError::io(DurOp::Fold, &e))
         })
     }
+}
+
+impl Drop for FoldWorker {
+    /// Close the queue and join the thread; a job still queued runs first.
+    fn drop(&mut self) {
+        self.jobs = None;
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// A fold's panic as the typed error [`FoldWorker::wait`] returns.
+fn panicked(panic: Box<dyn std::any::Any + Send>) -> Result<Folded, DurabilityError> {
+    let why = match panic.downcast_ref::<String>() {
+        Some(s) => s.as_str(),
+        None => panic.downcast_ref::<&str>().copied().unwrap_or(""),
+    };
+    let e = io::Error::other(format!("the fold panicked: {why}"));
+    Err(DurabilityError::io(DurOp::Fold, &e))
 }

@@ -18,8 +18,9 @@
 //!   of fingerprint-keyed operator-state sections; the engine writes it
 //!   empty and ignores it on read.
 //! - [`fold`] writes the next image off the commit path: it replays the
-//!   closed log generations onto their base image's graph on a thread
-//!   of its own and never touches the live graph.
+//!   closed log generations onto their base image's graph on the
+//!   engine's one long-lived fold worker and never touches the live
+//!   graph.
 //! - [`recovery`] plans recovery over the generation-numbered
 //!   `snap.<g>` / `wal.<g>` directory: it picks the newest readable
 //!   snapshot (quarantining corrupt ones and falling back a
@@ -37,8 +38,8 @@
 //!   (offline-shim rule: no external serialization or checksum crates).
 //!
 //! What lives *above* this crate: the engine decides when to snapshot,
-//! switch generations, start a fold and join it, owns the view table
-//! being restored and re-registers it, and implements the
+//! switch generations, hand a fold to its worker and wait for it, owns
+//! the view table being restored and re-registers it, and implements the
 //! commit-rollback / read-only-degraded contract on top of
 //! [`DurabilityError`]. This crate only knows bytes, graphs, and
 //! transactions.
@@ -53,7 +54,7 @@ pub mod wal;
 
 pub use codec::CodecError;
 pub use error::{DurKind, DurOp, DurabilityError};
-pub use fold::{FoldJob, FoldThread, Folded};
+pub use fold::{FoldJob, FoldWorker, Folded};
 pub use recovery::{RecoveryPlan, RecoveryReport, QUARANTINE_SUFFIX};
 pub use snapshot::{Snapshot, SnapshotError, SnapshotView, SnapshotWriter, StateBag};
 pub use vfs::{Fault, FsyncMode, MemDisk, MemVfs, StdVfs, Vfs};

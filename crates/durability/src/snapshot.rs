@@ -99,7 +99,8 @@ pub enum SnapshotError {
     /// checksum happened to miss).
     Codec(CodecError),
     /// The decoded graph dump was internally inconsistent (a repeated
-    /// vertex or edge row, or an edge referencing a missing endpoint).
+    /// vertex or edge row, an edge referencing a missing endpoint, or an
+    /// id or watermark that leaves no next id).
     Graph(GraphError),
 }
 
@@ -212,9 +213,19 @@ impl Snapshot {
     /// Rebuild a graph from the dump. Catalog hooks run per insert, so
     /// the recovered cardinality catalog matches a live-built one and
     /// re-planning reproduces the original physical plans. A dump whose
-    /// checksum holds but which repeats a row, or names a missing
-    /// endpoint, is a [`SnapshotError::Graph`].
+    /// checksum holds but which repeats a row, names a missing endpoint,
+    /// or holds an id or watermark at `u64::MAX` (no next id to
+    /// allocate) is a [`SnapshotError::Graph`].
     pub fn restore_graph(&self) -> Result<PropertyGraph, SnapshotError> {
+        let ids = self.vertices.iter().map(|v| v.0 .0);
+        let mut ids = ids.chain(self.edges.iter().map(|e| e.0 .0));
+        if self.next_vertex == u64::MAX
+            || self.next_edge == u64::MAX
+            || ids.any(|id| id == u64::MAX)
+        {
+            let e = GraphError::Invalid("an id or watermark exhausts the id space".into());
+            return Err(SnapshotError::Graph(e));
+        }
         let mut g = PropertyGraph::new();
         for (id, labels, props) in &self.vertices {
             g.load_vertex(*id, labels.iter().copied(), props.clone())

@@ -12,18 +12,19 @@
 //!    never what it reaches.
 //! 3. With each of its operations failing, once per kind in
 //!    [`Fault::ALL`], it reports a typed error and the directory still
-//!    recovers the same graph; a panic on its thread joins as a typed
-//!    error.
+//!    recovers the same graph; a panic on the fold worker comes back as
+//!    a typed error, and the worker keeps serving.
 
 use std::io;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use pgq_common::intern::Symbol;
 use pgq_common::value::Value;
-use pgq_durability::fold::{fold, write_image, FoldJob, FoldThread};
+use pgq_durability::fold::{fold, write_image, FoldJob, FoldWorker};
 use pgq_durability::snapshot::snap_file;
 use pgq_durability::{recovery, wal};
-use pgq_durability::{DurOp, Fault, MemDisk, Snapshot, SnapshotView, SnapshotWriter, Vfs};
+use pgq_durability::{DurOp, Fault, MemDisk, MemVfs, Snapshot, SnapshotView, SnapshotWriter, Vfs};
 use pgq_graph::props::Properties;
 use pgq_graph::store::PropertyGraph;
 use pgq_graph::tx::Transaction;
@@ -172,7 +173,7 @@ impl Chain {
             base: self.base,
             through: self.through,
             kept: if keep { self.keepable.clone() } else { None },
-            views: catalog(),
+            views: catalog().into(),
             capacity: 0,
         }
     }
@@ -288,43 +289,57 @@ fn every_failed_fold_operation_is_typed_and_recovers_the_same_graph() {
     assert!(runs >= 5 * 2 * SEEDS as usize, "only {runs} fault points");
 }
 
-/// A disk whose every read panics.
-struct OnFire;
+/// A disk whose reads panic while `fire` is set.
+struct OnFire {
+    disk: MemVfs,
+    fire: Arc<AtomicBool>,
+}
 
 impl Vfs for OnFire {
     fn read(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
-        panic!("reading {name}: disk on fire")
+        if self.fire.load(Ordering::SeqCst) {
+            panic!("reading {name}: disk on fire")
+        }
+        self.disk.read(name)
     }
-    fn append(&self, _: &str, _: &[u8]) -> io::Result<()> {
-        unreachable!("a fold never appends")
+    fn append(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+        self.disk.append(name, bytes)
     }
-    fn write_atomic(&self, _: &str, _: &[u8]) -> io::Result<()> {
-        unreachable!("the fold panics first")
+    fn write_atomic(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+        self.disk.write_atomic(name, bytes)
     }
-    fn remove(&self, _: &str) -> io::Result<()> {
-        unreachable!("the fold panics first")
+    fn remove(&self, name: &str) -> io::Result<()> {
+        self.disk.remove(name)
     }
-    fn sync(&self, _: &str) -> io::Result<()> {
-        unreachable!("a fold never syncs a log")
+    fn sync(&self, name: &str) -> io::Result<()> {
+        self.disk.sync(name)
     }
     fn list(&self) -> io::Result<Vec<String>> {
-        unreachable!("a fold never lists")
+        self.disk.list()
     }
 }
 
 #[test]
 fn a_panicking_fold_joins_as_a_typed_error() {
-    let job = FoldJob {
-        base: Some(1),
-        through: 1,
-        kept: None,
-        views: catalog(),
-        capacity: 0,
+    let c = Chain::new(0);
+    let fire = Arc::new(AtomicBool::new(true));
+    let disk = OnFire {
+        disk: c.disk.vfs(),
+        fire: Arc::clone(&fire),
     };
-    let err = FoldThread::spawn(Arc::new(OnFire), job)
-        .join()
-        .err()
-        .expect("the fold failed");
+    let worker = FoldWorker::start(Arc::new(disk)).expect("the worker starts");
+    worker.submit(c.job(false));
+    let err = worker.wait().err().expect("the fold failed");
     assert_eq!(err.op, DurOp::Fold);
     assert!(err.detail.contains("disk on fire"), "{err}");
+
+    // The panic did not take the worker with it: once the disk is
+    // healthy, the same worker folds the same chain.
+    fire.store(false, Ordering::SeqCst);
+    worker.submit(c.job(false));
+    let folded = worker.wait().expect("the worker survived the panic");
+    let image = snap_file(c.through + 1);
+    assert_eq!(folded.generation, c.through + 1);
+    assert_eq!(c.disk.file_names(), vec![image]);
+    assert_eq!(identity(&folded.graph), identity(&c.want));
 }

@@ -26,9 +26,12 @@
 //! group-commit window across generation switches (a switch syncs the
 //! log it closes; no power cut loses more than the window allows), and
 //! the bounded-disk guarantee (live files span at most two generations
-//! across 50 cadences). The fold thread's operations interleave with
-//! the appends differently from run to run; nothing here depends on
-//! the order.
+//! across 50 cadences), the view catalog the folds record (a
+//! registration or drop whose snapshot failed never reaches a folded
+//! image as it was before the failure), and a fold whose base image was
+//! damaged after the engine opened. The fold worker's operations
+//! interleave with the appends differently from run to run; nothing
+//! here depends on the order.
 
 mod durability_script;
 
@@ -41,9 +44,9 @@ use pgq_algebra::pipeline::compile_query;
 use pgq_common::intern::Symbol;
 use pgq_common::value::Value;
 use pgq_core::{EngineError, GraphEngine};
-use pgq_durability::snapshot::parse_snap_name;
+use pgq_durability::snapshot::{parse_snap_name, snap_file};
 use pgq_durability::wal::parse_wal_name;
-use pgq_durability::{DurOp, Fault, FsyncMode, MemDisk, MemVfs};
+use pgq_durability::{DurKind, DurOp, Fault, FsyncMode, MemDisk, MemVfs, Snapshot};
 use pgq_graph::props::Properties;
 use pgq_graph::store::PropertyGraph;
 use pgq_graph::tx::Transaction;
@@ -171,7 +174,9 @@ fn repeated_failures_trip_the_breaker_and_reset_heals_it() {
         (6, Fault::Eio),
     ])))
     .unwrap();
-    engine.set_snapshot_every(0); // appends are the only disk ops
+    // Appends are the only disk ops, and none of them syncs whatever
+    // `PGQ_FSYNC` says.
+    engine.set_snapshot_every(0).set_fsync(FsyncMode::Never);
     engine.apply(&one_vertex_tx(0)).unwrap(); // op 0
     engine.apply(&one_vertex_tx(1)).unwrap(); // op 1
 
@@ -221,7 +226,8 @@ fn reset_fails_typed_while_the_disk_is_still_broken() {
         (3, Fault::Enospc), // the reset's switchover snapshot
     ])))
     .unwrap();
-    engine.set_snapshot_every(0);
+    // Appends and the reset's image are the only disk ops: no syncs.
+    engine.set_snapshot_every(0).set_fsync(FsyncMode::Never);
     engine.set_max_durability_failures(1);
     engine.apply(&one_vertex_tx(0)).unwrap(); // op 0
 
@@ -400,4 +406,159 @@ fn disk_stays_bounded_over_long_churn() {
         written > 8 * BOUND,
         "the run must write many times the bound ({written} bytes) to show anything"
     );
+}
+
+const KEPT: (&str, &str) = ("kept", "MATCH (p:Post) RETURN p");
+const GONE: (&str, &str) = ("gone", "MATCH (p:Post) WHERE p.tag = 1 RETURN p");
+
+/// The operation index of the first disk operation after `setup` runs
+/// on a fresh durable engine: with no commits there is no fold, so the
+/// count is the same on every run.
+fn ops_after(setup: impl FnOnce(&mut GraphEngine)) -> u64 {
+    let disk = MemDisk::new();
+    setup(&mut GraphEngine::open_durable_with(Arc::new(disk.vfs())).unwrap());
+    disk.ops_attempted()
+}
+
+/// Commit through four cadence switches, checking after every commit
+/// that no folded image on `disk` records the view `absent`; then drop
+/// the engine (its last fold lands) and check a reopen does not bring
+/// the view back.
+fn fold_without(mut engine: GraphEngine, disk: &MemDisk, absent: &str) {
+    engine.set_snapshot_every(EVERY);
+    // Images up to the active generation were written before the folds.
+    let first = engine.durability_health().unwrap().generation;
+    for t in 0..4 * EVERY as i64 {
+        engine.apply(&one_vertex_tx(t)).unwrap();
+        for name in disk.file_names() {
+            let Some(generation) = parse_snap_name(&name).filter(|&g| g > first) else {
+                continue;
+            };
+            // The fold may delete the image between the listing and the read.
+            let Some(image) = Snapshot::load(&disk.vfs(), generation).unwrap() else {
+                continue;
+            };
+            assert!(
+                image.views.iter().all(|v| v.name != absent),
+                "commit {t}: {name} records `{absent}`"
+            );
+        }
+    }
+    let health = engine.durability_health().unwrap();
+    assert_eq!(health.fold_failures, 0, "{:?}", health.last_error);
+    assert!(
+        health.generation >= first + 4,
+        "only {} switches",
+        health.generation - first
+    );
+    drop(engine);
+    let reopened = GraphEngine::open_durable_with(Arc::new(disk.vfs())).unwrap();
+    assert!(
+        reopened.view_by_name(absent).is_none(),
+        "`{absent}` came back"
+    );
+    assert!(reopened.view_by_name(KEPT.0).is_some());
+}
+
+#[test]
+fn a_registration_whose_snapshot_fails_never_reaches_a_folded_image() {
+    // The second registration's image write is the first operation after
+    // the first registration.
+    let write = ops_after(|e| {
+        e.register_view(KEPT.0, KEPT.1).unwrap();
+    });
+    let disk = MemDisk::new();
+    let vfs = disk.vfs_with_fault(write, Fault::Eio);
+    let mut engine = GraphEngine::open_durable_with(Arc::new(vfs)).unwrap();
+    engine.register_view(KEPT.0, KEPT.1).unwrap();
+    match engine.register_view(GONE.0, GONE.1) {
+        Err(EngineError::Durability(e)) => assert_eq!(e.op, DurOp::SnapshotWrite, "{e}"),
+        other => panic!("the registration's snapshot must fail: {other:?}"),
+    }
+    assert!(engine.view_by_name(GONE.0).is_none());
+    fold_without(engine, &disk, GONE.0);
+}
+
+#[test]
+fn a_drop_whose_snapshot_fails_is_gone_after_the_next_fold() {
+    let write = ops_after(|e| {
+        e.register_view(KEPT.0, KEPT.1).unwrap();
+        e.register_view(GONE.0, GONE.1).unwrap();
+    });
+    let disk = MemDisk::new();
+    let vfs = disk.vfs_with_fault(write, Fault::Eio);
+    let mut engine = GraphEngine::open_durable_with(Arc::new(vfs)).unwrap();
+    engine.register_view(KEPT.0, KEPT.1).unwrap();
+    let gone = engine.register_view(GONE.0, GONE.1).unwrap();
+    match engine.drop_view(gone) {
+        Err(EngineError::Durability(e)) => assert_eq!(e.op, DurOp::SnapshotWrite, "{e}"),
+        other => panic!("the drop's snapshot must fail: {other:?}"),
+    }
+    // Dropped in memory; the image on disk still records it until a
+    // fold replaces that image.
+    assert!(engine.view_by_name(GONE.0).is_none());
+    fold_without(engine, &disk, GONE.0);
+}
+
+#[test]
+fn a_fold_from_a_damaged_base_fails_typed_and_a_snapshot_heals_the_chain() {
+    const BEFORE: i64 = 5;
+    let disk = MemDisk::new();
+    {
+        let mut engine = GraphEngine::open_durable_with(Arc::new(disk.vfs())).unwrap();
+        engine.set_snapshot_every(0);
+        for t in 0..BEFORE - 1 {
+            engine.apply(&one_vertex_tx(t)).unwrap();
+        }
+        engine.snapshot().unwrap();
+        engine.apply(&one_vertex_tx(BEFORE)).unwrap();
+    }
+    // A reopened engine keeps no graph for its first fold: that fold
+    // decodes `snap.<base>`, which goes bad after recovery read it.
+    let mut engine = GraphEngine::open_durable_with(Arc::new(disk.vfs())).unwrap();
+    engine.set_snapshot_every(EVERY);
+    let base = engine.durability_health().unwrap().base_generation;
+    let base = base.expect("the engine reopened from an image");
+    assert!(disk.corrupt(&snap_file(base), 20, 0x01));
+
+    // Two switches: the second collects the first fold.
+    let mut commits = BEFORE;
+    for _ in 0..2 * EVERY {
+        engine.apply(&one_vertex_tx(commits)).unwrap();
+        commits += 1;
+    }
+    let health = engine.durability_health().unwrap();
+    assert_eq!(health.fold_failures, 1);
+    let err = health.last_error.expect("the failed fold is reported");
+    assert_eq!(
+        (err.op, err.kind),
+        (DurOp::SnapshotLoad, DurKind::Corrupt),
+        "{err}"
+    );
+    assert_eq!(
+        health.base_generation,
+        Some(base),
+        "a failed fold moved the base"
+    );
+    assert!(!engine.is_degraded(), "a failed fold degraded the engine");
+
+    // A synchronous snapshot writes the live graph: the chain no longer
+    // starts from the damaged image. It collects the second fold, which
+    // failed the same way.
+    engine.snapshot().unwrap();
+    let healed = engine.durability_health().unwrap();
+    assert_eq!(healed.fold_failures, 2);
+    for _ in 0..2 * EVERY {
+        engine.apply(&one_vertex_tx(commits)).unwrap();
+        commits += 1;
+    }
+    let after = engine.durability_health().unwrap();
+    assert_eq!(after.fold_failures, 2, "{:?}", after.last_error);
+    assert_eq!(after.base_generation, Some(healed.generation + 1));
+    assert_eq!(after.snapshots_written, healed.snapshots_written + 1);
+    drop(engine);
+
+    let reopened = GraphEngine::open_durable_with(Arc::new(disk.vfs())).unwrap();
+    assert!(reopened.recovery_report().unwrap().is_pristine());
+    assert_eq!(reopened.graph().vertex_count() as i64, commits);
 }

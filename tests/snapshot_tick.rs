@@ -8,7 +8,8 @@
 //!   previous image's graph on another thread — against the image a
 //!   twin engine's synchronous `snapshot()` of its live graph writes at
 //!   the same commit (byte-for-byte), and an engine dropped right after
-//!   a switch against the graph it held;
+//!   a switch against the graph it held, and the thread every fold's
+//!   disk operations come from: one worker for all of an engine's folds;
 //! * every bag [`DataflowNetwork::dump_states`] returns against a
 //!   `pgq_eval` recompute of that node's canonical sub-plan, and every
 //!   root bag against the view's results — the first step of a state
@@ -26,7 +27,9 @@
 mod durability_script;
 
 use std::io;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 
 use durability_script::{random_tx, XorShift};
 use pgq_algebra::compile_query;
@@ -349,6 +352,89 @@ fn an_engine_dropped_right_after_a_switch_reopens_pristine() {
         assert_eq!(reopened_health.base_generation, Some(health.generation));
         assert_eq!(reopened_health.generation, health.generation);
     }
+}
+
+/// A disk that notes the thread behind every read, atomic write and
+/// remove once `armed` is set.
+struct ThreadLog {
+    disk: MemVfs,
+    armed: AtomicBool,
+    ops: Mutex<Vec<(&'static str, ThreadId)>>,
+}
+
+impl ThreadLog {
+    fn note(&self, op: &'static str) {
+        if self.armed.load(Ordering::SeqCst) {
+            let id = std::thread::current().id();
+            self.ops.lock().expect("no logger panics").push((op, id));
+        }
+    }
+}
+
+impl Vfs for ThreadLog {
+    fn read(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
+        self.note("read");
+        self.disk.read(name)
+    }
+    fn append(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+        self.disk.append(name, bytes)
+    }
+    fn write_atomic(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+        self.note("write_atomic");
+        self.disk.write_atomic(name, bytes)
+    }
+    fn remove(&self, name: &str) -> io::Result<()> {
+        self.note("remove");
+        self.disk.remove(name)
+    }
+    fn sync(&self, name: &str) -> io::Result<()> {
+        self.disk.sync(name)
+    }
+    fn list(&self) -> io::Result<Vec<String>> {
+        self.disk.list()
+    }
+}
+
+#[test]
+fn every_fold_of_an_engine_runs_on_one_worker_thread() {
+    const COMMITS: usize = 300;
+    const EVERY: u64 = 3;
+    let log = Arc::new(ThreadLog {
+        disk: MemDisk::new().vfs(),
+        armed: AtomicBool::new(false),
+        ops: Mutex::new(Vec::new()),
+    });
+    let mut engine = GraphEngine::open_durable_with(log.clone()).unwrap();
+    engine.set_snapshot_every(EVERY);
+    // Recovery and a registration's snapshot run on this thread; from
+    // here on only folds read, write images and remove.
+    engine.register_view("posts", POOL[0]).unwrap();
+    log.armed.store(true, Ordering::SeqCst);
+    let mut rng = XorShift::new(0x7EAD);
+    for _ in 0..COMMITS {
+        let tx = random_tx(&mut rng, engine.graph());
+        engine.apply(&tx).unwrap();
+    }
+    let health = engine.durability_health().unwrap();
+    assert_eq!(health.fold_failures, 0, "{:?}", health.last_error);
+    drop(engine); // the last fold lands
+
+    let ops = log.ops.lock().unwrap();
+    let images = ops.iter().filter(|(op, _)| *op == "write_atomic").count();
+    assert!(images >= COMMITS / EVERY as usize, "only {images} folds");
+    let worker = ops[0].1;
+    assert_ne!(
+        worker,
+        std::thread::current().id(),
+        "a fold ran on the caller"
+    );
+    let strays: Vec<_> = ops.iter().filter(|(_, id)| *id != worker).collect();
+    assert!(
+        strays.is_empty(),
+        "{} of {} fold operations ran off the first fold's thread",
+        strays.len(),
+        ops.len()
+    );
 }
 
 #[test]
