@@ -7,7 +7,7 @@
 //! instead write the machine-readable `BENCH.json` perf-trajectory
 //! document (suite → median, MAD, op/s over repeated rounds) for the
 //! certified suites (`social_ivm`, `transitive`, `many_views`,
-//! `concurrent_views`, `batch_churn`, `planner`).
+//! `concurrent_views`, `planner`).
 
 use pgq_algebra::pipeline::CompileOptions;
 use pgq_algebra::SchemaMode;
@@ -369,76 +369,6 @@ fn emit_bench_json(quick: bool, path: &str) {
             round_stats(&[cores as f64]),
             cores as f64,
         );
-
-        // batch_churn_*: the same forest driven by single-branch
-        // transactions round-robin (sweep 0 flips every branch to "de"
-        // one tx at a time, sweep 1 back to "en", …). Within a sweep
-        // every footprint is disjoint, so `apply_batch` coalesces each
-        // sweep into one propagation pass; the sequential baseline pays
-        // one pass per transaction. Batched/sequential alternate inside
-        // each round.
-        {
-            let sweeps = 6;
-            let nb = forest.branches.len();
-            let stream: Vec<Transaction> = (0..sweeps)
-                .flat_map(|k| {
-                    let lang = if k % 2 == 0 { "de" } else { "en" };
-                    let forest = &forest;
-                    (0..nb).map(move |b| pgq_workloads::churn_one(forest, b, lang))
-                })
-                .collect();
-            // Agreement gate: batched and sequential end in the same
-            // view state, and batching really does fold each sweep
-            // into one pass.
-            {
-                let mut batched = engines[0].clone();
-                let summary = batched.apply_batch(&stream).unwrap();
-                assert_eq!(summary.transactions, stream.len());
-                assert_eq!(summary.passes, sweeps, "one pass per sweep");
-                let mut seq = engines[0].clone();
-                for tx in &stream {
-                    seq.apply(tx).unwrap();
-                }
-                let rows = |e: &GraphEngine| -> Vec<_> {
-                    (0..nb)
-                        .map(|i| {
-                            let id = e.view_by_name(&format!("b{i}")).unwrap();
-                            e.view(id).unwrap().results()
-                        })
-                        .collect()
-                };
-                assert_eq!(rows(&batched), rows(&seq), "batched diverged");
-            }
-            let mut batched_us = Vec::with_capacity(rounds);
-            let mut seq_us = Vec::with_capacity(rounds);
-            for _ in 0..rounds {
-                let mut e = engines[0].clone();
-                let t0 = std::time::Instant::now();
-                e.apply_batch(&stream).unwrap();
-                batched_us.push(t0.elapsed().as_nanos() as f64 / stream.len() as f64 / 1000.0);
-
-                let mut e = engines[0].clone();
-                let t0 = std::time::Instant::now();
-                for tx in &stream {
-                    e.apply(tx).unwrap();
-                }
-                seq_us.push(t0.elapsed().as_nanos() as f64 / stream.len() as f64 / 1000.0);
-            }
-            let stats = round_stats(&batched_us);
-            doc.suite(
-                "batch_churn_batched",
-                "us_per_tx",
-                stats,
-                1e6 / stats.median,
-            );
-            let stats = round_stats(&seq_us);
-            doc.suite(
-                "batch_churn_sequential",
-                "us_per_tx",
-                stats,
-                1e6 / stats.median,
-            );
-        }
     }
 
     // planner_*: the skewed hub fan-out workload, cost-based join order

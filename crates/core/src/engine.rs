@@ -21,7 +21,7 @@ use pgq_graph::delta::ChangeEvent;
 use pgq_graph::props::Properties;
 use pgq_graph::store::PropertyGraph;
 use pgq_graph::tx::{NodeRef, Transaction};
-use pgq_ivm::{DataflowNetwork, Delta, RegisterOptions, SinkId, TxFootprint, ViewRef};
+use pgq_ivm::{DataflowNetwork, Delta, RegisterOptions, SinkId, ViewRef};
 use pgq_parser::ast::{Clause, Expr, Pattern, Query, RemoveItem, SetItem};
 use pgq_parser::shape::{lifted_name, Shape};
 use pgq_parser::{parse_query, parse_tokens};
@@ -299,9 +299,6 @@ pub struct UpdateStats {
 pub struct BatchSummary {
     /// Transactions applied.
     pub transactions: usize,
-    /// Propagation passes run. At most `transactions`; smaller means
-    /// footprint-disjoint neighbours were coalesced.
-    pub passes: usize,
 }
 
 /// Result of [`GraphEngine::execute`].
@@ -473,20 +470,19 @@ impl GraphEngine {
         Ok(events)
     }
 
-    /// Apply a sequence of transactions, coalescing runs of
-    /// **consecutive non-conflicting** transactions — disjoint scan
-    /// footprints per [`DataflowNetwork::tx_footprint`] — into one
-    /// propagation pass over their concatenated events. The store emits
-    /// events per operation, so a coalesced pass sees exactly the event
-    /// stream of the equivalent merged transaction. View contents are
-    /// identical to applying the transactions one by one, but change
-    /// notifications may coarsen: a view reading several scans can be
-    /// dirtied by more than one member of a coalesced run, and its
-    /// subscribers then receive a single merged delta spanning those
-    /// transactions.
+    /// Apply a sequence of transactions and maintain every view in
+    /// **one** propagation pass over their concatenated events. The
+    /// store emits events per operation and every scan diffs its memory
+    /// against the post-state graph, so the pass sees exactly the event
+    /// stream of the equivalent merged transaction: view contents are
+    /// identical to applying the transactions one by one, and members
+    /// that touch the same vertices pay for them once. The batch is one
+    /// change to its subscribers: each view it changed is notified once,
+    /// with the batch's net delta, and a view whose changes cancel
+    /// within the batch is not notified at all.
     ///
     /// Every transaction is applied atomically as usual; if one fails,
-    /// the transactions before it are flushed into the views and the
+    /// the transactions before it are maintained in one pass and the
     /// error is returned (the failed transaction itself rolls back).
     ///
     /// Durability uses **group commit**: each member is appended to the
@@ -501,55 +497,38 @@ impl GraphEngine {
     pub fn apply_batch(&mut self, txs: &[Transaction]) -> Result<BatchSummary, EngineError> {
         self.check_writable()?;
         let mut summary = BatchSummary::default();
-        let mut group_events: Vec<ChangeEvent> = Vec::new();
-        let mut group_fp = TxFootprint::default();
+        let mut events: Vec<ChangeEvent> = Vec::new();
         for tx in txs {
-            let fp = self.network.tx_footprint(&self.graph, tx);
-            if !group_events.is_empty() && !fp.disjoint(&group_fp) {
-                let events = std::mem::take(&mut group_events);
-                self.maintain(&events);
-                summary.passes += 1;
-                group_fp = TxFootprint::default();
-            }
             let watermarks = self.graph.id_watermarks();
-            match self.graph.apply(tx) {
-                Ok(events) => {
-                    if let Err((e, force)) = self.wal_append(tx) {
-                        // This member never committed; the ones before
-                        // it did. Roll it back, flush the others into
-                        // the views, and try to make them durable.
-                        self.graph.unapply(&events, watermarks);
-                        if !group_events.is_empty() {
-                            self.maintain(&group_events);
-                        }
-                        let flush = self.wal_flush();
-                        let err = self.commit_failed(e, force);
-                        if let Err((fe, _)) = flush {
-                            // Earlier members were already applied and
-                            // cannot be taken back: memory is ahead of
-                            // disk, so the breaker trips immediately.
-                            return Err(self.commit_failed(fe, true));
-                        }
-                        return Err(err);
-                    }
-                    group_events.extend(events);
-                    group_fp.merge(&fp);
-                    summary.transactions += 1;
-                }
+            let member = match self.graph.apply(tx) {
+                Ok(member) => member,
                 Err(e) => {
                     // Views must reflect the transactions that did land
                     // (the summary itself is lost to the error).
-                    if !group_events.is_empty() {
-                        self.maintain(&group_events);
-                    }
+                    self.maintain(&events);
                     return Err(e.into());
                 }
+            };
+            if let Err((e, force)) = self.wal_append(tx) {
+                // This member never committed; the ones before it did.
+                // Roll it back, maintain the others, and try to make
+                // them durable.
+                self.graph.unapply(&member, watermarks);
+                self.maintain(&events);
+                let flush = self.wal_flush();
+                let err = self.commit_failed(e, force);
+                if let Err((fe, _)) = flush {
+                    // Earlier members were already applied and cannot
+                    // be taken back: memory is ahead of disk, so the
+                    // breaker trips immediately.
+                    return Err(self.commit_failed(fe, true));
+                }
+                return Err(err);
             }
+            events.extend(member);
+            summary.transactions += 1;
         }
-        if !group_events.is_empty() {
-            self.maintain(&group_events);
-            summary.passes += 1;
-        }
+        self.maintain(&events);
         // Group commit: one sync covers every member of the batch.
         if let Err((e, _)) = self.wal_flush() {
             // The members are applied and cannot be taken back.

@@ -45,6 +45,7 @@ pub mod aggregate;
 pub mod basic;
 pub mod delta;
 pub mod distinct;
+pub mod footprint;
 pub mod join;
 pub mod network;
 pub mod scan;
@@ -58,7 +59,7 @@ pub mod wcoj;
 pub use delta::Delta;
 pub use network::{
     plan_stats, DataflowNetwork, NodeId, NodeSummary, RegisterOptions, RestoreStates, SinkId,
-    TxFootprint, ViewRef,
+    ViewRef,
 };
 pub use stats::Counters;
 pub use view::MaterializedView;

@@ -156,7 +156,6 @@ use pgq_common::pool::WorkerPool;
 use pgq_common::tuple::Tuple;
 use pgq_graph::delta::ChangeEvent;
 use pgq_graph::store::PropertyGraph;
-use pgq_graph::tx::{NodeRef, Transaction, TxOp};
 
 use crate::aggregate::AggregateOp;
 use crate::basic::{program_in_place, program_into, Programmed};
@@ -974,87 +973,6 @@ pub fn plan_stats(g: &PropertyGraph) -> pgq_algebra::plan::PlanStats {
             .insert(k, catalog.edge_prop_distinct(k) as u64);
     }
     stats
-}
-
-/// Conservative scan-node footprint of a not-yet-applied
-/// [`Transaction`], computed by [`DataflowNetwork::tx_footprint`].
-///
-/// Two transactions whose footprints are [`disjoint`](Self::disjoint)
-/// dirty non-overlapping scan frontiers, so the engine may coalesce
-/// them into one propagation pass (apply both to the graph, then
-/// maintain once over the concatenated events). Soundness rests on the
-/// store emitting events per operation: the concatenation of two
-/// transactions' event streams equals the event stream of the single
-/// merged transaction, which every scan already handles (scans read the
-/// post-state graph). Disjointness is a *scan-level* rule, though: a
-/// view joining two different scans can be dirtied by two
-/// footprint-disjoint members of the same pass, so coalescing may
-/// coarsen per-view *change notifications* — subscribers then see one
-/// merged delta spanning several transactions (identical in content to
-/// applying them back-to-back; only the notification granularity
-/// changes).
-#[derive(Clone, Debug, Default)]
-pub struct TxFootprint {
-    /// Sorted, deduplicated scan nodes the transaction may dirty.
-    scans: Vec<NodeId>,
-    /// The transaction references ids the current graph cannot resolve
-    /// (e.g. deleting an edge created earlier in the same batch), so
-    /// its reach cannot be bounded: conflicts with everything.
-    unbounded: bool,
-}
-
-impl TxFootprint {
-    /// The footprint that conflicts with every footprint.
-    pub fn unbounded() -> TxFootprint {
-        TxFootprint {
-            scans: Vec::new(),
-            unbounded: true,
-        }
-    }
-
-    /// True when the transaction's reach could not be bounded.
-    pub fn is_unbounded(&self) -> bool {
-        self.unbounded
-    }
-
-    /// Scan nodes the transaction may dirty (meaningless when
-    /// [unbounded](Self::is_unbounded)).
-    pub fn scans(&self) -> &[NodeId] {
-        &self.scans
-    }
-
-    /// True when the two footprints share no scan node (and both are
-    /// bounded) — the coalescing rule.
-    pub fn disjoint(&self, other: &TxFootprint) -> bool {
-        if self.unbounded || other.unbounded {
-            return false;
-        }
-        let (mut i, mut j) = (0, 0);
-        while i < self.scans.len() && j < other.scans.len() {
-            match self.scans[i].cmp(&other.scans[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => return false,
-            }
-        }
-        true
-    }
-
-    /// Absorb `other` (accumulating a batch's combined footprint).
-    pub fn merge(&mut self, other: &TxFootprint) {
-        if other.unbounded {
-            self.unbounded = true;
-            self.scans.clear();
-        } else if !self.unbounded {
-            self.scans.extend_from_slice(&other.scans);
-            self.seal();
-        }
-    }
-
-    fn seal(&mut self) {
-        self.scans.sort_unstable();
-        self.scans.dedup();
-    }
 }
 
 /// The engine-owned shared dataflow network. See the module docs.
@@ -2095,125 +2013,29 @@ impl DataflowNetwork {
         }
     }
 
-    /// Conservative footprint of `tx` over the current routing index,
-    /// computed **before** the transaction is applied (`g` is the
-    /// pre-state). Over-approximates on purpose:
-    ///
-    /// * vertex-touching operations take every route of every label the
-    ///   vertex can carry after the transaction (its current labels,
-    ///   the transaction's creation labels, plus any label the
-    ///   transaction attaches anywhere — post-state routing in the
-    ///   private `route_events` makes label additions visible to
-    ///   earlier events of the same batch), and all of
-    ///   `vertex_any`, ignoring property-key interest filters;
-    /// * edge-touching operations take every route of the edge's type
-    ///   plus `edge_any`;
-    /// * an id the pre-state cannot resolve (other than `NodeRef::New`)
-    ///   makes the footprint [unbounded](TxFootprint::is_unbounded).
-    pub fn tx_footprint(&self, g: &PropertyGraph, tx: &Transaction) -> TxFootprint {
-        let mut fp = TxFootprint::default();
-        // Labels attached anywhere in the transaction widen the possible
-        // post-state of any vertex it touches.
-        let added_labels: Vec<Symbol> = tx
-            .ops()
-            .iter()
-            .filter_map(|op| match op {
-                TxOp::AddLabel { label, .. } => Some(*label),
-                _ => None,
-            })
-            .collect();
-        let vertex_routes = |fp: &mut TxFootprint, labels: &[Symbol]| {
-            for l in labels {
-                if let Some(routes) = self.routing.vertex_by_label.get(l) {
-                    for r in routes {
-                        fp.scans.push(r.node);
-                    }
-                }
-            }
-            for r in &self.routing.vertex_any {
-                fp.scans.push(r.node);
-            }
+    /// Scan nodes routed vertex events by `label` (`None`: the routes
+    /// without a label requirement).
+    pub(crate) fn vertex_routes(&self, label: Option<Symbol>) -> impl Iterator<Item = NodeId> + '_ {
+        let routes = match label {
+            Some(l) => self
+                .routing
+                .vertex_by_label
+                .get(&l)
+                .map_or(&[][..], Vec::as_slice),
+            None => &self.routing.vertex_any,
         };
-        let edge_routes = |fp: &mut TxFootprint, ty: Symbol| {
-            if let Some(routes) = self.routing.edge_by_type.get(&ty) {
-                for r in routes {
-                    fp.scans.push(r.node);
-                }
-            }
-            for r in &self.routing.edge_any {
-                fp.scans.push(r.node);
-            }
-        };
-        // Labels per `CreateVertex`, in order (resolves `NodeRef::New`).
-        let mut created: Vec<&[Symbol]> = Vec::new();
-        for op in tx.ops() {
-            match op {
-                TxOp::CreateVertex { labels, .. } => {
-                    vertex_routes(&mut fp, labels);
-                    vertex_routes(&mut fp, &added_labels);
-                    created.push(labels);
-                }
-                TxOp::CreateEdge { ty, .. } => edge_routes(&mut fp, *ty),
-                TxOp::DeleteVertex { id, detach } => {
-                    let Some(data) = g.vertex(*id) else {
-                        return TxFootprint::unbounded();
-                    };
-                    vertex_routes(&mut fp, &data.labels);
-                    vertex_routes(&mut fp, &added_labels);
-                    if *detach {
-                        for &e in g.out_edges(*id).iter().chain(g.in_edges(*id)) {
-                            let Some(ed) = g.edge(e) else {
-                                return TxFootprint::unbounded();
-                            };
-                            edge_routes(&mut fp, ed.ty);
-                        }
-                    }
-                }
-                TxOp::DeleteEdge { id } => {
-                    let Some(ed) = g.edge(*id) else {
-                        return TxFootprint::unbounded();
-                    };
-                    edge_routes(&mut fp, ed.ty);
-                }
-                TxOp::SetVertexProp { id, .. } => {
-                    let labels: &[Symbol] = match id {
-                        NodeRef::Existing(v) => match g.vertex(*v) {
-                            Some(data) => &data.labels,
-                            None => return TxFootprint::unbounded(),
-                        },
-                        NodeRef::New(ix) => match created.get(*ix) {
-                            Some(l) => l,
-                            None => return TxFootprint::unbounded(),
-                        },
-                    };
-                    vertex_routes(&mut fp, labels);
-                    vertex_routes(&mut fp, &added_labels);
-                }
-                TxOp::SetEdgeProp { id, .. } => {
-                    let Some(ed) = g.edge(*id) else {
-                        return TxFootprint::unbounded();
-                    };
-                    edge_routes(&mut fp, ed.ty);
-                }
-                TxOp::AddLabel { id, label } | TxOp::RemoveLabel { id, label } => {
-                    // Membership flips route only to scans requiring
-                    // `label` (mirrors `route_events`); the id is
-                    // resolved just to classify unknowns as unbounded.
-                    if let NodeRef::Existing(v) = id {
-                        if g.vertex(*v).is_none() {
-                            return TxFootprint::unbounded();
-                        }
-                    }
-                    if let Some(routes) = self.routing.vertex_by_label.get(label) {
-                        for r in routes {
-                            fp.scans.push(r.node);
-                        }
-                    }
-                }
-            }
-        }
-        fp.seal();
-        fp
+        routes.iter().map(|r| r.node)
+    }
+
+    /// Scan nodes routed events of edges of type `ty`, type-free routes
+    /// included.
+    pub(crate) fn edge_routes(&self, ty: Symbol) -> impl Iterator<Item = NodeId> + '_ {
+        let typed = self
+            .routing
+            .edge_by_type
+            .get(&ty)
+            .map_or(&[][..], Vec::as_slice);
+        typed.iter().chain(&self.routing.edge_any).map(|r| r.node)
     }
 
     // ---- accessors -------------------------------------------------------

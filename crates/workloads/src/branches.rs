@@ -1,10 +1,9 @@
-//! Independent branch subgraphs for the parallel-propagation and
-//! transaction-batching benchmarks: `B` disjoint reply trees with
-//! per-branch labels and edge types, each carrying its own var-length
-//! view (see [`branch_query`]). One transaction can dirty many
-//! unrelated dataflow regions at once — the widest frontier the
-//! parallel pass can hope for — while single-branch transactions stay
-//! footprint-disjoint from each other and can be coalesced.
+//! Independent branch subgraphs for the parallel-propagation benchmarks
+//! and the width stress tier: `B` disjoint reply trees with per-branch
+//! labels and edge types, each carrying its own var-length view (see
+//! [`branch_query`]). One transaction can dirty many unrelated dataflow
+//! regions at once — the widest frontier the parallel pass can hope
+//! for.
 //!
 //! The churn knob is the root's `lang` property: flipping it away from
 //! `"en"` retracts every path of that branch (the view's `WHERE` ties
@@ -96,16 +95,6 @@ pub fn churn_all(forest: &BranchForest, lang: &str) -> Transaction {
     tx
 }
 
-/// Flip one branch's root language. Consecutive transactions on
-/// different branches have disjoint footprints, so
-/// `GraphEngine::apply_batch` coalesces them into one pass.
-pub fn churn_one(forest: &BranchForest, branch: usize, lang: &str) -> Transaction {
-    let mut tx = Transaction::new();
-    let b = &forest.branches[branch];
-    tx.set_vertex_prop(b.root, Symbol::intern("lang"), Value::str(lang));
-    tx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,6 +118,5 @@ mod tests {
     fn churn_transactions() {
         let f = branch_forest(4, 1, 1);
         assert_eq!(churn_all(&f, "de").len(), 4);
-        assert_eq!(churn_one(&f, 2, "de").len(), 1);
     }
 }

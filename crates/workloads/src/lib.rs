@@ -30,7 +30,7 @@ pub mod railway;
 pub mod social;
 pub mod trees;
 
-pub use branches::{branch_forest, branch_query, churn_all, churn_one, Branch, BranchForest};
+pub use branches::{branch_forest, branch_query, churn_all, Branch, BranchForest};
 pub use example::{paper_example_graph, EXAMPLE_QUERY};
 pub use hub::{generate_hub, HubParams};
 pub use motifs::{generate_motifs, MotifGraph, MotifParams};

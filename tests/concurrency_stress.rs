@@ -11,7 +11,8 @@
 //! and the work `counters()` — every node runs the same step on the same
 //! inputs at every width. The width-1 run is checked against from-scratch
 //! recomputation periodically and at the end. The same script then
-//! replays through `apply_batch` and must land in the same state.
+//! replays through `apply_batch` and must land in the same state, each
+//! view's subscribers hearing once, with the script's net change.
 //!
 //! `PGQ_STRESS_ITERS` scales the number of seeded scripts (default 4;
 //! the CI job raises it). Every assertion message carries the seed, so
@@ -64,8 +65,8 @@ fn env_usize(key: &str, default: usize) -> usize {
 
 /// Render one random single-op transaction against the current graph.
 /// Single-op keeps every pick valid at apply time (no intra-transaction
-/// conflicts), while `apply_batch` later recreates multi-op passes by
-/// coalescing.
+/// conflicts), while `apply_batch` later runs the whole script as one
+/// multi-op pass.
 fn random_tx(rng: &mut XorShift, g: &PropertyGraph, forest: &BranchForest) -> Transaction {
     let vertices: Vec<_> = {
         let mut v: Vec<_> = g.vertex_ids().collect();
@@ -161,9 +162,38 @@ fn observe(
     )
 }
 
-fn view_rows(e: &GraphEngine, name: &str) -> Vec<(pgq_common::tuple::Tuple, i64)> {
+type Rows = Vec<(pgq_common::tuple::Tuple, i64)>;
+
+fn view_rows(e: &GraphEngine, name: &str) -> Rows {
     let id = e.view_by_name(name).expect("view registered");
     e.view(id).expect("view alive").results()
+}
+
+/// `(inserted, removed)` taking `from` to `to`, each sorted, with
+/// positive multiplicities.
+fn net_change(from: &Rows, to: &Rows) -> (Rows, Rows) {
+    let mut m: std::collections::HashMap<_, i64> = Default::default();
+    for (t, n) in to {
+        *m.entry(t.clone()).or_default() += n;
+    }
+    for (t, n) in from {
+        *m.entry(t.clone()).or_default() -= n;
+    }
+    let (mut ins, mut rem) = (Vec::new(), Vec::new());
+    for (t, n) in m {
+        if n > 0 {
+            ins.push((t, n));
+        } else if n < 0 {
+            rem.push((t, -n));
+        }
+    }
+    sort_rows(&mut ins);
+    sort_rows(&mut rem);
+    (ins, rem)
+}
+
+fn sort_rows(rows: &mut Rows) {
+    rows.sort_by(|a, b| a.0.total_cmp(&b.0));
 }
 
 #[test]
@@ -236,27 +266,46 @@ fn seeded_interleavings_deterministic_across_widths() {
             txs.push(tx);
         }
         // The same script through `apply_batch` (on a width-4 engine, so
-        // coalesced passes fan their levels across the pool too) must
-        // land in exactly the serial end state.
+        // the batch's one pass fans its levels across the pool too) must
+        // land in exactly the serial end state, and tell each view's
+        // subscribers once, with the script's net change to that view.
         let mut batched = template.clone();
         batched.set_threads(4);
+        let log = subscribe_all(&mut batched);
         let summary = batched
             .apply_batch(&txs)
             .unwrap_or_else(|e| panic!("seed={seed:#x}: apply_batch failed: {e:?}"));
         assert_eq!(summary.transactions, txs.len(), "seed={seed:#x}");
-        assert!(summary.passes <= txs.len(), "seed={seed:#x}");
+        let heard = std::mem::take(&mut *log.lock().unwrap());
+        let mut notified = 0;
         for i in 0..forest.branches.len() {
             let name = format!("b{i}");
+            let end = view_rows(&engines[0], &name);
             assert_eq!(
                 view_rows(&batched, &name),
-                view_rows(&engines[0], &name),
+                end,
                 "seed={seed:#x}: apply_batch end state diverged on {name}"
             );
+            let net = net_change(&view_rows(&template, &name), &end);
+            let calls: Vec<_> = heard.iter().filter(|d| d.view == name).collect();
+            if net.0.is_empty() && net.1.is_empty() {
+                assert!(
+                    calls.is_empty(),
+                    "seed={seed:#x}: {name} unchanged but notified"
+                );
+            } else {
+                assert_eq!(calls.len(), 1, "seed={seed:#x}: {name} notified {calls:?}");
+                let mut got = (calls[0].inserted.clone(), calls[0].removed.clone());
+                sort_rows(&mut got.0);
+                sort_rows(&mut got.1);
+                assert_eq!(got, net, "seed={seed:#x}: {name}'s batch delta");
+                notified += 1;
+            }
         }
+        assert_eq!(heard.len(), notified, "seed={seed:#x}");
         eprintln!(
-            "stress iter {iter}: seed={seed:#x} ok ({} txs, {} batch passes)",
-            txs.len(),
-            summary.passes
+            "stress iter {iter}: seed={seed:#x} ok ({} txs, {notified} views notified by the batch)",
+            txs.len()
         );
     }
 }

@@ -28,8 +28,9 @@
 //! the bounded-disk guarantee (live files span at most two generations
 //! across 50 cadences), the view catalog the folds record (a
 //! registration or drop whose snapshot failed never reaches a folded
-//! image as it was before the failure), and a fold whose base image was
-//! damaged after the engine opened. The fold worker's operations
+//! image as it was before the failure), a fold whose base image was
+//! damaged after the engine opened, and the two ways an `apply_batch`
+//! fails on disk (a member's append, the batch's one sync). The fold worker's operations
 //! interleave with the appends differently from run to run; nothing
 //! here depends on the order.
 
@@ -498,6 +499,93 @@ fn a_drop_whose_snapshot_fails_is_gone_after_the_next_fold() {
     // fold replaces that image.
     assert!(engine.view_by_name(GONE.0).is_none());
     fold_without(engine, &disk, GONE.0);
+}
+
+/// A durable engine with one standing view over `Post`, no cadence and
+/// the given flush policy, and a log of what its subscriber hears.
+fn batch_engine(vfs: MemVfs, fsync: FsyncMode) -> (GraphEngine, Arc<std::sync::Mutex<Vec<usize>>>) {
+    let mut engine = GraphEngine::open_durable_with(Arc::new(vfs)).unwrap();
+    engine.set_snapshot_every(0).set_fsync(fsync);
+    let view = engine.register_view(KEPT.0, KEPT.1).unwrap();
+    let heard = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let h = Arc::clone(&heard);
+    engine
+        .subscribe(view, move |d| h.lock().unwrap().push(d.inserted.len()))
+        .unwrap();
+    (engine, heard)
+}
+
+fn batch(tags: std::ops::Range<i64>) -> Vec<Transaction> {
+    tags.map(one_vertex_tx).collect()
+}
+
+#[test]
+fn a_batch_member_whose_append_fails_rolls_back_and_the_rest_is_one_pass() {
+    let first = ops_after(|e| {
+        e.set_snapshot_every(0).set_fsync(FsyncMode::Never);
+        e.register_view(KEPT.0, KEPT.1).unwrap();
+    });
+    let disk = MemDisk::new();
+    // The batch's appends are ops first.. in member order: fail the third.
+    let vfs = disk.vfs_with_fault(first + 2, Fault::Eio);
+    let (mut engine, heard) = batch_engine(vfs, FsyncMode::Never);
+    match engine.apply_batch(&batch(0..4)) {
+        Err(EngineError::Durability(e)) => assert_eq!(e.op, DurOp::WalAppend, "{e}"),
+        other => panic!("the third member's append must fail: {other:?}"),
+    }
+    assert_eq!(
+        engine.graph().vertex_count(),
+        2,
+        "the failed member rolled back"
+    );
+    assert_eq!(
+        *heard.lock().unwrap(),
+        [2],
+        "the two members before it are one change"
+    );
+    assert!(!engine.is_degraded());
+    engine.apply(&one_vertex_tx(9)).unwrap();
+    drop(engine);
+    let recovered = GraphEngine::open_durable_with(Arc::new(disk.vfs())).unwrap();
+    let g = recovered.graph();
+    let mut tags: Vec<_> = g
+        .vertex_ids()
+        .map(
+            |v| match g.vertex(v).unwrap().props.get(Symbol::intern("tag")) {
+                Some(Value::Int(t)) => *t,
+                other => panic!("untagged vertex: {other:?}"),
+            },
+        )
+        .collect();
+    tags.sort_unstable();
+    assert_eq!(tags, [0, 1, 9]);
+}
+
+#[test]
+fn a_batch_whose_one_sync_fails_degrades_until_a_reset_writes_it() {
+    let first = ops_after(|e| {
+        e.set_snapshot_every(0).set_fsync(FsyncMode::Always);
+        e.register_view(KEPT.0, KEPT.1).unwrap();
+    });
+    let disk = MemDisk::new();
+    // Four appends, then the batch's one sync, which drops them.
+    let vfs = disk.vfs_with_fault(first + 4, Fault::FsyncFail);
+    let (mut engine, heard) = batch_engine(vfs, FsyncMode::Always);
+    match engine.apply_batch(&batch(0..4)) {
+        Err(EngineError::Durability(e)) => assert_eq!(e.op, DurOp::WalSync, "{e}"),
+        other => panic!("the batch's sync must fail: {other:?}"),
+    }
+    // The members were applied and maintained before the sync: memory
+    // is ahead of disk, so the engine refuses writes until a reset.
+    assert!(engine.is_degraded());
+    assert_eq!(engine.graph().vertex_count(), 4);
+    assert_eq!(*heard.lock().unwrap(), [4]);
+    let err = engine.apply(&one_vertex_tx(9)).unwrap_err();
+    assert!(matches!(err, EngineError::ReadOnly(_)), "got {err:?}");
+    engine.reset_durability().unwrap();
+    drop(engine);
+    let recovered = GraphEngine::open_durable_with(Arc::new(disk.vfs())).unwrap();
+    assert_eq!(recovered.graph().vertex_count(), 4);
 }
 
 #[test]
