@@ -587,13 +587,13 @@ pub fn call_function(name: &str, args: &[Value]) -> Result<Value, CommonError> {
             _ => Err(arity_err()),
         },
         "toupper" => match args {
-            [Value::Str(s)] => Ok(Value::str(s.to_uppercase())),
+            [Value::Str(s)] => Ok(Value::from(s.to_uppercase())),
             [Value::Null] => Ok(Value::Null),
             [v] => Err(type_err("toUpper()", v)),
             _ => Err(arity_err()),
         },
         "tolower" => match args {
-            [Value::Str(s)] => Ok(Value::str(s.to_lowercase())),
+            [Value::Str(s)] => Ok(Value::from(s.to_lowercase())),
             [Value::Null] => Ok(Value::Null),
             [v] => Err(type_err("toLower()", v)),
             _ => Err(arity_err()),
@@ -601,7 +601,7 @@ pub fn call_function(name: &str, args: &[Value]) -> Result<Value, CommonError> {
         "tostring" => match args {
             [Value::Null] => Ok(Value::Null),
             [Value::Str(s)] => Ok(Value::Str(s.clone())),
-            [v] => Ok(Value::str(v.to_string())),
+            [v] => Ok(Value::from(v.to_string())),
             _ => Err(arity_err()),
         },
         "coalesce" => Ok(args

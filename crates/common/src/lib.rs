@@ -12,6 +12,8 @@
 //!   (implemented locally to avoid an external dependency);
 //! * [`intern`] — a global symbol interner for labels, edge types and
 //!   property keys;
+//! * [`text`] — the 16-byte string payload of `Value::Str`: short
+//!   strings inline, long ones behind a thin `Arc`;
 //! * [`path`] — the alternating vertex/edge path value, stored as an
 //!   atomic unit exactly as Section 4 of the paper prescribes;
 //! * [`pool`] — a persistent broadcast worker pool for the IVM
@@ -25,6 +27,7 @@ pub mod intern;
 pub mod ordf;
 pub mod path;
 pub mod pool;
+pub mod text;
 pub mod tuple;
 pub mod value;
 
@@ -34,5 +37,6 @@ pub use fxhash::{FxHashMap, FxHashSet};
 pub use ids::{EdgeId, VertexId};
 pub use intern::Symbol;
 pub use path::PathValue;
+pub use text::Text;
 pub use tuple::Tuple;
 pub use value::Value;

@@ -3,7 +3,10 @@
 //! [`Value`] covers the atoms of the paper's domain `D`, graph element
 //! references, and the nested collection types (lists, maps, paths) that
 //! make the property graph model *nested-relational*. Values are cheap to
-//! clone: collections are `Arc`-shared and strings are `Arc<str>`.
+//! clone: collections are `Arc`-shared, and strings are [`Text`] — up to
+//! 14 bytes inline, longer ones behind a thin `Arc`. A `Value` is 16
+//! bytes (const-asserted), so a three-column row is a 16-byte `Arc`
+//! header plus 48 bytes.
 //!
 //! `Value` is totally ordered and hashable so that it can key operator
 //! memories in the dataflow and be sorted by the baseline evaluator. The
@@ -19,8 +22,12 @@ use crate::error::CommonError;
 use crate::ids::{EdgeId, VertexId};
 use crate::ordf::OrdF64;
 use crate::path::PathValue;
+use crate::text::Text;
 
 /// A runtime value in a graph relation.
+///
+/// Sixteen bytes on 64-bit targets: every payload is one word except
+/// [`Text`], whose spare tag values hold the discriminant.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Value {
     /// Absent / unknown value (SQL-style three-valued logic applies).
@@ -32,7 +39,7 @@ pub enum Value {
     /// 64-bit float with total order semantics (see [`OrdF64`]).
     Float(OrdF64),
     /// UTF-8 string.
-    Str(Arc<str>),
+    Str(Text),
     /// Reference to a vertex.
     Node(VertexId),
     /// Reference to an edge.
@@ -47,10 +54,13 @@ pub enum Value {
     Path(Arc<PathValue>),
 }
 
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
+
 impl Value {
-    /// Construct a string value.
+    /// Construct a string value (copied; `Value::from(String)` moves).
     pub fn str(s: impl AsRef<str>) -> Value {
-        Value::Str(Arc::from(s.as_ref()))
+        Value::Str(Text::from(s.as_ref()))
     }
 
     /// Construct a float value.
@@ -262,7 +272,7 @@ impl Value {
                 let mut s = String::with_capacity(a.len() + b.len());
                 s.push_str(a);
                 s.push_str(b);
-                Value::str(s)
+                Value::from(s)
             }
             (List(a), List(b)) => {
                 let mut v = Vec::with_capacity(a.len() + b.len());
@@ -432,7 +442,7 @@ impl From<&str> for Value {
 }
 impl From<String> for Value {
     fn from(s: String) -> Self {
-        Value::str(s)
+        Value::Str(Text::from(s))
     }
 }
 impl From<VertexId> for Value {

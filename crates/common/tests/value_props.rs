@@ -5,8 +5,10 @@
 
 use pgq_common::ids::{EdgeId, VertexId};
 use pgq_common::path::PathValue;
+use pgq_common::text::Text;
 use pgq_common::value::Value;
 use proptest::prelude::*;
+use std::hash::BuildHasher;
 
 fn atom() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -31,8 +33,53 @@ fn value() -> impl Strategy<Value = Value> {
 }
 
 fn hash_of(v: &Value) -> u64 {
-    use std::hash::BuildHasher;
     pgq_common::fxhash::FxBuildHasher::default().hash_one(v)
+}
+
+/// Characters of one to four UTF-8 bytes, so that a string's 14th byte
+/// (the inline limit of [`Text`]) often falls inside a character.
+const PALETTE: [char; 7] = ['a', 'z', '\0', 'é', 'ÿ', '€', '😀'];
+
+/// Strings of 0..=40 bytes drawn from [`PALETTE`].
+fn text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0..PALETTE.len(), 0..41).prop_map(|ixs| {
+        let mut s = String::new();
+        for c in ixs.into_iter().map(|i| PALETTE[i]) {
+            if s.len() + c.len_utf8() > 40 {
+                break;
+            }
+            s.push(c);
+        }
+        s
+    })
+}
+
+/// What a string value must agree with `str` on: its contents, its
+/// FxHash (hash-map orders) and its `Debug` (plan fingerprints).
+fn assert_text_is_str(s: &str) {
+    let fx = pgq_common::fxhash::FxBuildHasher::default();
+    let v = Value::str(s);
+    assert_eq!(v.as_str(), Some(s));
+    assert_eq!(v, Value::from(s.to_string()));
+    assert_eq!(fx.hash_one(Text::from(s)), fx.hash_one(s), "{s:?}");
+    assert_eq!(format!("{v:?}"), format!("Str({s:?})"));
+    assert_eq!(v.to_string(), format!("'{s}'"));
+}
+
+#[test]
+fn every_length_and_boundary_straddle_reads_as_str() {
+    for n in 0..=40 {
+        assert_text_is_str(&"a".repeat(n));
+        for c in ['é', '€', '😀'] {
+            // Puts `c` across byte 14 for every width it has.
+            let s = format!("{}{c}", "a".repeat(n));
+            assert_text_is_str(&s);
+            assert_eq!(
+                Text::from(s.as_str()).is_inline(),
+                s.len() <= Text::INLINE_CAP
+            );
+        }
+    }
 }
 
 proptest! {
@@ -94,6 +141,15 @@ proptest! {
         if let Ok(r) = Value::Null.mul(&v) {
             prop_assert_eq!(r, Value::Null);
         }
+    }
+
+    #[test]
+    fn string_values_agree_with_str(a in text(), b in text()) {
+        assert_text_is_str(&a);
+        let (va, vb) = (Value::str(&a), Value::str(&b));
+        prop_assert_eq!(va == vb, a == b);
+        prop_assert_eq!(va.total_cmp(&vb), a.as_str().cmp(b.as_str()));
+        prop_assert_eq!(va.compare(&vb), Some(a.as_str().cmp(b.as_str())));
     }
 
     #[test]

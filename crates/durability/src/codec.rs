@@ -37,6 +37,8 @@ pub enum CodecError {
     BadTag(&'static str, u8),
     /// A string payload was not valid UTF-8.
     BadUtf8,
+    /// A path whose vertex count is not its edge count plus one.
+    BadPath,
     /// Bytes remained after the top-level value (framing bug upstream).
     Trailing,
 }
@@ -47,6 +49,7 @@ impl fmt::Display for CodecError {
             CodecError::Eof => write!(f, "unexpected end of input"),
             CodecError::BadTag(what, tag) => write!(f, "bad {what} tag {tag:#04x}"),
             CodecError::BadUtf8 => write!(f, "invalid UTF-8 in string payload"),
+            CodecError::BadPath => write!(f, "path does not alternate vertex, edge, vertex"),
             CodecError::Trailing => write!(f, "trailing bytes after value"),
         }
     }
@@ -275,15 +278,18 @@ impl<'a> Decoder<'a> {
 
     /// Read a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, CodecError> {
+        self.str_ref().map(str::to_owned)
+    }
+
+    /// Read a length-prefixed UTF-8 string, borrowed from the input.
+    pub fn str_ref(&mut self) -> Result<&'a str, CodecError> {
         let n = self.read_len()?;
-        std::str::from_utf8(self.take(n)?)
-            .map(str::to_owned)
-            .map_err(|_| CodecError::BadUtf8)
+        std::str::from_utf8(self.take(n)?).map_err(|_| CodecError::BadUtf8)
     }
 
     /// Read a symbol (stored as its resolved string; re-interned here).
     pub fn symbol(&mut self) -> Result<Symbol, CodecError> {
-        Ok(Symbol::intern(&self.str()?))
+        Ok(Symbol::intern(self.str_ref()?))
     }
 }
 
@@ -375,7 +381,7 @@ pub fn decode_value(d: &mut Decoder<'_>) -> Result<Value, CodecError> {
         V_BOOL => Value::Bool(d.bool()?),
         V_INT => Value::Int(d.i64()?),
         V_FLOAT => Value::Float(OrdF64(f64::from_bits(d.u64()?))),
-        V_STR => Value::Str(Arc::from(d.str()?)),
+        V_STR => Value::str(d.str_ref()?),
         V_NODE => Value::Node(VertexId(d.u64()?)),
         V_REL => Value::Rel(EdgeId(d.u64()?)),
         V_LIST => {
@@ -405,6 +411,9 @@ pub fn decode_value(d: &mut Decoder<'_>) -> Result<Value, CodecError> {
             let mut edges = Vec::with_capacity(ne);
             for _ in 0..ne {
                 edges.push(EdgeId(d.u64()?));
+            }
+            if nv != ne + 1 {
+                return Err(CodecError::BadPath);
             }
             Value::path(PathValue::new(vertices, edges))
         }
@@ -678,7 +687,15 @@ mod tests {
         roundtrip_value(&Value::Int(-42));
         roundtrip_value(&Value::float(2.5));
         roundtrip_value(&Value::float(f64::NEG_INFINITY));
-        roundtrip_value(&Value::str("héllo"));
+        for s in [
+            "",
+            "héllo",
+            "fourteen bytes",
+            "thirteen byteé",
+            &"x".repeat(300),
+        ] {
+            roundtrip_value(&Value::str(s));
+        }
         roundtrip_value(&Value::Node(VertexId(7)));
         roundtrip_value(&Value::Rel(EdgeId(9)));
         roundtrip_value(&Value::list(vec![Value::Int(1), Value::str("x")]));
@@ -749,6 +766,21 @@ mod tests {
             decode_value(&mut Decoder::new(&bytes)),
             Err(CodecError::Eof)
         );
+    }
+
+    #[test]
+    fn a_path_that_does_not_alternate_is_rejected() {
+        for (nv, ne) in [(0, 0), (2, 0), (1, 1)] {
+            let mut e = Encoder::new();
+            e.u8(V_PATH);
+            e.len(nv);
+            (0..nv).for_each(|i| e.u64(i as u64));
+            e.len(ne);
+            (0..ne).for_each(|i| e.u64(i as u64));
+            let bytes = e.into_bytes();
+            let got = decode_value(&mut Decoder::new(&bytes));
+            assert_eq!(got, Err(CodecError::BadPath), "{nv} vertices, {ne} edges");
+        }
     }
 
     #[test]

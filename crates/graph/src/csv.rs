@@ -78,9 +78,6 @@ fn unescape(s: &str) -> Result<String, String> {
     let mut i = 0;
     while i < bytes.len() {
         if bytes[i] == b'%' {
-            if i + 2 > bytes.len() && i + 2 > bytes.len() - 1 {
-                return Err("truncated escape".into());
-            }
             let hex = s
                 .get(i + 1..i + 3)
                 .ok_or_else(|| "truncated escape".to_string())?;
@@ -211,12 +208,19 @@ pub fn from_text(text: &str) -> Result<PropertyGraph, CsvError> {
             line,
             reason: reason.to_string(),
         };
+        // The store's id watermark is one past the largest id, and must
+        // stay below `u64::MAX` to leave a next id to allocate — the
+        // rule snapshot restore applies.
+        let mut id = |what: &str| {
+            parts
+                .next()
+                .and_then(|s| s.parse::<u64>().ok())
+                .filter(|&id| id < u64::MAX - 1)
+                .ok_or_else(|| err(&format!("bad {what} id")))
+        };
         match kind {
             "V" => {
-                let id: u64 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err("bad vertex id"))?;
+                let id = id("vertex")?;
                 let labels_field = parts.next().ok_or_else(|| err("missing labels"))?;
                 let props_field = parts.next().unwrap_or("");
                 let labels: Vec<Symbol> = labels_field
@@ -234,18 +238,7 @@ pub fn from_text(text: &str) -> Result<PropertyGraph, CsvError> {
                 g.insert_vertex_raw(VertexId(id), labels, decode_props(props_field, line)?);
             }
             "E" => {
-                let id: u64 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err("bad edge id"))?;
-                let src: u64 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err("bad src id"))?;
-                let dst: u64 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err("bad dst id"))?;
+                let (id, src, dst) = (id("edge")?, id("src")?, id("dst")?);
                 let ty = parts.next().ok_or_else(|| err("missing type"))?;
                 let props_field = parts.next().unwrap_or("");
                 if !g.has_vertex(VertexId(src)) {

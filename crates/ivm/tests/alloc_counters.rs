@@ -6,7 +6,9 @@
 //! per input row or per stage, and keyed state holds a single-tuple
 //! arrangement key or a one-hop ⋈* extension's list entries without
 //! allocating. Event routing is checked beside them: a change event
-//! reaches only the scans that can match it, once.
+//! reaches only the scans that can match it, once. A byte counter beside
+//! the allocation counter pins the size of the values themselves: a short
+//! string allocates nothing, and a three-column row asks for 64 bytes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -15,6 +17,7 @@ use pgq_algebra::expr::ScalarExpr;
 use pgq_algebra::fra::{Fra, VarLenSpec};
 use pgq_algebra::program::{Scratch, TupleProgram};
 use pgq_common::dir::Direction;
+use pgq_common::ids::VertexId;
 use pgq_common::intern::Symbol;
 use pgq_common::pool::WorkerPool;
 use pgq_common::tuple::Tuple;
@@ -36,32 +39,35 @@ thread_local! {
     /// Allocations made by this thread, so that tests running in
     /// parallel count only their own.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations asked for (a `realloc` counts its new size).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(bytes: usize) {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
-// SAFETY: `Counting` holds no state besides a thread-local counter (a
-// const-initialised `Cell` without a destructor, so counting never
+// SAFETY: `Counting` holds no state besides thread-local counters
+// (const-initialised `Cell`s without a destructor, so counting never
 // allocates); every method forwards its arguments unchanged to the system
 // allocator, so the caller's `GlobalAlloc` contract is the one `System`
 // gets.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: forwarded from this method's caller.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: forwarded from this method's caller.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         // SAFETY: forwarded from this method's caller; `ptr` came from
         // `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -81,6 +87,13 @@ fn allocations(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.with(Cell::get);
     f();
     ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Allocations made by `f`, and the bytes they asked for.
+fn allocated(f: impl FnOnce()) -> (u64, u64) {
+    let bytes = BYTES.with(Cell::get);
+    let n = allocations(f);
+    (n, BYTES.with(Cell::get) - bytes)
 }
 
 fn t(vals: &[i64]) -> Tuple {
@@ -348,4 +361,23 @@ fn one_hop_extension_allocates_only_the_path_and_the_row() {
     assert_eq!(out.len(), 1, "one new path from the anchor: {out:?}");
     assert_eq!(op.path_count(), 4);
     assert_eq!(hop, 1 + 3 + 1, "edge tuple + path + output row");
+}
+
+/// `Value` is sixteen bytes: a string of at most 14 bytes is held in the
+/// value, with no allocation, and a three-column row of node ids is one
+/// 64-byte request — a 16-byte `Arc` header and three 16-byte values (88
+/// when a value was 24 bytes, which a size-classed allocator rounds to 96).
+#[test]
+fn short_strings_are_inline_and_a_three_column_row_is_64_bytes() {
+    let mut v = Value::Null;
+    for s in ["", "en", "fourteen bytes", "thirteen byteé"] {
+        // A longer one is two: the thin `Arc` and the string it points to.
+        let (n, _) = allocated(|| v = Value::str(s));
+        assert_eq!(n, 2 * u64::from(s.len() > 14), "{s:?}");
+    }
+    assert_eq!(v.as_str(), Some("thirteen byteé"));
+    let row = [1, 2, 3].map(|i| Value::Node(VertexId(i)));
+    let mut tu = Tuple::unit();
+    assert_eq!(allocated(|| tu = Tuple::from_slice(&row)), (1, 64));
+    assert_eq!(tu.values(), row);
 }
