@@ -1,6 +1,8 @@
 //! many_views (Criterion): per-transaction maintenance cost as N
 //! overlapping standing queries grow — the workload the shared dataflow
-//! network exists for.
+//! network exists for. It is the repository's only criterion suite: no
+//! perfbench workload registers a private, unshared baseline, so this is
+//! the one measure of what sharing buys.
 //!
 //! Series per N:
 //! * `shared_identical/N` — N copies of the same query on one engine;
@@ -23,11 +25,41 @@
 //!   baselines.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pgq_bench::{private_views, shared_engine};
+use pgq_algebra::pipeline::compile_query;
 use pgq_core::GraphEngine;
+use pgq_graph::store::PropertyGraph;
+use pgq_ivm::MaterializedView;
+use pgq_parser::parse_query;
 use pgq_workloads::social::{
     generate_social, renamed_overlap_query, SocialParams, OVERLAPPING_QUERIES, WHERE_FAMILY_QUERIES,
 };
+
+/// Register the first `n` of `queries` as views on one engine sharing a
+/// single dataflow network — the "shared" side of every series.
+fn shared_engine(graph: &PropertyGraph, queries: &[String], n: usize) -> GraphEngine {
+    let mut engine = GraphEngine::from_graph(graph.clone());
+    for (i, q) in queries.iter().take(n).enumerate() {
+        engine
+            .register_view(&format!("v{i}"), q)
+            .unwrap_or_else(|e| panic!("register v{i}: {e}"));
+    }
+    engine
+}
+
+/// Maintain the first `n` of `queries` as one private single-view
+/// network each (the pre-sharing architecture) — the unshared baseline.
+fn private_views(graph: &PropertyGraph, queries: &[String], n: usize) -> Vec<MaterializedView> {
+    queries
+        .iter()
+        .take(n)
+        .enumerate()
+        .map(|(i, q)| {
+            let compiled = compile_query(&parse_query(q).expect("parses")).expect("compiles");
+            MaterializedView::create(format!("p{i}"), &compiled, graph)
+                .unwrap_or_else(|e| panic!("create view p{i}: {e}"))
+        })
+        .collect()
+}
 
 fn bench_many_views(c: &mut Criterion) {
     let mut group = c.benchmark_group("many_views");

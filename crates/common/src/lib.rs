@@ -17,7 +17,8 @@
 //! * [`path`] — the alternating vertex/edge path value, stored as an
 //!   atomic unit exactly as Section 4 of the paper prescribes;
 //! * [`pool`] — a persistent broadcast worker pool for the IVM
-//!   scheduler's intra-transaction parallelism (`PGQ_THREADS`).
+//!   scheduler's intra-transaction parallelism (the width the engine
+//!   parses from `PGQ_THREADS`).
 
 pub mod dir;
 pub mod error;

@@ -15,10 +15,10 @@
 //! Work distribution (the network's atomic cursors over a level's nodes)
 //! lives with the caller.
 //!
-//! Thread count selection: [`threads_from_env`] reads `PGQ_THREADS`
-//! once per process; `1` (the default) means no pool — the caller runs
-//! every level inline, on the same loop and the same per-node step as at
-//! any other width.
+//! The pool takes its width as a count; the engine parses it (from
+//! `PGQ_THREADS` or its setter), and at width `1` (the default) builds
+//! no pool — the caller runs every level inline, on the same loop and
+//! the same per-node step as at any other width.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -198,19 +198,6 @@ fn worker_main(shared: &PoolShared, ix: usize) {
             shared.done_cv.notify_all();
         }
     }
-}
-
-/// Process-wide default worker count: `PGQ_THREADS=<n>` (clamped to at
-/// least 1), read once per process. Unset, empty, or unparsable means
-/// `1` — the strictly serial engine.
-pub fn threads_from_env() -> usize {
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THREADS.get_or_init(|| {
-        std::env::var("PGQ_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map_or(1, |n| n.max(1))
-    })
 }
 
 #[cfg(test)]

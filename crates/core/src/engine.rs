@@ -28,6 +28,7 @@ use pgq_parser::{parse_query, parse_tokens};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
+use crate::config::EngineConfig;
 use crate::error::EngineError;
 use crate::subscribe::{Subscriber, ViewDelta};
 
@@ -238,43 +239,6 @@ impl Drop for Durable {
     }
 }
 
-/// Strict parse of `PGQ_SNAPSHOT_EVERY` (default: 1024 committed
-/// transactions; `0` disables the cadence).
-fn snapshot_every_from_env() -> Result<u64, DurabilityError> {
-    parse_snapshot_every(&std::env::var("PGQ_SNAPSHOT_EVERY").unwrap_or_default())
-}
-
-fn parse_snapshot_every(v: &str) -> Result<u64, DurabilityError> {
-    // Unset or set-but-empty means the default, as for `PGQ_FSYNC`.
-    if v.trim().is_empty() {
-        return Ok(1024);
-    }
-    v.trim().parse::<u64>().map_err(|_| {
-        DurabilityError::config(format!(
-            "unrecognized PGQ_SNAPSHOT_EVERY value `{v}` (expected an integer >= 0)"
-        ))
-    })
-}
-
-/// Strict parse of `PGQ_FLUSH_WINDOW` (default: 1 = sync every commit
-/// under `PGQ_FSYNC=always`).
-fn flush_window_from_env() -> Result<u64, DurabilityError> {
-    parse_flush_window(&std::env::var("PGQ_FLUSH_WINDOW").unwrap_or_default())
-}
-
-fn parse_flush_window(v: &str) -> Result<u64, DurabilityError> {
-    // Unset or set-but-empty means the default, as for `PGQ_FSYNC`.
-    if v.trim().is_empty() {
-        return Ok(1);
-    }
-    match v.trim().parse::<u64>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(DurabilityError::config(format!(
-            "unrecognized PGQ_FLUSH_WINDOW value `{v}` (expected an integer >= 1)"
-        ))),
-    }
-}
-
 /// Counters reported by update queries (mirrors Neo4j's summary).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UpdateStats {
@@ -339,7 +303,7 @@ pub struct GraphEngine {
     /// straight to the views (and subscribers) to notify.
     view_of_sink: FxHashMap<SinkId, usize>,
     /// Requested propagation width; `0` means the `PGQ_THREADS` process
-    /// default (see [`GraphEngine::set_threads`]).
+    /// default, read once per process (see [`GraphEngine::set_threads`]).
     threads: usize,
     /// Lazily-built worker pool, shared (via `Arc`) with clones so a
     /// fleet of engines does not multiply OS threads.
@@ -405,9 +369,12 @@ impl GraphEngine {
     /// Set the delta-propagation width: `1` runs every level of the pass
     /// inline, `n > 1` fans each level of two or more nodes across an
     /// `n`-thread worker pool, and `0` resets to the `PGQ_THREADS`
-    /// process default. For any width, every view's delta — tuple order
-    /// included — and results are identical (see
-    /// [`DataflowNetwork::on_transaction_with`]).
+    /// process default. That default is read once per process; an
+    /// in-memory engine has no error channel, so a malformed
+    /// `PGQ_THREADS` (or any malformed engine knob) leaves it at width
+    /// 1, where [`GraphEngine::open_durable`] refuses to start. For any
+    /// width, every view's delta — tuple order included — and results
+    /// are identical (see [`DataflowNetwork::on_transaction_with`]).
     pub fn set_threads(&mut self, threads: usize) -> &mut Self {
         self.threads = threads;
         self.pool = None; // rebuilt lazily at the next transaction
@@ -417,7 +384,7 @@ impl GraphEngine {
     /// Effective delta-propagation width.
     pub fn threads(&self) -> usize {
         match self.threads {
-            0 => pgq_common::pool::threads_from_env(),
+            0 => EngineConfig::process().threads,
             n => n,
         }
     }
@@ -742,8 +709,10 @@ impl GraphEngine {
     /// chain — and arm per-transaction logging.
     ///
     /// Environment knobs, all parsed strictly (a typo is a startup
-    /// error, never a silently different durability level; unset or
-    /// empty means the default):
+    /// error, never a silently different engine; unset or empty means
+    /// the default):
+    /// - `PGQ_THREADS` — delta-propagation width (default 1; see
+    ///   [`GraphEngine::set_threads`]).
     /// - `PGQ_FSYNC` — `always`/`1`/`true` syncs at every commit flush
     ///   point; default is OS-buffered.
     /// - `PGQ_FLUSH_WINDOW` — group-commit window under
@@ -755,10 +724,10 @@ impl GraphEngine {
     ///   path switches to a fresh log generation, and a background fold
     ///   writes the closed generations into the next image.
     pub fn open_durable(dir: impl Into<std::path::PathBuf>) -> Result<GraphEngine, EngineError> {
-        let fsync = FsyncMode::from_env().map_err(DurabilityError::config)?;
-        let vfs =
-            StdVfs::new(dir, fsync).map_err(|e| DurabilityError::io(DurOp::SnapshotLoad, &e))?;
-        GraphEngine::open_durable_with(Arc::new(vfs))
+        let config = EngineConfig::from_env()?;
+        let vfs = StdVfs::new(dir, config.fsync)
+            .map_err(|e| DurabilityError::io(DurOp::SnapshotLoad, &e))?;
+        GraphEngine::open_configured(Arc::new(vfs), config)
     }
 
     /// [`GraphEngine::open_durable`] over an explicit storage layer —
@@ -771,29 +740,35 @@ impl GraphEngine {
     ///    quarantined and recovery degrades to the previous
     ///    generation's snapshot plus a longer replay, or a cold start;
     ///    never a panic, never a hard error for corruption.
-    /// 2. Rebuild the graph, then register every view of the
-    ///    snapshot's catalog mode-faithfully into its original slot —
-    ///    the one-pass registration [`GraphEngine::register_view`]
-    ///    runs. Snapshots hold no operator state (a registration pass
-    ///    rebuilds it as fast as it would decode); state sections in
-    ///    older images are ignored.
-    /// 3. Replay the WAL chain `wal.<base>..wal.<active>` through the
-    ///    normal maintenance path (the base snapshot's skip count
-    ///    applies to its own generation only). Torn tails were already
-    ///    trimmed by the planner; a record that stops *applying*
-    ///    cleanly mid-replay is treated like tail corruption — the log
-    ///    is trimmed to the last good record, later generations are
-    ///    quarantined, and the engine opens at the committed prefix.
-    /// 4. Arm logging on the active generation; the snapshot cadence
+    /// 2. Rebuild the graph from the snapshot's dump (older images'
+    ///    state sections are ignored: snapshots hold no operator state).
+    /// 3. Replay the WAL chain `wal.<base>..wal.<active>` into the graph
+    ///    alone (the base snapshot's skip count applies to its own
+    ///    generation only); no view exists yet, so replay runs no
+    ///    maintenance. Torn tails were already trimmed by the planner;
+    ///    a record that stops *applying* cleanly mid-replay is treated
+    ///    like tail corruption — the log is trimmed to the last good
+    ///    record, later generations are quarantined, and the engine
+    ///    opens at the committed prefix.
+    /// 4. Register every view of the snapshot's catalog
+    ///    mode-faithfully into its original slot, once, over the
+    ///    recovered graph — the one-pass registration
+    ///    [`GraphEngine::register_view`] runs.
+    /// 5. Arm logging on the active generation; the snapshot cadence
     ///    counts from the base snapshot, not from this open, and the
     ///    first fold folds the whole recovered chain. The planner's
     ///    [`RecoveryReport`] stays inspectable via
     ///    [`GraphEngine::recovery_report`].
     pub fn open_durable_with(vfs: Arc<dyn Vfs>) -> Result<GraphEngine, EngineError> {
-        let fsync = FsyncMode::from_env().map_err(DurabilityError::config)?;
-        let flush_window = flush_window_from_env()?;
-        let snapshot_every = snapshot_every_from_env()?;
+        GraphEngine::open_configured(vfs, EngineConfig::from_env()?)
+    }
 
+    /// Recover from `vfs` and arm logging under `config` (see
+    /// [`GraphEngine::open_durable_with`]).
+    fn open_configured(
+        vfs: Arc<dyn Vfs>,
+        config: EngineConfig,
+    ) -> Result<GraphEngine, EngineError> {
         let mut plan = recovery::plan(vfs.as_ref())?;
         // Keep the catalog; the decoded dump is freed before the views
         // build their memories, and state sections (images from before
@@ -811,11 +786,7 @@ impl GraphEngine {
             }
             None => (GraphEngine::new(), Vec::new(), 0),
         };
-        recorded.sort_by_key(|v| v.slot);
-        for v in &recorded {
-            let (compile, register) = catalog_options(v);
-            engine.install_view(v.slot as usize, &v.name, &v.query, compile, register)?;
-        }
+        engine.threads = config.threads;
 
         let mut report = plan.report;
         let mut generation = plan.active_generation;
@@ -833,10 +804,7 @@ impl GraphEngine {
             let skip_here = if idx == 0 { skip } else { 0 };
             for (j, tx) in log.txs.iter().enumerate().skip(skip_here) {
                 match engine.graph.apply(tx) {
-                    Ok(events) => {
-                        engine.maintain(&events);
-                        replayed += 1;
-                    }
+                    Ok(_) => replayed += 1,
                     Err(e) => {
                         // The record passed its checksum but does not
                         // apply to the state it claims to extend —
@@ -868,6 +836,12 @@ impl GraphEngine {
             }
         }
 
+        recorded.sort_by_key(|v| v.slot);
+        for v in &recorded {
+            let (compile, register) = catalog_options(v);
+            engine.install_view(v.slot as usize, &v.name, &v.query, compile, register)?;
+        }
+
         // A tail that could not be rewritten must not be appended to —
         // new records after garbage bytes would be unreadable. Open
         // degraded; reset_durability switches to a fresh generation.
@@ -889,10 +863,10 @@ impl GraphEngine {
             fold_failures: 0,
             wal_records,
             wal_len,
-            fsync,
-            flush_window,
+            fsync: config.fsync,
+            flush_window: config.flush_window,
             unsynced: 0,
-            snapshot_every,
+            snapshot_every: config.snapshot_every,
             txs_since_snapshot: replayed,
             snapshots_written: 0,
             last_snapshot_bytes: plan.snapshot_bytes,
@@ -2139,58 +2113,5 @@ impl UpdatePlan {
 fn push_unique(v: &mut Vec<String>, s: &str) {
     if !v.iter().any(|x| x == s) {
         v.push(s.to_string());
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The three durability knobs parse alike: unset, empty or blank
-    /// means the default, a typo or a negative number is a startup
-    /// error, and `0` is a value — except for the flush window, which
-    /// has no zero.
-    #[test]
-    fn durability_knobs_parse_strictly_and_alike() {
-        type Parse = fn(&str) -> Result<String, String>;
-        let snapshot: Parse = |v| {
-            parse_snapshot_every(v)
-                .map(|n| n.to_string())
-                .map_err(|e| e.to_string())
-        };
-        let window: Parse = |v| {
-            parse_flush_window(v)
-                .map(|n| n.to_string())
-                .map_err(|e| e.to_string())
-        };
-        let fsync: Parse = |v| FsyncMode::parse(v).map(|m| format!("{m:?}"));
-        // (knob, value, the parse or `None` for an error)
-        let table: &[(&str, Parse, &str, Option<&str>)] = &[
-            ("PGQ_SNAPSHOT_EVERY", snapshot, "", Some("1024")),
-            ("PGQ_SNAPSHOT_EVERY", snapshot, "  ", Some("1024")),
-            ("PGQ_SNAPSHOT_EVERY", snapshot, " 16 ", Some("16")),
-            ("PGQ_SNAPSHOT_EVERY", snapshot, "1k", None),
-            ("PGQ_SNAPSHOT_EVERY", snapshot, "-1", None),
-            ("PGQ_SNAPSHOT_EVERY", snapshot, "0", Some("0")),
-            ("PGQ_FLUSH_WINDOW", window, "", Some("1")),
-            ("PGQ_FLUSH_WINDOW", window, "  ", Some("1")),
-            ("PGQ_FLUSH_WINDOW", window, " 8 ", Some("8")),
-            ("PGQ_FLUSH_WINDOW", window, "8x", None),
-            ("PGQ_FLUSH_WINDOW", window, "-1", None),
-            ("PGQ_FLUSH_WINDOW", window, "0", None),
-            ("PGQ_FSYNC", fsync, "", Some("Never")),
-            ("PGQ_FSYNC", fsync, "  ", Some("Never")),
-            ("PGQ_FSYNC", fsync, " Always ", Some("Always")),
-            ("PGQ_FSYNC", fsync, "alway", None),
-            ("PGQ_FSYNC", fsync, "-1", None),
-            ("PGQ_FSYNC", fsync, "0", Some("Never")),
-        ];
-        for &(knob, parse, value, want) in table {
-            match (parse(value), want) {
-                (Ok(got), Some(want)) => assert_eq!(got, want, "{knob}={value:?}"),
-                (Err(e), None) => assert!(e.contains(knob), "{knob}={value:?}: {e}"),
-                (got, want) => panic!("{knob}={value:?}: got {got:?}, want {want:?}"),
-            }
-        }
     }
 }

@@ -45,6 +45,7 @@
 //! [`GraphEngine::network_node_count`] and per-view statistics with
 //! [`GraphEngine::view_stats`].
 
+mod config;
 pub mod engine;
 pub mod error;
 pub mod subscribe;

@@ -34,7 +34,8 @@ pub enum DurOp {
     Replay,
     /// The fold worker could not start, or a fold panicked on it.
     Fold,
-    /// Parsing a durability configuration knob (`PGQ_FSYNC`, …).
+    /// Parsing an engine configuration knob (`PGQ_THREADS`,
+    /// `PGQ_FSYNC`, …).
     Config,
 }
 
@@ -50,7 +51,7 @@ impl fmt::Display for DurOp {
             DurOp::Cleanup => "generation cleanup",
             DurOp::Replay => "WAL replay",
             DurOp::Fold => "log fold",
-            DurOp::Config => "durability configuration",
+            DurOp::Config => "engine configuration",
         };
         f.write_str(s)
     }

@@ -6,9 +6,9 @@
 //! implementations:
 //!
 //! - [`StdVfs`] — a real directory, used in production. Honors the
-//!   [`FsyncMode`] knob (`PGQ_FSYNC`) for atomic writes; WAL appends
-//!   are flushed explicitly via [`Vfs::sync`] (the engine's
-//!   group-commit flush point).
+//!   [`FsyncMode`] it is built with (the engine parses it from
+//!   `PGQ_FSYNC`) for atomic writes; WAL appends are flushed explicitly
+//!   via [`Vfs::sync`] (the engine's group-commit flush point).
 //! - [`MemVfs`] over a shared [`MemDisk`] — two independent fault
 //!   modes:
 //!
@@ -51,32 +51,6 @@ pub enum FsyncMode {
     /// not power loss). The default.
     #[default]
     Never,
-}
-
-impl FsyncMode {
-    /// Strictly parse the `PGQ_FSYNC` knob: `always`/`1`/`true` →
-    /// [`FsyncMode::Always`], `never`/`0`/`false`/empty →
-    /// [`FsyncMode::Never`]. Anything else is an error — a typo like
-    /// `PGQ_FSYNC=alway` must fail startup loudly instead of silently
-    /// dropping durability.
-    pub fn parse(s: &str) -> Result<FsyncMode, String> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "always" | "1" | "true" => Ok(FsyncMode::Always),
-            "never" | "0" | "false" | "" => Ok(FsyncMode::Never),
-            other => Err(format!(
-                "unrecognized PGQ_FSYNC value `{other}` (expected `always` or `never`)"
-            )),
-        }
-    }
-
-    /// [`FsyncMode::parse`] of the `PGQ_FSYNC` environment variable;
-    /// unset means the default ([`FsyncMode::Never`]).
-    pub fn from_env() -> Result<FsyncMode, String> {
-        match std::env::var("PGQ_FSYNC") {
-            Ok(v) => FsyncMode::parse(&v),
-            Err(_) => Ok(FsyncMode::default()),
-        }
-    }
 }
 
 /// Minimal file-system surface the durability layer needs. Names are
@@ -685,19 +659,5 @@ mod tests {
         assert_eq!(vfs.read("w").unwrap(), None);
         vfs.remove("s").unwrap();
         let _ = std::fs::remove_dir(&dir);
-    }
-
-    #[test]
-    fn fsync_mode_parsing_is_strict() {
-        assert_eq!(FsyncMode::parse("always"), Ok(FsyncMode::Always));
-        assert_eq!(FsyncMode::parse(" 1 "), Ok(FsyncMode::Always));
-        assert_eq!(FsyncMode::parse("true"), Ok(FsyncMode::Always));
-        assert_eq!(FsyncMode::parse("never"), Ok(FsyncMode::Never));
-        assert_eq!(FsyncMode::parse("0"), Ok(FsyncMode::Never));
-        assert_eq!(FsyncMode::parse(""), Ok(FsyncMode::Never));
-        // The typo that used to silently drop durability.
-        assert!(FsyncMode::parse("alway").is_err());
-        assert!(FsyncMode::parse("yes").is_err());
-        assert!(FsyncMode::parse("fsync").is_err());
     }
 }

@@ -1,7 +1,7 @@
 //! Offline shim for `criterion`.
 //!
 //! crates.io is unreachable from the build environment, so this crate
-//! implements the benchmark-harness subset the `pgq_bench` suites use:
+//! implements the benchmark-harness subset the `many_views` bench uses:
 //! `Criterion::benchmark_group`, `bench_function` / `bench_with_input`,
 //! `Bencher::iter` / `iter_batched`, `BenchmarkId`, `BatchSize`, and the
 //! `criterion_group!` / `criterion_main!` macros.
@@ -10,24 +10,16 @@
 //! robust statistics: per-sample timings are collected (with automatic
 //! iteration batching for sub-microsecond routines, so one sample is
 //! never smaller than the timer's useful resolution) and summarised as
-//! **median**, **MAD** (median absolute deviation), mean and min. Two
-//! environment variables integrate it with CI and the perf-trajectory
-//! tooling:
-//!
-//! * `PGQ_BENCH_QUICK=1` — smoke mode: overrides sample count and
-//!   measurement budget downwards so a full `cargo bench` sweep finishes
-//!   in seconds (used by the CI `bench-smoke` job).
-//! * `PGQ_BENCH_JSON=<path>` — append one JSON line per benchmark
-//!   (`suite`, `bench`, `median_ns`, `mad_ns`, `mean_ns`, `min_ns`,
-//!   `samples`, `ops_per_s`) so runs can be diffed and recorded in
-//!   `BENCH.json`.
+//! **median**, **MAD** (median absolute deviation), mean and min.
+//! `PGQ_BENCH_QUICK=1` is smoke mode: it overrides sample count and
+//! measurement budget downwards so a bench finishes in seconds (used by
+//! the CI `bench-smoke` job).
 //!
 //! Swap the path dependency for the real crate when a registry is
 //! available.
 
 use std::fmt::Display;
 use std::hint;
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 /// Re-export of `std::hint::black_box`, mirroring `criterion::black_box`.
@@ -164,50 +156,6 @@ fn median_of(xs: &mut [f64]) -> f64 {
     }
 }
 
-/// Minimal JSON string escaping for benchmark labels.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Append one JSONL record to `PGQ_BENCH_JSON` if the variable is set.
-fn report_json(suite: &str, bench: &str, stats: &SampleStats) {
-    let Ok(path) = std::env::var("PGQ_BENCH_JSON") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    let line = format!(
-        "{{\"suite\":\"{}\",\"bench\":\"{}\",\"median_ns\":{:.1},\"mad_ns\":{:.1},\
-         \"mean_ns\":{:.1},\"min_ns\":{:.1},\"samples\":{},\"ops_per_s\":{:.3}}}\n",
-        json_escape(suite),
-        json_escape(bench),
-        stats.median_ns,
-        stats.mad_ns,
-        stats.mean_ns,
-        stats.min_ns,
-        stats.samples,
-        stats.ops_per_s(),
-    );
-    let written = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| f.write_all(line.as_bytes()));
-    if let Err(e) = written {
-        eprintln!("criterion shim: cannot append to {path}: {e}");
-    }
-}
-
 /// Top-level harness state, mirroring `criterion::Criterion`.
 #[derive(Debug, Default)]
 pub struct Criterion {
@@ -300,7 +248,6 @@ impl BenchmarkGroup<'_> {
                     "bench {label:<48} {:>12.1} ns/iter (median, MAD {:.1}, mean {:.1}, n={})",
                     stats.median_ns, stats.mad_ns, stats.mean_ns, stats.samples
                 );
-                report_json(&self.name, &id.to_string(), &stats);
             }
             None => println!("bench {label:<48} (no measurement recorded)"),
         }
@@ -474,11 +421,5 @@ mod tests {
         let s = SampleStats::from_samples(vec![]);
         assert_eq!(s.samples, 0);
         assert_eq!(s.ops_per_s(), 0.0);
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("tab\there"), "tab\\u0009here");
     }
 }

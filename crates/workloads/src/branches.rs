@@ -1,9 +1,8 @@
-//! Independent branch subgraphs for the parallel-propagation benchmarks
-//! and the width stress tier: `B` disjoint reply trees with per-branch
-//! labels and edge types, each carrying its own var-length view (see
-//! [`branch_query`]). One transaction can dirty many unrelated dataflow
-//! regions at once — the widest frontier the parallel pass can hope
-//! for.
+//! Independent branch subgraphs for the width stress tier: `B`
+//! disjoint reply trees with per-branch labels and edge types, each
+//! carrying its own var-length view (see [`branch_query`]). One
+//! transaction can dirty many unrelated dataflow regions at once — the
+//! widest frontier the parallel pass can hope for.
 //!
 //! The churn knob is the root's `lang` property: flipping it away from
 //! `"en"` retracts every path of that branch (the view's `WHERE` ties
@@ -16,7 +15,6 @@ use pgq_common::intern::Symbol;
 use pgq_common::value::Value;
 use pgq_graph::props::Properties;
 use pgq_graph::store::PropertyGraph;
-use pgq_graph::tx::Transaction;
 
 /// One independent branch of a [`BranchForest`].
 pub struct Branch {
@@ -85,16 +83,6 @@ pub fn branch_forest(branches: usize, depth: usize, fanout: usize) -> BranchFore
     }
 }
 
-/// Flip the root language of **every** branch in one transaction
-/// (`"de"` retracts each branch's paths, `"en"` re-asserts them).
-pub fn churn_all(forest: &BranchForest, lang: &str) -> Transaction {
-    let mut tx = Transaction::new();
-    for b in &forest.branches {
-        tx.set_vertex_prop(b.root, Symbol::intern("lang"), Value::str(lang));
-    }
-    tx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,11 +100,5 @@ mod tests {
         // Branch labels are pairwise distinct.
         assert_ne!(f.branches[0].post, f.branches[1].post);
         assert_ne!(f.branches[0].reply, f.branches[2].reply);
-    }
-
-    #[test]
-    fn churn_transactions() {
-        let f = branch_forest(4, 1, 1);
-        assert_eq!(churn_all(&f, "de").len(), 4);
     }
 }

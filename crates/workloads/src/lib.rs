@@ -1,26 +1,26 @@
 #![warn(missing_docs)]
 //! # pgq-workloads
 //!
-//! Synthetic workload substrate for the experiments:
+//! Synthetic workload substrate for the oracles, the examples and the
+//! `many_views` bench:
 //!
-//! * [`example`] — the paper's Section 2 running example (experiment E1);
+//! * [`example`] — the paper's Section 2 running example;
 //! * [`social`] — an LDBC-SNB-inspired social network with reply trees
-//!   and a seeded update stream (experiment E6);
+//!   and a seeded update stream;
 //! * [`railway`] — a Train-Benchmark-inspired railway model with fault
-//!   injection/repair streams (experiment E5);
+//!   injection/repair streams;
 //! * [`trees`] — parameterised reply trees for the transitive-closure
-//!   microbenchmarks (experiment E7);
+//!   cost profile;
 //! * [`hub`] — a star/hub fan-out network with hub-churn streams for
-//!   the cost-based join-order planner benchmarks;
+//!   the cost-based join-order planner oracles;
 //! * [`branches`] — independent reply-tree branches with per-branch
-//!   labels/types and views, for the parallel-propagation and
-//!   transaction-batching benchmarks;
+//!   labels/types and views, for the propagation-width stress tier;
 //! * [`motifs`] — skew-degree graphs with tunable triangle density and
-//!   an edge-churn stream, for the worst-case optimal join benchmarks
-//!   and the wcoj-vs-binary differential oracle.
+//!   an edge-churn stream, for the worst-case optimal join gate and
+//!   the wcoj-vs-binary differential oracle.
 //!
-//! All generators are deterministic given a seed, so benchmark tables are
-//! reproducible run-to-run.
+//! All generators are deterministic given a seed, so every test built on
+//! them is reproducible run-to-run.
 
 pub mod branches;
 pub mod example;
@@ -30,7 +30,7 @@ pub mod railway;
 pub mod social;
 pub mod trees;
 
-pub use branches::{branch_forest, branch_query, churn_all, Branch, BranchForest};
+pub use branches::{branch_forest, branch_query, Branch, BranchForest};
 pub use example::{paper_example_graph, EXAMPLE_QUERY};
 pub use hub::{generate_hub, HubParams};
 pub use motifs::{generate_motifs, MotifGraph, MotifParams};

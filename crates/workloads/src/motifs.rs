@@ -15,7 +15,7 @@
 //!   of edge count;
 //! * a seeded churn script of single-edge transactions (inserts with the
 //!   same wedge-closing bias, plus deletions of live edges) shared by
-//!   the benchmarks, the stress tier, and the differential oracle.
+//!   the fuse-gate tests, the stress tier, and the differential oracle.
 //!
 //! [`queries::TRIANGLES`] / [`queries::FOUR_CYCLES`] are the cyclic
 //! views the planner fuses into one ⨝ⁿ node; the `_RENAMED` twins

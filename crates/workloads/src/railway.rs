@@ -317,9 +317,6 @@ pub mod queries {
         "MATCH (s1:Segment)-[:connectsTo]->(s2:Segment)-[:connectsTo]->(s3:Segment) \
          MATCH (s1)-[:monitoredBy]->(sen:Sensor) MATCH (s2)-[:monitoredBy]->(sen) \
          MATCH (s3)-[:monitoredBy]->(sen) RETURN s1, s2, s3, sen";
-    /// Reachable segments within 1..4 hops (transitive closure over
-    /// `connectsTo`).
-    pub const SEGMENT_REACH: &str = "MATCH (a:Segment)-[:connectsTo*1..4]->(b:Segment) RETURN a, b";
 
     // ---- the Train Benchmark's *negative* queries, verbatim semantics —
     // expressible thanks to the antijoin extension (`NOT exists(...)`).

@@ -1,6 +1,7 @@
-//! Parameterised reply trees for the transitive-closure microbenchmarks
-//! (experiment E7): complete trees of configurable depth and fan-out with
-//! a `Post` root and `Comm` descendants, all connected by `REPLY` edges.
+//! Parameterised reply trees for the transitive-closure cost profile
+//! (`examples/profile_hotpath.rs`): complete trees of configurable depth
+//! and fan-out with a `Post` root and `Comm` descendants, all connected
+//! by `REPLY` edges.
 
 use pgq_common::ids::{EdgeId, VertexId};
 use pgq_common::intern::Symbol;
@@ -53,18 +54,6 @@ pub fn reply_tree(depth: usize, fanout: usize) -> ReplyTree {
     }
 }
 
-/// Number of root-to-descendant paths in a complete tree — equals the
-/// number of non-root vertices (each has a unique path from the root).
-pub fn expected_root_paths(depth: usize, fanout: usize) -> usize {
-    let mut total = 0usize;
-    let mut level = 1usize;
-    for _ in 0..depth {
-        level *= fanout;
-        total += level;
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,16 +65,13 @@ mod tests {
         assert_eq!(t.levels[3].len(), 8);
         assert_eq!(t.graph.vertex_count(), 15);
         assert_eq!(t.graph.edge_count(), 14);
-        assert_eq!(expected_root_paths(3, 2), 14);
     }
 
     #[test]
     fn degenerate_trees() {
         let t = reply_tree(0, 5);
         assert_eq!(t.graph.vertex_count(), 1);
-        assert_eq!(expected_root_paths(0, 5), 0);
         let chain = reply_tree(6, 1);
         assert_eq!(chain.graph.vertex_count(), 7);
-        assert_eq!(expected_root_paths(6, 1), 6);
     }
 }

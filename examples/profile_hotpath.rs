@@ -4,13 +4,14 @@
 //! into one topological pass). A developer tool for directing perf
 //! work — not an experiment table.
 //!
-//! Run with `cargo run --release -p pgq_bench --bin profile_hotpath`.
+//! Run with `cargo run --release --example profile_hotpath`.
 
 use std::time::{Duration, Instant};
 
-use pgq_algebra::pipeline::CompileOptions;
-use pgq_bench::compile;
+use pgq_algebra::pipeline::{compile_query_with, CompileOptions};
+use pgq_algebra::CompiledQuery;
 use pgq_ivm::MaterializedView;
+use pgq_parser::parse_query;
 use pgq_workloads::social::{generate_social, queries as sq, SocialParams};
 use pgq_workloads::trees::reply_tree;
 use pgq_workloads::EXAMPLE_QUERY;
@@ -19,6 +20,12 @@ fn main() {
     social();
     social_fine();
     transitive();
+}
+
+/// Compile a query with options (panicking on error — profile inputs
+/// are fixed).
+fn compile(query: &str, options: CompileOptions) -> CompiledQuery {
+    compile_query_with(&parse_query(query).expect("parses"), options).expect("compiles")
 }
 
 /// Decompose the SAME_LANG_THREAD network stage by stage: the scan+⋈*

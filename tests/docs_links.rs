@@ -13,7 +13,6 @@ const CHECKED: &[&str] = &[
     "ROADMAP.md",
     "CHANGES.md",
     "PAPER.md",
-    "crates/bench/README.md",
 ];
 
 /// Extract `](target)` link targets from markdown source. Good enough

@@ -1,13 +1,16 @@
 //! Regression tests for the planner's catalog-driven fuse/don't-fuse
-//! decision over cyclic regions, pinned at the certified bench scales.
+//! decision over cyclic regions, pinned at the motif scales the retired
+//! `report` tables and `motifs` criterion suite measured, plus the
+//! intermediate-row counts that made the ⨝ⁿ case there.
 //!
 //! The decision is a pure function of the region structure and the
 //! statistics snapshot, and the motif/hub generators are seeded, so
 //! these assertions are deterministic. They encode the calibration
-//! contract behind the certified numbers in BENCH.json: triangles fuse
-//! at the measured scales (the ⨝ⁿ node wins there), four-cycles stay on
-//! the binary join tree (PR 7 measured the fused node at 0.7–0.8×), and
+//! contract behind the numbers frozen in BENCH.json: triangles fuse at
+//! the measured scales (the ⨝ⁿ node wins there), four-cycles stay on
+//! the binary join tree (the fused node measured 0.7–0.8× there), and
 //! hub-skewed catalogs always fuse (wedge blow-up is the binding cost).
+//! The end-to-end measure of the fused node is perfbench's `motif_skew`.
 
 use pgq_algebra::plan::WcojMode;
 use pgq_algebra::CompileOptions;
@@ -116,4 +119,64 @@ fn forced_registration_fuses_below_the_gate() {
         e.view(id).unwrap().results()
     };
     assert_eq!(rows(&engine, "forced"), rows(&engine, "gated"));
+}
+
+/// The intermediate-row evidence behind the worst-case-optimality claim,
+/// in counts: under the same motif churn, a binary triangle tree's joins
+/// emit every wedge the churn touches, a number that grows with |E| on
+/// the skewed motif graph, while the fused ⨝ⁿ node emits exactly the
+/// triangle instances the churn changes.
+#[test]
+fn binary_join_rows_grow_with_edges_while_fused_rows_track_motifs() {
+    let mut last_binary = 0;
+    for (nodes, edges) in [(60, 150), (120, 400), (300, 900)] {
+        let mut net = generate_motifs(MotifParams {
+            nodes,
+            edges,
+            ..MotifParams::default()
+        });
+        let stream = net.churn(30, 0.3);
+        // (binary join rows, ⨝ⁿ rows, Σ |multiplicity| of the view's
+        // deltas) over the stream.
+        let run = |wcoj: WcojMode| {
+            let mut e = GraphEngine::from_graph(net.graph.clone());
+            let options = RegisterOptions {
+                wcoj,
+                ..RegisterOptions::default()
+            };
+            e.register_view_with("v", queries::TRIANGLES, CompileOptions::default(), options)
+                .unwrap();
+            let before = e.network().counters();
+            let mut changed = 0;
+            for tx in &stream {
+                for (_, d) in e.apply_with_deltas(tx).unwrap() {
+                    changed += d.iter().map(|(_, m)| m.unsigned_abs()).sum::<u64>();
+                }
+            }
+            let after = e.network().counters();
+            (
+                after.join_tuples_emitted - before.join_tuples_emitted,
+                after.wcoj_tuples_emitted - before.wcoj_tuples_emitted,
+                changed,
+            )
+        };
+        let (binary, _, motifs) = run(WcojMode::Disabled);
+        let (fused_joins, fused, fused_motifs) = run(WcojMode::Forced);
+        let at = format!("{nodes}/{edges}");
+        assert_eq!(
+            motifs, fused_motifs,
+            "{at}: both plans change the same rows"
+        );
+        assert_eq!(
+            (fused_joins, fused),
+            (0, motifs),
+            "{at}: ⨝ⁿ emits motifs only"
+        );
+        assert!(binary > fused, "{at}: binary {binary} vs fused {fused}");
+        assert!(
+            binary > last_binary,
+            "{at}: binary rows {binary} must grow with |E|"
+        );
+        last_binary = binary;
+    }
 }

@@ -3,13 +3,16 @@
 //! carried through π / δ / ω and applied by the planner at the earliest
 //! point that binds their columns — computes the same bag as the plan
 //! as written and as a from-scratch `pgq_eval` recompute, both once and
-//! after every step of a stream of updates.
+//! after every step of a stream of updates. Two cases pin what the
+//! planned order buys, in state tuples: a filter pushed below ⋈*, and a
+//! join order that keeps the hub fan-out out of the join memories.
 
 use pgq_algebra::pipeline::{compile_query, CompileOptions};
 use pgq_algebra::plan::plan;
 use pgq_core::GraphEngine;
 use pgq_ivm::RegisterOptions;
 use pgq_parser::parse_query;
+use pgq_workloads::hub::{generate_hub, queries as hq, HubParams};
 use pgq_workloads::social::{generate_social, SocialParams};
 
 const QUERIES: &[&str] = &[
@@ -128,4 +131,40 @@ fn pushed_filter_shrinks_varlength_state() {
         line.len() - line.trim_start().len()
     };
     assert!(depth_of("σ") > depth_of("⋈*"), "{stage4}");
+}
+
+/// On the skewed hub workload both queries are written with the hub
+/// fan-out joined first; the planner's order holds less join state than
+/// the written one, at registration and after hub churn.
+#[test]
+fn planned_order_holds_less_state_on_hub_skew() {
+    let mut net = generate_hub(HubParams::quick());
+    let stream = net.update_stream(40);
+    for q in [hq::RARE_TOPIC_FANS, hq::RARE_CAT_FANS] {
+        let mut engine = GraphEngine::from_graph(net.graph.clone());
+        let planned = engine.register_view("planned", q).unwrap();
+        let mut twin = GraphEngine::from_graph(net.graph.clone());
+        let unplanned = register_unplanned(&mut twin, "unplanned", q);
+        let tuples = |engine: &GraphEngine, twin: &GraphEngine| {
+            (
+                engine.view(planned).unwrap().memory_tuples(),
+                twin.view(unplanned).unwrap().memory_tuples(),
+            )
+        };
+        let (p, u) = tuples(&engine, &twin);
+        assert!(p < u, "{q}: planned {p} vs unplanned {u} tuples");
+        for tx in &stream {
+            engine.apply(tx).unwrap();
+            twin.apply(tx).unwrap();
+        }
+        let (p, u) = tuples(&engine, &twin);
+        assert!(
+            p < u,
+            "{q}: after churn, planned {p} vs unplanned {u} tuples"
+        );
+        assert_eq!(
+            engine.view(planned).unwrap().results(),
+            twin.view(unplanned).unwrap().results()
+        );
+    }
 }
