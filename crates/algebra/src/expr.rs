@@ -436,6 +436,25 @@ fn eval_binary(
     apply_binary(op, &l.operand(t), &r.operand(t))
 }
 
+/// The Kleene truth of a comparison (`=`, `<>`, `<`, `<=`, `>`, `>=`):
+/// `None` when either side is `null` or the two are not comparable.
+pub(crate) fn comparison(op: BinOp, lv: &Value, rv: &Value) -> Option<bool> {
+    use std::cmp::Ordering::*;
+    match op {
+        BinOp::Eq => lv.cypher_eq(rv),
+        BinOp::Neq => lv.cypher_eq(rv).map(|b| !b),
+        _ => {
+            let o = lv.compare(rv)?;
+            Some(match op {
+                BinOp::Lt => o == Less,
+                BinOp::Le => o != Greater,
+                BinOp::Gt => o == Greater,
+                _ => o != Less,
+            })
+        }
+    }
+}
+
 /// A non-logical binary operator applied to its operands' values (the
 /// Kleene connectives read their operands' truth instead).
 pub(crate) fn apply_binary(op: BinOp, lv: &Value, rv: &Value) -> Result<Value, CommonError> {
@@ -456,12 +475,7 @@ pub(crate) fn apply_binary(op: BinOp, lv: &Value, rv: &Value) -> Result<Value, C
                 })
             }
         },
-        Eq => bool3(lv.cypher_eq(rv)),
-        Neq => not3(lv.cypher_eq(rv)),
-        Lt => bool3(lv.compare(rv).map(|o| o == std::cmp::Ordering::Less)),
-        Le => bool3(lv.compare(rv).map(|o| o != std::cmp::Ordering::Greater)),
-        Gt => bool3(lv.compare(rv).map(|o| o == std::cmp::Ordering::Greater)),
-        Ge => bool3(lv.compare(rv).map(|o| o != std::cmp::Ordering::Less)),
+        Eq | Neq | Lt | Le | Gt | Ge => bool3(comparison(op, lv, rv)),
         In => match (lv, rv) {
             (_, Value::Null) | (Value::Null, _) => Value::Null,
             (x, Value::List(items)) => Value::Bool(items.iter().any(|i| i == x)),

@@ -13,7 +13,9 @@
 //!   conjunct;
 //! * comparisons of a column against a column or a literal, `AND`, `OR`,
 //!   `XOR`, `NOT` and `IS NULL` are instructions of their own that read
-//!   their operands in place — nothing is cloned to be compared;
+//!   their operands in place — nothing is cloned to be compared, and an
+//!   `=`, `<>`, `<`, `<=`, `>` or `>=` yields its truth without building
+//!   a value;
 //! * a π item that is a column or a literal is copied into the row being
 //!   assembled; every other expression, in a predicate or a π item, is
 //!   one `Test` / `Eval` instruction run by [`ScalarExpr::eval`];
@@ -25,15 +27,17 @@
 //! around it, so a predicate that fails drops the row and a π item that
 //! fails is `null`.
 //!
-//! The dataflow network runs each chain as one node, and registration
-//! streams full bags through the same program (`pgq_ivm::network`).
+//! The dataflow network runs each chain as one node, registration
+//! streams full bags through the same program (`pgq_ivm::network`), and
+//! the one-shot evaluator runs the chain above each of its operators as
+//! one (`pgq_eval`).
 
 use std::fmt;
 
 use pgq_common::value::Value;
 use pgq_parser::ast::{BinOp, UnOp};
 
-use crate::expr::{apply_binary, truth, ScalarExpr};
+use crate::expr::{apply_binary, comparison, truth, ScalarExpr};
 use crate::fra::Fra;
 
 /// A value an instruction reads in place.
@@ -249,8 +253,13 @@ impl TupleProgram {
         for (at, instr) in self.instrs.iter().enumerate().skip(pc) {
             match instr {
                 Instr::Cmp(op, l, r) => {
-                    let v = apply_binary(*op, l.get(row), r.get(row)).unwrap_or(Value::Null);
-                    truths.push(truth(&v));
+                    let (l, r) = (l.get(row), r.get(row));
+                    truths.push(match op {
+                        BinOp::Eq | BinOp::Neq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+                            comparison(*op, l, r)
+                        }
+                        _ => truth(&apply_binary(*op, l, r).unwrap_or(Value::Null)),
+                    });
                 }
                 Instr::IsNull(a, negated) => truths.push(Some(a.get(row).is_null() != *negated)),
                 Instr::And | Instr::Or | Instr::Xor => {

@@ -230,3 +230,67 @@ proptest! {
         prop_assert_eq!(sorted(got), sorted(want), "{} for {:?}", program, fra);
     }
 }
+
+/// The pairs a comparison's truth must get right without building a
+/// value: an integer beside the equal float, NaN beside NaN, −0.0 beside
+/// 0.0, a string beside an integer, and `null` on either side. For each
+/// pair and each of `=`, `<>`, `<`, `<=`, `>`, `>=`, on two columns and
+/// on a column and a literal, `σ[a op b]` keeps the row exactly when the
+/// comparison evaluates to `true` and `σ[NOT (a op b)]` exactly when it
+/// evaluates to `false`.
+#[test]
+fn comparisons_keep_their_truth_on_the_awkward_pairs() {
+    use BinOp::*;
+    let pairs = [
+        (Value::Int(1), Value::float(1.0)),
+        (Value::Int(1), Value::float(1.5)),
+        (Value::float(f64::NAN), Value::float(f64::NAN)),
+        (Value::float(f64::NAN), Value::Int(1)),
+        (Value::float(-0.0), Value::float(0.0)),
+        (Value::float(-0.0), Value::Int(0)),
+        (Value::str("1"), Value::Int(1)),
+        (Value::str("a"), Value::str("b")),
+        (Value::Bool(true), Value::Bool(false)),
+        (Value::Null, Value::Int(1)),
+        (Value::Null, Value::Null),
+        (
+            Value::list(vec![Value::Int(1)]),
+            Value::list(vec![Value::float(1.0)]),
+        ),
+    ];
+    let col = |i| Box::new(ScalarExpr::Col(i));
+    for (a, b) in pairs {
+        for (l, r) in [(a.clone(), b.clone()), (b.clone(), a.clone())] {
+            let row = vec![l.clone(), r.clone()];
+            for op in [Eq, Neq, Lt, Le, Gt, Ge] {
+                for rhs in [col(1), Box::new(ScalarExpr::Lit(r.clone()))] {
+                    let cmp = ScalarExpr::Binary(op, col(0), rhs);
+                    let want = match cmp.eval(&row) {
+                        Ok(Value::Bool(t)) => Some(t),
+                        _ => None,
+                    };
+                    let keeps = |predicate: ScalarExpr| {
+                        let fra = Fra::Filter {
+                            input: Box::new(Fra::Unit),
+                            predicate,
+                        };
+                        let (program, _) = TupleProgram::compile(&fra).expect("a σ");
+                        let mut kept = false;
+                        program.run(&row, &mut Scratch::default(), |_| kept = true);
+                        kept
+                    };
+                    let got = match (
+                        keeps(cmp.clone()),
+                        keeps(ScalarExpr::Unary(UnOp::Not, Box::new(cmp.clone()))),
+                    ) {
+                        (true, false) => Some(true),
+                        (false, true) => Some(false),
+                        (false, false) => None,
+                        (true, true) => panic!("{cmp:?} is both true and false"),
+                    };
+                    assert_eq!(got, want, "{l:?} {op:?} {r:?}");
+                }
+            }
+        }
+    }
+}

@@ -250,10 +250,16 @@ impl Value {
     }
 
     /// Cypher equality with three-valued logic: `None` means `null`.
+    /// Only an integer and a float compare across types (`1 = 1.0`);
+    /// every other pair is equal exactly when `==` says so.
     pub fn cypher_eq(&self, other: &Value) -> Option<bool> {
+        use Value::*;
         match (self, other) {
-            (Value::Null, _) | (_, Value::Null) => None,
-            _ => Some(self == other || self.compare(other) == Some(Ordering::Equal)),
+            (Null, _) | (_, Null) => None,
+            (Int(_), Float(_)) | (Float(_), Int(_)) => {
+                Some(self.total_cmp(other) == Ordering::Equal)
+            }
+            _ => Some(self == other),
         }
     }
 

@@ -112,6 +112,19 @@ proptest! {
         prop_assert_ne!(vals[0].total_cmp(&vals[2]), Greater);
     }
 
+    /// `cypher_eq` decides same-type pairs with `==` and only an integer
+    /// and a float through `compare`: it must agree with `==` or
+    /// `compare` deciding every pair.
+    #[test]
+    fn cypher_eq_is_eq_or_equal_order(a in value(), b in value()) {
+        let want = match (&a, &b) {
+            (Value::Null, _) | (_, Value::Null) => None,
+            _ => Some(a == b || a.compare(&b) == Some(std::cmp::Ordering::Equal)),
+        };
+        prop_assert_eq!(a.cypher_eq(&b), want);
+        prop_assert_eq!(b.cypher_eq(&a), want);
+    }
+
     #[test]
     fn comparability_is_symmetric(a in atom(), b in atom()) {
         let ab = a.compare(&b);
@@ -193,5 +206,32 @@ proptest! {
         }
         prop_assert_eq!(p.vertices().len(), p.edges().len() + 1);
         prop_assert_eq!(p.source(), VertexId(0));
+    }
+}
+
+/// The pairs the same-type path of `cypher_eq` must still get right.
+#[test]
+fn cypher_eq_on_the_awkward_pairs() {
+    let nan = Value::float(f64::NAN);
+    let cases = [
+        (Value::Int(1), Value::float(1.0), Some(true)),
+        (Value::Int(1), Value::float(1.5), Some(false)),
+        (nan.clone(), nan.clone(), Some(true)),
+        (nan, Value::float(1.0), Some(false)),
+        (Value::float(-0.0), Value::float(0.0), Some(true)),
+        (Value::float(-0.0), Value::Int(0), Some(true)),
+        (Value::str("1"), Value::Int(1), Some(false)),
+        (Value::str("ab"), Value::str("ab"), Some(true)),
+        (Value::Null, Value::Int(1), None),
+        (Value::Null, Value::Null, None),
+        (
+            Value::list(vec![Value::Int(1)]),
+            Value::list(vec![Value::float(1.0)]),
+            Some(false),
+        ),
+    ];
+    for (a, b, want) in cases {
+        assert_eq!(a.cypher_eq(&b), want, "{a:?} = {b:?}");
+        assert_eq!(b.cypher_eq(&a), want, "{b:?} = {a:?}");
     }
 }

@@ -1204,8 +1204,8 @@ impl GraphEngine {
     /// The plan a one-shot statement runs: the compiled FRA through the
     /// planner views use, so join order and filter placement are decided
     /// in one place for statements and views alike. Cyclic regions stay
-    /// binary: the evaluator folds a ⨝ⁿ left-deep over fully evaluated
-    /// inputs, so a multiway plan would buy it nothing.
+    /// binary: the evaluator folds a ⨝ⁿ left-deep, one hash index per
+    /// input, so a multiway plan would buy it nothing.
     fn one_shot_plan(&self, mut compiled: CompiledQuery) -> CompiledQuery {
         let opts = pgq_algebra::plan::PlanOptions {
             wcoj: WcojMode::Disabled,

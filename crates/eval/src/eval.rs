@@ -4,22 +4,49 @@
 //! the maintainable fragment (ORDER BY / SKIP / LIMIT).
 //!
 //! There is one evaluator ([`Evaluator`]; [`evaluate`] and friends wrap
-//! it). It walks the plan bottom-up and *narrows, then runs the same
-//! operator*: `σ[col = literal](©(l {k→col}))` reads its candidates from
-//! the property index `(l, k)` when the graph maintains one
-//! ([`PropertyGraph::prop_seek`]) and scans the label otherwise. The
-//! seek keeps the **superset invariant** — the rows produced contain
-//! every row that can survive — and the unchanged σ above decides.
-//! Every other operator, ⋈ included, evaluates its inputs in full.
+//! it), and it is push-based. A scan or a seek hands each row it reads
+//! to the operator above it, and the row travels up until it reaches the
+//! first operator that has to hold rows — a *pipeline breaker*. Nothing
+//! else materialises:
+//!
+//! * the σ/π/ω chain above an operator runs as one [`TupleProgram`], the
+//!   interpreter the dataflow network uses, over borrowed rows;
+//! * a ⋈ streams its left input and holds its right input, indexed on
+//!   the join key, as the build side. The right side is built when the
+//!   first left row arrives, so an empty left never scans it. Each left
+//!   row probes the index and pushes one row per match, in build order;
+//! * a ⋉ / ▷ streams its left input and holds a support count per key of
+//!   its right input, built the same way;
+//! * γ holds one accumulator per group: a count, an exact sum, the
+//!   current extremum. Only `collect` and the `DISTINCT` aggregates keep
+//!   their group's values;
+//! * δ holds its seen-set, ⋈* its left input grouped by source, and ⨝ⁿ
+//!   one index per input after the first, which streams through them;
+//! * the root: [`evaluate`] collects the bag, [`evaluate_consolidated`]
+//!   consolidates as rows arrive, [`Evaluator::run_rows`] sorts and
+//!   slices.
+//!
+//! So a one-shot read holds its build sides and its groups, never its
+//! intermediate paths. For a plan without γ or δ, rows come out
+//! left-major, each left row's matches in build order.
+//!
+//! A `σ[col = literal]` directly above `©(l {k→col})` *narrows*: the
+//! scan reads its candidates from the property index `(l, k)` when the
+//! graph maintains one ([`PropertyGraph::prop_seek`]) and the label
+//! otherwise. The seek keeps the **superset invariant** — the rows
+//! produced contain every row that can survive — and the unchanged σ
+//! above decides.
 //!
 //! Where a filter sits and in which order joins run is not decided
 //! here: callers pass the plan through `pgq_algebra::plan` first, and an
 //! unplanned plan simply evaluates the way it is written.
 
+use std::cell::Cell;
 use std::cmp::Ordering;
 
 use pgq_algebra::expr::{AggCall, AggFunc, ScalarExpr};
 use pgq_algebra::fra::Fra;
+use pgq_algebra::program::{Emit, Scratch, TupleProgram};
 use pgq_algebra::CompiledQuery;
 use pgq_common::dir::Direction;
 use pgq_common::fxhash::FxHashMap;
@@ -34,6 +61,10 @@ use crate::paths::enumerate_paths;
 
 /// A bag of result tuples.
 pub type Bag = Vec<(Tuple, i64)>;
+
+/// Where an operator pushes its output: one row and its multiplicity at
+/// a time, the row borrowed for the call.
+type Sink<'a> = dyn FnMut(&[Value], i64) + 'a;
 
 /// Evaluate an FRA plan against the current graph.
 pub fn evaluate(fra: &Fra, g: &PropertyGraph) -> Bag {
@@ -141,12 +172,312 @@ impl<'g> Evaluator<'g> {
 
     /// Evaluate `fra` into a bag.
     pub fn run(&mut self, fra: &Fra) -> Bag {
-        self.eval(fra)
+        let mut bag = Vec::new();
+        self.push(fra, &mut |row, m| bag.push((Tuple::from_slice(row), m)));
+        bag
+    }
+
+    /// Push every row of `fra` into `out`.
+    fn push(&mut self, fra: &Fra, out: &mut Sink<'_>) {
+        let run = Pipelines {
+            g: self.g,
+            scanned: Cell::new(0),
+        };
+        run.push(fra, out);
+        self.rows_scanned += run.scanned.get();
+    }
+
+    /// Evaluate a compiled query end-to-end, applying ORDER BY / SKIP /
+    /// LIMIT.
+    pub fn run_query(&mut self, cq: &CompiledQuery) -> Vec<Tuple> {
+        self.run_rows(&cq.fra, &cq.order_by, cq.skip, cq.limit)
+    }
+
+    /// Evaluate `fra` into rows (multiplicities expanded) in the
+    /// deterministic base order, then apply ORDER BY / SKIP / LIMIT —
+    /// [`Evaluator::run_query`] for a caller that holds the plan apart
+    /// from its compilation stages.
+    pub fn run_rows(
+        &mut self,
+        fra: &Fra,
+        order_by: &[(ScalarExpr, bool)],
+        skip: Option<usize>,
+        limit: Option<usize>,
+    ) -> Vec<Tuple> {
+        let mut rows: Vec<Tuple> = Vec::new();
+        self.push(fra, &mut |row, m| {
+            if m > 0 {
+                let t = Tuple::from_slice(row);
+                rows.extend(std::iter::repeat_n(t, m as usize));
+            }
+        });
+        // Deterministic base order.
+        rows.sort_by(Tuple::total_cmp);
+        if !order_by.is_empty() {
+            rows.sort_by(|a, b| {
+                for (expr, asc) in order_by {
+                    let va = expr.eval(a).unwrap_or(Value::Null);
+                    let vb = expr.eval(b).unwrap_or(Value::Null);
+                    let ord = va.total_cmp(&vb);
+                    let ord = if *asc { ord } else { ord.reverse() };
+                    if ord != Ordering::Equal {
+                        return ord;
+                    }
+                }
+                Ordering::Equal
+            });
+        }
+        let start = skip.unwrap_or(0).min(rows.len());
+        let end = match limit {
+            Some(l) => (start + l).min(rows.len()),
+            None => rows.len(),
+        };
+        rows.truncate(end);
+        rows.drain(..start);
+        rows
+    }
+}
+
+/// The pipelines of one evaluation: the graph and the scan counter every
+/// operator shares while rows are pushed through them.
+struct Pipelines<'g> {
+    g: &'g PropertyGraph,
+    scanned: Cell<u64>,
+}
+
+/// Rows of one width, stored flat: a ⋈ build bucket, a ⋈* source's left
+/// rows, a ⨝ⁿ input's fresh bindings.
+struct Rows {
+    width: usize,
+    values: Vec<Value>,
+    mults: Vec<i64>,
+}
+
+impl Rows {
+    fn new(width: usize) -> Rows {
+        Rows {
+            width,
+            values: Vec::new(),
+            mults: Vec::new(),
+        }
+    }
+
+    fn push<'v>(&mut self, row: impl Iterator<Item = &'v Value>, m: i64) {
+        self.values.extend(row.cloned());
+        self.mults.push(m);
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&[Value], i64)> {
+        let w = self.width;
+        self.mults
+            .iter()
+            .enumerate()
+            .map(move |(i, &m)| (&self.values[i * w..(i + 1) * w], m))
+    }
+}
+
+/// A build side: rows keyed by a projection, probed with a borrowed key.
+type Index = FxHashMap<Tuple, Rows>;
+
+/// Add `row` (its projection on `keep`) under `key`, allocating the key
+/// only when it is new.
+fn file(index: &mut Index, key: &[Value], row: &[Value], keep: &[usize], m: i64) {
+    let kept = keep.iter().map(|&c| &row[c]);
+    match index.get_mut(key) {
+        Some(rows) => rows.push(kept, m),
+        None => {
+            let mut rows = Rows::new(keep.len());
+            rows.push(kept, m);
+            index.insert(Tuple::from_slice(key), rows);
+        }
+    }
+}
+
+/// Add `m` to `counts[key]`, allocating the key only when it is new.
+fn count(counts: &mut FxHashMap<Tuple, i64>, key: &[Value], m: i64) {
+    match counts.get_mut(key) {
+        Some(n) => *n += m,
+        None => {
+            counts.insert(Tuple::from_slice(key), m);
+        }
+    }
+}
+
+/// Fill `key` with `row`'s values at `cols`.
+fn project_into(row: &[Value], cols: &[usize], key: &mut Vec<Value>) {
+    key.clear();
+    key.extend(cols.iter().map(|&c| row[c].clone()));
+}
+
+/// The lowest operator of the σ/π/ω chain at `fra`'s root.
+fn chain_bottom(mut fra: &Fra) -> &Fra {
+    while let Fra::Filter { input, .. } | Fra::Project { input, .. } | Fra::Unwind { input, .. } =
+        fra
+    {
+        if !matches!(
+            **input,
+            Fra::Filter { .. } | Fra::Project { .. } | Fra::Unwind { .. }
+        ) {
+            break;
+        }
+        fra = input;
+    }
+    fra
+}
+
+impl<'g> Pipelines<'g> {
+    fn count_scan(&self) {
+        self.scanned.set(self.scanned.get() + 1);
+    }
+
+    /// Push every row of `fra` into `out`.
+    fn push(&self, fra: &Fra, out: &mut Sink<'_>) {
+        let g = self.g;
+        match fra {
+            Fra::Unit => out(&[], 1),
+            Fra::ScanVertices { labels, .. } => match labels.first() {
+                Some(&l) => self.scan_vertices(fra, g.vertices_with_label(l).iter().copied(), out),
+                None => self.scan_vertices(fra, g.vertex_ids(), out),
+            },
+            Fra::ScanEdges { types, .. } => {
+                let mut row = Vec::new();
+                if types.is_empty() {
+                    for e in g.edge_ids() {
+                        self.scan_edge(fra, e, &mut row, out);
+                    }
+                } else {
+                    for &t in types {
+                        for &e in g.edges_with_type(t) {
+                            self.scan_edge(fra, e, &mut row, out);
+                        }
+                    }
+                }
+            }
+            Fra::Filter { .. } | Fra::Project { .. } | Fra::Unwind { .. } => {
+                let (program, below) = TupleProgram::compile(fra).expect("a σ/π/ω root");
+                let mut scratch = Scratch::default();
+                let mut through = |row: &[Value], m: i64| {
+                    program.run(row, &mut scratch, |emit| match emit {
+                        Emit::Input => out(row, m),
+                        Emit::Row(r) => out(r, m),
+                    })
+                };
+                // Seek: the index's candidates instead of the label extent.
+                let seek = match chain_bottom(fra) {
+                    Fra::Filter { input, predicate } => {
+                        seek_key(input, predicate).and_then(|(l, k, v)| g.prop_seek(l, k, v))
+                    }
+                    _ => None,
+                };
+                match seek {
+                    Some(candidates) => {
+                        self.scan_vertices(below, candidates.iter().copied(), &mut through)
+                    }
+                    None => self.push(below, &mut through),
+                }
+            }
+            Fra::HashJoin {
+                left,
+                right,
+                left_keys,
+                right_keys,
+            } => {
+                let mut build = None;
+                let (mut key, mut row) = (Vec::new(), Vec::new());
+                self.push(left, &mut |l, lm| {
+                    let index = build.get_or_insert_with(|| self.index(right, right_keys));
+                    project_into(l, left_keys, &mut key);
+                    let Some(matches) = index.get(&key[..]) else {
+                        return;
+                    };
+                    for (r, rm) in matches.iter() {
+                        row.clear();
+                        row.extend_from_slice(l);
+                        row.extend_from_slice(r);
+                        out(&row, lm * rm);
+                    }
+                });
+            }
+            Fra::SemiJoin {
+                left,
+                right,
+                left_keys,
+                right_keys,
+                anti,
+            } => {
+                let mut support = None;
+                let mut key = Vec::new();
+                self.push(left, &mut |l, lm| {
+                    let support = support.get_or_insert_with(|| self.support(right, right_keys));
+                    project_into(l, left_keys, &mut key);
+                    let positive = support.get(&key[..]).is_some_and(|&n| n > 0);
+                    if positive != *anti {
+                        out(l, lm);
+                    }
+                });
+            }
+            Fra::VarLengthJoin {
+                left,
+                src_col,
+                spec,
+                ..
+            } => {
+                // Enumerate per distinct source, then fan out to left rows.
+                let mut by_src: FxHashMap<Value, Rows> = FxHashMap::default();
+                self.push(left, &mut |l, m| {
+                    by_src
+                        .entry(l[*src_col].clone())
+                        .or_insert_with(|| Rows::new(l.len()))
+                        .push(l.iter(), m);
+                });
+                let (mut tail, mut row) = (Vec::new(), Vec::new());
+                for (srcv, rows) in &by_src {
+                    let Some(src) = srcv.as_node() else { continue };
+                    for p in enumerate_paths(g, src, spec) {
+                        let dst = p.target();
+                        let Some(dd) = g.vertex(dst) else { continue };
+                        if !spec.dst_labels.iter().all(|&l| dd.has_label(l)) {
+                            continue;
+                        }
+                        tail.clear();
+                        tail.push(Value::Node(dst));
+                        for pr in &spec.dst_props {
+                            tail.push(dd.props.get_or_null(pr.prop));
+                        }
+                        if spec.dst_carry_map {
+                            tail.push(dd.props.to_value_map());
+                        }
+                        tail.push(Value::path(p));
+                        for (t, m) in rows.iter() {
+                            row.clear();
+                            row.extend_from_slice(t);
+                            row.extend_from_slice(&tail);
+                            out(&row, m);
+                        }
+                    }
+                }
+            }
+            Fra::Distinct { input } => {
+                let mut seen = FxHashMap::default();
+                self.push(input, &mut |r, m| count(&mut seen, r, m));
+                for (t, m) in &seen {
+                    if *m > 0 {
+                        out(t.values(), 1);
+                    }
+                }
+            }
+            Fra::Aggregate { input, group, aggs } => self.aggregate(input, group, aggs, out),
+            Fra::MultiwayJoin {
+                inputs,
+                var_of,
+                names,
+            } => self.multiway(inputs, var_of, names.len(), out),
+        }
     }
 
     /// © over the vertices `ids` (label, property and map columns as the
     /// scan says).
-    fn scan_vertices(&mut self, scan: &Fra, ids: impl Iterator<Item = VertexId>) -> Bag {
+    fn scan_vertices(&self, scan: &Fra, ids: impl Iterator<Item = VertexId>, out: &mut Sink<'_>) {
         let Fra::ScanVertices {
             labels,
             props,
@@ -156,29 +487,29 @@ impl<'g> Evaluator<'g> {
         else {
             unreachable!("callers pass a ©")
         };
-        let mut out = Vec::new();
+        let mut row = Vec::new();
         for v in ids {
-            self.rows_scanned += 1;
+            self.count_scan();
             let Some(data) = self.g.vertex(v) else {
                 continue;
             };
             if !labels.iter().all(|&l| data.has_label(l)) {
                 continue;
             }
-            let mut vals = vec![Value::Node(v)];
+            row.clear();
+            row.push(Value::Node(v));
             for p in props {
-                vals.push(data.props.get_or_null(p.prop));
+                row.push(data.props.get_or_null(p.prop));
             }
             if *carry_map {
-                vals.push(data.props.to_value_map());
+                row.push(data.props.to_value_map());
             }
-            out.push((Tuple::new(vals), 1));
+            out(&row, 1);
         }
-        out
     }
 
-    /// The rows edge `e` contributes to ⇑ `scan`.
-    fn scan_edge(&mut self, scan: &Fra, e: EdgeId, out: &mut Bag) {
+    /// Push the rows edge `e` contributes to ⇑ `scan`, assembled in `row`.
+    fn scan_edge(&self, scan: &Fra, e: EdgeId, row: &mut Vec<Value>, out: &mut Sink<'_>) {
         let Fra::ScanEdges {
             types,
             src_labels,
@@ -194,7 +525,7 @@ impl<'g> Evaluator<'g> {
             unreachable!("callers pass a ⇑")
         };
         let g = self.g;
-        self.rows_scanned += 1;
+        self.count_scan();
         let Some(data) = g.edge(e) else { return };
         if !types.is_empty() && !types.contains(&data.ty) {
             return;
@@ -219,410 +550,341 @@ impl<'g> Evaluator<'g> {
             {
                 continue;
             }
-            let mut vals = vec![Value::Node(s), Value::Rel(e), Value::Node(d)];
+            row.clear();
+            row.extend([Value::Node(s), Value::Rel(e), Value::Node(d)]);
             for p in src_props {
-                vals.push(sd.props.get_or_null(p.prop));
+                row.push(sd.props.get_or_null(p.prop));
             }
             for p in edge_props {
-                vals.push(data.props.get_or_null(p.prop));
+                row.push(data.props.get_or_null(p.prop));
             }
             for p in dst_props {
-                vals.push(dd.props.get_or_null(p.prop));
+                row.push(dd.props.get_or_null(p.prop));
             }
             if carry_maps.0 {
-                vals.push(sd.props.to_value_map());
+                row.push(sd.props.to_value_map());
             }
             if carry_maps.1 {
-                vals.push(data.props.to_value_map());
+                row.push(data.props.to_value_map());
             }
             if carry_maps.2 {
-                vals.push(dd.props.to_value_map());
+                row.push(dd.props.to_value_map());
             }
-            out.push((Tuple::new(vals), 1));
+            out(row, 1);
         }
     }
 
-    fn eval(&mut self, fra: &Fra) -> Bag {
-        let g = self.g;
-        match fra {
-            Fra::Unit => vec![(Tuple::unit(), 1)],
-            Fra::ScanVertices { labels, .. } => match labels.first() {
-                Some(&l) => self.scan_vertices(fra, g.vertices_with_label(l).iter().copied()),
-                None => self.scan_vertices(fra, g.vertex_ids()),
-            },
-            Fra::ScanEdges { types, .. } => {
-                let mut out = Vec::new();
-                if types.is_empty() {
-                    for e in g.edge_ids() {
-                        self.scan_edge(fra, e, &mut out);
-                    }
-                } else {
-                    for &t in types {
-                        for &e in g.edges_with_type(t) {
-                            self.scan_edge(fra, e, &mut out);
-                        }
-                    }
-                }
-                out
-            }
-            Fra::HashJoin {
-                left,
-                right,
-                left_keys,
-                right_keys,
-            } => {
-                let l = self.eval(left);
-                if l.is_empty() {
-                    return l;
-                }
-                let r = self.eval(right);
-                let right_keep: Vec<usize> = (0..right.schema().len())
-                    .filter(|i| !right_keys.contains(i))
-                    .collect();
-                let mut index: FxHashMap<Tuple, Vec<(Tuple, i64)>> = FxHashMap::default();
-                for (t, m) in r {
-                    index.entry(t.project(right_keys)).or_default().push((t, m));
-                }
-                let mut out = Vec::new();
-                for (lt, lm) in l {
-                    let key = lt.project(left_keys);
-                    if let Some(matches) = index.get(&key) {
-                        for (rt, rm) in matches {
-                            let mut vals: Vec<Value> = lt.values().to_vec();
-                            for &i in &right_keep {
-                                vals.push(rt.get(i).clone());
-                            }
-                            out.push((Tuple::new(vals), lm * rm));
-                        }
-                    }
-                }
-                out
-            }
-            Fra::VarLengthJoin {
-                left,
-                src_col,
-                spec,
-                ..
-            } => {
-                let l = self.eval(left);
-                let mut out = Vec::new();
-                // Enumerate per distinct source, then fan out to left rows.
-                let mut by_src: FxHashMap<Value, Vec<(Tuple, i64)>> = FxHashMap::default();
-                for (t, m) in l {
-                    by_src
-                        .entry(t.get(*src_col).clone())
-                        .or_default()
-                        .push((t, m));
-                }
-                for (srcv, rows) in by_src {
-                    let Some(src) = srcv.as_node() else { continue };
-                    for p in enumerate_paths(g, src, spec) {
-                        let dst = p.target();
-                        let Some(dd) = g.vertex(dst) else { continue };
-                        if !spec.dst_labels.iter().all(|&l| dd.has_label(l)) {
-                            continue;
-                        }
-                        let mut tail: Vec<Value> = vec![Value::Node(dst)];
-                        for pr in &spec.dst_props {
-                            tail.push(dd.props.get_or_null(pr.prop));
-                        }
-                        if spec.dst_carry_map {
-                            tail.push(dd.props.to_value_map());
-                        }
-                        tail.push(Value::path(p.clone()));
-                        for (t, m) in &rows {
-                            let mut vals: Vec<Value> = t.values().to_vec();
-                            vals.extend(tail.iter().cloned());
-                            out.push((Tuple::new(vals), *m));
-                        }
-                    }
-                }
-                out
-            }
-            Fra::SemiJoin {
-                left,
-                right,
-                left_keys,
-                right_keys,
-                anti,
-            } => {
-                let l = self.eval(left);
-                let r = self.eval(right);
-                let mut support: FxHashMap<Tuple, i64> = FxHashMap::default();
-                for (t, m) in r {
-                    *support.entry(t.project(right_keys)).or_insert(0) += m;
-                }
-                l.into_iter()
-                    .filter(|(t, _)| {
-                        let positive = support.get(&t.project(left_keys)).copied().unwrap_or(0) > 0;
-                        positive != *anti
-                    })
-                    .collect()
-            }
-            Fra::Filter { input, predicate } => {
-                // Seek: the index's candidates instead of the label extent.
-                let seek = seek_key(input, predicate).and_then(|(l, k, v)| g.prop_seek(l, k, v));
-                let rows = match seek {
-                    Some(candidates) => self.scan_vertices(input, candidates.iter().copied()),
-                    None => self.eval(input),
-                };
-                rows.into_iter()
-                    .filter(|(t, _)| predicate.matches(t))
-                    .collect()
-            }
-            Fra::Project { input, items } => self
-                .eval(input)
-                .into_iter()
-                .map(|(t, m)| {
-                    let vals = items
-                        .iter()
-                        .map(|(e, _)| e.eval(&t).unwrap_or(Value::Null))
-                        .collect::<Vec<_>>();
-                    (Tuple::new(vals), m)
-                })
-                .collect(),
-            Fra::Distinct { input } => {
-                let mut seen: FxHashMap<Tuple, i64> = FxHashMap::default();
-                for (t, m) in self.eval(input) {
-                    *seen.entry(t).or_insert(0) += m;
-                }
-                seen.into_iter()
-                    .filter(|(_, m)| *m > 0)
-                    .map(|(t, _)| (t, 1))
-                    .collect()
-            }
-            Fra::Aggregate { input, group, aggs } => aggregate_bag(self.eval(input), group, aggs),
-            Fra::Unwind { input, expr, .. } => {
-                let mut out = Vec::new();
-                for (t, m) in self.eval(input) {
-                    if let Ok(Value::List(items)) = expr.eval(&t) {
-                        for item in items.iter() {
-                            out.push((t.push(item.clone()), m));
-                        }
-                    }
-                }
-                out
-            }
-            Fra::MultiwayJoin {
-                inputs,
-                var_of,
-                names,
-            } => {
-                // The baseline recomputes ⨝ⁿ as a left-deep hash join over
-                // variable bindings: fold the inputs in order, joining each
-                // on whichever of its variables are already bound. Output
-                // columns are the bindings in variable order (matching the
-                // operator's schema), so results agree with the
-                // incremental operator tuple-for-tuple.
-                let nvars = names.len();
-                let mut bound = vec![false; nvars];
-                let mut acc: Vec<(Vec<Value>, i64)> = vec![(vec![Value::Null; nvars], 1)];
-                for (i, inp) in inputs.iter().enumerate() {
-                    let by_col = &var_of[i];
-                    let first_col = |v: usize| {
-                        by_col
-                            .iter()
-                            .position(|&w| w == v)
-                            .expect("var of this input")
-                    };
-                    let mut distinct: Vec<usize> = by_col.clone();
-                    distinct.sort_unstable();
-                    distinct.dedup();
-                    let shared: Vec<usize> =
-                        distinct.iter().copied().filter(|&v| bound[v]).collect();
-                    let fresh: Vec<usize> =
-                        distinct.iter().copied().filter(|&v| !bound[v]).collect();
-                    let shared_cols: Vec<usize> = shared.iter().map(|&v| first_col(v)).collect();
-                    let fresh_cols: Vec<usize> = fresh.iter().map(|&v| first_col(v)).collect();
-                    let mut index: FxHashMap<Tuple, Vec<(Vec<Value>, i64)>> = FxHashMap::default();
-                    for (t, m) in self.eval(inp) {
-                        // A variable mapped to several columns equates them.
-                        if by_col
-                            .iter()
-                            .enumerate()
-                            .any(|(c, &v)| t.get(first_col(v)) != t.get(c))
-                        {
-                            continue;
-                        }
-                        let vals: Vec<Value> =
-                            fresh_cols.iter().map(|&c| t.get(c).clone()).collect();
-                        index
-                            .entry(t.project(&shared_cols))
-                            .or_default()
-                            .push((vals, m));
-                    }
-                    let mut next = Vec::new();
-                    for (b, m) in acc {
-                        let key: Tuple = shared.iter().map(|&v| b[v].clone()).collect();
-                        if let Some(matches) = index.get(&key) {
-                            for (vals, mm) in matches {
-                                let mut nb = b.clone();
-                                for (k, &v) in fresh.iter().enumerate() {
-                                    nb[v] = vals[k].clone();
-                                }
-                                next.push((nb, m * mm));
-                            }
-                        }
-                    }
-                    acc = next;
-                    for &v in &fresh {
-                        bound[v] = true;
-                    }
-                }
-                acc.into_iter().map(|(b, m)| (Tuple::new(b), m)).collect()
-            }
-        }
-    }
-
-    /// Evaluate a compiled query end-to-end, applying ORDER BY / SKIP /
-    /// LIMIT.
-    pub fn run_query(&mut self, cq: &CompiledQuery) -> Vec<Tuple> {
-        self.run_rows(&cq.fra, &cq.order_by, cq.skip, cq.limit)
-    }
-
-    /// Evaluate `fra` into rows (multiplicities expanded) in the
-    /// deterministic base order, then apply ORDER BY / SKIP / LIMIT —
-    /// [`Evaluator::run_query`] for a caller that holds the plan apart
-    /// from its compilation stages.
-    pub fn run_rows(
-        &mut self,
-        fra: &Fra,
-        order_by: &[(ScalarExpr, bool)],
-        skip: Option<usize>,
-        limit: Option<usize>,
-    ) -> Vec<Tuple> {
-        let bag = self.run(fra);
-        let mut rows: Vec<Tuple> = Vec::new();
-        for (t, m) in bag {
-            for _ in 0..m.max(0) {
-                rows.push(t.clone());
-            }
-        }
-        // Deterministic base order.
-        rows.sort_by(tuple_cmp);
-        if !order_by.is_empty() {
-            rows.sort_by(|a, b| {
-                for (expr, asc) in order_by {
-                    let va = expr.eval(a).unwrap_or(Value::Null);
-                    let vb = expr.eval(b).unwrap_or(Value::Null);
-                    let ord = va.total_cmp(&vb);
-                    let ord = if *asc { ord } else { ord.reverse() };
-                    if ord != Ordering::Equal {
-                        return ord;
-                    }
-                }
-                Ordering::Equal
-            });
-        }
-        let start = skip.unwrap_or(0).min(rows.len());
-        let end = match limit {
-            Some(l) => (start + l).min(rows.len()),
-            None => rows.len(),
-        };
-        rows[start..end].to_vec()
-    }
-}
-
-fn aggregate_bag(input: Bag, group: &[(ScalarExpr, String)], aggs: &[(AggCall, String)]) -> Bag {
-    struct Acc {
-        rows: i64,
-        values: Vec<Vec<Value>>, // per agg: raw arg values (mult-expanded)
-    }
-    let mut groups: FxHashMap<Tuple, Acc> = FxHashMap::default();
-    for (t, m) in input {
-        let key: Tuple = group
-            .iter()
-            .map(|(e, _)| e.eval(&t).unwrap_or(Value::Null))
+    /// A ⋈'s build side: `input`'s rows without their key columns, keyed
+    /// on `keys`.
+    fn index(&self, input: &Fra, keys: &[usize]) -> Index {
+        let keep: Vec<usize> = (0..input.schema().len())
+            .filter(|c| !keys.contains(c))
             .collect();
-        let acc = groups.entry(key).or_insert_with(|| Acc {
-            rows: 0,
-            values: vec![Vec::new(); aggs.len()],
+        let mut index = Index::default();
+        let mut key = Vec::new();
+        self.push(input, &mut |r, m| {
+            project_into(r, keys, &mut key);
+            file(&mut index, &key, r, &keep, m);
         });
-        acc.rows += m;
-        for (i, (call, _)) in aggs.iter().enumerate() {
-            let v = call
-                .arg
-                .as_ref()
-                .map(|e| e.eval(&t).unwrap_or(Value::Null))
-                .unwrap_or(Value::Null);
-            for _ in 0..m.max(0) {
-                acc.values[i].push(v.clone());
+        index
+    }
+
+    /// A ⋉'s support: `input`'s multiplicity per key on `keys`.
+    fn support(&self, input: &Fra, keys: &[usize]) -> FxHashMap<Tuple, i64> {
+        let mut support = FxHashMap::default();
+        let mut key = Vec::new();
+        self.push(input, &mut |r, m| {
+            project_into(r, keys, &mut key);
+            count(&mut support, &key, m);
+        });
+        support
+    }
+
+    /// γ: one accumulator set per group, a row per group at the end.
+    fn aggregate(
+        &self,
+        input: &Fra,
+        group: &[(ScalarExpr, String)],
+        aggs: &[(AggCall, String)],
+        out: &mut Sink<'_>,
+    ) {
+        let mut groups: FxHashMap<Tuple, Group> = FxHashMap::default();
+        let mut key = Vec::new();
+        self.push(input, &mut |r, m| {
+            key.clear();
+            key.extend(group.iter().map(|(e, _)| e.eval(r).unwrap_or(Value::Null)));
+            if !groups.contains_key(&key[..]) {
+                groups.insert(Tuple::from_slice(&key), Group::new(aggs));
             }
+            let acc = groups.get_mut(&key[..]).expect("inserted above");
+            acc.rows += m;
+            for ((call, _), acc) in aggs.iter().zip(&mut acc.accs) {
+                let v = match &call.arg {
+                    Some(e) => e.eval(r).unwrap_or(Value::Null),
+                    None => Value::Null,
+                };
+                acc.add(v, m);
+            }
+        });
+        if group.is_empty() && groups.is_empty() {
+            groups.insert(Tuple::unit(), Group::new(aggs));
+        }
+        let mut row = Vec::new();
+        for (key, acc) in groups {
+            if acc.rows <= 0 && !group.is_empty() {
+                continue;
+            }
+            row.clear();
+            row.extend_from_slice(key.values());
+            let rows = acc.rows;
+            row.extend(
+                aggs.iter()
+                    .zip(acc.accs)
+                    .map(|((call, _), a)| a.finish(call, rows)),
+            );
+            out(&row, 1);
         }
     }
-    if group.is_empty() && groups.is_empty() {
-        groups.insert(
-            Tuple::unit(),
-            Acc {
-                rows: 0,
-                values: vec![Vec::new(); aggs.len()],
-            },
-        );
+
+    /// ⨝ⁿ as a left-deep join over variable bindings: the first input
+    /// streams, and each later input is an index keyed on whichever of
+    /// its variables are already bound, built when the first binding
+    /// reaches it. Output columns are the bindings in variable order
+    /// (the operator's schema), so results agree with the incremental
+    /// operator tuple for tuple.
+    fn multiway(&self, inputs: &[Fra], var_of: &[Vec<usize>], nvars: usize, out: &mut Sink<'_>) {
+        let mut bound = vec![false; nvars];
+        let mut steps: Vec<Step> = var_of
+            .iter()
+            .map(|by_col| {
+                let first_col = |v: usize| {
+                    by_col
+                        .iter()
+                        .position(|&w| w == v)
+                        .expect("var of this input")
+                };
+                let mut distinct = by_col.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                let (shared, fresh): (Vec<usize>, Vec<usize>) =
+                    distinct.iter().partition(|&&v| bound[v]);
+                for &v in &fresh {
+                    bound[v] = true;
+                }
+                Step {
+                    shared_cols: shared.iter().map(|&v| first_col(v)).collect(),
+                    fresh_cols: fresh.iter().map(|&v| first_col(v)).collect(),
+                    first_of_col: by_col.iter().map(|&v| first_col(v)).collect(),
+                    shared,
+                    fresh,
+                    index: None,
+                    key: Vec::new(),
+                }
+            })
+            .collect();
+        let Some((first, later)) = inputs.split_first() else {
+            return out(&[], 1);
+        };
+        let (step, rest) = steps.split_first_mut().expect("a step per input");
+        let mut binding = vec![Value::Null; nvars];
+        self.push(first, &mut |t, m| {
+            if !step.consistent(t) {
+                return;
+            }
+            for (&v, &c) in step.fresh.iter().zip(&step.fresh_cols) {
+                binding[v] = t[c].clone();
+            }
+            self.extend(later, rest, &mut binding, m, out);
+        });
     }
-    let mut out = Vec::new();
-    for (key, acc) in groups {
-        if acc.rows <= 0 && !group.is_empty() {
-            continue;
+
+    /// Join `binding` with the remaining ⨝ⁿ inputs, pushing every full
+    /// binding.
+    fn extend(
+        &self,
+        inputs: &[Fra],
+        steps: &mut [Step],
+        binding: &mut [Value],
+        m: i64,
+        out: &mut Sink<'_>,
+    ) {
+        let (Some((input, inputs)), Some((step, steps))) =
+            (inputs.split_first(), steps.split_first_mut())
+        else {
+            return out(binding, m);
+        };
+        if step.index.is_none() {
+            let mut index = Index::default();
+            let mut key = Vec::new();
+            self.push(input, &mut |t, mm| {
+                if step.consistent(t) {
+                    project_into(t, &step.shared_cols, &mut key);
+                    file(&mut index, &key, t, &step.fresh_cols, mm);
+                }
+            });
+            step.index = Some(index);
         }
-        let mut vals: Vec<Value> = key.values().to_vec();
-        for ((call, _), raw) in aggs.iter().zip(acc.values) {
-            vals.push(finish_agg(call, acc.rows, raw));
+        project_into(binding, &step.shared, &mut step.key);
+        let Some(matches) = step.index.as_ref().and_then(|i| i.get(&step.key[..])) else {
+            return;
+        };
+        for (vals, mm) in matches.iter() {
+            for (&v, val) in step.fresh.iter().zip(vals) {
+                binding[v] = val.clone();
+            }
+            self.extend(inputs, steps, binding, m * mm, out);
         }
-        out.push((Tuple::new(vals), 1));
     }
-    out
 }
 
-fn finish_agg(call: &AggCall, rows: i64, mut raw: Vec<Value>) -> Value {
-    raw.retain(|v| !v.is_null());
-    if call.distinct {
-        raw.sort_by(Value::total_cmp);
-        raw.dedup();
+/// One input of a ⨝ⁿ fold: which of its variables are bound before it
+/// (the probe key) and which it binds, and its index once built.
+struct Step {
+    shared: Vec<usize>,
+    fresh: Vec<usize>,
+    shared_cols: Vec<usize>,
+    fresh_cols: Vec<usize>,
+    /// Per column, the first column of the same variable.
+    first_of_col: Vec<usize>,
+    index: Option<Index>,
+    /// The probe key, reused.
+    key: Vec<Value>,
+}
+
+impl Step {
+    /// A variable mapped to several columns equates them.
+    fn consistent(&self, t: &[Value]) -> bool {
+        self.first_of_col
+            .iter()
+            .enumerate()
+            .all(|(c, &f)| t[f] == t[c])
     }
-    match call.func {
-        AggFunc::CountStar => Value::Int(rows),
-        AggFunc::Count => Value::Int(raw.len() as i64),
-        AggFunc::Sum => {
-            let mut int_sum = 0i64;
-            let mut float_sum = 0.0f64;
-            let mut floats = false;
-            for v in &raw {
-                match v {
-                    Value::Int(i) => int_sum += i,
-                    Value::Float(f) => {
-                        float_sum += f.get();
-                        floats = true;
-                    }
-                    _ => {}
+}
+
+/// One γ group's state.
+struct Group {
+    rows: i64,
+    accs: Vec<Acc>,
+}
+
+impl Group {
+    fn new(aggs: &[(AggCall, String)]) -> Group {
+        Group {
+            rows: 0,
+            accs: aggs.iter().map(|(call, _)| Acc::new(call)).collect(),
+        }
+    }
+}
+
+/// One aggregate's accumulator. Every aggregate but `collect` and the
+/// `DISTINCT` ones folds its values as they arrive.
+enum Acc {
+    /// `count(*)`: the group's row count is the answer.
+    Rows,
+    /// `count(x)`: non-null values.
+    Count(i64),
+    /// `sum(x)` / `avg(x)`.
+    Num(Num),
+    /// `min(x)` (`max` when the flag is set): the extremum so far.
+    Extreme(Option<Value>, bool),
+    /// `collect(x)` and every `DISTINCT` aggregate: the values.
+    Values(Vec<Value>),
+}
+
+impl Acc {
+    fn new(call: &AggCall) -> Acc {
+        match call.func {
+            AggFunc::CountStar => Acc::Rows,
+            _ if call.distinct => Acc::Values(Vec::new()),
+            AggFunc::Count => Acc::Count(0),
+            AggFunc::Sum | AggFunc::Avg => Acc::Num(Num::default()),
+            AggFunc::Min => Acc::Extreme(None, false),
+            AggFunc::Max => Acc::Extreme(None, true),
+            AggFunc::Collect => Acc::Values(Vec::new()),
+        }
+    }
+
+    /// Fold in `v`, `m` times (a `null` counts for nothing).
+    fn add(&mut self, v: Value, m: i64) {
+        if v.is_null() || m <= 0 {
+            return;
+        }
+        match self {
+            Acc::Rows => {}
+            Acc::Count(n) => *n += m,
+            Acc::Num(num) => num.add(&v, m),
+            Acc::Extreme(best, max) => {
+                // `min` keeps the first of equal values, `max` the last.
+                let replace = best.as_ref().is_none_or(|b| match v.total_cmp(b) {
+                    Ordering::Less => !*max,
+                    _ => *max,
+                });
+                if replace {
+                    *best = Some(v);
                 }
             }
-            if floats {
-                Value::float(int_sum as f64 + float_sum)
-            } else {
-                Value::Int(int_sum)
+            Acc::Values(vals) => vals.extend(std::iter::repeat_n(v, m as usize)),
+        }
+    }
+
+    fn finish(self, call: &AggCall, rows: i64) -> Value {
+        match self {
+            Acc::Rows => Value::Int(rows),
+            Acc::Count(n) => Value::Int(n),
+            Acc::Num(num) => num.finish(call.func),
+            Acc::Extreme(best, _) => best.unwrap_or(Value::Null),
+            Acc::Values(mut vals) => {
+                vals.sort_by(Value::total_cmp);
+                if call.distinct {
+                    vals.dedup();
+                }
+                match call.func {
+                    AggFunc::Count => Value::Int(vals.len() as i64),
+                    AggFunc::Sum | AggFunc::Avg => {
+                        let mut num = Num::default();
+                        vals.iter().for_each(|v| num.add(v, 1));
+                        num.finish(call.func)
+                    }
+                    AggFunc::Min => vals.first().cloned().unwrap_or(Value::Null),
+                    AggFunc::Max => vals.last().cloned().unwrap_or(Value::Null),
+                    AggFunc::Collect | AggFunc::CountStar => Value::list(vals),
+                }
             }
         }
-        AggFunc::Avg => {
-            let nums: Vec<f64> = raw.iter().filter_map(Value::as_f64).collect();
-            if nums.is_empty() {
-                Value::Null
-            } else {
-                Value::float(nums.iter().sum::<f64>() / nums.len() as f64)
+    }
+}
+
+/// A running `sum`/`avg`: integers add exactly, floats in arrival order.
+#[derive(Default)]
+struct Num {
+    ints: i128,
+    floats: f64,
+    any_float: bool,
+    n: i64,
+}
+
+impl Num {
+    fn add(&mut self, v: &Value, m: i64) {
+        match v {
+            Value::Int(i) => self.ints += i128::from(*i) * i128::from(m),
+            Value::Float(f) => {
+                for _ in 0..m {
+                    self.floats += f.get();
+                }
+                self.any_float = true;
             }
+            _ => return,
         }
-        AggFunc::Min => raw
-            .iter()
-            .min_by(|a, b| a.total_cmp(b))
-            .cloned()
-            .unwrap_or(Value::Null),
-        AggFunc::Max => raw
-            .iter()
-            .max_by(|a, b| a.total_cmp(b))
-            .cloned()
-            .unwrap_or(Value::Null),
-        AggFunc::Collect => {
-            raw.sort_by(Value::total_cmp);
-            Value::list(raw)
+        self.n += m;
+    }
+
+    /// The sum (`null` for an integer sum outside `i64`) or the average.
+    fn finish(&self, func: AggFunc) -> Value {
+        match func {
+            AggFunc::Avg if self.n == 0 => Value::Null,
+            AggFunc::Avg => Value::float((self.ints as f64 + self.floats) / self.n as f64),
+            _ if self.any_float => Value::float(self.ints as f64 + self.floats),
+            _ => i64::try_from(self.ints).map_or(Value::Null, Value::Int),
         }
     }
 }
@@ -634,24 +896,13 @@ pub fn evaluate_query(cq: &CompiledQuery, g: &PropertyGraph) -> Vec<Tuple> {
     Evaluator::new(g).run_query(cq)
 }
 
-fn tuple_cmp(a: &Tuple, b: &Tuple) -> Ordering {
-    a.values()
-        .iter()
-        .zip(b.values())
-        .fold(Ordering::Equal, |acc, (x, y)| {
-            acc.then_with(|| x.total_cmp(y))
-        })
-        .then_with(|| a.arity().cmp(&b.arity()))
-}
-
 /// Convenience: evaluate and consolidate into a sorted multiplicity bag
-/// (for comparison against `pgq_ivm`-style view results).
+/// (for comparison against `pgq_ivm`-style view results). Rows are
+/// consolidated as they arrive, so the result is all that is held.
 pub fn evaluate_consolidated(fra: &Fra, g: &PropertyGraph) -> Bag {
-    let mut m: FxHashMap<Tuple, i64> = FxHashMap::default();
-    for (t, c) in evaluate(fra, g) {
-        *m.entry(t).or_insert(0) += c;
-    }
-    let mut out: Vec<(Tuple, i64)> = m.into_iter().filter(|(_, c)| *c != 0).collect();
-    out.sort_by(|a, b| tuple_cmp(&a.0, &b.0));
+    let mut counts = FxHashMap::default();
+    Evaluator::new(g).push(fra, &mut |row, m| count(&mut counts, row, m));
+    let mut out: Bag = counts.into_iter().filter(|(_, c)| *c != 0).collect();
+    out.sort_by(|a, b| a.0.total_cmp(&b.0));
     out
 }

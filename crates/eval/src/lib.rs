@@ -12,6 +12,13 @@
 //!    sequences;
 //! 3. the executor for the constructs the paper's fragment deliberately
 //!    excludes from IVM (`ORDER BY`, `SKIP`, `LIMIT`).
+//!
+//! It is push-based ([`eval`]): rows flow from each scan to the first
+//! operator that has to hold them, so a read holds its build sides and
+//! groups, not its intermediate results. The materialising evaluator it
+//! replaced lives in the unpublished `pgq_eval_reference` crate, reachable
+//! from test targets only, as the reference the differential tests hold
+//! this one to.
 
 pub mod eval;
 pub mod paths;

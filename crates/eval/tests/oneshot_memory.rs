@@ -1,0 +1,172 @@
+//! One-shot memory follows what the plan has to hold — its build sides,
+//! its groups and its result — not the intermediate rows between them.
+//! This binary's allocator counts the live bytes of the thread that
+//! evaluates, and their peak during one evaluation.
+//!
+//! The hub-motif graph has `2 × spokes + 1` edges and `spokes²` directed
+//! 3-paths (`s1 → h1 → h2 → s2`), and no directed four-cycle. The
+//! four-cycle plan as written joins every 3-path to its closing edge, so
+//! the materialising reference holds all of them and grows about 4× when
+//! `spokes` doubles; the push evaluator holds four edge indexes and grows
+//! about 2×. A `count(*)` over the 3-paths is the same contrast with a
+//! γ on top, and a γ over `n` rows in `g` groups holds O(g) however
+//! large `n` is.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use pgq_algebra::fra::Fra;
+use pgq_algebra::pipeline::compile_query;
+use pgq_common::intern::Symbol;
+use pgq_common::value::Value;
+use pgq_graph::props::Properties;
+use pgq_graph::store::PropertyGraph;
+use pgq_parser::parse_query;
+use pgq_workloads::motifs::{generate_hub_motifs, queries, HubMotifParams};
+
+struct Counting;
+
+thread_local! {
+    /// Bytes this thread holds.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The most it held since the last reset.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
+}
+
+fn grow(bytes: i64) {
+    let _ = LIVE.try_with(|live| {
+        let now = live.get() + bytes;
+        live.set(now);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+    });
+}
+
+// SAFETY: `Counting` holds no state besides thread-local counters
+// (const-initialised `Cell`s without a destructor, so counting never
+// allocates); every method forwards its arguments unchanged to the system
+// allocator, so the caller's `GlobalAlloc` contract is the one `System`
+// gets.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grow(layout.size() as i64);
+        // SAFETY: forwarded from this method's caller.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        grow(layout.size() as i64);
+        // SAFETY: forwarded from this method's caller.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        grow(new_size as i64 - layout.size() as i64);
+        // SAFETY: forwarded from this method's caller; `ptr` came from
+        // `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow(-(layout.size() as i64));
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The peak bytes `f` held above what was live when it started, result
+/// included.
+fn peak_of<T>(f: impl FnOnce() -> T) -> u64 {
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(base));
+    let out = f();
+    let peak = PEAK.with(Cell::get);
+    drop(out);
+    (peak - base) as u64
+}
+
+fn plan(query: &str) -> Fra {
+    compile_query(&parse_query(query).unwrap()).unwrap().fra
+}
+
+/// Peak bytes of the push evaluator and of the reference consolidating
+/// `fra` over `g`, after checking that they agree.
+fn peaks(fra: &Fra, g: &PropertyGraph) -> (u64, u64) {
+    assert_eq!(
+        pgq_eval::evaluate_consolidated(fra, g),
+        pgq_eval_reference::evaluate_consolidated(fra, g)
+    );
+    (
+        peak_of(|| pgq_eval::evaluate_consolidated(fra, g)),
+        peak_of(|| pgq_eval_reference::evaluate_consolidated(fra, g)),
+    )
+}
+
+const PATHS3: &str = "MATCH (a:N)-[:E]->(b:N)-[:E]->(c:N)-[:E]->(d:N) RETURN count(*) AS paths";
+
+#[test]
+fn cyclic_reads_hold_edges_not_three_paths() {
+    let graph = |spokes| {
+        generate_hub_motifs(HubMotifParams {
+            spokes,
+            closers: 0,
+            seed: 1,
+        })
+        .graph
+    };
+    let (small, large) = (graph(150), graph(300));
+    for query in [queries::FOUR_CYCLES, PATHS3] {
+        let fra = plan(query);
+        let (push_small, ref_small) = peaks(&fra, &small);
+        let (push_large, ref_large) = peaks(&fra, &large);
+        let push = push_large as f64 / push_small as f64;
+        let reference = ref_large as f64 / ref_small as f64;
+        assert!(
+            push <= 2.5,
+            "{query}: push peak grew {push:.2}× ({push_small} → {push_large} bytes) for 2× the edges"
+        );
+        assert!(
+            reference >= 3.5,
+            "{query}: the reference holds every 3-path, so it should grow ≈ 4×, not {reference:.2}×"
+        );
+        assert!(
+            push_large * 10 < ref_large,
+            "{query}: push peak {push_large} bytes is not far below the reference's {ref_large}"
+        );
+    }
+}
+
+#[test]
+fn a_group_by_holds_its_groups_not_its_rows() {
+    const GROUPS: i64 = 8;
+    let graph = |n: i64| {
+        let mut g = PropertyGraph::new();
+        for i in 0..n {
+            let props =
+                Properties::from_iter([("k", Value::Int(i % GROUPS)), ("x", Value::Int(i))]);
+            g.add_vertex([Symbol::intern("N")], props);
+        }
+        g
+    };
+    let (small, large) = (graph(2_000), graph(8_000));
+    let fra = plan(
+        "MATCH (n:N) RETURN n.k AS k, count(*) AS c, sum(n.x) AS s, avg(n.x) AS a, \
+         min(n.x) AS lo, max(n.x) AS hi",
+    );
+    let (push_small, ref_small) = peaks(&fra, &small);
+    let (push_large, ref_large) = peaks(&fra, &large);
+    assert!(
+        push_large <= push_small + push_small / 4,
+        "push γ peak went {push_small} → {push_large} bytes for 4× the rows in the same {GROUPS} groups"
+    );
+    assert!(
+        push_large < 1_000 * GROUPS as u64,
+        "push γ held {push_large} bytes for {GROUPS} groups"
+    );
+    assert!(
+        ref_large >= 3 * ref_small,
+        "the reference keeps a value per row: {ref_small} → {ref_large} bytes"
+    );
+}

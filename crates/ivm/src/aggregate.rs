@@ -2,10 +2,12 @@
 //! future work; this is the "extension" implementation.
 //!
 //! All aggregates here are *self-maintainable under deletions*: `count`
-//! and `sum` keep invertible accumulators; `min`/`max`/`collect` (and all
-//! `DISTINCT` variants) keep support multisets so a deleted extremum
-//! exposes the runner-up without rescanning (the standard counting fix
-//! for non-distributive aggregates).
+//! and `sum` keep invertible accumulators (an integer sum is exact, in
+//! `i128`, and reads `null` while it lies outside `i64`);
+//! `min`/`max`/`collect` (and all `DISTINCT` variants) keep support
+//! multisets so a deleted extremum exposes the runner-up without
+//! rescanning (the standard counting fix for non-distributive
+//! aggregates).
 
 use std::collections::BTreeMap;
 
@@ -39,7 +41,7 @@ struct GroupState {
 enum AggState {
     Counter(i64),
     Num {
-        int_sum: i64,
+        int_sum: i128,
         float_sum: f64,
         float_n: i64,
         n: i64,
@@ -114,7 +116,9 @@ fn update_state(state: &mut AggState, call: &AggCall, value: Option<&Value>, mul
             n,
         } => match value {
             Some(Value::Int(i)) => {
-                *int_sum += i.wrapping_mul(mult);
+                // Wrapping keeps the accumulator a group: every insert
+                // is undone by its delete.
+                *int_sum = int_sum.wrapping_add(i128::from(*i) * i128::from(mult));
                 *n += mult;
             }
             Some(Value::Float(f)) => {
@@ -158,7 +162,7 @@ fn read_state(state: &AggState, call: &AggCall) -> Value {
             if *float_n > 0 {
                 Value::float(*int_sum as f64 + float_sum)
             } else {
-                Value::Int(*int_sum)
+                exact(*int_sum)
             }
         }
         (AggState::Num { n: 0, .. }, AggFunc::Avg, _) => Value::Null,
@@ -172,36 +176,27 @@ fn read_state(state: &AggState, call: &AggCall) -> Value {
             AggFunc::Avg,
             _,
         ) => Value::float((*int_sum as f64 + float_sum) / *n as f64),
-        (AggState::Multiset(s), AggFunc::Sum, _) => {
-            let mut int_sum = 0i64;
+        (AggState::Multiset(s), func @ (AggFunc::Sum | AggFunc::Avg), _) => {
+            let mut int_sum = 0i128;
             let mut float_sum = 0.0f64;
             let mut floats = false;
-            let mut any = false;
+            let mut n = 0i64;
             for v in s.keys() {
-                any = true;
                 match &v.0 {
-                    Value::Int(i) => int_sum += i,
+                    Value::Int(i) => int_sum += i128::from(*i),
                     Value::Float(f) => {
                         float_sum += f.get();
                         floats = true;
                     }
-                    _ => {}
+                    _ => continue,
                 }
+                n += 1;
             }
-            if !any {
-                Value::Int(0)
-            } else if floats {
-                Value::float(int_sum as f64 + float_sum)
-            } else {
-                Value::Int(int_sum)
-            }
-        }
-        (AggState::Multiset(s), AggFunc::Avg, _) => {
-            let vals: Vec<f64> = s.keys().filter_map(|v| v.0.as_f64()).collect();
-            if vals.is_empty() {
-                Value::Null
-            } else {
-                Value::float(vals.iter().sum::<f64>() / vals.len() as f64)
+            match func {
+                AggFunc::Avg if n == 0 => Value::Null,
+                AggFunc::Avg => Value::float((int_sum as f64 + float_sum) / n as f64),
+                _ if floats => Value::float(int_sum as f64 + float_sum),
+                _ => exact(int_sum),
             }
         }
         (AggState::Multiset(s), AggFunc::Min, _) => {
@@ -226,6 +221,11 @@ fn read_state(state: &AggState, call: &AggCall) -> Value {
         (AggState::Multiset(_), AggFunc::Count | AggFunc::CountStar, false) => Value::Null,
         (AggState::Num { .. }, _, _) => Value::Null,
     }
+}
+
+/// An exact integer sum as a value: `null` outside `i64`.
+fn exact(sum: i128) -> Value {
+    i64::try_from(sum).map_or(Value::Null, Value::Int)
 }
 
 impl AggregateOp {
@@ -422,6 +422,31 @@ mod tests {
             .consolidate();
         // After removing the float, the sum is integer 2 again.
         assert!(out.into_entries().contains(&(t(&[Value::Int(2)]), 1)));
+    }
+
+    #[test]
+    fn integer_sum_is_exact_and_reversible() {
+        let mut a = AggregateOp::new(vec![], vec![call(AggFunc::Sum, Some(0), false)]);
+        a.on_delta(Delta::new());
+        let max = t(&[Value::Int(i64::MAX)]);
+        let one = t(&[Value::Int(1)]);
+        let read = |out: Delta| {
+            let entries = out.consolidate().into_entries();
+            entries.into_iter().find(|(_, m)| *m > 0).map(|(t, _)| t)
+        };
+        assert_eq!(
+            read(a.on_delta([(max, 1)].into_iter().collect())),
+            Some(t(&[Value::Int(i64::MAX)]))
+        );
+        // Past `i64::MAX` the sum reads `null`, and deleting the `1` undoes it.
+        assert_eq!(
+            read(a.on_delta([(one.clone(), 1)].into_iter().collect())),
+            Some(t(&[Value::Null]))
+        );
+        assert_eq!(
+            read(a.on_delta([(one, -1)].into_iter().collect())),
+            Some(t(&[Value::Int(i64::MAX)]))
+        );
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Differential testing: after ANY sequence of updates, an incrementally
 //! maintained view must equal a from-scratch evaluation of the same FRA
 //! plan. This is the central correctness property of the whole system —
-//! the IVM engine and the baseline evaluator act as mutual oracles.
+//! the IVM engine and the baseline evaluator act as mutual oracles. The
+//! baseline is itself held to a reference: every from-scratch evaluation
+//! here runs both the push evaluator (`pgq_eval`) and the materialising
+//! one it replaced (`pgq_eval_reference`) and requires the same bag.
 
 use std::sync::{Arc, Mutex};
 
@@ -230,8 +233,17 @@ fn consolidated(view: &MaterializedView) -> Vec<(Tuple, i64)> {
     view.results()
 }
 
+/// A from-scratch evaluation: the push evaluator, held on every call to
+/// the materialising reference it replaced.
 fn eval_consolidated(fra: &pgq_algebra::Fra, g: &PropertyGraph) -> Vec<(Tuple, i64)> {
-    pgq_eval::evaluate_consolidated(fra, g)
+    let got = pgq_eval::evaluate_consolidated(fra, g);
+    assert_eq!(
+        got,
+        pgq_eval_reference::evaluate_consolidated(fra, g),
+        "push evaluator differs from the reference on\n{}",
+        fra.explain()
+    );
+    got
 }
 
 fn seed_graph() -> PropertyGraph {
@@ -1616,4 +1628,236 @@ fn folded_property_scans_follow_property_label_and_delete_churn() {
             check(&nets, &g, &format!("step {step} ({what})"));
         }
     }
+}
+
+// ---- push evaluator ≡ materialising reference -------------------------------
+//
+// `pgq_eval` pushes rows from each scan to the first operator that holds
+// rows; `pgq_eval_reference` builds a bag per operator. The two must
+// give the same bag — rows in the same order — for every plan: as
+// written, as the one-shot planner orders it (binary joins), and with
+// every cyclic region fused into a ⨝ⁿ. The push evaluator scans no more
+// rows than the reference, and exactly as many wherever the plan has no
+// ⋉ or ⨝ⁿ (those build their right sides lazily, so an empty left skips
+// them; the reference scans them anyway).
+
+/// Reads beyond the view oracle's: the `REPLY` motifs and a directed
+/// 3-path count, and every aggregate with and without `DISTINCT`.
+const ONE_SHOT_QUERIES: &[&str] = &[
+    REPLY_TRIANGLES,
+    REPLY_TRANSITIVE,
+    "MATCH (a)-[:REPLY]->(b)-[:REPLY]->(c)-[:REPLY]->(d)-[:REPLY]->(a) RETURN a, b, c, d",
+    "MATCH (a)-[:REPLY]->(b)-[:REPLY]->(c)-[:REPLY]->(d) RETURN count(*) AS paths",
+    "MATCH (p:Post)-[:REPLY]->(c) RETURN p.lang AS lang, sum(id(c)) AS s, avg(id(c)) AS a, \
+     min(id(c)) AS lo, max(c.lang) AS hi, collect(c.lang) AS langs, count(DISTINCT c.lang) AS n",
+    "MATCH (c:Comm) RETURN sum(DISTINCT id(c) % 3) AS s, avg(DISTINCT id(c) * 0.5) AS a, \
+     min(c.lang) AS lo, max(id(c)) AS hi, collect(DISTINCT c.lang) AS langs, count(c.lang) AS n",
+    "MATCH (a)-[:REPLY]->(b) RETURN DISTINCT a.lang AS lang",
+];
+
+/// Reads whose `ORDER BY` / `SKIP` / `LIMIT` only `run_rows` applies.
+const ORDERED_QUERIES: &[&str] = &[
+    "MATCH (p:Post)-[:REPLY]->(c) RETURN p.lang AS lang, c ORDER BY lang DESC SKIP 1 LIMIT 3",
+    "MATCH (c:Comm) RETURN c.lang AS lang, count(*) AS n ORDER BY n DESC, lang LIMIT 2",
+];
+
+/// Does `fra` hold a ⋉ or a ⨝ⁿ, whose right sides the push evaluator
+/// may skip?
+fn builds_lazily(fra: &pgq_algebra::Fra) -> bool {
+    fra.explain().lines().any(|l| {
+        let op = l.trim_start();
+        op.starts_with('⋉') || op.starts_with('▷') || op.starts_with('⨝')
+    })
+}
+
+/// The push evaluator and the reference agree on `query` over `g`.
+fn push_equals_reference(query: &str, g: &PropertyGraph) -> Result<(), TestCaseError> {
+    use pgq_algebra::plan::{plan_with, PlanOptions};
+    let cq = compile_query(&parse_query(query).unwrap()).unwrap();
+    let stats = pgq_ivm::plan_stats(g);
+    let planned = [WcojMode::Disabled, WcojMode::Forced]
+        .map(|wcoj| plan_with(&cq.fra, &stats, &PlanOptions { wcoj }).fra);
+    for fra in std::iter::once(&cq.fra).chain(&planned) {
+        let mut push = pgq_eval::Evaluator::new(g);
+        let mut reference = pgq_eval_reference::Evaluator::new(g);
+        prop_assert_eq!(
+            push.run(fra),
+            reference.run(fra),
+            "bags differ on {}:\n{}",
+            query,
+            fra.explain()
+        );
+        if builds_lazily(fra) {
+            prop_assert!(push.rows_scanned <= reference.rows_scanned);
+        } else {
+            prop_assert_eq!(push.rows_scanned, reference.rows_scanned, "{}", query);
+        }
+        prop_assert_eq!(
+            pgq_eval::evaluate_consolidated(fra, g),
+            pgq_eval_reference::evaluate_consolidated(fra, g)
+        );
+    }
+    let mut push = pgq_eval::Evaluator::new(g);
+    let mut reference = pgq_eval_reference::Evaluator::new(g);
+    prop_assert_eq!(push.run_query(&cq), reference.run_query(&cq), "{}", query);
+    if !builds_lazily(&cq.fra) {
+        prop_assert_eq!(push.rows_scanned, reference.rows_scanned);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 24,
+        ..ProptestConfig::default()
+    })]
+
+    /// After every step of a random script on the oracle's graph, and of
+    /// one on a motif graph, every oracle query agrees.
+    #[test]
+    fn push_evaluator_equals_reference_after_every_step(
+        steps in proptest::collection::vec(step_strategy(), 1..20),
+        motif_steps in proptest::collection::vec(motif_step_strategy(), 1..12),
+    ) {
+        use pgq_workloads::motifs::{generate_motifs, queries, MotifParams};
+        let oracle: Vec<&str> = QUERIES
+            .iter()
+            .chain(RENAMED_QUERIES)
+            .chain(ONE_SHOT_QUERIES)
+            .chain(ORDERED_QUERIES)
+            .copied()
+            .collect();
+        let mut g = seed_graph();
+        for step in &steps {
+            apply_step(&mut g, step);
+            for query in &oracle {
+                push_equals_reference(query, &g)?;
+            }
+        }
+        let motifs = [
+            queries::TRIANGLES,
+            queries::FOUR_CYCLES,
+            queries::WEDGE_COUNT,
+            "MATCH (a:N)-[:E]->(b:N)-[:E]->(c:N)-[:E]->(d:N) RETURN count(*) AS paths",
+        ];
+        let mut g = generate_motifs(MotifParams {
+            nodes: 12,
+            edges: 30,
+            tri_bias: 0.4,
+            seed: 11,
+        })
+        .graph;
+        for step in &motif_steps {
+            let tx = motif_step_transaction(&g, step);
+            g.apply(&tx).expect("generated step applies");
+            for query in motifs {
+                push_equals_reference(query, &g)?;
+            }
+        }
+    }
+}
+
+/// `n` persons keyed `id = 0..n`, person `i` knowing `i+1 .. i+4`
+/// (mod `n`): the graph of `tests/oneshot_work_bound.rs`.
+fn keyed_ring(n: usize) -> pgq_core::GraphEngine {
+    let mut g = PropertyGraph::new();
+    let ids: Vec<_> = (0..n)
+        .map(|i| {
+            let props = Properties::from_iter([
+                ("id", Value::Int(i as i64)),
+                ("score", Value::Int((i % 100) as i64)),
+            ]);
+            g.add_vertex([s("Person")], props).0
+        })
+        .collect();
+    for i in 0..n {
+        for d in 1..=4 {
+            g.add_edge(ids[i], ids[(i + d) % n], s("KNOWS"), Properties::new())
+                .unwrap();
+        }
+    }
+    pgq_core::GraphEngine::from_graph(g)
+}
+
+/// The keyed statements of `tests/oneshot_work_bound.rs` (their reading
+/// parts, and the two-hop read from an anchor that exists and from one
+/// that does not) scan what the reference scans, row for row, and
+/// `execute` reports that count.
+#[test]
+fn keyed_reads_scan_what_the_reference_scans() {
+    use pgq_algebra::plan::{plan_with, PlanOptions};
+    const TWO_HOP: &str = "MATCH (a:Person {id: 17})-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person) \
+                           RETURN count(*) AS reach";
+    let mut e = keyed_ring(500);
+    let statements = [
+        "MATCH (p:Person {id: 5}) RETURN p",
+        "MATCH (p:Person {id: 9}) RETURN p",
+        "MATCH (p:Person {id: 23}) RETURN p",
+        "MATCH (p:Person) WHERE p.score = 5 AND p.id >= 5 RETURN p.id",
+        TWO_HOP,
+        &TWO_HOP.replace("17", "-1"),
+        "MATCH (a:Person {id: -1})-[:KNOWS]->(b:Person) RETURN a, b",
+    ];
+    for query in statements {
+        let executed = e.execute(query).unwrap();
+        let g = e.graph();
+        let cq = compile_query(&parse_query(query).unwrap()).unwrap();
+        let fra = plan_with(
+            &cq.fra,
+            &pgq_ivm::plan_stats(g),
+            &PlanOptions {
+                wcoj: WcojMode::Disabled,
+            },
+        )
+        .fra;
+        let mut push = pgq_eval::Evaluator::new(g);
+        let mut reference = pgq_eval_reference::Evaluator::new(g);
+        assert_eq!(push.run(&fra), reference.run(&fra), "{query}");
+        assert_eq!(push.rows_scanned, reference.rows_scanned, "{query}");
+        assert_eq!(executed.rows_scanned, push.rows_scanned, "{query}");
+    }
+    assert!(
+        !e.property_indexes().is_empty(),
+        "the keyed statements seek"
+    );
+}
+
+/// An integer `sum` is exact in both evaluators and in the maintained
+/// view: one outside `i64` reads `null`, `avg` divides the exact sum, and
+/// the view's accumulator is reversible — after `MAX`, `+1` and `-1` it
+/// reads `MAX` again. After every step the view equals both evaluators.
+#[test]
+fn integer_sums_are_exact_in_every_evaluator_and_the_view() {
+    use pgq_common::value::Value as V;
+    const SUMS: &str =
+        "MATCH (n:N) RETURN sum(n.x) AS s, avg(n.x) AS a, sum(DISTINCT n.x) AS ds, count(*) AS c";
+    let mut e = pgq_core::GraphEngine::new();
+    let view = e.register_view("sums", SUMS).unwrap();
+    let cq = compile_query(&parse_query(SUMS).unwrap()).unwrap();
+    let max = i64::MAX;
+    let read = |e: &pgq_core::GraphEngine| {
+        let rows = e.query(SUMS).unwrap().rows;
+        assert_eq!(rows, pgq_eval_reference::evaluate_query(&cq, e.graph()));
+        assert_eq!(
+            e.view(view).unwrap().results(),
+            eval_consolidated(&cq.fra, e.graph())
+        );
+        rows[0].values().to_vec()
+    };
+    e.execute(&format!("CREATE (:N {{x: {max}}})")).unwrap();
+    let big = V::float(max as f64);
+    assert_eq!(read(&e), [V::Int(max), big.clone(), V::Int(max), V::Int(1)]);
+    e.execute("CREATE (:N {x: 1})").unwrap();
+    let over = V::float((max as f64 + 1.0) / 2.0);
+    assert_eq!(read(&e), [V::Null, over, V::Null, V::Int(2)]);
+    e.execute("MATCH (n:N {x: 1}) DELETE n").unwrap();
+    assert_eq!(read(&e), [V::Int(max), big, V::Int(max), V::Int(1)]);
+    e.execute(&format!("CREATE (:N {{x: {max}}})")).unwrap();
+    assert_eq!(
+        read(&e),
+        [V::Null, V::float(max as f64), V::Int(max), V::Int(2)]
+    );
+    e.execute(&format!("CREATE (:N {{x: -{max}}}), (:N {{x: -{max}}})"))
+        .unwrap();
+    assert_eq!(read(&e), [V::Int(0), V::float(0.0), V::Int(0), V::Int(4)]);
 }
