@@ -258,7 +258,7 @@ impl AggregateOp {
     /// Process a borrowed delta of input rows, appending group-row
     /// retractions/assertions to `out`. Every accumulator is additive
     /// in the multiplicity, so `input` need not be consolidated.
-    pub fn apply(&mut self, input: &Delta, out: &mut Delta) {
+    pub fn apply(&mut self, input: &Delta, out: &mut (impl RowSink + ?Sized)) {
         let first = !std::mem::replace(&mut self.started, true);
         if self.global {
             // One group, keyed by the unit tuple: no key is built per
@@ -292,9 +292,6 @@ impl AggregateOp {
                 .absorb(aggs, t, *m);
             dirty.insert(key);
         }
-        // Each dirty group retracts at most one row and asserts at most
-        // one.
-        out.reserve(2 * dirty.len());
         for key in dirty {
             self.flush_group(key, out);
         }
@@ -302,7 +299,7 @@ impl AggregateOp {
 
     /// Emit the change of group `key`'s output row since it was last
     /// emitted, dropping the state of a keyed group that ran empty.
-    fn flush_group(&mut self, key: Tuple, out: &mut Delta) {
+    fn flush_group(&mut self, key: Tuple, out: &mut (impl RowSink + ?Sized)) {
         let new_output = match self.groups.get(&key) {
             Some(gs) if gs.rows > 0 || self.global => {
                 let mut vals: Vec<Value> = key.values().to_vec();
@@ -322,11 +319,11 @@ impl AggregateOp {
             return;
         }
         if let Some(o) = old_output {
-            out.push(o.clone(), -1);
+            out.push_row(Row::Held(o), -1);
         }
         match new_output {
             Some(n) => {
-                out.push(n.clone(), 1);
+                out.push_row(Row::Held(&n), 1);
                 self.last_output.insert(key, n);
             }
             None => {

@@ -6,24 +6,23 @@
 //! state**: a chain of them maps one row to zero or more rows, with
 //! multiplicities untouched (σ/π) or fanned out (ω).
 //! [`pgq_algebra::program`] compiles the chain; this module is where its
-//! rows come from and go to. Maintenance runs a program node's program
-//! over the input delta ([`program_into`]), or rewrites an exclusively
-//! owned delta in place ([`program_in_place`]); registration streams a
-//! full bag through it in front of whatever keeps the result
-//! (`Programmed`). A row the program passes through unchanged is handed
-//! on as the held tuple (a refcount bump), an assembled one is allocated
-//! only where a consumer keeps it.
+//! rows come from and go to. Every path runs it row by row on borrowed
+//! values in front of the consumer (`Programmed`): maintenance over a
+//! shared input's delta ([`program_into`]) or inside the step of the one
+//! node it reads (a fused pair, see `network::schedule`), registration
+//! over a full bag. A row the program passes through unchanged is handed
+//! on as the row it received (a refcount bump for a held tuple), an
+//! assembled one is allocated only where a consumer keeps it.
 
 use pgq_algebra::program::{Emit, Scratch, TupleProgram};
-use pgq_common::tuple::Tuple;
 
 use crate::delta::{Delta, Row, RowSink};
 
-/// A program in front of a consumer: every row pushed in runs through the
-/// program on borrowed values, and only what comes out reaches `out`.
+/// A program, if any, in front of a consumer: every row pushed in runs
+/// through the program on borrowed values, and only what comes out
+/// reaches `out`; without a program every row goes straight through.
 pub(crate) struct Programmed<'a, S: RowSink + ?Sized> {
-    pub(crate) program: &'a TupleProgram,
-    pub(crate) scratch: &'a mut Scratch,
+    pub(crate) program: Option<(&'a TupleProgram, &'a mut Scratch)>,
     pub(crate) out: &'a mut S,
 }
 
@@ -31,21 +30,30 @@ impl<S: RowSink + ?Sized> RowSink for Programmed<'_, S> {
     #[inline]
     fn push_row(&mut self, row: Row<'_>, mult: i64) {
         let out = &mut *self.out;
-        self.program
-            .run(row.values(), self.scratch, |emitted| match emitted {
-                Emit::Input => out.push_row(row, mult),
-                Emit::Row(values) => out.push_row(Row::Assembled(values), mult),
-            });
+        match &mut self.program {
+            None => out.push_row(row, mult),
+            Some((program, scratch)) => {
+                program.run(row.values(), scratch, |emitted| match emitted {
+                    Emit::Input => out.push_row(row, mult),
+                    Emit::Row(values) => out.push_row(Row::Assembled(values), mult),
+                })
+            }
+        }
     }
 }
 
 /// Run `program` over every row of `input`, appending what comes out to
 /// `out`; `scratch` is the node's own, so steady-state maintenance
 /// allocates nothing here beyond the output tuples.
-pub fn program_into(program: &TupleProgram, input: &Delta, scratch: &mut Scratch, out: &mut Delta) {
+#[inline(never)]
+pub fn program_into(
+    program: &TupleProgram,
+    input: &Delta,
+    scratch: &mut Scratch,
+    out: &mut (impl RowSink + ?Sized),
+) {
     let mut sink = Programmed {
-        program,
-        scratch,
+        program: Some((program, scratch)),
         out,
     };
     for (t, m) in input.iter() {
@@ -53,38 +61,12 @@ pub fn program_into(program: &TupleProgram, input: &Delta, scratch: &mut Scratch
     }
 }
 
-/// Run `program`, which must not fan out, over an owned delta in place:
-/// the entry vector is reused, a dropped row is removed, a rewritten one
-/// replaced.
-pub fn program_in_place(program: &TupleProgram, input: Delta, scratch: &mut Scratch) -> Delta {
-    debug_assert!(!program.fans_out(), "an ω cannot rewrite in place");
-    let mut entries = input.into_entries();
-    entries.retain_mut(|(t, _)| {
-        let mut kept: Option<Option<Tuple>> = None;
-        program.run(t, scratch, |emitted| {
-            kept = Some(match emitted {
-                Emit::Input => None,
-                Emit::Row(values) => Some(Tuple::from_slice(values)),
-            })
-        });
-        match kept {
-            None => false,
-            Some(rewritten) => {
-                if let Some(r) = rewritten {
-                    *t = r;
-                }
-                true
-            }
-        }
-    });
-    Delta::from_entries(entries)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pgq_algebra::expr::ScalarExpr;
     use pgq_algebra::fra::Fra;
+    use pgq_common::tuple::Tuple;
     use pgq_common::value::Value;
     use pgq_parser::ast::BinOp;
 
@@ -130,9 +112,7 @@ mod tests {
     fn filter_keeps_true_only() {
         let input = d(&[(&[3], 1), (&[7], 1), (&[9], -1)]);
         let want = vec![(t(&[7]), 1), (t(&[9]), -1)];
-        assert_eq!(run(&gt5(), input.clone()).into_entries(), want);
-        let in_place = program_in_place(&gt5(), input, &mut Scratch::default());
-        assert_eq!(in_place.into_entries(), want);
+        assert_eq!(run(&gt5(), input).into_entries(), want);
     }
 
     #[test]
@@ -148,8 +128,7 @@ mod tests {
                 "x".into(),
             )],
         });
-        let out = program_in_place(&p, d(&[(&[1], 2)]), &mut Scratch::default());
-        assert_eq!(out.into_entries(), vec![(t(&[2]), 2)]);
+        assert_eq!(run(&p, d(&[(&[1], 2)])).into_entries(), vec![(t(&[2]), 2)]);
     }
 
     #[test]

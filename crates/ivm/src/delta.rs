@@ -227,15 +227,6 @@ impl Delta {
     pub fn into_entries(self) -> Vec<(Tuple, i64)> {
         self.entries
     }
-
-    /// Rebuild from an entry vector (e.g. one taken by
-    /// [`Delta::into_entries`], transformed in place). Zero
-    /// multiplicities are dropped by `retain`, so the `Vec`'s allocation
-    /// is reused rather than re-collected.
-    pub fn from_entries(mut entries: Vec<(Tuple, i64)>) -> Delta {
-        entries.retain(|(_, m)| *m != 0);
-        Delta { entries }
-    }
 }
 
 impl FromIterator<(Tuple, i64)> for Delta {

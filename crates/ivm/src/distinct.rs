@@ -37,7 +37,8 @@ impl DistinctOp {
     /// correct — transient zero crossings emit cancelling flips that the
     /// caller's consolidation removes — but consolidated input avoids
     /// the churn; the network consolidates every edge.)
-    pub fn apply(&mut self, input: &Delta, out: &mut Delta) {
+    #[inline(never)]
+    pub fn apply(&mut self, input: &Delta, out: &mut (impl RowSink + ?Sized)) {
         for (t, m) in input.iter() {
             let e = self.counts.entry(t.clone()).or_insert(0);
             let before = *e;
@@ -45,10 +46,10 @@ impl DistinctOp {
             let after = *e;
             debug_assert!(after >= 0, "negative support for {t}");
             if before == 0 && after > 0 {
-                out.push(t.clone(), 1);
+                out.push_row(Row::Held(t), 1);
             } else if before > 0 && after == 0 {
                 self.counts.remove(t);
-                out.push(t.clone(), -1);
+                out.push_row(Row::Held(t), -1);
             } else if after == 0 {
                 self.counts.remove(t);
             }

@@ -67,7 +67,8 @@ pub struct JoinOp {
     /// Reused `(key hash, entry index)` run over the smaller delta of a
     /// large `ΔL ⋈ ΔR`.
     delta_index: Vec<(u64, u32)>,
-    /// Work [`JoinOp::apply`] has done: the rows it has emitted.
+    /// Work [`JoinOp::apply`] has done: the rows it has emitted, counted
+    /// as they go out (its sink may be a program that keeps none).
     counters: Counters,
 }
 
@@ -159,11 +160,11 @@ impl JoinOp {
         dr: &Delta,
         left: &IndexedBag,
         right: &IndexedBag,
-        out: &mut Delta,
+        out: &mut (impl RowSink + ?Sized),
     ) {
         debug_assert_eq!(left.key_cols(), self.left_arr_keys);
         debug_assert_eq!(right.key_cols(), self.right_arr_keys);
-        let before = out.len();
+        let mut emitted = 0;
         let JoinOp {
             right_probe,
             left_probe,
@@ -176,22 +177,29 @@ impl JoinOp {
         for (lt, lm) in dl.iter() {
             for (rt, rm) in right.probe(lt, left_probe) {
                 emit(scratch, lt, rt, right_keep, out_perm, lm * rm, out);
+                emitted += 1;
             }
         }
         // L_old ⋈ ΔR
         for (rt, rm) in dr.iter() {
             for (lt, lm) in left.probe(rt, right_probe) {
                 emit(scratch, lt, rt, right_keep, out_perm, lm * rm, out);
+                emitted += 1;
             }
         }
         if !dl.is_empty() && !dr.is_empty() {
-            self.join_deltas(dl.entries(), dr.entries(), out);
+            emitted += self.join_deltas(dl.entries(), dr.entries(), out);
         }
-        self.counters.join_tuples_emitted += (out.len() - before) as u64;
+        self.counters.join_tuples_emitted += emitted;
     }
 
-    /// `ΔL ⋈ ΔR`.
-    fn join_deltas(&mut self, dl: &[(Tuple, i64)], dr: &[(Tuple, i64)], out: &mut Delta) {
+    /// `ΔL ⋈ ΔR`; returns the rows emitted.
+    fn join_deltas(
+        &mut self,
+        dl: &[(Tuple, i64)],
+        dr: &[(Tuple, i64)],
+        out: &mut (impl RowSink + ?Sized),
+    ) -> u64 {
         let JoinOp {
             right_arr_keys,
             left_probe,
@@ -201,6 +209,7 @@ impl JoinOp {
             delta_index,
             ..
         } = self;
+        let mut emitted = 0;
         if dl.len() * dr.len() <= NESTED_DELTA_PAIRS {
             for (lt, lm) in dl {
                 for (rt, rm) in dr {
@@ -210,10 +219,11 @@ impl JoinOp {
                         .all(|(&a, &b)| lt.get(a) == rt.get(b));
                     if same_key {
                         emit(scratch, lt, rt, right_keep, out_perm, lm * rm, out);
+                        emitted += 1;
                     }
                 }
             }
-            return;
+            return emitted;
         }
         let index_left = dl.len() <= dr.len();
         let (small, small_cols, big, big_cols) = if index_left {
@@ -240,9 +250,11 @@ impl JoinOp {
                 if key.matches_projection(st, small_cols) {
                     let (lt, rt) = if index_left { (st, bt) } else { (bt, st) };
                     emit(scratch, lt, rt, right_keep, out_perm, sm * bm, out);
+                    emitted += 1;
                 }
             }
         }
+        emitted
     }
 
     /// Enumerate the full current output bag (L ⋈ R as of now) from the

@@ -44,7 +44,7 @@ use pgq_graph::store::PropertyGraph;
 use super::{DataflowNetwork, SinkId};
 use crate::aggregate::AggregateOp;
 use crate::basic::program_into;
-use crate::delta::{Delta, IndexedBag};
+use crate::delta::{Delta, IndexedBag, RowSink};
 use crate::distinct::DistinctOp;
 use crate::join::JoinOp;
 use crate::scan::{EdgeScan, VertexScan};
@@ -170,19 +170,43 @@ impl NodeKind {
         }
     }
 
+    /// A stateless chain's program and working memory, for the step of
+    /// the one node it reads (a fused pair); `None` for other operators.
+    pub(super) fn program_mut(&mut self) -> Option<(&TupleProgram, &mut Scratch)> {
+        match self {
+            NodeKind::Program {
+                program, scratch, ..
+            } => Some((program, scratch)),
+            _ => None,
+        }
+    }
+
+    /// Change events this node's scans have examined since it was
+    /// created (scan-bearing nodes only).
+    pub(super) fn events_read(&self) -> u64 {
+        match self {
+            NodeKind::Vertices(s) => s.events_read(),
+            NodeKind::Edges(s) => s.events_read(),
+            NodeKind::VarLength { op, .. } => op.events_read(),
+            _ => 0,
+        }
+    }
+
     /// Run the operator over one pass's inputs — `child(id)` is input
     /// `id`'s delta, `arrangements` every node's indexes as of the start
-    /// of the pass, `events` what was routed here — appending its output
-    /// delta to `out`. The one operator dispatch of the pass, inlined
-    /// into `schedule`'s per-node step, its one caller.
+    /// of the pass, `events` what was routed here — pushing its output
+    /// delta's rows into `out`. The one operator dispatch of the pass,
+    /// inlined into `schedule`'s per-node step, its one caller; the
+    /// operators stay out of line (`#[inline(never)]` where their one
+    /// call site here would pull them in), so the step keeps its size.
     #[inline]
-    pub(super) fn run<'a>(
+    pub(super) fn run<'a, 'e>(
         &mut self,
         child: impl Fn(NodeId) -> &'a Delta,
         arrangements: &[Vec<Arrangement>],
         g: &PropertyGraph,
-        events: &[ChangeEvent],
-        out: &mut Delta,
+        events: impl IntoIterator<Item = &'e ChangeEvent> + Clone,
+        out: &mut (impl RowSink + ?Sized),
     ) {
         match self {
             NodeKind::Unit { .. } => {}

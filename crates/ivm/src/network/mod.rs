@@ -36,11 +36,13 @@
 //!   events to scans over label `B`. Because alpha-equivalent scans
 //!   collapse to one node, each event is delivered (and counted) once
 //!   per *distinct* scan, not once per registered view.
+//!   A scan reads only the events routed to it, not the whole pass's.
 //! * **Delta pooling** — every dataflow edge's delta buffer is drawn
 //!   from a transaction-scoped pool and returned after its consumers
-//!   have read it, and a σ/π/ω chain is one node whose program
-//!   rewrites its exclusive input's buffer in place, so steady-state
-//!   maintenance performs no per-layer allocation.
+//!   have read it, and a σ/π/ω chain is one node whose program runs
+//!   inside the step of its input when it is that input's one consumer
+//!   (a fused pair), so steady-state maintenance performs no per-layer
+//!   allocation and a row the program rejects is never allocated.
 //!
 //! The network does five jobs, one submodule each: `arena`, `routing`,
 //! `register`, `schedule` and `sinks`. Each owns its state and states
@@ -92,6 +94,10 @@ pub struct NodeSummary {
     /// Change events routed to this node since creation (scan-bearing
     /// nodes only).
     pub delivered_events: u64,
+    /// Change events this node's scans examined since creation: exactly
+    /// the ones routed to it, so never more than `delivered_events` (a
+    /// ⋈*'s two internal scans read the same events, counted once).
+    pub events_read: u64,
     /// Tuples the node holds: its operator's private memories plus
     /// every arrangement of its output.
     pub own_tuples: usize,
@@ -145,6 +151,7 @@ impl DataflowNetwork {
                     label: n.kind.label(),
                     consumers: n.parents.len() + n.sinks.len(),
                     delivered_events: n.delivered_events,
+                    events_read: n.kind.events_read(),
                     own_tuples: self.own_tuples(NodeId(ix as u32)),
                     arrangements: live(&self.arrangements[ix])
                         .map(|a| {

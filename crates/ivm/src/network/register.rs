@@ -343,8 +343,10 @@ impl DataflowNetwork {
         // heavyweight operation, and a lazily-stale index would push the
         // rebuild into the first (often benchmarked) transaction — or
         // into every transaction of engines cloned from a
-        // registered-but-never-maintained template.
+        // registered-but-never-maintained template. The fused pairs are
+        // decided here too, for the same reason.
         self.rebuild_routing();
+        self.rebuild_fusion();
         sid
     }
 
@@ -684,17 +686,9 @@ impl DataflowNetwork {
         let consolidated = program.is_none_or(TupleProgram::is_filter)
             && (!matches!(source, Source::Memories) || self.node(cur).kind.output_consolidated());
         let mut scratch = Scratch::default();
-        let mut through;
-        let sink: &mut dyn RowSink = match program {
-            Some(program) => {
-                through = Programmed {
-                    program,
-                    scratch: &mut scratch,
-                    out,
-                };
-                &mut through
-            }
-            None => out,
+        let sink = &mut Programmed {
+            program: program.map(|p| (p, &mut scratch)),
+            out,
         };
         match source {
             Source::Memo => {

@@ -5,6 +5,10 @@
 //!
 //! * Routing is conservative: a scan that can react to an event always
 //!   receives it, and each event reaches a scan node at most once.
+//!   Scans rely on it: a scan-bearing node reads only the events routed
+//!   to it (see `schedule`), so an event routing withheld from a scan
+//!   that could react to it would be a wrong delta, not wasted work.
+//!   The `exactness` test below holds every scan to it.
 //! * **The routing index is rebuilt eagerly** on register/drop and
 //!   never inside a measured transaction. Keep it that way: a
 //!   lazily-stale index pushes the rebuild into the first transaction
@@ -179,11 +183,12 @@ impl DataflowNetwork {
         // The index is moved out for the duration of the loop so the
         // delivery closure can borrow `self` mutably.
         let routing = std::mem::take(&mut self.routing);
-        for ev in events {
+        for (position, ev) in events.iter().enumerate() {
             self.event_serial += 1;
             let serial = self.event_serial;
             {
-                let mut deliver = |node: NodeId, net: &mut Self| net.deliver(node, serial);
+                let mut deliver =
+                    |node: NodeId, net: &mut Self| net.deliver(node, serial, position as u32);
                 match ev {
                     ChangeEvent::VertexAdded { id } | ChangeEvent::VertexRemoved { id, .. } => {
                         // Labels at creation time (post-state) or removal
@@ -316,5 +321,193 @@ impl DataflowNetwork {
             .get(&ty)
             .map_or(&[][..], Vec::as_slice);
         typed.iter().chain(&self.routing.edge_any).map(|r| r.node)
+    }
+}
+
+#[cfg(test)]
+mod exactness {
+    use super::*;
+    use crate::delta::Delta;
+    use pgq_algebra::compile_query;
+    use pgq_common::value::Value;
+    use pgq_graph::props::Properties;
+    use pgq_graph::tx::Transaction;
+    use pgq_parser::parse_query;
+
+    /// The differential oracle's queries (`tests/differential.rs`).
+    const QUERIES: &[&str] = &[
+        "MATCH (p:Post) RETURN p",
+        "MATCH (p:Post) WHERE p.lang = 'en' RETURN p, p.lang",
+        "MATCH (p:Post)-[:REPLY]->(c:Comm) RETURN p, c",
+        "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE p.lang = c.lang RETURN p, c",
+        "MATCH t = (p:Post)-[:REPLY*]->(c:Comm) WHERE p.lang = c.lang RETURN p, t",
+        "MATCH (a)-[:REPLY*1..3]->(b:Comm) RETURN a, b",
+        "MATCH (p:Post) RETURN DISTINCT p.lang",
+        "MATCH (p:Post) RETURN p.lang AS lang, count(*) AS n",
+        "MATCH t = (p:Post)-[:REPLY*]->(c:Comm) UNWIND nodes(t) AS n RETURN n",
+        "MATCH (a:Comm)<-[:REPLY]-(b) RETURN a, b",
+        "MATCH (a)-[:REPLY]-(b:Comm) RETURN a, b",
+        "MATCH (p:Post) WHERE NOT exists((p)-[:REPLY]->(:Comm)) RETURN p",
+        "MATCH (p:Post) WHERE exists((p)-[:REPLY]->(:Comm {lang: 'en'})) RETURN p",
+        "MATCH (p:Post)-[:REPLY]->(c) RETURN p, c.lang",
+        "MATCH t = (p:Post)-[:REPLY*]->(c:Comm) WHERE p.lang = 'en' RETURN p, t",
+    ];
+
+    const LABELS: &[&str] = &["Post", "Comm", "P0", "C0", "P1", "C1"];
+    const TYPES: &[&str] = &["REPLY", "R0", "R1"];
+    const LANGS: &[&str] = &["en", "de", "fr"];
+
+    /// `fanout_batch`'s shapes: one ⋈* view per branch, and a family of
+    /// projections, aggregates and filters over one shared join.
+    fn fanout_family() -> Vec<String> {
+        let mut out: Vec<String> = (0..2)
+            .map(|i| {
+                format!("MATCH t = (p:P{i})-[:R{i}*]->(c:C{i}) WHERE p.lang = c.lang RETURN p, t")
+            })
+            .collect();
+        for tail in [
+            "RETURN c, p",
+            "RETURN DISTINCT p",
+            "RETURN c.lang AS lang, count(*) AS n",
+            "WHERE p.lang <> c.lang RETURN count(*) AS n",
+            "WHERE p.lang = 'en' AND c.lang = 'de' RETURN p, c",
+        ] {
+            out.push(format!("MATCH (p:Post)-[:REPLY]->(c:Comm) {tail}"));
+        }
+        out
+    }
+
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 >> 33) as usize % n
+        }
+
+        fn pick(&mut self, from: &[&str]) -> Symbol {
+            Symbol::intern(from[self.below(from.len())])
+        }
+
+        fn lang(&mut self) -> Properties {
+            Properties::from_iter([("lang", Value::str(LANGS[self.below(LANGS.len())]))])
+        }
+    }
+
+    /// One member of a mixed batch, drawn against the current graph.
+    fn member(g: &PropertyGraph, rng: &mut Rng) -> Transaction {
+        let vs: Vec<_> = g.vertex_ids().collect();
+        let es: Vec<_> = g.edge_ids().collect();
+        let mut tx = Transaction::new();
+        match rng.below(9) {
+            0 | 1 if !vs.is_empty() => {
+                let labels = [rng.pick(LABELS)];
+                let v = tx.create_vertex(labels, rng.lang());
+                let u = vs[rng.below(vs.len())];
+                match rng.below(2) {
+                    0 => tx.create_edge(u, v, rng.pick(TYPES), Properties::new()),
+                    _ => tx.create_edge(v, u, rng.pick(TYPES), Properties::new()),
+                };
+            }
+            2 if vs.len() > 1 => {
+                let (u, w) = (vs[rng.below(vs.len())], vs[rng.below(vs.len())]);
+                tx.create_edge(u, w, rng.pick(TYPES), Properties::new());
+            }
+            3 if vs.len() > 8 => {
+                tx.delete_vertex(vs[rng.below(vs.len())], true);
+            }
+            4 if !es.is_empty() => {
+                tx.delete_edge(es[rng.below(es.len())]);
+            }
+            // Property sets: a pushed key, then a key no scan reads.
+            5 if !vs.is_empty() => {
+                let v = vs[rng.below(vs.len())];
+                let value = Value::str(LANGS[rng.below(LANGS.len())]);
+                tx.set_vertex_prop(v, Symbol::intern("lang"), value);
+            }
+            6 if !vs.is_empty() => {
+                let v = vs[rng.below(vs.len())];
+                tx.set_vertex_prop(v, Symbol::intern("x"), Value::Int(rng.below(9) as i64));
+            }
+            7 if !vs.is_empty() => {
+                let (v, label) = (vs[rng.below(vs.len())], rng.pick(LABELS));
+                match rng.below(2) {
+                    0 => tx.add_label(v, label),
+                    _ => tx.remove_label(v, label),
+                };
+            }
+            8 if !es.is_empty() => {
+                let e = es[rng.below(es.len())];
+                tx.set_edge_prop(e, Symbol::intern("w"), Value::Int(rng.below(3) as i64));
+            }
+            _ => {
+                tx.create_vertex([rng.pick(LABELS)], rng.lang());
+            }
+        }
+        tx
+    }
+
+    /// Every scan-bearing node, run from a copy of its state before a
+    /// pass, emits from the events routed to it exactly what it emits
+    /// from all of the pass's events — the conservative-routing
+    /// invariant each scan's correctness rests on — over random mixed
+    /// batches: creates, detach-deletes, property sets on pushed and
+    /// unpushed keys, label adds and removes, edge property sets.
+    #[test]
+    fn every_scan_emits_from_its_routed_events_what_it_emits_from_all() {
+        let (mut g, mut net) = (PropertyGraph::new(), DataflowNetwork::new());
+        let mut queries: Vec<String> = QUERIES.iter().map(|q| q.to_string()).collect();
+        queries.extend(fanout_family());
+        for (i, q) in queries.iter().enumerate() {
+            let fra = compile_query(&parse_query(q).expect("parses"))
+                .expect("compiles")
+                .fra;
+            net.register(format!("v{i}"), &fra, &g);
+        }
+        let mut rng = Rng(0x2545_F491_4F6C_DD1D);
+        let (mut narrowed, empty) = (0, Delta::new());
+        for batch in 0..150 {
+            let mut events = Vec::new();
+            for _ in 0..1 + rng.below(8) {
+                let tx = member(&g, &mut rng);
+                events.extend(g.apply(&tx).expect("each member applies"));
+            }
+            let before = net.clone();
+            net.on_transaction(&g, &events);
+            for (slot, node) in before.nodes.iter().enumerate() {
+                let Some(node) = node else { continue };
+                let left = match &node.kind {
+                    NodeKind::Vertices(_) | NodeKind::Edges(_) => None,
+                    NodeKind::VarLength { left, .. } => Some(*left),
+                    _ => continue,
+                };
+                let id = NodeId(slot as u32);
+                let routed = net.routed_positions(id);
+                narrowed += usize::from(!routed.is_empty() && routed.len() < events.len());
+                let emit = |events: &mut dyn Iterator<Item = &ChangeEvent>| {
+                    let mut kind = node.kind.clone();
+                    let mut out = Delta::new();
+                    let events: Vec<&ChangeEvent> = events.collect();
+                    let child = |c: NodeId| match Some(c) == left {
+                        true => net.last_output(c),
+                        false => &empty,
+                    };
+                    kind.run(child, &before.arrangements, &g, events, &mut out);
+                    out.consolidate_sorted()
+                };
+                assert_eq!(
+                    emit(&mut routed.iter().map(|&i| &events[i as usize])),
+                    emit(&mut events.iter()),
+                    "batch {batch}: {} routed {routed:?} of {events:?}",
+                    node.kind.label()
+                );
+            }
+        }
+        assert!(
+            narrowed > 100,
+            "the batches must narrow routing: {narrowed}"
+        );
     }
 }

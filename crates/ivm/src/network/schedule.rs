@@ -9,6 +9,29 @@
 //! run, its outputs are published serially in slot order and the
 //! consumers of every non-empty one are queued.
 //!
+//! A scan-bearing node reads only the events routed to it: routing
+//! records each delivery's position in the pass's events, per node, in a
+//! list reused across passes, and the node's step iterates those (the
+//! whole slice when the node received every event, as in every
+//! one-event pass).
+//!
+//! # Fused pairs
+//!
+//! A node whose one consumer is a program node (a σ/π/ω chain), and
+//! which feeds no sink, is **fused** with it: its step pushes each row it
+//! emits through the program (`basic::Programmed`) straight into the
+//! program node's output buffer, and the program node is never scheduled
+//! as a step of its own. The step publishes that buffer as the program
+//! node's output — stamped, recorded for the arrangement update and the
+//! sink fold, its consumers queued — and the producer's own output is
+//! never materialised: nothing else reads it (it has no arrangement,
+//! since every arrangement has a ⋈ / ⋉ / ▷ consumer). A row the program
+//! rejects is never allocated, one it rewrites is allocated once. Which
+//! pairs are fused is a fact of the DAG's shape, decided on register and
+//! drop ([`DataflowNetwork::rebuild_fusion`]) beside the routing index,
+//! never per pass; the program stays in its node, which the step borrows
+//! beside the producer's.
+//!
 //! How a level runs is the only thing that depends on the width. Inline
 //! at width 1 or when the level has fewer than two nodes; otherwise as
 //! one broadcast across a [`WorkerPool`]
@@ -23,6 +46,8 @@
 //!
 //! * A node is deeper than each of its children, and a pass runs it at
 //!   most once, after every child it reads.
+//! * A fused program node is never queued: its one child is its
+//!   producer, whose step publishes for it.
 //! * A pass's output buffers stay readable until the next call, which
 //!   first returns them to the pool; the pool keeps at most `POOL_CAP`,
 //!   all cleared.
@@ -38,7 +63,7 @@ use pgq_graph::store::PropertyGraph;
 
 use super::arena::{Arrangement, Node, NodeKind};
 use super::{DataflowNetwork, NodeId};
-use crate::basic::program_in_place;
+use crate::basic::Programmed;
 use crate::delta::Delta;
 
 /// Pool of cleared [`Delta`] buffers: steady-state maintenance draws
@@ -67,7 +92,7 @@ impl DeltaPool {
 }
 
 /// Per-transaction scheduling state, generation-stamped so nothing needs
-/// clearing between transactions.
+/// clearing between transactions, plus the fused pairs.
 #[derive(Clone, Debug, Default)]
 pub(super) struct Scheduler {
     /// Min-heap of (depth, slot): nodes to process this transaction.
@@ -78,6 +103,9 @@ pub(super) struct Scheduler {
     queued: Vec<u64>,
     /// Generation at which events were routed to the slot.
     event_gen: Vec<u64>,
+    /// Positions, in the pass's events, of the events routed to the slot
+    /// (current when `event_gen` is; the lists are reused across passes).
+    routed: Vec<Vec<u32>>,
     /// Generation for which `outputs[slot]` is valid.
     out_gen: Vec<u64>,
     /// Output delta of each processed node (pooled buffers).
@@ -88,6 +116,9 @@ pub(super) struct Scheduler {
     produced: Vec<u32>,
     /// The steps of the level being run (storage reused across levels).
     level: Vec<Step>,
+    /// Per slot, the program node it is fused with (module docs, "Fused
+    /// pairs").
+    fused: Vec<Option<u32>>,
 }
 
 impl Scheduler {
@@ -96,9 +127,11 @@ impl Scheduler {
             self.depth.resize(n, 0);
             self.queued.resize(n, 0);
             self.event_gen.resize(n, 0);
+            self.routed.resize_with(n, Vec::new);
             self.out_gen.resize(n, 0);
             self.outputs.resize_with(n, Delta::new);
             self.deliver_stamp.resize(n, 0);
+            self.fused.resize(n, None);
         }
     }
 
@@ -118,40 +151,37 @@ impl Scheduler {
 #[derive(Clone, Debug, Default)]
 struct Step {
     slot: u32,
-    /// `out` holds the output of the program node's exclusive child, to
-    /// be rewritten in place instead of copied.
-    stolen: bool,
+    /// The program node the step's rows run through, whose output the
+    /// step produces and publishes (module docs, "Fused pairs").
+    fused: Option<u32>,
     /// Events were routed to the node this pass.
     routed: bool,
     /// Consolidate the output: it faces a sink, or it feeds a δ, whose
     /// counting takes each distinct tuple once (γ's accumulators are
     /// additive in the multiplicity and read the raw delta).
     consolidate: bool,
-    /// The node's output delta: a pooled buffer, or the stolen one.
+    /// The step's output delta, a pooled buffer.
     out: Delta,
 }
 
 impl Step {
-    /// The per-node step, the same at every width: transform a stolen
-    /// buffer in place, or run the operator on its children's outputs;
-    /// then consolidate the output if it is read consolidated.
-    fn run(&mut self, kind: &mut NodeKind, pass: &Pass<'_>) {
+    /// The per-node step, the same at every width: run the operator on
+    /// its children's outputs and its routed events, through the fused
+    /// consumer's program if it has one; then consolidate the output if
+    /// it is read consolidated.
+    fn run(&mut self, kind: &mut NodeKind, consumer: Option<&mut NodeKind>, pass: &Pass<'_>) {
         // Work on a local: a level's steps sit side by side, and a worker
         // appending through `self.out` would share cache lines with its
         // neighbours' steps.
         let mut out = std::mem::take(&mut self.out);
-        if self.stolen {
-            out = match kind {
-                NodeKind::Program {
-                    program, scratch, ..
-                } => program_in_place(program, out, scratch),
-                _ => unreachable!("only a program steals its input"),
-            };
-        } else {
-            let events = if self.routed { pass.events } else { &[] };
-            let child = |id: NodeId| pass.output(id);
-            kind.run(child, pass.arrangements, pass.g, events, &mut out);
-        }
+        let program = consumer.map(|c| c.program_mut().expect("a fused consumer is a program"));
+        let events = pass.events_of(self.slot, self.routed);
+        let child = |id: NodeId| pass.output(id);
+        let sink = &mut Programmed {
+            program,
+            out: &mut out,
+        };
+        kind.run(child, pass.arrangements, pass.g, events, sink);
         if self.consolidate {
             out.consolidate_in_place();
         }
@@ -159,9 +189,30 @@ impl Step {
     }
 }
 
+/// The events routed to one node this pass, in pass order: the pass's
+/// whole slice when the node received every event, else the listed ones.
+#[derive(Clone)]
+enum RoutedEvents<'a> {
+    All(std::slice::Iter<'a, ChangeEvent>),
+    Listed(&'a [ChangeEvent], std::slice::Iter<'a, u32>),
+}
+
+impl<'a> Iterator for RoutedEvents<'a> {
+    type Item = &'a ChangeEvent;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a ChangeEvent> {
+        match self {
+            RoutedEvents::All(events) => events.next(),
+            RoutedEvents::Listed(events, listed) => listed.next().map(|&i| &events[i as usize]),
+        }
+    }
+}
+
 /// What the nodes of a level read, shared by every worker: the outputs
 /// of the levels before it, every arrangement as of the start of the
-/// pass, the graph and the transaction's events.
+/// pass, the graph, the transaction's events and which of them each
+/// node was routed.
 struct Pass<'a> {
     generation: u64,
     outputs: &'a [Delta],
@@ -169,10 +220,11 @@ struct Pass<'a> {
     arrangements: &'a [Vec<Arrangement>],
     g: &'a PropertyGraph,
     events: &'a [ChangeEvent],
+    routed: &'a [Vec<u32>],
     empty: &'a Delta,
 }
 
-impl Pass<'_> {
+impl<'a> Pass<'a> {
     /// `id`'s output delta this pass (empty when it did not run).
     fn output(&self, id: NodeId) -> &Delta {
         if self.out_gen[id.ix()] == self.generation {
@@ -181,34 +233,98 @@ impl Pass<'_> {
             self.empty
         }
     }
+
+    /// The events routed to `slot` this pass (none unless `routed`).
+    fn events_of(&self, slot: u32, routed: bool) -> RoutedEvents<'a> {
+        let listed: &'a [u32] = if routed {
+            &self.routed[slot as usize]
+        } else {
+            &[]
+        };
+        if listed.len() == self.events.len() {
+            RoutedEvents::All(self.events.iter())
+        } else {
+            RoutedEvents::Listed(self.events, listed.iter())
+        }
+    }
+}
+
+/// `step`'s node and, in a fused pair, its program node: disjoint
+/// borrows of the arena.
+fn pick<'n>(
+    nodes: &'n mut [Option<Node>],
+    step: &Step,
+) -> (&'n mut NodeKind, Option<&'n mut NodeKind>) {
+    let kind = |n: &'n mut Option<Node>| &mut n.as_mut().expect("live node").kind;
+    match step.fused {
+        None => (kind(&mut nodes[step.slot as usize]), None),
+        Some(program) => {
+            let [own, program] = nodes
+                .get_disjoint_mut([step.slot as usize, program as usize])
+                .expect("a fused pair is two slots");
+            (kind(own), Some(kind(program)))
+        }
+    }
+}
+
+/// [`pick`] for every step of a level at once: the arena is split in
+/// slot order at the level's slots and its fused program nodes' slots,
+/// all distinct (a fused program is never in a level, and has one
+/// producer).
+fn split_level<'n>(
+    nodes: &'n mut [Option<Node>],
+    steps: &[Step],
+) -> Vec<(&'n mut NodeKind, Option<&'n mut NodeKind>)> {
+    let mut slots: Vec<(u32, usize, bool)> = Vec::with_capacity(2 * steps.len());
+    for (i, step) in steps.iter().enumerate() {
+        slots.push((step.slot, i, false));
+        slots.extend(step.fused.map(|program| (program, i, true)));
+    }
+    slots.sort_unstable();
+    let mut picked: Vec<(Option<&'n mut NodeKind>, Option<&'n mut NodeKind>)> =
+        std::iter::repeat_with(|| (None, None))
+            .take(steps.len())
+            .collect();
+    let (mut rest, mut base) = (nodes, 0);
+    for (slot, i, program) in slots {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(slot as usize + 1 - base);
+        rest = tail;
+        base = slot as usize + 1;
+        let kind = &mut head
+            .last_mut()
+            .and_then(Option::as_mut)
+            .expect("live node")
+            .kind;
+        match program {
+            false => picked[i].0 = Some(kind),
+            true => picked[i].1 = Some(kind),
+        }
+    }
+    picked
+        .into_iter()
+        .map(|(own, program)| (own.expect("every step's node"), program))
+        .collect()
 }
 
 /// Run one level's `steps`, which name their slots of `nodes` in
 /// ascending order: inline at width 1 or when the level has fewer than
 /// two nodes, otherwise as one broadcast across `workers`, which claim
 /// nodes through atomic cursors. A panicking node fails the broadcast,
-/// which re-raises the payload once every worker has returned.
+/// which re-raises the payload once every worker has returned; every
+/// node, program nodes included, stays where it was.
 fn run_level(
     nodes: &mut [Option<Node>],
     steps: &mut [Step],
     pass: &Pass<'_>,
     workers: Option<&WorkerPool>,
 ) {
-    let pooled = workers.filter(|w| w.threads() > 1 && steps.len() > 1);
-    // Split the level's nodes off the arena in slot order: disjoint
-    // `&mut`s, and none of them a child of another (children are
-    // strictly shallower, and read only through `pass`).
-    let mut rest = nodes;
-    let mut base = 0;
-    let level = steps.iter_mut().map(move |step| {
-        let (head, tail) = std::mem::take(&mut rest).split_at_mut(step.slot as usize + 1 - base);
-        rest = tail;
-        base = step.slot as usize + 1;
-        let node = head.last_mut().and_then(Option::as_mut).expect("live node");
-        (&mut node.kind, step)
-    });
-    match pooled {
-        None => level.for_each(|(kind, step)| step.run(kind, pass)),
+    match workers.filter(|w| w.threads() > 1 && steps.len() > 1) {
+        None => {
+            for step in steps {
+                let (kind, consumer) = pick(nodes, step);
+                step.run(kind, consumer, pass);
+            }
+        }
         Some(workers) => {
             // Worker `c` starts on the `c`-th contiguous share of the
             // level, then helps with the others' remainders. A node's
@@ -217,15 +333,19 @@ fn run_level(
             // worker, with its allocations and cache lines. A cursor
             // only hands out indices (`Relaxed`): each cell's lock and
             // the broadcast's own synchronisation publish the data.
-            let cells: Vec<Mutex<_>> = level.map(Mutex::new).collect();
+            let cells: Vec<Mutex<_>> = split_level(nodes, steps)
+                .into_iter()
+                .zip(steps.iter_mut())
+                .map(|((kind, consumer), step)| Mutex::new((kind, consumer, step)))
+                .collect();
             let (w, n) = (workers.threads(), cells.len());
             let cursors: Vec<AtomicUsize> = (0..w).map(|c| AtomicUsize::new(c * n / w)).collect();
             workers.broadcast(|ix| {
                 for c in (ix..w).chain(0..ix) {
                     let share = &cells[..(c + 1) * n / w];
                     while let Some(cell) = share.get(cursors[c].fetch_add(1, Ordering::Relaxed)) {
-                        let (kind, step) = &mut *cell.lock();
-                        step.run(kind, pass);
+                        let (kind, consumer, step) = &mut *cell.lock();
+                        step.run(kind, consumer.as_deref_mut(), pass);
                     }
                 }
             });
@@ -299,9 +419,9 @@ impl DataflowNetwork {
     /// The propagation pass, one level at a time: pop every dirty node at
     /// the current minimum depth, prepare their steps, run the level
     /// ([`run_level`], where the width enters), then publish serially in
-    /// slot order — stamp each output, record it for the arrangement
-    /// update and the sink fold, and queue the consumers of every
-    /// non-empty one.
+    /// slot order — stamp each output (a fused pair's as its program
+    /// node's), record it for the arrangement update and the sink fold,
+    /// and queue the consumers of every non-empty one.
     fn propagate(
         &mut self,
         g: &PropertyGraph,
@@ -325,15 +445,16 @@ impl DataflowNetwork {
                 arrangements: &self.arrangements,
                 g,
                 events,
+                routed: &self.sched.routed,
                 empty: &self.empty,
             };
             run_level(&mut self.nodes, &mut level, &pass, workers);
             for step in level.drain(..) {
-                let slot = step.slot as usize;
+                let slot = step.fused.unwrap_or(step.slot) as usize;
                 let produced = !step.out.is_empty();
                 self.sched.outputs[slot] = step.out;
                 self.sched.out_gen[slot] = generation;
-                self.sched.produced.push(step.slot);
+                self.sched.produced.push(slot as u32);
                 if produced {
                     for &p in &self.nodes[slot].as_ref().expect("live node").parents {
                         self.sched.mark(generation, p.0);
@@ -344,41 +465,47 @@ impl DataflowNetwork {
         self.sched.level = level;
     }
 
-    /// Prepare dirty node `slot`'s step. A program without an ω whose
-    /// child feeds nothing else takes the child's output buffer to
-    /// rewrite in place (the move-through that keeps a single view's
-    /// chain copy-free); any other node draws a pooled buffer and reads
-    /// its children by borrow. Intermediate deltas flow raw: only an
-    /// output that faces a sink or feeds a δ is consolidated.
+    /// Prepare dirty node `slot`'s step: a pooled output buffer, fused
+    /// with the node's program consumer if it has one. Intermediate
+    /// deltas flow raw: only an output that faces a sink or feeds a δ —
+    /// in a fused pair, the program node's — is consolidated.
     fn prepare(&mut self, slot: u32) -> Step {
-        let generation = self.generation;
-        let node = self.node(NodeId(slot));
-        let consolidate = !node.sinks.is_empty()
-            || node
+        let fused = self.sched.fused[slot as usize];
+        let publisher = self.node(NodeId(fused.unwrap_or(slot)));
+        let consolidate = !publisher.sinks.is_empty()
+            || publisher
                 .parents
                 .iter()
                 .any(|&p| matches!(self.node(p).kind, NodeKind::Distinct { .. }));
-        let steal = match &node.kind {
-            NodeKind::Program { input, program, .. } if !program.fans_out() => {
-                let child = self.node(*input);
-                let exclusive = child.parents.len() + child.sinks.len() == 1;
-                (exclusive && self.sched.out_gen[input.ix()] == generation).then_some(input.ix())
-            }
-            _ => None,
-        };
-        let out = match steal {
-            Some(c) => {
-                self.sched.out_gen[c] = 0;
-                std::mem::take(&mut self.sched.outputs[c])
-            }
-            None => self.pool.get(),
-        };
         Step {
             slot,
-            stolen: steal.is_some(),
-            routed: self.sched.event_gen[slot as usize] == generation,
+            fused,
+            routed: self.sched.event_gen[slot as usize] == self.generation,
             consolidate,
-            out,
+            out: self.pool.get(),
+        }
+    }
+
+    /// Decide the fused pairs (module docs, "Fused pairs"): every node
+    /// other than a program whose one consumer edge goes to a program
+    /// node and which feeds no sink. The DAG's shape decides, so this
+    /// runs on register and drop, beside the routing index's rebuild.
+    pub(super) fn rebuild_fusion(&mut self) {
+        let (nodes, fused) = (&self.nodes, &mut self.sched.fused);
+        fused.clear();
+        fused.resize(nodes.len(), None);
+        for (slot, node) in nodes.iter().enumerate() {
+            let Some(node) = node else { continue };
+            let &[consumer] = node.parents.as_slice() else {
+                continue;
+            };
+            let program = |n: &Node| n.kind.program().is_some();
+            if node.sinks.is_empty()
+                && !program(node)
+                && nodes[consumer.ix()].as_ref().is_some_and(program)
+            {
+                fused[slot] = Some(consumer.0);
+            }
         }
     }
 
@@ -403,28 +530,55 @@ impl DataflowNetwork {
         self.sched.out_gen[id.ix()] = 0;
     }
 
-    /// Deliver event number `serial` to scan node `node` (once per event,
-    /// however many routes lead there) and queue the node for this pass.
+    /// Deliver event number `serial`, at `position` in the pass's
+    /// events, to scan node `node` (once per event, however many routes
+    /// lead there): record the position and queue the node for this
+    /// pass.
     #[inline]
-    pub(super) fn deliver(&mut self, node: NodeId, serial: u64) {
-        if self.sched.deliver_stamp[node.ix()] == serial {
+    pub(super) fn deliver(&mut self, node: NodeId, serial: u64, position: u32) {
+        let slot = node.ix();
+        if self.sched.deliver_stamp[slot] == serial {
             return;
         }
-        self.sched.deliver_stamp[node.ix()] = serial;
+        self.sched.deliver_stamp[slot] = serial;
         self.node_mut(node).delivered_events += 1;
-        self.sched.event_gen[node.ix()] = self.generation;
-        self.sched.mark(self.generation, node.0);
+        if self.sched.event_gen[slot] != self.generation {
+            self.sched.event_gen[slot] = self.generation;
+            self.sched.routed[slot].clear();
+            self.sched.mark(self.generation, node.0);
+        }
+        self.sched.routed[slot].push(position);
     }
 
     /// `id`'s output buffer as the last pass that ran it left it.
     pub(super) fn output_of(&self, id: NodeId) -> &Delta {
         &self.sched.outputs[id.ix()]
     }
+
+    /// `id`'s output in the last pass: empty unless that pass ran it.
+    #[cfg(test)]
+    pub(super) fn last_output(&self, id: NodeId) -> &Delta {
+        match self.sched.out_gen[id.ix()] == self.generation {
+            true => self.output_of(id),
+            false => &self.empty,
+        }
+    }
+
+    /// Positions, in the last pass's events, of those routed to `id`.
+    #[cfg(test)]
+    pub(super) fn routed_positions(&self, id: NodeId) -> &[u32] {
+        match self.sched.event_gen[id.ix()] == self.generation {
+            true => &self.sched.routed[id.ix()],
+            false => &[],
+        }
+    }
 }
 
 #[cfg(test)]
 mod level_tests {
     use super::*;
+    use crate::distinct::DistinctOp;
+    use crate::join::JoinOp;
     use pgq_algebra::fra::Fra;
     use pgq_algebra::program::{Scratch, TupleProgram};
     use pgq_common::tuple::Tuple;
@@ -435,6 +589,10 @@ mod level_tests {
 
     const NODES: usize = 64;
     const BAD: usize = 17;
+    /// The slot every level node reads (outside the arena), and the
+    /// program node `BAD` is fused with (outside the level).
+    const INPUT: u32 = NODES as u32;
+    const FUSED: u32 = NODES as u32 + 1;
 
     fn node(kind: NodeKind) -> Option<Node> {
         Some(Node {
@@ -447,43 +605,54 @@ mod level_tests {
         })
     }
 
-    /// σ[true] over the child in slot `NODES`, outside the level.
-    fn filter() -> NodeKind {
+    /// σ[true] over `input`.
+    fn filter(input: u32) -> NodeKind {
         let sigma = Fra::Filter {
             input: Box::new(Fra::Unit),
             predicate: pgq_algebra::expr::ScalarExpr::Lit(Value::Bool(true)),
         };
         NodeKind::Program {
-            input: NodeId(NODES as u32),
+            input: NodeId(input),
             program: TupleProgram::compile(&sigma).unwrap().0,
             scratch: Scratch::default(),
         }
     }
 
-    fn steps(stolen_at: usize) -> Vec<Step> {
+    /// One step per level node; `BAD`'s is fused with the program node
+    /// `FUSED`.
+    fn steps() -> Vec<Step> {
         (0..NODES)
             .map(|i| Step {
                 slot: i as u32,
-                stolen: i == stolen_at,
+                fused: (i == BAD).then_some(FUSED),
                 ..Step::default()
             })
             .collect()
     }
 
-    /// A level of 64 nodes at width 4 in which one node panics (a
-    /// non-program handed a stolen buffer): the original payload reaches the
-    /// caller, every other node of the level still runs, nothing hangs,
-    /// and the same pool runs the next level.
+    /// A level of 64 nodes at width 4 in which one node panics (a ⋈
+    /// whose arrangements the pass does not hold), fused with a program
+    /// node: the original payload reaches the caller, every other node of
+    /// the level still runs, nothing hangs, the program node keeps its
+    /// program, and the same pool runs the next level.
     #[test]
     fn panicking_node_fails_its_level_and_the_pool_runs_the_next() {
         let (done, finished) = channel();
         let run = std::thread::spawn(move || {
             let mut nodes: Vec<Option<Node>> = (0..NODES)
                 .map(|i| match i {
-                    BAD => node(NodeKind::Unit { emitted: false }),
-                    _ => node(filter()),
+                    BAD => node(NodeKind::Join {
+                        left: NodeId(INPUT),
+                        right: NodeId(INPUT),
+                        left_arr: 0,
+                        right_arr: 0,
+                        op: JoinOp::new(vec![0], vec![0], 1),
+                    }),
+                    _ => node(filter(INPUT)),
                 })
                 .collect();
+            nodes.push(None);
+            nodes.push(node(filter(BAD as u32)));
             let mut outputs = vec![Delta::new(); NODES];
             outputs.push(
                 [(Tuple::from_slice(&[Value::Int(1)]), 1)]
@@ -500,11 +669,12 @@ mod level_tests {
                 arrangements: &[],
                 g: &g,
                 events: &[],
+                routed: &[],
                 empty: &empty,
             };
             let workers = WorkerPool::new(4);
 
-            let mut level = steps(BAD);
+            let mut level = steps();
             let payload = catch_unwind(AssertUnwindSafe(|| {
                 run_level(&mut nodes, &mut level, &pass, Some(&workers))
             }))
@@ -515,7 +685,7 @@ mod level_tests {
                 .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
                 .unwrap_or("");
             assert!(
-                msg.contains("only a program steals"),
+                msg.contains("index out of bounds"),
                 "unexpected payload: {msg:?}"
             );
             for (i, step) in level.iter().enumerate().filter(|&(i, _)| i != BAD) {
@@ -525,9 +695,17 @@ mod level_tests {
                     "node {i} of the failed level did not run"
                 );
             }
+            let program = nodes[FUSED as usize].as_mut().map(|n| n.kind.program_mut());
+            assert!(
+                matches!(program, Some(Some((p, _))) if p.is_filter()),
+                "the fused program node lost its program"
+            );
 
-            nodes[BAD] = node(filter());
-            let mut level = steps(usize::MAX);
+            nodes[BAD] = node(NodeKind::Distinct {
+                input: NodeId(INPUT),
+                op: DistinctOp::new(),
+            });
+            let mut level = steps();
             run_level(&mut nodes, &mut level, &pass, Some(&workers));
             assert!(level.iter().all(|step| step.out.len() == 1));
             done.send(()).expect("test thread waits");

@@ -171,6 +171,7 @@ impl DataflowNetwork {
         }
         self.collect_if_dead(root);
         self.rebuild_routing();
+        self.rebuild_fusion();
     }
 
     /// View `sid`'s result bag.

@@ -73,6 +73,8 @@ pub struct VertexScan {
     touched: FxHashSet<VertexId>,
     /// Reused row-assembly buffer.
     scratch: Vec<Value>,
+    /// Change events examined by [`VertexScan::on_events_into`].
+    events_read: u64,
 }
 
 impl VertexScan {
@@ -86,12 +88,18 @@ impl VertexScan {
             memory: FxHashMap::default(),
             touched: FxHashSet::default(),
             scratch: Vec::new(),
+            events_read: 0,
         }
     }
 
     /// Number of tuples materialised in this scan's memory.
     pub fn memory_tuples(&self) -> usize {
         self.memory.len()
+    }
+
+    /// Change events this scan has examined since it was created.
+    pub fn events_read(&self) -> u64 {
+        self.events_read
     }
 
     /// The tuple currently emitted for `v` (`[v, props…]`), if `v`
@@ -173,11 +181,19 @@ impl VertexScan {
         out
     }
 
-    /// [`VertexScan::on_events`] into a caller-owned (pooled) buffer.
-    pub fn on_events_into(&mut self, g: &PropertyGraph, events: &[ChangeEvent], out: &mut Delta) {
+    /// [`VertexScan::on_events`] over any sequence of events — the
+    /// network hands a scan only the events routed to it — into a
+    /// caller-owned (pooled) buffer or any other [`RowSink`].
+    pub fn on_events_into<'e>(
+        &mut self,
+        g: &PropertyGraph,
+        events: impl IntoIterator<Item = &'e ChangeEvent>,
+        out: &mut (impl RowSink + ?Sized),
+    ) {
         let mut touched = std::mem::take(&mut self.touched);
         touched.clear();
         for ev in events {
+            self.events_read += 1;
             if let Some(v) = ev.touched_vertex() {
                 touched.insert(v);
             }
@@ -189,18 +205,18 @@ impl VertexScan {
     }
 
     /// Recompute one vertex and emit the difference into `out`.
-    pub fn refresh(&mut self, g: &PropertyGraph, v: VertexId, out: &mut Delta) {
+    pub fn refresh(&mut self, g: &PropertyGraph, v: VertexId, out: &mut (impl RowSink + ?Sized)) {
         let new = self.tuple_of(g, v);
         let old = self.memory.get(&v);
         if old == new.as_ref() {
             return;
         }
         if let Some(o) = old {
-            out.push(o.clone(), -1);
+            out.push_row(Row::Held(o), -1);
         }
         match new {
             Some(n) => {
-                out.push(n.clone(), 1);
+                out.push_row(Row::Held(&n), 1);
                 self.memory.insert(v, n);
             }
             None => {
@@ -235,6 +251,8 @@ pub struct EdgeScan {
     touched: FxHashSet<EdgeId>,
     /// Reused row-assembly buffer.
     scratch: Vec<Value>,
+    /// Change events examined by [`EdgeScan::on_events_into`].
+    events_read: u64,
 }
 
 /// The tuples one edge contributes, inline: one per admitted
@@ -293,12 +311,18 @@ impl EdgeScan {
             memory: FxHashMap::default(),
             touched: FxHashSet::default(),
             scratch: Vec::new(),
+            events_read: 0,
         }
     }
 
     /// Number of tuples materialised in this scan's memory.
     pub fn memory_tuples(&self) -> usize {
         self.memory.values().map(|ts| ts.as_slice().len()).sum()
+    }
+
+    /// Change events this scan has examined since it was created.
+    pub fn events_read(&self) -> u64 {
+        self.events_read
     }
 
     /// Routing contract (see [`ScanRouting`] and [`EdgeRouting`]).
@@ -462,12 +486,20 @@ impl EdgeScan {
         out
     }
 
-    /// [`EdgeScan::on_events`] into a caller-owned (pooled) buffer.
-    pub fn on_events_into(&mut self, g: &PropertyGraph, events: &[ChangeEvent], out: &mut Delta) {
+    /// [`EdgeScan::on_events`] over any sequence of events — the
+    /// network hands a scan only the events routed to it — into a
+    /// caller-owned (pooled) buffer or any other [`RowSink`].
+    pub fn on_events_into<'e>(
+        &mut self,
+        g: &PropertyGraph,
+        events: impl IntoIterator<Item = &'e ChangeEvent>,
+        out: &mut (impl RowSink + ?Sized),
+    ) {
         let mut touched = std::mem::take(&mut self.touched);
         touched.clear();
         let vertex_sensitive = self.vertex_sensitive();
         for ev in events {
+            self.events_read += 1;
             if let Some(e) = ev.touched_edge() {
                 touched.insert(e);
             }
@@ -486,7 +518,7 @@ impl EdgeScan {
         self.touched = touched;
     }
 
-    fn refresh(&mut self, g: &PropertyGraph, e: EdgeId, out: &mut Delta) {
+    fn refresh(&mut self, g: &PropertyGraph, e: EdgeId, out: &mut (impl RowSink + ?Sized)) {
         let new = self.tuples_of(g, e);
         // Unchanged is the common case (a vertex-touch event fans out to
         // every incident edge) — detect it without cloning the memory.
@@ -495,12 +527,12 @@ impl EdgeScan {
         }
         if let Some(old) = self.memory.remove(&e) {
             for t in old.as_slice() {
-                out.push(t.clone(), -1);
+                out.push_row(Row::Held(t), -1);
             }
         }
         if let Some(new) = new {
             for t in new.as_slice() {
-                out.push(t.clone(), 1);
+                out.push_row(Row::Held(t), 1);
             }
             self.memory.insert(e, new);
         }

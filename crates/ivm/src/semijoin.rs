@@ -126,7 +126,14 @@ impl SemiJoinOp {
     /// Process one batch of borrowed deltas against the left input's
     /// arrangement **as of before the batch**, appending output rows to
     /// `out`. The caller applies `dl` to the arrangement afterwards.
-    pub fn apply(&mut self, dl: &Delta, dr: &Delta, left: &IndexedBag, out: &mut Delta) {
+    #[inline(never)]
+    pub fn apply(
+        &mut self,
+        dl: &Delta,
+        dr: &Delta,
+        left: &IndexedBag,
+        out: &mut (impl RowSink + ?Sized),
+    ) {
         debug_assert_eq!(left.key_cols(), self.left_keys);
         // Phase 1: apply ΔR; emit flips against L_old. Aggregate ΔR per
         // key first so transient zero crossings inside one batch don't
@@ -157,7 +164,7 @@ impl SemiJoinOp {
                 if old_pos != new_pos {
                     let sign = if self.passes(new_pos) { 1 } else { -1 };
                     for (lt, lm) in left.probe(rep, &self.right_keys) {
-                        out.push(lt.clone(), sign * lm);
+                        out.push_row(Row::Held(lt), sign * lm);
                     }
                 }
             }
@@ -167,7 +174,7 @@ impl SemiJoinOp {
         for (lt, lm) in dl.iter() {
             let positive = self.right_support.probe(lt, &self.left_keys) > 0;
             if self.passes(positive) {
-                out.push(lt.clone(), *lm);
+                out.push_row(Row::Held(lt), *lm);
             }
         }
     }

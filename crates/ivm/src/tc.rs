@@ -512,8 +512,20 @@ impl VarLengthOp {
         self.trie.counters
     }
 
+    /// Change events this operator's scans have examined since it was
+    /// created, each counted once though both internal scans examine it.
+    pub fn events_read(&self) -> u64 {
+        self.edge_scan.events_read()
+    }
+
     /// Apply the scans' deltas and `left` (module docs, "Delta rules").
-    fn apply(&mut self, edge_delta: &Delta, dst_delta: &Delta, left: &Delta, out: &mut Delta) {
+    fn apply(
+        &mut self,
+        edge_delta: &Delta,
+        dst_delta: &Delta,
+        left: &Delta,
+        out: &mut (impl RowSink + ?Sized),
+    ) {
         let VarLengthOp {
             dst,
             src_col,
@@ -628,20 +640,22 @@ impl VarLengthOp {
         out
     }
 
-    /// [`VarLengthOp::on_events`] with a borrowed left input and a
-    /// caller-owned (pooled) output buffer.
-    pub fn on_events_into(
+    /// [`VarLengthOp::on_events`] over any sequence of events — the
+    /// network hands the node only the events routed to it — with a
+    /// borrowed left input, into a caller-owned (pooled) output buffer or
+    /// any other [`RowSink`].
+    pub fn on_events_into<'e>(
         &mut self,
         g: &PropertyGraph,
-        events: &[ChangeEvent],
+        events: impl IntoIterator<Item = &'e ChangeEvent> + Clone,
         left: &Delta,
-        out: &mut Delta,
+        out: &mut (impl RowSink + ?Sized),
     ) {
         let mut edges = std::mem::take(&mut self.edge_delta);
         let mut dsts = std::mem::take(&mut self.dst_delta);
         edges.clear();
         dsts.clear();
-        self.edge_scan.on_events_into(g, events, &mut edges);
+        self.edge_scan.on_events_into(g, events.clone(), &mut edges);
         if let Some(scan) = &mut self.dst {
             scan.on_events_into(g, events, &mut dsts);
         }

@@ -810,7 +810,8 @@ impl MultiwayJoinOp {
     /// Process one transaction's deltas (one per input position, in
     /// order; positions sharing an upstream node receive the same
     /// delta), appending the output delta to `out`.
-    pub fn apply(&mut self, deltas: &[&Delta], out: &mut Delta) {
+    #[inline(never)]
+    pub fn apply(&mut self, deltas: &[&Delta], out: &mut (impl RowSink + ?Sized)) {
         debug_assert_eq!(deltas.len(), self.inputs.len());
         let mut binding = std::mem::take(&mut self.binding);
         let mut scratch = std::mem::take(&mut self.scratch);

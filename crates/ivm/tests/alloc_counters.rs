@@ -5,7 +5,9 @@
 //! σ→π program allocates one tuple per surviving output row and nothing
 //! per input row or per stage, and keyed state holds a single-tuple
 //! arrangement key or a one-hop ⋈* extension's list entries without
-//! allocating. Event routing is checked beside them: a change event
+//! allocating. A ⋈ or ⋈* whose one consumer is its program runs it
+//! inside its own step: a row the program rejects is never allocated,
+//! one it rewrites once. Event routing is checked beside them: a change event
 //! reaches only the scans that can match it, once. A byte counter beside
 //! the allocation counter pins the size of the values themselves: a short
 //! string allocates nothing, and a three-column row asks for 64 bytes.
@@ -25,7 +27,7 @@ use pgq_common::value::Value;
 use pgq_graph::props::Properties;
 use pgq_graph::store::PropertyGraph;
 use pgq_graph::tx::Transaction;
-use pgq_ivm::basic::{program_in_place, program_into};
+use pgq_ivm::basic::program_into;
 use pgq_ivm::delta::{Delta, IndexedBag};
 use pgq_ivm::join::JoinOp;
 use pgq_ivm::semijoin::SemiJoinOp;
@@ -249,8 +251,7 @@ fn a_pooled_pass_delivers_each_event_once() {
 
 /// A σ→π chain is one program: `π[b, a + 1] σ[a > 5]` over 64 rows, 58
 /// of which survive. Steady state — the node's scratch is warm and its
-/// output buffer pooled — allocates one tuple per surviving row, through
-/// a borrowed input and in place alike.
+/// output buffer pooled — allocates one tuple per surviving row.
 #[test]
 fn a_sigma_pi_program_allocates_one_tuple_per_surviving_row() {
     let col = |i| Box::new(ScalarExpr::Col(i));
@@ -275,11 +276,6 @@ fn a_sigma_pi_program_allocates_one_tuple_per_surviving_row() {
     let borrowed = allocations(|| program_into(&program, &input, &mut scratch, &mut out));
     assert_eq!(out.len(), 58);
     assert_eq!(borrowed, 58, "one tuple per surviving row");
-    let owned = input.clone();
-    let mut rewritten = Delta::new();
-    let in_place = allocations(|| rewritten = program_in_place(&program, owned, &mut scratch));
-    assert_eq!(rewritten, out);
-    assert_eq!(in_place, 58, "one tuple per surviving row, in place");
 }
 
 /// A key holding one tuple keeps it in the table entry: once the table
@@ -380,4 +376,104 @@ fn short_strings_are_inline_and_a_three_column_row_is_64_bytes() {
     let mut tu = Tuple::unit();
     assert_eq!(allocated(|| tu = Tuple::from_slice(&row)), (1, 64));
     assert_eq!(tu.values(), row);
+}
+
+/// `query` compiled, registered on `g` in a fresh network.
+fn network_of(query: &str, g: &PropertyGraph) -> DataflowNetwork {
+    let fra = pgq_algebra::compile_query(&pgq_parser::parse_query(query).unwrap())
+        .unwrap()
+        .fra;
+    let mut net = DataflowNetwork::new();
+    net.register("v", &fra, g);
+    net
+}
+
+/// A ⋈ whose one consumer is its σ→π program runs the program inside its
+/// own step: a join row the σ rejects is never allocated. A new `S` hop
+/// out of `b` meets the twenty `R` hops into it, and the σ rejects all
+/// twenty rows: the pass allocates the hop's scan tuple and nothing else.
+#[test]
+fn a_fused_join_row_its_program_rejects_allocates_nothing() {
+    let sym = Symbol::intern;
+    let x = |v: i64| Properties::from_iter([("x", Value::Int(v))]);
+    let mut g = PropertyGraph::new();
+    let (b, _) = g.add_vertex([sym("B")], Properties::new());
+    for _ in 0..20 {
+        let (a, _) = g.add_vertex([sym("A")], x(1));
+        g.add_edge(a, b, sym("R"), Properties::new()).unwrap();
+    }
+    let cs: Vec<VertexId> = (0..2).map(|_| g.add_vertex([sym("C")], x(2)).0).collect();
+    let mut net = network_of(
+        "MATCH (a:A)-[:R]->(b:B)-[:S]->(c:C) WHERE a.x = c.x RETURN a, c",
+        &g,
+    );
+    let labels: Vec<String> = net.node_summaries().into_iter().map(|n| n.label).collect();
+    assert!(labels.iter().any(|l| l == "⋈") && labels.iter().any(|l| l.starts_with("σ→π")));
+
+    let hop = |g: &mut PropertyGraph, net: &mut DataflowNetwork, c: VertexId| {
+        let (e, ev) = g.add_edge(b, c, sym("S"), Properties::new()).unwrap();
+        let before = net.counters().join_tuples_emitted;
+        let allocated = allocations(|| net.on_transaction(g, &[ev]));
+        assert_eq!(net.counters().join_tuples_emitted - before, 20);
+        assert!(net.changed_sinks().is_empty(), "the σ rejects every row");
+        let ev = g.remove_edge(e).unwrap();
+        net.on_transaction(g, &[ev]);
+        allocated
+    };
+    // Warm-up: grow every map and buffer once.
+    hop(&mut g, &mut net, cs[0]);
+    assert_eq!(
+        hop(&mut g, &mut net, cs[1]),
+        1,
+        "the scan tuple, no join row"
+    );
+}
+
+/// A ⋈* whose one consumer is its σ→π program: a new path that survives
+/// the program is allocated once, as the program's output row — the
+/// hop's scan tuple, the path (its `Arc` and two `Vec`s) and that row.
+#[test]
+fn a_fused_var_length_row_that_survives_its_program_allocates_once() {
+    let r = Symbol::intern("R");
+    let en = || Properties::from_iter([("lang", Value::str("en"))]);
+    let mut g = PropertyGraph::new();
+    let chain: Vec<VertexId> = (0..4)
+        .map(|i| {
+            let labels = (i == 0).then(|| Symbol::intern("P"));
+            g.add_vertex(labels, en()).0
+        })
+        .collect();
+    for w in chain.windows(2) {
+        g.add_edge(w[0], w[1], r, Properties::new()).unwrap();
+    }
+    let ends: Vec<VertexId> = (0..2).map(|_| g.add_vertex([], en()).0).collect();
+    let mut net = network_of(
+        "MATCH t = (p:P)-[:R*]->(c) WHERE p.lang = c.lang RETURN p, t",
+        &g,
+    );
+    let labels: Vec<String> = net.node_summaries().into_iter().map(|n| n.label).collect();
+    assert!(labels.iter().any(|l| l.starts_with("⋈*")));
+    assert!(labels.iter().any(|l| l.starts_with("σ→π")), "{labels:?}");
+    assert_eq!(net.view_named("v").unwrap().row_count(), 3);
+
+    let tail = chain[3];
+    let hop = |g: &mut PropertyGraph, net: &mut DataflowNetwork, w: VertexId| {
+        let (e, ev) = g.add_edge(tail, w, r, Properties::new()).unwrap();
+        let allocated = allocations(|| net.on_transaction(g, &[ev]));
+        assert_eq!(
+            net.last_delta(net.changed_sinks()[0]).len(),
+            1,
+            "one new path"
+        );
+        let ev = g.remove_edge(e).unwrap();
+        net.on_transaction(g, &[ev]);
+        allocated
+    };
+    // Warm-up: grow every map and buffer once.
+    hop(&mut g, &mut net, ends[0]);
+    assert_eq!(
+        hop(&mut g, &mut net, ends[1]),
+        1 + 3 + 1,
+        "tuple + path + row"
+    );
 }

@@ -266,3 +266,92 @@ fn a_failing_member_leaves_the_members_before_it_in_one_pass() {
         "members after it never ran"
     );
 }
+
+/// Per node, the events routed to it and the events its scans read, both
+/// since the node was created.
+fn event_counts(e: &GraphEngine) -> Vec<(String, u64, u64)> {
+    e.network()
+        .node_summaries()
+        .into_iter()
+        .map(|n| (n.label, n.delivered_events, n.events_read))
+        .collect()
+}
+
+/// A scan reads only the events routed to it. Sixteen independent ⋈*
+/// views and a batch whose sixteen members each add one hop to a
+/// different one: the pass runs sixteen ⋈* nodes, and they read sixteen
+/// events between them, not sixteen each. An overlapping batch reads, at
+/// every node, no more than it was delivered.
+#[test]
+fn a_batch_reads_only_the_events_routed_to_each_scan() {
+    const BRANCHES: usize = 16;
+    let mut g = PropertyGraph::new();
+    let mut tips = Vec::new();
+    for i in 0..BRANCHES {
+        let (p, _) = g.add_vertex([sym(&format!("P{i}"))], Properties::new());
+        let (c, _) = g.add_vertex([sym(&format!("C{i}"))], Properties::new());
+        let (d, _) = g.add_vertex([sym(&format!("C{i}"))], Properties::new());
+        g.add_edge(p, c, sym(&format!("R{i}")), Properties::new())
+            .unwrap();
+        tips.push((c, d));
+    }
+    let mut e = GraphEngine::from_graph(g);
+    for i in 0..BRANCHES {
+        let q = format!("MATCH t = (p:P{i})-[:R{i}*]->(c:C{i}) RETURN p, t");
+        e.register_view(&format!("b{i}"), &q).unwrap();
+    }
+    let txs: Vec<Transaction> = tips
+        .iter()
+        .enumerate()
+        .map(|(i, &(c, d))| {
+            let mut tx = Transaction::new();
+            tx.create_edge(c, d, sym(&format!("R{i}")), Properties::new());
+            tx
+        })
+        .collect();
+    let before = event_counts(&e);
+    e.apply_batch(&txs).unwrap();
+    let after = event_counts(&e);
+    let read: Vec<u64> = before
+        .iter()
+        .zip(&after)
+        .filter(|(_, (label, ..))| label.starts_with("⋈*"))
+        .map(|((_, _, r0), (_, _, r1))| r1 - r0)
+        .collect();
+    assert_eq!(read, vec![1; BRANCHES], "one routed event per ⋈* node");
+    let total = |c: &[(String, u64, u64)]| c.iter().map(|n| n.2).sum::<u64>();
+    assert_eq!(total(&after) - total(&before), BRANCHES as u64);
+    for (i, (_, v)) in e.views().enumerate() {
+        assert_eq!(
+            v.results().len(),
+            2,
+            "view b{i}: the old path and the new one"
+        );
+    }
+
+    let mut e = engine();
+    let ps = posts(&e);
+    let txs: Vec<Transaction> = (0..16)
+        .map(|i| {
+            let mut tx = Transaction::new();
+            tx.set_vertex_prop(ps[i % 4], sym("lang"), Value::str(["fr", "en"][i % 2]));
+            tx
+        })
+        .collect();
+    let before = event_counts(&e);
+    e.apply_batch(&txs).unwrap();
+    for ((label, d0, r0), (_, d1, r1)) in before.iter().zip(&event_counts(&e)) {
+        assert!(
+            r1 - r0 <= d1 - d0,
+            "{label} read {} events, {} were delivered",
+            r1 - r0,
+            d1 - d0
+        );
+    }
+    let total = |c: &[(String, u64, u64)]| c.iter().map(|n| n.2).sum::<u64>();
+    assert!(
+        total(&event_counts(&e)) > total(&before),
+        "the batch read events"
+    );
+    assert_recomputes(&e);
+}
