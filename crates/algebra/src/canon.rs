@@ -20,7 +20,11 @@
 //!    group/call lists are sorted under a deterministic (in-process)
 //!    total order, so `WHERE a AND b` matches `WHERE b AND a`,
 //!    `WHERE a OR b` matches `WHERE b OR a`, and `A ⋈ B` matches
-//!    `B ⋈ A`.
+//!    `B ⋈ A`. Each comparison among those operands is oriented under
+//!    the same order — `=` and `<>` swap their operands, `<`/`>` and
+//!    `<=`/`>=` mirror — so `WHERE a.x <> b.x` matches
+//!    `WHERE b.x <> a.x` and `WHERE 'en' = p.lang` matches
+//!    `WHERE p.lang = 'en'`.
 //! 3. **σ/π chain normalisation.** Adjacent filters fuse into one
 //!    conjunction; filters sink below projections, duplicate
 //!    elimination and — conjunct by conjunct, where the unwound column
@@ -65,10 +69,13 @@
 //! but otherwise identical bag. Conjunct and disjunct reordering is exact
 //! even for expressions that fail on some tuple: a failing operation is
 //! `null` to the expression around it ([`crate::expr`]), and Kleene truth
-//! does not depend on operand order. One caveat is deliberate: sorting
-//! keys derive from interned [`Symbol`] contents and `Debug` renderings,
-//! so the canonical form is deterministic within a process but not across
-//! processes — the same lifetime as the fingerprints computed from it.
+//! does not depend on operand order. Nor does a comparison's: `a < b`
+//! and `b > a` are both `null` exactly when either side is `null` or the
+//! two are not comparable, and otherwise read one total order. One
+//! caveat is deliberate: sorting keys derive from interned [`Symbol`]
+//! contents and `Debug` renderings, so the canonical form is
+//! deterministic within a process but not across processes — the same
+//! lifetime as the fingerprints computed from it.
 
 use pgq_common::intern::Symbol;
 use pgq_parser::ast::BinOp;
@@ -330,12 +337,38 @@ fn fold_sorted(op: BinOp, mut operands: Vec<ScalarExpr>) -> ScalarExpr {
         .expect("at least one operand")
 }
 
-/// Canonical conjunction: each conjunct's own `OR` chain flattened,
-/// sorted and deduplicated, then the conjuncts themselves.
+/// Write a comparison one way round: the operand with the smaller key on
+/// the left, `=` and `<>` kept, `<`/`>` and `<=`/`>=` mirrored. Every
+/// comparison has the truth of its mirror on every pair of values,
+/// `null` included (`program_props` pins it), so this is exact.
+fn orient(e: ScalarExpr) -> ScalarExpr {
+    let mirror = |op| match op {
+        BinOp::Eq | BinOp::Neq => Some(op),
+        BinOp::Lt => Some(BinOp::Gt),
+        BinOp::Gt => Some(BinOp::Lt),
+        BinOp::Le => Some(BinOp::Ge),
+        BinOp::Ge => Some(BinOp::Le),
+        _ => None,
+    };
+    match e {
+        ScalarExpr::Binary(op, l, r) => match mirror(op) {
+            Some(m) if expr_key(&r) < expr_key(&l) => ScalarExpr::Binary(m, r, l),
+            _ => ScalarExpr::Binary(op, l, r),
+        },
+        other => other,
+    }
+}
+
+/// Canonical conjunction: each conjunct's own `OR` chain flattened, each
+/// comparison in it oriented, sorted and deduplicated, then the
+/// conjuncts themselves.
 fn conjoin_sorted(conjs: Vec<ScalarExpr>) -> ScalarExpr {
     let conjs = conjs
         .into_iter()
-        .map(|c| fold_sorted(BinOp::Or, c.operands(BinOp::Or)))
+        .map(|c| {
+            let disjuncts = c.operands(BinOp::Or).into_iter().map(orient).collect();
+            fold_sorted(BinOp::Or, disjuncts)
+        })
         .collect();
     fold_sorted(BinOp::And, conjs)
 }

@@ -231,17 +231,10 @@ proptest! {
     }
 }
 
-/// The pairs a comparison's truth must get right without building a
-/// value: an integer beside the equal float, NaN beside NaN, −0.0 beside
-/// 0.0, a string beside an integer, and `null` on either side. For each
-/// pair and each of `=`, `<>`, `<`, `<=`, `>`, `>=`, on two columns and
-/// on a column and a literal, `σ[a op b]` keeps the row exactly when the
-/// comparison evaluates to `true` and `σ[NOT (a op b)]` exactly when it
-/// evaluates to `false`.
-#[test]
-fn comparisons_keep_their_truth_on_the_awkward_pairs() {
-    use BinOp::*;
-    let pairs = [
+/// An integer beside the equal float, NaN beside NaN, −0.0 beside 0.0,
+/// a string beside an integer, and `null` on either side.
+fn awkward_pairs() -> [(Value, Value); 12] {
+    [
         (Value::Int(1), Value::float(1.0)),
         (Value::Int(1), Value::float(1.5)),
         (Value::float(f64::NAN), Value::float(f64::NAN)),
@@ -257,9 +250,21 @@ fn comparisons_keep_their_truth_on_the_awkward_pairs() {
             Value::list(vec![Value::Int(1)]),
             Value::list(vec![Value::float(1.0)]),
         ),
-    ];
+    ]
+}
+
+/// The pairs a comparison's truth must get right without building a
+/// value: an integer beside the equal float, NaN beside NaN, −0.0 beside
+/// 0.0, a string beside an integer, and `null` on either side. For each
+/// pair and each of `=`, `<>`, `<`, `<=`, `>`, `>=`, on two columns and
+/// on a column and a literal, `σ[a op b]` keeps the row exactly when the
+/// comparison evaluates to `true` and `σ[NOT (a op b)]` exactly when it
+/// evaluates to `false`.
+#[test]
+fn comparisons_keep_their_truth_on_the_awkward_pairs() {
+    use BinOp::*;
     let col = |i| Box::new(ScalarExpr::Col(i));
-    for (a, b) in pairs {
+    for (a, b) in awkward_pairs() {
         for (l, r) in [(a.clone(), b.clone()), (b.clone(), a.clone())] {
             let row = vec![l.clone(), r.clone()];
             for op in [Eq, Neq, Lt, Le, Gt, Ge] {
@@ -289,6 +294,47 @@ fn comparisons_keep_their_truth_on_the_awkward_pairs() {
                         (true, true) => panic!("{cmp:?} is both true and false"),
                     };
                     assert_eq!(got, want, "{l:?} {op:?} {r:?}");
+                }
+            }
+        }
+    }
+}
+
+/// Every comparison has the truth of its mirror with the operands
+/// swapped — `a = b` of `b = a`, `a <> b` of `b <> a`, `a < b` of
+/// `b > a`, `a <= b` of `b >= a` — on the awkward pairs, two columns or a
+/// column and a literal, through the tree-walking evaluator and through
+/// a compiled σ alike: what lets canonicalisation write each comparison
+/// one way round.
+#[test]
+fn mirrored_comparisons_keep_their_truth_on_the_awkward_pairs() {
+    use BinOp::*;
+    let truth = |e: ScalarExpr, row: &[Value]| -> (Option<bool>, bool) {
+        let eval = match e.eval(row) {
+            Ok(Value::Bool(t)) => Some(t),
+            _ => None,
+        };
+        let fra = Fra::Filter {
+            input: Box::new(Fra::Unit),
+            predicate: e,
+        };
+        let (program, _) = TupleProgram::compile(&fra).expect("a σ");
+        let mut kept = false;
+        program.run(row, &mut Scratch::default(), |_| kept = true);
+        (eval, kept)
+    };
+    let col = |i| Box::new(ScalarExpr::Col(i));
+    for (a, b) in awkward_pairs() {
+        for row in [[a.clone(), b.clone()], [b.clone(), a.clone()]] {
+            for (op, mirror) in [(Eq, Eq), (Neq, Neq), (Lt, Gt), (Le, Ge), (Gt, Lt), (Ge, Le)] {
+                for rhs in [col(1), Box::new(ScalarExpr::Lit(row[1].clone()))] {
+                    assert_eq!(
+                        truth(ScalarExpr::Binary(op, col(0), rhs.clone()), &row),
+                        truth(ScalarExpr::Binary(mirror, rhs, col(0)), &row),
+                        "{:?} {op:?} {:?}",
+                        row[0],
+                        row[1]
+                    );
                 }
             }
         }

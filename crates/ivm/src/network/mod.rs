@@ -8,8 +8,9 @@
 //! tree (cost O(#views) per transaction even for overlapping views),
 //! the [`DataflowNetwork`] keeps a flat arena of operator nodes
 //! ([`NodeId`]-indexed, explicit child→parent edges) in which a node may
-//! feed any number of consumers, and views are refcounted **sink**
-//! entries over the shared DAG.
+//! feed any number of consumers, and views are **sink** entries over the
+//! shared DAG: the views on one root read one result bag, which they
+//! refcount.
 //!
 //! Three mechanisms keep per-transaction cost proportional to affected
 //! state rather than to the number of registered queries:
@@ -47,6 +48,17 @@
 //! The network does five jobs, one submodule each: `arena`, `routing`,
 //! `register`, `schedule` and `sinks`. Each owns its state and states
 //! its invariants; the others reach that state only through its methods.
+//!
+//! # Invariants
+//!
+//! * Each view root has one result bag (`sinks`), whatever the number of
+//!   views on it: a registration whose root already feeds a view copies
+//!   nothing, and a pass folds each root's delta once.
+//! * The routing index and the fused pairs are rebuilt together, on every
+//!   registration and drop that may change them: one that creates or
+//!   frees a node, or that changes whether a node feeds a view. A fully
+//!   shared registration, and a drop that leaves its root a view, do
+//!   neither and rebuild nothing.
 //!
 //! # Work counters
 //!
@@ -132,12 +144,24 @@ pub struct DataflowNetwork {
     /// The network's own counts plus those of every dropped node (see
     /// [`DataflowNetwork::counters`]).
     counters: Counters,
+    /// Rebuilds of the routing index and fused pairs so far.
+    layout_rebuilds: u64,
 }
 
 impl DataflowNetwork {
     /// Fresh empty network.
     pub fn new() -> DataflowNetwork {
         DataflowNetwork::default()
+    }
+
+    /// Rebuild what the node set and the view roots decide: the routing
+    /// index (from the node set) and the fused pairs (from the DAG and
+    /// which nodes feed a view). Register and drop run it unless they
+    /// changed neither.
+    fn rebuild_layout(&mut self) {
+        self.layout_rebuilds += 1;
+        self.rebuild_routing();
+        self.rebuild_fusion();
     }
 
     /// Summaries of all live nodes, in arena order.

@@ -6,12 +6,12 @@
 //! Deltas are what flows at run time, but two operations need a node's
 //! *full* output bag: registering a view onto a populated graph (every
 //! new operator's memories are loaded from its inputs' bags, the new
-//! arrangements and the sink from theirs) and a durable snapshot
-//! ([`DataflowNetwork::dump_states`], every live node's bag). Both
+//! arrangements and a new root's result bag from theirs) and a durable
+//! snapshot ([`DataflowNetwork::dump_states`], every live node's bag). Both
 //! **stream** it: the rows come from the node or, for a program node,
 //! from its input, whichever has them first — a bag memoised earlier in
 //! the pass, a snapshot's stored bag (warm registration), a bag maintenance already
-//! keeps consolidated (a sibling sink's results, one of the node's own
+//! keeps consolidated (a view root's result bag, one of the node's own
 //! arrangements), and only last an enumeration of the node's own
 //! memories (for a ⋈, of its inputs' arrangements) — and run through the
 //! chain's program row by row on borrowed values
@@ -26,10 +26,13 @@
 //!
 //! Registration is therefore one bottom-up pass over the *new* part of
 //! the plan: stateful operators load insert-only, stateless ones do no
-//! work, and a view whose root already feeds another view copies that
-//! view's results. Cost: O(new inputs + new outputs) for the new
-//! sub-DAG, O(result) when nothing is new; a dump costs O(operator
-//! state), each shared node once. See ARCHITECTURE.md, "Registration".
+//! work, and a view whose root already feeds another view shares that
+//! view's result bag. Cost: O(new inputs + new outputs) for the new
+//! sub-DAG; when nothing is new and the root already feeds a view, only
+//! the plan's hash-consing — no bag is streamed or copied, and the
+//! routing index and the fused pairs are not rebuilt, whatever the
+//! result's size. A dump costs O(operator state), each shared node
+//! once. See ARCHITECTURE.md, "Registration".
 
 use pgq_algebra::expr::AggCall;
 use pgq_algebra::fra::Fra;
@@ -325,28 +328,29 @@ impl DataflowNetwork {
             ..Bags::default()
         };
         let root = self.instantiate(&plan, g, sorted, &mut bags);
-        // The sink's result bag is the root's: a copy of a sibling
-        // view's when the root already feeds one (a fully shared
-        // registration streams nothing), the root's rows streamed into
-        // it otherwise.
-        let results = match self.node(root).sinks.first() {
-            Some(&sibling) => self.sink_results(sibling).clone(),
-            None => {
-                let mut results = FxHashMap::default();
-                self.feed(root, &mut bags, &mut results);
-                results
-            }
-        };
+        // The view reads its root's result bag: the one a view already on
+        // the root reads (a fully shared registration streams and copies
+        // nothing), else one seeded with the root's rows.
+        let shared = !self.node(root).sinks.is_empty();
+        let seed = (!shared).then(|| {
+            let mut results = FxHashMap::default();
+            self.feed(root, &mut bags, &mut results);
+            results
+        });
         self.counters.bag_enumerations += bags.enumerations;
-        let sid = self.add_sink(name, fra.schema(), root, results);
-        // Rebuild the routing index eagerly: registration is already a
-        // heavyweight operation, and a lazily-stale index would push the
-        // rebuild into the first (often benchmarked) transaction — or
-        // into every transaction of engines cloned from a
-        // registered-but-never-maintained template. The fused pairs are
-        // decided here too, for the same reason.
-        self.rebuild_routing();
-        self.rebuild_fusion();
+        let sid = self.add_sink(name, fra.schema(), root, seed);
+        // Rebuild the routing index and the fused pairs eagerly:
+        // registration is already a heavyweight operation, and a
+        // lazily-stale index would push the rebuild into the first (often
+        // benchmarked) transaction — or into every transaction of engines
+        // cloned from a registered-but-never-maintained template. The
+        // index depends only on the node set and the pairs on the DAG and
+        // on which nodes feed a view. A root that already fed a view was
+        // hash-consed whole, so no node was made, and it fed a view
+        // before: neither changed.
+        if !shared {
+            self.rebuild_layout();
+        }
         sid
     }
 
@@ -710,13 +714,11 @@ impl DataflowNetwork {
     }
 
     /// `id`'s full output bag where maintenance already keeps it
-    /// consolidated — a sink's result bag (view roots) or one of the
-    /// node's arrangements; `None` when it must be derived.
+    /// consolidated — its result bag (view roots) or one of the node's
+    /// arrangements; `None` when it must be derived.
     fn kept(&self, id: NodeId) -> Option<Rows<'_>> {
-        if let Some(&sid) = self.node(id).sinks.first() {
-            return Some(Box::new(
-                self.sink_results(sid).iter().map(|(t, m)| (t, *m)),
-            ));
+        if let Some(results) = self.sinks.bag(id) {
+            return Some(Box::new(results.iter().map(|(t, m)| (t, *m))));
         }
         let arr = live(&self.arrangements[id.ix()]).next()?;
         Some(Box::new(arr.bag.iter()))

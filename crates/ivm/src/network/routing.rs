@@ -10,7 +10,10 @@
 //!   that could react to it would be a wrong delta, not wasted work.
 //!   The `exactness` test below holds every scan to it.
 //! * **The routing index is rebuilt eagerly** on register/drop and
-//!   never inside a measured transaction. Keep it that way: a
+//!   never inside a measured transaction; it depends on the node set
+//!   alone, so a registration that creates no node and a drop that
+//!   frees none may leave it as it is (`DataflowNetwork::rebuild_layout`).
+//!   Keep it that way: a
 //!   lazily-stale index pushes the rebuild into the first transaction
 //!   of engines cloned from a registered-but-never-maintained template,
 //!   which benchmarks clone-per-iteration — it showed up as a phantom

@@ -27,9 +27,10 @@
 //! never materialised: nothing else reads it (it has no arrangement,
 //! since every arrangement has a ⋈ / ⋉ / ▷ consumer). A row the program
 //! rejects is never allocated, one it rewrites is allocated once. Which
-//! pairs are fused is a fact of the DAG's shape, decided on register and
-//! drop ([`DataflowNetwork::rebuild_fusion`]) beside the routing index,
-//! never per pass; the program stays in its node, which the step borrows
+//! pairs are fused is a fact of the DAG's shape and of which nodes feed
+//! a view, decided on register and drop
+//! ([`DataflowNetwork::rebuild_fusion`]) beside the routing index, never
+//! per pass; the program stays in its node, which the step borrows
 //! beside the producer's.
 //!
 //! How a level runs is the only thing that depends on the width. Inline
@@ -395,7 +396,8 @@ impl DataflowNetwork {
         self.update_arrangements();
         let roots = self.sched.produced.iter().map(|&slot| {
             let node = self.nodes[slot as usize].as_ref().expect("live node");
-            (node.sinks.as_slice(), &self.sched.outputs[slot as usize])
+            let delta = &self.sched.outputs[slot as usize];
+            (NodeId(slot), node.sinks.as_slice(), delta)
         });
         self.sinks.fold(self.generation, roots);
     }
@@ -488,8 +490,9 @@ impl DataflowNetwork {
 
     /// Decide the fused pairs (module docs, "Fused pairs"): every node
     /// other than a program whose one consumer edge goes to a program
-    /// node and which feeds no sink. The DAG's shape decides, so this
-    /// runs on register and drop, beside the routing index's rebuild.
+    /// node and which feeds no sink. The DAG's shape and which nodes feed
+    /// a view decide, so this runs on register and drop, beside the
+    /// routing index's rebuild ([`DataflowNetwork::rebuild_layout`]).
     pub(super) fn rebuild_fusion(&mut self) {
         let (nodes, fused) = (&self.nodes, &mut self.sched.fused);
         fused.clear();
@@ -562,6 +565,12 @@ impl DataflowNetwork {
             true => self.output_of(id),
             false => &self.empty,
         }
+    }
+
+    /// The program node `id` is fused with, if any.
+    #[cfg(test)]
+    pub(super) fn fused_with(&self, id: NodeId) -> Option<NodeId> {
+        self.sched.fused[id.ix()].map(NodeId)
     }
 
     /// Positions, in the last pass's events, of those routed to `id`.

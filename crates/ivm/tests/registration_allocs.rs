@@ -1,12 +1,15 @@
-//! Cold registration allocates for what it keeps, not for what passes
-//! through it: the rows of a join that only feeds a σ are streamed, not
-//! materialised. A work count, not a timing — this test binary counts
-//! every allocation through its own global allocator (nothing in the
-//! library counts), around one `register` of `view_churn`'s cold
-//! two-hop view on a graph where the two-hop join is 8 × the result.
+//! Registration allocates for what it keeps, not for what passes
+//! through it. Cold: the rows of a join that only feeds a σ are
+//! streamed, not materialised — `view_churn`'s cold two-hop view on a
+//! graph where the two-hop join is 8 × the result. Fully shared: an
+//! alpha-renamed twin of a registered view allocates the same bytes
+//! whatever the size of the result it shares. Work counts, not timings —
+//! this test binary counts every allocation and its bytes through its
+//! own global allocator (nothing in the library counts), on the thread
+//! that measures only.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use pgq_algebra::compile_query;
 use pgq_common::intern::Symbol;
@@ -19,26 +22,45 @@ use pgq_parser::parse_query;
 
 struct Counting;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's `(allocations, bytes)` so far: each test reads its
+    /// own, so tests may run beside each other.
+    static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
 
-// SAFETY: `Counting` holds no state besides a relaxed counter; every
-// method forwards its arguments unchanged to the system allocator, so the
-// caller's `GlobalAlloc` contract is the one `System` gets.
+/// Count one allocation of `bytes` on the current thread.
+fn count(bytes: usize) {
+    // A thread being torn down has no counts left to keep.
+    let _ = COUNTS.try_with(|c| {
+        let (n, b) = c.get();
+        c.set((n + 1, b + bytes as u64));
+    });
+}
+
+/// `(allocations, bytes)` the current thread has made so far.
+fn counts() -> (u64, u64) {
+    COUNTS.with(Cell::get)
+}
+
+// SAFETY: `Counting` keeps only a thread-local pair of counters, which
+// never allocates; every method forwards its arguments unchanged to the
+// system allocator, so the caller's `GlobalAlloc` contract is the one
+// `System` gets.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: forwarded from this method's caller.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: forwarded from this method's caller.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         // SAFETY: forwarded from this method's caller; `ptr` came from
         // `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -85,15 +107,14 @@ fn register_cold(persons: usize) -> (u64, u64, u64, u64) {
     let g = graph(persons);
     let fra = compile_query(&parse_query(COLD).unwrap()).unwrap().fra;
     let mut net = DataflowNetwork::new();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = counts().0;
     let sid = net.register("cold", &fra, &g);
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = counts().0 - before;
     let knows = g.edge_count() as u64;
     let result = net.view(sid).row_count() as u64;
     (knows, 8 * knows, result, allocations)
 }
 
-/// One test: the counter is process-wide, so nothing may run beside it.
 #[test]
 fn cold_registration_allocates_with_input_and_output_not_with_the_join() {
     let (knows, join, result, small) = register_cold(600);
@@ -117,5 +138,39 @@ fn cold_registration_allocates_with_input_and_output_not_with_the_join() {
         grown < (join10 - join) / 2,
         "{grown} more allocations for {} more join rows",
         join10 - join
+    );
+}
+
+/// `(|result|, bytes allocated by registering COLD's alpha-renamed twin)`
+/// once COLD is registered on `graph(persons)`.
+fn register_shared(persons: usize) -> (usize, u64) {
+    let g = graph(persons);
+    let compile = |q: &str| compile_query(&parse_query(q).unwrap()).unwrap().fra;
+    let (cold, twin) = (
+        compile(COLD),
+        compile(
+            "MATCH (x:Person)-[:KNOWS]->(y:Person)-[:KNOWS]->(z:Person) \
+             WHERE x.country = z.country RETURN x, z",
+        ),
+    );
+    let mut net = DataflowNetwork::new();
+    net.register("cold", &cold, &g);
+    let (nodes, before) = (net.node_count(), counts().1);
+    let sid = net.register("twin", &twin, &g);
+    let bytes = counts().1 - before;
+    assert_eq!(net.node_count(), nodes, "the twin shares every node");
+    (net.view(sid).row_count(), bytes)
+}
+
+/// A map copy is one allocation whatever its size, so bytes, not
+/// allocations, are what would show a copy of the shared result bag.
+#[test]
+fn a_fully_shared_registration_allocates_the_same_bytes_at_ten_times_the_result() {
+    let (result, bytes) = register_shared(600);
+    let (result10, bytes10) = register_shared(6_000);
+    assert_eq!(result10, 10 * result);
+    assert_eq!(
+        bytes10, bytes,
+        "{bytes} bytes at {result} result rows, {bytes10} at {result10}"
     );
 }

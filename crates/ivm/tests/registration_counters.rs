@@ -105,8 +105,8 @@ fn registration_produces_each_bag_at_most_once() {
         "{enumerated} enumerations for {stateful} new stateful nodes"
     );
 
-    // Fully shared (alpha-renamed): no new node, and the sink copies its
-    // sibling's results — nothing is enumerated at all.
+    // Fully shared (alpha-renamed): no new node, and the sink reads the
+    // result bag its root already keeps — nothing is enumerated at all.
     let (added, enumerated) = register(
         &mut net,
         &g,

@@ -280,3 +280,98 @@ fn motif_views_share_one_edge_scan_one_wedge_and_one_wedge_index() {
     assert!(*wedge_tuples > 50_000, "the wedge is the big intermediate");
     assert!(held <= 160_000, "{held} tuples held");
 }
+
+/// `=` and `<>` are symmetric and `<`, `<=` mirror `>`, `>=`, so a
+/// comparison written either way round is one σ: the second spelling of
+/// a view adds zero nodes to the first.
+#[test]
+fn flipped_equalities_share_every_node() {
+    for spellings in [
+        [
+            "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE p.lang <> c.lang RETURN p, c",
+            "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE c.lang <> p.lang RETURN p, c",
+        ],
+        [
+            "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE p.lang = c.lang RETURN p, c",
+            "MATCH (a:Post)-[:REPLY]->(b:Comm) WHERE b.lang = a.lang RETURN a, b",
+        ],
+        [
+            "MATCH (p:Post) WHERE p.lang = 'en' RETURN p",
+            "MATCH (p:Post) WHERE 'en' = p.lang RETURN p",
+        ],
+        [
+            "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE p.lang < c.lang RETURN p, c",
+            "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE c.lang > p.lang RETURN p, c",
+        ],
+        [
+            "MATCH (p:Post) WHERE p.lang >= 'en' RETURN p",
+            "MATCH (p:Post) WHERE 'en' <= p.lang RETURN p",
+        ],
+        [
+            "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE p.lang = 'en' OR c.lang <> 'fr' RETURN c",
+            "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE 'fr' <> c.lang OR 'en' = p.lang RETURN c",
+        ],
+    ] {
+        let mut e = seeded_engine();
+        e.register_view("v0", spellings[0]).unwrap();
+        let nodes = e.network_node_count();
+        e.register_view("v1", spellings[1]).unwrap();
+        assert_eq!(
+            e.network_node_count(),
+            nodes,
+            "{spellings:?} must share every node"
+        );
+        e.execute("CREATE (:Post {lang:'en'})-[:REPLY]->(:Comm {lang:'de'})")
+            .unwrap();
+        assert_matches_recompute(&e, "v0");
+        assert_matches_recompute(&e, "v1");
+    }
+}
+
+/// `motif_skew`'s three views on a small uniform random graph, where the
+/// planner orients the views' wedges differently: the wedge's σ on its
+/// two edges being distinct (`e1 <> e2` in one view, `e2 <> e1` in
+/// another) is still one node, so the wedge is arranged once, with a
+/// reader per join that reads it.
+#[test]
+fn motif_views_on_a_random_graph_hold_one_wedge_arrangement() {
+    use pgq_common::intern::Symbol;
+    use pgq_graph::props::Properties;
+    use pgq_graph::store::PropertyGraph;
+    use pgq_workloads::motifs::queries;
+
+    let mut g = PropertyGraph::new();
+    let n: Vec<_> = (0..300)
+        .map(|_| g.add_vertex([Symbol::intern("N")], Properties::new()).0)
+        .collect();
+    let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut next = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n.len() as u64) as usize
+    };
+    for _ in 0..1_200 {
+        let (src, dst) = (next(), next());
+        g.add_edge(n[src], n[dst], Symbol::intern("E"), Properties::new())
+            .unwrap();
+    }
+    let mut e = GraphEngine::from_graph(g);
+    for (i, q) in queries::MOTIF_SKEW.iter().enumerate() {
+        e.register_view(&format!("m{i}"), q).unwrap();
+    }
+    for i in 0..queries::MOTIF_SKEW.len() {
+        assert_matches_recompute(&e, &format!("m{i}"));
+    }
+    let nodes = e.network().node_summaries();
+    let wedges: Vec<_> = nodes
+        .iter()
+        .filter(|n| n.label != "⇑(E)")
+        .flat_map(|n| n.arrangements.iter().map(move |a| (&n.label, a)))
+        .collect();
+    let [(_, (keys, _, readers))] = wedges[..] else {
+        panic!("one wedge arrangement, got {wedges:?}");
+    };
+    assert_eq!(keys.len(), 2, "keyed by the wedge's two end vertices");
+    assert_eq!(*readers, 3, "triangle ⋈ and both sides of four-cycle ⋈");
+}

@@ -188,7 +188,31 @@ fn audit_arrangements(net: &DataflowNetwork, g: &PropertyGraph, what: &str) -> u
     audited
 }
 
-/// Every node's dumped bag equals the recompute of its sub-plan.
+/// Every view root's result bag, read through each view on it, holds
+/// exactly the recompute of the root's sub-plan.
+fn audit_root_bags(net: &DataflowNetwork, g: &PropertyGraph, what: &str) -> usize {
+    let mut audited = 0;
+    for (_, plan, sinks) in net.node_plans() {
+        if sinks.is_empty() {
+            continue;
+        }
+        let want = sorted(&pgq_eval::evaluate_consolidated(plan, g));
+        for &sid in sinks {
+            let view = net.view(sid);
+            assert_eq!(
+                sorted(&view.results()),
+                want,
+                "{what}: {} differs from the recompute of its root\n{plan:#?}",
+                view.name()
+            );
+        }
+        audited += 1;
+    }
+    audited
+}
+
+/// Every node's dumped bag equals the recompute of its sub-plan, and so
+/// do every arrangement and every view root's result bag.
 fn audit_against_recompute(a: &mut Audited, g: &PropertyGraph, what: &str) -> usize {
     let states = a.net.dump_states();
     let mut audited = 0;
@@ -203,7 +227,7 @@ fn audit_against_recompute(a: &mut Audited, g: &PropertyGraph, what: &str) -> us
         );
         audited += 1;
     }
-    audited + audit_arrangements(&a.net, g, what)
+    audited + audit_arrangements(&a.net, g, what) + audit_root_bags(&a.net, g, what)
 }
 
 /// `options` are the late registration's. The early network must run the
@@ -302,6 +326,7 @@ fn run(seed: u64, options: RegisterOptions) -> usize {
                     a.net.on_transaction(&g, &events);
                 }
                 audit_arrangements(&late.net, &g, &what("during churn", "late"));
+                audit_root_bags(&late.net, &g, &what("during churn", "late"));
             }
         }
     }
@@ -423,4 +448,55 @@ fn arrangements_follow_their_readers_and_return_to_baseline() {
     assert_eq!(indexes(&net), one_view);
     net.drop_sink(v0);
     assert_eq!(net.node_count(), 0);
+}
+
+/// Two views on every root — the pool registered twice onto a populated
+/// graph — read one result bag, which stays the recompute of the root's
+/// plan through churn, through dropping either view of each pair (the
+/// first for some roots, the second for others), through more churn
+/// with one view left, and is gone with the last.
+#[test]
+fn two_views_per_root_keep_one_exact_bag_through_churn_and_drops() {
+    for seed in 0..4 {
+        let mut rng = XorShift::new(0x0A0D_1900 + seed);
+        let mut g = PropertyGraph::new();
+        for _ in 0..BUILD_STEPS {
+            let tx = next_tx(&mut rng, &g);
+            g.apply(&tx).unwrap();
+        }
+        let mut net = DataflowNetwork::new();
+        let pairs: Vec<[SinkId; 2]> = POOL
+            .iter()
+            .enumerate()
+            .map(|(q, text)| {
+                let fra = compile_query(&parse_query(text).unwrap()).unwrap().fra;
+                let first = net.register(format!("v{q}"), &fra, &g);
+                let nodes = net.node_count();
+                let second = net.register(format!("v{q}_twin"), &fra, &g);
+                assert_eq!(net.node_count(), nodes, "seed {seed}: {text} twice");
+                [first, second]
+            })
+            .collect();
+        let what = |stage: &str| format!("seed {seed}, {stage}");
+        let mut churn = |net: &mut DataflowNetwork, g: &mut PropertyGraph, stage: &str| {
+            for _ in 0..CHURN_STEPS / 2 {
+                let tx = next_tx(&mut rng, g);
+                let events = g.apply(&tx).unwrap();
+                net.on_transaction(g, &events);
+                audit_root_bags(net, g, &what(stage));
+            }
+        };
+        let roots = audit_root_bags(&net, &g, &what("after registration"));
+        assert!(roots > POOL.len() / 2, "seed {seed}: only {roots} roots");
+        churn(&mut net, &mut g, "two views per root");
+        for (q, pair) in pairs.iter().enumerate() {
+            net.drop_sink(pair[q % 2]);
+        }
+        audit_root_bags(&net, &g, &what("after the first drops"));
+        churn(&mut net, &mut g, "one view per root");
+        for (q, pair) in pairs.iter().enumerate() {
+            net.drop_sink(pair[1 - q % 2]);
+        }
+        assert_eq!(net.node_count(), 0, "seed {seed}: the last drops free all");
+    }
 }
