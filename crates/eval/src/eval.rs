@@ -12,11 +12,17 @@
 //! * the σ/π/ω chain above an operator runs as one [`TupleProgram`], the
 //!   interpreter the dataflow network uses, over borrowed rows;
 //! * a ⋈ streams its left input and holds its right input, indexed on
-//!   the join key, as the build side. The right side is built when the
-//!   first left row arrives, so an empty left never scans it. Each left
-//!   row probes the index and pushes one row per match, in build order;
+//!   the join key. The right side is built when the first left row
+//!   arrives, so an empty left never scans it. Each left row probes the
+//!   index and pushes one row per match, in build order;
 //! * a ⋉ / ▷ streams its left input and holds a support count per key of
 //!   its right input, built the same way;
+//! * **build or expand**: when the right input of a ⋈ / ⋉ / ▷ is a scan
+//!   read through one key column (a ⇑ on its source or target, a © on
+//!   its vertex, under at most a σ chain), the join reads it from the
+//!   key vertices its left side binds — `out_edges` / `in_edges` /
+//!   `vertex()` — whenever a safe upper bound on what that reads stays
+//!   below the extent (`expand.rs` says how it decides, with no knob);
 //! * γ holds one accumulator per group: a count, an exact sum, the
 //!   current extremum. Only `collect` and the `DISTINCT` aggregates keep
 //!   their group's values;
@@ -28,7 +34,8 @@
 //!
 //! So a one-shot read holds its build sides and its groups, never its
 //! intermediate paths. For a plan without γ or δ, rows come out
-//! left-major, each left row's matches in build order.
+//! left-major, each left row's matches in build order — or, where a join
+//! expanded, in its key vertex's adjacency order.
 //!
 //! A `σ[col = literal]` directly above `©(l {k→col})` *narrows*: the
 //! scan reads its candidates from the property index `(l, k)` when the
@@ -54,9 +61,10 @@ use pgq_common::ids::{EdgeId, VertexId};
 use pgq_common::intern::Symbol;
 use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
-use pgq_graph::store::PropertyGraph;
+use pgq_graph::store::{EdgeData, PropertyGraph};
 use pgq_parser::ast::BinOp;
 
+use crate::expand::Expansion;
 use crate::paths::enumerate_paths;
 
 /// A bag of result tuples.
@@ -64,7 +72,10 @@ pub type Bag = Vec<(Tuple, i64)>;
 
 /// Where an operator pushes its output: one row and its multiplicity at
 /// a time, the row borrowed for the call.
-type Sink<'a> = dyn FnMut(&[Value], i64) + 'a;
+pub(crate) type Sink<'a> = dyn FnMut(&[Value], i64) + 'a;
+
+/// A source of rows: pushes each of them into the sink it is handed.
+pub(crate) type Feed<'a> = dyn FnMut(&mut Sink<'_>) + 'a;
 
 /// Evaluate an FRA plan against the current graph.
 pub fn evaluate(fra: &Fra, g: &PropertyGraph) -> Bag {
@@ -130,19 +141,28 @@ pub fn wanted_indexes(fra: &Fra) -> Vec<(Symbol, Symbol)> {
 }
 
 /// `fra.explain()` with a `seek Person.id` mark on every σ the property
-/// index answers over `g`.
+/// index answers over `g`, and an `expand out KNOWS` mark on every join
+/// that can read its right input from its key vertices.
 pub fn explain(fra: &Fra, g: &PropertyGraph) -> String {
     fn mark(fra: &Fra, g: &PropertyGraph) -> Option<String> {
-        let Fra::Filter { input, predicate } = fra else {
-            return None;
-        };
-        let (l, k, _) = seek_key(input, predicate)?;
-        let built = if g.has_prop_index(l, k) {
-            ""
-        } else {
-            " (index built on first execute; scan until then)"
-        };
-        Some(format!("seek {l}.{k}{built}"))
+        match fra {
+            Fra::Filter { input, predicate } => {
+                let (l, k, _) = seek_key(input, predicate)?;
+                let built = if g.has_prop_index(l, k) {
+                    ""
+                } else {
+                    " (index built on first execute; scan until then)"
+                };
+                Some(format!("seek {l}.{k}{built}"))
+            }
+            Fra::HashJoin {
+                right, right_keys, ..
+            }
+            | Fra::SemiJoin {
+                right, right_keys, ..
+            } => Expansion::of(right, right_keys).map(|x| x.to_string()),
+            _ => None,
+        }
     }
     let mut marks = Vec::new();
     let mut stack = vec![fra];
@@ -240,21 +260,21 @@ impl<'g> Evaluator<'g> {
 
 /// The pipelines of one evaluation: the graph and the scan counter every
 /// operator shares while rows are pushed through them.
-struct Pipelines<'g> {
-    g: &'g PropertyGraph,
+pub(crate) struct Pipelines<'g> {
+    pub(crate) g: &'g PropertyGraph,
     scanned: Cell<u64>,
 }
 
 /// Rows of one width, stored flat: a ⋈ build bucket, a ⋈* source's left
-/// rows, a ⨝ⁿ input's fresh bindings.
-struct Rows {
+/// rows, a ⨝ⁿ input's fresh bindings, a join's buffered left rows.
+pub(crate) struct Rows {
     width: usize,
     values: Vec<Value>,
     mults: Vec<i64>,
 }
 
 impl Rows {
-    fn new(width: usize) -> Rows {
+    pub(crate) fn new(width: usize) -> Rows {
         Rows {
             width,
             values: Vec::new(),
@@ -262,12 +282,12 @@ impl Rows {
         }
     }
 
-    fn push<'v>(&mut self, row: impl Iterator<Item = &'v Value>, m: i64) {
+    pub(crate) fn push<'v>(&mut self, row: impl Iterator<Item = &'v Value>, m: i64) {
         self.values.extend(row.cloned());
         self.mults.push(m);
     }
 
-    fn iter(&self) -> impl Iterator<Item = (&[Value], i64)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&[Value], i64)> {
         let w = self.width;
         self.mults
             .iter()
@@ -325,13 +345,85 @@ fn chain_bottom(mut fra: &Fra) -> &Fra {
     fra
 }
 
+/// The `(src, dst)` orientations in which edge `data` is a row of a ⇑
+/// reading direction `dir` (a self-loop is one row either way).
+pub(crate) fn orientations(
+    dir: Direction,
+    data: &EdgeData,
+) -> impl Iterator<Item = (VertexId, VertexId)> {
+    let (s, d) = (data.src, data.dst);
+    let (first, second) = match dir {
+        Direction::Out => ((s, d), None),
+        Direction::In => ((d, s), None),
+        Direction::Both => ((s, d), (s != d).then_some((d, s))),
+    };
+    std::iter::once(first).chain(second)
+}
+
+/// A ⋈'s build side: the rows of `input` that `feed` pushes, without
+/// their key columns, keyed on `keys`.
+fn index(input: &Fra, keys: &[usize], feed: &mut Feed<'_>) -> Index {
+    let keep: Vec<usize> = (0..input.schema().len())
+        .filter(|c| !keys.contains(c))
+        .collect();
+    let mut index = Index::default();
+    let mut key = Vec::new();
+    feed(&mut |r, m| {
+        project_into(r, keys, &mut key);
+        file(&mut index, &key, r, &keep, m);
+    });
+    index
+}
+
+/// A ⋉'s support: the multiplicity per key on `keys` of the rows `feed`
+/// pushes.
+fn support(keys: &[usize], feed: &mut Feed<'_>) -> FxHashMap<Tuple, i64> {
+    let mut support = FxHashMap::default();
+    let mut key = Vec::new();
+    feed(&mut |r, m| {
+        project_into(r, keys, &mut key);
+        count(&mut support, &key, m);
+    });
+    support
+}
+
 impl<'g> Pipelines<'g> {
-    fn count_scan(&self) {
+    pub(crate) fn count_scan(&self) {
         self.scanned.set(self.scanned.get() + 1);
     }
 
+    /// The property index's candidates for the σ chain `fra` when its
+    /// lowest σ can seek, or `None` when the chain must scan.
+    pub(crate) fn seek(&self, fra: &Fra) -> Option<&'g [VertexId]> {
+        match chain_bottom(fra) {
+            Fra::Filter { input, predicate } => {
+                seek_key(input, predicate).and_then(|(l, k, v)| self.g.prop_seek(l, k, v))
+            }
+            _ => None,
+        }
+    }
+
+    /// Run the σ/π/ω chain at `fra`'s root as one program over the rows
+    /// `feed` pushes for the operator below it, into `out`.
+    pub(crate) fn chain(
+        &self,
+        fra: &Fra,
+        out: &mut Sink<'_>,
+        feed: impl FnOnce(&Fra, &mut Sink<'_>),
+    ) {
+        let (program, below) = TupleProgram::compile(fra).expect("a σ/π/ω root");
+        let mut scratch = Scratch::default();
+        let mut through = |row: &[Value], m: i64| {
+            program.run(row, &mut scratch, |emit| match emit {
+                Emit::Input => out(row, m),
+                Emit::Row(r) => out(r, m),
+            })
+        };
+        feed(below, &mut through)
+    }
+
     /// Push every row of `fra` into `out`.
-    fn push(&self, fra: &Fra, out: &mut Sink<'_>) {
+    pub(crate) fn push(&self, fra: &Fra, out: &mut Sink<'_>) {
         let g = self.g;
         match fra {
             Fra::Unit => out(&[], 1),
@@ -353,28 +445,14 @@ impl<'g> Pipelines<'g> {
                     }
                 }
             }
+            // Seek: the index's candidates instead of the label extent.
             Fra::Filter { .. } | Fra::Project { .. } | Fra::Unwind { .. } => {
-                let (program, below) = TupleProgram::compile(fra).expect("a σ/π/ω root");
-                let mut scratch = Scratch::default();
-                let mut through = |row: &[Value], m: i64| {
-                    program.run(row, &mut scratch, |emit| match emit {
-                        Emit::Input => out(row, m),
-                        Emit::Row(r) => out(r, m),
-                    })
-                };
-                // Seek: the index's candidates instead of the label extent.
-                let seek = match chain_bottom(fra) {
-                    Fra::Filter { input, predicate } => {
-                        seek_key(input, predicate).and_then(|(l, k, v)| g.prop_seek(l, k, v))
-                    }
-                    _ => None,
-                };
-                match seek {
+                self.chain(fra, out, |below, through| match self.seek(fra) {
                     Some(candidates) => {
-                        self.scan_vertices(below, candidates.iter().copied(), &mut through)
+                        self.scan_vertices(below, candidates.iter().copied(), through)
                     }
-                    None => self.push(below, &mut through),
-                }
+                    None => self.push(below, through),
+                })
             }
             Fra::HashJoin {
                 left,
@@ -382,10 +460,9 @@ impl<'g> Pipelines<'g> {
                 left_keys,
                 right_keys,
             } => {
-                let mut build = None;
                 let (mut key, mut row) = (Vec::new(), Vec::new());
-                self.push(left, &mut |l, lm| {
-                    let index = build.get_or_insert_with(|| self.index(right, right_keys));
+                let build = |feed: &mut Feed<'_>| index(right, right_keys, feed);
+                self.join(left, left_keys, right, right_keys, build, |index, l, lm| {
                     project_into(l, left_keys, &mut key);
                     let Some(matches) = index.get(&key[..]) else {
                         return;
@@ -405,16 +482,22 @@ impl<'g> Pipelines<'g> {
                 right_keys,
                 anti,
             } => {
-                let mut support = None;
                 let mut key = Vec::new();
-                self.push(left, &mut |l, lm| {
-                    let support = support.get_or_insert_with(|| self.support(right, right_keys));
-                    project_into(l, left_keys, &mut key);
-                    let positive = support.get(&key[..]).is_some_and(|&n| n > 0);
-                    if positive != *anti {
-                        out(l, lm);
-                    }
-                });
+                let build = |feed: &mut Feed<'_>| support(right_keys, feed);
+                self.join(
+                    left,
+                    left_keys,
+                    right,
+                    right_keys,
+                    build,
+                    |support, l, lm| {
+                        project_into(l, left_keys, &mut key);
+                        let positive = support.get(&key[..]).is_some_and(|&n| n > 0);
+                        if positive != *anti {
+                            out(l, lm);
+                        }
+                    },
+                );
             }
             Fra::VarLengthJoin {
                 left,
@@ -477,7 +560,12 @@ impl<'g> Pipelines<'g> {
 
     /// © over the vertices `ids` (label, property and map columns as the
     /// scan says).
-    fn scan_vertices(&self, scan: &Fra, ids: impl Iterator<Item = VertexId>, out: &mut Sink<'_>) {
+    pub(crate) fn scan_vertices(
+        &self,
+        scan: &Fra,
+        ids: impl Iterator<Item = VertexId>,
+        out: &mut Sink<'_>,
+    ) {
         let Fra::ScanVertices {
             labels,
             props,
@@ -510,94 +598,71 @@ impl<'g> Pipelines<'g> {
 
     /// Push the rows edge `e` contributes to ⇑ `scan`, assembled in `row`.
     fn scan_edge(&self, scan: &Fra, e: EdgeId, row: &mut Vec<Value>, out: &mut Sink<'_>) {
+        let Fra::ScanEdges { types, dir, .. } = scan else {
+            unreachable!("callers pass a ⇑")
+        };
+        self.count_scan();
+        let Some(data) = self.g.edge(e) else { return };
+        if !types.is_empty() && !types.contains(&data.ty) {
+            return;
+        }
+        for (s, d) in orientations(*dir, data) {
+            self.edge_row(scan, e, data, (s, d), row, out);
+        }
+    }
+
+    /// Push ⇑ `scan`'s row for edge `e` read from `s` to `d`, if both
+    /// endpoints carry the scan's labels.
+    pub(crate) fn edge_row(
+        &self,
+        scan: &Fra,
+        e: EdgeId,
+        data: &EdgeData,
+        (s, d): (VertexId, VertexId),
+        row: &mut Vec<Value>,
+        out: &mut Sink<'_>,
+    ) {
         let Fra::ScanEdges {
-            types,
             src_labels,
             dst_labels,
             src_props,
             edge_props,
             dst_props,
-            dir,
             carry_maps,
             ..
         } = scan
         else {
             unreachable!("callers pass a ⇑")
         };
-        let g = self.g;
-        self.count_scan();
-        let Some(data) = g.edge(e) else { return };
-        if !types.is_empty() && !types.contains(&data.ty) {
+        let (Some(sd), Some(dd)) = (self.g.vertex(s), self.g.vertex(d)) else {
+            return;
+        };
+        if !src_labels.iter().all(|&l| sd.has_label(l))
+            || !dst_labels.iter().all(|&l| dd.has_label(l))
+        {
             return;
         }
-        let orientations: &[(_, _)] = match dir {
-            Direction::Out => &[(data.src, data.dst)],
-            Direction::In => &[(data.dst, data.src)],
-            Direction::Both => {
-                if data.src == data.dst {
-                    &[(data.src, data.dst)]
-                } else {
-                    &[(data.src, data.dst), (data.dst, data.src)]
-                }
-            }
-        };
-        for &(s, d) in orientations {
-            let (Some(sd), Some(dd)) = (g.vertex(s), g.vertex(d)) else {
-                continue;
-            };
-            if !src_labels.iter().all(|&l| sd.has_label(l))
-                || !dst_labels.iter().all(|&l| dd.has_label(l))
-            {
-                continue;
-            }
-            row.clear();
-            row.extend([Value::Node(s), Value::Rel(e), Value::Node(d)]);
-            for p in src_props {
-                row.push(sd.props.get_or_null(p.prop));
-            }
-            for p in edge_props {
-                row.push(data.props.get_or_null(p.prop));
-            }
-            for p in dst_props {
-                row.push(dd.props.get_or_null(p.prop));
-            }
-            if carry_maps.0 {
-                row.push(sd.props.to_value_map());
-            }
-            if carry_maps.1 {
-                row.push(data.props.to_value_map());
-            }
-            if carry_maps.2 {
-                row.push(dd.props.to_value_map());
-            }
-            out(row, 1);
+        row.clear();
+        row.extend([Value::Node(s), Value::Rel(e), Value::Node(d)]);
+        for p in src_props {
+            row.push(sd.props.get_or_null(p.prop));
         }
-    }
-
-    /// A ⋈'s build side: `input`'s rows without their key columns, keyed
-    /// on `keys`.
-    fn index(&self, input: &Fra, keys: &[usize]) -> Index {
-        let keep: Vec<usize> = (0..input.schema().len())
-            .filter(|c| !keys.contains(c))
-            .collect();
-        let mut index = Index::default();
-        let mut key = Vec::new();
-        self.push(input, &mut |r, m| {
-            project_into(r, keys, &mut key);
-            file(&mut index, &key, r, &keep, m);
-        });
-        index
-    }
-
-    /// A ⋉'s support: `input`'s multiplicity per key on `keys`.
-    fn support(&self, input: &Fra, keys: &[usize]) -> FxHashMap<Tuple, i64> {
-        let mut support = FxHashMap::default();
-        let mut key = Vec::new();
-        self.push(input, &mut |r, m| {
-            project_into(r, keys, &mut key);
-            count(&mut support, &key, m);
-        });
-        support
+        for p in edge_props {
+            row.push(data.props.get_or_null(p.prop));
+        }
+        for p in dst_props {
+            row.push(dd.props.get_or_null(p.prop));
+        }
+        if carry_maps.0 {
+            row.push(sd.props.to_value_map());
+        }
+        if carry_maps.1 {
+            row.push(data.props.to_value_map());
+        }
+        if carry_maps.2 {
+            row.push(dd.props.to_value_map());
+        }
+        out(row, 1);
     }
 
     /// γ: one accumulator set per group, a row per group at the end.

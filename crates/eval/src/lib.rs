@@ -15,12 +15,16 @@
 //!
 //! It is push-based ([`eval`]): rows flow from each scan to the first
 //! operator that has to hold them, so a read holds its build sides and
-//! groups, not its intermediate results. The materialising evaluator it
+//! groups, not its intermediate results. A join whose right input is a
+//! keyed scan reads it from the vertices its left side binds whenever
+//! that reads fewer rows than building it (bound-first joins), so a keyed
+//! read costs what its anchor's neighbourhood holds, not the graph. The materialising evaluator it
 //! replaced lives in the unpublished `pgq_eval_reference` crate, reachable
 //! from test targets only, as the reference the differential tests hold
 //! this one to.
 
 pub mod eval;
+mod expand;
 pub mod paths;
 
 pub use eval::{

@@ -10,13 +10,15 @@
 //! `spokes` doubles; the push evaluator holds four edge indexes and grows
 //! about 2×. A `count(*)` over the 3-paths is the same contrast with a
 //! γ on top, and a γ over `n` rows in `g` groups holds O(g) however
-//! large `n` is.
+//! large `n` is. A keyed two-hop expands from its anchor, so it holds
+//! the same bytes whatever the size of the graph around it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use pgq_algebra::fra::Fra;
 use pgq_algebra::pipeline::compile_query;
+use pgq_algebra::plan::{plan_with, PlanOptions, PlanStats, WcojMode};
 use pgq_common::intern::Symbol;
 use pgq_common::value::Value;
 use pgq_graph::props::Properties;
@@ -168,5 +170,70 @@ fn a_group_by_holds_its_groups_not_its_rows() {
     assert!(
         ref_large >= 3 * ref_small,
         "the reference keeps a value per row: {ref_small} → {ref_large} bytes"
+    );
+}
+
+/// `n` persons keyed `id = 0..n` and indexed on it, person `i` knowing
+/// `i+1 .. i+4` (mod `n`).
+fn ring(n: usize) -> PropertyGraph {
+    let (person, knows) = (Symbol::intern("Person"), Symbol::intern("KNOWS"));
+    let mut g = PropertyGraph::new();
+    let ids: Vec<_> = (0..n)
+        .map(|i| {
+            let props = Properties::from_iter([("id", Value::Int(i as i64))]);
+            g.add_vertex([person], props).0
+        })
+        .collect();
+    for i in 0..n {
+        for d in 1..=4 {
+            g.add_edge(ids[i], ids[(i + d) % n], knows, Properties::new())
+                .unwrap();
+        }
+    }
+    g.ensure_prop_index(person, Symbol::intern("id"));
+    g
+}
+
+#[test]
+fn a_keyed_two_hop_holds_the_same_bytes_at_1k_and_10k_vertices() {
+    let compiled = plan(
+        "MATCH (a:Person {id: 17})-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person) RETURN count(*) AS reach",
+    );
+    // The one-shot path's plan over the ring's statistics: the key's σ
+    // on the anchor, then one binary join per hop.
+    let (small, large) = (ring(1_000), ring(10_000));
+    let (person, knows) = (Symbol::intern("Person"), Symbol::intern("KNOWS"));
+    let n = small.vertex_count() as u64;
+    let stats = PlanStats {
+        vertices: n,
+        edges: 4 * n,
+        label_counts: [(person, n)].into_iter().collect(),
+        type_counts: [(knows, 4 * n)].into_iter().collect(),
+        type_distinct_src: [(knows, n)].into_iter().collect(),
+        type_distinct_dst: [(knows, n)].into_iter().collect(),
+        vertex_prop_distinct: [(Symbol::intern("id"), n)].into_iter().collect(),
+        ..PlanStats::default()
+    };
+    let options = PlanOptions {
+        wcoj: WcojMode::Disabled,
+    };
+    let fra = plan_with(&compiled, &stats, &options).fra;
+    assert_eq!(
+        pgq_eval::explain(&fra, &small)
+            .matches("← expand out KNOWS")
+            .count(),
+        2,
+        "{}",
+        fra.explain()
+    );
+    let (push_small, ref_small) = peaks(&fra, &small);
+    let (push_large, ref_large) = peaks(&fra, &large);
+    assert_eq!(
+        push_small, push_large,
+        "the keyed two-hop's peak moved with |KNOWS| ({push_small} → {push_large} bytes)"
+    );
+    assert!(
+        ref_large > 5 * ref_small,
+        "the reference builds both KNOWS extents: {ref_small} → {ref_large} bytes"
     );
 }

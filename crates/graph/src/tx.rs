@@ -6,9 +6,10 @@
 //! single `CREATE (a)-[:R]->(b)` clause build both endpoints and the edge
 //! atomically.
 //!
-//! On failure the store is rolled back via an undo log, so a failed
-//! transaction leaves no trace — neither in the graph nor in the change
-//! feed (no events are emitted for rolled-back work).
+//! On failure the store is rolled back by reversing the events the
+//! transaction had committed so far ([`PropertyGraph::unapply`]), so a
+//! failed transaction leaves no trace — neither in the graph nor in the
+//! change feed (no events are emitted for rolled-back work).
 
 use pgq_common::ids::{EdgeId, VertexId};
 use pgq_common::intern::Symbol;
@@ -226,19 +227,6 @@ impl Transaction {
     }
 }
 
-/// Undo records mirroring each committed event, applied in reverse on
-/// rollback.
-enum Undo {
-    RemoveVertex(VertexId),
-    RestoreVertex(VertexId, crate::store::VertexData),
-    RemoveEdge(EdgeId),
-    RestoreEdge(EdgeId, crate::store::EdgeData),
-    SetVertexProp(VertexId, Symbol, Value),
-    SetEdgeProp(EdgeId, Symbol, Value),
-    RemoveLabel(VertexId, Symbol),
-    AddLabel(VertexId, Symbol),
-}
-
 impl PropertyGraph {
     fn resolve(&self, r: NodeRef, created: &[VertexId]) -> Result<VertexId, GraphError> {
         match r {
@@ -254,10 +242,9 @@ impl PropertyGraph {
     /// materialisation: the per-mutation hooks are suppressed for the
     /// whole transaction and the deltas are derived from the committed
     /// event stream in one pass afterwards, so a rolled-back transaction
-    /// (including its undo replay) generates no catalog traffic at all.
+    /// (including its reversal) generates no catalog traffic at all.
     pub fn apply(&mut self, tx: &Transaction) -> Result<Vec<ChangeEvent>, GraphError> {
         let mut events: Vec<ChangeEvent> = Vec::with_capacity(tx.len());
-        let mut undo: Vec<Undo> = Vec::with_capacity(tx.len());
         let mut created: Vec<VertexId> = Vec::new();
         let watermarks = self.id_watermarks();
 
@@ -268,7 +255,6 @@ impl PropertyGraph {
                     TxOp::CreateVertex { labels, props } => {
                         let (id, ev) = self.add_vertex(labels.iter().copied(), props.clone());
                         created.push(id);
-                        undo.push(Undo::RemoveVertex(id));
                         events.push(ev);
                     }
                     TxOp::CreateEdge {
@@ -279,109 +265,46 @@ impl PropertyGraph {
                     } => {
                         let s = self.resolve(*src, &created)?;
                         let d = self.resolve(*dst, &created)?;
-                        let (id, ev) = self.add_edge(s, d, *ty, props.clone())?;
-                        undo.push(Undo::RemoveEdge(id));
+                        let (_, ev) = self.add_edge(s, d, *ty, props.clone())?;
                         events.push(ev);
                     }
                     TxOp::DeleteVertex { id, detach } => {
-                        let evs = self.remove_vertex(*id, *detach)?;
-                        for ev in evs {
-                            match &ev {
-                                ChangeEvent::EdgeRemoved { id, data } => {
-                                    undo.push(Undo::RestoreEdge(*id, data.clone()));
-                                }
-                                ChangeEvent::VertexRemoved { id, data } => {
-                                    undo.push(Undo::RestoreVertex(*id, data.clone()));
-                                }
-                                _ => unreachable!("remove_vertex emits only removals"),
-                            }
-                            events.push(ev);
-                        }
+                        events.extend(self.remove_vertex(*id, *detach)?);
                     }
-                    TxOp::DeleteEdge { id } => {
-                        let ev = self.remove_edge(*id)?;
-                        if let ChangeEvent::EdgeRemoved { id, data } = &ev {
-                            undo.push(Undo::RestoreEdge(*id, data.clone()));
-                        }
-                        events.push(ev);
-                    }
+                    TxOp::DeleteEdge { id } => events.push(self.remove_edge(*id)?),
                     TxOp::SetVertexProp { id, key, value } => {
                         let v = self.resolve(*id, &created)?;
-                        let ev = self.set_vertex_prop(v, *key, value.clone())?;
-                        if let ChangeEvent::VertexPropChanged { old, .. } = &ev {
-                            undo.push(Undo::SetVertexProp(v, *key, old.clone()));
-                        }
-                        events.push(ev);
+                        events.push(self.set_vertex_prop(v, *key, value.clone())?);
                     }
                     TxOp::SetEdgeProp { id, key, value } => {
-                        let ev = self.set_edge_prop(*id, *key, value.clone())?;
-                        if let ChangeEvent::EdgePropChanged { old, .. } = &ev {
-                            undo.push(Undo::SetEdgeProp(*id, *key, old.clone()));
-                        }
-                        events.push(ev);
+                        events.push(self.set_edge_prop(*id, *key, value.clone())?);
                     }
                     TxOp::AddLabel { id, label } => {
                         let v = self.resolve(*id, &created)?;
-                        if let Some(ev) = self.add_label(v, *label)? {
-                            undo.push(Undo::RemoveLabel(v, *label));
-                            events.push(ev);
-                        }
+                        events.extend(self.add_label(v, *label)?);
                     }
                     TxOp::RemoveLabel { id, label } => {
                         let v = self.resolve(*id, &created)?;
-                        if let Some(ev) = self.remove_label(v, *label)? {
-                            undo.push(Undo::AddLabel(v, *label));
-                            events.push(ev);
-                        }
+                        events.extend(self.remove_label(v, *label)?);
                     }
                 }
             }
             Ok(())
         })();
 
-        match result {
-            Ok(()) => {
-                self.end_catalog_defer();
-                self.catalog_fold_events(&events);
-                Ok(events)
-            }
-            Err(e) => {
-                for u in undo.into_iter().rev() {
-                    match u {
-                        Undo::RemoveVertex(v) => {
-                            self.remove_vertex(v, true).expect("rollback remove vertex");
-                        }
-                        Undo::RestoreVertex(v, data) => {
-                            self.insert_vertex_raw(v, data.labels.iter().copied(), data.props);
-                        }
-                        Undo::RemoveEdge(e) => {
-                            self.remove_edge(e).expect("rollback remove edge");
-                        }
-                        Undo::RestoreEdge(e, data) => {
-                            self.insert_edge_raw(e, data.src, data.dst, data.ty, data.props);
-                        }
-                        Undo::SetVertexProp(v, k, old) => {
-                            self.set_vertex_prop(v, k, old).expect("rollback vprop");
-                        }
-                        Undo::SetEdgeProp(e, k, old) => {
-                            self.set_edge_prop(e, k, old).expect("rollback eprop");
-                        }
-                        Undo::RemoveLabel(v, l) => {
-                            self.remove_label(v, l).expect("rollback label");
-                        }
-                        Undo::AddLabel(v, l) => {
-                            self.add_label(v, l).expect("rollback label");
-                        }
-                    }
-                }
-                // Un-burn the ids the aborted transaction allocated: a
-                // failed transaction must be invisible to WAL replay,
-                // which re-derives ids from the watermarks.
-                self.rollback_id_watermarks(watermarks.0, watermarks.1);
-                self.end_catalog_defer();
-                Err(e)
-            }
+        if let Err(e) = result {
+            // Still deferred, so the reversal reaches the catalog no more
+            // than the work did. It also un-burns the ids the aborted
+            // transaction allocated: a failed transaction must be
+            // invisible to WAL replay, which re-derives ids from the
+            // watermarks.
+            self.unapply(&events, watermarks);
+            self.end_catalog_defer();
+            return Err(e);
         }
+        self.end_catalog_defer();
+        self.catalog_fold_events(&events);
+        Ok(events)
     }
 
     /// Reverse an already-committed event stream, restoring the graph —
@@ -396,6 +319,11 @@ impl PropertyGraph {
     /// after the transaction (no intervening mutations). The normal
     /// mutators run with catalog hooks live, so the cardinality catalog
     /// rolls back along with the topology.
+    ///
+    /// [`PropertyGraph::apply`] also calls it to roll back a failed
+    /// transaction while catalog maintenance is still deferred: no hooks
+    /// run then, and none need to, because the aborted work updated the
+    /// catalog no more than its reversal does.
     pub fn unapply(&mut self, events: &[ChangeEvent], watermarks: (u64, u64)) {
         for ev in events.iter().rev() {
             match ev {

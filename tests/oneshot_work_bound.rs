@@ -4,10 +4,10 @@
 //!
 //! `ExecutionResult::rows_scanned` counts the vertices and edges the
 //! statement's reading part materialised — a work count, not a timing.
-//! Growing |V| tenfold must leave it *identical* for every keyed update
-//! shape. The keyed two-hop read seeks its anchor too, but its joins
-//! still read the `KNOWS` extent (bound-first joins: ROADMAP item 3), so
-//! it is held to "one Person, not the label".
+//! Growing |V| tenfold must leave it *identical* for every keyed
+//! statement shape. The keyed two-hop read seeks its anchor and each join
+//! expands from the vertices bound so far, so it reads its anchor, the
+//! anchor's 4 `KNOWS` edges and their targets' 16: 1 + 4 + 16 rows.
 
 use pgq::prelude::*;
 use pgq_common::intern::Symbol;
@@ -118,14 +118,37 @@ fn keyed_updates_scan_the_same_rows_at_1k_and_10k_vertices() {
     for (n, rounds) in [(1_000u64, small), (10_000, large)] {
         for [set, under, read, delete] in rounds {
             assert_eq!((set, under, delete), (1, 1, 1), "one sought vertex each");
-            // The anchor is sought; each hop reads the KNOWS extent once.
-            let knows = n * DEGREE as u64;
-            assert!(
-                read <= 1 + 2 * knows,
-                "|V| = {n}: the two-hop read scanned {read} rows, more than its anchor and two KNOWS extents"
+            // The anchor is sought; each hop expands from the vertices
+            // the hop before it bound.
+            let d = DEGREE as u64;
+            assert_eq!(
+                read,
+                1 + d + d * d,
+                "|V| = {n}: the two-hop read scanned {read} rows, not its anchor and its two hops"
             );
         }
     }
+}
+
+/// EXPLAIN's one-shot section shows where the two-hop narrows: the seek
+/// on its anchor and an expansion at each hop.
+#[test]
+fn explain_marks_the_seek_and_both_expansions() {
+    let text = ring(100).explain(TWO_HOP).unwrap();
+    let one_shot = text
+        .split("== One-shot execution")
+        .nth(1)
+        .expect("EXPLAIN ends with the one-shot plan");
+    assert_eq!(
+        one_shot.matches("← seek Person.id").count(),
+        1,
+        "{one_shot}"
+    );
+    assert_eq!(
+        one_shot.matches("← expand out KNOWS\n").count(),
+        2,
+        "{one_shot}"
+    );
 }
 
 /// `query(&self)` cannot build an index; it seeks one `execute` built and
