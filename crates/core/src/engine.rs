@@ -16,7 +16,7 @@ use pgq_common::value::Value;
 use pgq_durability::fold::{self, FoldJob, FoldWorker};
 use pgq_durability::recovery::{self, RecoveryReport};
 use pgq_durability::wal::{self, wal_file};
-use pgq_durability::{DurOp, DurabilityError, FsyncMode, SnapshotView, StdVfs, Vfs};
+use pgq_durability::{DurOp, DurabilityError, FsyncMode, Record, SnapshotView, StdVfs, Vfs};
 use pgq_graph::delta::ChangeEvent;
 use pgq_graph::props::Properties;
 use pgq_graph::store::PropertyGraph;
@@ -83,7 +83,8 @@ struct Durable {
     /// The graph of `snap.<base>` when a fold wrote it, for the next.
     kept: Option<PropertyGraph>,
     /// The view catalog every image records, shared with the folds:
-    /// rebuilt when the view set changes, never per image.
+    /// rebuilt when the view set changes, never per image. A
+    /// registration's log record is its row here.
     catalog: Arc<[SnapshotView]>,
     /// Folds that failed or panicked since the engine opened.
     fold_failures: u64,
@@ -105,7 +106,7 @@ struct Durable {
     unsynced: u64,
     /// Auto-snapshot cadence in committed transactions
     /// (`PGQ_SNAPSHOT_EVERY`; `0` disables the cadence, leaving only
-    /// registration-change and explicit snapshots).
+    /// explicit snapshots). Catalog records do not count.
     snapshot_every: u64,
     /// Commits since the last switch (or replayed past the base).
     txs_since_snapshot: u64,
@@ -142,14 +143,16 @@ pub struct DurabilityHealth {
     pub last_error: Option<DurabilityError>,
     /// Active WAL generation.
     pub generation: u64,
-    /// Records in the active generation's log.
+    /// Records in the active generation's log: transactions and
+    /// catalog records.
     pub wal_records: u64,
     /// Valid bytes in the active generation's log.
     pub wal_len: u64,
     /// Group-commit flush window.
     pub flush_window: u64,
     /// Images written since the engine opened: synchronous snapshots
-    /// (registration changes, explicit calls, resets) and joined folds.
+    /// (explicit calls, resets) and joined folds. View DDL writes none:
+    /// it appends a catalog record to the log.
     pub snapshots_written: u64,
     /// Encoded size of the most recent snapshot, in bytes — written,
     /// or until then loaded by recovery (`0` after a cold start).
@@ -425,7 +428,7 @@ impl GraphEngine {
         self.check_writable()?;
         let watermarks = self.graph.id_watermarks();
         let events = self.graph.apply(tx)?;
-        if let Err((e, force)) = self.wal_commit(tx) {
+        if let Err((e, force)) = self.wal_commit(Record::Tx(tx)) {
             // The commit never happened: take the in-memory mutation
             // back (ids included — replay determinism) before erroring.
             self.graph.unapply(&events, watermarks);
@@ -476,7 +479,7 @@ impl GraphEngine {
                     return Err(e.into());
                 }
             };
-            if let Err((e, force)) = self.wal_append(tx) {
+            if let Err((e, force)) = self.wal_append(Record::Tx(tx)) {
                 // This member never committed; the ones before it did.
                 // Roll it back, maintain the others, and try to make
                 // them durable.
@@ -585,6 +588,10 @@ impl GraphEngine {
     /// trees, `wcoj: WcojMode::Forced` with `wcoj_sorted: Some(_)` pins
     /// the fused operator and its backend). Production views use
     /// [`GraphEngine::register_view`].
+    ///
+    /// On a durable engine the registration is logged as one catalog
+    /// record (the view's catalog row) — no image is written — and a
+    /// degraded engine refuses it with [`EngineError::ReadOnly`].
     pub fn register_view_with(
         &mut self,
         name: &str,
@@ -595,13 +602,13 @@ impl GraphEngine {
         if self.view_by_name(name).is_some() {
             return Err(EngineError::DuplicateView(name.to_string()));
         }
+        self.check_writable()?;
         let id = ViewId(self.next_view);
         self.install_view(id.0, name, cypher, options, register)?;
-        // Registration changes what a recovery must rebuild; persist it
-        // immediately (the snapshot is the DDL log — the WAL carries
-        // only data transactions). If the snapshot cannot land, the
+        // Registration changes what a recovery must rebuild: log it
+        // before acknowledging it. If the record cannot land, the
         // registration is undone so disk and memory agree.
-        if let Err(e) = self.snapshot() {
+        if let Err(e) = self.log_catalog(None) {
             let entry = self.views.remove(&id.0).expect("inserted above");
             self.view_of_sink.remove(&entry.sink);
             self.network.drop_sink(entry.sink);
@@ -651,12 +658,41 @@ impl GraphEngine {
     /// Drop a view and its subscribers. Operator nodes shared with
     /// other views survive; the network releases only the nodes no
     /// remaining view reaches.
+    ///
+    /// On a durable engine the drop is logged as one catalog record, and
+    /// a degraded engine refuses it. If the record cannot land, the view
+    /// is still gone from memory and the error says so; the next image
+    /// (a fold or a snapshot) drops it from disk.
     pub fn drop_view(&mut self, id: ViewId) -> Result<(), EngineError> {
+        self.check_writable()?;
         let entry = self.views.remove(&id.0).ok_or(EngineError::UnknownView)?;
         self.view_of_sink.remove(&entry.sink);
         self.network.drop_sink(entry.sink);
         self.refresh_catalog();
-        self.snapshot()
+        self.log_catalog(Some(id))
+    }
+
+    /// Log a view-catalog change — the registration of the newest view
+    /// (the catalog's last row: it took the highest slot), or the drop
+    /// of `dropped` — as one record, synced at once under
+    /// [`FsyncMode::Always`] whatever the group-commit window. A failure
+    /// rewrites the log to its last record boundary and counts against
+    /// the breaker like a failed commit.
+    fn log_catalog(&mut self, dropped: Option<ViewId>) -> Result<(), EngineError> {
+        let Some(catalog) = self.durable.as_ref().map(|d| Arc::clone(&d.catalog)) else {
+            return Ok(());
+        };
+        let record = match dropped {
+            Some(id) => Record::Drop(id.0 as u32),
+            None => Record::Register(catalog.last().expect("a view was just registered")),
+        };
+        match self.wal_commit(record) {
+            Ok(()) => {
+                self.commit_succeeded();
+                Ok(())
+            }
+            Err((e, force)) => Err(self.commit_failed(e, force)),
+        }
     }
 
     /// Rebuild the catalog the next images record, after the view set
@@ -740,20 +776,22 @@ impl GraphEngine {
     ///    quarantined and recovery degrades to the previous
     ///    generation's snapshot plus a longer replay, or a cold start;
     ///    never a panic, never a hard error for corruption.
-    /// 2. Rebuild the graph from the snapshot's dump (older images'
-    ///    state sections are ignored: snapshots hold no operator state).
-    /// 3. Replay the WAL chain `wal.<base>..wal.<active>` into the graph
-    ///    alone (the base snapshot's skip count applies to its own
-    ///    generation only); no view exists yet, so replay runs no
+    /// 2. Rebuild the graph and the view catalog from the snapshot
+    ///    (older images' state sections are ignored: snapshots hold no
+    ///    operator state).
+    /// 3. Replay the WAL chain `wal.<base>..wal.<active>`
+    ///    ([`pgq_durability::RecoveryPlan::recover`]): transactions into
+    ///    the graph, catalog records (view registrations and drops) into
+    ///    the catalog; no view exists yet, so replay runs no
     ///    maintenance. Torn tails were already trimmed by the planner;
     ///    a record that stops *applying* cleanly mid-replay is treated
     ///    like tail corruption — the log is trimmed to the last good
     ///    record, later generations are quarantined, and the engine
     ///    opens at the committed prefix.
-    /// 4. Register every view of the snapshot's catalog
-    ///    mode-faithfully into its original slot, once, over the
-    ///    recovered graph — the one-pass registration
-    ///    [`GraphEngine::register_view`] runs.
+    /// 4. Register every view of the recovered catalog mode-faithfully
+    ///    into its original slot, once, over the recovered graph — the
+    ///    one-pass registration [`GraphEngine::register_view`] runs. A
+    ///    view registered and dropped inside the chain is never built.
     /// 5. Arm logging on the active generation; the snapshot cadence
     ///    counts from the base snapshot, not from this open, and the
     ///    first fold folds the whole recovered chain. The planner's
@@ -769,78 +807,14 @@ impl GraphEngine {
         vfs: Arc<dyn Vfs>,
         config: EngineConfig,
     ) -> Result<GraphEngine, EngineError> {
-        let mut plan = recovery::plan(vfs.as_ref())?;
-        // Keep the catalog; the decoded dump is freed before the views
-        // build their memories, and state sections (images from before
-        // snapshots were graph-only carry them) are dropped unread.
-        let (mut engine, mut recorded, skip) = match plan.snapshot.take() {
-            Some(s) => {
-                let graph = s
-                    .restore_graph()
-                    .map_err(|e| DurabilityError::corrupt(DurOp::SnapshotLoad, e.to_string()))?;
-                (
-                    GraphEngine::from_graph(graph),
-                    s.views,
-                    s.wal_records as usize,
-                )
-            }
-            None => (GraphEngine::new(), Vec::new(), 0),
-        };
+        let recovered = recovery::plan(vfs.as_ref())?.recover(vfs.as_ref())?;
+        let mut engine = GraphEngine::from_graph(recovered.graph);
         engine.threads = config.threads;
-
-        let mut report = plan.report;
-        let mut generation = plan.active_generation;
-        let mut wal_len = plan.active_wal_len;
-        let mut wal_records = plan
-            .replay
-            .last()
-            .map(|(_, l)| l.txs.len() as u64)
-            .unwrap_or(0);
-        // Records applied past the base snapshot count towards the next
-        // switch: a process restarted more often than the cadence must
-        // still fold, or its log and replay grow without bound.
-        let mut replayed = 0u64;
-        'chain: for (idx, (g, log)) in plan.replay.iter().enumerate() {
-            let skip_here = if idx == 0 { skip } else { 0 };
-            for (j, tx) in log.txs.iter().enumerate().skip(skip_here) {
-                match engine.graph.apply(tx) {
-                    Ok(_) => replayed += 1,
-                    Err(e) => {
-                        // The record passed its checksum but does not
-                        // apply to the state it claims to extend —
-                        // semantic corruption. Trim to the last good
-                        // record and refuse everything after the break.
-                        let keep = if j == 0 { 0 } else { log.ends[j - 1] };
-                        report.notes.push(format!(
-                            "wal generation {g} record {j} failed to replay: {e}"
-                        ));
-                        match wal::repair(vfs.as_ref(), *g, keep) {
-                            Ok(()) => report.trimmed.push((*g, log.valid_len() - keep)),
-                            Err(re) => {
-                                report
-                                    .notes
-                                    .push(format!("failed to trim wal generation {g}: {re}"));
-                                report.tail_repair_failed = true;
-                            }
-                        }
-                        for (later, _) in &plan.replay[idx + 1..] {
-                            recovery::quarantine_file(vfs.as_ref(), &wal_file(*later), &mut report);
-                        }
-                        generation = *g;
-                        wal_len = keep;
-                        wal_records = j as u64;
-                        report.active_generation = generation;
-                        break 'chain;
-                    }
-                }
-            }
-        }
-
-        recorded.sort_by_key(|v| v.slot);
-        for v in &recorded {
+        for v in &recovered.views {
             let (compile, register) = catalog_options(v);
             engine.install_view(v.slot as usize, &v.name, &v.query, compile, register)?;
         }
+        let report = recovered.report;
 
         // A tail that could not be rewritten must not be appended to —
         // new records after garbage bytes would be unreadable. Open
@@ -851,25 +825,28 @@ impl GraphEngine {
                 "recovered log tail could not be rewritten; appends would extend garbage",
             )
         });
-        let catalog = catalog(&engine.views, &engine.network).into();
         engine.durable = Some(Durable {
             vfs,
-            generation,
+            generation: recovered.active_generation,
             base: report.base_generation,
             worker: None,
             folding: false,
             kept: None,
-            catalog,
+            catalog: recovered.views.into(),
             fold_failures: 0,
-            wal_records,
-            wal_len,
+            wal_records: recovered.active_wal_records,
+            wal_len: recovered.active_wal_len,
             fsync: config.fsync,
             flush_window: config.flush_window,
             unsynced: 0,
             snapshot_every: config.snapshot_every,
-            txs_since_snapshot: replayed,
+            // Transactions replayed past the base image count towards
+            // the next switch: a process restarted more often than the
+            // cadence must still fold, or its log and replay grow
+            // without bound.
+            txs_since_snapshot: recovered.replayed,
             snapshots_written: 0,
-            last_snapshot_bytes: plan.snapshot_bytes,
+            last_snapshot_bytes: recovered.snapshot_bytes,
             fail_streak: 0,
             max_failures: 3,
             degraded,
@@ -901,7 +878,9 @@ impl GraphEngine {
     /// switchover**: it lands as `snap.<g+1>`, appends move to
     /// `wal.<g+1>`, and the chain it subsumes is deleted only after the
     /// rename — a crash at any point still recovers a committed prefix.
-    /// View DDL calls this; the commit cadence folds in the background.
+    /// Explicit calls and [`GraphEngine::reset_durability`] run this;
+    /// the commit cadence folds in the background, and view DDL appends
+    /// a catalog record instead.
     pub fn snapshot(&mut self) -> Result<(), EngineError> {
         self.snapshot_inner().map_err(EngineError::from)
     }
@@ -941,38 +920,41 @@ impl GraphEngine {
         }
     }
 
-    /// Append one committed transaction and run the flush policy. On
-    /// `Err((error, force_degrade))` the commit did not become durable
-    /// and the caller must roll the in-memory mutation back;
+    /// Append one committed transaction or catalog change and run the
+    /// flush policy (a catalog change syncs whatever the window). On
+    /// `Err((error, force_degrade))` the record did not become durable
+    /// and the caller must roll the in-memory change back;
     /// `force_degrade` means the failure also covered *previously
     /// acknowledged* commits (group-commit sync failure) and the
     /// breaker must trip immediately.
-    fn wal_commit(&mut self, tx: &Transaction) -> Result<(), (DurabilityError, bool)> {
+    fn wal_commit(&mut self, record: Record<'_>) -> Result<(), (DurabilityError, bool)> {
         let pre = self
             .durable
             .as_ref()
-            .map(|d| (d.wal_len, d.wal_records))
-            .unwrap_or((0, 0));
-        self.wal_append(tx)?;
+            .map(|d| (d.wal_len, d.wal_records, d.txs_since_snapshot))
+            .unwrap_or_default();
+        self.wal_append(record)?;
         let Some(d) = self.durable.as_mut() else {
             return Ok(());
         };
-        if d.fsync == FsyncMode::Always && d.unsynced >= d.flush_window {
+        let due = d.unsynced >= d.flush_window || !matches!(record, Record::Tx(_));
+        if d.fsync == FsyncMode::Always && due {
             self.wal_sync(Some(pre))?;
         }
         Ok(())
     }
 
-    /// Append without syncing (the group-commit first half).
-    fn wal_append(&mut self, tx: &Transaction) -> Result<(), (DurabilityError, bool)> {
+    /// Append without syncing (the group-commit first half). Only a
+    /// transaction counts towards the cadence.
+    fn wal_append(&mut self, record: Record<'_>) -> Result<(), (DurabilityError, bool)> {
         let Some(d) = self.durable.as_mut() else {
             return Ok(());
         };
-        match wal::append_tx(d.vfs.as_ref(), d.generation, tx) {
+        match wal::append(d.vfs.as_ref(), d.generation, record) {
             Ok(frame) => {
                 d.wal_len += frame;
                 d.wal_records += 1;
-                d.txs_since_snapshot += 1;
+                d.txs_since_snapshot += matches!(record, Record::Tx(_)) as u64;
                 if d.fsync == FsyncMode::Always {
                     d.unsynced += 1;
                 }
@@ -995,12 +977,16 @@ impl GraphEngine {
     /// unsynced bytes are in limbo — the kernel may have kept them, or
     /// dropped them — so the engine must not trust anything past its
     /// last known durable prefix. If the only at-risk commit is the
-    /// current one (`rollback` carries the pre-append log boundary),
+    /// current one (`rollback` carries the pre-append log boundary,
+    /// record count and cadence count),
     /// the failure is rollbackable: the log is rewritten to that
     /// boundary so the rejected commit can never resurface at
     /// recovery. If previously acknowledged commits were covered,
     /// `force_degrade` is set instead.
-    fn wal_sync(&mut self, rollback: Option<(u64, u64)>) -> Result<(), (DurabilityError, bool)> {
+    fn wal_sync(
+        &mut self,
+        rollback: Option<(u64, u64, u64)>,
+    ) -> Result<(), (DurabilityError, bool)> {
         let Some(d) = self.durable.as_mut() else {
             return Ok(());
         };
@@ -1015,14 +1001,12 @@ impl GraphEngine {
             Err(e) => {
                 let err = DurabilityError::io(DurOp::WalSync, &e);
                 match rollback {
-                    Some((len, records)) if d.unsynced == 1 => {
+                    Some((len, records, since)) if d.unsynced == 1 => {
                         // Only the current commit was at risk: take it
                         // back from the mirrors and physically rewrite
                         // the log to the pre-append boundary (whether
                         // or not the failed fsync kept its bytes).
-                        d.wal_len = len;
-                        d.wal_records = records;
-                        d.txs_since_snapshot = d.txs_since_snapshot.saturating_sub(1);
+                        (d.wal_len, d.wal_records, d.txs_since_snapshot) = (len, records, since);
                         d.unsynced = 0;
                         let force = wal::repair(d.vfs.as_ref(), d.generation, len).is_err();
                         Err((err, force))

@@ -2,9 +2,10 @@
 //!
 //! A small, explicit little-endian format — no external serialization
 //! crates (offline shim rule), no reflection. Every durable structure
-//! (values, property maps, transaction ops, operator-state tuples) has a
-//! matching `encode_*`/`decode_*` pair here, and the WAL/snapshot layers
-//! only ever frame byte blobs produced by this module.
+//! (values, property maps, transaction ops, view-catalog rows and
+//! changes, operator-state tuples) has a matching `encode_*`/`decode_*`
+//! pair here, and the WAL/snapshot layers only ever frame byte blobs
+//! produced by this module.
 //!
 //! Two invariants the recovery path depends on:
 //!
@@ -26,6 +27,8 @@ use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
 use pgq_graph::props::Properties;
 use pgq_graph::tx::{NodeRef, Transaction, TxOp};
+
+use crate::snapshot::SnapshotView;
 
 /// Decode failure. Carries enough to say *what* was malformed without
 /// retaining any of the (possibly corrupt) input.
@@ -620,6 +623,131 @@ pub fn decode_tx(bytes: &[u8]) -> Result<Transaction, CodecError> {
     Ok(Transaction::from_ops(ops))
 }
 
+/// Encode one view-catalog row: slot, name, query text and the
+/// compile/register option bytes — an image's view section holds one
+/// per standing view, a register record holds one.
+pub fn encode_view(e: &mut Encoder, v: &SnapshotView) {
+    e.u32(v.slot);
+    e.str(&v.name);
+    e.str(&v.query);
+    e.u8(v.schema_mode);
+    e.bool(false); // retired `optimize` toggle, see `decode_view`
+    e.bool(v.plan);
+    e.u8(v.wcoj_mode);
+    e.u8(match v.wcoj_sorted {
+        None => 0,
+        Some(false) => 1,
+        Some(true) => 2,
+    });
+}
+
+/// Decode one view-catalog row. Every option byte is checked against
+/// the values the engine writes (schema mode 0–1, wcoj mode 0–2).
+pub fn decode_view(d: &mut Decoder<'_>) -> Result<SnapshotView, CodecError> {
+    let (slot, name, query) = (d.u32()?, d.str()?, d.str()?);
+    let schema_mode = match d.u8()? {
+        t @ 0..=1 => t,
+        t => return Err(CodecError::BadTag("schema-mode", t)),
+    };
+    // The byte of the retired `optimize` toggle: builds that had it
+    // wrote it here and builds that have it read it back, so it stays in
+    // the layout, written `false` and ignored.
+    d.bool()?;
+    let plan = d.bool()?;
+    let wcoj_mode = match d.u8()? {
+        t @ 0..=2 => t,
+        t => return Err(CodecError::BadTag("wcoj-mode", t)),
+    };
+    let wcoj_sorted = match d.u8()? {
+        0 => None,
+        1 => Some(false),
+        2 => Some(true),
+        t => return Err(CodecError::BadTag("wcoj-sorted", t)),
+    };
+    Ok(SnapshotView {
+        slot,
+        name,
+        query,
+        schema_mode,
+        plan,
+        wcoj_mode,
+        wcoj_sorted,
+    })
+}
+
+/// A change to the view catalog, logged between data transactions.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CatalogRecord {
+    /// A view was registered: its catalog row.
+    Register(SnapshotView),
+    /// The view in this slot was dropped.
+    Drop(u32),
+}
+
+/// Where a transaction payload holds its op count, a catalog record
+/// holds this: no transaction has `u32::MAX` ops, because no frame is
+/// long enough to carry them, so the two payloads never collide and a
+/// transaction's bytes stay exactly what they were before catalog
+/// records existed.
+const CATALOG_MARK: u32 = u32::MAX;
+// Catalog record kinds.
+const CAT_REGISTER: u8 = 0;
+const CAT_DROP: u8 = 1;
+
+/// Is `bytes` a catalog record's payload (rather than a transaction's)?
+pub fn is_catalog(bytes: &[u8]) -> bool {
+    bytes.get(..4) == Some(&CATALOG_MARK.to_le_bytes()[..])
+}
+
+/// One log record, borrowed: what the engine appends, and what
+/// [`crate::wal::WalContents::records`] yields in file order.
+#[derive(Clone, Copy, Debug)]
+pub enum Record<'a> {
+    /// A committed data transaction.
+    Tx(&'a Transaction),
+    /// A view registered: its catalog row.
+    Register(&'a SnapshotView),
+    /// The view in this slot dropped.
+    Drop(u32),
+}
+
+/// Encode a log record's payload: a transaction as [`encode_tx`], a
+/// catalog change as the mark, a kind byte, then the registered view's
+/// row or the dropped slot.
+pub fn encode_record(record: Record<'_>) -> Vec<u8> {
+    let mut e = Encoder::new();
+    match record {
+        Record::Tx(tx) => return encode_tx(tx),
+        Record::Register(v) => {
+            e.u32(CATALOG_MARK);
+            e.u8(CAT_REGISTER);
+            encode_view(&mut e, v);
+        }
+        Record::Drop(slot) => {
+            e.u32(CATALOG_MARK);
+            e.u8(CAT_DROP);
+            e.u32(slot);
+        }
+    }
+    e.into_bytes()
+}
+
+/// Decode a catalog record payload, requiring exact consumption.
+pub fn decode_catalog(bytes: &[u8]) -> Result<CatalogRecord, CodecError> {
+    let mut d = Decoder::new(bytes);
+    match d.u32()? {
+        CATALOG_MARK => {}
+        _ => return Err(CodecError::BadTag("catalog-mark", bytes[0])),
+    }
+    let rec = match d.u8()? {
+        CAT_REGISTER => CatalogRecord::Register(decode_view(&mut d)?),
+        CAT_DROP => CatalogRecord::Drop(d.u32()?),
+        t => return Err(CodecError::BadTag("catalog-record", t)),
+    };
+    d.finish()?;
+    Ok(rec)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -800,5 +928,57 @@ mod tests {
         let mut bytes = encode_tx(&Transaction::new());
         bytes.push(0);
         assert!(matches!(decode_tx(&bytes), Err(CodecError::Trailing)));
+    }
+
+    fn view_row(slot: u32) -> SnapshotView {
+        SnapshotView {
+            slot,
+            name: "v".into(),
+            query: "MATCH (p:Post) RETURN p".into(),
+            schema_mode: 1,
+            plan: false,
+            wcoj_mode: 2,
+            wcoj_sorted: Some(true),
+        }
+    }
+
+    #[test]
+    fn catalog_records_roundtrip_and_never_read_as_transactions() {
+        let v = view_row(7);
+        let register = encode_record(Record::Register(&v));
+        let drop = encode_record(Record::Drop(7));
+        assert_eq!(decode_catalog(&register), Ok(CatalogRecord::Register(v)));
+        assert_eq!(decode_catalog(&drop), Ok(CatalogRecord::Drop(7)));
+        for payload in [&register, &drop] {
+            assert!(is_catalog(payload));
+            assert!(decode_tx(payload).is_err());
+        }
+        // A transaction's payload is what `encode_tx` writes, and is no
+        // catalog record, empty or not.
+        let mut tx = Transaction::new();
+        tx.delete_edge(EdgeId(3));
+        for tx in [Transaction::new(), tx] {
+            let payload = encode_record(Record::Tx(&tx));
+            assert_eq!(payload, encode_tx(&tx));
+            assert!(!is_catalog(&payload));
+        }
+    }
+
+    #[test]
+    fn catalog_option_bytes_out_of_range_are_rejected() {
+        let good = encode_record(Record::Register(&view_row(0)));
+        let n = good.len();
+        for (at, byte, what) in [
+            (n - 5, 2, "schema-mode"),
+            (n - 4, 2, "bool"),
+            (n - 3, 2, "bool"),
+            (n - 2, 3, "wcoj-mode"),
+            (n - 1, 3, "wcoj-sorted"),
+            (4, 2, "catalog-record"),
+        ] {
+            let mut bad = good.clone();
+            bad[at] = byte;
+            assert_eq!(decode_catalog(&bad), Err(CodecError::BadTag(what, byte)));
+        }
     }
 }

@@ -3,7 +3,8 @@
 //! a [`fold`] on the engine's fold worker ([`FoldWorker`]) starts from
 //! the base image's graph (kept from the previous fold, else
 //! `snap.<base>` decoded, else empty), replays the closed
-//! `wal.<base..=g>`, writes `snap.<g+1>` ([`write_image`]), deletes what
+//! `wal.<base..=g>`'s transactions (its catalog records are already in
+//! the job's catalog), writes `snap.<g+1>` ([`write_image`]), deletes what
 //! that subsumes ([`remove_subsumed`]) and hands its graph back for the
 //! next fold — never touching the live graph. It writes one atomic file
 //! and then deletes, so wherever it stops the directory is an
@@ -22,6 +23,7 @@ use std::thread::JoinHandle;
 
 use pgq_graph::store::PropertyGraph;
 
+use crate::codec::Record;
 use crate::error::{DurOp, DurabilityError};
 use crate::snapshot::{snap_file, Snapshot, SnapshotError, SnapshotView, SnapshotWriter};
 use crate::vfs::Vfs;
@@ -36,8 +38,8 @@ pub struct FoldJob {
     /// The graph of `snap.<base>` if the caller kept it — an image with
     /// no skip count, as every image written here; decoded otherwise.
     pub kept: Option<PropertyGraph>,
-    /// The view catalog the image records, shared with the engine that
-    /// keeps it between view-set changes.
+    /// The view catalog the image records: the engine's at the switch,
+    /// shared with the engine that keeps it between view-set changes.
     pub views: Arc<[SnapshotView]>,
     /// Pre-size of the encode buffer.
     pub capacity: usize,
@@ -83,7 +85,11 @@ pub fn fold(vfs: &dyn Vfs, job: FoldJob) -> Result<Folded, DurabilityError> {
             return Err(DurabilityError::corrupt(DurOp::WalLoad, detail));
         }
         // The skip count applies to the base generation's own log only.
-        for tx in log.txs.iter().skip(std::mem::take(&mut skip)) {
+        // Catalog records are skipped: the job's catalog is the engine's
+        // at the switch that closed `through`, which every record of the
+        // closed chain had already reached.
+        for record in log.records().skip(std::mem::take(&mut skip)) {
+            let Record::Tx(tx) = record else { continue };
             graph.apply(tx).map_err(|e| {
                 DurabilityError::corrupt(DurOp::Replay, format!("{}: {e}", wal_file(g)))
             })?;

@@ -6,15 +6,16 @@
 //! the *operator network* maintaining the standing views is a function
 //! of the two and is rebuilt, never stored:
 //!
-//! - [`wal`] appends one checksummed record per committed transaction.
-//!   Replaying the log through the normal transaction path reproduces
-//!   both the graph and (via delta propagation) every view — the log is
+//! - [`wal`] appends one checksummed record per committed transaction
+//!   and one per view registration or drop. Replaying the log
+//!   reproduces both the graph and the view catalog — the log is
 //!   logically complete on its own.
 //! - [`snapshot`] bounds replay: it captures the graph dump, the exact
 //!   id-allocation watermarks and each standing view's registration
-//!   metadata. Recovery restores the graph, registers every view once
+//!   metadata. Recovery restores the graph and the catalog, replays only
+//!   the WAL tail into both, then registers every surviving view once
 //!   (one pass rebuilds each operator memory as fast as it would
-//!   decode), then replays only the WAL tail. The format keeps a list
+//!   decode). The format keeps a list
 //!   of fingerprint-keyed operator-state sections; the engine writes it
 //!   empty and ignores it on read.
 //! - [`fold`] writes the next image off the commit path: it replays the
@@ -25,7 +26,9 @@
 //!   `snap.<g>` / `wal.<g>` directory: it picks the newest readable
 //!   snapshot (quarantining corrupt ones and falling back a
 //!   generation), trims torn WAL tails, refuses to replay logs beyond a
-//!   broken chain link, and reports every repair it made.
+//!   broken chain link, and reports every repair it made; it then
+//!   replays the chain it planned into the base image's graph and
+//!   catalog.
 //! - [`vfs`] is the fault-injection seam: all I/O goes through a tiny
 //!   trait with a real-directory backend and an in-memory backend that
 //!   can kill the simulated process at an arbitrary byte boundary (the
@@ -38,11 +41,11 @@
 //!   (offline-shim rule: no external serialization or checksum crates).
 //!
 //! What lives *above* this crate: the engine decides when to snapshot,
-//! switch generations, hand a fold to its worker and wait for it, owns
-//! the view table being restored and re-registers it, and implements the
-//! commit-rollback / read-only-degraded contract on top of
-//! [`DurabilityError`]. This crate only knows bytes, graphs, and
-//! transactions.
+//! switch generations, hand a fold to its worker and wait for it, logs
+//! its view DDL, registers the views of the recovered catalog, and
+//! implements the commit-rollback / read-only-degraded contract on top
+//! of [`DurabilityError`]. This crate only knows bytes, graphs,
+//! transactions and catalog rows.
 
 pub mod codec;
 pub mod error;
@@ -52,7 +55,7 @@ pub mod snapshot;
 pub mod vfs;
 pub mod wal;
 
-pub use codec::CodecError;
+pub use codec::{CodecError, Record};
 pub use error::{DurKind, DurOp, DurabilityError};
 pub use fold::{FoldJob, FoldWorker, Folded};
 pub use recovery::{RecoveryPlan, RecoveryReport, QUARANTINE_SUFFIX};

@@ -31,9 +31,22 @@
 //! state is unreachable) and is quarantined rather than guessed at.
 //! Nothing in this module panics on disk bytes, and every repair action
 //! is recorded in a [`RecoveryReport`] the engine exposes to operators.
+//!
+//! [`RecoveryPlan::recover`] then rebuilds what the plan reaches: the
+//! base image's graph and view catalog, with the chain replayed into
+//! both — transactions into the graph, catalog records (view DDL) into
+//! the catalog. Views are registered by the engine once, from the
+//! catalog that comes out, so a view registered and dropped inside the
+//! chain is never built. The chain's catalog records are exactly those
+//! the base image does not hold: an image records the engine's catalog
+//! at the switch that closed the log below it, and every DDL record
+//! after that switch went to a later log.
 
+use pgq_graph::store::PropertyGraph;
+
+use crate::codec::Record;
 use crate::error::{DurOp, DurabilityError};
-use crate::snapshot::{parse_snap_name, snap_file, Snapshot};
+use crate::snapshot::{parse_snap_name, snap_file, Snapshot, SnapshotView};
 use crate::vfs::Vfs;
 use crate::wal::{self, parse_wal_name, wal_file, WalContents};
 
@@ -100,12 +113,7 @@ pub struct RecoveryPlan {
 
 /// Move `name` aside as `<name>.quarantined` (best-effort; failures are
 /// noted, never fatal — the in-memory recovery decision already
-/// stands). Public so the engine's replay loop can quarantine a log
-/// whose records stop applying cleanly mid-chain.
-pub fn quarantine_file(vfs: &dyn Vfs, name: &str, report: &mut RecoveryReport) {
-    quarantine(vfs, name, report);
-}
-
+/// stands).
 fn quarantine(vfs: &dyn Vfs, name: &str, report: &mut RecoveryReport) {
     let aside = format!("{name}{QUARANTINE_SUFFIX}");
     let moved = match vfs.read(name) {
@@ -264,6 +272,122 @@ pub fn plan(vfs: &dyn Vfs) -> Result<RecoveryPlan, DurabilityError> {
         active_wal_len,
         report,
     })
+}
+
+/// What [`RecoveryPlan::recover`] rebuilt: the state after the
+/// committed record prefix, and where the log resumes.
+pub struct Recovered {
+    /// The base image's graph with every replayed transaction applied.
+    pub graph: PropertyGraph,
+    /// The view catalog in slot order: the base image's, with every
+    /// replayed catalog record folded in.
+    pub views: Vec<SnapshotView>,
+    /// Generation the engine appends to.
+    pub active_generation: u64,
+    /// Valid byte length of the active generation's log.
+    pub active_wal_len: u64,
+    /// Records, transactions and catalog records, in the active log.
+    pub active_wal_records: u64,
+    /// Transactions applied past the base image.
+    pub replayed: u64,
+    /// Encoded size of the base image (`0` on a cold start).
+    pub snapshot_bytes: u64,
+    /// Everything recovery found and did, replay's repairs included.
+    pub report: RecoveryReport,
+}
+
+impl RecoveryPlan {
+    /// Rebuild the committed state this plan reaches: restore the base
+    /// image's graph and catalog (its dump is freed on the way; the
+    /// state sections of images from before snapshots were graph-only
+    /// are dropped unread), then replay the chain in order. The base
+    /// image's skip count applies to its own generation only.
+    ///
+    /// A record that passed its checksum and decoded but does not apply
+    /// to the state it claims to extend is semantic corruption, treated
+    /// like a torn tail: its log is trimmed to the record before it,
+    /// later generations are quarantined, and recovery stops at the
+    /// committed prefix. A base image whose dump does not restore is a
+    /// typed error.
+    pub fn recover(self, vfs: &dyn Vfs) -> Result<Recovered, DurabilityError> {
+        let mut report = self.report;
+        let mut views = Vec::new();
+        let (mut graph, skip) = match self.snapshot {
+            Some(s) => {
+                let graph = s
+                    .restore_graph()
+                    .map_err(|e| DurabilityError::corrupt(DurOp::SnapshotLoad, e.to_string()))?;
+                for v in &s.views {
+                    fold_catalog(&mut views, Record::Register(v));
+                }
+                (graph, s.wal_records as usize)
+            }
+            None => (PropertyGraph::new(), 0),
+        };
+        let mut generation = self.active_generation;
+        let mut wal_len = self.active_wal_len;
+        let mut wal_records = self.replay.last().map_or(0, |(_, l)| l.ends.len() as u64);
+        let mut replayed = 0;
+        'chain: for (idx, (g, log)) in self.replay.iter().enumerate() {
+            let skip_here = if idx == 0 { skip } else { 0 };
+            for (j, record) in log.records().enumerate().skip(skip_here) {
+                let applied = match record {
+                    Record::Tx(tx) => graph.apply(tx).map(|_| replayed += 1),
+                    catalog => {
+                        fold_catalog(&mut views, catalog);
+                        Ok(())
+                    }
+                };
+                let Err(e) = applied else { continue };
+                let keep = if j == 0 { 0 } else { log.ends[j - 1] };
+                report.notes.push(format!(
+                    "wal generation {g} record {j} failed to replay: {e}"
+                ));
+                match wal::repair(vfs, *g, keep) {
+                    Ok(()) => report.trimmed.push((*g, log.valid_len() - keep)),
+                    Err(re) => {
+                        report
+                            .notes
+                            .push(format!("failed to trim wal generation {g}: {re}"));
+                        report.tail_repair_failed = true;
+                    }
+                }
+                for (later, _) in &self.replay[idx + 1..] {
+                    quarantine(vfs, &wal_file(*later), &mut report);
+                }
+                (generation, wal_len, wal_records) = (*g, keep, j as u64);
+                report.active_generation = generation;
+                break 'chain;
+            }
+        }
+        Ok(Recovered {
+            graph,
+            views,
+            active_generation: generation,
+            active_wal_len: wal_len,
+            active_wal_records: wal_records,
+            replayed,
+            snapshot_bytes: self.snapshot_bytes,
+            report,
+        })
+    }
+}
+
+/// Fold one catalog record into `views`, kept in slot order. A
+/// registration takes its slot and its name from any view still holding
+/// them — one whose drop the engine made in memory but could not log (a
+/// failed drop is not undone) — and a drop of a slot no view holds
+/// changes nothing. A transaction leaves the catalog as it is.
+fn fold_catalog(views: &mut Vec<SnapshotView>, record: Record<'_>) {
+    match record {
+        Record::Register(v) => {
+            views.retain(|w| w.slot != v.slot && w.name != v.name);
+            let at = views.partition_point(|w| w.slot < v.slot);
+            views.insert(at, v.clone());
+        }
+        Record::Drop(slot) => views.retain(|w| w.slot != slot),
+        Record::Tx(_) => {}
+    }
 }
 
 #[cfg(test)]
@@ -474,5 +598,82 @@ mod tests {
         assert_eq!(second.report.base_generation, first.report.base_generation);
         let txs = |p: &RecoveryPlan| -> usize { p.replay.iter().map(|(_, l)| l.txs.len()).sum() };
         assert_eq!(txs(&second), txs(&first));
+    }
+
+    fn row(slot: u32, name: &str) -> SnapshotView {
+        SnapshotView {
+            slot,
+            name: name.into(),
+            query: format!("MATCH (p:{name}) RETURN p"),
+            schema_mode: 0,
+            plan: true,
+            wcoj_mode: 1,
+            wcoj_sorted: None,
+        }
+    }
+
+    fn names(views: &[SnapshotView]) -> Vec<(u32, &str)> {
+        views.iter().map(|v| (v.slot, v.name.as_str())).collect()
+    }
+
+    #[test]
+    fn the_catalog_fold_keeps_slot_order_and_evicts_what_a_registration_takes() {
+        let mut views = Vec::new();
+        let (a, b) = (row(3, "a"), row(1, "b"));
+        fold_catalog(&mut views, Record::Register(&a));
+        fold_catalog(&mut views, Record::Register(&b));
+        assert_eq!(names(&views), [(1, "b"), (3, "a")]);
+        // `a`'s drop never reached the log; a later view took the name.
+        let a2 = row(4, "a");
+        fold_catalog(&mut views, Record::Register(&a2));
+        assert_eq!(names(&views), [(1, "b"), (4, "a")]);
+        fold_catalog(&mut views, Record::Drop(9));
+        fold_catalog(&mut views, Record::Tx(&sample_tx(0)));
+        assert_eq!(names(&views), [(1, "b"), (4, "a")]);
+        fold_catalog(&mut views, Record::Drop(1));
+        assert_eq!(names(&views), [(4, "a")]);
+    }
+
+    #[test]
+    fn recover_replays_data_into_the_graph_and_ddl_into_the_catalog() {
+        let disk = MemDisk::new();
+        let vfs = disk.vfs();
+        let mut image = Snapshot::capture_graph(&graph_with(2));
+        image.views = vec![row(0, "kept"), row(1, "dropped")];
+        image.write(&vfs, 1).unwrap();
+        wal::append(&vfs, 1, Record::Tx(&sample_tx(5))).unwrap();
+        wal::append(&vfs, 1, Record::Drop(1)).unwrap();
+        wal::append(&vfs, 1, Record::Register(&row(2, "short_lived"))).unwrap();
+        wal::append(&vfs, 2, Record::Drop(2)).unwrap();
+        wal::append(&vfs, 2, Record::Register(&row(3, "new"))).unwrap();
+        wal::append(&vfs, 2, Record::Tx(&sample_tx(6))).unwrap();
+
+        let r = plan(&vfs).unwrap().recover(&vfs).unwrap();
+        assert_eq!(r.graph.vertex_count(), 4);
+        assert_eq!(names(&r.views), [(0, "kept"), (3, "new")]);
+        assert_eq!(r.replayed, 2);
+        assert_eq!((r.active_generation, r.active_wal_records), (2, 3));
+        assert_eq!(r.active_wal_len, disk.len(&wal_file(2)).unwrap() as u64);
+        assert!(r.report.is_pristine());
+    }
+
+    #[test]
+    fn a_record_that_does_not_apply_trims_the_catalog_records_after_it() {
+        let disk = MemDisk::new();
+        let vfs = disk.vfs();
+        wal::append(&vfs, 0, Record::Register(&row(0, "a"))).unwrap();
+        wal::append(&vfs, 0, Record::Tx(&sample_tx(1))).unwrap();
+        let keep = disk.len(&wal_file(0)).unwrap() as u64;
+        let mut bad = Transaction::new();
+        bad.delete_edge(pgq_common::ids::EdgeId(77));
+        wal::append(&vfs, 0, Record::Tx(&bad)).unwrap();
+        wal::append(&vfs, 0, Record::Register(&row(1, "b"))).unwrap();
+
+        let r = plan(&vfs).unwrap().recover(&vfs).unwrap();
+        assert_eq!(names(&r.views), [(0, "a")]);
+        assert_eq!(r.graph.vertex_count(), 1);
+        assert_eq!((r.active_wal_len, r.active_wal_records), (keep, 2));
+        assert_eq!(disk.len(&wal_file(0)), Some(keep as usize));
+        assert_eq!(r.report.trimmed.len(), 1);
     }
 }

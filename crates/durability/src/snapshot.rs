@@ -63,8 +63,8 @@ use pgq_graph::props::Properties;
 use pgq_graph::store::{EdgeData, GraphError, PropertyGraph, VertexData};
 
 use crate::codec::{
-    crc32, decode_props, decode_tuple, encode_props, encode_symbol, encode_tuple, CodecError,
-    Decoder, Encoder,
+    crc32, decode_props, decode_tuple, decode_view, encode_props, encode_symbol, encode_tuple,
+    encode_view, CodecError, Decoder, Encoder,
 };
 use crate::vfs::Vfs;
 
@@ -304,25 +304,7 @@ impl Snapshot {
         let nw = d.read_len()?;
         let mut views = Vec::with_capacity(nw);
         for _ in 0..nw {
-            let (slot, name, query, schema_mode) = (d.u32()?, d.str()?, d.str()?, d.u8()?);
-            // The byte of the retired `optimize` toggle: builds that had
-            // it wrote it here and builds that have it read it back, so
-            // it stays in the layout, written `false` and ignored.
-            d.bool()?;
-            views.push(SnapshotView {
-                slot,
-                name,
-                query,
-                schema_mode,
-                plan: d.bool()?,
-                wcoj_mode: d.u8()?,
-                wcoj_sorted: match d.u8()? {
-                    0 => None,
-                    1 => Some(false),
-                    2 => Some(true),
-                    t => return Err(SnapshotError::Codec(CodecError::BadTag("wcoj-sorted", t))),
-                },
-            });
+            views.push(decode_view(&mut d)?);
         }
 
         let ns = d.read_len()?;
@@ -479,18 +461,7 @@ impl SnapshotWriter {
         let e = &mut self.e;
         e.len(views.len());
         for v in views {
-            e.u32(v.slot);
-            e.str(&v.name);
-            e.str(&v.query);
-            e.u8(v.schema_mode);
-            e.bool(false); // retired `optimize` toggle, see `decode`
-            e.bool(v.plan);
-            e.u8(v.wcoj_mode);
-            e.u8(match v.wcoj_sorted {
-                None => 0,
-                Some(false) => 1,
-                Some(true) => 2,
-            });
+            encode_view(e, v);
         }
     }
 

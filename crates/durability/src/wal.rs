@@ -1,4 +1,5 @@
-//! Write-ahead log: one framed record per committed transaction.
+//! Write-ahead log: one framed record per committed transaction and
+//! per view-catalog change.
 //!
 //! Record framing, all little-endian:
 //!
@@ -6,14 +7,25 @@
 //! [payload_len: u32][crc32(payload): u32][payload: payload_len bytes]
 //! ```
 //!
-//! The payload is [`crate::codec::encode_tx`]. Appends are the only
-//! mutation — the log never rewrites in place, so the only corruption a
-//! crash can produce is a **torn tail**: a final record whose frame or
-//! payload is shorter than its header promises. Bit rot (or a torn write
-//! that happens to look complete) is caught by the checksum. Either way
-//! the scan stops **cleanly at the first bad record** and reports how far
-//! it got; everything before that point is trusted. Recovery never
-//! panics on log bytes.
+//! A payload is either a data transaction ([`crate::codec::encode_tx`])
+//! or a catalog record ([`crate::codec::encode_record`]: a view
+//! registered, with its catalog row, or a view dropped, by slot). The
+//! two never collide: a catalog payload starts with a mark no
+//! transaction's op count can equal, so transaction bytes are what
+//! they were before catalog records existed and a log written by an
+//! earlier build reads unchanged. View DDL therefore costs one small
+//! append, like a commit, instead of an image of the graph; recovery
+//! folds the catalog records into the base image's catalog
+//! ([`crate::recovery`]) and the background fold skips them
+//! ([`crate::fold`]).
+//!
+//! Appends are the only mutation — the log never rewrites in place, so
+//! the only corruption a crash can produce is a **torn tail**: a final
+//! record whose frame or payload is shorter than its header promises.
+//! Bit rot (or a torn write that happens to look complete) is caught by
+//! the checksum. Either way the scan stops **cleanly at the first bad
+//! record** and reports how far it got; everything before that point is
+//! trusted. Recovery never panics on log bytes.
 //!
 //! Logs are **generation-numbered**: the file for generation `g` is
 //! `wal.<g>` ([`wal_file`]). Compaction switches to generation `g+1` by
@@ -25,7 +37,9 @@ use std::io;
 
 use pgq_graph::tx::Transaction;
 
-use crate::codec::{crc32, decode_tx, encode_tx};
+use crate::codec::{
+    crc32, decode_catalog, decode_tx, encode_record, encode_tx, is_catalog, CatalogRecord, Record,
+};
 use crate::vfs::Vfs;
 
 /// File name of generation `generation`'s write-ahead log.
@@ -92,6 +106,12 @@ pub fn append_tx(vfs: &dyn Vfs, generation: u64, tx: &Transaction) -> io::Result
     append_payload(vfs, generation, &encode_tx(tx))
 }
 
+/// Append `record` to generation `generation`'s log. Returns the frame
+/// length in bytes.
+pub fn append(vfs: &dyn Vfs, generation: u64, record: Record<'_>) -> io::Result<u64> {
+    append_payload(vfs, generation, &encode_record(record))
+}
+
 /// Scan raw log bytes into checksum-verified payload slices, stopping at
 /// the first torn or corrupt record.
 pub fn scan(bytes: &[u8]) -> (Vec<&[u8]>, WalTail) {
@@ -120,9 +140,13 @@ pub fn scan(bytes: &[u8]) -> (Vec<&[u8]>, WalTail) {
 pub struct WalContents {
     /// Every trustworthy transaction, in commit order.
     pub txs: Vec<Transaction>,
-    /// Byte offset just past each record: `ends[i]` is the length of the
-    /// valid prefix covering transactions `0..=i`. Used for tail repair
-    /// and for failing replay mid-log without losing the good prefix.
+    /// Every trustworthy catalog record, in log order, each with its
+    /// index among all the log's records (an index into `ends`).
+    pub catalog: Vec<(usize, CatalogRecord)>,
+    /// Byte offset just past each record, transactions and catalog
+    /// records alike: `ends[i]` is the length of the valid prefix
+    /// covering records `0..=i`. Used for tail repair and for failing
+    /// replay mid-log without losing the good prefix.
     pub ends: Vec<u64>,
     /// Why the scan stopped.
     pub tail: WalTail,
@@ -134,41 +158,58 @@ impl WalContents {
     pub fn valid_len(&self) -> u64 {
         self.ends.last().copied().unwrap_or(0)
     }
+
+    /// Every record in file order.
+    pub fn records(&self) -> impl Iterator<Item = Record<'_>> {
+        let mut txs = self.txs.iter();
+        let mut catalog = self.catalog.iter().peekable();
+        (0..self.ends.len()).map(move |i| match catalog.next_if(|(at, _)| *at == i) {
+            Some((_, CatalogRecord::Register(v))) => Record::Register(v),
+            Some((_, CatalogRecord::Drop(slot))) => Record::Drop(*slot),
+            None => Record::Tx(
+                txs.next()
+                    .expect("a record is a transaction or in the catalog"),
+            ),
+        })
+    }
 }
 
-/// Load and decode every trustworthy transaction in generation
+/// Load and decode every trustworthy record in generation
 /// `generation`'s log. A record whose checksum passes but whose payload
 /// fails to decode is treated like a checksum failure: the scan stops
 /// there with [`WalTail::Corrupt`]. An absent log file is an empty,
 /// clean log.
 pub fn load(vfs: &dyn Vfs, generation: u64) -> io::Result<WalContents> {
-    let Some(bytes) = vfs.read(&wal_file(generation))? else {
-        return Ok(WalContents {
-            txs: Vec::new(),
-            ends: Vec::new(),
-            tail: WalTail::Clean,
-        });
+    let mut log = WalContents {
+        txs: Vec::new(),
+        catalog: Vec::new(),
+        ends: Vec::new(),
+        tail: WalTail::Clean,
     };
-    let (payloads, mut tail) = scan(&bytes);
-    let mut txs = Vec::with_capacity(payloads.len());
-    let mut ends = Vec::with_capacity(payloads.len());
+    let Some(bytes) = vfs.read(&wal_file(generation))? else {
+        return Ok(log);
+    };
+    let (payloads, tail) = scan(&bytes);
+    log.tail = tail;
+    log.txs.reserve(payloads.len());
+    log.ends.reserve(payloads.len());
     let mut offset = 0u64;
     for payload in payloads {
-        match decode_tx(payload) {
-            Ok(tx) => {
-                txs.push(tx);
-                offset += 8 + payload.len() as u64;
-                ends.push(offset);
-            }
-            Err(_) => {
-                tail = WalTail::Corrupt {
-                    offset: offset as usize,
-                };
-                break;
-            }
+        let decoded = if is_catalog(payload) {
+            decode_catalog(payload).map(|c| log.catalog.push((log.ends.len(), c)))
+        } else {
+            decode_tx(payload).map(|tx| log.txs.push(tx))
+        };
+        if decoded.is_err() {
+            log.tail = WalTail::Corrupt {
+                offset: offset as usize,
+            };
+            break;
         }
+        offset += 8 + payload.len() as u64;
+        log.ends.push(offset);
     }
-    Ok(WalContents { txs, ends, tail })
+    Ok(log)
 }
 
 /// Rewrite generation `generation`'s log to its first `valid_len` bytes
@@ -327,5 +368,51 @@ mod tests {
         assert_eq!(log.tail, WalTail::Clean);
         assert_eq!(log.txs.len(), 1);
         assert!(log.txs[0].is_empty());
+    }
+
+    #[test]
+    fn catalog_records_interleave_with_transactions_in_file_order() {
+        let disk = MemDisk::new();
+        let vfs = disk.vfs();
+        let view = crate::snapshot::SnapshotView {
+            slot: 0,
+            name: "v".into(),
+            query: "MATCH (p:Post) RETURN p".into(),
+            schema_mode: 0,
+            plan: true,
+            wcoj_mode: 1,
+            wcoj_sorted: None,
+        };
+        append(&vfs, 0, Record::Register(&view)).unwrap();
+        append_tx(&vfs, 0, &sample_tx(1)).unwrap();
+        append(&vfs, 0, Record::Drop(0)).unwrap();
+        append_tx(&vfs, 0, &sample_tx(2)).unwrap();
+        let log = load(&vfs, 0).unwrap();
+        assert_eq!(log.tail, WalTail::Clean);
+        assert_eq!((log.txs.len(), log.ends.len()), (2, 4));
+        assert_eq!(
+            log.catalog,
+            vec![
+                (0, CatalogRecord::Register(view)),
+                (2, CatalogRecord::Drop(0))
+            ]
+        );
+        let kinds: Vec<&str> = log
+            .records()
+            .map(|r| match r {
+                Record::Tx(_) => "tx",
+                Record::Register(_) => "register",
+                Record::Drop(_) => "drop",
+            })
+            .collect();
+        assert_eq!(kinds, ["register", "tx", "drop", "tx"]);
+
+        // A torn catalog record ends the log like a torn transaction.
+        let whole = disk.len(&wal_file(0)).unwrap();
+        append(&vfs, 0, Record::Drop(9)).unwrap();
+        disk.truncate(&wal_file(0), whole + 10);
+        let log = load(&vfs, 0).unwrap();
+        assert_eq!(log.tail, WalTail::Torn { offset: whole });
+        assert_eq!(log.ends.len(), 4);
     }
 }

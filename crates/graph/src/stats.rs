@@ -24,9 +24,16 @@
 //! * **Counting sketches.** Distinct counts (property values, per-type
 //!   endpoints) use fixed-size bucket-count sketches with a
 //!   linear-counting estimator: exact for small cardinalities (modulo a
-//!   1/`SKETCH_BUCKETS` collision), within a few percent at planner
-//!   scales, O(1) memory per key, deletion-safe (buckets hold
-//!   occurrence counts).
+//!   1/`SKETCH_BUCKETS` collision), O(1) memory per key, deletion-safe
+//!   (buckets hold occurrence counts). They **saturate**: once all
+//!   `SKETCH_BUCKETS` (256) buckets are occupied — about 1.4k distinct
+//!   keys under uniform hashing, and 1 000 sequential vertex ids
+//!   already do it — `distinct` returns the occurrence total, not an
+//!   estimate. On the benchmark's graphs every per-type source and
+//!   target count then reads `|type|` (a `KNOWS` type with 1 500
+//!   distinct sources reads 5 996), so the fan-out the planner derives
+//!   is 1 for every type above that size. ROADMAP item 19 tracks the
+//!   fix.
 
 use std::hash::BuildHasher;
 use std::ops::Deref;

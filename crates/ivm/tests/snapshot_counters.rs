@@ -51,7 +51,8 @@ fn snapshot_tick_enumerates_no_bag() {
         engine.register_view(name, cypher).unwrap();
     }
     // The counter is live: registration enumerated the new nodes' bags
-    // (its own snapshots, one per view, are inside this window too).
+    // (each registration also logged its catalog record in this window;
+    // it writes no image).
     let registered = engine.network().counters().bag_enumerations;
     assert!(registered > before);
 

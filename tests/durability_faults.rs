@@ -27,8 +27,9 @@
 //! log it closes; no power cut loses more than the window allows), and
 //! the bounded-disk guarantee (live files span at most two generations
 //! across 50 cadences), the view catalog the folds record (a
-//! registration or drop whose snapshot failed never reaches a folded
-//! image as it was before the failure), a fold whose base image was
+//! registration or drop whose catalog record failed never reaches a
+//! folded image as it was before the failure, and the log takes the
+//! next commit), a fold whose base image was
 //! damaged after the engine opened, and the two ways an `apply_batch`
 //! fails on disk (a member's append, the batch's one sync). The fold worker's operations
 //! interleave with the appends differently from run to run; nothing
@@ -46,7 +47,7 @@ use pgq_common::intern::Symbol;
 use pgq_common::value::Value;
 use pgq_core::{EngineError, GraphEngine};
 use pgq_durability::snapshot::{parse_snap_name, snap_file};
-use pgq_durability::wal::parse_wal_name;
+use pgq_durability::wal::{self, parse_wal_name};
 use pgq_durability::{DurKind, DurOp, Fault, FsyncMode, MemDisk, MemVfs, Snapshot};
 use pgq_graph::props::Properties;
 use pgq_graph::store::PropertyGraph;
@@ -462,41 +463,49 @@ fn fold_without(mut engine: GraphEngine, disk: &MemDisk, absent: &str) {
 }
 
 #[test]
-fn a_registration_whose_snapshot_fails_never_reaches_a_folded_image() {
-    // The second registration's image write is the first operation after
-    // the first registration.
-    let write = ops_after(|e| {
+fn a_registration_whose_record_fails_never_reaches_a_folded_image() {
+    // The second registration's catalog record is the first operation
+    // after the first registration.
+    let append = ops_after(|e| {
         e.register_view(KEPT.0, KEPT.1).unwrap();
     });
     let disk = MemDisk::new();
-    let vfs = disk.vfs_with_fault(write, Fault::Eio);
+    let vfs = disk.vfs_with_fault(append, Fault::Eio);
     let mut engine = GraphEngine::open_durable_with(Arc::new(vfs)).unwrap();
     engine.register_view(KEPT.0, KEPT.1).unwrap();
     match engine.register_view(GONE.0, GONE.1) {
-        Err(EngineError::Durability(e)) => assert_eq!(e.op, DurOp::SnapshotWrite, "{e}"),
-        other => panic!("the registration's snapshot must fail: {other:?}"),
+        Err(EngineError::Durability(e)) => assert_eq!(e.op, DurOp::WalAppend, "{e}"),
+        other => panic!("the registration's record must fail: {other:?}"),
     }
     assert!(engine.view_by_name(GONE.0).is_none());
+    // The log stays appendable: the next commit lands right after the
+    // first registration's record.
+    engine.apply(&one_vertex_tx(0)).unwrap();
+    let generation = engine.durability_health().unwrap().generation;
+    let log = wal::load(&disk.vfs(), generation).unwrap();
+    assert!(log.tail.is_clean(), "{:?}", log.tail);
+    assert_eq!((log.catalog.len(), log.txs.len()), (1, 1));
+    assert!(!engine.is_degraded());
     fold_without(engine, &disk, GONE.0);
 }
 
 #[test]
-fn a_drop_whose_snapshot_fails_is_gone_after_the_next_fold() {
-    let write = ops_after(|e| {
+fn a_drop_whose_record_fails_is_gone_after_the_next_fold() {
+    let append = ops_after(|e| {
         e.register_view(KEPT.0, KEPT.1).unwrap();
         e.register_view(GONE.0, GONE.1).unwrap();
     });
     let disk = MemDisk::new();
-    let vfs = disk.vfs_with_fault(write, Fault::Eio);
+    let vfs = disk.vfs_with_fault(append, Fault::Eio);
     let mut engine = GraphEngine::open_durable_with(Arc::new(vfs)).unwrap();
     engine.register_view(KEPT.0, KEPT.1).unwrap();
     let gone = engine.register_view(GONE.0, GONE.1).unwrap();
     match engine.drop_view(gone) {
-        Err(EngineError::Durability(e)) => assert_eq!(e.op, DurOp::SnapshotWrite, "{e}"),
-        other => panic!("the drop's snapshot must fail: {other:?}"),
+        Err(EngineError::Durability(e)) => assert_eq!(e.op, DurOp::WalAppend, "{e}"),
+        other => panic!("the drop's record must fail: {other:?}"),
     }
-    // Dropped in memory; the image on disk still records it until a
-    // fold replaces that image.
+    // Dropped in memory; the log on disk still registers it until a
+    // fold writes an image of the catalog without it.
     assert!(engine.view_by_name(GONE.0).is_none());
     fold_without(engine, &disk, GONE.0);
 }
