@@ -16,13 +16,13 @@
 //!    registering sink, not by the plan.
 //! 2. **Commutative sorting.** Scan label/type sets, pushed-property
 //!    lists, filter conjuncts, the `OR` operands of each conjunct,
-//!    hash-join operands and key pairs, projection items, and aggregate
-//!    group/call lists are sorted under a deterministic (in-process)
-//!    total order, so `WHERE a AND b` matches `WHERE b AND a`,
-//!    `WHERE a OR b` matches `WHERE b OR a`, and `A ⋈ B` matches
-//!    `B ⋈ A`. Each comparison among those operands is oriented under
-//!    the same order — `=` and `<>` swap their operands, `<`/`>` and
-//!    `<=`/`>=` mirror — so `WHERE a.x <> b.x` matches
+//!    hash-join operands, key pairs and value-key pairs, projection
+//!    items, and aggregate group/call lists are sorted under a
+//!    deterministic (in-process) total order, so `WHERE a AND b` matches
+//!    `WHERE b AND a`, `WHERE a OR b` matches `WHERE b OR a`, and
+//!    `A ⋈ B` matches `B ⋈ A`. Each comparison among those operands is
+//!    oriented under the same order — `=` and `<>` swap their operands,
+//!    `<`/`>` and `<=`/`>=` mirror — so `WHERE a.x <> b.x` matches
 //!    `WHERE b.x <> a.x` and `WHERE 'en' = p.lang` matches
 //!    `WHERE p.lang = 'en'`.
 //! 3. **σ/π chain normalisation.** Adjacent filters fuse into one
@@ -53,7 +53,9 @@
 //!    `WHERE` on a pattern's first vertex compiles to, and folding them
 //!    drops a join and the two arrangements it read. Not applied when the
 //!    © carries a map or a σ, when the join equates more than `v`, or
-//!    when `v` is bound by another ©, ⋈* or an expression.
+//!    when `v` is bound by another ©, ⋈* or an expression. The dropped
+//!    join's value keys move down to the ⋈ inside `P` that first meets
+//!    both of their columns, and vanish when both come from one scan.
 //! 5. **Column mapping.** Each rewrite that permutes columns composes
 //!    into `mapping`, from the original plan's output columns onto the
 //!    canonical plan's, and
@@ -223,11 +225,13 @@ pub fn alpha_rename(fra: &Fra, rename: &mut dyn FnMut(&str) -> String) -> Fra {
             right,
             left_keys,
             right_keys,
+            value_keys,
         } => Fra::HashJoin {
             left: Box::new(alpha_rename(left, rename)),
             right: Box::new(alpha_rename(right, rename)),
             left_keys: left_keys.clone(),
             right_keys: right_keys.clone(),
+            value_keys: value_keys.clone(),
         },
         Fra::VarLengthJoin {
             left,
@@ -484,11 +488,13 @@ fn canon(fra: &Fra) -> (Fra, Vec<usize>) {
             right,
             left_keys,
             right_keys,
+            value_keys,
         } => {
-            if let Some(absorbed) = absorb_vertex_scan(left, right, left_keys, right_keys) {
+            let keys = (&left_keys[..], &right_keys[..], &value_keys[..]);
+            if let Some(absorbed) = absorb_vertex_scan(left, right, keys) {
                 return absorbed;
             }
-            canon_hash_join(canon(left), canon(right), left_keys, right_keys)
+            canon_hash_join(canon(left), canon(right), keys)
         }
 
         Fra::SemiJoin {
@@ -782,13 +788,14 @@ fn canon(fra: &Fra) -> (Fra, Vec<usize>) {
 /// canonical form of `P` so amended, with the mapping of the *join's*
 /// output columns; `None` when the rule does not apply: the © carries a
 /// map or a σ (the planner put a selective conjunct there, which filters
-/// each vertex once instead of each of its edges), the join equates more
-/// than `v`, or `v` is bound by anything but an ⇑ endpoint.
+/// each vertex once instead of each of its edges), the join's id keys
+/// equate more than `v`, or `v` is bound by anything but an ⇑ endpoint.
+/// The join's value keys go to the ⋈ in `P` that meets both their
+/// columns ([`sink_value_key`]).
 fn absorb_vertex_scan(
     left: &Fra,
     right: &Fra,
-    left_keys: &[usize],
-    right_keys: &[usize],
+    (left_keys, right_keys, value_keys): JoinKeys<'_>,
 ) -> Option<(Fra, Vec<usize>)> {
     fn vertex_scan(f: &Fra) -> Option<(&[Symbol], &[PropPush])> {
         match f {
@@ -844,6 +851,17 @@ fn absorb_vertex_scan(
         }
         Slot::Existing(end.col)
     })?;
+    // The join goes, its value keys stay: each now equates two columns
+    // of `p`, which the join inside `p` that meets them keys on.
+    let scan_col = |c: usize| if c == 0 { cols[pk] } else { prop_cols[c - 1] };
+    for &(l, r) in value_keys {
+        let (a, b) = if scan_left {
+            (scan_col(l), cols[r])
+        } else {
+            (cols[l], scan_col(r))
+        };
+        sink_value_key(&mut p, a, b);
+    }
     let (plan, m) = canon(&p);
     // Output with the © on the right: `P`, then the properties. On the
     // left: `v`, the properties, then `P` minus its key.
@@ -857,6 +875,51 @@ fn absorb_vertex_scan(
         mapping.extend(prop_cols.iter().map(|&c| m[c]));
     }
     Some((plan, mapping))
+}
+
+/// Give the value key `a = b` between two output columns of `plan` to
+/// the ⋈ inside it that first brings both columns together, traced
+/// through ⋈, σ and bare-column π as [`at_endpoint`] traces. Where both
+/// come from one scan, or from an operator the walk does not enter, the
+/// key is dropped: it only ever narrows a join, and the σ above `plan`
+/// still decides.
+fn sink_value_key(plan: &mut Fra, a: usize, b: usize) {
+    match plan {
+        Fra::HashJoin {
+            left,
+            right,
+            right_keys,
+            value_keys,
+            ..
+        } => {
+            // Output column → (from the right?, input column).
+            let la = left.schema().len();
+            let kept: Vec<usize> = (0..right.schema().len())
+                .filter(|c| !right_keys.contains(c))
+                .collect();
+            let side = |c: usize| match c.checked_sub(la) {
+                None => Some((false, c)),
+                Some(r) => kept.get(r).map(|&k| (true, k)),
+            };
+            match (side(a), side(b)) {
+                (Some((false, x)), Some((false, y))) => sink_value_key(left, x, y),
+                (Some((true, x)), Some((true, y))) => sink_value_key(right, x, y),
+                (Some((false, x)), Some((true, y))) => value_keys.push((x, y)),
+                (Some((true, x)), Some((false, y))) => value_keys.push((y, x)),
+                _ => {}
+            }
+        }
+        Fra::Filter { input, .. } => sink_value_key(input, a, b),
+        Fra::Project { input, items } => {
+            if let (Some((ScalarExpr::Col(x), _)), Some((ScalarExpr::Col(y), _))) =
+                (items.get(a), items.get(b))
+            {
+                let (x, y) = (*x, *y);
+                sink_value_key(input, x, y);
+            }
+        }
+        _ => {}
+    }
 }
 
 /// A column asked of an ⇑ endpoint, as it reaches a plan's output.
@@ -921,6 +984,7 @@ fn at_endpoint(
             right,
             left_keys,
             right_keys,
+            value_keys,
         } => {
             // Output: every left column, then the right's non-key ones.
             let la = left.schema().len();
@@ -928,6 +992,7 @@ fn at_endpoint(
                 let slot = at_endpoint(left, col, amend)?;
                 if let Slot::Inserted(at) = slot {
                     left_keys.iter_mut().for_each(|k| *k = shift(at)(*k));
+                    value_keys.iter_mut().for_each(|(k, _)| *k = shift(at)(*k));
                 }
                 return Some(slot);
             }
@@ -939,6 +1004,7 @@ fn at_endpoint(
             Some(match slot {
                 Slot::Inserted(at) => {
                     right_keys.iter_mut().for_each(|k| *k = shift(at)(*k));
+                    value_keys.iter_mut().for_each(|(_, k)| *k = shift(at)(*k));
                     Slot::Inserted(out(right_keys, at))
                 }
                 // A right key's value is its left partner's.
@@ -981,19 +1047,26 @@ fn at_endpoint(
     }
 }
 
-/// Canonicalise a hash join over its canonicalised operands (`left_keys`
-/// / `right_keys` are the original's): pick the operand orientation whose
-/// `(left key, right key, sorted pairs)` triple is smallest under the
-/// plan order — hash joins are bag-commutative, so either orientation
-/// computes the same tuples up to the column permutation returned.
+/// A hash join's id keys (left, right) and value keys, as the original
+/// plan has them.
+type JoinKeys<'a> = (&'a [usize], &'a [usize], &'a [(usize, usize)]);
+
+/// Canonicalise a hash join over its canonicalised operands (the keys are
+/// the original's): pick the operand orientation whose `(left key, right
+/// key, sorted pairs, sorted value pairs)` is smallest under the plan
+/// order — hash joins are bag-commutative, so either orientation computes
+/// the same tuples up to the column permutation returned. Value keys name
+/// input columns, which both orientations keep, so they only follow each
+/// operand's own bijection.
 fn canon_hash_join(
     (cl, ml): (Fra, Vec<usize>),
     (cr, mr): (Fra, Vec<usize>),
-    left_keys: &[usize],
-    right_keys: &[usize],
+    (left_keys, right_keys, value_keys): JoinKeys<'_>,
 ) -> (Fra, Vec<usize>) {
     let lk: Vec<usize> = left_keys.iter().map(|&k| ml[k]).collect();
     let rk: Vec<usize> = right_keys.iter().map(|&k| mr[k]).collect();
+    let lv: Vec<usize> = value_keys.iter().map(|&(k, _)| ml[k]).collect();
+    let rv: Vec<usize> = value_keys.iter().map(|&(_, k)| mr[k]).collect();
     let sorted_pairs = |a: &[usize], b: &[usize]| -> Vec<(usize, usize)> {
         let mut pairs: Vec<(usize, usize)> = a.iter().copied().zip(b.iter().copied()).collect();
         pairs.sort_unstable();
@@ -1002,6 +1075,8 @@ fn canon_hash_join(
     };
     let keep_pairs = sorted_pairs(&lk, &rk);
     let swap_pairs = sorted_pairs(&rk, &lk);
+    let keep_values = sorted_pairs(&lv, &rv);
+    let swap_values = sorted_pairs(&rv, &lv);
     // The join output drops the *right* key columns, so the two
     // orientations only compute column-permutations of each other when
     // they drop equally many: with a duplicated key column (e.g.
@@ -1017,7 +1092,8 @@ fn canon_hash_join(
     };
     let swappable = distinct(&lk) == distinct(&rk);
     let (kl, kr) = (plan_key(&cl), plan_key(&cr));
-    let swap = swappable && (&kr, &kl, &swap_pairs) < (&kl, &kr, &keep_pairs);
+    let swap =
+        swappable && (&kr, &kl, &swap_pairs, &swap_values) < (&kl, &kr, &keep_pairs, &keep_values);
 
     // Where canonical column `c` of the operand joined on the right lands
     // in the output: a key column is gone, and its value is its
@@ -1038,19 +1114,19 @@ fn canon_hash_join(
     // The original output: every left column, then the right's non-key
     // columns.
     let right_kept = (0..mr.len()).filter(|r| !right_keys.contains(r));
-    let (left, right, pairs, mapping) = if !swap {
+    let (left, right, pairs, value_keys, mapping) = if !swap {
         let pairs = keep_pairs;
         let la = cl.schema().len();
         let mut mapping = ml;
         mapping.extend(right_kept.map(|r| place(&pairs, la, mr[r])));
-        (cl, cr, pairs, mapping)
+        (cl, cr, pairs, keep_values, mapping)
     } else {
         // Canonical plan is `cr ⋈ cl`.
         let pairs = swap_pairs;
         let ra = cr.schema().len();
         let mut mapping: Vec<usize> = ml.iter().map(|&c| place(&pairs, ra, c)).collect();
         mapping.extend(right_kept.map(|r| mr[r]));
-        (cr, cl, pairs, mapping)
+        (cr, cl, pairs, swap_values, mapping)
     };
     (
         Fra::HashJoin {
@@ -1058,6 +1134,7 @@ fn canon_hash_join(
             right: Box::new(right),
             left_keys: pairs.iter().map(|&(l, _)| l).collect(),
             right_keys: pairs.iter().map(|&(_, r)| r).collect(),
+            value_keys,
         },
         mapping,
     )
@@ -1219,6 +1296,7 @@ mod tests {
             right: Box::new(r),
             left_keys: vec![0],
             right_keys: vec![0],
+            value_keys: vec![],
         };
         let ab = canonicalize(&j(scan("a", "A"), scan("b", "B")));
         let ba = canonicalize(&j(scan("b", "B"), scan("a", "A")));
@@ -1256,6 +1334,7 @@ mod tests {
             right: Box::new(scan3("b", "B")),
             left_keys: vec![0, 0],
             right_keys: vec![1, 2],
+            value_keys: vec![],
         };
         let arity = join.schema().len();
         let canon = canonicalize(&join);
@@ -1274,6 +1353,7 @@ mod tests {
             right: Box::new(scan2("b", "B")),
             left_keys: vec![0],
             right_keys: vec![0],
+            value_keys: vec![],
         };
         let swapped = Fra::Project {
             input: Box::new(join.clone()),
@@ -1367,6 +1447,7 @@ mod tests {
                         right: Box::new(scan("a", "A")),
                         left_keys: vec![0],
                         right_keys: vec![0],
+                        value_keys: vec![],
                     }),
                     predicate: ScalarExpr::Binary(
                         BinOp::Eq,
@@ -1391,6 +1472,7 @@ mod tests {
                 right: Box::new(scan2("b", "B")),
                 left_keys: vec![0],
                 right_keys: vec![0],
+                value_keys: vec![],
             }),
             items: vec![(ScalarExpr::Col(1), "bx".into())],
         };

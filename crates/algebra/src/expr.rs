@@ -182,6 +182,18 @@ impl ScalarExpr {
         out
     }
 
+    /// The two columns of a `Col(a) = Col(b)` over distinct columns, the
+    /// conjunct a join can key on by value.
+    pub fn equated_columns(&self) -> Option<(usize, usize)> {
+        match self {
+            ScalarExpr::Binary(BinOp::Eq, l, r) => match (&**l, &**r) {
+                (ScalarExpr::Col(a), ScalarExpr::Col(b)) if a != b => Some((*a, *b)),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
     /// Does any parameter slot occur?
     pub fn has_params(&self) -> bool {
         let mut found = false;

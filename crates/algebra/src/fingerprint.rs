@@ -187,7 +187,31 @@ mod tests {
             right: Box::new(scan("b", "B")),
             left_keys: vec![0],
             right_keys: vec![0],
+            value_keys: vec![],
         };
         assert_eq!(plan.fingerprint(), plan.clone().fingerprint());
+    }
+
+    /// A join renders — and so fingerprints — its value keys only when it
+    /// has some: every plan without them hashes as before they existed.
+    #[test]
+    fn value_keys_are_rendered_only_when_present() {
+        let join = |value_keys| Fra::HashJoin {
+            left: Box::new(Fra::Unit),
+            right: Box::new(Fra::Unit),
+            left_keys: vec![],
+            right_keys: vec![],
+            value_keys,
+        };
+        assert_eq!(
+            format!("{:?}", join(vec![])),
+            "HashJoin { left: Unit, right: Unit, left_keys: [], right_keys: [] }"
+        );
+        assert_eq!(
+            format!("{:?}", join(vec![(0, 1)])),
+            "HashJoin { left: Unit, right: Unit, left_keys: [], right_keys: [], \
+             value_keys: [(0, 1)] }"
+        );
+        assert_ne!(join(vec![]).fingerprint(), join(vec![(0, 1)]).fingerprint());
     }
 }

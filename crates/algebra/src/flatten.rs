@@ -281,6 +281,7 @@ impl Cx<'_> {
                     right: Box::new(r),
                     left_keys,
                     right_keys,
+                    value_keys: Vec::new(),
                 };
                 match path_append {
                     None => join,
@@ -572,6 +573,7 @@ impl Cx<'_> {
             right: Box::new(right),
             left_keys: vec![li],
             right_keys: vec![ri],
+            value_keys: Vec::new(),
         };
         // In carry-maps mode the aux scan supplies the whole map; the
         // requested column still needs extracting.

@@ -7,6 +7,8 @@
 //! representation both engines execute: the IVM network maintains it
 //! incrementally, and the baseline evaluator recomputes it from scratch.
 
+use std::fmt;
+
 use pgq_common::dir::Direction;
 use pgq_common::intern::Symbol;
 use pgq_common::value::Value;
@@ -54,7 +56,11 @@ pub struct VarLenSpec {
 }
 
 /// An FRA operator tree.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// `Debug` is written out (below) only so that a join without value keys
+/// renders as it did before they existed: the rendering is the plan's
+/// fingerprint ([`crate::fingerprint`]) and canonical order.
+#[derive(Clone, PartialEq)]
 pub enum Fra {
     /// Single empty tuple.
     Unit,
@@ -112,6 +118,13 @@ pub enum Fra {
     },
     /// Hash join; `keys` are column positions equated pairwise.
     /// Schema: left ++ (right minus its key columns).
+    ///
+    /// `value_keys` pair a left with a right column that must also agree,
+    /// compared under `pgq_graph::index::join_key` (`7` meets `7.0`,
+    /// `null` meets nothing): the key the planner takes from a σ conjunct
+    /// `x = y` whose columns come from different inputs. That is a
+    /// superset of `=`, so the σ stays above and decides; and both
+    /// columns stay in the output, each with its own `Int` or `Float`.
     HashJoin {
         /// Left input.
         left: Box<Fra>,
@@ -121,6 +134,8 @@ pub enum Fra {
         left_keys: Vec<usize>,
         /// Matching key columns in the right schema.
         right_keys: Vec<usize>,
+        /// `(left column, right column)` pairs equal by value.
+        value_keys: Vec<(usize, usize)>,
     },
     /// ⋈* variable-length (transitive) join.
     /// Schema: left ++ `[dst, dst_props..., path]`.
@@ -190,6 +205,56 @@ pub enum Fra {
         /// Output column names, one per variable.
         names: Vec<String>,
     },
+}
+
+/// `.field` on the `DebugStruct` builder `d`, once per binding, named
+/// after it: what `#[derive(Debug)]` writes.
+macro_rules! fields {
+    ($d:expr, $($field:ident),*) => {
+        $d$(.field(stringify!($field), $field))*
+    };
+}
+
+// One line per variant, as the derive would render it.
+#[rustfmt::skip]
+impl fmt::Debug for Fra {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Fra::Unit => f.write_str("Unit"),
+            Fra::ScanVertices { var, labels, props, carry_map } =>
+                fields!(f.debug_struct("ScanVertices"), var, labels, props, carry_map).finish(),
+            Fra::ScanEdges {
+                src, edge, dst, types, src_labels, dst_labels, src_props, edge_props, dst_props,
+                dir, carry_maps,
+            } => fields!(
+                f.debug_struct("ScanEdges"), src, edge, dst, types, src_labels, dst_labels,
+                src_props, edge_props, dst_props, dir, carry_maps
+            ).finish(),
+            Fra::SemiJoin { left, right, left_keys, right_keys, anti } =>
+                fields!(f.debug_struct("SemiJoin"), left, right, left_keys, right_keys, anti)
+                    .finish(),
+            Fra::HashJoin { left, right, left_keys, right_keys, value_keys } => {
+                let mut d = f.debug_struct("HashJoin");
+                fields!(d, left, right, left_keys, right_keys);
+                if !value_keys.is_empty() {
+                    d.field("value_keys", value_keys);
+                }
+                d.finish()
+            }
+            Fra::VarLengthJoin { left, src_col, spec, dst, path } =>
+                fields!(f.debug_struct("VarLengthJoin"), left, src_col, spec, dst, path).finish(),
+            Fra::Filter { input, predicate } =>
+                fields!(f.debug_struct("Filter"), input, predicate).finish(),
+            Fra::Project { input, items } => fields!(f.debug_struct("Project"), input, items).finish(),
+            Fra::Distinct { input } => fields!(f.debug_struct("Distinct"), input).finish(),
+            Fra::Aggregate { input, group, aggs } =>
+                fields!(f.debug_struct("Aggregate"), input, group, aggs).finish(),
+            Fra::Unwind { input, expr, alias } =>
+                fields!(f.debug_struct("Unwind"), input, expr, alias).finish(),
+            Fra::MultiwayJoin { inputs, var_of, names } =>
+                fields!(f.debug_struct("MultiwayJoin"), inputs, var_of, names).finish(),
+        }
+    }
 }
 
 impl Fra {

@@ -397,6 +397,7 @@ fn analyze(fra: &Fra, stats: &PlanStats) -> Rel {
             right,
             left_keys,
             right_keys,
+            ..
         } => {
             let l = analyze(left, stats);
             let r = analyze(right, stats);
@@ -773,7 +774,8 @@ fn decompose(
             right,
             left_keys,
             right_keys,
-        } => {
+            value_keys,
+        } if value_keys.is_empty() => {
             let lg = decompose(left, stats, region, opts, report);
             let rg = decompose(right, stats, region, opts, report);
             for (&a, &b) in left_keys.iter().zip(right_keys) {
@@ -1099,6 +1101,7 @@ impl<'a> Enumerator<'a> {
                 right: Box::new(r.plan.clone()),
                 left_keys: lk,
                 right_keys: rk,
+                value_keys: self.value_keys(l, r),
             },
             globals,
             pos,
@@ -1109,6 +1112,36 @@ impl<'a> Enumerator<'a> {
             mask: l.mask | r.mask,
         };
         self.apply_appliers(b)
+    }
+
+    /// The value keys of `l ⋈ r`: each σ conjunct `x = y` whose columns
+    /// this join is the first to bring together, `x` on one side and `y`
+    /// on the other. The conjunct stays an applier right above the join
+    /// and decides; the key only narrows what reaches it. Estimates do
+    /// not count it, so the order chosen is the one without value keys.
+    fn value_keys(&self, l: &Built, r: &Built) -> Vec<(usize, usize)> {
+        let mut keys = Vec::new();
+        for a in &self.region.appliers {
+            let Applier::Filter { expr, .. } = a else {
+                continue;
+            };
+            let Some((x, y)) = expr.equated_columns() else {
+                continue;
+            };
+            let (lx, ly) = (self.covered(&[x], l.mask), self.covered(&[y], l.mask));
+            let (rx, ry) = (self.covered(&[x], r.mask), self.covered(&[y], r.mask));
+            let pair = if lx && ry {
+                (l.pos[&x], r.pos[&y])
+            } else if ly && rx {
+                (l.pos[&y], r.pos[&x])
+            } else {
+                continue;
+            };
+            if !keys.contains(&pair) {
+                keys.push(pair);
+            }
+        }
+        keys
     }
 
     /// Run a pending ⋈* expansion on `b`.
@@ -1406,6 +1439,11 @@ fn plan_rec(
     report: &mut PlanReport,
 ) -> (Fra, Vec<usize>) {
     match fra {
+        // A join that carries value keys was planned already: kept as
+        // written, with what it equates.
+        Fra::HashJoin { value_keys, .. } if !value_keys.is_empty() => {
+            (fra.clone(), (0..fra.schema().len()).collect())
+        }
         Fra::HashJoin { .. }
         | Fra::Filter { .. }
         | Fra::SemiJoin { .. }
@@ -1978,7 +2016,7 @@ fn render(fra: &Fra, stats: &PlanStats, depth: usize, out: &mut String) {
                     .collect::<Vec<_>>()
                     .join("|")
             ),
-            Fra::HashJoin { left_keys, .. } => format!("⋈ on {} key(s)", left_keys.len()),
+            Fra::HashJoin { .. } => format!("⋈{}", f.join_keys().expect("a ⋈")),
             Fra::SemiJoin { anti: true, .. } => "▷ antijoin".into(),
             Fra::SemiJoin { .. } => "⋉ semijoin".into(),
             Fra::VarLengthJoin { spec, .. } => format!(
@@ -2126,12 +2164,14 @@ mod tests {
             right: Box::new(edge_scan("LIKES", "b", "e2", "p")),
             left_keys: vec![2],
             right_keys: vec![0],
+            value_keys: vec![],
         };
         let j2 = Fra::HashJoin {
             left: Box::new(j1),
             right: Box::new(tagged),
             left_keys: vec![4],
             right_keys: vec![0],
+            value_keys: vec![],
         };
         Fra::Filter {
             predicate: ScalarExpr::Binary(
@@ -2282,6 +2322,7 @@ mod tests {
             right: Box::new(edge_scan("LIKES", "b", "e2", "p")),
             left_keys: vec![2],
             right_keys: vec![0],
+            value_keys: vec![],
         };
         let planned = plan(&j, &stats());
         assert_eq!(planned.fra, j, "a single binary join keeps its shape");

@@ -335,6 +335,33 @@ impl Fra {
         out
     }
 
+    /// A ⋈'s keys by column name: `[b]` for the id keys, then
+    /// ` by value[a.country = c.country]` when it has value keys; `None`
+    /// for any other operator.
+    pub fn join_keys(&self) -> Option<String> {
+        let Fra::HashJoin {
+            left,
+            right,
+            left_keys,
+            value_keys,
+            ..
+        } = self
+        else {
+            return None;
+        };
+        let (ls, rs) = (left.schema(), right.schema());
+        let ids: Vec<&str> = left_keys.iter().map(|&i| ls[i].as_str()).collect();
+        let mut text = format!("[{}]", ids.join(", "));
+        if !value_keys.is_empty() {
+            let pairs: Vec<String> = value_keys
+                .iter()
+                .map(|&(l, r)| format!("{} = {}", ls[l], rs[r]))
+                .collect();
+            text.push_str(&format!(" by value[{}]", pairs.join(", ")));
+        }
+        Some(text)
+    }
+
     fn explain_into(&self, out: &mut String, depth: usize) {
         use std::fmt::Write;
         let pad = "  ".repeat(depth);
@@ -390,19 +417,8 @@ impl Fra {
                     props_str(dst_props),
                 );
             }
-            Fra::HashJoin {
-                left,
-                right,
-                left_keys,
-                ..
-            } => {
-                let ls = left.schema();
-                let keys = left_keys
-                    .iter()
-                    .map(|&i| ls[i].clone())
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                let _ = writeln!(out, "{pad}⋈[{keys}]");
+            Fra::HashJoin { left, right, .. } => {
+                let _ = writeln!(out, "{pad}⋈{}", self.join_keys().expect("a ⋈"));
                 left.explain_into(out, depth + 1);
                 right.explain_into(out, depth + 1);
             }

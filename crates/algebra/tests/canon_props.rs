@@ -258,6 +258,7 @@ fn join(left: Fra, right: Fra, left_keys: &[usize], right_keys: &[usize]) -> Fra
         right: Box::new(right),
         left_keys: left_keys.to_vec(),
         right_keys: right_keys.to_vec(),
+        value_keys: vec![],
     }
 }
 

@@ -13,6 +13,7 @@ use pgq_algebra::expr::ScalarExpr;
 use pgq_algebra::fra::Fra;
 use pgq_algebra::program::{Emit, Scratch, TupleProgram};
 use pgq_common::value::Value;
+use pgq_graph::index::{hash_join_key, join_key, join_keys_equal, prop_key};
 use pgq_parser::ast::{BinOp, UnOp};
 use proptest::prelude::*;
 
@@ -336,6 +337,84 @@ fn mirrored_comparisons_keep_their_truth_on_the_awkward_pairs() {
                         row[1]
                     );
                 }
+            }
+        }
+    }
+}
+
+/// `prop_key` files every pair `Value::cypher_eq` equates under one key,
+/// with one hash — the superset claim the property index and value joins
+/// rest on — and files `null` nowhere. Over the awkward pairs, plus
+/// integers no float holds exactly (`i64::MAX`, 2⁵³ + 1) beside the
+/// floats they round to. `join_key`, which value joins compare under,
+/// keeps the claim and also files a list as itself.
+#[test]
+fn prop_key_equates_what_cypher_eq_equates() {
+    use std::hash::{BuildHasher, BuildHasherDefault};
+    let hash = |k: &Option<Value>| {
+        BuildHasherDefault::<pgq_common::fxhash::FxHasher>::default().hash_one(k)
+    };
+    let big = |i: i64| (Value::Int(i), Value::float(i as f64));
+    let two53 = 1i64 << 53;
+    let mut pairs = awkward_pairs().to_vec();
+    pairs.extend([big(i64::MAX), big(two53), big(two53 + 1)]);
+    pairs.push((Value::Int(two53), Value::Int(two53 + 1)));
+    pairs.push((
+        Value::list(vec![Value::Int(1)]),
+        Value::list(vec![Value::Int(1)]),
+    ));
+    let mut equated = 0;
+    for (a, b) in pairs {
+        for (l, r) in [(&a, &b), (&b, &a)] {
+            if l.cypher_eq(r) != Some(true) {
+                continue;
+            }
+            equated += 1;
+            let mut keys = vec![("join_key", join_key(l), join_key(r))];
+            // The index does not file lists.
+            if !matches!(l, Value::List(_)) {
+                keys.push(("prop_key", prop_key(l), prop_key(r)));
+            }
+            for (name, kl, kr) in keys {
+                assert!(kl.is_some(), "{name}: {l:?} has a key");
+                assert_eq!(kl, kr, "{name}: {l:?} = {r:?}");
+                assert_eq!(hash(&kl), hash(&kr), "{name}: {l:?} = {r:?}");
+            }
+        }
+    }
+    // 1 = 1.0, NaN = NaN, −0.0 = 0.0, −0.0 = 0, the three big pairs and
+    // [1] = [1], each both ways.
+    assert_eq!(equated, 16);
+    assert_eq!(prop_key(&Value::Null), None);
+    assert_eq!(join_key(&Value::Null), None);
+}
+
+/// The allocation-free forms a join probe uses agree with `join_key` on
+/// every pair of the awkward values: `join_keys_equal` is "both have a
+/// key and it is one key", and `hash_join_key` hashes equal keys alike.
+#[test]
+fn join_key_forms_agree_with_join_key() {
+    let hash = |v: &Value| {
+        let mut h = pgq_common::fxhash::FxHasher::default();
+        hash_join_key(v, &mut h);
+        std::hash::Hasher::finish(&h)
+    };
+    let two53 = 1i64 << 53;
+    let mut values: Vec<Value> = awkward_pairs()
+        .into_iter()
+        .flat_map(|(a, b)| [a, b])
+        .collect();
+    values.extend([
+        Value::Int(two53),
+        Value::Int(two53 + 1),
+        Value::float(two53 as f64),
+    ]);
+    for l in &values {
+        for r in &values {
+            let same = join_key(l).is_some() && join_key(l) == join_key(r);
+            assert_eq!(join_keys_equal(l, r), same, "{l:?} vs {r:?}");
+            if same {
+                assert_eq!(hash(l), hash(r), "{l:?} vs {r:?}");
             }
         }
     }

@@ -12,9 +12,10 @@
 //! * the σ/π/ω chain above an operator runs as one [`TupleProgram`], the
 //!   interpreter the dataflow network uses, over borrowed rows;
 //! * a ⋈ streams its left input and holds its right input, indexed on
-//!   the join key. The right side is built when the first left row
-//!   arrives, so an empty left never scans it. Each left row probes the
-//!   index and pushes one row per match, in build order;
+//!   the join key, a value key's column as its `join_key`. The right
+//!   side is built when the first left row arrives, so an empty left
+//!   never scans it. Each left row probes the index and pushes one row
+//!   per match, in build order;
 //! * a ⋉ / ▷ streams its left input and holds a support count per key of
 //!   its right input, built the same way;
 //! * **build or expand**: when the right input of a ⋈ / ⋉ / ▷ is a scan
@@ -61,6 +62,7 @@ use pgq_common::ids::{EdgeId, VertexId};
 use pgq_common::intern::Symbol;
 use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
+use pgq_graph::index::join_key;
 use pgq_graph::store::{EdgeData, PropertyGraph};
 use pgq_parser::ast::BinOp;
 
@@ -360,17 +362,34 @@ pub(crate) fn orientations(
     std::iter::once(first).chain(second)
 }
 
+/// Fill `key` with `row`'s values at `cols`, then the [`join_key`]s of
+/// its values at `values` (a value join's columns); `false`, and no key,
+/// when one of those is `null`, which meets nothing.
+fn join_key_into(row: &[Value], cols: &[usize], values: &[usize], key: &mut Vec<Value>) -> bool {
+    project_into(row, cols, key);
+    for &c in values {
+        match join_key(&row[c]) {
+            Some(k) => key.push(k),
+            None => return false,
+        }
+    }
+    true
+}
+
 /// A ⋈'s build side: the rows of `input` that `feed` pushes, without
-/// their key columns, keyed on `keys`.
-fn index(input: &Fra, keys: &[usize], feed: &mut Feed<'_>) -> Index {
+/// their key columns, keyed on `keys` and the value columns `values`.
+/// Every row passes here, an expanded one too, so each is filed under
+/// its value keys.
+fn index(input: &Fra, keys: &[usize], values: &[usize], feed: &mut Feed<'_>) -> Index {
     let keep: Vec<usize> = (0..input.schema().len())
         .filter(|c| !keys.contains(c))
         .collect();
     let mut index = Index::default();
     let mut key = Vec::new();
     feed(&mut |r, m| {
-        project_into(r, keys, &mut key);
-        file(&mut index, &key, r, &keep, m);
+        if join_key_into(r, keys, values, &mut key) {
+            file(&mut index, &key, r, &keep, m);
+        }
     });
     index
 }
@@ -459,11 +478,16 @@ impl<'g> Pipelines<'g> {
                 right,
                 left_keys,
                 right_keys,
+                value_keys,
             } => {
+                let (left_vals, right_vals): (Vec<usize>, Vec<usize>) =
+                    value_keys.iter().copied().unzip();
                 let (mut key, mut row) = (Vec::new(), Vec::new());
-                let build = |feed: &mut Feed<'_>| index(right, right_keys, feed);
+                let build = |feed: &mut Feed<'_>| index(right, right_keys, &right_vals, feed);
                 self.join(left, left_keys, right, right_keys, build, |index, l, lm| {
-                    project_into(l, left_keys, &mut key);
+                    if !join_key_into(l, left_keys, &left_vals, &mut key) {
+                        return;
+                    }
                     let Some(matches) = index.get(&key[..]) else {
                         return;
                     };

@@ -365,12 +365,14 @@ fn explain_marks_the_joins_that_can_expand() {
         right: bc,
         left_keys: vec![2],
         right_keys: vec![0],
+        value_keys: vec![],
     };
     let bushy = Fra::HashJoin {
         left: a,
         right: Box::new(hops),
         left_keys: vec![0],
         right_keys: vec![0],
+        value_keys: vec![],
     };
     let text = pgq_eval::explain(&bushy, &g);
     let marks: Vec<&str> = text.lines().filter(|l| l.contains('←')).collect();

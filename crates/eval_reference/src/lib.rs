@@ -22,6 +22,7 @@ use pgq_common::ids::{EdgeId, VertexId};
 use pgq_common::intern::Symbol;
 use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
+use pgq_graph::index::join_key;
 use pgq_graph::store::PropertyGraph;
 use pgq_parser::ast::BinOp;
 
@@ -197,6 +198,7 @@ impl<'g> Evaluator<'g> {
                 right,
                 left_keys,
                 right_keys,
+                value_keys,
             } => {
                 let l = self.eval(left);
                 if l.is_empty() {
@@ -214,7 +216,15 @@ impl<'g> Evaluator<'g> {
                 for (lt, lm) in l {
                     let key = lt.project(left_keys);
                     if let Some(matches) = index.get(&key) {
-                        for (rt, rm) in matches {
+                        // A value key holds where both sides have one
+                        // join key.
+                        let by_value = |rt: &Tuple| {
+                            value_keys.iter().all(|&(l, r)| {
+                                let k = join_key(lt.get(l));
+                                k.is_some() && k == join_key(rt.get(r))
+                            })
+                        };
+                        for (rt, rm) in matches.iter().filter(|(rt, _)| by_value(rt)) {
                             let mut vals: Vec<Value> = lt.values().to_vec();
                             for &i in &right_keep {
                                 vals.push(rt.get(i).clone());

@@ -25,11 +25,12 @@
 //! are dropped from the outer maps so long-running churn does not leak
 //! index entries.
 
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 
 use pgq_common::fxhash::FxHashMap;
 use pgq_common::ids::{EdgeId, VertexId};
 use pgq_common::intern::Symbol;
+use pgq_common::ordf::OrdF64;
 use pgq_common::value::Value;
 
 use crate::props::Properties;
@@ -163,6 +164,40 @@ pub fn prop_key(v: &Value) -> Option<Value> {
         Value::Int(i) => Some(Value::float(*i as f64)),
         Value::Null | Value::List(_) | Value::Map(_) | Value::Path(_) => None,
         other => Some(other.clone()),
+    }
+}
+
+/// The key a value join compares a column under (the value keys of
+/// `Fra::HashJoin`): [`prop_key`], and a list, map or path, which the
+/// index does not file, as itself — `Value::cypher_eq` decides those by
+/// structural equality. So every pair `cypher_eq` equates shares a key,
+/// and `null`, `None` here, meets nothing.
+pub fn join_key(v: &Value) -> Option<Value> {
+    match v {
+        Value::List(_) | Value::Map(_) | Value::Path(_) => Some(v.clone()),
+        other => prop_key(other),
+    }
+}
+
+/// `join_key(a) == join_key(b)`, both `Some`, without building either —
+/// for a hash join's probe, which compares a key per candidate row.
+pub fn join_keys_equal(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Null, _) | (_, Value::Null) => false,
+        (Value::Int(x), Value::Int(y)) => OrdF64(*x as f64) == OrdF64(*y as f64),
+        (Value::Int(x), Value::Float(y)) | (Value::Float(y), Value::Int(x)) => {
+            OrdF64(*x as f64) == *y
+        }
+        _ => a == b,
+    }
+}
+
+/// Hash `v`'s [`join_key`] into `h` without building it: values whose
+/// join keys are equal hash alike.
+pub fn hash_join_key(v: &Value, h: &mut impl Hasher) {
+    match v {
+        Value::Int(i) => Value::float(*i as f64).hash(h),
+        other => other.hash(h),
     }
 }
 

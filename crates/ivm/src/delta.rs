@@ -18,10 +18,12 @@
 //! (see [`IndexedBag`] for the layout). An update probes the table once.
 
 use std::collections::hash_map::Entry;
+use std::hash::{Hash, Hasher};
 
-use pgq_common::fxhash::FxHashMap;
+use pgq_common::fxhash::{FxHashMap, FxHasher};
 use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
+use pgq_graph::index::{hash_join_key, join_keys_equal};
 
 use crate::small_list::SmallList;
 
@@ -360,20 +362,101 @@ impl<'a> Iterator for BucketIter<'a> {
 /// tuple's own projection via [`Tuple::hash_projected`] and compare key
 /// columns value-by-value, so neither [`IndexedBag::update`] nor
 /// [`IndexedBag::probe`] ever materialises a key tuple.
+///
+/// The last `values` key columns, if any, are a value join's: they hash
+/// and compare under `pgq_graph::index::join_key`, so `7` meets `7.0`
+/// and a `null` there meets nothing ([`key_hash`], [`keys_match`]). A bag
+/// without them takes the plain path.
 #[derive(Clone, Debug, Default)]
 pub struct IndexedBag {
     /// key-projection hash -> bucket of (full tuple, multiplicity)
     by_key: FxHashMap<u64, Bucket>,
     key_cols: Vec<usize>,
+    /// How many of `key_cols`, at its end, compare by value.
+    values: usize,
     size: usize,
+}
+
+/// The hash a key-column projection is filed under: [`Tuple::hash_projected`]
+/// when no column compares by value, else the same walk with each of the
+/// last `values` columns hashed as its join key ([`hash_join_key`]).
+#[inline]
+pub(crate) fn key_hash(t: &Tuple, cols: &[usize], values: usize) -> u64 {
+    if values == 0 {
+        t.hash_projected(cols)
+    } else {
+        value_key_hash(t, cols, values)
+    }
+}
+
+/// Do `a` at `a_cols` and `b` at `b_cols` hold one key: equal values,
+/// and on the last `values` columns equal, non-null join keys
+/// ([`join_keys_equal`])?
+#[inline]
+pub(crate) fn keys_match(
+    a: &Tuple,
+    a_cols: &[usize],
+    b: &Tuple,
+    b_cols: &[usize],
+    values: usize,
+) -> bool {
+    if values == 0 {
+        a_cols
+            .iter()
+            .zip(b_cols)
+            .all(|(&x, &y)| a.get(x) == b.get(y))
+    } else {
+        value_keys_match(a, a_cols, b, b_cols, values)
+    }
+}
+
+// The value-key halves of the two above, out of line: the plain path is
+// inlined into every probe and join kernel, and stays small.
+
+#[inline(never)]
+fn value_key_hash(t: &Tuple, cols: &[usize], values: usize) -> u64 {
+    let mut h = FxHasher::default();
+    let ids = cols.len() - values;
+    for &c in &cols[..ids] {
+        t.get(c).hash(&mut h);
+    }
+    for &c in &cols[ids..] {
+        hash_join_key(t.get(c), &mut h);
+    }
+    h.write_u64(cols.len() as u64);
+    h.finish()
+}
+
+#[inline(never)]
+fn value_keys_match(
+    a: &Tuple,
+    a_cols: &[usize],
+    b: &Tuple,
+    b_cols: &[usize],
+    values: usize,
+) -> bool {
+    let ids = a_cols.len() - values;
+    keys_match(a, &a_cols[..ids], b, &b_cols[..ids], 0)
+        && a_cols[ids..]
+            .iter()
+            .zip(&b_cols[ids..])
+            .all(|(&x, &y)| join_keys_equal(a.get(x), b.get(y)))
 }
 
 impl IndexedBag {
     /// New bag keyed by `key_cols`.
     pub fn new(key_cols: Vec<usize>) -> IndexedBag {
+        IndexedBag::with_values(key_cols, 0)
+    }
+
+    /// New bag keyed by `key_cols`, the last `values` of which compare
+    /// by value.
+    pub fn with_values(key_cols: Vec<usize>, values: usize) -> IndexedBag {
+        assert!(values <= key_cols.len(), "value columns are key columns");
         IndexedBag {
             by_key: FxHashMap::default(),
             key_cols,
+            values,
             size: 0,
         }
     }
@@ -381,6 +464,11 @@ impl IndexedBag {
     /// The key columns.
     pub fn key_cols(&self) -> &[usize] {
         &self.key_cols
+    }
+
+    /// How many of the key columns, at the end, compare by value.
+    pub fn value_cols(&self) -> usize {
+        self.values
     }
 
     /// Number of distinct tuples stored.
@@ -407,7 +495,7 @@ impl IndexedBag {
         if mult == 0 {
             return;
         }
-        let hash = tuple.hash_projected(&self.key_cols);
+        let hash = key_hash(tuple, &self.key_cols, self.values);
         let change = match self.by_key.entry(hash) {
             Entry::Occupied(mut e) => {
                 let change = e.get_mut().update(tuple, mult);
@@ -432,18 +520,30 @@ impl IndexedBag {
         probe_cols: &'a [usize],
     ) -> impl Iterator<Item = (&'a Tuple, i64)> {
         debug_assert_eq!(probe_cols.len(), self.key_cols.len());
+        let (key_cols, values) = (&self.key_cols, self.values);
         let kr = probe.key_ref(probe_cols);
-        let key_cols = &self.key_cols;
+        let hash = if values == 0 {
+            kr.hash()
+        } else {
+            value_key_hash(probe, probe_cols, values)
+        };
         self.by_key
-            .get(&kr.hash())
+            .get(&hash)
             .into_iter()
             .flat_map(Bucket::iter)
-            .filter(move |(t, _)| kr.matches_projection(t, key_cols))
+            .filter(move |(t, _)| {
+                if values == 0 {
+                    kr.matches_projection(t, key_cols)
+                } else {
+                    value_keys_match(probe, probe_cols, t, key_cols, values)
+                }
+            })
     }
 
     /// Tuples matching the standalone key tuple `key`, with
-    /// multiplicities.
+    /// multiplicities (a bag without value columns).
     pub fn get<'a>(&'a self, key: &'a Tuple) -> impl Iterator<Item = (&'a Tuple, i64)> {
+        debug_assert_eq!(self.values, 0, "a standalone key is compared exactly");
         let key_cols = &self.key_cols;
         self.by_key
             .get(&key.hash_whole())

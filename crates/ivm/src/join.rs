@@ -18,7 +18,9 @@
 //!
 //! An arrangement is keyed by the *sorted* key columns, so `(c, a)` and
 //! `(a, c)` are one index; the kernel permutes its probe columns to
-//! match.
+//! match. A value join's value keys follow its id keys, sorted the same
+//! way, and compare under `join_key` ([`IndexedBag`]); both of their
+//! columns stay in the output.
 //!
 //! The hot path is allocation-free per match: arrangements are probed via
 //! [`IndexedBag::probe`] (no key tuple is built), matches are consumed by
@@ -28,7 +30,7 @@
 use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
 
-use crate::delta::{Delta, IndexedBag, Row, RowSink};
+use crate::delta::{key_hash, keys_match, Delta, IndexedBag, Row, RowSink};
 use crate::stats::Counters;
 
 /// `ΔL ⋈ ΔR` runs as a nested loop up to this many candidate pairs.
@@ -56,6 +58,8 @@ pub struct JoinOp {
     /// a left tuple that probe it, pairwise.
     right_arr_keys: Vec<usize>,
     left_probe: Vec<usize>,
+    /// How many of each key list above, at its end, are value keys.
+    values: usize,
     right_keep: Vec<usize>,
     /// Optional output permutation over the virtual row
     /// `left ++ right[right_keep]`, folded into emission so a consumer
@@ -110,16 +114,40 @@ impl JoinOp {
     /// Create a join; `right_arity` is needed to compute the non-key
     /// columns of the right side that survive into the output.
     pub fn new(left_keys: Vec<usize>, right_keys: Vec<usize>, right_arity: usize) -> JoinOp {
+        JoinOp::with_value_keys(left_keys, right_keys, &[], right_arity)
+    }
+
+    /// [`JoinOp::new`] that also equates the `(left, right)` column
+    /// pairs of `value_keys` by value, keeping both columns.
+    pub fn with_value_keys(
+        left_keys: Vec<usize>,
+        right_keys: Vec<usize>,
+        value_keys: &[(usize, usize)],
+        right_arity: usize,
+    ) -> JoinOp {
         let right_keep = (0..right_arity)
             .filter(|i| !right_keys.contains(i))
             .collect();
-        let (left_arr_keys, right_probe) = sorted_key_pairs(&left_keys, &right_keys);
-        let (right_arr_keys, left_probe) = sorted_key_pairs(&right_keys, &left_keys);
+        let (left_vals, right_vals): (Vec<usize>, Vec<usize>) = value_keys.iter().copied().unzip();
+        // Id keys first, value keys after them, each run sorted.
+        let arranged =
+            |keys: &[usize], partner: &[usize], vals: &[usize], partner_vals: &[usize]| {
+                let (mut arr, mut probe) = sorted_key_pairs(keys, partner);
+                let (varr, vprobe) = sorted_key_pairs(vals, partner_vals);
+                arr.extend(varr);
+                probe.extend(vprobe);
+                (arr, probe)
+            };
+        let (left_arr_keys, right_probe) =
+            arranged(&left_keys, &right_keys, &left_vals, &right_vals);
+        let (right_arr_keys, left_probe) =
+            arranged(&right_keys, &left_keys, &right_vals, &left_vals);
         JoinOp {
             left_arr_keys,
             right_probe,
             right_arr_keys,
             left_probe,
+            values: value_keys.len(),
             right_keep,
             out_perm: None,
             scratch: Vec::new(),
@@ -145,6 +173,12 @@ impl JoinOp {
         &self.right_arr_keys
     }
 
+    /// How many arrangement key columns, at the end of each list, are
+    /// value keys ([`IndexedBag::with_values`]).
+    pub fn value_key_count(&self) -> usize {
+        self.values
+    }
+
     /// This operator's work: the rows it has emitted.
     pub fn counters(&self) -> Counters {
         self.counters
@@ -164,6 +198,8 @@ impl JoinOp {
     ) {
         debug_assert_eq!(left.key_cols(), self.left_arr_keys);
         debug_assert_eq!(right.key_cols(), self.right_arr_keys);
+        debug_assert_eq!(left.value_cols(), self.values);
+        debug_assert_eq!(right.value_cols(), self.values);
         let mut emitted = 0;
         let JoinOp {
             right_probe,
@@ -203,21 +239,19 @@ impl JoinOp {
         let JoinOp {
             right_arr_keys,
             left_probe,
+            values,
             right_keep,
             out_perm,
             scratch,
             delta_index,
             ..
         } = self;
+        let values = *values;
         let mut emitted = 0;
         if dl.len() * dr.len() <= NESTED_DELTA_PAIRS {
             for (lt, lm) in dl {
                 for (rt, rm) in dr {
-                    let same_key = left_probe
-                        .iter()
-                        .zip(right_arr_keys.iter())
-                        .all(|(&a, &b)| lt.get(a) == rt.get(b));
-                    if same_key {
+                    if keys_match(lt, left_probe, rt, right_arr_keys, values) {
                         emit(scratch, lt, rt, right_keep, out_perm, lm * rm, out);
                         emitted += 1;
                     }
@@ -236,18 +270,15 @@ impl JoinOp {
             small
                 .iter()
                 .enumerate()
-                .map(|(i, (t, _))| (t.hash_projected(small_cols), i as u32)),
+                .map(|(i, (t, _))| (key_hash(t, small_cols, values), i as u32)),
         );
         delta_index.sort_unstable();
         for (bt, bm) in big {
-            let key = bt.key_ref(big_cols);
-            let start = delta_index.partition_point(|&(h, _)| h < key.hash());
-            for &(_, i) in delta_index[start..]
-                .iter()
-                .take_while(|&&(h, _)| h == key.hash())
-            {
+            let hash = key_hash(bt, big_cols, values);
+            let start = delta_index.partition_point(|&(h, _)| h < hash);
+            for &(_, i) in delta_index[start..].iter().take_while(|&&(h, _)| h == hash) {
                 let (st, sm) = &small[i as usize];
-                if key.matches_projection(st, small_cols) {
+                if keys_match(bt, big_cols, st, small_cols, values) {
                     let (lt, rt) = if index_left { (st, bt) } else { (bt, st) };
                     emit(scratch, lt, rt, right_keep, out_perm, sm * bm, out);
                     emitted += 1;

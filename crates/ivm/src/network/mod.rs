@@ -228,13 +228,20 @@ impl DataflowNetwork {
     }
 
     /// ` arr{0,4}: 112k ×3, 97% inline` per arrangement of `id` — key
-    /// columns, tuples held, readers, share of keys whose tuples sit in
-    /// the table entry — for the `:stats` rendering.
+    /// columns (`~3` for a value join's column 3), tuples held, readers,
+    /// share of keys whose tuples sit in the table entry — for the
+    /// `:stats` rendering.
     fn arrangement_note(&self, id: NodeId) -> String {
         use std::fmt::Write;
         let mut note = String::new();
         for a in live(&self.arrangements[id.ix()]) {
-            let cols: Vec<String> = a.bag.key_cols().iter().map(|c| c.to_string()).collect();
+            let keys = a.bag.key_cols();
+            let ids = keys.len() - a.bag.value_cols();
+            let cols: Vec<String> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, c)| format!("{}{c}", if i < ids { "" } else { "~" }))
+                .collect();
             let n = a.bag.distinct_len();
             let size = if n < 1000 {
                 n.to_string()

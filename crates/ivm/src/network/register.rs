@@ -169,9 +169,9 @@ impl<'s> Bags<'s> {
     }
 
     /// Record `bag` as `id`'s memoised bag, consolidating it first unless
-    /// `kind`'s output is consolidated by construction.
-    fn keep(&mut self, id: NodeId, kind: &NodeKind, mut bag: Delta) {
-        if !kind.output_consolidated() {
+    /// it is `consolidated` by construction.
+    fn keep(&mut self, id: NodeId, consolidated: bool, mut bag: Delta) {
+        if !consolidated {
             bag.consolidate_in_place();
         }
         self.resolved.insert(id, bag);
@@ -407,15 +407,22 @@ impl DataflowNetwork {
                 right,
                 left_keys,
                 right_keys,
+                value_keys,
             } => {
-                let op = JoinOp::new(left_keys.clone(), right_keys.clone(), right.schema().len());
+                let op = JoinOp::with_value_keys(
+                    left_keys.clone(),
+                    right_keys.clone(),
+                    value_keys,
+                    right.schema().len(),
+                );
                 let l = self.instantiate(left, g, sorted, bags);
                 let r = self.instantiate(right, g, sorted, bags);
+                let values = op.value_key_count();
                 NodeKind::Join {
                     left: l,
                     right: r,
-                    left_arr: self.arrange(l, op.left_arrangement_keys(), bags),
-                    right_arr: self.arrange(r, op.right_arrangement_keys(), bags),
+                    left_arr: self.arrange(l, op.left_arrangement_keys(), values, bags),
+                    right_arr: self.arrange(r, op.right_arrangement_keys(), values, bags),
                     op,
                 }
             }
@@ -432,7 +439,7 @@ impl DataflowNetwork {
                 NodeKind::SemiJoin {
                     left: l,
                     right: r,
-                    left_arr: self.arrange(l, op.left_arrangement_keys(), bags),
+                    left_arr: self.arrange(l, op.left_arrangement_keys(), 0, bags),
                     op,
                 }
             }
@@ -501,18 +508,25 @@ impl DataflowNetwork {
     }
 
     /// Take a reader's share of `producer`'s arrangement keyed by
-    /// `keys` (sorted), building it from the node's streamed rows if no
-    /// consumer reads that key set yet. Returns the slot.
-    fn arrange(&mut self, producer: NodeId, keys: &[usize], bags: &mut Bags<'_>) -> u32 {
+    /// `keys` (sorted), the last `values` of them by value, building it
+    /// from the node's streamed rows if no consumer reads that key set
+    /// yet. Returns the slot.
+    fn arrange(
+        &mut self,
+        producer: NodeId,
+        keys: &[usize],
+        values: usize,
+        bags: &mut Bags<'_>,
+    ) -> u32 {
         let arrs = &mut self.arrangements[producer.ix()];
         if let Some(ix) = arrs
             .iter()
-            .position(|a| a.readers > 0 && a.bag.key_cols() == keys)
+            .position(|a| a.readers > 0 && a.bag.key_cols() == keys && a.bag.value_cols() == values)
         {
             arrs[ix].readers += 1;
             return ix as u32;
         }
-        let mut bag = IndexedBag::new(keys.to_vec());
+        let mut bag = IndexedBag::with_values(keys.to_vec(), values);
         self.feed(producer, bags, &mut bag);
         let arr = Arrangement { bag, readers: 1 };
         let arrs = &mut self.arrangements[producer.ix()];
@@ -574,7 +588,12 @@ impl DataflowNetwork {
         }
         if let Some(bag) = produced.filter(|_| !hit) {
             bags.enumerations += 1;
-            bags.keep(id, kind, bag);
+            // A ⋈*'s deltas can retract and re-assert a row, but its
+            // first load is one row per (left row, trie node) over a
+            // consolidated left bag: consolidated already.
+            let consolidated =
+                kind.output_consolidated() || matches!(kind, NodeKind::VarLength { .. });
+            bags.keep(id, consolidated, bag);
         }
     }
 
@@ -684,7 +703,7 @@ impl DataflowNetwork {
             let mut bag = Delta::new();
             bags.enumerations += 1;
             self.replay_memories(cur, &mut bag);
-            bags.keep(cur, &self.node(cur).kind, bag);
+            bags.keep(cur, self.node(cur).kind.output_consolidated(), bag);
             source = Source::Memo;
         }
         let consolidated = program.is_none_or(TupleProgram::is_filter)

@@ -745,6 +745,28 @@ mod tests {
         assert_eq!(op.path_count(), 3);
     }
 
+    /// The first load's bag is what the network memoises without
+    /// consolidating it: two left rows on one source, over a diamond
+    /// `s → a → t`, `s → b → t`, give one row per (left row, path) —
+    /// its own consolidation.
+    #[test]
+    fn initial_bag_is_its_own_consolidation() {
+        let mut g = PropertyGraph::new();
+        let [s, a, b, t] = [0; 4].map(|_| g.add_vertex([sym("N")], Properties::new()).0);
+        for (x, y) in [(s, a), (s, b), (a, t), (b, t)] {
+            g.add_edge(x, y, sym("R"), Properties::new()).unwrap();
+        }
+        let left: Delta = [1, 2]
+            .map(|tag| (Tuple::new(vec![Value::Node(s), Value::Int(tag)]), 1))
+            .into_iter()
+            .collect();
+        let mut op = VarLengthOp::new(2, 0, &spec(1, None));
+        let bag = op.initial(&g, left);
+        // Per left row: s→a, s→b, s→a→t, s→b→t.
+        assert_eq!(bag.len(), 8);
+        assert_eq!(bag.clone().consolidate(), bag);
+    }
+
     #[test]
     fn only_anchored_paths_are_kept() {
         let (g, vs) = chain(4); // 0→1→2→3: six paths, three from v0

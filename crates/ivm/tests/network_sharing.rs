@@ -60,6 +60,7 @@ fn edge_join(src: &str, edge: &str, dst: &str) -> Fra {
         right: Box::new(keyed_scan(src, "A")),
         left_keys: vec![0],
         right_keys: vec![0],
+        value_keys: vec![],
     }
 }
 

@@ -47,6 +47,7 @@ fn join_over_two_scans_via_edges() {
         right: Box::new(edges),
         left_keys: vec![0],
         right_keys: vec![0],
+        value_keys: vec![],
     };
 
     let mut g = PropertyGraph::new();

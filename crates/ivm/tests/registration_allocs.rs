@@ -1,12 +1,14 @@
 //! Registration allocates for what it keeps, not for what passes
 //! through it. Cold: the rows of a join that only feeds a σ are
-//! streamed, not materialised — `view_churn`'s cold two-hop view on a
+//! streamed, not materialised — `view_churn`'s cold two-hop view, its
+//! `a.country = c.country` written so that no join can key on it, on a
 //! graph where the two-hop join is 8 × the result. Fully shared: an
 //! alpha-renamed twin of a registered view allocates the same bytes
 //! whatever the size of the result it shares. Work counts, not timings —
 //! this test binary counts every allocation and its bytes through its
 //! own global allocator (nothing in the library counts), on the thread
-//! that measures only.
+//! that measures only. Beside them, the work the value key saves: what
+//! one new edge makes `view_churn`'s own cold view join.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -78,6 +80,12 @@ static GLOBAL: Counting = Counting;
 const COLD: &str = "MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person) \
                     WHERE a.country = c.country RETURN a, c";
 
+/// COLD with its σ as a difference: the same rows, but no `x = y`
+/// between two columns, so the planner keeps the join keyed on `b` alone
+/// and the σ filters all of its rows.
+const COLD_UNKEYED: &str = "MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person) \
+                            WHERE a.country - c.country = 0 RETURN a, c";
+
 /// `persons` people in 8 countries (`i mod 8`), each KNOWS the next 8:
 /// out- and in-degree 8, so the two-hop join has 64 rows per person, and
 /// `a → a + k → a + k + j` stays in the country for `k + j ∈ {8, 16}`:
@@ -102,10 +110,13 @@ fn graph(persons: usize) -> PropertyGraph {
     g
 }
 
-/// `(|KNOWS|, |⋈|, |result|, allocations of the registration)`.
+/// `(|KNOWS|, |⋈|, |result|, allocations of the registration)` of
+/// COLD_UNKEYED.
 fn register_cold(persons: usize) -> (u64, u64, u64, u64) {
     let g = graph(persons);
-    let fra = compile_query(&parse_query(COLD).unwrap()).unwrap().fra;
+    let fra = compile_query(&parse_query(COLD_UNKEYED).unwrap())
+        .unwrap()
+        .fra;
     let mut net = DataflowNetwork::new();
     let before = counts().0;
     let sid = net.register("cold", &fra, &g);
@@ -139,6 +150,30 @@ fn cold_registration_allocates_with_input_and_output_not_with_the_join() {
         "{grown} more allocations for {} more join rows",
         join10 - join
     );
+}
+
+/// COLD's ⋈ keys on `b` and, by value, on `a.country = c.country`. A
+/// new `KNOWS` edge meets the 8 edges out of its target and the 8 into
+/// its source, and of each 8 exactly one ends in the other end's
+/// country: the ⋈ emits those 2 rows, where keyed on `b` alone it emitted
+/// all 16 for the σ to drop 14.
+#[test]
+fn a_new_edge_makes_the_value_keyed_join_emit_only_what_its_sigma_keeps() {
+    let mut g = graph(600);
+    let fra = compile_query(&parse_query(COLD).unwrap()).unwrap().fra;
+    let mut net = DataflowNetwork::new();
+    let sid = net.register("cold", &fra, &g);
+    let rows = net.view(sid).row_count();
+    let mut ids: Vec<_> = g.vertex_ids().collect();
+    ids.sort();
+    let knows = Symbol::intern("KNOWS");
+    let (_, ev) = g
+        .add_edge(ids[0], ids[300], knows, Properties::new())
+        .unwrap();
+    let before = net.counters().join_tuples_emitted;
+    net.on_transaction(&g, &[ev]);
+    assert_eq!(net.counters().join_tuples_emitted - before, 2);
+    assert_eq!(net.view(sid).row_count(), rows + 2);
 }
 
 /// `(|result|, bytes allocated by registering COLD's alpha-renamed twin)`

@@ -161,6 +161,7 @@ fn registration_produces_each_bag_at_most_once() {
         right: Box::new(knows("b2", "c")),
         left_keys: vec![2],
         right_keys: vec![0],
+        value_keys: vec![],
     };
     let filtered = |op: BinOp, l: usize, r: usize| Fra::Filter {
         input: Box::new(two_hop()),
@@ -175,12 +176,14 @@ fn registration_produces_each_bag_at_most_once() {
         right: Box::new(filtered(BinOp::Neq, 0, 2)),
         left_keys: vec![2],
         right_keys: vec![2],
+        value_keys: vec![],
     };
     let plan = Fra::HashJoin {
         left: Box::new(pair),
         right: Box::new(filtered(BinOp::Neq, 1, 3)),
         left_keys: vec![2],
         right_keys: vec![2],
+        value_keys: vec![],
     };
     let mut net = DataflowNetwork::new();
     let literal = RegisterOptions {

@@ -49,6 +49,7 @@ fn join_plan() -> Fra {
             right: Box::new(edges("a", "b", "R")),
             left_keys: vec![0],
             right_keys: vec![0],
+            value_keys: vec![],
         }),
     }
 }

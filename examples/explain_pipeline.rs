@@ -13,6 +13,8 @@ fn main() {
         "MATCH t = (p:Post)-[:REPLY*]->(c:Comm) WHERE p.lang = c.lang RETURN p, t",
         // Plain join with property filter.
         "MATCH (a:Person)-[:KNOWS]->(b:Person) WHERE a.country = b.country RETURN a, b",
+        // Pure value join: no shared variable, so the equality keys the ⋈.
+        "MATCH (a:Person), (b:Person) WHERE a.country = b.country RETURN a, b",
         // Aggregation extension.
         "MATCH (p:Post) RETURN p.lang AS lang, count(*) AS posts",
         // Path unwinding.

@@ -1431,6 +1431,7 @@ fn hand_built_fold_plans() -> Vec<(String, pgq_algebra::Fra)> {
         }),
         left_keys: vec![0],
         right_keys: vec![0],
+        value_keys: vec![],
     };
     // Columns: a, ab, b, a.c1, a.c2, bc, c.
     let two_hop = Fra::HashJoin {
@@ -1438,6 +1439,7 @@ fn hand_built_fold_plans() -> Vec<(String, pgq_algebra::Fra)> {
         right: Box::new(knows("b", "c", vec![])),
         left_keys: vec![2],
         right_keys: vec![0],
+        value_keys: vec![],
     };
     let item = |c: usize, n: &str| (ScalarExpr::Col(c), n.to_string());
     // Columns: a, ab, b, b.country.
@@ -1451,6 +1453,7 @@ fn hand_built_fold_plans() -> Vec<(String, pgq_algebra::Fra)> {
         }),
         left_keys: vec![2],
         right_keys: vec![0],
+        value_keys: vec![],
     };
     vec![
         ("target".into(), on_target),
