@@ -12,9 +12,10 @@
 //! comparisons on), and adds and removes people and edges.
 //!
 //! The work bound: the pure value join is no longer a product. Loaded in
-//! one transaction, its ⋈ emits exactly its result, at n and at 10 n
-//! people, where the product emitted n²; a one-shot read scans each
-//! person once per side.
+//! one transaction, its ⋈ emits at most its input and result, at n and at
+//! 10 n people, where a product emits n²; a one-shot read scans no more.
+//! And a value-keyed join the one-shot evaluator expands from its key
+//! vertices checks the value key on every row it reads.
 
 use pgq::prelude::*;
 use pgq_algebra::canon::canonicalize;
@@ -264,6 +265,77 @@ fn value_join_work_bound() {
         assert!(
             scanned <= inputs + result,
             "{scanned} rows scanned for {inputs} people and {result} results"
+        );
+    }
+}
+
+/// A value-keyed join the one-shot evaluator expands — reads its right
+/// side from the adjacency of the vertices its left side binds
+/// (`expand.rs`) — still files and probes every row it reads under the
+/// value key: on a ring of 1 000 people whose countries cycle through
+/// `1`, `1.0`, `"1"` and `null`, the keyed one-hop equals the reference
+/// from every kind of anchor and reads only the anchor and its 4 edges.
+#[test]
+fn an_expanded_value_join_checks_its_value_key_on_every_row() {
+    let countries = [
+        Value::Int(1),
+        Value::float(1.0),
+        Value::str("1"),
+        Value::Null,
+    ];
+    let mut g = PropertyGraph::new();
+    let people: Vec<VertexId> = (0..1_000)
+        .map(|i| {
+            let props = Properties::from_iter([
+                ("id", Value::Int(i as i64)),
+                ("country", countries[i % 4].clone()),
+            ]);
+            g.add_vertex([s("Person")], props).0
+        })
+        .collect();
+    for i in 0..people.len() {
+        for k in 1..=4 {
+            g.add_edge(
+                people[i],
+                people[(i + k) % people.len()],
+                s("KNOWS"),
+                Properties::new(),
+            )
+            .unwrap();
+        }
+    }
+    let mut engine = GraphEngine::from_graph(g);
+    let hop = |k: usize| {
+        format!("MATCH (a:Person {{id: {k}}})-[:KNOWS]->(b:Person) WHERE a.country = b.country RETURN b")
+    };
+    let explain = engine.explain(&hop(0)).unwrap();
+    let one_shot = explain
+        .split("== One-shot")
+        .nth(1)
+        .expect("a one-shot plan");
+    assert!(
+        one_shot
+            .lines()
+            .any(|l| l.contains("by value") && l.contains("← expand")),
+        "{one_shot}"
+    );
+    for k in 0..8 {
+        let q = hop(k);
+        // `execute` builds the `Person.id` index the anchor seeks.
+        let read = engine.execute(&q).unwrap();
+        let written = compile_query(&parse_query(&q).unwrap()).unwrap().fra;
+        let want = bag(pgq_eval_reference::evaluate_consolidated(
+            &written,
+            engine.graph(),
+        ));
+        assert_eq!(bag(read.rows.into_iter().map(|t| (t, 1))), want, "{q}");
+        // The next four people hold each country once: `1` meets `1`
+        // and `1.0`, `1.0` the same two, `"1"` only `"1"`, `null` none.
+        assert_eq!(want.len(), [2, 2, 1, 0][k % 4], "{q}");
+        assert!(
+            read.rows_scanned <= 1 + 4,
+            "{q}: {} rows",
+            read.rows_scanned
         );
     }
 }
