@@ -3,10 +3,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Direction of an edge pattern relative to its left endpoint.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Direction {
     /// `(a)-[...]->(b)`
     Out,

@@ -7,11 +7,10 @@
 //! symbols are stable for the process lifetime.
 
 use std::fmt;
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, RwLock};
 
 use crate::fxhash::FxHashMap;
+use crate::sync::{read, write};
 
 /// An interned string. Cheap to copy, O(1) to compare.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -46,12 +45,12 @@ impl Symbol {
     /// Intern `s`, returning its symbol. Idempotent.
     pub fn intern(s: &str) -> Symbol {
         {
-            let guard = interner().read();
+            let guard = read(interner());
             if let Some(&id) = guard.map.get(s) {
                 return Symbol(id);
             }
         }
-        let mut guard = interner().write();
+        let mut guard = write(interner());
         if let Some(&id) = guard.map.get(s) {
             return Symbol(id);
         }
@@ -64,12 +63,12 @@ impl Symbol {
 
     /// Resolve the symbol back to its string.
     pub fn resolve(self) -> Arc<str> {
-        interner().read().strings[self.0 as usize].clone()
+        read(interner()).strings[self.0 as usize].clone()
     }
 
     /// Run `f` with the symbol's string without cloning the `Arc`.
     pub fn with_str<R>(self, f: impl FnOnce(&str) -> R) -> R {
-        f(&interner().read().strings[self.0 as usize])
+        f(&read(interner()).strings[self.0 as usize])
     }
 
     /// Numeric id of the symbol (for dense side tables).

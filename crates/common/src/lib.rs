@@ -18,7 +18,8 @@
 //!   atomic unit exactly as Section 4 of the paper prescribes;
 //! * [`pool`] — a persistent broadcast worker pool for the IVM
 //!   scheduler's intra-transaction parallelism (the width the engine
-//!   parses from `PGQ_THREADS`).
+//!   parses from `PGQ_THREADS`);
+//! * [`sync`] — non-poisoning acquisition of `std::sync` locks.
 
 pub mod dir;
 pub mod error;
@@ -28,6 +29,7 @@ pub mod intern;
 pub mod ordf;
 pub mod path;
 pub mod pool;
+pub mod sync;
 pub mod text;
 pub mod tuple;
 pub mod value;

@@ -9,13 +9,11 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use serde::{Deserialize, Serialize};
-
 /// A total-order, hash-consistent wrapper around `f64`.
 ///
 /// All NaNs compare equal (and greater than every number, mirroring the
 /// openCypher "NaN sorts last" rule); `-0.0 == 0.0` and both hash alike.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct OrdF64(pub f64);
 
 impl OrdF64 {

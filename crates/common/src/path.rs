@@ -10,8 +10,6 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use serde::{Deserialize, Serialize};
-
 use crate::fxhash::FxHasher;
 use crate::ids::{EdgeId, VertexId};
 
@@ -26,40 +24,12 @@ use crate::ids::{EdgeId, VertexId};
 /// content hash is computed once at construction and cached; `Hash` then
 /// costs one `u64` write regardless of path length, and `Eq` rejects
 /// unequal paths in O(1) via the hash fast path.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-#[serde(from = "PathParts", into = "PathParts")]
+#[derive(Clone, Debug)]
 pub struct PathValue {
     vertices: Vec<VertexId>,
     edges: Vec<EdgeId>,
     /// Cached content hash (function of `vertices` + `edges` only).
-    /// Never serialised — see [`PathParts`].
     hash: u64,
-}
-
-/// Serialisation surrogate for [`PathValue`]: content only, so the
-/// cached hash is recomputed (not trusted) on deserialisation once the
-/// real `serde` replaces the offline shim.
-#[derive(Clone, Serialize, Deserialize)]
-pub struct PathParts {
-    /// Path vertices, in order.
-    pub vertices: Vec<VertexId>,
-    /// Path edges, in order.
-    pub edges: Vec<EdgeId>,
-}
-
-impl From<PathParts> for PathValue {
-    fn from(p: PathParts) -> PathValue {
-        PathValue::new(p.vertices, p.edges)
-    }
-}
-
-impl From<PathValue> for PathParts {
-    fn from(p: PathValue) -> PathParts {
-        PathParts {
-            vertices: p.vertices,
-            edges: p.edges,
-        }
-    }
 }
 
 fn content_hash(vertices: &[VertexId], edges: &[EdgeId]) -> u64 {

@@ -21,10 +21,10 @@
 //! the same per-node step as at any other width.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex};
+use crate::sync::{lock, wait_while};
 
 /// The job slot: a lifetime-erased pointer to the broadcast closure.
 ///
@@ -121,7 +121,7 @@ impl WorkerPool {
             job(0);
             return;
         }
-        let _serial = self.broadcast_lock.lock();
+        let _serial = lock(&self.broadcast_lock);
         // Erase the closure's lifetime for the job slot; see `JobPtr`.
         let ptr: *const (dyn Fn(usize) + Sync + '_) = &job;
         // Safety: pointer-only transmute widening the trait-object
@@ -133,7 +133,7 @@ impl WorkerPool {
             >(ptr)
         });
         {
-            let mut s = self.shared.state.lock();
+            let mut s = lock(&self.shared.state);
             debug_assert_eq!(s.running, 0, "previous broadcast fully drained");
             s.epoch += 1;
             s.job = Some(ptr);
@@ -143,8 +143,9 @@ impl WorkerPool {
         self.shared.work_cv.notify_all();
         let caller_result = catch_unwind(AssertUnwindSafe(|| job(0)));
         let worker_panic = {
-            let mut s = self.shared.state.lock();
-            self.shared.done_cv.wait_while(&mut s, |s| s.running > 0);
+            let mut s = wait_while(&self.shared.done_cv, lock(&self.shared.state), |s| {
+                s.running > 0
+            });
             s.job = None;
             s.panic.take()
         };
@@ -159,10 +160,7 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        {
-            let mut s = self.shared.state.lock();
-            s.shutdown = true;
-        }
+        lock(&self.shared.state).shutdown = true;
         self.shared.work_cv.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -174,10 +172,9 @@ fn worker_main(shared: &PoolShared, ix: usize) {
     let mut seen_epoch = 0u64;
     loop {
         let job = {
-            let mut s = shared.state.lock();
-            shared
-                .work_cv
-                .wait_while(&mut s, |s| !s.shutdown && s.epoch == seen_epoch);
+            let s = wait_while(&shared.work_cv, lock(&shared.state), |s| {
+                !s.shutdown && s.epoch == seen_epoch
+            });
             if s.shutdown {
                 return;
             }
@@ -187,7 +184,7 @@ fn worker_main(shared: &PoolShared, ix: usize) {
         // Safety: `broadcast` keeps the closure alive until `running`
         // drains to zero, which happens strictly after this call.
         let result = catch_unwind(AssertUnwindSafe(|| unsafe { (*job.0)(ix) }));
-        let mut s = shared.state.lock();
+        let mut s = lock(&shared.state);
         if let Err(payload) = result {
             if s.panic.is_none() {
                 s.panic = Some(payload);
@@ -234,25 +231,33 @@ mod tests {
         assert_eq!(ran.load(Ordering::Relaxed), 1);
     }
 
+    /// A panic on a spawned worker (`ix == 1`) and on the caller's side
+    /// (`ix == 0`) both re-raise while `broadcast_lock` is held, which
+    /// poisons a `std` mutex: every later broadcast must still run.
     #[test]
     fn worker_panic_propagates_and_pool_survives() {
         let pool = WorkerPool::new(3);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.broadcast(|ix| {
-                if ix == 1 {
-                    panic!("worker 1 fails");
-                }
+        for (failing, message) in [(1, "worker 1 fails"), (0, "the caller fails")] {
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.broadcast(|ix| {
+                    if ix == failing {
+                        panic!("{message}");
+                    }
+                });
+            }));
+            // The original payload must survive, not a generic pool error.
+            let payload = result.unwrap_err();
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some(message)
+            );
+            // The pool must still work after the panic.
+            let total = AtomicUsize::new(0);
+            pool.broadcast(|_| {
+                total.fetch_add(1, Ordering::Relaxed);
             });
-        }));
-        // The original payload must survive, not a generic pool error.
-        let payload = result.unwrap_err();
-        assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker 1 fails"));
-        // The pool must still work after the panic.
-        let total = AtomicUsize::new(0);
-        pool.broadcast(|_| {
-            total.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 3);
+            assert_eq!(total.load(Ordering::Relaxed), 3);
+        }
     }
 
     #[test]

@@ -35,10 +35,10 @@
 
 use std::io;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use pgq_common::fxhash::FxHashMap;
+use pgq_common::sync::lock;
 
 /// How eagerly durable writes are flushed to stable storage.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -271,27 +271,27 @@ impl MemDisk {
 
     /// Mutating operations attempted so far through any handle.
     pub fn ops_attempted(&self) -> u64 {
-        self.0.lock().ops_attempted
+        lock(&self.0).ops_attempted
     }
 
     /// Bytes offered to writes so far through any handle.
     pub fn bytes_attempted(&self) -> u64 {
-        self.0.lock().bytes_attempted
+        lock(&self.0).bytes_attempted
     }
 
     /// Current length of `name`, if present.
     pub fn len(&self, name: &str) -> Option<usize> {
-        self.0.lock().files.get(name).map(|f| f.bytes.len())
+        lock(&self.0).files.get(name).map(|f| f.bytes.len())
     }
 
     /// Total bytes currently on the disk (the bounded-disk metric).
     pub fn total_len(&self) -> usize {
-        self.0.lock().files.values().map(|f| f.bytes.len()).sum()
+        lock(&self.0).files.values().map(|f| f.bytes.len()).sum()
     }
 
     /// Names of all files currently present (sorted).
     pub fn file_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.0.lock().files.keys().cloned().collect();
+        let mut names: Vec<String> = lock(&self.0).files.keys().cloned().collect();
         names.sort();
         names
     }
@@ -299,7 +299,7 @@ impl MemDisk {
     /// What a power cut would leave, as a new disk: every file cut back
     /// to what [`Vfs::sync`] or [`Vfs::write_atomic`] made durable.
     pub fn after_power_cut(&self) -> MemDisk {
-        let inner = self.0.lock();
+        let inner = lock(&self.0);
         let files = inner.files.iter().map(|(name, f)| {
             let bytes = f.bytes[..f.synced.min(f.bytes.len())].to_vec();
             let synced = bytes.len();
@@ -314,7 +314,7 @@ impl MemDisk {
     /// XOR `mask` into byte `offset` of `name` (bit-flip injection).
     /// Returns false when the file or offset does not exist.
     pub fn corrupt(&self, name: &str, offset: usize, mask: u8) -> bool {
-        let mut inner = self.0.lock();
+        let mut inner = lock(&self.0);
         match inner
             .files
             .get_mut(name)
@@ -330,7 +330,7 @@ impl MemDisk {
 
     /// Truncate `name` to `new_len` bytes (torn-tail injection).
     pub fn truncate(&self, name: &str, new_len: usize) {
-        if let Some(f) = self.0.lock().files.get_mut(name) {
+        if let Some(f) = lock(&self.0).files.get_mut(name) {
             f.bytes.truncate(new_len);
             f.synced = f.synced.min(new_len);
         }
@@ -351,7 +351,7 @@ pub struct MemVfs {
 impl MemVfs {
     /// Bytes of write budget left (`None` = unlimited).
     pub fn fuse_remaining(&self) -> Option<u64> {
-        *self.remaining.lock()
+        *lock(&self.remaining)
     }
 
     /// Has the fuse blown (budget exhausted)?
@@ -363,24 +363,24 @@ impl MemVfs {
     /// any.
     fn next_op_fault(&self) -> Option<Fault> {
         let idx = {
-            let mut inner = self.disk.0.lock();
+            let mut inner = lock(&self.disk.0);
             let idx = inner.ops_attempted;
             inner.ops_attempted += 1;
             idx
         };
-        let mut plan = self.faults.lock();
+        let mut plan = lock(&self.faults);
         let pos = plan.iter().position(|(at, _)| *at == idx)?;
         Some(plan.swap_remove(pos).1)
     }
 
     fn count_bytes(&self, n: usize) {
-        self.disk.0.lock().bytes_attempted += n as u64;
+        lock(&self.disk.0).bytes_attempted += n as u64;
     }
 }
 
 impl Vfs for MemVfs {
     fn read(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
-        Ok(self.disk.0.lock().files.get(name).map(|f| f.bytes.clone()))
+        Ok(lock(&self.disk.0).files.get(name).map(|f| f.bytes.clone()))
     }
 
     fn append(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
@@ -392,7 +392,7 @@ impl Vfs for MemVfs {
             if fault == Fault::ShortWrite {
                 let cut = bytes.len() / 2;
                 if cut > 0 {
-                    let mut inner = self.disk.0.lock();
+                    let mut inner = lock(&self.disk.0);
                     inner
                         .files
                         .entry(name.to_string())
@@ -409,7 +409,7 @@ impl Vfs for MemVfs {
         // Crash fuse: the prefix that fits lands (a torn record); the
         // budget drains by the full attempt either way, and the caller
         // never sees an error.
-        let mut remaining = self.remaining.lock();
+        let mut remaining = lock(&self.remaining);
         let landed = match *remaining {
             None => bytes.len(),
             Some(ref mut r) => {
@@ -419,7 +419,7 @@ impl Vfs for MemVfs {
             }
         };
         if landed > 0 {
-            let mut inner = self.disk.0.lock();
+            let mut inner = lock(&self.disk.0);
             inner
                 .files
                 .entry(name.to_string())
@@ -440,13 +440,13 @@ impl Vfs for MemVfs {
             if fault == Fault::TornRename {
                 // The nastiest legal outcome of a torn rename without a
                 // directory sync: old unlinked, new never linked.
-                self.disk.0.lock().files.remove(name);
+                lock(&self.disk.0).files.remove(name);
             }
             // Every other fault leaves the visible file untouched (the
             // temp file absorbed the failure).
             return Err(fault.to_error());
         }
-        let mut remaining = self.remaining.lock();
+        let mut remaining = lock(&self.remaining);
         let lands = match *remaining {
             None => true,
             Some(ref mut r) => {
@@ -462,7 +462,7 @@ impl Vfs for MemVfs {
             }
         };
         if lands {
-            self.disk.0.lock().files.insert(
+            lock(&self.disk.0).files.insert(
                 name.to_string(),
                 FileBuf {
                     bytes: bytes.to_vec(),
@@ -477,16 +477,16 @@ impl Vfs for MemVfs {
         if let Some(fault) = self.next_op_fault() {
             return Err(fault.to_error());
         }
-        let alive = !matches!(*self.remaining.lock(), Some(0));
+        let alive = !matches!(*lock(&self.remaining), Some(0));
         if alive {
-            self.disk.0.lock().files.remove(name);
+            lock(&self.disk.0).files.remove(name);
         }
         Ok(())
     }
 
     fn sync(&self, name: &str) -> io::Result<()> {
         let fault = self.next_op_fault();
-        let mut inner = self.disk.0.lock();
+        let mut inner = lock(&self.disk.0);
         let Some(f) = inner.files.get_mut(name) else {
             // Syncing a missing file: report the scheduled fault if
             // any, otherwise succeed vacuously.

@@ -365,7 +365,7 @@ impl<'a> Iterator for BucketIter<'a> {
 ///
 /// The last `values` key columns, if any, are a value join's: they hash
 /// and compare under `pgq_graph::index::join_key`, so `7` meets `7.0`
-/// and a `null` there meets nothing ([`key_hash`], [`keys_match`]). A bag
+/// and a `null` there meets nothing (`key_hash`, `keys_match`). A bag
 /// without them takes the plain path.
 #[derive(Clone, Debug, Default)]
 pub struct IndexedBag {

@@ -56,9 +56,10 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
 use pgq_common::pool::WorkerPool;
+use pgq_common::sync::lock;
 use pgq_graph::delta::ChangeEvent;
 use pgq_graph::store::PropertyGraph;
 
@@ -345,7 +346,7 @@ fn run_level(
                 for c in (ix..w).chain(0..ix) {
                     let share = &cells[..(c + 1) * n / w];
                     while let Some(cell) = share.get(cursors[c].fetch_add(1, Ordering::Relaxed)) {
-                        let (kind, consumer, step) = &mut *cell.lock();
+                        let (kind, consumer, step) = &mut *lock(cell);
                         step.run(kind, consumer.as_deref_mut(), pass);
                     }
                 }

@@ -1,8 +1,7 @@
 #![warn(missing_docs)]
 //! # pgq-workloads
 //!
-//! Synthetic workload substrate for the oracles, the examples and the
-//! `many_views` bench:
+//! Synthetic workload substrate for the oracles and the examples:
 //!
 //! * [`example`] — the paper's Section 2 running example;
 //! * [`social`] — an LDBC-SNB-inspired social network with reply trees

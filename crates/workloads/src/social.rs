@@ -275,10 +275,11 @@ pub mod queries {
     pub const POSTS_PER_LANG: &str = "MATCH (p:Post) RETURN p.lang AS lang, count(*) AS posts";
 }
 
-/// Overlapping standing queries over the same Post/REPLY/Comm pattern —
-/// the `many_views` workload. Pure projection variants share everything
-/// below π in the shared dataflow network; WHERE/aggregate variants
-/// share the pattern's scans. Take the first N for an N-view workload.
+/// Overlapping standing queries over the same Post/REPLY/Comm pattern,
+/// the shared-against-private workload of `tests/canonical_sharing.rs`.
+/// Pure projection variants share everything below π in the shared
+/// dataflow network; WHERE/aggregate variants share the pattern's scans.
+/// Take the first N for an N-view workload.
 pub const OVERLAPPING_QUERIES: &[&str] = &[
     "MATCH (p:Post)-[:REPLY]->(c:Comm) RETURN p, c",
     "MATCH (p:Post)-[:REPLY]->(c:Comm) RETURN p",
@@ -299,7 +300,7 @@ pub const OVERLAPPING_QUERIES: &[&str] = &[
 ];
 
 /// A family of standing queries differing **only** in the top-level
-/// `WHERE` predicate — the `shared_where_family` workload. Every member
+/// `WHERE` predicate. Every member
 /// reads the same two property columns (`p.lang`, `c.lang`), so schema
 /// inference pushes identical properties into identical scans and the
 /// whole stateful prefix below each member's private σ is shared in the
@@ -323,8 +324,8 @@ pub const WHERE_FAMILY_QUERIES: &[&str] = &[
     "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE p.lang = 'hu' OR c.lang = 'hu' RETURN p, c",
 ];
 
-/// The `i`-th alpha-renamed copy of `OVERLAPPING_QUERIES[0]` — the
-/// `shared_renamed` workload. Every copy uses fresh variable names, so
+/// The `i`-th alpha-renamed copy of `OVERLAPPING_QUERIES[0]`. Every copy
+/// uses fresh variable names, so
 /// pre-canonicalisation networks built one private chain per copy;
 /// canonical hash-consing collapses all of them onto one.
 pub fn renamed_overlap_query(i: usize) -> String {

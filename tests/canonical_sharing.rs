@@ -3,10 +3,17 @@
 //! add **zero** operator nodes, `WHERE`-only-differing families share their whole stateful
 //! prefix, and the collapsed network delivers each change event once —
 //! all while every view keeps answering with its own schema and the
-//! exact recompute result.
+//! exact recompute result. Overlapping views on one engine pay per
+//! distinct scan, where one private network per view pays per view.
 
+use pgq_algebra::pipeline::compile_query;
 use pgq_core::GraphEngine;
-use pgq_workloads::social::{renamed_overlap_query, WHERE_FAMILY_QUERIES};
+use pgq_ivm::network::NodeSummary;
+use pgq_ivm::MaterializedView;
+use pgq_parser::parse_query;
+use pgq_workloads::social::{
+    generate_social, renamed_overlap_query, SocialParams, OVERLAPPING_QUERIES, WHERE_FAMILY_QUERIES,
+};
 
 fn seeded_engine() -> GraphEngine {
     let mut e = GraphEngine::new();
@@ -374,4 +381,118 @@ fn motif_views_on_a_random_graph_hold_one_wedge_arrangement() {
     };
     assert_eq!(keys.len(), 2, "keyed by the wedge's two end vertices");
     assert_eq!(*readers, 3, "triangle ⋈ and both sides of four-cycle ⋈");
+}
+
+/// A network's work over an update stream: Σ `delivered_events` over
+/// its nodes (the change events routed to its scans) and its node count.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Figure {
+    delivered: u64,
+    nodes: usize,
+}
+
+impl Figure {
+    fn of(nodes: &[NodeSummary]) -> Figure {
+        Figure {
+            delivered: nodes.iter().map(|n| n.delivered_events).sum(),
+            nodes: nodes.len(),
+        }
+    }
+
+    fn plus(self, other: Figure) -> Figure {
+        Figure {
+            delivered: self.delivered + other.delivered,
+            nodes: self.nodes + other.nodes,
+        }
+    }
+}
+
+/// The sharing claims as counts, with no clock: `OVERLAPPING_QUERIES`
+/// on one engine against one private `MaterializedView` per text (the
+/// pre-sharing architecture), over one seeded update stream, at N = 1
+/// and N = 16.
+#[test]
+fn overlapping_views_pay_per_scan_where_private_views_pay_per_view() {
+    let mut social = generate_social(SocialParams::scale(0.1, 42));
+    let stream = social.update_stream(50, (4, 2, 3, 1));
+    let graph = social.graph;
+
+    let shared = |texts: &[&str]| -> Vec<NodeSummary> {
+        let mut e = GraphEngine::from_graph(graph.clone());
+        for (i, q) in texts.iter().enumerate() {
+            e.register_view(&format!("v{i}"), q).unwrap();
+        }
+        for tx in &stream {
+            e.apply(tx).unwrap();
+        }
+        e.network().node_summaries()
+    };
+    let private = |texts: &[&str]| -> Figure {
+        let mut g = graph.clone();
+        let mut views: Vec<MaterializedView> = texts
+            .iter()
+            .enumerate()
+            .map(|(i, q)| {
+                let compiled = compile_query(&parse_query(q).unwrap()).unwrap();
+                MaterializedView::create(format!("p{i}"), &compiled, &g).unwrap()
+            })
+            .collect();
+        for tx in &stream {
+            let events = g.apply(tx).unwrap();
+            for v in &mut views {
+                v.on_transaction(&g, &events);
+            }
+        }
+        views
+            .iter()
+            .map(|v| Figure::of(&v.network().node_summaries()))
+            .fold(Figure::default(), Figure::plus)
+    };
+
+    // N = 1: one view is one network, whichever side builds it.
+    let one = Figure::of(&shared(&OVERLAPPING_QUERIES[..1]));
+    assert_eq!(private(&OVERLAPPING_QUERIES[..1]), one);
+    assert!(one.delivered > 0, "the stream reaches the view's scan");
+
+    // Private, N = 16: nothing is shared, so each view pays its own
+    // network in full — exactly 16× the N = 1 figure for 16 copies of
+    // one text, and for the 16 distinct texts the sum of their own N = 1
+    // figures.
+    assert_eq!(
+        private(&[OVERLAPPING_QUERIES[0]; 16]),
+        Figure {
+            delivered: 16 * one.delivered,
+            nodes: 16 * one.nodes,
+        }
+    );
+    let alone: Vec<Figure> = OVERLAPPING_QUERIES.iter().map(|q| private(&[q])).collect();
+    let private_all = private(OVERLAPPING_QUERIES);
+    assert_eq!(
+        private_all,
+        alone.iter().copied().fold(Figure::default(), Figure::plus)
+    );
+
+    // Shared, N = 16: the 16 texts need five distinct scans — ⇑(REPLY)
+    // reading no property, `p.lang`, `c.lang` or both, and one ©(Post)
+    // reading `lang` below a ⋈ — and each event reaches each scan once,
+    // however many views read it. So the network stays within five times
+    // the widest N = 1 figure: a text whose scan reads `lang` also sees
+    // the stream's retags, so its N = 1 figure exceeds the first text's.
+    const SCANS: u64 = 5;
+    let shared_all = shared(OVERLAPPING_QUERIES);
+    let all = Figure::of(&shared_all);
+    let scans = shared_all
+        .iter()
+        .filter(|n| n.label.starts_with('⇑') || n.label.starts_with('©'))
+        .count();
+    assert_eq!(scans as u64, SCANS, "distinct scans of the 16 texts");
+    let widest = alone.iter().map(|f| f.delivered).max().unwrap();
+    assert!(
+        all.delivered <= SCANS * widest,
+        "shared: {all:?}, widest N = 1 figure {widest}"
+    );
+    assert!(
+        all.delivered < private_all.delivered && all.nodes < private_all.nodes,
+        "shared {all:?} against private {private_all:?}"
+    );
 }

@@ -1,6 +1,6 @@
 //! Regression tests for the planner's catalog-driven fuse/don't-fuse
 //! decision over cyclic regions, pinned at the motif scales the retired
-//! `report` tables and `motifs` criterion suite measured, plus the
+//! `report` tables and `motifs` bench suite measured, plus the
 //! intermediate-row counts that made the ⨝ⁿ case there.
 //!
 //! The decision is a pure function of the region structure and the
