@@ -14,17 +14,6 @@ pub enum Direction {
     Both,
 }
 
-impl Direction {
-    /// The direction seen from the other endpoint.
-    pub fn reverse(self) -> Direction {
-        match self {
-            Direction::Out => Direction::In,
-            Direction::In => Direction::Out,
-            Direction::Both => Direction::Both,
-        }
-    }
-}
-
 impl fmt::Display for Direction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -32,17 +21,5 @@ impl fmt::Display for Direction {
             Direction::In => "<-",
             Direction::Both => "--",
         })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn reverse_is_involution() {
-        for d in [Direction::Out, Direction::In, Direction::Both] {
-            assert_eq!(d.reverse().reverse(), d);
-        }
     }
 }

@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 //! # pgq-common
 //!
 //! Foundation types shared by every crate in the pgq workspace:
@@ -20,6 +20,9 @@
 //!   scheduler's intra-transaction parallelism (the width the engine
 //!   parses from `PGQ_THREADS`);
 //! * [`sync`] — non-poisoning acquisition of `std::sync` locks.
+//!
+//! With [`dir`], [`error`] and [`ordf`], these modules are the public
+//! surface; `tests/public_surface.rs` pins every exported name.
 
 pub mod dir;
 pub mod error;

@@ -144,12 +144,6 @@ impl PathValue {
         self.edges.contains(&e)
     }
 
-    /// Does the path visit `v`?
-    #[inline]
-    pub fn contains_vertex(&self, v: VertexId) -> bool {
-        self.vertices.contains(&v)
-    }
-
     /// `self` extended by one hop over `e` to `w`. The result is a new
     /// path; `self` is untouched (atomic-path discipline).
     pub fn extend(&self, e: EdgeId, w: VertexId) -> Self {
@@ -184,20 +178,6 @@ impl PathValue {
             edges,
             hash,
         })
-    }
-
-    /// Are all traversed edges distinct? Cypher's relationship-isomorphism
-    /// rule requires this of every matched path, and it is what keeps path
-    /// sets finite on cyclic graphs.
-    pub fn edges_distinct(&self) -> bool {
-        let mut seen: Vec<EdgeId> = Vec::with_capacity(self.edges.len());
-        for &e in &self.edges {
-            if seen.contains(&e) {
-                return false;
-            }
-            seen.push(e);
-        }
-        true
     }
 }
 
@@ -271,16 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn edge_distinctness() {
-        let ok = PathValue::single(v(1))
-            .extend(e(1), v(2))
-            .extend(e(2), v(1));
-        assert!(ok.edges_distinct());
-        let bad = PathValue::new(vec![v(1), v(2), v(1)], vec![e(1), e(1)]);
-        assert!(!bad.edges_distinct());
-    }
-
-    #[test]
     fn cached_hash_consistent_with_eq() {
         use std::hash::BuildHasher;
         let h = |p: &PathValue| crate::fxhash::FxBuildHasher::default().hash_one(p);
@@ -312,7 +282,5 @@ mod tests {
         let p = PathValue::single(v(1)).extend(e(7), v(2));
         assert!(p.contains_edge(e(7)));
         assert!(!p.contains_edge(e(8)));
-        assert!(p.contains_vertex(v(2)));
-        assert!(!p.contains_vertex(v(3)));
     }
 }

@@ -18,20 +18,20 @@ pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Read-lock `l`, recovering the guard if a panicking writer poisoned it.
 #[inline]
-pub fn read<T: ?Sized>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+pub(crate) fn read<T: ?Sized>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     l.read().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Write-lock `l`, recovering the guard if a panicking writer poisoned it.
 #[inline]
-pub fn write<T: ?Sized>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+pub(crate) fn write<T: ?Sized>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Park on `cv` until `condition` is false (re-checked after every
 /// wakeup), recovering the re-acquired guard as [`lock`] does.
 #[inline]
-pub fn wait_while<'a, T>(
+pub(crate) fn wait_while<'a, T>(
     cv: &Condvar,
     guard: MutexGuard<'a, T>,
     condition: impl FnMut(&mut T) -> bool,

@@ -41,7 +41,7 @@ impl Text {
     /// The string. An inline one is checked as UTF-8 on each read (at
     /// most 14 bytes, safe code has no unchecked view).
     #[inline]
-    pub fn as_str(&self) -> &str {
+    pub(crate) fn as_str(&self) -> &str {
         match &self.0 {
             Repr::Inline { len, bytes } => std::str::from_utf8(&bytes[..*len as usize])
                 .expect("inline text is built from a whole str"),
@@ -51,7 +51,7 @@ impl Text {
 
     /// The string's UTF-8 bytes.
     #[inline]
-    pub fn as_bytes(&self) -> &[u8] {
+    pub(crate) fn as_bytes(&self) -> &[u8] {
         match &self.0 {
             Repr::Inline { len, bytes } => &bytes[..*len as usize],
             Repr::Heap(s) => s.as_bytes(),

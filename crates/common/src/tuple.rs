@@ -6,26 +6,19 @@
 //! Tuples are `Eq + Hash` so they can key multiplicity maps in the IVM
 //! network.
 //!
-//! # Borrowed keys and scratch buffers
+//! # Borrowed keys
 //!
-//! The IVM hot path probes join memories once per delta entry and emits
-//! one output tuple per match. Materialising a key `Tuple` per probe
-//! (`Arc` allocation + value clones) dominates small-delta maintenance
-//! cost, so this module provides an allocation-free alternative:
-//!
-//! * [`KeyRef`] — a borrowed view of a tuple's projection onto a column
-//!   set, carrying a precomputed hash. The hash is defined over the
-//!   projected *value sequence* (see [`hash_values`]), so it agrees with
-//!   the hash of a standalone key tuple holding the same values:
-//!   `KeyRef::new(&t, cols).hash() == hash_values(t.project(cols).iter())`.
-//!   Index structures can therefore bucket by this `u64` and compare
-//!   entries with [`KeyRef::matches_projection`] / [`KeyRef::matches_key`]
-//!   without ever building the key tuple.
-//! * [`Tuple::project_into`] / [`Tuple::concat_into`] — scratch-buffer
-//!   variants of [`Tuple::project`] / [`Tuple::concat`] that fill a
-//!   caller-owned `Vec<Value>`, so a loop can reuse one buffer and pay a
-//!   single allocation per *output* tuple ([`Tuple::from_slice`]) instead
-//!   of two.
+//! The IVM hot path probes join memories once per delta entry.
+//! Materialising a key `Tuple` per probe (`Arc` allocation + value
+//! clones) dominates small-delta maintenance cost, so [`KeyRef`] is a
+//! borrowed view of a tuple's projection onto a column set, carrying a
+//! precomputed hash. The hash is defined over the projected *value
+//! sequence* (see `hash_values`), so it agrees with the hash of a
+//! standalone key tuple holding the same values:
+//! `KeyRef::new(&t, cols).hash() == hash_values(t.project(cols).iter())`.
+//! Index structures can therefore bucket by this `u64` and compare
+//! entries with [`KeyRef::matches_projection`] / [`KeyRef::matches_key`]
+//! without ever building the key tuple.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -39,7 +32,7 @@ use crate::value::Value;
 /// join memories: hashing a projection of a tuple and hashing the
 /// materialised key tuple built from the same values produce the same
 /// result.
-pub fn hash_values<'a>(values: impl Iterator<Item = &'a Value>) -> u64 {
+pub(crate) fn hash_values<'a>(values: impl Iterator<Item = &'a Value>) -> u64 {
     let mut h = FxHasher::default();
     let mut n: u64 = 0;
     for v in values {
@@ -55,7 +48,7 @@ pub fn hash_values<'a>(values: impl Iterator<Item = &'a Value>) -> u64 {
 pub struct Tuple(Arc<[Value]>);
 
 impl Tuple {
-    /// Empty tuple (unit row) — the identity for [`Tuple::concat`].
+    /// Empty tuple (unit row).
     pub fn unit() -> Tuple {
         Tuple(Arc::from(Vec::new()))
     }
@@ -93,32 +86,6 @@ impl Tuple {
         Tuple::new(cols.iter().map(|&c| self.0[c].clone()).collect())
     }
 
-    /// Scratch-buffer variant of [`Tuple::project`]: clear `buf` and fill
-    /// it with the projected values. Pair with [`Tuple::from_slice`] when
-    /// an owned tuple is needed; reuse `buf` across loop iterations.
-    pub fn project_into(&self, cols: &[usize], buf: &mut Vec<Value>) {
-        buf.clear();
-        buf.reserve(cols.len());
-        buf.extend(cols.iter().map(|&c| self.0[c].clone()));
-    }
-
-    /// Concatenate two tuples.
-    pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut v = Vec::with_capacity(self.0.len() + other.0.len());
-        v.extend_from_slice(&self.0);
-        v.extend_from_slice(&other.0);
-        Tuple::new(v)
-    }
-
-    /// Scratch-buffer variant of [`Tuple::concat`]: clear `buf` and fill
-    /// it with `self ++ other`.
-    pub fn concat_into(&self, other: &Tuple, buf: &mut Vec<Value>) {
-        buf.clear();
-        buf.reserve(self.0.len() + other.0.len());
-        buf.extend_from_slice(&self.0);
-        buf.extend_from_slice(&other.0);
-    }
-
     /// Borrowed key view of this tuple's projection onto `cols`, with the
     /// projection hash precomputed (see [`KeyRef`]).
     pub fn key_ref<'a>(&'a self, cols: &'a [usize]) -> KeyRef<'a> {
@@ -126,12 +93,12 @@ impl Tuple {
     }
 
     /// Key hash of this tuple's projection onto `cols` — equals
-    /// [`hash_values`] over the projected values.
+    /// `hash_values` over the projected values.
     pub fn hash_projected(&self, cols: &[usize]) -> u64 {
         hash_values(cols.iter().map(|&c| &self.0[c]))
     }
 
-    /// Key hash of the whole tuple — equals [`hash_values`] over all
+    /// Key hash of the whole tuple — equals `hash_values` over all
     /// values, i.e. the hash a projection producing exactly these values
     /// would have. Used to probe key-hashed indexes with a standalone key
     /// tuple.
@@ -160,13 +127,6 @@ impl Tuple {
         Tuple::new(v)
     }
 
-    /// Replace position `i` with `value` (copy-on-write).
-    pub fn with(&self, i: usize, value: Value) -> Tuple {
-        let mut v = self.0.to_vec();
-        v[i] = value;
-        Tuple::new(v)
-    }
-
     /// Iterate values.
     pub fn iter(&self) -> std::slice::Iter<'_, Value> {
         self.0.iter()
@@ -178,7 +138,7 @@ impl Tuple {
 ///
 /// `KeyRef` lets an index keyed by projection hashes probe and compare
 /// without materialising a key [`Tuple`]: the hash agrees with
-/// [`hash_values`] over the projected values (and hence with
+/// `hash_values` over the projected values (and hence with
 /// [`Tuple::hash_whole`] of the materialised key), and the `matches_*`
 /// methods compare value-by-value against either another projection or a
 /// standalone key tuple.
@@ -191,7 +151,7 @@ pub struct KeyRef<'a> {
 
 impl<'a> KeyRef<'a> {
     /// Borrow the projection of `tuple` onto `cols`, hashing it once.
-    pub fn new(tuple: &'a Tuple, cols: &'a [usize]) -> KeyRef<'a> {
+    pub(crate) fn new(tuple: &'a Tuple, cols: &'a [usize]) -> KeyRef<'a> {
         KeyRef {
             tuple,
             cols,
@@ -203,23 +163,6 @@ impl<'a> KeyRef<'a> {
     #[inline]
     pub fn hash(&self) -> u64 {
         self.hash
-    }
-
-    /// Number of key columns.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// Is the key empty (zero columns)?
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.cols.is_empty()
-    }
-
-    /// Iterate the projected values.
-    pub fn values(&self) -> impl Iterator<Item = &'a Value> + '_ {
-        self.cols.iter().map(|&c| self.tuple.get(c))
     }
 
     /// Does `other.project(other_cols)` equal this key?
@@ -303,23 +246,15 @@ mod tests {
     }
 
     #[test]
-    fn unit_is_identity_for_concat() {
-        let a = t(&[1, 2]);
-        assert_eq!(Tuple::unit().concat(&a), a);
-        assert_eq!(a.concat(&Tuple::unit()), a);
-    }
-
-    #[test]
     fn project_reorders_and_duplicates() {
         let a = t(&[10, 20, 30]);
         assert_eq!(a.project(&[2, 0, 0]), t(&[30, 10, 10]));
     }
 
     #[test]
-    fn push_and_with() {
+    fn push_appends() {
         let a = t(&[1]);
         assert_eq!(a.push(Value::Int(2)), t(&[1, 2]));
-        assert_eq!(t(&[1, 2]).with(0, Value::Int(9)), t(&[9, 2]));
     }
 
     #[test]
@@ -368,23 +303,8 @@ mod tests {
     fn empty_key_ref_matches_unit() {
         let a = t(&[1]);
         let kr = a.key_ref(&[]);
-        assert!(kr.is_empty());
         assert!(kr.matches_key(&Tuple::unit()));
         assert_eq!(kr.hash(), Tuple::unit().hash_whole());
-    }
-
-    #[test]
-    fn scratch_buffer_variants_match_allocating_ones() {
-        let a = t(&[1, 2, 3]);
-        let b = t(&[4, 5]);
-        let mut buf = Vec::new();
-        a.project_into(&[2, 0], &mut buf);
-        assert_eq!(Tuple::from_slice(&buf), a.project(&[2, 0]));
-        a.concat_into(&b, &mut buf);
-        assert_eq!(Tuple::from_slice(&buf), a.concat(&b));
-        // Buffer is reusable: a second call clears the previous content.
-        a.project_into(&[0], &mut buf);
-        assert_eq!(Tuple::from_slice(&buf), a.project(&[0]));
     }
 
     #[test]

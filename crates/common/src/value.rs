@@ -138,14 +138,6 @@ impl Value {
         }
     }
 
-    /// View as bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// View as string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -158,14 +150,6 @@ impl Value {
     pub fn as_path(&self) -> Option<&PathValue> {
         match self {
             Value::Path(p) => Some(p),
-            _ => None,
-        }
-    }
-
-    /// View as list items.
-    pub fn as_list(&self) -> Option<&[Value]> {
-        match self {
-            Value::List(v) => Some(v),
             _ => None,
         }
     }

@@ -123,7 +123,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// Little-endian byte-buffer writer.
 #[derive(Default)]
-pub struct Encoder {
+pub(crate) struct Encoder {
     buf: Vec<u8>,
     /// Per-encoder symbol → string memo (see [`Encoder::memoize_symbols`]).
     symbols: Option<Vec<Option<Arc<str>>>>,
@@ -131,13 +131,13 @@ pub struct Encoder {
 
 impl Encoder {
     /// Fresh empty encoder.
-    pub fn new() -> Encoder {
+    pub(crate) fn new() -> Encoder {
         Encoder::default()
     }
 
     /// Empty encoder with room for `n` bytes (a writer that knows its
     /// output size up front never regrows or recopies the buffer).
-    pub fn with_capacity(n: usize) -> Encoder {
+    pub(crate) fn with_capacity(n: usize) -> Encoder {
         Encoder {
             buf: Vec::with_capacity(n),
             symbols: None,
@@ -149,52 +149,52 @@ impl Encoder {
     /// For bulk encodes — a snapshot names the same few labels, types
     /// and keys tens of thousands of times; a WAL record names a
     /// handful once and is better off without the table.
-    pub fn memoize_symbols(&mut self) {
+    pub(crate) fn memoize_symbols(&mut self) {
         self.symbols = Some(Vec::new());
     }
 
     /// Finish, yielding the encoded bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
     /// Append raw bytes, unframed (file magics).
-    pub fn raw(&mut self, bytes: &[u8]) {
+    pub(crate) fn raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 
     /// Write one byte.
-    pub fn u8(&mut self, v: u8) {
+    pub(crate) fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Write a bool as one byte.
-    pub fn bool(&mut self, v: bool) {
+    pub(crate) fn bool(&mut self, v: bool) {
         self.u8(v as u8);
     }
 
     /// Write a `u32`, little-endian.
-    pub fn u32(&mut self, v: u32) {
+    pub(crate) fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Write a `u64`, little-endian.
-    pub fn u64(&mut self, v: u64) {
+    pub(crate) fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Write an `i64`, little-endian two's complement.
-    pub fn i64(&mut self, v: i64) {
+    pub(crate) fn i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Write a collection length (`u32`).
-    pub fn len(&mut self, n: usize) {
+    pub(crate) fn len(&mut self, n: usize) {
         self.u32(n as u32);
     }
 
     /// Write a length-prefixed UTF-8 string.
-    pub fn str(&mut self, s: &str) {
+    pub(crate) fn str(&mut self, s: &str) {
         write_str(&mut self.buf, s);
     }
 }
@@ -205,24 +205,24 @@ fn write_str(buf: &mut Vec<u8>, s: &str) {
 }
 
 /// Bounds-checked little-endian reader over a byte slice.
-pub struct Decoder<'a> {
+pub(crate) struct Decoder<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Decoder<'a> {
     /// Read from `buf` starting at offset 0.
-    pub fn new(buf: &'a [u8]) -> Decoder<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Decoder<'a> {
         Decoder { buf, pos: 0 }
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Error unless the input was consumed exactly.
-    pub fn finish(&self) -> Result<(), CodecError> {
+    pub(crate) fn finish(&self) -> Result<(), CodecError> {
         if self.remaining() == 0 {
             Ok(())
         } else {
@@ -240,12 +240,12 @@ impl<'a> Decoder<'a> {
     }
 
     /// Read one byte.
-    pub fn u8(&mut self) -> Result<u8, CodecError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
 
     /// Read a bool (strictly 0 or 1).
-    pub fn bool(&mut self) -> Result<bool, CodecError> {
+    pub(crate) fn bool(&mut self) -> Result<bool, CodecError> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
@@ -254,24 +254,24 @@ impl<'a> Decoder<'a> {
     }
 
     /// Read a `u32`.
-    pub fn u32(&mut self) -> Result<u32, CodecError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, CodecError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     /// Read a `u64`.
-    pub fn u64(&mut self) -> Result<u64, CodecError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Read an `i64`.
-    pub fn i64(&mut self) -> Result<i64, CodecError> {
+    pub(crate) fn i64(&mut self) -> Result<i64, CodecError> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Read a collection length, refusing lengths that cannot fit in the
     /// remaining input (defense against corrupt prefixes: no huge
     /// preallocations, no long bogus loops).
-    pub fn read_len(&mut self) -> Result<usize, CodecError> {
+    pub(crate) fn read_len(&mut self) -> Result<usize, CodecError> {
         let n = self.u32()? as usize;
         if n > self.remaining() {
             return Err(CodecError::Eof);
@@ -280,24 +280,24 @@ impl<'a> Decoder<'a> {
     }
 
     /// Read a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, CodecError> {
+    pub(crate) fn str(&mut self) -> Result<String, CodecError> {
         self.str_ref().map(str::to_owned)
     }
 
     /// Read a length-prefixed UTF-8 string, borrowed from the input.
-    pub fn str_ref(&mut self) -> Result<&'a str, CodecError> {
+    pub(crate) fn str_ref(&mut self) -> Result<&'a str, CodecError> {
         let n = self.read_len()?;
         std::str::from_utf8(self.take(n)?).map_err(|_| CodecError::BadUtf8)
     }
 
     /// Read a symbol (stored as its resolved string; re-interned here).
-    pub fn symbol(&mut self) -> Result<Symbol, CodecError> {
+    pub(crate) fn symbol(&mut self) -> Result<Symbol, CodecError> {
         Ok(Symbol::intern(self.str_ref()?))
     }
 }
 
 /// Encode a symbol as its resolved string.
-pub fn encode_symbol(e: &mut Encoder, s: Symbol) {
+pub(crate) fn encode_symbol(e: &mut Encoder, s: Symbol) {
     let Some(memo) = e.symbols.as_mut() else {
         return s.with_str(|str| e.str(str));
     };
@@ -321,7 +321,7 @@ const V_MAP: u8 = 8;
 const V_PATH: u8 = 9;
 
 /// Encode a [`Value`] (tagged, recursive).
-pub fn encode_value(e: &mut Encoder, v: &Value) {
+pub(crate) fn encode_value(e: &mut Encoder, v: &Value) {
     match v {
         Value::Null => e.u8(V_NULL),
         Value::Bool(b) => {
@@ -378,7 +378,7 @@ pub fn encode_value(e: &mut Encoder, v: &Value) {
 }
 
 /// Decode a [`Value`].
-pub fn decode_value(d: &mut Decoder<'_>) -> Result<Value, CodecError> {
+pub(crate) fn decode_value(d: &mut Decoder<'_>) -> Result<Value, CodecError> {
     Ok(match d.u8()? {
         V_NULL => Value::Null,
         V_BOOL => Value::Bool(d.bool()?),
@@ -425,7 +425,7 @@ pub fn decode_value(d: &mut Decoder<'_>) -> Result<Value, CodecError> {
 }
 
 /// Encode a property map as `(key-string, value)` pairs.
-pub fn encode_props(e: &mut Encoder, p: &Properties) {
+pub(crate) fn encode_props(e: &mut Encoder, p: &Properties) {
     e.len(p.len());
     for (k, v) in p.iter() {
         encode_symbol(e, k);
@@ -434,7 +434,7 @@ pub fn encode_props(e: &mut Encoder, p: &Properties) {
 }
 
 /// Decode a property map.
-pub fn decode_props(d: &mut Decoder<'_>) -> Result<Properties, CodecError> {
+pub(crate) fn decode_props(d: &mut Decoder<'_>) -> Result<Properties, CodecError> {
     let n = d.read_len()?;
     let mut pairs = Vec::with_capacity(n);
     for _ in 0..n {
@@ -445,7 +445,7 @@ pub fn decode_props(d: &mut Decoder<'_>) -> Result<Properties, CodecError> {
 }
 
 /// Encode a tuple as a value vector.
-pub fn encode_tuple(e: &mut Encoder, t: &Tuple) {
+pub(crate) fn encode_tuple(e: &mut Encoder, t: &Tuple) {
     e.len(t.arity());
     for v in t.values() {
         encode_value(e, v);
@@ -453,7 +453,7 @@ pub fn encode_tuple(e: &mut Encoder, t: &Tuple) {
 }
 
 /// Decode a tuple.
-pub fn decode_tuple(d: &mut Decoder<'_>) -> Result<Tuple, CodecError> {
+pub(crate) fn decode_tuple(d: &mut Decoder<'_>) -> Result<Tuple, CodecError> {
     let n = d.read_len()?;
     let mut vals = Vec::with_capacity(n);
     for _ in 0..n {
@@ -626,7 +626,7 @@ pub fn decode_tx(bytes: &[u8]) -> Result<Transaction, CodecError> {
 /// Encode one view-catalog row: slot, name, query text and the
 /// compile/register option bytes — an image's view section holds one
 /// per standing view, a register record holds one.
-pub fn encode_view(e: &mut Encoder, v: &SnapshotView) {
+pub(crate) fn encode_view(e: &mut Encoder, v: &SnapshotView) {
     e.u32(v.slot);
     e.str(&v.name);
     e.str(&v.query);
@@ -643,7 +643,7 @@ pub fn encode_view(e: &mut Encoder, v: &SnapshotView) {
 
 /// Decode one view-catalog row. Every option byte is checked against
 /// the values the engine writes (schema mode 0–1, wcoj mode 0–2).
-pub fn decode_view(d: &mut Decoder<'_>) -> Result<SnapshotView, CodecError> {
+pub(crate) fn decode_view(d: &mut Decoder<'_>) -> Result<SnapshotView, CodecError> {
     let (slot, name, query) = (d.u32()?, d.str()?, d.str()?);
     let schema_mode = match d.u8()? {
         t @ 0..=1 => t,
@@ -700,7 +700,7 @@ pub fn is_catalog(bytes: &[u8]) -> bool {
 }
 
 /// One log record, borrowed: what the engine appends, and what
-/// [`crate::wal::WalContents::records`] yields in file order.
+/// a read of the log yields in file order.
 #[derive(Clone, Copy, Debug)]
 pub enum Record<'a> {
     /// A committed data transaction.

@@ -119,12 +119,6 @@ impl DurabilityError {
             detail: detail.into(),
         }
     }
-
-    /// Is this an out-of-space failure? (Callers may retry after
-    /// freeing disk; other I/O kinds usually need operator attention.)
-    pub fn is_no_space(&self) -> bool {
-        self.kind == DurKind::NoSpace
-    }
 }
 
 impl fmt::Display for DurabilityError {
@@ -157,7 +151,6 @@ mod tests {
         let e = io::Error::from_raw_os_error(28);
         let d = DurabilityError::io(DurOp::WalAppend, &e);
         assert_eq!(d.kind, DurKind::NoSpace);
-        assert!(d.is_no_space());
     }
 
     #[test]

@@ -1,3 +1,4 @@
+#![warn(unreachable_pub)]
 //! Durability for the pgq engine: write-ahead logging, snapshots, and
 //! the pieces of crash recovery that live below the engine layer.
 //!
@@ -46,6 +47,17 @@
 //! implements the commit-rollback / read-only-degraded contract on top
 //! of [`DurabilityError`]. This crate only knows bytes, graphs,
 //! transactions and catalog rows.
+//!
+//! ## Public surface
+//!
+//! The engine drives [`wal`] (append, scan, load, repair), [`snapshot`]
+//! ([`Snapshot`], [`SnapshotWriter`], [`SnapshotView`]), [`fold`]
+//! ([`FoldWorker`], [`FoldJob`]) and [`recovery`] ([`RecoveryPlan`],
+//! [`RecoveryReport`]), and reads failures as [`DurabilityError`]. The
+//! fault sweeps and the benchmark build their disks from [`vfs`]
+//! ([`Vfs`], [`StdVfs`], [`MemDisk`], [`MemVfs`], [`Fault`],
+//! [`FsyncMode`]); the hostile-input tests feed [`codec`]'s decoders.
+//! `tests/public_surface.rs` pins every exported name.
 
 pub mod codec;
 pub mod error;
@@ -55,10 +67,10 @@ pub mod snapshot;
 pub mod vfs;
 pub mod wal;
 
-pub use codec::{CodecError, Record};
+pub use codec::Record;
 pub use error::{DurKind, DurOp, DurabilityError};
-pub use fold::{FoldJob, FoldWorker, Folded};
-pub use recovery::{RecoveryPlan, RecoveryReport, QUARANTINE_SUFFIX};
-pub use snapshot::{Snapshot, SnapshotError, SnapshotView, SnapshotWriter, StateBag};
+pub use fold::{FoldJob, FoldWorker};
+pub use recovery::{RecoveryPlan, RecoveryReport};
+pub use snapshot::{Snapshot, SnapshotView, SnapshotWriter};
 pub use vfs::{Fault, FsyncMode, MemDisk, MemVfs, StdVfs, Vfs};
 pub use wal::WalTail;

@@ -51,7 +51,7 @@ use crate::vfs::Vfs;
 use crate::wal::{self, parse_wal_name, wal_file, WalContents};
 
 /// Suffix appended to files preserved for forensics instead of deleted.
-pub const QUARANTINE_SUFFIX: &str = ".quarantined";
+pub(crate) const QUARANTINE_SUFFIX: &str = ".quarantined";
 
 /// What recovery found and did to the directory.
 #[derive(Clone, Debug, Default)]
@@ -62,7 +62,7 @@ pub struct RecoveryReport {
     pub base_generation: Option<u64>,
     /// Generation whose WAL is active for new appends after recovery.
     pub active_generation: u64,
-    /// Files renamed aside with [`QUARANTINE_SUFFIX`] (corrupt
+    /// Files renamed aside with a `.quarantined` suffix (corrupt
     /// snapshots, unreachable WAL generations).
     pub quarantined: Vec<String>,
     /// Torn/corrupt WAL tails trimmed: `(generation, bytes_dropped)`.

@@ -156,7 +156,7 @@ pub struct SnapshotView {
 
 /// A consolidated operator-state bag: distinct tuples with non-zero
 /// signed multiplicities.
-pub type StateBag = Vec<(Tuple, i64)>;
+pub(crate) type StateBag = Vec<(Tuple, i64)>;
 
 /// Everything a snapshot persists.
 #[derive(Clone, Debug, Default)]

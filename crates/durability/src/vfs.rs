@@ -349,16 +349,6 @@ pub struct MemVfs {
 }
 
 impl MemVfs {
-    /// Bytes of write budget left (`None` = unlimited).
-    pub fn fuse_remaining(&self) -> Option<u64> {
-        *lock(&self.remaining)
-    }
-
-    /// Has the fuse blown (budget exhausted)?
-    pub fn fuse_blown(&self) -> bool {
-        self.fuse_remaining() == Some(0)
-    }
-
     /// Count one mutating op and return the fault scheduled for it, if
     /// any.
     fn next_op_fault(&self) -> Option<Fault> {
@@ -541,7 +531,7 @@ mod tests {
         vfs.append("f", b"abc").unwrap(); // 3 land, 2 left
         vfs.append("f", b"defg").unwrap(); // 2 land (torn), fuse blown
         vfs.append("f", b"hij").unwrap(); // nothing lands
-        assert!(vfs.fuse_blown());
+        assert_eq!(*lock(&vfs.remaining), Some(0), "fuse blown");
         assert_eq!(disk.vfs().read("f").unwrap().unwrap(), b"abcde");
     }
 
@@ -551,7 +541,7 @@ mod tests {
         disk.vfs().write_atomic("s", b"old").unwrap();
         let vfs = disk.vfs_with_fuse(2);
         vfs.write_atomic("s", b"newer").unwrap(); // doesn't fit: old survives
-        assert!(vfs.fuse_blown());
+        assert_eq!(*lock(&vfs.remaining), Some(0), "fuse blown");
         assert_eq!(disk.vfs().read("s").unwrap().unwrap(), b"old");
 
         let vfs2 = disk.vfs_with_fuse(100);

@@ -83,7 +83,7 @@ impl WalTail {
 }
 
 /// Frame a payload for appending: length, checksum, bytes.
-pub fn frame(payload: &[u8]) -> Vec<u8> {
+pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
     let mut f = Vec::with_capacity(8 + payload.len());
     f.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     f.extend_from_slice(&crc32(payload).to_le_bytes());
@@ -160,7 +160,7 @@ impl WalContents {
     }
 
     /// Every record in file order.
-    pub fn records(&self) -> impl Iterator<Item = Record<'_>> {
+    pub(crate) fn records(&self) -> impl Iterator<Item = Record<'_>> {
         let mut txs = self.txs.iter();
         let mut catalog = self.catalog.iter().peekable();
         (0..self.ends.len()).map(move |i| match catalog.next_if(|(at, _)| *at == i) {

@@ -100,18 +100,6 @@ impl ChangeEvent {
             _ => None,
         }
     }
-
-    /// Is this a structural event (element added/removed) as opposed to a
-    /// fine-grained property/label update?
-    pub fn is_structural(&self) -> bool {
-        matches!(
-            self,
-            ChangeEvent::VertexAdded { .. }
-                | ChangeEvent::VertexRemoved { .. }
-                | ChangeEvent::EdgeAdded { .. }
-                | ChangeEvent::EdgeRemoved { .. }
-        )
-    }
 }
 
 #[cfg(test)]
@@ -123,7 +111,6 @@ mod tests {
         let ev = ChangeEvent::VertexAdded { id: VertexId(4) };
         assert_eq!(ev.touched_vertex(), Some(VertexId(4)));
         assert_eq!(ev.touched_edge(), None);
-        assert!(ev.is_structural());
 
         let ev = ChangeEvent::EdgePropChanged {
             id: EdgeId(9),
@@ -132,6 +119,5 @@ mod tests {
             new: Value::Int(1),
         };
         assert_eq!(ev.touched_edge(), Some(EdgeId(9)));
-        assert!(!ev.is_structural());
     }
 }

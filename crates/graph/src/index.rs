@@ -105,7 +105,7 @@ impl<T: Copy + Eq + Hash> PosBucket<T> {
 /// Label, edge-type, adjacency and (on demand) property-equality
 /// indexes.
 #[derive(Default, Debug, Clone)]
-pub struct GraphIndexes {
+pub(crate) struct GraphIndexes {
     label: FxHashMap<Symbol, PosBucket<VertexId>>,
     ty: FxHashMap<Symbol, PosBucket<EdgeId>>,
     out: FxHashMap<VertexId, PosBucket<EdgeId>>,
@@ -217,19 +217,25 @@ fn bucket_remove<K: Eq + Hash, T: Copy + Eq + Hash>(
 
 impl GraphIndexes {
     /// Register a vertex under `label`.
-    pub fn add_label(&mut self, label: Symbol, v: VertexId) {
+    pub(crate) fn add_label(&mut self, label: Symbol, v: VertexId) {
         self.label.entry(label).or_default().push(v);
     }
 
     /// Unregister a vertex from `label`.
-    pub fn remove_label(&mut self, label: Symbol, v: VertexId) {
+    pub(crate) fn remove_label(&mut self, label: Symbol, v: VertexId) {
         bucket_remove(&mut self.label, label, v);
     }
 
     /// Register an edge; returns the source's out-degree *before* the
     /// insert (the cardinality catalog's histogram delta, fused here so
     /// the hot path pays one adjacency lookup, not two).
-    pub fn add_edge(&mut self, e: EdgeId, src: VertexId, dst: VertexId, ty: Symbol) -> usize {
+    pub(crate) fn add_edge(
+        &mut self,
+        e: EdgeId,
+        src: VertexId,
+        dst: VertexId,
+        ty: Symbol,
+    ) -> usize {
         self.ty.entry(ty).or_default().push(e);
         let out = self.out.entry(src).or_default();
         let old_out = out.items.len();
@@ -240,7 +246,13 @@ impl GraphIndexes {
 
     /// Unregister an edge; returns the source's out-degree *before* the
     /// removal.
-    pub fn remove_edge(&mut self, e: EdgeId, src: VertexId, dst: VertexId, ty: Symbol) -> usize {
+    pub(crate) fn remove_edge(
+        &mut self,
+        e: EdgeId,
+        src: VertexId,
+        dst: VertexId,
+        ty: Symbol,
+    ) -> usize {
         bucket_remove(&mut self.ty, ty, e);
         let mut old_out = 0;
         if let Some(bucket) = self.out.get_mut(&src) {
@@ -254,22 +266,22 @@ impl GraphIndexes {
     }
 
     /// Vertices carrying `label`.
-    pub fn with_label(&self, label: Symbol) -> &[VertexId] {
+    pub(crate) fn with_label(&self, label: Symbol) -> &[VertexId] {
         self.label.get(&label).map_or(&[], |b| b.items.as_slice())
     }
 
     /// Edges of type `ty`.
-    pub fn with_type(&self, ty: Symbol) -> &[EdgeId] {
+    pub(crate) fn with_type(&self, ty: Symbol) -> &[EdgeId] {
         self.ty.get(&ty).map_or(&[], |b| b.items.as_slice())
     }
 
     /// Outgoing edges of `v`.
-    pub fn out_edges(&self, v: VertexId) -> &[EdgeId] {
+    pub(crate) fn out_edges(&self, v: VertexId) -> &[EdgeId] {
         self.out.get(&v).map_or(&[], |b| b.items.as_slice())
     }
 
     /// Incoming edges of `v`.
-    pub fn in_edges(&self, v: VertexId) -> &[EdgeId] {
+    pub(crate) fn in_edges(&self, v: VertexId) -> &[EdgeId] {
         self.inc.get(&v).map_or(&[], |b| b.items.as_slice())
     }
 
@@ -393,12 +405,12 @@ impl GraphIndexes {
     }
 
     /// Labels currently indexing at least one vertex.
-    pub fn labels(&self) -> impl Iterator<Item = Symbol> + '_ {
+    pub(crate) fn labels(&self) -> impl Iterator<Item = Symbol> + '_ {
         self.label.keys().copied()
     }
 
     /// Edge types currently indexing at least one edge.
-    pub fn types(&self) -> impl Iterator<Item = Symbol> + '_ {
+    pub(crate) fn types(&self) -> impl Iterator<Item = Symbol> + '_ {
         self.ty.keys().copied()
     }
 }

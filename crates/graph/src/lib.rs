@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 //! # pgq-graph
 //!
 //! An in-memory property graph store — the substrate the paper assumes.
@@ -20,6 +20,14 @@
 //! 3. **Indexes** ([`index`]): label, edge-type and adjacency indexes give
 //!    the base-relation operators (© get-vertices, ⇑ get-edges) and the
 //!    baseline evaluator O(1) access to their extents.
+//!
+//! ## Public surface
+//!
+//! [`PropertyGraph`] and its element records ([`store`]), [`Transaction`]
+//! and [`TxOp`] ([`tx`]), the [`ChangeEvent`] feed ([`delta`]),
+//! [`Properties`] ([`props`]), the join-key normalisation of [`index`],
+//! the cardinality catalog the planner reads ([`stats`]) and the CSV
+//! dump ([`csv`]). `tests/public_surface.rs` pins every exported name.
 
 pub mod csv;
 pub mod delta;

@@ -75,7 +75,7 @@ impl Properties {
     }
 
     /// Remove `key`, returning its value if present.
-    pub fn remove(&mut self, key: Symbol) -> Option<Value> {
+    pub(crate) fn remove(&mut self, key: Symbol) -> Option<Value> {
         match self.entries.binary_search_by_key(&key, |(k, _)| *k) {
             Ok(i) => Some(self.entries.remove(i).1),
             Err(_) => None,
@@ -85,14 +85,6 @@ impl Properties {
     /// Iterate `(key, value)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &Value)> {
         self.entries.iter().map(|(k, v)| (*k, v))
-    }
-
-    /// Does every `(k, v)` of `pattern` match this map exactly? Used for
-    /// inline property patterns like `(p:Post {lang: 'en'})`.
-    pub fn matches(&self, pattern: &Properties) -> bool {
-        pattern
-            .iter()
-            .all(|(k, v)| self.get(k).is_some_and(|mine| mine == v))
     }
 
     /// Convert to a [`Value::Map`] (for returning whole elements).
@@ -166,15 +158,6 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         assert_eq!(keys, sorted);
-    }
-
-    #[test]
-    fn pattern_matching() {
-        let p = Properties::from_iter([("lang", Value::str("en")), ("id", Value::Int(1))]);
-        assert!(p.matches(&Properties::from_iter([("lang", Value::str("en"))])));
-        assert!(!p.matches(&Properties::from_iter([("lang", Value::str("de"))])));
-        assert!(!p.matches(&Properties::from_iter([("other", Value::Int(0))])));
-        assert!(p.matches(&Properties::new()));
     }
 
     #[test]

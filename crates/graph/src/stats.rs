@@ -187,7 +187,7 @@ pub struct CardinalityCatalog {
 
 impl CardinalityCatalog {
     /// Maximum out-degree over all vertices.
-    pub fn max_out_degree(&self) -> usize {
+    pub(crate) fn max_out_degree(&self) -> usize {
         self.max_out as usize
     }
 
@@ -229,20 +229,10 @@ impl CardinalityCatalog {
         self.vprops.get(&key).map_or(0, |c| c.distinct())
     }
 
-    /// Number of vertices currently carrying vertex property `key`.
-    pub fn vertex_prop_count(&self, key: Symbol) -> u64 {
-        self.vprops.get(&key).map_or(0, |c| c.total)
-    }
-
     /// Estimated number of distinct values stored under edge property
     /// `key`.
     pub fn edge_prop_distinct(&self, key: Symbol) -> usize {
         self.eprops.get(&key).map_or(0, |c| c.distinct())
-    }
-
-    /// Number of edges currently carrying edge property `key`.
-    pub fn edge_prop_count(&self, key: Symbol) -> u64 {
-        self.eprops.get(&key).map_or(0, |c| c.total)
     }
 
     /// Vertex property keys currently carried by at least one vertex.
@@ -688,7 +678,7 @@ mod tests {
             assert_eq!(cat.distinct_sources(s("KNOWS")), 1, "only `a` knows");
             assert_eq!(cat.distinct_targets(s("KNOWS")), 2);
             assert_eq!(cat.vertex_prop_distinct(s("lang")), 2, "en + de");
-            assert_eq!(cat.vertex_prop_count(s("lang")), 3);
+            assert_eq!(cat.vprops[&s("lang")].total, 3);
             assert_eq!(cat.max_out_degree(), 2);
         }
 
@@ -698,7 +688,7 @@ mod tests {
         g.set_vertex_prop(c, s("lang"), Value::str("en")).unwrap();
         assert_eq!(g.catalog().vertex_prop_distinct(s("lang")), 1);
         g.set_vertex_prop(c, s("lang"), Value::Null).unwrap();
-        assert_eq!(g.catalog().vertex_prop_count(s("lang")), 2);
+        assert_eq!(g.catalog().vprops[&s("lang")].total, 2);
     }
 
     /// One random catalog-relevant operation. Indices are reduced modulo

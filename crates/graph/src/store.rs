@@ -302,13 +302,6 @@ impl PropertyGraph {
             .map_or(Value::Null, |d| d.props.get_or_null(key))
     }
 
-    /// Edge property lookup, `Null` when absent.
-    pub fn edge_prop(&self, id: EdgeId, key: Symbol) -> Value {
-        self.edges
-            .get(&id)
-            .map_or(Value::Null, |d| d.props.get_or_null(key))
-    }
-
     // ---- mutators --------------------------------------------------------
 
     /// Create a vertex; returns its id and the event.
@@ -415,7 +408,7 @@ impl PropertyGraph {
     /// Delete a vertex. With `detach`, incident edges are removed first
     /// (their events precede the vertex event); otherwise incident edges
     /// are an error.
-    pub fn remove_vertex(
+    pub(crate) fn remove_vertex(
         &mut self,
         id: VertexId,
         detach: bool,
@@ -565,7 +558,7 @@ impl PropertyGraph {
     }
 
     /// Attach `label` to a vertex (no-op event suppressed if present).
-    pub fn add_label(
+    pub(crate) fn add_label(
         &mut self,
         id: VertexId,
         label: Symbol,

@@ -20,7 +20,7 @@ use crate::delta::{Delta, Row, RowSink};
 
 /// γ node.
 #[derive(Clone, Debug)]
-pub struct AggregateOp {
+pub(crate) struct AggregateOp {
     group: Vec<ScalarExpr>,
     aggs: Vec<AggCall>,
     groups: FxHashMap<Tuple, GroupState>,
@@ -230,7 +230,7 @@ fn exact(sum: i128) -> Value {
 
 impl AggregateOp {
     /// Create a γ node.
-    pub fn new(group: Vec<ScalarExpr>, aggs: Vec<AggCall>) -> AggregateOp {
+    pub(crate) fn new(group: Vec<ScalarExpr>, aggs: Vec<AggCall>) -> AggregateOp {
         let global = group.is_empty();
         AggregateOp {
             group,
@@ -243,22 +243,14 @@ impl AggregateOp {
     }
 
     /// Groups currently materialised.
-    pub fn memory_tuples(&self) -> usize {
+    pub(crate) fn memory_tuples(&self) -> usize {
         self.groups.len()
-    }
-
-    /// Process a delta of input rows.
-    pub fn on_delta(&mut self, input: Delta) -> Delta {
-        let input = input.consolidate();
-        let mut out = Delta::new();
-        self.apply(&input, &mut out);
-        out
     }
 
     /// Process a borrowed delta of input rows, appending group-row
     /// retractions/assertions to `out`. Every accumulator is additive
     /// in the multiplicity, so `input` need not be consolidated.
-    pub fn apply(&mut self, input: &Delta, out: &mut (impl RowSink + ?Sized)) {
+    pub(crate) fn apply(&mut self, input: &Delta, out: &mut (impl RowSink + ?Sized)) {
         let first = !std::mem::replace(&mut self.started, true);
         if self.global {
             // One group, keyed by the unit tuple: no key is built per
@@ -334,7 +326,7 @@ impl AggregateOp {
 
     /// Reconstruct the full current output bag (one row per live
     /// group) into `out`.
-    pub fn replay_into(&self, out: &mut dyn RowSink) {
+    pub(crate) fn replay_into(&self, out: &mut dyn RowSink) {
         for row in self.last_output.values() {
             out.push_row(Row::Held(row), 1);
         }
@@ -344,6 +336,14 @@ impl AggregateOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One network step: `apply` on the consolidated input, as the
+    /// network feeds it.
+    fn step(op: &mut AggregateOp, input: Delta) -> Delta {
+        let mut out = Delta::new();
+        op.apply(&input.consolidate(), &mut out);
+        out
+    }
 
     fn t(vals: &[Value]) -> Tuple {
         Tuple::new(vals.to_vec())
@@ -360,12 +360,10 @@ mod tests {
     #[test]
     fn global_count_star_starts_at_zero() {
         let mut a = AggregateOp::new(vec![], vec![call(AggFunc::CountStar, None, false)]);
-        let out = a.on_delta(Delta::new()).consolidate();
+        let out = step(&mut a, Delta::new()).consolidate();
         assert_eq!(out.into_entries(), vec![(t(&[Value::Int(0)]), 1)]);
         // One row arrives → 0 retracted, 1 asserted.
-        let out = a
-            .on_delta([(t(&[Value::Int(9)]), 1)].into_iter().collect())
-            .consolidate();
+        let out = step(&mut a, [(t(&[Value::Int(9)]), 1)].into_iter().collect()).consolidate();
         let entries = out.into_entries();
         assert!(entries.contains(&(t(&[Value::Int(0)]), -1)));
         assert!(entries.contains(&(t(&[Value::Int(1)]), 1)));
@@ -379,14 +377,12 @@ mod tests {
         );
         let en = Value::str("en");
         let row = t(&[en.clone(), Value::Int(1)]);
-        let out = a
-            .on_delta([(row.clone(), 2)].into_iter().collect())
-            .consolidate();
+        let out = step(&mut a, [(row.clone(), 2)].into_iter().collect()).consolidate();
         assert_eq!(
             out.into_entries(),
             vec![(t(&[en.clone(), Value::Int(2)]), 1)]
         );
-        let out = a.on_delta([(row, -2)].into_iter().collect()).consolidate();
+        let out = step(&mut a, [(row, -2)].into_iter().collect()).consolidate();
         assert_eq!(out.into_entries(), vec![(t(&[en, Value::Int(2)]), -1)]);
         assert_eq!(a.memory_tuples(), 0);
     }
@@ -394,14 +390,13 @@ mod tests {
     #[test]
     fn min_survives_deletion_of_minimum() {
         let mut a = AggregateOp::new(vec![], vec![call(AggFunc::Min, Some(0), false)]);
-        a.on_delta(
+        step(
+            &mut a,
             [(t(&[Value::Int(1)]), 1), (t(&[Value::Int(5)]), 1)]
                 .into_iter()
                 .collect(),
         );
-        let out = a
-            .on_delta([(t(&[Value::Int(1)]), -1)].into_iter().collect())
-            .consolidate();
+        let out = step(&mut a, [(t(&[Value::Int(1)]), -1)].into_iter().collect()).consolidate();
         let entries = out.into_entries();
         assert!(entries.contains(&(t(&[Value::Int(5)]), 1)), "{entries:?}");
     }
@@ -409,14 +404,17 @@ mod tests {
     #[test]
     fn sum_handles_mixed_numerics_and_deletions() {
         let mut a = AggregateOp::new(vec![], vec![call(AggFunc::Sum, Some(0), false)]);
-        a.on_delta(
+        step(
+            &mut a,
             [(t(&[Value::Int(2)]), 1), (t(&[Value::float(0.5)]), 1)]
                 .into_iter()
                 .collect(),
         );
-        let out = a
-            .on_delta([(t(&[Value::float(0.5)]), -1)].into_iter().collect())
-            .consolidate();
+        let out = step(
+            &mut a,
+            [(t(&[Value::float(0.5)]), -1)].into_iter().collect(),
+        )
+        .consolidate();
         // After removing the float, the sum is integer 2 again.
         assert!(out.into_entries().contains(&(t(&[Value::Int(2)]), 1)));
     }
@@ -424,7 +422,7 @@ mod tests {
     #[test]
     fn integer_sum_is_exact_and_reversible() {
         let mut a = AggregateOp::new(vec![], vec![call(AggFunc::Sum, Some(0), false)]);
-        a.on_delta(Delta::new());
+        step(&mut a, Delta::new());
         let max = t(&[Value::Int(i64::MAX)]);
         let one = t(&[Value::Int(1)]);
         let read = |out: Delta| {
@@ -432,16 +430,16 @@ mod tests {
             entries.into_iter().find(|(_, m)| *m > 0).map(|(t, _)| t)
         };
         assert_eq!(
-            read(a.on_delta([(max, 1)].into_iter().collect())),
+            read(step(&mut a, [(max, 1)].into_iter().collect())),
             Some(t(&[Value::Int(i64::MAX)]))
         );
         // Past `i64::MAX` the sum reads `null`, and deleting the `1` undoes it.
         assert_eq!(
-            read(a.on_delta([(one.clone(), 1)].into_iter().collect())),
+            read(step(&mut a, [(one.clone(), 1)].into_iter().collect())),
             Some(t(&[Value::Null]))
         );
         assert_eq!(
-            read(a.on_delta([(one, -1)].into_iter().collect())),
+            read(step(&mut a, [(one, -1)].into_iter().collect())),
             Some(t(&[Value::Int(i64::MAX)]))
         );
     }
@@ -449,32 +447,32 @@ mod tests {
     #[test]
     fn count_distinct() {
         let mut a = AggregateOp::new(vec![], vec![call(AggFunc::Count, Some(0), true)]);
-        a.on_delta(Delta::new());
-        let out = a
-            .on_delta(
-                [
-                    (t(&[Value::str("en")]), 1),
-                    (t(&[Value::str("en")]), 1),
-                    (t(&[Value::str("de")]), 1),
-                ]
-                .into_iter()
-                .collect(),
-            )
-            .consolidate();
+        step(&mut a, Delta::new());
+        let out = step(
+            &mut a,
+            [
+                (t(&[Value::str("en")]), 1),
+                (t(&[Value::str("en")]), 1),
+                (t(&[Value::str("de")]), 1),
+            ]
+            .into_iter()
+            .collect(),
+        )
+        .consolidate();
         assert!(out.into_entries().contains(&(t(&[Value::Int(2)]), 1)));
     }
 
     #[test]
     fn collect_is_sorted_and_counted() {
         let mut a = AggregateOp::new(vec![], vec![call(AggFunc::Collect, Some(0), false)]);
-        a.on_delta(Delta::new());
-        let out = a
-            .on_delta(
-                [(t(&[Value::Int(3)]), 2), (t(&[Value::Int(1)]), 1)]
-                    .into_iter()
-                    .collect(),
-            )
-            .consolidate();
+        step(&mut a, Delta::new());
+        let out = step(
+            &mut a,
+            [(t(&[Value::Int(3)]), 2), (t(&[Value::Int(1)]), 1)]
+                .into_iter()
+                .collect(),
+        )
+        .consolidate();
         let want = Value::list(vec![Value::Int(1), Value::Int(3), Value::Int(3)]);
         assert!(out.into_entries().contains(&(t(&[want]), 1)));
     }
@@ -482,17 +480,15 @@ mod tests {
     #[test]
     fn avg_of_empty_is_null() {
         let mut a = AggregateOp::new(vec![], vec![call(AggFunc::Avg, Some(0), false)]);
-        let out = a.on_delta(Delta::new()).consolidate();
+        let out = step(&mut a, Delta::new()).consolidate();
         assert_eq!(out.into_entries(), vec![(t(&[Value::Null]), 1)]);
     }
 
     #[test]
     fn nulls_do_not_count() {
         let mut a = AggregateOp::new(vec![], vec![call(AggFunc::Count, Some(0), false)]);
-        a.on_delta(Delta::new());
-        let out = a
-            .on_delta([(t(&[Value::Null]), 1)].into_iter().collect())
-            .consolidate();
+        step(&mut a, Delta::new());
+        let out = step(&mut a, [(t(&[Value::Null]), 1)].into_iter().collect()).consolidate();
         assert!(out.is_empty(), "count(null) stays 0: {out:?}");
     }
 }

@@ -9,8 +9,7 @@
 //! that dominate per-transaction maintenance: below a crossover the
 //! entries are merged by quadratic scan inside the existing `Vec`, above
 //! it a hash map takes over. Both paths produce the same deterministic
-//! *first-occurrence* order; callers that need a totally sorted delta
-//! (tests, report diffs) use [`Delta::consolidate_sorted`].
+//! *first-occurrence* order.
 //!
 //! Keyed state costs no heap allocation per key in the common case: an
 //! [`IndexedBag`] key holding one tuple keeps it inline in its table
@@ -40,7 +39,7 @@ pub enum Row<'a> {
 impl<'a> Row<'a> {
     /// The row's values.
     #[inline]
-    pub fn values(self) -> &'a [Value] {
+    pub(crate) fn values(self) -> &'a [Value] {
         match self {
             Row::Held(t) => t,
             Row::Assembled(v) => v,
@@ -49,7 +48,7 @@ impl<'a> Row<'a> {
 
     /// The row as an owned tuple.
     #[inline]
-    pub fn to_tuple(self) -> Tuple {
+    pub(crate) fn to_tuple(self) -> Tuple {
         match self {
             Row::Held(t) => t.clone(),
             Row::Assembled(v) => Tuple::from_slice(v),
@@ -122,11 +121,6 @@ impl Delta {
         }
     }
 
-    /// Reserve room for `n` more entries.
-    pub fn reserve(&mut self, n: usize) {
-        self.entries.reserve(n);
-    }
-
     /// Is there anything in it (before consolidation)?
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
@@ -144,18 +138,13 @@ impl Delta {
         }
     }
 
-    /// Append another delta.
-    pub fn extend(&mut self, other: Delta) {
-        self.entries.extend(other.entries);
-    }
-
     /// Iterate raw entries.
     pub fn iter(&self) -> impl Iterator<Item = &(Tuple, i64)> {
         self.entries.iter()
     }
 
     /// Borrow the raw entries.
-    pub fn entries(&self) -> &[(Tuple, i64)] {
+    pub(crate) fn entries(&self) -> &[(Tuple, i64)] {
         &self.entries
     }
 
@@ -165,8 +154,7 @@ impl Delta {
     }
 
     /// Sum multiplicities per tuple and drop zeros, keeping the first
-    /// occurrence's position (deterministic, but not sorted — see
-    /// [`Delta::consolidate_sorted`]).
+    /// occurrence's position (deterministic, but not sorted).
     pub fn consolidate(mut self) -> Delta {
         self.consolidate_in_place();
         self
@@ -217,16 +205,17 @@ impl Delta {
     }
 
     /// [`Delta::consolidate`], then sort by [`Tuple::total_cmp`] (stable,
-    /// so entries that compare equal keep first-occurrence order). Use
-    /// where a canonical order matters: tests, golden files, reports.
-    pub fn consolidate_sorted(self) -> Delta {
+    /// so entries that compare equal keep first-occurrence order): the
+    /// canonical order unit tests compare in.
+    #[cfg(test)]
+    pub(crate) fn consolidate_sorted(self) -> Delta {
         let mut d = self.consolidate();
         d.entries.sort_by(|a, b| a.0.total_cmp(&b.0));
         d
     }
 
     /// Consume into entries.
-    pub fn into_entries(self) -> Vec<(Tuple, i64)> {
+    pub(crate) fn into_entries(self) -> Vec<(Tuple, i64)> {
         self.entries
     }
 }
@@ -348,7 +337,7 @@ impl<'a> Iterator for BucketIter<'a> {
 /// full output bag, keyed for the joins that read it.
 ///
 /// Tuples are bucketed by the Fx hash of their projection onto
-/// `key_cols` (see [`pgq_common::tuple::hash_values`]); within a hash
+/// `key_cols` ([`Tuple::hash_projected`]); within a hash
 /// bucket an adaptive `Bucket` keeps updates cheap at both small and
 /// large fan-out:
 ///
@@ -451,7 +440,7 @@ impl IndexedBag {
 
     /// New bag keyed by `key_cols`, the last `values` of which compare
     /// by value.
-    pub fn with_values(key_cols: Vec<usize>, values: usize) -> IndexedBag {
+    pub(crate) fn with_values(key_cols: Vec<usize>, values: usize) -> IndexedBag {
         assert!(values <= key_cols.len(), "value columns are key columns");
         IndexedBag {
             by_key: FxHashMap::default(),
@@ -462,12 +451,12 @@ impl IndexedBag {
     }
 
     /// The key columns.
-    pub fn key_cols(&self) -> &[usize] {
+    pub(crate) fn key_cols(&self) -> &[usize] {
         &self.key_cols
     }
 
     /// How many of the key columns, at the end, compare by value.
-    pub fn value_cols(&self) -> usize {
+    pub(crate) fn value_cols(&self) -> usize {
         self.values
     }
 

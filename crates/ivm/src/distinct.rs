@@ -9,27 +9,19 @@ use crate::delta::{Delta, Row, RowSink};
 
 /// δ node.
 #[derive(Clone, Debug, Default)]
-pub struct DistinctOp {
+pub(crate) struct DistinctOp {
     counts: FxHashMap<Tuple, i64>,
 }
 
 impl DistinctOp {
     /// New empty node.
-    pub fn new() -> DistinctOp {
+    pub(crate) fn new() -> DistinctOp {
         DistinctOp::default()
     }
 
     /// Distinct tuples currently supported.
-    pub fn memory_tuples(&self) -> usize {
+    pub(crate) fn memory_tuples(&self) -> usize {
         self.counts.len()
-    }
-
-    /// Process a delta.
-    pub fn on_delta(&mut self, input: Delta) -> Delta {
-        let input = input.consolidate();
-        let mut out = Delta::with_capacity(input.len());
-        self.apply(&input, &mut out);
-        out
     }
 
     /// Process a borrowed **consolidated** delta, appending assertion /
@@ -38,7 +30,7 @@ impl DistinctOp {
     /// caller's consolidation removes — but consolidated input avoids
     /// the churn; the network consolidates every edge.)
     #[inline(never)]
-    pub fn apply(&mut self, input: &Delta, out: &mut (impl RowSink + ?Sized)) {
+    pub(crate) fn apply(&mut self, input: &Delta, out: &mut (impl RowSink + ?Sized)) {
         for (t, m) in input.iter() {
             let e = self.counts.entry(t.clone()).or_insert(0);
             let before = *e;
@@ -58,7 +50,7 @@ impl DistinctOp {
 
     /// Reconstruct the full current output set (each supported tuple
     /// once) into `out`.
-    pub fn replay_into(&self, out: &mut dyn RowSink) {
+    pub(crate) fn replay_into(&self, out: &mut dyn RowSink) {
         for t in self.counts.keys() {
             out.push_row(Row::Held(t), 1);
         }
@@ -70,6 +62,14 @@ mod tests {
     use super::*;
     use pgq_common::value::Value;
 
+    /// One network step: `apply` on the consolidated input, as the
+    /// network feeds it.
+    fn step(op: &mut DistinctOp, input: Delta) -> Delta {
+        let mut out = Delta::new();
+        op.apply(&input.consolidate(), &mut out);
+        out
+    }
+
     fn t(i: i64) -> Tuple {
         vec![Value::Int(i)].into()
     }
@@ -77,13 +77,13 @@ mod tests {
     #[test]
     fn assert_once_retract_at_zero() {
         let mut d = DistinctOp::new();
-        let out = d.on_delta([(t(1), 2)].into_iter().collect()).consolidate();
+        let out = step(&mut d, [(t(1), 2)].into_iter().collect()).consolidate();
         assert_eq!(out.into_entries(), vec![(t(1), 1)]);
         // Going 2 → 1 emits nothing.
-        let out = d.on_delta([(t(1), -1)].into_iter().collect()).consolidate();
+        let out = step(&mut d, [(t(1), -1)].into_iter().collect()).consolidate();
         assert!(out.is_empty());
         // 1 → 0 retracts.
-        let out = d.on_delta([(t(1), -1)].into_iter().collect()).consolidate();
+        let out = step(&mut d, [(t(1), -1)].into_iter().collect()).consolidate();
         assert_eq!(out.into_entries(), vec![(t(1), -1)]);
         assert_eq!(d.memory_tuples(), 0);
     }
@@ -91,10 +91,12 @@ mod tests {
     #[test]
     fn mixed_batch() {
         let mut d = DistinctOp::new();
-        d.on_delta([(t(1), 1), (t(2), 1)].into_iter().collect());
-        let out = d
-            .on_delta([(t(1), 1), (t(2), -1), (t(3), 1)].into_iter().collect())
-            .consolidate();
+        step(&mut d, [(t(1), 1), (t(2), 1)].into_iter().collect());
+        let out = step(
+            &mut d,
+            [(t(1), 1), (t(2), -1), (t(3), 1)].into_iter().collect(),
+        )
+        .consolidate();
         let entries = out.into_entries();
         assert!(entries.contains(&(t(2), -1)));
         assert!(entries.contains(&(t(3), 1)));

@@ -61,11 +61,6 @@ pub struct JoinOp {
     /// How many of each key list above, at its end, are value keys.
     values: usize,
     right_keep: Vec<usize>,
-    /// Optional output permutation over the virtual row
-    /// `left ++ right[right_keep]`, folded into emission so a consumer
-    /// that reorders columns doesn't pay a second tuple materialisation
-    /// per row.
-    out_perm: Option<Vec<usize>>,
     /// Reused output-row assembly buffer.
     scratch: Vec<Value>,
     /// Reused `(key hash, entry index)` run over the smaller delta of a
@@ -76,36 +71,21 @@ pub struct JoinOp {
     counters: Counters,
 }
 
-/// Emit the (optionally permuted) output row `left ++ right[right_keep]`
-/// with multiplicity `mult`, assembling the values in `scratch`.
+/// Emit the output row `left ++ right[right_keep]` with multiplicity
+/// `mult`, assembling the values in `scratch`.
 fn emit(
     scratch: &mut Vec<Value>,
     l: &Tuple,
     r: &Tuple,
     right_keep: &[usize],
-    out_perm: &Option<Vec<usize>>,
     mult: i64,
     out: &mut (impl RowSink + ?Sized),
 ) {
     scratch.clear();
     scratch.reserve(l.arity() + right_keep.len());
-    match out_perm {
-        None => {
-            scratch.extend_from_slice(l.values());
-            for &i in right_keep {
-                scratch.push(r.get(i).clone());
-            }
-        }
-        Some(perm) => {
-            let la = l.arity();
-            for &i in perm {
-                if i < la {
-                    scratch.push(l.get(i).clone());
-                } else {
-                    scratch.push(r.get(right_keep[i - la]).clone());
-                }
-            }
-        }
+    scratch.extend_from_slice(l.values());
+    for &i in right_keep {
+        scratch.push(r.get(i).clone());
     }
     out.push_row(Row::Assembled(scratch), mult);
 }
@@ -119,7 +99,7 @@ impl JoinOp {
 
     /// [`JoinOp::new`] that also equates the `(left, right)` column
     /// pairs of `value_keys` by value, keeping both columns.
-    pub fn with_value_keys(
+    pub(crate) fn with_value_keys(
         left_keys: Vec<usize>,
         right_keys: Vec<usize>,
         value_keys: &[(usize, usize)],
@@ -149,18 +129,10 @@ impl JoinOp {
             left_probe,
             values: value_keys.len(),
             right_keep,
-            out_perm: None,
             scratch: Vec::new(),
             delta_index: Vec::new(),
             counters: Counters::default(),
         }
-    }
-
-    /// Reorder emitted rows by `perm` (indexes into the unpermuted output
-    /// `left ++ right[right_keep]`). Must cover every output column.
-    pub fn with_output_perm(mut self, perm: Vec<usize>) -> JoinOp {
-        self.out_perm = Some(perm);
-        self
     }
 
     /// Key columns the left input must be arranged by.
@@ -175,7 +147,7 @@ impl JoinOp {
 
     /// How many arrangement key columns, at the end of each list, are
     /// value keys ([`IndexedBag::with_values`]).
-    pub fn value_key_count(&self) -> usize {
+    pub(crate) fn value_key_count(&self) -> usize {
         self.values
     }
 
@@ -205,21 +177,20 @@ impl JoinOp {
             right_probe,
             left_probe,
             right_keep,
-            out_perm,
             scratch,
             ..
         } = self;
         // ΔL ⋈ R_old
         for (lt, lm) in dl.iter() {
             for (rt, rm) in right.probe(lt, left_probe) {
-                emit(scratch, lt, rt, right_keep, out_perm, lm * rm, out);
+                emit(scratch, lt, rt, right_keep, lm * rm, out);
                 emitted += 1;
             }
         }
         // L_old ⋈ ΔR
         for (rt, rm) in dr.iter() {
             for (lt, lm) in left.probe(rt, right_probe) {
-                emit(scratch, lt, rt, right_keep, out_perm, lm * rm, out);
+                emit(scratch, lt, rt, right_keep, lm * rm, out);
                 emitted += 1;
             }
         }
@@ -241,7 +212,6 @@ impl JoinOp {
             left_probe,
             values,
             right_keep,
-            out_perm,
             scratch,
             delta_index,
             ..
@@ -252,7 +222,7 @@ impl JoinOp {
             for (lt, lm) in dl {
                 for (rt, rm) in dr {
                     if keys_match(lt, left_probe, rt, right_arr_keys, values) {
-                        emit(scratch, lt, rt, right_keep, out_perm, lm * rm, out);
+                        emit(scratch, lt, rt, right_keep, lm * rm, out);
                         emitted += 1;
                     }
                 }
@@ -280,7 +250,7 @@ impl JoinOp {
                 let (st, sm) = &small[i as usize];
                 if keys_match(bt, big_cols, st, small_cols, values) {
                     let (lt, rt) = if index_left { (st, bt) } else { (bt, st) };
-                    emit(scratch, lt, rt, right_keep, out_perm, sm * bm, out);
+                    emit(scratch, lt, rt, right_keep, sm * bm, out);
                     emitted += 1;
                 }
             }
@@ -289,16 +259,28 @@ impl JoinOp {
     }
 
     /// Enumerate the full current output bag (L ⋈ R as of now) from the
-    /// two arrangements into `out`. Used when a consumer registered later
-    /// needs this node's complete state rather than a delta; each row is
-    /// handed over assembled, so only a consumer that keeps it allocates.
-    pub fn replay_into(&self, left: &IndexedBag, right: &IndexedBag, out: &mut dyn RowSink) {
+    /// two arrangements into `out`, returning the work as
+    /// [`join_tuples_emitted`](Counters::join_tuples_emitted). Used when a
+    /// consumer registered later needs this node's complete state rather
+    /// than a delta; each row is handed over assembled, so only a consumer
+    /// that keeps it allocates.
+    pub(crate) fn replay_into(
+        &self,
+        left: &IndexedBag,
+        right: &IndexedBag,
+        out: &mut dyn RowSink,
+    ) -> Counters {
         let mut scratch = Vec::new();
+        let mut emitted = 0;
         for (lt, lm) in left.iter() {
             for (rt, rm) in right.probe(lt, &self.left_probe) {
-                let (keep, perm) = (&self.right_keep, &self.out_perm);
-                emit(&mut scratch, lt, rt, keep, perm, lm * rm, out);
+                emit(&mut scratch, lt, rt, &self.right_keep, lm * rm, out);
+                emitted += 1;
             }
+        }
+        Counters {
+            join_tuples_emitted: emitted,
+            ..Counters::default()
         }
     }
 }
@@ -351,7 +333,6 @@ mod tests {
         left_mem: IndexedBag,
         right_mem: IndexedBag,
         right_keep: Vec<usize>,
-        out_perm: Option<Vec<usize>>,
     }
 
     impl TwoMemoryJoin {
@@ -362,7 +343,6 @@ mod tests {
                     .collect(),
                 left_mem: IndexedBag::new(left_keys),
                 right_mem: IndexedBag::new(right_keys),
-                out_perm: None,
             }
         }
 
@@ -371,8 +351,7 @@ mod tests {
             let mut scratch = Vec::new();
             for (lt, lm) in dl.iter() {
                 for (rt, rm) in self.right_mem.probe(lt, self.left_mem.key_cols()) {
-                    let (keep, perm) = (&self.right_keep, &self.out_perm);
-                    emit(&mut scratch, lt, rt, keep, perm, lm * rm, &mut out);
+                    emit(&mut scratch, lt, rt, &self.right_keep, lm * rm, &mut out);
                 }
             }
             for (lt, lm) in dl.iter() {
@@ -380,8 +359,7 @@ mod tests {
             }
             for (rt, rm) in dr.iter() {
                 for (lt, lm) in self.left_mem.probe(rt, self.right_mem.key_cols()) {
-                    let (keep, perm) = (&self.right_keep, &self.out_perm);
-                    emit(&mut scratch, lt, rt, keep, perm, lm * rm, &mut out);
+                    emit(&mut scratch, lt, rt, &self.right_keep, lm * rm, &mut out);
                 }
             }
             for (rt, rm) in dr.iter() {
@@ -474,88 +452,78 @@ mod tests {
 
     /// Self-join fed the same delta on both sides — the case the third
     /// term exists for — against the two-memory model, at widths 1 and 4,
-    /// with and without an output permutation, over batches that include
-    /// multiplicity 2, a retract-and-assert of one tuple inside one
-    /// batch, an empty batch, and batches large enough to leave the
-    /// nested loop.
+    /// over batches that include multiplicity 2, a retract-and-assert of
+    /// one tuple inside one batch, an empty batch, and batches large
+    /// enough to leave the nested loop.
     #[test]
     fn three_term_rule_matches_two_memory_join_on_self_joins() {
         for width in [1usize, 4] {
-            for permuted in [false, true] {
-                // W(k, …) ⋈ W on col 0 = col width-1 (width 1: col 0 both).
-                let (lk, rk) = (vec![0], vec![width - 1]);
-                let out_arity = width + width - 1;
-                let perm: Option<Vec<usize>> = permuted.then(|| (0..out_arity).rev().collect());
-                let mut op = JoinOp::new(lk.clone(), rk.clone(), width);
-                let mut model = TwoMemoryJoin::new(lk, rk, width);
-                if let Some(p) = &perm {
-                    op = op.with_output_perm(p.clone());
-                    model.out_perm = Some(p.clone());
-                }
-                let mut j = Arranged::new(op);
-                let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ width as u64;
-                let mut live: Vec<Tuple> = Vec::new();
-                for step in 0..60 {
-                    let mut delta = Delta::new();
-                    match step % 6 {
-                        // An empty side.
-                        0 => {}
-                        // Multiplicity 2.
-                        1 => {
+            // W(k, …) ⋈ W on col 0 = col width-1 (width 1: col 0 both).
+            let (lk, rk) = (vec![0], vec![width - 1]);
+            let mut model = TwoMemoryJoin::new(lk.clone(), rk.clone(), width);
+            let mut j = Arranged::new(JoinOp::new(lk, rk, width));
+            let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ width as u64;
+            let mut live: Vec<Tuple> = Vec::new();
+            for step in 0..60 {
+                let mut delta = Delta::new();
+                match step % 6 {
+                    // An empty side.
+                    0 => {}
+                    // Multiplicity 2.
+                    1 => {
+                        let tu: Tuple =
+                            (0..width).map(|_| Value::Int(next(&mut rng) % 3)).collect();
+                        live.push(tu.clone());
+                        live.push(tu.clone());
+                        delta.push(tu, 2);
+                    }
+                    // Retract and re-assert one live tuple in one
+                    // batch.
+                    2 if !live.is_empty() => {
+                        let tu = live[next(&mut rng) as usize % live.len()].clone();
+                        delta.push(tu.clone(), -1);
+                        delta.push(tu, 1);
+                    }
+                    // A large batch: beyond the nested-loop bound.
+                    3 => {
+                        for _ in 0..12 {
                             let tu: Tuple =
-                                (0..width).map(|_| Value::Int(next(&mut rng) % 3)).collect();
-                            live.push(tu.clone());
-                            live.push(tu.clone());
-                            delta.push(tu, 2);
-                        }
-                        // Retract and re-assert one live tuple in one
-                        // batch.
-                        2 if !live.is_empty() => {
-                            let tu = live[next(&mut rng) as usize % live.len()].clone();
-                            delta.push(tu.clone(), -1);
-                            delta.push(tu, 1);
-                        }
-                        // A large batch: beyond the nested-loop bound.
-                        3 => {
-                            for _ in 0..12 {
-                                let tu: Tuple =
-                                    (0..width).map(|_| Value::Int(next(&mut rng) % 4)).collect();
-                                live.push(tu.clone());
-                                delta.push(tu, 1);
-                            }
-                        }
-                        // Retractions.
-                        4 => {
-                            for _ in 0..live.len().min(3) {
-                                let ix = next(&mut rng) as usize % live.len();
-                                delta.push(live.swap_remove(ix), -1);
-                            }
-                        }
-                        _ => {
-                            let tu: Tuple =
-                                (0..width).map(|_| Value::Int(next(&mut rng) % 3)).collect();
+                                (0..width).map(|_| Value::Int(next(&mut rng) % 4)).collect();
                             live.push(tu.clone());
                             delta.push(tu, 1);
                         }
                     }
-                    let want = model.on_deltas(&delta, &delta).consolidate_sorted();
-                    let got = j.on_deltas(delta.clone(), delta).consolidate_sorted();
-                    assert_eq!(got, want, "width {width}, permuted {permuted}, step {step}");
-                }
-                // And the enumeration of the arrangements is L ⋈ R.
-                let mut replayed = Delta::new();
-                let Arranged { op, left, right } = &mut j;
-                op.replay_into(left, right, &mut replayed);
-                let mut full = Delta::new();
-                let mut scratch = Vec::new();
-                for (lt, lm) in model.left_mem.iter() {
-                    for (rt, rm) in model.right_mem.probe(lt, model.left_mem.key_cols()) {
-                        let (keep, perm) = (&model.right_keep, &model.out_perm);
-                        emit(&mut scratch, lt, rt, keep, perm, lm * rm, &mut full);
+                    // Retractions.
+                    4 => {
+                        for _ in 0..live.len().min(3) {
+                            let ix = next(&mut rng) as usize % live.len();
+                            delta.push(live.swap_remove(ix), -1);
+                        }
+                    }
+                    _ => {
+                        let tu: Tuple =
+                            (0..width).map(|_| Value::Int(next(&mut rng) % 3)).collect();
+                        live.push(tu.clone());
+                        delta.push(tu, 1);
                     }
                 }
-                assert_eq!(replayed.consolidate_sorted(), full.consolidate_sorted());
+                let want = model.on_deltas(&delta, &delta).consolidate_sorted();
+                let got = j.on_deltas(delta.clone(), delta).consolidate_sorted();
+                assert_eq!(got, want, "width {width}, step {step}");
             }
+            // And the enumeration of the arrangements is L ⋈ R.
+            let mut replayed = Delta::new();
+            let Arranged { op, left, right } = &mut j;
+            let work = op.replay_into(left, right, &mut replayed);
+            assert_eq!(work.join_tuples_emitted, replayed.len() as u64);
+            let mut full = Delta::new();
+            let mut scratch = Vec::new();
+            for (lt, lm) in model.left_mem.iter() {
+                for (rt, rm) in model.right_mem.probe(lt, model.left_mem.key_cols()) {
+                    emit(&mut scratch, lt, rt, &model.right_keep, lm * rm, &mut full);
+                }
+            }
+            assert_eq!(replayed.consolidate_sorted(), full.consolidate_sorted());
         }
     }
 }

@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 //! # pgq-ivm
 //!
 //! The incremental view maintenance engine: a Rete-style delta-propagation
@@ -17,23 +17,30 @@
 //!   and [`ViewRef`], and inspect it through [`NodeSummary`], [`NodeId`]
 //!   and [`Counters`].
 //! * [`MaterializedView`], the standalone single-view façade.
-//! * [`Delta`], the signed bag every dataflow edge carries ([`delta`]).
-//! * One module per operator kernel: [`scan`], [`join`], [`semijoin`],
-//!   [`tc`] (⋈*), [`wcoj`] (⨝ⁿ), [`aggregate`], [`distinct`] and
-//!   [`basic`] (σ/π/ω programs); [`stats`] keeps the work counters and
-//!   renders a view's operators, and [`footprint`] bounds what a pending
-//!   transaction can touch.
+//! * [`Delta`], the signed bag every dataflow edge carries, with the
+//!   row sink and the keyed arrangement the kernels write and read
+//!   ([`delta`]).
+//! * The kernels the crate's own tests drive directly: [`join`] (⋈),
+//!   [`semijoin`] (⋉/▷), [`tc`] (⋈*), [`wcoj`] (⨝ⁿ) and [`basic`]
+//!   (σ/π/ω programs). Scans, δ and γ are reached only through the
+//!   network. [`stats`] keeps the work counters and renders a view's
+//!   operators.
+//! * [`footprint`] bounds what a pending transaction can touch. No
+//!   engine code reads it; it stays public only for the benchmark's
+//!   twin model, and goes with it (ROADMAP item 1(iii)).
+//!
+//! `tests/public_surface.rs` pins every exported name.
 //!
 //! [`ChangeEvent`]: pgq_graph::delta::ChangeEvent
 
-pub mod aggregate;
+mod aggregate;
 pub mod basic;
 pub mod delta;
-pub mod distinct;
+mod distinct;
 pub mod footprint;
 pub mod join;
 pub mod network;
-pub mod scan;
+mod scan;
 pub mod semijoin;
 mod small_list;
 pub mod stats;

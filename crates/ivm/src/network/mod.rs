@@ -204,7 +204,7 @@ impl DataflowNetwork {
 
     /// Per-operator statistics of one view's subgraph, rendered as a
     /// tree (shared nodes appear in every referencing view's tree).
-    pub fn stats_of(&self, sid: SinkId) -> OpStats {
+    pub(crate) fn stats_of(&self, sid: SinkId) -> OpStats {
         self.node_stats(self.sink_root(sid))
     }
 

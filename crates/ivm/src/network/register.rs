@@ -53,6 +53,7 @@ use crate::scan::{EdgeScan, EdgeScanSpec, VertexScan};
 use crate::semijoin::SemiJoinOp;
 use crate::tc::VarLengthOp;
 use crate::wcoj::MultiwayJoinOp;
+use crate::Counters;
 
 /// Options for [`DataflowNetwork::register_with`]: how one view is
 /// planned. The defaults are what every engine registration runs; the
@@ -155,9 +156,10 @@ struct Bags<'s> {
     /// Nodes whose memories a consumer of this pass has streamed: the
     /// next consumer materialises them instead of enumerating again.
     streamed: FxHashSet<NodeId>,
-    /// Bags produced from a node's own state this pass
-    /// ([`bag_enumerations`](crate::Counters::bag_enumerations)).
-    enumerations: u64,
+    /// This pass's work: the bags produced from a node's own state
+    /// ([`bag_enumerations`](crate::Counters::bag_enumerations)) and the
+    /// rows and probes of the ⋈ / ⨝ⁿ enumerations among them.
+    work: Counters,
 }
 
 impl<'s> Bags<'s> {
@@ -337,7 +339,7 @@ impl DataflowNetwork {
             self.feed(root, &mut bags, &mut results);
             results
         });
-        self.counters.bag_enumerations += bags.enumerations;
+        self.counters += bags.work;
         let sid = self.add_sink(name, fra.schema(), root, seed);
         // Rebuild the routing index and the fused pairs eagerly:
         // registration is already a heavyweight operation, and a
@@ -587,7 +589,7 @@ impl DataflowNetwork {
             }
         }
         if let Some(bag) = produced.filter(|_| !hit) {
-            bags.enumerations += 1;
+            bags.work.bag_enumerations += 1;
             // A ⋈*'s deltas can retract and re-assert a row, but its
             // first load is one row per (left row, trie node) over a
             // consolidated left bag: consolidated already.
@@ -616,7 +618,7 @@ impl DataflowNetwork {
     /// into the other's operator, and recovery cold-starts those
     /// nodes. A dump changes no state; the bags it enumerates count
     /// into [`bag_enumerations`](crate::Counters::bag_enumerations), as
-    /// registration's do.
+    /// registration's do, but the join rows they take do not.
     pub fn dump_states(&mut self) -> RestoreStates {
         let mut live: Vec<NodeId> = (0..self.nodes.len())
             .filter(|&i| self.nodes[i].is_some())
@@ -643,7 +645,7 @@ impl DataflowNetwork {
                 );
             }
         }
-        self.counters.bag_enumerations += bags.enumerations;
+        self.counters.bag_enumerations += bags.work.bag_enumerations;
         states
     }
 
@@ -701,8 +703,8 @@ impl DataflowNetwork {
         };
         if matches!(source, Source::Memories) && !bags.streamed.insert(cur) {
             let mut bag = Delta::new();
-            bags.enumerations += 1;
-            self.replay_memories(cur, &mut bag);
+            bags.work.bag_enumerations += 1;
+            bags.work += self.replay_memories(cur, &mut bag);
             bags.keep(cur, self.node(cur).kind.output_consolidated(), bag);
             source = Source::Memo;
         }
@@ -725,8 +727,8 @@ impl DataflowNetwork {
                 }
             }
             Source::Memories => {
-                bags.enumerations += 1;
-                self.replay_memories(cur, sink);
+                bags.work.bag_enumerations += 1;
+                bags.work += self.replay_memories(cur, sink);
             }
         }
         consolidated
@@ -755,9 +757,10 @@ impl DataflowNetwork {
     }
 
     /// Stream stateful node `id`'s full output bag, enumerated from its
-    /// own memories, into `out`.
-    fn replay_memories(&self, id: NodeId, out: &mut dyn RowSink) {
+    /// own memories, into `out`, returning the join work that took.
+    fn replay_memories(&self, id: NodeId, out: &mut dyn RowSink) -> Counters {
         let arrangements = &self.arrangements;
+        let mut work = Counters::default();
         match &self.node(id).kind {
             NodeKind::Unit { emitted } => {
                 if *emitted {
@@ -772,20 +775,23 @@ impl DataflowNetwork {
                 left_arr,
                 right_arr,
                 op,
-            } => op.replay_into(
-                arranged(arrangements, *left, *left_arr),
-                arranged(arrangements, *right, *right_arr),
-                out,
-            ),
+            } => {
+                work = op.replay_into(
+                    arranged(arrangements, *left, *left_arr),
+                    arranged(arrangements, *right, *right_arr),
+                    out,
+                )
+            }
             NodeKind::SemiJoin {
                 left, left_arr, op, ..
             } => op.replay_into(arranged(arrangements, *left, *left_arr), out),
             NodeKind::VarLength { op, .. } => op.replay_into(out),
             NodeKind::Distinct { op, .. } => op.replay_into(out),
             NodeKind::Aggregate { op, .. } => op.replay_into(out),
-            NodeKind::Multiway { op, .. } => op.replay_into(out),
+            NodeKind::Multiway { op, .. } => work = op.replay_into(out),
             NodeKind::Program { .. } => unreachable!("replay_memories on a stateless node"),
         }
+        work
     }
 
     /// Every live arrangement as `(producer's canonical sub-plan, key

@@ -276,7 +276,7 @@ impl DataflowNetwork {
     /// result bag. Shared nodes are counted once per view (each view
     /// reports the memory it depends on), but only once within a view
     /// even if referenced from several places in its plan.
-    pub fn memory_tuples_of(&self, sid: SinkId) -> usize {
+    pub(crate) fn memory_tuples_of(&self, sid: SinkId) -> usize {
         let mut visited: Vec<NodeId> = Vec::new();
         let mut stack = vec![self.sink_root(sid)];
         let mut total = self.sinks.results(sid).len();

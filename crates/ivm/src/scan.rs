@@ -23,7 +23,7 @@ use crate::delta::{Delta, Row, RowSink};
 /// routing contract the shared dataflow network indexes scans by, so a
 /// transaction's events are delivered only to scans that can match them.
 #[derive(Clone, Debug)]
-pub enum ScanRouting {
+pub(crate) enum ScanRouting {
     /// A © scan (or an internal vertex scan of a ⋈* node).
     Vertex(VertexRouting),
     /// A ⇑ scan (or the internal edge scan of a ⋈* node).
@@ -32,7 +32,7 @@ pub enum ScanRouting {
 
 /// Routing contract of a vertex scan.
 #[derive(Clone, Debug)]
-pub struct VertexRouting {
+pub(crate) struct VertexRouting {
     /// Conjunctive label requirement (empty = every vertex matches).
     pub labels: Vec<Symbol>,
     /// Vertex property keys whose changes can alter emitted tuples;
@@ -49,7 +49,7 @@ pub struct VertexRouting {
 /// label-free side — e.g. `(a:A)-[:R]->(b)` pushing `b.x` must see
 /// property changes on *any* vertex, because any vertex can be `b`.
 #[derive(Clone, Debug)]
-pub struct EdgeRouting {
+pub(crate) struct EdgeRouting {
     /// Admissible edge types (empty = any).
     pub types: Vec<Symbol>,
     /// Edge property keys whose changes matter (pushed properties and
@@ -64,7 +64,7 @@ pub struct EdgeRouting {
 
 /// The © get-vertices scan node.
 #[derive(Clone, Debug)]
-pub struct VertexScan {
+pub(crate) struct VertexScan {
     labels: Vec<Symbol>,
     props: Vec<PropPush>,
     carry_map: bool,
@@ -80,7 +80,7 @@ pub struct VertexScan {
 impl VertexScan {
     /// Create a scan for `labels` (empty = all vertices) emitting the
     /// pushed `props` and, in ablation mode, the whole property map.
-    pub fn new(labels: Vec<Symbol>, props: Vec<PropPush>, carry_map: bool) -> VertexScan {
+    pub(crate) fn new(labels: Vec<Symbol>, props: Vec<PropPush>, carry_map: bool) -> VertexScan {
         VertexScan {
             labels,
             props,
@@ -93,23 +93,23 @@ impl VertexScan {
     }
 
     /// Number of tuples materialised in this scan's memory.
-    pub fn memory_tuples(&self) -> usize {
+    pub(crate) fn memory_tuples(&self) -> usize {
         self.memory.len()
     }
 
     /// Change events this scan has examined since it was created.
-    pub fn events_read(&self) -> u64 {
+    pub(crate) fn events_read(&self) -> u64 {
         self.events_read
     }
 
     /// The tuple currently emitted for `v` (`[v, props…]`), if `v`
     /// satisfies the scan — the memory read as an admission map.
-    pub fn get(&self, v: VertexId) -> Option<&Tuple> {
+    pub(crate) fn get(&self, v: VertexId) -> Option<&Tuple> {
         self.memory.get(&v)
     }
 
     /// Routing contract (see [`ScanRouting`]).
-    pub fn routing(&self) -> VertexRouting {
+    pub(crate) fn routing(&self) -> VertexRouting {
         VertexRouting {
             labels: self.labels.clone(),
             prop_keys: if self.carry_map {
@@ -122,7 +122,7 @@ impl VertexScan {
 
     /// Re-emit the full current memory contents (each remembered tuple
     /// with multiplicity +1) into `out`.
-    pub fn replay_into(&self, out: &mut dyn RowSink) {
+    pub(crate) fn replay_into(&self, out: &mut dyn RowSink) {
         for t in self.memory.values() {
             out.push_row(Row::Held(t), 1);
         }
@@ -148,7 +148,7 @@ impl VertexScan {
     }
 
     /// Full evaluation against `g`, populating the memory.
-    pub fn initial(&mut self, g: &PropertyGraph) -> Delta {
+    pub(crate) fn initial(&mut self, g: &PropertyGraph) -> Delta {
         let ids: Vec<VertexId> = if self.labels.is_empty() {
             g.vertex_ids().collect()
         } else {
@@ -174,17 +174,10 @@ impl VertexScan {
         out
     }
 
-    /// Delta for a batch of committed events (post-state `g`).
-    pub fn on_events(&mut self, g: &PropertyGraph, events: &[ChangeEvent]) -> Delta {
-        let mut out = Delta::new();
-        self.on_events_into(g, events, &mut out);
-        out
-    }
-
-    /// [`VertexScan::on_events`] over any sequence of events — the
+    /// Delta for a batch of committed events (post-state `g`) — the
     /// network hands a scan only the events routed to it — into a
     /// caller-owned (pooled) buffer or any other [`RowSink`].
-    pub fn on_events_into<'e>(
+    pub(crate) fn on_events_into<'e>(
         &mut self,
         g: &PropertyGraph,
         events: impl IntoIterator<Item = &'e ChangeEvent>,
@@ -205,7 +198,12 @@ impl VertexScan {
     }
 
     /// Recompute one vertex and emit the difference into `out`.
-    pub fn refresh(&mut self, g: &PropertyGraph, v: VertexId, out: &mut (impl RowSink + ?Sized)) {
+    pub(crate) fn refresh(
+        &mut self,
+        g: &PropertyGraph,
+        v: VertexId,
+        out: &mut (impl RowSink + ?Sized),
+    ) {
         let new = self.tuple_of(g, v);
         let old = self.memory.get(&v);
         if old == new.as_ref() {
@@ -234,7 +232,7 @@ impl VertexScan {
 /// `Direction::Both` emits each edge in both orientations (a self-loop
 /// only once).
 #[derive(Clone, Debug)]
-pub struct EdgeScan {
+pub(crate) struct EdgeScan {
     types: Vec<Symbol>,
     src_labels: Vec<Symbol>,
     dst_labels: Vec<Symbol>,
@@ -274,7 +272,7 @@ impl EdgeTuples {
 
 /// Construction parameters for [`EdgeScan`].
 #[derive(Clone, Debug, Default)]
-pub struct EdgeScanSpec {
+pub(crate) struct EdgeScanSpec {
     /// Admissible edge types (empty = any).
     pub types: Vec<Symbol>,
     /// Labels required on the pattern-source.
@@ -297,7 +295,7 @@ pub struct EdgeScanSpec {
 
 impl EdgeScan {
     /// Create a scan from `spec`.
-    pub fn new(spec: EdgeScanSpec) -> EdgeScan {
+    pub(crate) fn new(spec: EdgeScanSpec) -> EdgeScan {
         EdgeScan {
             types: spec.types,
             src_labels: spec.src_labels,
@@ -316,17 +314,17 @@ impl EdgeScan {
     }
 
     /// Number of tuples materialised in this scan's memory.
-    pub fn memory_tuples(&self) -> usize {
+    pub(crate) fn memory_tuples(&self) -> usize {
         self.memory.values().map(|ts| ts.as_slice().len()).sum()
     }
 
     /// Change events this scan has examined since it was created.
-    pub fn events_read(&self) -> u64 {
+    pub(crate) fn events_read(&self) -> u64 {
         self.events_read
     }
 
     /// Routing contract (see [`ScanRouting`] and [`EdgeRouting`]).
-    pub fn routing(&self) -> EdgeRouting {
+    pub(crate) fn routing(&self) -> EdgeRouting {
         // One endpoint side's interest: labels gate membership, props
         // (or a carried map) make that side's vertex state part of the
         // emitted tuple. A side with neither has no vertex interest.
@@ -362,7 +360,7 @@ impl EdgeScan {
     }
 
     /// Re-emit the full current memory contents into `out`.
-    pub fn replay_into(&self, out: &mut dyn RowSink) {
+    pub(crate) fn replay_into(&self, out: &mut dyn RowSink) {
         for tuples in self.memory.values() {
             for t in tuples.as_slice() {
                 out.push_row(Row::Held(t), 1);
@@ -452,7 +450,7 @@ impl EdgeScan {
     }
 
     /// Full evaluation against `g`.
-    pub fn initial(&mut self, g: &PropertyGraph) -> Delta {
+    pub(crate) fn initial(&mut self, g: &PropertyGraph) -> Delta {
         let ids: Vec<EdgeId> = if self.types.is_empty() {
             g.edge_ids().collect()
         } else {
@@ -477,19 +475,12 @@ impl EdgeScan {
         out
     }
 
-    /// Delta for a batch of committed events. Vertex events touch every
+    /// Delta for a batch of committed events — the network hands a scan
+    /// only the events routed to it — into a caller-owned (pooled)
+    /// buffer or any other [`RowSink`]. Vertex events touch every
     /// incident edge (labels/properties of endpoints are part of edge
     /// tuples).
-    pub fn on_events(&mut self, g: &PropertyGraph, events: &[ChangeEvent]) -> Delta {
-        let mut out = Delta::new();
-        self.on_events_into(g, events, &mut out);
-        out
-    }
-
-    /// [`EdgeScan::on_events`] over any sequence of events — the
-    /// network hands a scan only the events routed to it — into a
-    /// caller-owned (pooled) buffer or any other [`RowSink`].
-    pub fn on_events_into<'e>(
+    pub(crate) fn on_events_into<'e>(
         &mut self,
         g: &PropertyGraph,
         events: impl IntoIterator<Item = &'e ChangeEvent>,
@@ -556,6 +547,13 @@ mod tests {
         }
     }
 
+    /// The consolidated delta a scan's `on_events_into` writes.
+    fn consolidated(on_events_into: impl FnOnce(&mut Delta)) -> Delta {
+        let mut out = Delta::new();
+        on_events_into(&mut out);
+        out.consolidate()
+    }
+
     #[test]
     fn vertex_scan_initial_and_updates() {
         let mut g = PropertyGraph::new();
@@ -573,11 +571,11 @@ mod tests {
 
         // Fine-grained property change → retract + assert.
         let ev = g.set_vertex_prop(a, sym("lang"), "de".into()).unwrap();
-        let d = scan.on_events(&g, &[ev]).consolidate();
+        let d = consolidated(|out| scan.on_events_into(&g, &[ev], out));
         assert_eq!(d.len(), 2);
         // Label removal → retraction only.
         let ev = g.remove_label(a, sym("Post")).unwrap().unwrap();
-        let d = scan.on_events(&g, &[ev]).consolidate();
+        let d = consolidated(|out| scan.on_events_into(&g, &[ev], out));
         assert_eq!(d.len(), 1);
         assert_eq!(d.iter().next().unwrap().1, -1);
         assert_eq!(scan.memory_tuples(), 0);
@@ -590,7 +588,7 @@ mod tests {
         let mut scan = VertexScan::new(vec![sym("Post")], vec![], false);
         scan.initial(&g);
         let ev = g.set_vertex_prop(a, sym("other"), Value::Int(1)).unwrap();
-        let d = scan.on_events(&g, &[ev]).consolidate();
+        let d = consolidated(|out| scan.on_events_into(&g, &[ev], out));
         assert!(d.is_empty(), "tuple did not change, no delta expected");
     }
 
@@ -635,7 +633,7 @@ mod tests {
         });
         assert_eq!(scan.initial(&g).consolidate().len(), 1);
         let ev = g.remove_label(b, sym("Comm")).unwrap().unwrap();
-        let d = scan.on_events(&g, &[ev]).consolidate();
+        let d = consolidated(|out| scan.on_events_into(&g, &[ev], out));
         assert_eq!(d.len(), 1);
         assert_eq!(d.iter().next().unwrap().1, -1);
     }
@@ -659,7 +657,7 @@ mod tests {
         });
         assert_eq!(scan.initial(&g).consolidate().len(), 1);
         let ev = g.set_edge_prop(e, sym("w"), Value::Int(2)).unwrap();
-        let d = scan.on_events(&g, &[ev]).consolidate();
+        let d = consolidated(|out| scan.on_events_into(&g, &[ev], out));
         assert_eq!(d.iter().next().unwrap().1, -1);
     }
 
@@ -672,7 +670,7 @@ mod tests {
         tx.create_vertex([sym("Post")], Properties::new());
         tx.create_vertex([sym("Comm")], Properties::new());
         let events = g.apply(&tx).unwrap();
-        let d = scan.on_events(&g, &events).consolidate();
+        let d = consolidated(|out| scan.on_events_into(&g, &events, out));
         assert_eq!(d.len(), 1, "only the Post matches");
     }
 }

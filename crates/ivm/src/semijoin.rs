@@ -115,7 +115,7 @@ impl SemiJoinOp {
 
     /// Support keys materialised (the left input lives in its
     /// producer's arrangement).
-    pub fn memory_tuples(&self) -> usize {
+    pub(crate) fn memory_tuples(&self) -> usize {
         self.right_support.len()
     }
 
@@ -191,7 +191,7 @@ impl SemiJoinOp {
 
     /// Reconstruct the full current output bag (L ⋉ R / L ▷ R as of
     /// now) from the left arrangement into `out`.
-    pub fn replay_into(&self, left: &IndexedBag, out: &mut dyn RowSink) {
+    pub(crate) fn replay_into(&self, left: &IndexedBag, out: &mut dyn RowSink) {
         for (lt, lm) in left.iter() {
             let positive = self.right_support.probe(lt, &self.left_keys) > 0;
             if self.passes(positive) {

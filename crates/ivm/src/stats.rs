@@ -14,9 +14,12 @@ use std::ops::AddAssign;
 /// counts by the ⋈ / ⨝ⁿ operators, the trie count by ⋈*, the
 /// arrangement and bag counts by the network — so counting is one
 /// integer add beside the work, needs no synchronisation at any
-/// propagation width, and is part of the width-determinism contract. A
-/// dropped node's counts fold into the network's totals, so every
-/// counter only grows. Measure a step as the difference of two reads.
+/// propagation width, and is part of the width-determinism contract.
+/// The join counts include the rows a registration enumerates from a
+/// ⋈ / ⨝ⁿ node's memories to seed a new view; a state dump's
+/// enumerations count only as bags. A dropped node's counts fold into
+/// the network's totals, so every counter only grows. Measure a step as
+/// the difference of two reads.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Tuples emitted by binary hash-join nodes — on cyclic patterns
@@ -66,7 +69,7 @@ impl AddAssign for Counters {
 }
 
 /// Statistics of one operator (and its subtree). Built by
-/// [`DataflowNetwork::stats_of`](crate::network::DataflowNetwork::stats_of);
+/// [`ViewRef::network_stats`](crate::network::ViewRef::network_stats);
 /// a node shared between views appears in every referencing view's tree.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OpStats {
@@ -114,7 +117,7 @@ impl fmt::Display for OpStats {
 
 #[cfg(test)]
 mod tests {
-    use crate::MaterializedView;
+    use crate::DataflowNetwork;
     use pgq_algebra::fra::Fra;
     use pgq_common::intern::Symbol;
     use pgq_graph::props::Properties;
@@ -134,8 +137,9 @@ mod tests {
                 carry_map: false,
             }),
         };
-        let view = MaterializedView::create_unchecked("s", &fra, &g);
-        let stats = view.network_stats();
+        let mut net = DataflowNetwork::new();
+        let sid = net.register("s", &fra, &g);
+        let stats = net.stats_of(sid);
         assert_eq!(stats.name, "δ");
         assert_eq!(stats.own_tuples, 3);
         assert_eq!(stats.children[0].own_tuples, 3);

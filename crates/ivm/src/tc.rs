@@ -21,10 +21,10 @@
 //!   path; `ending: vertex → nodes` and `by_last_edge: edge → nodes`
 //!   index the trie by where a path ends and by its final hop.
 //! * **Adjacency** `vertex → [(edge, neighbour)]`: the hops the
-//!   operator's own [`EdgeScan`] currently admits (type, direction and
+//!   operator's own `EdgeScan` currently admits (type, direction and
 //!   edge-property filters applied; `Both` lists an edge under both
 //!   endpoints).
-//! * **Admission**: the destination [`VertexScan`]'s memory, `vertex →
+//! * **Admission**: the destination `VertexScan`'s memory, `vertex →
 //!   [vertex, pushed props…]`, present only when the pattern constrains
 //!   or reads the destination.
 //!
@@ -514,7 +514,7 @@ impl VarLengthOp {
 
     /// Change events this operator's scans have examined since it was
     /// created, each counted once though both internal scans examine it.
-    pub fn events_read(&self) -> u64 {
+    pub(crate) fn events_read(&self) -> u64 {
         self.edge_scan.events_read()
     }
 
@@ -616,7 +616,7 @@ impl VarLengthOp {
 
     /// [`VarLengthOp::initial`] with a borrowed left input and a
     /// caller-owned (pooled) output buffer.
-    pub fn initial_into(&mut self, g: &PropertyGraph, left: &Delta, out: &mut Delta) {
+    pub(crate) fn initial_into(&mut self, g: &PropertyGraph, left: &Delta, out: &mut Delta) {
         debug_assert!(self.anchors.is_empty(), "initial evaluation runs once");
         let edges = self.edge_scan.initial(g);
         if let Some(scan) = &mut self.dst {
@@ -683,7 +683,7 @@ impl VarLengthOp {
     /// Routing contracts of the internal scans (edge traversal and the
     /// optional destination-constraint scan) — the union of events a ⋈*
     /// node must see.
-    pub fn routing(&self) -> Vec<ScanRouting> {
+    pub(crate) fn routing(&self) -> Vec<ScanRouting> {
         let mut out = vec![ScanRouting::Edge(self.edge_scan.routing())];
         if let Some(scan) = &self.dst {
             out.push(ScanRouting::Vertex(scan.routing()));

@@ -57,18 +57,6 @@ impl MaterializedView {
         MaterializedView { net, sink }
     }
 
-    /// View name.
-    pub fn name(&self) -> &str {
-        // Lifetime gymnastics: ViewRef borrows the network, so go
-        // through it inline.
-        self.net.view(self.sink).name()
-    }
-
-    /// Output column names.
-    pub fn columns(&self) -> &[String] {
-        self.net.view(self.sink).columns()
-    }
-
     /// Maintain the view after a committed transaction; returns the
     /// consolidated delta of result changes.
     pub fn on_transaction(&mut self, graph: &PropertyGraph, events: &[ChangeEvent]) -> Delta {
@@ -91,11 +79,6 @@ impl MaterializedView {
         self.net.view(self.sink).rows()
     }
 
-    /// Number of distinct result tuples.
-    pub fn distinct_count(&self) -> usize {
-        self.net.view(self.sink).distinct_count()
-    }
-
     /// Total row count (with multiplicities).
     pub fn row_count(&self) -> usize {
         self.net.view(self.sink).row_count()
@@ -109,11 +92,6 @@ impl MaterializedView {
     /// Number of maintenance rounds executed.
     pub fn maintenance_count(&self) -> u64 {
         self.net.view(self.sink).maintenance_count()
-    }
-
-    /// Per-operator statistics of the network (EXPLAIN-ANALYZE-style).
-    pub fn network_stats(&self) -> crate::stats::OpStats {
-        self.net.stats_of(self.sink)
     }
 
     /// The underlying single-sink network (inspection/testing).

@@ -738,13 +738,8 @@ pub struct MultiwayJoinOp {
 impl MultiwayJoinOp {
     /// Build the operator for inputs whose column `c` carries variable
     /// `var_of[i][c]`; `nvars` output variables double as the
-    /// elimination order. Uses the sorted-run backend.
-    pub fn new(var_of: &[Vec<usize>], nvars: usize) -> MultiwayJoinOp {
-        MultiwayJoinOp::with_backend(var_of, nvars, true)
-    }
-
-    /// [`MultiwayJoinOp::new`] with an explicit candidate backend:
-    /// sorted runs (`true`, the default) or the hash-trie fallback.
+    /// elimination order. `sorted` picks the candidate backend: sorted
+    /// runs (`true`) or the hash-trie fallback.
     pub fn with_backend(var_of: &[Vec<usize>], nvars: usize, sorted: bool) -> MultiwayJoinOp {
         let mut inputs: Vec<InputState> = var_of
             .iter()
@@ -791,7 +786,7 @@ impl MultiwayJoinOp {
 
     /// Does this operator keep sorted-run candidate sets (vs hash
     /// tries)?
-    pub fn sorted_backend(&self) -> bool {
+    pub(crate) fn sorted_backend(&self) -> bool {
         self.inputs.first().is_none_or(|i| i.sorted)
     }
 
@@ -803,7 +798,7 @@ impl MultiwayJoinOp {
 
     /// Distinct tuples stored across the input memories (full maps; the
     /// derived sub-indexes are not double-counted).
-    pub fn memory_tuples(&self) -> usize {
+    pub(crate) fn memory_tuples(&self) -> usize {
         self.inputs.iter().map(|i| i.full.len()).sum()
     }
 
@@ -862,7 +857,7 @@ impl MultiwayJoinOp {
     /// discarded output (for cyclic patterns it is the dominant cost of
     /// cold re-registration), while the memories absorb exactly the
     /// folded inputs.
-    pub fn restore(&mut self, deltas: &[&Delta]) {
+    pub(crate) fn restore(&mut self, deltas: &[&Delta]) {
         debug_assert_eq!(deltas.len(), self.inputs.len());
         for (i, delta) in deltas.iter().enumerate() {
             for (t, m) in delta.iter() {
@@ -872,8 +867,9 @@ impl MultiwayJoinOp {
     }
 
     /// Reconstruct the full current output bag from the memories into
-    /// `out` (used when a new view attaches to this node).
-    pub fn replay_into(&self, out: &mut dyn RowSink) {
+    /// `out` (used when a new view attaches to this node), returning the
+    /// work: rows emitted and the intersections' probes.
+    pub(crate) fn replay_into(&self, out: &mut dyn RowSink) -> Counters {
         let mut binding = vec![Value::Null; self.nvars];
         let mut scratch = Vec::new();
         enumerate(
@@ -884,7 +880,7 @@ impl MultiwayJoinOp {
             &mut scratch,
             1,
             out,
-        );
+        )
     }
 }
 

@@ -1,7 +1,8 @@
 //! Registration is one pass: the network's `bag_enumerations` counts
 //! every full output bag produced from a node's own state (a memory
 //! enumeration, or the by-product of a linear load), so the single-pass
-//! claim is a work count, not a timing.
+//! claim is a work count, not a timing. The rows a registration
+//! enumerates from a join count into `join_tuples_emitted`.
 
 use pgq_algebra::compile_query;
 use pgq_algebra::expr::ScalarExpr;
@@ -217,4 +218,44 @@ fn knows(src: &str, dst: &str) -> Fra {
         dir: pgq_common::dir::Direction::Out,
         carry_maps: (false, false, false),
     }
+}
+
+/// Seeding a cold view from a join's arrangements is join work: its
+/// rows count into `join_tuples_emitted` as maintenance's do. A view
+/// that shares the root reads the root's result bag and adds none, and
+/// a state dump enumerates the join again without counting it.
+#[test]
+fn registration_counts_the_join_rows_it_seeds() {
+    let g = graph();
+    let mut net = DataflowNetwork::new();
+    let join_rows = |net: &DataflowNetwork| net.counters().join_tuples_emitted;
+    let compile = |cypher: &str| compile_query(&parse_query(cypher).unwrap()).unwrap().fra;
+
+    let sid = net.register(
+        "cold",
+        &compile(
+            "MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person) \
+             WHERE a.country = c.country RETURN a, c",
+        ),
+        &g,
+    );
+    // The ⋈ keys on `b` and on the country value, so every row it emits
+    // is a result row: c = a + 6 without wrapping round the 40-person
+    // ring (34 rows), or a + 4 or a + 10 wrapping (2 × 4 + 2 × 10).
+    let seeded = join_rows(&net);
+    assert_eq!(seeded, net.view(sid).row_count() as u64);
+    assert_eq!(seeded, 62);
+
+    net.register(
+        "twin",
+        &compile(
+            "MATCH (x:Person)-[:KNOWS]->(y:Person)-[:KNOWS]->(z:Person) \
+             WHERE x.country = z.country RETURN x, z",
+        ),
+        &g,
+    );
+    assert_eq!(join_rows(&net), seeded, "a shared root seeds nothing");
+
+    net.dump_states();
+    assert_eq!(join_rows(&net), seeded, "a dump is not join work");
 }

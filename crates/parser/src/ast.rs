@@ -118,7 +118,7 @@ pub struct RangeSpec {
 
 impl RangeSpec {
     /// The openCypher default for a bare `*`: one or more hops.
-    pub const DEFAULT: RangeSpec = RangeSpec { min: 1, max: None };
+    pub(crate) const DEFAULT: RangeSpec = RangeSpec { min: 1, max: None };
 }
 
 /// A relationship pattern `-[e:TYPE*1..3 {key: expr}]->`.
@@ -305,18 +305,6 @@ pub enum Expr {
 }
 
 impl Expr {
-    /// Variable at the root of a property access chain, if the expression
-    /// is exactly `var.key`.
-    pub fn as_var_property(&self) -> Option<(&str, &str)> {
-        match self {
-            Expr::Property(base, key) => match base.as_ref() {
-                Expr::Variable(v) => Some((v.as_str(), key.as_str())),
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-
     /// All free variable names referenced by this expression.
     pub fn free_variables(&self) -> Vec<String> {
         let mut out = Vec::new();
@@ -412,14 +400,6 @@ impl Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn var_property_recognition() {
-        let e = Expr::Property(Box::new(Expr::Variable("p".into())), "lang".into());
-        assert_eq!(e.as_var_property(), Some(("p", "lang")));
-        let nested = Expr::Property(Box::new(e), "x".into());
-        assert_eq!(nested.as_var_property(), None);
-    }
 
     #[test]
     fn free_variables_deduplicated() {

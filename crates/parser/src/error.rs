@@ -14,7 +14,7 @@ pub struct ParseError {
 
 impl ParseError {
     /// Construct an error at `offset`.
-    pub fn new(offset: usize, message: impl Into<String>) -> Self {
+    pub(crate) fn new(offset: usize, message: impl Into<String>) -> Self {
         ParseError {
             offset,
             message: message.into(),

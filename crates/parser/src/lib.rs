@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 //! # pgq-parser
 //!
 //! An openCypher front-end for the maintainable fragment studied by the
@@ -23,9 +23,14 @@
 //! Entry point: [`parse_query`]. [`shape`] splits a lexed statement into
 //! its repeating shape and its literals, for callers that cache what they
 //! derive from the shape.
+//!
+//! The public surface is the AST ([`ast`], re-exported at the root),
+//! [`parse_query`], [`parse_script`] and [`parse_tokens`] over the
+//! [`lexer`]'s [`token`]s, [`ParseError`] and [`Shape`].
+//! `tests/public_surface.rs` pins every exported name.
 
 pub mod ast;
-pub mod display;
+mod display;
 pub mod error;
 pub mod lexer;
 pub mod parser;

@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 //! # pgq-workloads
 //!
 //! Synthetic workload substrate for the oracles and the examples:
@@ -19,7 +19,10 @@
 //!   the wcoj-vs-binary differential oracle.
 //!
 //! All generators are deterministic given a seed, so every test built on
-//! them is reproducible run-to-run.
+//! them is reproducible run-to-run. Each module exports its generator,
+//! with its parameters and graph type; `hub`, `motifs`, `railway` and
+//! `social` also export a `queries` module of view texts.
+//! `tests/public_surface.rs` pins every exported name.
 
 pub mod branches;
 pub mod example;

@@ -175,23 +175,6 @@ pub fn generate_railway(params: RailwayParams) -> Railway {
     }
 }
 
-/// Kinds of injected faults / repairs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Set a segment's length to a non-positive value (PosLength fault).
-    BreakSegmentLength,
-    /// Repair a segment's length.
-    RepairSegmentLength,
-    /// Misalign a switch's current position (SwitchSet fault).
-    MisalignSwitch,
-    /// Align a switch with one of its positions.
-    AlignSwitch,
-    /// Flip a semaphore signal.
-    FlipSemaphore,
-    /// Disconnect a random connectsTo edge.
-    DisconnectSegment,
-}
-
 impl Railway {
     /// Build a seeded fault/repair stream of `n` single-op transactions.
     pub fn fault_stream(&mut self, n: usize) -> Vec<Transaction> {

@@ -10,14 +10,13 @@
 //! updates (language edits), which is exactly what the paper's IVM/FGN
 //! claims are about.
 
-use pgq_common::ids::{EdgeId, VertexId};
+use pgq_common::ids::VertexId;
 use pgq_common::intern::Symbol;
 use pgq_common::value::Value;
 use pgq_graph::props::Properties;
 use pgq_graph::store::PropertyGraph;
 use pgq_graph::tx::Transaction;
 use rand::rngs::SmallRng;
-use rand::seq::IndexedRandom;
 use rand::{Rng, SeedableRng};
 
 /// Scale parameters.
@@ -165,7 +164,7 @@ pub fn generate_social(params: SocialParams) -> SocialNetwork {
 
 /// One step of the update stream.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SocialOpKind {
+pub(crate) enum SocialOpKind {
     /// Add a comment replying to an existing message.
     AddComment,
     /// Delete a (leaf-ish) comment with its incident edges.
@@ -254,12 +253,6 @@ impl SocialNetwork {
             txs.push(tx);
         }
         txs
-    }
-
-    /// Pick a random existing edge id (for ad-hoc deletions in tests).
-    pub fn random_edge(&mut self) -> Option<EdgeId> {
-        let ids: Vec<EdgeId> = self.graph.edge_ids().collect();
-        ids.choose(&mut self.rng).copied()
     }
 }
 
