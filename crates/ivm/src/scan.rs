@@ -129,10 +129,12 @@ impl VertexScan {
     }
 
     /// The tuple `v` contributes now, assembled in the reused scratch
-    /// buffer (one allocation).
-    fn tuple_of(&mut self, g: &PropertyGraph, v: VertexId) -> Option<Tuple> {
+    /// buffer (one allocation); `known` is a label `v` is already known
+    /// to carry, which is not tested again.
+    fn tuple_of(&mut self, g: &PropertyGraph, v: VertexId, known: Option<Symbol>) -> Option<Tuple> {
         let data = g.vertex(v)?;
-        if !self.labels.iter().all(|&l| data.has_label(l)) {
+        let mut tested = self.labels.iter().filter(|&&l| Some(l) != known);
+        if !tested.all(|&l| data.has_label(l)) {
             return None;
         }
         let vals = &mut self.scratch;
@@ -149,8 +151,8 @@ impl VertexScan {
 
     /// Full evaluation against `g`, populating the memory.
     pub(crate) fn initial(&mut self, g: &PropertyGraph) -> Delta {
-        let ids: Vec<VertexId> = if self.labels.is_empty() {
-            g.vertex_ids().collect()
+        let (ids, known): (Vec<VertexId>, _) = if self.labels.is_empty() {
+            (g.vertex_ids().collect(), None)
         } else {
             // Scan the smallest label extent, verify the rest.
             let (first, _) = self
@@ -159,12 +161,12 @@ impl VertexScan {
                 .map(|&l| (l, g.vertices_with_label(l).len()))
                 .min_by_key(|&(_, n)| n)
                 .expect("non-empty labels");
-            g.vertices_with_label(first).to_vec()
+            (g.vertices_with_label(first).to_vec(), Some(first))
         };
         let mut out = Delta::with_capacity(ids.len());
         self.memory.reserve(ids.len());
         for v in ids {
-            if let Some(t) = self.tuple_of(g, v) {
+            if let Some(t) = self.tuple_of(g, v, known) {
                 self.memory.insert(v, t.clone());
                 out.push(t, 1);
             }
@@ -204,7 +206,7 @@ impl VertexScan {
         v: VertexId,
         out: &mut (impl RowSink + ?Sized),
     ) {
-        let new = self.tuple_of(g, v);
+        let new = self.tuple_of(g, v, None);
         let old = self.memory.get(&v);
         if old == new.as_ref() {
             return;

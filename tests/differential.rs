@@ -72,10 +72,17 @@ const QUERIES: &[&str] = &[
     // prop events for any vertex that can be `c` (regression guard for
     // the per-side endpoint-interest routing).
     "MATCH (p:Post)-[:REPLY]->(c) RETURN p, c.lang",
+    // A two-label ©: the `Post` extent holds the vertices the script's
+    // `ToggleLabel` has not given `Comm`, which the scan must still drop.
+    TWO_LABELS,
     // The one query here the planner changes: it carries the σ below the
     // ⋈*, so the planned and the syntactic twin run different networks.
     "MATCH t = (p:Post)-[:REPLY*]->(c:Comm) WHERE p.lang = 'en' RETURN p, t",
 ];
+
+/// A two-label © under a σ and a γ.
+const TWO_LABELS: &str =
+    "MATCH (p:Post:Comm) WHERE p.lang <> 'en' RETURN p.lang AS lang, count(*) AS n";
 
 /// Alpha-renamed twins of [`QUERIES`] (same index order). The multi-view
 /// oracle registers both lists on ONE engine: canonicalisation collapses
@@ -97,6 +104,7 @@ const RENAMED_QUERIES: &[&str] = &[
     "MATCH (q:Post) WHERE NOT exists((q)-[:REPLY]->(:Comm)) RETURN q",
     "MATCH (q:Post) WHERE exists((q)-[:REPLY]->(:Comm {lang: 'en'})) RETURN q",
     "MATCH (q:Post)-[:REPLY]->(d) RETURN q, d.lang",
+    "MATCH (q:Post:Comm) WHERE q.lang <> 'en' RETURN q.lang AS language, count(*) AS total",
     "MATCH u = (q:Post)-[:REPLY*]->(d:Comm) WHERE q.lang = 'en' RETURN q, u",
 ];
 
@@ -1893,6 +1901,92 @@ fn unkeyed_two_hop_builds_and_scans_what_the_reference_scans() {
         assert_eq!(push.rows_scanned, reference.rows_scanned, "{unkeyed}");
         assert_eq!(e.query(unkeyed).unwrap().rows_scanned, push.rows_scanned);
     }
+}
+
+/// Two-label scans with a σ and a γ, registered over extents that hold
+/// vertices without the other label, while a script adds and removes
+/// their second label. A © that tests only the labels its extent does
+/// not guarantee must still drop those vertices. At registration and
+/// after every step the push evaluator equals the reference (bag, order,
+/// `rows_scanned`) and both maintained views.
+#[test]
+fn two_label_scans_follow_churn_of_their_second_label() {
+    let queries = [
+        TWO_LABELS,
+        "MATCH (c:Comm:Post) WHERE c.lang <> 'hu' RETURN c.lang AS lang, count(*) AS n",
+    ];
+    let (post, comm) = (s("Post"), s("Comm"));
+    let mut e = pgq_core::GraphEngine::from_graph(seed_graph());
+    let mut tx = Transaction::new();
+    for (i, lang) in LANGS.iter().enumerate() {
+        let lang = Properties::from_iter([("lang", Value::str(lang))]);
+        let labels = match i % 3 {
+            0 => vec![post, comm],
+            1 => vec![post],
+            _ => vec![comm],
+        };
+        tx.create_vertex(labels, lang);
+    }
+    e.apply(&tx).unwrap();
+    let views = queries.map(|q| e.register_view(q, q).unwrap());
+    let plans = queries.map(|q| compile_query(&parse_query(q).unwrap()).unwrap().fra);
+    // Checks at which the `Post` extent held vertices with and without `Comm`.
+    let mut mixed = 0;
+    for step in 0..=30usize {
+        let g = e.graph();
+        let with_comm = |v: &pgq_common::ids::VertexId| g.vertex(*v).unwrap().has_label(comm);
+        let extent = g.vertices_with_label(post);
+        if extent.iter().any(with_comm) && !extent.iter().all(with_comm) {
+            mixed += 1;
+        }
+        for ((query, fra), view) in queries.iter().zip(&plans).zip(views) {
+            push_equals_reference(query, g).unwrap();
+            assert_eq!(
+                e.view(view).unwrap().results(),
+                eval_consolidated(fra, g),
+                "{query} before step {step}"
+            );
+        }
+        if step == 30 {
+            break;
+        }
+        let mut ids: Vec<_> = g.vertex_ids().collect();
+        ids.sort_unstable();
+        let v = ids[step * 7 % ids.len()];
+        let data = g.vertex(v).unwrap();
+        let mut tx = Transaction::new();
+        match step % 5 {
+            // Give or take the label the other one's extent does not hold.
+            0..=2 => {
+                let second = if data.has_label(post) { comm } else { post };
+                if data.has_label(second) {
+                    tx.remove_label(v, second);
+                } else {
+                    tx.add_label(v, second);
+                }
+            }
+            3 => {
+                let labels: &[Symbol] = if step % 2 == 0 {
+                    &[post, comm]
+                } else {
+                    &[post]
+                };
+                let lang = Value::str(LANGS[step % LANGS.len()]);
+                tx.create_vertex(
+                    labels.iter().copied(),
+                    Properties::from_iter([("lang", lang)]),
+                );
+            }
+            _ => {
+                tx.set_vertex_prop(v, s("lang"), Value::str(LANGS[step % LANGS.len()]));
+            }
+        }
+        e.apply(&tx).unwrap();
+    }
+    assert!(
+        mixed >= 25,
+        "the Post extent mixed both kinds at only {mixed} checks"
+    );
 }
 
 /// An integer `sum` is exact in both evaluators and in the maintained

@@ -2,8 +2,9 @@
 //! pinned here, so a new export is a reviewed diff.
 //!
 //! An item is exported when its declaration starts with a bare `pub`
-//! (not `pub(crate)`) in a crate's non-test `src`: a file is read up to
-//! its first column-0 `#[cfg(test)]`, as in `tests/source_layout.rs`.
+//! (not `pub(crate)`) in a crate's non-test `src`: a file is read without
+//! its column-0 `#[cfg(test)]` items, as in `tests/source_layout.rs`, so
+//! an item after a test module is on the surface too.
 //! Each crate root warns on `unreachable_pub`, so a `pub` the crate
 //! cannot reach from outside is already a lint error; what is left here
 //! is what callers can name. Fields and enum variants ride with their
@@ -14,6 +15,8 @@
 //! `impl` block or inline module the item sits in, if any.
 
 use std::path::{Path, PathBuf};
+
+mod source_text;
 
 /// Every `.rs` file below `dir`, sorted.
 fn sources(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -74,56 +77,61 @@ fn surface(krate: &str) -> Vec<String> {
         let rel = path.strip_prefix(&src).expect("under src");
         let rel = rel.to_str().expect("UTF-8 path").replace('\\', "/");
         let text = std::fs::read_to_string(&path).expect("readable source");
-        let mut lines = text
-            .lines()
-            .take_while(|line| !line.starts_with("#[cfg(test)]"));
-        let mut owner: Option<String> = None;
-        while let Some(line) = lines.next() {
-            if line.starts_with('}') {
-                owner = None;
-            } else if line.starts_with("impl ") || line.starts_with("impl<") {
-                owner = Some(impl_owner(line));
-            } else if let Some(name) = line
-                .strip_prefix("pub mod ")
-                .or_else(|| line.strip_prefix("mod "))
-                .filter(|_| line.ends_with('{'))
-            {
-                owner = Some(ident(name).to_string());
-            }
-            let Some(decl) = line.trim_start().strip_prefix("pub ") else {
-                continue;
-            };
-            let mut words = decl.split_whitespace().peekable();
-            let kind = loop {
-                match words.next() {
-                    Some("unsafe" | "async" | "extern") => {}
-                    Some("const") if words.peek() == Some(&"fn") => {}
-                    Some(kind) => break kind,
-                    None => unreachable!("`pub ` ends a line in {rel}"),
-                }
-            };
-            let entry = match kind {
-                "use" => {
-                    let mut stmt = decl.to_string();
-                    while !stmt.ends_with(';') {
-                        stmt.push(' ');
-                        stmt.push_str(lines.next().expect("`pub use` ends with `;`").trim());
-                    }
-                    let stmt = stmt.replace("{ ", "{").replace(", }", "}");
-                    stmt.trim_end_matches(';').to_string()
-                }
-                "fn" | "struct" | "enum" | "trait" | "type" | "const" | "static" | "mod" => {
-                    let name = ident(words.next().expect("an item name"));
-                    match (&owner, line.starts_with(' ')) {
-                        (Some(owner), true) => format!("{kind} {owner}::{name}"),
-                        _ => format!("{kind} {name}"),
-                    }
-                }
-                // A field of a public struct: part of its type.
-                _ => continue,
-            };
-            items.push(format!("{rel}: {entry}"));
+        items.extend(exports(&rel, &text));
+    }
+    items
+}
+
+/// The exported items of the source `text` of file `rel`, in line order.
+fn exports(rel: &str, text: &str) -> Vec<String> {
+    let mut items = Vec::new();
+    let mut lines = source_text::non_test_lines(text);
+    let mut owner: Option<String> = None;
+    while let Some(line) = lines.next() {
+        if line.starts_with('}') {
+            owner = None;
+        } else if line.starts_with("impl ") || line.starts_with("impl<") {
+            owner = Some(impl_owner(line));
+        } else if let Some(name) = line
+            .strip_prefix("pub mod ")
+            .or_else(|| line.strip_prefix("mod "))
+            .filter(|_| line.ends_with('{'))
+        {
+            owner = Some(ident(name).to_string());
         }
+        let Some(decl) = line.trim_start().strip_prefix("pub ") else {
+            continue;
+        };
+        let mut words = decl.split_whitespace().peekable();
+        let kind = loop {
+            match words.next() {
+                Some("unsafe" | "async" | "extern") => {}
+                Some("const") if words.peek() == Some(&"fn") => {}
+                Some(kind) => break kind,
+                None => unreachable!("`pub ` ends a line in {rel}"),
+            }
+        };
+        let entry = match kind {
+            "use" => {
+                let mut stmt = decl.to_string();
+                while !stmt.ends_with(';') {
+                    stmt.push(' ');
+                    stmt.push_str(lines.next().expect("`pub use` ends with `;`").trim());
+                }
+                let stmt = stmt.replace("{ ", "{").replace(", }", "}");
+                stmt.trim_end_matches(';').to_string()
+            }
+            "fn" | "struct" | "enum" | "trait" | "type" | "const" | "static" | "mod" => {
+                let name = ident(words.next().expect("an item name"));
+                match (&owner, line.starts_with(' ')) {
+                    (Some(owner), true) => format!("{kind} {owner}::{name}"),
+                    _ => format!("{kind} {name}"),
+                }
+            }
+            // A field of a public struct: part of its type.
+            _ => continue,
+        };
+        items.push(format!("{rel}: {entry}"));
     }
     items
 }
@@ -151,6 +159,14 @@ fn check(krate: &str, pinned: &[&str]) {
             .map(|f| format!("    {f:?},"))
             .collect::<Vec<_>>()
             .join("\n")
+    );
+}
+
+#[test]
+fn an_item_after_the_test_module_is_exported() {
+    assert_eq!(
+        exports("fixture.rs", source_text::ITEM_AFTER_TESTS),
+        ["fixture.rs: fn before", "fixture.rs: fn after"]
     );
 }
 
@@ -377,6 +393,8 @@ const GRAPH: &[&str] = &[
     "stats.rs: fn CardinalityCatalog::edge_prop_keys",
     "stats.rs: struct CatalogRef",
     "stats.rs: fn PropertyGraph::catalog",
+    "stats.rs: struct GraphStats",
+    "stats.rs: fn GraphStats::of",
     "store.rs: struct VertexData",
     "store.rs: fn VertexData::has_label",
     "store.rs: struct EdgeData",
