@@ -175,12 +175,10 @@ pub fn alpha_rename(fra: &Fra, rename: &mut dyn FnMut(&str) -> String) -> Fra {
             var,
             labels,
             props: ps,
-            carry_map,
         } => Fra::ScanVertices {
             var: rename(var),
             labels: labels.clone(),
             props: props(ps, rename),
-            carry_map: *carry_map,
         },
         Fra::ScanEdges {
             src,
@@ -193,7 +191,6 @@ pub fn alpha_rename(fra: &Fra, rename: &mut dyn FnMut(&str) -> String) -> Fra {
             edge_props,
             dst_props,
             dir,
-            carry_maps,
         } => Fra::ScanEdges {
             src: rename(src),
             edge: rename(edge),
@@ -205,7 +202,6 @@ pub fn alpha_rename(fra: &Fra, rename: &mut dyn FnMut(&str) -> String) -> Fra {
             edge_props: props(edge_props, rename),
             dst_props: props(dst_props, rename),
             dir: *dir,
-            carry_maps: *carry_maps,
         },
         Fra::SemiJoin {
             left,
@@ -404,27 +400,18 @@ fn canon(fra: &Fra) -> (Fra, Vec<usize>) {
     match fra {
         Fra::Unit => (Fra::Unit, vec![]),
 
-        Fra::ScanVertices {
-            labels,
-            props,
-            carry_map,
-            ..
-        } => {
+        Fra::ScanVertices { labels, props, .. } => {
             let (mut sorted, perm) = sort_props(props);
             for (k, p) in sorted.iter_mut().enumerate() {
                 p.col = pos_name(1 + k);
             }
             let mut mapping = vec![0usize];
             mapping.extend(perm.iter().map(|&k| 1 + k));
-            if *carry_map {
-                mapping.push(1 + props.len());
-            }
             (
                 Fra::ScanVertices {
                     var: pos_name(0),
                     labels: sort_syms(labels),
                     props: sorted,
-                    carry_map: *carry_map,
                 },
                 mapping,
             )
@@ -438,13 +425,12 @@ fn canon(fra: &Fra) -> (Fra, Vec<usize>) {
             edge_props,
             dst_props,
             dir,
-            carry_maps,
             ..
         } => {
             let (mut sp, perm_s) = sort_props(src_props);
             let (mut ep, perm_e) = sort_props(edge_props);
             let (mut dp, perm_d) = sort_props(dst_props);
-            let (ns, ne, nd) = (sp.len(), ep.len(), dp.len());
+            let (ns, ne) = (sp.len(), ep.len());
             for (k, p) in sp.iter_mut().enumerate() {
                 p.col = pos_name(3 + k);
             }
@@ -458,13 +444,6 @@ fn canon(fra: &Fra) -> (Fra, Vec<usize>) {
             mapping.extend(perm_s.iter().map(|&k| 3 + k));
             mapping.extend(perm_e.iter().map(|&k| 3 + ns + k));
             mapping.extend(perm_d.iter().map(|&k| 3 + ns + ne + k));
-            let mut next = 3 + ns + ne + nd;
-            for flag in [carry_maps.0, carry_maps.1, carry_maps.2] {
-                if flag {
-                    mapping.push(next);
-                    next += 1;
-                }
-            }
             (
                 Fra::ScanEdges {
                     src: pos_name(0),
@@ -477,7 +456,6 @@ fn canon(fra: &Fra) -> (Fra, Vec<usize>) {
                     edge_props: ep,
                     dst_props: dp,
                     dir: *dir,
-                    carry_maps: *carry_maps,
                 },
                 mapping,
             )
@@ -544,12 +522,8 @@ fn canon(fra: &Fra) -> (Fra, Vec<usize>) {
             let mut mapping = ml;
             mapping.push(la); // dst
             mapping.extend(perm_d.iter().map(|&k| la + 1 + k));
-            let mut next = la + 1 + np;
-            if spec.dst_carry_map {
-                mapping.push(next);
-                next += 1;
-            }
-            mapping.push(next); // path
+            let path = la + 1 + np;
+            mapping.push(path);
             (
                 Fra::VarLengthJoin {
                     left: Box::new(cl),
@@ -559,13 +533,12 @@ fn canon(fra: &Fra) -> (Fra, Vec<usize>) {
                         dir: spec.dir,
                         dst_labels: sort_syms(&spec.dst_labels),
                         dst_props: dp,
-                        dst_carry_map: spec.dst_carry_map,
                         edge_prop_filters: filters,
                         min: spec.min,
                         max: spec.max,
                     },
                     dst: pos_name(la),
-                    path: pos_name(next),
+                    path: pos_name(path),
                 },
                 mapping,
             )
@@ -778,18 +751,18 @@ fn canon(fra: &Fra) -> (Fra, Vec<usize>) {
     }
 }
 
-/// `©(v:L {k→v.k, …}) ⋈[v] P`, where the © carries no map, is the filter
-/// "`v` carries `L`" on `P` plus `v`'s properties `k…` as columns: every
-/// vertex appears in the © once, with multiplicity one. When `v` is bound
-/// in `P` by an ⇑ endpoint, `L` joins that endpoint's labels, each `k`
-/// its pushed properties — one scan column per property, so one the
-/// endpoint already pushes is read twice — the columns are threaded up
-/// through `P` ([`at_endpoint`]), and the join is dropped. Returns the
-/// canonical form of `P` so amended, with the mapping of the *join's*
-/// output columns; `None` when the rule does not apply: the © carries a
-/// map or a σ (the planner put a selective conjunct there, which filters
-/// each vertex once instead of each of its edges), the join's id keys
-/// equate more than `v`, or `v` is bound by anything but an ⇑ endpoint.
+/// `©(v:L {k→v.k, …}) ⋈[v] P` is the filter "`v` carries `L`" on `P`
+/// plus `v`'s properties `k…` as columns: every vertex appears in the ©
+/// once, with multiplicity one. When `v` is bound in `P` by an ⇑
+/// endpoint, `L` joins that endpoint's labels, each `k` its pushed
+/// properties — one scan column per property, so one the endpoint
+/// already pushes is read twice — the columns are threaded up through
+/// `P` ([`at_endpoint`]), and the join is dropped. Returns the canonical
+/// form of `P` so amended, with the mapping of the *join's* output
+/// columns; `None` when the rule does not apply: the © carries a σ (the
+/// planner put a selective conjunct there, which filters each vertex
+/// once instead of each of its edges), the join's id keys equate more
+/// than `v`, or `v` is bound by anything but an ⇑ endpoint.
 /// The join's value keys go to the ⋈ in `P` that meets both their
 /// columns ([`sink_value_key`]).
 fn absorb_vertex_scan(
@@ -799,12 +772,7 @@ fn absorb_vertex_scan(
 ) -> Option<(Fra, Vec<usize>)> {
     fn vertex_scan(f: &Fra) -> Option<(&[Symbol], &[PropPush])> {
         match f {
-            Fra::ScanVertices {
-                labels,
-                props,
-                carry_map: false,
-                ..
-            } => Some((labels, props)),
+            Fra::ScanVertices { labels, props, .. } => Some((labels, props)),
             _ => None,
         }
     }
@@ -1154,7 +1122,6 @@ mod tests {
             var: var.into(),
             labels: vec![s(label)],
             props: vec![],
-            carry_map: false,
         }
     }
 
@@ -1167,7 +1134,6 @@ mod tests {
                 prop: s("x"),
                 col: format!("{var}.x"),
             }],
-            carry_map: false,
         }
     }
 
@@ -1237,7 +1203,6 @@ mod tests {
                 prop: s("lang"),
                 col: "p.lang".into(),
             }],
-            carry_map: false,
         };
         let eq_en = |col: usize| {
             ScalarExpr::Binary(
@@ -1326,7 +1291,6 @@ mod tests {
                         col: format!("{var}.y"),
                     },
                 ],
-                carry_map: false,
             }
         }
         let join = Fra::HashJoin {

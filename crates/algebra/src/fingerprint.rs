@@ -31,12 +31,14 @@
 //! intern id) in `Debug` output, canonicalisation sorts commutative
 //! symbol lists by resolved string, and [`FxHasher`] is unseeded — so
 //! `fingerprint(canon(q))` is a pure function of the query text, however
-//! interning happened to be ordered in the emitting process. The
-//! durability layer relies on this: operator-state snapshots are keyed
-//! by fingerprint and restored by a *different* process
-//! (`pgq_durability`; the cross-process property is asserted by the
+//! interning happened to be ordered in the emitting process. Recovery
+//! relies on this: a *different* process re-registers each view from its
+//! text and must build the canonical plans and node sharing the
+//! registering process built, and the image format's operator-state
+//! sections (`pgq_durability`, written empty by the engine) are keyed by
+//! fingerprint. The cross-process property is asserted by the
 //! `fingerprint_stability` integration test, which re-runs itself as a
-//! child process with a scrambled interner).
+//! child process with a scrambled interner.
 
 use std::hash::{Hash, Hasher};
 
@@ -111,7 +113,6 @@ mod tests {
             var: var.into(),
             labels: vec![Symbol::intern(label)],
             props: vec![],
-            carry_map: false,
         }
     }
 

@@ -6,13 +6,10 @@
 //! introduced in step 2 are collected and *pushed down* into the © / ⇑
 //! base operators (`©(p:Post{lang→pL})` in the paper's notation). After
 //! this pass every operator is flat and positional, and every expression
-//! references columns only.
-//!
-//! The module also implements the **no-push-down ablation**
-//! ([`SchemaMode::CarryMaps`]): base scans carry the whole property map as
-//! one nested column and property access happens above, which is what a
-//! naive flattening without schema inference would do. Experiment E10
-//! measures the difference.
+//! references columns only. An unnest whose variable no scan below binds
+//! (an `UNWIND` alias, or a column a `WITH` dropped) joins an auxiliary
+//! scan that fetches the property; schema inference is the only way a
+//! query flattens.
 
 use std::collections::{HashMap, HashSet};
 
@@ -21,21 +18,9 @@ use pgq_parser::ast::Expr;
 
 use crate::error::AlgebraError;
 use crate::expr::{AggCall, AggFunc, ScalarExpr};
-use crate::fra::{map_col, Fra, PropPush, VarLenSpec};
+use crate::fra::{Fra, PropPush, VarLenSpec};
 use crate::gra::VarKind;
 use crate::nra::Nra;
-
-/// How base relations obtain the properties the query needs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SchemaMode {
-    /// The paper's approach: infer the minimal schema and push property
-    /// attributes down into the © / ⇑ scans.
-    #[default]
-    Inferred,
-    /// Ablation: carry whole property maps as nested columns and extract
-    /// above (no schema inference).
-    CarryMaps,
-}
 
 /// Flatten `nra` into an executable FRA tree. `params` names the
 /// parameters the statement may use: `$name` resolves to the slot
@@ -45,7 +30,6 @@ pub enum SchemaMode {
 pub fn flatten(
     nra: &Nra,
     kinds: &HashMap<String, VarKind>,
-    mode: SchemaMode,
     params: &[String],
 ) -> Result<Fra, AlgebraError> {
     let mut wanted: HashMap<String, Vec<(Symbol, String)>> = HashMap::new();
@@ -54,7 +38,6 @@ pub fn flatten(
         kinds,
         wanted,
         satisfied: HashSet::new(),
-        mode,
         fresh: 0,
         params,
     };
@@ -103,7 +86,6 @@ struct Cx<'a> {
     kinds: &'a HashMap<String, VarKind>,
     wanted: HashMap<String, Vec<(Symbol, String)>>,
     satisfied: HashSet<String>,
-    mode: SchemaMode,
     fresh: usize,
     params: &'a [String],
 }
@@ -126,7 +108,7 @@ fn identity(schema: &[String]) -> Vec<(ScalarExpr, String)> {
 
 impl Cx<'_> {
     fn take_props(&mut self, var: &str) -> Vec<PropPush> {
-        if self.mode == SchemaMode::CarryMaps || self.satisfied.contains(var) {
+        if self.satisfied.contains(var) {
             return Vec::new();
         }
         match self.wanted.get(var) {
@@ -144,40 +126,18 @@ impl Cx<'_> {
         }
     }
 
-    fn take_map(&mut self, var: &str) -> bool {
-        if self.mode != SchemaMode::CarryMaps || self.satisfied.contains(var) {
-            return false;
-        }
-        if self.wanted.get(var).is_some_and(|w| !w.is_empty()) {
-            self.satisfied.insert(var.to_string());
-            true
-        } else {
-            false
-        }
-    }
-
     fn build(&mut self, nra: &Nra) -> Result<Fra, AlgebraError> {
         Ok(match nra {
             Nra::Unit => Fra::Unit,
-            Nra::GetVertices { var, labels } => {
-                let props = self.take_props(var);
-                let carry_map = self.take_map(var);
-                Fra::ScanVertices {
-                    var: var.clone(),
-                    labels: labels.clone(),
-                    props,
-                    carry_map,
-                }
-            }
+            Nra::GetVertices { var, labels } => Fra::ScanVertices {
+                var: var.clone(),
+                labels: labels.clone(),
+                props: self.take_props(var),
+            },
             Nra::GetEdges(ge) => {
                 let src_props = self.take_props(&ge.src);
                 let edge_props = self.take_props(&ge.edge);
                 let dst_props = self.take_props(&ge.dst);
-                let carry_maps = (
-                    self.take_map(&ge.src),
-                    self.take_map(&ge.edge),
-                    self.take_map(&ge.dst),
-                );
                 let scan = Fra::ScanEdges {
                     src: ge.src.clone(),
                     edge: ge.edge.clone(),
@@ -189,7 +149,6 @@ impl Cx<'_> {
                     edge_props,
                     dst_props,
                     dir: ge.dir,
-                    carry_maps,
                 };
                 // Edge-property equality filters on single hops are
                 // normally σ conjuncts; filters attached to the ⇑ itself
@@ -237,7 +196,6 @@ impl Cx<'_> {
                     kinds: self.kinds,
                     wanted,
                     satisfied: HashSet::new(),
-                    mode: self.mode,
                     fresh: self.fresh + 1000,
                     params: self.params,
                 };
@@ -322,14 +280,11 @@ impl Cx<'_> {
                 } else {
                     ge.dst.clone()
                 };
-                let dst_props = self.take_props(&ge.dst);
-                let dst_carry_map = self.take_map(&ge.dst);
                 let spec = VarLenSpec {
                     types: ge.types.clone(),
                     dir: ge.dir,
                     dst_labels: ge.dst_labels.clone(),
-                    dst_props,
-                    dst_carry_map,
+                    dst_props: self.take_props(&ge.dst),
                     edge_prop_filters: ge.edge_prop_filters.clone(),
                     min: range.min,
                     max: range.max,
@@ -421,33 +376,11 @@ impl Cx<'_> {
                     // Push-down satisfied the request below us.
                     return Ok(l);
                 }
-                match self.mode {
-                    SchemaMode::CarryMaps if schema.iter().any(|c| c == &map_col(var)) => {
-                        let mi = pos(&schema, &map_col(var))?;
-                        let mut items = identity(&schema);
-                        items.push((
-                            ScalarExpr::Index(
-                                Box::new(ScalarExpr::Col(mi)),
-                                Box::new(ScalarExpr::Lit(pgq_common::value::Value::str(
-                                    prop.resolve().as_ref(),
-                                ))),
-                            ),
-                            col.clone(),
-                        ));
-                        Fra::Project {
-                            input: Box::new(l),
-                            items,
-                        }
-                    }
-                    _ => {
-                        // The variable is not bound by any base scan in
-                        // *this* subtree (introduced by UNWIND, or its
-                        // scan's pushed column was dropped by a WITH
-                        // projection): join with an auxiliary © / ⇑ scan
-                        // that fetches the missing property.
-                        self.join_aux_scan(l, var, *prop, col)?
-                    }
-                }
+                // The variable is not bound by any base scan in *this*
+                // subtree (introduced by UNWIND, or its scan's pushed
+                // column was dropped by a WITH projection): join with an
+                // auxiliary © / ⇑ scan that fetches the missing property.
+                self.join_aux_scan(l, var, *prop, col)?
             }
             Nra::Select { input, predicate } => {
                 let l = self.build(input)?;
@@ -518,33 +451,24 @@ impl Cx<'_> {
         let kind = self.kinds.get(var).copied();
         let ls = left.schema();
         let li = pos(&ls, var)?;
-        let ensure = |mut props: Vec<PropPush>, carry: bool| {
-            if !carry && !props.iter().any(|p| p.col == col) {
-                props.push(PropPush {
-                    prop,
-                    col: col.to_string(),
-                });
-            }
-            props
-        };
+        let mut props = self.take_props(var);
+        if !props.iter().any(|p| p.col == col) {
+            props.push(PropPush {
+                prop,
+                col: col.to_string(),
+            });
+        }
         let right: Fra = match kind {
-            Some(VarKind::Node) => {
-                let carry_map = self.mode == SchemaMode::CarryMaps || self.take_map(var);
-                let props = ensure(self.take_props(var), carry_map);
-                Fra::ScanVertices {
-                    var: var.to_string(),
-                    labels: Vec::new(),
-                    props,
-                    carry_map,
-                }
-            }
+            Some(VarKind::Node) => Fra::ScanVertices {
+                var: var.to_string(),
+                labels: Vec::new(),
+                props,
+            },
             Some(VarKind::Rel) => {
                 self.fresh += 1;
                 let s = format!("__s{}", self.fresh);
                 self.fresh += 1;
                 let d = format!("__d{}", self.fresh);
-                let carry = self.mode == SchemaMode::CarryMaps || self.take_map(var);
-                let edge_props = ensure(self.take_props(var), carry);
                 Fra::ScanEdges {
                     src: s,
                     edge: var.to_string(),
@@ -553,10 +477,9 @@ impl Cx<'_> {
                     src_labels: Vec::new(),
                     dst_labels: Vec::new(),
                     src_props: Vec::new(),
-                    edge_props,
+                    edge_props: props,
                     dst_props: Vec::new(),
                     dir: pgq_common::dir::Direction::Out,
-                    carry_maps: (false, carry, false),
                 }
             }
             _ => {
@@ -568,35 +491,13 @@ impl Cx<'_> {
         };
         let rs = right.schema();
         let ri = pos(&rs, var)?;
-        let join = Fra::HashJoin {
+        Ok(Fra::HashJoin {
             left: Box::new(left),
             right: Box::new(right),
             left_keys: vec![li],
             right_keys: vec![ri],
             value_keys: Vec::new(),
-        };
-        // In carry-maps mode the aux scan supplies the whole map; the
-        // requested column still needs extracting.
-        let schema = join.schema();
-        if schema.iter().any(|c| c == col) {
-            Ok(join)
-        } else {
-            let mi = pos(&schema, &map_col(var))?;
-            let mut items = identity(&schema);
-            items.push((
-                ScalarExpr::Index(
-                    Box::new(ScalarExpr::Col(mi)),
-                    Box::new(ScalarExpr::Lit(pgq_common::value::Value::str(
-                        prop.resolve().as_ref(),
-                    ))),
-                ),
-                col.to_string(),
-            ));
-            Ok(Fra::Project {
-                input: Box::new(join),
-                items,
-            })
-        }
+        })
     }
 }
 

@@ -18,12 +18,6 @@ use crate::expr::{AggCall, ScalarExpr};
 
 pub use crate::gra::VarLen;
 
-/// Column name of the full-property-map column used by the no-push-down
-/// ablation mode.
-pub fn map_col(var: &str) -> String {
-    format!("{var}.__map")
-}
-
 /// A property pushed down into a base scan: fetch `prop` of the scanned
 /// element and expose it as output column `col`.
 #[derive(Clone, Debug, PartialEq)]
@@ -45,8 +39,6 @@ pub struct VarLenSpec {
     pub dst_labels: Vec<Symbol>,
     /// Properties of the destination pushed into the output.
     pub dst_props: Vec<PropPush>,
-    /// Ablation mode: carry the destination's whole property map.
-    pub dst_carry_map: bool,
     /// Literal equality constraints on every traversed edge.
     pub edge_prop_filters: Vec<(Symbol, Value)>,
     /// Minimum hops.
@@ -64,7 +56,7 @@ pub struct VarLenSpec {
 pub enum Fra {
     /// Single empty tuple.
     Unit,
-    /// © with pushed-down properties. Schema: `[var, props..., var.__map?]`.
+    /// © with pushed-down properties. Schema: `[var, props...]`.
     ScanVertices {
         /// Bound variable.
         var: String,
@@ -72,9 +64,6 @@ pub enum Fra {
         labels: Vec<Symbol>,
         /// Pushed-down properties.
         props: Vec<PropPush>,
-        /// Ablation mode (no schema inference): carry the whole property
-        /// map as an extra column `var.__map` instead of pushed columns.
-        carry_map: bool,
     },
     /// ⇑ with pushed-down properties.
     /// Schema: `[src, edge, dst, src_props..., edge_props..., dst_props...]`.
@@ -99,9 +88,6 @@ pub enum Fra {
         dst_props: Vec<PropPush>,
         /// Orientation (`Both` emits each edge in both orientations).
         dir: Direction,
-        /// Ablation mode: carry whole property maps (`src.__map`,
-        /// `edge.__map`, `dst.__map`) for the listed positions.
-        carry_maps: (bool, bool, bool),
     },
     /// ⋉ / ▷ semijoin / antijoin. Schema: identical to the left input.
     SemiJoin {
@@ -221,14 +207,14 @@ impl fmt::Debug for Fra {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Fra::Unit => f.write_str("Unit"),
-            Fra::ScanVertices { var, labels, props, carry_map } =>
-                fields!(f.debug_struct("ScanVertices"), var, labels, props, carry_map).finish(),
+            Fra::ScanVertices { var, labels, props } =>
+                fields!(f.debug_struct("ScanVertices"), var, labels, props).finish(),
             Fra::ScanEdges {
                 src, edge, dst, types, src_labels, dst_labels, src_props, edge_props, dst_props,
-                dir, carry_maps,
+                dir,
             } => fields!(
                 f.debug_struct("ScanEdges"), src, edge, dst, types, src_labels, dst_labels,
-                src_props, edge_props, dst_props, dir, carry_maps
+                src_props, edge_props, dst_props, dir
             ).finish(),
             Fra::SemiJoin { left, right, left_keys, right_keys, anti } =>
                 fields!(f.debug_struct("SemiJoin"), left, right, left_keys, right_keys, anti)
@@ -262,17 +248,9 @@ impl Fra {
     pub fn schema(&self) -> Vec<String> {
         match self {
             Fra::Unit => vec![],
-            Fra::ScanVertices {
-                var,
-                props,
-                carry_map,
-                ..
-            } => {
+            Fra::ScanVertices { var, props, .. } => {
                 let mut s = vec![var.clone()];
                 s.extend(props.iter().map(|p| p.col.clone()));
-                if *carry_map {
-                    s.push(map_col(var));
-                }
                 s
             }
             Fra::ScanEdges {
@@ -282,22 +260,12 @@ impl Fra {
                 src_props,
                 edge_props,
                 dst_props,
-                carry_maps,
                 ..
             } => {
                 let mut s = vec![src.clone(), edge.clone(), dst.clone()];
                 s.extend(src_props.iter().map(|p| p.col.clone()));
                 s.extend(edge_props.iter().map(|p| p.col.clone()));
                 s.extend(dst_props.iter().map(|p| p.col.clone()));
-                if carry_maps.0 {
-                    s.push(map_col(src));
-                }
-                if carry_maps.1 {
-                    s.push(map_col(edge));
-                }
-                if carry_maps.2 {
-                    s.push(map_col(dst));
-                }
                 s
             }
             Fra::HashJoin {
@@ -324,9 +292,6 @@ impl Fra {
                 let mut s = left.schema();
                 s.push(dst.clone());
                 s.extend(spec.dst_props.iter().map(|p| p.col.clone()));
-                if spec.dst_carry_map {
-                    s.push(map_col(dst));
-                }
                 s.push(path.clone());
                 s
             }
@@ -445,42 +410,6 @@ impl Fra {
                 input.exprs_mut(f);
             }
             Fra::MultiwayJoin { inputs, .. } => inputs.iter_mut().for_each(|i| i.exprs_mut(f)),
-        }
-    }
-
-    /// Number of operators in the tree (for plan statistics).
-    pub fn operator_count(&self) -> usize {
-        1 + match self {
-            Fra::Unit | Fra::ScanVertices { .. } | Fra::ScanEdges { .. } => 0,
-            Fra::HashJoin { left, right, .. } | Fra::SemiJoin { left, right, .. } => {
-                left.operator_count() + right.operator_count()
-            }
-            Fra::VarLengthJoin { left, .. } => left.operator_count(),
-            Fra::Filter { input, .. }
-            | Fra::Project { input, .. }
-            | Fra::Distinct { input }
-            | Fra::Aggregate { input, .. }
-            | Fra::Unwind { input, .. } => input.operator_count(),
-            Fra::MultiwayJoin { inputs, .. } => inputs.iter().map(Fra::operator_count).sum(),
-        }
-    }
-
-    /// Total width (columns) summed over all operators — the metric the
-    /// push-down ablation (experiment E10) reports.
-    pub fn total_width(&self) -> usize {
-        let mine = self.schema().len();
-        mine + match self {
-            Fra::Unit | Fra::ScanVertices { .. } | Fra::ScanEdges { .. } => 0,
-            Fra::HashJoin { left, right, .. } | Fra::SemiJoin { left, right, .. } => {
-                left.total_width() + right.total_width()
-            }
-            Fra::VarLengthJoin { left, .. } => left.total_width(),
-            Fra::Filter { input, .. }
-            | Fra::Project { input, .. }
-            | Fra::Distinct { input }
-            | Fra::Aggregate { input, .. }
-            | Fra::Unwind { input, .. } => input.total_width(),
-            Fra::MultiwayJoin { inputs, .. } => inputs.iter().map(Fra::total_width).sum(),
         }
     }
 }

@@ -45,12 +45,11 @@ pub use canon::{canonicalize, CanonPlan};
 pub use error::AlgebraError;
 pub use expr::{AggCall, AggFunc, ScalarExpr};
 pub use fingerprint::Fingerprint;
-pub use flatten::{resolve_constant, SchemaMode};
+pub use flatten::resolve_constant;
 pub use fra::Fra;
 pub use gra::{Gra, VarKind};
 pub use nra::Nra;
 pub use pipeline::{
-    compile_bindings, compile_bindings_params, compile_query, compile_query_params,
-    compile_query_with, CompileOptions, CompiledQuery,
+    compile_bindings, compile_bindings_params, compile_query, compile_query_params, CompiledQuery,
 };
 pub use plan::{plan, PlanStats, Planned};

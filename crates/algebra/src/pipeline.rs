@@ -8,19 +8,11 @@ use pgq_parser::ast::{Expr, Query};
 use crate::compile::{split_aggregates, Compiler};
 use crate::error::AlgebraError;
 use crate::expr::ScalarExpr;
-use crate::flatten::{flatten, SchemaMode};
+use crate::flatten::flatten;
 use crate::fra::Fra;
 use crate::gra::{Gra, VarKind};
 use crate::nra::Nra;
 use crate::to_nra::to_nra;
-
-/// Compilation options.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CompileOptions {
-    /// Schema-inference mode (the paper's push-down vs the carry-maps
-    /// ablation).
-    pub schema_mode: SchemaMode,
-}
 
 /// A fully compiled read query, carrying all three pipeline stages (for
 /// EXPLAIN and the golden-text experiments) and the executable FRA plan.
@@ -79,15 +71,7 @@ impl CompiledQuery {
 
 /// Compile a read-only query through all three stages.
 pub fn compile_query(query: &Query) -> Result<CompiledQuery, AlgebraError> {
-    compile_query_with(query, CompileOptions::default())
-}
-
-/// Compile with explicit options.
-pub fn compile_query_with(
-    query: &Query,
-    options: CompileOptions,
-) -> Result<CompiledQuery, AlgebraError> {
-    compile_query_params(query, options, &[])
+    compile_query_params(query, &[])
 }
 
 /// Compile a one-shot read statement whose `$name` parameters are
@@ -96,7 +80,6 @@ pub fn compile_query_with(
 /// and `ORDER BY` take no parameters.
 pub fn compile_query_params(
     query: &Query,
-    options: CompileOptions,
     params: &[String],
 ) -> Result<CompiledQuery, AlgebraError> {
     if query.is_update() {
@@ -155,7 +138,7 @@ pub fn compile_query_params(
     }
 
     let nra = to_nra(&gra, &plan.kinds)?;
-    let fra = flatten(&nra, &plan.kinds, options.schema_mode, params)?;
+    let fra = flatten(&nra, &plan.kinds, params)?;
     let columns = fra.schema();
 
     // ORDER BY / SKIP / LIMIT: parsed and resolved for the baseline
@@ -230,7 +213,7 @@ pub fn compile_bindings_params(
         items: items.to_vec(),
     };
     let nra = to_nra(&gra, &plan.kinds)?;
-    let fra = flatten(&nra, &plan.kinds, SchemaMode::Inferred, params)?;
+    let fra = flatten(&nra, &plan.kinds, params)?;
     let columns = fra.schema();
     Ok(CompiledQuery {
         gra,
@@ -362,33 +345,6 @@ mod tests {
             }
         }
         assert_eq!(scan_props(&cq.fra), vec!["p.lang".to_string()]);
-    }
-
-    #[test]
-    fn carry_maps_mode_keeps_scans_narrow_of_props() {
-        let q = parse_query("MATCH (p:Post) WHERE p.lang = 'en' RETURN p").unwrap();
-        let cq = compile_query_with(
-            &q,
-            CompileOptions {
-                schema_mode: SchemaMode::CarryMaps,
-                ..CompileOptions::default()
-            },
-        )
-        .unwrap();
-        fn has_carry(f: &Fra) -> bool {
-            match f {
-                Fra::ScanVertices { carry_map, .. } => *carry_map,
-                Fra::HashJoin { left, right, .. } => has_carry(left) || has_carry(right),
-                Fra::Filter { input, .. }
-                | Fra::Project { input, .. }
-                | Fra::Distinct { input }
-                | Fra::Aggregate { input, .. }
-                | Fra::Unwind { input, .. } => has_carry(input),
-                Fra::VarLengthJoin { left, .. } => has_carry(left),
-                _ => false,
-            }
-        }
-        assert!(has_carry(&cq.fra));
     }
 
     #[test]

@@ -314,12 +314,7 @@ fn analyze(fra: &Fra, stats: &PlanStats) -> Rel {
             card: 1.0,
             cols: vec![],
         },
-        Fra::ScanVertices {
-            labels,
-            props,
-            carry_map,
-            ..
-        } => {
+        Fra::ScanVertices { labels, props, .. } => {
             let mut cols = vec![ColInfo::Vertex {
                 labels: labels.clone(),
             }];
@@ -327,9 +322,6 @@ fn analyze(fra: &Fra, stats: &PlanStats) -> Rel {
                 key: p.prop,
                 on_vertex: true,
             }));
-            if *carry_map {
-                cols.push(ColInfo::Other);
-            }
             Rel {
                 card: stats.label_card(labels),
                 cols,
@@ -343,7 +335,6 @@ fn analyze(fra: &Fra, stats: &PlanStats) -> Rel {
             edge_props,
             dst_props,
             dir,
-            carry_maps,
             ..
         } => {
             let orientations = if *dir == pgq_common::dir::Direction::Both {
@@ -384,11 +375,6 @@ fn analyze(fra: &Fra, stats: &PlanStats) -> Rel {
                     key: p.prop,
                     on_vertex: true,
                 });
-            }
-            for flag in [carry_maps.0, carry_maps.1, carry_maps.2] {
-                if flag {
-                    cols.push(ColInfo::Other);
-                }
             }
             Rel { card, cols }
         }
@@ -551,9 +537,6 @@ fn expansion_cols(spec: &VarLenSpec) -> Vec<ColInfo> {
         key: p.prop,
         on_vertex: true,
     }));
-    if spec.dst_carry_map {
-        cols.push(ColInfo::Other);
-    }
     cols.push(ColInfo::Other); // path
     cols
 }
@@ -862,9 +845,6 @@ fn decompose(
                     },
                     unit,
                 ));
-            }
-            if spec.dst_carry_map {
-                out_globals.push(region.fresh(ColInfo::Other, unit));
             }
             out_globals.push(region.fresh(ColInfo::Other, unit)); // path
             region.expansions.push(Expansion {
@@ -2136,7 +2116,6 @@ mod tests {
             edge_props: vec![],
             dst_props: vec![],
             dir: pgq_common::dir::Direction::Out,
-            carry_maps: (false, false, false),
         }
     }
 
@@ -2157,7 +2136,6 @@ mod tests {
                 col: "t.name".into(),
             }],
             dir: pgq_common::dir::Direction::Out,
-            carry_maps: (false, false, false),
         };
         let j1 = Fra::HashJoin {
             left: Box::new(edge_scan("FOLLOWS", "a", "e1", "b")),
@@ -2339,7 +2317,6 @@ mod tests {
                     prop: s("name"),
                     col: "t.name".into(),
                 }],
-                carry_map: false,
             }),
             predicate: ScalarExpr::Binary(
                 BinOp::Eq,
@@ -2442,7 +2419,6 @@ mod tests {
                 prop: s("len"),
                 col: "p.len".into(),
             }],
-            carry_map: false,
         };
         let unwind = |input: Fra| Fra::Unwind {
             input: Box::new(input),
@@ -2508,7 +2484,6 @@ mod tests {
                 var: "p".into(),
                 labels: vec![s("Post")],
                 props: vec![],
-                carry_map: false,
             }),
             src_col: 0,
             spec: VarLenSpec {
@@ -2519,7 +2494,6 @@ mod tests {
                     prop: s("lang"),
                     col: "c.lang".into(),
                 }],
-                dst_carry_map: false,
                 edge_prop_filters: vec![],
                 min: 1,
                 max: None,

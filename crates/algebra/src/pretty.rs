@@ -369,18 +369,12 @@ impl Fra {
             Fra::Unit => {
                 let _ = writeln!(out, "{pad}Unit");
             }
-            Fra::ScanVertices {
-                var,
-                labels,
-                props,
-                carry_map,
-            } => {
+            Fra::ScanVertices { var, labels, props } => {
                 let _ = writeln!(
                     out,
-                    "{pad}©({var}{}{}{})",
+                    "{pad}©({var}{}{})",
                     labels_str(labels),
-                    props_str(props),
-                    if *carry_map { " +map" } else { "" }
+                    props_str(props)
                 );
             }
             Fra::ScanEdges {

@@ -195,7 +195,6 @@ fn edges(tag: &str, src_labels: &[&str], dst_labels: &[&str], dir: Direction) ->
         edge_props: vec![],
         dst_props: vec![],
         dir,
-        carry_maps: (false, false, false),
     }
 }
 
@@ -204,7 +203,6 @@ fn label_scan(labels: &[&str]) -> Fra {
         var: "v".into(),
         labels: labels.iter().map(|l| sym(l)).collect(),
         props: vec![],
-        carry_map: false,
     }
 }
 
@@ -214,7 +212,6 @@ fn prop_scan(labels: &[&str], props: &[&str]) -> Fra {
         var: "v".into(),
         labels: labels.iter().map(|l| sym(l)).collect(),
         props: props.iter().map(|p| push(p, &format!("v.{p}"))).collect(),
-        carry_map: false,
     }
 }
 
@@ -376,18 +373,12 @@ fn the_endpoint_is_found_through_filters_projections_and_join_chains() {
     assert_eq!(vertex_scans(&canonicalize(&on_m).plan), 0);
 }
 
-/// Where the © carries a map or a σ, equates more than `v`, or `v` is not
+/// Where the © carries a σ, equates more than `v`, or `v` is not
 /// bound by an ⇑ endpoint, the join stays — whether the © pushes
 /// properties or not.
 #[test]
 fn label_scan_stays_when_it_is_more_than_a_label_filter() {
     let out = || edges("", &[], &[], Direction::Out);
-    let carrying = Fra::ScanVertices {
-        var: "v".into(),
-        labels: vec![sym("L")],
-        props: vec![],
-        carry_map: true,
-    };
     let path = Fra::VarLengthJoin {
         left: Box::new(label_scan(&["A"])),
         src_col: 0,
@@ -396,7 +387,6 @@ fn label_scan_stays_when_it_is_more_than_a_label_filter() {
             dir: Direction::Out,
             dst_labels: vec![],
             dst_props: vec![],
-            dst_carry_map: false,
             edge_prop_filters: vec![],
             min: 1,
             max: None,
@@ -415,8 +405,7 @@ fn label_scan_stays_when_it_is_more_than_a_label_filter() {
             "x".into(),
         )],
     };
-    let mut cases: Vec<(String, Fra)> =
-        vec![("carries a map".into(), join(out(), carrying, &[0], &[0]))];
+    let mut cases: Vec<(String, Fra)> = Vec::new();
     for (kind, scan) in [
         ("label-only", label_scan(&["L"])),
         ("pushing", prop_scan(&["L"], &["x"])),
@@ -534,7 +523,6 @@ fn pushing_scan_joined_on_an_endpoint_becomes_a_pushed_property() {
                 src_props,
                 edge_props,
                 dst_props,
-                carry_maps,
                 ..
             } => Fra::ScanEdges {
                 src,
@@ -546,7 +534,6 @@ fn pushing_scan_joined_on_an_endpoint_becomes_a_pushed_property() {
                 src_props,
                 edge_props,
                 dst_props,
-                carry_maps,
                 dir,
             },
             other => other,
@@ -652,7 +639,6 @@ fn a_property_pushed_twice_is_one_scan_column_read_twice() {
                     dir: Direction::Out,
                     dst_labels: vec![],
                     dst_props: vec![],
-                    dst_carry_map: false,
                     edge_prop_filters: vec![],
                     min: 1,
                     max: Some(2),

@@ -1,10 +1,9 @@
 //! The `GraphEngine` façade: graph + views + openCypher execution.
 
-use pgq_algebra::flatten::{resolve_constant, SchemaMode};
+use pgq_algebra::flatten::resolve_constant;
 use pgq_algebra::fra::Fra;
 use pgq_algebra::pipeline::{
-    compile_bindings, compile_bindings_params, compile_query_params, compile_query_with,
-    CompileOptions, CompiledQuery,
+    compile_bindings, compile_bindings_params, compile_query, compile_query_params, CompiledQuery,
 };
 use pgq_algebra::plan::WcojMode;
 use pgq_algebra::{AlgebraError, ScalarExpr};
@@ -41,9 +40,8 @@ struct ViewEntry {
     sink: SinkId,
     compiled: CompiledQuery,
     query_text: String,
-    /// Compile/register options, kept so a durable snapshot's catalog
-    /// lets recovery re-register the view mode-faithfully.
-    compile: CompileOptions,
+    /// Registration options, kept so a durable snapshot's catalog lets
+    /// recovery re-register the view mode-faithfully.
     register: RegisterOptions,
     /// The view's subscribers, in subscription order; they go with the
     /// entry when the view is dropped.
@@ -572,22 +570,18 @@ impl GraphEngine {
     /// observable), and a query differing only in its top-level `WHERE`
     /// shares the whole stateful prefix below its private filter.
     pub fn register_view(&mut self, name: &str, cypher: &str) -> Result<ViewId, EngineError> {
-        self.register_view_with(
-            name,
-            cypher,
-            CompileOptions::default(),
-            RegisterOptions::default(),
-        )
+        self.register_view_with(name, cypher, RegisterOptions::default())
     }
 
-    /// Register a view with explicit compile and registration options —
-    /// the carry-maps ablation, or a differential twin of the default
-    /// path spelled out at the call site (`RegisterOptions { plan:
-    /// false, ..Default::default() }` runs the syntactic join order,
-    /// `wcoj: WcojMode::Disabled` keeps cyclic patterns on binary join
-    /// trees, `wcoj: WcojMode::Forced` with `wcoj_sorted: Some(_)` pins
-    /// the fused operator and its backend). Production views use
-    /// [`GraphEngine::register_view`].
+    /// Register a view with explicit registration options — a
+    /// differential twin of the default path spelled out at the call
+    /// site (`RegisterOptions { plan: false, ..Default::default() }`
+    /// runs the syntactic join order, `wcoj: WcojMode::Disabled` keeps
+    /// cyclic patterns on binary join trees, `wcoj: WcojMode::Forced`
+    /// with `wcoj_sorted: Some(_)` pins the fused operator and its
+    /// backend). Production views use [`GraphEngine::register_view`].
+    /// Every view flattens by schema inference; only the plan is
+    /// selectable.
     ///
     /// On a durable engine the registration is logged as one catalog
     /// record (the view's catalog row) — no image is written — and a
@@ -596,7 +590,6 @@ impl GraphEngine {
         &mut self,
         name: &str,
         cypher: &str,
-        options: CompileOptions,
         register: RegisterOptions,
     ) -> Result<ViewId, EngineError> {
         if self.view_by_name(name).is_some() {
@@ -604,7 +597,7 @@ impl GraphEngine {
         }
         self.check_writable()?;
         let id = ViewId(self.next_view);
-        self.install_view(id.0, name, cypher, options, register)?;
+        self.install_view(id.0, name, cypher, register)?;
         // Registration changes what a recovery must rebuild: log it
         // before acknowledging it. If the record cannot land, the
         // registration is undone so disk and memory agree.
@@ -627,11 +620,10 @@ impl GraphEngine {
         slot: usize,
         name: &str,
         cypher: &str,
-        compile: CompileOptions,
         register: RegisterOptions,
     ) -> Result<(), EngineError> {
         let query = parse_query(cypher)?;
-        let compiled = compile_query_with(&query, compile)?;
+        let compiled = compile_query(&query)?;
         if !compiled.is_maintainable() {
             return Err(AlgebraError::NotMaintainable(compiled.not_maintainable.join("; ")).into());
         }
@@ -646,7 +638,6 @@ impl GraphEngine {
                 sink,
                 compiled,
                 query_text: cypher.to_string(),
-                compile,
                 register,
                 subscribers: Subscribers::default(),
             },
@@ -811,8 +802,7 @@ impl GraphEngine {
         let mut engine = GraphEngine::from_graph(recovered.graph);
         engine.threads = config.threads;
         for v in &recovered.views {
-            let (compile, register) = catalog_options(v);
-            engine.install_view(v.slot as usize, &v.name, &v.query, compile, register)?;
+            engine.install_view(v.slot as usize, &v.name, &v.query, catalog_options(v))?;
         }
         let report = recovered.report;
 
@@ -1181,7 +1171,7 @@ impl GraphEngine {
     /// Compile and plan a read statement; `params[i]` names parameter
     /// slot `i`.
     fn plan_read(&self, query: &Query, params: &[String]) -> Result<Reading, EngineError> {
-        let compiled = compile_query_params(query, CompileOptions::default(), params)?;
+        let compiled = compile_query_params(query, params)?;
         Ok(self.one_shot_plan(compiled).into())
     }
 
@@ -1430,7 +1420,7 @@ impl GraphEngine {
             }
             compile_bindings(&query, &plan.items)?
         } else {
-            compile_query_with(&query, CompileOptions::default())?
+            compile_query(&query)?
         };
         let mut out = String::new();
         out.push_str("== Stage 1: GRA (graph relational algebra)\n");
@@ -1523,10 +1513,6 @@ fn catalog(views: &BTreeMap<usize, ViewEntry>, network: &DataflowNetwork) -> Vec
         slot: slot as u32,
         name: network.view(e.sink).name().to_string(),
         query: e.query_text.clone(),
-        schema_mode: match e.compile.schema_mode {
-            SchemaMode::Inferred => 0,
-            SchemaMode::CarryMaps => 1,
-        },
         plan: e.register.plan,
         wcoj_mode: match e.register.wcoj {
             WcojMode::Disabled => 0,
@@ -1539,14 +1525,8 @@ fn catalog(views: &BTreeMap<usize, ViewEntry>, network: &DataflowNetwork) -> Vec
 }
 
 /// The options a catalog entry was registered under.
-fn catalog_options(v: &SnapshotView) -> (CompileOptions, RegisterOptions) {
-    let compile = CompileOptions {
-        schema_mode: match v.schema_mode {
-            1 => SchemaMode::CarryMaps,
-            _ => SchemaMode::Inferred,
-        },
-    };
-    let register = RegisterOptions {
+fn catalog_options(v: &SnapshotView) -> RegisterOptions {
+    RegisterOptions {
         plan: v.plan,
         wcoj: match v.wcoj_mode {
             0 => WcojMode::Disabled,
@@ -1554,8 +1534,7 @@ fn catalog_options(v: &SnapshotView) -> (CompileOptions, RegisterOptions) {
             _ => WcojMode::CostBased,
         },
         wcoj_sorted: v.wcoj_sorted,
-    };
-    (compile, register)
+    }
 }
 
 /// What [`GraphEngine::execute`] keeps per statement shape

@@ -624,13 +624,13 @@ pub fn decode_tx(bytes: &[u8]) -> Result<Transaction, CodecError> {
 }
 
 /// Encode one view-catalog row: slot, name, query text and the
-/// compile/register option bytes — an image's view section holds one
-/// per standing view, a register record holds one.
+/// registration option bytes — an image's view section holds one per
+/// standing view, a register record holds one.
 pub(crate) fn encode_view(e: &mut Encoder, v: &SnapshotView) {
     e.u32(v.slot);
     e.str(&v.name);
     e.str(&v.query);
-    e.u8(v.schema_mode);
+    e.u8(0); // retired schema mode, see `decode_view`
     e.bool(false); // retired `optimize` toggle, see `decode_view`
     e.bool(v.plan);
     e.u8(v.wcoj_mode);
@@ -642,16 +642,18 @@ pub(crate) fn encode_view(e: &mut Encoder, v: &SnapshotView) {
 }
 
 /// Decode one view-catalog row. Every option byte is checked against
-/// the values the engine writes (schema mode 0–1, wcoj mode 0–2).
+/// the values some build wrote (schema mode 0–1, wcoj mode 0–2).
 pub(crate) fn decode_view(d: &mut Decoder<'_>) -> Result<SnapshotView, CodecError> {
     let (slot, name, query) = (d.u32()?, d.str()?, d.str()?);
-    let schema_mode = match d.u8()? {
-        t @ 0..=1 => t,
-        t => return Err(CodecError::BadTag("schema-mode", t)),
-    };
-    // The byte of the retired `optimize` toggle: builds that had it
-    // wrote it here and builds that have it read it back, so it stays in
-    // the layout, written `false` and ignored.
+    // The bytes of the retired schema mode and `optimize` toggle: older
+    // builds wrote them here and read them back, so they stay in the
+    // layout, written 0 / `false` and ignored. A view logged under the
+    // schema mode's old 1 (properties read from a carried map) has the
+    // same rows and columns when it flattens by inference.
+    let schema_mode = d.u8()?;
+    if schema_mode > 1 {
+        return Err(CodecError::BadTag("schema-mode", schema_mode));
+    }
     d.bool()?;
     let plan = d.bool()?;
     let wcoj_mode = match d.u8()? {
@@ -668,7 +670,6 @@ pub(crate) fn decode_view(d: &mut Decoder<'_>) -> Result<SnapshotView, CodecErro
         slot,
         name,
         query,
-        schema_mode,
         plan,
         wcoj_mode,
         wcoj_sorted,
@@ -935,7 +936,6 @@ mod tests {
             slot,
             name: "v".into(),
             query: "MATCH (p:Post) RETURN p".into(),
-            schema_mode: 1,
             plan: false,
             wcoj_mode: 2,
             wcoj_sorted: Some(true),

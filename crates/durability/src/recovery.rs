@@ -605,7 +605,6 @@ mod tests {
             slot,
             name: name.into(),
             query: format!("MATCH (p:{name}) RETURN p"),
-            schema_mode: 0,
             plan: true,
             wcoj_mode: 1,
             wcoj_sorted: None,

@@ -131,10 +131,12 @@ impl From<CodecError> for SnapshotError {
 }
 
 /// Registration metadata for one standing view, enough for the engine to
-/// re-register it mode-faithfully (same schema mode, same planner and
-/// wcoj toggles) in its original slot. The option fields are small ints
-/// the engine maps onto its own enums, keeping this crate independent of
-/// the engine layer.
+/// re-register it mode-faithfully (same planner and wcoj toggles) in its
+/// original slot. The option fields are small ints the engine maps onto
+/// its own enums, keeping this crate independent of the engine layer.
+/// Every view flattens by schema inference, so no field records how; the
+/// row's byte for the retired schema mode stays in the codec's layout
+/// (`codec::decode_view`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SnapshotView {
     /// Original slot index in the engine's view table (view ids must
@@ -144,8 +146,6 @@ pub struct SnapshotView {
     pub name: String,
     /// Original query text.
     pub query: String,
-    /// Compile-time schema mode discriminant.
-    pub schema_mode: u8,
     /// Was the cost-based planner used?
     pub plan: bool,
     /// Wcoj mode discriminant (disabled / cost-based / forced).
@@ -547,7 +547,6 @@ mod tests {
             slot: 2,
             name: "v".into(),
             query: "MATCH (n) RETURN n".into(),
-            schema_mode: 1,
             plan: false,
             wcoj_mode: 2,
             wcoj_sorted: Some(true),

@@ -378,7 +378,6 @@ mod tests {
             slot: 0,
             name: "v".into(),
             query: "MATCH (p:Post) RETURN p".into(),
-            schema_mode: 0,
             plan: true,
             wcoj_mode: 1,
             wcoj_sorted: None,

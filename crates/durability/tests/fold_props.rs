@@ -100,7 +100,6 @@ fn catalog() -> Vec<SnapshotView> {
         slot: 0,
         name: "posts".into(),
         query: "MATCH (p:Post) RETURN p".into(),
-        schema_mode: 0,
         plan: true,
         wcoj_mode: 1,
         wcoj_sorted: None,

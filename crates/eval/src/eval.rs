@@ -604,9 +604,6 @@ impl<'g> Pipelines<'g> {
                         for pr in &spec.dst_props {
                             tail.push(dd.props.get_or_null(pr.prop));
                         }
-                        if spec.dst_carry_map {
-                            tail.push(dd.props.to_value_map());
-                        }
                         tail.push(Value::path(p));
                         for (t, m) in rows.iter() {
                             row.clear();
@@ -649,8 +646,8 @@ impl<'g> Pipelines<'g> {
         self.resolve(scan, ids, labels, out)
     }
 
-    /// © over the vertices `ids` that carry the labels `tested` (vertex,
-    /// property and map columns as the scan says), [`BATCH`] at a time:
+    /// © over the vertices `ids` that carry the labels `tested` (vertex
+    /// and property columns as the scan says), [`BATCH`] at a time:
     /// a batch's vertices and properties are all looked up into one
     /// reused buffer before any of its rows is pushed, so the store's
     /// cache misses overlap instead of each waiting behind the previous
@@ -662,13 +659,10 @@ impl<'g> Pipelines<'g> {
         tested: &[Symbol],
         out: &mut Sink<'_>,
     ) {
-        let Fra::ScanVertices {
-            props, carry_map, ..
-        } = scan
-        else {
+        let Fra::ScanVertices { props, .. } = scan else {
             unreachable!("callers pass a ©")
         };
-        let width = 1 + props.len() + usize::from(*carry_map);
+        let width = 1 + props.len();
         let mut rows = Vec::with_capacity(ids.size_hint().0.min(BATCH) * width);
         loop {
             rows.clear();
@@ -683,9 +677,6 @@ impl<'g> Pipelines<'g> {
                 }
                 rows.push(Value::Node(v));
                 rows.extend(props.iter().map(|p| data.props.get_or_null(p.prop)));
-                if *carry_map {
-                    rows.push(data.props.to_value_map());
-                }
             }
             self.scanned.set(self.scanned.get() + read);
             for row in rows.chunks_exact(width) {
@@ -729,7 +720,6 @@ impl<'g> Pipelines<'g> {
             src_props,
             edge_props,
             dst_props,
-            carry_maps,
             ..
         } = scan
         else {
@@ -753,15 +743,6 @@ impl<'g> Pipelines<'g> {
         }
         for p in dst_props {
             row.push(dd.props.get_or_null(p.prop));
-        }
-        if carry_maps.0 {
-            row.push(sd.props.to_value_map());
-        }
-        if carry_maps.1 {
-            row.push(data.props.to_value_map());
-        }
-        if carry_maps.2 {
-            row.push(dd.props.to_value_map());
         }
         out(row, 1);
     }

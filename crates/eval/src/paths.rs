@@ -107,7 +107,6 @@ mod tests {
             dir: Direction::Out,
             dst_labels: vec![],
             dst_props: vec![],
-            dst_carry_map: false,
             edge_prop_filters: vec![],
             min,
             max,

@@ -2,7 +2,7 @@
 //! (the evaluator is the differential oracle elsewhere, so it gets its
 //! own ground-truth suite here).
 
-use pgq_algebra::pipeline::{compile_query, compile_query_with, CompileOptions};
+use pgq_algebra::pipeline::compile_query;
 use pgq_common::intern::Symbol;
 use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
@@ -116,25 +116,6 @@ fn varlength_bag_multiplicity() {
     let cq = compile("MATCH (a:D {x: 1})-[:R*2]->(b) RETURN b.x");
     let got = evaluate_consolidated(&cq.fra, &g);
     assert_eq!(got, vec![(Tuple::new(vec![Value::Int(4)]), 2)]);
-}
-
-#[test]
-fn carry_maps_mode_evaluates_identically() {
-    let g = fixture();
-    let q = parse_query("MATCH (p:Post) WHERE p.lang = 'en' RETURN p.len").unwrap();
-    let plain = compile_query(&q).unwrap();
-    let maps = compile_query_with(
-        &q,
-        CompileOptions {
-            schema_mode: pgq_algebra::SchemaMode::CarryMaps,
-            ..CompileOptions::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(
-        evaluate_consolidated(&plain.fra, &g),
-        evaluate_consolidated(&maps.fra, &g)
-    );
 }
 
 #[test]
@@ -282,7 +263,6 @@ fn expanded_semijoins_equal_the_reference() {
                 prop: s("id"),
                 col: "a.id".into(),
             }],
-            carry_map: false,
         }),
         predicate: eq(1, id),
     };
@@ -300,7 +280,6 @@ fn expanded_semijoins_equal_the_reference() {
             col: "c.id".into(),
         }],
         dir,
-        carry_maps: (false, false, false),
     };
     for (id, dir, key, anti) in [
         (2, Direction::Out, 0, false),
@@ -418,7 +397,6 @@ mod narrowing {
                 prop: s("id"),
                 col: "a.id".into(),
             }],
-            carry_map: false,
         }
     }
 

@@ -72,16 +72,10 @@ impl<'g> Evaluator<'g> {
         self.eval(fra)
     }
 
-    /// © over the vertices `ids` (label, property and map columns as the
-    /// scan says).
+    /// © over the vertices `ids` (label and property columns as the scan
+    /// says).
     fn scan_vertices(&mut self, scan: &Fra, ids: impl Iterator<Item = VertexId>) -> Bag {
-        let Fra::ScanVertices {
-            labels,
-            props,
-            carry_map,
-            ..
-        } = scan
-        else {
+        let Fra::ScanVertices { labels, props, .. } = scan else {
             unreachable!("callers pass a ©")
         };
         let mut out = Vec::new();
@@ -96,9 +90,6 @@ impl<'g> Evaluator<'g> {
             let mut vals = vec![Value::Node(v)];
             for p in props {
                 vals.push(data.props.get_or_null(p.prop));
-            }
-            if *carry_map {
-                vals.push(data.props.to_value_map());
             }
             out.push((Tuple::new(vals), 1));
         }
@@ -115,7 +106,6 @@ impl<'g> Evaluator<'g> {
             edge_props,
             dst_props,
             dir,
-            carry_maps,
             ..
         } = scan
         else {
@@ -156,15 +146,6 @@ impl<'g> Evaluator<'g> {
             }
             for p in dst_props {
                 vals.push(dd.props.get_or_null(p.prop));
-            }
-            if carry_maps.0 {
-                vals.push(sd.props.to_value_map());
-            }
-            if carry_maps.1 {
-                vals.push(data.props.to_value_map());
-            }
-            if carry_maps.2 {
-                vals.push(dd.props.to_value_map());
             }
             out.push((Tuple::new(vals), 1));
         }
@@ -262,9 +243,6 @@ impl<'g> Evaluator<'g> {
                         let mut tail: Vec<Value> = vec![Value::Node(dst)];
                         for pr in &spec.dst_props {
                             tail.push(dd.props.get_or_null(pr.prop));
-                        }
-                        if spec.dst_carry_map {
-                            tail.push(dd.props.to_value_map());
                         }
                         tail.push(Value::path(p.clone()));
                         for (t, m) in &rows {

@@ -86,15 +86,6 @@ impl Properties {
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &Value)> {
         self.entries.iter().map(|(k, v)| (*k, v))
     }
-
-    /// Convert to a [`Value::Map`] (for returning whole elements).
-    pub fn to_value_map(&self) -> Value {
-        Value::map(
-            self.entries
-                .iter()
-                .map(|(k, v)| (k.resolve().to_string(), v.clone())),
-        )
-    }
 }
 
 impl fmt::Display for Properties {

@@ -377,12 +377,9 @@ impl DataflowNetwork {
         }
         let kind = match fra {
             Fra::Unit => NodeKind::Unit { emitted: false },
-            Fra::ScanVertices {
-                labels,
-                props,
-                carry_map,
-                ..
-            } => NodeKind::Vertices(VertexScan::new(labels.clone(), props.clone(), *carry_map)),
+            Fra::ScanVertices { labels, props, .. } => {
+                NodeKind::Vertices(VertexScan::new(labels.clone(), props.clone()))
+            }
             Fra::ScanEdges {
                 types,
                 src_labels,
@@ -391,7 +388,6 @@ impl DataflowNetwork {
                 edge_props,
                 dst_props,
                 dir,
-                carry_maps,
                 ..
             } => NodeKind::Edges(EdgeScan::new(EdgeScanSpec {
                 types: types.clone(),
@@ -400,7 +396,6 @@ impl DataflowNetwork {
                 src_props: src_props.clone(),
                 edge_props: edge_props.clone(),
                 dst_props: dst_props.clone(),
-                carry_maps: *carry_maps,
                 dir: Some(*dir),
                 edge_prop_filters: Vec::new(),
             })),

@@ -40,8 +40,8 @@ struct VertexRoute {
     /// edge scan it is a union (any overlap can matter).
     labels: Vec<Symbol>,
     conjunctive: bool,
-    /// Property keys that can change emitted tuples; `None` = all.
-    prop_keys: Option<Vec<Symbol>>,
+    /// Property keys that can change emitted tuples.
+    prop_keys: Vec<Symbol>,
 }
 
 impl VertexRoute {
@@ -57,10 +57,7 @@ impl VertexRoute {
     }
 
     fn cares_about_key(&self, key: Symbol) -> bool {
-        match &self.prop_keys {
-            None => true,
-            Some(keys) => keys.contains(&key),
-        }
+        self.prop_keys.contains(&key)
     }
 }
 
@@ -68,8 +65,8 @@ impl VertexRoute {
 #[derive(Clone, Debug)]
 struct EdgeRoute {
     node: NodeId,
-    /// Property keys that can change emitted tuples; `None` = all.
-    prop_keys: Option<Vec<Symbol>>,
+    /// Property keys that can change emitted tuples.
+    prop_keys: Vec<Symbol>,
 }
 
 /// The label/type → scan-node routing index.
@@ -282,11 +279,7 @@ impl DataflowNetwork {
         key: Option<Symbol>,
         deliver: &mut impl FnMut(NodeId, &mut Self),
     ) {
-        let admits = |r: &EdgeRoute| match (key, &r.prop_keys) {
-            (None, _) => true,
-            (Some(_), None) => true,
-            (Some(k), Some(keys)) => keys.contains(&k),
-        };
+        let admits = |r: &EdgeRoute| key.is_none_or(|k| r.prop_keys.contains(&k));
         if let Some(routes) = routing.edge_by_type.get(&ty) {
             for r in routes {
                 if admits(r) {

@@ -35,9 +35,8 @@ pub(crate) enum ScanRouting {
 pub(crate) struct VertexRouting {
     /// Conjunctive label requirement (empty = every vertex matches).
     pub labels: Vec<Symbol>,
-    /// Vertex property keys whose changes can alter emitted tuples;
-    /// `None` means *all* keys (the carry-map ablation mode).
-    pub prop_keys: Option<Vec<Symbol>>,
+    /// Vertex property keys whose changes can alter emitted tuples.
+    pub prop_keys: Vec<Symbol>,
 }
 
 /// Routing contract of an edge scan.
@@ -53,8 +52,8 @@ pub(crate) struct EdgeRouting {
     /// Admissible edge types (empty = any).
     pub types: Vec<Symbol>,
     /// Edge property keys whose changes matter (pushed properties and
-    /// literal filters); `None` means all keys (carry-map mode).
-    pub edge_prop_keys: Option<Vec<Symbol>>,
+    /// literal filters).
+    pub edge_prop_keys: Vec<Symbol>,
     /// Vertex interest of the pattern-source endpoint (`None` when
     /// source tuples don't depend on vertex state).
     pub src_interest: Option<VertexRouting>,
@@ -67,7 +66,6 @@ pub(crate) struct EdgeRouting {
 pub(crate) struct VertexScan {
     labels: Vec<Symbol>,
     props: Vec<PropPush>,
-    carry_map: bool,
     memory: FxHashMap<VertexId, Tuple>,
     /// Reused per-batch dedup set (cleared, not reallocated).
     touched: FxHashSet<VertexId>,
@@ -79,12 +77,11 @@ pub(crate) struct VertexScan {
 
 impl VertexScan {
     /// Create a scan for `labels` (empty = all vertices) emitting the
-    /// pushed `props` and, in ablation mode, the whole property map.
-    pub(crate) fn new(labels: Vec<Symbol>, props: Vec<PropPush>, carry_map: bool) -> VertexScan {
+    /// pushed `props`.
+    pub(crate) fn new(labels: Vec<Symbol>, props: Vec<PropPush>) -> VertexScan {
         VertexScan {
             labels,
             props,
-            carry_map,
             memory: FxHashMap::default(),
             touched: FxHashSet::default(),
             scratch: Vec::new(),
@@ -112,11 +109,7 @@ impl VertexScan {
     pub(crate) fn routing(&self) -> VertexRouting {
         VertexRouting {
             labels: self.labels.clone(),
-            prop_keys: if self.carry_map {
-                None
-            } else {
-                Some(self.props.iter().map(|p| p.prop).collect())
-            },
+            prop_keys: self.props.iter().map(|p| p.prop).collect(),
         }
     }
 
@@ -142,9 +135,6 @@ impl VertexScan {
         vals.push(Value::Node(v));
         for p in &self.props {
             vals.push(data.props.get_or_null(p.prop));
-        }
-        if self.carry_map {
-            vals.push(data.props.to_value_map());
         }
         Some(Tuple::from_slice(vals))
     }
@@ -228,7 +218,7 @@ impl VertexScan {
 
 /// The ⇑ get-edges scan node.
 ///
-/// Emits `(src, edge, dst, src_props…, edge_props…, dst_props…, maps…)`
+/// Emits `(src, edge, dst, src_props…, edge_props…, dst_props…)`
 /// tuples for every edge whose type matches and whose endpoints carry the
 /// required labels. `Direction::In` swaps the roles of source and target;
 /// `Direction::Both` emits each edge in both orientations (a self-loop
@@ -241,7 +231,6 @@ pub(crate) struct EdgeScan {
     src_props: Vec<PropPush>,
     edge_props: Vec<PropPush>,
     dst_props: Vec<PropPush>,
-    carry_maps: (bool, bool, bool),
     dir: Direction,
     /// Literal equality constraints on edge properties (used when this
     /// scan feeds a variable-length join).
@@ -287,8 +276,6 @@ pub(crate) struct EdgeScanSpec {
     pub edge_props: Vec<PropPush>,
     /// Pushed target properties.
     pub dst_props: Vec<PropPush>,
-    /// Ablation property-map columns.
-    pub carry_maps: (bool, bool, bool),
     /// Orientation.
     pub dir: Option<Direction>,
     /// Literal edge-property constraints.
@@ -305,7 +292,6 @@ impl EdgeScan {
             src_props: spec.src_props,
             edge_props: spec.edge_props,
             dst_props: spec.dst_props,
-            carry_maps: spec.carry_maps,
             dir: spec.dir.unwrap_or(Direction::Out),
             edge_prop_filters: spec.edge_prop_filters,
             memory: FxHashMap::default(),
@@ -328,36 +314,28 @@ impl EdgeScan {
     /// Routing contract (see [`ScanRouting`] and [`EdgeRouting`]).
     pub(crate) fn routing(&self) -> EdgeRouting {
         // One endpoint side's interest: labels gate membership, props
-        // (or a carried map) make that side's vertex state part of the
-        // emitted tuple. A side with neither has no vertex interest.
-        let side = |labels: &[Symbol], props: &[PropPush], carry: bool| -> Option<VertexRouting> {
-            if labels.is_empty() && props.is_empty() && !carry {
+        // make that side's vertex state part of the emitted tuple. A side
+        // with neither has no vertex interest.
+        let side = |labels: &[Symbol], props: &[PropPush]| -> Option<VertexRouting> {
+            if labels.is_empty() && props.is_empty() {
                 return None;
             }
             Some(VertexRouting {
                 labels: labels.to_vec(),
-                prop_keys: if carry {
-                    None
-                } else {
-                    Some(props.iter().map(|p| p.prop).collect())
-                },
+                prop_keys: props.iter().map(|p| p.prop).collect(),
             })
         };
+        let mut edge_prop_keys: Vec<Symbol> = self.edge_props.iter().map(|p| p.prop).collect();
+        for (k, _) in &self.edge_prop_filters {
+            if !edge_prop_keys.contains(k) {
+                edge_prop_keys.push(*k);
+            }
+        }
         EdgeRouting {
             types: self.types.clone(),
-            edge_prop_keys: if self.carry_maps.1 {
-                None
-            } else {
-                let mut keys: Vec<Symbol> = self.edge_props.iter().map(|p| p.prop).collect();
-                for (k, _) in &self.edge_prop_filters {
-                    if !keys.contains(k) {
-                        keys.push(*k);
-                    }
-                }
-                Some(keys)
-            },
-            src_interest: side(&self.src_labels, &self.src_props, self.carry_maps.0),
-            dst_interest: side(&self.dst_labels, &self.dst_props, self.carry_maps.2),
+            edge_prop_keys,
+            src_interest: side(&self.src_labels, &self.src_props),
+            dst_interest: side(&self.dst_labels, &self.dst_props),
         }
     }
 
@@ -381,7 +359,6 @@ impl EdgeScan {
             || !self.dst_labels.is_empty()
             || !self.src_props.is_empty()
             || !self.dst_props.is_empty()
-            || self.carry_maps != (false, false, false)
     }
 
     /// The tuples `e` contributes now, `None` when it fails the scan.
@@ -432,15 +409,6 @@ impl EdgeScan {
             }
             for p in &self.dst_props {
                 vals.push(dd.props.get_or_null(p.prop));
-            }
-            if self.carry_maps.0 {
-                vals.push(sd.props.to_value_map());
-            }
-            if self.carry_maps.1 {
-                vals.push(data.props.to_value_map());
-            }
-            if self.carry_maps.2 {
-                vals.push(dd.props.to_value_map());
             }
             let t = Tuple::from_slice(vals);
             match first.take() {
@@ -563,7 +531,7 @@ mod tests {
             [sym("Post")],
             Properties::from_iter([("lang", Value::str("en"))]),
         );
-        let mut scan = VertexScan::new(vec![sym("Post")], vec![push("lang", "p.lang")], false);
+        let mut scan = VertexScan::new(vec![sym("Post")], vec![push("lang", "p.lang")]);
         let init = scan.initial(&g).consolidate();
         assert_eq!(init.len(), 1);
         let (t0, m0) = init.iter().next().unwrap().clone();
@@ -587,7 +555,7 @@ mod tests {
     fn vertex_scan_unrelated_prop_change_is_noop_tuplewise() {
         let mut g = PropertyGraph::new();
         let (a, _) = g.add_vertex([sym("Post")], Properties::new());
-        let mut scan = VertexScan::new(vec![sym("Post")], vec![], false);
+        let mut scan = VertexScan::new(vec![sym("Post")], vec![]);
         scan.initial(&g);
         let ev = g.set_vertex_prop(a, sym("other"), Value::Int(1)).unwrap();
         let d = consolidated(|out| scan.on_events_into(&g, &[ev], out));
@@ -666,7 +634,7 @@ mod tests {
     #[test]
     fn transaction_events_flow_through_scan() {
         let mut g = PropertyGraph::new();
-        let mut scan = VertexScan::new(vec![sym("Post")], vec![], false);
+        let mut scan = VertexScan::new(vec![sym("Post")], vec![]);
         scan.initial(&g);
         let mut tx = Transaction::new();
         tx.create_vertex([sym("Post")], Properties::new());

@@ -134,7 +134,6 @@ mod tests {
                 var: "n".into(),
                 labels: vec![Symbol::intern("X")],
                 props: vec![],
-                carry_map: false,
             }),
         };
         let mut net = DataflowNetwork::new();

@@ -448,15 +448,9 @@ impl VarLengthOp {
             edge_prop_filters: spec.edge_prop_filters.clone(),
             ..Default::default()
         });
-        let needs_dst =
-            !spec.dst_labels.is_empty() || !spec.dst_props.is_empty() || spec.dst_carry_map;
-        let dst = needs_dst.then(|| {
-            VertexScan::new(
-                spec.dst_labels.clone(),
-                spec.dst_props.clone(),
-                spec.dst_carry_map,
-            )
-        });
+        let needs_dst = !spec.dst_labels.is_empty() || !spec.dst_props.is_empty();
+        let dst =
+            needs_dst.then(|| VertexScan::new(spec.dst_labels.clone(), spec.dst_props.clone()));
         VarLengthOp {
             edge_scan,
             dst,
@@ -472,10 +466,8 @@ impl VarLengthOp {
             dst_delta: Delta::new(),
             prefixes: Vec::new(),
             emptied: Vec::new(),
-            // left ++ [dst, props…, map?, path]
-            scratch: Vec::with_capacity(
-                left_arity + 2 + spec.dst_props.len() + usize::from(spec.dst_carry_map),
-            ),
+            // left ++ [dst, props…, path]
+            scratch: Vec::with_capacity(left_arity + 2 + spec.dst_props.len()),
         }
     }
 
@@ -710,7 +702,6 @@ mod tests {
             dir: Direction::Out,
             dst_labels: vec![],
             dst_props: vec![],
-            dst_carry_map: false,
             edge_prop_filters: vec![],
             min,
             max,

@@ -171,7 +171,6 @@ fn scan(var: &str, label: &str) -> Fra {
         var: var.into(),
         labels: vec![Symbol::intern(label)],
         props: vec![],
-        carry_map: false,
     }
 }
 
@@ -327,7 +326,6 @@ fn one_hop_extension_allocates_only_the_path_and_the_row() {
         dir: Direction::Out,
         dst_labels: vec![],
         dst_props: vec![],
-        dst_carry_map: false,
         edge_prop_filters: vec![],
         min: 1,
         max: None,

@@ -3,6 +3,7 @@
 //! event routing (a transaction touching only label `A` delivers zero
 //! events to scans over label `B`).
 
+use pgq_algebra::expr::ScalarExpr;
 use pgq_algebra::fra::{Fra, PropPush};
 use pgq_common::intern::Symbol;
 use pgq_graph::props::Properties;
@@ -19,24 +20,25 @@ fn scan(var: &str, label: &str) -> Fra {
         var: var.into(),
         labels: vec![s(label)],
         props: vec![],
-        carry_map: false,
     }
 }
 
-/// `©(var:label +map)`: carrying the property map keeps the scan a
-/// relation of its own (a © that only filters labels or pushes
-/// properties, joined to an edge scan, is folded into the scan's
-/// endpoint by canonicalisation).
+/// `σ[var IS NOT NULL] ©(var:label)`: a σ on the © keeps it a relation
+/// of its own. A bare © joined to an edge scan on an endpoint is only a
+/// label filter and pushed properties, which canonicalisation folds into
+/// the scan's endpoint; a © under a σ it keeps, because the σ filters
+/// each vertex once where on the ⇑ it would filter each of its edges.
 fn keyed_scan(var: &str, label: &str) -> Fra {
-    Fra::ScanVertices {
-        var: var.into(),
-        labels: vec![s(label)],
-        props: vec![],
-        carry_map: true,
+    Fra::Filter {
+        input: Box::new(scan(var, label)),
+        predicate: ScalarExpr::IsNull {
+            expr: Box::new(ScalarExpr::Col(0)),
+            negated: true,
+        },
     }
 }
 
-/// The paper-example shape: ⇑[(a)-[:R]->(b)] ⋈ ©(a:A +map) (already in
+/// The paper-example shape: ⇑[(a)-[:R]->(b)] ⋈ σ ©(a:A) (already in
 /// canonical operand order, so no tail π restores the columns).
 fn join_plan() -> Fra {
     edge_join("a", "e", "b")
@@ -55,7 +57,6 @@ fn edge_join(src: &str, edge: &str, dst: &str) -> Fra {
             edge_props: vec![],
             dst_props: vec![],
             dir: pgq_common::dir::Direction::Out,
-            carry_maps: (false, false, false),
         }),
         right: Box::new(keyed_scan(src, "A")),
         left_keys: vec![0],
@@ -71,7 +72,7 @@ fn identical_views_share_one_operator_chain() {
     let plan = join_plan();
     net.register("v0", &plan, &g);
     let nodes_after_first = net.node_count();
-    assert_eq!(nodes_after_first, 3, "scan + scan + join");
+    assert_eq!(nodes_after_first, 4, "⇑ + © + σ + join");
     for i in 1..8 {
         net.register(format!("v{i}"), &plan, &g);
     }
@@ -156,21 +157,21 @@ fn drop_releases_nodes_only_when_last_view_is_gone() {
     let plan = join_plan();
     let v0 = net.register("v0", &plan, &g);
     let v1 = net.register("v1", &plan, &g);
-    // A third view sharing only the vertex scan.
+    // A third view sharing only the filtered vertex scan.
     let filtered = Fra::Distinct {
         input: Box::new(keyed_scan("a", "A")),
     };
     let v2 = net.register("v2", &filtered, &g);
-    assert_eq!(net.node_count(), 4, "2 scans + join + δ");
+    assert_eq!(net.node_count(), 5, "⇑ + © + σ + join + δ");
 
     // Dropping one of the two identical views frees nothing.
     net.drop_sink(v0);
-    assert_eq!(net.node_count(), 4, "v1 still references the chain");
+    assert_eq!(net.node_count(), 5, "v1 still references the chain");
 
     // Dropping the second frees the join and edge scan, but NOT the
-    // vertex scan (v2 still reads it).
+    // vertex scan or its σ (v2 still reads them).
     net.drop_sink(v1);
-    assert_eq!(net.node_count(), 2, "©(A) + δ survive for v2");
+    assert_eq!(net.node_count(), 3, "©(A) + σ + δ survive for v2");
 
     net.drop_sink(v2);
     assert_eq!(net.node_count(), 0, "last view gone, network empty");
@@ -189,14 +190,14 @@ fn reregistering_an_identical_query_reshares() {
     let plan = join_plan();
     let keeper = net.register("keeper", &plan, &g);
     let victim = net.register("victim", &plan, &g);
-    assert_eq!(net.node_count(), 3);
+    assert_eq!(net.node_count(), 4, "⇑ + © + σ + join");
     net.drop_sink(victim);
-    assert_eq!(net.node_count(), 3);
+    assert_eq!(net.node_count(), 4, "keeper still references the chain");
 
     // Re-register: must re-share (node count unchanged) and come up
     // with the populated state immediately.
     let again = net.register("again", &plan, &g);
-    assert_eq!(net.node_count(), 3, "re-registration re-shares");
+    assert_eq!(net.node_count(), 4, "re-registration re-shares");
     assert_eq!(net.view(again).row_count(), 1);
     assert_eq!(net.view(again).results(), net.view(keeper).results());
 }
@@ -238,7 +239,6 @@ fn prop_events_route_by_key_interest() {
             prop: s("lang"),
             col: "a.lang".into(),
         }],
-        carry_map: false,
     };
     net.register("plain", &scan("a", "A"), &g);
     net.register("lang", &with_prop, &g);
@@ -278,7 +278,6 @@ fn edge_events_route_by_type() {
         edge_props: vec![],
         dst_props: vec![],
         dir: pgq_common::dir::Direction::Out,
-        carry_maps: (false, false, false),
     };
     let mut net = DataflowNetwork::new();
     net.register("knows", &edge_scan("KNOWS"), &g);
@@ -325,7 +324,7 @@ fn alpha_renamed_duplicate_adds_zero_nodes() {
     // The collapsed view still answers with its own schema names.
     assert_eq!(
         net.view(v).columns(),
-        ["x", "r", "y", "x.__map"],
+        ["x", "r", "y"],
         "sink reports the renamed view's own columns"
     );
 }
@@ -374,7 +373,6 @@ fn where_family_shares_the_stateful_prefix() {
             prop: s("lang"),
             col: "p.lang".into(),
         }],
-        carry_map: false,
     };
     net.register("all", &base, &g);
     let prefix_nodes = net.node_count();
@@ -434,7 +432,6 @@ fn unlabeled_endpoint_prop_changes_reach_edge_scans() {
             col: "b.x".into(),
         }],
         dir: pgq_common::dir::Direction::Out,
-        carry_maps: (false, false, false),
     };
     let mut net = DataflowNetwork::new();
     let v = net.register("v", &plan, &g);

@@ -22,7 +22,6 @@ fn scan(var: &str, label: &str) -> Fra {
         var: var.into(),
         labels: vec![s(label)],
         props: vec![],
-        carry_map: false,
     }
 }
 
@@ -40,7 +39,6 @@ fn join_over_two_scans_via_edges() {
         edge_props: vec![],
         dst_props: vec![],
         dir: pgq_common::dir::Direction::Out,
-        carry_maps: (false, false, false),
     };
     let plan = Fra::HashJoin {
         left: Box::new(scan("a", "A")),
@@ -117,7 +115,6 @@ fn distinct_over_projection() {
                     prop: s("lang"),
                     col: "p.lang".into(),
                 }],
-                carry_map: false,
             }),
             items: vec![(ScalarExpr::Col(1), "lang".into())],
         }),

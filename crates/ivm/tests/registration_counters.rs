@@ -216,7 +216,6 @@ fn knows(src: &str, dst: &str) -> Fra {
         edge_props: vec![],
         dst_props: vec![],
         dir: pgq_common::dir::Direction::Out,
-        carry_maps: (false, false, false),
     }
 }
 

@@ -95,7 +95,6 @@ fn spec_of(c: &Config) -> VarLenSpec {
         } else {
             vec![]
         },
-        dst_carry_map: false,
         edge_prop_filters: if c.edge_filter {
             vec![(s("w"), Value::Int(1))]
         } else {

@@ -20,7 +20,6 @@ fn scan(var: &str, label: &str) -> Fra {
         var: var.into(),
         labels: vec![s(label)],
         props: vec![],
-        carry_map: false,
     }
 }
 
@@ -36,7 +35,6 @@ fn edges(src: &str, dst: &str, ty: &str) -> Fra {
         edge_props: vec![],
         dst_props: vec![],
         dir: pgq_common::dir::Direction::Out,
-        carry_maps: (false, false, false),
     }
 }
 

@@ -8,7 +8,7 @@
 
 use std::time::{Duration, Instant};
 
-use pgq_algebra::pipeline::{compile_query_with, CompileOptions};
+use pgq_algebra::pipeline::compile_query;
 use pgq_algebra::CompiledQuery;
 use pgq_ivm::MaterializedView;
 use pgq_parser::parse_query;
@@ -22,10 +22,9 @@ fn main() {
     transitive();
 }
 
-/// Compile a query with options (panicking on error — profile inputs
-/// are fixed).
-fn compile(query: &str, options: CompileOptions) -> CompiledQuery {
-    compile_query_with(&parse_query(query).expect("parses"), options).expect("compiles")
+/// Compile a query (panicking on error — profile inputs are fixed).
+fn compile(query: &str) -> CompiledQuery {
+    compile_query(&parse_query(query).expect("parses")).expect("compiles")
 }
 
 /// Decompose the SAME_LANG_THREAD network stage by stage: the scan+⋈*
@@ -35,7 +34,7 @@ fn social_fine() {
     use pgq_algebra::Fra;
     let mut net = generate_social(SocialParams::scale(0.5, 42));
     let stream = net.update_stream(50, (4, 2, 3, 1));
-    let compiled = compile(sq::SAME_LANG_THREAD, CompileOptions::default());
+    let compiled = compile(sq::SAME_LANG_THREAD);
 
     // Expect Project → Filter → Project → VarLengthJoin.
     let Fra::Project { input, .. } = &compiled.fra else {
@@ -79,7 +78,7 @@ fn social_fine() {
 fn social() {
     let mut net = generate_social(SocialParams::scale(0.5, 42));
     let stream = net.update_stream(50, (4, 2, 3, 1));
-    let compiled = compile(sq::SAME_LANG_THREAD, CompileOptions::default());
+    let compiled = compile(sq::SAME_LANG_THREAD);
 
     let rounds = 20;
     let mut t_graph = Duration::ZERO;
@@ -107,7 +106,7 @@ fn transitive() {
     let tree = reply_tree(6, 2);
     let root_edge = tree.edges[0];
     let data = tree.graph.edge(root_edge).unwrap().clone();
-    let compiled = compile(EXAMPLE_QUERY, CompileOptions::default());
+    let compiled = compile(EXAMPLE_QUERY);
 
     let rounds = 40;
     let mut t_graph = Duration::ZERO;

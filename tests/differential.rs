@@ -8,7 +8,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use pgq_algebra::pipeline::{compile_query, CompileOptions};
+use pgq_algebra::pipeline::compile_query;
 use pgq_algebra::plan::WcojMode;
 use pgq_common::fxhash::FxHashMap;
 use pgq_common::intern::Symbol;
@@ -304,7 +304,7 @@ proptest! {
         for (i, query) in QUERIES.iter().enumerate() {
             let compiled = compile_query(&parse_query(query).unwrap()).unwrap();
             engine.register_view(&format!("pl{i}"), query).unwrap();
-            engine.register_view_with(&format!("un{i}"), query, CompileOptions::default(), unplanned()).unwrap();
+            engine.register_view_with(&format!("un{i}"), query, unplanned()).unwrap();
             compiled_plans.push(compiled);
         }
         for step in &steps {
@@ -346,7 +346,7 @@ proptest! {
             .chain([(REPLY_TRIANGLES, forced(true))]);
         for (i, (query, options)) in views.enumerate() {
             let compiled = compile_query(&parse_query(query).unwrap()).unwrap();
-            template.register_view_with(&format!("v{i}"), query, CompileOptions::default(), options).unwrap();
+            template.register_view_with(&format!("v{i}"), query, options).unwrap();
             compiled_plans.push((query, compiled));
         }
         let mut engines: Vec<_> = WIDTHS
@@ -607,7 +607,7 @@ fn planner_reordered_views_stay_correct_under_hub_churn() {
     for (i, q) in queries.iter().enumerate() {
         engine.register_view(&format!("pl{i}"), q).unwrap();
         engine
-            .register_view_with(&format!("un{i}"), q, CompileOptions::default(), unplanned())
+            .register_view_with(&format!("un{i}"), q, unplanned())
             .unwrap();
         compiled.push(compile_query(&parse_query(q).unwrap()).unwrap());
     }
@@ -722,8 +722,8 @@ proptest! {
         let mut compiled_plans = Vec::new();
         for (i, query) in MOTIF_QUERIES.iter().enumerate() {
             serial.register_view(&format!("wc{i}"), query).unwrap();
-            serial.register_view_with(&format!("bi{i}"), query, CompileOptions::default(), binary()).unwrap();
-            serial.register_view_with(&format!("un{i}"), query, CompileOptions::default(), unplanned()).unwrap();
+            serial.register_view_with(&format!("bi{i}"), query, binary()).unwrap();
+            serial.register_view_with(&format!("un{i}"), query, unplanned()).unwrap();
             compiled_plans.push(compile_query(&parse_query(query).unwrap()).unwrap());
         }
         let mut wide = serial.clone();
@@ -767,10 +767,10 @@ fn wcoj_views_stay_correct_under_motif_churn() {
     for (i, q) in MOTIF_QUERIES.iter().enumerate() {
         engine.register_view(&format!("wc{i}"), q).unwrap();
         engine
-            .register_view_with(&format!("bi{i}"), q, CompileOptions::default(), binary())
+            .register_view_with(&format!("bi{i}"), q, binary())
             .unwrap();
         engine
-            .register_view_with(&format!("un{i}"), q, CompileOptions::default(), unplanned())
+            .register_view_with(&format!("un{i}"), q, unplanned())
             .unwrap();
         compiled.push(compile_query(&parse_query(q).unwrap()).unwrap());
     }
@@ -849,10 +849,10 @@ fn motif_views_follow_label_churn_on_hubs_and_closing_vertices() {
     for (i, q) in queries::MOTIF_SKEW.iter().enumerate() {
         serial.register_view(&format!("pl{i}"), q).unwrap();
         serial
-            .register_view_with(&format!("bi{i}"), q, CompileOptions::default(), binary())
+            .register_view_with(&format!("bi{i}"), q, binary())
             .unwrap();
         serial
-            .register_view_with(&format!("un{i}"), q, CompileOptions::default(), unplanned())
+            .register_view_with(&format!("un{i}"), q, unplanned())
             .unwrap();
         compiled.push(compile_query(&parse_query(q).unwrap()).unwrap());
     }
@@ -943,26 +943,16 @@ fn wcoj_hub_views_stay_correct_under_deletion_heavy_churn() {
     let mut compiled = Vec::new();
     for (i, q) in hub_queries.iter().enumerate() {
         engine
-            .register_view_with(
-                &format!("ws{i}"),
-                q,
-                CompileOptions::default(),
-                forced(true),
-            )
+            .register_view_with(&format!("ws{i}"), q, forced(true))
             .unwrap();
         engine
-            .register_view_with(
-                &format!("wh{i}"),
-                q,
-                CompileOptions::default(),
-                forced(false),
-            )
+            .register_view_with(&format!("wh{i}"), q, forced(false))
             .unwrap();
         engine
-            .register_view_with(&format!("bi{i}"), q, CompileOptions::default(), binary())
+            .register_view_with(&format!("bi{i}"), q, binary())
             .unwrap();
         engine
-            .register_view_with(&format!("un{i}"), q, CompileOptions::default(), unplanned())
+            .register_view_with(&format!("un{i}"), q, unplanned())
             .unwrap();
         compiled.push(compile_query(&parse_query(q).unwrap()).unwrap());
     }
@@ -1065,8 +1055,8 @@ proptest! {
             ("wh", REPLY_TRANSITIVE, forced(false)),
         ];
         for (name, q, options) in twins {
-            durable.register_view_with(name, q, CompileOptions::default(), options).unwrap();
-            survivor.register_view_with(name, q, CompileOptions::default(), options).unwrap();
+            durable.register_view_with(name, q, options).unwrap();
+            survivor.register_view_with(name, q, options).unwrap();
         }
 
         // Fixed prelude so the random tail has something to mutate,
@@ -1426,7 +1416,6 @@ fn hand_built_fold_plans() -> Vec<(String, pgq_algebra::Fra)> {
         edge_props: vec![],
         dst_props: vec![],
         dir: pgq_common::dir::Direction::Out,
-        carry_maps: (false, false, false),
     };
     // Columns: a, ab, b, a.country (⇑), a.country (©).
     let doubled = || Fra::HashJoin {
@@ -1435,7 +1424,6 @@ fn hand_built_fold_plans() -> Vec<(String, pgq_algebra::Fra)> {
             var: "a".into(),
             labels: vec![s("Person")],
             props: vec![country("a.c2")],
-            carry_map: false,
         }),
         left_keys: vec![0],
         right_keys: vec![0],
@@ -1457,7 +1445,6 @@ fn hand_built_fold_plans() -> Vec<(String, pgq_algebra::Fra)> {
             var: "b".into(),
             labels: vec![s("Person")],
             props: vec![country("b.country")],
-            carry_map: false,
         }),
         left_keys: vec![2],
         right_keys: vec![0],

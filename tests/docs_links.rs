@@ -3,7 +3,9 @@
 //! exists in the repository. External (`http`/`https`/`mailto`) links
 //! and pure `#anchor` links are skipped — this guards against the docs
 //! rotting as files move, offline and in CI (the docs job runs this test
-//! explicitly).
+//! explicitly). README's table of retired experiments is held to the
+//! same standard: each test function it names must exist in the file
+//! the cell names.
 
 use std::path::Path;
 
@@ -72,6 +74,57 @@ fn intra_repo_markdown_links_resolve() {
         "broken intra-repo links:\n{}",
         broken.join("\n")
     );
+}
+
+/// The `(file, fn)` pairs a markdown line names in the form
+/// `` `path.rs` (`name`, `name` …) ``: the code spans right after a
+/// `.rs` code span and ` (`, separated by `, `. Splitting on backticks
+/// puts code spans at the odd indices.
+fn named_functions(line: &str) -> Vec<(String, String)> {
+    let parts: Vec<&str> = line.split('`').collect();
+    let mut out = Vec::new();
+    for i in (1..parts.len()).step_by(2) {
+        if !parts[i].ends_with(".rs") || parts.get(i + 1) != Some(&" (") {
+            continue;
+        }
+        let mut j = i + 2;
+        while let Some(name) = parts.get(j) {
+            out.push((parts[i].to_string(), name.to_string()));
+            if parts.get(j + 1) != Some(&", ") {
+                break;
+            }
+            j += 2;
+        }
+    }
+    out
+}
+
+#[test]
+fn retired_experiments_table_names_functions_that_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let readme = std::fs::read_to_string(root.join("README.md")).unwrap();
+    let table: Vec<&str> = readme
+        .lines()
+        .skip_while(|l| !l.starts_with("Where each retired experiment table"))
+        .skip(1)
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .collect();
+    assert!(
+        table.len() > 2,
+        "README's retired-experiments table is gone"
+    );
+    let mut named = 0;
+    let mut missing = Vec::new();
+    for (file, name) in table.iter().flat_map(|l| named_functions(l)) {
+        named += 1;
+        let source = std::fs::read_to_string(root.join(&file)).unwrap_or_default();
+        if !source.contains(&format!("fn {name}(")) {
+            missing.push(format!("`{file}` has no `fn {name}`"));
+        }
+    }
+    assert!(named > 0, "the table names no test function");
+    assert!(missing.is_empty(), "README: {}", missing.join("; "));
 }
 
 #[test]

@@ -232,7 +232,6 @@ fn pinned_generation_image_opens_and_moves_on() {
                     slot,
                     name: name.to_string(),
                     query: q.to_string(),
-                    schema_mode: 0,
                     plan: true,
                     wcoj_mode: 1,
                     wcoj_sorted: None,

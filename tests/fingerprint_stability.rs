@@ -1,9 +1,17 @@
-//! Cross-process fingerprint stability — the property the durability
-//! layer's snapshot format stands on.
+//! Cross-process fingerprint stability: a plan's fingerprint and
+//! snapshot check are a pure function of the query text, whatever ids
+//! and order the process's string interner assigned.
 //!
-//! Operator-state snapshots are keyed by `(fingerprint, snapshot_check)`
-//! and restored by a *different* process whose string interner assigned
-//! different ids in a different order. This test asserts the promise in
+//! Engine images hold no operator state. Recovery re-registers each
+//! view from its text in a *different* process, and the image format's
+//! `(fingerprint, snapshot_check)`-keyed state section is written empty
+//! (only perfbench's twin restores state, and within one process). What
+//! the promise guards today is that the recovered view is the one that
+//! was registered: canonicalisation orders operands by the same plan
+//! rendering the fingerprint hashes, so the recovering process builds
+//! the same canonical plans and shares the same nodes; and a state
+//! section an image carries stays keyed by values every process
+//! computes. This test asserts the promise in
 //! `pgq_algebra::fingerprint`'s module docs directly: it re-runs itself
 //! as a child process that **scrambles its interner first** (interning a
 //! pile of decoy symbols before any query text), computes the

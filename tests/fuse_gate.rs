@@ -13,7 +13,6 @@
 //! The end-to-end measure of the fused node is perfbench's `motif_skew`.
 
 use pgq_algebra::plan::WcojMode;
-use pgq_algebra::CompileOptions;
 use pgq_core::GraphEngine;
 use pgq_ivm::RegisterOptions;
 use pgq_workloads::motifs::{
@@ -99,7 +98,6 @@ fn forced_registration_fuses_below_the_gate() {
         .register_view_with(
             "forced",
             queries::TRIANGLES,
-            CompileOptions::default(),
             RegisterOptions {
                 wcoj: WcojMode::Forced,
                 wcoj_sorted: Some(true),
@@ -144,7 +142,7 @@ fn binary_join_rows_grow_with_edges_while_fused_rows_track_motifs() {
                 wcoj,
                 ..RegisterOptions::default()
             };
-            e.register_view_with("v", queries::TRIANGLES, CompileOptions::default(), options)
+            e.register_view_with("v", queries::TRIANGLES, options)
                 .unwrap();
             let before = e.network().counters();
             let mut changed = 0;

@@ -8,25 +8,29 @@
 //! or a typed error: a panic or an abort (a huge allocation included)
 //! fails the sweep. Values no single flip reaches — ids and watermarks
 //! at `u64::MAX`, extreme slots and option bytes — are encoded directly
-//! and go through the same readers.
+//! and go through the same readers. The byte of the retired schema mode
+//! is patched in place: 1, which older builds wrote, opens as the
+//! inferred view; anything above is a typed error.
 
 mod durability_script;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use pgq_algebra::pipeline::CompileOptions;
 use pgq_algebra::plan::WcojMode;
-use pgq_algebra::SchemaMode;
 use pgq_common::ids::{EdgeId, VertexId};
 use pgq_core::GraphEngine;
-use pgq_durability::codec::crc32;
-use pgq_durability::snapshot::snap_file;
+use pgq_durability::codec::{crc32, CodecError};
+use pgq_durability::snapshot::{snap_file, SnapshotError};
 use pgq_durability::{MemDisk, Snapshot, Vfs};
 use pgq_ivm::RegisterOptions;
 
 /// Magic plus checksum: the body starts here.
 const HEADER_LEN: usize = 12;
+
+/// The second view of [`small_image`]: it reads properties of both
+/// endpoints, which the retired schema mode read from carried maps.
+const REPLIES: &str = "MATCH (p:Post)-[:REPLY]->(c:Comm) RETURN p, c, c.lang";
 
 /// A small image: every value kind the codec has, an edge with a
 /// property, and two catalog rows with different options.
@@ -37,21 +41,13 @@ fn small_image() -> Vec<u8> {
     engine
         .register_view("en", "MATCH (p:Post) WHERE p.lang = 'en' RETURN p")
         .unwrap();
-    let options = CompileOptions {
-        schema_mode: SchemaMode::CarryMaps,
-    };
     let register = RegisterOptions {
         plan: false,
         wcoj: WcojMode::Disabled,
         wcoj_sorted: Some(true),
     };
     engine
-        .register_view_with(
-            "replies",
-            "MATCH (p:Post)-[:REPLY]->(c:Comm) RETURN p, c",
-            options,
-            register,
-        )
+        .register_view_with("replies", REPLIES, register)
         .unwrap();
     engine
         .execute(
@@ -162,7 +158,7 @@ fn extreme_ids_watermarks_and_catalog_rows_never_panic() {
     for mode in [2, 3, 0xFF] {
         let mut s = good.clone();
         for v in &mut s.views {
-            (v.schema_mode, v.wcoj_mode, v.plan) = (mode, mode, !v.plan);
+            (v.wcoj_mode, v.plan) = (mode, !v.plan);
         }
         cases.push(("option bytes", s));
     }
@@ -181,4 +177,56 @@ fn extreme_ids_watermarks_and_catalog_rows_never_panic() {
         }
     }
     assert!(panics.is_empty(), "{}", panics.join("\n"));
+}
+
+/// Where [`REPLIES`]' catalog row keeps the retired schema-mode byte:
+/// right after its query text.
+fn schema_byte(image: &[u8]) -> usize {
+    let query = REPLIES.as_bytes();
+    let at = image
+        .windows(query.len())
+        .position(|w| w == query)
+        .expect("the image holds the view's text");
+    at + query.len()
+}
+
+#[test]
+fn the_retired_schema_byte_opens_at_one_and_is_refused_above() {
+    let image = small_image();
+    let at = schema_byte(&image);
+    // Rows are written with 0, so each mask `mangled` XORs in below is
+    // the byte the row then holds.
+    assert_eq!(image[at], 0);
+
+    // 1: the row of a view an older build registered under the
+    // carry-maps flattening. It opens, flattened by schema inference,
+    // with the rows a fresh registration of its text gives.
+    let one = mangled(&image, at, 1);
+    let snap = Snapshot::decode(&one).unwrap();
+    assert_eq!(snap.views[1].query, REPLIES);
+    let disk = MemDisk::new();
+    disk.vfs().write_atomic(&snap_file(1), &one).unwrap();
+    let opened = GraphEngine::open_durable_with(Arc::new(disk.vfs())).unwrap();
+    let mut fresh = GraphEngine::from_graph(snap.restore_graph().unwrap());
+    let fresh_id = fresh.register_view("replies", REPLIES).unwrap();
+    // The image holds one reply, so each side has one row.
+    let replies = opened.view_by_name("replies").unwrap();
+    let recovered = opened.view_results(replies).unwrap();
+    assert_eq!(recovered.len(), 1);
+    assert_eq!(recovered, fresh.view_results(fresh_id).unwrap());
+
+    // Above 1: a typed error on the decoder, and no reader panics.
+    for byte in [2, 0xFF] {
+        let bad = mangled(&image, at, byte);
+        assert!(
+            matches!(
+                Snapshot::decode(&bad),
+                Err(SnapshotError::Codec(CodecError::BadTag("schema-mode", b))) if b == byte
+            ),
+            "schema byte {byte:#04x}"
+        );
+        let mut reached = Reached::default();
+        read_everywhere(&bad, &mut reached).unwrap();
+        assert_eq!(reached.decoded, 0, "schema byte {byte:#04x}");
+    }
 }

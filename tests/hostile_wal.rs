@@ -10,7 +10,9 @@
 //! allocation included) fails the sweep. Hand-made catalog records (an
 //! unknown kind, a cut text, invalid UTF-8, an option byte out of
 //! range, and every byte of a registration flipped) must each decode or
-//! end the log there, which recovery trims. A golden log pins the
+//! end the log there, which recovery trims; a registration whose
+//! retired schema byte is 1, as older builds wrote it, recovers. A
+//! golden log pins the
 //! transaction bytes an earlier build wrote. The sibling of
 //! `hostile_images.rs`, which does the same to snapshot images.
 
@@ -22,7 +24,9 @@ use pgq_common::intern::Symbol;
 use pgq_common::path::PathValue;
 use pgq_common::value::Value;
 use pgq_core::GraphEngine;
-use pgq_durability::codec::{crc32, decode_catalog, decode_tx, encode_record, is_catalog};
+use pgq_durability::codec::{
+    crc32, decode_catalog, decode_tx, encode_record, is_catalog, CatalogRecord,
+};
 use pgq_durability::wal::{self, parse_wal_name, wal_file, WalTail};
 use pgq_durability::{MemDisk, Record, SnapshotView, Vfs};
 use pgq_graph::props::Properties;
@@ -258,7 +262,6 @@ fn row(slot: u32, (name, query): (&str, &str)) -> SnapshotView {
         slot,
         name: name.into(),
         query: query.into(),
-        schema_mode: 0,
         plan: true,
         wcoj_mode: 1,
         wcoj_sorted: None,
@@ -370,6 +373,49 @@ fn a_hostile_catalog_record_gives_a_typed_error_or_a_trimmed_tail() {
         .filter_map(|(what, payload)| decodes_or_trims(payload, what).err())
         .collect();
     assert!(panics.is_empty(), "{}", panics.join("\n"));
+}
+
+/// A registration an older build logged under the retired carry-maps
+/// flattening: its schema byte, the fifth from the end, is 1. The record
+/// decodes, and the log opens with the view flattened by schema
+/// inference, holding the rows a fresh registration of its text gives.
+#[test]
+fn a_registration_logged_with_schema_byte_one_recovers() {
+    let view = (
+        "langs",
+        "MATCH (p:Post) WHERE p.lang <> 'de' RETURN p, p.lang",
+    );
+    let mut payload = encode_record(Record::Register(&row(0, view)));
+    let at = payload.len() - 5;
+    assert_eq!(payload[at], 0, "rows are written with 0");
+    payload[at] = 1;
+    assert_eq!(
+        decode_catalog(&payload),
+        Ok(CatalogRecord::Register(row(0, view)))
+    );
+    let disk = MemDisk::new();
+    let vfs = disk.vfs();
+    wal::append_payload(&vfs, 0, &payload).unwrap();
+    for lang in ["en", "de", "fr"] {
+        wal::append(&vfs, 0, Record::Tx(&post_tx(lang))).unwrap();
+    }
+    let opened = GraphEngine::open_durable_with(Arc::new(disk.vfs())).unwrap();
+    assert!(opened.recovery_report().unwrap().is_pristine());
+    let mut fresh = GraphEngine::from_graph(opened.graph().clone());
+    let fresh_id = fresh.register_view(view.0, view.1).unwrap();
+    let rows = |e: &GraphEngine, id| {
+        let mut rows: Vec<String> = e
+            .view_results(id)
+            .unwrap()
+            .iter()
+            .map(|t| format!("{t:?}"))
+            .collect();
+        rows.sort();
+        rows
+    };
+    let recovered = rows(&opened, opened.view_by_name(view.0).unwrap());
+    assert_eq!(recovered.len(), 2, "{recovered:?}");
+    assert_eq!(recovered, rows(&fresh, fresh_id));
 }
 
 /// `wal.0` as an earlier build wrote it — before catalog records — for

@@ -7,7 +7,7 @@
 //! planned order buys, in state tuples: a filter pushed below ⋈*, and a
 //! join order that keeps the hub fan-out out of the join memories.
 
-use pgq_algebra::pipeline::{compile_query, CompileOptions};
+use pgq_algebra::pipeline::compile_query;
 use pgq_algebra::plan::plan;
 use pgq_core::GraphEngine;
 use pgq_ivm::RegisterOptions;
@@ -36,9 +36,7 @@ fn register_unplanned(engine: &mut GraphEngine, name: &str, q: &str) -> pgq_core
         plan: false,
         ..RegisterOptions::default()
     };
-    engine
-        .register_view_with(name, q, CompileOptions::default(), unplanned)
-        .unwrap()
+    engine.register_view_with(name, q, unplanned).unwrap()
 }
 
 #[test]

@@ -63,21 +63,3 @@ fn e4_no_unnest_survives_flattening() {
     // And the inferred output schema is exactly the RETURN list.
     assert_eq!(cq.columns, vec!["p".to_string(), "t".to_string()]);
 }
-
-#[test]
-fn ablation_mode_carries_maps_instead() {
-    use pgq_algebra::pipeline::{compile_query_with, CompileOptions};
-    use pgq_algebra::SchemaMode;
-    let q = parse_query(EXAMPLE_QUERY).unwrap();
-    let cq = compile_query_with(
-        &q,
-        CompileOptions {
-            schema_mode: SchemaMode::CarryMaps,
-            ..CompileOptions::default()
-        },
-    )
-    .unwrap();
-    let rendered = cq.fra.explain();
-    assert!(rendered.contains("+map"), "{rendered}");
-    assert!(!rendered.contains("lang→p.lang"), "{rendered}");
-}

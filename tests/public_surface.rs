@@ -381,7 +381,6 @@ const GRAPH: &[&str] = &[
     "props.rs: fn Properties::get_or_null",
     "props.rs: fn Properties::set",
     "props.rs: fn Properties::iter",
-    "props.rs: fn Properties::to_value_map",
     "stats.rs: struct CardinalityCatalog",
     "stats.rs: fn CardinalityCatalog::out_degree_second_moment",
     "stats.rs: fn CardinalityCatalog::out_degree_source_count",

@@ -185,7 +185,6 @@ fn image_with_state_sections() -> Snapshot {
             slot: slot as u32,
             name: name.to_string(),
             query: q.to_string(),
-            schema_mode: 0,
             plan: true,
             wcoj_mode: 1,
             wcoj_sorted: None,

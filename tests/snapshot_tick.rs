@@ -149,7 +149,6 @@ fn engine_tick_writes_graph_and_catalog_and_nothing_else() {
                         slot: catalog.len() as u32,
                         name,
                         query: POOL[*q].to_string(),
-                        schema_mode: 0,
                         plan: true,
                         wcoj_mode: 1,
                         wcoj_sorted: None,

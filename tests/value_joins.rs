@@ -20,7 +20,7 @@
 use pgq::prelude::*;
 use pgq_algebra::canon::canonicalize;
 use pgq_algebra::fra::Fra;
-use pgq_algebra::pipeline::{compile_query, CompileOptions};
+use pgq_algebra::pipeline::compile_query;
 use pgq_algebra::plan::plan;
 use pgq_common::fxhash::FxHashMap;
 use pgq_common::ids::{EdgeId, VertexId};
@@ -149,9 +149,7 @@ fn value_joins_agree_with_their_unkeyed_twin_and_both_evaluators_after_every_ste
             plan: false,
             ..RegisterOptions::default()
         };
-        let twin = engine
-            .register_view_with("twin", q, CompileOptions::default(), unkeyed)
-            .unwrap();
+        let twin = engine.register_view_with("twin", q, unkeyed).unwrap();
 
         // The plan the view runs keys on value, where this query says.
         let planned = plan(&written, &pgq_ivm::plan_stats(engine.graph())).fra;

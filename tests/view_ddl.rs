@@ -81,7 +81,6 @@ fn register_frame(slot: u32, (name, query): (&str, &str)) -> u64 {
         slot,
         name: name.into(),
         query: query.into(),
-        schema_mode: 0,
         plan: true,
         wcoj_mode: 1,
         wcoj_sorted: None,
