@@ -1,6 +1,6 @@
 //! Plan canonicalisation — the normal form under which alpha-equivalent
 //! FRA subplans become *structurally identical*, so the shared dataflow
-//! network's hash-consing (see [`crate::fingerprint`] and
+//! network's hash-consing (see [`Fra::fingerprint`] and
 //! `pgq_ivm::network`) collapses them to one operator chain.
 //!
 //! [`canonicalize`] rewrites a plan in five ways, none of which changes
@@ -28,7 +28,7 @@
 //! 3. **σ/π chain normalisation.** Adjacent filters fuse into one
 //!    conjunction; filters sink below projections, duplicate
 //!    elimination and — conjunct by conjunct, where the unwound column
-//!    is not named — unwinds ([`Fra::sink_filter`], the one
+//!    is not named — unwinds (`Fra::sink_filter`, the one
 //!    σ-through-π/δ/ω rule, shared with the planner) to a canonical
 //!    position directly above the topmost stateful operator — never
 //!    *into* joins or scans: crossing ⋈ / ⋉ / ▷ / ⋈* is the planner's

@@ -170,7 +170,7 @@ impl ScalarExpr {
     }
 
     /// All column indexes referenced.
-    pub fn columns(&self) -> Vec<usize> {
+    pub(crate) fn columns(&self) -> Vec<usize> {
         let mut out = Vec::new();
         self.visit_leaves(&mut |leaf| {
             if let ScalarExpr::Col(i) = leaf {
@@ -184,7 +184,7 @@ impl ScalarExpr {
 
     /// The two columns of a `Col(a) = Col(b)` over distinct columns, the
     /// conjunct a join can key on by value.
-    pub fn equated_columns(&self) -> Option<(usize, usize)> {
+    pub(crate) fn equated_columns(&self) -> Option<(usize, usize)> {
         match self {
             ScalarExpr::Binary(BinOp::Eq, l, r) => match (&**l, &**r) {
                 (ScalarExpr::Col(a), ScalarExpr::Col(b)) if a != b => Some((*a, *b)),
@@ -195,7 +195,7 @@ impl ScalarExpr {
     }
 
     /// Does any parameter slot occur?
-    pub fn has_params(&self) -> bool {
+    pub(crate) fn has_params(&self) -> bool {
         let mut found = false;
         self.visit_leaves(&mut |leaf| found |= matches!(leaf, ScalarExpr::Param(_)));
         found
@@ -236,19 +236,19 @@ impl ScalarExpr {
     /// moves a predicate or projection *through* a π operator. Exact
     /// because both π and the substituted expression are pure per-tuple
     /// functions.
-    pub fn substitute(&self, items: &[(ScalarExpr, String)]) -> ScalarExpr {
+    pub(crate) fn substitute(&self, items: &[(ScalarExpr, String)]) -> ScalarExpr {
         self.rewrite_columns(&|i| items[i].0.clone())
     }
 
     /// Rewrite column references through `mapping` (old index → new index).
-    pub fn remap_columns(&self, mapping: &dyn Fn(usize) -> usize) -> ScalarExpr {
+    pub(crate) fn remap_columns(&self, mapping: &dyn Fn(usize) -> usize) -> ScalarExpr {
         self.rewrite_columns(&|i| ScalarExpr::Col(mapping(i)))
     }
 
     /// Flatten a chain of the associative connective `op` into its
     /// operands (`a AND (b AND c)` ↦ `[a, b, c]`); an expression that is
     /// not such a chain is its own single operand.
-    pub fn operands(self, op: BinOp) -> Vec<ScalarExpr> {
+    pub(crate) fn operands(self, op: BinOp) -> Vec<ScalarExpr> {
         match self {
             ScalarExpr::Binary(o, l, r) if o == op => {
                 let mut out = l.operands(op);
@@ -264,7 +264,7 @@ impl ScalarExpr {
     /// subexpression folds only when it evaluates without error, so a
     /// folded predicate keeps and drops exactly the tuples the original
     /// did, and one holding a parameter slot waits for [`bind`](Self::bind).
-    pub fn fold(self) -> ScalarExpr {
+    pub(crate) fn fold(self) -> ScalarExpr {
         let e = match self {
             ScalarExpr::Binary(op, l, r) => {
                 ScalarExpr::Binary(op, Box::new(l.fold()), Box::new(r.fold()))
@@ -309,8 +309,8 @@ impl ScalarExpr {
         e
     }
 
-    /// Put `values[slot]` in place of every `Param(slot)`, then
-    /// [`fold`](ScalarExpr::fold): `col = -$0` becomes the `col = Lit`
+    /// Put `values[slot]` in place of every `Param(slot)`, then fold
+    /// constant subexpressions: `col = -$0` becomes the `col = Lit`
     /// the evaluator can seek. `values` must cover every slot.
     pub fn bind(&self, values: &[Value]) -> ScalarExpr {
         self.rewrite_leaves(&mut |leaf| match leaf {
@@ -532,7 +532,7 @@ fn index_value(base: &Value, idx: &Value) -> Result<Value, CommonError> {
 }
 
 /// Built-in scalar functions.
-pub fn call_function(name: &str, args: &[Value]) -> Result<Value, CommonError> {
+pub(crate) fn call_function(name: &str, args: &[Value]) -> Result<Value, CommonError> {
     let arity_err = || CommonError::TypeMismatch {
         operation: format!("{name}()"),
         detail: format!("wrong number of arguments ({})", args.len()),
@@ -673,7 +673,7 @@ pub enum AggFunc {
 
 impl AggFunc {
     /// Parse from a lower-cased function name.
-    pub fn from_name(name: &str) -> Option<AggFunc> {
+    pub(crate) fn from_name(name: &str) -> Option<AggFunc> {
         Some(match name {
             "count" => AggFunc::Count,
             "sum" => AggFunc::Sum,

@@ -27,7 +27,7 @@ use crate::nra::Nra;
 /// `ScalarExpr::Param(position of name)`, any other parameter is an
 /// error (a view passes none — canonical plans, fingerprints and node
 /// sharing need the literals).
-pub fn flatten(
+pub(crate) fn flatten(
     nra: &Nra,
     kinds: &HashMap<String, VarKind>,
     params: &[String],
@@ -46,8 +46,8 @@ pub fn flatten(
 
 /// Resolve a value expression that reads no variable (`-1`, `$k + 1`):
 /// a constant up to its parameters, which an update clause evaluates
-/// once instead of projecting it through its bindings. Slots as in
-/// [`flatten`].
+/// once instead of projecting it through its bindings. `$params[i]`
+/// becomes the slot [`ScalarExpr::Param`]`(i)`.
 pub fn resolve_constant(e: &Expr, params: &[String]) -> Result<ScalarExpr, AlgebraError> {
     resolve(e, &[], params)
 }

@@ -51,7 +51,7 @@ pub struct VarLenSpec {
 ///
 /// `Debug` is written out (below) only so that a join without value keys
 /// renders as it did before they existed: the rendering is the plan's
-/// fingerprint ([`crate::fingerprint`]) and canonical order.
+/// fingerprint ([`Fra::fingerprint`]) and canonical order.
 #[derive(Clone, PartialEq)]
 pub enum Fra {
     /// Single empty tuple.
@@ -321,7 +321,7 @@ impl Fra {
     /// the planner so that a conjunct written above a π joins the region
     /// below it. Exact: all three operators act per tuple, and a σ on
     /// columns a δ or ω passes through commutes with it.
-    pub fn sink_filter(
+    pub(crate) fn sink_filter(
         self,
         conjs: Vec<ScalarExpr>,
         place: &dyn Fn(Fra, Vec<ScalarExpr>) -> Fra,

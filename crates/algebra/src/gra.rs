@@ -166,65 +166,3 @@ pub enum Gra {
         alias: String,
     },
 }
-
-impl Gra {
-    /// Variables bound by this subtree, in schema order.
-    pub fn bound_vars(&self) -> Vec<String> {
-        match self {
-            Gra::Unit => vec![],
-            Gra::GetVertices { var, .. } => vec![var.clone()],
-            Gra::Expand {
-                input,
-                edge,
-                dst,
-                path,
-                range,
-                rel_alias,
-                ..
-            } => {
-                let mut v = input.bound_vars();
-                if range.is_none() && !v.contains(edge) {
-                    v.push(edge.clone());
-                }
-                if !v.contains(dst) {
-                    v.push(dst.clone());
-                }
-                match path {
-                    PathMode::Emit(p) => v.push(p.clone()),
-                    PathMode::None | PathMode::Append(_) | PathMode::Concat { .. } => {}
-                }
-                if let Some(a) = rel_alias {
-                    v.push(a.clone());
-                }
-                v
-            }
-            Gra::PathStart { input, path, .. } => {
-                let mut v = input.bound_vars();
-                v.push(path.clone());
-                v
-            }
-            Gra::Join { left, right } => {
-                let mut v = left.bound_vars();
-                for r in right.bound_vars() {
-                    if !v.contains(&r) {
-                        v.push(r);
-                    }
-                }
-                v
-            }
-            Gra::SemiJoin { left, .. } => left.bound_vars(),
-            Gra::Select { input, .. } | Gra::Distinct { input } => input.bound_vars(),
-            Gra::Project { items, .. } => items.iter().map(|(_, n)| n.clone()).collect(),
-            Gra::Aggregate { group, aggs, .. } => group
-                .iter()
-                .map(|(_, n)| n.clone())
-                .chain(aggs.iter().map(|(_, n)| n.clone()))
-                .collect(),
-            Gra::Unwind { input, alias, .. } => {
-                let mut v = input.bound_vars();
-                v.push(alias.clone());
-                v
-            }
-        }
-    }
-}

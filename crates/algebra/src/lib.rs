@@ -1,45 +1,54 @@
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 //! # pgq-algebra
 //!
 //! The paper's primary contribution: a compiler from openCypher queries to
 //! an incrementally maintainable flat relational algebra, in three stages:
 //!
-//! 1. [`compile`] — openCypher AST → **GRA** (graph relational algebra
-//!    with © get-vertices and ↑ expand-out operators);
-//! 2. [`to_nra`] — GRA → **NRA** (expands become joins with the ⇑
-//!    get-edges operator, transitive expands become transitive joins ⋈*,
-//!    property accesses become explicit µ unnests);
-//! 3. [`flatten`] — NRA → **FRA** (query-driven schema inference pushes
-//!    the µ-unnested attributes down into the base scans; every operator
+//! 1. openCypher AST → **GRA** ([`Gra`]: graph relational algebra with ©
+//!    get-vertices and ↑ expand-out operators);
+//! 2. GRA → **NRA** ([`Nra`]: expands become joins with the ⇑ get-edges
+//!    operator, transitive expands become transitive joins ⋈*, property
+//!    accesses become explicit µ unnests);
+//! 3. NRA → **FRA** ([`Fra`]: query-driven schema inference pushes the
+//!    µ-unnested attributes down into the base scans; every operator
 //!    becomes flat, positional and graph-independent).
 //!
-//! [`pipeline::compile_query`] runs all three stages and reports the
+//! [`compile_query`] runs all three stages and reports the
 //! maintainability verdict (ORDER BY / SKIP / LIMIT mark a query as
 //! evaluable-but-not-maintainable, exactly the fragment boundary the
 //! paper proposes).
 //!
-//! Three further modules serve the shared dataflow network that executes
-//! FRA incrementally: [`canon`] rewrites plans into an alpha-renamed,
-//! commutatively sorted normal form (so `MATCH (a:Post)` and
-//! `MATCH (p:Post)` become the *same* subplan), [`fingerprint`]
-//! hashes canonical subplans into the hash-consing key under which the
-//! network shares operator nodes across views, and [`program`] compiles
-//! each σ/π/ω chain into the one instruction list the network runs it as.
+//! ## Surface
+//!
+//! * [`pipeline`]: [`compile_query`] / [`compile_bindings`] (and their
+//!   `_params` forms) into a [`CompiledQuery`] holding all three stages;
+//!   [`resolve_constant`] for an update clause's literal.
+//! * [`fra`] and [`expr`]: the plan ([`Fra`], [`Fra::explain`]) and its
+//!   scalar and aggregate expressions ([`ScalarExpr`], [`AggCall`]).
+//! * [`plan`](mod@plan): the cost-based planner ([`plan()`], [`plan::plan_with`])
+//!   over a [`PlanStats`] catalog.
+//! * [`canon`]: [`canonicalize`] rewrites plans into an alpha-renamed,
+//!   commutatively sorted normal form (so `MATCH (a:Post)` and
+//!   `MATCH (p:Post)` become the *same* subplan), and
+//!   [`Fra::fingerprint`] hashes it into the key under which the shared
+//!   dataflow network shares operator nodes across views.
+//! * [`program`]: each σ/π/ω chain compiled into the one instruction
+//!   list the network and the one-shot evaluator run it as.
 
 pub mod canon;
-pub mod compile;
-pub mod error;
+mod compile;
+mod error;
 pub mod expr;
-pub mod fingerprint;
-pub mod flatten;
+mod fingerprint;
+mod flatten;
 pub mod fra;
-pub mod gra;
-pub mod nra;
+mod gra;
+mod nra;
 pub mod pipeline;
 pub mod plan;
-pub mod pretty;
+mod pretty;
 pub mod program;
-pub mod to_nra;
+mod to_nra;
 
 pub use canon::{canonicalize, CanonPlan};
 pub use error::AlgebraError;

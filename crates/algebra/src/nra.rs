@@ -11,7 +11,7 @@ use pgq_common::dir::Direction;
 use pgq_common::intern::Symbol;
 use pgq_parser::ast::Expr;
 
-pub use crate::gra::VarLen;
+use crate::gra::VarLen;
 
 /// The ⇑ get-edges base relation: triples `(src, edge, dst)`.
 #[derive(Clone, Debug, PartialEq)]
@@ -150,67 +150,4 @@ pub enum Nra {
         /// Introduced variable.
         alias: String,
     },
-}
-
-impl Nra {
-    /// Column names bound by this subtree, in schema order.
-    pub fn bound_vars(&self) -> Vec<String> {
-        match self {
-            Nra::Unit => vec![],
-            Nra::GetVertices { var, .. } => vec![var.clone()],
-            Nra::GetEdges(ge) => vec![ge.src.clone(), ge.edge.clone(), ge.dst.clone()],
-            Nra::NaturalJoin { left, right, .. } => {
-                let mut v = left.bound_vars();
-                for r in right.bound_vars() {
-                    if !v.contains(&r) {
-                        v.push(r);
-                    }
-                }
-                v
-            }
-            Nra::TransitiveJoin {
-                left,
-                edges,
-                path_col,
-                concat_into,
-                rel_alias,
-                ..
-            } => {
-                let mut v = left.bound_vars();
-                if !v.contains(&edges.dst) {
-                    v.push(edges.dst.clone());
-                }
-                if concat_into.is_none() {
-                    v.push(path_col.clone());
-                }
-                if let Some(a) = rel_alias {
-                    v.push(a.clone());
-                }
-                v
-            }
-            Nra::PathStart { input, path, .. } => {
-                let mut v = input.bound_vars();
-                v.push(path.clone());
-                v
-            }
-            Nra::Unnest { input, col, .. } => {
-                let mut v = input.bound_vars();
-                v.push(col.clone());
-                v
-            }
-            Nra::SemiJoin { left, .. } => left.bound_vars(),
-            Nra::Select { input, .. } | Nra::Distinct { input } => input.bound_vars(),
-            Nra::Project { items, .. } => items.iter().map(|(_, n)| n.clone()).collect(),
-            Nra::Aggregate { group, aggs, .. } => group
-                .iter()
-                .map(|(_, n)| n.clone())
-                .chain(aggs.iter().map(|(_, n)| n.clone()))
-                .collect(),
-            Nra::Unwind { input, alias, .. } => {
-                let mut v = input.bound_vars();
-                v.push(alias.clone());
-                v
-            }
-        }
-    }
 }

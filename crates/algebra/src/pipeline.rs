@@ -63,7 +63,11 @@ impl CompiledQuery {
             out.push_str(&d.render());
             out.push('\n');
         }
-        out.push_str(&crate::plan::explain_with_estimates(&planned.fra, stats));
+        out.push_str(
+            &planned
+                .fra
+                .explain_with(&mut |op| crate::plan::estimate_note(op, stats)),
+        );
         out.push_str(&crate::program::explain_programs(&planned.fra));
         out
     }
@@ -99,7 +103,7 @@ pub fn compile_query_params(
     let mut gra = match split_aggregates(&ret)? {
         Some((group, aggs)) => {
             let agg = Gra::Aggregate {
-                input: Box::new(plan.body.clone()),
+                input: Box::new(plan.body),
                 group: group.clone(),
                 aggs: aggs.clone(),
             };
@@ -123,7 +127,7 @@ pub fn compile_query_params(
             }
         }
         None => Gra::Project {
-            input: Box::new(plan.body.clone()),
+            input: Box::new(plan.body),
             items: ret
                 .items
                 .iter()
@@ -137,48 +141,30 @@ pub fn compile_query_params(
         };
     }
 
-    let nra = to_nra(&gra, &plan.kinds)?;
-    let fra = flatten(&nra, &plan.kinds, params)?;
-    let columns = fra.schema();
+    let mut cq = lower(gra, plan.kinds, params)?;
 
     // ORDER BY / SKIP / LIMIT: parsed and resolved for the baseline
     // evaluator, recorded as non-maintainability reasons (the paper's
     // explicit trade-off: no ordering, no top-k).
-    let mut not_maintainable = Vec::new();
-    let mut order_by = Vec::new();
     if !ret.order_by.is_empty() {
-        not_maintainable.push("ORDER BY requires maintained ordering (ORD)".to_string());
+        cq.not_maintainable
+            .push("ORDER BY requires maintained ordering (ORD)".to_string());
         for (e, asc) in &ret.order_by {
-            let resolved = resolve_over_output(e, &columns)?;
-            order_by.push((resolved, *asc));
+            let resolved = resolve_over_output(e, &cq.columns)?;
+            cq.order_by.push((resolved, *asc));
         }
     }
-    let skip = match &ret.skip {
-        None => None,
-        Some(e) => {
-            not_maintainable.push("SKIP requires maintained ordering".to_string());
-            Some(usize_literal(e, "SKIP")?)
-        }
-    };
-    let limit = match &ret.limit {
-        None => None,
-        Some(e) => {
-            not_maintainable.push("LIMIT is a top-k construct".to_string());
-            Some(usize_literal(e, "LIMIT")?)
-        }
-    };
-
-    Ok(CompiledQuery {
-        gra,
-        nra,
-        fra,
-        columns,
-        kinds: plan.kinds,
-        order_by,
-        skip,
-        limit,
-        not_maintainable,
-    })
+    if let Some(e) = &ret.skip {
+        cq.not_maintainable
+            .push("SKIP requires maintained ordering".to_string());
+        cq.skip = Some(usize_literal(e, "SKIP")?);
+    }
+    if let Some(e) = &ret.limit {
+        cq.not_maintainable
+            .push("LIMIT is a top-k construct".to_string());
+        cq.limit = Some(usize_literal(e, "LIMIT")?);
+    }
+    Ok(cq)
 }
 
 /// Compile the *reading* part of a (possibly updating) query and project
@@ -209,18 +195,27 @@ pub fn compile_bindings_params(
         }
     }
     let gra = Gra::Project {
-        input: Box::new(plan.body.clone()),
+        input: Box::new(plan.body),
         items: items.to_vec(),
     };
-    let nra = to_nra(&gra, &plan.kinds)?;
-    let fra = flatten(&nra, &plan.kinds, params)?;
-    let columns = fra.schema();
+    lower(gra, plan.kinds, params)
+}
+
+/// Stages 2 and 3 of a compiled GRA plan whose variables are `kinds`: a
+/// query with no ORDER BY, SKIP or LIMIT yet.
+fn lower(
+    gra: Gra,
+    kinds: HashMap<String, VarKind>,
+    params: &[String],
+) -> Result<CompiledQuery, AlgebraError> {
+    let nra = to_nra(&gra, &kinds)?;
+    let fra = flatten(&nra, &kinds, params)?;
     Ok(CompiledQuery {
+        columns: fra.schema(),
         gra,
         nra,
         fra,
-        columns,
-        kinds: plan.kinds,
+        kinds,
         order_by: Vec::new(),
         skip: None,
         limit: None,
@@ -240,57 +235,52 @@ fn usize_literal(e: &Expr, what: &str) -> Result<usize, AlgebraError> {
 /// Resolve an ORDER BY expression against the output schema (aliases and
 /// returned column names only).
 fn resolve_over_output(e: &Expr, columns: &[String]) -> Result<ScalarExpr, AlgebraError> {
-    // Reuse the flatten resolver with a context that has no kinds: output
-    // columns behave like plain value variables.
-    struct Shim;
-    // Minimal local resolver to avoid exposing flatten internals.
-    fn go(e: &Expr, columns: &[String]) -> Result<ScalarExpr, AlgebraError> {
-        Ok(match e {
-            Expr::Literal(v) => ScalarExpr::Lit(v.clone()),
-            Expr::Variable(name) => {
-                ScalarExpr::Col(columns.iter().position(|c| c == name).ok_or_else(|| {
-                    AlgebraError::Unsupported(format!(
-                        "ORDER BY expression references `{name}`, which is not a \
-                             returned column"
-                    ))
-                })?)
-            }
-            Expr::Property(base, key) => {
-                // Allow `alias.prop` only when the *textual* name is a
-                // returned column (e.g. RETURN n.len ... ORDER BY n.len).
-                let text = format!("{}.{key}", base);
-                if let Some(i) = columns.iter().position(|c| c == &text) {
-                    ScalarExpr::Col(i)
-                } else {
-                    return Err(AlgebraError::Unsupported(format!(
-                        "ORDER BY expression `{text}` is not a returned column"
-                    )));
-                }
-            }
-            Expr::Binary(op, l, r) => {
-                ScalarExpr::Binary(*op, Box::new(go(l, columns)?), Box::new(go(r, columns)?))
-            }
-            Expr::Unary(op, x) => ScalarExpr::Unary(*op, Box::new(go(x, columns)?)),
-            Expr::Function {
-                name,
-                distinct: false,
-                args,
-            } => ScalarExpr::Func {
-                name: name.clone(),
-                args: args
-                    .iter()
-                    .map(|a| go(a, columns))
-                    .collect::<Result<_, _>>()?,
-            },
-            other => {
+    // Output columns behave like plain value variables.
+    Ok(match e {
+        Expr::Literal(v) => ScalarExpr::Lit(v.clone()),
+        Expr::Variable(name) => {
+            ScalarExpr::Col(columns.iter().position(|c| c == name).ok_or_else(|| {
+                AlgebraError::Unsupported(format!(
+                    "ORDER BY expression references `{name}`, which is not a \
+                         returned column"
+                ))
+            })?)
+        }
+        Expr::Property(base, key) => {
+            // Allow `alias.prop` only when the *textual* name is a
+            // returned column (e.g. RETURN n.len ... ORDER BY n.len).
+            let text = format!("{}.{key}", base);
+            if let Some(i) = columns.iter().position(|c| c == &text) {
+                ScalarExpr::Col(i)
+            } else {
                 return Err(AlgebraError::Unsupported(format!(
-                    "ORDER BY expression {other} is not supported"
-                )))
+                    "ORDER BY expression `{text}` is not a returned column"
+                )));
             }
-        })
-    }
-    let _ = Shim;
-    go(e, columns)
+        }
+        Expr::Binary(op, l, r) => ScalarExpr::Binary(
+            *op,
+            Box::new(resolve_over_output(l, columns)?),
+            Box::new(resolve_over_output(r, columns)?),
+        ),
+        Expr::Unary(op, x) => ScalarExpr::Unary(*op, Box::new(resolve_over_output(x, columns)?)),
+        Expr::Function {
+            name,
+            distinct: false,
+            args,
+        } => ScalarExpr::Func {
+            name: name.clone(),
+            args: args
+                .iter()
+                .map(|a| resolve_over_output(a, columns))
+                .collect::<Result<_, _>>()?,
+        },
+        other => {
+            return Err(AlgebraError::Unsupported(format!(
+                "ORDER BY expression {other} is not supported"
+            )))
+        }
+    })
 }
 
 #[cfg(test)]

@@ -35,14 +35,14 @@
 //!   expand (the ⋈* anchor-side decision).
 //!
 //! Orders are enumerated with exact dynamic programming over subsets
-//! for at most [`MAX_DP_UNITS`] units and greedy minimum-cost-expansion
+//! for at most `MAX_DP_UNITS` units and greedy minimum-cost-expansion
 //! above, minimising total estimated intermediate cardinality — the
 //! quantity that drives both join-memory size and per-transaction delta
 //! fan-out in the IVM network.
 //!
 //! # Estimator
 //!
-//! [`estimate`] assigns every operator an expected output cardinality:
+//! `estimate` assigns every operator an expected output cardinality:
 //! scans from label/type extents, filters from distinct-value
 //! selectivities, joins from per-column distinct estimates (vertex
 //! columns by label count, edge endpoints by the catalog's per-type
@@ -61,7 +61,7 @@ use crate::fra::{Fra, VarLenSpec};
 
 /// Exact DP is run when a region has at most this many units (factors +
 /// expansions); larger regions fall back to greedy ordering.
-pub const MAX_DP_UNITS: usize = 8;
+pub(crate) const MAX_DP_UNITS: usize = 8;
 
 /// Per-tuple overhead multiplier of the n-ary leapfrog intersection
 /// relative to a binary hash-join probe, applied to the level-walk cost
@@ -72,14 +72,14 @@ pub const MAX_DP_UNITS: usize = 8;
 /// Calibrated against the certified motif suites: triangles
 /// (n-ary/binary raw ratio ≈ 2.4–2.9 at measured scales) must fuse,
 /// 4-cycles (ratio ≈ 4.8–7.1) must not — until skew says otherwise.
-pub const WCOJ_OVERHEAD: f64 = 2.4;
+pub(crate) const WCOJ_OVERHEAD: f64 = 2.4;
 
 /// Memory escape hatch: fuse regardless of time estimates when the
 /// binary tree's resident intermediates exceed this multiple of the
 /// fused node's input memories. The fused node stores only its inputs
 /// (no wedges), so on blow-up-prone patterns memory becomes the binding
 /// constraint long before time does.
-pub const WCOJ_MEM_RATIO: f64 = 16.0;
+pub(crate) const WCOJ_MEM_RATIO: f64 = 16.0;
 
 /// Catalog threshold for the ⨝ⁿ *intersection backend* default: fused
 /// nodes use the sorted-run sub-indexes (leapfrog with galloping seeks)
@@ -108,8 +108,8 @@ pub enum WcojMode {
     /// intersection cost beats the skew-adjusted binary-tree cost, or
     /// the binary tree's join memories dwarf the n-ary memories (the
     /// memory-binding escape hatch). Both estimates come from the
-    /// statistics snapshot and are surfaced by `EXPLAIN` (see
-    /// [`FuseDecision`]).
+    /// statistics snapshot and are surfaced by `EXPLAIN` (its
+    /// `wcoj: cyclic region` lines).
     #[default]
     CostBased,
     /// Fuse every eligible cyclic region unconditionally — the pre-gate
@@ -304,7 +304,7 @@ struct Rel {
 }
 
 /// Estimated output cardinality of `fra` under `stats`.
-pub fn estimate(fra: &Fra, stats: &PlanStats) -> f64 {
+pub(crate) fn estimate(fra: &Fra, stats: &PlanStats) -> f64 {
     analyze(fra, stats).card
 }
 
@@ -1309,7 +1309,7 @@ pub struct Planned {
 /// intermediate cardinality, skew-adjusted on the binary side); they
 /// are comparable to each other, not to wall-clock.
 #[derive(Clone, Debug)]
-pub struct FuseDecision {
+pub(crate) struct FuseDecision {
     /// The region's output variable names, in elimination order.
     pub vars: Vec<String>,
     /// Relations joined by the region.
@@ -1334,7 +1334,7 @@ pub struct FuseDecision {
 
 impl FuseDecision {
     /// One-line `EXPLAIN` rendering.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         format!(
             "wcoj: cyclic region {{{}}} ({} rels): n-ary ≈ {:.0} vs binary ≈ {:.0} units (mem ≈ {:.0} vs ≈ {:.0} tuples) → {}{}",
             self.vars.join(", "),
@@ -1352,7 +1352,7 @@ impl FuseDecision {
 /// Side-channel facts gathered while planning (currently the wcoj fuse
 /// decisions); rendered by `EXPLAIN` surfaces.
 #[derive(Clone, Debug, Default)]
-pub struct PlanReport {
+pub(crate) struct PlanReport {
     /// One entry per cyclic region that was *eligible* for fusion
     /// (cyclic, ≥ 3 factors, no ⋈* expansion), whatever was decided.
     pub fuse_decisions: Vec<FuseDecision>,
@@ -1378,7 +1378,11 @@ pub fn plan_with(fra: &Fra, stats: &PlanStats, opts: &PlanOptions) -> Planned {
 
 /// [`plan_with`], additionally returning the [`PlanReport`] gathered
 /// along the way (the wcoj fuse/don't-fuse decisions `EXPLAIN` shows).
-pub fn plan_with_report(fra: &Fra, stats: &PlanStats, opts: &PlanOptions) -> (Planned, PlanReport) {
+pub(crate) fn plan_with_report(
+    fra: &Fra,
+    stats: &PlanStats,
+    opts: &PlanOptions,
+) -> (Planned, PlanReport) {
     let mut report = PlanReport::default();
     let (planned, mapping) = plan_rec(fra, stats, opts, &mut report);
     let restored = restore_schema(planned, &mapping, fra);
@@ -1960,117 +1964,38 @@ fn is_cyclic(hyperedges: &[Vec<usize>], n_vertices: usize) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// EXPLAIN rendering
+// EXPLAIN notes
 // ---------------------------------------------------------------------------
 
-/// Render `fra` with the estimated output cardinality of every
-/// operator — the `EXPLAIN` view of the cost model.
-pub fn explain_with_estimates(fra: &Fra, stats: &PlanStats) -> String {
-    let mut out = String::new();
-    render(fra, stats, 0, &mut out);
-    out
-}
-
-fn render(fra: &Fra, stats: &PlanStats, depth: usize, out: &mut String) {
+/// EXPLAIN's note on one operator of a plan (see [`Fra::explain_with`]):
+/// its estimated output rows and, on a ⨝ⁿ, the per-variable distinct
+/// estimates that chose its elimination order.
+pub(crate) fn estimate_note(fra: &Fra, stats: &PlanStats) -> String {
     use std::fmt::Write;
-    let card = estimate(fra, stats);
-    let pad = "  ".repeat(depth);
-    let describe = |f: &Fra| -> String {
-        match f {
-            Fra::Unit => "Unit".into(),
-            Fra::ScanVertices { var, labels, .. } => format!(
-                "©({var}{})",
-                labels
-                    .iter()
-                    .map(|l| format!(":{l}"))
-                    .collect::<Vec<_>>()
-                    .join("")
-            ),
-            Fra::ScanEdges {
-                src, dst, types, ..
-            } => format!(
-                "⇑[({src})-[{}]->({dst})]",
-                types
-                    .iter()
-                    .map(|t| format!(":{t}"))
-                    .collect::<Vec<_>>()
-                    .join("|")
-            ),
-            Fra::HashJoin { .. } => format!("⋈{}", f.join_keys().expect("a ⋈")),
-            Fra::SemiJoin { anti: true, .. } => "▷ antijoin".into(),
-            Fra::SemiJoin { .. } => "⋉ semijoin".into(),
-            Fra::VarLengthJoin { spec, .. } => format!(
-                "⋈* [{}{}..{}]",
-                spec.types
-                    .iter()
-                    .map(|t| format!(":{t}"))
-                    .collect::<Vec<_>>()
-                    .join("|"),
-                spec.min,
-                spec.max.map_or("∞".into(), |m| m.to_string())
-            ),
-            Fra::Filter { .. } => "σ".into(),
-            Fra::Project { items, .. } => format!("π ({} cols)", items.len()),
-            Fra::Distinct { .. } => "δ".into(),
-            Fra::Aggregate { group, aggs, .. } => {
-                format!("γ ({} groups, {} aggs)", group.len(), aggs.len())
-            }
-            Fra::Unwind { alias, .. } => format!("ω {alias}"),
-            Fra::MultiwayJoin { inputs, names, .. } => format!(
-                "⨝ⁿ wcoj ({} rels; order: {})",
-                inputs.len(),
-                names.join(" → ")
-            ),
-        }
-    };
-    let _ = writeln!(out, "{pad}{:<40} ~{:.0} rows", describe(fra), card.max(0.0));
+    let mut note = format!("  ~{:.0} rows", estimate(fra, stats).max(0.0));
     if let Fra::MultiwayJoin {
         inputs,
         var_of,
         names,
     } = fra
     {
-        // Per-variable distinct estimates — the numbers that chose the
-        // elimination order.
+        let rels: Vec<Rel> = inputs.iter().map(|i| analyze(i, stats)).collect();
         for (v, name) in names.iter().enumerate() {
             let mut d = f64::INFINITY;
-            for (i, inp) in inputs.iter().enumerate() {
-                let rel = analyze(inp, stats);
-                for (c, &vc) in var_of[i].iter().enumerate() {
-                    if vc == v {
-                        let dc = rel
-                            .cols
-                            .get(c)
-                            .map_or(rel.card.sqrt(), |ci| ci.distinct(rel.card, stats));
-                        d = d.min(dc);
-                    }
+            for (rel, vars) in rels.iter().zip(var_of) {
+                for (c, _) in vars.iter().enumerate().filter(|&(_, &vc)| vc == v) {
+                    let dc = rel
+                        .cols
+                        .get(c)
+                        .map_or(rel.card.sqrt(), |ci| ci.distinct(rel.card, stats));
+                    d = d.min(dc);
                 }
             }
-            let _ = writeln!(
-                out,
-                "{pad}  · var {v} ({name}): ~{:.0} distinct",
-                if d.is_finite() { d } else { 0.0 }
-            );
+            let d = if d.is_finite() { d } else { 0.0 };
+            let _ = write!(note, "\n· var {v} ({name}): ~{d:.0} distinct");
         }
     }
-    match fra {
-        Fra::HashJoin { left, right, .. } | Fra::SemiJoin { left, right, .. } => {
-            render(left, stats, depth + 1, out);
-            render(right, stats, depth + 1, out);
-        }
-        Fra::VarLengthJoin { left, .. } => render(left, stats, depth + 1, out),
-        Fra::Filter { input, .. }
-        | Fra::Project { input, .. }
-        | Fra::Distinct { input }
-        | Fra::Aggregate { input, .. }
-        | Fra::Unwind { input, .. } => render(input, stats, depth + 1, out),
-        Fra::MultiwayJoin { inputs, .. } => {
-            for i in inputs {
-                render(i, stats, depth + 1, out);
-            }
-        }
-        _ => {}
-    }
+    note
 }
 
 #[cfg(test)]
@@ -2472,7 +2397,7 @@ mod tests {
 
     #[test]
     fn explain_reports_estimates() {
-        let text = explain_with_estimates(&skewed_plan(), &stats());
+        let text = skewed_plan().explain_with(&mut |op| estimate_note(op, &stats()));
         assert!(text.contains("~"), "{text}");
         assert!(text.contains("⋈"), "{text}");
     }

@@ -7,7 +7,9 @@
 
 use std::fmt;
 
+use pgq_common::dir::Direction;
 use pgq_common::intern::Symbol;
+use pgq_common::value::Value;
 
 use crate::expr::{AggFunc, ScalarExpr};
 use crate::fra::Fra;
@@ -53,9 +55,8 @@ fn edge_pattern(
     range: Option<&VarLen>,
     dst: &str,
     dst_labels: &[Symbol],
-    dir: pgq_common::dir::Direction,
+    dir: Direction,
 ) -> String {
-    use pgq_common::dir::Direction;
     let body = format!(
         "[{}{}]",
         types_str(types),
@@ -253,10 +254,10 @@ impl fmt::Display for Nra {
 }
 
 /// Render a scalar expression substituting column names from `schema`.
-pub fn render_expr(e: &ScalarExpr, schema: &[String]) -> String {
+pub(crate) fn render_expr(e: &ScalarExpr, schema: &[String]) -> String {
     match e {
         ScalarExpr::Col(i) => schema.get(*i).cloned().unwrap_or_else(|| format!("#{i}")),
-        ScalarExpr::Lit(v) => v.to_string(),
+        ScalarExpr::Lit(v) => render_lit(v),
         ScalarExpr::Param(slot) => format!("${slot}"),
         ScalarExpr::Binary(op, l, r) => format!(
             "({} {op} {})",
@@ -313,6 +314,43 @@ pub fn render_expr(e: &ScalarExpr, schema: &[String]) -> String {
     }
 }
 
+/// A literal as the lexer reads it back: a string quoted with its
+/// escapes (`'a\nb'`), so a rendered expression is one line.
+fn render_lit(v: &Value) -> String {
+    match v {
+        Value::Str(s) => {
+            let mut out = String::from("'");
+            for c in s.chars() {
+                match c {
+                    '\n' => out.push_str("\\n"),
+                    '\t' => out.push_str("\\t"),
+                    '\r' => out.push_str("\\r"),
+                    '\\' | '\'' => {
+                        out.push('\\');
+                        out.push(c);
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('\'');
+            out
+        }
+        Value::List(items) => format!(
+            "[{}]",
+            items.iter().map(render_lit).collect::<Vec<_>>().join(", ")
+        ),
+        Value::Map(entries) => format!(
+            "{{{}}}",
+            entries
+                .iter()
+                .map(|(k, v)| format!("{k}: {}", render_lit(v)))
+                .collect::<Vec<_>>()
+                .join(", ")
+        ),
+        v => v.to_string(),
+    }
+}
+
 fn props_str(props: &[crate::fra::PropPush]) -> String {
     if props.is_empty() {
         return String::new();
@@ -328,55 +366,44 @@ fn props_str(props: &[crate::fra::PropPush]) -> String {
 }
 
 impl Fra {
-    /// Multi-line EXPLAIN rendering with resolved column names.
+    /// Multi-line EXPLAIN rendering with resolved column names: one line
+    /// per operator, each input indented under the operator reading it.
     pub fn explain(&self) -> String {
+        self.explain_with(&mut |_| String::new())
+    }
+
+    /// [`Fra::explain`] with `note(op)` written after each operator's
+    /// line: the note's first line ends the operator's own, and any
+    /// further line is indented under it, above the operator's inputs.
+    pub fn explain_with(&self, note: &mut dyn FnMut(&Fra) -> String) -> String {
         let mut out = String::new();
-        self.explain_into(&mut out, 0);
+        self.explain_into(&mut out, 0, note);
         out
     }
 
-    /// A ⋈'s keys by column name: `[b]` for the id keys, then
-    /// ` by value[a.country = c.country]` when it has value keys; `None`
-    /// for any other operator.
-    pub fn join_keys(&self) -> Option<String> {
-        let Fra::HashJoin {
-            left,
-            right,
-            left_keys,
-            value_keys,
-            ..
-        } = self
-        else {
-            return None;
-        };
-        let (ls, rs) = (left.schema(), right.schema());
-        let ids: Vec<&str> = left_keys.iter().map(|&i| ls[i].as_str()).collect();
-        let mut text = format!("[{}]", ids.join(", "));
-        if !value_keys.is_empty() {
-            let pairs: Vec<String> = value_keys
-                .iter()
-                .map(|&(l, r)| format!("{} = {}", ls[l], rs[r]))
-                .collect();
-            text.push_str(&format!(" by value[{}]", pairs.join(", ")));
-        }
-        Some(text)
-    }
-
-    fn explain_into(&self, out: &mut String, depth: usize) {
+    fn explain_into(&self, out: &mut String, depth: usize, note: &mut dyn FnMut(&Fra) -> String) {
         use std::fmt::Write;
         let pad = "  ".repeat(depth);
+        let (line, inputs) = self.explain_line();
+        let text = note(self);
+        let mut lines = text.lines();
+        let _ = writeln!(out, "{pad}{line}{}", lines.next().unwrap_or_default());
+        for extra in lines {
+            let _ = writeln!(out, "{pad}  {extra}");
+        }
+        for input in inputs {
+            input.explain_into(out, depth + 1, note);
+        }
+    }
+
+    /// This operator's EXPLAIN line, and the inputs written under it.
+    fn explain_line(&self) -> (String, Vec<&Fra>) {
         match self {
-            Fra::Unit => {
-                let _ = writeln!(out, "{pad}Unit");
-            }
-            Fra::ScanVertices { var, labels, props } => {
-                let _ = writeln!(
-                    out,
-                    "{pad}©({var}{}{})",
-                    labels_str(labels),
-                    props_str(props)
-                );
-            }
+            Fra::Unit => ("Unit".into(), vec![]),
+            Fra::ScanVertices { var, labels, props } => (
+                format!("©({var}{}{})", labels_str(labels), props_str(props)),
+                vec![],
+            ),
             Fra::ScanEdges {
                 src,
                 edge,
@@ -390,31 +417,40 @@ impl Fra {
                 dir,
                 ..
             } => {
-                let _ = writeln!(
-                    out,
-                    "{pad}⇑[({src}{}{}){}[{edge}{}{}]{}({dst}{}{})]",
+                let (l, r) = match dir {
+                    Direction::Out => ("-", "->"),
+                    Direction::In => ("<-", "-"),
+                    Direction::Both => ("-", "-"),
+                };
+                let line = format!(
+                    "⇑[({src}{}{}){l}[{edge}{}{}]{r}({dst}{}{})]",
                     labels_str(src_labels),
                     props_str(src_props),
-                    if *dir == pgq_common::dir::Direction::In {
-                        "<-"
-                    } else {
-                        "-"
-                    },
                     types_str(types),
                     props_str(edge_props),
-                    if *dir == pgq_common::dir::Direction::Out {
-                        "->"
-                    } else {
-                        "-"
-                    },
                     labels_str(dst_labels),
                     props_str(dst_props),
                 );
+                (line, vec![])
             }
-            Fra::HashJoin { left, right, .. } => {
-                let _ = writeln!(out, "{pad}⋈{}", self.join_keys().expect("a ⋈"));
-                left.explain_into(out, depth + 1);
-                right.explain_into(out, depth + 1);
+            Fra::HashJoin {
+                left,
+                right,
+                left_keys,
+                value_keys,
+                ..
+            } => {
+                let (ls, rs) = (left.schema(), right.schema());
+                let ids: Vec<&str> = left_keys.iter().map(|&i| ls[i].as_str()).collect();
+                let mut line = format!("⋈[{}]", ids.join(", "));
+                if !value_keys.is_empty() {
+                    let pairs: Vec<String> = value_keys
+                        .iter()
+                        .map(|&(l, r)| format!("{} = {}", ls[l], rs[r]))
+                        .collect();
+                    line.push_str(&format!(" by value[{}]", pairs.join(", ")));
+                }
+                (line, vec![left, right])
             }
             Fra::SemiJoin {
                 left,
@@ -424,14 +460,9 @@ impl Fra {
                 ..
             } => {
                 let ls = left.schema();
-                let keys = left_keys
-                    .iter()
-                    .map(|&i| ls[i].clone())
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                let _ = writeln!(out, "{pad}{}[{keys}]", if *anti { "▷" } else { "⋉" });
-                left.explain_into(out, depth + 1);
-                right.explain_into(out, depth + 1);
+                let keys: Vec<&str> = left_keys.iter().map(|&i| ls[i].as_str()).collect();
+                let glyph = if *anti { "▷" } else { "⋉" };
+                (format!("{glyph}[{}]", keys.join(", ")), vec![left, right])
             }
             Fra::VarLengthJoin {
                 left,
@@ -440,27 +471,24 @@ impl Fra {
                 dst,
                 path,
             } => {
-                let ls = left.schema();
-                let _ = writeln!(
-                    out,
-                    "{pad}⋈*{}..{}[{} →{} ({}{}{}), path={path}]",
+                let line = format!(
+                    "⋈*{}..{}[{} →{} ({dst}{}{}), path={path}]",
                     spec.min,
                     spec.max.map(|m| m.to_string()).unwrap_or_default(),
-                    ls.get(*src_col).cloned().unwrap_or_default(),
+                    left.schema().get(*src_col).cloned().unwrap_or_default(),
                     types_str(&spec.types),
-                    dst,
                     labels_str(&spec.dst_labels),
                     props_str(&spec.dst_props),
                 );
-                left.explain_into(out, depth + 1);
+                (line, vec![left])
             }
-            Fra::Filter { input, predicate } => {
-                let _ = writeln!(out, "{pad}σ[{}]", render_expr(predicate, &input.schema()));
-                input.explain_into(out, depth + 1);
-            }
+            Fra::Filter { input, predicate } => (
+                format!("σ[{}]", render_expr(predicate, &input.schema())),
+                vec![input],
+            ),
             Fra::Project { input, items } => {
                 let schema = input.schema();
-                let rendered = items
+                let rendered: Vec<String> = items
                     .iter()
                     .map(|(e, n)| {
                         let es = render_expr(e, &schema);
@@ -470,23 +498,17 @@ impl Fra {
                             format!("{es}→{n}")
                         }
                     })
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                let _ = writeln!(out, "{pad}π[{rendered}]");
-                input.explain_into(out, depth + 1);
+                    .collect();
+                (format!("π[{}]", rendered.join(", ")), vec![input])
             }
-            Fra::Distinct { input } => {
-                let _ = writeln!(out, "{pad}δ");
-                input.explain_into(out, depth + 1);
-            }
+            Fra::Distinct { input } => ("δ".into(), vec![input]),
             Fra::Aggregate { input, group, aggs } => {
                 let schema = input.schema();
-                let g = group
+                let g: Vec<String> = group
                     .iter()
                     .map(|(e, n)| format!("{}→{n}", render_expr(e, &schema)))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                let a = aggs
+                    .collect();
+                let a: Vec<String> = aggs
                     .iter()
                     .map(|(call, n)| {
                         let arg = call
@@ -502,47 +524,41 @@ impl Fra {
                             AggFunc::Avg => "avg",
                             AggFunc::Collect => "collect",
                         };
-                        format!(
-                            "{func}({}{arg})→{n}",
-                            if call.distinct { "DISTINCT " } else { "" }
-                        )
+                        let distinct = if call.distinct { "DISTINCT " } else { "" };
+                        format!("{func}({distinct}{arg})→{n}")
                     })
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                let _ = writeln!(out, "{pad}γ[{g}; {a}]");
-                input.explain_into(out, depth + 1);
+                    .collect();
+                (
+                    format!("γ[{}; {}]", g.join(", "), a.join(", ")),
+                    vec![input],
+                )
             }
-            Fra::Unwind { input, expr, alias } => {
-                let _ = writeln!(
-                    out,
-                    "{pad}ω[{} AS {alias}]",
-                    render_expr(expr, &input.schema())
-                );
-                input.explain_into(out, depth + 1);
-            }
+            Fra::Unwind { input, expr, alias } => (
+                format!("ω[{} AS {alias}]", render_expr(expr, &input.schema())),
+                vec![input],
+            ),
             Fra::MultiwayJoin {
                 inputs,
                 var_of,
                 names,
             } => {
-                // Per input, show its columns mapped onto the global
-                // variables (the binding order is the variable order).
-                let binds = inputs
+                // Per input, its columns mapped onto the global variables
+                // (the binding order is the variable order).
+                let binds: Vec<String> = var_of
                     .iter()
-                    .enumerate()
-                    .map(|(i, _)| {
-                        var_of[i]
-                            .iter()
+                    .map(|vars| {
+                        vars.iter()
                             .map(|&v| names.get(v).cloned().unwrap_or_else(|| format!("_v{v}")))
                             .collect::<Vec<_>>()
                             .join(",")
                     })
-                    .collect::<Vec<_>>()
-                    .join("; ");
-                let _ = writeln!(out, "{pad}⨝ⁿ[order: {}; rels: {binds}]", names.join(" → "));
-                for i in inputs {
-                    i.explain_into(out, depth + 1);
-                }
+                    .collect();
+                let line = format!(
+                    "⨝ⁿ[order: {}; rels: {}]",
+                    names.join(" → "),
+                    binds.join("; ")
+                );
+                (line, inputs.iter().collect())
             }
         }
     }

@@ -222,11 +222,6 @@ impl TupleProgram {
         self.glyphs.iter().all(|&g| g == 'σ')
     }
 
-    /// Can one row come out as several (an ω)?
-    pub fn fans_out(&self) -> bool {
-        self.glyphs.contains(&'ω')
-    }
-
     /// Run the program over `row`, handing `emit` every row that comes
     /// out of it.
     pub fn run(&self, row: &[Value], scratch: &mut Scratch, mut emit: impl FnMut(Emit<'_>)) {
@@ -318,7 +313,7 @@ impl TupleProgram {
 
 /// The EXPLAIN line naming the programs the network runs `plan`'s σ/π/ω
 /// chains as, outermost first: `programs: σ→π [7], π [4]`.
-pub fn explain_programs(plan: &Fra) -> String {
+pub(crate) fn explain_programs(plan: &Fra) -> String {
     fn collect(fra: &Fra, out: &mut Vec<String>) {
         let below = match TupleProgram::compile(fra) {
             Some((program, below)) => {

@@ -22,12 +22,12 @@ use crate::gra::{Gra, PathMode, VarKind};
 use crate::nra::{GetEdges, Nra};
 
 /// Column name generated for the unnested property `var.prop`.
-pub fn prop_col(var: &str, prop: &str) -> String {
+pub(crate) fn prop_col(var: &str, prop: &str) -> String {
     format!("{var}.{prop}")
 }
 
 /// Convert a GRA tree to NRA.
-pub fn to_nra(gra: &Gra, kinds: &HashMap<String, VarKind>) -> Result<Nra, AlgebraError> {
+pub(crate) fn to_nra(gra: &Gra, kinds: &HashMap<String, VarKind>) -> Result<Nra, AlgebraError> {
     let mut cx = Cx {
         kinds,
         unnested: HashSet::new(),

@@ -1,11 +1,11 @@
 //! The `GraphEngine` façade: graph + views + openCypher execution.
 
-use pgq_algebra::flatten::resolve_constant;
 use pgq_algebra::fra::Fra;
 use pgq_algebra::pipeline::{
     compile_bindings, compile_bindings_params, compile_query, compile_query_params, CompiledQuery,
 };
 use pgq_algebra::plan::WcojMode;
+use pgq_algebra::resolve_constant;
 use pgq_algebra::{AlgebraError, ScalarExpr};
 use pgq_common::fxhash::FxHashMap;
 use pgq_common::intern::Symbol;
@@ -383,7 +383,7 @@ impl GraphEngine {
     }
 
     /// Effective delta-propagation width.
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         match self.threads {
             0 => EngineConfig::process().threads,
             n => n,
@@ -844,11 +844,6 @@ impl GraphEngine {
             recovery: report,
         });
         Ok(engine)
-    }
-
-    /// Is this engine logging to a durability directory?
-    pub fn is_durable(&self) -> bool {
-        self.durable.is_some()
     }
 
     /// Override the switch cadence in commits (`0` disables it; see

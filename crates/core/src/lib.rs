@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 //! # pgq-core
 //!
 //! Public façade of the pgq stack: [`GraphEngine`] combines the property
@@ -28,7 +28,7 @@
 //! * [`GraphEngine::register_view`] compiles the query to FRA and
 //!   instantiates its plan bottom-up with hash-consing — any subplan
 //!   structurally identical (by canonical
-//!   [fingerprint](pgq_algebra::fingerprint) plus full equality) to an
+//!   [fingerprint](pgq_algebra::Fra::fingerprint) plus full equality) to an
 //!   already-instantiated one is **shared**, and the new view becomes a
 //!   refcounted sink whose initial results are replayed from the shared
 //!   node's memories.
@@ -44,11 +44,19 @@
 //! Inspect the live network with [`GraphEngine::network`] /
 //! [`GraphEngine::network_node_count`] and per-view statistics with
 //! [`GraphEngine::view_stats`].
+//!
+//! ## Surface
+//!
+//! Everything is reached from the crate root: [`GraphEngine`] and the
+//! [`ViewId`] handles it returns; [`ExecutionResult`] and its
+//! [`UpdateStats`] from `execute` / `query`; [`BatchSummary`] from
+//! `apply_batch`; [`DurabilityHealth`] from a durable engine; the
+//! [`ViewDelta`] a subscriber receives; and [`EngineError`].
 
 mod config;
-pub mod engine;
-pub mod error;
-pub mod subscribe;
+mod engine;
+mod error;
+mod subscribe;
 
 pub use engine::{
     BatchSummary, DurabilityHealth, ExecutionResult, GraphEngine, UpdateStats, ViewId,

@@ -34,15 +34,10 @@ impl ViewDelta {
             removed,
         }
     }
-
-    /// Is there anything in it?
-    pub fn is_empty(&self) -> bool {
-        self.inserted.is_empty() && self.removed.is_empty()
-    }
 }
 
 /// Subscriber callback type.
-pub type Subscriber = Box<dyn FnMut(&ViewDelta) + Send>;
+pub(crate) type Subscriber = Box<dyn FnMut(&ViewDelta) + Send>;
 
 #[cfg(test)]
 mod tests {
@@ -62,6 +57,5 @@ mod tests {
         assert_eq!(vd.inserted[0].1, 2);
         assert_eq!(vd.removed.len(), 1);
         assert_eq!(vd.removed[0].1, 1);
-        assert!(!vd.is_empty());
     }
 }

@@ -177,24 +177,7 @@ pub fn explain(fra: &Fra, g: &PropertyGraph) -> String {
             _ => None,
         }
     }
-    let mut marks = Vec::new();
-    let mut stack = vec![fra];
-    while let Some(f) = stack.pop() {
-        marks.push(mark(f, g));
-        stack.extend(children(f).into_iter().rev());
-    }
-    let text = fra.explain();
-    debug_assert_eq!(text.lines().count(), marks.len(), "one line per operator");
-    let mut out = String::new();
-    for (line, mark) in text.lines().zip(marks) {
-        out.push_str(line);
-        if let Some(m) = mark {
-            out.push_str("    ← ");
-            out.push_str(&m);
-        }
-        out.push('\n');
-    }
-    out
+    fra.explain_with(&mut |op| mark(op, g).map_or_else(String::new, |m| format!("    ← {m}")))
 }
 
 impl<'g> Evaluator<'g> {

@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 //! # pgq-eval
 //!
 //! The non-incremental baseline: from-scratch evaluation of FRA plans
@@ -13,7 +13,7 @@
 //! 3. the executor for the constructs the paper's fragment deliberately
 //!    excludes from IVM (`ORDER BY`, `SKIP`, `LIMIT`).
 //!
-//! It is push-based ([`eval`]): rows flow from each scan to the first
+//! It is push-based: rows flow from each scan to the first
 //! operator that has to hold them, so a read holds its build sides and
 //! groups, not its intermediate results. A join whose right input is a
 //! keyed scan reads it from the vertices its left side binds whenever
@@ -22,10 +22,20 @@
 //! replaced lives in the unpublished `pgq_eval_reference` crate, reachable
 //! from test targets only, as the reference the differential tests hold
 //! this one to.
+//!
+//! ## Surface
+//!
+//! * [`evaluate`], [`evaluate_consolidated`] and [`evaluate_query`] run a
+//!   plan or a compiled query once; an [`Evaluator`] does the same and
+//!   counts the base rows it read.
+//! * [`wanted_indexes`] names the property indexes a plan would seek, and
+//!   [`explain`] writes the plan marked where the evaluator narrows.
+//! * [`enumerate_paths`] is the ⋈* path walk, which the reference
+//!   evaluator and the transitive-join property tests reuse.
 
-pub mod eval;
+mod eval;
 mod expand;
-pub mod paths;
+mod paths;
 
 pub use eval::{
     evaluate, evaluate_consolidated, evaluate_query, explain, wanted_indexes, Bag, Evaluator,

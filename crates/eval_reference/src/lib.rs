@@ -8,8 +8,11 @@
 //! Its behaviour is the old evaluator's, with one fix shared by every
 //! evaluator: an integer `sum` is exact, and one outside `i64` reads
 //! `null`; `avg` divides that exact sum.
+//!
+//! Its surface mirrors `pgq_eval`'s: [`evaluate_consolidated`],
+//! [`evaluate_query`], and an [`Evaluator`] that counts `rows_scanned`.
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 use std::cmp::Ordering;
 
@@ -27,10 +30,10 @@ use pgq_graph::store::PropertyGraph;
 use pgq_parser::ast::BinOp;
 
 use pgq_eval::enumerate_paths;
-pub use pgq_eval::Bag;
+use pgq_eval::Bag;
 
 /// Evaluate an FRA plan against the current graph.
-pub fn evaluate(fra: &Fra, g: &PropertyGraph) -> Bag {
+fn evaluate(fra: &Fra, g: &PropertyGraph) -> Bag {
     Evaluator::new(g).run(fra)
 }
 
@@ -389,24 +392,11 @@ impl<'g> Evaluator<'g> {
         }
     }
 
-    /// Evaluate a compiled query end-to-end, applying ORDER BY / SKIP /
-    /// LIMIT.
+    /// Evaluate a compiled query end-to-end into rows (multiplicities
+    /// expanded) in the deterministic base order, then apply ORDER BY /
+    /// SKIP / LIMIT.
     pub fn run_query(&mut self, cq: &CompiledQuery) -> Vec<Tuple> {
-        self.run_rows(&cq.fra, &cq.order_by, cq.skip, cq.limit)
-    }
-
-    /// Evaluate `fra` into rows (multiplicities expanded) in the
-    /// deterministic base order, then apply ORDER BY / SKIP / LIMIT —
-    /// [`Evaluator::run_query`] for a caller that holds the plan apart
-    /// from its compilation stages.
-    pub fn run_rows(
-        &mut self,
-        fra: &Fra,
-        order_by: &[(ScalarExpr, bool)],
-        skip: Option<usize>,
-        limit: Option<usize>,
-    ) -> Vec<Tuple> {
-        let bag = self.run(fra);
+        let bag = self.run(&cq.fra);
         let mut rows: Vec<Tuple> = Vec::new();
         for (t, m) in bag {
             for _ in 0..m.max(0) {
@@ -415,9 +405,9 @@ impl<'g> Evaluator<'g> {
         }
         // Deterministic base order.
         rows.sort_by(tuple_cmp);
-        if !order_by.is_empty() {
+        if !cq.order_by.is_empty() {
             rows.sort_by(|a, b| {
-                for (expr, asc) in order_by {
+                for (expr, asc) in &cq.order_by {
                     let va = expr.eval(a).unwrap_or(Value::Null);
                     let vb = expr.eval(b).unwrap_or(Value::Null);
                     let ord = va.total_cmp(&vb);
@@ -429,8 +419,8 @@ impl<'g> Evaluator<'g> {
                 Ordering::Equal
             });
         }
-        let start = skip.unwrap_or(0).min(rows.len());
-        let end = match limit {
+        let start = cq.skip.unwrap_or(0).min(rows.len());
+        let end = match cq.limit {
             Some(l) => (start + l).min(rows.len()),
             None => rows.len(),
         };

@@ -20,7 +20,7 @@
 //!   into the [canonical form](pgq_algebra::canon) (alpha-renamed
 //!   positional columns, sorted commutative structure, fused σ chains,
 //!   normalised π positions), then keys every canonical subplan by its
-//!   [fingerprint](pgq_algebra::fingerprint) and reuses an existing
+//!   [fingerprint](pgq_algebra::Fra::fingerprint) and reuses an existing
 //!   node when a full structural equality check confirms the match. N
 //!   overlapping views instantiate one shared operator chain, not N —
 //!   and "overlapping" is judged up to alpha-equivalence, so

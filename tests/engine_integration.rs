@@ -159,6 +159,26 @@ fn explain_renders_three_stages() {
     assert!(text.contains("incrementally maintainable"));
 }
 
+/// A string literal holding an escaped newline renders escaped, so the
+/// one-shot plan keeps one line per operator and its seek mark on the σ.
+#[test]
+fn explain_escapes_a_newline_in_a_string_literal() {
+    let e = GraphEngine::new();
+    let text = e
+        .explain("MATCH (p:Person {id: 1}) WHERE p.name = 'a\\nb' RETURN p")
+        .unwrap();
+    let one_shot = text
+        .split("== One-shot execution")
+        .nth(1)
+        .expect("EXPLAIN ends with the one-shot plan");
+    let ops: Vec<&str> = one_shot.lines().skip(1).filter(|l| !l.is_empty()).collect();
+    assert_eq!(ops.len(), 3, "π, σ and ©, one line each:{one_shot}");
+    let filter = ops[1].trim_start();
+    assert!(filter.starts_with("σ["), "{one_shot}");
+    assert!(filter.contains(r"'a\nb'"), "{one_shot}");
+    assert!(filter.contains("← seek Person.id"), "{one_shot}");
+}
+
 #[test]
 fn parse_errors_carry_position() {
     let mut e = GraphEngine::new();

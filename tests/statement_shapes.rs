@@ -15,7 +15,7 @@
 
 use pgq::prelude::*;
 use pgq_common::tuple::Tuple;
-use pgq_core::engine::ExecutionResult;
+use pgq_core::ExecutionResult;
 use pgq_graph::store::{EdgeData, VertexData};
 use pgq_parser::lexer::lex;
 use pgq_parser::parse_query;
@@ -397,8 +397,12 @@ fn mutants_execute_like_on_a_fresh_engine_or_fail_like_the_parser() {
             };
             mutants += 1;
             let before = dump(&engine);
+            // EXPLAIN answers or fails typed, and changes nothing.
+            let explained = engine.explain(&text);
+            assert_eq!(dump(&engine), before, "{text}");
             match parse_query(&text) {
                 Err(e) => {
+                    assert_eq!(explained, Err(EngineError::Parse(e.clone())), "{text}");
                     // Offset and message of the original text, nothing run.
                     assert_eq!(engine.execute(&text), Err(EngineError::Parse(e)), "{text}");
                     assert_eq!(dump(&engine), before, "{text}");
