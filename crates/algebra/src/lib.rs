@@ -25,6 +25,8 @@
 //!   [`resolve_constant`] for an update clause's literal.
 //! * [`fra`] and [`expr`]: the plan ([`Fra`], [`Fra::explain`]) and its
 //!   scalar and aggregate expressions ([`ScalarExpr`], [`AggCall`]).
+//! * [`agg`]: γ's per-group state ([`agg::GroupState`]), the one the
+//!   network maintains and the one-shot evaluator folds a read into.
 //! * [`plan`](mod@plan): the cost-based planner ([`plan()`], [`plan::plan_with`])
 //!   over a [`PlanStats`] catalog.
 //! * [`canon`]: [`canonicalize`] rewrites plans into an alpha-renamed,
@@ -35,6 +37,7 @@
 //! * [`program`]: each σ/π/ω chain compiled into the one instruction
 //!   list the network and the one-shot evaluator run it as.
 
+pub mod agg;
 pub mod canon;
 mod compile;
 mod error;

@@ -9,7 +9,7 @@ use std::fmt;
 
 use pgq_common::dir::Direction;
 use pgq_common::intern::Symbol;
-use pgq_common::value::Value;
+use pgq_parser::render_lit;
 
 use crate::expr::{AggFunc, ScalarExpr};
 use crate::fra::Fra;
@@ -311,43 +311,6 @@ pub(crate) fn render_expr(e: &ScalarExpr, schema: &[String]) -> String {
         ScalarExpr::PathConcat(a, b) => {
             format!("{}++{}", render_expr(a, schema), render_expr(b, schema))
         }
-    }
-}
-
-/// A literal as the lexer reads it back: a string quoted with its
-/// escapes (`'a\nb'`), so a rendered expression is one line.
-fn render_lit(v: &Value) -> String {
-    match v {
-        Value::Str(s) => {
-            let mut out = String::from("'");
-            for c in s.chars() {
-                match c {
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    '\r' => out.push_str("\\r"),
-                    '\\' | '\'' => {
-                        out.push('\\');
-                        out.push(c);
-                    }
-                    c => out.push(c),
-                }
-            }
-            out.push('\'');
-            out
-        }
-        Value::List(items) => format!(
-            "[{}]",
-            items.iter().map(render_lit).collect::<Vec<_>>().join(", ")
-        ),
-        Value::Map(entries) => format!(
-            "{{{}}}",
-            entries
-                .iter()
-                .map(|(k, v)| format!("{k}: {}", render_lit(v)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ),
-        v => v.to_string(),
     }
 }
 

@@ -217,6 +217,35 @@ impl Value {
         }
     }
 
+    /// [`Value::total_cmp`] refined to agree with `==`: two values it
+    /// ties that `==` tells apart — an integer and an equal float, also
+    /// inside lists and maps — order the integer first. It is the order
+    /// of γ's multisets, so `DISTINCT` counts what δ and grouping count,
+    /// and `min` / `max` / `collect` do not depend on arrival order.
+    pub fn strict_cmp(&self, other: &Value) -> Ordering {
+        self.total_cmp(other).then_with(|| self.tie_cmp(other))
+    }
+
+    /// The order of two values [`Value::total_cmp`] ties: at the first
+    /// position where one holds an integer and the other a float, the
+    /// integer first.
+    fn tie_cmp(&self, other: &Value) -> Ordering {
+        use Value::*;
+        let first = |pairs: &mut dyn Iterator<Item = (&Value, &Value)>| {
+            pairs
+                .map(|(x, y)| x.tie_cmp(y))
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
+        };
+        match (self, other) {
+            (Int(_), Float(_)) => Ordering::Less,
+            (Float(_), Int(_)) => Ordering::Greater,
+            (List(a), List(b)) => first(&mut a.iter().zip(b.iter())),
+            (Map(a), Map(b)) => first(&mut a.values().zip(b.values())),
+            _ => Ordering::Equal,
+        }
+    }
+
     /// Cypher *comparability*: `None` models the `null` outcome (either
     /// operand null, or the operands are incomparable types).
     pub fn compare(&self, other: &Value) -> Option<Ordering> {
@@ -544,6 +573,43 @@ mod tests {
         vals.sort_by(|a, b| a.total_cmp(b));
         assert_eq!(vals.last().unwrap(), &Value::Null);
         assert_eq!(vals[0], Value::str("x"));
+    }
+
+    #[test]
+    fn strict_order_refines_total_order_and_agrees_with_eq() {
+        let nums = [
+            Value::Int(0),
+            Value::float(-0.0),
+            Value::float(0.0),
+            Value::Int(1),
+            Value::float(1.0),
+            Value::float(f64::NAN),
+        ];
+        let mut vals: Vec<Value> = nums.to_vec();
+        for a in &nums[..2] {
+            for b in &nums[3..5] {
+                vals.push(Value::list(vec![a.clone(), b.clone()]));
+                vals.push(Value::map([("k".to_string(), a.clone())]));
+            }
+        }
+        for a in &vals {
+            for b in &vals {
+                let (strict, total) = (a.strict_cmp(b), a.total_cmp(b));
+                assert_eq!(strict.is_eq(), a == b, "{a:?} vs {b:?}");
+                assert!(total.is_eq() || strict == total, "{a:?} vs {b:?}");
+                assert_eq!(strict, b.strict_cmp(a).reverse(), "{a:?} vs {b:?}");
+            }
+        }
+        vals.sort_by(Value::strict_cmp);
+        for (i, a) in vals.iter().enumerate() {
+            assert!(vals[i..].iter().all(|b| a.strict_cmp(b).is_le()), "{a:?}");
+        }
+        assert_eq!(Value::Int(1).strict_cmp(&Value::float(1.0)), Ordering::Less);
+        let l = |x: Value| Value::list(vec![Value::Int(1), x]);
+        assert_eq!(
+            l(Value::float(0.0)).strict_cmp(&l(Value::Int(0))),
+            Ordering::Greater
+        );
     }
 
     #[test]

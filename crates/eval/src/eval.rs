@@ -27,10 +27,12 @@
 //!   key vertices its left side binds — `out_edges` / `in_edges` /
 //!   `vertex()` — whenever a safe upper bound on what that reads stays
 //!   below the extent (`expand.rs` says how it decides, with no knob);
-//! * γ holds one accumulator per group: a count, an exact sum, the
-//!   current extremum. Only `collect` and the `DISTINCT` aggregates keep
-//!   their group's values. Its keys and arguments are one more π of the
-//!   chain below, and a row probes its group once;
+//! * γ holds one [`GroupState`] per group, the state the dataflow
+//!   network maintains: a count, an exact sum, and for `min` / `max` /
+//!   `collect` and the `DISTINCT` aggregates a multiset of the group's
+//!   values, where a read, which never deletes, keeps just the extremum
+//!   for `min` / `max`. Its keys and arguments are one more π of the chain
+//!   below, and a row probes its group once;
 //! * δ holds its seen-set, ⋈* its left input grouped by source, and ⨝ⁿ
 //!   one index per input after the first, which streams through them;
 //! * the root: [`evaluate`] collects the bag, [`evaluate_consolidated`]
@@ -56,7 +58,8 @@
 use std::cell::Cell;
 use std::cmp::Ordering;
 
-use pgq_algebra::expr::{AggCall, AggFunc, ScalarExpr};
+use pgq_algebra::agg::GroupState;
+use pgq_algebra::expr::{AggCall, ScalarExpr};
 use pgq_algebra::fra::Fra;
 use pgq_algebra::program::{Emit, Scratch, TupleProgram};
 use pgq_algebra::CompiledQuery;
@@ -730,11 +733,12 @@ impl<'g> Pipelines<'g> {
         out(row, 1);
     }
 
-    /// γ: one accumulator set per group, a row per group at the end. The
-    /// group key and the aggregates' arguments are one π on top of the
-    /// σ/π/ω chain below (the plan under the chain is not copied), so a
-    /// row runs one [`TupleProgram`], which copies a column rather than
-    /// evaluating it. Each row then probes its group once.
+    /// γ: one [`GroupState`] per group — the dataflow network's — and a
+    /// row per group that has one at the end. The group key and the
+    /// aggregates' arguments are one π on top of the σ/π/ω chain below
+    /// (the plan under the chain is not copied), so a row runs one
+    /// [`TupleProgram`], which copies a column rather than evaluating
+    /// it. Each row then probes its group once.
     fn aggregate(
         &self,
         input: &Fra,
@@ -751,37 +755,34 @@ impl<'g> Pipelines<'g> {
             items: group.iter().cloned().chain(args).collect(),
         };
         let (program, _) = TupleProgram::compile(&pi).expect("a π");
-        let mut groups: FxHashMap<Tuple, Group> = FxHashMap::default();
+        let calls = || aggs.iter().map(|(call, _)| call);
+        let global = group.is_empty();
+        let mut groups: FxHashMap<Tuple, GroupState> = FxHashMap::default();
+        if global {
+            groups.insert(Tuple::unit(), GroupState::insert_only(calls()));
+        }
         let mut fold = |row: &[Value], m| {
             let (key, args) = row.split_at(group.len());
             match groups.get_mut(key) {
-                Some(acc) => acc.add(aggs, args, m),
+                Some(state) => state.add(args, m),
                 None => {
-                    let mut acc = Group::new(aggs);
-                    acc.add(aggs, args, m);
-                    groups.insert(Tuple::from_slice(key), acc);
+                    let mut state = GroupState::insert_only(calls());
+                    state.add(args, m);
+                    groups.insert(Tuple::from_slice(key), state);
                 }
             }
         };
         run_program(&program, &mut fold, |through| {
             self.feed(input, below, through)
         });
-        if group.is_empty() && groups.is_empty() {
-            groups.insert(Tuple::unit(), Group::new(aggs));
-        }
         let mut row = Vec::new();
-        for (key, acc) in groups {
-            if acc.rows <= 0 && !group.is_empty() {
+        for (key, state) in &groups {
+            let Some(values) = state.row(global) else {
                 continue;
-            }
+            };
             row.clear();
             row.extend_from_slice(key.values());
-            let rows = acc.rows;
-            row.extend(
-                aggs.iter()
-                    .zip(acc.accs)
-                    .map(|((call, _), a)| a.finish(call, rows)),
-            );
+            row.extend(values);
             out(&row, 1);
         }
     }
@@ -898,146 +899,6 @@ impl Step {
             .iter()
             .enumerate()
             .all(|(c, &f)| t[f] == t[c])
-    }
-}
-
-/// One γ group's state.
-struct Group {
-    rows: i64,
-    accs: Vec<Acc>,
-}
-
-impl Group {
-    fn new(aggs: &[(AggCall, String)]) -> Group {
-        Group {
-            rows: 0,
-            accs: aggs.iter().map(|(call, _)| Acc::new(call)).collect(),
-        }
-    }
-
-    /// Fold in a row's `args`, one per call of `aggs` that takes one, `m`
-    /// times.
-    fn add(&mut self, aggs: &[(AggCall, String)], args: &[Value], m: i64) {
-        self.rows += m;
-        let mut args = args.iter();
-        for ((call, _), acc) in aggs.iter().zip(&mut self.accs) {
-            if call.arg.is_some() {
-                acc.add(args.next().expect("an argument per call"), m);
-            }
-        }
-    }
-}
-
-/// One aggregate's accumulator. Every aggregate but `collect` and the
-/// `DISTINCT` ones folds its values as they arrive.
-enum Acc {
-    /// `count(*)`: the group's row count is the answer.
-    Rows,
-    /// `count(x)`: non-null values.
-    Count(i64),
-    /// `sum(x)` / `avg(x)`.
-    Num(Num),
-    /// `min(x)` (`max` when the flag is set): the extremum so far.
-    Extreme(Option<Value>, bool),
-    /// `collect(x)` and every `DISTINCT` aggregate: the values.
-    Values(Vec<Value>),
-}
-
-impl Acc {
-    fn new(call: &AggCall) -> Acc {
-        match call.func {
-            AggFunc::CountStar => Acc::Rows,
-            _ if call.distinct => Acc::Values(Vec::new()),
-            AggFunc::Count => Acc::Count(0),
-            AggFunc::Sum | AggFunc::Avg => Acc::Num(Num::default()),
-            AggFunc::Min => Acc::Extreme(None, false),
-            AggFunc::Max => Acc::Extreme(None, true),
-            AggFunc::Collect => Acc::Values(Vec::new()),
-        }
-    }
-
-    /// Fold in `v`, `m` times (a `null` counts for nothing).
-    fn add(&mut self, v: &Value, m: i64) {
-        if v.is_null() || m <= 0 {
-            return;
-        }
-        match self {
-            Acc::Rows => {}
-            Acc::Count(n) => *n += m,
-            Acc::Num(num) => num.add(v, m),
-            Acc::Extreme(best, max) => {
-                // `min` keeps the first of equal values, `max` the last.
-                let replace = best.as_ref().is_none_or(|b| match v.total_cmp(b) {
-                    Ordering::Less => !*max,
-                    _ => *max,
-                });
-                if replace {
-                    *best = Some(v.clone());
-                }
-            }
-            Acc::Values(vals) => vals.extend(std::iter::repeat_n(v.clone(), m as usize)),
-        }
-    }
-
-    fn finish(self, call: &AggCall, rows: i64) -> Value {
-        match self {
-            Acc::Rows => Value::Int(rows),
-            Acc::Count(n) => Value::Int(n),
-            Acc::Num(num) => num.finish(call.func),
-            Acc::Extreme(best, _) => best.unwrap_or(Value::Null),
-            Acc::Values(mut vals) => {
-                vals.sort_by(Value::total_cmp);
-                if call.distinct {
-                    vals.dedup();
-                }
-                match call.func {
-                    AggFunc::Count => Value::Int(vals.len() as i64),
-                    AggFunc::Sum | AggFunc::Avg => {
-                        let mut num = Num::default();
-                        vals.iter().for_each(|v| num.add(v, 1));
-                        num.finish(call.func)
-                    }
-                    AggFunc::Min => vals.first().cloned().unwrap_or(Value::Null),
-                    AggFunc::Max => vals.last().cloned().unwrap_or(Value::Null),
-                    AggFunc::Collect | AggFunc::CountStar => Value::list(vals),
-                }
-            }
-        }
-    }
-}
-
-/// A running `sum`/`avg`: integers add exactly, floats in arrival order.
-#[derive(Default)]
-struct Num {
-    ints: i128,
-    floats: f64,
-    any_float: bool,
-    n: i64,
-}
-
-impl Num {
-    fn add(&mut self, v: &Value, m: i64) {
-        match v {
-            Value::Int(i) => self.ints += i128::from(*i) * i128::from(m),
-            Value::Float(f) => {
-                for _ in 0..m {
-                    self.floats += f.get();
-                }
-                self.any_float = true;
-            }
-            _ => return,
-        }
-        self.n += m;
-    }
-
-    /// The sum (`null` for an integer sum outside `i64`) or the average.
-    fn finish(&self, func: AggFunc) -> Value {
-        match func {
-            AggFunc::Avg if self.n == 0 => Value::Null,
-            AggFunc::Avg => Value::float((self.ints as f64 + self.floats) / self.n as f64),
-            _ if self.any_float => Value::float(self.ints as f64 + self.floats),
-            _ => i64::try_from(self.ints).map_or(Value::Null, Value::Int),
-        }
     }
 }
 

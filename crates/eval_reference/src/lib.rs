@@ -478,10 +478,13 @@ fn aggregate_bag(input: Bag, group: &[(ScalarExpr, String)], aggs: &[(AggCall, S
     out
 }
 
+/// One aggregate over the group's argument values `raw`. Values order
+/// by [`Value::strict_cmp`] (an integer before an equal float), so a
+/// `DISTINCT` aggregate keeps one of each value `==` tells apart.
 fn finish_agg(call: &AggCall, rows: i64, mut raw: Vec<Value>) -> Value {
     raw.retain(|v| !v.is_null());
     if call.distinct {
-        raw.sort_by(Value::total_cmp);
+        raw.sort_by(Value::strict_cmp);
         raw.dedup();
     }
     match call.func {
@@ -513,16 +516,16 @@ fn finish_agg(call: &AggCall, rows: i64, mut raw: Vec<Value>) -> Value {
         }
         AggFunc::Min => raw
             .iter()
-            .min_by(|a, b| a.total_cmp(b))
+            .min_by(|a, b| a.strict_cmp(b))
             .cloned()
             .unwrap_or(Value::Null),
         AggFunc::Max => raw
             .iter()
-            .max_by(|a, b| a.total_cmp(b))
+            .max_by(|a, b| a.strict_cmp(b))
             .cloned()
             .unwrap_or(Value::Null),
         AggFunc::Collect => {
-            raw.sort_by(Value::total_cmp);
+            raw.sort_by(Value::strict_cmp);
             Value::list(raw)
         }
     }

@@ -1,17 +1,15 @@
-//! Incremental grouping aggregation — the paper lists aggregation as
-//! future work; this is the "extension" implementation.
+//! γ node — the paper lists aggregation as future work; this is the
+//! engine's extension.
 //!
-//! All aggregates here are *self-maintainable under deletions*: `count`
-//! and `sum` keep invertible accumulators (an integer sum is exact, in
-//! `i128`, and reads `null` while it lies outside `i64`);
-//! `min`/`max`/`collect` (and all `DISTINCT` variants) keep support
-//! multisets so a deleted extremum exposes the runner-up without
-//! rescanning (the standard counting fix for non-distributive
-//! aggregates).
+//! The per-group state and what a group reads are
+//! [`pgq_algebra::agg::GroupState`], shared with the one-shot evaluator;
+//! every state there is self-maintainable under deletions. This file is
+//! only the operator: it files each input row under its group, then
+//! retracts the row it last emitted for each group the delta touched and
+//! asserts the new one, and replays the emitted rows for a new reader.
 
-use std::collections::BTreeMap;
-
-use pgq_algebra::expr::{AggCall, AggFunc, ScalarExpr};
+use pgq_algebra::agg::GroupState;
+use pgq_algebra::expr::{AggCall, ScalarExpr};
 use pgq_common::fxhash::{FxHashMap, FxHashSet};
 use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
@@ -23,209 +21,63 @@ use crate::delta::{Delta, Row, RowSink};
 pub(crate) struct AggregateOp {
     group: Vec<ScalarExpr>,
     aggs: Vec<AggCall>,
-    groups: FxHashMap<Tuple, GroupState>,
-    last_output: FxHashMap<Tuple, Tuple>,
+    groups: FxHashMap<Tuple, Group>,
+    /// One row's argument values, reused.
+    args: Vec<Value>,
     /// Global aggregation (no GROUP BY) always exposes exactly one row,
     /// even over an empty input (`count(*) = 0`).
     global: bool,
     started: bool,
 }
 
+/// One group: its state and the row last emitted for it.
 #[derive(Clone, Debug)]
-struct GroupState {
-    rows: i64,
-    states: Vec<AggState>,
+struct Group {
+    state: GroupState,
+    emitted: Option<Tuple>,
 }
 
-#[derive(Clone, Debug)]
-enum AggState {
-    Counter(i64),
-    Num {
-        int_sum: i128,
-        float_sum: f64,
-        float_n: i64,
-        n: i64,
-    },
-    Multiset(BTreeMap<OrdValue, i64>),
-}
-
-/// `Value` wrapper ordered by [`Value::total_cmp`], so multisets have a
-/// deterministic key order (min = first, max = last).
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct OrdValue(Value);
-
-impl PartialOrd for OrdValue {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdValue {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-impl GroupState {
-    fn fresh(aggs: &[AggCall]) -> GroupState {
-        GroupState {
-            rows: 0,
-            states: aggs.iter().map(fresh_state).collect(),
+impl Group {
+    fn new(aggs: &[AggCall]) -> Group {
+        Group {
+            state: GroupState::new(aggs),
+            emitted: None,
         }
     }
 
-    /// Add input row `t` with signed multiplicity `m`.
-    fn absorb(&mut self, aggs: &[AggCall], t: &Tuple, m: i64) {
-        self.rows += m;
-        for (call, state) in aggs.iter().zip(self.states.iter_mut()) {
-            let value = call.arg.as_ref().map(|e| e.eval(t).unwrap_or(Value::Null));
-            update_state(state, call, value.as_ref(), m);
-        }
+    /// Add `t`, `m` times, its argument values evaluated into `args`.
+    #[inline]
+    fn absorb(&mut self, aggs: &[AggCall], args: &mut Vec<Value>, t: &Tuple, m: i64) {
+        args.clear();
+        args.extend(
+            aggs.iter()
+                .filter_map(|call| call.arg.as_ref())
+                .map(|e| e.eval(t).unwrap_or(Value::Null)),
+        );
+        self.state.add(args, m);
     }
-}
 
-fn fresh_state(call: &AggCall) -> AggState {
-    if call.distinct {
-        return AggState::Multiset(BTreeMap::new());
+    /// Emit the change of this group's row (under `key`) since it was
+    /// last emitted; `false` when the group has no row left.
+    fn flush(&mut self, key: &Tuple, global: bool, out: &mut (impl RowSink + ?Sized)) -> bool {
+        let row = self.state.row(global).map(|values| {
+            key.values()
+                .iter()
+                .cloned()
+                .chain(values)
+                .collect::<Tuple>()
+        });
+        if row != self.emitted {
+            if let Some(old) = &self.emitted {
+                out.push_row(Row::Held(old), -1);
+            }
+            if let Some(new) = &row {
+                out.push_row(Row::Held(new), 1);
+            }
+            self.emitted = row;
+        }
+        self.emitted.is_some()
     }
-    match call.func {
-        AggFunc::Count | AggFunc::CountStar => AggState::Counter(0),
-        AggFunc::Sum | AggFunc::Avg => AggState::Num {
-            int_sum: 0,
-            float_sum: 0.0,
-            float_n: 0,
-            n: 0,
-        },
-        AggFunc::Min | AggFunc::Max | AggFunc::Collect => AggState::Multiset(BTreeMap::new()),
-    }
-}
-
-fn update_state(state: &mut AggState, call: &AggCall, value: Option<&Value>, mult: i64) {
-    match state {
-        AggState::Counter(c) => match call.func {
-            AggFunc::CountStar => *c += mult,
-            _ => {
-                if value.is_some_and(|v| !v.is_null()) {
-                    *c += mult;
-                }
-            }
-        },
-        AggState::Num {
-            int_sum,
-            float_sum,
-            float_n,
-            n,
-        } => match value {
-            Some(Value::Int(i)) => {
-                // Wrapping keeps the accumulator a group: every insert
-                // is undone by its delete.
-                *int_sum = int_sum.wrapping_add(i128::from(*i) * i128::from(mult));
-                *n += mult;
-            }
-            Some(Value::Float(f)) => {
-                *float_sum += f.get() * mult as f64;
-                *float_n += mult;
-                *n += mult;
-            }
-            _ => {}
-        },
-        AggState::Multiset(set) => {
-            let Some(v) = value else { return };
-            if v.is_null() {
-                return;
-            }
-            let e = set.entry(OrdValue(v.clone())).or_insert(0);
-            *e += mult;
-            if *e == 0 {
-                set.remove(&OrdValue(v.clone()));
-            }
-        }
-    }
-}
-
-fn read_state(state: &AggState, call: &AggCall) -> Value {
-    match (state, call.func, call.distinct) {
-        (AggState::Counter(c), _, _) => Value::Int(*c),
-        (AggState::Multiset(s), AggFunc::Count | AggFunc::CountStar, true) => {
-            Value::Int(s.len() as i64)
-        }
-        (AggState::Num { n: 0, .. }, AggFunc::Sum, _) => Value::Int(0),
-        (
-            AggState::Num {
-                int_sum,
-                float_sum,
-                float_n,
-                ..
-            },
-            AggFunc::Sum,
-            _,
-        ) => {
-            if *float_n > 0 {
-                Value::float(*int_sum as f64 + float_sum)
-            } else {
-                exact(*int_sum)
-            }
-        }
-        (AggState::Num { n: 0, .. }, AggFunc::Avg, _) => Value::Null,
-        (
-            AggState::Num {
-                int_sum,
-                float_sum,
-                n,
-                ..
-            },
-            AggFunc::Avg,
-            _,
-        ) => Value::float((*int_sum as f64 + float_sum) / *n as f64),
-        (AggState::Multiset(s), func @ (AggFunc::Sum | AggFunc::Avg), _) => {
-            let mut int_sum = 0i128;
-            let mut float_sum = 0.0f64;
-            let mut floats = false;
-            let mut n = 0i64;
-            for v in s.keys() {
-                match &v.0 {
-                    Value::Int(i) => int_sum += i128::from(*i),
-                    Value::Float(f) => {
-                        float_sum += f.get();
-                        floats = true;
-                    }
-                    _ => continue,
-                }
-                n += 1;
-            }
-            match func {
-                AggFunc::Avg if n == 0 => Value::Null,
-                AggFunc::Avg => Value::float((int_sum as f64 + float_sum) / n as f64),
-                _ if floats => Value::float(int_sum as f64 + float_sum),
-                _ => exact(int_sum),
-            }
-        }
-        (AggState::Multiset(s), AggFunc::Min, _) => {
-            s.keys().next().map(|v| v.0.clone()).unwrap_or(Value::Null)
-        }
-        (AggState::Multiset(s), AggFunc::Max, _) => s
-            .keys()
-            .next_back()
-            .map(|v| v.0.clone())
-            .unwrap_or(Value::Null),
-        (AggState::Multiset(s), AggFunc::Collect, distinct) => {
-            let mut items = Vec::new();
-            for (v, c) in s.iter() {
-                let reps = if distinct { 1 } else { (*c).max(0) as usize };
-                for _ in 0..reps {
-                    items.push(v.0.clone());
-                }
-            }
-            Value::list(items)
-        }
-        // Impossible combinations kept total for robustness.
-        (AggState::Multiset(_), AggFunc::Count | AggFunc::CountStar, false) => Value::Null,
-        (AggState::Num { .. }, _, _) => Value::Null,
-    }
-}
-
-/// An exact integer sum as a value: `null` outside `i64`.
-fn exact(sum: i128) -> Value {
-    i64::try_from(sum).map_or(Value::Null, Value::Int)
 }
 
 impl AggregateOp {
@@ -236,7 +88,7 @@ impl AggregateOp {
             group,
             aggs,
             groups: FxHashMap::default(),
-            last_output: FxHashMap::default(),
+            args: Vec::new(),
             global,
             started: false,
         }
@@ -252,74 +104,47 @@ impl AggregateOp {
     /// in the multiplicity, so `input` need not be consolidated.
     pub(crate) fn apply(&mut self, input: &Delta, out: &mut (impl RowSink + ?Sized)) {
         let first = !std::mem::replace(&mut self.started, true);
-        if self.global {
+        let Self {
+            group: keys,
+            aggs,
+            groups,
+            args,
+            global,
+            ..
+        } = self;
+        if *global {
             // One group, keyed by the unit tuple: no key is built per
             // row and one flag replaces the dirty set.
             if input.is_empty() && !first {
                 return;
             }
-            let aggs = &self.aggs;
-            let state = self
-                .groups
-                .entry(Tuple::unit())
-                .or_insert_with(|| GroupState::fresh(aggs));
+            let key = Tuple::unit();
+            let group = groups
+                .entry(key.clone())
+                .or_insert_with(|| Group::new(aggs));
             for (t, m) in input.iter() {
-                state.absorb(aggs, t, *m);
+                group.absorb(aggs, args, t, *m);
             }
-            self.flush_group(Tuple::unit(), out);
+            group.flush(&key, true, out);
             return;
         }
 
         let mut dirty: FxHashSet<Tuple> = FxHashSet::default();
         for (t, m) in input.iter() {
-            let key: Tuple = self
-                .group
+            let key: Tuple = keys
                 .iter()
                 .map(|e| e.eval(t).unwrap_or(Value::Null))
                 .collect();
-            let aggs = &self.aggs;
-            self.groups
+            groups
                 .entry(key.clone())
-                .or_insert_with(|| GroupState::fresh(aggs))
-                .absorb(aggs, t, *m);
+                .or_insert_with(|| Group::new(aggs))
+                .absorb(aggs, args, t, *m);
             dirty.insert(key);
         }
         for key in dirty {
-            self.flush_group(key, out);
-        }
-    }
-
-    /// Emit the change of group `key`'s output row since it was last
-    /// emitted, dropping the state of a keyed group that ran empty.
-    fn flush_group(&mut self, key: Tuple, out: &mut (impl RowSink + ?Sized)) {
-        let new_output = match self.groups.get(&key) {
-            Some(gs) if gs.rows > 0 || self.global => {
-                let mut vals: Vec<Value> = key.values().to_vec();
-                for (call, state) in self.aggs.iter().zip(gs.states.iter()) {
-                    vals.push(read_state(state, call));
-                }
-                Some(Tuple::new(vals))
-            }
-            Some(_) => {
-                self.groups.remove(&key);
-                None
-            }
-            None => None,
-        };
-        let old_output = self.last_output.get(&key);
-        if old_output == new_output.as_ref() {
-            return;
-        }
-        if let Some(o) = old_output {
-            out.push_row(Row::Held(o), -1);
-        }
-        match new_output {
-            Some(n) => {
-                out.push_row(Row::Held(&n), 1);
-                self.last_output.insert(key, n);
-            }
-            None => {
-                self.last_output.remove(&key);
+            let group = groups.get_mut(&key).expect("a dirty group is filed");
+            if !group.flush(&key, false, out) {
+                groups.remove(&key);
             }
         }
     }
@@ -327,7 +152,7 @@ impl AggregateOp {
     /// Reconstruct the full current output bag (one row per live
     /// group) into `out`.
     pub(crate) fn replay_into(&self, out: &mut dyn RowSink) {
-        for row in self.last_output.values() {
+        for row in self.groups.values().filter_map(|g| g.emitted.as_ref()) {
             out.push_row(Row::Held(row), 1);
         }
     }
@@ -336,6 +161,7 @@ impl AggregateOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgq_algebra::expr::AggFunc;
 
     /// One network step: `apply` on the consolidated input, as the
     /// network feeds it.

@@ -1,14 +1,55 @@
 //! Rendering the AST back to Cypher text (used by EXPLAIN output and by
-//! [`crate::ast::ReturnItem::name`] for implicit column names).
+//! [`crate::ast::ReturnItem::name`] for implicit column names), and
+//! [`render_lit`], the one literal renderer: the algebra's EXPLAIN writes
+//! its literals through it too.
 
 use std::fmt;
 
+use pgq_common::value::Value;
+
 use crate::ast::*;
+
+/// A literal as the lexer reads it back: a string quoted with its
+/// escapes (`'a\nb'`), so a rendered expression is one line.
+pub fn render_lit(v: &Value) -> String {
+    match v {
+        Value::Str(s) => {
+            let mut out = String::from("'");
+            for c in s.chars() {
+                match c {
+                    '\n' => out.push_str("\\n"),
+                    '\t' => out.push_str("\\t"),
+                    '\r' => out.push_str("\\r"),
+                    '\\' | '\'' => {
+                        out.push('\\');
+                        out.push(c);
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('\'');
+            out
+        }
+        Value::List(items) => format!(
+            "[{}]",
+            items.iter().map(render_lit).collect::<Vec<_>>().join(", ")
+        ),
+        Value::Map(entries) => format!(
+            "{{{}}}",
+            entries
+                .iter()
+                .map(|(k, v)| format!("{k}: {}", render_lit(v)))
+                .collect::<Vec<_>>()
+                .join(", ")
+        ),
+        v => v.to_string(),
+    }
+}
 
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Expr::Literal(v) => write!(f, "{v}"),
+            Expr::Literal(v) => f.write_str(&render_lit(v)),
             Expr::Variable(name) => write!(f, "{name}"),
             Expr::Property(base, key) => write!(f, "{base}.{key}"),
             Expr::Binary(op, l, r) => write!(f, "({l} {op} {r})"),

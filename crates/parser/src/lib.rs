@@ -38,6 +38,7 @@ pub mod shape;
 pub mod token;
 
 pub use ast::*;
+pub use display::render_lit;
 pub use error::ParseError;
 pub use parser::{parse_query, parse_script, parse_tokens};
 pub use shape::Shape;

@@ -75,10 +75,28 @@ const QUERIES: &[&str] = &[
     // A two-label ©: the `Post` extent holds the vertices the script's
     // `ToggleLabel` has not given `Comm`, which the scan must still drop.
     TWO_LABELS,
+    // Every aggregate, with and without `DISTINCT`, over `lang`, ids and
+    // the numeric `x`, whose `1` / `1.0` and `0` / `-0.0` are two values
+    // each: the views maintain them under deletes and retags.
+    ALL_AGGREGATES_BY_LANG,
+    ALL_AGGREGATES,
     // The one query here the planner changes: it carries the σ below the
     // ⋈*, so the planned and the syntactic twin run different networks.
     "MATCH t = (p:Post)-[:REPLY*]->(c:Comm) WHERE p.lang = 'en' RETURN p, t",
 ];
+
+/// Every aggregate without `DISTINCT` but `count`, grouped.
+const ALL_AGGREGATES_BY_LANG: &str =
+    "MATCH (p:Post)-[:REPLY]->(c) RETURN p.lang AS lang, sum(id(c)) AS s, avg(id(c)) AS a, \
+     min(id(c)) AS lo, max(c.lang) AS hi, collect(c.lang) AS langs, count(DISTINCT c.lang) AS n, \
+     sum(c.x) AS sx, min(c.x) AS lx, max(c.x) AS hx, collect(c.x) AS xs, count(DISTINCT c.x) AS nx";
+
+/// `sum`, `avg` and `collect` with `DISTINCT`, the rest without, in one
+/// global group.
+const ALL_AGGREGATES: &str =
+    "MATCH (c:Comm) RETURN sum(DISTINCT id(c) % 3) AS s, avg(DISTINCT id(c) * 0.5) AS a, \
+     min(c.lang) AS lo, max(id(c)) AS hi, collect(DISTINCT c.lang) AS langs, count(c.lang) AS n, \
+     avg(c.x) AS ax, sum(DISTINCT c.x) AS sx, collect(DISTINCT c.x) AS xs, count(DISTINCT c.x) AS nx";
 
 /// A two-label © under a σ and a γ.
 const TWO_LABELS: &str =
@@ -105,6 +123,14 @@ const RENAMED_QUERIES: &[&str] = &[
     "MATCH (q:Post) WHERE exists((q)-[:REPLY]->(:Comm {lang: 'en'})) RETURN q",
     "MATCH (q:Post)-[:REPLY]->(d) RETURN q, d.lang",
     "MATCH (q:Post:Comm) WHERE q.lang <> 'en' RETURN q.lang AS language, count(*) AS total",
+    "MATCH (q:Post)-[:REPLY]->(d) RETURN q.lang AS language, sum(id(d)) AS total, \
+     avg(id(d)) AS mean, min(id(d)) AS least, max(d.lang) AS most, collect(d.lang) AS all, \
+     count(DISTINCT d.lang) AS kinds, sum(d.x) AS xtotal, min(d.x) AS xleast, \
+     max(d.x) AS xmost, collect(d.x) AS xall, count(DISTINCT d.x) AS xkinds",
+    "MATCH (d:Comm) RETURN sum(DISTINCT id(d) % 3) AS total, avg(DISTINCT id(d) * 0.5) AS mean, \
+     min(d.lang) AS least, max(id(d)) AS most, collect(DISTINCT d.lang) AS all, \
+     count(d.lang) AS kinds, avg(d.x) AS xmean, sum(DISTINCT d.x) AS xtotal, \
+     collect(DISTINCT d.x) AS xall, count(DISTINCT d.x) AS xkinds",
     "MATCH u = (q:Post)-[:REPLY*]->(d:Comm) WHERE q.lang = 'en' RETURN q, u",
 ];
 
@@ -171,6 +197,24 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 
 const LANGS: &[&str] = &["en", "de", "fr", "hu", "nl"];
 
+/// The numeric `x` a step gives a vertex with `LANGS[lang]`: `1` and
+/// `1.0`, `0` and `-0.0` are equal under `=` but two values to `==`,
+/// `DISTINCT` and grouping.
+fn x_of(lang: usize) -> Value {
+    match lang {
+        0 => Value::Int(1),
+        1 => Value::float(1.0),
+        2 => Value::Int(0),
+        3 => Value::float(-0.0),
+        _ => Value::Int(2),
+    }
+}
+
+/// The properties a step gives a vertex: its `lang` and its `x`.
+fn lang_props(lang: usize) -> Properties {
+    Properties::from_iter([("lang", Value::str(LANGS[lang])), ("x", x_of(lang))])
+}
+
 fn apply_step(g: &mut PropertyGraph, step: &Step) -> Vec<pgq_graph::delta::ChangeEvent> {
     let tx = step_transaction(g, step);
     g.apply(&tx).expect("generated step applies")
@@ -192,17 +236,11 @@ fn step_transaction(g: &PropertyGraph, step: &Step) -> Transaction {
     let mut tx = Transaction::new();
     match step {
         Step::AddPost { lang } => {
-            tx.create_vertex(
-                [s("Post")],
-                Properties::from_iter([("lang", Value::str(LANGS[*lang]))]),
-            );
+            tx.create_vertex([s("Post")], lang_props(*lang));
         }
         Step::AddComment { parent, lang } if !vertices.is_empty() => {
             let p = vertices[parent % vertices.len()];
-            let c = tx.create_vertex(
-                [s("Comm")],
-                Properties::from_iter([("lang", Value::str(LANGS[*lang]))]),
-            );
+            let c = tx.create_vertex([s("Comm")], lang_props(*lang));
             tx.create_edge(p, c, s("REPLY"), Properties::new());
         }
         Step::AddReply { from, to } if !vertices.is_empty() => {
@@ -217,11 +255,9 @@ fn step_transaction(g: &PropertyGraph, step: &Step) -> Transaction {
             tx.delete_edge(edges[pick % edges.len()]);
         }
         Step::Retag { pick, lang } if !vertices.is_empty() => {
-            tx.set_vertex_prop(
-                vertices[pick % vertices.len()],
-                s("lang"),
-                Value::str(LANGS[*lang]),
-            );
+            let v = vertices[pick % vertices.len()];
+            tx.set_vertex_prop(v, s("lang"), Value::str(LANGS[*lang]));
+            tx.set_vertex_prop(v, s("x"), x_of(*lang));
         }
         Step::ToggleLabel { pick } if !vertices.is_empty() => {
             let v = vertices[pick % vertices.len()];
@@ -1644,16 +1680,12 @@ fn folded_property_scans_follow_property_label_and_delete_churn() {
 // order.
 
 /// Reads beyond the view oracle's: the `REPLY` motifs and a directed
-/// 3-path count, and every aggregate with and without `DISTINCT`.
+/// 3-path count (every aggregate is in [`QUERIES`]).
 const ONE_SHOT_QUERIES: &[&str] = &[
     REPLY_TRIANGLES,
     REPLY_TRANSITIVE,
     "MATCH (a)-[:REPLY]->(b)-[:REPLY]->(c)-[:REPLY]->(d)-[:REPLY]->(a) RETURN a, b, c, d",
     "MATCH (a)-[:REPLY]->(b)-[:REPLY]->(c)-[:REPLY]->(d) RETURN count(*) AS paths",
-    "MATCH (p:Post)-[:REPLY]->(c) RETURN p.lang AS lang, sum(id(c)) AS s, avg(id(c)) AS a, \
-     min(id(c)) AS lo, max(c.lang) AS hi, collect(c.lang) AS langs, count(DISTINCT c.lang) AS n",
-    "MATCH (c:Comm) RETURN sum(DISTINCT id(c) % 3) AS s, avg(DISTINCT id(c) * 0.5) AS a, \
-     min(c.lang) AS lo, max(id(c)) AS hi, collect(DISTINCT c.lang) AS langs, count(c.lang) AS n",
     "MATCH (a)-[:REPLY]->(b) RETURN DISTINCT a.lang AS lang",
 ];
 

@@ -161,12 +161,47 @@ fn explain_renders_three_stages() {
 
 /// A string literal holding an escaped newline renders escaped, so the
 /// one-shot plan keeps one line per operator and its seek mark on the σ.
+/// The operator lines of each EXPLAIN stage, by its `== ` header: all
+/// its non-empty lines, but in stage 4 only those with an estimate.
+fn stage_ops(text: &str) -> Vec<(&str, Vec<&str>)> {
+    text.split("== ")
+        .skip(1)
+        .filter(|s| !s.starts_with("Maintainability"))
+        .map(|s| {
+            let mut lines = s.lines().filter(|l| !l.is_empty());
+            let header = lines.next().unwrap_or_default();
+            let ops = lines
+                .filter(|l| !header.starts_with("Stage 4") || l.ends_with(" rows"))
+                .collect();
+            (header, ops)
+        })
+        .collect()
+}
+
 #[test]
 fn explain_escapes_a_newline_in_a_string_literal() {
     let e = GraphEngine::new();
-    let text = e
-        .explain("MATCH (p:Person {id: 1}) WHERE p.name = 'a\\nb' RETURN p")
-        .unwrap();
+    // Operator lines in stages 1 to 4 and the one-shot plan.
+    let cases = [
+        (
+            "MATCH (p:Person {id: 1}) WHERE p.name = 'a\\nb' RETURN p",
+            [1, 1, 3, 3, 3],
+        ),
+        ("RETURN 'a\\nb'", [1, 1, 2, 2, 2]),
+    ];
+    for (query, want) in cases {
+        let text = e.explain(query).unwrap();
+        let stages = stage_ops(&text);
+        assert_eq!(stages.len(), want.len(), "{text}");
+        for ((header, ops), n) in stages.iter().zip(want) {
+            assert_eq!(ops.len(), n, "one line per operator in {header}:\n{text}");
+            assert!(
+                ops.iter().any(|l| l.contains(r"'a\nb'")),
+                "{header} writes the literal escaped:\n{text}"
+            );
+        }
+    }
+    let text = e.explain(cases[0].0).unwrap();
     let one_shot = text
         .split("== One-shot execution")
         .nth(1)
@@ -177,6 +212,63 @@ fn explain_escapes_a_newline_in_a_string_literal() {
     assert!(filter.starts_with("σ["), "{one_shot}");
     assert!(filter.contains(r"'a\nb'"), "{one_shot}");
     assert!(filter.contains("← seek Person.id"), "{one_shot}");
+}
+
+/// An integer and an equal float are two values to γ, as they are to
+/// `RETURN DISTINCT`: a view, `query` and `execute` of the same
+/// aggregates read the same row, whichever value arrives first.
+#[test]
+fn a_view_and_a_read_agree_on_an_integer_and_an_equal_float() {
+    use pgq_common::tuple::Tuple;
+    const AGGS: &str = "MATCH (p:P) RETURN count(DISTINCT p.x) AS n, collect(p.x) AS xs, \
+                        min(p.x) AS lo, max(p.x) AS hi";
+    let (one, one_f) = (Value::Int(1), Value::float(1.0));
+    let reads = |e: &mut GraphEngine| {
+        let id = e.view_by_name("v").unwrap();
+        let view: Vec<Tuple> = e
+            .view(id)
+            .unwrap()
+            .results()
+            .into_iter()
+            .map(|(t, m)| {
+                assert_eq!(m, 1);
+                t
+            })
+            .collect();
+        vec![
+            view,
+            e.query(AGGS).unwrap().rows,
+            e.execute(AGGS).unwrap().rows,
+        ]
+    };
+    for xs in [["1", "1.0", "1"], ["1.0", "1", "1"]] {
+        let mut e = GraphEngine::new();
+        e.register_view("v", AGGS).unwrap();
+        for (id, x) in xs.iter().enumerate() {
+            e.execute(&format!("CREATE (:P {{id: {id}, x: {x}}})"))
+                .unwrap();
+        }
+        let all = Tuple::new(vec![
+            Value::Int(2),
+            Value::list(vec![one.clone(), one.clone(), one_f.clone()]),
+            one.clone(),
+            one_f.clone(),
+        ]);
+        assert_eq!(reads(&mut e), vec![vec![all]; 3], "created {xs:?}");
+        let distinct = e.query("MATCH (p:P) RETURN DISTINCT p.x").unwrap().rows;
+        assert_eq!(distinct.len(), 2);
+
+        let float = xs.iter().position(|x| *x == "1.0").unwrap();
+        e.execute(&format!("MATCH (p:P) WHERE p.id <> {float} DELETE p"))
+            .unwrap();
+        let left = Tuple::new(vec![
+            Value::Int(1),
+            Value::list(vec![one_f.clone()]),
+            one_f.clone(),
+            one_f.clone(),
+        ]);
+        assert_eq!(reads(&mut e), vec![vec![left]; 3], "created {xs:?}");
+    }
 }
 
 #[test]

@@ -342,6 +342,7 @@ const COMMON: &[&str] = &[
     "value.rs: fn Value::as_str",
     "value.rs: fn Value::as_path",
     "value.rs: fn Value::total_cmp",
+    "value.rs: fn Value::strict_cmp",
     "value.rs: fn Value::compare",
     "value.rs: fn Value::cypher_eq",
     "value.rs: fn Value::add",
@@ -373,6 +374,7 @@ const PARSER: &[&str] = &[
     "ast.rs: fn Expr::free_variables",
     "ast.rs: fn Expr::is_aggregate",
     "ast.rs: fn Expr::contains_aggregate",
+    "display.rs: fn render_lit",
     "error.rs: struct ParseError",
     "error.rs: fn ParseError::render",
     "lexer.rs: fn lex",
@@ -383,6 +385,7 @@ const PARSER: &[&str] = &[
     "lib.rs: mod shape",
     "lib.rs: mod token",
     "lib.rs: use ast::*",
+    "lib.rs: use display::render_lit",
     "lib.rs: use error::ParseError",
     "lib.rs: use parser::{parse_query, parse_script, parse_tokens}",
     "lib.rs: use shape::Shape",
@@ -798,6 +801,11 @@ const WORKLOADS: &[&str] = &[
 ];
 
 const ALGEBRA: &[&str] = &[
+    "agg.rs: struct GroupState",
+    "agg.rs: fn GroupState::new",
+    "agg.rs: fn GroupState::insert_only",
+    "agg.rs: fn GroupState::add",
+    "agg.rs: fn GroupState::row",
     "canon.rs: struct CanonPlan",
     "canon.rs: fn CanonPlan::is_identity",
     "canon.rs: fn CanonPlan::with_restored_order",
@@ -826,6 +834,7 @@ const ALGEBRA: &[&str] = &[
     "gra.rs: enum PathMode",
     "gra.rs: enum VarKind",
     "gra.rs: enum Gra",
+    "lib.rs: mod agg",
     "lib.rs: mod canon",
     "lib.rs: mod expr",
     "lib.rs: mod fra",
