@@ -25,12 +25,14 @@
 //!
 //! [`PropertyGraph`] and its element records ([`store`]), [`Transaction`]
 //! and [`TxOp`] ([`tx`]), the [`ChangeEvent`] feed ([`delta`]),
-//! [`Properties`] ([`props`]), the join-key normalisation of [`index`],
+//! [`Properties`] ([`props`]), the before-image a maintenance pass reads
+//! old rows from ([`before`]), the join-key normalisation of [`index`],
 //! the cardinality catalog the planner reads and the
 //! [`stats::GraphStats`] summary the examples print ([`stats`]), and the
 //! CSV dump ([`csv`]). `tests/public_surface.rs` pins every exported
 //! name.
 
+pub mod before;
 pub mod csv;
 pub mod delta;
 pub mod index;

@@ -38,8 +38,8 @@
 use pgq_algebra::fra::Fra;
 use pgq_algebra::program::{Scratch, TupleProgram};
 use pgq_common::intern::Symbol;
+use pgq_graph::before::BeforeImage;
 use pgq_graph::delta::ChangeEvent;
-use pgq_graph::store::PropertyGraph;
 
 use super::{DataflowNetwork, SinkId};
 use crate::aggregate::AggregateOp;
@@ -141,8 +141,9 @@ impl NodeKind {
 
     /// Is this operator's full output consolidated by construction
     /// (given consolidated inputs), so re-consolidating it is wasted
-    /// hashing? Scans key their memory by the element id every tuple
-    /// carries; a ⋈ row determines the (distinct) pair that produced
+    /// hashing? A scan's row carries its element's id (and, for an
+    /// undirected ⇑, its orientation), and a pass emits at most one
+    /// retraction and one assertion per element and orientation; a ⋈ row determines the (distinct) pair that produced
     /// it, since only the right side's key columns are dropped and they
     /// equal the left's; ⋉/▷ and a σ-only program keep a subset of a
     /// consolidated bag; δ and γ emit one row per key. A program with a
@@ -156,12 +157,14 @@ impl NodeKind {
 
     /// Tuples materialised in this operator's private memories (the
     /// arrangements of its *output* are the network's; see
-    /// [`DataflowNetwork::own_tuples`]).
+    /// [`DataflowNetwork::own_tuples`]). Scans hold none.
     pub(super) fn private_tuples(&self) -> usize {
         match self {
-            NodeKind::Unit { .. } | NodeKind::Join { .. } | NodeKind::Program { .. } => 0,
-            NodeKind::Vertices(s) => s.memory_tuples(),
-            NodeKind::Edges(s) => s.memory_tuples(),
+            NodeKind::Unit { .. }
+            | NodeKind::Vertices(_)
+            | NodeKind::Edges(_)
+            | NodeKind::Join { .. }
+            | NodeKind::Program { .. } => 0,
             NodeKind::SemiJoin { op, .. } => op.memory_tuples(),
             NodeKind::VarLength { op, .. } => op.memory_tuples(),
             NodeKind::Distinct { op, .. } => op.memory_tuples(),
@@ -181,6 +184,17 @@ impl NodeKind {
         }
     }
 
+    /// Are this node's rows read off the graph when its output is
+    /// enumerated? A scan's are, and so are a ⋈*'s that admits its
+    /// destinations by label or property.
+    pub(super) fn reads_graph(&self) -> bool {
+        match self {
+            NodeKind::Vertices(_) | NodeKind::Edges(_) => true,
+            NodeKind::VarLength { op, .. } => op.reads_graph(),
+            _ => false,
+        }
+    }
+
     /// Change events this node's scans have examined since it was
     /// created (scan-bearing nodes only).
     pub(super) fn events_read(&self) -> u64 {
@@ -194,7 +208,8 @@ impl NodeKind {
 
     /// Run the operator over one pass's inputs — `child(id)` is input
     /// `id`'s delta, `arrangements` every node's indexes as of the start
-    /// of the pass, `events` what was routed here — pushing its output
+    /// of the pass, `image` the graph before and after the pass, `events`
+    /// what was routed here — pushing its output
     /// delta's rows into `out`. The one operator dispatch of the pass,
     /// inlined into `schedule`'s per-node step, its one caller; the
     /// operators stay out of line (`#[inline(never)]` where their one
@@ -204,14 +219,14 @@ impl NodeKind {
         &mut self,
         child: impl Fn(NodeId) -> &'a Delta,
         arrangements: &[Vec<Arrangement>],
-        g: &PropertyGraph,
+        image: &BeforeImage<'_>,
         events: impl IntoIterator<Item = &'e ChangeEvent> + Clone,
         out: &mut (impl RowSink + ?Sized),
     ) {
         match self {
             NodeKind::Unit { .. } => {}
-            NodeKind::Vertices(scan) => scan.on_events_into(g, events, out),
-            NodeKind::Edges(scan) => scan.on_events_into(g, events, out),
+            NodeKind::Vertices(scan) => scan.on_events_into(image, events, out),
+            NodeKind::Edges(scan) => scan.on_events_into(image, events, out),
             NodeKind::Join {
                 left,
                 right,
@@ -236,7 +251,7 @@ impl NodeKind {
                 arranged(arrangements, *left, *left_arr),
                 out,
             ),
-            NodeKind::VarLength { left, op } => op.on_events_into(g, events, child(*left), out),
+            NodeKind::VarLength { left, op } => op.on_events_into(image, events, child(*left), out),
             NodeKind::Program {
                 input,
                 program,
@@ -399,6 +414,7 @@ impl DataflowNetwork {
             }
         }
         self.release_output(id);
+        self.scan_bags.forget(id);
         self.free_nodes.push(id.0);
         debug_assert!(
             live(&self.arrangements[id.ix()]).next().is_none(),

@@ -79,6 +79,7 @@ mod schedule;
 mod sinks;
 
 pub use arena::NodeId;
+use register::ScanBags;
 pub use register::{plan_stats, RegisterOptions, RestoreStates};
 pub use sinks::{SinkId, ViewRef};
 
@@ -146,6 +147,8 @@ pub struct DataflowNetwork {
     counters: Counters,
     /// Rebuilds of the routing index and fused pairs so far.
     layout_rebuilds: u64,
+    /// Scan bags registrations enumerated since the last pass.
+    scan_bags: ScanBags,
 }
 
 impl DataflowNetwork {

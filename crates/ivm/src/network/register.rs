@@ -24,6 +24,14 @@
 //! would enumerate a node's memories again. A new join whose input is
 //! already arranged on its key set loads nothing for that side.
 //!
+//! A scan's "memories" are the graph: it keeps no rows, so its bag is
+//! enumerated from the graph, which no registration changes. That rule
+//! therefore spans registrations for scans, until the next pass: the
+//! first registration that reads a live scan's bag streams it, the
+//! second materialises it ([`ScanBags`]), and every later one before the
+//! next pass — a view family registered back to back — reads that; the
+//! next pass drops it.
+//!
 //! Registration is therefore one bottom-up pass over the *new* part of
 //! the plan: stateful operators load insert-only, stateless ones do no
 //! work, and a view whose root already feeds another view shares that
@@ -150,6 +158,9 @@ impl RestoreStates {
 /// every later consumer — and which enumerations were already streamed.
 #[derive(Default)]
 struct Bags<'s> {
+    /// The graph, which scans (and ⋈*'s destination constraints)
+    /// enumerate: registration always has it, a dump may not.
+    graph: Option<&'s PropertyGraph>,
     /// Snapshot bags, consulted first (warm registration only).
     stored: Option<&'s RestoreStates>,
     resolved: FxHashMap<NodeId, Delta>,
@@ -177,6 +188,29 @@ impl<'s> Bags<'s> {
             bag.consolidate_in_place();
         }
         self.resolved.insert(id, bag);
+    }
+}
+
+/// The scans registrations have enumerated from the graph since the last
+/// pass (module docs, "Full bags"): those streamed once, and the bags of
+/// those enumerated twice.
+#[derive(Clone, Debug, Default)]
+pub(super) struct ScanBags {
+    streamed: FxHashSet<NodeId>,
+    bags: FxHashMap<NodeId, Delta>,
+}
+
+impl ScanBags {
+    /// Forget everything: the graph has changed.
+    pub(super) fn clear(&mut self) {
+        self.streamed.clear();
+        self.bags.clear();
+    }
+
+    /// Forget `id`, whose slot was freed.
+    pub(super) fn forget(&mut self, id: NodeId) {
+        self.streamed.remove(&id);
+        self.bags.remove(&id);
     }
 }
 
@@ -325,8 +359,12 @@ impl DataflowNetwork {
         let canon = pgq_algebra::canon::canonicalize(planned);
         let plan = canon.with_restored_order();
         let sorted = options.wcoj_sorted.unwrap_or(catalog_sorted);
+        let scans = std::mem::take(&mut self.scan_bags);
         let mut bags = Bags {
+            graph: Some(g),
             stored: states,
+            resolved: scans.bags,
+            streamed: scans.streamed,
             ..Bags::default()
         };
         let root = self.instantiate(&plan, g, sorted, &mut bags);
@@ -340,6 +378,21 @@ impl DataflowNetwork {
             results
         });
         self.counters += bags.work;
+        // Keep what this registration learnt of the scans for the next
+        // one: which it streamed, and the bags of those streamed before.
+        let scan = |net: &Self, id: &NodeId| {
+            matches!(
+                net.node(*id).kind,
+                NodeKind::Vertices(_) | NodeKind::Edges(_)
+            )
+        };
+        bags.streamed.retain(|id| scan(self, id));
+        bags.resolved
+            .retain(|id, _| scan(self, id) && bags.streamed.contains(id));
+        self.scan_bags = ScanBags {
+            streamed: bags.streamed,
+            bags: bags.resolved,
+        };
         let sid = self.add_sink(name, fra.schema(), root, seed);
         // Rebuild the routing index and the fused pairs eagerly:
         // registration is already a heavyweight operation, and a
@@ -594,10 +647,16 @@ impl DataflowNetwork {
         }
     }
 
-    /// Consolidated full output bag of every live operator node, keyed
-    /// by `(fingerprint, check)` — the payload a durable snapshot
-    /// stores and [`DataflowNetwork::register_with_restore`] later
-    /// consumes in a fresh process.
+    /// Consolidated full output bag of every live operator node whose
+    /// rows come from operator state, keyed by `(fingerprint, check)` —
+    /// the payload a durable snapshot stores beside its graph and
+    /// [`DataflowNetwork::register_with_restore`] later consumes in a
+    /// fresh process. A node whose rows would be read off the graph —
+    /// a scan, a ⋈* with a destination constraint, or a σ/π/ω chain
+    /// over either, unless a view's result bag or an arrangement holds
+    /// its rows — has no entry: registration rebuilds it from the
+    /// restored graph, as it rebuilds every scan anyway.
+    /// [`DataflowNetwork::dump_states_with`] dumps every node.
     ///
     /// Every bag comes from the memoised resolver registration uses
     /// (module docs, "Full bags"), so each is materialised exactly once
@@ -615,6 +674,17 @@ impl DataflowNetwork {
     /// into [`bag_enumerations`](crate::Counters::bag_enumerations), as
     /// registration's do, but the join rows they take do not.
     pub fn dump_states(&mut self) -> RestoreStates {
+        self.dump(None)
+    }
+
+    /// [`DataflowNetwork::dump_states`] with the graph the network
+    /// maintains, `g`, from which it also enumerates the nodes whose
+    /// rows are read off the graph: one entry per live node.
+    pub fn dump_states_with(&mut self, g: &PropertyGraph) -> RestoreStates {
+        self.dump(Some(g))
+    }
+
+    fn dump(&mut self, graph: Option<&PropertyGraph>) -> RestoreStates {
         let mut live: Vec<NodeId> = (0..self.nodes.len())
             .filter(|&i| self.nodes[i].is_some())
             .map(|i| NodeId(i as u32))
@@ -623,7 +693,10 @@ impl DataflowNetwork {
         // instead of re-running the nodes below it.
         live.sort_by_key(|&id| self.depth(id));
         let mut fp_count: FxHashMap<u64, u32> = FxHashMap::default();
-        let mut bags = Bags::default();
+        let mut bags = Bags {
+            graph,
+            ..Bags::default()
+        };
         for &id in &live {
             *fp_count.entry(self.node(id).fingerprint).or_insert(0) += 1;
             self.resolve(id, &mut bags);
@@ -632,7 +705,9 @@ impl DataflowNetwork {
         for id in live {
             let node = self.node(id);
             if fp_count[&node.fingerprint] == 1 {
-                let bag = bags.resolved.remove(&id).expect("resolved above");
+                let Some(bag) = bags.resolved.remove(&id) else {
+                    continue;
+                };
                 states.insert(
                     node.fingerprint,
                     node.plan.snapshot_check().0,
@@ -646,14 +721,17 @@ impl DataflowNetwork {
 
     /// Make `bags` hold `id`'s consolidated full output bag — the
     /// memoised bag a loading δ / γ / ⋉ / ⨝ⁿ / ⋈* reads, and what a dump
-    /// stores — streamed by [`DataflowNetwork::feed`].
+    /// stores — streamed by [`DataflowNetwork::feed`]; nothing when that
+    /// needs the graph and `bags` has none.
     fn resolve(&self, id: NodeId, bags: &mut Bags<'_>) {
         if bags.resolved.contains_key(&id) {
             return;
         }
         let mut bag = Delta::new();
-        if !self.feed(id, bags, &mut bag) {
-            bag.consolidate_in_place();
+        match self.feed(id, bags, &mut bag) {
+            None => return,
+            Some(false) => bag.consolidate_in_place(),
+            Some(true) => {}
         }
         bags.resolved.insert(id, bag);
     }
@@ -663,12 +741,14 @@ impl DataflowNetwork {
     /// first place at or below `id`'s σ/π/ω program where they exist —
     /// this pass's memoised bag, the snapshot's bag, a bag maintenance
     /// keeps ([`DataflowNetwork::kept`]), else an enumeration of the
-    /// node's own memories — and run through the program on borrowed
-    /// values (`Programmed`), so a row costs an allocation only if it
-    /// survives into `out`. An enumeration goes to its first consumer of
-    /// the pass directly; a second consumer materialises it into the
-    /// memo once, and every later one reads that.
-    fn feed(&self, id: NodeId, bags: &mut Bags<'_>, out: &mut dyn RowSink) -> bool {
+    /// node's own memories (for a scan, of the graph) — and run through
+    /// the program on borrowed values (`Programmed`), so a row costs an
+    /// allocation only if it survives into `out`. An enumeration goes to
+    /// its first consumer of the pass directly; a second consumer
+    /// materialises it into the memo once, and every later one reads
+    /// that. `None`, with nothing streamed, when the enumeration reads
+    /// the graph and `bags` has none.
+    fn feed(&self, id: NodeId, bags: &mut Bags<'_>, out: &mut dyn RowSink) -> Option<bool> {
         enum Source<'a> {
             Memo,
             Kept(Rows<'a>),
@@ -696,12 +776,17 @@ impl DataflowNetwork {
                 None => break Source::Memories,
             }
         };
-        if matches!(source, Source::Memories) && !bags.streamed.insert(cur) {
-            let mut bag = Delta::new();
-            bags.work.bag_enumerations += 1;
-            bags.work += self.replay_memories(cur, &mut bag);
-            bags.keep(cur, self.node(cur).kind.output_consolidated(), bag);
-            source = Source::Memo;
+        if matches!(source, Source::Memories) {
+            if bags.graph.is_none() && self.node(cur).kind.reads_graph() {
+                return None;
+            }
+            if !bags.streamed.insert(cur) {
+                let mut bag = Delta::new();
+                bags.work.bag_enumerations += 1;
+                bags.work += self.replay_memories(cur, bags.graph, &mut bag);
+                bags.keep(cur, self.node(cur).kind.output_consolidated(), bag);
+                source = Source::Memo;
+            }
         }
         let consolidated = program.is_none_or(TupleProgram::is_filter)
             && (!matches!(source, Source::Memories) || self.node(cur).kind.output_consolidated());
@@ -723,10 +808,10 @@ impl DataflowNetwork {
             }
             Source::Memories => {
                 bags.work.bag_enumerations += 1;
-                bags.work += self.replay_memories(cur, sink);
+                bags.work += self.replay_memories(cur, bags.graph, sink);
             }
         }
-        consolidated
+        Some(consolidated)
     }
 
     /// `id`'s full output bag where maintenance already keeps it
@@ -752,8 +837,15 @@ impl DataflowNetwork {
     }
 
     /// Stream stateful node `id`'s full output bag, enumerated from its
-    /// own memories, into `out`, returning the join work that took.
-    fn replay_memories(&self, id: NodeId, out: &mut dyn RowSink) -> Counters {
+    /// own memories — a scan's from `graph`, which it needs — into
+    /// `out`, returning the join work that took.
+    fn replay_memories(
+        &self,
+        id: NodeId,
+        graph: Option<&PropertyGraph>,
+        out: &mut dyn RowSink,
+    ) -> Counters {
+        let scanned = || graph.expect("enumerating a scan needs the graph");
         let arrangements = &self.arrangements;
         let mut work = Counters::default();
         match &self.node(id).kind {
@@ -762,8 +854,8 @@ impl DataflowNetwork {
                     out.push_row(Row::Held(&Tuple::unit()), 1);
                 }
             }
-            NodeKind::Vertices(s) => s.replay_into(out),
-            NodeKind::Edges(s) => s.replay_into(out),
+            NodeKind::Vertices(s) => s.replay_into(scanned(), out),
+            NodeKind::Edges(s) => s.replay_into(scanned(), out),
             NodeKind::Join {
                 left,
                 right,
@@ -780,7 +872,7 @@ impl DataflowNetwork {
             NodeKind::SemiJoin {
                 left, left_arr, op, ..
             } => op.replay_into(arranged(arrangements, *left, *left_arr), out),
-            NodeKind::VarLength { op, .. } => op.replay_into(out),
+            NodeKind::VarLength { op, .. } => op.replay_into(graph, out),
             NodeKind::Distinct { op, .. } => op.replay_into(out),
             NodeKind::Aggregate { op, .. } => op.replay_into(out),
             NodeKind::Multiway { op, .. } => work = op.replay_into(out),

@@ -326,6 +326,7 @@ mod exactness {
     use crate::delta::Delta;
     use pgq_algebra::compile_query;
     use pgq_common::value::Value;
+    use pgq_graph::before::BeforeIndex;
     use pgq_graph::props::Properties;
     use pgq_graph::tx::Transaction;
     use pgq_parser::parse_query;
@@ -472,6 +473,8 @@ mod exactness {
             }
             let before = net.clone();
             net.on_transaction(&g, &events);
+            let mut index = BeforeIndex::new();
+            let image = index.build(&g, &events);
             for (slot, node) in before.nodes.iter().enumerate() {
                 let Some(node) = node else { continue };
                 let left = match &node.kind {
@@ -490,7 +493,7 @@ mod exactness {
                         true => net.last_output(c),
                         false => &empty,
                     };
-                    kind.run(child, &before.arrangements, &g, events, &mut out);
+                    kind.run(child, &before.arrangements, &image, events, &mut out);
                     out.consolidate_sorted()
                 };
                 assert_eq!(

@@ -13,7 +13,11 @@
 //! records each delivery's position in the pass's events, per node, in a
 //! list reused across passes, and the node's step iterates those (the
 //! whole slice when the node received every event, as in every
-//! one-event pass).
+//! one-event pass). Its old rows come from the pass's **before-image**
+//! (`pgq_graph::before`), built once, serially, from the pass's whole
+//! event slice before the first level runs, and read-only at every
+//! width; its index lives in reused tables, so a steady-state pass
+//! allocates nothing for it.
 //!
 //! # Fused pairs
 //!
@@ -60,6 +64,7 @@ use std::sync::Mutex;
 
 use pgq_common::pool::WorkerPool;
 use pgq_common::sync::lock;
+use pgq_graph::before::{BeforeImage, BeforeIndex};
 use pgq_graph::delta::ChangeEvent;
 use pgq_graph::store::PropertyGraph;
 
@@ -121,6 +126,8 @@ pub(super) struct Scheduler {
     /// Per slot, the program node it is fused with (module docs, "Fused
     /// pairs").
     fused: Vec<Option<u32>>,
+    /// The pass's before-image index (reused tables).
+    before: BeforeIndex,
 }
 
 impl Scheduler {
@@ -183,7 +190,7 @@ impl Step {
             program,
             out: &mut out,
         };
-        kind.run(child, pass.arrangements, pass.g, events, sink);
+        kind.run(child, pass.arrangements, &pass.image, events, sink);
         if self.consolidate {
             out.consolidate_in_place();
         }
@@ -213,14 +220,14 @@ impl<'a> Iterator for RoutedEvents<'a> {
 
 /// What the nodes of a level read, shared by every worker: the outputs
 /// of the levels before it, every arrangement as of the start of the
-/// pass, the graph, the transaction's events and which of them each
-/// node was routed.
+/// pass, the graph before and after the pass's events, those events and
+/// which of them each node was routed.
 struct Pass<'a> {
     generation: u64,
     outputs: &'a [Delta],
     out_gen: &'a [u64],
     arrangements: &'a [Vec<Arrangement>],
-    g: &'a PropertyGraph,
+    image: BeforeImage<'a>,
     events: &'a [ChangeEvent],
     routed: &'a [Vec<u32>],
     empty: &'a Delta,
@@ -359,6 +366,11 @@ impl DataflowNetwork {
     /// Propagate one committed transaction through the shared DAG: route
     /// events to the scans that can match them, process dirty nodes in
     /// one topological pass, and fold root deltas into sink result bags.
+    ///
+    /// `events` must be every change made to `g` since the last pass (or
+    /// registration), in order: the scans keep no copy of what they
+    /// emitted, and read each element's old row from `g` with these
+    /// events undone.
     pub fn on_transaction(&mut self, g: &PropertyGraph, events: &[ChangeEvent]) {
         self.on_transaction_with(g, events, None);
     }
@@ -387,13 +399,19 @@ impl DataflowNetwork {
         if events.is_empty() {
             return;
         }
+        // The graph has changed: scan bags enumerated before are stale.
+        self.scan_bags.clear();
         // Recycle the previous transaction's edge buffers into the pool.
         while let Some(slot) = self.sched.produced.pop() {
             let d = std::mem::take(&mut self.sched.outputs[slot as usize]);
             self.pool.put(d);
         }
         self.route_events(g, events);
-        self.propagate(g, events, workers);
+        if !self.sched.heap.is_empty() {
+            let mut before = std::mem::take(&mut self.sched.before);
+            self.propagate(before.build(g, events), workers);
+            self.sched.before = before;
+        }
         self.update_arrangements();
         let roots = self.sched.produced.iter().map(|&slot| {
             let node = self.nodes[slot as usize].as_ref().expect("live node");
@@ -425,12 +443,7 @@ impl DataflowNetwork {
     /// slot order — stamp each output (a fused pair's as its program
     /// node's), record it for the arrangement update and the sink fold,
     /// and queue the consumers of every non-empty one.
-    fn propagate(
-        &mut self,
-        g: &PropertyGraph,
-        events: &[ChangeEvent],
-        workers: Option<&WorkerPool>,
-    ) {
+    fn propagate(&mut self, image: BeforeImage<'_>, workers: Option<&WorkerPool>) {
         let generation = self.generation;
         let mut level = std::mem::take(&mut self.sched.level);
         while let Some(&Reverse((depth, _))) = self.sched.heap.peek() {
@@ -446,8 +459,8 @@ impl DataflowNetwork {
                 outputs: &self.sched.outputs,
                 out_gen: &self.sched.out_gen,
                 arrangements: &self.arrangements,
-                g,
-                events,
+                image,
+                events: image.events(),
                 routed: &self.sched.routed,
                 empty: &self.empty,
             };
@@ -672,12 +685,13 @@ mod level_tests {
             let mut out_gen = vec![0; NODES];
             out_gen.push(1);
             let (g, empty) = (PropertyGraph::new(), Delta::new());
+            let mut before = BeforeIndex::new();
             let pass = Pass {
                 generation: 1,
                 outputs: &outputs,
                 out_gen: &out_gen,
                 arrangements: &[],
-                g: &g,
+                image: before.build(&g, &[]),
                 events: &[],
                 routed: &[],
                 empty: &empty,

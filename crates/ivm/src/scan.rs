@@ -1,19 +1,22 @@
 //! Base-relation operators: the © get-vertices and ⇑ get-edges scans.
 //!
 //! Scans are the boundary between the graph's change feed and the tuple
-//! dataflow. Each scan remembers the exact tuple(s) it last emitted per
-//! element; on a change event it recomputes the element's tuple(s) against
-//! the post-state graph and emits the difference. This turns arbitrary
-//! fine-grained events (FGN: property/label updates) into minimal tuple
-//! deltas without needing a pre-state snapshot.
+//! dataflow, and they hold no state: for each element a pass's events
+//! touch, a scan assembles the element's row(s) before the pass — read
+//! from the pass's [`BeforeImage`], the post-state graph with the pass's
+//! events undone — and now, read from the graph, and emits the
+//! difference. This turns arbitrary fine-grained events (FGN:
+//! property/label updates) into minimal tuple deltas, one per changed
+//! element and orientation, so a scan's output is consolidated by
+//! construction: every row carries its element's id.
 
 use pgq_algebra::fra::PropPush;
 use pgq_common::dir::Direction;
-use pgq_common::fxhash::{FxHashMap, FxHashSet};
+use pgq_common::fxhash::FxHashSet;
 use pgq_common::ids::{EdgeId, VertexId};
 use pgq_common::intern::Symbol;
-use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
+use pgq_graph::before::{BeforeImage, EdgeView, VertexView};
 use pgq_graph::delta::ChangeEvent;
 use pgq_graph::store::PropertyGraph;
 
@@ -61,18 +64,40 @@ pub(crate) struct EdgeRouting {
     pub dst_interest: Option<VertexRouting>,
 }
 
-/// The © get-vertices scan node.
+/// The © get-vertices scan node. It keeps no copy of what it emitted: a
+/// pass diffs each touched vertex's row before the pass, read from the
+/// pass's [`BeforeImage`], against its row now, read from the graph.
 #[derive(Clone, Debug)]
 pub(crate) struct VertexScan {
     labels: Vec<Symbol>,
     props: Vec<PropPush>,
-    memory: FxHashMap<VertexId, Tuple>,
     /// Reused per-batch dedup set (cleared, not reallocated).
     touched: FxHashSet<VertexId>,
-    /// Reused row-assembly buffer.
-    scratch: Vec<Value>,
+    /// Reused row-assembly buffers: a vertex's row before the pass and
+    /// now.
+    before: Vec<Value>,
+    now: Vec<Value>,
     /// Change events examined by [`VertexScan::on_events_into`].
     events_read: u64,
+}
+
+/// `v`'s row `[v, props…]` as `data` holds it, assembled into `row`;
+/// false when `v` is absent or lacks one of `labels`.
+fn vertex_row(
+    labels: &[Symbol],
+    props: &[PropPush],
+    v: VertexId,
+    data: Option<VertexView<'_>>,
+    row: &mut Vec<Value>,
+) -> bool {
+    let Some(data) = data else { return false };
+    if !labels.iter().all(|&l| data.has_label(l)) {
+        return false;
+    }
+    row.clear();
+    row.push(Value::Node(v));
+    row.extend(props.iter().map(|p| data.get_or_null(p.prop)));
+    true
 }
 
 impl VertexScan {
@@ -82,27 +107,16 @@ impl VertexScan {
         VertexScan {
             labels,
             props,
-            memory: FxHashMap::default(),
             touched: FxHashSet::default(),
-            scratch: Vec::new(),
+            before: Vec::new(),
+            now: Vec::new(),
             events_read: 0,
         }
-    }
-
-    /// Number of tuples materialised in this scan's memory.
-    pub(crate) fn memory_tuples(&self) -> usize {
-        self.memory.len()
     }
 
     /// Change events this scan has examined since it was created.
     pub(crate) fn events_read(&self) -> u64 {
         self.events_read
-    }
-
-    /// The tuple currently emitted for `v` (`[v, props…]`), if `v`
-    /// satisfies the scan — the memory read as an admission map.
-    pub(crate) fn get(&self, v: VertexId) -> Option<&Tuple> {
-        self.memory.get(&v)
     }
 
     /// Routing contract (see [`ScanRouting`]).
@@ -113,105 +127,104 @@ impl VertexScan {
         }
     }
 
-    /// Re-emit the full current memory contents (each remembered tuple
-    /// with multiplicity +1) into `out`.
-    pub(crate) fn replay_into(&self, out: &mut dyn RowSink) {
-        for t in self.memory.values() {
-            out.push_row(Row::Held(t), 1);
-        }
+    /// `v`'s row as `data` holds it, into `row`; false when `v` fails
+    /// the scan.
+    pub(crate) fn row_into(
+        &self,
+        v: VertexId,
+        data: Option<VertexView<'_>>,
+        row: &mut Vec<Value>,
+    ) -> bool {
+        vertex_row(&self.labels, &self.props, v, data, row)
     }
 
-    /// The tuple `v` contributes now, assembled in the reused scratch
-    /// buffer (one allocation); `known` is a label `v` is already known
-    /// to carry, which is not tested again.
-    fn tuple_of(&mut self, g: &PropertyGraph, v: VertexId, known: Option<Symbol>) -> Option<Tuple> {
-        let data = g.vertex(v)?;
-        let mut tested = self.labels.iter().filter(|&&l| Some(l) != known);
-        if !tested.all(|&l| data.has_label(l)) {
-            return None;
-        }
-        let vals = &mut self.scratch;
-        vals.clear();
-        vals.push(Value::Node(v));
-        for p in &self.props {
-            vals.push(data.props.get_or_null(p.prop));
-        }
-        Some(Tuple::from_slice(vals))
-    }
-
-    /// Full evaluation against `g`, populating the memory.
-    pub(crate) fn initial(&mut self, g: &PropertyGraph) -> Delta {
-        let (ids, known): (Vec<VertexId>, _) = if self.labels.is_empty() {
-            (g.vertex_ids().collect(), None)
-        } else {
-            // Scan the smallest label extent, verify the rest.
-            let (first, _) = self
-                .labels
-                .iter()
-                .map(|&l| (l, g.vertices_with_label(l).len()))
-                .min_by_key(|&(_, n)| n)
-                .expect("non-empty labels");
-            (g.vertices_with_label(first).to_vec(), Some(first))
-        };
-        let mut out = Delta::with_capacity(ids.len());
-        self.memory.reserve(ids.len());
-        for v in ids {
-            if let Some(t) = self.tuple_of(g, v, known) {
-                self.memory.insert(v, t.clone());
-                out.push(t, 1);
+    /// Emit every row of the scan over `g`, each with multiplicity +1,
+    /// into `out`: the smallest label extent, the other labels verified.
+    pub(crate) fn replay_into(&self, g: &PropertyGraph, out: &mut (impl RowSink + ?Sized)) {
+        let mut row = Vec::with_capacity(1 + self.props.len());
+        let mut emit = |v: VertexId| {
+            if self.row_into(v, g.vertex_view(v), &mut row) {
+                out.push_row(Row::Assembled(&row), 1);
             }
+        };
+        let extent = self
+            .labels
+            .iter()
+            .map(|&l| g.vertices_with_label(l))
+            .min_by_key(|ids| ids.len());
+        match extent {
+            None => g.vertex_ids().for_each(&mut emit),
+            Some(ids) => ids.iter().copied().for_each(&mut emit),
         }
-        // Sized once for every id; return what the other labels rejected.
-        self.memory.shrink_to_fit();
+    }
+
+    /// Full evaluation against `g`.
+    pub(crate) fn initial(&self, g: &PropertyGraph) -> Delta {
+        let extent = match self
+            .labels
+            .iter()
+            .map(|&l| g.vertices_with_label(l).len())
+            .min()
+        {
+            None => g.vertex_count(),
+            Some(n) => n,
+        };
+        let mut out = Delta::with_capacity(extent);
+        self.replay_into(g, &mut out);
         out
     }
 
-    /// Delta for a batch of committed events (post-state `g`) — the
-    /// network hands a scan only the events routed to it — into a
-    /// caller-owned (pooled) buffer or any other [`RowSink`].
+    /// Delta for a batch of committed events — the network hands a scan
+    /// only the events routed to it; `image` undoes all of the pass's —
+    /// into a caller-owned (pooled) buffer or any other [`RowSink`].
     pub(crate) fn on_events_into<'e>(
         &mut self,
-        g: &PropertyGraph,
+        image: &BeforeImage<'_>,
         events: impl IntoIterator<Item = &'e ChangeEvent>,
         out: &mut (impl RowSink + ?Sized),
     ) {
-        let mut touched = std::mem::take(&mut self.touched);
+        self.changes(image, events, |_, old, new| {
+            if let Some(old) = old {
+                out.push_row(Row::Assembled(old), -1);
+            }
+            if let Some(new) = new {
+                out.push_row(Row::Assembled(new), 1);
+            }
+        });
+    }
+
+    /// Call `f(v, old, new)` for every vertex the events touch whose row
+    /// changed: its row before the pass and now, `None` where it failed
+    /// the scan.
+    pub(crate) fn changes<'e>(
+        &mut self,
+        image: &BeforeImage<'_>,
+        events: impl IntoIterator<Item = &'e ChangeEvent>,
+        mut f: impl FnMut(VertexId, Option<&[Value]>, Option<&[Value]>),
+    ) {
+        let VertexScan {
+            labels,
+            props,
+            touched,
+            before,
+            now,
+            events_read,
+        } = self;
         touched.clear();
         for ev in events {
-            self.events_read += 1;
+            *events_read += 1;
             if let Some(v) = ev.touched_vertex() {
                 touched.insert(v);
             }
         }
-        for &v in &touched {
-            self.refresh(g, v, out);
-        }
-        self.touched = touched;
-    }
-
-    /// Recompute one vertex and emit the difference into `out`.
-    pub(crate) fn refresh(
-        &mut self,
-        g: &PropertyGraph,
-        v: VertexId,
-        out: &mut (impl RowSink + ?Sized),
-    ) {
-        let new = self.tuple_of(g, v, None);
-        let old = self.memory.get(&v);
-        if old == new.as_ref() {
-            return;
-        }
-        if let Some(o) = old {
-            out.push_row(Row::Held(o), -1);
-        }
-        match new {
-            Some(n) => {
-                out.push_row(Row::Held(&n), 1);
-                self.memory.insert(v, n);
+        let g = image.graph();
+        for &v in touched.iter() {
+            let had = vertex_row(labels, props, v, image.vertex(v), before);
+            let has = vertex_row(labels, props, v, g.vertex_view(v), now);
+            if had && has && before == now {
+                continue;
             }
-            None => {
-                self.memory.remove(&v);
-            }
+            f(v, had.then_some(&before[..]), has.then_some(&now[..]));
         }
     }
 }
@@ -222,7 +235,7 @@ impl VertexScan {
 /// tuples for every edge whose type matches and whose endpoints carry the
 /// required labels. `Direction::In` swaps the roles of source and target;
 /// `Direction::Both` emits each edge in both orientations (a self-loop
-/// only once).
+/// only once). Like [`VertexScan`] it keeps no copy of what it emitted.
 #[derive(Clone, Debug)]
 pub(crate) struct EdgeScan {
     types: Vec<Symbol>,
@@ -235,30 +248,14 @@ pub(crate) struct EdgeScan {
     /// Literal equality constraints on edge properties (used when this
     /// scan feeds a variable-length join).
     edge_prop_filters: Vec<(Symbol, Value)>,
-    memory: FxHashMap<EdgeId, EdgeTuples>,
     /// Reused per-batch dedup set (cleared, not reallocated).
     touched: FxHashSet<EdgeId>,
-    /// Reused row-assembly buffer.
-    scratch: Vec<Value>,
+    /// Reused row-assembly buffers: one orientation's row before the
+    /// pass and now.
+    before: Vec<Value>,
+    now: Vec<Value>,
     /// Change events examined by [`EdgeScan::on_events_into`].
     events_read: u64,
-}
-
-/// The tuples one edge contributes, inline: one per admitted
-/// orientation, so two only for a `Both` scan of a non-self-loop.
-#[derive(Clone, Debug, PartialEq)]
-enum EdgeTuples {
-    One(Tuple),
-    Two([Tuple; 2]),
-}
-
-impl EdgeTuples {
-    fn as_slice(&self) -> &[Tuple] {
-        match self {
-            EdgeTuples::One(t) => std::slice::from_ref(t),
-            EdgeTuples::Two(ts) => ts,
-        }
-    }
 }
 
 /// Construction parameters for [`EdgeScan`].
@@ -294,16 +291,11 @@ impl EdgeScan {
             dst_props: spec.dst_props,
             dir: spec.dir.unwrap_or(Direction::Out),
             edge_prop_filters: spec.edge_prop_filters,
-            memory: FxHashMap::default(),
             touched: FxHashSet::default(),
-            scratch: Vec::new(),
+            before: Vec::new(),
+            now: Vec::new(),
             events_read: 0,
         }
-    }
-
-    /// Number of tuples materialised in this scan's memory.
-    pub(crate) fn memory_tuples(&self) -> usize {
-        self.memory.values().map(|ts| ts.as_slice().len()).sum()
     }
 
     /// Change events this scan has examined since it was created.
@@ -339,15 +331,6 @@ impl EdgeScan {
         }
     }
 
-    /// Re-emit the full current memory contents into `out`.
-    pub(crate) fn replay_into(&self, out: &mut dyn RowSink) {
-        for tuples in self.memory.values() {
-            for t in tuples.as_slice() {
-                out.push_row(Row::Held(t), 1);
-            }
-        }
-    }
-
     /// Do this scan's tuples depend on vertex state at all? When not
     /// (e.g. the bare `(src, e, dst)` scan feeding a variable-length
     /// join), vertex label/property events cannot change any emitted
@@ -361,101 +344,120 @@ impl EdgeScan {
             || !self.dst_props.is_empty()
     }
 
-    /// The tuples `e` contributes now, `None` when it fails the scan.
-    /// Each is assembled in the reused scratch buffer: one allocation
-    /// per tuple.
-    fn tuples_of(&mut self, g: &PropertyGraph, e: EdgeId) -> Option<EdgeTuples> {
-        let data = g.edge(e)?;
-        if !self.types.is_empty() && !self.types.contains(&data.ty) {
-            return None;
+    /// Does `edge` pass the type and edge-property constraints?
+    fn admits(&self, edge: &EdgeView<'_>) -> bool {
+        (self.types.is_empty() || self.types.contains(&edge.ty()))
+            && self
+                .edge_prop_filters
+                .iter()
+                .all(|(k, want)| edge.get(*k) == Some(want))
+    }
+
+    /// The `(pattern-source, pattern-target)` orientations of an edge
+    /// `src → dst` the scan emits: the first `n` of the array.
+    fn orientations(&self, src: VertexId, dst: VertexId) -> ([(VertexId, VertexId); 2], usize) {
+        match self.dir {
+            Direction::Out => ([(src, dst); 2], 1),
+            Direction::In => ([(dst, src); 2], 1),
+            Direction::Both if src == dst => ([(src, dst); 2], 1),
+            Direction::Both => ([(src, dst), (dst, src)], 2),
         }
-        for (k, want) in &self.edge_prop_filters {
-            if data.props.get(*k) != Some(want) {
-                return None;
-            }
-        }
-        let orientations: &[(VertexId, VertexId)] = match self.dir {
-            Direction::Out => &[(data.src, data.dst)],
-            Direction::In => &[(data.dst, data.src)],
-            Direction::Both => {
-                if data.src == data.dst {
-                    &[(data.src, data.dst)]
-                } else {
-                    &[(data.src, data.dst), (data.dst, data.src)]
+    }
+
+    /// `e`'s row in orientation `s → d`, reading the edge and both
+    /// endpoints through `edge` and `vertex`, into `row`; false when it
+    /// fails the scan. `edge` has passed [`EdgeScan::admits`]. The target
+    /// is looked up only once the source has passed.
+    fn row_into<'g>(
+        &self,
+        (s, d): (VertexId, VertexId),
+        e: EdgeId,
+        edge: &EdgeView<'g>,
+        vertex: impl Fn(VertexId) -> Option<VertexView<'g>>,
+        row: &mut Vec<Value>,
+    ) -> bool {
+        let carries =
+            |v: &VertexView<'_>, labels: &[Symbol]| labels.iter().all(|&l| v.has_label(l));
+        let Some(src) = vertex(s).filter(|v| carries(v, &self.src_labels)) else {
+            return false;
+        };
+        let Some(dst) = vertex(d).filter(|v| carries(v, &self.dst_labels)) else {
+            return false;
+        };
+        row.clear();
+        row.extend([Value::Node(s), Value::Rel(e), Value::Node(d)]);
+        row.extend(self.src_props.iter().map(|p| src.get_or_null(p.prop)));
+        row.extend(self.edge_props.iter().map(|p| edge.get_or_null(p.prop)));
+        row.extend(self.dst_props.iter().map(|p| dst.get_or_null(p.prop)));
+        true
+    }
+
+    /// Emit every row of the scan over `g`, each with multiplicity +1,
+    /// into `out`.
+    pub(crate) fn replay_into(&self, g: &PropertyGraph, out: &mut (impl RowSink + ?Sized)) {
+        let mut row = Vec::new();
+        let mut emit = |e: EdgeId| {
+            let Some(edge) = g.edge_view(e).filter(|edge| self.admits(edge)) else {
+                return;
+            };
+            let (ends, n) = self.orientations(edge.src(), edge.dst());
+            for &ends in &ends[..n] {
+                if self.row_into(ends, e, &edge, |v| g.vertex_view(v), &mut row) {
+                    out.push_row(Row::Assembled(&row), 1);
                 }
             }
         };
-        let mut first: Option<Tuple> = None;
-        for &(s, d) in orientations {
-            let (Some(sd), Some(dd)) = (g.vertex(s), g.vertex(d)) else {
-                continue;
-            };
-            if !self.src_labels.iter().all(|&l| sd.has_label(l)) {
-                continue;
-            }
-            if !self.dst_labels.iter().all(|&l| dd.has_label(l)) {
-                continue;
-            }
-            let vals = &mut self.scratch;
-            vals.clear();
-            vals.push(Value::Node(s));
-            vals.push(Value::Rel(e));
-            vals.push(Value::Node(d));
-            for p in &self.src_props {
-                vals.push(sd.props.get_or_null(p.prop));
-            }
-            for p in &self.edge_props {
-                vals.push(data.props.get_or_null(p.prop));
-            }
-            for p in &self.dst_props {
-                vals.push(dd.props.get_or_null(p.prop));
-            }
-            let t = Tuple::from_slice(vals);
-            match first.take() {
-                None => first = Some(t),
-                Some(f) => return Some(EdgeTuples::Two([f, t])),
+        if self.types.is_empty() {
+            g.edge_ids().for_each(&mut emit);
+        } else {
+            for &t in &self.types {
+                g.edges_with_type(t).iter().copied().for_each(&mut emit);
             }
         }
-        first.map(EdgeTuples::One)
     }
 
     /// Full evaluation against `g`.
-    pub(crate) fn initial(&mut self, g: &PropertyGraph) -> Delta {
-        let ids: Vec<EdgeId> = if self.types.is_empty() {
-            g.edge_ids().collect()
-        } else {
-            self.types
-                .iter()
-                .flat_map(|&t| g.edges_with_type(t).iter().copied())
-                .collect()
+    pub(crate) fn initial(&self, g: &PropertyGraph) -> Delta {
+        let extent = match self.types.is_empty() {
+            true => g.edge_count(),
+            false => self.types.iter().map(|&t| g.edges_with_type(t).len()).sum(),
         };
-        let mut out = Delta::with_capacity(ids.len());
-        self.memory.reserve(ids.len());
-        for e in ids {
-            if let Some(tuples) = self.tuples_of(g, e) {
-                for t in tuples.as_slice() {
-                    out.push(t.clone(), 1);
-                }
-                self.memory.insert(e, tuples);
-            }
-        }
-        // Sized once for every id; return what the endpoint labels and
-        // edge-property filters rejected.
-        self.memory.shrink_to_fit();
+        let mut out = Delta::with_capacity(extent);
+        self.replay_into(g, &mut out);
         out
     }
 
     /// Delta for a batch of committed events — the network hands a scan
-    /// only the events routed to it — into a caller-owned (pooled)
-    /// buffer or any other [`RowSink`]. Vertex events touch every
-    /// incident edge (labels/properties of endpoints are part of edge
-    /// tuples).
+    /// only the events routed to it; `image` undoes all of the pass's —
+    /// into a caller-owned (pooled) buffer or any other [`RowSink`].
+    /// Vertex events touch every incident edge (labels/properties of
+    /// endpoints are part of edge tuples).
     pub(crate) fn on_events_into<'e>(
         &mut self,
-        g: &PropertyGraph,
+        image: &BeforeImage<'_>,
         events: impl IntoIterator<Item = &'e ChangeEvent>,
         out: &mut (impl RowSink + ?Sized),
     ) {
+        self.changes(image, events, |old, new| {
+            if let Some(old) = old {
+                out.push_row(Row::Assembled(old), -1);
+            }
+            if let Some(new) = new {
+                out.push_row(Row::Assembled(new), 1);
+            }
+        });
+    }
+
+    /// Call `f(old, new)` for every orientation of every edge the events
+    /// touch whose row changed: its row before the pass and now, `None`
+    /// where it failed the scan.
+    pub(crate) fn changes<'e>(
+        &mut self,
+        image: &BeforeImage<'_>,
+        events: impl IntoIterator<Item = &'e ChangeEvent>,
+        mut f: impl FnMut(Option<&[Value]>, Option<&[Value]>),
+    ) {
+        let g = image.graph();
         let mut touched = std::mem::take(&mut self.touched);
         touched.clear();
         let vertex_sensitive = self.vertex_sensitive();
@@ -473,36 +475,42 @@ impl EdgeScan {
                 }
             }
         }
+        let (mut before, mut now) = (
+            std::mem::take(&mut self.before),
+            std::mem::take(&mut self.now),
+        );
         for &e in &touched {
-            self.refresh(g, e, out);
+            let old = image.edge(e);
+            let new = g.edge_view(e);
+            // Endpoints never change, so both sides share orientations.
+            let Some(ends) = old.or(new).map(|edge| (edge.src(), edge.dst())) else {
+                continue;
+            };
+            let old = old.filter(|edge| self.admits(edge));
+            let new = new.filter(|edge| self.admits(edge));
+            let (orientations, n) = self.orientations(ends.0, ends.1);
+            for &ends in &orientations[..n] {
+                let had = old.is_some_and(|edge| {
+                    self.row_into(ends, e, &edge, |v| image.vertex(v), &mut before)
+                });
+                let has = new.is_some_and(|edge| {
+                    self.row_into(ends, e, &edge, |v| g.vertex_view(v), &mut now)
+                });
+                if had && has && before == now {
+                    continue;
+                }
+                f(had.then_some(&before[..]), has.then_some(&now[..]));
+            }
         }
         self.touched = touched;
-    }
-
-    fn refresh(&mut self, g: &PropertyGraph, e: EdgeId, out: &mut (impl RowSink + ?Sized)) {
-        let new = self.tuples_of(g, e);
-        // Unchanged is the common case (a vertex-touch event fans out to
-        // every incident edge) — detect it without cloning the memory.
-        if self.memory.get(&e) == new.as_ref() {
-            return;
-        }
-        if let Some(old) = self.memory.remove(&e) {
-            for t in old.as_slice() {
-                out.push_row(Row::Held(t), -1);
-            }
-        }
-        if let Some(new) = new {
-            for t in new.as_slice() {
-                out.push_row(Row::Held(t), 1);
-            }
-            self.memory.insert(e, new);
-        }
+        (self.before, self.now) = (before, now);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgq_graph::before::BeforeIndex;
     use pgq_graph::props::Properties;
     use pgq_graph::tx::Transaction;
 
@@ -517,10 +525,16 @@ mod tests {
         }
     }
 
-    /// The consolidated delta a scan's `on_events_into` writes.
-    fn consolidated(on_events_into: impl FnOnce(&mut Delta)) -> Delta {
+    /// The consolidated delta a scan's `on_events_into` writes for a
+    /// pass of `events` over their post-state `g`.
+    fn consolidated(
+        g: &PropertyGraph,
+        events: &[ChangeEvent],
+        on_events_into: impl FnOnce(&BeforeImage<'_>, &[ChangeEvent], &mut Delta),
+    ) -> Delta {
+        let mut index = BeforeIndex::new();
         let mut out = Delta::new();
-        on_events_into(&mut out);
+        on_events_into(&index.build(g, events), events, &mut out);
         out.consolidate()
     }
 
@@ -541,14 +555,17 @@ mod tests {
 
         // Fine-grained property change → retract + assert.
         let ev = g.set_vertex_prop(a, sym("lang"), "de".into()).unwrap();
-        let d = consolidated(|out| scan.on_events_into(&g, &[ev], out));
+        let d = consolidated(&g, &[ev], |image, evs, out| {
+            scan.on_events_into(image, evs, out)
+        });
         assert_eq!(d.len(), 2);
         // Label removal → retraction only.
         let ev = g.remove_label(a, sym("Post")).unwrap().unwrap();
-        let d = consolidated(|out| scan.on_events_into(&g, &[ev], out));
+        let d = consolidated(&g, &[ev], |image, evs, out| {
+            scan.on_events_into(image, evs, out)
+        });
         assert_eq!(d.len(), 1);
         assert_eq!(d.iter().next().unwrap().1, -1);
-        assert_eq!(scan.memory_tuples(), 0);
     }
 
     #[test]
@@ -558,7 +575,9 @@ mod tests {
         let mut scan = VertexScan::new(vec![sym("Post")], vec![]);
         scan.initial(&g);
         let ev = g.set_vertex_prop(a, sym("other"), Value::Int(1)).unwrap();
-        let d = consolidated(|out| scan.on_events_into(&g, &[ev], out));
+        let d = consolidated(&g, &[ev], |image, evs, out| {
+            scan.on_events_into(image, evs, out)
+        });
         assert!(d.is_empty(), "tuple did not change, no delta expected");
     }
 
@@ -568,7 +587,7 @@ mod tests {
         let (a, _) = g.add_vertex([sym("P")], Properties::new());
         let (b, _) = g.add_vertex([sym("P")], Properties::new());
         g.add_edge(a, b, sym("KNOWS"), Properties::new()).unwrap();
-        let mut scan = EdgeScan::new(EdgeScanSpec {
+        let scan = EdgeScan::new(EdgeScanSpec {
             types: vec![sym("KNOWS")],
             dir: Some(Direction::Both),
             ..Default::default()
@@ -582,7 +601,7 @@ mod tests {
         let mut g = PropertyGraph::new();
         let (a, _) = g.add_vertex([sym("P")], Properties::new());
         g.add_edge(a, a, sym("KNOWS"), Properties::new()).unwrap();
-        let mut scan = EdgeScan::new(EdgeScanSpec {
+        let scan = EdgeScan::new(EdgeScanSpec {
             dir: Some(Direction::Both),
             ..Default::default()
         });
@@ -603,7 +622,9 @@ mod tests {
         });
         assert_eq!(scan.initial(&g).consolidate().len(), 1);
         let ev = g.remove_label(b, sym("Comm")).unwrap().unwrap();
-        let d = consolidated(|out| scan.on_events_into(&g, &[ev], out));
+        let d = consolidated(&g, &[ev], |image, evs, out| {
+            scan.on_events_into(image, evs, out)
+        });
         assert_eq!(d.len(), 1);
         assert_eq!(d.iter().next().unwrap().1, -1);
     }
@@ -627,7 +648,9 @@ mod tests {
         });
         assert_eq!(scan.initial(&g).consolidate().len(), 1);
         let ev = g.set_edge_prop(e, sym("w"), Value::Int(2)).unwrap();
-        let d = consolidated(|out| scan.on_events_into(&g, &[ev], out));
+        let d = consolidated(&g, &[ev], |image, evs, out| {
+            scan.on_events_into(image, evs, out)
+        });
         assert_eq!(d.iter().next().unwrap().1, -1);
     }
 
@@ -640,7 +663,9 @@ mod tests {
         tx.create_vertex([sym("Post")], Properties::new());
         tx.create_vertex([sym("Comm")], Properties::new());
         let events = g.apply(&tx).unwrap();
-        let d = consolidated(|out| scan.on_events_into(&g, &events, out));
+        let d = consolidated(&g, &events, |image, evs, out| {
+            scan.on_events_into(image, evs, out)
+        });
         assert_eq!(d.len(), 1, "only the Post matches");
     }
 }

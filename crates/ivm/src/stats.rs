@@ -141,10 +141,11 @@ mod tests {
         let stats = net.stats_of(sid);
         assert_eq!(stats.name, "δ");
         assert_eq!(stats.own_tuples, 3);
-        assert_eq!(stats.children[0].own_tuples, 3);
-        assert_eq!(stats.total_tuples(), 6);
+        // A scan keeps no copy of what it emitted.
+        assert_eq!(stats.children[0].own_tuples, 0);
+        assert_eq!(stats.total_tuples(), 3);
         let rendered = stats.to_string();
         assert!(rendered.contains("δ [3 tuples]"));
-        assert!(rendered.contains("  © [3 tuples]"));
+        assert!(rendered.contains("  © [0 tuples]"));
     }
 }

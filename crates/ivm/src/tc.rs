@@ -23,10 +23,13 @@
 //! * **Adjacency** `vertex → [(edge, neighbour)]`: the hops the
 //!   operator's own `EdgeScan` currently admits (type, direction and
 //!   edge-property filters applied; `Both` lists an edge under both
-//!   endpoints).
-//! * **Admission**: the destination `VertexScan`'s memory, `vertex →
-//!   [vertex, pushed props…]`, present only when the pattern constrains
-//!   or reads the destination.
+//!   endpoints). The scan itself keeps nothing: a pass's hop changes are
+//!   its before-image rows against its rows now.
+//!
+//! A path's target is **admitted** when it satisfies the destination
+//! constraint; its admission row `[vertex, pushed props…]` is read from
+//! the graph, by the operator's destination `VertexScan`, when the
+//! pattern constrains or reads the destination — no copy is kept.
 //!
 //! Every part is a function of the current inputs alone (never of the
 //! order updates arrived in), and the whole is O(anchored paths + edges +
@@ -42,8 +45,9 @@
 //!
 //! 1. **Destination ±** (`v` starts or stops satisfying the destination
 //!    constraint, or a pushed property changes): for every node in
-//!    `ending[v]`, retract rows built on the old admission tuple and
-//!    assert them on the new one.
+//!    `ending[v]`, retract rows built on the old admission row — `v`'s
+//!    row in the pass's before-image — and assert them on the new one,
+//!    read from the graph. Every later step reads the graph.
 //! 2. **Edge −** `e`: the nodes of `by_last_edge[e]` and their subtrees
 //!    are exactly the paths through `e` (a path is edge-distinct, so it
 //!    has one prefix ending in `e`); drop them, retracting their rows. No
@@ -86,6 +90,7 @@ use pgq_common::ids::{EdgeId, VertexId};
 use pgq_common::path::PathValue;
 use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
+use pgq_graph::before::{BeforeImage, BeforeIndex};
 use pgq_graph::delta::ChangeEvent;
 use pgq_graph::store::PropertyGraph;
 
@@ -145,6 +150,8 @@ struct PathTrie {
     by_last_edge: FxHashMap<EdgeId, SmallList<u32>>,
     roots: usize,
     paths: usize,
+    /// Entries of the adjacency.
+    hops: usize,
     /// Pending one-hop extensions `(node, edge, neighbour)` of the walk.
     frontier: Vec<(u32, EdgeId, VertexId)>,
     /// Reused subtree-traversal stack.
@@ -241,6 +248,7 @@ impl PathTrie {
     fn add_hop(&mut self, u: VertexId, e: EdgeId, w: VertexId, prefixes: &mut Vec<u32>) {
         let ve = self.verts.entry(u).or_default();
         ve.out.push((e, w));
+        self.hops += 1;
         prefixes.clear();
         prefixes.extend_from_slice(&ve.ending);
     }
@@ -254,6 +262,7 @@ impl PathTrie {
         let out = &mut ve.get_mut().out;
         if let Some(i) = out.iter().position(|&h| h == (e, w)) {
             out.swap_remove(i);
+            self.hops -= 1;
         }
         if ve.get().out.is_empty() && ve.get().ending.is_empty() {
             ve.remove();
@@ -352,22 +361,16 @@ struct Anchor {
 /// Assembles output rows `left ++ [dst, props…, path]`.
 struct Emitter<'a, S: RowSink + ?Sized> {
     min: u32,
-    admission: Option<&'a VertexScan>,
+    /// The destination constraint and the graph it reads; `None` admits
+    /// every target with the row `[target]`.
+    admission: Option<(&'a VertexScan, &'a PropertyGraph)>,
+    /// Reused admission-row and output-row assembly areas.
+    dst_row: &'a mut Vec<Value>,
     scratch: &'a mut Vec<Value>,
     out: &'a mut S,
 }
 
 impl<S: RowSink + ?Sized> Emitter<'_, S> {
-    fn push_row(&mut self, left: &Tuple, dst: &[Value], path: &Arc<PathValue>, mult: i64) {
-        let row = &mut *self.scratch;
-        row.clear();
-        row.reserve(left.arity() + dst.len() + 1);
-        row.extend_from_slice(left.values());
-        row.extend_from_slice(dst);
-        row.push(Value::Path(path.clone()));
-        self.out.push_row(Row::Assembled(row), mult);
-    }
-
     /// `mult ×` the rows node `n` contributes for the given left rows
     /// when its target is admitted with the values `dst`: none if its
     /// path is shorter than `min`.
@@ -378,22 +381,31 @@ impl<S: RowSink + ?Sized> Emitter<'_, S> {
         mult: i64,
         n: &TrieNode,
     ) {
-        if (n.path.len() as u32) >= self.min {
-            for (left, m) in rows {
-                self.push_row(left, dst, &n.path, m * mult);
-            }
+        if (n.path.len() as u32) < self.min {
+            return;
+        }
+        for (left, m) in rows {
+            let row = &mut *self.scratch;
+            row.clear();
+            row.reserve(left.arity() + dst.len() + 1);
+            row.extend_from_slice(left.values());
+            row.extend_from_slice(dst);
+            row.push(Value::Path(n.path.clone()));
+            self.out.push_row(Row::Assembled(row), m * mult);
         }
     }
 
-    /// [`Emitter::emit_on`] the target's current admission; nothing if
+    /// [`Emitter::emit_on`] the target's admission row now; nothing if
     /// it is not admitted.
     fn emit<'r>(&mut self, rows: impl Iterator<Item = (&'r Tuple, i64)>, sign: i64, n: &TrieNode) {
         match self.admission {
             None => self.emit_on(rows, &[Value::Node(n.target)], sign, n),
-            Some(scan) => {
-                if let Some(t) = scan.get(n.target) {
-                    self.emit_on(rows, t.values(), sign, n);
+            Some((scan, g)) => {
+                let mut dst = std::mem::take(self.dst_row);
+                if scan.row_into(n.target, g.vertex_view(n.target), &mut dst) {
+                    self.emit_on(rows, &dst, sign, n);
                 }
+                *self.dst_row = dst;
             }
         }
     }
@@ -404,7 +416,7 @@ impl<S: RowSink + ?Sized> Emitter<'_, S> {
 pub struct VarLengthOp {
     edge_scan: EdgeScan,
     /// Destination constraint and pushed properties, when the pattern
-    /// has any; its memory is the admission map.
+    /// has any: it reads admission rows off the graph.
     dst: Option<VertexScan>,
     src_col: usize,
     min: u32,
@@ -412,14 +424,36 @@ pub struct VarLengthOp {
     anchors: FxHashMap<VertexId, Anchor>,
     /// Distinct left rows across all anchors.
     left_rows: usize,
-    /// Reused buffers: the two scans' per-transaction deltas, the
+    /// Reused buffers: the hops a pass retracts and asserts, the
     /// prefixes of an edge insertion, sources whose last row a left delta
-    /// removed, and the output-row assembly area.
-    edge_delta: Delta,
-    dst_delta: Delta,
+    /// removed, and the admission-row and output-row assembly areas.
+    gone: Vec<Hop>,
+    added: Vec<Hop>,
     prefixes: Vec<u32>,
     emptied: Vec<VertexId>,
+    dst_row: Vec<Value>,
     scratch: Vec<Value>,
+}
+
+/// One admitted hop `(from, edge, to)`.
+type Hop = (VertexId, EdgeId, VertexId);
+
+/// The hop an edge-scan row `[from, edge, to]` encodes.
+fn hop_of(row: &[Value]) -> Hop {
+    (
+        row[0].as_node().expect("edge triple"),
+        row[1].as_rel().expect("edge triple"),
+        row[2].as_node().expect("edge triple"),
+    )
+}
+
+/// Collects the edge scan's full output as hops (initial evaluation).
+struct Hops<'a>(&'a mut Vec<Hop>);
+
+impl RowSink for Hops<'_> {
+    fn push_row(&mut self, row: Row<'_>, _mult: i64) {
+        self.0.push(hop_of(row.values()));
+    }
 }
 
 /// The left rows that `n`'s path extends.
@@ -428,14 +462,6 @@ fn rows_of<'a>(anchors: &'a FxHashMap<VertexId, Anchor>, n: &TrieNode) -> &'a Bu
         .get(&n.path.source())
         .expect("every trie node hangs under an anchor")
         .rows
-}
-
-fn hop_of(t: &Tuple) -> (VertexId, EdgeId, VertexId) {
-    (
-        t.get(0).as_node().expect("edge triple"),
-        t.get(1).as_rel().expect("edge triple"),
-        t.get(2).as_node().expect("edge triple"),
-    )
 }
 
 impl VarLengthOp {
@@ -462,23 +488,20 @@ impl VarLengthOp {
             },
             anchors: FxHashMap::default(),
             left_rows: 0,
-            edge_delta: Delta::new(),
-            dst_delta: Delta::new(),
+            gone: Vec::new(),
+            added: Vec::new(),
             prefixes: Vec::new(),
             emptied: Vec::new(),
+            dst_row: Vec::new(),
             // left ++ [dst, props…, path]
             scratch: Vec::with_capacity(left_arity + 2 + spec.dst_props.len()),
         }
     }
 
-    /// Tuples materialised: trie nodes, left rows and the scans'
-    /// memories.
+    /// Entries materialised: trie nodes, left rows and adjacency hops
+    /// (the scans keep nothing).
     pub fn memory_tuples(&self) -> usize {
-        self.trie.roots
-            + self.trie.paths
-            + self.left_rows
-            + self.edge_scan.memory_tuples()
-            + self.dst.as_ref().map_or(0, VertexScan::memory_tuples)
+        self.trie.roots + self.trie.paths + self.left_rows + self.trie.hops
     }
 
     /// Anchored paths of length ≥ 1 materialised (zero-length roots are
@@ -495,7 +518,13 @@ impl VarLengthOp {
     /// Hops admitted by the edge scan (an undirected pattern counts an
     /// edge once per orientation).
     pub fn edge_count(&self) -> usize {
-        self.edge_scan.memory_tuples()
+        self.trie.hops
+    }
+
+    /// Does enumerating the output read the graph? It does when a
+    /// destination constraint admits the targets.
+    pub(crate) fn reads_graph(&self) -> bool {
+        self.dst.is_some()
     }
 
     /// This operator's work: the trie nodes it has created, dropped or
@@ -510,14 +539,10 @@ impl VarLengthOp {
         self.edge_scan.events_read()
     }
 
-    /// Apply the scans' deltas and `left` (module docs, "Delta rules").
-    fn apply(
-        &mut self,
-        edge_delta: &Delta,
-        dst_delta: &Delta,
-        left: &Delta,
-        out: &mut (impl RowSink + ?Sized),
-    ) {
+    /// Apply steps 2–4 (module docs, "Delta rules"): the hops in
+    /// `self.gone` and `self.added`, then `left`, reading admission rows
+    /// off `g`.
+    fn apply(&mut self, g: &PropertyGraph, left: &Delta, out: &mut (impl RowSink + ?Sized)) {
         let VarLengthOp {
             dst,
             src_col,
@@ -525,32 +550,25 @@ impl VarLengthOp {
             trie,
             anchors,
             left_rows,
+            gone,
+            added,
             prefixes,
             emptied,
+            dst_row,
             scratch,
             ..
         } = self;
         let mut em = Emitter {
             min: *min,
-            admission: dst.as_ref(),
+            admission: dst.as_ref().map(|scan| (scan, g)),
+            dst_row,
             scratch,
             out,
         };
 
-        // 1. Destination ±.
-        for (t, m) in dst_delta.iter() {
-            let v = t.get(0).as_node().expect("vertex scan emits nodes");
-            trie.counters.tc_paths_touched += trie.ending(v).len() as u64;
-            for &ix in trie.ending(v) {
-                let n = trie.node(ix);
-                em.emit_on(rows_of(anchors, n).iter(), t.values(), *m, n);
-            }
-        }
-
         // 2. Edge −, before any insertion so that re-inserted edges
         // rebuild cleanly.
-        for (t, _) in edge_delta.iter().filter(|(_, m)| *m < 0) {
-            let (u, e, w) = hop_of(t);
+        for &(u, e, w) in gone.iter() {
             trie.remove_hop(u, e, w);
             while let Some(top) = trie.any_ending_in(e) {
                 let rows = rows_of(anchors, trie.node(top));
@@ -559,8 +577,7 @@ impl VarLengthOp {
         }
 
         // 3. Edge +.
-        for (t, _) in edge_delta.iter().filter(|(_, m)| *m > 0) {
-            let (u, e, w) = hop_of(t);
+        for &(u, e, w) in added.iter() {
             trie.add_hop(u, e, w, prefixes);
             for &p in prefixes.iter() {
                 let rows = rows_of(anchors, trie.node(p));
@@ -598,8 +615,8 @@ impl VarLengthOp {
         }
     }
 
-    /// Initial evaluation of a fresh operator: load the adjacency and
-    /// the admission map, then the left rows.
+    /// Initial evaluation of a fresh operator: load the adjacency, then
+    /// the left rows.
     pub fn initial(&mut self, g: &PropertyGraph, left_initial: Delta) -> Delta {
         let mut out = Delta::new();
         self.initial_into(g, &left_initial, &mut out);
@@ -610,17 +627,15 @@ impl VarLengthOp {
     /// caller-owned (pooled) output buffer.
     pub(crate) fn initial_into(&mut self, g: &PropertyGraph, left: &Delta, out: &mut Delta) {
         debug_assert!(self.anchors.is_empty(), "initial evaluation runs once");
-        let edges = self.edge_scan.initial(g);
-        if let Some(scan) = &mut self.dst {
-            // No path ends anywhere yet, so the scan's delta changes no
-            // output; only its memory matters.
-            scan.initial(g);
-        }
-        self.apply(&edges, &Delta::new(), left, out);
+        self.gone.clear();
+        self.added.clear();
+        self.edge_scan.replay_into(g, &mut Hops(&mut self.added));
+        self.apply(g, left, out);
     }
 
     /// Process a transaction: `left_delta` from the child subtree plus
-    /// the raw change events (for the internal scans).
+    /// the transaction's change events, every change since the last call
+    /// (for the internal scans).
     pub fn on_events(
         &mut self,
         g: &PropertyGraph,
@@ -628,40 +643,78 @@ impl VarLengthOp {
         left_delta: Delta,
     ) -> Delta {
         let mut out = Delta::new();
-        self.on_events_into(g, events, &left_delta, &mut out);
+        let mut index = BeforeIndex::new();
+        self.on_events_into(&index.build(g, events), events, &left_delta, &mut out);
         out
     }
 
-    /// [`VarLengthOp::on_events`] over any sequence of events — the
-    /// network hands the node only the events routed to it — with a
-    /// borrowed left input, into a caller-owned (pooled) output buffer or
-    /// any other [`RowSink`].
+    /// [`VarLengthOp::on_events`] over the pass's before-image and any
+    /// sequence of its events — the network hands the node only the
+    /// events routed to it — with a borrowed left input, into a
+    /// caller-owned (pooled) output buffer or any other [`RowSink`].
     pub fn on_events_into<'e>(
         &mut self,
-        g: &PropertyGraph,
+        image: &BeforeImage<'_>,
         events: impl IntoIterator<Item = &'e ChangeEvent> + Clone,
         left: &Delta,
         out: &mut (impl RowSink + ?Sized),
     ) {
-        let mut edges = std::mem::take(&mut self.edge_delta);
-        let mut dsts = std::mem::take(&mut self.dst_delta);
-        edges.clear();
-        dsts.clear();
-        self.edge_scan.on_events_into(g, events.clone(), &mut edges);
-        if let Some(scan) = &mut self.dst {
-            scan.on_events_into(g, events, &mut dsts);
+        let VarLengthOp {
+            edge_scan,
+            dst,
+            min,
+            trie,
+            anchors,
+            gone,
+            added,
+            dst_row,
+            scratch,
+            ..
+        } = self;
+        gone.clear();
+        added.clear();
+        edge_scan.changes(image, events.clone(), |old, new| {
+            gone.extend(old.map(hop_of));
+            added.extend(new.map(hop_of));
+        });
+        // 1. Destination ±, against the trie as the last pass left it.
+        if let Some(scan) = dst {
+            let mut em = Emitter {
+                min: *min,
+                admission: None,
+                dst_row,
+                scratch,
+                out: &mut *out,
+            };
+            scan.changes(image, events, |v, old, new| {
+                trie.counters.tc_paths_touched += trie.ending(v).len() as u64;
+                for &ix in trie.ending(v) {
+                    let n = trie.node(ix);
+                    let rows = rows_of(anchors, n);
+                    if let Some(old) = old {
+                        em.emit_on(rows.iter(), old, -1, n);
+                    }
+                    if let Some(new) = new {
+                        em.emit_on(rows.iter(), new, 1, n);
+                    }
+                }
+            });
         }
-        self.apply(&edges, &dsts, left, out);
-        self.edge_delta = edges;
-        self.dst_delta = dsts;
+        self.apply(image.graph(), left, out);
     }
 
     /// Reconstruct the full current output bag from the trie into
-    /// `out`.
-    pub fn replay_into(&self, out: &mut dyn RowSink) {
+    /// `out`, admitting targets over `g`, which only a destination
+    /// constraint reads.
+    pub fn replay_into(&self, g: Option<&PropertyGraph>, out: &mut dyn RowSink) {
+        let admission = self.dst.as_ref().map(|scan| {
+            let g = g.expect("a destination constraint reads the graph");
+            (scan, g)
+        });
         let mut em = Emitter {
             min: self.min,
-            admission: self.dst.as_ref(),
+            admission,
+            dst_row: &mut Vec::new(),
             scratch: &mut Vec::new(),
             out,
         };

@@ -392,7 +392,7 @@ fn run(c: Config, seeds: std::ops::Range<u64>) {
         }
         // What a view registered now would be loaded with.
         let mut replayed = Delta::new();
-        m.op.replay_into(&mut replayed);
+        m.op.replay_into(Some(&m.g), &mut replayed);
         let mut bag = HashMap::new();
         fold(&mut bag, &replayed);
         assert_eq!(bag, m.folded, "replay diverged ({c:?}, seed {seed})");

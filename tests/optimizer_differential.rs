@@ -110,7 +110,7 @@ fn pushed_filter_shrinks_varlength_state() {
         engine.view(planned).unwrap().memory_tuples(),
         twin.view(unplanned).unwrap().memory_tuples(),
     );
-    assert_eq!((mp, mu), (2_552, 3_408));
+    assert_eq!((mp, mu), (1_502, 2_358));
     assert_eq!(
         engine.view(planned).unwrap().results(),
         twin.view(unplanned).unwrap().results()

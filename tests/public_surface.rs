@@ -403,6 +403,26 @@ const PARSER: &[&str] = &[
 ];
 
 const GRAPH: &[&str] = &[
+    "before.rs: struct BeforeIndex",
+    "before.rs: fn BeforeIndex::new",
+    "before.rs: fn BeforeIndex::build",
+    "before.rs: struct BeforeImage",
+    "before.rs: fn BeforeImage::graph",
+    "before.rs: fn BeforeImage::events",
+    "before.rs: fn BeforeImage::vertex",
+    "before.rs: fn BeforeImage::edge",
+    "before.rs: struct VertexView",
+    "before.rs: fn VertexView::has_label",
+    "before.rs: fn VertexView::get",
+    "before.rs: fn VertexView::get_or_null",
+    "before.rs: struct EdgeView",
+    "before.rs: fn EdgeView::src",
+    "before.rs: fn EdgeView::dst",
+    "before.rs: fn EdgeView::ty",
+    "before.rs: fn EdgeView::get",
+    "before.rs: fn EdgeView::get_or_null",
+    "before.rs: fn PropertyGraph::vertex_view",
+    "before.rs: fn PropertyGraph::edge_view",
     "csv.rs: enum CsvError",
     "csv.rs: fn to_text",
     "csv.rs: fn from_text",
@@ -413,6 +433,7 @@ const GRAPH: &[&str] = &[
     "index.rs: fn join_key",
     "index.rs: fn join_keys_equal",
     "index.rs: fn hash_join_key",
+    "lib.rs: mod before",
     "lib.rs: mod csv",
     "lib.rs: mod delta",
     "lib.rs: mod index",
@@ -573,6 +594,7 @@ const IVM: &[&str] = &[
     "network/register.rs: fn DataflowNetwork::register_with",
     "network/register.rs: fn DataflowNetwork::register_with_restore",
     "network/register.rs: fn DataflowNetwork::dump_states",
+    "network/register.rs: fn DataflowNetwork::dump_states_with",
     "network/register.rs: fn DataflowNetwork::node_plans",
     "network/register.rs: fn DataflowNetwork::arrangement_bags",
     "network/schedule.rs: fn DataflowNetwork::on_transaction",

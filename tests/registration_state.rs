@@ -15,7 +15,7 @@
 //!   network's dump with a random subset of bags removed, so every mix of
 //!   snapshot hit and miss goes through the same loader.
 //!
-//! Node for node they must agree — equal `dump_states`, equal
+//! Node for node they must agree — equal `dump_states_with`, equal
 //! arrangements (key set, readers, contents), equal `memory_tuples_of`,
 //! equal results ≡ `pgq_eval` — and still agree after a further churn
 //! script: a memory loaded wrong only shows on later deltas. During that
@@ -132,10 +132,10 @@ impl Audited {
         all
     }
 
-    /// Every node's dumped bag, by `(fingerprint, check)`.
-    fn dump(&mut self) -> BTreeMap<(u64, u64), Vec<(Tuple, i64)>> {
+    /// Every node's dumped bag over `g`, by `(fingerprint, check)`.
+    fn dump(&mut self, g: &PropertyGraph) -> BTreeMap<(u64, u64), Vec<(Tuple, i64)>> {
         self.net
-            .dump_states()
+            .dump_states_with(g)
             .iter()
             .map(|(fp, check, bag)| ((fp, check), sorted(bag)))
             .collect()
@@ -166,7 +166,7 @@ fn assert_same(
         );
     }
     assert_eq!(a.net.node_count(), b.net.node_count(), "{what}: nodes");
-    let (da, db) = (a.dump(), b.dump());
+    let (da, db) = (a.dump(g), b.dump(g));
     assert_eq!(da.len(), a.net.node_count(), "{what}: one bag per node");
     assert_eq!(da, db, "{what}: dumped bags");
     assert_eq!(a.arrangements(), b.arrangements(), "{what}: arrangements");
@@ -214,7 +214,7 @@ fn audit_root_bags(net: &DataflowNetwork, g: &PropertyGraph, what: &str) -> usiz
 /// Every node's dumped bag equals the recompute of its sub-plan, and so
 /// do every arrangement and every view root's result bag.
 fn audit_against_recompute(a: &mut Audited, g: &PropertyGraph, what: &str) -> usize {
-    let states = a.net.dump_states();
+    let states = a.net.dump_states_with(g);
     let mut audited = 0;
     for (fp, plan, _) in a.net.node_plans() {
         let bag = states
@@ -261,7 +261,7 @@ fn run(seed: u64, options: RegisterOptions) -> usize {
     }
 
     let mut late = Audited::register(&views, &g, options, None);
-    let full = late.net.dump_states();
+    let full = late.net.dump_states_with(&g);
     let mut partial = RestoreStates::new();
     for (fp, check, bag) in full.iter() {
         if rng.below(2) == 0 {

@@ -10,7 +10,7 @@
 //!   the same commit (byte-for-byte), and an engine dropped right after
 //!   a switch against the graph it held, and the thread every fold's
 //!   disk operations come from: one worker for all of an engine's folds;
-//! * every bag [`DataflowNetwork::dump_states`] returns against a
+//! * every bag [`DataflowNetwork::dump_states_with`] returns against a
 //!   `pgq_eval` recompute of that node's canonical sub-plan, and every
 //!   root bag against the view's results — the first step of a state
 //!   audit (operator state equals what its sub-plan implies). The engine
@@ -441,7 +441,7 @@ fn dumped_bags_equal_recompute_of_each_subplan() {
     let mut audited = 0usize;
     for seed in 0..SEEDS {
         let mut w = churned_world(seed);
-        let states = w.net.dump_states();
+        let states = w.net.dump_states_with(&w.g);
         assert_eq!(
             states.len(),
             w.net.node_count(),
@@ -502,7 +502,7 @@ fn shared_subplan_appears_once_in_the_dump() {
     assert!(!shared.is_empty(), "the family shares no stateful node");
     // … and the dump holds it once: one entry per live node, not one
     // per path from a view down to it.
-    let states = w.net.dump_states();
+    let states = w.net.dump_states_with(&w.g);
     assert_eq!(states.len(), w.net.node_count());
     for fp in shared {
         assert_eq!(states.iter().filter(|(f, _, _)| *f == fp).count(), 1);
