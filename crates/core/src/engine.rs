@@ -440,9 +440,10 @@ impl GraphEngine {
 
     /// Apply a sequence of transactions and maintain every view in
     /// **one** propagation pass over their concatenated events. The
-    /// store emits events per operation and every scan diffs its memory
-    /// against the post-state graph, so the pass sees exactly the event
-    /// stream of the equivalent merged transaction: view contents are
+    /// store emits events per operation and every scan diffs the
+    /// before-image of the whole run against the post-state graph, so the
+    /// pass sees exactly the event stream of the equivalent merged
+    /// transaction: view contents are
     /// identical to applying the transactions one by one, and members
     /// that touch the same vertices pay for them once. The batch is one
     /// change to its subscribers: each view it changed is notified once,

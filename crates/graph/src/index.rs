@@ -85,6 +85,15 @@ impl<T: Copy + Eq + Hash> PosBucket<T> {
         self.items.push(x);
     }
 
+    /// Is `x` in the bucket? One probe of `pos`, or a scan of at most
+    /// [`POS_MAP_THRESHOLD`] items.
+    fn contains(&self, x: T) -> bool {
+        match &self.pos {
+            Some(pos) => pos.contains_key(&x),
+            None => self.items.contains(&x),
+        }
+    }
+
     /// Remove `x` if present; returns `true` when the bucket is empty
     /// afterwards (so the caller can drop it from its outer map).
     fn remove(&mut self, x: T) -> bool {
@@ -268,6 +277,11 @@ impl GraphIndexes {
     /// Vertices carrying `label`.
     pub(crate) fn with_label(&self, label: Symbol) -> &[VertexId] {
         self.label.get(&label).map_or(&[], |b| b.items.as_slice())
+    }
+
+    /// Does `v` carry `label`?
+    pub(crate) fn has_label(&self, label: Symbol, v: VertexId) -> bool {
+        self.label.get(&label).is_some_and(|b| b.contains(v))
     }
 
     /// Edges of type `ty`.

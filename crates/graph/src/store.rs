@@ -180,6 +180,13 @@ impl PropertyGraph {
         self.index.with_label(label)
     }
 
+    /// Does vertex `v` carry `label`? Read from the label index, whose
+    /// per-label table is far smaller than the vertex store, so a scan
+    /// over many vertices tests a label without reading each vertex.
+    pub fn has_label(&self, v: VertexId, label: Symbol) -> bool {
+        self.index.has_label(label, v)
+    }
+
     /// Edges of type `ty` (via the type index).
     pub fn edges_with_type(&self, ty: Symbol) -> &[EdgeId] {
         self.index.with_type(ty)

@@ -112,7 +112,8 @@ pub struct NodeSummary {
     /// ⋈*'s two internal scans read the same events, counted once).
     pub events_read: u64,
     /// Tuples the node holds: its operator's private memories plus
-    /// every arrangement of its output.
+    /// every arrangement of its output. A scan holds none: it reads the
+    /// graph and the pass's before-image instead.
     pub own_tuples: usize,
     /// The node's arrangements as `(key columns, tuples, readers)`: each
     /// is one index over its full output, shared by `readers` consuming

@@ -26,11 +26,11 @@
 //!
 //! A scan's "memories" are the graph: it keeps no rows, so its bag is
 //! enumerated from the graph, which no registration changes. That rule
-//! therefore spans registrations for scans, until the next pass: the
-//! first registration that reads a live scan's bag streams it, the
-//! second materialises it ([`ScanBags`]), and every later one before the
-//! next pass — a view family registered back to back — reads that; the
-//! next pass drops it.
+//! therefore spans registrations for scans, until the next pass: once a
+//! scan has been enumerated — loaded new, or streamed to a consumer —
+//! the next registration that reads it materialises its bag
+//! ([`ScanBags`]), and every later one before the next pass — a view
+//! family registered back to back — reads that; the next pass drops it.
 //!
 //! Registration is therefore one bottom-up pass over the *new* part of
 //! the plan: stateful operators load insert-only, stateless ones do no
@@ -192,8 +192,8 @@ impl<'s> Bags<'s> {
 }
 
 /// The scans registrations have enumerated from the graph since the last
-/// pass (module docs, "Full bags"): those streamed once, and the bags of
-/// those enumerated twice.
+/// pass (module docs, "Full bags"): those enumerated once, and the bags
+/// of those enumerated twice.
 #[derive(Clone, Debug, Default)]
 pub(super) struct ScanBags {
     streamed: FxHashSet<NodeId>,
@@ -379,20 +379,26 @@ impl DataflowNetwork {
         });
         self.counters += bags.work;
         // Keep what this registration learnt of the scans for the next
-        // one: which it streamed, and the bags of those streamed before.
-        let scan = |net: &Self, id: &NodeId| {
+        // one: which were enumerated (streamed, or loaded new), and the
+        // bags of those enumerated before.
+        let scan = |id: &NodeId| {
             matches!(
-                net.node(*id).kind,
+                self.node(*id).kind,
                 NodeKind::Vertices(_) | NodeKind::Edges(_)
             )
         };
-        bags.streamed.retain(|id| scan(self, id));
-        bags.resolved
-            .retain(|id, _| scan(self, id) && bags.streamed.contains(id));
-        self.scan_bags = ScanBags {
-            streamed: bags.streamed,
-            bags: bags.resolved,
-        };
+        let mut scans = ScanBags::default();
+        for (id, bag) in bags.resolved.into_iter().filter(|(id, _)| scan(id)) {
+            if bags.streamed.contains(&id) {
+                scans.bags.insert(id, bag);
+            } else {
+                scans.streamed.insert(id);
+            }
+        }
+        scans
+            .streamed
+            .extend(bags.streamed.into_iter().filter(scan));
+        self.scan_bags = scans;
         let sid = self.add_sink(name, fra.schema(), root, seed);
         // Rebuild the routing index and the fused pairs eagerly:
         // registration is already a heavyweight operation, and a
@@ -623,8 +629,8 @@ impl DataflowNetwork {
         let kind = &mut self.nodes[id.ix()].as_mut().expect("live node").kind;
         match kind {
             NodeKind::Unit { emitted } => *emitted = true,
-            NodeKind::Vertices(scan) => produced = Some(scan.initial(g)),
-            NodeKind::Edges(scan) => produced = Some(scan.initial(g)),
+            NodeKind::Vertices(scan) => scan.replay_into(g, produced.insert(Delta::new())),
+            NodeKind::Edges(scan) => scan.replay_into(g, produced.insert(Delta::new())),
             NodeKind::SemiJoin { op, .. } => op.restore(inputs[0]),
             NodeKind::Multiway { op, .. } => op.restore(&inputs),
             NodeKind::VarLength { op, .. } => {

@@ -353,7 +353,8 @@ impl<'a> ViewRef<'a> {
             .sum()
     }
 
-    /// Tuples materialised across the view's subgraph (memory metric).
+    /// Tuples materialised across the view's subgraph (memory metric):
+    /// its nodes' `own_tuples`, so nothing for its scans.
     pub fn memory_tuples(&self) -> usize {
         self.net.memory_tuples_of(self.sid)
     }

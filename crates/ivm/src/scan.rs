@@ -20,7 +20,7 @@ use pgq_graph::before::{BeforeImage, EdgeView, VertexView};
 use pgq_graph::delta::ChangeEvent;
 use pgq_graph::store::PropertyGraph;
 
-use crate::delta::{Delta, Row, RowSink};
+use crate::delta::{Row, RowSink};
 
 /// What part of the change feed a scan can possibly react to — the
 /// routing contract the shared dataflow network indexes scans by, so a
@@ -81,6 +81,16 @@ pub(crate) struct VertexScan {
     events_read: u64,
 }
 
+/// A changed row into `out`: the old one retracted, the new asserted.
+fn push_change(out: &mut (impl RowSink + ?Sized), old: Option<&[Value]>, new: Option<&[Value]>) {
+    if let Some(old) = old {
+        out.push_row(Row::Assembled(old), -1);
+    }
+    if let Some(new) = new {
+        out.push_row(Row::Assembled(new), 1);
+    }
+}
+
 /// `v`'s row `[v, props…]` as `data` holds it, assembled into `row`;
 /// false when `v` is absent or lacks one of `labels`.
 fn vertex_row(
@@ -139,39 +149,31 @@ impl VertexScan {
     }
 
     /// Emit every row of the scan over `g`, each with multiplicity +1,
-    /// into `out`: the smallest label extent, the other labels verified.
+    /// into `out`: the smallest label extent, the other labels tested in
+    /// the label index, a vertex read only for its pushed properties.
     pub(crate) fn replay_into(&self, g: &PropertyGraph, out: &mut (impl RowSink + ?Sized)) {
-        let mut row = Vec::with_capacity(1 + self.props.len());
-        let mut emit = |v: VertexId| {
-            if self.row_into(v, g.vertex_view(v), &mut row) {
-                out.push_row(Row::Assembled(&row), 1);
-            }
-        };
         let extent = self
             .labels
             .iter()
-            .map(|&l| g.vertices_with_label(l))
-            .min_by_key(|ids| ids.len());
+            .min_by_key(|&&l| g.vertices_with_label(l).len());
+        let mut row = Vec::with_capacity(1 + self.props.len());
+        let mut emit = |v: VertexId| {
+            let tested = self.labels.iter().filter(|&l| Some(l) != extent);
+            if !tested.into_iter().all(|&l| g.has_label(v, l)) {
+                return;
+            }
+            row.clear();
+            row.push(Value::Node(v));
+            if !self.props.is_empty() {
+                let data = g.vertex_view(v).expect("a listed vertex exists");
+                row.extend(self.props.iter().map(|p| data.get_or_null(p.prop)));
+            }
+            out.push_row(Row::Assembled(&row), 1);
+        };
         match extent {
             None => g.vertex_ids().for_each(&mut emit),
-            Some(ids) => ids.iter().copied().for_each(&mut emit),
+            Some(&l) => g.vertices_with_label(l).iter().copied().for_each(&mut emit),
         }
-    }
-
-    /// Full evaluation against `g`.
-    pub(crate) fn initial(&self, g: &PropertyGraph) -> Delta {
-        let extent = match self
-            .labels
-            .iter()
-            .map(|&l| g.vertices_with_label(l).len())
-            .min()
-        {
-            None => g.vertex_count(),
-            Some(n) => n,
-        };
-        let mut out = Delta::with_capacity(extent);
-        self.replay_into(g, &mut out);
-        out
     }
 
     /// Delta for a batch of committed events — the network hands a scan
@@ -183,14 +185,7 @@ impl VertexScan {
         events: impl IntoIterator<Item = &'e ChangeEvent>,
         out: &mut (impl RowSink + ?Sized),
     ) {
-        self.changes(image, events, |_, old, new| {
-            if let Some(old) = old {
-                out.push_row(Row::Assembled(old), -1);
-            }
-            if let Some(new) = new {
-                out.push_row(Row::Assembled(new), 1);
-            }
-        });
+        self.changes(image, events, |_, old, new| push_change(out, old, new));
     }
 
     /// Call `f(v, old, new)` for every vertex the events touch whose row
@@ -384,25 +379,50 @@ impl EdgeScan {
         let Some(dst) = vertex(d).filter(|v| carries(v, &self.dst_labels)) else {
             return false;
         };
-        row.clear();
-        row.extend([Value::Node(s), Value::Rel(e), Value::Node(d)]);
-        row.extend(self.src_props.iter().map(|p| src.get_or_null(p.prop)));
-        row.extend(self.edge_props.iter().map(|p| edge.get_or_null(p.prop)));
-        row.extend(self.dst_props.iter().map(|p| dst.get_or_null(p.prop)));
+        self.assemble((s, d), e, edge, (Some(&src), Some(&dst)), row);
         true
     }
 
+    /// `e`'s row in orientation `s → d` into `row`, its endpoints'
+    /// pushed properties read from `ends` (`None` where that side pushes
+    /// none).
+    fn assemble(
+        &self,
+        (s, d): (VertexId, VertexId),
+        e: EdgeId,
+        edge: &EdgeView<'_>,
+        (src, dst): (Option<&VertexView<'_>>, Option<&VertexView<'_>>),
+        row: &mut Vec<Value>,
+    ) {
+        let prop = |v: Option<&VertexView<'_>>, p: &PropPush| {
+            v.map_or(Value::Null, |v| v.get_or_null(p.prop))
+        };
+        row.clear();
+        row.extend([Value::Node(s), Value::Rel(e), Value::Node(d)]);
+        row.extend(self.src_props.iter().map(|p| prop(src, p)));
+        row.extend(self.edge_props.iter().map(|p| edge.get_or_null(p.prop)));
+        row.extend(self.dst_props.iter().map(|p| prop(dst, p)));
+    }
+
     /// Emit every row of the scan over `g`, each with multiplicity +1,
-    /// into `out`.
+    /// into `out`. Endpoint labels are tested in the label index, and an
+    /// endpoint is read only for its pushed properties.
     pub(crate) fn replay_into(&self, g: &PropertyGraph, out: &mut (impl RowSink + ?Sized)) {
+        let carries = |v: VertexId, labels: &[Symbol]| labels.iter().all(|&l| g.has_label(v, l));
+        let read = |v: VertexId, props: &[PropPush]| match props.is_empty() {
+            true => None,
+            false => g.vertex_view(v),
+        };
         let mut row = Vec::new();
         let mut emit = |e: EdgeId| {
             let Some(edge) = g.edge_view(e).filter(|edge| self.admits(edge)) else {
                 return;
             };
             let (ends, n) = self.orientations(edge.src(), edge.dst());
-            for &ends in &ends[..n] {
-                if self.row_into(ends, e, &edge, |v| g.vertex_view(v), &mut row) {
+            for &(s, d) in &ends[..n] {
+                if carries(s, &self.src_labels) && carries(d, &self.dst_labels) {
+                    let (src, dst) = (read(s, &self.src_props), read(d, &self.dst_props));
+                    self.assemble((s, d), e, &edge, (src.as_ref(), dst.as_ref()), &mut row);
                     out.push_row(Row::Assembled(&row), 1);
                 }
             }
@@ -416,17 +436,6 @@ impl EdgeScan {
         }
     }
 
-    /// Full evaluation against `g`.
-    pub(crate) fn initial(&self, g: &PropertyGraph) -> Delta {
-        let extent = match self.types.is_empty() {
-            true => g.edge_count(),
-            false => self.types.iter().map(|&t| g.edges_with_type(t).len()).sum(),
-        };
-        let mut out = Delta::with_capacity(extent);
-        self.replay_into(g, &mut out);
-        out
-    }
-
     /// Delta for a batch of committed events — the network hands a scan
     /// only the events routed to it; `image` undoes all of the pass's —
     /// into a caller-owned (pooled) buffer or any other [`RowSink`].
@@ -438,14 +447,7 @@ impl EdgeScan {
         events: impl IntoIterator<Item = &'e ChangeEvent>,
         out: &mut (impl RowSink + ?Sized),
     ) {
-        self.changes(image, events, |old, new| {
-            if let Some(old) = old {
-                out.push_row(Row::Assembled(old), -1);
-            }
-            if let Some(new) = new {
-                out.push_row(Row::Assembled(new), 1);
-            }
-        });
+        self.changes(image, events, |old, new| push_change(out, old, new));
     }
 
     /// Call `f(old, new)` for every orientation of every edge the events
@@ -510,6 +512,7 @@ impl EdgeScan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::Delta;
     use pgq_graph::before::BeforeIndex;
     use pgq_graph::props::Properties;
     use pgq_graph::tx::Transaction;
@@ -523,6 +526,13 @@ mod tests {
             prop: sym(prop),
             col: col.into(),
         }
+    }
+
+    /// The bag a scan's `replay_into` writes.
+    fn scan_bag(replay_into: impl FnOnce(&mut Delta)) -> Delta {
+        let mut out = Delta::new();
+        replay_into(&mut out);
+        out
     }
 
     /// The consolidated delta a scan's `on_events_into` writes for a
@@ -546,7 +556,7 @@ mod tests {
             Properties::from_iter([("lang", Value::str("en"))]),
         );
         let mut scan = VertexScan::new(vec![sym("Post")], vec![push("lang", "p.lang")]);
-        let init = scan.initial(&g).consolidate();
+        let init = scan_bag(|out| scan.replay_into(&g, out)).consolidate();
         assert_eq!(init.len(), 1);
         let (t0, m0) = init.iter().next().unwrap().clone();
         assert_eq!(m0, 1);
@@ -573,7 +583,7 @@ mod tests {
         let mut g = PropertyGraph::new();
         let (a, _) = g.add_vertex([sym("Post")], Properties::new());
         let mut scan = VertexScan::new(vec![sym("Post")], vec![]);
-        scan.initial(&g);
+        scan_bag(|out| scan.replay_into(&g, out));
         let ev = g.set_vertex_prop(a, sym("other"), Value::Int(1)).unwrap();
         let d = consolidated(&g, &[ev], |image, evs, out| {
             scan.on_events_into(image, evs, out)
@@ -592,7 +602,7 @@ mod tests {
             dir: Some(Direction::Both),
             ..Default::default()
         });
-        let init = scan.initial(&g).consolidate();
+        let init = scan_bag(|out| scan.replay_into(&g, out)).consolidate();
         assert_eq!(init.len(), 2, "both orientations");
     }
 
@@ -605,7 +615,12 @@ mod tests {
             dir: Some(Direction::Both),
             ..Default::default()
         });
-        assert_eq!(scan.initial(&g).consolidate().len(), 1);
+        assert_eq!(
+            scan_bag(|out| scan.replay_into(&g, out))
+                .consolidate()
+                .len(),
+            1
+        );
     }
 
     #[test]
@@ -620,7 +635,12 @@ mod tests {
             dir: Some(Direction::Out),
             ..Default::default()
         });
-        assert_eq!(scan.initial(&g).consolidate().len(), 1);
+        assert_eq!(
+            scan_bag(|out| scan.replay_into(&g, out))
+                .consolidate()
+                .len(),
+            1
+        );
         let ev = g.remove_label(b, sym("Comm")).unwrap().unwrap();
         let d = consolidated(&g, &[ev], |image, evs, out| {
             scan.on_events_into(image, evs, out)
@@ -646,7 +666,12 @@ mod tests {
             edge_prop_filters: vec![(sym("w"), Value::Int(1))],
             ..Default::default()
         });
-        assert_eq!(scan.initial(&g).consolidate().len(), 1);
+        assert_eq!(
+            scan_bag(|out| scan.replay_into(&g, out))
+                .consolidate()
+                .len(),
+            1
+        );
         let ev = g.set_edge_prop(e, sym("w"), Value::Int(2)).unwrap();
         let d = consolidated(&g, &[ev], |image, evs, out| {
             scan.on_events_into(image, evs, out)
@@ -658,7 +683,7 @@ mod tests {
     fn transaction_events_flow_through_scan() {
         let mut g = PropertyGraph::new();
         let mut scan = VertexScan::new(vec![sym("Post")], vec![]);
-        scan.initial(&g);
+        scan_bag(|out| scan.replay_into(&g, out));
         let mut tx = Transaction::new();
         tx.create_vertex([sym("Post")], Properties::new());
         tx.create_vertex([sym("Comm")], Properties::new());

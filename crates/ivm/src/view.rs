@@ -84,7 +84,8 @@ impl MaterializedView {
         self.net.view(self.sink).row_count()
     }
 
-    /// Tuples materialised across the network (memory metric).
+    /// Tuples materialised across the network (memory metric); its
+    /// scans hold none.
     pub fn memory_tuples(&self) -> usize {
         self.net.view(self.sink).memory_tuples()
     }

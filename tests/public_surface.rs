@@ -484,6 +484,7 @@ const GRAPH: &[&str] = &[
     "store.rs: fn PropertyGraph::vertices",
     "store.rs: fn PropertyGraph::edges",
     "store.rs: fn PropertyGraph::vertices_with_label",
+    "store.rs: fn PropertyGraph::has_label",
     "store.rs: fn PropertyGraph::edges_with_type",
     "store.rs: fn PropertyGraph::out_edges",
     "store.rs: fn PropertyGraph::in_edges",
