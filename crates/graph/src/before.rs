@@ -111,22 +111,18 @@ impl BeforeIndex {
                 labels: false,
                 props: false,
             });
-            match slot {
-                None if matches!(
-                    ev,
-                    ChangeEvent::VertexRemoved { .. } | ChangeEvent::EdgeRemoved { .. }
-                ) =>
-                {
-                    origin.removed = pos
+            match (ev, slot) {
+                (ChangeEvent::VertexRemoved { .. } | ChangeEvent::EdgeRemoved { .. }, _) => {
+                    origin.removed = pos;
                 }
-                None => {}
-                Some(slot) => {
+                (_, Some(slot)) => {
                     match slot {
                         Slot::Label(..) => origin.labels = true,
                         Slot::VertexProp(..) | Slot::EdgeProp(..) => origin.props = true,
                     }
                     self.slots.entry(slot).or_insert(pos);
                 }
+                (_, None) => {}
             }
         }
         BeforeImage {

@@ -629,8 +629,12 @@ impl DataflowNetwork {
         let kind = &mut self.nodes[id.ix()].as_mut().expect("live node").kind;
         match kind {
             NodeKind::Unit { emitted } => *emitted = true,
-            NodeKind::Vertices(scan) => scan.replay_into(g, produced.insert(Delta::new())),
-            NodeKind::Edges(scan) => scan.replay_into(g, produced.insert(Delta::new())),
+            NodeKind::Vertices(scan) => {
+                scan.replay_into(g, produced.insert(Delta::with_capacity(scan.extent(g))))
+            }
+            NodeKind::Edges(scan) => {
+                scan.replay_into(g, produced.insert(Delta::with_capacity(scan.extent(g))))
+            }
             NodeKind::SemiJoin { op, .. } => op.restore(inputs[0]),
             NodeKind::Multiway { op, .. } => op.restore(&inputs),
             NodeKind::VarLength { op, .. } => {

@@ -91,6 +91,9 @@ fn push_change(out: &mut (impl RowSink + ?Sized), old: Option<&[Value]>, new: Op
     }
 }
 
+/// Edges [`EdgeScan::replay_into`] reads per stage.
+const BATCH: usize = 64;
+
 /// `v`'s row `[v, props…]` as `data` holds it, assembled into `row`;
 /// false when `v` is absent or lacks one of `labels`.
 fn vertex_row(
@@ -148,6 +151,13 @@ impl VertexScan {
         vertex_row(&self.labels, &self.props, v, data, row)
     }
 
+    /// How many vertices [`VertexScan::replay_into`] reads from `g`: a
+    /// bound on its rows.
+    pub(crate) fn extent(&self, g: &PropertyGraph) -> usize {
+        let extents = self.labels.iter().map(|&l| g.vertices_with_label(l).len());
+        extents.min().unwrap_or(g.vertex_count())
+    }
+
     /// Emit every row of the scan over `g`, each with multiplicity +1,
     /// into `out`: the smallest label extent, the other labels tested in
     /// the label index, a vertex read only for its pushed properties.
@@ -158,8 +168,8 @@ impl VertexScan {
             .min_by_key(|&&l| g.vertices_with_label(l).len());
         let mut row = Vec::with_capacity(1 + self.props.len());
         let mut emit = |v: VertexId| {
-            let tested = self.labels.iter().filter(|&l| Some(l) != extent);
-            if !tested.into_iter().all(|&l| g.has_label(v, l)) {
+            let mut tested = self.labels.iter().filter(|&l| Some(l) != extent);
+            if !tested.all(|&l| g.has_label(v, l)) {
                 return;
             }
             row.clear();
@@ -404,34 +414,69 @@ impl EdgeScan {
         row.extend(self.dst_props.iter().map(|p| prop(dst, p)));
     }
 
+    /// How many rows [`EdgeScan::replay_into`] can emit from `g`: one
+    /// per orientation of every edge it reads.
+    pub(crate) fn extent(&self, g: &PropertyGraph) -> usize {
+        let edges = match self.types.is_empty() {
+            true => g.edge_count(),
+            false => self.types.iter().map(|&t| g.edges_with_type(t).len()).sum(),
+        };
+        match self.dir {
+            Direction::Both => 2 * edges,
+            Direction::Out | Direction::In => edges,
+        }
+    }
+
     /// Emit every row of the scan over `g`, each with multiplicity +1,
     /// into `out`. Endpoint labels are tested in the label index, and an
-    /// endpoint is read only for its pushed properties.
+    /// endpoint is read only for its pushed properties. Edges are read
+    /// [`BATCH`] at a time, one kind of lookup per stage — the edges,
+    /// their endpoints' labels, the sources, the targets — so that a
+    /// stage's cache misses overlap instead of each waiting behind the
+    /// lookups and the consumer of the row before it.
     pub(crate) fn replay_into(&self, g: &PropertyGraph, out: &mut (impl RowSink + ?Sized)) {
         let carries = |v: VertexId, labels: &[Symbol]| labels.iter().all(|&l| g.has_label(v, l));
         let read = |v: VertexId, props: &[PropPush]| match props.is_empty() {
             true => None,
             false => g.vertex_view(v),
         };
-        let mut row = Vec::new();
-        let mut emit = |e: EdgeId| {
-            let Some(edge) = g.edge_view(e).filter(|edge| self.admits(edge)) else {
-                return;
-            };
-            let (ends, n) = self.orientations(edge.src(), edge.dst());
-            for &(s, d) in &ends[..n] {
-                if carries(s, &self.src_labels) && carries(d, &self.dst_labels) {
-                    let (src, dst) = (read(s, &self.src_props), read(d, &self.dst_props));
-                    self.assemble((s, d), e, &edge, (src.as_ref(), dst.as_ref()), &mut row);
-                    out.push_row(Row::Assembled(&row), 1);
-                }
+        let all = self.types.is_empty().then(|| g.edge_ids());
+        let typed = self.types.iter().flat_map(|&t| g.edges_with_type(t));
+        let mut ids = all.into_iter().flatten().chain(typed.copied());
+        // A batch's edges; their (at most two) admitted orientations; and
+        // those orientations' sources and targets, read for their props.
+        let mut edges = Vec::with_capacity(BATCH);
+        let (mut hits, mut ends) = (Vec::with_capacity(2 * BATCH), Vec::with_capacity(2 * BATCH));
+        let width = 3 + self.src_props.len() + self.edge_props.len() + self.dst_props.len();
+        let mut row = Vec::with_capacity(width);
+        loop {
+            edges.clear();
+            edges.extend(ids.by_ref().take(BATCH).map(|e| (e, g.edge_view(e))));
+            hits.clear();
+            for &(e, edge) in &edges {
+                let Some(edge) = edge.filter(|edge| self.admits(edge)) else {
+                    continue;
+                };
+                let (ends, n) = self.orientations(edge.src(), edge.dst());
+                let admitted = ends[..n].iter().filter(|&&(s, d)| {
+                    carries(s, &self.src_labels) && carries(d, &self.dst_labels)
+                });
+                hits.extend(admitted.map(|&ends| (e, edge, ends)));
             }
-        };
-        if self.types.is_empty() {
-            g.edge_ids().for_each(&mut emit);
-        } else {
-            for &t in &self.types {
-                g.edges_with_type(t).iter().copied().for_each(&mut emit);
+            ends.clear();
+            ends.extend(
+                hits.iter()
+                    .map(|&(_, _, (s, _))| (read(s, &self.src_props), None)),
+            );
+            for (&(_, _, (_, d)), (_, dst)) in hits.iter().zip(&mut ends) {
+                *dst = read(d, &self.dst_props);
+            }
+            for (&(e, edge, sd), (src, dst)) in hits.iter().zip(&ends) {
+                self.assemble(sd, e, &edge, (src.as_ref(), dst.as_ref()), &mut row);
+                out.push_row(Row::Assembled(&row), 1);
+            }
+            if edges.len() < BATCH {
+                return;
             }
         }
     }

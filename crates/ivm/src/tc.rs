@@ -75,11 +75,14 @@
 //! edge-distinctness is a scan of the path) — the touched neighbourhood,
 //! never the graph. An edge change additionally scans its source's
 //! adjacency list to unlink it, and every hop costs one vertex-map and
-//! one edge-map lookup. The lists a path enters — its parent's
-//! `children`, its target's `ending`, its last edge's `by_last_edge` —
-//! and a vertex's `out` hold one entry inline (`SmallList`), so a new
-//! path allocates its `Arc<PathValue>` (and that value's two `Vec`s) and
-//! nothing else until some vertex, edge or node gains a second entry.
+//! one edge-map lookup. Under a destination constraint an emitted row
+//! also reads its target's labels and pushed properties from the graph.
+//! A hop change arrives as three ids, with no tuple. The lists a path
+//! enters — its parent's `children`, its target's `ending`, its last
+//! edge's `by_last_edge` — and a vertex's `out` hold one entry inline
+//! (`SmallList`), so a new path allocates its `Arc<PathValue>` (and that
+//! value's two `Vec`s) and nothing else until some vertex, edge or node
+//! gains a second entry.
 
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
