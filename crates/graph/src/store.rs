@@ -84,15 +84,13 @@ pub struct PropertyGraph {
     vertices: FxHashMap<VertexId, VertexData>,
     edges: FxHashMap<EdgeId, EdgeData>,
     index: GraphIndexes,
-    /// Deferred cardinality counters (see [`crate::stats`]); a mutex
-    /// only so `&self` readers can integrate pending deltas — mutators
-    /// go through `get_mut` and never lock.
+    /// Deferred cardinality counters (see [`crate::stats`]). The
+    /// mutators below are their only writer: each pushes its O(1) delta
+    /// through a hook, so a transaction that [`PropertyGraph::apply`]
+    /// rolls back pushes its work's deltas and then their reversal. A
+    /// mutex only so `&self` readers can integrate pending deltas —
+    /// mutators go through `get_mut` and never lock.
     catalog: std::sync::Mutex<CatalogCell>,
-    /// While true, mutators skip their per-mutation catalog hooks; the
-    /// transaction path ([`PropertyGraph::apply`]) sets this and derives
-    /// the catalog deltas from the committed event stream instead, so a
-    /// rolled-back transaction pays zero catalog traffic.
-    catalog_defer: bool,
     next_vertex: u64,
     next_edge: u64,
 }
@@ -109,7 +107,6 @@ impl Clone for PropertyGraph {
                     .expect("catalog mutex poisoned (a catalog update panicked)")
                     .clone(),
             ),
-            catalog_defer: self.catalog_defer,
             next_vertex: self.next_vertex,
             next_edge: self.next_edge,
         }
@@ -262,46 +259,6 @@ impl PropertyGraph {
             .expect("catalog mutex poisoned (a catalog update panicked)")
     }
 
-    /// Start deferring catalog maintenance: mutators skip their
-    /// per-mutation hooks until [`PropertyGraph::end_catalog_defer`].
-    /// Used by the transaction path, which derives the deltas from the
-    /// committed events via [`PropertyGraph::catalog_fold_events`].
-    #[inline]
-    pub(crate) fn begin_catalog_defer(&mut self) {
-        self.catalog_defer = true;
-    }
-
-    /// Stop deferring catalog maintenance (see
-    /// [`PropertyGraph::begin_catalog_defer`]).
-    #[inline]
-    pub(crate) fn end_catalog_defer(&mut self) {
-        self.catalog_defer = false;
-    }
-
-    /// Append the cardinality-catalog deltas of a committed transaction,
-    /// derived from its event stream in exact mutation order. Must be
-    /// called on the post-transaction graph (added elements' payloads
-    /// are read from the final state, or from the removal event when
-    /// they were deleted again within the same transaction).
-    pub(crate) fn catalog_fold_events(&mut self, events: &[ChangeEvent]) {
-        let PropertyGraph {
-            vertices,
-            edges,
-            index,
-            catalog,
-            ..
-        } = self;
-        let cell = catalog
-            .get_mut()
-            .expect("catalog mutex poisoned (a catalog update panicked)");
-        match events {
-            [] => return,
-            [ev] => fold_single(cell, vertices, edges, index, ev),
-            evs => fold_many(cell, vertices, edges, index, evs),
-        }
-        cell.maybe_integrate();
-    }
-
     /// Vertex property lookup, `Null` when absent (Cypher semantics).
     pub fn vertex_prop(&self, id: VertexId, key: Symbol) -> Value {
         self.vertices
@@ -338,9 +295,7 @@ impl PropertyGraph {
             self.index.add_label(l, id);
         }
         self.index.prop_vertex(&labels, &props, id, true);
-        if !self.catalog_defer {
-            self.catalog_mut().on_vertex_added(&props);
-        }
+        self.catalog_mut().on_vertex_added(&props);
         self.vertices.insert(id, VertexData { labels, props });
         self.next_vertex = self.next_vertex.max(id.0 + 1);
     }
@@ -444,9 +399,7 @@ impl PropertyGraph {
             self.index.remove_label(l, id);
         }
         self.index.prop_vertex(&data.labels, &data.props, id, false);
-        if !self.catalog_defer {
-            self.catalog_mut().on_vertex_removed(&data.props);
-        }
+        self.catalog_mut().on_vertex_removed(&data.props);
         events.push(ChangeEvent::VertexRemoved { id, data });
         Ok(events)
     }
@@ -480,10 +433,8 @@ impl PropertyGraph {
         props: Properties,
     ) {
         let old_src_out = self.index.add_edge(id, src, dst, ty);
-        if !self.catalog_defer {
-            self.catalog_mut()
-                .on_edge_added(ty, src, dst, old_src_out, &props);
-        }
+        self.catalog_mut()
+            .on_edge_added(ty, src, dst, old_src_out, &props);
         self.edges.insert(
             id,
             EdgeData {
@@ -500,15 +451,8 @@ impl PropertyGraph {
     pub fn remove_edge(&mut self, id: EdgeId) -> Result<ChangeEvent, GraphError> {
         let data = self.edges.remove(&id).ok_or(GraphError::EdgeNotFound(id))?;
         let old_src_out = self.index.remove_edge(id, data.src, data.dst, data.ty);
-        if !self.catalog_defer {
-            self.catalog_mut().on_edge_removed(
-                data.ty,
-                data.src,
-                data.dst,
-                old_src_out,
-                &data.props,
-            );
-        }
+        self.catalog_mut()
+            .on_edge_removed(data.ty, data.src, data.dst, old_src_out, &data.props);
         Ok(ChangeEvent::EdgeRemoved { id, data })
     }
 
@@ -530,9 +474,7 @@ impl PropertyGraph {
                 self.index.prop_insert(l, key, &value, id);
             }
         }
-        if !self.catalog_defer {
-            self.catalog_mut().on_vertex_prop_changed(key, &old, &value);
-        }
+        self.catalog_mut().on_vertex_prop_changed(key, &old, &value);
         Ok(ChangeEvent::VertexPropChanged {
             id,
             key,
@@ -553,9 +495,7 @@ impl PropertyGraph {
             .get_mut(&id)
             .ok_or(GraphError::EdgeNotFound(id))?;
         let old = data.props.set(key, value.clone()).unwrap_or(Value::Null);
-        if !self.catalog_defer {
-            self.catalog_mut().on_edge_prop_changed(key, &old, &value);
-        }
+        self.catalog_mut().on_edge_prop_changed(key, &old, &value);
         Ok(ChangeEvent::EdgePropChanged {
             id,
             key,
@@ -603,179 +543,6 @@ impl PropertyGraph {
                 self.index.prop_vertex(&[label], &data.props, id, false);
                 Ok(Some(ChangeEvent::LabelRemoved { id, label }))
             }
-        }
-    }
-}
-
-/// Catalog fold for a single-event transaction (the common transactional
-/// workload): no per-element interactions are possible, so the payloads
-/// and degrees come straight from the final graph state.
-fn fold_single(
-    cell: &mut CatalogCell,
-    vertices: &FxHashMap<VertexId, VertexData>,
-    edges: &FxHashMap<EdgeId, EdgeData>,
-    index: &GraphIndexes,
-    ev: &ChangeEvent,
-) {
-    match ev {
-        ChangeEvent::VertexAdded { id } => {
-            let data = vertices.get(id).expect("added vertex exists");
-            cell.on_vertex_added(&data.props);
-        }
-        ChangeEvent::VertexRemoved { data, .. } => cell.on_vertex_removed(&data.props),
-        ChangeEvent::EdgeAdded { id } => {
-            let d = edges.get(id).expect("added edge exists");
-            // The edge is already in the index, so the pre-mutation
-            // out-degree is one less than the current one.
-            cell.on_edge_added(
-                d.ty,
-                d.src,
-                d.dst,
-                index.out_edges(d.src).len() - 1,
-                &d.props,
-            );
-        }
-        ChangeEvent::EdgeRemoved { data, .. } => cell.on_edge_removed(
-            data.ty,
-            data.src,
-            data.dst,
-            index.out_edges(data.src).len() + 1,
-            &data.props,
-        ),
-        ChangeEvent::VertexPropChanged { key, old, new, .. } => {
-            cell.on_vertex_prop_changed(*key, old, new);
-        }
-        ChangeEvent::EdgePropChanged { key, old, new, .. } => {
-            cell.on_edge_prop_changed(*key, old, new);
-        }
-        // Labels are counted by the label index, not the catalog.
-        ChangeEvent::LabelAdded { .. } | ChangeEvent::LabelRemoved { .. } => {}
-    }
-}
-
-/// Catalog fold for a multi-event transaction, replaying the deltas in
-/// exact mutation order. Added elements' payloads come from the final
-/// graph state (or the removal event, if they were deleted again within
-/// the transaction), with property values rewound through the
-/// transaction's own later changes; running out-degrees start from the
-/// final degrees minus the transaction's net change.
-fn fold_many(
-    cell: &mut CatalogCell,
-    vertices: &FxHashMap<VertexId, VertexData>,
-    edges: &FxHashMap<EdgeId, EdgeData>,
-    index: &GraphIndexes,
-    events: &[ChangeEvent],
-) {
-    use ChangeEvent as Ev;
-    // Pass 1: removed payloads, per-source net out-degree change, and
-    // each property's value before its first in-transaction change.
-    let mut removed_v: FxHashMap<VertexId, &VertexData> = FxHashMap::default();
-    let mut removed_e: FxHashMap<EdgeId, &EdgeData> = FxHashMap::default();
-    let mut net: FxHashMap<VertexId, i64> = FxHashMap::default();
-    let mut vfirst: FxHashMap<(VertexId, Symbol), &Value> = FxHashMap::default();
-    let mut efirst: FxHashMap<(EdgeId, Symbol), &Value> = FxHashMap::default();
-    for ev in events {
-        match ev {
-            Ev::VertexRemoved { id, data } => {
-                removed_v.insert(*id, data);
-            }
-            Ev::EdgeRemoved { id, data } => {
-                removed_e.insert(*id, data);
-                *net.entry(data.src).or_insert(0) -= 1;
-            }
-            Ev::VertexPropChanged { id, key, old, .. } => {
-                vfirst.entry((*id, *key)).or_insert(old);
-            }
-            Ev::EdgePropChanged { id, key, old, .. } => {
-                efirst.entry((*id, *key)).or_insert(old);
-            }
-            _ => {}
-        }
-    }
-    let edge_data = |id: EdgeId| -> &EdgeData {
-        edges
-            .get(&id)
-            .or_else(|| removed_e.get(&id).copied())
-            .expect("added edge has a payload")
-    };
-    for ev in events {
-        if let Ev::EdgeAdded { id } = ev {
-            *net.entry(edge_data(*id).src).or_insert(0) += 1;
-        }
-    }
-    // Running out-degrees, rewound to their pre-transaction values.
-    let mut deg: FxHashMap<VertexId, i64> = net
-        .iter()
-        .map(|(&v, &n)| (v, index.out_edges(v).len() as i64 - n))
-        .collect();
-    // Pass 2: replay in mutation order.
-    for ev in events {
-        match ev {
-            Ev::VertexAdded { id } => {
-                let data = vertices
-                    .get(id)
-                    .or_else(|| removed_v.get(id).copied())
-                    .expect("added vertex has a payload");
-                for (key, v) in data.props.iter() {
-                    let v0 = vfirst.get(&(*id, key)).copied().unwrap_or(v);
-                    if !v0.is_null() {
-                        cell.push_prop_delta(key, v0, true, true);
-                    }
-                }
-                // Keys present at creation but gone from the final state.
-                for (&(vid, key), &old) in vfirst.iter() {
-                    if vid == *id && data.props.get(key).is_none() && !old.is_null() {
-                        cell.push_prop_delta(key, old, true, true);
-                    }
-                }
-            }
-            Ev::VertexRemoved { data, .. } => {
-                for (key, v) in data.props.iter() {
-                    cell.push_prop_delta(key, v, true, false);
-                }
-            }
-            Ev::EdgeAdded { id } => {
-                let data = edge_data(*id);
-                let d = deg.get_mut(&data.src).expect("degree seeded in pass 1");
-                cell.push_edge_delta(data.ty, data.src, data.dst, *d as usize, true);
-                *d += 1;
-                for (key, v) in data.props.iter() {
-                    let v0 = efirst.get(&(*id, key)).copied().unwrap_or(v);
-                    if !v0.is_null() {
-                        cell.push_prop_delta(key, v0, false, true);
-                    }
-                }
-                for (&(eid, key), &old) in efirst.iter() {
-                    if eid == *id && data.props.get(key).is_none() && !old.is_null() {
-                        cell.push_prop_delta(key, old, false, true);
-                    }
-                }
-            }
-            Ev::EdgeRemoved { data, .. } => {
-                let d = deg.get_mut(&data.src).expect("degree seeded in pass 1");
-                cell.push_edge_delta(data.ty, data.src, data.dst, *d as usize, false);
-                *d -= 1;
-                for (key, v) in data.props.iter() {
-                    cell.push_prop_delta(key, v, false, false);
-                }
-            }
-            Ev::VertexPropChanged { key, old, new, .. } => {
-                if !old.is_null() {
-                    cell.push_prop_delta(*key, old, true, false);
-                }
-                if !new.is_null() {
-                    cell.push_prop_delta(*key, new, true, true);
-                }
-            }
-            Ev::EdgePropChanged { key, old, new, .. } => {
-                if !old.is_null() {
-                    cell.push_prop_delta(*key, old, false, false);
-                }
-                if !new.is_null() {
-                    cell.push_prop_delta(*key, new, false, true);
-                }
-            }
-            Ev::LabelAdded { .. } | Ev::LabelRemoved { .. } => {}
         }
     }
 }

@@ -238,17 +238,14 @@ impl PropertyGraph {
     /// Apply `tx` atomically. On success returns the committed events in
     /// operation order; on failure the graph is unchanged.
     ///
-    /// Cardinality-catalog maintenance is folded into the event
-    /// materialisation: the per-mutation hooks are suppressed for the
-    /// whole transaction and the deltas are derived from the committed
-    /// event stream in one pass afterwards, so a rolled-back transaction
-    /// (including its reversal) generates no catalog traffic at all.
+    /// The cardinality catalog is kept by the mutators' own hooks, as for
+    /// any other mutation; a failed transaction's reversal pushes the
+    /// opposite deltas, so the catalog ends where it started.
     pub fn apply(&mut self, tx: &Transaction) -> Result<Vec<ChangeEvent>, GraphError> {
         let mut events: Vec<ChangeEvent> = Vec::with_capacity(tx.len());
         let mut created: Vec<VertexId> = Vec::new();
         let watermarks = self.id_watermarks();
 
-        self.begin_catalog_defer();
         let result = (|| -> Result<(), GraphError> {
             for op in &tx.ops {
                 match op {
@@ -293,17 +290,12 @@ impl PropertyGraph {
         })();
 
         if let Err(e) = result {
-            // Still deferred, so the reversal reaches the catalog no more
-            // than the work did. It also un-burns the ids the aborted
-            // transaction allocated: a failed transaction must be
-            // invisible to WAL replay, which re-derives ids from the
-            // watermarks.
+            // The reversal also un-burns the ids the aborted transaction
+            // allocated: a failed transaction must be invisible to WAL
+            // replay, which re-derives ids from the watermarks.
             self.unapply(&events, watermarks);
-            self.end_catalog_defer();
             return Err(e);
         }
-        self.end_catalog_defer();
-        self.catalog_fold_events(&events);
         Ok(events)
     }
 
@@ -316,14 +308,12 @@ impl PropertyGraph {
     /// This is the durable engine's commit-failure path: the graph
     /// mutated in memory, but the WAL append failed, so the commit must
     /// be taken back as if it never happened. Must be called immediately
-    /// after the transaction (no intervening mutations). The normal
-    /// mutators run with catalog hooks live, so the cardinality catalog
-    /// rolls back along with the topology.
-    ///
+    /// after the transaction (no intervening mutations).
     /// [`PropertyGraph::apply`] also calls it to roll back a failed
-    /// transaction while catalog maintenance is still deferred: no hooks
-    /// run then, and none need to, because the aborted work updated the
-    /// catalog no more than its reversal does.
+    /// transaction. Either way the reversal runs through the normal
+    /// mutators, whose catalog hooks push the opposite of every delta
+    /// the transaction pushed, so the cardinality catalog rolls back
+    /// along with the topology.
     pub fn unapply(&mut self, events: &[ChangeEvent], watermarks: (u64, u64)) {
         for ev in events.iter().rev() {
             match ev {
@@ -514,11 +504,12 @@ mod tests {
         assert!(evs.is_empty());
     }
 
-    /// The event-stream catalog fold must reconstruct mutation-time
-    /// payloads even when one transaction's operations interact: props
-    /// set at creation then overwritten or cleared, edges created and
-    /// destroyed by a later detach-delete in the same transaction, and
-    /// property updates to elements that are deleted again.
+    /// One transaction whose operations interact keeps the catalog equal
+    /// to a rescan: props set at creation then overwritten or cleared,
+    /// edges created and destroyed by a later detach-delete in the same
+    /// transaction, and property updates to elements that are deleted
+    /// again. Each mutator pushes its delta as it runs, so the running
+    /// out-degrees and property values are the ones at mutation time.
     #[test]
     fn catalog_fold_handles_intra_tx_interactions() {
         use crate::stats::rescan_catalog;
@@ -562,7 +553,7 @@ mod tests {
         tx.delete_vertex(b, true);
 
         let events = g.apply(&tx).unwrap();
-        assert!(events.len() >= 9, "expected a multi-event fold path");
+        assert!(events.len() >= 9, "expected a multi-event transaction");
         assert_eq!(&*g.catalog(), &rescan_catalog(&g));
     }
 

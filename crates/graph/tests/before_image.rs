@@ -105,6 +105,16 @@ fn pass(g: &mut PropertyGraph, index: &mut BeforeIndex, txs: &[Transaction]) -> 
 struct Rng(u64);
 
 impl Rng {
+    /// A fixed seed, varied by `PROPTEST_SHIM_SEED` the way the property
+    /// tests' generators are, so a seed sweep reaches these passes too.
+    fn seeded() -> Rng {
+        let base = 0x9E37_79B9_7F4A_7C15u64;
+        let seed = std::env::var("PROPTEST_SHIM_SEED")
+            .ok()
+            .and_then(|s| s.parse::<u64>().ok());
+        Rng(seed.map_or(base, |s| base ^ s.wrapping_mul(0x2545_F491_4F6C_DD1D)))
+    }
+
     fn below(&mut self, n: usize) -> usize {
         self.0 ^= self.0 << 13;
         self.0 ^= self.0 >> 7;
@@ -192,7 +202,7 @@ fn random_tx(g: &PropertyGraph, rng: &mut Rng) -> Transaction {
 
 #[test]
 fn random_passes_read_the_graph_before_them() {
-    let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+    let mut rng = Rng::seeded();
     let mut g = PropertyGraph::new();
     let mut index = BeforeIndex::new();
     let mut events = 0;

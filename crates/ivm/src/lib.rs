@@ -16,7 +16,6 @@
 //!   each committed transaction, read each view through its [`SinkId`]
 //!   and [`ViewRef`], and inspect it through [`NodeSummary`], [`NodeId`]
 //!   and [`Counters`].
-//! * [`MaterializedView`], the standalone single-view façade.
 //! * [`Delta`], the signed bag every dataflow edge carries, with the
 //!   row sink and the keyed arrangement the kernels write and read
 //!   ([`delta`]).
@@ -45,7 +44,6 @@ pub mod semijoin;
 mod small_list;
 pub mod stats;
 pub mod tc;
-pub mod view;
 pub mod wcoj;
 
 pub use delta::Delta;
@@ -54,4 +52,3 @@ pub use network::{
     ViewRef,
 };
 pub use stats::Counters;
-pub use view::MaterializedView;

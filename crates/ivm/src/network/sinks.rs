@@ -292,8 +292,7 @@ impl DataflowNetwork {
     }
 }
 
-/// Borrowed read access to one view's results — the engine-facing
-/// equivalent of the old per-view `MaterializedView` getters.
+/// Borrowed read access to one view's results.
 #[derive(Clone, Copy)]
 pub struct ViewRef<'a> {
     net: &'a DataflowNetwork,

@@ -1,5 +1,5 @@
-//! Network-level integration tests: hand-built FRA plans driven through
-//! `MaterializedView`, checking multi-operator interactions that unit
+//! Network-level integration tests: hand-built FRA plans, each registered
+//! alone on a `DataflowNetwork`, checking multi-operator interactions that unit
 //! tests of individual operators cannot see (delta ordering between
 //! siblings, consolidation across a transaction, memory accounting).
 
@@ -11,7 +11,7 @@ use pgq_common::value::Value;
 use pgq_graph::props::Properties;
 use pgq_graph::store::PropertyGraph;
 use pgq_graph::tx::Transaction;
-use pgq_ivm::MaterializedView;
+use pgq_ivm::DataflowNetwork;
 
 fn s(x: &str) -> Symbol {
     Symbol::intern(x)
@@ -49,8 +49,9 @@ fn join_over_two_scans_via_edges() {
     };
 
     let mut g = PropertyGraph::new();
-    let mut view = MaterializedView::create_unchecked("j", &plan, &g);
-    assert_eq!(view.row_count(), 0);
+    let mut net = DataflowNetwork::new();
+    let view = net.register("j", &plan, &g);
+    assert_eq!(net.view(view).row_count(), 0);
 
     // Edge arrives in the SAME transaction as its endpoints.
     let mut tx = Transaction::new();
@@ -58,16 +59,17 @@ fn join_over_two_scans_via_edges() {
     let b = tx.create_vertex([s("B")], Properties::new());
     tx.create_edge(a, b, s("R"), Properties::new());
     let events = g.apply(&tx).unwrap();
-    let delta = view.on_transaction(&g, &events);
+    net.on_transaction(&g, &events);
+    let delta = net.last_delta(view).clone();
     assert_eq!(delta.consolidate().len(), 1);
-    assert_eq!(view.row_count(), 1);
+    assert_eq!(net.view(view).row_count(), 1);
 
     // Removing the A label kills the join result without touching edges.
     let ids: Vec<_> = g.vertex_ids().collect();
     let va = *ids.iter().min().unwrap();
     let ev = g.remove_label(va, s("A")).unwrap().unwrap();
-    view.on_transaction(&g, &[ev]);
-    assert_eq!(view.row_count(), 0);
+    net.on_transaction(&g, &[ev]);
+    assert_eq!(net.view(view).row_count(), 0);
 }
 
 #[test]
@@ -88,8 +90,9 @@ fn aggregate_over_join_consolidates_per_transaction() {
     };
     let mut g = PropertyGraph::new();
     let (v0, _) = g.add_vertex([s("A")], Properties::new());
-    let mut view = MaterializedView::create_unchecked("agg", &plan, &g);
-    assert_eq!(view.rows(), vec![Tuple::new(vec![Value::Int(1)])]);
+    let mut net = DataflowNetwork::new();
+    let view = net.register("agg", &plan, &g);
+    assert_eq!(net.view(view).rows(), vec![Tuple::new(vec![Value::Int(1)])]);
 
     let mut tx = Transaction::new();
     tx.create_vertex([s("A")], Properties::new());
@@ -97,10 +100,11 @@ fn aggregate_over_join_consolidates_per_transaction() {
     tx.create_vertex([s("A")], Properties::new());
     tx.delete_vertex(v0, true);
     let events = g.apply(&tx).unwrap();
-    let delta = view.on_transaction(&g, &events).consolidate();
+    net.on_transaction(&g, &events);
+    let delta = net.last_delta(view).clone().consolidate();
     // Exactly two entries: -⟨1⟩ and +⟨3⟩.
     assert_eq!(delta.len(), 2);
-    assert_eq!(view.rows(), vec![Tuple::new(vec![Value::Int(3)])]);
+    assert_eq!(net.view(view).rows(), vec![Tuple::new(vec![Value::Int(3)])]);
 }
 
 #[test]
@@ -120,7 +124,8 @@ fn distinct_over_projection() {
         }),
     };
     let mut g = PropertyGraph::new();
-    let mut view = MaterializedView::create_unchecked("langs", &plan, &g);
+    let mut net = DataflowNetwork::new();
+    let view = net.register("langs", &plan, &g);
     for lang in ["en", "en", "de"] {
         let mut tx = Transaction::new();
         tx.create_vertex(
@@ -128,9 +133,9 @@ fn distinct_over_projection() {
             Properties::from_iter([("lang", Value::str(lang))]),
         );
         let events = g.apply(&tx).unwrap();
-        view.on_transaction(&g, &events);
+        net.on_transaction(&g, &events);
     }
-    assert_eq!(view.row_count(), 2);
+    assert_eq!(net.view(view).row_count(), 2);
 
     // Retag the only 'de' post: 'de' leaves, nothing else changes.
     let de = g
@@ -138,25 +143,27 @@ fn distinct_over_projection() {
         .find(|&v| g.vertex_prop(v, s("lang")) == Value::str("de"))
         .unwrap();
     let ev = g.set_vertex_prop(de, s("lang"), Value::str("en")).unwrap();
-    let delta = view.on_transaction(&g, &[ev]).consolidate();
+    net.on_transaction(&g, &[ev]);
+    let delta = net.last_delta(view).clone().consolidate();
     assert_eq!(delta.len(), 1);
-    assert_eq!(view.row_count(), 1);
+    assert_eq!(net.view(view).row_count(), 1);
 }
 
 #[test]
 fn memory_accounting_tracks_graph_size() {
     let plan = scan("a", "A");
     let mut g = PropertyGraph::new();
-    let mut view = MaterializedView::create_unchecked("m", &plan, &g);
+    let mut net = DataflowNetwork::new();
+    let view = net.register("m", &plan, &g);
     for _ in 0..10 {
         let mut tx = Transaction::new();
         tx.create_vertex([s("A")], Properties::new());
         let events = g.apply(&tx).unwrap();
-        view.on_transaction(&g, &events);
+        net.on_transaction(&g, &events);
     }
     // The result bag (10); the scan keeps no copy.
-    assert_eq!(view.memory_tuples(), 10);
-    assert_eq!(view.maintenance_count(), 10);
+    assert_eq!(net.view(view).memory_tuples(), 10);
+    assert_eq!(net.view(view).maintenance_count(), 10);
 }
 
 #[test]
@@ -166,13 +173,18 @@ fn unit_plan_emits_single_row_once() {
         items: vec![(ScalarExpr::lit(42), "x".into())],
     };
     let mut g = PropertyGraph::new();
-    let mut view = MaterializedView::create_unchecked("u", &plan, &g);
-    assert_eq!(view.rows(), vec![Tuple::new(vec![Value::Int(42)])]);
+    let mut net = DataflowNetwork::new();
+    let view = net.register("u", &plan, &g);
+    assert_eq!(
+        net.view(view).rows(),
+        vec![Tuple::new(vec![Value::Int(42)])]
+    );
     // Unrelated updates leave it alone.
     let mut tx = Transaction::new();
     tx.create_vertex([s("A")], Properties::new());
     let events = g.apply(&tx).unwrap();
-    let delta = view.on_transaction(&g, &events);
+    net.on_transaction(&g, &events);
+    let delta = net.last_delta(view).clone();
     assert!(delta.consolidate().is_empty());
-    assert_eq!(view.row_count(), 1);
+    assert_eq!(net.view(view).row_count(), 1);
 }

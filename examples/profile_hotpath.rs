@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use pgq_algebra::pipeline::compile_query;
 use pgq_algebra::CompiledQuery;
-use pgq_ivm::MaterializedView;
+use pgq_ivm::DataflowNetwork;
 use pgq_parser::parse_query;
 use pgq_workloads::social::{generate_social, queries as sq, SocialParams};
 use pgq_workloads::trees::reply_tree;
@@ -55,14 +55,16 @@ fn social_fine() {
     let mut t_full = Duration::ZERO;
     for _ in 0..rounds {
         let mut g = net.graph.clone();
-        let mut sub = MaterializedView::create_unchecked("sub", vl, &g);
-        let mut full = MaterializedView::create_unchecked("full", &compiled.fra, &g);
+        let mut sub = DataflowNetwork::new();
+        sub.register("sub", vl, &g);
+        let mut full = DataflowNetwork::new();
+        full.register("full", &compiled.fra, &g);
         for tx in &stream {
             let events = g.apply(tx).unwrap();
             let t0 = Instant::now();
-            let _ = sub.on_transaction(&g, &events);
+            sub.on_transaction(&g, &events);
             let t1 = Instant::now();
-            let _ = full.on_transaction(&g, &events);
+            full.on_transaction(&g, &events);
             let t2 = Instant::now();
             t_vl += t1 - t0;
             t_full += t2 - t1;
@@ -85,12 +87,13 @@ fn social() {
     let mut t_network = Duration::ZERO;
     for _ in 0..rounds {
         let mut g = net.graph.clone();
-        let mut view = MaterializedView::create_unchecked("v", &compiled.fra, &g);
+        let mut view = DataflowNetwork::new();
+        view.register("v", &compiled.fra, &g);
         for tx in &stream {
             let t0 = Instant::now();
             let events = g.apply(tx).unwrap();
             let t1 = Instant::now();
-            let _ = view.on_transaction(&g, &events);
+            view.on_transaction(&g, &events);
             let t2 = Instant::now();
             t_graph += t1 - t0;
             t_network += t2 - t1;
@@ -113,7 +116,8 @@ fn transitive() {
     let mut t_network = Duration::ZERO;
     for _ in 0..rounds {
         let mut g = tree.graph.clone();
-        let mut view = MaterializedView::create_unchecked("v", &compiled.fra, &g);
+        let mut view = DataflowNetwork::new();
+        view.register("v", &compiled.fra, &g);
         for step in 0..2 {
             let mut tx = pgq_graph::tx::Transaction::new();
             if step == 0 {
@@ -124,7 +128,7 @@ fn transitive() {
             let t0 = Instant::now();
             let events = g.apply(&tx).unwrap();
             let t1 = Instant::now();
-            let _ = view.on_transaction(&g, &events);
+            view.on_transaction(&g, &events);
             let t2 = Instant::now();
             t_graph += t1 - t0;
             t_network += t2 - t1;

@@ -8,8 +8,7 @@
 
 use pgq_algebra::pipeline::compile_query;
 use pgq_core::GraphEngine;
-use pgq_ivm::network::NodeSummary;
-use pgq_ivm::MaterializedView;
+use pgq_ivm::network::{DataflowNetwork, NodeSummary};
 use pgq_parser::parse_query;
 use pgq_workloads::social::{
     generate_social, renamed_overlap_query, SocialParams, OVERLAPPING_QUERIES, WHERE_FAMILY_QUERIES,
@@ -408,7 +407,7 @@ impl Figure {
 }
 
 /// The sharing claims as counts, with no clock: `OVERLAPPING_QUERIES`
-/// on one engine against one private `MaterializedView` per text (the
+/// on one engine against one private `DataflowNetwork` per text (the
 /// pre-sharing architecture), over one seeded update stream, at N = 1
 /// and N = 16.
 #[test]
@@ -429,23 +428,25 @@ fn overlapping_views_pay_per_scan_where_private_views_pay_per_view() {
     };
     let private = |texts: &[&str]| -> Figure {
         let mut g = graph.clone();
-        let mut views: Vec<MaterializedView> = texts
+        let mut nets: Vec<DataflowNetwork> = texts
             .iter()
             .enumerate()
             .map(|(i, q)| {
                 let compiled = compile_query(&parse_query(q).unwrap()).unwrap();
-                MaterializedView::create(format!("p{i}"), &compiled, &g).unwrap()
+                assert!(compiled.is_maintainable());
+                let mut net = DataflowNetwork::new();
+                net.register(format!("p{i}"), &compiled.fra, &g);
+                net
             })
             .collect();
         for tx in &stream {
             let events = g.apply(tx).unwrap();
-            for v in &mut views {
-                v.on_transaction(&g, &events);
+            for net in &mut nets {
+                net.on_transaction(&g, &events);
             }
         }
-        views
-            .iter()
-            .map(|v| Figure::of(&v.network().node_summaries()))
+        nets.iter()
+            .map(|net| Figure::of(&net.node_summaries()))
             .fold(Figure::default(), Figure::plus)
     };
 

@@ -18,7 +18,7 @@ use pgq_core::ViewDelta;
 use pgq_graph::props::Properties;
 use pgq_graph::store::PropertyGraph;
 use pgq_graph::tx::Transaction;
-use pgq_ivm::{Counters, MaterializedView, NodeSummary, RegisterOptions, SinkId};
+use pgq_ivm::{Counters, DataflowNetwork, NodeSummary, RegisterOptions, SinkId};
 use pgq_parser::parse_query;
 use proptest::prelude::*;
 
@@ -273,10 +273,6 @@ fn step_transaction(g: &PropertyGraph, step: &Step) -> Transaction {
     tx
 }
 
-fn consolidated(view: &MaterializedView) -> Vec<(Tuple, i64)> {
-    view.results()
-}
-
 /// A from-scratch evaluation: the push evaluator, held on every call to
 /// the materialising reference it replaced.
 fn eval_consolidated(fra: &pgq_algebra::Fra, g: &PropertyGraph) -> Vec<(Tuple, i64)> {
@@ -309,15 +305,17 @@ proptest! {
         let query = QUERIES[query_ix];
         let compiled = compile_query(&parse_query(query).unwrap()).unwrap();
         let mut g = seed_graph();
-        let mut view = MaterializedView::create("diff", &compiled, &g).unwrap();
+        prop_assert!(compiled.is_maintainable());
+        let mut net = DataflowNetwork::new();
+        let view = net.register("diff", &compiled.fra, &g);
 
         // Initial state must agree.
-        prop_assert_eq!(consolidated(&view), eval_consolidated(&compiled.fra, &g));
+        prop_assert_eq!(net.view(view).results(), eval_consolidated(&compiled.fra, &g));
 
         for step in &steps {
             let events = apply_step(&mut g, step);
-            view.on_transaction(&g, &events);
-            let got = consolidated(&view);
+            net.on_transaction(&g, &events);
+            let got = net.view(view).results();
             let want = eval_consolidated(&compiled.fra, &g);
             prop_assert_eq!(
                 got, want,
@@ -587,8 +585,13 @@ fn deletion_heavy_script_keeps_view_and_recompute_agreeing() {
             e
         };
 
-        let mut view = MaterializedView::create("del", &compiled, &g).unwrap();
-        assert_eq!(view.results(), eval_consolidated(&compiled.fra, &g));
+        assert!(compiled.is_maintainable());
+        let mut net = DataflowNetwork::new();
+        let view = net.register("del", &compiled.fra, &g);
+        assert_eq!(
+            net.view(view).results(),
+            eval_consolidated(&compiled.fra, &g)
+        );
 
         // Phase 1: delete two thirds of the edges one at a time.
         for (i, &e) in edges.iter().enumerate() {
@@ -598,9 +601,9 @@ fn deletion_heavy_script_keeps_view_and_recompute_agreeing() {
             let mut tx = Transaction::new();
             tx.delete_edge(e);
             let events = g.apply(&tx).expect("edge deletion applies");
-            view.on_transaction(&g, &events);
+            net.on_transaction(&g, &events);
             assert_eq!(
-                view.results(),
+                net.view(view).results(),
                 eval_consolidated(&compiled.fra, &g),
                 "divergence deleting edge {i} under {query}"
             );
@@ -612,15 +615,21 @@ fn deletion_heavy_script_keeps_view_and_recompute_agreeing() {
             let mut tx = Transaction::new();
             tx.delete_vertex(c, true);
             let events = g.apply(&tx).expect("comment deletion applies");
-            view.on_transaction(&g, &events);
-            assert_eq!(view.results(), eval_consolidated(&compiled.fra, &g));
+            net.on_transaction(&g, &events);
+            assert_eq!(
+                net.view(view).results(),
+                eval_consolidated(&compiled.fra, &g)
+            );
         }
         for &p in posts.iter().step_by(2) {
             let mut tx = Transaction::new();
             tx.delete_vertex(p, true);
             let events = g.apply(&tx).expect("post deletion applies");
-            view.on_transaction(&g, &events);
-            assert_eq!(view.results(), eval_consolidated(&compiled.fra, &g));
+            net.on_transaction(&g, &events);
+            assert_eq!(
+                net.view(view).results(),
+                eval_consolidated(&compiled.fra, &g)
+            );
         }
         assert!(g.edge_count() == 0, "all edges should be gone");
     }
@@ -1030,14 +1039,19 @@ fn multiplicities_match_for_fanout_joins() {
     let compiled =
         compile_query(&parse_query("MATCH (p:Post)-[:REPLY]->(c:Comm) RETURN p, c").unwrap())
             .unwrap();
-    let view = MaterializedView::create("m", &compiled, &g).unwrap();
+    assert!(compiled.is_maintainable());
+    let mut net = DataflowNetwork::new();
+    let view = net.register("m", &compiled.fra, &g);
     let mut counts: FxHashMap<Tuple, i64> = FxHashMap::default();
-    for (t, m) in view.results() {
+    for (t, m) in net.view(view).results() {
         *counts.entry(t).or_insert(0) += m;
     }
     assert_eq!(counts.len(), 1);
     assert_eq!(*counts.values().next().unwrap(), 2);
-    assert_eq!(view.results(), eval_consolidated(&compiled.fra, &g));
+    assert_eq!(
+        net.view(view).results(),
+        eval_consolidated(&compiled.fra, &g)
+    );
 }
 
 // ---- recovery oracle -------------------------------------------------------

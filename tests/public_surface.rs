@@ -566,12 +566,10 @@ const IVM: &[&str] = &[
     "lib.rs: mod semijoin",
     "lib.rs: mod stats",
     "lib.rs: mod tc",
-    "lib.rs: mod view",
     "lib.rs: mod wcoj",
     "lib.rs: use delta::Delta",
     "lib.rs: use network::{plan_stats, DataflowNetwork, NodeId, NodeSummary, RegisterOptions, RestoreStates, SinkId, ViewRef}",
     "lib.rs: use stats::Counters",
-    "lib.rs: use view::MaterializedView",
     "network/arena.rs: struct NodeId",
     "network/arena.rs: fn DataflowNetwork::node_count",
     "network/mod.rs: use arena::NodeId",
@@ -636,16 +634,6 @@ const IVM: &[&str] = &[
     "tc.rs: fn VarLengthOp::on_events",
     "tc.rs: fn VarLengthOp::on_events_into",
     "tc.rs: fn VarLengthOp::replay_into",
-    "view.rs: struct MaterializedView",
-    "view.rs: fn MaterializedView::create",
-    "view.rs: fn MaterializedView::create_unchecked",
-    "view.rs: fn MaterializedView::on_transaction",
-    "view.rs: fn MaterializedView::results",
-    "view.rs: fn MaterializedView::rows",
-    "view.rs: fn MaterializedView::row_count",
-    "view.rs: fn MaterializedView::memory_tuples",
-    "view.rs: fn MaterializedView::maintenance_count",
-    "view.rs: fn MaterializedView::network",
     "wcoj.rs: struct MultiwayJoinOp",
     "wcoj.rs: fn MultiwayJoinOp::with_backend",
     "wcoj.rs: fn MultiwayJoinOp::counters",
