@@ -8,6 +8,8 @@
 //! * [`ids`] — compact vertex/edge identifiers;
 //! * [`tuple::Tuple`] — the row representation flowing through algebra
 //!   operators and dataflow nodes;
+//! * [`order`] — the result order of every read and the kernel that
+//!   sorts rows into it by key;
 //! * [`fxhash`] — a fast, deterministic hasher for integer-heavy keys
 //!   (implemented locally to avoid an external dependency);
 //! * [`intern`] — a global symbol interner for labels, edge types and
@@ -29,6 +31,7 @@ pub mod error;
 pub mod fxhash;
 pub mod ids;
 pub mod intern;
+pub mod order;
 pub mod ordf;
 pub mod path;
 pub mod pool;

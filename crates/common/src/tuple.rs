@@ -108,7 +108,9 @@ impl Tuple {
 
     /// Total order over tuples: lexicographic by [`Value::total_cmp`],
     /// shorter tuples first on a shared prefix. Used for deterministic
-    /// (sorted) delta and result orderings.
+    /// (sorted) delta orderings; a read's result order,
+    /// [`cmp_rows`](crate::order::cmp_rows), refines it where it ties
+    /// rows that `==` tells apart.
     pub fn total_cmp(&self, other: &Tuple) -> std::cmp::Ordering {
         self.0
             .iter()

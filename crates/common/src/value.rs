@@ -154,7 +154,7 @@ impl Value {
         }
     }
 
-    fn type_rank(&self) -> u8 {
+    pub(crate) fn type_rank(&self) -> u8 {
         // openCypher orderability: maps < nodes < relationships < lists <
         // paths < strings < booleans < numbers < null. We follow that
         // ranking so baseline ORDER BY output is spec-plausible.
@@ -229,7 +229,7 @@ impl Value {
     /// The order of two values [`Value::total_cmp`] ties: at the first
     /// position where one holds an integer and the other a float, the
     /// integer first.
-    fn tie_cmp(&self, other: &Value) -> Ordering {
+    pub(crate) fn tie_cmp(&self, other: &Value) -> Ordering {
         use Value::*;
         let first = |pairs: &mut dyn Iterator<Item = (&Value, &Value)>| {
             pairs

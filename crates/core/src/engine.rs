@@ -711,7 +711,8 @@ impl GraphEngine {
             .ok_or(EngineError::UnknownView)
     }
 
-    /// The view's current rows (multiplicities expanded).
+    /// The view's current rows (multiplicities expanded), in the result
+    /// order `query` reads the same rows in.
     pub fn view_results(&self, id: ViewId) -> Result<Vec<Tuple>, EngineError> {
         Ok(self.view(id)?.rows())
     }

@@ -67,6 +67,7 @@ use pgq_common::dir::Direction;
 use pgq_common::fxhash::FxHashMap;
 use pgq_common::ids::{EdgeId, VertexId};
 use pgq_common::intern::Symbol;
+use pgq_common::order;
 use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
 use pgq_graph::index::join_key;
@@ -212,8 +213,9 @@ impl<'g> Evaluator<'g> {
         self.run_rows(&cq.fra, &cq.order_by, cq.skip, cq.limit)
     }
 
-    /// Evaluate `fra` into rows (multiplicities expanded) in the
-    /// deterministic base order, then apply ORDER BY / SKIP / LIMIT —
+    /// Evaluate `fra` into rows (multiplicities expanded) in the result
+    /// order ([`pgq_common::order::cmp_rows`]), then apply ORDER BY /
+    /// SKIP / LIMIT —
     /// [`Evaluator::run_query`] for a caller that holds the plan apart
     /// from its compilation stages.
     pub fn run_rows(
@@ -230,30 +232,46 @@ impl<'g> Evaluator<'g> {
                 rows.extend(std::iter::repeat_n(t, m as usize));
             }
         });
-        // Deterministic base order.
-        rows.sort_by(Tuple::total_cmp);
-        if !order_by.is_empty() {
-            rows.sort_by(|a, b| {
-                for (expr, asc) in order_by {
-                    let va = expr.eval(a).unwrap_or(Value::Null);
-                    let vb = expr.eval(b).unwrap_or(Value::Null);
-                    let ord = va.total_cmp(&vb);
-                    let ord = if *asc { ord } else { ord.reverse() };
-                    if ord != Ordering::Equal {
-                        return ord;
-                    }
-                }
-                Ordering::Equal
-            });
-        }
+        let mut rows = order::sort_rows(rows, |t| t);
         let start = skip.unwrap_or(0).min(rows.len());
         let end = match limit {
             Some(l) => (start + l).min(rows.len()),
             None => rows.len(),
         };
-        rows.truncate(end);
-        rows.drain(..start);
-        rows
+        if order_by.is_empty() {
+            rows.truncate(end);
+            rows.drain(..start);
+            return rows;
+        }
+        // Each sort key once per row; a stable sort keeps the result
+        // order between rows whose keys tie.
+        let width = order_by.len();
+        let keys: Vec<Value> = rows
+            .iter()
+            .flat_map(|r| {
+                order_by
+                    .iter()
+                    .map(|(e, _)| e.eval(r).unwrap_or(Value::Null))
+            })
+            .collect();
+        let mut ix: Vec<usize> = (0..rows.len()).collect();
+        ix.sort_by(|&a, &b| {
+            let (ka, kb) = (&keys[a * width..][..width], &keys[b * width..][..width]);
+            order_by
+                .iter()
+                .zip(ka.iter().zip(kb))
+                .map(|((_, asc), (va, vb))| {
+                    let ord = va.total_cmp(vb);
+                    if *asc {
+                        ord
+                    } else {
+                        ord.reverse()
+                    }
+                })
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
+        });
+        ix[start..end].iter().map(|&i| rows[i].clone()).collect()
     }
 }
 
@@ -915,7 +933,5 @@ pub fn evaluate_query(cq: &CompiledQuery, g: &PropertyGraph) -> Vec<Tuple> {
 pub fn evaluate_consolidated(fra: &Fra, g: &PropertyGraph) -> Bag {
     let mut counts = FxHashMap::default();
     Evaluator::new(g).push(fra, &mut |row, m| count(&mut counts, row, m));
-    let mut out: Bag = counts.into_iter().filter(|(_, c)| *c != 0).collect();
-    out.sort_by(|a, b| a.0.total_cmp(&b.0));
-    out
+    order::sort_rows(counts.into_iter().filter(|(_, c)| *c != 0), |(t, _)| t)
 }

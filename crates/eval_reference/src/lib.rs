@@ -538,6 +538,11 @@ pub fn evaluate_query(cq: &CompiledQuery, g: &PropertyGraph) -> Vec<Tuple> {
     Evaluator::new(g).run_query(cq)
 }
 
+/// The engine's result order, written out here rather than taken from
+/// `pgq_common::order`: lexicographic [`Value::total_cmp`], the shorter
+/// row first on a shared prefix; rows it ties are told apart at their
+/// first position where one holds an integer and the other a float,
+/// looking inside lists and maps, the integer first.
 fn tuple_cmp(a: &Tuple, b: &Tuple) -> Ordering {
     a.values()
         .iter()
@@ -546,6 +551,24 @@ fn tuple_cmp(a: &Tuple, b: &Tuple) -> Ordering {
             acc.then_with(|| x.total_cmp(y))
         })
         .then_with(|| a.arity().cmp(&b.arity()))
+        .then_with(|| first_kind_cmp(a.values().iter().zip(b.values())))
+}
+
+/// The first of `pairs` an integer-before-float rule separates.
+fn first_kind_cmp<'v>(pairs: impl Iterator<Item = (&'v Value, &'v Value)>) -> Ordering {
+    for (x, y) in pairs {
+        let ord = match (x, y) {
+            (Value::Int(_), Value::Float(_)) => Ordering::Less,
+            (Value::Float(_), Value::Int(_)) => Ordering::Greater,
+            (Value::List(p), Value::List(q)) => first_kind_cmp(p.iter().zip(q.iter())),
+            (Value::Map(p), Value::Map(q)) => first_kind_cmp(p.values().zip(q.values())),
+            _ => Ordering::Equal,
+        };
+        if ord.is_ne() {
+            return ord;
+        }
+    }
+    Ordering::Equal
 }
 
 /// Convenience: evaluate and consolidate into a sorted multiplicity bag

@@ -16,10 +16,17 @@
 //!   and reading through it panics.
 //! * [`changed_sinks`](DataflowNetwork::changed_sinks) is in slot order,
 //!   and a view's delta borrows its root's pooled output.
+//! * A bag keeps no order and no ordered copy. A read
+//!   ([`ViewRef::results`], [`ViewRef::rows`]) puts it in the result
+//!   order, `pgq_common::order::cmp_rows` — the order `pgq_eval` reads in
+//!   — so it depends on the bag's rows alone, not on its history; the
+//!   read costs one pass that clones and keys each row, a radix sort of
+//!   the keys, and comparisons only within runs of equal keys.
 
 use std::collections::hash_map::Entry;
 
 use pgq_common::fxhash::FxHashMap;
+use pgq_common::order;
 use pgq_common::tuple::Tuple;
 
 use super::{DataflowNetwork, NodeId};
@@ -310,31 +317,22 @@ impl<'a> ViewRef<'a> {
         &self.net.sinks.get(self.sid).columns
     }
 
-    /// The result bag by reference, sorted by [`Tuple::total_cmp`]. The
-    /// tuples are distinct keys, so an unstable sort is deterministic.
-    fn sorted(&self) -> Vec<(&'a Tuple, i64)> {
-        let results = self.net.sinks.results(self.sid);
-        let mut out: Vec<(&Tuple, i64)> = results.iter().map(|(t, m)| (t, *m)).collect();
-        out.sort_unstable_by(|a, b| a.0.total_cmp(b.0));
-        out
-    }
-
-    /// Current result bag as `(tuple, multiplicity)` pairs, sorted for
-    /// deterministic output.
+    /// Current result bag as `(tuple, multiplicity)` pairs, in the
+    /// result order ([`pgq_common::order::cmp_rows`]): the bag's rows
+    /// are cloned and keyed in one pass over it, then sorted by key.
     pub fn results(&self) -> Vec<(Tuple, i64)> {
-        self.sorted()
-            .into_iter()
-            .map(|(t, m)| (t.clone(), m))
-            .collect()
+        let bag = self.net.sinks.results(self.sid);
+        order::sort_rows(bag.iter().map(|(t, m)| (t.clone(), *m)), |(t, _)| t)
     }
 
-    /// Flattened result rows (each tuple repeated by its multiplicity).
+    /// Flattened result rows (each tuple repeated by its multiplicity),
+    /// in the order of [`ViewRef::results`].
     pub fn rows(&self) -> Vec<Tuple> {
-        let mut out = Vec::with_capacity(self.row_count());
-        for (t, m) in self.sorted() {
-            out.extend(std::iter::repeat_n(t, m.max(0) as usize).cloned());
-        }
-        out
+        let bag = self.net.sinks.results(self.sid);
+        let rows = bag
+            .iter()
+            .flat_map(|(t, m)| std::iter::repeat_n(t, (*m).max(0) as usize));
+        order::sort_rows(rows.cloned(), |t| t)
     }
 
     /// Number of distinct result tuples.

@@ -80,6 +80,11 @@ const QUERIES: &[&str] = &[
     // each: the views maintain them under deletes and retags.
     ALL_AGGREGATES_BY_LANG,
     ALL_AGGREGATES,
+    // The raw `x` column, whose `1` / `1.0` and `0` / `-0.0` rows
+    // `total_cmp` ties: a read puts the integer first, whatever order the
+    // bag was built in. (Beside `lang` no two rows would tie: a step
+    // sets `x` from `lang`.)
+    "MATCH (c:Comm) RETURN c.x AS x",
     // The one query here the planner changes: it carries the σ below the
     // ⋈*, so the planned and the syntactic twin run different networks.
     "MATCH t = (p:Post)-[:REPLY*]->(c:Comm) WHERE p.lang = 'en' RETURN p, t",
@@ -131,6 +136,7 @@ const RENAMED_QUERIES: &[&str] = &[
      min(d.lang) AS least, max(id(d)) AS most, collect(DISTINCT d.lang) AS all, \
      count(d.lang) AS kinds, avg(d.x) AS xmean, sum(DISTINCT d.x) AS xtotal, \
      collect(DISTINCT d.x) AS xall, count(DISTINCT d.x) AS xkinds",
+    "MATCH (d:Comm) RETURN d.x AS y",
     "MATCH u = (q:Post)-[:REPLY*]->(d:Comm) WHERE q.lang = 'en' RETURN q, u",
 ];
 
@@ -1707,6 +1713,9 @@ const ONE_SHOT_QUERIES: &[&str] = &[
 const ORDERED_QUERIES: &[&str] = &[
     "MATCH (p:Post)-[:REPLY]->(c) RETURN p.lang AS lang, c ORDER BY lang DESC SKIP 1 LIMIT 3",
     "MATCH (c:Comm) RETURN c.lang AS lang, count(*) AS n ORDER BY n DESC, lang LIMIT 2",
+    // Sort keys that tie an integer with an equal float (`1` / `1.0`,
+    // `0` / `-0.0`): the result order decides between those rows.
+    "MATCH (c:Comm) RETURN c.x AS x ORDER BY x DESC SKIP 1",
 ];
 
 /// Does `fra` hold a ⋉ or a ⨝ⁿ, whose right sides the push evaluator

@@ -271,6 +271,33 @@ fn a_view_and_a_read_agree_on_an_integer_and_an_equal_float() {
     }
 }
 
+/// Rows `total_cmp` ties — `1` and `1.0` — read the integer first, in a
+/// view, `query` and `execute` alike, in whichever order they were
+/// created: the read order depends on the rows alone.
+#[test]
+fn tied_rows_read_in_one_order_whatever_their_history() {
+    use pgq_common::tuple::Tuple;
+    const Q: &str = "MATCH (p:P) RETURN p.x AS x";
+    let want: Vec<Tuple> = (0..40)
+        .flat_map(|i| [Value::Int(i), Value::float(i as f64)])
+        .map(|v| Tuple::new(vec![v]))
+        .collect();
+    let ints = (0..40).map(|i| i.to_string());
+    let forward: Vec<String> = ints.clone().chain(ints.map(|i| format!("{i}.0"))).collect();
+    let backward: Vec<String> = forward.iter().rev().cloned().collect();
+    for xs in [forward, backward] {
+        let mut e = GraphEngine::new();
+        let id = e.register_view("v", Q).unwrap();
+        for x in &xs {
+            e.execute(&format!("CREATE (:P {{x: {x}}})")).unwrap();
+        }
+        let first = &xs[0];
+        assert_eq!(e.view(id).unwrap().rows(), want, "created from {first}");
+        assert_eq!(e.query(Q).unwrap().rows, want, "created from {first}");
+        assert_eq!(e.execute(Q).unwrap().rows, want, "created from {first}");
+    }
+}
+
 #[test]
 fn parse_errors_carry_position() {
     let mut e = GraphEngine::new();

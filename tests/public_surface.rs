@@ -270,6 +270,7 @@ const COMMON: &[&str] = &[
     "lib.rs: mod fxhash",
     "lib.rs: mod ids",
     "lib.rs: mod intern",
+    "lib.rs: mod order",
     "lib.rs: mod ordf",
     "lib.rs: mod path",
     "lib.rs: mod pool",
@@ -286,6 +287,9 @@ const COMMON: &[&str] = &[
     "lib.rs: use text::Text",
     "lib.rs: use tuple::Tuple",
     "lib.rs: use value::Value",
+    "order.rs: fn cmp_rows",
+    "order.rs: fn sort_rows",
+    "order.rs: fn sort_rows_with",
     "ordf.rs: struct OrdF64",
     "ordf.rs: fn OrdF64::get",
     "path.rs: struct PathValue",
