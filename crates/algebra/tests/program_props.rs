@@ -346,7 +346,8 @@ fn mirrored_comparisons_keep_their_truth_on_the_awkward_pairs() {
 /// with one hash — the superset claim the property index and value joins
 /// rest on — and files `null` nowhere. Over the awkward pairs, plus
 /// integers no float holds exactly (`i64::MAX`, 2⁵³ + 1) beside the
-/// floats they round to. `join_key`, which value joins compare under,
+/// floats they round to, which they equal under neither `cypher_eq` nor
+/// `total_cmp` but share a key with. `join_key`, which value joins compare under,
 /// keeps the claim and also files a list as itself.
 #[test]
 fn prop_key_equates_what_cypher_eq_equates() {
@@ -382,9 +383,17 @@ fn prop_key_equates_what_cypher_eq_equates() {
             }
         }
     }
-    // 1 = 1.0, NaN = NaN, −0.0 = 0.0, −0.0 = 0, the three big pairs and
-    // [1] = [1], each both ways.
-    assert_eq!(equated, 16);
+    // 1 = 1.0, NaN = NaN, −0.0 = 0.0, −0.0 = 0, 2⁵³ = 2⁵³ as a float and
+    // [1] = [1], each both ways. `cypher_eq` compares an integer with a
+    // float exactly, so 2⁵³ + 1 and `i64::MAX` equal no float; their keys
+    // stay those of the floats they round to, a superset the σ above a
+    // seek or a value join narrows.
+    assert_eq!(equated, 12);
+    for (int, float) in [big(two53 + 1), big(i64::MAX)] {
+        assert_eq!(int.cypher_eq(&float), Some(false));
+        assert_eq!(prop_key(&int), prop_key(&float));
+        assert_eq!(join_key(&int), join_key(&float));
+    }
     assert_eq!(prop_key(&Value::Null), None);
     assert_eq!(join_key(&Value::Null), None);
 }

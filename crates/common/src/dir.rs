@@ -4,9 +4,10 @@
 use std::fmt;
 
 /// Direction of an edge pattern relative to its left endpoint.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum Direction {
     /// `(a)-[...]->(b)`
+    #[default]
     Out,
     /// `(a)<-[...]-(b)`
     In,

@@ -57,6 +57,21 @@ pub enum Value {
 #[cfg(target_pointer_width = "64")]
 const _: () = assert!(std::mem::size_of::<Value>() == 16);
 
+/// `i` against `f` by exact value, a NaN above every number as [`OrdF64`]
+/// places it. Not through `i as f64` alone: past 2⁵³ that rounds, and
+/// would tie an integer with a float it does not equal. Rounding is
+/// monotone, so where `i as f64` and `f` differ they order `i` and `f`;
+/// where they tie, `f` is whole, and either 2⁶³, above every `i64`, or
+/// an `i64` itself.
+fn int_float_cmp(i: i64, f: f64) -> Ordering {
+    match (i as f64).partial_cmp(&f) {
+        None => Ordering::Less,
+        Some(Ordering::Equal) if f >= 9_223_372_036_854_775_808.0 => Ordering::Less,
+        Some(Ordering::Equal) => i.cmp(&(f as i64)),
+        Some(ord) => ord,
+    }
+}
+
 impl Value {
     /// Construct a string value (copied; `Value::from(String)` moves).
     pub fn str(s: impl AsRef<str>) -> Value {
@@ -172,15 +187,15 @@ impl Value {
     }
 
     /// Total order over all values ("orderability"). Numbers compare by
-    /// numeric value across Int/Float; everything else compares within its
-    /// type, and across types by a fixed type rank.
+    /// exact numeric value across Int/Float; everything else compares
+    /// within its type, and across types by a fixed type rank.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         use Value::*;
         match (self, other) {
             (Int(a), Int(b)) => a.cmp(b),
             (Float(a), Float(b)) => a.cmp(b),
-            (Int(a), Float(b)) => OrdF64(*a as f64).cmp(b),
-            (Float(a), Int(b)) => a.cmp(&OrdF64(*b as f64)),
+            (Int(a), Float(b)) => int_float_cmp(*a, b.get()),
+            (Float(a), Int(b)) => int_float_cmp(*b, a.get()).reverse(),
             (Bool(a), Bool(b)) => a.cmp(b),
             (Str(a), Str(b)) => a.cmp(b),
             (Node(a), Node(b)) => a.cmp(b),

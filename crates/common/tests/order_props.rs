@@ -18,11 +18,12 @@ const P53: i64 = 1 << 53;
 /// one `f64` (so one key), as do 2⁵³ + 3 and the float 2⁵³ + 4.
 const BIG_INTS: [i64; 7] = [P53, P53 + 1, P53 + 2, P53 + 3, -P53 - 1, i64::MAX, i64::MIN];
 
-/// Floats next to [`BIG_INTS`]. No float shares its `f64` with two of
-/// those integers: `total_cmp` ties such a float with both while telling
-/// the integers apart, so it is not transitive there, and no sort has
-/// one answer.
-const BIG_FLOATS: [f64; 5] = [
+/// Floats next to [`BIG_INTS`], among them 2⁵³, which 2⁵³ + 1 rounds
+/// to as well: `total_cmp` compares an integer and a float by exact
+/// value, so a float that shares its `f64` with two integers ties with
+/// at most one of them.
+const BIG_FLOATS: [f64; 6] = [
+    P53 as f64,
     (P53 + 2) as f64,
     (P53 + 4) as f64,
     i64::MAX as f64,
@@ -259,4 +260,33 @@ fn rows_equal_in_their_key_columns_are_compared() {
     let (got, calls) = sort_counting(rows);
     assert!(calls >= 99, "{calls} comparisons");
     assert!(got.windows(2).all(|w| cmp_rows(&w[0], &w[1]).is_lt()));
+}
+
+/// `(1.0, 2⁵³)`, `(1, 2⁵³ + 1)` and `(1, 2⁵³ as float)` sort to one order
+/// from each of their six permutations. Had `total_cmp` compared an
+/// integer with a float through `as f64`, they would compare a < b <
+/// c < a, and their order would depend on the input's.
+#[test]
+fn rows_past_2_53_sort_to_one_order() {
+    let rows = [
+        vec![Value::float(1.0), Value::Int(P53)],
+        vec![Value::Int(1), Value::Int(P53 + 1)],
+        vec![Value::Int(1), Value::float(P53 as f64)],
+    ];
+    let (a, b, c) = (&rows[0], &rows[1], &rows[2]);
+    assert!(cmp_rows(c, a).is_lt() && cmp_rows(a, b).is_lt() && cmp_rows(c, b).is_lt());
+    for perm in [
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 0, 2],
+        [1, 2, 0],
+        [2, 0, 1],
+        [2, 1, 0],
+    ] {
+        let bag: Vec<Vec<Value>> = perm.iter().map(|&i| rows[i].clone()).collect();
+        let mut compared = bag.clone();
+        compared.sort_by(|a, b| cmp_rows(a, b));
+        assert_eq!(compared, [c.clone(), a.clone(), b.clone()], "{perm:?}");
+        assert_eq!(sort_rows(bag, |r| r), compared, "{perm:?}");
+    }
 }

@@ -9,9 +9,9 @@
 //! first operator that has to hold rows — a *pipeline breaker*. Nothing
 //! else materialises:
 //!
-//! * a © resolves its vertices a batch at a time into one reused buffer
-//!   before it pushes their rows, and over its label extent tests only
-//!   its other labels;
+//! * a © or ⇑ reads its rows through its `pgq_graph::scan` pattern, the
+//!   rule a view's scans read through too, in batches whose lookups are
+//!   all made before the batch's first row goes up;
 //! * the σ/π/ω chain above an operator runs as one [`TupleProgram`], the
 //!   interpreter the dataflow network uses, over borrowed rows;
 //! * a ⋈ streams its left input and holds its right input, indexed on
@@ -63,15 +63,15 @@ use pgq_algebra::expr::{AggCall, ScalarExpr};
 use pgq_algebra::fra::Fra;
 use pgq_algebra::program::{Emit, Scratch, TupleProgram};
 use pgq_algebra::CompiledQuery;
-use pgq_common::dir::Direction;
 use pgq_common::fxhash::FxHashMap;
-use pgq_common::ids::{EdgeId, VertexId};
+use pgq_common::ids::VertexId;
 use pgq_common::intern::Symbol;
 use pgq_common::order;
 use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
 use pgq_graph::index::join_key;
-use pgq_graph::store::{EdgeData, PropertyGraph};
+use pgq_graph::scan::{EdgePattern, VertexPattern};
+use pgq_graph::store::PropertyGraph;
 use pgq_parser::ast::BinOp;
 
 use crate::expand::Expansion;
@@ -86,13 +86,6 @@ pub(crate) type Sink<'a> = dyn FnMut(&[Value], i64) + 'a;
 
 /// A source of rows: pushes each of them into the sink it is handed.
 pub(crate) type Feed<'a> = dyn FnMut(&mut Sink<'_>) + 'a;
-
-/// Vertices a © looks up before it pushes the first of their rows. On
-/// an 11k-post label read (σ then γ, 2-core x86-64), one vertex at a
-/// time took 2.2–2.4 times a bare loop over the same lookups and
-/// grouping; 16, 32, 64 and 256 all took 1.8–2.1 times. 16 is the
-/// smallest past the knee, so the buffer stays at 16 rows.
-const BATCH: usize = 16;
 
 /// Evaluate an FRA plan against the current graph.
 pub fn evaluate(fra: &Fra, g: &PropertyGraph) -> Bag {
@@ -403,19 +396,42 @@ fn chain_bottom(mut fra: &Fra) -> &Fra {
     fra
 }
 
-/// The `(src, dst)` orientations in which edge `data` is a row of a ⇑
-/// reading direction `dir` (a self-loop is one row either way).
-pub(crate) fn orientations(
-    dir: Direction,
-    data: &EdgeData,
-) -> impl Iterator<Item = (VertexId, VertexId)> {
-    let (s, d) = (data.src, data.dst);
-    let (first, second) = match dir {
-        Direction::Out => ((s, d), None),
-        Direction::In => ((d, s), None),
-        Direction::Both => ((s, d), (s != d).then_some((d, s))),
+/// The pattern of © `scan`.
+pub(crate) fn vertex_pattern(scan: &Fra) -> VertexPattern {
+    let Fra::ScanVertices { labels, props, .. } = scan else {
+        unreachable!("callers pass a ©")
     };
-    std::iter::once(first).chain(second)
+    VertexPattern {
+        labels: labels.clone(),
+        props: props.iter().map(|p| p.prop).collect(),
+    }
+}
+
+/// The pattern of ⇑ `scan`.
+pub(crate) fn edge_pattern(scan: &Fra) -> EdgePattern {
+    let Fra::ScanEdges {
+        types,
+        src_labels,
+        dst_labels,
+        src_props,
+        edge_props,
+        dst_props,
+        dir,
+        ..
+    } = scan
+    else {
+        unreachable!("callers pass a ⇑")
+    };
+    EdgePattern {
+        types: types.clone(),
+        dir: *dir,
+        src_labels: src_labels.clone(),
+        dst_labels: dst_labels.clone(),
+        src_props: src_props.iter().map(|p| p.prop).collect(),
+        edge_props: edge_props.iter().map(|p| p.prop).collect(),
+        dst_props: dst_props.iter().map(|p| p.prop).collect(),
+        filters: Vec::new(),
+    }
 }
 
 /// Fill `key` with `row`'s values at `cols`, then the [`join_key`]s of
@@ -463,8 +479,9 @@ fn support(keys: &[usize], feed: &mut Feed<'_>) -> FxHashMap<Tuple, i64> {
 }
 
 impl<'g> Pipelines<'g> {
-    pub(crate) fn count_scan(&self) {
-        self.scanned.set(self.scanned.get() + 1);
+    /// Count `n` more base rows read.
+    pub(crate) fn count(&self, n: u64) {
+        self.scanned.set(self.scanned.get() + n);
     }
 
     /// The property index's candidates for the σ chain `fra` when its
@@ -495,7 +512,10 @@ impl<'g> Pipelines<'g> {
     /// when the chain's lowest σ can seek, else all of them.
     fn feed(&self, fra: &Fra, below: &Fra, out: &mut Sink<'_>) {
         match self.seek(fra) {
-            Some(candidates) => self.scan_vertices(below, candidates.iter().copied(), out),
+            Some(candidates) => {
+                let candidates = candidates.iter().copied();
+                self.count(vertex_pattern(below).rows_of(self.g, candidates, |row| out(row, 1)))
+            }
             None => self.push(below, out),
         }
     }
@@ -505,27 +525,8 @@ impl<'g> Pipelines<'g> {
         let g = self.g;
         match fra {
             Fra::Unit => out(&[], 1),
-            // The extent holds its label: only the others are tested.
-            Fra::ScanVertices { labels, .. } => match labels.split_first() {
-                Some((&l, rest)) => {
-                    self.resolve(fra, g.vertices_with_label(l).iter().copied(), rest, out)
-                }
-                None => self.resolve(fra, g.vertex_ids(), &[], out),
-            },
-            Fra::ScanEdges { types, .. } => {
-                let mut row = Vec::new();
-                if types.is_empty() {
-                    for e in g.edge_ids() {
-                        self.scan_edge(fra, e, &mut row, out);
-                    }
-                } else {
-                    for &t in types {
-                        for &e in g.edges_with_type(t) {
-                            self.scan_edge(fra, e, &mut row, out);
-                        }
-                    }
-                }
-            }
+            Fra::ScanVertices { .. } => self.count(vertex_pattern(fra).rows(g, |row| out(row, 1))),
+            Fra::ScanEdges { .. } => self.count(edge_pattern(fra).rows(g, |row| out(row, 1))),
             // Seek: the index's candidates instead of the label extent.
             Fra::Filter { .. } | Fra::Project { .. } | Fra::Unwind { .. } => {
                 self.chain(fra, out, |below, through| self.feed(fra, below, through))
@@ -594,19 +595,16 @@ impl<'g> Pipelines<'g> {
                         .or_insert_with(|| Rows::new(l.len()))
                         .push(l.iter(), m);
                 });
+                let dst = VertexPattern {
+                    labels: spec.dst_labels.clone(),
+                    props: spec.dst_props.iter().map(|p| p.prop).collect(),
+                };
                 let (mut tail, mut row) = (Vec::new(), Vec::new());
                 for (srcv, rows) in &by_src {
                     let Some(src) = srcv.as_node() else { continue };
                     for p in enumerate_paths(g, src, spec) {
-                        let dst = p.target();
-                        let Some(dd) = g.vertex(dst) else { continue };
-                        if !spec.dst_labels.iter().all(|&l| dd.has_label(l)) {
+                        if !dst.row_into(g.vertex_view(p.target()), &mut tail) {
                             continue;
-                        }
-                        tail.clear();
-                        tail.push(Value::Node(dst));
-                        for pr in &spec.dst_props {
-                            tail.push(dd.props.get_or_null(pr.prop));
                         }
                         tail.push(Value::path(p));
                         for (t, m) in rows.iter() {
@@ -634,121 +632,6 @@ impl<'g> Pipelines<'g> {
                 names,
             } => self.multiway(inputs, var_of, names.len(), out),
         }
-    }
-
-    /// © over the candidate vertices `ids` of a seek or an expansion,
-    /// each tested for every label of the scan.
-    pub(crate) fn scan_vertices(
-        &self,
-        scan: &Fra,
-        ids: impl Iterator<Item = VertexId>,
-        out: &mut Sink<'_>,
-    ) {
-        let Fra::ScanVertices { labels, .. } = scan else {
-            unreachable!("callers pass a ©")
-        };
-        self.resolve(scan, ids, labels, out)
-    }
-
-    /// © over the vertices `ids` that carry the labels `tested` (vertex
-    /// and property columns as the scan says), [`BATCH`] at a time:
-    /// a batch's vertices and properties are all looked up into one
-    /// reused buffer before any of its rows is pushed, so the store's
-    /// cache misses overlap instead of each waiting behind the previous
-    /// row's σ and γ work.
-    fn resolve(
-        &self,
-        scan: &Fra,
-        mut ids: impl Iterator<Item = VertexId>,
-        tested: &[Symbol],
-        out: &mut Sink<'_>,
-    ) {
-        let Fra::ScanVertices { props, .. } = scan else {
-            unreachable!("callers pass a ©")
-        };
-        let width = 1 + props.len();
-        let mut rows = Vec::with_capacity(ids.size_hint().0.min(BATCH) * width);
-        loop {
-            rows.clear();
-            let mut read = 0;
-            for v in ids.by_ref().take(BATCH) {
-                read += 1;
-                let Some(data) = self.g.vertex(v) else {
-                    continue;
-                };
-                if !tested.iter().all(|&l| data.has_label(l)) {
-                    continue;
-                }
-                rows.push(Value::Node(v));
-                rows.extend(props.iter().map(|p| data.props.get_or_null(p.prop)));
-            }
-            self.scanned.set(self.scanned.get() + read);
-            for row in rows.chunks_exact(width) {
-                out(row, 1);
-            }
-            if read < BATCH as u64 {
-                return;
-            }
-        }
-    }
-
-    /// Push the rows edge `e` contributes to ⇑ `scan`, assembled in `row`.
-    fn scan_edge(&self, scan: &Fra, e: EdgeId, row: &mut Vec<Value>, out: &mut Sink<'_>) {
-        let Fra::ScanEdges { types, dir, .. } = scan else {
-            unreachable!("callers pass a ⇑")
-        };
-        self.count_scan();
-        let Some(data) = self.g.edge(e) else { return };
-        if !types.is_empty() && !types.contains(&data.ty) {
-            return;
-        }
-        for (s, d) in orientations(*dir, data) {
-            self.edge_row(scan, e, data, (s, d), row, out);
-        }
-    }
-
-    /// Push ⇑ `scan`'s row for edge `e` read from `s` to `d`, if both
-    /// endpoints carry the scan's labels.
-    pub(crate) fn edge_row(
-        &self,
-        scan: &Fra,
-        e: EdgeId,
-        data: &EdgeData,
-        (s, d): (VertexId, VertexId),
-        row: &mut Vec<Value>,
-        out: &mut Sink<'_>,
-    ) {
-        let Fra::ScanEdges {
-            src_labels,
-            dst_labels,
-            src_props,
-            edge_props,
-            dst_props,
-            ..
-        } = scan
-        else {
-            unreachable!("callers pass a ⇑")
-        };
-        let (Some(sd), Some(dd)) = (self.g.vertex(s), self.g.vertex(d)) else {
-            return;
-        };
-        if !src_labels.iter().all(|&l| sd.has_label(l))
-            || !dst_labels.iter().all(|&l| dd.has_label(l))
-        {
-            return;
-        }
-        row.clear();
-        row.extend([Value::Node(s), Value::Rel(e), Value::Node(d)]);
-        for p in src_props {
-            row.push(sd.props.get_or_null(p.prop));
-        }
-        for p in edge_props {
-            row.push(data.props.get_or_null(p.prop));
-        }
-        for p in dst_props {
-            row.push(dd.props.get_or_null(p.prop));
-        }
-        out(row, 1);
     }
 
     /// γ: one [`GroupState`] per group — the dataflow network's — and a

@@ -5,7 +5,10 @@
 //! or under a σ chain — can read that input from the vertices its left
 //! side binds instead of from the extent: the `out_edges` / `in_edges` of
 //! each key vertex, or its `vertex()`. [`Expansion::of`] recognises such
-//! an input; every other join builds its right side whole.
+//! an input; every other join builds its right side whole. Both ways read
+//! through the scan's `pgq_graph::scan` pattern — the keyed reads
+//! `EdgePattern::rows_at` and `VertexPattern::rows_of`, or the
+//! enumeration `rows` — so an expanded row is the row a build reads.
 //!
 //! Whether a join expands is decided while it runs, without a knob or a
 //! constant, from a safe upper bound on what expanding reads. The join
@@ -35,22 +38,18 @@ use std::fmt;
 use pgq_algebra::fra::Fra;
 use pgq_common::dir::Direction;
 use pgq_common::fxhash::FxHashSet;
-use pgq_common::ids::{EdgeId, VertexId};
+use pgq_common::ids::VertexId;
 use pgq_common::value::Value;
+use pgq_graph::scan::{EdgePattern, End, VertexPattern};
 
-use crate::eval::{orientations, Feed, Pipelines, Rows, Sink};
+use crate::eval::{edge_pattern, vertex_pattern, Feed, Pipelines, Rows, Sink};
 
 /// How the rows of one key vertex are found.
-#[derive(Clone, Copy)]
 enum Read {
-    /// Its outgoing edges.
-    Out,
-    /// Its incoming edges.
-    In,
-    /// Both (an undirected ⇑).
-    Both,
     /// The vertex itself (a ©).
-    Vertex,
+    Vertex(VertexPattern),
+    /// Its edges, with the vertex at one end of each row (a ⇑).
+    Edges(EdgePattern, End),
 }
 
 /// A join's right input that can be read from its key vertices: the scan
@@ -58,8 +57,6 @@ enum Read {
 pub(crate) struct Expansion<'f> {
     scan: &'f Fra,
     read: Read,
-    /// The scan column the join keys on.
-    key: usize,
 }
 
 impl<'f> Expansion<'f> {
@@ -74,27 +71,25 @@ impl<'f> Expansion<'f> {
             scan = input;
         }
         let read = match (scan, key) {
-            (Fra::ScanVertices { .. }, 0) => Read::Vertex,
-            (Fra::ScanEdges { dir, .. }, 0 | 2) => match (dir, key == 0) {
-                (Direction::Both, _) => Read::Both,
-                (Direction::Out, true) | (Direction::In, false) => Read::Out,
-                (Direction::Out, false) | (Direction::In, true) => Read::In,
-            },
+            (Fra::ScanVertices { .. }, 0) => Read::Vertex(vertex_pattern(scan)),
+            (Fra::ScanEdges { .. }, 0) => Read::Edges(edge_pattern(scan), End::Src),
+            (Fra::ScanEdges { .. }, 2) => Read::Edges(edge_pattern(scan), End::Dst),
             _ => return None,
         };
-        Some(Expansion { scan, read, key })
+        Some(Expansion { scan, read })
     }
 }
 
 /// The EXPLAIN mark: `expand out KNOWS`, `expand vertex Person`.
 impl fmt::Display for Expansion<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (how, names) = match (self.read, self.scan) {
-            (Read::Vertex, Fra::ScanVertices { labels, .. }) => ("vertex", labels),
-            (Read::Out, Fra::ScanEdges { types, .. }) => ("out", types),
-            (Read::In, Fra::ScanEdges { types, .. }) => ("in", types),
-            (_, Fra::ScanEdges { types, .. }) => ("both", types),
-            _ => unreachable!("a © reads its vertex, a ⇑ its edges"),
+        let (how, names) = match &self.read {
+            Read::Vertex(p) => ("vertex", &p.labels),
+            Read::Edges(p, end) => match p.adjacency(*end) {
+                Direction::Out => ("out", &p.types),
+                Direction::In => ("in", &p.types),
+                Direction::Both => ("both", &p.types),
+            },
         };
         write!(f, "expand {how}")?;
         for (i, name) in names.iter().enumerate() {
@@ -147,9 +142,9 @@ impl<'g> Pipelines<'g> {
             if let Some(x) = &x {
                 if let Some(v) = l[left_keys[0]].as_node() {
                     if b.vertices.insert(v) {
-                        b.cost += match x.read {
-                            Read::Vertex => 1,
-                            read => self.adjacency(read, v).iter().map(|l| l.len()).sum(),
+                        b.cost += match &x.read {
+                            Read::Vertex(_) => 1,
+                            Read::Edges(p, end) => p.degree(self.g, v, *end),
                         };
                     }
                 }
@@ -176,25 +171,9 @@ impl<'g> Pipelines<'g> {
         if let Some(candidates) = self.seek(right) {
             return candidates.len();
         }
-        let g = self.g;
-        match x.scan {
-            Fra::ScanVertices { labels, .. } => labels
-                .first()
-                .map_or(g.vertex_count(), |&l| g.vertices_with_label(l).len()),
-            Fra::ScanEdges { types, .. } if types.is_empty() => g.edge_count(),
-            Fra::ScanEdges { types, .. } => types.iter().map(|&t| g.edges_with_type(t).len()).sum(),
-            _ => unreachable!("an expansion reads a scan"),
-        }
-    }
-
-    /// The adjacency lists an edge expansion reads `v`'s rows from.
-    fn adjacency(&self, read: Read, v: VertexId) -> [&'g [EdgeId]; 2] {
-        let g = self.g;
-        match read {
-            Read::Out => [g.out_edges(v), &[]],
-            Read::In => [g.in_edges(v), &[]],
-            Read::Both => [g.out_edges(v), g.in_edges(v)],
-            Read::Vertex => [&[], &[]],
+        match &x.read {
+            Read::Vertex(p) => p.extent(self.g),
+            Read::Edges(p, _) => p.extent(self.g),
         }
     }
 
@@ -212,44 +191,13 @@ impl<'g> Pipelines<'g> {
                 self.expand(x.scan, x, vertices, through)
             });
         }
-        if let Read::Vertex = x.read {
-            return self.scan_vertices(x.scan, vertices.iter().copied(), out);
-        }
-        let mut row = Vec::new();
-        for &v in vertices {
-            let [first, second] = self.adjacency(x.read, v);
-            for &e in first {
-                self.expand_edge(x, e, v, false, &mut row, out);
+        match &x.read {
+            Read::Vertex(p) => {
+                self.count(p.rows_of(self.g, vertices.iter().copied(), |row| out(row, 1)))
             }
-            for &e in second {
-                self.expand_edge(x, e, v, true, &mut row, out);
-            }
-        }
-    }
-
-    /// Push the rows edge `e`, adjacent to `v`, gives the expansion's ⇑
-    /// with `v` in its key column. A self-loop is in both of `v`'s lists;
-    /// the second (`skip_loop`) passes it over.
-    fn expand_edge(
-        &self,
-        x: &Expansion,
-        e: EdgeId,
-        v: VertexId,
-        skip_loop: bool,
-        row: &mut Vec<Value>,
-        out: &mut Sink<'_>,
-    ) {
-        let Fra::ScanEdges { types, dir, .. } = x.scan else {
-            unreachable!("an edge expansion reads a ⇑")
-        };
-        let Some(data) = self.g.edge(e) else { return };
-        if !types.is_empty() && !types.contains(&data.ty) || skip_loop && data.src == data.dst {
-            return;
-        }
-        self.count_scan();
-        for (s, d) in orientations(*dir, data) {
-            if (if x.key == 0 { s } else { d }) == v {
-                self.edge_row(x.scan, e, data, (s, d), row, out);
+            Read::Edges(p, end) => {
+                let vertices = vertices.iter().copied();
+                self.count(p.rows_at(self.g, vertices, *end, |row| out(row, 1)))
             }
         }
     }

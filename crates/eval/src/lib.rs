@@ -30,8 +30,9 @@
 //!   counts the base rows it read.
 //! * [`wanted_indexes`] names the property indexes a plan would seek, and
 //!   [`explain`] writes the plan marked where the evaluator narrows.
-//! * [`enumerate_paths`] is the ⋈* path walk, which the reference
-//!   evaluator and the transitive-join property tests reuse.
+//! * [`enumerate_paths`] is the ⋈* path walk, which the transitive-join
+//!   property tests reuse as their oracle. The reference evaluator walks
+//!   paths by its own code, so it does not check this walk against itself.
 
 mod eval;
 mod expand;

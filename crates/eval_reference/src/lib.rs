@@ -9,6 +9,10 @@
 //! evaluator: an integer `sum` is exact, and one outside `i64` reads
 //! `null`; `avg` divides that exact sum.
 //!
+//! It shares no scan or path code with `pgq_eval`: its ©, ⇑ and ⋈*
+//! walks are its own, so a fault in `pgq_graph::scan` or in
+//! `pgq_eval::enumerate_paths` shows as a disagreement.
+//!
 //! Its surface mirrors `pgq_eval`'s: [`evaluate_consolidated`],
 //! [`evaluate_query`], and an [`Evaluator`] that counts `rows_scanned`.
 
@@ -17,20 +21,76 @@
 use std::cmp::Ordering;
 
 use pgq_algebra::expr::{AggCall, AggFunc, ScalarExpr};
-use pgq_algebra::fra::Fra;
+use pgq_algebra::fra::{Fra, VarLenSpec};
 use pgq_algebra::CompiledQuery;
 use pgq_common::dir::Direction;
 use pgq_common::fxhash::FxHashMap;
 use pgq_common::ids::{EdgeId, VertexId};
 use pgq_common::intern::Symbol;
+use pgq_common::path::PathValue;
 use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
 use pgq_graph::index::join_key;
 use pgq_graph::store::PropertyGraph;
 use pgq_parser::ast::BinOp;
 
-use pgq_eval::enumerate_paths;
 use pgq_eval::Bag;
+
+/// Every edge-distinct path from `src` whose hops pass `spec` and whose
+/// length lies within `[spec.min, spec.max]`, each before the paths that
+/// extend it: the reference's own walk, so that ⋈* is held to an answer
+/// `pgq_eval::enumerate_paths` did not also produce.
+fn paths_from(g: &PropertyGraph, src: VertexId, spec: &VarLenSpec) -> Vec<PathValue> {
+    fn walk(g: &PropertyGraph, spec: &VarLenSpec, path: PathValue, out: &mut Vec<PathValue>) {
+        let len = path.len() as u32;
+        let ends = spec.max.is_some_and(|max| len >= max);
+        let next = match ends {
+            true => Vec::new(),
+            false => hops(g, path.target(), spec),
+        };
+        let extensions: Vec<PathValue> = next
+            .into_iter()
+            .filter(|&(e, _)| !path.contains_edge(e))
+            .map(|(e, w)| path.extend(e, w))
+            .collect();
+        if len >= spec.min {
+            out.push(path);
+        }
+        for longer in extensions {
+            walk(g, spec, longer, out);
+        }
+    }
+    let mut out = Vec::new();
+    if g.has_vertex(src) {
+        walk(g, spec, PathValue::single(src), &mut out);
+    }
+    out
+}
+
+/// The hops `(edge, next vertex)` a path at `v` can take under `spec`,
+/// in adjacency order: its outgoing edges unless it reads `In`, then its
+/// incoming ones unless it reads `Out`, of an admitted type and holding
+/// every edge-property filter. An edge already listed is not listed
+/// again, so a self-loop, in both of `v`'s lists, is one hop.
+fn hops(g: &PropertyGraph, v: VertexId, spec: &VarLenSpec) -> Vec<(EdgeId, VertexId)> {
+    let forward = (spec.dir != Direction::In).then(|| g.out_edges(v));
+    let backward = (spec.dir != Direction::Out).then(|| g.in_edges(v));
+    let listed = forward.into_iter().flatten().map(|&e| (e, true));
+    let listed = listed.chain(backward.into_iter().flatten().map(|&e| (e, false)));
+    let mut hops: Vec<(EdgeId, VertexId)> = Vec::new();
+    for (e, out) in listed {
+        let Some(data) = g.edge(e) else { continue };
+        let typed = spec.types.is_empty() || spec.types.contains(&data.ty);
+        let held = spec
+            .edge_prop_filters
+            .iter()
+            .all(|(k, want)| data.props.get(*k) == Some(want));
+        if typed && held && hops.iter().all(|&(f, _)| f != e) {
+            hops.push((e, if out { data.dst } else { data.src }));
+        }
+    }
+    hops
+}
 
 /// Evaluate an FRA plan against the current graph.
 fn evaluate(fra: &Fra, g: &PropertyGraph) -> Bag {
@@ -237,7 +297,7 @@ impl<'g> Evaluator<'g> {
                 }
                 for (srcv, rows) in by_src {
                     let Some(src) = srcv.as_node() else { continue };
-                    for p in enumerate_paths(g, src, spec) {
+                    for p in paths_from(g, src, spec) {
                         let dst = p.target();
                         let Some(dd) = g.vertex(dst) else { continue };
                         if !spec.dst_labels.iter().all(|&l| dd.has_label(l)) {

@@ -231,7 +231,14 @@ pub struct VertexView<'a> {
 }
 
 impl<'a> VertexView<'a> {
+    /// The vertex's id.
+    #[inline]
+    pub fn id(&self) -> VertexId {
+        self.id
+    }
+
     /// Does the vertex carry `label`?
+    #[inline]
     pub fn has_label(&self, label: Symbol) -> bool {
         if let Some(undo) = self.undo.filter(|u| u.labels) {
             match undo.image.first(Slot::Label(self.id, label)) {
@@ -244,6 +251,7 @@ impl<'a> VertexView<'a> {
     }
 
     /// The value of `key`, if set.
+    #[inline]
     pub fn get(&self, key: Symbol) -> Option<&'a Value> {
         if let Some(undo) = self.undo.filter(|u| u.props) {
             if let Some(ChangeEvent::VertexPropChanged { old, .. }) =
@@ -256,6 +264,7 @@ impl<'a> VertexView<'a> {
     }
 
     /// The value of `key`, `Null` when absent (Cypher semantics).
+    #[inline]
     pub fn get_or_null(&self, key: Symbol) -> Value {
         self.get(key).cloned().unwrap_or(Value::Null)
     }
@@ -272,22 +281,32 @@ pub struct EdgeView<'a> {
 }
 
 impl<'a> EdgeView<'a> {
+    /// The edge's id.
+    #[inline]
+    pub fn id(&self) -> EdgeId {
+        self.id
+    }
+
     /// Source vertex.
+    #[inline]
     pub fn src(&self) -> VertexId {
         self.data.src
     }
 
     /// Target vertex.
+    #[inline]
     pub fn dst(&self) -> VertexId {
         self.data.dst
     }
 
     /// Edge type.
+    #[inline]
     pub fn ty(&self) -> Symbol {
         self.data.ty
     }
 
     /// The value of `key`, if set.
+    #[inline]
     pub fn get(&self, key: Symbol) -> Option<&'a Value> {
         if let Some(image) = self.undo {
             if let Some(ChangeEvent::EdgePropChanged { old, .. }) =
@@ -300,6 +319,7 @@ impl<'a> EdgeView<'a> {
     }
 
     /// The value of `key`, `Null` when absent (Cypher semantics).
+    #[inline]
     pub fn get_or_null(&self, key: Symbol) -> Value {
         self.get(key).cloned().unwrap_or(Value::Null)
     }
@@ -307,6 +327,7 @@ impl<'a> EdgeView<'a> {
 
 impl PropertyGraph {
     /// Vertex `v` as it is now, as a [`VertexView`].
+    #[inline]
     pub fn vertex_view(&self, v: VertexId) -> Option<VertexView<'_>> {
         self.vertex(v).map(|data| VertexView {
             id: v,
@@ -316,6 +337,7 @@ impl PropertyGraph {
     }
 
     /// Edge `e` as it is now, as an [`EdgeView`].
+    #[inline]
     pub fn edge_view(&self, e: EdgeId) -> Option<EdgeView<'_>> {
         self.edge(e).map(|data| EdgeView {
             id: e,

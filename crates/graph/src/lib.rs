@@ -26,7 +26,9 @@
 //! [`PropertyGraph`] and its element records ([`store`]), [`Transaction`]
 //! and [`TxOp`] ([`tx`]), the [`ChangeEvent`] feed ([`delta`]),
 //! [`Properties`] ([`props`]), the before-image a maintenance pass reads
-//! old rows from ([`before`]), the join-key normalisation of [`index`],
+//! old rows from ([`before`]), the © / ⇑ patterns every reader of a
+//! base relation reads its rows through ([`scan`]), the join-key
+//! normalisation of [`index`],
 //! the cardinality catalog the planner reads and the
 //! [`stats::GraphStats`] summary the examples print ([`stats`]), and the
 //! CSV dump ([`csv`]). `tests/public_surface.rs` pins every exported
@@ -37,6 +39,7 @@ pub mod csv;
 pub mod delta;
 pub mod index;
 pub mod props;
+pub mod scan;
 pub mod stats;
 pub mod store;
 pub mod tx;

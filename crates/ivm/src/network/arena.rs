@@ -47,7 +47,7 @@ use crate::basic::program_into;
 use crate::delta::{Delta, IndexedBag, RowSink};
 use crate::distinct::DistinctOp;
 use crate::join::JoinOp;
-use crate::scan::{EdgeScan, VertexScan};
+use crate::scan::{push_change, EdgeScan, VertexScan};
 use crate::semijoin::SemiJoinOp;
 use crate::stats::Counters;
 use crate::tc::VarLengthOp;
@@ -225,8 +225,12 @@ impl NodeKind {
     ) {
         match self {
             NodeKind::Unit { .. } => {}
-            NodeKind::Vertices(scan) => scan.on_events_into(image, events, out),
-            NodeKind::Edges(scan) => scan.on_events_into(image, events, out),
+            NodeKind::Vertices(scan) => {
+                scan.changes(image, events, |_, old, new| push_change(out, old, new))
+            }
+            NodeKind::Edges(scan) => {
+                scan.changes(image, events, |old, new| push_change(out, old, new))
+            }
             NodeKind::Join {
                 left,
                 right,
@@ -287,8 +291,8 @@ impl NodeKind {
         }
         match self {
             NodeKind::Unit { .. } => "Unit".into(),
-            NodeKind::Vertices(s) => format!("©({})", syms(&s.routing().labels)),
-            NodeKind::Edges(s) => format!("⇑({})", syms(&s.routing().types)),
+            NodeKind::Vertices(s) => format!("©({})", syms(&s.pattern().labels)),
+            NodeKind::Edges(s) => format!("⇑({})", syms(&s.pattern().types)),
             NodeKind::Join { .. } => "⋈".into(),
             NodeKind::SemiJoin { .. } => "⋉/▷".into(),
             NodeKind::VarLength { op, .. } => format!(

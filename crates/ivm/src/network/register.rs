@@ -48,6 +48,7 @@ use pgq_algebra::plan::WcojMode;
 use pgq_algebra::program::{Scratch, TupleProgram};
 use pgq_common::fxhash::{FxHashMap, FxHashSet};
 use pgq_common::tuple::Tuple;
+use pgq_graph::scan::{EdgePattern, VertexPattern};
 use pgq_graph::store::PropertyGraph;
 
 use super::arena::{arranged, live, Arrangement, Node, NodeKind};
@@ -57,7 +58,7 @@ use crate::basic::Programmed;
 use crate::delta::{Delta, IndexedBag, Row, RowSink};
 use crate::distinct::DistinctOp;
 use crate::join::JoinOp;
-use crate::scan::{EdgeScan, EdgeScanSpec, VertexScan};
+use crate::scan::{EdgeScan, VertexScan};
 use crate::semijoin::SemiJoinOp;
 use crate::tc::VarLengthOp;
 use crate::wcoj::MultiwayJoinOp;
@@ -437,7 +438,10 @@ impl DataflowNetwork {
         let kind = match fra {
             Fra::Unit => NodeKind::Unit { emitted: false },
             Fra::ScanVertices { labels, props, .. } => {
-                NodeKind::Vertices(VertexScan::new(labels.clone(), props.clone()))
+                NodeKind::Vertices(VertexScan::new(VertexPattern {
+                    labels: labels.clone(),
+                    props: props.iter().map(|p| p.prop).collect(),
+                }))
             }
             Fra::ScanEdges {
                 types,
@@ -448,15 +452,15 @@ impl DataflowNetwork {
                 dst_props,
                 dir,
                 ..
-            } => NodeKind::Edges(EdgeScan::new(EdgeScanSpec {
+            } => NodeKind::Edges(EdgeScan::new(EdgePattern {
                 types: types.clone(),
+                dir: *dir,
                 src_labels: src_labels.clone(),
                 dst_labels: dst_labels.clone(),
-                src_props: src_props.clone(),
-                edge_props: edge_props.clone(),
-                dst_props: dst_props.clone(),
-                dir: Some(*dir),
-                edge_prop_filters: Vec::new(),
+                src_props: src_props.iter().map(|p| p.prop).collect(),
+                edge_props: edge_props.iter().map(|p| p.prop).collect(),
+                dst_props: dst_props.iter().map(|p| p.prop).collect(),
+                filters: Vec::new(),
             })),
             Fra::HashJoin {
                 left,
@@ -630,10 +634,14 @@ impl DataflowNetwork {
         match kind {
             NodeKind::Unit { emitted } => *emitted = true,
             NodeKind::Vertices(scan) => {
-                scan.replay_into(g, produced.insert(Delta::with_capacity(scan.extent(g))))
+                let out = produced.insert(Delta::with_capacity(scan.pattern().extent(g)));
+                scan.pattern()
+                    .rows(g, |row| out.push_row(Row::Assembled(row), 1));
             }
             NodeKind::Edges(scan) => {
-                scan.replay_into(g, produced.insert(Delta::with_capacity(scan.extent(g))))
+                let out = produced.insert(Delta::with_capacity(scan.pattern().extent(g)));
+                scan.pattern()
+                    .rows(g, |row| out.push_row(Row::Assembled(row), 1));
             }
             NodeKind::SemiJoin { op, .. } => op.restore(inputs[0]),
             NodeKind::Multiway { op, .. } => op.restore(&inputs),
@@ -864,8 +872,14 @@ impl DataflowNetwork {
                     out.push_row(Row::Held(&Tuple::unit()), 1);
                 }
             }
-            NodeKind::Vertices(s) => s.replay_into(scanned(), out),
-            NodeKind::Edges(s) => s.replay_into(scanned(), out),
+            NodeKind::Vertices(s) => {
+                s.pattern()
+                    .rows(scanned(), |row| out.push_row(Row::Assembled(row), 1));
+            }
+            NodeKind::Edges(s) => {
+                s.pattern()
+                    .rows(scanned(), |row| out.push_row(Row::Assembled(row), 1));
+            }
             NodeKind::Join {
                 left,
                 right,

@@ -95,10 +95,11 @@ use pgq_common::tuple::Tuple;
 use pgq_common::value::Value;
 use pgq_graph::before::{BeforeImage, BeforeIndex};
 use pgq_graph::delta::ChangeEvent;
+use pgq_graph::scan::{EdgePattern, VertexPattern};
 use pgq_graph::store::PropertyGraph;
 
 use crate::delta::{Bucket, Delta, Row, RowSink};
-use crate::scan::{EdgeScan, EdgeScanSpec, ScanRouting, VertexScan};
+use crate::scan::{EdgeScan, ScanRouting, VertexScan};
 use crate::small_list::SmallList;
 use crate::stats::Counters;
 
@@ -405,7 +406,7 @@ impl<S: RowSink + ?Sized> Emitter<'_, S> {
             None => self.emit_on(rows, &[Value::Node(n.target)], sign, n),
             Some((scan, g)) => {
                 let mut dst = std::mem::take(self.dst_row);
-                if scan.row_into(n.target, g.vertex_view(n.target), &mut dst) {
+                if scan.pattern().row_into(g.vertex_view(n.target), &mut dst) {
                     self.emit_on(rows, &dst, sign, n);
                 }
                 *self.dst_row = dst;
@@ -450,15 +451,6 @@ fn hop_of(row: &[Value]) -> Hop {
     )
 }
 
-/// Collects the edge scan's full output as hops (initial evaluation).
-struct Hops<'a>(&'a mut Vec<Hop>);
-
-impl RowSink for Hops<'_> {
-    fn push_row(&mut self, row: Row<'_>, _mult: i64) {
-        self.0.push(hop_of(row.values()));
-    }
-}
-
 /// The left rows that `n`'s path extends.
 fn rows_of<'a>(anchors: &'a FxHashMap<VertexId, Anchor>, n: &TrieNode) -> &'a Bucket {
     &anchors
@@ -471,15 +463,19 @@ impl VarLengthOp {
     /// Build from an FRA [`VarLenSpec`]; `left_arity` and `src_col`
     /// locate the traversal source in the left input.
     pub fn new(left_arity: usize, src_col: usize, spec: &VarLenSpec) -> VarLengthOp {
-        let edge_scan = EdgeScan::new(EdgeScanSpec {
+        let edge_scan = EdgeScan::new(EdgePattern {
             types: spec.types.clone(),
-            dir: Some(spec.dir),
-            edge_prop_filters: spec.edge_prop_filters.clone(),
+            dir: spec.dir,
+            filters: spec.edge_prop_filters.clone(),
             ..Default::default()
         });
         let needs_dst = !spec.dst_labels.is_empty() || !spec.dst_props.is_empty();
-        let dst =
-            needs_dst.then(|| VertexScan::new(spec.dst_labels.clone(), spec.dst_props.clone()));
+        let dst = needs_dst.then(|| {
+            VertexScan::new(VertexPattern {
+                labels: spec.dst_labels.clone(),
+                props: spec.dst_props.iter().map(|p| p.prop).collect(),
+            })
+        });
         VarLengthOp {
             edge_scan,
             dst,
@@ -632,7 +628,10 @@ impl VarLengthOp {
         debug_assert!(self.anchors.is_empty(), "initial evaluation runs once");
         self.gone.clear();
         self.added.clear();
-        self.edge_scan.replay_into(g, &mut Hops(&mut self.added));
+        let added = &mut self.added;
+        self.edge_scan
+            .pattern()
+            .rows(g, |row| added.push(hop_of(row)));
         self.apply(g, left, out);
     }
 

@@ -127,3 +127,51 @@ fn relationships_list_alias_on_varlength() {
     pairs.sort_unstable();
     assert_eq!(pairs, vec![(1, 2), (2, 3)]);
 }
+
+/// An undirected ⋈* over a self-loop, parallel edges and a two-cycle:
+/// the push evaluator (`pgq_eval::enumerate_paths`) and the reference,
+/// which walks paths by its own code, give one bag. A self-loop is in
+/// both of its vertex's adjacency lists and is one hop, so a walk that
+/// took it from both would read every path through it twice.
+#[test]
+fn undirected_varlength_paths_agree_with_the_reference() {
+    use pgq_algebra::pipeline::compile_query;
+    use pgq_common::intern::Symbol;
+    use pgq_common::value::Value;
+    use pgq_graph::props::Properties;
+    use pgq_graph::store::PropertyGraph;
+    use pgq_parser::parse_query;
+
+    let mut g = PropertyGraph::new();
+    let vs: Vec<_> = (0..4)
+        .map(|id| {
+            let props = Properties::from_iter([("id", Value::Int(id))]);
+            g.add_vertex([Symbol::intern("N")], props).0
+        })
+        .collect();
+    for (a, b) in [(0, 1), (1, 1), (1, 2), (1, 2), (2, 1), (2, 3), (3, 3)] {
+        g.add_edge(vs[a], vs[b], Symbol::intern("R"), Properties::new())
+            .unwrap();
+    }
+    let sorted = |mut bag: pgq_eval::Bag| {
+        bag.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        bag
+    };
+    for q in [
+        "MATCH p = (a:N {id: 0})-[:R*1..4]-(b:N) RETURN p",
+        "MATCH (a:N)-[:R*0..2]-(b) RETURN a, b",
+        "MATCH (a:N {id: 3})-[:R*1..1]-(b) RETURN b",
+        "MATCH (a:N)<-[:R*1..3]-(b:N) RETURN a, b",
+    ] {
+        let fra = compile_query(&parse_query(q).unwrap()).unwrap().fra;
+        let push = sorted(pgq_eval::evaluate(&fra, &g));
+        let reference = sorted(pgq_eval_reference::Evaluator::new(&g).run(&fra));
+        assert!(!push.is_empty(), "{q}");
+        assert_eq!(push, reference, "{q}");
+    }
+    // From 3: the edge to 2 and the self-loop, each once.
+    let fra = compile_query(&parse_query("MATCH (a:N {id: 3})-[:R*1..1]-(b) RETURN b").unwrap())
+        .unwrap()
+        .fra;
+    assert_eq!(pgq_eval::evaluate(&fra, &g).len(), 2);
+}

@@ -298,6 +298,24 @@ fn tied_rows_read_in_one_order_whatever_their_history() {
     }
 }
 
+/// An integer past 2⁵³ is not equal to the float it rounds to: a view
+/// and `query` of `x = 9007199254740992.0` both pass 2⁵³ and drop
+/// 2⁵³ + 1, where the property index (keyed by a rounded `prop_key`)
+/// holds both as candidates and the σ above the seek decides.
+#[test]
+fn an_integer_past_2_53_equals_no_float_it_rounds_to() {
+    use pgq_common::tuple::Tuple;
+    const Q: &str = "MATCH (p:P) WHERE p.x = 9007199254740992.0 RETURN p.x AS x";
+    let mut e = GraphEngine::new();
+    let id = e.register_view("v", Q).unwrap();
+    e.execute("CREATE (:P {x: 9007199254740993})").unwrap();
+    e.execute("CREATE (:P {x: 9007199254740992})").unwrap();
+    let want = vec![Tuple::new(vec![Value::Int(1 << 53)])];
+    assert_eq!(e.view(id).unwrap().rows(), want);
+    assert_eq!(e.query(Q).unwrap().rows, want);
+    assert_eq!(e.execute(Q).unwrap().rows, want, "through the seek");
+}
+
 #[test]
 fn parse_errors_carry_position() {
     let mut e = GraphEngine::new();

@@ -416,10 +416,12 @@ const GRAPH: &[&str] = &[
     "before.rs: fn BeforeImage::vertex",
     "before.rs: fn BeforeImage::edge",
     "before.rs: struct VertexView",
+    "before.rs: fn VertexView::id",
     "before.rs: fn VertexView::has_label",
     "before.rs: fn VertexView::get",
     "before.rs: fn VertexView::get_or_null",
     "before.rs: struct EdgeView",
+    "before.rs: fn EdgeView::id",
     "before.rs: fn EdgeView::src",
     "before.rs: fn EdgeView::dst",
     "before.rs: fn EdgeView::ty",
@@ -442,6 +444,7 @@ const GRAPH: &[&str] = &[
     "lib.rs: mod delta",
     "lib.rs: mod index",
     "lib.rs: mod props",
+    "lib.rs: mod scan",
     "lib.rs: mod stats",
     "lib.rs: mod store",
     "lib.rs: mod tx",
@@ -458,6 +461,20 @@ const GRAPH: &[&str] = &[
     "props.rs: fn Properties::get_or_null",
     "props.rs: fn Properties::set",
     "props.rs: fn Properties::iter",
+    "scan.rs: struct VertexPattern",
+    "scan.rs: fn VertexPattern::row_into",
+    "scan.rs: fn VertexPattern::extent",
+    "scan.rs: fn VertexPattern::rows",
+    "scan.rs: fn VertexPattern::rows_of",
+    "scan.rs: enum End",
+    "scan.rs: struct EdgePattern",
+    "scan.rs: fn EdgePattern::orientations",
+    "scan.rs: fn EdgePattern::row_into",
+    "scan.rs: fn EdgePattern::extent",
+    "scan.rs: fn EdgePattern::rows",
+    "scan.rs: fn EdgePattern::adjacency",
+    "scan.rs: fn EdgePattern::degree",
+    "scan.rs: fn EdgePattern::rows_at",
     "stats.rs: struct CardinalityCatalog",
     "stats.rs: fn CardinalityCatalog::out_degree_second_moment",
     "stats.rs: fn CardinalityCatalog::out_degree_source_count",
