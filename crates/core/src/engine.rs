@@ -94,13 +94,14 @@ struct Durable {
     /// Commit flush policy (`PGQ_FSYNC`).
     fsync: FsyncMode,
     /// Group-commit window under [`FsyncMode::Always`]
-    /// (`PGQ_FLUSH_WINDOW`, default 1): `sync_data` once every `n`
-    /// commits instead of per commit. `n > 1` trades a bounded loss
+    /// (`PGQ_FLUSH_WINDOW`, default 1): a commit call syncs, once at its
+    /// end, when `n` or more records are unsynced, so a batch's members
+    /// count like any other commits. `n > 1` trades a bounded loss
     /// window (up to `n - 1` acknowledged commits on power loss) for
-    /// amortised sync cost; `apply_batch` always coalesces onto one
-    /// sync per batch regardless.
+    /// amortised sync cost. A catalog record always syncs.
     flush_window: u64,
-    /// Commits appended since the last successful sync.
+    /// Records appended since the last sync (counted under
+    /// [`FsyncMode::Always`] only).
     unsynced: u64,
     /// Auto-snapshot cadence in committed transactions
     /// (`PGQ_SNAPSHOT_EVERY`; `0` disables the cadence, leaving only
@@ -229,6 +230,78 @@ impl Durable {
     /// Encode-buffer size for the next image: the last one's, plus slack.
     fn image_hint(&self) -> usize {
         (self.last_snapshot_bytes + self.last_snapshot_bytes / 8) as usize
+    }
+
+    /// Where the active log stands — its length, record count and
+    /// cadence count: what a failed sync takes the log back to.
+    fn mark(&self) -> (u64, u64, u64) {
+        (self.wal_len, self.wal_records, self.txs_since_snapshot)
+    }
+
+    /// Append one record to the active log, unsynced. Only a
+    /// transaction counts towards the cadence. On `Err((error,
+    /// force_degrade))` the record is not in the log: a possibly torn
+    /// append is rewritten back to the last record boundary, and
+    /// `force_degrade` says even that failed, so the tail cannot be
+    /// trusted.
+    fn append(&mut self, record: Record<'_>) -> Result<(), (DurabilityError, bool)> {
+        match wal::append(self.vfs.as_ref(), self.generation, record) {
+            Ok(frame) => {
+                self.wal_len += frame;
+                self.wal_records += 1;
+                self.txs_since_snapshot += matches!(record, Record::Tx(_)) as u64;
+                if self.fsync == FsyncMode::Always {
+                    self.unsynced += 1;
+                }
+                Ok(())
+            }
+            Err(e) => {
+                let err = DurabilityError::io(DurOp::WalAppend, &e);
+                let force = wal::repair(self.vfs.as_ref(), self.generation, self.wal_len).is_err();
+                Err((err, force))
+            }
+        }
+    }
+
+    /// Sync the active log if it holds unsynced records (only
+    /// [`FsyncMode::Always`] counts them). A failed sync leaves them in
+    /// limbo either way (post-fsyncgate: the kernel may have kept or
+    /// dropped them), so none of them counts as unsynced any more: the
+    /// caller takes them back or degrades.
+    fn flush(&mut self) -> Result<(), DurabilityError> {
+        if self.unsynced == 0 {
+            return Ok(());
+        }
+        let synced = self.vfs.sync(&wal_file(self.generation));
+        self.unsynced = 0;
+        synced.map_err(|e| DurabilityError::io(DurOp::WalSync, &e))
+    }
+
+    /// End a call that appended since `mark`: sync once if the window
+    /// is full or the call logged a catalog change (`forced`). If the
+    /// sync fails, the call's records are taken back from the mirrors
+    /// and the log is rewritten to `mark`, whether or not the failed
+    /// sync kept their bytes, so a rejected record never resurfaces at
+    /// recovery; the caller takes back their in-memory changes.
+    /// `force_degrade` is set when acknowledged commits were unsynced
+    /// too (they may be gone from disk while they live on in memory)
+    /// or the rewrite failed.
+    fn sync_since(
+        &mut self,
+        mark: (u64, u64, u64),
+        forced: bool,
+    ) -> Result<(), (DurabilityError, bool)> {
+        let appended = self.wal_records - mark.1;
+        if appended == 0 || !(forced || self.unsynced >= self.flush_window) {
+            return Ok(());
+        }
+        let acked = self.unsynced > appended;
+        let Err(e) = self.flush() else {
+            return Ok(());
+        };
+        (self.wal_len, self.wal_records, self.txs_since_snapshot) = mark;
+        let repaired = wal::repair(self.vfs.as_ref(), self.generation, mark.0).is_ok();
+        Err((e, acked || !repaired))
     }
 }
 
@@ -410,32 +483,21 @@ impl GraphEngine {
             .on_transaction_with(&self.graph, events, workers);
     }
 
-    /// Apply a transaction and maintain every registered view.
-    ///
-    /// On a durable engine the committed transaction is appended to the
-    /// WAL *after* the store accepts it — a crash between commit and
-    /// append loses that transaction entirely (async-commit semantics)
-    /// but can never log a transaction that did not commit. If the
-    /// append (or its covering fsync) **fails**, this commit fails
-    /// cleanly: the in-memory mutation is rolled back, a typed
-    /// [`EngineError::Durability`] is returned, and the engine stays
-    /// usable. Repeated failures trip the breaker into read-only
-    /// degraded mode ([`EngineError::ReadOnly`]); see
-    /// [`GraphEngine::reset_durability`].
+    /// Apply a transaction and maintain every registered view: the
+    /// one-member case of [`GraphEngine::apply_batch`], through the same
+    /// commit routine. The store applies the transaction first and the
+    /// WAL appends it second, so a crash between the two loses it but
+    /// never logs one that did not commit. Views and subscribers see it
+    /// only once its record is as durable as `PGQ_FSYNC` and
+    /// `PGQ_FLUSH_WINDOW` require. A failed append or sync takes the
+    /// transaction back and fails typed ([`EngineError::Durability`]);
+    /// repeated failures, or one that put acknowledged commits at risk,
+    /// trip the breaker into read-only degraded mode
+    /// ([`EngineError::ReadOnly`]; see
+    /// [`GraphEngine::reset_durability`]).
     pub fn apply(&mut self, tx: &Transaction) -> Result<Vec<ChangeEvent>, EngineError> {
-        self.check_writable()?;
-        let watermarks = self.graph.id_watermarks();
-        let events = self.graph.apply(tx)?;
-        if let Err((e, force)) = self.wal_commit(Record::Tx(tx)) {
-            // The commit never happened: take the in-memory mutation
-            // back (ids included — replay determinism) before erroring.
-            self.graph.unapply(&events, watermarks);
-            return Err(self.commit_failed(e, force));
-        }
-        self.commit_succeeded();
-        self.maintain(&events);
-        self.maybe_switch();
-        Ok(events)
+        self.commit(std::slice::from_ref(tx))
+            .map(|(events, _)| events)
     }
 
     /// Apply a sequence of transactions and maintain every view in
@@ -450,64 +512,83 @@ impl GraphEngine {
     /// with the batch's net delta, and a view whose changes cancel
     /// within the batch is not notified at all.
     ///
-    /// Every transaction is applied atomically as usual; if one fails,
-    /// the transactions before it are maintained in one pass and the
-    /// error is returned (the failed transaction itself rolls back).
-    ///
-    /// Durability uses **group commit**: each member is appended to the
-    /// WAL individually (so replay reproduces the exact transaction
-    /// sequence), but under `PGQ_FSYNC=always` the whole batch shares
-    /// one `sync_data` at the end instead of one per member. A failed
-    /// member append rolls that member back and fails typed like
-    /// [`GraphEngine::apply`]; a failed *batch sync* covers members the
-    /// batch already applied, so the engine degrades to read-only
-    /// (memory is ahead of disk until an operator runs
-    /// [`GraphEngine::reset_durability`]).
+    /// One commit order for every call, [`GraphEngine::apply`]
+    /// included: apply and log each member, sync, then publish. Each
+    /// member is applied atomically and appended to the WAL as its own
+    /// record, so replay reproduces the exact transaction sequence. A
+    /// member that fails to apply or to append rolls back alone and
+    /// stops the batch; the members before it are kept. The batch's
+    /// records count towards `PGQ_FLUSH_WINDOW` like any other commits,
+    /// and under `PGQ_FSYNC=always` the call syncs at most once, at its
+    /// end. Only then are the kept members maintained, their
+    /// subscribers notified and the snapshot cadence checked, and the
+    /// first error is returned. A failed sync takes back every member
+    /// of the call and returns its own error (`WalSync`): when the
+    /// call's records were the only unsynced ones the engine stays
+    /// writable, and when acknowledged commits were at risk too it
+    /// degrades.
     pub fn apply_batch(&mut self, txs: &[Transaction]) -> Result<BatchSummary, EngineError> {
+        let (_, transactions) = self.commit(txs)?;
+        Ok(BatchSummary { transactions })
+    }
+
+    /// The commit routine behind [`GraphEngine::apply`] and
+    /// [`GraphEngine::apply_batch`]: apply and append each member, sync
+    /// once if due, then publish. Returns the kept members' events and
+    /// their count.
+    fn commit(&mut self, txs: &[Transaction]) -> Result<(Vec<ChangeEvent>, usize), EngineError> {
         self.check_writable()?;
-        let mut summary = BatchSummary::default();
-        let mut events: Vec<ChangeEvent> = Vec::new();
+        let watermarks = self.graph.id_watermarks();
+        let mark = self.durable.as_ref().map(Durable::mark);
+        let mut events = Vec::new();
+        let mut kept = 0;
+        let mut failed = None;
         for tx in txs {
-            let watermarks = self.graph.id_watermarks();
+            let before = self.graph.id_watermarks();
             let member = match self.graph.apply(tx) {
                 Ok(member) => member,
                 Err(e) => {
-                    // Views must reflect the transactions that did land
-                    // (the summary itself is lost to the error).
-                    self.maintain(&events);
-                    return Err(e.into());
+                    failed = Some(e.into());
+                    break;
                 }
             };
-            if let Err((e, force)) = self.wal_append(Record::Tx(tx)) {
-                // This member never committed; the ones before it did.
-                // Roll it back, maintain the others, and try to make
-                // them durable.
-                self.graph.unapply(&member, watermarks);
-                self.maintain(&events);
-                let flush = self.wal_flush();
-                let err = self.commit_failed(e, force);
-                if let Err((fe, _)) = flush {
-                    // Earlier members were already applied and cannot
-                    // be taken back: memory is ahead of disk, so the
-                    // breaker trips immediately.
-                    return Err(self.commit_failed(fe, true));
-                }
-                return Err(err);
+            if let Some(Err((e, force))) = self.durable.as_mut().map(|d| d.append(Record::Tx(tx))) {
+                // This member never committed: take it back (ids
+                // included — replay determinism).
+                self.graph.unapply(&member, before);
+                failed = Some(self.commit_failed(e, force));
+                break;
             }
-            events.extend(member);
-            summary.transactions += 1;
+            if events.is_empty() {
+                events = member;
+            } else {
+                events.extend(member);
+            }
+            kept += 1;
+        }
+        if let (Some(d), Some(mark)) = (self.durable.as_mut(), mark) {
+            if let Err((e, force)) = d.sync_since(mark, false) {
+                // None of the call's records is durable, and none was
+                // published: the whole call never happened.
+                self.graph.unapply(&events, watermarks);
+                return Err(self.commit_failed(e, force));
+            }
+            if failed.is_none() && kept > 0 {
+                d.fail_streak = 0;
+            }
         }
         self.maintain(&events);
-        // Group commit: one sync covers every member of the batch.
-        if let Err((e, _)) = self.wal_flush() {
-            // The members are applied and cannot be taken back.
-            return Err(self.commit_failed(e, summary.transactions > 0));
-        }
-        self.commit_succeeded();
         self.maybe_switch();
-        Ok(summary)
+        match failed {
+            Some(e) => Err(e),
+            None => Ok((events, kept)),
+        }
     }
 
+    /// Run the pass over `events` and notify the changed views'
+    /// subscribers. Kept out of line: inlined into its one caller,
+    /// `commit`, it read `fanout_batch` `ops_per_s` ≈ 0.96× (12 pairs).
+    #[inline(never)]
     fn maintain(&mut self, events: &[ChangeEvent]) {
         if events.is_empty() {
             return;
@@ -671,16 +752,18 @@ impl GraphEngine {
     /// rewrites the log to its last record boundary and counts against
     /// the breaker like a failed commit.
     fn log_catalog(&mut self, dropped: Option<ViewId>) -> Result<(), EngineError> {
-        let Some(catalog) = self.durable.as_ref().map(|d| Arc::clone(&d.catalog)) else {
+        let Some(d) = self.durable.as_mut() else {
             return Ok(());
         };
+        let catalog = Arc::clone(&d.catalog);
         let record = match dropped {
             Some(id) => Record::Drop(id.0 as u32),
             None => Record::Register(catalog.last().expect("a view was just registered")),
         };
-        match self.wal_commit(record) {
+        let mark = d.mark();
+        match d.append(record).and_then(|()| d.sync_since(mark, true)) {
             Ok(()) => {
-                self.commit_succeeded();
+                d.fail_streak = 0;
                 Ok(())
             }
             Err((e, force)) => Err(self.commit_failed(e, force)),
@@ -907,122 +990,6 @@ impl GraphEngine {
         }
     }
 
-    /// Append one committed transaction or catalog change and run the
-    /// flush policy (a catalog change syncs whatever the window). On
-    /// `Err((error, force_degrade))` the record did not become durable
-    /// and the caller must roll the in-memory change back;
-    /// `force_degrade` means the failure also covered *previously
-    /// acknowledged* commits (group-commit sync failure) and the
-    /// breaker must trip immediately.
-    fn wal_commit(&mut self, record: Record<'_>) -> Result<(), (DurabilityError, bool)> {
-        let pre = self
-            .durable
-            .as_ref()
-            .map(|d| (d.wal_len, d.wal_records, d.txs_since_snapshot))
-            .unwrap_or_default();
-        self.wal_append(record)?;
-        let Some(d) = self.durable.as_mut() else {
-            return Ok(());
-        };
-        let due = d.unsynced >= d.flush_window || !matches!(record, Record::Tx(_));
-        if d.fsync == FsyncMode::Always && due {
-            self.wal_sync(Some(pre))?;
-        }
-        Ok(())
-    }
-
-    /// Append without syncing (the group-commit first half). Only a
-    /// transaction counts towards the cadence.
-    fn wal_append(&mut self, record: Record<'_>) -> Result<(), (DurabilityError, bool)> {
-        let Some(d) = self.durable.as_mut() else {
-            return Ok(());
-        };
-        match wal::append(d.vfs.as_ref(), d.generation, record) {
-            Ok(frame) => {
-                d.wal_len += frame;
-                d.wal_records += 1;
-                d.txs_since_snapshot += matches!(record, Record::Tx(_)) as u64;
-                if d.fsync == FsyncMode::Always {
-                    d.unsynced += 1;
-                }
-                Ok(())
-            }
-            Err(e) => {
-                // The append may have torn (short write): rewrite the
-                // log back to the last record boundary so the file
-                // stays appendable. If even that fails, the tail is
-                // untrustworthy — degrade immediately.
-                let err = DurabilityError::io(DurOp::WalAppend, &e);
-                let force = wal::repair(d.vfs.as_ref(), d.generation, d.wal_len).is_err();
-                Err((err, force))
-            }
-        }
-    }
-
-    /// Sync the active log if commits are pending (the group-commit
-    /// second half). On failure, post-fsyncgate semantics apply: the
-    /// unsynced bytes are in limbo — the kernel may have kept them, or
-    /// dropped them — so the engine must not trust anything past its
-    /// last known durable prefix. If the only at-risk commit is the
-    /// current one (`rollback` carries the pre-append log boundary,
-    /// record count and cadence count),
-    /// the failure is rollbackable: the log is rewritten to that
-    /// boundary so the rejected commit can never resurface at
-    /// recovery. If previously acknowledged commits were covered,
-    /// `force_degrade` is set instead.
-    fn wal_sync(
-        &mut self,
-        rollback: Option<(u64, u64, u64)>,
-    ) -> Result<(), (DurabilityError, bool)> {
-        let Some(d) = self.durable.as_mut() else {
-            return Ok(());
-        };
-        if d.unsynced == 0 {
-            return Ok(());
-        }
-        match d.vfs.sync(&wal_file(d.generation)) {
-            Ok(()) => {
-                d.unsynced = 0;
-                Ok(())
-            }
-            Err(e) => {
-                let err = DurabilityError::io(DurOp::WalSync, &e);
-                match rollback {
-                    Some((len, records, since)) if d.unsynced == 1 => {
-                        // Only the current commit was at risk: take it
-                        // back from the mirrors and physically rewrite
-                        // the log to the pre-append boundary (whether
-                        // or not the failed fsync kept its bytes).
-                        (d.wal_len, d.wal_records, d.txs_since_snapshot) = (len, records, since);
-                        d.unsynced = 0;
-                        let force = wal::repair(d.vfs.as_ref(), d.generation, len).is_err();
-                        Err((err, force))
-                    }
-                    _ => {
-                        // Acknowledged commits may be gone from disk
-                        // while they live on in memory — unrecoverable
-                        // without operator action.
-                        d.unsynced = 0;
-                        Err((err, true))
-                    }
-                }
-            }
-        }
-    }
-
-    /// Flush pending group-commit appends (used by `apply_batch` and
-    /// callers that want a durability barrier). A failure here always
-    /// forces degradation: the at-risk commits were already applied
-    /// and maintained, so they cannot be rolled back individually.
-    fn wal_flush(&mut self) -> Result<(), (DurabilityError, bool)> {
-        let fsync = self.durable.as_ref().map(|d| d.fsync);
-        if fsync == Some(FsyncMode::Always) {
-            self.wal_sync(None)
-        } else {
-            Ok(())
-        }
-    }
-
     /// Record a failed commit, trip the breaker when due, and build the
     /// caller's error.
     fn commit_failed(&mut self, e: DurabilityError, force_degrade: bool) -> EngineError {
@@ -1036,30 +1003,24 @@ impl GraphEngine {
         EngineError::Durability(e)
     }
 
-    fn commit_succeeded(&mut self) {
-        if let Some(d) = self.durable.as_mut() {
-            d.fail_streak = 0;
-        }
-    }
-
     /// Switch generations if the cadence is due — O(1) in the graph:
     /// appends move to `wal.<g+1>`, the fold worker folds the closed
     /// chain into `snap.<g+1>`, and a failed fold lands in `last_error`,
     /// never in a commit. Unsynced commits are synced first; that failing
-    /// trips the breaker, as a failed group-commit flush does.
+    /// trips the breaker, as it covers acknowledged commits. A degraded
+    /// engine does not switch: its reset writes an image instead.
     fn maybe_switch(&mut self) {
-        let due = self
-            .durable
-            .as_ref()
-            .is_some_and(|d| d.snapshot_every > 0 && d.txs_since_snapshot >= d.snapshot_every);
-        if !due {
+        let Some(d) = self.durable.as_mut() else {
+            return;
+        };
+        if d.snapshot_every == 0 || d.txs_since_snapshot < d.snapshot_every || d.degraded.is_some()
+        {
             return;
         }
-        if let Err((e, force)) = self.wal_flush() {
-            self.commit_failed(e, force);
+        if let Err(e) = d.flush() {
+            self.commit_failed(e, true);
             return;
         }
-        let d = self.durable.as_mut().expect("a due cadence is durable");
         d.join_fold();
         d.switch();
     }

@@ -35,25 +35,17 @@ struct VertexRoute {
     node: NodeId,
     /// Vertex creations/removals matter (scan membership).
     structural: bool,
-    /// Label requirement. For vertex scans this is conjunctive (the
-    /// vertex must carry all of them); for the endpoint interest of an
-    /// edge scan it is a union (any overlap can matter).
+    /// Label requirement, conjunctive: the vertex must carry all of
+    /// them, for a vertex scan and for each endpoint side of an edge
+    /// scan alike.
     labels: Vec<Symbol>,
-    conjunctive: bool,
     /// Property keys that can change emitted tuples.
     prop_keys: Vec<Symbol>,
 }
 
 impl VertexRoute {
     fn labels_admit(&self, has: impl Fn(Symbol) -> bool) -> bool {
-        if self.labels.is_empty() {
-            return true;
-        }
-        if self.conjunctive {
-            self.labels.iter().all(|&l| has(l))
-        } else {
-            self.labels.iter().any(|&l| has(l))
-        }
+        self.labels.iter().all(|&l| has(l))
     }
 
     fn cares_about_key(&self, key: Symbol) -> bool {
@@ -118,7 +110,6 @@ impl RoutingIndex {
                     node,
                     structural: true,
                     labels: labels.clone(),
-                    conjunctive: true,
                     prop_keys: prop_keys.clone(),
                 });
             }
@@ -147,7 +138,6 @@ impl RoutingIndex {
                         node,
                         structural: false,
                         labels: interest.labels.clone(),
-                        conjunctive: true,
                         prop_keys: interest.prop_keys.clone(),
                     });
                 }
@@ -347,6 +337,7 @@ mod exactness {
         "MATCH (p:Post) WHERE NOT exists((p)-[:REPLY]->(:Comm)) RETURN p",
         "MATCH (p:Post) WHERE exists((p)-[:REPLY]->(:Comm {lang: 'en'})) RETURN p",
         "MATCH (p:Post)-[:REPLY]->(c) RETURN p, c.lang",
+        "MATCH (a:Post)-[:REPLY*1..3]-(b) RETURN a, b",
         "MATCH t = (p:Post)-[:REPLY*]->(c:Comm) WHERE p.lang = 'en' RETURN p, t",
     ];
 

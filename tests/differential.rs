@@ -85,6 +85,9 @@ const QUERIES: &[&str] = &[
     // bag was built in. (Beside `lang` no two rows would tie: a step
     // sets `x` from `lang`.)
     "MATCH (c:Comm) RETURN c.x AS x",
+    // An undirected ⋈*: a `REPLY` self-loop (`AddReply` from a vertex to
+    // itself) is one hop either way round, read once.
+    "MATCH (a:Post)-[:REPLY*1..3]-(b) RETURN a, b",
     // The one query here the planner changes: it carries the σ below the
     // ⋈*, so the planned and the syntactic twin run different networks.
     "MATCH t = (p:Post)-[:REPLY*]->(c:Comm) WHERE p.lang = 'en' RETURN p, t",
@@ -137,6 +140,7 @@ const RENAMED_QUERIES: &[&str] = &[
      count(d.lang) AS kinds, avg(d.x) AS xmean, sum(DISTINCT d.x) AS xtotal, \
      collect(DISTINCT d.x) AS xall, count(DISTINCT d.x) AS xkinds",
     "MATCH (d:Comm) RETURN d.x AS y",
+    "MATCH (x:Post)-[:REPLY*1..3]-(y) RETURN x, y",
     "MATCH u = (q:Post)-[:REPLY*]->(d:Comm) WHERE q.lang = 'en' RETURN q, u",
 ];
 

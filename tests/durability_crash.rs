@@ -1,7 +1,8 @@
 //! Seeded crash-point sweep for the durability subsystem (CI's
 //! `durability-crash` job).
 //!
-//! Each iteration derives a seed, generates a random update script, and
+//! Each iteration derives a seed, generates a random update script
+//! (single `apply` calls and `apply_batch` groups of two to four), and
 //! first runs it durably against an unlimited in-memory disk to learn
 //! the total number of bytes the run *attempts* to write (WAL appends,
 //! snapshot renames, generation switchovers — everything). It then

@@ -13,10 +13,12 @@
 //! 1. **No panics, no aborts** — every fault surfaces as a typed
 //!    `EngineError::Durability` / `EngineError::ReadOnly` or is
 //!    absorbed (background folds, best-effort cleanup).
-//! 2. **Failed commits roll back** — at most one commit is rejected
-//!    per injected fault, the engine stays usable, and a restart
-//!    recovers *exactly* the acknowledged commits (fsync-always with a
-//!    one-commit flush window, so acked ⇒ durable).
+//! 2. **Failed commits roll back** — at most one call (an `apply`, or
+//!    an `apply_batch` of several members) is rejected per injected
+//!    fault, the engine stays usable, and a restart recovers *exactly*
+//!    the acknowledged commits (fsync-always with a one-commit flush
+//!    window, so acked ⇒ durable): a rejected batch keeps the members
+//!    before a failed append, and none if its one sync failed.
 //! 3. **Views stay exact** — the surviving view set is a
 //!    registration-order prefix and every view matches a from-scratch
 //!    recompute over the recovered graph.
@@ -30,8 +32,9 @@
 //! registration or drop whose catalog record failed never reaches a
 //! folded image as it was before the failure, and the log takes the
 //! next commit), a fold whose base image was
-//! damaged after the engine opened, and the two ways an `apply_batch`
-//! fails on disk (a member's append, the batch's one sync). The fold worker's operations
+//! damaged after the engine opened, the ways an `apply_batch`
+//! fails (a member's append, the batch's one sync with and without
+//! acknowledged commits at risk, a member the store rejects). The fold worker's operations
 //! interleave with the appends differently from run to run; nothing
 //! here depends on the order.
 
@@ -99,10 +102,10 @@ fn every_injected_fault_degrades_gracefully() {
                 );
 
                 // 2. Graceful degradation: one fault rejects at most
-                //    one commit and never trips the breaker.
+                //    one call and never trips the breaker.
                 assert!(
                     run.rejected <= 1,
-                    "seed={seed:#x} op={op} {fault:?}: {} commits rejected by one fault",
+                    "seed={seed:#x} op={op} {fault:?}: {} calls rejected by one fault",
                     run.rejected
                 );
                 assert!(
@@ -571,7 +574,7 @@ fn a_batch_member_whose_append_fails_rolls_back_and_the_rest_is_one_pass() {
 }
 
 #[test]
-fn a_batch_whose_one_sync_fails_degrades_until_a_reset_writes_it() {
+fn a_batch_whose_one_sync_fails_rolls_back_whole_and_stays_writable() {
     let first = ops_after(|e| {
         e.set_snapshot_every(0).set_fsync(FsyncMode::Always);
         e.register_view(KEPT.0, KEPT.1).unwrap();
@@ -584,17 +587,77 @@ fn a_batch_whose_one_sync_fails_degrades_until_a_reset_writes_it() {
         Err(EngineError::Durability(e)) => assert_eq!(e.op, DurOp::WalSync, "{e}"),
         other => panic!("the batch's sync must fail: {other:?}"),
     }
-    // The members were applied and maintained before the sync: memory
-    // is ahead of disk, so the engine refuses writes until a reset.
+    // Only the batch's own records were unsynced: the whole batch is
+    // taken back before anything was published, and the engine takes
+    // the next commit.
+    assert!(!engine.is_degraded());
+    assert_eq!(engine.graph().vertex_count(), 0);
+    assert!(
+        heard.lock().unwrap().is_empty(),
+        "a rolled-back batch notified"
+    );
+    engine.apply(&one_vertex_tx(9)).unwrap();
+    assert_eq!(*heard.lock().unwrap(), [1]);
+    drop(engine);
+    let recovered = GraphEngine::open_durable_with(Arc::new(disk.vfs())).unwrap();
+    assert_eq!(recovered.graph().vertex_count(), 1, "only the later commit");
+}
+
+#[test]
+fn a_batch_sync_that_covers_acknowledged_commits_rolls_back_and_degrades() {
+    let first = ops_after(|e| {
+        e.set_snapshot_every(0).set_fsync(FsyncMode::Always);
+        e.register_view(KEPT.0, KEPT.1).unwrap();
+    });
+    let disk = MemDisk::new();
+    // Two acknowledged commits inside the window, then a two-member
+    // batch that fills it: its sync (after four appends) fails.
+    let vfs = disk.vfs_with_fault(first + 4, Fault::FsyncFail);
+    let (mut engine, heard) = batch_engine(vfs, FsyncMode::Always);
+    engine.set_flush_window(WINDOW);
+    engine.apply(&one_vertex_tx(0)).unwrap();
+    engine.apply(&one_vertex_tx(1)).unwrap();
+    assert_eq!(*heard.lock().unwrap(), [1, 1]);
+    match engine.apply_batch(&batch(2..4)) {
+        Err(EngineError::Durability(e)) => assert_eq!(e.op, DurOp::WalSync, "{e}"),
+        other => panic!("the batch's sync must fail: {other:?}"),
+    }
+    // The batch never published; the acknowledged commits may be gone
+    // from disk, so the engine refuses writes until a reset.
     assert!(engine.is_degraded());
-    assert_eq!(engine.graph().vertex_count(), 4);
-    assert_eq!(*heard.lock().unwrap(), [4]);
+    assert_eq!(engine.graph().vertex_count(), 2);
+    assert_eq!(*heard.lock().unwrap(), [1, 1]);
     let err = engine.apply(&one_vertex_tx(9)).unwrap_err();
     assert!(matches!(err, EngineError::ReadOnly(_)), "got {err:?}");
     engine.reset_durability().unwrap();
     drop(engine);
     let recovered = GraphEngine::open_durable_with(Arc::new(disk.vfs())).unwrap();
-    assert_eq!(recovered.graph().vertex_count(), 4);
+    assert_eq!(recovered.graph().vertex_count(), 2);
+}
+
+#[test]
+fn a_batch_that_fails_on_a_member_publishes_only_what_a_power_cut_keeps() {
+    let disk = MemDisk::new();
+    let (mut engine, heard) = batch_engine(disk.vfs(), FsyncMode::Always);
+    let mut missing_edge = Transaction::new();
+    missing_edge.delete_edge(pgq_common::ids::EdgeId(1 << 40));
+    match engine.apply_batch(&[one_vertex_tx(0), missing_edge]) {
+        Err(EngineError::Graph(_)) => {}
+        other => panic!("the second member must fail to apply: {other:?}"),
+    }
+    // The first member is kept and shown ...
+    let view = engine.view_by_name(KEPT.0).unwrap();
+    let shown = engine.view_results(view).unwrap().len();
+    assert_eq!(shown, 1);
+    assert_eq!(*heard.lock().unwrap(), [1]);
+    // ... so it was synced before it was shown.
+    let recovered = GraphEngine::open_durable_with(Arc::new(disk.after_power_cut().vfs())).unwrap();
+    assert_eq!(
+        graph_identity(recovered.graph()),
+        graph_identity(engine.graph())
+    );
+    let view = recovered.view_by_name(KEPT.0).unwrap();
+    assert_eq!(recovered.view_results(view).unwrap().len(), shown);
 }
 
 #[test]

@@ -1,10 +1,11 @@
 //! Shared harness for the durability crash/fault sweeps: a seeded
 //! random update script over three standing views (join, aggregate,
-//! variable-length path), run against an in-memory disk in one of two
-//! modes — strict (any engine error is a test bug) or faulty (typed
+//! variable-length path), committed one transaction per `apply` call or
+//! a few per `apply_batch` call, run against an in-memory disk in one of
+//! two modes — strict (any engine error is a test bug) or faulty (typed
 //! durability errors are expected and tolerated; fsync-always with a
-//! one-commit flush window so every acknowledged commit is individually
-//! durable).
+//! one-commit flush window so every acknowledged call is durable when it
+//! returns).
 
 // Each test crate uses a different slice of this module.
 #![allow(dead_code)]
@@ -150,18 +151,20 @@ pub enum RunMode {
     /// Live-disk error model: typed durability errors are expected.
     /// Runs fsync-always with a one-commit flush window; failed
     /// registrations stop further registrations (so the surviving view
-    /// set stays a registration prefix) and failed commits are counted
-    /// in [`Run::rejected`].
+    /// set stays a registration prefix) and failed commit calls are
+    /// counted in [`Run::rejected`].
     Faulty,
 }
 
 /// What a script run produced.
 pub struct Run {
-    /// Transactions the engine acknowledged, in commit order.
+    /// Transactions the engine acknowledged, in commit order (a batch's
+    /// kept members one by one).
     pub committed: Vec<Transaction>,
     /// Views successfully registered (a prefix of [`VIEWS`]).
     pub registered: usize,
-    /// Commits the engine rejected with a typed durability error.
+    /// Commit calls (an `apply` or a whole `apply_batch`) the engine
+    /// rejected with a typed durability error.
     pub rejected: usize,
     /// Was the engine in read-only degraded mode when the run ended?
     pub degraded: bool,
@@ -194,16 +197,41 @@ pub fn run_script(vfs: MemVfs, seed: u64, threads: usize, mode: RunMode) -> Run 
     let mut rng = XorShift::new(seed);
     let mut committed = Vec::with_capacity(TXS_PER_SCRIPT);
     let mut rejected = 0;
-    for t in 0..TXS_PER_SCRIPT {
-        let tx = random_tx(&mut rng, engine.graph());
-        match engine.apply(&tx) {
-            Ok(_) => committed.push(tx),
+    while committed.len() + rejected < TXS_PER_SCRIPT {
+        // One call in three is an `apply_batch` of two to four members,
+        // each drawn against the graph its predecessors leave, so every
+        // member applies.
+        let width = match rng.below(3) {
+            0 => 2 + rng.below(3),
+            _ => 1,
+        };
+        let before = engine.graph().clone();
+        let mut shadow = before.clone();
+        let members: Vec<Transaction> = (0..width)
+            .map(|_| {
+                let tx = random_tx(&mut rng, &shadow);
+                shadow.apply(&tx).expect("a drawn member applies");
+                tx
+            })
+            .collect();
+        let outcome = match members.as_slice() {
+            [tx] => engine.apply(tx).map(drop),
+            _ => engine.apply_batch(&members).map(drop),
+        };
+        match outcome {
+            Ok(()) => committed.extend(members),
             Err(EngineError::Durability(_) | EngineError::ReadOnly(_))
                 if mode == RunMode::Faulty =>
             {
+                // The call kept a prefix of its members (none if its
+                // sync failed): whatever the engine now holds.
                 rejected += 1;
+                committed.extend(kept_prefix(before, &members, engine.graph(), seed));
             }
-            Err(e) => panic!("seed={seed:#x} tx {t}: apply failed: {e}"),
+            Err(e) => panic!(
+                "seed={seed:#x} call {}: commit failed: {e}",
+                committed.len()
+            ),
         }
     }
     Run {
@@ -212,4 +240,27 @@ pub fn run_script(vfs: MemVfs, seed: u64, threads: usize, mode: RunMode) -> Run 
         rejected,
         degraded: engine.is_degraded(),
     }
+}
+
+/// The members of a failed call that `after` holds: the prefix that,
+/// applied to `before`, gives `after`.
+fn kept_prefix(
+    mut before: PropertyGraph,
+    members: &[Transaction],
+    after: &PropertyGraph,
+    seed: u64,
+) -> Vec<Transaction> {
+    let target = graph_identity(after);
+    for (k, tx) in members.iter().enumerate() {
+        if graph_identity(&before) == target {
+            return members[..k].to_vec();
+        }
+        before.apply(tx).unwrap();
+    }
+    assert_eq!(
+        graph_identity(&before),
+        target,
+        "seed={seed:#x}: a failed call left a graph no prefix of its members gives"
+    );
+    members.to_vec()
 }
