@@ -20,7 +20,7 @@ use pgq_graph::delta::ChangeEvent;
 use pgq_graph::props::Properties;
 use pgq_graph::store::PropertyGraph;
 use pgq_graph::tx::{NodeRef, Transaction};
-use pgq_ivm::{DataflowNetwork, Delta, RegisterOptions, SinkId, ViewRef};
+use pgq_ivm::{DataflowNetwork, Delta, SinkId, ViewRef};
 use pgq_parser::ast::{Clause, Expr, Pattern, Query, RemoveItem, SetItem};
 use pgq_parser::shape::{lifted_name, Shape};
 use pgq_parser::{parse_query, parse_tokens};
@@ -40,9 +40,6 @@ struct ViewEntry {
     sink: SinkId,
     compiled: CompiledQuery,
     query_text: String,
-    /// Registration options, kept so a durable snapshot's catalog lets
-    /// recovery re-register the view mode-faithfully.
-    register: RegisterOptions,
     /// The view's subscribers, in subscription order; they go with the
     /// entry when the view is dropped.
     subscribers: Subscribers,
@@ -650,36 +647,21 @@ impl GraphEngine {
     /// `WHERE` conjunct order, or `RETURN` aliases adds **zero** new
     /// operator nodes ([`GraphEngine::network_node_count`] is the
     /// observable), and a query differing only in its top-level `WHERE`
-    /// shares the whole stateful prefix below its private filter.
-    pub fn register_view(&mut self, name: &str, cypher: &str) -> Result<ViewId, EngineError> {
-        self.register_view_with(name, cypher, RegisterOptions::default())
-    }
-
-    /// Register a view with explicit registration options — a
-    /// differential twin of the default path spelled out at the call
-    /// site (`RegisterOptions { plan: false, ..Default::default() }`
-    /// runs the syntactic join order, `wcoj: WcojMode::Disabled` keeps
-    /// cyclic patterns on binary join trees, `wcoj: WcojMode::Forced`
-    /// with `wcoj_sorted: Some(_)` pins the fused operator and its
-    /// backend). Production views use [`GraphEngine::register_view`].
-    /// Every view flattens by schema inference; only the plan is
-    /// selectable.
+    /// shares the whole stateful prefix below its private filter. The
+    /// join order and any ⨝ⁿ fusion are the planner's, from the graph's
+    /// statistics at registration.
     ///
     /// On a durable engine the registration is logged as one catalog
-    /// record (the view's catalog row) — no image is written — and a
-    /// degraded engine refuses it with [`EngineError::ReadOnly`].
-    pub fn register_view_with(
-        &mut self,
-        name: &str,
-        cypher: &str,
-        register: RegisterOptions,
-    ) -> Result<ViewId, EngineError> {
+    /// record (the view's catalog row: slot, name and query text) — no
+    /// image is written — and a degraded engine refuses it with
+    /// [`EngineError::ReadOnly`].
+    pub fn register_view(&mut self, name: &str, cypher: &str) -> Result<ViewId, EngineError> {
         if self.view_by_name(name).is_some() {
             return Err(EngineError::DuplicateView(name.to_string()));
         }
         self.check_writable()?;
         let id = ViewId(self.next_view);
-        self.install_view(id.0, name, cypher, register)?;
+        self.install_view(id.0, name, cypher)?;
         // Registration changes what a recovery must rebuild: log it
         // before acknowledging it. If the record cannot land, the
         // registration is undone so disk and memory agree.
@@ -697,21 +679,13 @@ impl GraphEngine {
     /// Compile `cypher` and register it over the current graph as the
     /// view in `slot`: the one registration path, live (next free slot)
     /// and at recovery (the slot the catalog recorded).
-    fn install_view(
-        &mut self,
-        slot: usize,
-        name: &str,
-        cypher: &str,
-        register: RegisterOptions,
-    ) -> Result<(), EngineError> {
+    fn install_view(&mut self, slot: usize, name: &str, cypher: &str) -> Result<(), EngineError> {
         let query = parse_query(cypher)?;
         let compiled = compile_query(&query)?;
         if !compiled.is_maintainable() {
             return Err(AlgebraError::NotMaintainable(compiled.not_maintainable.join("; ")).into());
         }
-        let sink = self
-            .network
-            .register_with(name, &compiled.fra, &self.graph, register);
+        let sink = self.network.register(name, &compiled.fra, &self.graph);
         self.next_view = self.next_view.max(slot + 1);
         self.view_of_sink.insert(sink, slot);
         self.views.insert(
@@ -720,7 +694,6 @@ impl GraphEngine {
                 sink,
                 compiled,
                 query_text: cypher.to_string(),
-                register,
                 subscribers: Subscribers::default(),
             },
         );
@@ -864,8 +837,8 @@ impl GraphEngine {
     ///    like tail corruption — the log is trimmed to the last good
     ///    record, later generations are quarantined, and the engine
     ///    opens at the committed prefix.
-    /// 4. Register every view of the recovered catalog mode-faithfully
-    ///    into its original slot, once, over the recovered graph — the
+    /// 4. Register every view of the recovered catalog from its query
+    ///    text into its original slot, once, over the recovered graph — the
     ///    one-pass registration [`GraphEngine::register_view`] runs. A
     ///    view registered and dropped inside the chain is never built.
     /// 5. Arm logging on the active generation; the snapshot cadence
@@ -887,7 +860,7 @@ impl GraphEngine {
         let mut engine = GraphEngine::from_graph(recovered.graph);
         engine.threads = config.threads;
         for v in &recovered.views {
-            engine.install_view(v.slot as usize, &v.name, &v.query, catalog_options(v))?;
+            engine.install_view(v.slot as usize, &v.name, &v.query)?;
         }
         let report = recovered.report;
 
@@ -1471,28 +1444,8 @@ fn catalog(views: &BTreeMap<usize, ViewEntry>, network: &DataflowNetwork) -> Vec
         slot: slot as u32,
         name: network.view(e.sink).name().to_string(),
         query: e.query_text.clone(),
-        plan: e.register.plan,
-        wcoj_mode: match e.register.wcoj {
-            WcojMode::Disabled => 0,
-            WcojMode::CostBased => 1,
-            WcojMode::Forced => 2,
-        },
-        wcoj_sorted: e.register.wcoj_sorted,
     };
     views.iter().map(entry).collect()
-}
-
-/// The options a catalog entry was registered under.
-fn catalog_options(v: &SnapshotView) -> RegisterOptions {
-    RegisterOptions {
-        plan: v.plan,
-        wcoj: match v.wcoj_mode {
-            0 => WcojMode::Disabled,
-            2 => WcojMode::Forced,
-            _ => WcojMode::CostBased,
-        },
-        wcoj_sorted: v.wcoj_sorted,
-    }
 }
 
 /// What [`GraphEngine::execute`] keeps per statement shape

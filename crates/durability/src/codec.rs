@@ -623,57 +623,45 @@ pub fn decode_tx(bytes: &[u8]) -> Result<Transaction, CodecError> {
     Ok(Transaction::from_ops(ops))
 }
 
-/// Encode one view-catalog row: slot, name, query text and the
-/// registration option bytes — an image's view section holds one per
-/// standing view, a register record holds one.
+/// Encode one view-catalog row: slot, name, query text and five retired
+/// option bytes — an image's view section holds one per standing view,
+/// a register record holds one.
 pub(crate) fn encode_view(e: &mut Encoder, v: &SnapshotView) {
     e.u32(v.slot);
     e.str(&v.name);
     e.str(&v.query);
-    e.u8(0); // retired schema mode, see `decode_view`
-    e.bool(false); // retired `optimize` toggle, see `decode_view`
-    e.bool(v.plan);
-    e.u8(v.wcoj_mode);
-    e.u8(match v.wcoj_sorted {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    });
+    // The retired bytes, as older builds wrote them for a default
+    // registration (see `decode_view`): schema mode 0, `optimize` off,
+    // planner on, cost-based ⨝ⁿ, catalog-chosen backend.
+    e.u8(0);
+    e.bool(false);
+    e.bool(true);
+    e.u8(1);
+    e.u8(0);
 }
 
-/// Decode one view-catalog row. Every option byte is checked against
-/// the values some build wrote (schema mode 0–1, wcoj mode 0–2).
+/// Decode one view-catalog row. The five option bytes after the query
+/// text are retired: older builds wrote a schema mode (0–1), an
+/// `optimize` toggle, a planner toggle, a ⨝ⁿ mode (0–2) and a pinned ⨝ⁿ
+/// backend (0–2) there. Each is checked against the values some build
+/// wrote, then ignored: every view is registered from its text with the
+/// default plan, which has the rows and columns any of those settings
+/// gave.
 pub(crate) fn decode_view(d: &mut Decoder<'_>) -> Result<SnapshotView, CodecError> {
     let (slot, name, query) = (d.u32()?, d.str()?, d.str()?);
-    // The bytes of the retired schema mode and `optimize` toggle: older
-    // builds wrote them here and read them back, so they stay in the
-    // layout, written 0 / `false` and ignored. A view logged under the
-    // schema mode's old 1 (properties read from a carried map) has the
-    // same rows and columns when it flattens by inference.
     let schema_mode = d.u8()?;
     if schema_mode > 1 {
         return Err(CodecError::BadTag("schema-mode", schema_mode));
     }
     d.bool()?;
-    let plan = d.bool()?;
-    let wcoj_mode = match d.u8()? {
-        t @ 0..=2 => t,
-        t => return Err(CodecError::BadTag("wcoj-mode", t)),
-    };
-    let wcoj_sorted = match d.u8()? {
-        0 => None,
-        1 => Some(false),
-        2 => Some(true),
-        t => return Err(CodecError::BadTag("wcoj-sorted", t)),
-    };
-    Ok(SnapshotView {
-        slot,
-        name,
-        query,
-        plan,
-        wcoj_mode,
-        wcoj_sorted,
-    })
+    d.bool()?;
+    for what in ["wcoj-mode", "wcoj-sorted"] {
+        let t = d.u8()?;
+        if t > 2 {
+            return Err(CodecError::BadTag(what, t));
+        }
+    }
+    Ok(SnapshotView { slot, name, query })
 }
 
 /// A change to the view catalog, logged between data transactions.
@@ -936,9 +924,6 @@ mod tests {
             slot,
             name: "v".into(),
             query: "MATCH (p:Post) RETURN p".into(),
-            plan: false,
-            wcoj_mode: 2,
-            wcoj_sorted: Some(true),
         }
     }
 

@@ -605,9 +605,6 @@ mod tests {
             slot,
             name: name.into(),
             query: format!("MATCH (p:{name}) RETURN p"),
-            plan: true,
-            wcoj_mode: 1,
-            wcoj_sorted: None,
         }
     }
 

@@ -130,12 +130,9 @@ impl From<CodecError> for SnapshotError {
     }
 }
 
-/// Registration metadata for one standing view, enough for the engine to
-/// re-register it mode-faithfully (same planner and wcoj toggles) in its
-/// original slot. The option fields are small ints the engine maps onto
-/// its own enums, keeping this crate independent of the engine layer.
-/// Every view flattens by schema inference, so no field records how; the
-/// row's byte for the retired schema mode stays in the codec's layout
+/// One standing view's catalog row: enough for the engine to register it
+/// again from its text in its original slot. The codec keeps the bytes
+/// of retired per-view options in the row's layout
 /// (`codec::decode_view`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SnapshotView {
@@ -146,12 +143,6 @@ pub struct SnapshotView {
     pub name: String,
     /// Original query text.
     pub query: String,
-    /// Was the cost-based planner used?
-    pub plan: bool,
-    /// Wcoj mode discriminant (disabled / cost-based / forced).
-    pub wcoj_mode: u8,
-    /// Forced wcoj backend choice, if pinned.
-    pub wcoj_sorted: Option<bool>,
 }
 
 /// A consolidated operator-state bag: distinct tuples with non-zero
@@ -547,9 +538,6 @@ mod tests {
             slot: 2,
             name: "v".into(),
             query: "MATCH (n) RETURN n".into(),
-            plan: false,
-            wcoj_mode: 2,
-            wcoj_sorted: Some(true),
         });
         snap.states.push((
             0xDEAD_BEEF,

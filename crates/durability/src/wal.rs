@@ -378,9 +378,6 @@ mod tests {
             slot: 0,
             name: "v".into(),
             query: "MATCH (p:Post) RETURN p".into(),
-            plan: true,
-            wcoj_mode: 1,
-            wcoj_sorted: None,
         };
         append(&vfs, 0, Record::Register(&view)).unwrap();
         append_tx(&vfs, 0, &sample_tx(1)).unwrap();

@@ -100,9 +100,6 @@ fn catalog() -> Vec<SnapshotView> {
         slot: 0,
         name: "posts".into(),
         query: "MATCH (p:Post) RETURN p".into(),
-        plan: true,
-        wcoj_mode: 1,
-        wcoj_sorted: None,
     }]
 }
 

@@ -65,9 +65,11 @@ use crate::wcoj::MultiwayJoinOp;
 use crate::Counters;
 
 /// Options for [`DataflowNetwork::register_with`]: how one view is
-/// planned. The defaults are what every engine registration runs; the
-/// others keep the syntactic order and the binary join trees reachable
-/// per view, as the reference twins of the differential oracles.
+/// planned. The defaults are what every engine registration runs, live
+/// and at recovery; the engine has no other. The non-default values —
+/// the syntactic order, binary join trees, a ⨝ⁿ forced onto either
+/// backend — serve only as the reference twins the differential oracles
+/// register on a network of their own.
 #[derive(Clone, Copy, Debug)]
 pub struct RegisterOptions {
     /// Run the cost-based join-order planner before canonicalisation
@@ -75,9 +77,9 @@ pub struct RegisterOptions {
     pub plan: bool,
     /// Fusion policy for cyclic join regions: `CostBased` (default)
     /// weighs the catalog estimates, `Disabled` pins the
-    /// binary-join-tree baseline benchmarks and differential tests
-    /// compare against, `Forced` fuses every eligible region regardless
-    /// of the estimates. Has no effect when `plan` is false (fusion is
+    /// binary-join-tree baseline the differential oracles compare
+    /// against, `Forced` fuses every eligible region regardless of the
+    /// estimates. Has no effect when `plan` is false (fusion is
     /// a planner decision).
     pub wcoj: WcojMode,
     /// Backend for ⨝ⁿ sub-indexes: `None` lets the catalog decide
@@ -85,8 +87,8 @@ pub struct RegisterOptions {
     /// [`pgq_algebra::plan::SORTED_BACKEND_MIN_SKEW`], hash tries
     /// below it — each wins on its side of that line), `Some(true)`
     /// forces sorted runs with galloping intersection, `Some(false)`
-    /// forces the hash tries (benchmarks and the backend twin of the
-    /// differential oracle pin one backend per view this way).
+    /// forces the hash tries (the oracles' backend twins pin one
+    /// backend per view this way).
     pub wcoj_sorted: Option<bool>,
 }
 
@@ -295,9 +297,11 @@ impl DataflowNetwork {
         self.register_with(name, fra, g, RegisterOptions::default())
     }
 
-    /// [`DataflowNetwork::register`] with explicit options (e.g. the
-    /// planner-disabled baseline used by benchmarks and differential
-    /// tests).
+    /// [`DataflowNetwork::register`] with explicit options. Every engine
+    /// registration passes the defaults; the other values serve only as
+    /// the differential oracles' reference twins (the planner-disabled
+    /// syntactic order, binary join trees, a forced ⨝ⁿ on either
+    /// backend).
     pub fn register_with(
         &mut self,
         name: impl Into<String>,

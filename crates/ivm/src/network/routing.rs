@@ -338,6 +338,7 @@ mod exactness {
         "MATCH (p:Post) WHERE exists((p)-[:REPLY]->(:Comm {lang: 'en'})) RETURN p",
         "MATCH (p:Post)-[:REPLY]->(c) RETURN p, c.lang",
         "MATCH (a:Post)-[:REPLY*1..3]-(b) RETURN a, b",
+        "MATCH t = (a:Post)-[:REPLY*0..]->(b) RETURN a, b, t",
         "MATCH t = (p:Post)-[:REPLY*]->(c:Comm) WHERE p.lang = 'en' RETURN p, t",
     ];
 

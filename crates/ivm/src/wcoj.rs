@@ -59,7 +59,8 @@
 //!   per probe but cannot skip, so a hub pays its full degree; on
 //!   low-skew adjacency the candidate lists are short and it wins by
 //!   the leapfrog cursor's constant. The registration-time catalog
-//!   picks per view (`RegisterOptions::wcoj_sorted`).
+//!   picks per view (`RegisterOptions::wcoj_sorted` pins one for the
+//!   oracles' twins).
 //!
 //! Both backends prune at zero net multiplicity, so presence ⇔ support
 //! and the enumeration logic is backend-agnostic. The operator's

@@ -76,7 +76,8 @@ fn help() {
          :shapes            statement shapes kept: entries, hits, misses, re-plans\n  \
          :stats NAME        per-operator memory statistics\n  \
          :save FILE         dump the graph in text format\n  \
-         :load FILE         load a graph dump (replaces current graph)\n  \
+         :load FILE         load a graph dump into a new in-memory engine (views reset;\n  \
+         \x20                  refused under PGQ_DATA_DIR: the engine keeps its graph)\n  \
          :health            durability status (generation, WAL size, degraded?)\n  \
          :heal              clear read-only degraded mode (re-snapshots)\n  \
          :help              this text\n  \
@@ -210,6 +211,12 @@ fn main() {
                     },
                     Err(e) => println!("error: {e}"),
                 },
+                // A loaded graph starts an in-memory engine: it has no log
+                // to replay, so a durable engine keeps its graph.
+                "load" if engine.durability_health().is_some() => println!(
+                    "error: :load replaces the engine with an in-memory one; \
+                     this engine is durable (PGQ_DATA_DIR), so it keeps its graph"
+                ),
                 "load" => match std::fs::read_to_string(arg) {
                     Ok(text) => match pgq_graph::csv::from_text(&text) {
                         Ok(g) => {

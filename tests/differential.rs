@@ -18,40 +18,15 @@ use pgq_core::ViewDelta;
 use pgq_graph::props::Properties;
 use pgq_graph::store::PropertyGraph;
 use pgq_graph::tx::Transaction;
-use pgq_ivm::{Counters, DataflowNetwork, NodeSummary, RegisterOptions, SinkId};
+use pgq_ivm::{Counters, DataflowNetwork, Delta, NodeSummary, RegisterOptions, SinkId};
 use pgq_parser::parse_query;
 use proptest::prelude::*;
 
+mod twins;
+use twins::{binary, forced, unplanned, Twins};
+
 fn s(x: &str) -> Symbol {
     Symbol::intern(x)
-}
-
-// The registration twins `register_view` is held to, spelled out.
-
-/// The syntactic join order: planner off.
-fn unplanned() -> RegisterOptions {
-    RegisterOptions {
-        plan: false,
-        ..RegisterOptions::default()
-    }
-}
-
-/// Planned, but cyclic regions stay binary join trees.
-fn binary() -> RegisterOptions {
-    RegisterOptions {
-        wcoj: WcojMode::Disabled,
-        ..RegisterOptions::default()
-    }
-}
-
-/// Every eligible cyclic region fused into ⨝ⁿ whatever the cost gate
-/// says, on the sorted-run (`true`) or hash-trie (`false`) backend.
-fn forced(sorted: bool) -> RegisterOptions {
-    RegisterOptions {
-        wcoj: WcojMode::Forced,
-        wcoj_sorted: Some(sorted),
-        ..RegisterOptions::default()
-    }
 }
 
 const QUERIES: &[&str] = &[
@@ -88,6 +63,9 @@ const QUERIES: &[&str] = &[
     // An undirected ⋈*: a `REPLY` self-loop (`AddReply` from a vertex to
     // itself) is one hop either way round, read once.
     "MATCH (a:Post)-[:REPLY*1..3]-(b) RETURN a, b",
+    // A ⋈* from zero hops, over `REPLY` cycles (`AddReply` closes them):
+    // every post is a zero-length path to itself, whatever its edges.
+    "MATCH t = (a:Post)-[:REPLY*0..]->(b) RETURN a, b, t",
     // The one query here the planner changes: it carries the σ below the
     // ⋈*, so the planned and the syntactic twin run different networks.
     "MATCH t = (p:Post)-[:REPLY*]->(c:Comm) WHERE p.lang = 'en' RETURN p, t",
@@ -141,6 +119,7 @@ const RENAMED_QUERIES: &[&str] = &[
      collect(DISTINCT d.x) AS xall, count(DISTINCT d.x) AS xkinds",
     "MATCH (d:Comm) RETURN d.x AS y",
     "MATCH (x:Post)-[:REPLY*1..3]-(y) RETURN x, y",
+    "MATCH u = (x:Post)-[:REPLY*0..]->(y) RETURN x, y, u",
     "MATCH u = (q:Post)-[:REPLY*]->(d:Comm) WHERE q.lang = 'en' RETURN q, u",
 ];
 
@@ -168,6 +147,19 @@ fn observe(
         e.network().changed_sinks().to_vec(),
         e.network().node_summaries(),
         e.network().counters(),
+    )
+}
+
+/// What the last pass showed of a network: every changed sink's delta,
+/// in `changed_sinks()` order, every node's summary and the counters.
+fn observe_network(net: &DataflowNetwork) -> (Vec<(SinkId, Delta)>, Vec<NodeSummary>, Counters) {
+    (
+        net.changed_sinks()
+            .iter()
+            .map(|&sid| (sid, net.last_delta(sid).clone()))
+            .collect(),
+        net.node_summaries(),
+        net.counters(),
     )
 }
 
@@ -334,32 +326,32 @@ proptest! {
         }
     }
 
-    /// Planner twins: every oracle query registered TWICE on one engine
-    /// — once through the cost-based planner, once with the planner
-    /// disabled (the syntactic order). After every random update both
-    /// twins must equal a from-scratch evaluation: join reordering must
-    /// be observationally invisible.
+    /// Planner twins: every oracle query registered TWICE on one network
+    /// — once as the engine registers it (the cost-based planner), once
+    /// with the planner disabled (the syntactic order) — so the two
+    /// plans share whatever nodes they have in common. After every
+    /// random update both twins must equal a from-scratch evaluation:
+    /// join reordering must be observationally invisible.
     #[test]
     fn planned_and_unplanned_twins_agree(
         steps in proptest::collection::vec(step_strategy(), 1..15),
     ) {
-        let mut engine = pgq_core::GraphEngine::from_graph(seed_graph());
+        let mut twins = Twins::new(seed_graph());
         let mut compiled_plans = Vec::new();
         for (i, query) in QUERIES.iter().enumerate() {
             let compiled = compile_query(&parse_query(query).unwrap()).unwrap();
-            engine.register_view(&format!("pl{i}"), query).unwrap();
-            engine.register_view_with(&format!("un{i}"), query, unplanned()).unwrap();
+            twins.register(&format!("pl{i}"), query, RegisterOptions::default());
+            twins.register(&format!("un{i}"), query, unplanned());
             compiled_plans.push(compiled);
         }
         for step in &steps {
-            let tx = step_transaction(engine.graph(), step);
-            engine.apply(&tx).expect("generated step applies");
+            let tx = step_transaction(twins.graph(), step);
+            twins.apply(&tx);
             for (i, compiled) in compiled_plans.iter().enumerate() {
-                let want = eval_consolidated(&compiled.fra, engine.graph());
+                let want = eval_consolidated(&compiled.fra, twins.graph());
                 for prefix in ["pl", "un"] {
-                    let id = engine.view_by_name(&format!("{prefix}{i}")).unwrap();
                     prop_assert_eq!(
-                        engine.view(id).unwrap().results(),
+                        twins.results(&format!("{prefix}{i}")),
                         want.clone(),
                         "{} twin diverged after {:?} on query {}", prefix, step, QUERIES[i]
                     );
@@ -368,15 +360,19 @@ proptest! {
         }
     }
 
-    /// The width oracle: every oracle query plus a fused triangle on
-    /// ONE engine, the same random update script replayed at
-    /// propagation widths 1, 2, 4 and 8. The 1-thread engine is checked
-    /// against from-scratch recomputation, and after every transaction
-    /// every wider engine must show exactly what the 1-thread run shows,
-    /// element for element: view results, the subscriber callbacks in
-    /// order (sink order, tuple order inside each delta),
-    /// `changed_sinks()`, `node_summaries()` and `counters()` — the
-    /// pass's determinism contract.
+    /// The width oracle: every oracle query on ONE engine, and the
+    /// reference twins — a triangle fused into ⨝ⁿ on the sorted backend,
+    /// a transitive triangle on the hash one, the triangle's binary tree
+    /// and the syntactic order of the query the planner changes — on ONE
+    /// network, the same random update script replayed on both at
+    /// propagation widths 1, 2, 4 and 8. The 1-thread engine and network
+    /// are checked against from-scratch recomputation, and after every
+    /// transaction every wider one must show exactly what its 1-thread
+    /// run shows, element for element: the engine's view results,
+    /// subscriber callbacks in order (sink order, tuple order inside each
+    /// delta), `changed_sinks()`, `node_summaries()` and `counters()`;
+    /// the network's results, its changed sinks' deltas and the same
+    /// three — the pass's determinism contract.
     #[test]
     fn parallel_widths_agree_with_serial_and_recompute(
         steps in proptest::collection::vec(step_strategy(), 1..10),
@@ -384,14 +380,34 @@ proptest! {
         const WIDTHS: &[usize] = &[1, 2, 4, 8];
         let mut template = pgq_core::GraphEngine::from_graph(seed_graph());
         let mut compiled_plans = Vec::new();
-        let views = QUERIES
-            .iter()
-            .map(|&q| (q, RegisterOptions::default()))
-            .chain([(REPLY_TRIANGLES, forced(true))]);
-        for (i, (query, options)) in views.enumerate() {
+        for (i, query) in QUERIES.iter().enumerate() {
             let compiled = compile_query(&parse_query(query).unwrap()).unwrap();
-            template.register_view_with(&format!("v{i}"), query, options).unwrap();
-            compiled_plans.push((query, compiled));
+            template.register_view(&format!("v{i}"), query).unwrap();
+            compiled_plans.push((format!("v{i}"), *query, compiled));
+        }
+        let mut twin_template = Twins::new(seed_graph());
+        let reference_twins = [
+            ("ws", REPLY_TRIANGLES, forced(true)),
+            ("wh", REPLY_TRANSITIVE, forced(false)),
+            ("bi", REPLY_TRIANGLES, binary()),
+            ("un", QUERIES[QUERIES.len() - 1], unplanned()),
+        ];
+        let mut twin_plans = Vec::new();
+        for (name, query, options) in reference_twins {
+            twin_template.register(name, query, options);
+            twin_plans.push((name, query, compile_query(&parse_query(query).unwrap()).unwrap()));
+        }
+        let labels: Vec<_> = twin_template
+            .network()
+            .node_summaries()
+            .into_iter()
+            .map(|n| n.label)
+            .collect();
+        for backend in [", sorted]", ", hash]"] {
+            prop_assert!(
+                labels.iter().any(|l| l.starts_with("⨝ⁿ") && l.ends_with(backend)),
+                "no ⨝ⁿ{}: {:?}", backend, labels
+            );
         }
         let mut engines: Vec<_> = WIDTHS
             .iter()
@@ -401,11 +417,16 @@ proptest! {
                 e
             })
             .collect();
+        let mut nets: Vec<_> =
+            WIDTHS.iter().map(|&w| twin_template.clone().with_threads(w)).collect();
         let logs: Vec<_> = engines.iter_mut().map(subscribe_all).collect();
         for step in &steps {
             let tx = step_transaction(engines[0].graph(), step);
             for e in &mut engines {
                 e.apply(&tx).expect("generated step applies");
+            }
+            for net in &mut nets {
+                net.apply(&tx);
             }
             let serial = observe(&engines[0], &logs[0]);
             for ((e, log), &w) in engines.iter().zip(&logs).zip(WIDTHS).skip(1) {
@@ -417,9 +438,18 @@ proptest! {
                     w, step
                 );
             }
-            for (i, (query, compiled)) in compiled_plans.iter().enumerate() {
-                let name = format!("v{i}");
-                let id = engines[0].view_by_name(&name).unwrap();
+            let serial_net = observe_network(nets[0].network());
+            for (net, &w) in nets.iter().zip(WIDTHS).skip(1) {
+                prop_assert_eq!(
+                    observe_network(net.network()),
+                    serial_net.clone(),
+                    "twin network at width {} showed different deltas, changed sinks, \
+                     node summaries or counters than serial after {:?}",
+                    w, step
+                );
+            }
+            for (name, query, compiled) in &compiled_plans {
+                let id = engines[0].view_by_name(name).unwrap();
                 let serial = engines[0].view(id).unwrap().results();
                 prop_assert_eq!(
                     serial.clone(),
@@ -428,12 +458,29 @@ proptest! {
                     step, query
                 );
                 for (e, &w) in engines.iter().zip(WIDTHS).skip(1) {
-                    let id = e.view_by_name(&name).unwrap();
+                    let id = e.view_by_name(name).unwrap();
                     prop_assert_eq!(
                         e.view(id).unwrap().results(),
                         serial.clone(),
                         "width {} diverged from serial after {:?} on query {}",
                         w, step, query
+                    );
+                }
+            }
+            for (name, query, compiled) in &twin_plans {
+                let serial = nets[0].results(name);
+                prop_assert_eq!(
+                    serial.clone(),
+                    eval_consolidated(&compiled.fra, nets[0].graph()),
+                    "serial {} twin diverged from recompute after {:?} on query {}",
+                    name, step, query
+                );
+                for (net, &w) in nets.iter().zip(WIDTHS).skip(1) {
+                    prop_assert_eq!(
+                        net.results(name),
+                        serial.clone(),
+                        "{} twin at width {} diverged from serial after {:?} on query {}",
+                        name, w, step, query
                     );
                 }
             }
@@ -649,7 +696,8 @@ fn deletion_heavy_script_keeps_view_and_recompute_agreeing() {
 /// cost-based planner provably reorders the join tree (the bench shows
 /// a 10–100× gap), so this script drives both orders side by side
 /// through hub churn and checks each against recompute after every
-/// transaction.
+/// transaction: the planned view on an engine, its syntactic-order twin
+/// on a network.
 #[test]
 fn planner_reordered_views_stay_correct_under_hub_churn() {
     use pgq_workloads::hub::{generate_hub, queries as hq, HubParams};
@@ -657,24 +705,26 @@ fn planner_reordered_views_stay_correct_under_hub_churn() {
     let mut net = generate_hub(HubParams::quick());
     let stream = net.update_stream(40);
     let mut engine = pgq_core::GraphEngine::from_graph(net.graph.clone());
+    let mut twins = Twins::new(net.graph.clone());
     let queries = [hq::RARE_TOPIC_FANS, hq::RARE_CAT_FANS];
     let mut compiled = Vec::new();
     for (i, q) in queries.iter().enumerate() {
         engine.register_view(&format!("pl{i}"), q).unwrap();
-        engine
-            .register_view_with(&format!("un{i}"), q, unplanned())
-            .unwrap();
+        twins.register(&format!("un{i}"), q, unplanned());
         compiled.push(compile_query(&parse_query(q).unwrap()).unwrap());
     }
     for (t, tx) in stream.iter().enumerate() {
         engine.apply(tx).expect("stream tx applies");
+        twins.apply(tx);
         for (i, c) in compiled.iter().enumerate() {
             let want = eval_consolidated(&c.fra, engine.graph());
-            for prefix in ["pl", "un"] {
-                let id = engine.view_by_name(&format!("{prefix}{i}")).unwrap();
+            let planned = engine.view_by_name(&format!("pl{i}")).unwrap();
+            for (prefix, got) in [
+                ("pl", engine.view(planned).unwrap().results()),
+                ("un", twins.results(&format!("un{i}"))),
+            ] {
                 assert_eq!(
-                    engine.view(id).unwrap().results(),
-                    want,
+                    got, want,
                     "{prefix} twin diverged at tx {t} on {}",
                     queries[i]
                 );
@@ -756,12 +806,13 @@ proptest! {
     })]
 
     /// The wcoj-vs-binary differential: every cyclic motif query
-    /// registered THREE ways on one engine — fused ⨝ⁿ (`register_view`),
-    /// binary join tree (`binary()`) and syntactic order
-    /// (`unplanned()`) — then the same engine cloned at
-    /// propagation width 4. After every random update (including edge
-    /// deletions, which drive the n-ary retraction rule) all six
-    /// variants of each query must equal a from-scratch evaluation.
+    /// registered THREE ways — as the engine registers it (fused ⨝ⁿ
+    /// where the cost gate says so) on an engine, and on a network its
+    /// binary join tree (`binary()`) and syntactic order (`unplanned()`)
+    /// — then the engine and the network cloned at propagation width 4.
+    /// After every random update (including edge deletions, which drive
+    /// the n-ary retraction rule) all six variants of each query must
+    /// equal a from-scratch evaluation.
     #[test]
     fn wcoj_and_binary_twins_agree_across_widths(
         steps in proptest::collection::vec(motif_step_strategy(), 1..18),
@@ -773,27 +824,35 @@ proptest! {
             tri_bias: 0.4,
             seed: 11,
         });
-        let mut serial = pgq_core::GraphEngine::from_graph(seed.graph);
+        let mut serial = pgq_core::GraphEngine::from_graph(seed.graph.clone());
+        let mut twins = Twins::new(seed.graph);
         let mut compiled_plans = Vec::new();
         for (i, query) in MOTIF_QUERIES.iter().enumerate() {
             serial.register_view(&format!("wc{i}"), query).unwrap();
-            serial.register_view_with(&format!("bi{i}"), query, binary()).unwrap();
-            serial.register_view_with(&format!("un{i}"), query, unplanned()).unwrap();
+            twins.register(&format!("bi{i}"), query, binary());
+            twins.register(&format!("un{i}"), query, unplanned());
             compiled_plans.push(compile_query(&parse_query(query).unwrap()).unwrap());
         }
         let mut wide = serial.clone();
         wide.set_threads(4);
+        let mut wide_twins = twins.clone().with_threads(4);
         for step in &steps {
             let tx = motif_step_transaction(serial.graph(), step);
             serial.apply(&tx).expect("generated step applies");
             wide.apply(&tx).expect("generated step applies");
+            twins.apply(&tx);
+            wide_twins.apply(&tx);
             for (i, compiled) in compiled_plans.iter().enumerate() {
                 let want = eval_consolidated(&compiled.fra, serial.graph());
-                for prefix in ["wc", "bi", "un"] {
-                    for (engine, width) in [(&serial, 1usize), (&wide, 4)] {
-                        let id = engine.view_by_name(&format!("{prefix}{i}")).unwrap();
+                for (engine, net, width) in [(&serial, &twins, 1usize), (&wide, &wide_twins, 4)] {
+                    let id = engine.view_by_name(&format!("wc{i}")).unwrap();
+                    for (prefix, got) in [
+                        ("wc", engine.view(id).unwrap().results()),
+                        ("bi", net.results(&format!("bi{i}"))),
+                        ("un", net.results(&format!("un{i}"))),
+                    ] {
                         prop_assert_eq!(
-                            engine.view(id).unwrap().results(),
+                            got,
                             want.clone(),
                             "{} twin at width {} diverged after {:?} on query {}",
                             prefix, width, step, MOTIF_QUERIES[i]
@@ -807,10 +866,11 @@ proptest! {
 
 /// Deterministic motif-churn oracle: the shared generator's seeded
 /// churn script (inserts with wedge-closing bias plus deletions) driven
-/// through fused, binary and unplanned registrations of every cyclic
-/// query, with an `apply_batch` engine replaying the whole script in
-/// one call. The alpha-renamed triangle twin must hash-cons onto the
-/// original's ⨝ⁿ node (zero new operators).
+/// through every cyclic query as an engine registers it and, on a
+/// network, its binary and unplanned twins, with an `apply_batch` engine
+/// and network replaying the whole script in one call. The alpha-renamed
+/// triangle twin must hash-cons onto the original's ⨝ⁿ node (zero new
+/// operators).
 #[test]
 fn wcoj_views_stay_correct_under_motif_churn() {
     use pgq_workloads::motifs::{generate_motifs, MotifParams};
@@ -818,15 +878,12 @@ fn wcoj_views_stay_correct_under_motif_churn() {
     let mut net = generate_motifs(MotifParams::quick());
     let script = net.churn(60, 0.3);
     let mut engine = pgq_core::GraphEngine::from_graph(net.graph.clone());
+    let mut twins = Twins::new(net.graph.clone());
     let mut compiled = Vec::new();
     for (i, q) in MOTIF_QUERIES.iter().enumerate() {
         engine.register_view(&format!("wc{i}"), q).unwrap();
-        engine
-            .register_view_with(&format!("bi{i}"), q, binary())
-            .unwrap();
-        engine
-            .register_view_with(&format!("un{i}"), q, unplanned())
-            .unwrap();
+        twins.register(&format!("bi{i}"), q, binary());
+        twins.register(&format!("un{i}"), q, unplanned());
         compiled.push(compile_query(&parse_query(q).unwrap()).unwrap());
     }
     // The renamed twin shares the triangle's fused node: re-registering
@@ -843,19 +900,26 @@ fn wcoj_views_stay_correct_under_motif_churn() {
         nodes_before,
         "alpha-renamed triangle twin must hash-cons onto the fused node"
     );
-    let mut batched = engine.clone();
+    let (mut batched, mut batched_twins) = (engine.clone(), twins.clone());
+    let results = |engine: &pgq_core::GraphEngine, twins: &Twins, i: usize| {
+        let id = engine.view_by_name(&format!("wc{i}")).unwrap();
+        [
+            ("wc", engine.view(id).unwrap().results()),
+            ("bi", twins.results(&format!("bi{i}"))),
+            ("un", twins.results(&format!("un{i}"))),
+        ]
+    };
     for (t, tx) in script.iter().enumerate() {
         engine.apply(tx).expect("churn tx applies");
+        twins.apply(tx);
         if t % 5 != 0 && t + 1 != script.len() {
             continue;
         }
         for (i, c) in compiled.iter().enumerate() {
             let want = eval_consolidated(&c.fra, engine.graph());
-            for prefix in ["wc", "bi", "un"] {
-                let id = engine.view_by_name(&format!("{prefix}{i}")).unwrap();
+            for (prefix, got) in results(&engine, &twins, i) {
                 assert_eq!(
-                    engine.view(id).unwrap().results(),
-                    want,
+                    got, want,
                     "{prefix} twin diverged at tx {t} on {}",
                     MOTIF_QUERIES[i]
                 );
@@ -864,16 +928,14 @@ fn wcoj_views_stay_correct_under_motif_churn() {
     }
     // Whole script through apply_batch: identical consolidated output.
     batched.apply_batch(&script).expect("batched churn applies");
+    batched_twins.apply_batch(&script);
     for (i, query) in MOTIF_QUERIES.iter().enumerate() {
-        for prefix in ["wc", "bi", "un"] {
-            let name = format!("{prefix}{i}");
-            let a = engine.view(engine.view_by_name(&name).unwrap()).unwrap();
-            let b = batched.view(batched.view_by_name(&name).unwrap()).unwrap();
-            assert_eq!(
-                a.results(),
-                b.results(),
-                "apply_batch diverged on {name} ({query})"
-            );
+        let (one_by_one, batched) = (
+            results(&engine, &twins, i),
+            results(&batched, &batched_twins, i),
+        );
+        for ((prefix, a), (_, b)) in one_by_one.into_iter().zip(batched) {
+            assert_eq!(a, b, "apply_batch diverged on {prefix}{i} ({query})");
         }
     }
 }
@@ -883,8 +945,9 @@ fn wcoj_views_stay_correct_under_motif_churn() {
 /// edge scan's endpoint labels (the closing edge `(c)-[:E]->(a)` gains
 /// its target label that way), so `N` coming and going — on a hub, where
 /// thousands of wedges hang, and on the vertex a triangle closes at —
-/// must reach the views through the scan alone. Planned, binary and
-/// syntactic registrations, serial and at width 4, against a from-scratch
+/// must reach the views through the scan alone. Planned registrations on
+/// an engine, binary and syntactic ones on a network, each serial and at
+/// width 4, against a from-scratch
 /// evaluation of the *uncanonicalised* compiled plan after every step,
 /// with edge churn in between so label and edge deltas meet in the joins.
 #[test]
@@ -900,35 +963,37 @@ fn motif_views_follow_label_churn_on_hubs_and_closing_vertices() {
     let hub = seed.nodes[0];
     let script = seed.churn(24, 0.4);
     let mut serial = pgq_core::GraphEngine::from_graph(seed.graph.clone());
+    let mut twins = Twins::new(seed.graph.clone());
     let mut compiled = Vec::new();
     for (i, q) in queries::MOTIF_SKEW.iter().enumerate() {
         serial.register_view(&format!("pl{i}"), q).unwrap();
-        serial
-            .register_view_with(&format!("bi{i}"), q, binary())
-            .unwrap();
-        serial
-            .register_view_with(&format!("un{i}"), q, unplanned())
-            .unwrap();
+        twins.register(&format!("bi{i}"), q, binary());
+        twins.register(&format!("un{i}"), q, unplanned());
         compiled.push(compile_query(&parse_query(q).unwrap()).unwrap());
     }
     let mut wide = serial.clone();
     wide.set_threads(4);
-    let check = |serial: &pgq_core::GraphEngine, wide: &pgq_core::GraphEngine, what: &str| {
+    let mut wide_twins = twins.clone().with_threads(4);
+    type Width<'a> = (&'a pgq_core::GraphEngine, &'a Twins);
+    let check = |serial: Width, wide: Width, what: &str| {
         for (i, c) in compiled.iter().enumerate() {
-            let want = eval_consolidated(&c.fra, serial.graph());
-            for prefix in ["pl", "bi", "un"] {
-                for (engine, width) in [(serial, 1usize), (wide, 4)] {
-                    let id = engine.view_by_name(&format!("{prefix}{i}")).unwrap();
+            let want = eval_consolidated(&c.fra, serial.0.graph());
+            for ((engine, net), width) in [(serial, 1usize), (wide, 4)] {
+                let id = engine.view_by_name(&format!("pl{i}")).unwrap();
+                for (prefix, got) in [
+                    ("pl", engine.view(id).unwrap().results()),
+                    ("bi", net.results(&format!("bi{i}"))),
+                    ("un", net.results(&format!("un{i}"))),
+                ] {
                     assert_eq!(
-                        engine.view(id).unwrap().results(),
-                        want,
+                        got, want,
                         "{prefix}{i} at width {width} diverged after {what}"
                     );
                 }
             }
         }
     };
-    check(&serial, &wide, "registration");
+    check((&serial, &twins), (&wide, &wide_twins), "registration");
     let triangles = serial.view_by_name("pl0").unwrap();
     assert!(
         !serial.view_results(triangles).unwrap().is_empty(),
@@ -954,25 +1019,33 @@ fn motif_views_follow_label_churn_on_hubs_and_closing_vertices() {
                 }
                 serial.apply(&relabel).expect("relabel applies");
                 wide.apply(&relabel).expect("relabel applies");
+                twins.apply(&relabel);
+                wide_twins.apply(&relabel);
                 let verb = if remove { "removing" } else { "restoring" };
                 check(
-                    &serial,
-                    &wide,
+                    (&serial, &twins),
+                    (&wide, &wide_twins),
                     &format!("{verb} N on the {who} at step {t}"),
                 );
             }
         }
         serial.apply(tx).expect("churn tx applies");
         wide.apply(tx).expect("churn tx applies");
-        check(&serial, &wide, &format!("edge churn step {t}"));
+        twins.apply(tx);
+        wide_twins.apply(tx);
+        check(
+            (&serial, &twins),
+            (&wide, &wide_twins),
+            &format!("edge churn step {t}"),
+        );
     }
 }
 
 /// Hub-skewed wcoj oracle: the two-hub galloping workload (segregated
 /// id ranges, hub-degree intersections, deletion-heavy churn centred on
-/// the bridge edge) driven through every toggle combination in one
-/// process — forced ⨝ⁿ on the sorted-run backend, forced ⨝ⁿ on the
-/// hash-trie backend, binary join tree, and unplanned — each compared
+/// the bridge edge) driven through every reference twin on one network
+/// — forced ⨝ⁿ on the sorted-run backend, forced ⨝ⁿ on the hash-trie
+/// backend, binary join tree, and unplanned — each compared
 /// against a from-scratch evaluation at every checkpoint. (This is
 /// where the hash-trie backend meets hub skew; left to the catalog, the
 /// low-skew motif graphs above run hash tries and this one sorted
@@ -990,38 +1063,29 @@ fn wcoj_hub_views_stay_correct_under_deletion_heavy_churn() {
         seed: 11,
     });
     let script = net.churn(60);
-    let mut engine = pgq_core::GraphEngine::from_graph(net.graph.clone());
+    let mut twins = Twins::new(net.graph.clone());
     let hub_queries = [
         pgq_workloads::motifs::queries::TRIANGLES,
         pgq_workloads::motifs::queries::FOUR_CYCLES,
     ];
     let mut compiled = Vec::new();
     for (i, q) in hub_queries.iter().enumerate() {
-        engine
-            .register_view_with(&format!("ws{i}"), q, forced(true))
-            .unwrap();
-        engine
-            .register_view_with(&format!("wh{i}"), q, forced(false))
-            .unwrap();
-        engine
-            .register_view_with(&format!("bi{i}"), q, binary())
-            .unwrap();
-        engine
-            .register_view_with(&format!("un{i}"), q, unplanned())
-            .unwrap();
+        twins.register(&format!("ws{i}"), q, forced(true));
+        twins.register(&format!("wh{i}"), q, forced(false));
+        twins.register(&format!("bi{i}"), q, binary());
+        twins.register(&format!("un{i}"), q, unplanned());
         compiled.push(compile_query(&parse_query(q).unwrap()).unwrap());
     }
     for (t, tx) in script.iter().enumerate() {
-        engine.apply(tx).expect("hub churn tx applies");
+        twins.apply(tx);
         if t % 10 != 0 && t + 1 != script.len() {
             continue;
         }
         for (i, c) in compiled.iter().enumerate() {
-            let want = eval_consolidated(&c.fra, engine.graph());
+            let want = eval_consolidated(&c.fra, twins.graph());
             for prefix in ["ws", "wh", "bi", "un"] {
-                let id = engine.view_by_name(&format!("{prefix}{i}")).unwrap();
                 assert_eq!(
-                    engine.view(id).unwrap().results(),
+                    twins.results(&format!("{prefix}{i}")),
                     want,
                     "{prefix} twin diverged at tx {t} on {}",
                     hub_queries[i]
@@ -1095,11 +1159,7 @@ proptest! {
         let mut survivor = GraphEngine::new();
 
         // A spread of view flavors: join, var-length path, aggregate,
-        // negation — registered identically on both engines (plus
-        // twins whose options change the network: unplanned on the one
-        // query the planner changes, binary and forced-⨝ⁿ on each
-        // backend over cyclic patterns — so mode-faithful re-registration
-        // is part of what recovery must reproduce).
+        // negation — registered identically on both engines.
         let flavors: &[usize] = &[2, 4, 7, 11];
         let mut compiled = Vec::new();
         for &qi in flavors {
@@ -1108,17 +1168,6 @@ proptest! {
             durable.register_view(&format!("v{qi}"), q).unwrap();
             survivor.register_view(&format!("v{qi}"), q).unwrap();
         }
-        let twins = [
-            ("un", QUERIES[QUERIES.len() - 1], unplanned()),
-            ("bi", REPLY_TRIANGLES, binary()),
-            ("ws", REPLY_TRIANGLES, forced(true)),
-            ("wh", REPLY_TRANSITIVE, forced(false)),
-        ];
-        for (name, q, options) in twins {
-            durable.register_view_with(name, q, options).unwrap();
-            survivor.register_view_with(name, q, options).unwrap();
-        }
-
         // Fixed prelude so the random tail has something to mutate,
         // then the random script — every transaction through both
         // engines.
@@ -1155,34 +1204,17 @@ proptest! {
                 "recovered view {} diverged from recompute", name
             );
         }
-        for (name, _, _) in twins {
-            let rid = recovered.view_by_name(name).expect("view survives recovery");
-            let sid = survivor.view_by_name(name).unwrap();
-            prop_assert_eq!(
-                recovered.view(rid).unwrap().results(),
-                survivor.view(sid).unwrap().results(),
-                "recovered view {} diverged from the never-crashed engine", name
-            );
-        }
-        // Equal rows are not enough: each twin must run the network it
-        // was registered for (the syntactic order, binary joins, a ⨝ⁿ on
-        // its backend), not the default plan.
+        // Equal rows are not enough: the recovered network must run the
+        // operators the never-crashed one runs.
         let labels = |e: &GraphEngine| {
             let mut labels: Vec<String> =
                 e.network().node_summaries().into_iter().map(|n| n.label).collect();
             labels.sort();
             labels
         };
-        let survivor_labels = labels(&survivor);
-        for backend in [", sorted]", ", hash]"] {
-            prop_assert!(
-                survivor_labels.iter().any(|l| l.starts_with("⨝ⁿ") && l.ends_with(backend)),
-                "no ⨝ⁿ{}: {:?}", backend, survivor_labels
-            );
-        }
         prop_assert_eq!(
             labels(&recovered),
-            survivor_labels,
+            labels(&survivor),
             "the recovered network runs different operators"
         );
         // Continued operation after recovery: one more transaction must

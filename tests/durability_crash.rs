@@ -233,9 +233,6 @@ fn pinned_generation_image_opens_and_moves_on() {
                     slot,
                     name: name.to_string(),
                     query: q.to_string(),
-                    plan: true,
-                    wcoj_mode: 1,
-                    wcoj_sorted: None,
                 })
                 .collect();
             let mut w = SnapshotWriter::new(0, SUBSUMED as u64, &shadow);

@@ -11,13 +11,17 @@
 //! the binary join tree (the fused node measured 0.7–0.8× there), and
 //! hub-skewed catalogs always fuse (wedge blow-up is the binding cost).
 //! The end-to-end measure of the fused node is perfbench's `motif_skew`.
+//! A forced ⨝ⁿ and a binary tree are reference twins registered on a
+//! network (`tests/twins`).
 
-use pgq_algebra::plan::WcojMode;
 use pgq_core::GraphEngine;
 use pgq_ivm::RegisterOptions;
 use pgq_workloads::motifs::{
     generate_hub_motifs, generate_motifs, queries, HubMotifParams, MotifParams,
 };
+
+mod twins;
+use twins::{binary, forced, Twins};
 
 /// The Stage-4 `wcoj:` decision line of EXPLAIN on `query` over `engine`.
 fn decision_line(engine: &GraphEngine, query: &str) -> String {
@@ -91,32 +95,34 @@ fn forced_registration_fuses_below_the_gate() {
         line.ends_with("binary join tree"),
         "quick-scale triangles should stay binary: {line}"
     );
-    // …but a forced registration still pins the ⨝ⁿ node (benchmarks
-    // and the differential oracle rely on this), and the fused view
-    // maintains the same rows as the cost-based one.
-    engine
-        .register_view_with(
-            "forced",
-            queries::TRIANGLES,
-            RegisterOptions {
-                wcoj: WcojMode::Forced,
-                wcoj_sorted: Some(true),
-                ..RegisterOptions::default()
-            },
-        )
-        .unwrap();
-    engine.register_view("gated", queries::TRIANGLES).unwrap();
+    // …but a forced registration on a network still pins the ⨝ⁿ node
+    // (the differential oracles rely on this), and the fused view
+    // maintains the same rows as the engine's cost-based one.
+    let mut twins = Twins::new(net.graph.clone());
+    twins.register("forced", queries::TRIANGLES, forced(true));
+    let summaries = twins.network().node_summaries();
+    assert!(
+        summaries.iter().any(|n| n.label.starts_with("⨝ⁿ")),
+        "{summaries:?}"
+    );
+    let gated = engine.register_view("gated", queries::TRIANGLES).unwrap();
+    assert!(
+        engine
+            .network()
+            .node_summaries()
+            .iter()
+            .all(|n| !n.label.starts_with("⨝ⁿ")),
+        "the gated view keeps the binary tree"
+    );
     let mut net = net;
-    let mut g2 = GraphEngine::from_graph(net.graph.clone());
     for tx in net.churn(40, 0.3) {
         engine.apply(&tx).unwrap();
-        g2.apply(&tx).unwrap();
+        twins.apply(&tx);
     }
-    let rows = |e: &GraphEngine, name: &str| {
-        let id = e.view_by_name(name).unwrap();
-        e.view(id).unwrap().results()
-    };
-    assert_eq!(rows(&engine, "forced"), rows(&engine, "gated"));
+    assert_eq!(
+        twins.results("forced"),
+        engine.view(gated).unwrap().results()
+    );
 }
 
 /// The intermediate-row evidence behind the worst-case-optimality claim,
@@ -136,30 +142,25 @@ fn binary_join_rows_grow_with_edges_while_fused_rows_track_motifs() {
         let stream = net.churn(30, 0.3);
         // (binary join rows, ⨝ⁿ rows, Σ |multiplicity| of the view's
         // deltas) over the stream.
-        let run = |wcoj: WcojMode| {
-            let mut e = GraphEngine::from_graph(net.graph.clone());
-            let options = RegisterOptions {
-                wcoj,
-                ..RegisterOptions::default()
-            };
-            e.register_view_with("v", queries::TRIANGLES, options)
-                .unwrap();
-            let before = e.network().counters();
+        let run = |options: RegisterOptions| {
+            let mut twins = Twins::new(net.graph.clone());
+            let sink = twins.register("v", queries::TRIANGLES, options);
+            let before = twins.network().counters();
             let mut changed = 0;
             for tx in &stream {
-                for (_, d) in e.apply_with_deltas(tx).unwrap() {
-                    changed += d.iter().map(|(_, m)| m.unsigned_abs()).sum::<u64>();
-                }
+                twins.apply(tx);
+                let d = twins.network().last_delta(sink);
+                changed += d.iter().map(|(_, m)| m.unsigned_abs()).sum::<u64>();
             }
-            let after = e.network().counters();
+            let after = twins.network().counters();
             (
                 after.join_tuples_emitted - before.join_tuples_emitted,
                 after.wcoj_tuples_emitted - before.wcoj_tuples_emitted,
                 changed,
             )
         };
-        let (binary, _, motifs) = run(WcojMode::Disabled);
-        let (fused_joins, fused, fused_motifs) = run(WcojMode::Forced);
+        let (binary, _, motifs) = run(binary());
+        let (fused_joins, fused, fused_motifs) = run(forced(true));
         let at = format!("{nodes}/{edges}");
         assert_eq!(
             motifs, fused_motifs,

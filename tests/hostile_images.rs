@@ -7,23 +7,23 @@
 //! and one commit on the engine that opened — and each must return `Ok`
 //! or a typed error: a panic or an abort (a huge allocation included)
 //! fails the sweep. Values no single flip reaches — ids and watermarks
-//! at `u64::MAX`, extreme slots and option bytes — are encoded directly
-//! and go through the same readers. The byte of the retired schema mode
-//! is patched in place: 1, which older builds wrote, opens as the
-//! inferred view; anything above is a typed error.
+//! at `u64::MAX`, extreme slots — are encoded directly, and option bytes
+//! patched in, and go through the same readers. The retired option bytes
+//! of a catalog row are patched in place: every value some build wrote
+//! (schema mode 1 for the carry-maps flattening; planner off, binary or
+//! forced ⨝ⁿ, a pinned backend) opens as the default registration of the
+//! view's text; anything above is a typed error.
 
 mod durability_script;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use pgq_algebra::plan::WcojMode;
 use pgq_common::ids::{EdgeId, VertexId};
 use pgq_core::GraphEngine;
 use pgq_durability::codec::{crc32, CodecError};
 use pgq_durability::snapshot::{snap_file, SnapshotError};
 use pgq_durability::{MemDisk, Snapshot, Vfs};
-use pgq_ivm::RegisterOptions;
 
 /// Magic plus checksum: the body starts here.
 const HEADER_LEN: usize = 12;
@@ -32,23 +32,17 @@ const HEADER_LEN: usize = 12;
 /// endpoints, which the retired schema mode read from carried maps.
 const REPLIES: &str = "MATCH (p:Post)-[:REPLY]->(c:Comm) RETURN p, c, c.lang";
 
+/// The first view of [`small_image`].
+const EN: &str = "MATCH (p:Post) WHERE p.lang = 'en' RETURN p";
+
 /// A small image: every value kind the codec has, an edge with a
-/// property, and two catalog rows with different options.
+/// property, and two catalog rows.
 fn small_image() -> Vec<u8> {
     let disk = MemDisk::new();
     let mut engine = GraphEngine::open_durable_with(Arc::new(disk.vfs())).unwrap();
     engine.set_snapshot_every(0);
-    engine
-        .register_view("en", "MATCH (p:Post) WHERE p.lang = 'en' RETURN p")
-        .unwrap();
-    let register = RegisterOptions {
-        plan: false,
-        wcoj: WcojMode::Disabled,
-        wcoj_sorted: Some(true),
-    };
-    engine
-        .register_view_with("replies", REPLIES, register)
-        .unwrap();
+    engine.register_view("en", EN).unwrap();
+    engine.register_view("replies", REPLIES).unwrap();
     engine
         .execute(
             "CREATE (:Post {lang: 'en', n: -3, f: 1.5, ok: true, xs: [1, 'a', null], m: {k: 2}})\
@@ -67,6 +61,11 @@ fn mangled(image: &[u8], at: usize, mask: u8) -> Vec<u8> {
     let crc = crc32(&bytes[HEADER_LEN..]);
     bytes[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
     bytes
+}
+
+/// `image` with body byte `at` set to `byte` and the checksum patched.
+fn patched(image: &[u8], at: usize, byte: u8) -> Vec<u8> {
+    mangled(image, at, image[at] ^ byte)
 }
 
 /// How far the mangled images got through the readers.
@@ -135,7 +134,8 @@ fn a_hostile_image_under_a_valid_checksum_never_panics() {
 
 #[test]
 fn extreme_ids_watermarks_and_catalog_rows_never_panic() {
-    let good = Snapshot::decode(&small_image()).unwrap();
+    let image = small_image();
+    let good = Snapshot::decode(&image).unwrap();
     let mut cases: Vec<(&str, Snapshot)> = Vec::new();
     let mut s = good.clone();
     s.vertices[0].0 = VertexId(u64::MAX);
@@ -155,13 +155,6 @@ fn extreme_ids_watermarks_and_catalog_rows_never_panic() {
         s.views[1].slot = slot;
         cases.push((what, s));
     }
-    for mode in [2, 3, 0xFF] {
-        let mut s = good.clone();
-        for v in &mut s.views {
-            (v.wcoj_mode, v.plan) = (mode, !v.plan);
-        }
-        cases.push(("option bytes", s));
-    }
     let mut s = good.clone();
     s.views[0].name = s.views[1].name.clone();
     cases.push(("repeated view name", s));
@@ -169,20 +162,34 @@ fn extreme_ids_watermarks_and_catalog_rows_never_panic() {
     s.views[0].query = "MATCH (p) RETURN p ORDER BY p".into();
     cases.push(("unmaintainable query", s));
 
+    let mut cases: Vec<(&str, Vec<u8>)> = cases.into_iter().map(|(w, s)| (w, s.encode())).collect();
+    // Both rows flip the planner and set the ⨝ⁿ mode: forced (2), then
+    // out of range.
+    for mode in [2, 3, 0xFF] {
+        let mut bytes = image.clone();
+        for query in [EN, REPLIES] {
+            let at = option_bytes(&bytes, query) + 2;
+            bytes = patched(&bytes, at, 0);
+            bytes = patched(&bytes, at + 1, mode);
+        }
+        cases.push(("option bytes", bytes));
+    }
+
     let mut reached = Reached::default();
     let mut panics = Vec::new();
-    for (what, snap) in cases {
-        if let Err(why) = read_everywhere(&snap.encode(), &mut reached) {
+    for (what, bytes) in cases {
+        if let Err(why) = read_everywhere(&bytes, &mut reached) {
             panics.push(format!("{what}: {why}"));
         }
     }
     assert!(panics.is_empty(), "{}", panics.join("\n"));
 }
 
-/// Where [`REPLIES`]' catalog row keeps the retired schema-mode byte:
-/// right after its query text.
-fn schema_byte(image: &[u8]) -> usize {
-    let query = REPLIES.as_bytes();
+/// Where the catalog row of `query` keeps its five retired option bytes,
+/// right after the query text: schema mode, `optimize`, planner, ⨝ⁿ mode
+/// and ⨝ⁿ backend.
+fn option_bytes(image: &[u8], query: &str) -> usize {
+    let query = query.as_bytes();
     let at = image
         .windows(query.len())
         .position(|w| w == query)
@@ -193,7 +200,7 @@ fn schema_byte(image: &[u8]) -> usize {
 #[test]
 fn the_retired_schema_byte_opens_at_one_and_is_refused_above() {
     let image = small_image();
-    let at = schema_byte(&image);
+    let at = option_bytes(&image, REPLIES);
     // Rows are written with 0, so each mask `mangled` XORs in below is
     // the byte the row then holds.
     assert_eq!(image[at], 0);
@@ -228,5 +235,84 @@ fn the_retired_schema_byte_opens_at_one_and_is_refused_above() {
         let mut reached = Reached::default();
         read_everywhere(&bad, &mut reached).unwrap();
         assert_eq!(reached.decoded, 0, "schema byte {byte:#04x}");
+    }
+}
+
+/// The sorted labels of every node of `engine`'s network.
+fn labels(engine: &GraphEngine) -> Vec<String> {
+    let mut labels: Vec<String> = engine
+        .network()
+        .node_summaries()
+        .into_iter()
+        .map(|n| n.label)
+        .collect();
+    labels.sort();
+    labels
+}
+
+#[test]
+fn the_retired_mode_bytes_open_at_every_written_value_and_are_refused_above() {
+    let image = small_image();
+    // The planner, ⨝ⁿ mode and ⨝ⁿ backend bytes of `replies`' row. A
+    // row is written as older builds wrote a default registration:
+    // planner on, cost-based ⨝ⁿ, the catalog's backend.
+    let at = option_bytes(&image, REPLIES) + 2;
+    assert_eq!(image[at..at + 3], [1, 1, 0]);
+    let good = Snapshot::decode(&image).unwrap();
+    let mut fresh = GraphEngine::from_graph(good.restore_graph().unwrap());
+    for v in &good.views {
+        fresh.register_view(&v.name, &v.query).unwrap();
+    }
+    let want = fresh
+        .view_results(fresh.view_by_name("replies").unwrap())
+        .unwrap();
+    assert_eq!(want.len(), 1, "the image holds one reply");
+
+    // Every value some build wrote: the planner off or on, ⨝ⁿ disabled,
+    // cost-based or forced, the backend the catalog's, hash tries or
+    // sorted runs. The row opens as the default registration of its
+    // text: the rows and the network a fresh registration gives.
+    for plan in 0..=1 {
+        for mode in 0..=2 {
+            for backend in 0..=2 {
+                let what = format!("planner {plan}, mode {mode}, backend {backend}");
+                let bytes = [(0, plan), (1, mode), (2, backend)]
+                    .iter()
+                    .fold(image.clone(), |b, &(i, v)| patched(&b, at + i, v));
+                assert_eq!(
+                    Snapshot::decode(&bytes).unwrap().views,
+                    good.views,
+                    "{what}"
+                );
+                let disk = MemDisk::new();
+                disk.vfs().write_atomic(&snap_file(1), &bytes).unwrap();
+                let opened = GraphEngine::open_durable_with(Arc::new(disk.vfs())).unwrap();
+                let replies = opened.view_by_name("replies").unwrap();
+                assert_eq!(opened.view_results(replies).unwrap(), want, "{what}");
+                assert_eq!(labels(&opened), labels(&fresh), "{what}");
+            }
+        }
+    }
+
+    // Above those: a typed error on the decoder, and no reader panics.
+    for (offset, byte, tag) in [
+        (0, 2, "bool"),
+        (0, 0xFF, "bool"),
+        (1, 3, "wcoj-mode"),
+        (1, 0xFF, "wcoj-mode"),
+        (2, 3, "wcoj-sorted"),
+        (2, 0xFF, "wcoj-sorted"),
+    ] {
+        let bad = patched(&image, at + offset, byte);
+        assert!(
+            matches!(
+                Snapshot::decode(&bad),
+                Err(SnapshotError::Codec(CodecError::BadTag(t, b))) if t == tag && b == byte
+            ),
+            "{tag} byte {byte:#04x}"
+        );
+        let mut reached = Reached::default();
+        read_everywhere(&bad, &mut reached).unwrap();
+        assert_eq!(reached.decoded, 0, "{tag} byte {byte:#04x}");
     }
 }

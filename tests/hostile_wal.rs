@@ -11,8 +11,9 @@
 //! unknown kind, a cut text, invalid UTF-8, an option byte out of
 //! range, and every byte of a registration flipped) must each decode or
 //! end the log there, which recovery trims; a registration whose
-//! retired schema byte is 1, as older builds wrote it, recovers. A
-//! golden log pins the
+//! retired option bytes hold any value older builds wrote there
+//! recovers as the default registration of its text. A golden log pins
+//! the
 //! transaction bytes an earlier build wrote. The sibling of
 //! `hostile_images.rs`, which does the same to snapshot images.
 
@@ -25,13 +26,16 @@ use pgq_common::path::PathValue;
 use pgq_common::value::Value;
 use pgq_core::GraphEngine;
 use pgq_durability::codec::{
-    crc32, decode_catalog, decode_tx, encode_record, is_catalog, CatalogRecord,
+    crc32, decode_catalog, decode_tx, encode_record, is_catalog, CatalogRecord, CodecError,
 };
 use pgq_durability::wal::{self, parse_wal_name, wal_file, WalTail};
 use pgq_durability::{MemDisk, Record, SnapshotView, Vfs};
 use pgq_graph::props::Properties;
 use pgq_graph::store::PropertyGraph;
 use pgq_graph::tx::Transaction;
+
+mod twins;
+use twins::{unplanned, Twins};
 
 fn sym(s: &str) -> Symbol {
     Symbol::intern(s)
@@ -262,9 +266,6 @@ fn row(slot: u32, (name, query): (&str, &str)) -> SnapshotView {
         slot,
         name: name.into(),
         query: query.into(),
-        plan: true,
-        wcoj_mode: 1,
-        wcoj_sorted: None,
     }
 }
 
@@ -350,8 +351,11 @@ fn a_hostile_catalog_record_gives_a_typed_error_or_a_trimmed_tail() {
         ("schema mode 2".into(), with(n - 5, 2)),
         ("retired toggle 2".into(), with(n - 4, 2)),
         ("plan byte 2".into(), with(n - 3, 2)),
+        ("plan byte 0xFF".into(), with(n - 3, 0xFF)),
         ("wcoj mode 3".into(), with(n - 2, 3)),
+        ("wcoj mode 0xFF".into(), with(n - 2, 0xFF)),
         ("wcoj backend 3".into(), with(n - 1, 3)),
+        ("wcoj backend 0xFF".into(), with(n - 1, 0xFF)),
         ("trailing byte".into(), [good.as_slice(), &[0]].concat()),
         (
             "truncated drop".into(),
@@ -416,6 +420,104 @@ fn a_registration_logged_with_schema_byte_one_recovers() {
     let recovered = rows(&opened, opened.view_by_name(view.0).unwrap());
     assert_eq!(recovered.len(), 2, "{recovered:?}");
     assert_eq!(recovered, rows(&fresh, fresh_id));
+}
+
+/// The thread view the planner changes: it carries the σ below the ⋈*,
+/// so the default plan and the syntactic order run different networks.
+const THREADS: (&str, &str) = (
+    "threads",
+    "MATCH t = (p:Post)-[:REPLY*]->(c:Comm) WHERE p.lang = 'en' RETURN p, t",
+);
+
+/// A post in `lang` with one reply.
+fn thread_tx(lang: &str) -> Transaction {
+    let mut tx = Transaction::new();
+    let post = tx.create_vertex(
+        [sym("Post")],
+        Properties::from_iter([("lang", Value::str(lang))]),
+    );
+    let comm = tx.create_vertex([sym("Comm")], Properties::new());
+    tx.create_edge(post, comm, sym("REPLY"), Properties::new());
+    tx
+}
+
+/// The sorted labels of every node of `network`.
+fn labels(network: &pgq_ivm::DataflowNetwork) -> Vec<String> {
+    let mut labels: Vec<String> = network
+        .node_summaries()
+        .into_iter()
+        .map(|n| n.label)
+        .collect();
+    labels.sort();
+    labels
+}
+
+/// A register record's last three bytes are the retired planner, ⨝ⁿ
+/// mode and ⨝ⁿ backend options. Every value some build wrote there
+/// decodes to the same row, and the log opens with the view registered
+/// the default way: the rows and the network a fresh registration of
+/// its text gives, not its syntactic-order twin's. Above those values
+/// the record is a typed decode error.
+#[test]
+fn a_registration_logged_with_any_written_mode_bytes_recovers_as_the_default() {
+    let good = encode_record(Record::Register(&row(0, THREADS)));
+    let at = good.len() - 3;
+    // Written as older builds wrote a default registration.
+    assert_eq!(good[at..], [1, 1, 0]);
+    let open = |payload: &[u8]| {
+        let disk = MemDisk::new();
+        let vfs = disk.vfs();
+        wal::append_payload(&vfs, 0, payload).unwrap();
+        for lang in ["en", "de", "en"] {
+            wal::append(&vfs, 0, Record::Tx(&thread_tx(lang))).unwrap();
+        }
+        GraphEngine::open_durable_with(Arc::new(disk.vfs())).unwrap()
+    };
+    let reference = open(&good);
+    let mut fresh = GraphEngine::from_graph(reference.graph().clone());
+    let fresh_id = fresh.register_view(THREADS.0, THREADS.1).unwrap();
+    let want = fresh.view_results(fresh_id).unwrap();
+    assert_eq!(want.len(), 2, "two English threads");
+    let mut syntactic = Twins::new(reference.graph().clone());
+    syntactic.register(THREADS.0, THREADS.1, unplanned());
+    assert_ne!(
+        labels(syntactic.network()),
+        labels(fresh.network()),
+        "the planner changes this view's network"
+    );
+
+    for plan in 0..=1 {
+        for mode in 0..=2 {
+            for backend in 0..=2 {
+                let what = format!("planner {plan}, mode {mode}, backend {backend}");
+                let mut payload = good.clone();
+                payload[at..].copy_from_slice(&[plan, mode, backend]);
+                assert_eq!(
+                    decode_catalog(&payload),
+                    Ok(CatalogRecord::Register(row(0, THREADS))),
+                    "{what}"
+                );
+                let opened = open(&payload);
+                assert!(opened.recovery_report().unwrap().is_pristine(), "{what}");
+                let id = opened.view_by_name(THREADS.0).unwrap();
+                assert_eq!(opened.view_results(id).unwrap(), want, "{what}");
+                assert_eq!(labels(opened.network()), labels(fresh.network()), "{what}");
+            }
+        }
+    }
+
+    for (offset, byte, tag) in [
+        (0, 2, "bool"),
+        (0, 0xFF, "bool"),
+        (1, 3, "wcoj-mode"),
+        (1, 0xFF, "wcoj-mode"),
+        (2, 3, "wcoj-sorted"),
+        (2, 0xFF, "wcoj-sorted"),
+    ] {
+        let mut bad = good.clone();
+        bad[at + offset] = byte;
+        assert_eq!(decode_catalog(&bad), Err(CodecError::BadTag(tag, byte)));
+    }
 }
 
 /// `wal.0` as an earlier build wrote it — before catalog records — for

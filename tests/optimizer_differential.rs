@@ -5,12 +5,13 @@
 //! as written and as a from-scratch `pgq_eval` recompute, both once and
 //! after every step of a stream of updates. Two cases pin what the
 //! planned order buys, in state tuples: a filter pushed below ⋈*, and a
-//! join order that keeps the hub fan-out out of the join memories.
+//! join order that keeps the hub fan-out out of the join memories. The
+//! plan as written runs as a syntactic-order twin on a network
+//! (`tests/twins`), driven with the engine's transactions.
 
 use pgq_algebra::pipeline::compile_query;
 use pgq_algebra::plan::plan;
 use pgq_core::GraphEngine;
-use pgq_ivm::RegisterOptions;
 use pgq_parser::parse_query;
 use pgq_workloads::hub::{generate_hub, queries as hq, HubParams};
 use pgq_workloads::social::{generate_social, SocialParams};
@@ -30,13 +31,14 @@ const QUERIES: &[&str] = &[
 const SELECTIVE_THREADS: &str =
     "MATCH t = (p:Post)-[:REPLY*]->(c:Comm) WHERE p.lang = 'en' RETURN p, t";
 
-/// The syntactic-order twin of the default registration.
-fn register_unplanned(engine: &mut GraphEngine, name: &str, q: &str) -> pgq_core::ViewId {
-    let unplanned = RegisterOptions {
-        plan: false,
-        ..RegisterOptions::default()
-    };
-    engine.register_view_with(name, q, unplanned).unwrap()
+mod twins;
+use twins::{unplanned, Twins};
+
+/// `q`'s syntactic-order twin, as `name` on a network over `g`.
+fn unplanned_twin(g: &pgq_graph::store::PropertyGraph, name: &str, q: &str) -> Twins {
+    let mut twins = Twins::new(g.clone());
+    twins.register(name, q, unplanned());
+    twins
 }
 
 #[test]
@@ -65,15 +67,18 @@ fn planned_views_maintain_identically() {
         let written = compile_query(&parse_query(q).unwrap()).unwrap().fra;
         let mut engine = GraphEngine::from_graph(net.graph.clone());
         let planned = engine.register_view("planned", q).unwrap();
-        let unplanned = register_unplanned(&mut engine, "unplanned", q);
+        let mut twin = unplanned_twin(&net.graph, "unplanned", q);
         for (t, tx) in stream.iter().enumerate() {
             engine.apply(tx).unwrap();
+            twin.apply(tx);
             let want = pgq_eval::evaluate_consolidated(&written, engine.graph());
-            for (twin, id) in [("planned", planned), ("unplanned", unplanned)] {
+            for (which, got) in [
+                ("planned", engine.view(planned).unwrap().results()),
+                ("unplanned", twin.results("unplanned")),
+            ] {
                 assert_eq!(
-                    engine.view(id).unwrap().results(),
-                    want,
-                    "{q}: {twin} view diverged from recompute after tx {t}"
+                    got, want,
+                    "{q}: {which} view diverged from recompute after tx {t}"
                 );
             }
         }
@@ -88,33 +93,23 @@ fn pushed_filter_shrinks_varlength_state() {
     let net = generate_social(SocialParams::scale(0.25, 9));
     let mut engine = GraphEngine::from_graph(net.graph.clone());
     let planned = engine.register_view("planned", SELECTIVE_THREADS).unwrap();
-    let mut twin = GraphEngine::from_graph(net.graph.clone());
-    let unplanned = register_unplanned(&mut twin, "unplanned", SELECTIVE_THREADS);
+    let twin = unplanned_twin(&net.graph, "unplanned", SELECTIVE_THREADS);
 
-    let varlength = |e: &GraphEngine| -> String {
-        let nodes = e.network().node_summaries();
+    let varlength = |net: &pgq_ivm::DataflowNetwork| -> String {
+        let nodes = net.node_summaries();
         let label = nodes.iter().map(|n| &n.label).find(|l| l.starts_with("⋈*"));
         label.expect("the view has a ⋈* node").clone()
     };
-    assert!(
-        varlength(&engine).starts_with("⋈* [43 anchors, 258 paths,"),
-        "{}",
-        varlength(&engine)
-    );
-    assert!(
-        varlength(&twin).starts_with("⋈* [150 anchors, 900 paths,"),
-        "{}",
-        varlength(&twin)
-    );
+    let (pl, un) = (varlength(engine.network()), varlength(twin.network()));
+    assert!(pl.starts_with("⋈* [43 anchors, 258 paths,"), "{pl}");
+    assert!(un.starts_with("⋈* [150 anchors, 900 paths,"), "{un}");
+    let unplanned = twin.network().view_named("unplanned").unwrap();
     let (mp, mu) = (
         engine.view(planned).unwrap().memory_tuples(),
-        twin.view(unplanned).unwrap().memory_tuples(),
+        unplanned.memory_tuples(),
     );
     assert_eq!((mp, mu), (1_502, 2_358));
-    assert_eq!(
-        engine.view(planned).unwrap().results(),
-        twin.view(unplanned).unwrap().results()
-    );
+    assert_eq!(engine.view(planned).unwrap().results(), unplanned.results());
 
     // EXPLAIN's cost-based plan shows the σ under the expansion.
     let explain = engine.explain(SELECTIVE_THREADS).unwrap();
@@ -141,19 +136,19 @@ fn planned_order_holds_less_state_on_hub_skew() {
     for q in [hq::RARE_TOPIC_FANS, hq::RARE_CAT_FANS] {
         let mut engine = GraphEngine::from_graph(net.graph.clone());
         let planned = engine.register_view("planned", q).unwrap();
-        let mut twin = GraphEngine::from_graph(net.graph.clone());
-        let unplanned = register_unplanned(&mut twin, "unplanned", q);
-        let tuples = |engine: &GraphEngine, twin: &GraphEngine| {
+        let mut twin = unplanned_twin(&net.graph, "unplanned", q);
+        let tuples = |engine: &GraphEngine, twin: &Twins| {
+            let unplanned = twin.network().view_named("unplanned").unwrap();
             (
                 engine.view(planned).unwrap().memory_tuples(),
-                twin.view(unplanned).unwrap().memory_tuples(),
+                unplanned.memory_tuples(),
             )
         };
         let (p, u) = tuples(&engine, &twin);
         assert!(p < u, "{q}: planned {p} vs unplanned {u} tuples");
         for tx in &stream {
             engine.apply(tx).unwrap();
-            twin.apply(tx).unwrap();
+            twin.apply(tx);
         }
         let (p, u) = tuples(&engine, &twin);
         assert!(
@@ -162,7 +157,7 @@ fn planned_order_holds_less_state_on_hub_skew() {
         );
         assert_eq!(
             engine.view(planned).unwrap().results(),
-            twin.view(unplanned).unwrap().results()
+            twin.results("unplanned")
         );
     }
 }

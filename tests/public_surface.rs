@@ -952,7 +952,6 @@ const CORE: &[&str] = &[
     "engine.rs: fn GraphEngine::apply_batch",
     "engine.rs: fn GraphEngine::apply_with_deltas",
     "engine.rs: fn GraphEngine::register_view",
-    "engine.rs: fn GraphEngine::register_view_with",
     "engine.rs: fn GraphEngine::drop_view",
     "engine.rs: fn GraphEngine::view_by_name",
     "engine.rs: fn GraphEngine::view",

@@ -185,9 +185,6 @@ fn image_with_state_sections() -> Snapshot {
             slot: slot as u32,
             name: name.to_string(),
             query: q.to_string(),
-            plan: true,
-            wcoj_mode: 1,
-            wcoj_sorted: None,
         });
     }
     for (fp, check, bag) in net.dump_states().iter() {

@@ -149,9 +149,6 @@ fn engine_tick_writes_graph_and_catalog_and_nothing_else() {
                         slot: catalog.len() as u32,
                         name,
                         query: POOL[*q].to_string(),
-                        plan: true,
-                        wcoj_mode: 1,
-                        wcoj_sorted: None,
                     });
                 }
                 Step::Apply(tx) => {

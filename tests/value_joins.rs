@@ -3,7 +3,8 @@
 //! the σ above it still decides.
 //!
 //! The oracle: the view as registered (planned, value-keyed), its
-//! `plan: false` twin (the σ over the product, as written), the push
+//! syntactic-order twin on a network (`tests/twins`: the σ over the
+//! product, as written), the push
 //! evaluator and the materialising reference — each on the plan as
 //! written, as planned and in canonical form — and a one-shot `query`
 //! hold one bag after every step of a script that sets the joined
@@ -27,8 +28,10 @@ use pgq_common::ids::{EdgeId, VertexId};
 use pgq_common::intern::Symbol;
 use pgq_common::tuple::Tuple;
 use pgq_graph::props::Properties;
-use pgq_ivm::RegisterOptions;
 use pgq_parser::parse_query;
+
+mod twins;
+use twins::{unplanned, Twins};
 
 /// `view_churn`'s cold two-hop: the ⋈ on `b` also keys on the countries.
 const COLD: &str = "MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person) \
@@ -145,11 +148,8 @@ fn value_joins_agree_with_their_unkeyed_twin_and_both_evaluators_after_every_ste
         let (mut engine, mut people) = start();
         let written = compile_query(&parse_query(q).unwrap()).unwrap().fra;
         let keyed = engine.register_view("keyed", q).unwrap();
-        let unkeyed = RegisterOptions {
-            plan: false,
-            ..RegisterOptions::default()
-        };
-        let twin = engine.register_view_with("twin", q, unkeyed).unwrap();
+        let mut twin = Twins::new(engine.graph().clone());
+        twin.register("twin", q, unplanned());
 
         // The plan the view runs keys on value, where this query says.
         let planned = plan(&written, &pgq_ivm::plan_stats(engine.graph())).fra;
@@ -190,6 +190,7 @@ fn value_joins_agree_with_their_unkeyed_twin_and_both_evaluators_after_every_ste
                 }
             }
             engine.apply(&tx).unwrap();
+            twin.apply(&tx);
             let g = engine.graph();
             people = g.vertex_ids().collect();
             people.sort();
@@ -201,7 +202,7 @@ fn value_joins_agree_with_their_unkeyed_twin_and_both_evaluators_after_every_ste
             let canonical = canonicalize(&planned).with_restored_order();
             let mut got = vec![
                 ("keyed view", bag(engine.view(keyed).unwrap().results())),
-                ("unkeyed twin", bag(engine.view(twin).unwrap().results())),
+                ("unkeyed twin", bag(twin.results("twin"))),
                 (
                     "one-shot query",
                     bag(engine.query(q).unwrap().rows.into_iter().map(|t| (t, 1))),

@@ -81,9 +81,6 @@ fn register_frame(slot: u32, (name, query): (&str, &str)) -> u64 {
         slot,
         name: name.into(),
         query: query.into(),
-        plan: true,
-        wcoj_mode: 1,
-        wcoj_sorted: None,
     };
     8 + encode_record(Record::Register(&row)).len() as u64
 }
